@@ -291,6 +291,14 @@ mod tests {
     use super::*;
     use raptor_storage::EntityClass;
 
+    /// Records one row of `table` from named string cells.
+    fn row(s: &mut StoreStats, table: &str, cells: &[(&str, raptor_common::Sym)]) {
+        let t = s.table_ord(table);
+        let t = s.table_at(t);
+        let cells: Vec<_> = cells.iter().map(|&(c, v)| (t.column_ord(c), Value::Str(v))).collect();
+        t.record_row(cells);
+    }
+
     /// 10 processes, 5 files; 100 events: 80 file reads, 15 file writes,
     /// 5 network connects.
     fn stats() -> StoreStats {
@@ -301,13 +309,11 @@ mod tests {
         for id in 0..10 {
             s.record_node(EntityClass::Process, id);
             let exe = s.dict().intern(if id == 0 { "/usr/bin/gpg" } else { "/bin/noise" });
-            let t = s.table_mut("processes");
-            t.record_row();
-            t.record_sym("exename", exe);
+            row(&mut s, "processes", &[("exename", exe)]);
         }
         for id in 10..15 {
             s.record_node(EntityClass::File, id);
-            s.table_mut("files").record_row();
+            row(&mut s, "files", &[]);
         }
         for i in 0..100u32 {
             let (op, kind) = match i {
@@ -316,10 +322,7 @@ mod tests {
                 _ => ("connect", "network"),
             };
             let (op, kind) = (s.dict().intern(op), s.dict().intern(kind));
-            let t = s.table_mut("events");
-            t.record_row();
-            t.record_sym("optype", op);
-            t.record_sym("kind", kind);
+            row(&mut s, "events", &[("optype", op), ("kind", kind)]);
             s.record_edge((i % 10) as i64, 10 + (i % 5) as i64, Some(op));
         }
         s
@@ -404,18 +407,16 @@ mod tests {
         *s.catalog_mut() = raptor_storage::PathCatalog::new(true);
         for id in 0..10 {
             s.record_node(EntityClass::Process, id);
-            s.table_mut("processes").record_row();
+            row(&mut s, "processes", &[]);
         }
         for id in 10..15 {
             s.record_node(EntityClass::File, id);
-            s.table_mut("files").record_row();
+            row(&mut s, "files", &[]);
         }
         // Chain 0→1→2→3 (fork), then 3→10 (read).
         for (u, v, op) in [(0i64, 1i64, "fork"), (1, 2, "fork"), (2, 3, "fork"), (3, 10, "read")] {
             let op = s.dict().intern(op);
-            let t = s.table_mut("events");
-            t.record_row();
-            t.record_sym("optype", op);
+            row(&mut s, "events", &[("optype", op)]);
             s.record_edge(u, v, Some(op));
         }
         let one = estimate_path_pattern(&path(&s, Some(1)), &s);

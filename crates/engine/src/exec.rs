@@ -176,7 +176,7 @@ impl EngineStats {
     /// query: its row count, wall time, and the backend-counter delta it
     /// alone caused (`before` is the [`EngineStats::backend`] snapshot taken
     /// just before the call).
-    fn finish_last(&mut self, rows: usize, before: BackendStats, wall_ns: u64) {
+    pub(crate) fn finish_last(&mut self, rows: usize, before: BackendStats, wall_ns: u64) {
         if let Some(q) = self.queries.last_mut() {
             q.rows = Some(rows);
             q.wall_ns = wall_ns;

@@ -191,6 +191,7 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
 ///
 /// Entities must arrive in dense ascending id order (the audit parser's id
 /// space) — graph node ids coincide with entity ids exactly because of this.
+/// Strings are interned here, once, and reach both stores as symbols.
 pub fn append_entity(
     stores: &mut LoadedStores,
     e: &Entity,
@@ -206,50 +207,65 @@ pub fn append_entity(
     if let Some(wal) = &stores.wal {
         wal.log_entity(e)?;
     }
-    let host = e.host as i64;
-    let fields: Vec<Field<'_>> = match &e.attrs {
-        EntityAttrs::File(f) => vec![
-            ("name", FieldValue::Str(&f.name)),
-            ("path", FieldValue::Str(&f.path)),
-            ("user", FieldValue::Str(&f.user)),
-            ("group", FieldValue::Str(&f.group)),
-            ("host", FieldValue::Int(host)),
-        ],
-        EntityAttrs::Process(p) => vec![
-            ("pid", FieldValue::Int(p.pid as i64)),
-            ("exename", FieldValue::Str(&p.exename)),
-            ("user", FieldValue::Str(&p.user)),
-            ("group", FieldValue::Str(&p.group)),
-            ("cmd", FieldValue::Str(&p.cmd)),
-            ("host", FieldValue::Int(host)),
-        ],
-        EntityAttrs::NetConn(n) => vec![
-            ("srcip", FieldValue::Str(&n.src_ip)),
-            ("srcport", FieldValue::Int(n.src_port as i64)),
-            ("dstip", FieldValue::Str(&n.dst_ip)),
-            ("dstport", FieldValue::Int(n.dst_port as i64)),
-            ("protocol", FieldValue::Str(n.protocol.name())),
-            ("host", FieldValue::Int(host)),
-        ],
-    };
+    let dict = &stores.dict;
+    let sym = |s: &str| FieldValue::Sym(dict.intern(s));
+    let host = ("host", FieldValue::Int(e.host as i64));
     let class = class_for_kind(e.attrs.kind());
-    stores.rel.insert_entity(class, id, &fields, stats)?;
-    stores.graph.insert_entity(class, id, &fields, stats)?;
-    Ok(())
+    let mut both = |fields: &[Field<'_>]| -> Result<()> {
+        stores.rel.insert_entity(class, id, fields, stats)?;
+        stores.graph.insert_entity(class, id, fields, stats)
+    };
+    match &e.attrs {
+        EntityAttrs::File(f) => both(&[
+            ("name", sym(&f.name)),
+            ("path", sym(&f.path)),
+            ("user", sym(&f.user)),
+            ("group", sym(&f.group)),
+            host,
+        ]),
+        EntityAttrs::Process(p) => both(&[
+            ("pid", FieldValue::Int(p.pid as i64)),
+            ("exename", sym(&p.exename)),
+            ("user", sym(&p.user)),
+            ("group", sym(&p.group)),
+            ("cmd", sym(&p.cmd)),
+            host,
+        ]),
+        EntityAttrs::NetConn(n) => both(&[
+            ("srcip", sym(&n.src_ip)),
+            ("srcport", FieldValue::Int(n.src_port as i64)),
+            ("dstip", sym(&n.dst_ip)),
+            ("dstport", FieldValue::Int(n.dst_port as i64)),
+            ("protocol", sym(n.protocol.name())),
+            host,
+        ]),
+    }
 }
 
-/// Appends one event to both stores; advances the `now_ns` watermark.
+/// Appends one event to both stores; advances the `now_ns` watermark. An
+/// event naming an entity that was never appended is rejected before it
+/// reaches the log or either store, so all three stay as they were.
 pub fn append_event(
     stores: &mut LoadedStores,
     ev: &SystemEvent,
     stats: &mut BackendStats,
 ) -> Result<()> {
+    let (id, subj, obj) =
+        (ev.id.index() as i64, ev.subject.index() as i64, ev.object.index() as i64);
+    let nodes = stores.graph.node_count() as i64;
+    if subj >= nodes || obj >= nodes {
+        return Err(Error::storage(format!(
+            "event {id} names entity {} but only {nodes} entities were appended",
+            subj.max(obj)
+        )));
+    }
     if let Some(wal) = &stores.wal {
         wal.log_event(ev)?;
     }
+    let sym = |s: &str| FieldValue::Sym(stores.dict.intern(s));
     let fields: [Field<'_>; 8] = [
-        ("optype", FieldValue::Str(ev.op.name())),
-        ("kind", FieldValue::Str(ev.kind.name())),
+        ("optype", sym(ev.op.name())),
+        ("kind", sym(ev.kind.name())),
         ("starttime", FieldValue::Int(ev.start.0)),
         ("endtime", FieldValue::Int(ev.end.0)),
         ("duration", FieldValue::Int(ev.duration().0)),
@@ -257,8 +273,6 @@ pub fn append_event(
         ("failcode", FieldValue::Int(ev.fail_code as i64)),
         ("host", FieldValue::Int(ev.host as i64)),
     ];
-    let (id, subj, obj) =
-        (ev.id.index() as i64, ev.subject.index() as i64, ev.object.index() as i64);
     stores.rel.insert_event(id, subj, obj, &fields, stats)?;
     stores.graph.insert_event(id, subj, obj, &fields, stats)?;
     stores.now_ns = stores.now_ns.max(ev.end.0);
@@ -346,6 +360,42 @@ mod tests {
         let rel_id = r.row(0)[0].as_int().unwrap();
         let g_id = stores.graph.node_prop(nodes[0], "id").unwrap();
         assert_eq!(g_id, raptor_graphstore::PropValue::Int(rel_id));
+    }
+
+    /// An event naming an entity that was never appended is refused before
+    /// the WAL or either store sees it (it used to be logged and inserted
+    /// relationally before the graph found the missing endpoint).
+    #[test]
+    fn event_naming_unknown_entity_changes_nothing() {
+        use raptor_common::ids::EntityId;
+        use raptor_common::io::MemFs;
+        let log = sample_log();
+        let fs = MemFs::new();
+        let mut stores = empty().unwrap();
+        stores.wal = Some(WalSink::new(std::sync::Arc::new(fs.clone())));
+        let mut stats = BackendStats::default();
+        append_log(&mut stores, &log, &mut stats).unwrap();
+        let state = |s: &LoadedStores, stats: &BackendStats| {
+            (
+                s.rel.total_rows(),
+                (s.graph.node_count(), s.graph.edge_count()),
+                s.rel.store_stats().canonical(),
+                s.graph.store_stats().canonical(),
+                fs.snapshot(crate::wal::WAL_FILE),
+                (s.now_ns, stats.items_inserted),
+            )
+        };
+        let before = state(&stores, &stats);
+        let unknown = EntityId::from_usize(log.entities.len());
+        for bad in [
+            SystemEvent { object: unknown, ..log.events[0].clone() },
+            SystemEvent { subject: unknown, ..log.events[0].clone() },
+        ] {
+            let err = append_event(&mut stores, &bad, &mut stats).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{err}");
+            assert!(state(&stores, &stats) == before);
+        }
+        assert!(stores.rel.store_stats() == stores.graph.store_stats());
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! never decide, correctness.
 
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::time::Instant;
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
@@ -455,9 +456,11 @@ impl StandingQuery {
             let e = &self.aq.entities[id];
             let Some(filter) = &e.filter else { continue };
             let pred = Pred::And(Box::new(attr_pred(filter, &self.dict)), Box::new(range.clone()));
+            let (before, t0) = (stats.backend, Instant::now());
             let ids =
                 engine.rel().entity_candidates(class_for_type(e.ty), &pred, &mut stats.backend)?;
             stats.record("relational", QueryKind::Seed, id, 0);
+            stats.finish_last(ids.len(), before, t0.elapsed().as_nanos() as u64);
             self.prop.union(id, ids);
         }
         Ok(())
@@ -486,6 +489,9 @@ impl StandingQuery {
             let ctx = engine.ctx(&self.aq);
             for p in &self.aq.patterns {
                 if self.delta_ok[p.index] {
+                    // Data queries carry the same observability payload as
+                    // the batch executor's: rows, wall time, counter delta.
+                    let (before, t0) = (stats.backend, Instant::now());
                     let delta = if p.is_path() {
                         let mut req = path_pattern_request(&ctx, p, &self.prop, engine.max_hops)?;
                         req.final_event_id_in = Some(input.event_ids.to_vec());
@@ -499,6 +505,7 @@ impl StandingQuery {
                         stats.record("relational", QueryKind::EventPattern, &p.id, 1);
                         matches_to_rows(&m)
                     };
+                    stats.finish_last(delta.len(), before, t0.elapsed().as_nanos() as u64);
                     changed |= !delta.is_empty();
                     self.matches[p.index].extend(delta);
                 } else {
@@ -531,9 +538,11 @@ impl StandingQuery {
                         }));
                     } else {
                         obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
+                        let (before, t0) = (stats.backend, Instant::now());
                         let m = engine.graph().match_path_pattern(&req, &mut stats.backend)?;
                         stats.record("graph", QueryKind::PathPattern, &p.id, 0);
                         let rows = matches_to_rows(&m);
+                        stats.finish_last(rows.len(), before, t0.elapsed().as_nanos() as u64);
                         changed |= rows.len() != self.matches[p.index].len();
                         self.matches[p.index] = rows;
                     }
@@ -668,6 +677,11 @@ mod tests {
             };
             let (delta, estats) = sq.advance(&engine, &input).unwrap();
             assert_eq!(estats.text_parses, 0, "standing path must stay parse-free");
+            // Every data query carries its payload: the ledger and EXPLAIN
+            // ANALYZE read backend time and per-query counters from here.
+            assert!(!estats.queries.is_empty());
+            assert!(estats.queries.iter().all(|q| q.rows.is_some() && q.wall_ns > 0));
+            assert!(estats.queries.iter().any(|q| q.delta.data_queries == 1));
             emitted += delta.n_rows();
         }
         let batch = Engine::new(load(&log).unwrap());

@@ -19,7 +19,7 @@ use crate::cypher::ast::{
     ReturnItem, StrPredKind,
 };
 use crate::cypher::exec::{execute, GVal, GraphQueryStats};
-use crate::graph::{Graph, PropIns, PropValue};
+use crate::graph::{Graph, PropValue};
 
 pub fn label_for_class(class: EntityClass) -> &'static str {
     match class {
@@ -153,13 +153,6 @@ fn absorb_graph(stats: &mut BackendStats, g: &GraphQueryStats) {
 
 fn gval_int(v: &GVal) -> i64 {
     v.as_int().unwrap_or(-1)
-}
-
-fn prop_to_sval(v: PropValue) -> SVal {
-    match v {
-        PropValue::Int(i) => SVal::Int(i),
-        PropValue::Str(s) => SVal::Str(s),
-    }
 }
 
 impl Graph {
@@ -379,7 +372,7 @@ impl StorageBackend for Graph {
                     stats.items_scanned += nodes.len();
                     if let Some(&n) = nodes.first() {
                         if let Some(v) = self.node_prop(n, attr) {
-                            out.push((id, prop_to_sval(v)));
+                            out.push((id, v.into()));
                         }
                     }
                 }
@@ -394,7 +387,7 @@ impl StorageBackend for Graph {
                     if let Some(PropValue::Int(id)) = self.edge_prop(eid, "id") {
                         if wanted.contains(&id) {
                             if let Some(v) = self.edge_prop(eid, attr) {
-                                out.push((id, prop_to_sval(v)));
+                                out.push((id, v.into()));
                             }
                         }
                     }
@@ -404,21 +397,6 @@ impl StorageBackend for Graph {
         }
         Ok(out)
     }
-}
-
-fn props_from_fields<'a>(id: i64, fields: &'a [Field<'a>]) -> Vec<(&'a str, PropIns<'a>)> {
-    let mut props = Vec::with_capacity(fields.len() + 1);
-    props.push(("id", PropIns::Int(id)));
-    for (name, v) in fields {
-        props.push((
-            *name,
-            match v {
-                FieldValue::Int(i) => PropIns::Int(*i),
-                FieldValue::Str(s) => PropIns::Str(s),
-            },
-        ));
-    }
-    props
 }
 
 impl MutableBackend for Graph {
@@ -438,7 +416,7 @@ impl MutableBackend for Graph {
                 self.node_count()
             )));
         }
-        self.add_node(label_for_class(class), &props_from_fields(id, fields));
+        self.append_node(label_for_class(class), &[("id", FieldValue::Int(id))], fields);
         stats.items_inserted += 1;
         Ok(())
     }
@@ -454,11 +432,12 @@ impl MutableBackend for Graph {
         if subject < 0 || object < 0 {
             return Err(Error::storage("event endpoints must be non-negative entity ids"));
         }
-        self.add_edge(
+        self.append_edge(
             crate::graph::NodeId(subject as u32),
             crate::graph::NodeId(object as u32),
             "EVENT",
-            &props_from_fields(id, fields),
+            &[("id", FieldValue::Int(id))],
+            fields,
         )?;
         stats.items_inserted += 1;
         Ok(())

@@ -11,7 +11,9 @@ use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::pool::Pool;
-use raptor_storage::{EntityClass, StoreStats};
+use raptor_storage::{EntityClass, Field, Posting, StoreStats, Value};
+
+use crate::backend::label_for_class;
 
 /// Node id (arena index).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -26,6 +28,15 @@ pub struct EdgeId(pub u32);
 pub enum PropValue {
     Int(i64),
     Str(Sym),
+}
+
+impl From<PropValue> for Value {
+    fn from(v: PropValue) -> Value {
+        match v {
+            PropValue::Int(i) => Value::Int(i),
+            PropValue::Str(s) => Value::Str(s),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -51,9 +62,11 @@ pub struct Graph {
     inn: Vec<Vec<EdgeId>>,
     /// label → node ids.
     label_nodes: FxHashMap<Sym, Vec<NodeId>>,
-    /// (node label, prop key) → string prop value → node ids. Built lazily
-    /// via [`Graph::create_node_index`].
-    value_index: FxHashMap<(Sym, Sym), FxHashMap<PropValue, Vec<NodeId>>>,
+    /// (node label, prop key) → prop value → node ids. Built lazily via
+    /// [`Graph::create_node_index`].
+    value_index: FxHashMap<(Sym, Sym), FxHashMap<PropValue, Posting<NodeId>>>,
+    /// Record shapes seen by [`Graph::add_node`] / [`Graph::add_edge`].
+    shapes: Vec<Shape>,
     /// Data statistics, maintained incrementally by [`Graph::add_node`] /
     /// [`Graph::add_edge`] and keyed by the backend-neutral table
     /// vocabulary so they compare equal to the relational store's stats for
@@ -64,24 +77,32 @@ pub struct Graph {
     pool: Pool,
 }
 
-/// Backend-neutral stats table for a node/edge label, plus the entity class
-/// when the label is one of the audit classes.
-fn stats_table_for_label(label: &str) -> (&str, Option<EntityClass>) {
-    match label {
-        "Process" => ("processes", Some(EntityClass::Process)),
-        "File" => ("files", Some(EntityClass::File)),
-        "NetConn" => ("netconns", Some(EntityClass::NetConn)),
-        "EVENT" => ("events", None),
-        other => (other, None),
-    }
+/// One record shape — a label plus its property keys in order — with what
+/// the write path would otherwise resolve by name per record. A write whose
+/// label and keys equal a known shape's skips every such lookup.
+struct Shape {
+    label: String,
+    keys: Vec<String>,
+    label_sym: Sym,
+    /// Per property: key symbol, statistics column ordinal, value-indexed?
+    props: Vec<(Sym, usize, bool)>,
+    /// Ordinal of the label's table in [`StoreStats`].
+    stats_table: usize,
+    /// Audit entity class of the label, and its first `id` property.
+    class: Option<EntityClass>,
+    id_pos: Option<usize>,
+    /// `EVENT` edges: statistics ordinals of the structural
+    /// `subject`/`object` columns, and the first `optype` property.
+    endpoints: Option<(usize, usize)>,
+    optype_pos: Option<usize>,
 }
 
-/// A property being written (strings interned on the way in).
-#[derive(Clone, Copy, Debug)]
-pub enum PropIns<'a> {
-    Int(i64),
-    Str(&'a str),
-}
+/// Shapes kept resolved (audit data has four); past this, start over.
+const MAX_SHAPES: usize = 16;
+
+/// A property being written: strings are interned on the way in, unless
+/// they arrive as symbols of the graph's dictionary already.
+pub use raptor_storage::FieldValue as PropIns;
 
 impl Default for Graph {
     fn default() -> Self {
@@ -108,6 +129,7 @@ impl Graph {
             inn: Vec::new(),
             label_nodes: FxHashMap::default(),
             value_index: FxHashMap::default(),
+            shapes: Vec::new(),
             pool: Pool::default(),
         }
     }
@@ -171,67 +193,123 @@ impl Graph {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Interns a label and property list into the shared plane and records
-    /// one stats row from the interned values — the shared prefix of
-    /// [`Graph::add_node`] / [`Graph::add_edge`]. Interning happens first
-    /// so the frequency maps key on the dictionary with no second lookup.
+    /// The resolved shape of the record `pinned ++ props`.
+    fn shape_of(&mut self, label: &str, pinned: &[Field<'_>], props: &[Field<'_>]) -> usize {
+        let keys = || pinned.iter().chain(props).map(|p| p.0);
+        let known = self.shapes.iter().position(|s| s.label == label && s.keys.iter().eq(keys()));
+        if let Some(si) = known {
+            return si;
+        }
+        // Interns in record order (label, then each key before its value),
+        // so symbol numbering does not depend on which shapes came before.
+        let label_sym = self.dict.intern(label);
+        // Statistics use the backend-neutral table vocabulary, so they
+        // compare equal to the relational store's for the same data.
+        let class = EntityClass::ALL.into_iter().find(|&c| label_for_class(c) == label);
+        let table =
+            class.map_or(if label == "EVENT" { "events" } else { label }, |c| c.table_name());
+        let stats_table = self.stats.table_ord(table);
+        let mut resolved = Vec::with_capacity(keys().count());
+        for (key, v) in pinned.iter().chain(props) {
+            let key_sym = self.dict.intern(key);
+            if let PropIns::Str(s) = v {
+                self.dict.intern(s);
+            }
+            let col = self.stats.table_at(stats_table).column_ord(key);
+            resolved.push((key_sym, col, self.value_index.contains_key(&(label_sym, key_sym))));
+        }
+        let ts = self.stats.table_at(stats_table);
+        let endpoints =
+            (label == "EVENT").then(|| (ts.column_ord("subject"), ts.column_ord("object")));
+        if self.shapes.len() == MAX_SHAPES {
+            self.shapes.clear();
+        }
+        self.shapes.push(Shape {
+            label: label.to_string(),
+            keys: keys().map(str::to_string).collect(),
+            label_sym,
+            props: resolved,
+            stats_table,
+            class,
+            id_pos: keys().position(|k| k == "id"),
+            endpoints,
+            optype_pos: keys().position(|k| k == "optype"),
+        });
+        self.shapes.len() - 1
+    }
+
+    /// The shared prefix of [`Graph::add_node`] / [`Graph::add_edge`]:
+    /// resolves the record's shape, interns its string values and records
+    /// one stats row from the interned values (`endpoints` are an edge's
+    /// structural ends). Returns the shape's index and the stored properties.
     fn intern_and_record(
         &mut self,
         label: &str,
-        props: &[(&str, PropIns<'_>)],
-    ) -> (Sym, Vec<(Sym, PropValue)>) {
-        let label_sym = self.dict.intern(label);
-        let interned: Vec<(Sym, PropValue)> = props
+        pinned: &[Field<'_>],
+        props: &[Field<'_>],
+        endpoints: Option<(i64, i64)>,
+    ) -> (usize, Vec<(Sym, PropValue)>) {
+        let si = self.shape_of(label, pinned, props);
+        let shape = &self.shapes[si];
+        let stored: Vec<(Sym, PropValue)> = shape
+            .props
             .iter()
-            .map(|(k, v)| {
-                let key = self.dict.intern(k);
-                let val = match v {
-                    PropIns::Int(i) => PropValue::Int(*i),
-                    PropIns::Str(s) => PropValue::Str(self.dict.intern(s)),
-                };
-                (key, val)
+            .zip(pinned.iter().chain(props))
+            .map(|(&(key, _, _), &(_, v))| match v {
+                PropIns::Int(i) => (key, PropValue::Int(i)),
+                PropIns::Str(s) => (key, PropValue::Str(self.dict.intern(s))),
+                PropIns::Sym(s) => (key, PropValue::Str(s)),
             })
             .collect();
-        let (table, _) = stats_table_for_label(label);
-        let ts = self.stats.table_mut(table);
-        ts.record_row();
-        for ((k, _), (_, val)) in props.iter().zip(&interned) {
-            match val {
-                PropValue::Int(i) => ts.record_int(k, *i),
-                PropValue::Str(s) => ts.record_sym(k, *s),
-            }
-        }
-        (label_sym, interned)
+        // EVENT edges mirror the relational `events` rows — the structural
+        // endpoints count as `subject`/`object` columns so both backends'
+        // stats compare equal (at the symbol level) for the same data.
+        let ends = shape
+            .endpoints
+            .zip(endpoints)
+            .map(|((sc, oc), (s, o))| [(sc, Value::Int(s)), (oc, Value::Int(o))]);
+        let cells = shape.props.iter().zip(&stored).map(|(&(_, col, _), &(_, v))| (col, v.into()));
+        self.stats.table_at(shape.stats_table).record_row(cells.chain(ends.into_iter().flatten()));
+        (si, stored)
     }
 
-    pub fn add_node(&mut self, label: &str, props: &[(&str, PropIns<'_>)]) -> NodeId {
-        let (label_sym, interned) = self.intern_and_record(label, props);
+    pub fn add_node(&mut self, label: &str, props: &[Field<'_>]) -> NodeId {
+        self.append_node(label, &[], props)
+    }
+
+    /// [`Graph::add_node`] of `pinned ++ props` (`MutableBackend` callers
+    /// hold the id apart from the fields).
+    pub(crate) fn append_node(
+        &mut self,
+        label: &str,
+        pinned: &[Field<'_>],
+        props: &[Field<'_>],
+    ) -> NodeId {
+        let (si, stored) = self.intern_and_record(label, pinned, props, None);
+        let shape = &self.shapes[si];
+        let id = NodeId(self.nodes.len() as u32);
         // Class/degree registration for audit entity labels (keyed by the
         // `id` property, which the MutableBackend contract keeps equal to
         // the arena node id).
-        if let (_, Some(class)) = stats_table_for_label(label) {
-            let id = props
-                .iter()
-                .find_map(|(k, v)| match (*k, v) {
-                    ("id", PropIns::Int(i)) => Some(*i),
-                    _ => None,
-                })
-                .unwrap_or(self.nodes.len() as i64);
-            self.stats.record_node(class, id);
+        if let Some(class) = shape.class {
+            let entity = match shape.id_pos.map(|pos| stored[pos].1) {
+                Some(PropValue::Int(i)) => i,
+                _ => id.0 as i64,
+            };
+            self.stats.record_node(class, entity);
         }
-        let (label, props) = (label_sym, interned);
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { label, props });
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
-        self.label_nodes.entry(label).or_default().push(id);
+        self.label_nodes.entry(shape.label_sym).or_default().push(id);
         // Maintain any existing value indexes covering this label.
-        let node = self.nodes.last().unwrap();
-        for &(key, val) in &node.props {
-            if let Some(ix) = self.value_index.get_mut(&(label, key)) {
-                ix.entry(val).or_default().push(id);
+        for (&(key, _, indexed), &(_, v)) in shape.props.iter().zip(&stored) {
+            if indexed {
+                let ix =
+                    self.value_index.get_mut(&(shape.label_sym, key)).expect("shape is current");
+                ix.entry(v).and_modify(|p| p.push(id)).or_insert(Posting::One(id));
             }
         }
+        self.nodes.push(Node { label: shape.label_sym, props: stored });
+        self.out.push(Vec::new());
+        self.inn.push(Vec::new());
         id
     }
 
@@ -240,31 +318,35 @@ impl Graph {
         src: NodeId,
         dst: NodeId,
         label: &str,
-        props: &[(&str, PropIns<'_>)],
+        props: &[Field<'_>],
+    ) -> Result<EdgeId> {
+        self.append_edge(src, dst, label, &[], props)
+    }
+
+    /// [`Graph::add_edge`] of `pinned ++ props`, like [`Graph::append_node`].
+    pub(crate) fn append_edge(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        label: &str,
+        pinned: &[Field<'_>],
+        props: &[Field<'_>],
     ) -> Result<EdgeId> {
         if src.0 as usize >= self.nodes.len() || dst.0 as usize >= self.nodes.len() {
             return Err(Error::storage("edge endpoint does not exist"));
         }
-        let (label_sym, interned) = self.intern_and_record(label, props);
-        // Stats: EVENT edges mirror the relational `events` rows — the
-        // structural endpoints count as `subject`/`object` columns so both
-        // backends' stats compare equal (at the symbol level) for the same
-        // data.
-        if label == "EVENT" {
-            let (table, _) = stats_table_for_label(label);
-            let ts = self.stats.table_mut(table);
-            ts.record_int("subject", src.0 as i64);
-            ts.record_int("object", dst.0 as i64);
-            let optype_key = self.dict.intern("optype");
-            let op = interned.iter().find_map(|&(k, v)| match v {
-                PropValue::Str(s) if k == optype_key => Some(s),
-                _ => None,
+        let (s, o) = (src.0 as i64, dst.0 as i64);
+        let (si, stored) = self.intern_and_record(label, pinned, props, Some((s, o)));
+        let shape = &self.shapes[si];
+        if shape.endpoints.is_some() {
+            let op = shape.optype_pos.and_then(|pos| match stored[pos].1 {
+                PropValue::Str(sym) => Some(sym),
+                PropValue::Int(_) => None,
             });
-            self.stats.record_edge(src.0 as i64, dst.0 as i64, op);
+            self.stats.record_edge(s, o, op);
         }
-        let (label, props) = (label_sym, interned);
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { src, dst, label, props });
+        self.edges.push(Edge { src, dst, label: shape.label_sym, props: stored });
         self.out[src.0 as usize].push(id);
         self.inn[dst.0 as usize].push(id);
         Ok(id)
@@ -274,30 +356,31 @@ impl Graph {
     pub fn create_node_index(&mut self, label: &str, key: &str) {
         let label = self.dict.intern(label);
         let key = self.dict.intern(key);
-        let mut ix: FxHashMap<PropValue, Vec<NodeId>> = FxHashMap::default();
+        let mut ix: FxHashMap<PropValue, Posting<NodeId>> = FxHashMap::default();
         if let Some(ids) = self.label_nodes.get(&label) {
             for &id in ids {
                 if let Some(v) = prop_of(&self.nodes[id.0 as usize].props, key) {
-                    ix.entry(v).or_default().push(id);
+                    ix.entry(v).and_modify(|p| p.push(id)).or_insert(Posting::One(id));
                 }
             }
         }
         self.value_index.insert((label, key), ix);
+        // Resolved shapes know which properties are indexed: re-resolve.
+        self.shapes.clear();
+    }
+
+    fn index_of(&self, label: &str, key: &str) -> Option<&FxHashMap<PropValue, Posting<NodeId>>> {
+        self.value_index.get(&(self.dict.get(label)?, self.dict.get(key)?))
     }
 
     /// Point lookup through the value index, if one exists.
     pub fn indexed_nodes(&self, label: &str, key: &str, value: PropValue) -> Option<&[NodeId]> {
-        let label = self.dict.get(label)?;
-        let key = self.dict.get(key)?;
-        let ix = self.value_index.get(&(label, key))?;
-        Some(ix.get(&value).map(Vec::as_slice).unwrap_or(&[]))
+        Some(self.index_of(label, key)?.get(&value).map_or(&[], Posting::as_slice))
     }
 
     /// Distinct string values of an indexed (label, key), for CONTAINS scans.
     pub fn indexed_values(&self, label: &str, key: &str) -> Option<Vec<(Sym, &[NodeId])>> {
-        let label = self.dict.get(label)?;
-        let key = self.dict.get(key)?;
-        let ix = self.value_index.get(&(label, key))?;
+        let ix = self.index_of(label, key)?;
         let mut out = Vec::with_capacity(ix.len());
         for (v, ids) in ix {
             if let PropValue::Str(s) = v {

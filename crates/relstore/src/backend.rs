@@ -13,10 +13,9 @@ use raptor_storage::{
     PathPatternQuery, PatternMatches, Pred, StorageBackend, Value as SVal, ValueColumn,
 };
 
-use crate::db::{Database, Ins};
+use crate::db::Database;
 use crate::exec::{execute, ExecStats};
 use crate::plan::plan_select;
-use crate::schema::TableSchema;
 use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection, Select, TableRef};
 
 /// Caps the per-statement `IN` chunk for attribute fetches.
@@ -327,30 +326,6 @@ impl StorageBackend for Database {
     }
 }
 
-/// Builds one row in schema column order: `pinned` columns come from the
-/// caller's explicit ids, the rest are looked up in `fields` by attribute
-/// name (absent attributes insert NULL).
-fn row_from_fields<'a>(
-    schema: &TableSchema,
-    pinned: &[(&str, i64)],
-    fields: &'a [Field<'a>],
-) -> Vec<Ins<'a>> {
-    schema
-        .columns
-        .iter()
-        .map(|c| {
-            if let Some(&(_, v)) = pinned.iter().find(|(n, _)| *n == c.name) {
-                return Ins::Int(v);
-            }
-            match fields.iter().find(|(n, _)| *n == c.name) {
-                Some((_, FieldValue::Int(i))) => Ins::Int(*i),
-                Some((_, FieldValue::Str(s))) => Ins::Str(s),
-                None => Ins::Null,
-            }
-        })
-        .collect()
-}
-
 impl MutableBackend for Database {
     fn insert_entity(
         &mut self,
@@ -359,17 +334,8 @@ impl MutableBackend for Database {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
-        let table = table_for_class(class);
-        // The row only borrows `fields`, so the schema borrow ends here —
-        // no schema clone on the ingest hot path.
-        let row = {
-            let schema = &self
-                .table(table)
-                .ok_or_else(|| Error::storage(format!("unknown table `{table}`")))?
-                .schema;
-            row_from_fields(schema, &[("id", id)], fields)
-        };
-        self.insert(table, &row)?;
+        let pinned = [("id", FieldValue::Int(id))];
+        self.append_record(class as usize, class.table_name(), &pinned, fields)?;
         stats.items_inserted += 1;
         Ok(())
     }
@@ -382,14 +348,9 @@ impl MutableBackend for Database {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
-        let row = {
-            let schema = &self
-                .table("events")
-                .ok_or_else(|| Error::storage("unknown table `events`"))?
-                .schema;
-            row_from_fields(schema, &[("id", id), ("subject", subject), ("object", object)], fields)
-        };
-        self.insert("events", &row)?;
+        let pinned = [("id", id), ("subject", subject), ("object", object)]
+            .map(|(name, v)| (name, FieldValue::Int(v)));
+        self.append_record(EntityClass::ALL.len(), "events", &pinned, fields)?;
         stats.items_inserted += 1;
         Ok(())
     }

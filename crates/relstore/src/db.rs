@@ -11,7 +11,7 @@ use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
 use raptor_common::pool::Pool;
-use raptor_storage::{EntityClass, StoreStats, ValueColumn};
+use raptor_storage::{EntityClass, Field, FieldValue, StoreStats, ValueColumn};
 
 use crate::exec::{execute, ExecStats};
 use crate::index::{BTreeIndex, HashIndex, TrigramIndex};
@@ -66,13 +66,44 @@ impl QueryResult {
     }
 }
 
+/// The secondary indexes of one column.
+#[derive(Default)]
+pub(crate) struct ColumnIndexes {
+    pub(crate) hash: Option<HashIndex>,
+    pub(crate) btree: Option<BTreeIndex>,
+    pub(crate) trigram: Option<TrigramIndex>,
+}
+
+/// One table with everything the appender addresses by ordinal, resolved
+/// by name once, at `create_table` time.
+struct Slot {
+    table: Table,
+    /// Per column, in schema order.
+    indexes: Vec<ColumnIndexes>,
+    /// The table's ordinal in [`StoreStats`], and each column's in it.
+    stats_ord: usize,
+    stats_cols: Vec<usize>,
+    /// An audit entity table's class and `id` column.
+    node: Option<(EntityClass, usize)>,
+    /// The `events` table's `subject`, `object` and `optype` columns.
+    edge: Option<(usize, usize, Option<usize>)>,
+}
+
+/// One `MutableBackend` record shape (the field names supplied for an
+/// entity class or for events) resolved to schema column order: per column,
+/// its position in `pinned ++ fields`, or `None` for NULL. Re-resolved
+/// whenever the supplied names differ from the cached ones.
+struct FieldPerm {
+    table: usize,
+    names: Vec<String>,
+    cols: Vec<Option<usize>>,
+}
+
 /// The embedded relational database.
 pub struct Database {
     dict: SharedDict,
-    tables: FxHashMap<String, Table>,
-    hash_indexes: FxHashMap<(String, String), HashIndex>,
-    btree_indexes: FxHashMap<(String, String), BTreeIndex>,
-    trigram_indexes: FxHashMap<(String, String), TrigramIndex>,
+    slots: Vec<Slot>,
+    by_name: FxHashMap<String, usize>,
     /// SQL texts parsed over this database's lifetime. The typed
     /// `StorageBackend` entry points never touch this — tests assert it.
     /// Atomic (not `Cell`) so the database stays `Sync` on the query path:
@@ -85,22 +116,16 @@ pub struct Database {
     /// (every write path funnels through it) and served scan-free via
     /// `StorageBackend::stats` and the planner's index selection.
     stats: StoreStats,
-}
-
-/// Entity class whose rows live in `table`, for the audit schema's entity
-/// tables (`None` for `events` and non-audit tables).
-fn class_for_table(table: &str) -> Option<EntityClass> {
-    match table {
-        "files" => Some(EntityClass::File),
-        "processes" => Some(EntityClass::Process),
-        "netconns" => Some(EntityClass::NetConn),
-        _ => None,
-    }
+    /// The row being appended, in schema column order. Reused, so a row
+    /// costs no allocation.
+    row: Vec<Value>,
+    /// One per entity class, then events.
+    perms: [Option<FieldPerm>; 4],
 }
 
 impl SchemaProvider for Database {
     fn schema(&self, table: &str) -> Option<&TableSchema> {
-        self.tables.get(table).map(|t| &t.schema)
+        self.table(table).map(|t| &t.schema)
     }
 }
 
@@ -123,12 +148,12 @@ impl Database {
         Database {
             stats: StoreStats::new(dict.clone()),
             dict,
-            tables: FxHashMap::default(),
-            hash_indexes: FxHashMap::default(),
-            btree_indexes: FxHashMap::default(),
-            trigram_indexes: FxHashMap::default(),
+            slots: Vec::new(),
+            by_name: FxHashMap::default(),
             text_parses: AtomicUsize::new(0),
             pool: Pool::default(),
+            row: Vec::new(),
+            perms: Default::default(),
         }
     }
 
@@ -154,151 +179,173 @@ impl Database {
     /// results are byte-identical at every capacity, only scan granularity
     /// (and [`ExecStats`] segment counters) changes.
     pub fn set_segment_rows(&mut self, rows: usize) {
-        for t in self.tables.values_mut() {
-            t.set_segment_rows(rows);
+        for s in &mut self.slots {
+            s.table.set_segment_rows(rows);
         }
     }
 
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.by_name.get(name).map(|&ti| &self.slots[ti].table)
     }
 
-    pub(crate) fn hash_index(&self, table: &str, col: &str) -> Option<&HashIndex> {
-        self.hash_indexes.get(&(table.to_string(), col.to_string()))
+    fn table_ord(&self, table: &str) -> Result<usize> {
+        self.by_name
+            .get(table)
+            .copied()
+            .ok_or_else(|| Error::storage(format!("unknown table `{table}`")))
     }
 
-    pub(crate) fn btree_index(&self, table: &str, col: &str) -> Option<&BTreeIndex> {
-        self.btree_indexes.get(&(table.to_string(), col.to_string()))
-    }
-
-    pub(crate) fn trigram_index(&self, table: &str, col: &str) -> Option<&TrigramIndex> {
-        self.trigram_indexes.get(&(table.to_string(), col.to_string()))
+    /// The index slots of `table.col` (each `None` until created).
+    pub(crate) fn indexes(&self, table: &str, col: &str) -> Option<&ColumnIndexes> {
+        let slot = &self.slots[*self.by_name.get(table)?];
+        Some(&slot.indexes[slot.table.schema.column_index(col)?])
     }
 
     /// Creates an empty table.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
-        if self.tables.contains_key(&schema.name) {
+        if self.by_name.contains_key(&schema.name) {
             return Err(Error::storage(format!("table `{}` already exists", schema.name)));
         }
-        self.tables.insert(schema.name.clone(), Table::new(schema));
+        let stats_ord = self.stats.table_ord(&schema.name);
+        let ts = self.stats.table_at(stats_ord);
+        let col = |name| schema.column_index(name);
+        let edge = (col("subject").zip(col("object"))).filter(|_| schema.name == "events");
+        self.by_name.insert(schema.name.clone(), self.slots.len());
+        self.slots.push(Slot {
+            indexes: schema.columns.iter().map(|_| ColumnIndexes::default()).collect(),
+            stats_ord,
+            stats_cols: schema.columns.iter().map(|c| ts.column_ord(&c.name)).collect(),
+            node: EntityClass::ALL
+                .into_iter()
+                .find(|c| c.table_name() == schema.name)
+                .zip(col("id")),
+            edge: edge.map(|(s, o)| (s, o, col("optype"))),
+            table: Table::new(schema),
+        });
         Ok(())
     }
 
-    fn check_col(&self, table: &str, col: &str) -> Result<usize> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| Error::storage(format!("unknown table `{table}`")))?;
-        t.schema.require_column(col)
+    /// The slot and column ordinal an index on `table.col` lives at.
+    fn index_site(&mut self, table: &str, col: &str) -> Result<(&mut Slot, usize)> {
+        let ti = self.table_ord(table)?;
+        let slot = &mut self.slots[ti];
+        let ci = slot.table.schema.require_column(col)?;
+        Ok((slot, ci))
     }
 
     /// Creates a hash (equality) index. Rows already present are indexed
     /// (one pass down the column vector).
     pub fn create_hash_index(&mut self, table: &str, col: &str) -> Result<()> {
-        let ci = self.check_col(table, col)?;
-        let t = &self.tables[table];
+        let (slot, ci) = self.index_site(table, col)?;
         let mut idx = HashIndex::default();
-        for rid in 0..t.len() as u32 {
-            idx.insert(t.cell(rid, ci), rid);
+        for rid in 0..slot.table.len() as u32 {
+            idx.insert(slot.table.cell(rid, ci), rid);
         }
-        self.hash_indexes.insert((table.to_string(), col.to_string()), idx);
+        slot.indexes[ci].hash = Some(idx);
         Ok(())
     }
 
     /// Creates a B-tree (range) index over an integer/time column.
     pub fn create_btree_index(&mut self, table: &str, col: &str) -> Result<()> {
-        let ci = self.check_col(table, col)?;
-        let t = &self.tables[table];
+        let (slot, ci) = self.index_site(table, col)?;
         let mut idx = BTreeIndex::default();
-        for rid in 0..t.len() as u32 {
-            if let Value::Int(k) = t.cell(rid, ci) {
+        for rid in 0..slot.table.len() as u32 {
+            if let Value::Int(k) = slot.table.cell(rid, ci) {
                 idx.insert(k, rid);
             }
         }
-        self.btree_indexes.insert((table.to_string(), col.to_string()), idx);
+        slot.indexes[ci].btree = Some(idx);
         Ok(())
     }
 
     /// Creates a trigram index over a string column (used together with a
     /// hash index on the same column to accelerate `LIKE '%lit%'`).
     pub fn create_trigram_index(&mut self, table: &str, col: &str) -> Result<()> {
-        let ci = self.check_col(table, col)?;
-        let t = &self.tables[table];
+        let dict = self.dict.clone();
+        let (slot, ci) = self.index_site(table, col)?;
         let mut idx = TrigramIndex::default();
-        for rid in 0..t.len() as u32 {
-            if let Value::Str(s) = t.cell(rid, ci) {
-                idx.add_sym(s, &self.dict);
+        for rid in 0..slot.table.len() as u32 {
+            if let Value::Str(s) = slot.table.cell(rid, ci) {
+                idx.add_sym(s, &dict);
             }
         }
-        self.trigram_indexes.insert((table.to_string(), col.to_string()), idx);
+        slot.indexes[ci].trigram = Some(idx);
         Ok(())
     }
 
     /// Inserts one row, maintaining all indexes on the table.
     pub fn insert(&mut self, table: &str, row: &[Ins<'_>]) -> Result<()> {
-        let values: Vec<Value> = row
-            .iter()
-            .map(|v| match v {
-                Ins::Int(i) => Value::Int(*i),
-                Ins::Str(s) => Value::Str(self.dict.intern(s)),
-                Ins::Null => Value::Null,
-            })
-            .collect();
-        let t = self
-            .tables
-            .get_mut(table)
-            .ok_or_else(|| Error::storage(format!("unknown table `{table}`")))?;
-        let rid = t.insert(&values)?;
-        let schema = t.schema.clone();
-        // Maintain data statistics (row/column counts, degree summaries)
-        // alongside the indexes — every write path funnels through here, so
-        // bulk load and streaming ingest produce identical stats. String
-        // values are recorded by their freshly interned symbols, so the
-        // frequency maps key on the shared dictionary plane.
-        {
-            let ts = self.stats.table_mut(table);
-            ts.record_row();
-            for (ci, cdef) in schema.columns.iter().enumerate() {
-                match values[ci] {
-                    Value::Int(i) => ts.record_int(&cdef.name, i),
-                    Value::Str(s) => ts.record_sym(&cdef.name, s),
-                    Value::Null => {}
-                }
-            }
-            let int_col = |name: &str| -> Option<i64> {
-                schema.column_index(name).and_then(|ci| match row[ci] {
-                    Ins::Int(i) => Some(i),
-                    _ => None,
-                })
-            };
-            if let Some(class) = class_for_table(table) {
-                if let Some(id) = int_col("id") {
-                    self.stats.record_node(class, id);
-                }
-            } else if table == "events" {
-                if let (Some(s), Some(o)) = (int_col("subject"), int_col("object")) {
-                    let op = schema.column_index("optype").and_then(|ci| match values[ci] {
-                        Value::Str(sym) => Some(sym),
-                        _ => None,
-                    });
-                    self.stats.record_edge(s, o, op);
-                }
+        let ti = self.table_ord(table)?;
+        self.row.clear();
+        self.row.extend(row.iter().map(|v| match v {
+            Ins::Int(i) => Value::Int(*i),
+            Ins::Str(s) => Value::Str(self.dict.intern(s)),
+            Ins::Null => Value::Null,
+        }));
+        self.append(ti)
+    }
+
+    /// Appends one `MutableBackend` record: `pinned` columns first, the rest
+    /// looked up in `fields` by attribute name (absent attributes insert
+    /// NULL, unknown fields are ignored, the first of a repeated name wins).
+    pub(crate) fn append_record(
+        &mut self,
+        shape: usize,
+        table: &str,
+        pinned: &[Field<'_>],
+        fields: &[Field<'_>],
+    ) -> Result<()> {
+        let cached = self.perms[shape]
+            .as_ref()
+            .is_some_and(|p| p.names.iter().map(String::as_str).eq(fields.iter().map(|f| f.0)));
+        if !cached {
+            let ti = self.table_ord(table)?;
+            let supplied = || pinned.iter().chain(fields).map(|f| f.0);
+            let columns = &self.slots[ti].table.schema.columns;
+            let cols = columns.iter().map(|c| supplied().position(|n| n == c.name)).collect();
+            let names = fields.iter().map(|f| f.0.to_string()).collect();
+            self.perms[shape] = Some(FieldPerm { table: ti, names, cols });
+        }
+        let perm = self.perms[shape].as_ref().expect("resolved above");
+        self.row.clear();
+        self.row.extend(perm.cols.iter().map(|src| match *src {
+            None => Value::Null,
+            Some(i) => match pinned.get(i).unwrap_or_else(|| &fields[i - pinned.len()]).1 {
+                FieldValue::Int(i) => Value::Int(i),
+                FieldValue::Str(s) => Value::Str(self.dict.intern(s)),
+                FieldValue::Sym(s) => Value::Str(s),
+            },
+        }));
+        self.append(perm.table)
+    }
+
+    /// The one appender: appends `self.row` to table `ti`, then maintains
+    /// the data statistics (row/column counts, degree summaries, path
+    /// catalog) and every index on the table. Every write path funnels
+    /// through here, so bulk load, streaming ingest and raw inserts produce
+    /// identical stores.
+    fn append(&mut self, ti: usize) -> Result<()> {
+        let (slot, row) = (&mut self.slots[ti], &self.row);
+        let rid = slot.table.insert(row)?;
+        let cells = slot.stats_cols.iter().copied().zip(row.iter().copied());
+        self.stats.table_at(slot.stats_ord).record_row(cells);
+        if let Some((class, Value::Int(id))) = slot.node.map(|(class, ci)| (class, row[ci])) {
+            self.stats.record_node(class, id);
+        }
+        if let Some((s, o, optype)) = slot.edge {
+            if let (Value::Int(s), Value::Int(o)) = (row[s], row[o]) {
+                self.stats.record_edge(s, o, optype.and_then(|ci| row[ci].as_sym()));
             }
         }
-        for (ci, cdef) in schema.columns.iter().enumerate() {
-            let key = (table.to_string(), cdef.name.clone());
-            if let Some(idx) = self.hash_indexes.get_mut(&key) {
-                idx.insert(values[ci], rid);
+        for (ix, &v) in slot.indexes.iter_mut().zip(row) {
+            if let Some(idx) = &mut ix.hash {
+                idx.insert(v, rid);
             }
-            if let Some(idx) = self.btree_indexes.get_mut(&key) {
-                if let Value::Int(k) = values[ci] {
-                    idx.insert(k, rid);
-                }
+            if let (Some(idx), Value::Int(k)) = (&mut ix.btree, v) {
+                idx.insert(k, rid);
             }
-            if let Some(idx) = self.trigram_indexes.get_mut(&key) {
-                if let Value::Str(s) = values[ci] {
-                    idx.add_sym(s, &self.dict);
-                }
+            if let (Some(idx), Value::Str(s)) = (&mut ix.trigram, v) {
+                idx.add_sym(s, &self.dict);
             }
         }
         Ok(())
@@ -338,7 +385,7 @@ impl Database {
 
     /// Total rows across all tables (for stats displays).
     pub fn total_rows(&self) -> usize {
-        self.tables.values().map(Table::len).sum()
+        self.slots.iter().map(|s| s.table.len()).sum()
     }
 }
 

@@ -642,7 +642,7 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
 fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<RowId>> {
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
-            let idx = db.hash_index(&scan.table, &col.column)?;
+            let idx = db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
             let key = match lit {
                 Literal::Int(i) => Value::Int(*i),
                 // Typed requests arrive pre-interned: no dictionary lookup.
@@ -656,7 +656,7 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
             Some(idx.get(key).to_vec())
         }
         Expr::InList { col, list, negated: false } => {
-            let idx = db.hash_index(&scan.table, &col.column)?;
+            let idx = db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
             let mut rows = Vec::new();
             for lit in list {
                 let key = match lit {
@@ -674,7 +674,7 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
             Some(rows)
         }
         Expr::CmpLit { col, op, lit: Literal::Int(i) } => {
-            let idx = db.btree_index(&scan.table, &col.column)?;
+            let idx = db.indexes(&scan.table, &col.column)?.btree.as_ref()?;
             let (lo, hi) = match op {
                 CmpOp::Lt => (i64::MIN, i - 1),
                 CmpOp::Le => (i64::MIN, *i),
@@ -686,10 +686,10 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
         }
         Expr::Like { col, pattern, negated: false } => {
             let lit = containment_literal(pattern)?;
-            let tri = db.trigram_index(&scan.table, &col.column)?;
-            let candidates = tri.candidates(&lit)?;
+            let ix = db.indexes(&scan.table, &col.column)?;
+            let candidates = ix.trigram.as_ref()?.candidates(&lit)?;
             // Verify the LIKE on the (small) dictionary, then fan out to rows.
-            let hash = db.hash_index(&scan.table, &col.column)?;
+            let hash = ix.hash.as_ref()?;
             let mut rows = Vec::new();
             for sym in candidates {
                 if like_match(pattern, db.dict().resolve(sym)) {
@@ -733,11 +733,11 @@ fn conjunct_estimate(
     };
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
-            db.hash_index(&scan.table, &col.column)?;
+            db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
             Some(eq_frac(col, lit) * rows)
         }
         Expr::InList { col, list, negated: false } => {
-            db.hash_index(&scan.table, &col.column)?;
+            db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
             let frac: f64 = list.iter().map(|lit| eq_frac(col, lit)).sum();
             Some(frac.min(1.0) * rows)
         }
@@ -745,13 +745,13 @@ fn conjunct_estimate(
             if !matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge) {
                 return None;
             }
-            db.btree_index(&scan.table, &col.column)?;
+            db.indexes(&scan.table, &col.column)?.btree.as_ref()?;
             Some(col_frac(col, &|c| c.cmp_fraction(storage_cmp(*op), *i)) * rows)
         }
         Expr::Like { col, pattern, negated: false } => {
             containment_literal(pattern)?;
-            db.trigram_index(&scan.table, &col.column)?;
-            db.hash_index(&scan.table, &col.column)?;
+            let ix = db.indexes(&scan.table, &col.column)?;
+            ix.trigram.as_ref().and(ix.hash.as_ref())?;
             Some(col_frac(col, &|c| c.like_fraction(pattern, db.dict())) * rows)
         }
         _ => None,

@@ -14,6 +14,7 @@
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
+use raptor_storage::Posting;
 use std::collections::BTreeMap;
 
 use crate::table::RowId;
@@ -22,16 +23,16 @@ use crate::value::Value;
 /// Equality index: value → row ids (insertion order).
 #[derive(Debug, Default)]
 pub struct HashIndex {
-    map: FxHashMap<Value, Vec<RowId>>,
+    map: FxHashMap<Value, Posting<RowId>>,
 }
 
 impl HashIndex {
     pub fn insert(&mut self, v: Value, row: RowId) {
-        self.map.entry(v).or_default().push(row);
+        self.map.entry(v).and_modify(|p| p.push(row)).or_insert(Posting::One(row));
     }
 
     pub fn get(&self, v: Value) -> &[RowId] {
-        self.map.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.map.get(&v).map_or(&[], Posting::as_slice)
     }
 
     pub fn distinct_keys(&self) -> usize {
@@ -42,19 +43,19 @@ impl HashIndex {
 /// Ordered index over integer (or time) keys.
 #[derive(Debug, Default)]
 pub struct BTreeIndex {
-    map: BTreeMap<i64, Vec<RowId>>,
+    map: BTreeMap<i64, Posting<RowId>>,
 }
 
 impl BTreeIndex {
     pub fn insert(&mut self, key: i64, row: RowId) {
-        self.map.entry(key).or_default().push(row);
+        self.map.entry(key).and_modify(|p| p.push(row)).or_insert(Posting::One(row));
     }
 
     /// Rows with key in `[lo, hi]` (inclusive).
     pub fn range(&self, lo: i64, hi: i64) -> Vec<RowId> {
         let mut out = Vec::new();
         for rows in self.map.range(lo..=hi).map(|(_, v)| v) {
-            out.extend_from_slice(rows);
+            out.extend_from_slice(rows.as_slice());
         }
         out
     }

@@ -1,6 +1,7 @@
 //! The [`StorageBackend`] trait and unified execution counters.
 
 use raptor_common::error::Result;
+use raptor_common::intern::Sym;
 
 use crate::request::{EntityClass, EventPatternQuery, PathPatternQuery, Pred};
 use crate::stats::StoreStats;
@@ -87,11 +88,13 @@ impl BackendStats {
 
 /// A field value being appended through [`MutableBackend`]. Borrowed —
 /// backends intern/copy on the way in, exactly like their native insert
-/// paths.
+/// paths. `Sym` is a string the caller already interned into the stores'
+/// shared dictionary (the write seam hands one handle to both stores).
 #[derive(Clone, Copy, Debug)]
 pub enum FieldValue<'a> {
     Int(i64),
     Str(&'a str),
+    Sym(Sym),
 }
 
 /// One named field of a record being appended: `(attribute name, value)`.

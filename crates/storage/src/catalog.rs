@@ -53,29 +53,37 @@ pub fn path_catalog_enabled() -> bool {
     std::env::var("RAPTOR_PATH_CATALOG").map_or(true, |v| v != "0")
 }
 
-type ClassCounts = FxHashMap<EntityClass, u64>;
+/// Per-class counters, indexed by `EntityClass as usize`.
+type ClassCounts = [u64; 3];
+
+/// Per-node working state; nodes are indexed by (dense) entity id.
+#[derive(Debug, Clone, Default)]
+struct NodeWalks {
+    /// Non-self-loop event edges, as (neighbour, neighbour-class) multisets.
+    out: Vec<(u32, EntityClass)>,
+    inn: Vec<(u32, EntityClass)>,
+    /// Length-2 walks ending at this node, by the walk's start class.
+    ends2: ClassCounts,
+    /// Length-2 walks starting at this node, by the walk's end class.
+    starts2: ClassCounts,
+    /// Has ≥1 out-edge / ≥1 in-edge (self-loops count).
+    has_out: bool,
+    has_in: bool,
+}
 
 /// The incrementally-maintained path cardinality catalog. See the module
 /// docs for the exact quantities and the maintenance argument.
 #[derive(Debug, Clone)]
 pub struct PathCatalog {
     enabled: bool,
-    /// Non-self-loop event edges, as (neighbour, neighbour-class) multisets.
-    out_adj: FxHashMap<i64, Vec<(i64, EntityClass)>>,
-    in_adj: FxHashMap<i64, Vec<(i64, EntityClass)>>,
-    /// `walks[k-1][(c, d)]`: exact length-`k` walk counts, `k ∈ 1..=CATALOG_K`.
-    walks: [FxHashMap<(EntityClass, EntityClass), u64>; CATALOG_K as usize],
-    /// Length-2 walks ending at a node, keyed by the walk's start class.
-    ends2: FxHashMap<i64, ClassCounts>,
-    /// Length-2 walks starting at a node, keyed by the walk's end class.
-    starts2: FxHashMap<i64, ClassCounts>,
-    /// Edge counts per (src-class, optype, dst-class), self-loops included.
-    op_pairs: FxHashMap<(EntityClass, Sym, EntityClass), u64>,
-    /// Nodes with ≥1 out-edge / ≥1 in-edge, per class (self-loops count).
+    nodes: Vec<NodeWalks>,
+    /// `walks[k-1][c][d]`: exact length-`k` walk counts, `k ∈ 1..=CATALOG_K`.
+    walks: [[ClassCounts; 3]; CATALOG_K as usize],
+    /// Edge counts per optype as `[src-class][dst-class]`, self-loops included.
+    op_pairs: FxHashMap<Sym, [ClassCounts; 3]>,
+    /// Nodes with ≥1 out-edge / ≥1 in-edge, per class.
     distinct_src: ClassCounts,
     distinct_dst: ClassCounts,
-    has_out: raptor_common::hash::FxHashSet<i64>,
-    has_in: raptor_common::hash::FxHashSet<i64>,
     edges: u64,
 }
 
@@ -89,16 +97,11 @@ impl PathCatalog {
     pub fn new(enabled: bool) -> Self {
         PathCatalog {
             enabled,
-            out_adj: FxHashMap::default(),
-            in_adj: FxHashMap::default(),
+            nodes: Vec::new(),
             walks: Default::default(),
-            ends2: FxHashMap::default(),
-            starts2: FxHashMap::default(),
             op_pairs: FxHashMap::default(),
-            distinct_src: FxHashMap::default(),
-            distinct_dst: FxHashMap::default(),
-            has_out: raptor_common::hash::FxHashSet::default(),
-            has_in: raptor_common::hash::FxHashSet::default(),
+            distinct_src: [0; 3],
+            distinct_dst: [0; 3],
             edges: 0,
         }
     }
@@ -125,47 +128,50 @@ impl PathCatalog {
         if k == 0 || k > CATALOG_K {
             return 0;
         }
-        self.walks[(k - 1) as usize].get(&(c, d)).copied().unwrap_or(0)
+        self.walks[(k - 1) as usize][c as usize][d as usize]
     }
 
     /// Edges with operation `op` from class `c` to class `d`.
     pub fn op_pair_count(&self, c: EntityClass, op: Sym, d: EntityClass) -> u64 {
-        self.op_pairs.get(&(c, op, d)).copied().unwrap_or(0)
+        self.op_pairs.get(&op).map_or(0, |m| m[c as usize][d as usize])
     }
 
     /// Edges with operation `op` landing on class `d`, any source class.
     pub fn op_into_class(&self, op: Sym, d: EntityClass) -> u64 {
-        self.op_pairs.iter().filter(|((_, o, dd), _)| *o == op && *dd == d).map(|(_, n)| n).sum()
+        self.op_pairs.get(&op).map_or(0, |m| m.iter().map(|row| row[d as usize]).sum())
     }
 
     /// All edges landing on class `d`.
     pub fn edges_into_class(&self, d: EntityClass) -> u64 {
-        self.op_pairs.iter().filter(|((_, _, dd), _)| *dd == d).map(|(_, n)| n).sum()
+        self.walks[0].iter().map(|row| row[d as usize]).sum()
     }
 
     /// Upper bound on distinct (subject, object) path endpoints: sources
     /// with any out-edge times destinations with any in-edge.
     pub fn reachable_pairs(&self, c: EntityClass, d: EntityClass) -> u64 {
-        self.distinct_src.get(&c).copied().unwrap_or(0)
-            * self.distinct_dst.get(&d).copied().unwrap_or(0)
+        self.distinct_src[c as usize] * self.distinct_dst[d as usize]
     }
 
     /// Registers one event edge `u → v` with operation `op`. `cu`/`cv` are
     /// the endpoints' entity classes (callers resolve them from the stats
     /// plane's node registry; edges whose endpoints were never registered
     /// are invisible to the catalog, matching the degree summaries).
-    pub fn record_edge(&mut self, u: i64, v: i64, cu: EntityClass, cv: EntityClass, op: Sym) {
+    pub fn record_edge(&mut self, u: u32, v: u32, cu: EntityClass, cv: EntityClass, op: Sym) {
         if !self.enabled {
             return;
         }
-        self.edges += 1;
-        *self.op_pairs.entry((cu, op, cv)).or_insert(0) += 1;
-        *self.walks[0].entry((cu, cv)).or_insert(0) += 1;
-        if self.has_out.insert(u) {
-            *self.distinct_src.entry(cu).or_insert(0) += 1;
+        let (ui, vi, cui, cvi) = (u as usize, v as usize, cu as usize, cv as usize);
+        if self.nodes.len() <= ui.max(vi) {
+            self.nodes.resize_with(ui.max(vi) + 1, NodeWalks::default);
         }
-        if self.has_in.insert(v) {
-            *self.distinct_dst.entry(cv).or_insert(0) += 1;
+        self.edges += 1;
+        self.op_pairs.entry(op).or_default()[cui][cvi] += 1;
+        self.walks[0][cui][cvi] += 1;
+        if !std::mem::replace(&mut self.nodes[ui].has_out, true) {
+            self.distinct_src[cui] += 1;
+        }
+        if !std::mem::replace(&mut self.nodes[vi].has_in, true) {
+            self.distinct_dst[cvi] += 1;
         }
         if u == v {
             // Self-loops are excluded from multi-hop walks (module docs).
@@ -174,86 +180,76 @@ impl PathCatalog {
 
         // Everything below reads *pre-insert* state: aggregate the
         // neighbourhoods by class, note pre-existing back edges `v → u`.
-        let mut in_by_class = ClassCounts::default();
-        for &(_, cw) in self.in_adj.get(&u).into_iter().flatten() {
-            *in_by_class.entry(cw).or_insert(0) += 1;
+        // (The lists are taken out while other nodes' summaries change.)
+        let inn = std::mem::take(&mut self.nodes[ui].inn);
+        let out = std::mem::take(&mut self.nodes[vi].out);
+        let mut in_by_class: ClassCounts = [0; 3];
+        for &(_, cw) in &inn {
+            in_by_class[cw as usize] += 1;
         }
-        let mut out_by_class = ClassCounts::default();
+        let mut out_by_class: ClassCounts = [0; 3];
         let mut back_edges = 0u64;
-        for &(x, cx) in self.out_adj.get(&v).into_iter().flatten() {
-            *out_by_class.entry(cx).or_insert(0) += 1;
-            if x == u {
-                back_edges += 1;
-            }
+        for &(x, cx) in &out {
+            out_by_class[cx as usize] += 1;
+            back_edges += (x == u) as u64;
         }
 
-        // Length 2: `w→u→v` and `u→v→x`.
-        for (&cw, &n) in &in_by_class {
-            *self.walks[1].entry((cw, cv)).or_insert(0) += n;
-        }
-        for (&cx, &n) in &out_by_class {
-            *self.walks[1].entry((cu, cx)).or_insert(0) += n;
-        }
-
-        // Length 3: the new edge as last / first / middle edge, plus the
-        // `u→v→u→v` double-use walks (one per pre-existing back edge).
-        if let Some(ends) = self.ends2.get(&u) {
-            for (&c, &n) in ends {
-                *self.walks[2].entry((c, cv)).or_insert(0) += n;
+        let (ends_u, starts_v) = (self.nodes[ui].ends2, self.nodes[vi].starts2);
+        for c in 0..3 {
+            // Length 2: `w→u→v` and `u→v→x`.
+            self.walks[1][c][cvi] += in_by_class[c];
+            self.walks[1][cui][c] += out_by_class[c];
+            // Length 3: the new edge as last / first / middle edge.
+            self.walks[2][c][cvi] += ends_u[c];
+            self.walks[2][cui][c] += starts_v[c];
+            for (d, out) in out_by_class.iter().enumerate() {
+                self.walks[2][c][d] += in_by_class[c] * out;
             }
+            // Frontier summaries gain the new length-2 walks.
+            self.nodes[vi].ends2[c] += in_by_class[c];
+            self.nodes[ui].starts2[c] += out_by_class[c];
         }
-        if let Some(starts) = self.starts2.get(&v) {
-            for (&d, &n) in starts {
-                *self.walks[2].entry((cu, d)).or_insert(0) += n;
-            }
-        }
-        for (&cw, &a) in &in_by_class {
-            for (&cx, &b) in &out_by_class {
-                *self.walks[2].entry((cw, cx)).or_insert(0) += a * b;
-            }
-        }
-        if back_edges > 0 {
-            *self.walks[2].entry((cu, cv)).or_insert(0) += back_edges;
-        }
-
-        // Frontier summaries gain the new length-2 walks.
-        {
-            let ends_v = self.ends2.entry(v).or_default();
-            for (&cw, &n) in &in_by_class {
-                *ends_v.entry(cw).or_insert(0) += n;
-            }
-        }
-        {
-            let starts_u = self.starts2.entry(u).or_default();
-            for (&cx, &n) in &out_by_class {
-                *starts_u.entry(cx).or_insert(0) += n;
-            }
-        }
+        // The `u→v→u→v` double-use walks (one per pre-existing back edge).
+        self.walks[2][cui][cvi] += back_edges;
         // Per-node fan-out of the new walks needs the concrete neighbours.
-        let far_out: Vec<i64> =
-            self.out_adj.get(&v).into_iter().flatten().map(|&(x, _)| x).collect();
-        for x in far_out {
-            *self.ends2.entry(x).or_default().entry(cu).or_insert(0) += 1;
+        for &(x, _) in &out {
+            self.nodes[x as usize].ends2[cui] += 1;
         }
-        let far_in: Vec<i64> = self.in_adj.get(&u).into_iter().flatten().map(|&(w, _)| w).collect();
-        for w in far_in {
-            *self.starts2.entry(w).or_default().entry(cv).or_insert(0) += 1;
+        for &(w, _) in &inn {
+            self.nodes[w as usize].starts2[cvi] += 1;
         }
 
-        self.out_adj.entry(u).or_default().push((v, cv));
-        self.in_adj.entry(v).or_default().push((u, cu));
+        self.nodes[ui].inn = inn;
+        self.nodes[vi].out = out;
+        self.nodes[ui].out.push((v, cv));
+        self.nodes[vi].inn.push((u, cu));
     }
 
     /// Dictionary-independent, deterministically-ordered view for
     /// equality assertions across independently grown stores (bulk load vs
     /// streaming ingest). Adjacency working state is excluded — it is
-    /// implied by the counts.
+    /// implied by the counts. Only non-zero counts appear.
     pub fn canonical(&self, dict: &SharedDict) -> CanonicalCatalog {
         use std::collections::BTreeMap;
-        let name = |c: EntityClass| c.table_name().to_string();
+        let name = |c: usize| EntityClass::ALL[c].table_name().to_string();
+        let by_class = |counts: &ClassCounts| -> BTreeMap<String, u64> {
+            (0..3).filter(|&c| counts[c] > 0).map(|c| (name(c), counts[c])).collect()
+        };
+        /// The non-zero `(src class, dst class, count)` cells of a matrix.
+        fn pairs(m: &[ClassCounts; 3]) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+            (0..9).map(|i| (i / 3, i % 3, m[i / 3][i % 3])).filter(|&(_, _, n)| n > 0)
+        }
+        let per_node = |pick: fn(&NodeWalks) -> &ClassCounts| {
+            self.nodes
+                .iter()
+                .enumerate()
+                .map(|(id, n)| (id as i64, by_class(pick(n))))
+                .filter(|(_, m)| !m.is_empty())
+                .collect()
+        };
         let mut walks: [BTreeMap<(String, String), u64>; CATALOG_K as usize] = Default::default();
         for (k, m) in self.walks.iter().enumerate() {
-            walks[k] = m.iter().map(|(&(c, d), &n)| ((name(c), name(d)), n)).collect();
+            walks[k] = pairs(m).map(|(c, d, n)| ((name(c), name(d)), n)).collect();
         }
         CanonicalCatalog {
             enabled: self.enabled,
@@ -262,22 +258,13 @@ impl PathCatalog {
             op_pairs: self
                 .op_pairs
                 .iter()
-                .map(|(&(c, op, d), &n)| ((name(c), dict.resolve(op).to_string(), name(d)), n))
+                .flat_map(|(&op, m)| pairs(m).map(move |(c, d, n)| (c, op, d, n)))
+                .map(|(c, op, d, n)| ((name(c), dict.resolve(op).to_string(), name(d)), n))
                 .collect(),
-            ends2: self
-                .ends2
-                .iter()
-                .filter(|(_, m)| !m.is_empty())
-                .map(|(&id, m)| (id, m.iter().map(|(&c, &n)| (name(c), n)).collect()))
-                .collect(),
-            starts2: self
-                .starts2
-                .iter()
-                .filter(|(_, m)| !m.is_empty())
-                .map(|(&id, m)| (id, m.iter().map(|(&c, &n)| (name(c), n)).collect()))
-                .collect(),
-            distinct_src: self.distinct_src.iter().map(|(&c, &n)| (name(c), n)).collect(),
-            distinct_dst: self.distinct_dst.iter().map(|(&c, &n)| (name(c), n)).collect(),
+            ends2: per_node(|n| &n.ends2),
+            starts2: per_node(|n| &n.starts2),
+            distinct_src: by_class(&self.distinct_src),
+            distinct_dst: by_class(&self.distinct_dst),
         }
     }
 }
@@ -335,8 +322,8 @@ mod tests {
         let dict = SharedDict::new();
         let op = dict.intern("fork");
         // 2-cycle with a parallel edge and a tail: 0⇄1 (0→1 twice), 1→2.
-        let edges = [(0i64, 1i64), (0, 1), (1, 0), (1, 2)];
-        let classes = |id: i64| if id == 2 { F } else { P };
+        let edges = [(0u32, 1u32), (0, 1), (1, 0), (1, 2)];
+        let classes = |id: u32| if id == 2 { F } else { P };
         let mut perms: Vec<Vec<usize>> = Vec::new();
         // All 4! orders via Heap's algorithm would be overkill; a sample of
         // structurally distinct orders exercises every maintenance branch.
@@ -364,6 +351,66 @@ mod tests {
         assert_eq!(reference.walks[2][&("processes".into(), "files".into())], 2);
         for p in &perms[1..] {
             assert_eq!(build(p), reference, "order {p:?}");
+        }
+    }
+
+    /// The dense incremental catalog equals a brute-force walk enumeration
+    /// of the final graph, on random multigraphs with cycles, parallel
+    /// edges and self-loops, whatever the insertion order.
+    #[test]
+    fn matches_brute_force_enumeration_in_any_order() {
+        const N: u32 = 7;
+        let dict = SharedDict::new();
+        let ops = [dict.intern("read"), dict.intern("write")];
+        let class = |id: u32| EntityClass::ALL[(id % 3) as usize];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u32| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as u32
+        };
+        for round in 0..40 {
+            // Few nodes, many edges: parallel edges, 2-cycles and self-loops
+            // are all but certain.
+            let mut edges: Vec<(u32, u32, Sym)> =
+                (0..4 + round).map(|_| (next(N), next(N), ops[next(2) as usize])).collect();
+            // Ground truth: multi-hop walks never use a self-loop.
+            let hops: Vec<(u32, u32)> =
+                edges.iter().filter(|e| e.0 != e.1).map(|e| (e.0, e.1)).collect();
+            let mut want = PathCatalog::new(true);
+            want.nodes.resize_with(N as usize, NodeWalks::default);
+            want.edges = edges.len() as u64;
+            for &(u, v, op) in &edges {
+                want.walks[0][class(u) as usize][class(v) as usize] += 1;
+                want.op_pairs.entry(op).or_default()[class(u) as usize][class(v) as usize] += 1;
+            }
+            for id in 0..N {
+                let c = class(id) as usize;
+                want.distinct_src[c] += edges.iter().any(|e| e.0 == id) as u64;
+                want.distinct_dst[c] += edges.iter().any(|e| e.1 == id) as u64;
+            }
+            for &(a, b) in &hops {
+                for &(_, c) in hops.iter().filter(|h| h.0 == b) {
+                    want.walks[1][class(a) as usize][class(c) as usize] += 1;
+                    want.nodes[c as usize].ends2[class(a) as usize] += 1;
+                    want.nodes[a as usize].starts2[class(c) as usize] += 1;
+                    for &(_, d) in hops.iter().filter(|h| h.0 == c) {
+                        want.walks[2][class(a) as usize][class(d) as usize] += 1;
+                    }
+                }
+            }
+            let want = want.canonical(&dict);
+            for _shuffle in 0..4 {
+                for i in (1..edges.len()).rev() {
+                    edges.swap(i, next(i as u32 + 1) as usize);
+                }
+                let mut got = PathCatalog::new(true);
+                for &(u, v, op) in &edges {
+                    got.record_edge(u, v, class(u), class(v), op);
+                }
+                assert_eq!(got.canonical(&dict), want, "edges {edges:?}");
+            }
         }
     }
 

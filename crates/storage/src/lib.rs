@@ -31,12 +31,14 @@
 
 pub mod backend;
 pub mod catalog;
+pub mod posting;
 pub mod request;
 pub mod stats;
 pub mod value;
 
 pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend, StorageBackend};
 pub use catalog::{path_catalog_enabled, CanonicalCatalog, PathCatalog, CATALOG_K};
+pub use posting::Posting;
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};
 pub use stats::{
     CanonicalStats, ColumnStats, DegreeStats, Histogram, MinMax, StoreStats, TableStats,

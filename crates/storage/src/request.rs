@@ -16,6 +16,11 @@ pub enum EntityClass {
 }
 
 impl EntityClass {
+    /// Every class, in discriminant order: `ALL[c as usize] == c`, so dense
+    /// per-class arrays index by `class as usize`.
+    pub const ALL: [EntityClass; 3] =
+        [EntityClass::File, EntityClass::Process, EntityClass::NetConn];
+
     /// The event `kind` discriminator recorded for events whose *object* is
     /// this class (mirrors the audit loader's convention).
     pub fn event_kind(self) -> &'static str {

@@ -169,15 +169,26 @@ impl Histogram {
             self.counts = vec![0; HIST_BUCKETS];
         }
         self.extent.record(v);
+        // In-range values (all but O(log range) of them) find their bucket
+        // in plain `i64`; below-origin, beyond-range and overflowing
+        // offsets take the widening `i128` form.
+        let b = match v.checked_sub(self.origin) {
+            Some(d) if d >= 0 && d / self.width < HIST_BUCKETS as i64 => (d / self.width) as usize,
+            _ => self.grow_to(v),
+        };
+        self.counts[b] += 1;
+        self.total += 1;
+    }
+
+    /// Widens the range until it covers `v`; returns `v`'s bucket.
+    fn grow_to(&mut self, v: i64) -> usize {
         while self.bucket_of(v) < 0 {
             self.grow_down();
         }
         while self.bucket_of(v) >= HIST_BUCKETS as i128 {
             self.grow_up();
         }
-        let b = self.bucket_of(v) as usize;
-        self.counts[b] += 1;
-        self.total += 1;
+        self.bucket_of(v) as usize
     }
 
     /// Estimated fraction of recorded values `<= x`.
@@ -238,10 +249,10 @@ impl ColumnStats {
     pub fn record_int(&mut self, v: i64) {
         self.non_null += 1;
         self.hist.record(v);
-        if let Some(c) = self.ints.get_mut(&v) {
+        if self.tracked() < MCV_TRACK_CAP {
+            *self.ints.entry(v).or_insert(0) += 1;
+        } else if let Some(c) = self.ints.get_mut(&v) {
             *c += 1;
-        } else if self.tracked() < MCV_TRACK_CAP {
-            self.ints.insert(v, 1);
         } else {
             self.other += 1;
         }
@@ -249,10 +260,10 @@ impl ColumnStats {
 
     pub fn record_sym(&mut self, v: Sym) {
         self.non_null += 1;
-        if let Some(c) = self.strs.get_mut(&v) {
+        if self.tracked() < MCV_TRACK_CAP {
+            *self.strs.entry(v).or_insert(0) += 1;
+        } else if let Some(c) = self.strs.get_mut(&v) {
             *c += 1;
-        } else if self.tracked() < MCV_TRACK_CAP {
-            self.strs.insert(v, 1);
         } else {
             self.other += 1;
         }
@@ -370,10 +381,25 @@ impl ColumnStats {
 }
 
 /// Statistics for one table / node label.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Writers resolve each column name to an ordinal once
+/// ([`TableStats::column_ord`]) and record whole rows by ordinal. A column
+/// *exists* for readers — [`TableStats::column`], `column_names`, `==`,
+/// [`StoreStats::canonical`] — only once a non-null value was recorded in
+/// it, so a store that registers its schema up front and one that discovers
+/// columns row by row serve equal statistics for equal data.
+#[derive(Clone, Debug, Default)]
 pub struct TableStats {
     rows: u64,
-    cols: FxHashMap<String, ColumnStats>,
+    cols: Vec<(String, ColumnStats)>,
+}
+
+/// Position of `name` in `items`, appending a default entry on first sight.
+fn ord_of<T: Default>(items: &mut Vec<(String, T)>, name: &str) -> usize {
+    items.iter().position(|(n, _)| n == name).unwrap_or_else(|| {
+        items.push((name.to_string(), T::default()));
+        items.len() - 1
+    })
 }
 
 impl TableStats {
@@ -381,37 +407,49 @@ impl TableStats {
         self.rows
     }
 
+    /// Columns that exist (see the type docs).
+    fn live(&self) -> impl Iterator<Item = (&str, &ColumnStats)> {
+        self.cols.iter().filter(|(_, c)| c.non_null > 0).map(|(n, c)| (n.as_str(), c))
+    }
+
     pub fn column(&self, name: &str) -> Option<&ColumnStats> {
-        self.cols.get(name)
+        self.live().find(|(n, _)| *n == name).map(|(_, c)| c)
     }
 
     /// Column names with statistics (sorted, for deterministic display).
     pub fn column_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.cols.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.live().map(|(n, _)| n).collect();
         names.sort_unstable();
         names
     }
 
-    pub fn record_row(&mut self) {
+    /// The ordinal [`TableStats::record_row`] addresses `name` by
+    /// (registered on first sight).
+    pub fn column_ord(&mut self, name: &str) -> usize {
+        ord_of(&mut self.cols, name)
+    }
+
+    /// Records one row of `(column ordinal, value)` cells; NULL cells count
+    /// towards the row only. Strings arrive as shared-dictionary handles
+    /// (the write paths have already interned them).
+    #[inline]
+    pub fn record_row(&mut self, cells: impl IntoIterator<Item = (usize, Value)>) {
         self.rows += 1;
-    }
-
-    pub fn record_int(&mut self, column: &str, v: i64) {
-        self.col_mut(column).record_int(v);
-    }
-
-    /// Records one string value by its shared-dictionary handle (the write
-    /// paths have already interned the value into the row/property, so no
-    /// extra dictionary lookup happens here).
-    pub fn record_sym(&mut self, column: &str, v: Sym) {
-        self.col_mut(column).record_sym(v);
-    }
-
-    fn col_mut(&mut self, column: &str) -> &mut ColumnStats {
-        if !self.cols.contains_key(column) {
-            self.cols.insert(column.to_string(), ColumnStats::default());
+        for (ord, v) in cells {
+            match v {
+                Value::Int(i) => self.cols[ord].1.record_int(i),
+                Value::Str(s) => self.cols[ord].1.record_sym(s),
+                Value::Null => {}
+            }
         }
-        self.cols.get_mut(column).expect("just inserted")
+    }
+}
+
+impl PartialEq for TableStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.live().count() == other.live().count()
+            && self.live().all(|(n, c)| other.column(n) == Some(c))
     }
 }
 
@@ -459,13 +497,27 @@ pub struct StoreStats {
     /// The shared dictionary plane the symbol-keyed frequencies resolve
     /// through (same handle the owning store interns into).
     dict: SharedDict,
-    tables: FxHashMap<String, TableStats>,
-    degrees: FxHashMap<EntityClass, DegreeStats>,
-    node_class: FxHashMap<i64, EntityClass>,
-    out_deg: FxHashMap<i64, u64>,
-    in_deg: FxHashMap<i64, u64>,
+    /// By table ordinal ([`StoreStats::table_ord`]). Like columns, a table
+    /// exists for readers once it holds a row.
+    tables: Vec<(String, TableStats)>,
+    /// Indexed by `EntityClass as usize`.
+    degrees: [DegreeStats; 3],
+    /// Indexed by entity id (dense by the [`crate::MutableBackend`] contract).
+    nodes: Vec<NodeReg>,
     catalog: PathCatalog,
 }
+
+/// One registered entity: its class and running degrees.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeReg {
+    class: Option<EntityClass>,
+    out_deg: u32,
+    in_deg: u32,
+}
+
+/// How far past the registry's end an entity id may land: raw inserts may
+/// arrive out of order, but an id this far out must not size an allocation.
+const MAX_ID_GAP: usize = 1 << 20;
 
 impl Default for StoreStats {
     /// A fresh stats bundle over its own private dictionary (tests/tools);
@@ -480,11 +532,9 @@ impl StoreStats {
     pub fn new(dict: SharedDict) -> Self {
         StoreStats {
             dict,
-            tables: FxHashMap::default(),
-            degrees: FxHashMap::default(),
-            node_class: FxHashMap::default(),
-            out_deg: FxHashMap::default(),
-            in_deg: FxHashMap::default(),
+            tables: Vec::new(),
+            degrees: Default::default(),
+            nodes: Vec::new(),
             catalog: PathCatalog::default(),
         }
     }
@@ -505,61 +555,77 @@ impl StoreStats {
         &self.dict
     }
 
-    pub fn table(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(name)
+    /// Tables that exist (hold at least one row).
+    fn live(&self) -> impl Iterator<Item = (&str, &TableStats)> {
+        self.tables.iter().filter(|(_, t)| t.rows > 0).map(|(n, t)| (n.as_str(), t))
     }
 
-    /// Mutable handle for per-row recording (creates the table on first
-    /// touch).
-    pub fn table_mut(&mut self, name: &str) -> &mut TableStats {
-        if !self.tables.contains_key(name) {
-            self.tables.insert(name.to_string(), TableStats::default());
-        }
-        self.tables.get_mut(name).expect("just inserted")
+    pub fn table(&self, name: &str) -> Option<&TableStats> {
+        self.live().find(|(n, _)| *n == name).map(|(_, t)| t)
+    }
+
+    /// The ordinal [`StoreStats::table_at`] addresses `name` by (registered
+    /// on first sight). Writers resolve it once per table / record shape.
+    pub fn table_ord(&mut self, name: &str) -> usize {
+        ord_of(&mut self.tables, name)
+    }
+
+    #[inline]
+    pub fn table_at(&mut self, ord: usize) -> &mut TableStats {
+        &mut self.tables[ord].1
     }
 
     pub fn degree(&self, class: EntityClass) -> Option<&DegreeStats> {
-        self.degrees.get(&class)
+        Some(&self.degrees[class as usize]).filter(|d| d.nodes > 0)
     }
 
     /// Total entities across classes.
     pub fn total_nodes(&self) -> u64 {
-        self.degrees.values().map(|d| d.nodes).sum()
+        self.degrees.iter().map(|d| d.nodes).sum()
     }
 
     /// Total event edges (every event has exactly one classed subject).
     pub fn total_edges(&self) -> u64 {
-        self.degrees.values().map(|d| d.out_edges).sum()
+        self.degrees.iter().map(|d| d.out_edges).sum()
     }
 
     /// Registers one entity of `class` (enables degree tracking for edges
-    /// touching `id`).
+    /// touching `id`). An id outside the dense contract — negative, or more
+    /// than `MAX_ID_GAP` past the registry — is counted but not tracked.
     pub fn record_node(&mut self, class: EntityClass, id: i64) {
-        self.node_class.insert(id, class);
-        self.degrees.entry(class).or_default().nodes += 1;
+        self.degrees[class as usize].nodes += 1;
+        let Ok(i) = u32::try_from(id).map(|i| i as usize) else { return };
+        if i > self.nodes.len() + MAX_ID_GAP {
+            return;
+        }
+        if i >= self.nodes.len() {
+            self.nodes.resize(i + 1, NodeReg::default());
+        }
+        self.nodes[i].class = Some(class);
     }
 
     /// Registers one event edge `subject → object` carrying operation
     /// `op`, updating per-class degree summaries and the path catalog.
     pub fn record_edge(&mut self, subject: i64, object: i64, op: Option<Sym>) {
-        if let (Some(&cs), Some(&co), Some(op)) =
-            (self.node_class.get(&subject), self.node_class.get(&object), op)
-        {
-            self.catalog.record_edge(subject, object, cs, co, op);
+        let registered = |nodes: &[NodeReg], id: i64| {
+            let i = usize::try_from(id).ok()?;
+            Some((i, nodes.get(i)?.class?))
+        };
+        let (s, o) = (registered(&self.nodes, subject), registered(&self.nodes, object));
+        if let (Some((si, cs)), Some((oi, co)), Some(op)) = (s, o, op) {
+            self.catalog.record_edge(si as u32, oi as u32, cs, co, op);
         }
-        if let Some(&c) = self.node_class.get(&subject) {
-            let deg = self.out_deg.entry(subject).or_insert(0);
-            *deg += 1;
-            let d = self.degrees.entry(c).or_default();
+        if let Some((i, c)) = s {
+            self.nodes[i].out_deg += 1;
+            let d = &mut self.degrees[c as usize];
             d.out_edges += 1;
-            d.max_out = d.max_out.max(*deg);
+            d.max_out = d.max_out.max(self.nodes[i].out_deg as u64);
         }
-        if let Some(&c) = self.node_class.get(&object) {
-            let deg = self.in_deg.entry(object).or_insert(0);
-            *deg += 1;
-            let d = self.degrees.entry(c).or_default();
+        if let Some((i, c)) = o {
+            self.nodes[i].in_deg += 1;
+            let d = &mut self.degrees[c as usize];
             d.in_edges += 1;
-            d.max_in = d.max_in.max(*deg);
+            d.max_in = d.max_in.max(self.nodes[i].in_deg as u64);
         }
     }
 
@@ -583,15 +649,6 @@ impl StoreStats {
             .map_or(0, |c| c.freq(&Value::Str(sym)))
     }
 
-    /// Comparable view for tests: `(table → rows, class → degree)` without
-    /// the internal per-node maps.
-    pub fn summary(&self) -> Vec<(String, u64)> {
-        let mut rows: Vec<(String, u64)> =
-            self.tables.iter().map(|(n, t)| (n.clone(), t.rows)).collect();
-        rows.sort();
-        rows
-    }
-
     /// Dictionary-independent view: every symbol rendered, every map
     /// sorted. Two stores over **different** dictionaries built from the
     /// same data compare equal here (e.g. a stream-grown engine vs a
@@ -600,15 +657,13 @@ impl StoreStats {
     /// what the backends' equality assertion uses.
     pub fn canonical(&self) -> CanonicalStats {
         let tables = self
-            .tables
-            .iter()
+            .live()
             .map(|(name, t)| {
                 let cols = t
-                    .cols
-                    .iter()
+                    .live()
                     .map(|(cname, c)| {
                         (
-                            cname.clone(),
+                            cname.to_string(),
                             CanonicalColumn {
                                 non_null: c.non_null,
                                 other: c.other,
@@ -623,10 +678,13 @@ impl StoreStats {
                         )
                     })
                     .collect();
-                (name.clone(), CanonicalTable { rows: t.rows, cols })
+                (name.to_string(), CanonicalTable { rows: t.rows, cols })
             })
             .collect();
-        let degrees = self.degrees.iter().map(|(c, &d)| (c.table_name().to_string(), d)).collect();
+        let degrees = EntityClass::ALL
+            .iter()
+            .filter_map(|&c| Some((c.table_name().to_string(), *self.degree(c)?)))
+            .collect();
         CanonicalStats { tables, degrees }
     }
 }
@@ -657,7 +715,9 @@ impl PartialEq for StoreStats {
     /// Equality over the *served* statistics (tables and degree summaries);
     /// the per-node working maps are an implementation detail.
     fn eq(&self, other: &Self) -> bool {
-        self.tables == other.tables && self.degrees == other.degrees
+        self.degrees == other.degrees
+            && self.live().count() == other.live().count()
+            && self.live().all(|(n, t)| other.table(n) == Some(t))
     }
 }
 
@@ -755,6 +815,38 @@ mod tests {
         assert!(h.fraction_le(1500) == 1.0);
     }
 
+    /// The `i64` fast path lands every value in the bucket the widening
+    /// `i128` form (the only path `record` used to have) lands it in.
+    #[test]
+    fn histogram_fast_path_matches_i128_reference() {
+        fn record_reference(h: &mut Histogram, v: i64) {
+            if h.total == 0 {
+                (h.origin, h.width, h.counts) = (v, 1, vec![0; HIST_BUCKETS]);
+            }
+            h.extent.record(v);
+            let b = h.grow_to(v);
+            h.counts[b] += 1;
+            h.total += 1;
+        }
+        let descending: Vec<i64> = (0..500).rev().map(|i| i * 1_000_003).collect();
+        let alternating: Vec<i64> =
+            (1..400).map(|i| if i % 2 == 0 { i * i } else { -i * i }).collect();
+        let extremes = vec![0, i64::MAX, i64::MIN, -1, 1, i64::MAX - 1, i64::MIN + 1, 42];
+        let from_max = vec![i64::MAX, i64::MAX - 7, 3, i64::MIN, i64::MAX];
+        let from_min = vec![i64::MIN, i64::MIN + 9, -3, i64::MAX, i64::MIN];
+        let timestamps: Vec<i64> =
+            (0..2000).map(|i| 1_600_000_000_000_000_000 + i * 37_003).collect();
+        for values in [descending, alternating, extremes, from_max, from_min, timestamps] {
+            let (mut fast, mut reference) = (Histogram::default(), Histogram::default());
+            for &v in &values {
+                fast.record(v);
+                record_reference(&mut reference, v);
+                assert_eq!(fast, reference, "after {v}");
+            }
+            assert_eq!(fast.total(), values.len() as u64);
+        }
+    }
+
     #[test]
     fn column_exact_below_cap() {
         let dict = SharedDict::new();
@@ -802,21 +894,24 @@ mod tests {
         assert_eq!(c.like_fraction("%absent%", &dict), 0.0);
     }
 
+    /// Records one row from named cells.
+    fn row(t: &mut TableStats, cells: &[(&str, Value)]) {
+        let cells: Vec<_> = cells.iter().map(|&(c, v)| (t.column_ord(c), v)).collect();
+        t.record_row(cells);
+    }
+
     #[test]
     fn selectivity_composes() {
         let dict = SharedDict::new();
         let mut t = TableStats::default();
+        let sym = |s: &str| Value::Str(dict.intern(s));
         for _ in 0..80 {
-            t.record_row();
-            t.record_sym("optype", dict.intern("read"));
-            t.record_sym("kind", dict.intern("file"));
-            t.record_int("starttime", 100);
+            let cells = [("optype", sym("read")), ("kind", sym("file"))];
+            row(&mut t, &[cells[0], cells[1], ("starttime", Value::Int(100))]);
         }
         for _ in 0..20 {
-            t.record_row();
-            t.record_sym("optype", dict.intern("connect"));
-            t.record_sym("kind", dict.intern("network"));
-            t.record_int("starttime", 200);
+            let cells = [("optype", sym("connect")), ("kind", sym("network"))];
+            row(&mut t, &[cells[0], cells[1], ("starttime", Value::Int(200))]);
         }
         let eq = |attr: &str, v: &str| Pred::Cmp {
             attr: attr.into(),
@@ -859,10 +954,9 @@ mod tests {
     fn event_op_table() {
         let mut s = StoreStats::default();
         for op in ["read", "read", "write"] {
-            let sym = s.dict().intern(op);
-            let t = s.table_mut("events");
-            t.record_row();
-            t.record_sym("optype", sym);
+            let sym = Value::Str(s.dict().intern(op));
+            let t = s.table_ord("events");
+            row(s.table_at(t), &[("optype", sym)]);
         }
         assert_eq!(s.event_op_freq("read"), 2);
         assert_eq!(s.event_op_freq("absent"), 0);
