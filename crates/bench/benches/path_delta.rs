@@ -53,7 +53,7 @@ fn bench_path_delta(c: &mut Criterion) {
                 session.register("path_hunt", PATH_QUERY).unwrap();
                 let mut rows = 0usize;
                 for batch in EpochStream::new(log, EpochPolicy::ByCount(EPOCH)) {
-                    let report = session.ingest_batch(&batch).unwrap();
+                    let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
                     rows += report.deltas[0].delta.n_rows();
                 }
                 (session, rows)

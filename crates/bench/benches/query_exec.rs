@@ -1,9 +1,7 @@
 //! Criterion benches for TBQL query execution (Table VIII shape): the
 //! scheduled plan vs the giant-SQL and giant-Cypher baselines on the
 //! data_leak scenario, plus the 1-pattern case where TBQL's compile
-//! overhead makes it *slower* (the paper's tc_clearscope_3 observation),
-//! plus the typed `StorageBackend` scheduled path vs the seed's string-SQL
-//! pipeline (`execute_scheduled_via_text`).
+//! overhead makes it *slower* (the paper's tc_clearscope_3 observation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use raptor_bench::caseval::{evaluate_case, query_variants};
@@ -44,33 +42,6 @@ fn bench_single_pattern(c: &mut Criterion) {
     });
     g.bench_function("giant_sql", |b| {
         b.iter(|| eval.raptor.query_with_mode(&v.tbql, ExecMode::GiantSql).unwrap())
-    });
-    g.finish();
-}
-
-/// The tentpole comparison: the same scheduled plan through typed
-/// `StorageBackend` requests vs through rendered-and-reparsed SQL/Cypher
-/// text, on the largest sim workload the catalog has for this query shape.
-fn bench_typed_vs_text(c: &mut Criterion) {
-    let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
-    let eval = evaluate_case(spec, 1.0, 42);
-    let v = query_variants(&eval);
-    let engine = eval.raptor.engine();
-    let aq = analyze(&parse_tbql(&v.tbql).unwrap()).unwrap();
-    let aq_path = analyze(&parse_tbql(&v.tbql_path).unwrap()).unwrap();
-    let mut g = c.benchmark_group("scheduled_typed_vs_text");
-    g.sample_size(20);
-    g.bench_function("event_patterns_typed", |b| {
-        b.iter(|| engine.execute(&aq, ExecMode::Scheduled).unwrap())
-    });
-    g.bench_function("event_patterns_text", |b| {
-        b.iter(|| engine.execute_scheduled_via_text(&aq).unwrap())
-    });
-    g.bench_function("path_patterns_typed", |b| {
-        b.iter(|| engine.execute(&aq_path, ExecMode::Scheduled).unwrap())
-    });
-    g.bench_function("path_patterns_text", |b| {
-        b.iter(|| engine.execute_scheduled_via_text(&aq_path).unwrap())
     });
     g.finish();
 }
@@ -220,7 +191,6 @@ criterion_group!(
     benches,
     bench_variants,
     bench_single_pattern,
-    bench_typed_vs_text,
     bench_scheduler_modes,
     bench_interned_vs_owned,
     bench_columnar_scan,

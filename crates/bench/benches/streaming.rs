@@ -60,7 +60,7 @@ fn bench_at_scale(c: &mut Criterion, group: &str, noise_scale: f64) {
             session.register("data_leak", &tbql).unwrap();
             let mut rows = 0usize;
             for batch in EpochStream::new(log, EpochPolicy::ByCount(EPOCH)) {
-                let report = session.ingest_batch(&batch).unwrap();
+                let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
                 rows += report.deltas[0].delta.n_rows();
             }
             (session, rows)

@@ -349,7 +349,7 @@ fn run_durability() -> DurabilityReport {
     use std::sync::Arc;
     use threatraptor::common::io::MemFs;
     use threatraptor::stream::{EpochPolicy, EpochStream, StreamSession};
-    use threatraptor::{DurablePolicy, DurableSession};
+    use threatraptor::DurablePolicy;
 
     let log = corpus_log();
     let manual = DurablePolicy { checkpoint_every: 0 };
@@ -363,15 +363,15 @@ fn run_durability() -> DurabilityReport {
 
     let disk = Arc::new(MemFs::new());
     let t = Instant::now();
-    let mut durable = DurableSession::open(disk.clone(), manual).expect("durable open");
+    let mut durable = StreamSession::open(disk.clone(), manual).expect("durable open");
     for b in EpochStream::new(&log, EpochPolicy::ByCount(256)) {
         durable.ingest_batch(&b).expect("durable ingest");
     }
     let ingest_ns_durable = t.elapsed().as_nanos();
     drop(durable);
 
-    let recovered = DurableSession::open(disk, manual).expect("recover corpus WAL");
-    let r = recovered.recovery_report();
+    let recovered = StreamSession::open(disk, manual).expect("recover corpus WAL");
+    let r = recovered.recovery_report().expect("opened durably");
     assert_eq!(
         recovered.engine().stores.rel.total_rows(),
         volatile.engine().stores.rel.total_rows(),
@@ -380,16 +380,16 @@ fn run_durability() -> DurabilityReport {
 
     let scaled = scaled_corpus_log();
     let disk15 = Arc::new(MemFs::new());
-    let mut s15 = DurableSession::open(disk15.clone(), manual).expect("open 15x");
+    let mut s15 = StreamSession::open(disk15.clone(), manual).expect("open 15x");
     for b in EpochStream::new(&scaled, EpochPolicy::ByCount(4096)) {
         s15.ingest_batch(&b).expect("ingest 15x");
     }
     s15.checkpoint().expect("checkpoint 15x");
     drop(s15);
     let t = Instant::now();
-    let rec15 = DurableSession::open(disk15, manual).expect("recover 15x");
+    let rec15 = StreamSession::open(disk15, manual).expect("recover 15x");
     let scaled_recovery_ns = t.elapsed().as_nanos();
-    let r15 = rec15.recovery_report();
+    let r15 = rec15.recovery_report().expect("opened durably");
     assert!(r15.checkpoint_found, "15x recovery must come from the checkpoint");
     assert_eq!(r15.wal_bytes_discarded, 0);
 

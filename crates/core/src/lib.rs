@@ -14,6 +14,12 @@
 //!                   (parse+reduce)   (SQL + Cypher backends)
 //! ```
 //!
+//! A [`ThreatRaptor`] holds one [`stream::StreamSession`] — the stores,
+//! their engine, the standing-query registry — however it was built: bulk
+//! loaded ([`ThreatRaptor::from_records`], one volatile epoch), grown from
+//! empty ([`ThreatRaptor::stream`]), or opened durably over a directory
+//! ([`ThreatRaptor::open`]: write-ahead log, checkpoints, crash recovery).
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -36,17 +42,44 @@
 //! let outcome = raptor.hunt(report).unwrap();
 //! assert_eq!(outcome.results.rows.len(), 1);
 //! ```
+//!
+//! ## Keep hunting as records arrive
+//!
+//! The same report can stand as a query over a stream of epochs, on the
+//! same type:
+//!
+//! ```
+//! use threatraptor::stream::{EpochPolicy, EpochStream};
+//! use threatraptor::{SynthesisPlan, ThreatRaptor};
+//! use raptor_audit::sim::Simulator;
+//! use raptor_audit::LogParser;
+//! use raptor_common::time::Timestamp;
+//!
+//! let mut sim = Simulator::new(1, Timestamp::from_secs(0));
+//! let shell = sim.boot_process("/bin/bash", "root");
+//! let tar = sim.spawn(shell, "/bin/tar", "tar cf /tmp/out.tar");
+//! sim.read_file(tar, "/etc/passwd", 4096, 4);
+//! let log = LogParser::parse(&sim.finish());
+//!
+//! let mut raptor = ThreatRaptor::stream().unwrap();
+//! let report = "The attacker used /bin/tar to read credentials from /etc/passwd.";
+//! let (id, _, _) = raptor.register_report("leak", report, &SynthesisPlan::default()).unwrap();
+//! for batch in EpochStream::new(&log, EpochPolicy::ByCount(2)) {
+//!     raptor.session_mut().ingest_batch(&batch).unwrap();
+//! }
+//! assert_eq!(raptor.session().query(id).cumulative_batch().n_rows(), 1);
+//! // One-shot hunts run over the same stores.
+//! assert_eq!(raptor.hunt(report).unwrap().results.rows.len(), 1);
+//! ```
 
 pub mod raptor;
-pub mod stream;
 pub mod synthesis;
 
 pub use raptor::{HuntOutcome, ThreatRaptor};
-pub use stream::HuntStream;
 
 // Durability plane: WAL + checkpoints + crash recovery
 // (`ThreatRaptor::open` / `open_with_fs`).
-pub use raptor_stream::{DurablePolicy, DurableSession, RecoveryReport};
+pub use raptor_stream::{DurablePolicy, RecoveryReport};
 pub use synthesis::{synthesize, SynthesisPlan};
 
 // Observability plane: trace spans, metrics registry, slow-query log
@@ -63,5 +96,5 @@ pub use raptor_graphstore as graphstore;
 pub use raptor_nlp as nlp;
 pub use raptor_relstore as relstore;
 pub use raptor_storage as storage;
-pub use raptor_stream as streaming;
+pub use raptor_stream as stream;
 pub use raptor_tbql as tbql;

@@ -1,22 +1,23 @@
 //! The ThreatRaptor facade.
 //!
-//! One struct that owns the loaded stores and exposes the whole pipeline:
-//! ingest audit records, extract threat behavior from OSCTI text, synthesize
-//! TBQL, execute (exact or fuzzy), or run hand-written TBQL directly
-//! ("proactive threat hunting" in the paper's terms).
+//! One struct that owns the session — the stores, their engine and the
+//! standing-query registry — and exposes the whole pipeline: ingest audit
+//! records (as one bulk load, increment by increment, or epoch by epoch),
+//! extract threat behavior from OSCTI text, synthesize TBQL, execute (exact
+//! or fuzzy) or register it as a standing query, or run hand-written TBQL
+//! directly ("proactive threat hunting" in the paper's terms).
 
 use std::path::Path;
 use std::sync::Arc;
 
 use raptor_audit::{reduce, LogParser, ParsedLog, SyscallRecord};
-use raptor_common::error::{Error, Result};
+use raptor_common::error::Result;
 use raptor_common::io::{DirFs, Fs};
 use raptor_engine::exec::{Engine, EngineStats, ExecMode, ResultTable};
 use raptor_engine::fuzzy::{self, FuzzyConfig, FuzzyOutcome, QueryGraph};
-use raptor_engine::load::{self, load};
 use raptor_engine::provenance::{build_from_stores, ProvTimings};
 use raptor_extract::{extract, ExtractionOutput, ThreatBehaviorGraph};
-use raptor_stream::{DurablePolicy, DurableSession, RecoveryReport};
+use raptor_stream::{DurablePolicy, QueryId, RecoveryReport, StreamSession};
 use raptor_tbql::print::print_query;
 use raptor_tbql::{analyze, parse_tbql, Query};
 
@@ -35,18 +36,10 @@ pub struct HuntOutcome {
     pub engine_stats: EngineStats,
 }
 
-/// The facade's backing mode: a volatile batch-loaded engine, or a durable
-/// streaming session whose store survives restarts.
-enum Inner {
-    // Both variants are boxed: each carries whole-store state (712+ bytes
-    // of engine, more for a durable session), far too big to pass inline.
-    Batch(Box<Engine>),
-    Durable(Box<DurableSession>),
-}
-
-/// The ThreatRaptor system: loaded stores + query engine.
+/// The ThreatRaptor system: one session (stores + query engine + standing
+/// queries), volatile or durable.
 pub struct ThreatRaptor {
-    inner: Inner,
+    session: StreamSession,
 }
 
 impl ThreatRaptor {
@@ -58,15 +51,24 @@ impl ThreatRaptor {
         Self::from_log(&log)
     }
 
-    /// Loads an already-parsed (and reduced) log.
+    /// Loads an already-parsed (and reduced) log: a volatile session that
+    /// ingested the whole log as its first epoch.
     pub fn from_log(log: &ParsedLog) -> Result<Self> {
-        Ok(ThreatRaptor { inner: Inner::Batch(Box::new(Engine::new(load(log)?))) })
+        let mut raptor = Self::stream()?;
+        raptor.append_log(log)?;
+        Ok(raptor)
+    }
+
+    /// Starts a *streaming* hunt: a volatile session over empty stores, to
+    /// be grown through [`ThreatRaptor::session_mut`].
+    pub fn stream() -> Result<Self> {
+        Ok(ThreatRaptor { session: StreamSession::new()? })
     }
 
     /// Opens (or recovers) a *durable* system over a directory: every
     /// append is write-ahead logged, [`ThreatRaptor::checkpoint`]
     /// serializes the store, and re-opening the same path resumes exactly
-    /// at the last durable point (see `raptor_stream::DurableSession`).
+    /// at the last durable point (see `raptor_stream::StreamSession::open`).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Self::open_with_fs(Arc::new(DirFs::new(path)?), DurablePolicy::default())
     }
@@ -74,61 +76,48 @@ impl ThreatRaptor {
     /// [`ThreatRaptor::open`] over an explicit file backend and policy
     /// (in-memory and fault-injected backends live in `raptor_common::io`).
     pub fn open_with_fs(fs: Arc<dyn Fs>, policy: DurablePolicy) -> Result<Self> {
-        Ok(ThreatRaptor { inner: Inner::Durable(Box::new(DurableSession::open(fs, policy)?)) })
-    }
-
-    fn eng(&self) -> &Engine {
-        match &self.inner {
-            Inner::Batch(e) => e.as_ref(),
-            Inner::Durable(d) => d.engine(),
-        }
+        Ok(ThreatRaptor { session: StreamSession::open(fs, policy)? })
     }
 
     pub fn engine(&self) -> &Engine {
-        self.eng()
+        self.session.engine()
     }
 
     pub fn engine_mut(&mut self) -> &mut Engine {
-        match &mut self.inner {
-            Inner::Batch(e) => e.as_mut(),
-            Inner::Durable(d) => d.engine_mut(),
-        }
+        self.session.engine_mut()
     }
 
-    /// The durable session backing this system, when opened with
-    /// [`ThreatRaptor::open`] (register standing queries, inspect epochs).
-    pub fn durable(&self) -> Option<&DurableSession> {
-        match &self.inner {
-            Inner::Durable(d) => Some(d),
-            Inner::Batch(_) => None,
-        }
+    /// The session behind this system: stream position, standing queries
+    /// and their accumulated results, ingest totals.
+    pub fn session(&self) -> &StreamSession {
+        &self.session
     }
 
-    pub fn durable_mut(&mut self) -> Option<&mut DurableSession> {
-        match &mut self.inner {
-            Inner::Durable(d) => Some(d),
-            Inner::Batch(_) => None,
-        }
+    /// Mutable session access: register hand-written TBQL as a standing
+    /// query, ingest epochs.
+    pub fn session_mut(&mut self) -> &mut StreamSession {
+        &mut self.session
+    }
+
+    /// [`ThreatRaptor::session_mut`] when the system was opened durably.
+    /// `bench_ledger` is written against this and may not change outside a
+    /// `[benchmark]` PR; the next one deletes it.
+    pub fn durable_mut(&mut self) -> Option<&mut StreamSession> {
+        Some(&mut self.session).filter(|s| s.recovery_report().is_some())
     }
 
     /// What recovery found when this system was opened durably: checkpoint
     /// used, WAL records replayed, bytes discarded from the torn tail.
-    /// `None` for batch-loaded (volatile) systems.
+    /// `None` for volatile systems.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.durable().map(|d| d.recovery_report())
+        self.session.recovery_report()
     }
 
-    /// Appends a parsed log increment. Durable systems ingest it as one
-    /// committed (WAL-logged + fsynced) epoch; batch systems append
-    /// directly. Entity ids must continue the store's dense id space.
+    /// Appends a parsed log increment as one epoch (WAL-logged + fsynced
+    /// when the system is durable); registered standing queries advance
+    /// over it. Entity ids must continue the store's dense id space.
     pub fn append_log(&mut self, log: &ParsedLog) -> Result<()> {
-        match &mut self.inner {
-            Inner::Batch(e) => {
-                let mut stats = raptor_storage::BackendStats::default();
-                load::append_log(&mut e.stores, log, &mut stats)
-            }
-            Inner::Durable(d) => d.ingest(&log.entities, &log.events).map(|_| ()),
-        }
+        self.session.ingest(&log.entities, &log.events).map(|_| ())
     }
 
     /// Parses + reduces raw records and appends them via
@@ -140,14 +129,9 @@ impl ThreatRaptor {
     }
 
     /// Checkpoints a durable system now (atomic replace + WAL truncation).
-    /// Errors on batch-loaded systems, which have nothing to persist to.
+    /// Errors on volatile systems, which have nothing to persist to.
     pub fn checkpoint(&mut self) -> Result<()> {
-        match &mut self.inner {
-            Inner::Durable(d) => d.checkpoint(),
-            Inner::Batch(_) => {
-                Err(Error::storage("checkpoint() requires a durable system (ThreatRaptor::open)"))
-            }
-        }
+        self.session.checkpoint()
     }
 
     /// Pins the worker count across the whole execution plane (engine
@@ -155,20 +139,14 @@ impl ThreatRaptor {
     /// `RAPTOR_THREADS` / available parallelism; `1` takes the strictly
     /// sequential code paths everywhere.
     pub fn set_threads(&mut self, threads: usize) {
-        match &mut self.inner {
-            Inner::Batch(e) => e.set_threads(threads),
-            Inner::Durable(d) => d.set_threads(threads),
-        }
+        self.session.set_threads(threads);
     }
 
     /// Re-segments the relational store's columnar tables to `rows`-row
     /// segments (see `RAPTOR_SEGMENT_ROWS`; results are byte-identical at
     /// every capacity — only scan granularity and segment counters change).
     pub fn set_segment_rows(&mut self, rows: usize) {
-        match &mut self.inner {
-            Inner::Batch(e) => e.set_segment_rows(rows),
-            Inner::Durable(d) => d.set_segment_rows(rows),
-        }
+        self.session.set_segment_rows(rows);
     }
 
     /// Extracts a threat behavior graph from OSCTI text (Algorithm 1).
@@ -185,6 +163,22 @@ impl ThreatRaptor {
         synthesize(graph, plan)
     }
 
+    /// Registers a standing query synthesized from an OSCTI report:
+    /// text → threat behavior graph → TBQL text → registry. Returns the
+    /// handle plus the synthesized query (AST and rendered text).
+    pub fn register_report(
+        &mut self,
+        name: &str,
+        report: &str,
+        plan: &SynthesisPlan,
+    ) -> Result<(QueryId, Query, String)> {
+        let extraction = extract(report);
+        let query = synthesize(&extraction.graph, plan)?;
+        let text = print_query(&query);
+        let id = self.session.register(name, &text)?;
+        Ok((id, query, text))
+    }
+
     /// End-to-end hunt: text → graph → TBQL → execution (exact search).
     pub fn hunt(&self, report: &str) -> Result<HuntOutcome> {
         self.hunt_with_plan(report, &SynthesisPlan::default())
@@ -196,13 +190,13 @@ impl ThreatRaptor {
         let query = synthesize(&extraction.graph, plan)?;
         let query_text = print_query(&query);
         let aq = analyze(&query)?;
-        let (results, engine_stats) = self.eng().execute(&aq, ExecMode::Scheduled)?;
+        let (results, engine_stats) = self.engine().execute(&aq, ExecMode::Scheduled)?;
         Ok(HuntOutcome { extraction, query, query_text, results, engine_stats })
     }
 
     /// Runs a hand-written TBQL query (proactive hunting).
     pub fn query(&self, tbql: &str) -> Result<ResultTable> {
-        let (table, _) = self.eng().execute_text(tbql, ExecMode::Scheduled)?;
+        let (table, _) = self.engine().execute_text(tbql, ExecMode::Scheduled)?;
         Ok(table)
     }
 
@@ -213,14 +207,14 @@ impl ThreatRaptor {
         tbql: &str,
         mode: ExecMode,
     ) -> Result<(ResultTable, EngineStats)> {
-        self.eng().execute_text(tbql, mode)
+        self.engine().execute_text(tbql, mode)
     }
 
     /// Renders the execution plan for a TBQL query without running its
     /// patterns: seeding candidates, scheduler choice, pattern order,
     /// per-pattern cost estimates. See `raptor_engine::explain`.
     pub fn explain(&self, tbql: &str) -> Result<String> {
-        self.eng().explain_text(tbql)
+        self.engine().explain_text(tbql)
     }
 
     /// Executes a TBQL query and renders the plan annotated with actuals:
@@ -232,7 +226,7 @@ impl ThreatRaptor {
         tbql: &str,
         redact: raptor_engine::Redact,
     ) -> Result<(ResultTable, String)> {
-        self.eng().explain_analyze_text(tbql, redact)
+        self.engine().explain_analyze_text(tbql, redact)
     }
 
     /// Snapshots the process-wide metrics registry (counters, gauges,
@@ -241,8 +235,8 @@ impl ThreatRaptor {
     /// `to_prometheus()`.
     pub fn metrics(&self) -> raptor_common::obs::MetricsSnapshot {
         let m = raptor_common::obs::metrics();
-        m.gauge_set("raptor_dict_symbols", self.eng().stores.dict.len() as i64);
-        m.gauge_set("raptor_threads", self.eng().pool().threads() as i64);
+        m.gauge_set("raptor_dict_symbols", self.engine().stores.dict.len() as i64);
+        m.gauge_set("raptor_threads", self.engine().pool().threads() as i64);
         m.gauge_set(
             "raptor_path_frontier_entries",
             raptor_engine::standing::frontier_entries_total(),
@@ -260,7 +254,7 @@ impl ThreatRaptor {
     ) -> Result<(FuzzyOutcome, ProvTimings)> {
         let q = parse_tbql(tbql)?;
         let aq = analyze(&q)?;
-        let (prov, timings) = build_from_stores(&self.eng().stores)?;
+        let (prov, timings) = build_from_stores(&self.engine().stores)?;
         let qg = QueryGraph::from_analyzed(&aq);
         Ok((fuzzy::search(&prov, &qg, cfg), timings))
     }
@@ -360,6 +354,36 @@ He leaked the data back to the C2 host by using /usr/bin/curl to connect to 192.
         assert!(snap.get("raptor_dict_symbols").is_some());
         assert!(snap.get("raptor_threads").is_some());
         assert!(snap.to_prometheus().contains("raptor_dict_symbols"));
+    }
+
+    #[test]
+    fn report_driven_standing_query_fires() {
+        use raptor_stream::{EpochPolicy, EpochStream};
+        let mut sim = Simulator::new(3, Timestamp::from_secs(9000));
+        let shell = sim.boot_process("/bin/bash", "root");
+        let tar = sim.spawn(shell, "/bin/tar", "tar");
+        sim.read_file(tar, "/etc/passwd", 4096, 2);
+        sim.exit(tar);
+        let log = LogParser::parse(&sim.finish());
+
+        let mut hunt = ThreatRaptor::stream().unwrap();
+        let (qid, _, text) = hunt
+            .register_report(
+                "report",
+                "The attacker used /bin/tar to read credentials from /etc/passwd.",
+                &SynthesisPlan::default(),
+            )
+            .unwrap();
+        assert!(text.contains("read"), "{text}");
+        let mut first_hit = None;
+        for batch in EpochStream::new(&log, EpochPolicy::ByCount(2)) {
+            let report = hunt.session_mut().ingest_batch(&batch).unwrap().expect("fresh epoch");
+            if first_hit.is_none() && report.deltas[0].delta.n_rows() > 0 {
+                first_hit = Some(report.epoch);
+            }
+        }
+        assert!(first_hit.is_some(), "standing query never fired");
+        assert!(hunt.session().query(qid).cumulative_batch().n_rows() > 0);
     }
 
     #[test]

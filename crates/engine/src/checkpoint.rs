@@ -28,20 +28,20 @@
 //! [magic u32][version u32][crc32(body) u32][body]
 //! body = dict · segment capacity · 4 tables (cells, null flags, zones)
 //!        · session meta (epochs, now_ns, ingest stats, arrival runs)
-//!        · standing queries (name, TBQL text, opaque state,
-//!          v2: frontier state)
-//!        · v2: path-catalog digest (flag, canonical length + crc32)
+//!        · standing queries (name, TBQL text, opaque state, frontier
+//!          state)
+//!        · path-catalog digest (flag, canonical length + crc32)
 //! ```
 //!
-//! Version 2 appends each standing query's cached [`PathFrontier`] state
-//! (so recovery resumes delta-incremental path matching without a cold
-//! rebuild) and a digest of the path cardinality catalog. The catalog
-//! itself is *never* serialized — replay through the load seam rebuilds it
-//! by construction — the digest only cross-checks that the rebuilt catalogs
-//! (both backends maintain one through the same `record_edge` seam) match
-//! what the checkpointed process observed. Version-1 checkpoints still
-//! restore cleanly: the catalog is rebuilt from the replayed rows and the
-//! frontiers rebuild lazily on the first post-recovery epoch.
+//! Each standing query carries its cached [`PathFrontier`] state (so
+//! recovery resumes delta-incremental path matching without a cold
+//! rebuild), and the image ends with a digest of the path cardinality
+//! catalog. The catalog itself is *never* serialized — replay through the
+//! load seam rebuilds it by construction — the digest only cross-checks
+//! that the rebuilt catalogs (both backends maintain one through the same
+//! `record_edge` seam) match what the checkpointed process observed. This
+//! is layout version 2, the only one read or written: an image of any other
+//! version decodes to the typed `unsupported checkpoint version` error.
 //!
 //! Corrupt input — truncation, bit flips, implausible lengths — decodes to
 //! a typed [`Error::storage`], never a panic.
@@ -61,7 +61,6 @@ use raptor_common::io::{self, Cur};
 use raptor_common::time::Timestamp;
 use raptor_common::Sym;
 use raptor_storage::BackendStats;
-use raptor_tbql::{analyze::analyze, parse_tbql};
 
 use crate::load::{self, LoadedStores};
 use crate::standing::StandingQuery;
@@ -71,8 +70,6 @@ pub const CKPT_FILE: &str = "ckpt";
 
 const MAGIC: u32 = 0x5452_434B; // "KCRT" little-endian: reads as "TRCK" tag
 const VERSION: u32 = 2;
-/// Oldest version [`decode`] still accepts (restored with cold frontiers).
-const MIN_VERSION: u32 = 1;
 
 /// Fixed serialization order of the audit tables.
 const TABLES: [&str; 4] = ["files", "processes", "netconns", "events"];
@@ -92,21 +89,11 @@ pub struct SessionMeta {
     pub arrival: Vec<(u64, u64)>,
 }
 
-/// One registered standing query, borrowed for encoding.
-pub struct StandingSnap<'a> {
-    pub name: &'a str,
-    /// The TBQL text as registered — recovery re-analyzes it rather than
-    /// serializing the compiled query.
-    pub text: &'a str,
-    pub query: &'a StandingQuery,
-}
-
 /// Everything [`decode`] rebuilds from a checkpoint.
 pub struct Restored {
     pub stores: LoadedStores,
-    /// Recovered standing queries with their registered TBQL text, in
-    /// registration order.
-    pub queries: Vec<(String, String, StandingQuery)>,
+    /// Recovered standing queries, in registration order.
+    pub queries: Vec<StandingQuery>,
     pub meta: SessionMeta,
     /// Entity + event rows replayed out of the snapshot.
     pub replayed_rows: u64,
@@ -186,25 +173,9 @@ fn encode_table(buf: &mut Vec<u8>, t: &raptor_relstore::table::Table) {
 /// Serializes a checkpoint of `stores` + `standing` + `meta`.
 pub fn encode(
     stores: &LoadedStores,
-    standing: &[StandingSnap<'_>],
+    standing: &[StandingQuery],
     meta: &SessionMeta,
 ) -> Result<Vec<u8>> {
-    encode_versioned(stores, standing, meta, VERSION)
-}
-
-/// Encodes at an older layout version. Exists so the recovery tests can
-/// prove that checkpoints written by previous releases still restore; live
-/// code always writes [`VERSION`].
-#[doc(hidden)]
-pub fn encode_versioned(
-    stores: &LoadedStores,
-    standing: &[StandingSnap<'_>],
-    meta: &SessionMeta,
-    version: u32,
-) -> Result<Vec<u8>> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(Error::storage(format!("cannot encode checkpoint version {version}")));
-    }
     let mut body = Vec::with_capacity(4096);
     // Dictionary, in insertion order: restoring it first pins every Sym.
     io::put_u64(&mut body, stores.dict.len() as u64);
@@ -233,40 +204,32 @@ pub fn encode_versioned(
         io::put_u64(&mut body, *evs);
     }
     io::put_u64(&mut body, standing.len() as u64);
-    for snap in standing {
-        io::put_str(&mut body, snap.name);
-        io::put_str(&mut body, snap.text);
+    for query in standing {
+        io::put_str(&mut body, query.name());
+        io::put_str(&mut body, query.text());
         let mut state = Vec::new();
-        snap.query.encode_state(&mut state);
+        query.encode_state(&mut state);
         io::put_u64(&mut body, state.len() as u64);
         body.extend_from_slice(&state);
-        if version >= 2 {
-            // The cached path-frontier state, its own length-prefixed blob.
-            let mut frontier = Vec::new();
-            snap.query.encode_frontier_state(&mut frontier);
-            io::put_u64(&mut body, frontier.len() as u64);
-            body.extend_from_slice(&frontier);
-        }
+        // The cached path-frontier state, its own length-prefixed blob.
+        let mut frontier = Vec::new();
+        query.encode_frontier_state(&mut frontier);
+        io::put_u64(&mut body, frontier.len() as u64);
+        body.extend_from_slice(&frontier);
     }
-    if version >= 2 {
-        // Path-catalog digest. Absent when the escape hatch disabled
-        // maintenance in this process — a restore can then still rebuild
-        // its own catalog from the replayed rows without a spurious
-        // mismatch.
-        if stores.graph.store_stats().catalog().enabled() {
-            let canonical = stores.graph.store_stats().catalog().canonical(&stores.dict);
-            let rendered = format!("{canonical:?}");
-            io::put_u8(&mut body, 1);
-            io::put_u64(&mut body, rendered.len() as u64);
-            io::put_u32(&mut body, io::crc32(rendered.as_bytes()));
-        } else {
-            io::put_u8(&mut body, 0);
-        }
+    // Path-catalog digest (tag 1 = present). The rendering is scratch as
+    // large as the image: its block frees it before `out` is allocated.
+    {
+        let canonical = stores.graph.store_stats().catalog().canonical(&stores.dict);
+        let rendered = format!("{canonical:?}");
+        io::put_u8(&mut body, 1);
+        io::put_u64(&mut body, rendered.len() as u64);
+        io::put_u32(&mut body, io::crc32(rendered.as_bytes()));
     }
 
     let mut out = Vec::with_capacity(12 + body.len());
     io::put_u32(&mut out, MAGIC);
-    io::put_u32(&mut out, version);
+    io::put_u32(&mut out, VERSION);
     io::put_u32(&mut out, io::crc32(&body));
     out.extend_from_slice(&body);
     Ok(out)
@@ -518,7 +481,7 @@ pub fn decode(bytes: &[u8]) -> Result<Restored> {
         return Err(Error::storage("not a ThreatRaptor checkpoint (bad magic)"));
     }
     let version = cur.get_u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(Error::storage(format!("unsupported checkpoint version {version}")));
     }
     let crc = cur.get_u32()?;
@@ -640,7 +603,7 @@ pub fn decode(bytes: &[u8]) -> Result<Restored> {
     }
     stores.now_ns = meta.now_ns;
 
-    // 7. Standing queries: re-analyze the registered text, restore state.
+    // 7. Standing queries: recompile the registered text, restore state.
     let n_standing = cur.get_len()?;
     let mut queries = Vec::with_capacity(n_standing);
     for _ in 0..n_standing {
@@ -648,48 +611,37 @@ pub fn decode(bytes: &[u8]) -> Result<Restored> {
         let text = cur.get_str()?;
         let state_len = cur.get_len()?;
         let state = cur.get_bytes(state_len)?;
-        let parsed = parse_tbql(&text)
-            .map_err(|e| Error::storage(format!("checkpoint: bad standing TBQL: {e}")))?;
-        let aq = analyze(&parsed)
+        let mut q = StandingQuery::new(name, &text, dict.clone())
             .map_err(|e| Error::storage(format!("checkpoint: bad standing query: {e}")))?;
-        let mut q = StandingQuery::new(name.clone(), aq, dict.clone())?;
         q.decode_state(&mut Cur::new(state))?;
-        if version >= 2 {
-            let frontier_len = cur.get_len()?;
-            let frontier = cur.get_bytes(frontier_len)?;
-            q.decode_frontier_state(&mut Cur::new(frontier))?;
-        }
-        queries.push((name, text, q));
+        let frontier_len = cur.get_len()?;
+        let frontier = cur.get_bytes(frontier_len)?;
+        q.decode_frontier_state(&mut Cur::new(frontier))?;
+        queries.push(q);
     }
 
-    // 8. v2: cross-check the rebuilt path catalogs against the digest the
-    //    checkpointed process recorded. Skipped when either side ran with
-    //    the catalog disabled — an escape-hatch restart must not be wedged
-    //    by a checkpoint from an enabled run, or vice versa.
-    if version >= 2 {
-        match cur.get_u8()? {
-            0 => {}
-            1 => {
-                let len = cur.get_u64()?;
-                let crc = cur.get_u32()?;
-                for (backend, s) in [
-                    ("graph", stores.graph.store_stats()),
-                    ("relational", stores.rel.store_stats()),
-                ] {
-                    if !s.catalog().enabled() {
-                        continue;
-                    }
-                    let rendered = format!("{:?}", s.catalog().canonical(&dict));
-                    if rendered.len() as u64 != len || io::crc32(rendered.as_bytes()) != crc {
-                        return Err(Error::storage(format!(
-                            "checkpoint integrity: {backend} path catalog diverged after replay"
-                        )));
-                    }
+    // 8. Cross-check the rebuilt path catalogs against the digest the
+    //    checkpointed process recorded. Tag 0 (no digest) is what a build
+    //    with the since-retired catalog escape hatch wrote when the hatch
+    //    was pulled; such an image has nothing to check against.
+    match cur.get_u8()? {
+        0 => {}
+        1 => {
+            let len = cur.get_u64()?;
+            let crc = cur.get_u32()?;
+            for (backend, s) in
+                [("graph", stores.graph.store_stats()), ("relational", stores.rel.store_stats())]
+            {
+                let rendered = format!("{:?}", s.catalog().canonical(&dict));
+                if rendered.len() as u64 != len || io::crc32(rendered.as_bytes()) != crc {
+                    return Err(Error::storage(format!(
+                        "checkpoint integrity: {backend} path catalog diverged after replay"
+                    )));
                 }
             }
-            other => {
-                return Err(Error::storage(format!("invalid catalog digest tag {other}")));
-            }
+        }
+        other => {
+            return Err(Error::storage(format!("invalid catalog digest tag {other}")));
         }
     }
     if !cur.is_done() {
@@ -753,38 +705,23 @@ mod tests {
         }
     }
 
-    /// Version-1 images (no frontier state, no catalog digest) still
-    /// restore: the catalog is rebuilt from the replayed rows and the
-    /// standing query's frontier rebuilds lazily on its next advance.
+    /// One layout is decoded. An image of any other version — the retired
+    /// v1 or one never shipped — is refused with the typed version error on
+    /// its header alone, whatever its body holds: no panic, no partial
+    /// restore.
     #[test]
-    fn v1_checkpoints_still_restore() {
-        use raptor_tbql::{analyze::analyze, parse_tbql};
+    fn other_checkpoint_versions_are_refused() {
         let log = sample_log();
         let stores = load::load(&log).unwrap();
         let meta = meta_for(&log, stores.now_ns);
-        let text = "proc p read file f as e1 return p, f";
-        let q = StandingQuery::new(
-            "hunt",
-            analyze(&parse_tbql(text).unwrap()).unwrap(),
-            stores.dict.clone(),
-        )
-        .unwrap();
-        let snaps = [StandingSnap { name: "hunt", text, query: &q }];
-        let bytes = encode_versioned(&stores, &snaps, &meta, 1).unwrap();
-        let restored = decode(&bytes).unwrap();
-        assert_eq!(restored.queries.len(), 1);
-        assert_eq!(restored.stores.graph.edge_count(), stores.graph.edge_count());
-        // The rebuilt catalog matches the live store's — replay went
-        // through the same write seam.
-        assert_eq!(
-            restored.stores.graph.store_stats().catalog().canonical(&restored.stores.dict),
-            stores.graph.store_stats().catalog().canonical(&stores.dict),
-        );
-        // A version we have never shipped is refused, both ways.
-        assert!(encode_versioned(&stores, &[], &meta, 3).is_err());
-        let mut future = encode(&stores, &[], &meta).unwrap();
-        future[4..8].copy_from_slice(&3u32.to_le_bytes());
-        assert!(decode(&future).is_err());
+        let current = encode(&stores, &[], &meta).unwrap();
+        for version in [0u32, 1, 3, u32::MAX] {
+            let mut image = current.clone();
+            image[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = decode(&image).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage);
+            assert_eq!(err.message, format!("unsupported checkpoint version {version}"));
+        }
     }
 
     /// The current version round-trips standing state *and* the catalog

@@ -1,10 +1,11 @@
-//! TBQL → SQL / Cypher compilation.
+//! TBQL → data-query compilation.
 //!
-//! Each *event pattern* compiles to a small SQL data query joining the two
-//! entity tables with the events table; each *path pattern* compiles to a
-//! Cypher data query using the graph store's path syntax. The whole query
-//! can also be compiled into one *giant* SQL or Cypher statement — the
-//! baselines of Table VIII and the comparison texts of Table X.
+//! Each *event pattern* compiles to a small typed request against the
+//! relational store ([`event_pattern_request`]); each *path pattern* to a
+//! typed request against the graph store ([`path_pattern_request`]). The
+//! whole query can also be compiled into one *giant* SQL or Cypher
+//! statement — the baselines of Table VIII and the comparison texts of
+//! Table X, and the only query text this module renders.
 //!
 //! Known restriction: the giant compiled forms support plain
 //! `before`/`after` temporal relationships; `within` and `[lo-hi unit]`
@@ -36,8 +37,8 @@ pub struct CompileCtx<'a> {
 /// Entity ids propagated from already-executed patterns (scheduler state).
 ///
 /// Candidate sets are kept **sorted and distinct**: the `MAX_IN_LIST` cap
-/// then measures distinct ids, and compiled `IN` lists (text or typed) are
-/// deterministic for a given result set.
+/// then measures distinct ids, and compiled `id_in` lists are deterministic
+/// for a given result set.
 #[derive(Clone, Default, Debug)]
 pub struct Propagation {
     entity_ids: FxHashMap<String, Vec<i64>>,
@@ -230,78 +231,6 @@ fn window_to_sql(evt: &str, w: &Window, now_ns: i64) -> Result<String> {
     })
 }
 
-fn in_list_sql(alias: &str, ids: &[i64]) -> String {
-    format!("{alias}.id IN ({})", render_id_list(ids))
-}
-
-/// Renders an id list; an empty candidate set becomes the impossible id -1
-/// so the emitted SQL/Cypher stays well-formed (and matches nothing).
-fn render_id_list(ids: &[i64]) -> String {
-    if ids.is_empty() {
-        return "-1".to_string();
-    }
-    let list: Vec<String> = ids.iter().map(i64::to_string).collect();
-    list.join(", ")
-}
-
-/// The entity-candidate resolution query the scheduler runs first for every
-/// filtered entity (one small indexed lookup per entity).
-pub fn entity_candidate_sql(id: &str, ty: EntityType, filter: &AttrExpr) -> String {
-    format!("SELECT {id}.id FROM {} {id} WHERE {}", table_for_type(ty), attr_to_sql(id, filter))
-}
-
-/// Compiles one event pattern into a small SQL data query.
-///
-/// Projected columns (positional): subject id, object id, event id,
-/// starttime, endtime.
-pub fn sql_for_event_pattern(
-    ctx: &CompileCtx<'_>,
-    p: &APattern,
-    prop: &Propagation,
-) -> Result<String> {
-    let PatternOp::Event(op) = &p.op else {
-        return Err(Error::semantic("path patterns compile to Cypher, not SQL"));
-    };
-    let subj = &ctx.aq.entities[&p.subject];
-    let obj = &ctx.aq.entities[&p.object];
-    let (s, o, e) = (&p.subject, &p.object, &p.id);
-    let mut sql = format!(
-        "SELECT {s}.id, {o}.id, {e}.id, {e}.starttime, {e}.endtime FROM {} {s}, events {e}, {} {o} WHERE {e}.subject = {s}.id AND {e}.object = {o}.id AND {e}.kind = {}",
-        table_for_type(subj.ty),
-        table_for_type(obj.ty),
-        sql_str(event_kind_for(obj.ty)),
-    );
-    let mut push = |cond: String| {
-        let _ = write!(sql, " AND {cond}");
-    };
-    push(op_to_sql(e, op));
-    if let Some(f) = &subj.filter {
-        push(attr_to_sql(s, f));
-    }
-    if let Some(f) = &obj.filter {
-        push(attr_to_sql(o, f));
-    }
-    if let Some(f) = &p.event_filter {
-        push(attr_to_sql(e, f));
-    }
-    if let Some(w) = &p.window {
-        push(window_to_sql(e, w, ctx.now_ns)?);
-    }
-    for w in &ctx.aq.global_windows {
-        push(window_to_sql(e, w, ctx.now_ns)?);
-    }
-    // Propagated entity ids constrain both the entity alias and — far more
-    // importantly — the event columns, so the events scan runs through the
-    // subject/object hash indexes instead of the (much larger) optype index.
-    for (var, alias, evt_col) in [(s, s, "subject"), (o, o, "object")] {
-        if let Some(ids) = prop.in_list(var.as_str()) {
-            push(in_list_sql(alias, ids));
-            push(format!("{e}.{evt_col} IN ({})", render_id_list(ids)));
-        }
-    }
-    Ok(sql)
-}
-
 // --- Cypher fragments ---
 
 fn cypher_str(s: &str) -> String {
@@ -397,9 +326,9 @@ fn window_to_cypher(edge: &str, w: &Window, now_ns: i64) -> Result<String> {
     })
 }
 
-/// Renders one pattern's MATCH fragment, collecting WHERE conditions.
-/// Returns the path text. `edge_var` is the name bound to the final hop
-/// (event patterns and final-hop-constrained paths).
+/// Renders one pattern's MATCH fragment, collecting its event-level WHERE
+/// conditions. Entity filters are the caller's: [`giant_cypher`] emits them
+/// once per entity, not once per pattern the entity appears in.
 fn cypher_pattern_fragment(
     ctx: &CompileCtx<'_>,
     p: &APattern,
@@ -407,15 +336,9 @@ fn cypher_pattern_fragment(
 ) -> Result<String> {
     let subj = &ctx.aq.entities[&p.subject];
     let obj = &ctx.aq.entities[&p.object];
-    if let Some(f) = &subj.filter {
-        conds.push(attr_to_cypher(&p.subject, f));
-    }
-    if let Some(f) = &obj.filter {
-        conds.push(attr_to_cypher(&p.object, f));
-    }
     let s_node = format!("({}:{})", p.subject, label_for_type(subj.ty));
     let o_node = format!("({}:{})", p.object, label_for_type(obj.ty));
-    let frag = match &p.op {
+    Ok(match &p.op {
         PatternOp::Event(op) => {
             conds.push(op_to_cypher(&p.id, op));
             if let Some(f) = &p.event_filter {
@@ -432,8 +355,7 @@ fn cypher_pattern_fragment(
         PatternOp::Path { arrow, min, max, op } => {
             path_fragment(p, *arrow, *min, *max, op.as_ref(), &s_node, &o_node, conds)
         }
-    };
-    Ok(frag)
+    })
 }
 
 /// Shared path-fragment rendering. `->` means exactly one hop; `~>` renders
@@ -469,43 +391,6 @@ fn path_fragment(
         }
         None => format!("{s_node}-[:EVENT*{lo}..{hi_text}]->{o_node}"),
     }
-}
-
-/// Compiles one path pattern into a Cypher data query. Projected columns
-/// (positional): subject id, object id.
-pub fn cypher_for_path_pattern(
-    ctx: &CompileCtx<'_>,
-    p: &APattern,
-    prop: &Propagation,
-) -> Result<String> {
-    if !matches!(p.op, PatternOp::Path { .. }) {
-        return Err(Error::semantic("event patterns compile to SQL, not Cypher"));
-    }
-    let mut conds = Vec::new();
-    let frag = cypher_pattern_fragment(ctx, p, &mut conds)?;
-    for var in [&p.subject, &p.object] {
-        if let Some(ids) = prop.in_list(var.as_str()) {
-            conds.push(format!("{var}.id IN [{}]", render_id_list(ids)));
-        }
-    }
-    let mut q = format!("MATCH {frag}");
-    if !conds.is_empty() {
-        let _ = write!(q, " WHERE {}", conds.join(" AND "));
-    }
-    if p.has_final_hop() {
-        // Single-hop paths bind an event edge: expose its id and timestamps
-        // so `with` temporal clauses work on the length-1 variant.
-        let _ = write!(
-            q,
-            " RETURN DISTINCT {}.id, {}.id, {e}.id, {e}.starttime, {e}.endtime",
-            p.subject,
-            p.object,
-            e = p.id
-        );
-    } else {
-        let _ = write!(q, " RETURN DISTINCT {}.id, {}.id", p.subject, p.object);
-    }
-    Ok(q)
 }
 
 /// Compiles the whole query into one giant SQL statement (the paper's
@@ -593,10 +478,7 @@ pub fn giant_cypher(ctx: &CompileCtx<'_>) -> Result<String> {
     let mut conds: Vec<String> = Vec::new();
     let mut frags: Vec<String> = Vec::new();
     for p in &aq.patterns {
-        // Entity filters are emitted once per entity below, so strip them
-        // here by temporarily compiling with the pattern only.
-        let frag = cypher_pattern_fragment_no_entity_filters(ctx, p, &mut conds)?;
-        frags.push(frag);
+        frags.push(cypher_pattern_fragment(ctx, p, &mut conds)?);
     }
     for id in &aq.entity_order {
         if let Some(f) = &aq.entities[id].filter {
@@ -735,7 +617,8 @@ fn window_pred(w: &Window, now_ns: i64) -> Result<raptor_storage::Pred> {
     })
 }
 
-/// The typed form of [`entity_candidate_sql`].
+/// The entity-candidate resolution request the scheduler runs first for
+/// every filtered entity (one small indexed lookup per entity).
 pub fn entity_candidate_request(
     ty: EntityType,
     filter: &AttrExpr,
@@ -776,8 +659,7 @@ fn event_conjuncts(
     Ok(preds)
 }
 
-/// Builds the typed request for one event pattern — the parse-free
-/// counterpart of [`sql_for_event_pattern`].
+/// Builds the typed request for one event pattern.
 pub fn event_pattern_request(
     ctx: &CompileCtx<'_>,
     p: &APattern,
@@ -795,8 +677,7 @@ pub fn event_pattern_request(
     })
 }
 
-/// Builds the typed request for one path pattern — the parse-free
-/// counterpart of [`cypher_for_path_pattern`].
+/// Builds the typed request for one path pattern.
 pub fn path_pattern_request(
     ctx: &CompileCtx<'_>,
     p: &APattern,
@@ -808,8 +689,8 @@ pub fn path_pattern_request(
     };
     let (min_hops, max_hops) =
         if *arrow == raptor_tbql::Arrow::Single { (1, Some(1)) } else { (min.unwrap_or(1), *max) };
-    // Mirrors the text compiler: path patterns constrain only the final
-    // hop's operation (event filters and windows apply to event patterns).
+    // Path patterns constrain only the final hop's operation (event filters
+    // and windows apply to event patterns).
     let final_hop_pred = op.as_ref().map(|o| op_pred(o, &ctx.dict));
     Ok(raptor_storage::PathPatternQuery {
         subject: entity_sel(ctx, &p.subject, prop),
@@ -821,37 +702,6 @@ pub fn path_pattern_request(
         final_event_id_in: None,
         want_event: p.has_final_hop(),
         subject_is_object: p.subject == p.object,
-    })
-}
-
-fn cypher_pattern_fragment_no_entity_filters(
-    ctx: &CompileCtx<'_>,
-    p: &APattern,
-    conds: &mut Vec<String>,
-) -> Result<String> {
-    // Same as cypher_pattern_fragment but entity filters are handled by the
-    // caller (to avoid duplicating them for reused entities).
-    let subj = &ctx.aq.entities[&p.subject];
-    let obj = &ctx.aq.entities[&p.object];
-    let s_node = format!("({}:{})", p.subject, label_for_type(subj.ty));
-    let o_node = format!("({}:{})", p.object, label_for_type(obj.ty));
-    Ok(match &p.op {
-        PatternOp::Event(op) => {
-            conds.push(op_to_cypher(&p.id, op));
-            if let Some(f) = &p.event_filter {
-                conds.push(attr_to_cypher(&p.id, f));
-            }
-            if let Some(w) = &p.window {
-                conds.push(window_to_cypher(&p.id, w, ctx.now_ns)?);
-            }
-            for w in &ctx.aq.global_windows {
-                conds.push(window_to_cypher(&p.id, w, ctx.now_ns)?);
-            }
-            format!("{s_node}-[{}:EVENT]->{o_node}", p.id)
-        }
-        PatternOp::Path { arrow, min, max, op } => {
-            path_fragment(p, *arrow, *min, *max, op.as_ref(), &s_node, &o_node, conds)
-        }
     })
 }
 
@@ -870,8 +720,8 @@ mod tests {
         let (aq, now) =
             ctx_for(r#"proc p1["%/bin/tar%"] read file f1["%/etc/passwd%"] as evt1 return p1, f1"#);
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
-        let sql = sql_for_event_pattern(&ctx, &aq.patterns[0], &Propagation::default()).unwrap();
-        assert!(sql.contains("FROM processes p1, events evt1, files f1"), "{sql}");
+        let sql = giant_sql(&ctx).unwrap();
+        assert!(sql.contains("FROM processes p1, files f1, events evt1"), "{sql}");
         assert!(sql.contains("evt1.subject = p1.id"), "{sql}");
         assert!(sql.contains("evt1.optype = 'read'"), "{sql}");
         assert!(sql.contains("p1.exename LIKE '%/bin/tar%'"), "{sql}");
@@ -887,8 +737,9 @@ mod tests {
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
         let mut prop = Propagation::default();
         prop.set("p", vec![3, 5, 9]);
-        let sql = sql_for_event_pattern(&ctx, &aq.patterns[0], &prop).unwrap();
-        assert!(sql.contains("p.id IN (3, 5, 9)"), "{sql}");
+        let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
+        assert_eq!(req.subject.id_in.as_deref(), Some(&[3, 5, 9][..]));
+        assert_eq!(req.object.id_in, None);
     }
 
     #[test]
@@ -897,8 +748,8 @@ mod tests {
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
         let mut prop = Propagation::default();
         prop.set("p", (0..(MAX_IN_LIST as i64 + 1)).collect());
-        let sql = sql_for_event_pattern(&ctx, &aq.patterns[0], &prop).unwrap();
-        assert!(!sql.contains("IN ("), "{sql}");
+        let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
+        assert_eq!(req.subject.id_in, None);
     }
 
     #[test]
@@ -922,8 +773,8 @@ mod tests {
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
         let mut prop = Propagation::default();
         prop.set("p", vec![3, 5, 9]);
-        let sql = sql_for_event_pattern(&ctx, &aq.patterns[0], &prop).unwrap();
-        assert!(sql.contains("p.id IN (3, 5, 9)"), "{sql}");
+        let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
+        assert_eq!(req.subject.id_in.as_deref(), Some(&[3, 5, 9][..]));
         // Rows from match results (unsorted, duplicated) still canonicalize
         // through `intersect`'s set-when-absent path.
         prop.intersect("f", vec![9, 3, 5, 3, 9, 9]);
@@ -981,11 +832,11 @@ mod tests {
     fn path_pattern_cypher_shape() {
         let (aq, now) = ctx_for(r#"proc p["%tar%"] ~>(2~4)[read] file f as e1 return p, f"#);
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
-        let cy = cypher_for_path_pattern(&ctx, &aq.patterns[0], &Propagation::default()).unwrap();
+        let cy = giant_cypher(&ctx).unwrap();
         assert!(cy.contains("(p:Process)-[:EVENT*1..3]->(_m0)-[e1:EVENT]->(f:File)"), "{cy}");
         assert!(cy.contains("e1.optype = 'read'"), "{cy}");
         assert!(cy.contains("p.exename CONTAINS 'tar'"), "{cy}");
-        assert!(cy.contains("RETURN DISTINCT p.id, f.id"), "{cy}");
+        assert!(cy.contains("RETURN p.exename, f.name"), "{cy}");
         assert!(raptor_graphstore::cypher::parse_cypher(&cy).is_ok(), "{cy}");
     }
 
@@ -993,7 +844,7 @@ mod tests {
     fn length_one_path_is_single_hop() {
         let (aq, now) = ctx_for("proc p ->[read] file f as e1 return p, f");
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
-        let cy = cypher_for_path_pattern(&ctx, &aq.patterns[0], &Propagation::default()).unwrap();
+        let cy = giant_cypher(&ctx).unwrap();
         // `->` parses with no explicit bounds: compiled as open-ended from
         // the analyzer's perspective? No: Arrow::Single defaults min=max=1.
         assert!(cy.contains("-[") && cy.contains("EVENT"), "{cy}");
@@ -1040,7 +891,7 @@ mod tests {
     fn windows_compile() {
         let (aq, _) = ctx_for("proc p read file f as e1 last 2 h return f");
         let ctx = CompileCtx { aq: &aq, now_ns: 10_000_000_000_000, dict: SharedDict::new() };
-        let sql = sql_for_event_pattern(&ctx, &aq.patterns[0], &Propagation::default()).unwrap();
+        let sql = giant_sql(&ctx).unwrap();
         let cutoff = 10_000_000_000_000i64 - 7200 * 1_000_000_000;
         assert!(sql.contains(&format!("e1.starttime >= {cutoff}")), "{sql}");
     }
@@ -1049,7 +900,7 @@ mod tests {
     fn string_escaping() {
         let (aq, now) = ctx_for(r#"proc p["%o'brien%"] read file f return f"#);
         let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
-        let sql = sql_for_event_pattern(&ctx, &aq.patterns[0], &Propagation::default()).unwrap();
+        let sql = giant_sql(&ctx).unwrap();
         assert!(sql.contains("'%o''brien%'"), "{sql}");
         assert!(raptor_relstore::sql::parse_select(&sql).is_ok(), "{sql}");
     }

@@ -19,10 +19,10 @@
 //!   (geometric extrapolation from the cataloged ratio beyond), a final-hop
 //!   operation selectivity from the per-(class, optype, class) edge
 //!   counts, and the subject/object candidate fractions. When the catalog
-//!   is cold (or disabled via `RAPTOR_PATH_CATALOG=0`) the estimator falls
-//!   back to degree-power expansion à la Pathce: the seeded start set fans
-//!   out by the subject class's mean out-degree for the first hop and the
-//!   store-wide mean degree per further hop.
+//!   is cold (an empty store) the estimator falls back to degree-power
+//!   expansion à la Pathce: the seeded start set fans out by the subject
+//!   class's mean out-degree for the first hop and the store-wide mean
+//!   degree per further hop.
 //!
 //! Either way the result is clamped: **capped** at the catalog's observed
 //! reachable-pair count (sources with out-edges × destinations with
@@ -303,9 +303,6 @@ mod tests {
     /// 5 network connects.
     fn stats() -> StoreStats {
         let mut s = StoreStats::default();
-        // Env-independent: these tests pin catalog behaviour, so force the
-        // catalog on even under `RAPTOR_PATH_CATALOG=0`.
-        *s.catalog_mut() = raptor_storage::PathCatalog::new(true);
         for id in 0..10 {
             s.record_node(EntityClass::Process, id);
             let exe = s.dict().intern(if id == 0 { "/usr/bin/gpg" } else { "/bin/noise" });
@@ -404,7 +401,6 @@ mod tests {
     #[test]
     fn catalog_decomposition_grows_with_real_walks() {
         let mut s = StoreStats::default();
-        *s.catalog_mut() = raptor_storage::PathCatalog::new(true);
         for id in 0..10 {
             s.record_node(EntityClass::Process, id);
             row(&mut s, "processes", &[]);
@@ -431,7 +427,8 @@ mod tests {
     #[test]
     fn degree_power_fallback_is_clamped() {
         let mut s = stats();
-        *s.catalog_mut() = raptor_storage::PathCatalog::new(false);
+        // An empty catalog is what a store holds before its first edge.
+        *s.catalog_mut() = raptor_storage::PathCatalog::new();
         assert!(!s.catalog().is_warm());
         let one = estimate_path_pattern(&path(&s, Some(1)), &s);
         let four = estimate_path_pattern(&path(&s, Some(4)), &s);

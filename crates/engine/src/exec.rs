@@ -17,10 +17,7 @@
 //!   (variant (d)), ditto.
 //!
 //! All three return the same [`ResultTable`] for the same query — the
-//! backend-equivalence integration tests assert it. The seed's stringly
-//! scheduled pipeline is preserved as
-//! [`Engine::execute_scheduled_via_text`] so benchmarks can measure the
-//! typed plane against it.
+//! backend-equivalence integration tests assert it.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
@@ -35,9 +32,8 @@ use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, CmpOp, PatternOp, RelClause, TemporalOp};
 
 use crate::compile::{
-    class_for_type, cypher_for_path_pattern, entity_candidate_request, entity_candidate_sql,
-    event_pattern_request, giant_cypher, giant_sql, path_pattern_request, sql_for_event_pattern,
-    CompileCtx, Propagation,
+    class_for_type, entity_candidate_request, event_pattern_request, giant_cypher, giant_sql,
+    path_pattern_request, CompileCtx, Propagation,
 };
 use crate::estimate::{estimate_event_pattern, estimate_path_pattern, PatternEstimate};
 use crate::load::LoadedStores;
@@ -49,16 +45,6 @@ pub enum ExecMode {
     Scheduled,
     GiantSql,
     GiantCypher,
-}
-
-/// How the scheduled executor talks to the stores.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum DataPath {
-    /// Typed requests through the [`StorageBackend`] trait (the default).
-    Typed,
-    /// The seed pipeline: render SQL/Cypher text, re-parse it in the store,
-    /// re-parse stringly rows into ids. Kept for benchmarks/regression.
-    Text,
 }
 
 /// What one issued data query was (plan observability).
@@ -83,7 +69,7 @@ pub struct QueryInfo {
     /// Number of propagated `IN` id-lists attached to the request.
     pub in_lists: usize,
     /// The query text — only for paths that really go through a parser
-    /// (giant baselines and the text-compat scheduled path).
+    /// (the giant baselines).
     pub text: Option<String>,
     /// Rows (matches / candidates) this query returned.
     pub rows: Option<usize>,
@@ -103,8 +89,7 @@ pub struct EngineStats {
     /// Number of data queries issued.
     pub data_queries: usize,
     /// SQL/Cypher texts parsed on this execution. Zero in scheduled mode —
-    /// asserted by tests; the giant baselines and the text-compat path
-    /// count here.
+    /// asserted by tests; the giant baselines count here.
     pub text_parses: usize,
     /// Some executed pattern matched nothing: the overall result is empty
     /// and the pattern's *dependency chain* stopped early. Independent
@@ -373,7 +358,7 @@ impl Engine {
         });
         let t0 = std::time::Instant::now();
         let r = match mode {
-            ExecMode::Scheduled => self.execute_scheduled(aq, DataPath::Typed),
+            ExecMode::Scheduled => self.run_scheduled(aq, self.scheduler, None),
             ExecMode::GiantSql => self.execute_giant_sql(aq),
             ExecMode::GiantCypher => self.execute_giant_cypher(aq),
         };
@@ -387,19 +372,6 @@ impl Engine {
             m.counter_add("raptor_result_rows_total", batch.n_rows() as u64);
         }
         r
-    }
-
-    /// The seed's stringly scheduled pipeline (compile to SQL/Cypher text,
-    /// re-parse in the store, re-parse rows). Semantics match
-    /// [`ExecMode::Scheduled`]; kept callable for benchmarks and the
-    /// typed-vs-text regression test.
-    pub fn execute_scheduled_via_text(
-        &self,
-        aq: &AnalyzedQuery,
-    ) -> Result<(ResultTable, EngineStats)> {
-        let (batch, mut stats) = self.execute_scheduled(aq, DataPath::Text)?;
-        let table = ResultTable::from_batch_counted(&batch, &mut stats);
-        Ok((table, stats))
     }
 
     pub(crate) fn ctx<'a>(&self, aq: &'a AnalyzedQuery) -> CompileCtx<'a> {
@@ -448,7 +420,7 @@ impl Engine {
         let ctx = self.ctx(aq);
         let mut empty = Propagation::default();
         let mut stats = EngineStats::default();
-        self.seed_entity_candidates(aq, &mut empty, &mut stats, DataPath::Typed)?;
+        self.seed_entity_candidates(aq, &mut empty, &mut stats)?;
         let mut out = Vec::with_capacity(aq.patterns.len());
         for p in &aq.patterns {
             let m = if p.is_path() {
@@ -502,7 +474,6 @@ impl Engine {
         aq: &AnalyzedQuery,
         prop: &mut Propagation,
         stats: &mut EngineStats,
-        path: DataPath,
     ) -> Result<()> {
         for id in &aq.entity_order {
             let e = &aq.entities[id];
@@ -511,27 +482,9 @@ impl Engine {
             sp.label(id);
             let before = stats.backend;
             let t0 = std::time::Instant::now();
-            let ids = match path {
-                DataPath::Typed => {
-                    let (class, pred) = entity_candidate_request(e.ty, filter, &self.stores.dict);
-                    let ids = self.rel().entity_candidates(class, &pred, &mut stats.backend)?;
-                    stats.record("relational", QueryKind::Seed, id, 0);
-                    ids
-                }
-                DataPath::Text => {
-                    let sql = entity_candidate_sql(id, e.ty, filter);
-                    let r = self.query_sql_text(&sql, stats)?;
-                    stats.record_text("relational", QueryKind::Seed, id, sql);
-                    // The text path bypasses `entity_candidates`, so it
-                    // canonicalizes here to meet `Propagation::set`'s
-                    // sorted-distinct contract.
-                    let mut ids: Vec<i64> =
-                        (0..r.n_rows()).filter_map(|i| r.cols[0].get(i).as_int()).collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    ids
-                }
-            };
+            let (class, pred) = entity_candidate_request(e.ty, filter, &self.stores.dict);
+            let ids = self.rel().entity_candidates(class, &pred, &mut stats.backend)?;
+            stats.record("relational", QueryKind::Seed, id, 0);
             stats.finish_last(ids.len(), before, t0.elapsed().as_nanos() as u64);
             sp.attr("candidates", ids.len() as u64);
             prop.set(id.clone(), ids);
@@ -539,8 +492,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs one pattern's data query over the chosen data path, recording
-    /// an `engine.pattern` span and the query's observability payload
+    /// Runs one pattern's data query, recording an `engine.pattern` span and the query's observability payload
     /// (rows, wall time, backend-counter delta) into the last `QueryInfo`.
     fn match_pattern(
         &self,
@@ -548,13 +500,12 @@ impl Engine {
         p: &raptor_tbql::analyze::APattern,
         prop: &Propagation,
         stats: &mut EngineStats,
-        path: DataPath,
     ) -> Result<Vec<Match>> {
         let mut sp = obs::span("engine.pattern");
         sp.label(&p.id);
         let before = stats.backend;
         let t0 = std::time::Instant::now();
-        let rows = self.match_pattern_inner(ctx, p, prop, stats, path)?;
+        let rows = self.match_pattern_inner(ctx, p, prop, stats)?;
         stats.finish_last(rows.len(), before, t0.elapsed().as_nanos() as u64);
         if let Some(q) = stats.queries.last() {
             sp.attr("rows", rows.len() as u64);
@@ -571,62 +522,21 @@ impl Engine {
         p: &raptor_tbql::analyze::APattern,
         prop: &Propagation,
         stats: &mut EngineStats,
-        path: DataPath,
     ) -> Result<Vec<Match>> {
-        match (path, p.is_path()) {
-            (DataPath::Typed, true) => {
-                let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
-                let in_lists =
-                    req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
-                let m = self.graph().match_path_pattern(&req, &mut stats.backend)?;
-                stats.record("graph", QueryKind::PathPattern, &p.id, in_lists);
-                Ok(matches_to_rows(&m))
-            }
-            (DataPath::Typed, false) => {
-                let req = event_pattern_request(ctx, p, prop)?;
-                let in_lists =
-                    req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
-                let m = self.rel().match_event_pattern(&req, &mut stats.backend)?;
-                stats.record("relational", QueryKind::EventPattern, &p.id, in_lists);
-                Ok(matches_to_rows(&m))
-            }
-            (DataPath::Text, true) => {
-                let cy = cypher_for_path_pattern(ctx, p, prop)?;
-                let r = self.query_cypher_text(&cy, stats)?;
-                stats.record_text("graph", QueryKind::PathPattern, &p.id, cy);
-                Ok(r.rows
-                    .iter()
-                    .map(|row| {
-                        let subj = row[0].as_int().unwrap_or(-1);
-                        let obj = row[1].as_int().unwrap_or(-1);
-                        if row.len() >= 5 {
-                            Match {
-                                subj,
-                                obj,
-                                evt: row[2].as_int().unwrap_or(-1),
-                                start: row[3].as_int().unwrap_or(0),
-                                end: row[4].as_int().unwrap_or(0),
-                            }
-                        } else {
-                            Match { subj, obj, evt: -1, start: 0, end: 0 }
-                        }
-                    })
-                    .collect())
-            }
-            (DataPath::Text, false) => {
-                let sql = sql_for_event_pattern(ctx, p, prop)?;
-                let r = self.query_sql_text(&sql, stats)?;
-                stats.record_text("relational", QueryKind::EventPattern, &p.id, sql);
-                Ok((0..r.n_rows())
-                    .map(|i| Match {
-                        subj: r.cols[0].get(i).as_int().unwrap_or(-1),
-                        obj: r.cols[1].get(i).as_int().unwrap_or(-1),
-                        evt: r.cols[2].get(i).as_int().unwrap_or(-1),
-                        start: r.cols[3].get(i).as_int().unwrap_or(0),
-                        end: r.cols[4].get(i).as_int().unwrap_or(0),
-                    })
-                    .collect())
-            }
+        if p.is_path() {
+            let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
+            let in_lists =
+                req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
+            let m = self.graph().match_path_pattern(&req, &mut stats.backend)?;
+            stats.record("graph", QueryKind::PathPattern, &p.id, in_lists);
+            Ok(matches_to_rows(&m))
+        } else {
+            let req = event_pattern_request(ctx, p, prop)?;
+            let in_lists =
+                req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
+            let m = self.rel().match_event_pattern(&req, &mut stats.backend)?;
+            stats.record("relational", QueryKind::EventPattern, &p.id, in_lists);
+            Ok(matches_to_rows(&m))
         }
     }
 
@@ -735,14 +645,6 @@ impl Engine {
         Ok((order, estimates, used))
     }
 
-    fn execute_scheduled(
-        &self,
-        aq: &AnalyzedQuery,
-        path: DataPath,
-    ) -> Result<(ResultBatch, EngineStats)> {
-        self.run_scheduled(aq, path, self.scheduler, None)
-    }
-
     /// Scheduled execution under an explicit scheduler mode (benchmarks and
     /// ablations compare modes on an engine they cannot mutate).
     pub fn execute_scheduled_as(
@@ -750,7 +652,7 @@ impl Engine {
         aq: &AnalyzedQuery,
         mode: SchedulerMode,
     ) -> Result<(ResultTable, EngineStats)> {
-        let (batch, mut stats) = self.run_scheduled(aq, DataPath::Typed, mode, None)?;
+        let (batch, mut stats) = self.run_scheduled(aq, mode, None)?;
         let table = ResultTable::from_batch_counted(&batch, &mut stats);
         Ok((table, stats))
     }
@@ -773,8 +675,7 @@ impl Engine {
                 aq.patterns.len()
             )));
         }
-        let (batch, mut stats) =
-            self.run_scheduled(aq, DataPath::Typed, self.scheduler, Some(order))?;
+        let (batch, mut stats) = self.run_scheduled(aq, self.scheduler, Some(order))?;
         let table = ResultTable::from_batch_counted(&batch, &mut stats);
         Ok((table, stats))
     }
@@ -782,14 +683,13 @@ impl Engine {
     fn run_scheduled(
         &self,
         aq: &AnalyzedQuery,
-        path: DataPath,
         mode: SchedulerMode,
         forced_order: Option<&[usize]>,
     ) -> Result<(ResultBatch, EngineStats)> {
         let ctx = self.ctx(aq);
         let mut prop = Propagation::default();
         let mut stats = EngineStats::default();
-        self.seed_entity_candidates(aq, &mut prop, &mut stats, path)?;
+        self.seed_entity_candidates(aq, &mut prop, &mut stats)?;
         // A caller-forced order bypasses the planner entirely: no estimates
         // are computed and no scheduler is credited with the order.
         let (order, estimates, used) = match forced_order {
@@ -814,11 +714,11 @@ impl Engine {
         // inline with no snapshot.
         let chains = dependency_chains(aq, &order);
         let chain_runs: Vec<ChainRun> = if chains.len() == 1 {
-            vec![self.run_chain(&ctx, aq, &chains[0], prop, path)?]
+            vec![self.run_chain(&ctx, aq, &chains[0], prop)?]
         } else if self.pool.is_sequential() {
             let mut runs = Vec::with_capacity(chains.len());
             for chain in &chains {
-                runs.push(self.run_chain(&ctx, aq, chain, prop.clone(), path)?);
+                runs.push(self.run_chain(&ctx, aq, chain, prop.clone())?);
             }
             runs
         } else {
@@ -826,7 +726,7 @@ impl Engine {
             let prop = &prop;
             let tasks: Vec<_> = chains
                 .iter()
-                .map(|chain| move || self.run_chain(ctx, aq, chain, prop.clone(), path))
+                .map(|chain| move || self.run_chain(ctx, aq, chain, prop.clone()))
                 .collect();
             self.pool.run(tasks).into_iter().collect::<Result<Vec<_>>>()?
         };
@@ -853,7 +753,7 @@ impl Engine {
 
         let pattern_rows: Vec<&Vec<Match>> =
             matches.iter().map(|m| m.as_ref().expect("all executed")).collect();
-        let batch = self.join_project(aq, &pattern_rows, &mut stats, path)?;
+        let batch = self.join_project(aq, &pattern_rows, &mut stats)?;
         Ok((batch, stats))
     }
 
@@ -871,7 +771,6 @@ impl Engine {
         aq: &AnalyzedQuery,
         chain: &[usize],
         mut prop: Propagation,
-        path: DataPath,
     ) -> Result<ChainRun> {
         let mut sp = obs::span("engine.chain");
         if let Some(&first) = chain.first() {
@@ -882,7 +781,7 @@ impl Engine {
         let mut results = Vec::with_capacity(chain.len());
         for &idx in chain {
             let p = &aq.patterns[idx];
-            let rows = self.match_pattern(ctx, p, &prop, &mut stats, path)?;
+            let rows = self.match_pattern(ctx, p, &prop, &mut stats)?;
             // Propagate distinct entity ids into later data queries.
             for (var, is_subj) in [(&p.subject, true), (&p.object, false)] {
                 let ids: Vec<i64> =
@@ -908,7 +807,6 @@ impl Engine {
         aq: &AnalyzedQuery,
         pattern_rows: &[&Vec<Match>],
         stats: &mut EngineStats,
-        path: DataPath,
     ) -> Result<ResultBatch> {
         let mut sp = obs::span("engine.join_project");
         let columns: Vec<String> =
@@ -984,8 +882,7 @@ impl Engine {
             }
             bound.push(k);
             // Repeated vars inside one pattern are handled by the data
-            // query itself (the typed requests carry `subject_is_object`;
-            // the text forms share the alias/variable name).
+            // query itself (the typed requests carry `subject_is_object`).
         }
 
         // --- with-clause constraints ---
@@ -1017,10 +914,8 @@ impl Engine {
                     let rvar = right.base.as_str();
                     let lattr = left.attr.as_deref().unwrap_or_default();
                     let rattr = right.attr.as_deref().unwrap_or_default();
-                    let lvals =
-                        self.attr_map(aq, lvar, lattr, &tuples, pattern_rows, stats, path)?;
-                    let rvals =
-                        self.attr_map(aq, rvar, rattr, &tuples, pattern_rows, stats, path)?;
+                    let lvals = self.attr_map(aq, lvar, lattr, &tuples, pattern_rows, stats)?;
+                    let rvals = self.attr_map(aq, rvar, rattr, &tuples, pattern_rows, stats)?;
                     let lpos = self.var_slot(aq, lvar)?;
                     let rpos = self.var_slot(aq, rvar)?;
                     let dict = &self.stores.dict;
@@ -1045,7 +940,7 @@ impl Engine {
             let slot = self.var_slot(aq, &item.base)?;
             let ids: FxHashSet<i64> = tuples.iter().map(|t| id_at(pattern_rows, t, slot)).collect();
             let source = AttrSource::Entity(class_for_type(aq.entities[&item.base].ty));
-            let map = self.fetch_attr_map(source, &item.attr, &ids, stats, path)?;
+            let map = self.fetch_attr_map(source, &item.attr, &ids, stats)?;
             lookups.insert((item.base.clone(), item.attr.clone()), map);
         }
         // Event-attribute lookups beyond start/end/id go to the events table.
@@ -1061,7 +956,7 @@ impl Engine {
                 .map(|t| pattern_rows[pi][t[pi] as usize].evt)
                 .filter(|&e| e >= 0)
                 .collect();
-            let map = self.fetch_attr_map(AttrSource::Event, &item.attr, &ids, stats, path)?;
+            let map = self.fetch_attr_map(AttrSource::Event, &item.attr, &ids, stats)?;
             event_attr_maps.insert((item.base.clone(), item.attr.clone()), map);
         }
 
@@ -1141,7 +1036,6 @@ impl Engine {
         Err(Error::semantic(format!("entity `{var}` not bound by any pattern")))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn attr_map(
         &self,
         aq: &AnalyzedQuery,
@@ -1150,23 +1044,20 @@ impl Engine {
         tuples: &[Vec<u32>],
         pattern_rows: &[&Vec<Match>],
         stats: &mut EngineStats,
-        path: DataPath,
     ) -> Result<FxHashMap<i64, SVal>> {
         let slot = self.var_slot(aq, var)?;
         let ids: FxHashSet<i64> = tuples.iter().map(|t| id_at(pattern_rows, t, slot)).collect();
         let source = AttrSource::Entity(class_for_type(aq.entities[var].ty));
-        self.fetch_attr_map(source, attr, &ids, stats, path)
+        self.fetch_attr_map(source, attr, &ids, stats)
     }
 
-    /// Fetches one attribute for a set of ids, through the typed backend or
-    /// (text-compat path) the SQL parser.
+    /// Fetches one attribute for a set of ids through the typed backend.
     fn fetch_attr_map(
         &self,
         source: AttrSource,
         attr: &str,
         ids: &FxHashSet<i64>,
         stats: &mut EngineStats,
-        path: DataPath,
     ) -> Result<FxHashMap<i64, SVal>> {
         let mut out = FxHashMap::default();
         if ids.is_empty() {
@@ -1174,36 +1065,8 @@ impl Engine {
         }
         let mut sorted: Vec<i64> = ids.iter().copied().collect();
         sorted.sort_unstable();
-        match path {
-            DataPath::Typed => {
-                for (id, v) in self.rel().fetch_attr(source, attr, &sorted, &mut stats.backend)? {
-                    out.insert(id, v);
-                }
-            }
-            DataPath::Text => {
-                let table = match source {
-                    AttrSource::Entity(class) => raptor_relstore::backend::table_for_class(class),
-                    AttrSource::Event => "events",
-                };
-                for chunk in sorted.chunks(4096) {
-                    let list: Vec<String> = chunk.iter().map(i64::to_string).collect();
-                    let sql =
-                        format!("SELECT id, {attr} FROM {table} WHERE id IN ({})", list.join(", "));
-                    let r = self.query_sql_text(&sql, stats)?;
-                    for i in 0..r.n_rows() {
-                        if let Some(id) = r.cols[0].get(i).as_int() {
-                            // The seed pipeline shipped every value here as
-                            // a rendered string. Passing the typed value
-                            // through is outcome-identical (`cmp_svals`
-                            // compares numeric strings and ints the same
-                            // way, and rendering agrees cell-for-cell)
-                            // without permanently interning rendered
-                            // integers into the append-only dictionary.
-                            out.insert(id, r.cols[1].get(i));
-                        }
-                    }
-                }
-            }
+        for (id, v) in self.rel().fetch_attr(source, attr, &sorted, &mut stats.backend)? {
+            out.insert(id, v);
         }
         Ok(out)
     }
@@ -1432,18 +1295,6 @@ pub(crate) mod tests {
             engine.execute_text(raptor_tbql::parser::FIG2_QUERY, ExecMode::GiantSql).unwrap();
         assert_eq!(stats.text_parses, 1);
         assert!(engine.stores.rel.text_parse_count() > parses_before);
-    }
-
-    #[test]
-    fn typed_path_matches_text_path() {
-        let engine = fig2_engine();
-        let q = parse_tbql(raptor_tbql::parser::FIG2_QUERY).unwrap();
-        let aq = analyze(&q).unwrap();
-        let (typed, tstats) = engine.execute(&aq, ExecMode::Scheduled).unwrap();
-        let (text, xstats) = engine.execute_scheduled_via_text(&aq).unwrap();
-        assert_eq!(typed.sorted_rows(), text.sorted_rows());
-        assert_eq!(tstats.data_queries, xstats.data_queries);
-        assert!(xstats.text_parses > 0, "compat path must exercise the parsers");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, Arrow, PatternOp};
 
 use crate::compile::Propagation;
-use crate::exec::{DataPath, Engine, EngineStats, ExecMode, QueryInfo, QueryKind, ResultTable};
+use crate::exec::{Engine, EngineStats, ExecMode, QueryInfo, QueryKind, ResultTable};
 use crate::schedule::{dependency_chains, SchedulerMode};
 
 /// What an `ANALYZE` rendering does with run-dependent values.
@@ -49,7 +49,7 @@ impl Engine {
         let ctx = self.ctx(aq);
         let mut prop = Propagation::default();
         let mut stats = EngineStats::default();
-        self.seed_entity_candidates(aq, &mut prop, &mut stats, DataPath::Typed)?;
+        self.seed_entity_candidates(aq, &mut prop, &mut stats)?;
         let (order, estimates, used) = self.plan_order(&ctx, aq, &prop, self.scheduler)?;
         stats.scheduler = Some(used);
         stats.execution_order = order;

@@ -7,10 +7,10 @@
 //!   (entities as nodes, events as edges), replicating data across both as
 //!   the paper does; bulk load and streaming ingest share one append path
 //!   (`load::empty` + `load::append_entity` / `load::append_event`),
-//! * [`compile`] — compiles each TBQL pattern into a small, semantically
-//!   equivalent SQL (event patterns) or Cypher (path patterns) data query;
-//!   also emits the *giant* whole-query SQL/Cypher used as baselines and for
-//!   the Table X conciseness comparison,
+//! * [`compile`] — compiles each TBQL pattern into a small typed data
+//!   request for the relational (event patterns) or graph (path patterns)
+//!   backend; also emits the *giant* whole-query SQL/Cypher used as
+//!   baselines and for the Table X conciseness comparison,
 //! * [`schedule`] — the data-query scheduling algorithm: patterns ordered
 //!   by *estimated output cardinality* from the backends' maintained
 //!   statistics (the cost-based default), falling back to the paper's
@@ -53,7 +53,7 @@ pub mod schedule;
 pub mod standing;
 pub mod wal;
 
-pub use checkpoint::{Restored, SessionMeta, StandingSnap, CKPT_FILE};
+pub use checkpoint::{Restored, SessionMeta, CKPT_FILE};
 pub use estimate::PatternEstimate;
 pub use exec::{Engine, ExecMode, ResultTable};
 pub use explain::Redact;

@@ -15,12 +15,11 @@
 //!   through a cached [`PathFrontier`]: each epoch's new edges extend the
 //!   per-query min-distance frontier (and retro-seed walks passing through
 //!   them) instead of re-walking the graph, so per-epoch cost tracks the
-//!   epoch size. Shapes outside the frontier's equivalence envelope — and
-//!   every path pattern when `RAPTOR_PATH_CATALOG=0` — fall back to full
-//!   re-evaluation each epoch (their match set is *replaced*, which is
-//!   still monotone on a grow-only store). Either way the accumulated match
-//!   list is kept canonically sorted, so emitted deltas are byte-identical
-//!   whichever path ran,
+//!   epoch size. Shapes outside the frontier's equivalence envelope fall
+//!   back to full re-evaluation each epoch (their match set is *replaced*,
+//!   which is still monotone on a grow-only store). Either way the
+//!   accumulated match list is kept canonically sorted, so emitted deltas
+//!   are byte-identical whichever path ran,
 //! * the cross-pattern join, `with`-clause constraints, and projection then
 //!   run in memory over the accumulated match sets (the same
 //!   `join_project` stage one-shot scheduled execution uses), and the
@@ -45,12 +44,12 @@ use raptor_common::{io, obs};
 use raptor_graphstore::PathFrontier;
 use raptor_storage::{CmpOp as SOp, Pred, ResultBatch, Value as SVal};
 use raptor_tbql::analyze::AnalyzedQuery;
-use raptor_tbql::Window;
+use raptor_tbql::{analyze, parse_tbql, Window};
 
 use crate::compile::{
     attr_pred, class_for_type, event_pattern_request, path_pattern_request, Propagation,
 };
-use crate::exec::{matches_to_rows, DataPath, Engine, EngineStats, Match, QueryKind};
+use crate::exec::{matches_to_rows, Engine, EngineStats, Match, QueryKind};
 
 /// What one ingestion epoch contributed, as the standing-query evaluator
 /// needs to see it.
@@ -82,8 +81,7 @@ enum FrontierSlot {
     /// Not yet decided — building the frontier needs the compiled request,
     /// which needs the engine, so it happens on the first advance.
     Unknown,
-    /// Ineligible pattern shape, or the path-catalog plane is disabled
-    /// (`RAPTOR_PATH_CATALOG=0`): full re-evaluation every epoch.
+    /// Ineligible pattern shape: full re-evaluation every epoch.
     Off,
     On(Box<PathFrontier>),
 }
@@ -97,9 +95,6 @@ fn build_frontier(
     pending: &mut Option<Vec<u8>>,
     matches: &[Match],
 ) -> Result<FrontierSlot> {
-    if !raptor_storage::path_catalog_enabled() {
-        return Ok(FrontierSlot::Off);
-    }
     match PathFrontier::new(req, dict)? {
         Some(mut f) => {
             if let Some(blob) = pending.take() {
@@ -126,6 +121,9 @@ pub struct PatternProgress {
 /// A registered query plus its accumulated evaluation state.
 pub struct StandingQuery {
     name: String,
+    /// The TBQL text as registered: checkpoints serialize it and recovery
+    /// recompiles it, rather than serializing the compiled query.
+    text: String,
     aq: AnalyzedQuery,
     /// The shared dictionary plane of the engine this query runs against
     /// (emitted batches carry it; the multiset diff keys on its symbols).
@@ -154,13 +152,15 @@ pub struct StandingQuery {
 }
 
 impl StandingQuery {
-    /// Compiles a standing query. Rejects relative `last N unit` windows:
+    /// Compiles a TBQL text into a standing query. Rejects relative
+    /// `last N unit` windows:
     /// they are anchored to `now_ns`, which advances with every epoch's
     /// watermark, so matches accepted early could not be retracted later —
     /// the delta invariant (concatenated deltas == batch result) would
     /// silently break. Absolute windows (`from/to`, `at`, `before`,
     /// `after`) are fine.
-    pub fn new(name: impl Into<String>, aq: AnalyzedQuery, dict: SharedDict) -> Result<Self> {
+    pub fn new(name: impl Into<String>, tbql: &str, dict: SharedDict) -> Result<Self> {
+        let aq = analyze(&parse_tbql(tbql)?)?;
         let relative = |w: &Window| matches!(w, Window::Last { .. });
         if aq.patterns.iter().filter_map(|p| p.window.as_ref()).any(relative)
             || aq.global_windows.iter().any(relative)
@@ -175,6 +175,7 @@ impl StandingQuery {
         let delta_ok = aq.patterns.iter().map(|p| !p.is_path() || p.has_final_hop()).collect();
         Ok(StandingQuery {
             name: name.into(),
+            text: tbql.to_string(),
             aq,
             dict,
             matches: vec![Vec::new(); n],
@@ -192,6 +193,10 @@ impl StandingQuery {
 
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    pub fn text(&self) -> &str {
+        &self.text
     }
 
     pub fn query(&self) -> &AnalyzedQuery {
@@ -572,7 +577,7 @@ impl StandingQuery {
         // Join + with-clauses + projection over the *accumulated* matches,
         // then emit only what the multiset of prior emissions lacks.
         let pattern_rows: Vec<&Vec<Match>> = self.matches.iter().collect();
-        let full = engine.join_project(&self.aq, &pattern_rows, &mut stats, DataPath::Typed)?;
+        let full = engine.join_project(&self.aq, &pattern_rows, &mut stats)?;
         let mut fresh: FxHashMap<Vec<SVal>, usize> = FxHashMap::default();
         let mut delta_rows: Vec<Vec<SVal>> = Vec::new();
         for i in 0..full.n_rows() {
@@ -606,7 +611,6 @@ mod tests {
     use raptor_audit::sim::Simulator;
     use raptor_audit::LogParser;
     use raptor_common::time::Timestamp;
-    use raptor_tbql::{analyze, parse_tbql};
 
     fn sample_log() -> raptor_audit::ParsedLog {
         let mut sim = Simulator::new(5, Timestamp::from_secs(1000));
@@ -623,28 +627,21 @@ mod tests {
     }
 
     fn standing(q: &str, engine: &Engine) -> StandingQuery {
-        StandingQuery::new(
-            "t",
-            analyze(&parse_tbql(q).unwrap()).unwrap(),
-            engine.stores.dict.clone(),
-        )
-        .unwrap()
+        StandingQuery::new("t", q, engine.stores.dict.clone()).unwrap()
     }
 
     /// Relative windows are anchored to a moving watermark; rejected.
     #[test]
     fn relative_windows_rejected() {
         let q = "proc p read file f as e1 last 5 minute return p, f";
-        let aq = analyze(&parse_tbql(q).unwrap()).unwrap();
-        let err = match StandingQuery::new("t", aq, SharedDict::new()) {
+        let err = match StandingQuery::new("t", q, SharedDict::new()) {
             Err(e) => e,
             Ok(_) => panic!("relative window must be rejected"),
         };
         assert!(err.to_string().contains("last"), "{err}");
         // Absolute windows stay allowed.
         let q = "proc p read file f as e1 after 10 return p, f";
-        let aq = analyze(&parse_tbql(q).unwrap()).unwrap();
-        assert!(StandingQuery::new("t", aq, SharedDict::new()).is_ok());
+        assert!(StandingQuery::new("t", q, SharedDict::new()).is_ok());
     }
 
     /// Feeds the log one event per epoch; the concatenated deltas must

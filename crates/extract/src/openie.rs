@@ -202,14 +202,23 @@ mod tests {
 
     #[test]
     fn exhaustive_variant_is_slower_but_comparable() {
-        let t0 = std::time::Instant::now();
-        let fast = run_baseline(TEXT, false, false);
-        let fast_t = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let slow = run_baseline(TEXT, false, true);
-        let slow_t = t1.elapsed();
-        assert!(slow_t > fast_t);
-        assert!(!fast.entities.is_empty());
-        assert!(!slow.entities.is_empty());
+        // The Table VII ordering, read off the fastest of five alternating
+        // runs of each variant: a single sample of either flips whenever
+        // something else takes the core for a moment.
+        let timed = |exhaustive: bool| {
+            let t = std::time::Instant::now();
+            let out = run_baseline(TEXT, false, exhaustive);
+            (t.elapsed(), out)
+        };
+        let (mut fast_t, mut slow_t) = (std::time::Duration::MAX, std::time::Duration::MAX);
+        for _ in 0..5 {
+            let (t, fast) = timed(false);
+            fast_t = fast_t.min(t);
+            let (t, slow) = timed(true);
+            slow_t = slow_t.min(t);
+            assert!(!fast.entities.is_empty());
+            assert!(!slow.entities.is_empty());
+        }
+        assert!(slow_t > fast_t, "exhaustive {slow_t:?} vs default {fast_t:?}");
     }
 }

@@ -33,9 +33,7 @@
 //! excluding them keeps every update expressible from pre-insert state.
 //!
 //! The catalog rides [`crate::StoreStats`], so bulk load, streaming ingest
-//! and raw inserts produce identical catalogs by construction. The
-//! `RAPTOR_PATH_CATALOG=0` environment escape hatch disables maintenance
-//! (and with it decomposition estimates and frontier reuse downstream).
+//! and raw inserts produce identical catalogs by construction.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
@@ -45,13 +43,6 @@ use crate::request::EntityClass;
 /// Maximum walk length cataloged exactly; longer paths extrapolate from the
 /// `walks(K)/walks(K-1)` ratio.
 pub const CATALOG_K: u32 = 3;
-
-/// `true` unless `RAPTOR_PATH_CATALOG=0` — the documented escape hatch that
-/// reverts the engine to degree-power estimates and full per-epoch path
-/// re-evaluation.
-pub fn path_catalog_enabled() -> bool {
-    std::env::var("RAPTOR_PATH_CATALOG").map_or(true, |v| v != "0")
-}
 
 /// Per-class counters, indexed by `EntityClass as usize`.
 type ClassCounts = [u64; 3];
@@ -73,9 +64,8 @@ struct NodeWalks {
 
 /// The incrementally-maintained path cardinality catalog. See the module
 /// docs for the exact quantities and the maintenance argument.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PathCatalog {
-    enabled: bool,
     nodes: Vec<NodeWalks>,
     /// `walks[k-1][c][d]`: exact length-`k` walk counts, `k ∈ 1..=CATALOG_K`.
     walks: [[ClassCounts; 3]; CATALOG_K as usize],
@@ -87,34 +77,15 @@ pub struct PathCatalog {
     edges: u64,
 }
 
-impl Default for PathCatalog {
-    fn default() -> Self {
-        Self::new(path_catalog_enabled())
-    }
-}
-
 impl PathCatalog {
-    pub fn new(enabled: bool) -> Self {
-        PathCatalog {
-            enabled,
-            nodes: Vec::new(),
-            walks: Default::default(),
-            op_pairs: FxHashMap::default(),
-            distinct_src: [0; 3],
-            distinct_dst: [0; 3],
-            edges: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Whether maintenance is on (the `RAPTOR_PATH_CATALOG` gate).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Warm means usable: enabled *and* at least one edge recorded. Cold
-    /// catalogs send the estimator to its degree-power fallback.
+    /// Warm means usable: at least one edge recorded. Cold catalogs send
+    /// the estimator to its degree-power fallback.
     pub fn is_warm(&self) -> bool {
-        self.enabled && self.edges > 0
+        self.edges > 0
     }
 
     /// Total event edges recorded (self-loops included).
@@ -157,9 +128,6 @@ impl PathCatalog {
     /// plane's node registry; edges whose endpoints were never registered
     /// are invisible to the catalog, matching the degree summaries).
     pub fn record_edge(&mut self, u: u32, v: u32, cu: EntityClass, cv: EntityClass, op: Sym) {
-        if !self.enabled {
-            return;
-        }
         let (ui, vi, cui, cvi) = (u as usize, v as usize, cu as usize, cv as usize);
         if self.nodes.len() <= ui.max(vi) {
             self.nodes.resize_with(ui.max(vi) + 1, NodeWalks::default);
@@ -252,7 +220,7 @@ impl PathCatalog {
             walks[k] = pairs(m).map(|(c, d, n)| ((name(c), name(d)), n)).collect();
         }
         CanonicalCatalog {
-            enabled: self.enabled,
+            enabled: true,
             edges: self.edges,
             walks,
             op_pairs: self
@@ -272,6 +240,9 @@ impl PathCatalog {
 /// See [`PathCatalog::canonical`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CanonicalCatalog {
+    /// Always `true`. Checkpoint layout v2 hashes this struct's `Debug`
+    /// rendering into its catalog digest, so the field list is part of the
+    /// on-disk format; the flag dates from when maintenance could be off.
     pub enabled: bool,
     pub edges: u64,
     pub walks: [std::collections::BTreeMap<(String, String), u64>; CATALOG_K as usize],
@@ -292,7 +263,7 @@ mod tests {
     fn cat() -> (PathCatalog, Sym, SharedDict) {
         let dict = SharedDict::new();
         let op = dict.intern("read");
-        (PathCatalog::new(true), op, dict)
+        (PathCatalog::new(), op, dict)
     }
 
     /// Chain 0→1→2→3 (process→process→process→file): one walk per length.
@@ -333,7 +304,7 @@ mod tests {
             perms.push(perm.to_vec());
         }
         let build = |order: &[usize]| {
-            let mut c = PathCatalog::new(true);
+            let mut c = PathCatalog::new();
             for &i in order {
                 let (u, v) = edges[i];
                 c.record_edge(u, v, classes(u), classes(v), op);
@@ -378,7 +349,7 @@ mod tests {
             // Ground truth: multi-hop walks never use a self-loop.
             let hops: Vec<(u32, u32)> =
                 edges.iter().filter(|e| e.0 != e.1).map(|e| (e.0, e.1)).collect();
-            let mut want = PathCatalog::new(true);
+            let mut want = PathCatalog::new();
             want.nodes.resize_with(N as usize, NodeWalks::default);
             want.edges = edges.len() as u64;
             for &(u, v, op) in &edges {
@@ -405,7 +376,7 @@ mod tests {
                 for i in (1..edges.len()).rev() {
                     edges.swap(i, next(i as u32 + 1) as usize);
                 }
-                let mut got = PathCatalog::new(true);
+                let mut got = PathCatalog::new();
                 for &(u, v, op) in &edges {
                     got.record_edge(u, v, class(u), class(v), op);
                 }
@@ -431,16 +402,15 @@ mod tests {
         assert_eq!(c.reachable_pairs(P, P), 1);
     }
 
-    /// The escape hatch: a disabled catalog records nothing and reports
-    /// cold, so downstream consumers fall back.
+    /// A catalog is cold until its first edge: downstream consumers fall
+    /// back on an empty store and stop as soon as it holds anything.
     #[test]
-    fn disabled_catalog_stays_cold() {
-        let dict = SharedDict::new();
-        let op = dict.intern("read");
-        let mut c = PathCatalog::new(false);
-        c.record_edge(0, 1, P, F, op);
+    fn catalog_is_cold_until_the_first_edge() {
+        let (mut c, op, _) = cat();
         assert!(!c.is_warm());
         assert_eq!(c.edge_count(), 0);
         assert_eq!(c.walks(1, P, F), 0);
+        c.record_edge(0, 1, P, F, op);
+        assert!(c.is_warm());
     }
 }

@@ -37,7 +37,7 @@ pub mod stats;
 pub mod value;
 
 pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend, StorageBackend};
-pub use catalog::{path_catalog_enabled, CanonicalCatalog, PathCatalog, CATALOG_K};
+pub use catalog::{CanonicalCatalog, PathCatalog, CATALOG_K};
 pub use posting::Posting;
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};
 pub use stats::{

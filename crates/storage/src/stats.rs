@@ -545,7 +545,8 @@ impl StoreStats {
         &self.catalog
     }
 
-    /// Mutable catalog handle (tests toggle the gate without the env var).
+    /// Mutable catalog handle (tests swap in an empty catalog to reach the
+    /// estimator's cold path on a populated store).
     pub fn catalog_mut(&mut self) -> &mut PathCatalog {
         &mut self.catalog
     }

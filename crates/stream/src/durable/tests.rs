@@ -1,0 +1,341 @@
+//! A durable session under faults: recovery, idempotent re-delivery, torn
+//! tails, transient errors, registrations across crashes.
+
+use std::sync::Arc;
+
+use raptor_common::io::{FailpointFs, MemFs};
+use raptor_engine::load::{load, LoadedStores};
+use raptor_engine::wal;
+use raptor_engine::ResultTable;
+
+use crate::epoch::{EpochBatch, EpochPolicy, EpochStream};
+use crate::session::tests::{sample_log, Q};
+use crate::session::{DurablePolicy, QueryId, StreamSession};
+
+fn manual() -> DurablePolicy {
+    DurablePolicy { checkpoint_every: 0 }
+}
+
+/// Replay equals live by construction — both ran the same epoch loop —
+/// so everything an epoch leaves behind is equal: position, totals,
+/// each standing query's rows and per-pattern progress, both stores.
+fn assert_same_state(recovered: &StreamSession, live: &StreamSession) {
+    assert_eq!(recovered.epochs(), live.epochs());
+    assert_eq!(recovered.total_ingest_stats(), live.total_ingest_stats());
+    assert_eq!(recovered.queries().len(), live.queries().len());
+    for (r, l) in recovered.queries().iter().zip(live.queries()) {
+        assert_eq!(r.name(), l.name());
+        assert_eq!(
+            ResultTable::from_batch(&r.cumulative_batch()),
+            ResultTable::from_batch(&l.cumulative_batch()),
+            "{}",
+            l.name()
+        );
+        assert_eq!(format!("{:?}", r.progress()), format!("{:?}", l.progress()));
+    }
+    assert_same_stores(&recovered.engine().stores, &live.engine().stores);
+}
+
+fn assert_same_stores(a: &LoadedStores, b: &LoadedStores) {
+    assert_eq!(a.now_ns, b.now_ns);
+    assert_eq!(a.rel.store_stats().canonical(), b.rel.store_stats().canonical());
+    assert_eq!(a.graph.store_stats().canonical(), b.graph.store_stats().canonical());
+}
+
+/// Ingest everything durably, "restart", and check the recovered
+/// session equals the original: same counters, same standing state,
+/// same watermark.
+#[test]
+fn recover_from_wal_only() {
+    let log = sample_log();
+    let fs = Arc::new(MemFs::new());
+    let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+    let qid = live.register("hunt", Q).unwrap();
+    for batch in EpochStream::new(&log, EpochPolicy::ByCount(3)) {
+        live.ingest_batch(&batch).unwrap().expect("fresh epoch");
+    }
+    let want_rows = live.query(qid).cumulative_batch().n_rows();
+    let want_epochs = live.epochs();
+
+    let recovered = StreamSession::open(fs, manual()).unwrap();
+    let r = recovered.recovery_report().unwrap();
+    assert!(!r.checkpoint_found);
+    assert_eq!(r.wal_epochs_replayed, want_epochs);
+    assert_eq!(r.resumed_epoch, want_epochs);
+    assert_eq!(r.registrations_recovered, 1);
+    assert_eq!(r.wal_bytes_discarded, 0);
+    assert_eq!(recovered.query(QueryId(0)).cumulative_batch().n_rows(), want_rows);
+    assert_eq!(recovered.engine().stores.now_ns, live.engine().stores.now_ns);
+    assert_eq!(recovered.total_ingest_stats(), live.total_ingest_stats());
+    assert_eq!(recovered.engine().stores.rel.store_stats(), live.engine().stores.rel.store_stats());
+    assert_same_state(&recovered, &live);
+}
+
+/// Same, but through a mid-stream checkpoint: recovery = checkpoint +
+/// WAL tail.
+#[test]
+fn recover_from_checkpoint_plus_tail() {
+    let log = sample_log();
+    let fs = Arc::new(MemFs::new());
+    let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+    live.register("hunt", Q).unwrap();
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(3)).collect();
+    let half = batches.len() / 2;
+    for b in &batches[..half] {
+        live.ingest_batch(b).unwrap();
+    }
+    live.checkpoint().unwrap();
+    for b in &batches[half..] {
+        live.ingest_batch(b).unwrap();
+    }
+    let want_rows = live.query(QueryId(0)).cumulative_batch().n_rows();
+
+    let recovered = StreamSession::open(fs, manual()).unwrap();
+    let r = recovered.recovery_report().unwrap();
+    assert!(r.checkpoint_found);
+    assert_eq!(r.checkpoint_epochs, half as u64);
+    assert_eq!(r.wal_epochs_replayed, (batches.len() - half) as u64);
+    assert_eq!(recovered.epochs(), batches.len() as u64);
+    assert_eq!(recovered.query(QueryId(0)).cumulative_batch().n_rows(), want_rows);
+    assert_eq!(recovered.engine().stores.rel.store_stats(), live.engine().stores.rel.store_stats());
+    assert_same_state(&recovered, &live);
+}
+
+/// The dedupe satellite: re-delivering the whole stream after recovery
+/// must be a no-op for already-committed epochs — same store, same
+/// standing output, same watermark arithmetic (no double-append).
+#[test]
+fn redelivery_after_recovery_is_idempotent() {
+    let log = sample_log();
+    let fs = Arc::new(MemFs::new());
+    let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+    live.register("hunt", Q).unwrap();
+    for batch in EpochStream::new(&log, EpochPolicy::ByCount(2)) {
+        live.ingest_batch(&batch).unwrap();
+    }
+    let want_rows = live.query(QueryId(0)).cumulative_batch().n_rows();
+    let want_nodes = live.engine().stores.graph.node_count();
+    let want_watermark = live.engine().stores.now_ns;
+    drop(live);
+
+    let mut recovered = StreamSession::open(fs, manual()).unwrap();
+    // The source restarts from scratch: every batch is re-delivered.
+    // EpochStream is deterministic, so (epoch, watermark) pairs repeat
+    // exactly — and every one must dedupe.
+    for batch in EpochStream::new(&log, EpochPolicy::ByCount(2)) {
+        assert!(batch.epoch < recovered.epochs());
+        assert!(recovered.ingest_batch(&batch).unwrap().is_none(), "must dedupe");
+    }
+    assert_eq!(recovered.engine().stores.graph.node_count(), want_nodes);
+    assert_eq!(recovered.engine().stores.now_ns, want_watermark);
+    assert_eq!(recovered.query(QueryId(0)).cumulative_batch().n_rows(), want_rows);
+    // A batch from the future (gap) is rejected, not silently applied.
+    let far = EpochBatch {
+        epoch: recovered.epochs() + 1,
+        entities: &[],
+        events: &[],
+        watermark: want_watermark,
+    };
+    assert!(recovered.ingest_batch(&far).is_err());
+}
+
+/// EpochStream watermark arithmetic is deterministic across
+/// re-creation: the same log yields the same (epoch, watermark)
+/// sequence, and a recovered session's watermark equals the stream's
+/// at the resume point (the pin for idempotent re-delivery).
+#[test]
+fn watermark_arithmetic_pinned() {
+    let log = sample_log();
+    let a: Vec<(u64, i64)> =
+        EpochStream::new(&log, EpochPolicy::ByCount(3)).map(|b| (b.epoch, b.watermark)).collect();
+    let b: Vec<(u64, i64)> =
+        EpochStream::new(&log, EpochPolicy::ByCount(3)).map(|b| (b.epoch, b.watermark)).collect();
+    assert_eq!(a, b);
+    // Watermarks are the running max of event end times: monotone.
+    assert!(a.windows(2).all(|w| w[0].1 <= w[1].1));
+
+    // Ingest a prefix durably; the recovered watermark equals the last
+    // committed batch's watermark.
+    let fs = Arc::new(MemFs::new());
+    let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(3)).collect();
+    let take = batches.len() / 2;
+    for bt in &batches[..take] {
+        live.ingest_batch(bt).unwrap();
+    }
+    drop(live);
+    let recovered = StreamSession::open(fs, manual()).unwrap();
+    assert_eq!(recovered.recovery_report().unwrap().watermark, a[take - 1].1);
+    assert_eq!(recovered.epochs(), take as u64);
+}
+
+/// A crash torn mid-WAL-write: recovery discards the tail and the
+/// re-delivered epochs land exactly once.
+#[test]
+fn torn_tail_recovers_and_redelivers() {
+    let log = sample_log();
+    let mem = Arc::new(MemFs::new());
+    let fp = Arc::new(FailpointFs::new(mem.clone()));
+    let mut live = StreamSession::open(fp.clone(), manual()).unwrap();
+    live.register("hunt", Q).unwrap();
+    // Let two epochs commit, then tear the third mid-record.
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(2)).collect();
+    live.ingest_batch(&batches[0]).unwrap();
+    live.ingest_batch(&batches[1]).unwrap();
+    fp.crash_after_bytes(10);
+    let err = live.ingest_batch(&batches[2]).unwrap_err();
+    assert!(err.to_string().contains("failpoint"), "{err}");
+    drop(live);
+
+    let mut recovered = StreamSession::open(mem, manual()).unwrap();
+    let r = recovered.recovery_report().unwrap().clone();
+    assert_eq!(r.wal_epochs_replayed, 2);
+    assert!(r.wal_bytes_discarded > 0, "{r:?}");
+    assert_eq!(r.resumed_epoch, 2);
+    // Re-deliver everything; first two dedupe, the rest apply.
+    for b in &batches {
+        recovered.ingest_batch(b).unwrap();
+    }
+    assert_eq!(recovered.epochs(), batches.len() as u64);
+    assert_eq!(
+        recovered.engine().stores.graph.node_count() + {
+            let e = recovered.engine();
+            e.stores.graph.edge_count()
+        },
+        log.entities.len() + log.events.len()
+    );
+}
+
+/// Transient WAL errors surface as typed errors without corrupting the
+/// session's prior durable state.
+#[test]
+fn injected_error_surfaces_cleanly() {
+    let log = sample_log();
+    let mem = Arc::new(MemFs::new());
+    let fp = Arc::new(FailpointFs::new(mem.clone()));
+    let mut live = StreamSession::open(fp.clone(), manual()).unwrap();
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(4)).collect();
+    live.ingest_batch(&batches[0]).unwrap();
+    fp.error_on_op(0);
+    assert!(live.ingest_batch(&batches[1]).is_err());
+    drop(live);
+    // Epoch 0 survived; the failed epoch never committed.
+    let recovered = StreamSession::open(mem, manual()).unwrap();
+    assert_eq!(recovered.epochs(), 1);
+}
+
+/// Names are keys: a second registration under a taken name is refused
+/// on every session, and on a durable one nothing reaches the log. (Two
+/// queries both called "hunt" used to register fine and come back from
+/// recovery as one.)
+#[test]
+fn duplicate_names_are_refused() {
+    let other = r#"proc p["%curl%"] connect ip i return distinct p, i"#;
+    let fs = Arc::new(MemFs::new());
+    let durable = StreamSession::open(fs.clone(), manual()).unwrap();
+    for mut session in [StreamSession::new().unwrap(), durable] {
+        session.register("hunt", Q).unwrap();
+        let wal_len = fs.snapshot(wal::WAL_FILE).len();
+        let err = session.register("hunt", other).unwrap_err();
+        assert_eq!(err.kind, raptor_common::error::ErrorKind::Semantic, "{err}");
+        assert!(err.message.contains("`hunt` is already registered"), "{err}");
+        assert_eq!(session.queries().len(), 1);
+        assert_eq!(fs.snapshot(wal::WAL_FILE).len(), wal_len, "a refusal is not logged");
+        // The name is what is taken, not the text.
+        session.register("hunt2", Q).unwrap();
+    }
+    let recovered = StreamSession::open(fs, manual()).unwrap();
+    assert_eq!(recovered.recovery_report().unwrap().registrations_recovered, 2);
+}
+
+/// Distinctly named registrations survive a crash, in registration
+/// order, from the WAL alone and from a checkpoint plus the WAL tail.
+#[test]
+fn every_registration_is_recovered_in_order() {
+    let log = sample_log();
+    let other = r#"proc p["%curl%"] connect ip i return distinct p, i"#;
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(3)).collect();
+    for checkpoint_between in [false, true] {
+        let fs = Arc::new(MemFs::new());
+        let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+        live.register("hunt", Q).unwrap();
+        live.ingest_batch(&batches[0]).unwrap();
+        if checkpoint_between {
+            live.checkpoint().unwrap();
+        }
+        live.register("exfil", other).unwrap();
+        for b in &batches[1..] {
+            live.ingest_batch(b).unwrap();
+        }
+
+        let recovered = StreamSession::open(fs, manual()).unwrap();
+        let r = recovered.recovery_report().unwrap();
+        assert_eq!(r.checkpoint_found, checkpoint_between);
+        assert_eq!(r.registrations_recovered, 2);
+        let names: Vec<&str> = recovered.queries().iter().map(|q| q.name()).collect();
+        assert_eq!(names, ["hunt", "exfil"]);
+        assert_same_state(&recovered, &live);
+    }
+}
+
+/// A failed epoch is a declared fail-stop. A transient error in the
+/// middle of an epoch's records leaves the live stores ahead of the
+/// log; the session then refuses every later write with one typed
+/// error (it used to answer `appended out of order`, then `epoch gap`),
+/// and reopening discards the half epoch, after which re-delivering the
+/// whole stream builds the bulk-loaded stores.
+#[test]
+fn failed_epoch_is_a_declared_fail_stop() {
+    let log = sample_log();
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(4)).collect();
+    // One fs operation per logged record, then the commit's append and
+    // fsync: fail one mid-records, then the commit itself.
+    let records = (batches[1].entities.len() + batches[1].events.len()) as u64;
+    assert!(records >= 3);
+    for failing_op in [records / 2, records] {
+        let mem = Arc::new(MemFs::new());
+        let fp = Arc::new(FailpointFs::new(mem.clone()));
+        let mut live = StreamSession::open(fp.clone(), manual()).unwrap();
+        live.register("hunt", Q).unwrap();
+        live.ingest_batch(&batches[0]).unwrap();
+        fp.error_on_op(failing_op);
+        let cause = live.ingest_batch(&batches[1]).unwrap_err();
+        assert!(cause.message.contains("injected transient error"), "{cause}");
+
+        let declared = format!("session failed at epoch 1: {cause}; reopen to recover");
+        let later = [
+            live.ingest_batch(&batches[1]).map(|_| ()),
+            live.ingest_batch(&batches[0]).map(|_| ()),
+            live.ingest(&[], &[]).map(|_| ()),
+            live.flush_entities(&log).map(|_| ()),
+            live.register("late", Q).map(|_| ()),
+            live.checkpoint(),
+        ];
+        for refused in later {
+            let err = refused.unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage);
+            assert_eq!(err.message, declared);
+        }
+        drop(live);
+
+        let mut recovered = StreamSession::open(mem, manual()).unwrap();
+        let r = recovered.recovery_report().unwrap();
+        assert_eq!((r.resumed_epoch, r.wal_epochs_replayed), (1, 1));
+        assert!(r.wal_bytes_discarded > 0, "{r:?}");
+        for b in &batches {
+            recovered.ingest_batch(b).unwrap();
+        }
+        assert_eq!(recovered.epochs(), batches.len() as u64);
+        assert_same_stores(&recovered.engine().stores, &load(&log).unwrap());
+    }
+
+    // A volatile session fail-stops the same way; it has nothing to
+    // reopen.
+    let mut volatile = StreamSession::new().unwrap();
+    let cause = volatile.ingest(&log.entities[1..], &[]).unwrap_err();
+    let err = volatile.ingest(&log.entities, &log.events).unwrap_err();
+    assert_eq!(
+        err.message,
+        format!("session failed at epoch 0: {cause}; rebuild it from the source")
+    );
+}

@@ -1,14 +1,60 @@
-//! The streaming session: stores grown epoch-by-epoch plus the
-//! standing-query registry.
+//! The session: stores grown epoch-by-epoch, the standing-query registry,
+//! and — when opened over a file backend — the durability that lets both
+//! survive a crash.
+//!
+//! There is one session type and one epoch loop. [`StreamSession::new`] is
+//! volatile; [`StreamSession::open`] is the same session with a
+//! `Durability` attached:
+//!
+//! * every entity/event is WAL-logged below the load seam *before* it
+//!   touches the backends; after the epoch's standing queries have
+//!   advanced, an `EpochCommit` record is appended and fsynced — the
+//!   epoch's durable point,
+//! * standing-query registrations are WAL-logged as self-committing
+//!   `Register` records before they enter the registry,
+//! * periodically (and on [`StreamSession::checkpoint`]) the whole session
+//!   — store, dictionary, stream position, standing-query state — is
+//!   atomically serialized to the checkpoint file and the WAL truncated,
+//! * `open` recovers: it loads the latest valid checkpoint, replays the WAL
+//!   tail epoch by epoch through the very function live ingest uses
+//!   (applying registrations at their exact stream position), discards the
+//!   torn/uncommitted tail, and resumes the stream exactly where the last
+//!   durable point left it. Live, bulk (`ThreatRaptor::from_log` is one
+//!   volatile epoch) and replayed epochs are identical by construction.
+//!
+//! ## Crash matrix
+//!
+//! | Fault                           | Outcome                                    |
+//! |---------------------------------|--------------------------------------------|
+//! | crash mid entity/event record   | torn tail discarded; epoch re-delivered    |
+//! | crash after records, before commit | uncommitted run discarded; re-delivered |
+//! | crash after commit fsync        | epoch fully recovered                      |
+//! | crash mid checkpoint write      | old checkpoint intact (atomic replace)     |
+//! | crash after checkpoint, before WAL truncate | replay skips epochs ≤ checkpoint |
+//! | crash mid WAL truncate-after-recovery | truncate is atomic; both states valid |
+//! | transient append/fsync error mid-epoch | fail-stop: the live session refuses every later write with one typed error; reopening discards the half epoch and resumes at the last commit |
+//!
+//! Re-delivery is idempotent: [`StreamSession::ingest_batch`] drops batches
+//! whose epoch the session has already committed, so a source that replays
+//! its stream from the beginning after a crash never double-appends.
+//!
+//! Standing-query **names are keys**: a second registration under a name
+//! already in the registry is refused. Recovery relies on it — a `Register`
+//! record lingering in the WAL after the checkpoint that already holds it
+//! is recognized by name.
+
+use std::sync::Arc;
 
 use raptor_audit::{Entity, ParsedLog, SystemEvent};
-use raptor_common::error::Result;
+use raptor_common::error::{Error, Result};
+use raptor_common::io::Fs;
 use raptor_common::obs;
+use raptor_engine::checkpoint::{self, SessionMeta};
 use raptor_engine::exec::{Engine, EngineStats};
 use raptor_engine::load::{self};
 use raptor_engine::standing::{EpochInput, StandingQuery};
+use raptor_engine::wal::{self, WalRecord, WalSink};
 use raptor_storage::{BackendStats, ResultBatch};
-use raptor_tbql::{analyze, parse_tbql};
 
 use crate::epoch::{max_referenced_entity, EpochBatch};
 
@@ -43,7 +89,87 @@ pub struct EpochReport {
     pub deltas: Vec<QueryDelta>,
 }
 
-/// A live hunting session: both storage backends grown incrementally from
+/// Durability policy knobs.
+#[derive(Clone, Copy, Debug)]
+pub struct DurablePolicy {
+    /// Checkpoint automatically after this many committed epochs
+    /// (`0` = only on explicit [`StreamSession::checkpoint`] calls).
+    pub checkpoint_every: u64,
+}
+
+impl Default for DurablePolicy {
+    fn default() -> Self {
+        DurablePolicy { checkpoint_every: 64 }
+    }
+}
+
+/// What [`StreamSession::open`] found and rebuilt (the bounded recovery
+/// report of the durability plane).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RecoveryReport {
+    /// A valid checkpoint file was loaded.
+    pub checkpoint_found: bool,
+    /// Size of the loaded checkpoint, in bytes.
+    pub checkpoint_bytes: u64,
+    /// Epochs already covered by the checkpoint.
+    pub checkpoint_epochs: u64,
+    /// Entity + event rows replayed out of the checkpoint snapshot.
+    pub checkpoint_rows: u64,
+    /// WAL records applied beyond the checkpoint (including commits and
+    /// registrations).
+    pub wal_records_replayed: u64,
+    /// Committed epochs replayed from the WAL tail.
+    pub wal_epochs_replayed: u64,
+    /// Standing-query registrations recovered (checkpoint + WAL).
+    pub registrations_recovered: u64,
+    /// Bytes discarded from the WAL's torn/uncommitted tail.
+    pub wal_bytes_discarded: u64,
+    /// The epoch the session resumes at (== epochs committed so far).
+    pub resumed_epoch: u64,
+    /// The recovered store's watermark (max event end time).
+    pub watermark: i64,
+}
+
+impl std::fmt::Display for RecoveryReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.checkpoint_found {
+            writeln!(
+                f,
+                "checkpoint: {} bytes, {} epochs, {} rows replayed",
+                self.checkpoint_bytes, self.checkpoint_epochs, self.checkpoint_rows
+            )?;
+        } else {
+            writeln!(f, "checkpoint: none")?;
+        }
+        writeln!(
+            f,
+            "wal: {} records replayed across {} epochs, {} bytes of torn/uncommitted tail discarded",
+            self.wal_records_replayed, self.wal_epochs_replayed, self.wal_bytes_discarded
+        )?;
+        write!(
+            f,
+            "resumed: epoch {}, watermark {}, {} standing quer{} recovered",
+            self.resumed_epoch,
+            self.watermark,
+            self.registrations_recovered,
+            if self.registrations_recovered == 1 { "y" } else { "ies" }
+        )
+    }
+}
+
+/// What [`StreamSession::open`] adds to a session, besides the WAL sink it
+/// attaches to the stores (`LoadedStores::wal`, below the load seam).
+struct Durability {
+    fs: Arc<dyn Fs>,
+    policy: DurablePolicy,
+    /// Per-epoch `(entities, events)` arrival runs since the stream began
+    /// (a checkpoint restores rows in this order).
+    arrival: Vec<(u64, u64)>,
+    report: RecoveryReport,
+    epochs_since_ckpt: u64,
+}
+
+/// A hunting session: both storage backends grown incrementally from
 /// empty, and TBQL standing queries re-evaluated on every ingested epoch.
 ///
 /// ```
@@ -61,7 +187,7 @@ pub struct EpochReport {
 /// let mut session = StreamSession::new().unwrap();
 /// session.register("leak", r#"proc p["%tar%"] read file f return distinct p, f"#).unwrap();
 /// for batch in EpochStream::new(&log, EpochPolicy::ByCount(2)) {
-///     let report = session.ingest_batch(&batch).unwrap();
+///     let report = session.ingest_batch(&batch).unwrap().expect("a fresh epoch");
 ///     for d in &report.deltas {
 ///         for row in d.delta.rendered_rows() {
 ///             println!("epoch {}: {} -> {:?}", report.epoch, d.name, row);
@@ -72,62 +198,184 @@ pub struct EpochReport {
 /// ```
 pub struct StreamSession {
     engine: Engine,
+    /// The registry, in registration order (each query carries the TBQL
+    /// text it was registered under).
     queries: Vec<StandingQuery>,
     epoch: u64,
     total_ingest: BackendStats,
+    /// `None` = volatile.
+    durability: Option<Durability>,
+    /// Set by the first epoch or registration that failed part-way: the
+    /// error every later write returns (see the crash matrix).
+    failed: Option<Error>,
 }
 
 impl StreamSession {
-    /// Creates a session over empty stores (schemas + indexes ready).
+    /// Creates a volatile session over empty stores (schemas + indexes
+    /// ready).
     pub fn new() -> Result<Self> {
-        Ok(StreamSession {
-            engine: Engine::new(load::empty()?),
+        Ok(Self::over(Engine::new(load::empty()?)))
+    }
+
+    /// A volatile session at epoch 0 over `engine`'s stores.
+    fn over(engine: Engine) -> Self {
+        StreamSession {
+            engine,
             queries: Vec::new(),
             epoch: 0,
             total_ingest: BackendStats::default(),
-        })
+            durability: None,
+            failed: None,
+        }
     }
 
-    /// Rebuilds a session at a given stream position — the durability
-    /// plane's recovery constructor. `engine` must hold stores grown to the
-    /// end of `epoch` committed epochs, and `queries` the standing queries
-    /// with their accumulated state, in registration order. Normal sessions
-    /// start from [`StreamSession::new`].
-    pub fn resume(
-        engine: Engine,
-        queries: Vec<StandingQuery>,
-        epoch: u64,
-        total_ingest: BackendStats,
-    ) -> Self {
-        StreamSession { engine, queries, epoch, total_ingest }
+    /// Opens (or recovers) a durable session over `fs`. With no prior
+    /// state this is an empty session with a WAL attached; otherwise the
+    /// checkpoint is loaded and the WAL tail replayed (see module docs).
+    /// Corrupt files yield a typed error, never a panic.
+    pub fn open(fs: Arc<dyn Fs>, policy: DurablePolicy) -> Result<Self> {
+        let mut report = RecoveryReport::default();
+
+        // 1. Latest valid checkpoint, if any. The session stays volatile
+        //    until replay is over, so replayed records are not logged twice.
+        let (mut session, mut arrival) = match fs.read(checkpoint::CKPT_FILE)? {
+            Some(bytes) => {
+                let restored = checkpoint::decode(&bytes)?;
+                report.checkpoint_found = true;
+                report.checkpoint_bytes = bytes.len() as u64;
+                report.checkpoint_epochs = restored.meta.epochs;
+                report.checkpoint_rows = restored.replayed_rows;
+                report.registrations_recovered = restored.queries.len() as u64;
+                let mut session = Self::over(Engine::new(restored.stores));
+                session.epoch = restored.meta.epochs;
+                session.total_ingest = restored.meta.total_ingest;
+                session.queries = restored.queries;
+                (session, restored.meta.arrival)
+            }
+            None => (Self::new()?, Vec::new()),
+        };
+
+        // 2. Replay the WAL tail, epoch by epoch.
+        let wal_bytes = fs.read(wal::WAL_FILE)?.unwrap_or_default();
+        let scan = wal::scan(&wal_bytes);
+        report.wal_bytes_discarded = scan.discarded as u64;
+        let mut pending_entities: Vec<Entity> = Vec::new();
+        let mut pending_events: Vec<SystemEvent> = Vec::new();
+        for rec in scan.records {
+            match rec {
+                WalRecord::Entity(e) => pending_entities.push(e),
+                WalRecord::Event(ev) => pending_events.push(ev),
+                WalRecord::Register { name, text } => {
+                    // A registration before the checkpoint's WAL truncation
+                    // may linger in the log; the checkpoint already holds it.
+                    if session.queries.iter().any(|q| q.name() == name) {
+                        continue;
+                    }
+                    let dict = session.engine.stores.dict.clone();
+                    session.queries.push(StandingQuery::new(name, &text, dict)?);
+                    report.registrations_recovered += 1;
+                    report.wal_records_replayed += 1;
+                }
+                WalRecord::EpochCommit { epoch: committed, watermark: _ } => {
+                    if committed < session.epoch {
+                        // Epoch already inside the checkpoint (crash landed
+                        // between checkpoint write and WAL truncation).
+                        pending_entities.clear();
+                        pending_events.clear();
+                        continue;
+                    }
+                    if committed > session.epoch {
+                        return Err(Error::storage(format!(
+                            "WAL replay: commit for epoch {committed} but session is at {}",
+                            session.epoch
+                        )));
+                    }
+                    session.apply_epoch(&pending_entities, &pending_events)?;
+                    arrival.push((pending_entities.len() as u64, pending_events.len() as u64));
+                    report.wal_records_replayed +=
+                        pending_entities.len() as u64 + pending_events.len() as u64 + 1;
+                    report.wal_epochs_replayed += 1;
+                    pending_entities.clear();
+                    pending_events.clear();
+                }
+            }
+        }
+
+        // 3. Drop the discarded tail from the file so post-recovery appends
+        //    extend the durable prefix, not torn garbage.
+        if scan.discarded > 0 {
+            fs.replace(wal::WAL_FILE, &wal_bytes[..scan.durable_len])?;
+        }
+
+        report.resumed_epoch = session.epoch;
+        report.watermark = session.engine.stores.now_ns;
+        obs::metrics().counter_add("raptor_recovery_replayed_records", report.wal_records_replayed);
+
+        // 4. Attach the WAL sink below the load seam and make the session
+        //    durable.
+        session.engine.stores.wal = Some(WalSink::new(fs.clone()));
+        session.durability = Some(Durability { fs, policy, arrival, report, epochs_since_ckpt: 0 });
+        Ok(session)
     }
 
-    /// Mutable engine access for the durability plane (attaching the WAL
-    /// sink, physical re-partitioning). Mutating the stores around the
-    /// session's ingest path breaks the epoch bookkeeping — use
+    /// What recovery found and rebuilt when this session was opened;
+    /// `None` for a volatile session.
+    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
+        self.durability.as_ref().map(|d| &d.report)
+    }
+
+    /// Mutable engine access for knobs the session does not wrap (scheduler
+    /// mode, hop cap). Mutating the stores around the session's ingest path
+    /// bypasses the WAL and breaks the epoch bookkeeping — use
     /// [`StreamSession::ingest`] for data.
     #[doc(hidden)]
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
 
-    /// Registers a TBQL text as a standing query. Registration is valid at
-    /// any point of the stream; the query only ever sees epochs ingested
-    /// after it (plus whatever full re-evaluation of variable-length paths
-    /// reaches — see `raptor_engine::standing`).
-    pub fn register(&mut self, name: &str, tbql: &str) -> Result<QueryId> {
-        let aq = analyze(&parse_tbql(tbql)?)?;
-        self.register_analyzed(name, aq)
+    /// The error every write returns once an epoch or a registration has
+    /// failed part-way: from then on the stores, the standing queries and
+    /// (when durable) the log no longer describe the same stream prefix.
+    fn check_live(&self) -> Result<()> {
+        self.failed.clone().map_or(Ok(()), Err)
     }
 
-    /// Registers an already-analyzed query. Fails for queries a stream
-    /// cannot evaluate soundly (relative `last N unit` windows).
-    pub fn register_analyzed(
-        &mut self,
-        name: &str,
-        aq: raptor_tbql::analyze::AnalyzedQuery,
-    ) -> Result<QueryId> {
-        self.queries.push(StandingQuery::new(name, aq, self.engine.stores.dict.clone())?);
+    /// Passes `result` through; an `Err` first marks the session failed at
+    /// `epoch` (the one being applied, or the position of a registration).
+    fn fail_stop<T>(&mut self, epoch: u64, result: Result<T>) -> Result<T> {
+        if let Err(cause) = &result {
+            let remedy = if self.durability.is_some() {
+                "reopen to recover"
+            } else {
+                "rebuild it from the source"
+            };
+            self.failed =
+                Some(Error::storage(format!("session failed at epoch {epoch}: {cause}; {remedy}")));
+        }
+        result
+    }
+
+    /// Registers a TBQL text as a standing query under `name`, which must
+    /// not be registered yet. Registration is valid at any point of the
+    /// stream; the query only ever sees epochs ingested after it (plus
+    /// whatever full re-evaluation of variable-length paths reaches — see
+    /// `raptor_engine::standing`). Fails for queries a stream cannot
+    /// evaluate soundly (relative `last N unit` windows). On a durable
+    /// session the registration is WAL-logged and fsynced before it takes
+    /// effect.
+    pub fn register(&mut self, name: &str, tbql: &str) -> Result<QueryId> {
+        self.check_live()?;
+        if self.queries.iter().any(|q| q.name() == name) {
+            return Err(Error::semantic(format!(
+                "a standing query named `{name}` is already registered"
+            )));
+        }
+        let query = StandingQuery::new(name, tbql, self.engine.stores.dict.clone())?;
+        if let Some(wal) = &self.engine.stores.wal {
+            let logged = wal.log_register(name, tbql);
+            self.fail_stop(self.epoch, logged)?;
+        }
+        self.queries.push(query);
         Ok(QueryId(self.queries.len() - 1))
     }
 
@@ -159,7 +407,8 @@ impl StreamSession {
 
     /// Re-partitions the relational store's columnar segments to `rows`
     /// rows per segment (zone maps rebuilt in one pass). Purely physical:
-    /// no query result may change.
+    /// no query result may change; the next checkpoint records the new
+    /// capacity.
     pub fn set_segment_rows(&mut self, rows: usize) {
         self.engine.set_segment_rows(rows);
     }
@@ -169,9 +418,10 @@ impl StreamSession {
         self.total_ingest
     }
 
-    /// Ingests one epoch: `entities` (dense ascending ids continuing the
-    /// session's id space) then `events` (endpoints must be ingested),
-    /// then advances every standing query.
+    /// The one epoch loop — live ingest and WAL replay both run it:
+    /// appends `entities` then `events` through the load seam (which logs
+    /// them first when a WAL is attached), then advances every standing
+    /// query over exactly what arrived.
     ///
     /// Error semantics: every standing query is advanced (their
     /// accumulated state moves to this epoch) before the first error — in
@@ -179,7 +429,7 @@ impl StreamSession {
     /// then discarded. Standing advancement cannot fail on well-formed
     /// registered queries, so an `Err` here means the session is broken,
     /// not one delta.
-    pub fn ingest(&mut self, entities: &[Entity], events: &[SystemEvent]) -> Result<EpochReport> {
+    fn apply_epoch(&mut self, entities: &[Entity], events: &[SystemEvent]) -> Result<EpochReport> {
         let mut sp_epoch = obs::span("stream.epoch");
         sp_epoch.attr("epoch", self.epoch);
         sp_epoch.attr("entities", entities.len() as u64);
@@ -193,13 +443,17 @@ impl StreamSession {
             }
             let entity_hi = self.engine.stores.graph.node_count() as i64;
 
-            let mut event_ids: Vec<i64> = Vec::with_capacity(events.len());
             for ev in events {
                 load::append_event(&mut self.engine.stores, ev, &mut ingest_stats)?;
-                event_ids.push(ev.id.index() as i64);
             }
-            event_ids.sort_unstable();
-            event_ids.dedup();
+            // Only standing queries read the id list: a session with none
+            // registered (a bulk load is one) does not build it.
+            let mut event_ids: Vec<i64> = Vec::new();
+            if !self.queries.is_empty() {
+                event_ids.extend(events.iter().map(|ev| ev.id.index() as i64));
+                event_ids.sort_unstable();
+                event_ids.dedup();
+            }
             sp.attr("inserted", ingest_stats.items_inserted as u64);
             (entity_hi, event_ids)
         };
@@ -255,9 +509,60 @@ impl StreamSession {
         })
     }
 
-    /// Ingests one batch from an [`EpochStream`](crate::EpochStream).
-    pub fn ingest_batch(&mut self, batch: &EpochBatch<'_>) -> Result<EpochReport> {
-        self.ingest(batch.entities, batch.events)
+    /// Ingests one epoch: `entities` (dense ascending ids continuing the
+    /// session's id space) then `events` (endpoints must be ingested),
+    /// then advances every standing query.
+    ///
+    /// On a durable session the records are WAL-logged below the load seam
+    /// as they apply, and after the standing queries have advanced the
+    /// epoch's `EpochCommit` is appended and fsynced. Only after this
+    /// returns is the epoch durable; a crash anywhere before the commit
+    /// leaves a tail that recovery discards (the source re-delivers the
+    /// epoch).
+    ///
+    /// An `Err` out of the epoch or its commit is a fail-stop (see the
+    /// crash matrix): this call returns the cause, every later write the
+    /// session's failure.
+    pub fn ingest(&mut self, entities: &[Entity], events: &[SystemEvent]) -> Result<EpochReport> {
+        self.check_live()?;
+        let epoch = self.epoch;
+        let committed = self.apply_epoch(entities, events).and_then(|report| {
+            if let Some(wal) = &self.engine.stores.wal {
+                wal.commit_epoch(report.epoch, report.watermark)?;
+            }
+            Ok(report)
+        });
+        let report = self.fail_stop(epoch, committed)?;
+        let checkpoint_due = self.durability.as_mut().is_some_and(|d| {
+            d.arrival.push((entities.len() as u64, events.len() as u64));
+            d.epochs_since_ckpt += 1;
+            d.policy.checkpoint_every > 0 && d.epochs_since_ckpt >= d.policy.checkpoint_every
+        });
+        if checkpoint_due {
+            self.checkpoint()?;
+        }
+        Ok(report)
+    }
+
+    /// Ingests one batch from an [`EpochStream`](crate::EpochStream),
+    /// dropping batches the session already holds — re-delivery after
+    /// recovery is idempotent (`Ok(None)` = deduped). A batch from the
+    /// stream's future (an epoch gap) is an error: the source and the
+    /// session have diverged. [`StreamSession::ingest`] and the chunk
+    /// helpers below take whatever they are given, wherever the session is.
+    pub fn ingest_batch(&mut self, batch: &EpochBatch<'_>) -> Result<Option<EpochReport>> {
+        self.check_live()?;
+        if batch.epoch < self.epoch {
+            obs::metrics().counter_add("raptor_wal_dedup_skips_total", 1);
+            return Ok(None);
+        }
+        if batch.epoch > self.epoch {
+            return Err(Error::storage(format!(
+                "epoch gap: source delivered epoch {} but session expects {}",
+                batch.epoch, self.epoch
+            )));
+        }
+        self.ingest(batch.entities, batch.events).map(Some)
     }
 
     /// Ingests an arbitrary chunk of a log's events (any order across
@@ -278,10 +583,38 @@ impl StreamSession {
         let entities = &log.entities[have..];
         self.ingest(entities, &[])
     }
+
+    /// Writes a checkpoint (atomic replace) and truncates the WAL; a typed
+    /// error on a volatile session, which has nowhere to write one. After
+    /// a crash at any point in here, recovery sees either the old
+    /// checkpoint + full WAL or the new checkpoint (+ a WAL whose epochs
+    /// it already covers — replay skips them).
+    pub fn checkpoint(&mut self) -> Result<()> {
+        self.check_live()?;
+        let Some(d) = &mut self.durability else {
+            return Err(Error::storage(
+                "checkpoint() requires a durable session (StreamSession::open)",
+            ));
+        };
+        let meta = SessionMeta {
+            epochs: self.epoch,
+            now_ns: self.engine.stores.now_ns,
+            total_ingest: self.total_ingest,
+            arrival: d.arrival.clone(),
+        };
+        let bytes = checkpoint::encode(&self.engine.stores, &self.queries, &meta)?;
+        d.fs.replace(checkpoint::CKPT_FILE, &bytes)?;
+        d.fs.replace(wal::WAL_FILE, &[])?;
+        d.epochs_since_ckpt = 0;
+        let m = obs::metrics();
+        m.counter_add("raptor_checkpoints_total", 1);
+        m.gauge_set("raptor_checkpoint_bytes", bytes.len() as i64);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::epoch::{EpochPolicy, EpochStream};
     use raptor_audit::sim::Simulator;
@@ -292,7 +625,7 @@ mod tests {
     use raptor_engine::ResultTable;
     use raptor_tbql::{analyze, parse_tbql};
 
-    fn sample_log() -> ParsedLog {
+    pub(crate) fn sample_log() -> ParsedLog {
         let mut sim = Simulator::new(11, Timestamp::from_secs(5000));
         let shell = sim.boot_process("/bin/bash", "root");
         let tar = sim.spawn(shell, "/bin/tar", "tar");
@@ -307,7 +640,7 @@ mod tests {
         LogParser::parse(&sim.finish())
     }
 
-    const Q: &str = r#"proc p["%tar%"] read file f["%passwd%"] as e1
+    pub(crate) const Q: &str = r#"proc p["%tar%"] read file f["%passwd%"] as e1
                        proc p2["%curl%"] connect ip i as e2
                        with e1 before e2 return p, p2, i"#;
 
@@ -318,7 +651,7 @@ mod tests {
         let qid = session.register("hunt", Q).unwrap();
         let mut delta_rows = 0usize;
         for batch in EpochStream::new(&log, EpochPolicy::ByCount(3)) {
-            let report = session.ingest_batch(&batch).unwrap();
+            let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
             // Per-epoch reset semantics: this epoch's inserts only.
             assert_eq!(
                 report.ingest_stats.items_inserted,
@@ -345,7 +678,7 @@ mod tests {
         let mut session = StreamSession::new().unwrap();
         session.register("hunt", Q).unwrap();
         for batch in EpochStream::new(&log, EpochPolicy::ByCount(4)) {
-            let report = session.ingest_batch(&batch).unwrap();
+            let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
             for d in &report.deltas {
                 assert_eq!(d.stats.text_parses, 0);
                 assert_eq!(d.stats.backend.text_parses, 0);

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use threatraptor::common::io::{FailpointFs, MemFs};
 use threatraptor::obs::{self, MetricValue};
-use threatraptor::stream::{EpochPolicy, EpochStream};
-use threatraptor::{DurablePolicy, DurableSession, Redact, SynthesisPlan, ThreatRaptor};
+use threatraptor::stream::{EpochPolicy, EpochStream, StreamSession};
+use threatraptor::{DurablePolicy, Redact, SynthesisPlan, ThreatRaptor};
 
 /// Reads a counter out of a metrics snapshot (0 when absent).
 fn counter(snap: &obs::MetricsSnapshot, name: &str) -> u64 {
@@ -55,7 +55,8 @@ fn main() {
     println!("standing query synthesized from the report:\n{tbql}\n");
 
     for batch in EpochStream::new(&built.log, EpochPolicy::ByCount(16)) {
-        let report = hunt.ingest_batch(&batch).expect("ingest");
+        let report =
+            hunt.session_mut().ingest_batch(&batch).expect("ingest").expect("a fresh epoch");
 
         // Announce patterns of the exact query that lit up this epoch.
         for p in &hunt.session().query(exact).progress() {
@@ -137,8 +138,8 @@ fn main() {
 
     // --- The durability plane: crash mid-stream, recover, re-deliver. ---
     //
-    // Same hunt, but WAL-logged: every epoch commits to an (in-memory)
-    // disk before it counts. A fault-injected crash tears the log mid
+    // Same hunt, same session type, but opened over an (in-memory) disk:
+    // every epoch is WAL-logged and commits before it counts. A fault-injected crash tears the log mid
     // write; re-opening the surviving disk replays the checkpoint + WAL
     // tail and reports exactly what it rebuilt. The source then replays
     // its stream from the beginning — committed epochs dedupe, the torn
@@ -147,7 +148,7 @@ fn main() {
     let disk = Arc::new(MemFs::new());
     let fp = Arc::new(FailpointFs::new(disk.clone()));
     let mut durable =
-        DurableSession::open(fp.clone(), DurablePolicy { checkpoint_every: 8 }).expect("open");
+        StreamSession::open(fp.clone(), DurablePolicy { checkpoint_every: 8 }).expect("open");
     durable.register("exact", &tbql).expect("register");
     let batches: Vec<_> = EpochStream::new(&built.log, EpochPolicy::ByCount(16)).collect();
     // Let most of the stream commit, then cut the byte budget: the next
@@ -167,15 +168,15 @@ fn main() {
     drop(durable);
 
     let mut recovered =
-        DurableSession::open(disk, DurablePolicy { checkpoint_every: 8 }).expect("recover");
-    println!("{}\n", recovered.recovery_report());
+        StreamSession::open(disk, DurablePolicy { checkpoint_every: 8 }).expect("recover");
+    println!("{}\n", recovered.recovery_report().expect("opened durably"));
     let mut deduped = 0;
     for b in &batches {
         if recovered.ingest_batch(b).expect("redeliver").is_none() {
             deduped += 1;
         }
     }
-    let standing = &recovered.session().queries()[0];
+    let standing = &recovered.queries()[0];
     assert_eq!(
         standing.cumulative_batch().n_rows(),
         hunt.session().query(exact).cumulative_batch().n_rows(),

@@ -20,8 +20,8 @@ use threatraptor::common::io::{FailpointFs, Fs, MemFs};
 use threatraptor::engine::exec::ExecMode;
 use threatraptor::engine::load::load;
 use threatraptor::engine::{Engine, ResultTable, CKPT_FILE, WAL_FILE};
-use threatraptor::stream::{EpochPolicy, EpochStream};
-use threatraptor::{DurablePolicy, DurableSession};
+use threatraptor::stream::{EpochPolicy, EpochStream, StreamSession};
+use threatraptor::DurablePolicy;
 
 use raptor_audit::ParsedLog;
 
@@ -41,13 +41,13 @@ fn drive(
     policy: DurablePolicy,
     threads: usize,
     seg_rows: usize,
-) -> threatraptor::common::error::Result<DurableSession> {
-    let mut s = DurableSession::open(fs, policy)?;
+) -> threatraptor::common::error::Result<StreamSession> {
+    let mut s = StreamSession::open(fs, policy)?;
     s.set_threads(threads);
     s.set_segment_rows(seg_rows);
     for (i, q) in QUERIES.iter().enumerate() {
         let name = format!("q{i}");
-        if !s.session().queries().iter().any(|sq| sq.name() == name) {
+        if !s.queries().iter().any(|sq| sq.name() == name) {
             s.register(&name, q)?;
         }
     }
@@ -60,7 +60,7 @@ fn drive(
 /// The recovered store answers the whole corpus — event-pattern form on
 /// both backends — byte-identically to the bulk-loaded reference, and each
 /// standing query's recovered cumulative state equals the batch result.
-fn assert_recovered_equals_bulk(recovered: &DurableSession, bulk: &Engine, ctx: &str) {
+fn assert_recovered_equals_bulk(recovered: &StreamSession, bulk: &Engine, ctx: &str) {
     let eng = recovered.engine();
     assert_eq!(eng.stores.rel.total_rows(), bulk.stores.rel.total_rows(), "{ctx}");
     assert_eq!(eng.stores.graph.node_count(), bulk.stores.graph.node_count(), "{ctx}");
@@ -86,7 +86,6 @@ fn assert_recovered_equals_bulk(recovered: &DurableSession, bulk: &Engine, ctx: 
         assert_eq!(got_p.sorted_rows(), want.sorted_rows(), "{ctx}: path query {path_q}");
 
         let standing = recovered
-            .session()
             .queries()
             .iter()
             .find(|sq| sq.name() == format!("q{i}"))
@@ -157,7 +156,7 @@ fn sample_disk() -> (Arc<MemFs>, u64) {
     let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
     let built = raptor_cases::build_case(spec, 0.05, 1234);
     let disk = Arc::new(MemFs::new());
-    let mut s = DurableSession::open(disk.clone(), DurablePolicy { checkpoint_every: 0 }).unwrap();
+    let mut s = StreamSession::open(disk.clone(), DurablePolicy { checkpoint_every: 0 }).unwrap();
     s.register("hunt", QUERIES[0]).unwrap();
     let batches: Vec<_> = EpochStream::new(&built.log, EpochPolicy::ByCount(32)).collect();
     let half = batches.len() / 2;
@@ -180,15 +179,15 @@ fn crash_mid_checkpoint_keeps_old_state() {
     let (disk, epochs) = sample_disk();
     let before_ckpt = disk.snapshot(CKPT_FILE);
     let fp = Arc::new(FailpointFs::new(disk.clone()));
-    let mut s = DurableSession::open(fp.clone(), DurablePolicy { checkpoint_every: 0 }).unwrap();
+    let mut s = StreamSession::open(fp.clone(), DurablePolicy { checkpoint_every: 0 }).unwrap();
     fp.crash_after_bytes(64);
     assert!(s.checkpoint().is_err(), "failpoint must trip inside checkpoint");
     drop(s);
 
     assert_eq!(disk.snapshot(CKPT_FILE), before_ckpt, "old checkpoint must survive");
-    let recovered = DurableSession::open(disk, DurablePolicy { checkpoint_every: 0 }).unwrap();
+    let recovered = StreamSession::open(disk, DurablePolicy { checkpoint_every: 0 }).unwrap();
     assert_eq!(recovered.epochs(), epochs);
-    assert_eq!(recovered.recovery_report().registrations_recovered, 1);
+    assert_eq!(recovered.recovery_report().unwrap().registrations_recovered, 1);
 }
 
 /// Truncating the WAL at every prefix length is *tolerated*: open succeeds,
@@ -204,10 +203,10 @@ fn truncated_wal_always_recovers() {
         let fs = Arc::new(MemFs::new());
         fs.store(CKPT_FILE, disk.snapshot(CKPT_FILE));
         fs.store(WAL_FILE, wal[..cut].to_vec());
-        let s = DurableSession::open(fs, DurablePolicy { checkpoint_every: 0 })
+        let s = StreamSession::open(fs, DurablePolicy { checkpoint_every: 0 })
             .unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
         assert!(s.epochs() <= epochs);
-        assert!(s.epochs() >= s.recovery_report().checkpoint_epochs);
+        assert!(s.epochs() >= s.recovery_report().unwrap().checkpoint_epochs);
     }
 }
 
@@ -227,7 +226,7 @@ fn bitflipped_wal_discards_from_flip() {
             let fs = Arc::new(MemFs::new());
             fs.store(CKPT_FILE, disk.snapshot(CKPT_FILE));
             fs.store(WAL_FILE, flipped);
-            let s = DurableSession::open(fs, DurablePolicy { checkpoint_every: 0 })
+            let s = StreamSession::open(fs, DurablePolicy { checkpoint_every: 0 })
                 .unwrap_or_else(|e| panic!("flip at {pos}.{bit}: {e}"));
             assert!(s.epochs() <= epochs, "flip at {pos}.{bit}");
         }
@@ -280,81 +279,6 @@ fn facade_open_recovers_from_disk() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A **version-1** checkpoint — written before the path catalog and
-/// frontier planes existed, so it carries no frontier state and no catalog
-/// digest — still restores cleanly end-to-end: recovery resumes at the
-/// checkpointed epoch, the path cardinality catalog is rebuilt from the
-/// replayed rows by construction (replay goes through the same write
-/// seam), standing-query frontiers rebuild lazily, and re-delivery
-/// converges to exactly the bulk-loaded store.
-#[test]
-fn v1_checkpoint_restores_and_rebuilds_catalog() {
-    use threatraptor::engine::checkpoint::{encode_versioned, SessionMeta, StandingSnap};
-    use threatraptor::stream::StreamSession;
-
-    let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
-    let built = raptor_cases::build_case(spec, 0.05, 1234);
-    let batches: Vec<_> = EpochStream::new(&built.log, EpochPolicy::ByCount(32)).collect();
-    let half = batches.len() / 2;
-    assert!(half > 0);
-
-    // Play a previous release: stream half the epochs through a plain
-    // session, then serialize its state at layout version 1.
-    let mut session = StreamSession::new().unwrap();
-    for (i, q) in QUERIES.iter().enumerate() {
-        session.register(&format!("q{i}"), q).unwrap();
-    }
-    let mut arrival = Vec::new();
-    for b in &batches[..half] {
-        let r = session.ingest_batch(b).unwrap();
-        arrival.push((r.entities_ingested as u64, r.events_ingested as u64));
-    }
-    let meta = SessionMeta {
-        epochs: half as u64,
-        now_ns: session.engine().stores.now_ns,
-        total_ingest: Default::default(),
-        arrival,
-    };
-    let snaps: Vec<StandingSnap<'_>> = session
-        .queries()
-        .iter()
-        .zip(QUERIES)
-        .map(|(q, text)| StandingSnap { name: q.name(), text, query: q })
-        .collect();
-    let v1 = encode_versioned(&session.engine().stores, &snaps, &meta, 1).unwrap();
-
-    // Recover from the v1 image and re-deliver the whole stream; dedupe
-    // skips the epochs the old release already committed.
-    let fs = Arc::new(MemFs::new());
-    fs.store(CKPT_FILE, v1);
-    let recovered =
-        drive(fs, &built.log, 32, DurablePolicy { checkpoint_every: 0 }, 1, 4096).unwrap();
-    let report = recovered.recovery_report();
-    assert!(report.checkpoint_found);
-    assert_eq!(report.checkpoint_epochs, half as u64);
-    assert_eq!(report.registrations_recovered, QUERIES.len() as u64);
-    assert_eq!(recovered.epochs() as usize, batches.len());
-
-    let mut bulk = Engine::new(load(&built.log).unwrap());
-    bulk.set_threads(1);
-    bulk.set_segment_rows(4096);
-    assert_recovered_equals_bulk(&recovered, &bulk, "v1 restore");
-    // The catalog was rebuilt purely from replayed + re-delivered rows
-    // (v1 images carry no digest to check it against) and still matches
-    // the bulk-loaded one on both backends.
-    let eng = recovered.engine();
-    for (name, got, want) in [
-        ("relational", eng.stores.rel.store_stats(), bulk.stores.rel.store_stats()),
-        ("graph", eng.stores.graph.store_stats(), bulk.stores.graph.store_stats()),
-    ] {
-        assert_eq!(
-            got.catalog().canonical(&eng.stores.dict),
-            want.catalog().canonical(&bulk.stores.dict),
-            "{name} catalog after v1 restore"
-        );
-    }
-}
-
 /// A damaged *checkpoint* is a typed error — unlike the WAL tail there is
 /// no valid prefix to fall back on, so recovery must refuse loudly rather
 /// than serve a silently wrong store. Zero-length, truncated, and
@@ -368,10 +292,16 @@ fn corrupt_checkpoint_is_typed_error() {
     let open = |bytes: Vec<u8>| {
         let fs = Arc::new(MemFs::new());
         fs.store(CKPT_FILE, bytes);
-        DurableSession::open(fs, DurablePolicy { checkpoint_every: 0 })
+        StreamSession::open(fs, DurablePolicy { checkpoint_every: 0 })
     };
 
     assert!(open(Vec::new()).is_err(), "zero-length checkpoint");
+    // An intact image of another layout version (the retired v1, say) is
+    // refused for what it is, not as corruption.
+    let mut v1 = ckpt.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let err = open(v1).err().expect("v1 image refused");
+    assert_eq!(err.message, "unsupported checkpoint version 1");
     let step = (ckpt.len() / 20).max(1);
     for cut in (0..ckpt.len()).step_by(step) {
         assert!(open(ckpt[..cut].to_vec()).is_err(), "truncated at {cut}");

@@ -11,15 +11,20 @@
 //!    over the data_leak case emit deltas whose concatenation equals the
 //!    `ExecMode::Scheduled` batch result after the final epoch, with zero
 //!    SQL/Cypher text parses along the way.
+//!
+//! And one pins batch mode to the session: `ThreatRaptor::from_log` *is* a
+//! volatile session that ingested one epoch, so a loaded system can keep
+//! growing and carry standing queries like any other.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use threatraptor::audit::SystemEvent;
+use threatraptor::audit::{ParsedLog, SystemEvent};
 use threatraptor::engine::exec::ExecMode;
 use threatraptor::engine::load::load;
 use threatraptor::engine::{Engine, ResultTable};
 use threatraptor::stream::{EpochPolicy, EpochStream, StreamSession};
 use threatraptor::tbql::print::print_query;
+use threatraptor::ThreatRaptor;
 
 /// The 8-query equivalence corpus (the shared constant — same fragment as
 /// the backend-equivalence suite; IOCs match the data_leak case, other
@@ -118,7 +123,7 @@ fn streamed_stats_match_bulk_and_stay_fresh() {
     let mut session = StreamSession::new().unwrap();
     let mut events_so_far = 0u64;
     for batch in EpochStream::new(&built.log, EpochPolicy::ByCount(64)) {
-        let report = session.ingest_batch(&batch).unwrap();
+        let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
         events_so_far += report.events_ingested as u64;
         let stats = session.engine().stores.rel.store_stats();
         assert_eq!(
@@ -166,7 +171,7 @@ fn continuous_data_leak_evaluation_matches_batch() {
     let mut per_query_delta_rows = vec![0usize; QUERIES.len()];
     let mut inserted_total = 0usize;
     for batch in EpochStream::new(&built.log, EpochPolicy::ByCount(64)) {
-        let report = session.ingest_batch(&batch).unwrap();
+        let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
         // Per-epoch reset semantics: each report counts its own inserts.
         assert_eq!(
             report.ingest_stats.items_inserted,
@@ -199,4 +204,63 @@ fn continuous_data_leak_evaluation_matches_batch() {
     }
     // The attack is actually found: at least one corpus query fired.
     assert!(per_query_delta_rows.iter().any(|&n| n > 0));
+}
+
+/// A bulk load is one volatile epoch of the one session: it is positioned,
+/// counted and refused a checkpoint like one, and its stores are the ones
+/// `load::load` builds.
+#[test]
+fn from_log_is_one_volatile_epoch() {
+    let log = raptor_bench::corpus::corpus_log();
+    let mut raptor = ThreatRaptor::from_log(&log).unwrap();
+    assert_eq!(raptor.session().epochs(), 1);
+    assert_eq!(
+        raptor.session().total_ingest_stats().items_inserted,
+        2 * (log.entities.len() + log.events.len())
+    );
+    assert!(raptor.recovery_report().is_none());
+    let err = raptor.checkpoint().unwrap_err();
+    assert_eq!(err.kind, threatraptor::common::error::ErrorKind::Storage, "{err}");
+
+    let bulk = Engine::new(load(&log).unwrap());
+    let stores = &raptor.engine().stores;
+    assert_eq!(stores.rel.store_stats().canonical(), bulk.stores.rel.store_stats().canonical());
+    assert_eq!(stores.graph.store_stats().canonical(), bulk.stores.graph.store_stats().canonical());
+    assert_engines_equivalent(raptor.engine(), &bulk, "from_log vs load");
+}
+
+/// A standing query registered on a bulk-loaded system fires on a later
+/// `append_log` increment. The corpus attack sits at the end of its log, so
+/// loading the first half and appending the second must leave every corpus
+/// query's cumulative rows equal to the batch answer over the whole log.
+#[test]
+fn standing_query_on_a_loaded_system_fires_on_increments() {
+    let log = raptor_bench::corpus::corpus_log();
+    let mut halves = EpochStream::new(&log, EpochPolicy::ByCount(log.events.len().div_ceil(2)))
+        .map(|b| {
+            let mut half = ParsedLog::default();
+            half.entities.extend_from_slice(b.entities);
+            half.events.extend_from_slice(b.events);
+            half
+        });
+    let (loaded, increment) = (halves.next().unwrap(), halves.next().unwrap());
+    assert!(halves.next().is_none());
+
+    let mut raptor = ThreatRaptor::from_log(&loaded).unwrap();
+    let qids: Vec<_> = QUERIES
+        .iter()
+        .enumerate()
+        .map(|(i, q)| raptor.session_mut().register(&format!("q{i}"), q).unwrap())
+        .collect();
+    raptor.append_log(&increment).unwrap();
+    assert_eq!(raptor.session().epochs(), 2);
+
+    let bulk = Engine::new(load(&log).unwrap());
+    for (qid, q) in qids.into_iter().zip(QUERIES) {
+        let (want, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
+        assert_eq!(want.rows.len(), 1, "the corpus finds the attack: {q}");
+        let got = ResultTable::from_batch(&raptor.session().query(qid).cumulative_batch());
+        assert_eq!(got.sorted_rows(), want.sorted_rows(), "standing {q}");
+        assert_eq!(raptor.query(q).unwrap().sorted_rows(), want.sorted_rows(), "ad hoc {q}");
+    }
 }
