@@ -2,7 +2,7 @@
 //!
 //! Every parallel site in the workspace — relstore scan filtering and hash
 //! join probes, graphstore path search, the engine's concurrent dependency
-//! chains, per-epoch standing-query evaluation — funnels through [`Pool`].
+//! chains — funnels through [`Pool`].
 //! The pool is deliberately tiny: plain `std::thread::scope` workers (no
 //! external dependencies, nothing long-lived), a work-stealing task queue,
 //! and **deterministic, input-ordered result collection**. Parallelism must

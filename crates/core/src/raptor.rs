@@ -120,14 +120,6 @@ impl ThreatRaptor {
         self.session.ingest(&log.entities, &log.events).map(|_| ())
     }
 
-    /// Parses + reduces raw records and appends them via
-    /// [`ThreatRaptor::append_log`].
-    pub fn append_records(&mut self, records: &[SyscallRecord]) -> Result<()> {
-        let mut log = LogParser::parse(records);
-        reduce::merge_events(&mut log.events, reduce::DEFAULT_THRESHOLD);
-        self.append_log(&log)
-    }
-
     /// Checkpoints a durable system now (atomic replace + WAL truncation).
     /// Errors on volatile systems, which have nothing to persist to.
     pub fn checkpoint(&mut self) -> Result<()> {

@@ -59,57 +59,6 @@ impl Propagation {
         self.entity_ids.insert(var.into(), ids);
     }
 
-    /// Iterates the candidate sets (variable name → sorted-distinct ids).
-    /// Iteration order is the hash map's — callers needing determinism
-    /// (e.g. the durability plane's checkpoint codec) must sort.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[i64])> {
-        self.entity_ids.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
-
-    /// Grows `var` by union with `ids`; sets it when absent. This is the
-    /// *streaming* propagation rule: candidate sets derived from entity
-    /// filters only ever gain members as new entities are ingested, so
-    /// standing queries union per-epoch delta seeds instead of recomputing
-    /// (or intersecting) them.
-    ///
-    /// Like [`Propagation::set`], `ids` must arrive sorted-distinct (the
-    /// backend contract); the merge relies on it.
-    pub fn union(&mut self, var: &str, ids: Vec<i64>) {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "candidate ids must arrive sorted-distinct"
-        );
-        match self.entity_ids.get_mut(var) {
-            Some(existing) => {
-                // Linear merge of two sorted distinct lists — the existing
-                // set is typically much larger than the per-epoch delta.
-                let mut merged = Vec::with_capacity(existing.len() + ids.len());
-                let (mut i, mut j) = (0, 0);
-                while i < existing.len() && j < ids.len() {
-                    match existing[i].cmp(&ids[j]) {
-                        std::cmp::Ordering::Less => {
-                            merged.push(existing[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            merged.push(ids[j]);
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            merged.push(existing[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                merged.extend_from_slice(&existing[i..]);
-                merged.extend_from_slice(&ids[j..]);
-                *existing = merged;
-            }
-            None => self.entity_ids.insert(var.into(), ids).map_or((), drop),
-        }
-    }
-
     /// Narrows `var` to the intersection with `ids`; sets it when absent.
     /// `ids` come straight from match rows, so (unlike [`Propagation::set`])
     /// they may be unsorted and duplicated.
@@ -672,7 +621,6 @@ pub fn event_pattern_request(
         subject: entity_sel(ctx, &p.subject, prop),
         object: entity_sel(ctx, &p.object, prop),
         event_pred: raptor_storage::Pred::and(event_conjuncts(ctx, p, Some(op))?),
-        event_id_in: None,
         subject_is_object: p.subject == p.object,
     })
 }
@@ -699,7 +647,6 @@ pub fn path_pattern_request(
         max_hops,
         hop_cap,
         final_hop_pred,
-        final_event_id_in: None,
         want_event: p.has_final_hop(),
         subject_is_object: p.subject == p.object,
     })
@@ -750,17 +697,6 @@ mod tests {
         prop.set("p", (0..(MAX_IN_LIST as i64 + 1)).collect());
         let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
         assert_eq!(req.subject.id_in, None);
-    }
-
-    #[test]
-    fn union_merges_sorted_distinct() {
-        let mut prop = Propagation::default();
-        prop.union("p", vec![3, 5, 9]);
-        assert_eq!(prop.get("p"), Some(&[3, 5, 9][..]));
-        prop.union("p", vec![1, 4, 9]);
-        assert_eq!(prop.get("p"), Some(&[1, 3, 4, 5, 9][..]));
-        prop.union("p", vec![]);
-        assert_eq!(prop.get("p"), Some(&[1, 3, 4, 5, 9][..]));
     }
 
     /// Candidates arrive sorted-distinct from the backend

@@ -336,7 +336,6 @@ mod tests {
             subject: EntitySel::of(EntityClass::Process, None),
             object: EntitySel::of(EntityClass::File, None),
             event_pred: Some(op_eq(&s, op)),
-            event_id_in: None,
             subject_is_object: false,
         };
         let reads = estimate_event_pattern(&base("read"), &s);
@@ -355,7 +354,6 @@ mod tests {
             subject,
             object: EntitySel::of(EntityClass::File, None),
             event_pred: Some(op_eq(&s, "read")),
-            event_id_in: None,
             subject_is_object: false,
         };
         let est = estimate_event_pattern(&q, &s);
@@ -371,7 +369,6 @@ mod tests {
             max_hops: max,
             hop_cap: 16,
             final_hop_pred: Some(op_eq(s, "read")),
-            final_event_id_in: None,
             want_event: true,
             subject_is_object: false,
         }

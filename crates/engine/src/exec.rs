@@ -271,14 +271,14 @@ impl Engine {
         }
     }
 
-    /// The engine-level worker pool (independent dependency chains and
-    /// per-epoch standing-query evaluation run on it).
+    /// The engine-level worker pool (independent dependency chains run on
+    /// it).
     pub fn pool(&self) -> Pool {
         self.pool
     }
 
     /// Pins the worker count across the whole execution plane: the engine's
-    /// chain/standing-query pool *and* both stores' scan/join/traversal
+    /// chain pool *and* both stores' scan/join/traversal
     /// pools. `1` takes the strictly sequential code paths everywhere.
     pub fn set_threads(&mut self, threads: usize) {
         self.pool = Pool::with_threads(threads);

@@ -1,38 +1,57 @@
 //! Standing queries — continuous evaluation over a growing store.
 //!
-//! A [`StandingQuery`] is a compiled TBQL query registered *once* and then
-//! re-evaluated per ingestion epoch with **delta evaluation**:
+//! A [`StandingQuery`] is a TBQL query registered *once* and then advanced
+//! once per ingestion epoch. What an epoch costs depends on what the epoch
+//! appended, not on what the store already holds:
 //!
-//! * each event pattern (and each length-1 path pattern) is matched only
-//!   against the epoch's freshly ingested events, via the typed requests'
-//!   `event_id_in` / `final_event_id_in` restriction — per-epoch data-query
-//!   cost tracks the epoch size, not the store size,
-//! * per-pattern match sets **accumulate** across epochs, and the
-//!   filter-derived [`Propagation`] candidate sets grow monotonically
-//!   (delta-seeded from each epoch's new entity-id range, then unioned)
-//!   instead of being recomputed,
+//! * each event pattern (and each length-1 path pattern, which is the same
+//!   thing — [`PathPatternQuery::as_single_hop`]) is matched by a
+//!   **row-range pass**: tables are append-only and a row id is its
+//!   ordinal, so the epoch's events are one contiguous range of the
+//!   relational `events` table ([`EpochInput::event_rows`]), and
+//!   [`Database::match_event_pattern_rows`] evaluates the pattern's event
+//!   predicate over just those rows, then looks each surviving row's
+//!   subject and object up by id and tests the entity filter on the
+//!   endpoint's own row. Nothing is planned, joined or seeded, and no
+//!   per-query candidate set exists: an endpoint matches or not on its own
+//!   attributes, however long ago it was ingested,
 //! * variable-length path patterns are matched **delta-incrementally**
 //!   through a cached [`PathFrontier`]: each epoch's new edges extend the
 //!   per-query min-distance frontier (and retro-seed walks passing through
-//!   them) instead of re-walking the graph, so per-epoch cost tracks the
-//!   epoch size. Shapes outside the frontier's equivalence envelope fall
-//!   back to full re-evaluation each epoch (their match set is *replaced*,
-//!   which is still monotone on a grow-only store). Either way the
-//!   accumulated match list is kept canonically sorted, so emitted deltas
-//!   are byte-identical whichever path ran,
-//! * the cross-pattern join, `with`-clause constraints, and projection then
-//!   run in memory over the accumulated match sets (the same
-//!   `join_project` stage one-shot scheduled execution uses), and the
-//!   result is diffed against everything already emitted.
+//!   them) instead of re-walking the graph. Shapes outside the frontier's
+//!   equivalence envelope fall back to full re-evaluation each epoch (their
+//!   match set is *replaced*, which is still monotone on a grow-only
+//!   store). Either way the accumulated match list is kept canonically
+//!   sorted, so emitted deltas are byte-identical whichever path ran,
+//! * per-pattern match sets **accumulate** across epochs; the cross-pattern
+//!   join, `with`-clause constraints and projection then run in memory over
+//!   them (the same `join_project` stage one-shot scheduled execution
+//!   uses), and the result is diffed against everything already emitted.
 //!
-//! The delta invariant, asserted by the streaming equivalence tests: after
-//! any sequence of epochs, the concatenation of all emitted deltas equals —
-//! as a multiset of rows — the result of executing the same query in
+//! **Compiled once.** The typed request of every pattern — and the frontier
+//! of every eligible path — is built at the query's first epoch and kept:
+//! nothing in it depends on the epoch. (It waits for the first epoch only
+//! because it needs the engine's hop cap and, after recovery, the restored
+//! frontier state.) Per epoch, a pattern costs one call with a row range.
+//!
+//! **Registration semantics.** An event pattern sees the events ingested
+//! after the query was registered; there is no catch-up scan over events
+//! already in the store. The *entities* those events touch may be of any
+//! age. A variable-length path's frontier starts from the whole graph, so
+//! it does reach back. Registered on an empty store — the streaming
+//! equivalence tests' setting — the delta invariant holds: after any
+//! sequence of epochs, the concatenation of all emitted deltas equals, as a
+//! multiset of rows, the result of executing the same query in
 //! `ExecMode::Scheduled` over the fully loaded store. Scheduled batch
 //! execution's intersection-based propagation is *not* used here (an entity
-//! unmatched today may match tomorrow); the entity filters themselves are
-//! still pushed into every data query, so candidate sets only ever prune,
-//! never decide, correctness.
+//! unmatched today may match tomorrow).
+//!
+//! **Inline.** A session advances its standing queries one after another on
+//! the ingesting thread. An advance is tens of microseconds of row-range
+//! passes plus about as much per path frontier; spawning the pool's scoped
+//! workers for it (90–140 µs per epoch) cost as much as the work.
+//!
+//! [`Database::match_event_pattern_rows`]: raptor_relstore::Database::match_event_pattern_rows
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
@@ -42,27 +61,23 @@ use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
 use raptor_common::{io, obs};
 use raptor_graphstore::PathFrontier;
-use raptor_storage::{CmpOp as SOp, Pred, ResultBatch, Value as SVal};
+use raptor_storage::{EventPatternQuery, PathPatternQuery, ResultBatch, Value as SVal};
 use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, Window};
 
-use crate::compile::{
-    attr_pred, class_for_type, event_pattern_request, path_pattern_request, Propagation,
-};
+use crate::compile::{event_pattern_request, path_pattern_request, Propagation};
 use crate::exec::{matches_to_rows, Engine, EngineStats, Match, QueryKind};
 
 /// What one ingestion epoch contributed, as the standing-query evaluator
 /// needs to see it.
-#[derive(Clone, Copy, Debug)]
-pub struct EpochInput<'a> {
+#[derive(Clone, Debug)]
+pub struct EpochInput {
     /// Epoch sequence number (informational; drives first-match reporting).
     pub epoch: u64,
-    /// Entity ids ingested this epoch as the half-open range `[lo, hi)` —
-    /// entities are append-only and dense, so a range suffices.
-    pub entity_range: (i64, i64),
-    /// Event ids ingested this epoch (sorted, distinct; *not* necessarily
-    /// contiguous — ingestion order is the stream's, not the log's).
-    pub event_ids: &'a [i64],
+    /// The rows of the relational store's `events` table this epoch
+    /// appended. One contiguous range even when the event *ids* are not
+    /// (ingestion order is the stream's, not the log's).
+    pub event_rows: std::ops::Range<usize>,
 }
 
 /// Process-wide count of cached frontier distance entries, maintained by
@@ -76,35 +91,15 @@ pub fn frontier_entries_total() -> i64 {
     FRONTIER_ENTRIES.load(Ordering::Relaxed)
 }
 
-/// Per-pattern frontier cache state.
-enum FrontierSlot {
-    /// Not yet decided — building the frontier needs the compiled request,
-    /// which needs the engine, so it happens on the first advance.
-    Unknown,
-    /// Ineligible pattern shape: full re-evaluation every epoch.
-    Off,
-    On(Box<PathFrontier>),
-}
-
-/// Builds (or refuses) the frontier for one path pattern, applying any
-/// checkpoint-restored state blob and marking already-accumulated matches
-/// as emitted.
-fn build_frontier(
-    req: &raptor_storage::PathPatternQuery,
-    dict: &SharedDict,
-    pending: &mut Option<Vec<u8>>,
-    matches: &[Match],
-) -> Result<FrontierSlot> {
-    match PathFrontier::new(req, dict)? {
-        Some(mut f) => {
-            if let Some(blob) = pending.take() {
-                f.decode(&mut io::Cur::new(&blob))?;
-            }
-            f.seed_seen(matches.iter().map(|m| (m.subj, m.obj)));
-            Ok(FrontierSlot::On(Box::new(f)))
-        }
-        None => Ok(FrontierSlot::Off),
-    }
+/// How one pattern is advanced, decided once (see the module docs).
+enum PatternPlan {
+    /// Event pattern or length-1 path: matched against the epoch's own
+    /// rows of the `events` table.
+    Rows(EventPatternQuery),
+    /// Variable-length path inside the frontier's envelope.
+    Frontier(Box<PathFrontier>),
+    /// Any other path shape: full re-evaluation every epoch.
+    Rescan(PathPatternQuery),
 }
 
 /// Per-pattern progress of a standing query.
@@ -130,19 +125,14 @@ pub struct StandingQuery {
     dict: SharedDict,
     /// Accumulated per-pattern matches (index-aligned with `aq.patterns`).
     matches: Vec<Vec<Match>>,
-    /// Per-pattern: this pattern is delta-evaluable (event pattern or
-    /// length-1 path). Others go through the frontier cache or re-evaluate
-    /// fully each epoch.
-    delta_ok: Vec<bool>,
-    /// Per-pattern cached path frontiers (index-aligned with `aq.patterns`).
-    frontiers: Vec<FrontierSlot>,
+    /// Per-pattern plans (index-aligned with `aq.patterns`); empty until
+    /// the first advance compiles them.
+    plans: Vec<PatternPlan>,
     /// Checkpoint-restored frontier state blobs, applied when the matching
     /// frontier is built at the next advance.
     pending_frontier: Vec<Option<Vec<u8>>>,
     /// Last frontier-entry count reported into [`FRONTIER_ENTRIES`].
     reported_entries: i64,
-    /// Monotone filter-derived candidate sets.
-    prop: Propagation,
     /// Multiset of rows already emitted across all epochs.
     emitted: FxHashMap<Vec<SVal>, usize>,
     /// Every emitted row, in emission order (the cumulative view).
@@ -172,18 +162,15 @@ impl StandingQuery {
         }
         let columns = aq.ret.iter().map(|r| format!("{}.{}", r.base, r.attr)).collect();
         let n = aq.patterns.len();
-        let delta_ok = aq.patterns.iter().map(|p| !p.is_path() || p.has_final_hop()).collect();
         Ok(StandingQuery {
             name: name.into(),
             text: tbql.to_string(),
             aq,
             dict,
             matches: vec![Vec::new(); n],
-            delta_ok,
-            frontiers: (0..n).map(|_| FrontierSlot::Unknown).collect(),
+            plans: Vec::new(),
             pending_frontier: vec![None; n],
             reported_entries: 0,
-            prop: Propagation::default(),
             emitted: FxHashMap::default(),
             cumulative: Vec::new(),
             columns,
@@ -230,8 +217,8 @@ impl StandingQuery {
     /// Serializes the accumulated evaluation state (durability plane's
     /// checkpoint codec). The compiled query itself is *not* serialized —
     /// recovery re-analyzes the registered TBQL text and then restores this
-    /// state into the fresh compilation, so `delta_ok`/`columns` are always
-    /// re-derived, and `emitted` is rebuilt from `cumulative`. Symbols in
+    /// state into the fresh compilation, so the plans and `columns` are
+    /// always re-derived, and `emitted` is rebuilt from `cumulative`. Symbols in
     /// emitted rows refer to the shared dictionary, which the checkpoint
     /// restores first, pinning them.
     pub fn encode_state(&self, buf: &mut Vec<u8>) {
@@ -253,17 +240,9 @@ impl StandingQuery {
                 None => io::put_u8(buf, 0),
             }
         }
-        // Candidate sets, sorted by variable for a deterministic encoding.
-        let mut entries: Vec<(&str, &[i64])> = self.prop.iter().collect();
-        entries.sort_by_key(|(var, _)| *var);
-        io::put_u64(buf, entries.len() as u64);
-        for (var, ids) in entries {
-            io::put_str(buf, var);
-            io::put_u64(buf, ids.len() as u64);
-            for id in ids {
-                io::put_i64(buf, *id);
-            }
-        }
+        // The layout's candidate-set section: nothing to put in it since
+        // standing queries stopped keeping candidate sets.
+        io::put_u64(buf, 0);
         io::put_u64(buf, self.cumulative.len() as u64);
         io::put_u64(buf, self.columns.len() as u64);
         for row in &self.cumulative {
@@ -318,18 +297,11 @@ impl StandingQuery {
                 }
             });
         }
-        let mut prop = Propagation::default();
+        // Candidate sets (variable, ids) an older build stored here: skipped.
         for _ in 0..cur.get_len()? {
-            let var = cur.get_str()?;
-            let n = cur.get_len()?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(cur.get_i64()?);
-            }
-            if !ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err(Error::storage("candidate ids not sorted-distinct (corrupt state)"));
-            }
-            prop.set(var, ids);
+            cur.get_str()?;
+            let n_ids = cur.get_len()?;
+            cur.get_bytes(n_ids.saturating_mul(8))?;
         }
         let n_rows = cur.get_len()?;
         let arity = cur.get_len()?;
@@ -367,7 +339,6 @@ impl StandingQuery {
         }
         self.matches = matches;
         self.first_match_epoch = first;
-        self.prop = prop;
         self.cumulative = cumulative;
         self.emitted = emitted;
         Ok(())
@@ -378,10 +349,10 @@ impl StandingQuery {
     /// restored-but-not-yet-rebuilt blobs pass through unchanged, so
     /// checkpointing a freshly restored session loses nothing.
     pub fn encode_frontier_state(&self, buf: &mut Vec<u8>) {
-        io::put_u64(buf, self.frontiers.len() as u64);
-        for (slot, pending) in self.frontiers.iter().zip(&self.pending_frontier) {
-            let blob = match slot {
-                FrontierSlot::On(f) => {
+        io::put_u64(buf, self.pending_frontier.len() as u64);
+        for (i, pending) in self.pending_frontier.iter().enumerate() {
+            let blob = match self.plans.get(i) {
+                Some(PatternPlan::Frontier(f)) => {
                     let mut b = Vec::new();
                     f.encode(&mut b);
                     Some(b)
@@ -430,10 +401,10 @@ impl StandingQuery {
     /// gauge as a delta against what it last reported.
     fn sync_frontier_entries(&mut self) {
         let now: i64 = self
-            .frontiers
+            .plans
             .iter()
-            .map(|s| match s {
-                FrontierSlot::On(f) => f.entries() as i64,
+            .map(|plan| match plan {
+                PatternPlan::Frontier(f) => f.entries() as i64,
                 _ => 0,
             })
             .sum();
@@ -441,33 +412,35 @@ impl StandingQuery {
         self.reported_entries = now;
     }
 
-    /// Delta-seeds the filter-derived candidate sets from this epoch's new
-    /// entity-id range and unions them into the monotone propagation state.
-    fn seed_delta(
-        &mut self,
-        engine: &Engine,
-        input: &EpochInput<'_>,
-        stats: &mut EngineStats,
-    ) -> Result<()> {
-        let (lo, hi) = input.entity_range;
-        if lo >= hi {
-            return Ok(());
+    /// Builds every pattern's plan. The requests carry no candidate sets —
+    /// the entity filters in them decide on their own — and relative
+    /// windows were refused at registration, so nothing here moves with
+    /// the stream.
+    fn compile(&mut self, engine: &Engine) -> Result<()> {
+        let ctx = engine.ctx(&self.aq);
+        let unpropagated = Propagation::default();
+        let mut plans = Vec::with_capacity(self.aq.patterns.len());
+        for p in &self.aq.patterns {
+            if !p.is_path() {
+                plans.push(PatternPlan::Rows(event_pattern_request(&ctx, p, &unpropagated)?));
+                continue;
+            }
+            let req = path_pattern_request(&ctx, p, &unpropagated, engine.max_hops)?;
+            plans.push(if let Some(event) = req.as_single_hop() {
+                PatternPlan::Rows(event)
+            } else if let Some(mut f) = PathFrontier::new(&req, &self.dict)? {
+                // Checkpoint-restored state first, then what the
+                // accumulated matches already emitted.
+                if let Some(blob) = self.pending_frontier[p.index].take() {
+                    f.decode(&mut io::Cur::new(&blob))?;
+                }
+                f.seed_seen(self.matches[p.index].iter().map(|m| (m.subj, m.obj)));
+                PatternPlan::Frontier(Box::new(f))
+            } else {
+                PatternPlan::Rescan(req)
+            });
         }
-        let range = Pred::And(
-            Box::new(Pred::Cmp { attr: "id".into(), op: SOp::Ge, value: SVal::Int(lo) }),
-            Box::new(Pred::Cmp { attr: "id".into(), op: SOp::Lt, value: SVal::Int(hi) }),
-        );
-        for id in &self.aq.entity_order {
-            let e = &self.aq.entities[id];
-            let Some(filter) = &e.filter else { continue };
-            let pred = Pred::And(Box::new(attr_pred(filter, &self.dict)), Box::new(range.clone()));
-            let (before, t0) = (stats.backend, Instant::now());
-            let ids =
-                engine.rel().entity_candidates(class_for_type(e.ty), &pred, &mut stats.backend)?;
-            stats.record("relational", QueryKind::Seed, id, 0);
-            stats.finish_last(ids.len(), before, t0.elapsed().as_nanos() as u64);
-            self.prop.union(id, ids);
-        }
+        self.plans = plans;
         Ok(())
     }
 
@@ -477,56 +450,51 @@ impl StandingQuery {
     pub fn advance(
         &mut self,
         engine: &Engine,
-        input: &EpochInput<'_>,
+        input: &EpochInput,
     ) -> Result<(ResultBatch, EngineStats)> {
         let mut sp = raptor_common::obs::span("stream.standing");
         sp.label(&self.name);
         sp.attr("epoch", input.epoch);
-        sp.attr("events", input.event_ids.len() as u64);
+        sp.attr("events", input.event_rows.len() as u64);
         let mut stats = EngineStats::default();
-        self.seed_delta(engine, input, &mut stats)?;
+        if self.plans.is_empty() {
+            self.compile(engine)?;
+        }
 
-        // Delta-match each pattern against the epoch's new events. An epoch
-        // without events cannot create matches (new entities alone carry no
-        // edges), so skip the data queries entirely.
+        // An epoch without events cannot create matches (new entities alone
+        // carry no edges), so skip the patterns entirely.
         let mut changed = false;
-        if !input.event_ids.is_empty() {
-            let ctx = engine.ctx(&self.aq);
-            for p in &self.aq.patterns {
-                if self.delta_ok[p.index] {
-                    // Data queries carry the same observability payload as
-                    // the batch executor's: rows, wall time, counter delta.
-                    let (before, t0) = (stats.backend, Instant::now());
-                    let delta = if p.is_path() {
-                        let mut req = path_pattern_request(&ctx, p, &self.prop, engine.max_hops)?;
-                        req.final_event_id_in = Some(input.event_ids.to_vec());
-                        let m = engine.graph().match_path_pattern(&req, &mut stats.backend)?;
-                        stats.record("graph", QueryKind::PathPattern, &p.id, 1);
-                        matches_to_rows(&m)
-                    } else {
-                        let mut req = event_pattern_request(&ctx, p, &self.prop)?;
-                        req.event_id_in = Some(input.event_ids.to_vec());
-                        let m = engine.rel().match_event_pattern(&req, &mut stats.backend)?;
-                        stats.record("relational", QueryKind::EventPattern, &p.id, 1);
-                        matches_to_rows(&m)
-                    };
-                    stats.finish_last(delta.len(), before, t0.elapsed().as_nanos() as u64);
-                    changed |= !delta.is_empty();
-                    self.matches[p.index].extend(delta);
-                } else {
-                    // Variable-length path: delta-incremental through the
-                    // cached frontier when the shape allows it, full
-                    // re-evaluation otherwise.
-                    let req = path_pattern_request(&ctx, p, &self.prop, engine.max_hops)?;
-                    if matches!(self.frontiers[p.index], FrontierSlot::Unknown) {
-                        self.frontiers[p.index] = build_frontier(
-                            &req,
-                            &self.dict,
-                            &mut self.pending_frontier[p.index],
-                            &self.matches[p.index],
+        if !input.event_rows.is_empty() {
+            // Canonical order for path matches: the frontier accumulates
+            // and full re-evaluation replaces, in different orders —
+            // sorting both keeps emitted deltas byte-identical whichever
+            // ran.
+            let canonical = |rows: &mut Vec<Match>| {
+                rows.sort_unstable_by_key(|r| (r.subj, r.obj, r.evt, r.start, r.end));
+            };
+            for (p, plan) in self.aq.patterns.iter().zip(&mut self.plans) {
+                let acc = &mut self.matches[p.index];
+                // Data queries carry the same observability payload as the
+                // batch executor's: rows, wall time, counter delta.
+                let (before, t0) = (stats.backend, Instant::now());
+                match plan {
+                    PatternPlan::Rows(req) => {
+                        let m = engine.stores.rel.match_event_pattern_rows(
+                            req,
+                            input.event_rows.clone(),
+                            &mut stats.backend,
                         )?;
+                        let kind = if p.is_path() {
+                            QueryKind::PathPattern
+                        } else {
+                            QueryKind::EventPattern
+                        };
+                        stats.record("relational", kind, &p.id, 0);
+                        stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
+                        changed |= !m.is_empty();
+                        acc.extend(matches_to_rows(&m));
                     }
-                    if let FrontierSlot::On(f) = &mut self.frontiers[p.index] {
+                    PatternPlan::Frontier(f) => {
                         let mut fsp = raptor_common::obs::span("standing.frontier");
                         fsp.label(&p.id);
                         let pairs = f.advance(&engine.stores.graph);
@@ -534,31 +502,26 @@ impl StandingQuery {
                         fsp.attr("entries", f.entries() as u64);
                         obs::metrics().counter_add("raptor_path_frontier_hits_total", 1);
                         changed |= !pairs.is_empty();
-                        self.matches[p.index].extend(pairs.into_iter().map(|(subj, obj)| Match {
+                        acc.extend(pairs.into_iter().map(|(subj, obj)| Match {
                             subj,
                             obj,
                             evt: -1,
                             start: 0,
                             end: 0,
                         }));
-                    } else {
-                        obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
-                        let (before, t0) = (stats.backend, Instant::now());
-                        let m = engine.graph().match_path_pattern(&req, &mut stats.backend)?;
-                        stats.record("graph", QueryKind::PathPattern, &p.id, 0);
-                        let rows = matches_to_rows(&m);
-                        stats.finish_last(rows.len(), before, t0.elapsed().as_nanos() as u64);
-                        changed |= rows.len() != self.matches[p.index].len();
-                        self.matches[p.index] = rows;
+                        canonical(acc);
                     }
-                    // Canonical order: the frontier accumulates and full
-                    // re-evaluation replaces, in different orders — sorting
-                    // both keeps emitted deltas byte-identical whichever
-                    // path ran (the catalog on/off determinism contract).
-                    self.matches[p.index]
-                        .sort_unstable_by_key(|r| (r.subj, r.obj, r.evt, r.start, r.end));
+                    PatternPlan::Rescan(req) => {
+                        obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
+                        let m = engine.graph().match_path_pattern(req, &mut stats.backend)?;
+                        stats.record("graph", QueryKind::PathPattern, &p.id, 0);
+                        stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
+                        changed |= m.len() != acc.len();
+                        *acc = matches_to_rows(&m);
+                        canonical(acc);
+                    }
                 }
-                if !self.matches[p.index].is_empty() && self.first_match_epoch[p.index].is_none() {
+                if !acc.is_empty() && self.first_match_epoch[p.index].is_none() {
                     self.first_match_epoch[p.index] = Some(input.epoch);
                 }
             }
@@ -662,16 +625,11 @@ mod tests {
         let mut sq = standing(q, &engine);
         let mut emitted = 0usize;
         for (i, ev) in log.events.iter().enumerate() {
-            // Entities were pre-loaded: only epoch 0 sees the full range.
-            let range = if i == 0 { (0, log.entities.len() as i64) } else { (0, 0) };
+            // Entities were pre-loaded; each epoch appends one event row.
             let mut stats = raptor_storage::BackendStats::default();
             load::append_event(&mut engine.stores, ev, &mut stats).unwrap();
             assert_eq!(stats.items_inserted, 2, "one row + one edge");
-            let input = EpochInput {
-                epoch: i as u64,
-                entity_range: range,
-                event_ids: &[ev.id.index() as i64],
-            };
+            let input = EpochInput { epoch: i as u64, event_rows: i..i + 1 };
             let (delta, estats) = sq.advance(&engine, &input).unwrap();
             assert_eq!(estats.text_parses, 0, "standing path must stay parse-free");
             // Every data query carries its payload: the ledger and EXPLAIN
@@ -689,6 +647,87 @@ mod tests {
         assert_eq!(emitted, expect.rows.len());
     }
 
+    /// Layout v2 has a candidate-set section between the matches and the
+    /// emitted rows. This build writes it empty; an image from a build that
+    /// filled it restores to the same state (the section is length-checked
+    /// and skipped) and goes on to emit the same deltas. A section whose
+    /// lengths overrun the image is a typed error.
+    #[test]
+    fn candidate_sets_in_an_older_image_are_skipped() {
+        let log = sample_log();
+        let q = r#"proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1
+                   proc p write file f2["%upload%"] as e2
+                   with e1 before e2 return p, f, f2"#;
+        let mut engine = Engine::new(load::empty().unwrap());
+        let mut stats = raptor_storage::BackendStats::default();
+        for e in &log.entities {
+            load::append_entity(&mut engine.stores, e, &mut stats).unwrap();
+        }
+        // Checkpoint between the two patterns' matches, so the state holds
+        // a match and the epochs after it still have a row to emit.
+        let mut live = standing(q, &engine);
+        let mut fed = 0;
+        while live.matches[0].is_empty() {
+            load::append_event(&mut engine.stores, &log.events[fed], &mut stats).unwrap();
+            live.advance(&engine, &EpochInput { epoch: fed as u64, event_rows: fed..fed + 1 })
+                .unwrap();
+            fed += 1;
+        }
+        let mut image = Vec::new();
+        live.encode_state(&mut image);
+
+        let section = 8 + live
+            .matches
+            .iter()
+            .zip(&live.first_match_epoch)
+            .map(|(m, first)| 8 + 40 * m.len() + if first.is_some() { 9 } else { 1 })
+            .sum::<usize>();
+        assert_eq!(image[section..section + 8], 0u64.to_le_bytes(), "written empty");
+        let splice = |entries: &[(&str, u64, &[i64])]| {
+            let mut out = image[..section].to_vec();
+            io::put_u64(&mut out, entries.len() as u64);
+            for (var, claimed, ids) in entries {
+                io::put_str(&mut out, var);
+                io::put_u64(&mut out, *claimed);
+                ids.iter().for_each(|id| io::put_i64(&mut out, *id));
+            }
+            out.extend_from_slice(&image[section + 8..]);
+            out
+        };
+        let older = splice(&[("f", 2, &[3, 9]), ("f2", 0, &[]), ("p", 1, &[1])]);
+
+        let mut restored: Vec<StandingQuery> = [&image, &older]
+            .map(|bytes| {
+                let mut sq = standing(q, &engine);
+                let mut cur = io::Cur::new(bytes);
+                sq.decode_state(&mut cur).unwrap();
+                assert!(cur.is_done());
+                sq
+            })
+            .into();
+        let mut emitted = 0;
+        for (i, ev) in log.events.iter().enumerate().skip(fed) {
+            load::append_event(&mut engine.stores, ev, &mut stats).unwrap();
+            let input = EpochInput { epoch: i as u64, event_rows: i..i + 1 };
+            let want = live.advance(&engine, &input).unwrap().0.rendered_rows();
+            for sq in &mut restored {
+                assert_eq!(sq.advance(&engine, &input).unwrap().0.rendered_rows(), want);
+            }
+            emitted += want.len();
+        }
+        assert!(emitted > 0, "rows were still to come when the image was taken");
+
+        for corrupt in [
+            splice(&[("p", 1 << 40, &[1])]),
+            splice(&[("p", u64::MAX, &[])]),
+            splice(&[("p", 1 << 20, &[1, 2])]),
+            older[..section + 20].to_vec(),
+        ] {
+            let err = standing(q, &engine).decode_state(&mut io::Cur::new(&corrupt)).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{err}");
+        }
+    }
+
     /// Per-pattern first-match epochs are reported as patterns light up.
     #[test]
     fn first_match_epochs_reported() {
@@ -701,14 +740,9 @@ mod tests {
         }
         let mut sq = standing(q, &engine);
         for (i, ev) in log.events.iter().enumerate() {
-            let range = if i == 0 { (0, log.entities.len() as i64) } else { (0, 0) };
             let mut st = raptor_storage::BackendStats::default();
             load::append_event(&mut engine.stores, ev, &mut st).unwrap();
-            let input = EpochInput {
-                epoch: i as u64,
-                entity_range: range,
-                event_ids: &[ev.id.index() as i64],
-            };
+            let input = EpochInput { epoch: i as u64, event_rows: i..i + 1 };
             sq.advance(&engine, &input).unwrap();
         }
         let progress = sq.progress();

@@ -226,7 +226,6 @@ impl StorageBackend for Graph {
             max_hops: Some(1),
             hop_cap: 1,
             final_hop_pred: q.event_pred.clone(),
-            final_event_id_in: q.event_id_in.clone(),
             want_event: true,
             subject_is_object: q.subject_is_object,
         };
@@ -261,21 +260,10 @@ impl StorageBackend for Graph {
         // predicate, but its event columns are *returned* only when the
         // caller wants them — otherwise results stay DISTINCT (subj, obj)
         // pairs and do not multiply per matching final edge.
-        let bind_event =
-            q.want_event || q.final_hop_pred.is_some() || q.final_event_id_in.is_some();
+        let bind_event = q.want_event || q.final_hop_pred.is_some();
         if bind_event {
             if let Some(p) = &q.final_hop_pred {
                 conds.push(pred_to_cexpr("e", p, self.dict())?);
-            }
-            // Delta evaluation: restrict the final hop to the caller's
-            // event-id set (the epoch's freshly ingested events).
-            if let Some(ids) = &q.final_event_id_in {
-                let list = if ids.is_empty() {
-                    vec![CLit::Int(-1)]
-                } else {
-                    ids.iter().map(|&i| CLit::Int(i)).collect()
-                };
-                conds.push(CExpr::InList { left: prop("e", "id"), list });
             }
             if single_hop {
                 segments.push((event_edge(Some("e"), None), node(obj_var, q.object.class)));
@@ -523,7 +511,6 @@ mod tests {
             subject: EntitySel::of(EntityClass::Process, None),
             object: EntitySel::of(EntityClass::File, None),
             event_pred: Some(op_eq(&g, "read")),
-            event_id_in: None,
             subject_is_object: false,
         };
         let m = g.match_event_pattern(&q, &mut stats).unwrap();
@@ -553,7 +540,6 @@ mod tests {
             max_hops: Some(2),
             hop_cap: 8,
             final_hop_pred: Some(op_eq(&g, "read")),
-            final_event_id_in: None,
             want_event: true,
             subject_is_object: false,
         };
@@ -573,7 +559,6 @@ mod tests {
             max_hops: None,
             hop_cap: 8,
             final_hop_pred: None,
-            final_event_id_in: None,
             want_event: false,
             subject_is_object: false,
         };
@@ -593,7 +578,6 @@ mod tests {
             subject,
             object: EntitySel::of(EntityClass::File, None),
             event_pred: None,
-            event_id_in: None,
             subject_is_object: false,
         };
         let m = g.match_event_pattern(&q, &mut stats).unwrap();

@@ -88,7 +88,7 @@ impl PathFrontier {
     /// must stay on full re-evaluation.
     pub fn new(q: &PathPatternQuery, dict: &SharedDict) -> Result<Option<PathFrontier>> {
         let single_hop = q.min_hops == 1 && q.max_hops == Some(1);
-        if q.want_event || q.final_event_id_in.is_some() || single_hop {
+        if q.want_event || single_hop {
             return Ok(None);
         }
         // Shortest-walk reachability witnesses every admissible length only
@@ -428,7 +428,6 @@ mod tests {
                 op: CmpOp::Eq,
                 value: Value::Str(dict.intern(o)),
             }),
-            final_event_id_in: None,
             want_event: false,
             subject_is_object: false,
         }

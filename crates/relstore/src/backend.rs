@@ -5,16 +5,24 @@
 //! involved. From there the normal planner and executor run, so the typed
 //! plane shares every access path (hash/btree/trigram indexes, pushdown,
 //! hash joins) with parsed queries.
+//!
+//! One entry point skips the planner: [`Database::match_event_pattern_rows`]
+//! matches an event pattern against a row range of `events` — what a
+//! standing query does with the rows an epoch appended. It lowers the same
+//! predicates through the same `pred_to_expr` and evaluates them with the
+//! scan's own compiled-predicate kernels, so it cannot disagree with
+//! `match_event_pattern` about what a predicate means.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
 use raptor_storage::{
-    AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue, MutableBackend,
-    PathPatternQuery, PatternMatches, Pred, StorageBackend, Value as SVal, ValueColumn,
+    AttrSource, BackendStats, EntityClass, EntitySel, EventPatternQuery, Field, FieldValue,
+    MutableBackend, PathPatternQuery, PatternMatches, Pred, StorageBackend, Value as SVal,
+    ValueColumn,
 };
 
 use crate::db::Database;
-use crate::exec::{execute, ExecStats};
+use crate::exec::{execute, match_event_rows, EndpointSel, ExecStats, EVENT_ALIAS as EVT};
 use crate::plan::plan_select;
 use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection, Select, TableRef};
 
@@ -124,6 +132,62 @@ impl Database {
         stats.data_queries += 1;
         Ok(QueryRows { cols: core.cols })
     }
+
+    /// What `q` asks of the event itself: the kind its object class
+    /// implies, then the pattern's own event predicate.
+    fn event_conds(&self, q: &EventPatternQuery) -> Result<Vec<Expr>> {
+        let mut conds = vec![Expr::CmpLit {
+            col: col(EVT, "kind"),
+            op: CmpOp::Eq,
+            lit: Literal::Str(q.object.class.event_kind().to_string()),
+        }];
+        if let Some(p) = &q.event_pred {
+            conds.push(pred_to_expr(EVT, p, self.dict())?);
+        }
+        Ok(conds)
+    }
+
+    fn endpoint<'a>(&self, sel: &'a EntitySel, alias: &'a str) -> Result<EndpointSel<'a>> {
+        Ok(EndpointSel {
+            table: table_for_class(sel.class),
+            alias,
+            filter: sel.filter.as_ref().map(|p| pred_to_expr(alias, p, self.dict())).transpose()?,
+            id_in: sel.id_in.as_deref(),
+        })
+    }
+
+    /// Matches `q` against rows `rows` of the `events` table only — how a
+    /// standing query sees one epoch: tables are append-only and a row id
+    /// is its ordinal, so what an epoch appended is one contiguous range.
+    /// The result is what [`StorageBackend::match_event_pattern`] returns
+    /// for the events in that range (in event row order), and ranges that
+    /// tile the table concatenate to its whole answer. Endpoints may be of
+    /// any age: each is looked up by id and its filter tested on its own
+    /// row. Work is proportional to the range — nothing is planned, and no
+    /// index over `events` is consulted. The predicates are bound on every
+    /// call (microseconds): a literal the dictionary lacks today folds to
+    /// "matches nothing", and tomorrow's epoch may intern it.
+    pub fn match_event_pattern_rows(
+        &self,
+        q: &EventPatternQuery,
+        rows: std::ops::Range<usize>,
+        stats: &mut BackendStats,
+    ) -> Result<PatternMatches> {
+        let event_filter = and_all(self.event_conds(q)?).expect("the kind conjunct");
+        let mut exec_stats = ExecStats::default();
+        let [subj, obj, evt, start, end] = match_event_rows(
+            self,
+            rows,
+            &event_filter,
+            &self.endpoint(&q.subject, "s")?,
+            &self.endpoint(&q.object, "o")?,
+            q.subject_is_object,
+            &mut exec_stats,
+        )?;
+        absorb_exec(stats, &exec_stats);
+        stats.data_queries += 1;
+        Ok(PatternMatches { subj, obj, evt, start, end, has_event: true })
+    }
 }
 
 /// A columnar result from the typed plane: one [`ValueColumn`] per
@@ -183,7 +247,7 @@ impl StorageBackend for Database {
         };
         let mut r = self.run_select(&sel, stats)?;
         // The one place candidates are canonicalized: downstream propagation
-        // (`Propagation::set`/`union` in the engine) relies on the
+        // (`Propagation::set` in the engine) relies on the
         // sorted-distinct contract instead of re-sorting.
         let mut ids = r.take_ints(0);
         ids.sort_unstable();
@@ -196,19 +260,12 @@ impl StorageBackend for Database {
         q: &EventPatternQuery,
         stats: &mut BackendStats,
     ) -> Result<PatternMatches> {
-        let (s, e, o) = ("s", "e", "o");
+        let (s, e, o) = ("s", EVT, "o");
         let mut conds: Vec<Expr> = vec![
             Expr::CmpCol { left: col(e, "subject"), op: CmpOp::Eq, right: col(s, "id") },
             Expr::CmpCol { left: col(e, "object"), op: CmpOp::Eq, right: col(o, "id") },
-            Expr::CmpLit {
-                col: col(e, "kind"),
-                op: CmpOp::Eq,
-                lit: Literal::Str(q.object.class.event_kind().to_string()),
-            },
         ];
-        if let Some(p) = &q.event_pred {
-            conds.push(pred_to_expr(e, p, self.dict())?);
-        }
+        conds.extend(self.event_conds(q)?);
         if let Some(p) = &q.subject.filter {
             conds.push(pred_to_expr(s, p, self.dict())?);
         }
@@ -219,12 +276,6 @@ impl StorageBackend for Database {
         // compiler enforced this via a shared alias; here it is explicit.
         if q.subject_is_object {
             conds.push(Expr::CmpCol { left: col(s, "id"), op: CmpOp::Eq, right: col(o, "id") });
-        }
-        // Delta evaluation: restrict to the caller's event-id set (the
-        // epoch's freshly ingested events). events.id is hash-indexed, so
-        // the scan cost tracks the delta size, not the table size.
-        if let Some(ids) = &q.event_id_in {
-            conds.push(in_expr_on(e, "id", ids));
         }
         // Propagated ids constrain both the entity alias and — far more
         // importantly — the event columns, so the events scan runs through
@@ -273,18 +324,9 @@ impl StorageBackend for Database {
     ) -> Result<PatternMatches> {
         // A relational store answers exactly the single-hop shape (it is an
         // event lookup); longer paths belong to the graph backend.
-        if q.min_hops != 1 || q.max_hops != Some(1) {
-            return Err(Error::semantic(
-                "relational backend supports single-hop path patterns only",
-            ));
-        }
-        let eq = EventPatternQuery {
-            subject: q.subject.clone(),
-            object: q.object.clone(),
-            event_pred: q.final_hop_pred.clone(),
-            event_id_in: q.final_event_id_in.clone(),
-            subject_is_object: q.subject_is_object,
-        };
+        let eq = q.as_single_hop().ok_or_else(|| {
+            Error::semantic("relational backend supports single-hop path patterns only")
+        })?;
         let mut m = self.match_event_pattern(&eq, stats)?;
         m.has_event = q.want_event;
         Ok(m)
@@ -362,7 +404,6 @@ mod tests {
     use crate::db::Ins;
     use crate::schema::{ColumnDef, ColumnType};
     use crate::TableSchema;
-    use raptor_storage::EntitySel;
 
     /// tar reads /etc/passwd then writes /tmp/upload.tar; curl connects out.
     fn audit_db() -> Database {
@@ -451,7 +492,6 @@ mod tests {
             subject: EntitySel::of(EntityClass::Process, Some(like("exename", "%/bin/tar%"))),
             object: EntitySel::of(EntityClass::File, Some(like("name", "%/etc/passwd%"))),
             event_pred: Some(op_eq(&db, "read")),
-            event_id_in: None,
             subject_is_object: false,
         };
         let m = db.match_event_pattern(&q, &mut stats).unwrap();
@@ -470,7 +510,6 @@ mod tests {
             subject,
             object: EntitySel::of(EntityClass::File, None),
             event_pred: Some(op_eq(&db, "read")),
-            event_id_in: None,
             subject_is_object: false,
         };
         let m = db.match_event_pattern(&q, &mut stats).unwrap();
@@ -483,7 +522,6 @@ mod tests {
             subject,
             object: EntitySel::of(EntityClass::File, None),
             event_pred: None,
-            event_id_in: None,
             subject_is_object: false,
         };
         assert!(db.match_event_pattern(&q, &mut stats).unwrap().is_empty());
@@ -500,7 +538,6 @@ mod tests {
             max_hops: Some(1),
             hop_cap: 8,
             final_hop_pred: Some(op_eq(&db, "write")),
-            final_event_id_in: None,
             want_event: true,
             subject_is_object: false,
         };

@@ -769,6 +769,22 @@ fn storage_cmp(op: CmpOp) -> raptor_storage::CmpOp {
     }
 }
 
+fn table_named<'a>(db: &'a Database, name: &str) -> Result<&'a Table> {
+    db.table(name).ok_or_else(|| Error::storage(format!("unknown table `{name}`")))
+}
+
+/// Binds and compiles `pred`, every column of which is qualified by
+/// `alias`, against `table`.
+fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) -> Result<ScanPred> {
+    let tables = [table];
+    let binder = Binder {
+        slots: std::iter::once((alias, 0usize)).collect(),
+        tables: &tables,
+        dict: db.dict(),
+    };
+    Ok(compile_scan_pred(&binder.bind(pred)?, table))
+}
+
 /// Runs one scan: pick the most selective index path among the pushed-down
 /// conjuncts, then re-verify the whole predicate.
 ///
@@ -778,15 +794,7 @@ fn storage_cmp(op: CmpOp) -> raptor_storage::CmpOp {
 /// applicable path and keep the smallest — remains as the fallback when
 /// stats carry no signal for the table.)
 fn run_scan(db: &Database, scan: &ScanPlan, stats: &mut ExecStats) -> Result<Vec<RowId>> {
-    let table = db
-        .table(&scan.table)
-        .ok_or_else(|| Error::storage(format!("unknown table `{}`", scan.table)))?;
-    let tables = [table];
-    let binder = Binder {
-        slots: std::iter::once((scan.alias.as_str(), 0usize)).collect(),
-        tables: &tables,
-        dict: db.dict(),
-    };
+    let table = table_named(db, &scan.table)?;
 
     let Some(pred) = &scan.predicate else {
         // Unfiltered scan: every segment is read, every row selected.
@@ -799,7 +807,7 @@ fn run_scan(db: &Database, scan: &ScanPlan, stats: &mut ExecStats) -> Result<Vec
     // The predicate is compiled once per scan: hash-set `IN`s, handle-bound
     // string literals, constant-folded type mismatches — shared by both the
     // vectorized full scan and the index-candidate re-verification.
-    let compiled = compile_scan_pred(&binder.bind(pred)?, table);
+    let compiled = compile_table_pred(db, table, &scan.alias, pred)?;
     let dict = db.dict();
 
     let conjuncts = pred.clone().conjuncts();
@@ -871,6 +879,123 @@ fn run_scan(db: &Database, scan: &ScanPlan, stats: &mut ExecStats) -> Result<Vec
         stats.segments_scanned += scanned;
         stats.segments_pruned += pruned;
         stats.rows_scanned += rows;
+    }
+    Ok(out)
+}
+
+/// One endpoint of [`match_event_rows`]: the entity table its id must be
+/// found in, and what the entity's own row must satisfy.
+pub(crate) struct EndpointSel<'a> {
+    pub table: &'a str,
+    /// The alias `filter`'s columns are qualified by.
+    pub alias: &'a str,
+    pub filter: Option<Expr>,
+    /// Sorted, distinct candidate ids; ids outside it cannot match.
+    pub id_in: Option<&'a [i64]>,
+}
+
+/// An [`EndpointSel`] resolved against the database.
+struct Endpoint<'a> {
+    table: &'a Table,
+    by_id: &'a crate::index::HashIndex,
+    filter: Option<ScanPred>,
+    id_in: Option<&'a [i64]>,
+}
+
+impl<'a> Endpoint<'a> {
+    fn resolve(db: &'a Database, sel: &EndpointSel<'a>) -> Result<Self> {
+        let table = table_named(db, sel.table)?;
+        let by_id =
+            db.indexes(sel.table, "id").and_then(|ix| ix.hash.as_ref()).ok_or_else(|| {
+                Error::storage(format!(
+                    "row-range matching needs a hash index on `{}.id`",
+                    sel.table
+                ))
+            })?;
+        let filter = match &sel.filter {
+            Some(f) => Some(compile_table_pred(db, table, sel.alias, f)?),
+            None => None,
+        };
+        Ok(Endpoint { table, by_id, filter, id_in: sel.id_in })
+    }
+
+    /// How many rows of the endpoint's table carry `id` and pass its
+    /// filter: 1 or 0 over audit tables (ids are keys), whatever a join on
+    /// `id` would produce otherwise.
+    fn hits(&self, id: i64, dict: &SharedDict, stats: &mut ExecStats) -> usize {
+        if self.id_in.is_some_and(|ids| ids.binary_search(&id).is_err()) {
+            return 0;
+        }
+        let rows = self.by_id.get(Value::Int(id));
+        stats.rows_scanned += rows.len();
+        match &self.filter {
+            Some(f) => rows.iter().filter(|&&r| test_row(f, self.table, r, dict)).count(),
+            None => rows.len(),
+        }
+    }
+}
+
+/// The alias [`match_event_rows`] expects `event_filter`'s columns under.
+pub(crate) const EVENT_ALIAS: &str = "e";
+
+/// Matches `subject —event→ object` against rows `rows` of `events` only:
+/// `event_filter` (columns qualified by [`EVENT_ALIAS`]) runs as one mask
+/// over the row range, and each surviving row's `subject`/`object` is looked
+/// up in its endpoint's table by `id` and tested there. Returns the
+/// `(subject id, object id, event id, starttime, endtime)` columns, in event
+/// row order — the rows a join of the three tables restricted to that range
+/// would return. The cost depends on the range and on nothing else: no plan,
+/// no index over `events`, no pool.
+pub(crate) fn match_event_rows(
+    db: &Database,
+    rows: std::ops::Range<usize>,
+    event_filter: &Expr,
+    subject: &EndpointSel<'_>,
+    object: &EndpointSel<'_>,
+    subject_is_object: bool,
+    stats: &mut ExecStats,
+) -> Result<[Vec<i64>; 5]> {
+    let events = table_named(db, "events")?;
+    if rows.start > rows.end || rows.end > events.len() {
+        return Err(Error::storage(format!(
+            "event rows {}..{} outside the table's 0..{}",
+            rows.start,
+            rows.end,
+            events.len()
+        )));
+    }
+    let dict = db.dict();
+    let pred = compile_table_pred(db, events, EVENT_ALIAS, event_filter)?;
+    let (subject, object) = (Endpoint::resolve(db, subject)?, Endpoint::resolve(db, object)?);
+    let col = |name| events.schema.require_column(name);
+    let (c_subj, c_obj) = (col("subject")?, col("object")?);
+    let event_cols = [col("id")?, col("starttime")?, col("endtime")?];
+
+    stats.rows_scanned += rows.len();
+    let mask = eval_mask(&pred, events, &rows, dict);
+    let mut out: [Vec<i64>; 5] = Default::default();
+    for (i, _) in mask.iter().enumerate().filter(|(_, &hit)| hit) {
+        let row = (rows.start + i) as RowId;
+        // A NULL endpoint joins with nothing.
+        let (Some(s), Some(o)) =
+            (events.cell(row, c_subj).as_int(), events.cell(row, c_obj).as_int())
+        else {
+            continue;
+        };
+        if subject_is_object && s != o {
+            continue;
+        }
+        let n = match subject.hits(s, dict, stats) {
+            0 => 0,
+            n => n * object.hits(o, dict, stats),
+        };
+        let [id, start, end] = event_cols.map(|c| events.cell(row, c).as_int().unwrap_or(-1));
+        for _ in 0..n {
+            for (col, v) in out.iter_mut().zip([s, o, id, start, end]) {
+                col.push(v);
+            }
+        }
+        stats.tuples_built += n;
     }
     Ok(out)
 }

@@ -5,6 +5,9 @@ use proptest::prelude::*;
 use raptor_relstore::db::Ins;
 use raptor_relstore::like::{containment_literal, like_match};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
+use raptor_storage::{
+    BackendStats, CmpOp, EntityClass, EntitySel, EventPatternQuery, Pred, StorageBackend, Value,
+};
 
 /// Reference LIKE via dynamic programming (independent implementation).
 fn like_reference(pattern: &str, text: &str) -> bool {
@@ -138,5 +141,201 @@ proptest! {
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
             .collect();
         prop_assert_eq!(got_pairs, want);
+    }
+}
+
+// --- Row-range event matching vs the planned whole-table match ---
+
+const OPS: [&str; 3] = ["read", "write", "start"];
+
+/// Processes then files, ids dense in that order, each table's `id`
+/// hash-indexed (what the row-range pass resolves endpoints through), plus
+/// the event indexes an audit store carries so the planned side takes its
+/// usual access paths. One event per tuple: `(subject, object, op, kind
+/// agrees with the object's class, starttime)`; subject and object range
+/// over *every* entity id and one id past them, so events whose endpoints
+/// are of the wrong class, coincide, or dangle are all in there.
+fn audit_db(
+    procs: &[String],
+    files: &[String],
+    events: &[(usize, usize, usize, bool, i64)],
+) -> Database {
+    let mut db = Database::new();
+    let (int, text) = (ColumnType::Int, ColumnType::Str);
+    for (table, attr) in [("processes", "exename"), ("files", "name")] {
+        let cols = vec![ColumnDef::new("id", int), ColumnDef::new(attr, text)];
+        db.create_table(TableSchema::new(table, cols)).unwrap();
+        db.create_hash_index(table, "id").unwrap();
+    }
+    let cols = [("id", int), ("subject", int), ("object", int), ("optype", text), ("kind", text)]
+        .into_iter()
+        .chain([("starttime", ColumnType::Time), ("endtime", ColumnType::Time)])
+        .map(|(name, ty)| ColumnDef::new(name, ty))
+        .collect();
+    db.create_table(TableSchema::new("events", cols)).unwrap();
+    for col in ["subject", "object", "optype"] {
+        db.create_hash_index("events", col).unwrap();
+    }
+    db.create_btree_index("events", "starttime").unwrap();
+
+    for (i, name) in procs.iter().enumerate() {
+        db.insert("processes", &[Ins::Int(i as i64), Ins::Str(name)]).unwrap();
+    }
+    for (i, name) in files.iter().enumerate() {
+        db.insert("files", &[Ins::Int((procs.len() + i) as i64), Ins::Str(name)]).unwrap();
+    }
+    for (i, &(subject, object, op, kind_agrees, start)) in events.iter().enumerate() {
+        let object_is_file = object >= procs.len();
+        let kind = if object_is_file == kind_agrees { "file" } else { "process" };
+        // The id past the last entity stands for "no endpoint recorded".
+        let endpoint = |e: usize| {
+            if e == procs.len() + files.len() {
+                Ins::Null
+            } else {
+                Ins::Int(e as i64)
+            }
+        };
+        let row = [
+            // Event ids are not row ordinals (streams deliver out of order).
+            Ins::Int(1000 - i as i64),
+            endpoint(subject),
+            endpoint(object),
+            Ins::Str(OPS[op]),
+            Ins::Str(kind),
+            Ins::Int(start),
+            Ins::Int(start + 5),
+        ];
+        db.insert("events", &row).unwrap();
+    }
+    db
+}
+
+/// `choice` 0 = no filter, 1 = `LIKE '%<first char of name>%'`, 2 = `=`.
+fn entity_sel(db: &Database, class: EntityClass, attr: &str, choice: u8, name: &str) -> EntitySel {
+    let filter = match choice {
+        0 => None,
+        1 => Some(Pred::Like {
+            attr: attr.into(),
+            pattern: format!("%{}%", &name[..1]),
+            negated: false,
+        }),
+        _ => Some(Pred::Cmp {
+            attr: attr.into(),
+            op: CmpOp::Eq,
+            value: Value::Str(db.dict().intern(name)),
+        }),
+    };
+    EntitySel::of(class, filter)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Matching an event pattern against row ranges that tile the events
+    /// table, and concatenating, gives the planned whole-table match — as
+    /// a multiset of `(subject, object, event, start, end)` — for any
+    /// pattern of a small grammar, any tiling (empty tiles included), at
+    /// any segment capacity.
+    #[test]
+    fn row_range_matches_tile_the_planned_match(
+        procs in proptest::collection::vec("[ab/]{1,3}", 1..5),
+        files in proptest::collection::vec("[ab/]{1,3}", 1..5),
+        raw_events in proptest::collection::vec(
+            (0usize..64, 0usize..64, 0usize..3, 0u8..8, 0i64..40),
+            0..40,
+        ),
+        // optype: 0 `= a`, 1 `!= a`, 2 `= a OR = b`, 3 unconstrained.
+        op_shape in (0u8..4, 0usize..3, 0usize..3),
+        filters in (0u8..3, 0usize..8, 0u8..3, 0usize..8),
+        same_var in proptest::bool::ANY,
+        object_is_file in proptest::bool::ANY,
+        window in proptest::option::of((0i64..40, 0i64..40)),
+        cuts in proptest::collection::vec(0usize..41, 0..6),
+        seg_rows in prop_oneof![Just(1usize), Just(7usize), Just(4096usize)],
+    ) {
+        // Three events in four run process → the class the pattern asks
+        // for, so that most patterns match something; the rest take any
+        // endpoint, NULL included.
+        let n_entities = procs.len() + files.len();
+        let wanted_objects =
+            if object_is_file && !same_var { procs.len()..n_entities } else { 0..procs.len() };
+        let pick = |raw: usize, wanted: &std::ops::Range<usize>| {
+            if raw < 48 { wanted.start + raw % wanted.len() } else { raw % (n_entities + 1) }
+        };
+        let events: Vec<_> = raw_events
+            .iter()
+            .map(|&(s, o, op, k, t)| {
+                (pick(s, &(0..procs.len())), pick(o, &wanted_objects), op, k != 0, t)
+            })
+            .collect();
+        let mut db = audit_db(&procs, &files, &events);
+        db.set_segment_rows(seg_rows);
+
+        let optype = |i: usize| Pred::Cmp {
+            attr: "optype".into(),
+            op: CmpOp::Eq,
+            value: Value::Str(db.dict().intern(OPS[i])),
+        };
+        let op_pred = match op_shape {
+            (0, a, _) => Some(optype(a)),
+            (1, a, _) => Some(Pred::Not(Box::new(optype(a)))),
+            (2, a, b) => Some(Pred::Or(Box::new(optype(a)), Box::new(optype(b)))),
+            _ => None,
+        };
+        let window_pred = window.map(|(a, b)| {
+            let bound = |op, v: i64| Pred::Cmp {
+                attr: "starttime".into(),
+                op,
+                value: Value::Int(v),
+            };
+            Pred::And(Box::new(bound(CmpOp::Ge, a.min(b))), Box::new(bound(CmpOp::Le, a.max(b))))
+        });
+        let (s_choice, s_name, o_choice, o_name) = filters;
+        let subject = entity_sel(
+            &db, EntityClass::Process, "exename", s_choice, &procs[s_name % procs.len()],
+        );
+        let object = if same_var {
+            // One variable on both sides: one class, one filter.
+            subject.clone()
+        } else if object_is_file {
+            entity_sel(&db, EntityClass::File, "name", o_choice, &files[o_name % files.len()])
+        } else {
+            entity_sel(&db, EntityClass::Process, "exename", o_choice, &procs[o_name % procs.len()])
+        };
+        let q = EventPatternQuery {
+            subject,
+            object,
+            event_pred: Pred::and(op_pred.into_iter().chain(window_pred)),
+            subject_is_object: same_var,
+        };
+
+        let tuples = |m: &raptor_storage::PatternMatches| -> Vec<[i64; 5]> {
+            (0..m.len()).map(|i| [m.subj[i], m.obj[i], m.evt[i], m.start[i], m.end[i]]).collect()
+        };
+        let mut stats = BackendStats::default();
+        let mut want = tuples(&db.match_event_pattern(&q, &mut stats).unwrap());
+        want.sort_unstable();
+
+        let n = events.len();
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).chain([0, n]).collect();
+        bounds.sort_unstable();
+        let mut got = Vec::new();
+        for w in bounds.windows(2) {
+            let tile = db.match_event_pattern_rows(&q, w[0]..w[1], &mut stats).unwrap();
+            prop_assert!(tile.has_event);
+            if w[0] == w[1] {
+                prop_assert!(tile.is_empty());
+            }
+            // Within a tile, matches come in event row order.
+            let rows: Vec<i64> = tile.evt.iter().map(|id| 1000 - id).collect();
+            prop_assert!(rows.windows(2).all(|r| r[0] <= r[1]), "{:?}", rows);
+            prop_assert!(rows.iter().all(|&r| (w[0] as i64..w[1] as i64).contains(&r)));
+            got.extend(tuples(&tile));
+        }
+        got.sort_unstable();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(stats.text_parses, 0);
+        // A range past the table's end is refused, not clamped.
+        prop_assert!(db.match_event_pattern_rows(&q, 0..n + 1, &mut stats).is_err());
     }
 }

@@ -98,12 +98,17 @@ impl Pred {
     }
 }
 
-/// One side of a pattern: an entity class, its declared filter, and the
-/// scheduler-propagated candidate id set (already distinct and sorted).
+/// One side of a pattern.
 #[derive(Clone, Debug)]
 pub struct EntitySel {
+    /// The class the endpoint must belong to.
     pub class: EntityClass,
+    /// The entity's declared filter. Every request carries it, so a match
+    /// is decided on the endpoint's own attributes whatever `id_in` holds.
     pub filter: Option<Pred>,
+    /// The batch scheduler's propagated candidate ids (sorted, distinct):
+    /// endpoints outside the set cannot match. `Some([])` matches nothing.
+    /// Standing queries leave it `None`.
     pub id_in: Option<Vec<i64>>,
 }
 
@@ -116,6 +121,11 @@ impl EntitySel {
 /// An event-pattern data query: `subject —event→ object` with pushed-down
 /// predicates. The backend returns subject id, object id, event id and
 /// event timestamps per match.
+///
+/// Nothing in the request says *which* events to look at: a backend matches
+/// it against its whole store, and the relational store can also match it
+/// against a row range of its events table (how a standing query sees one
+/// epoch). The same request value serves both.
 #[derive(Clone, Debug)]
 pub struct EventPatternQuery {
     pub subject: EntitySel,
@@ -123,11 +133,6 @@ pub struct EventPatternQuery {
     /// Conjunction over event attributes: operation type, event filters,
     /// time windows.
     pub event_pred: Option<Pred>,
-    /// Restricts matching to these event ids (sorted, distinct). The
-    /// streaming engine's *delta* knob: per-epoch re-evaluation passes the
-    /// epoch's freshly ingested event ids so only new events are matched.
-    /// `None` = no restriction (batch semantics).
-    pub event_id_in: Option<Vec<i64>>,
     /// True when the pattern binds the *same* variable as subject and
     /// object: matches must satisfy `subject id == object id`.
     pub subject_is_object: bool,
@@ -149,17 +154,26 @@ pub struct PathPatternQuery {
     /// Predicate on the final hop's event attributes, if the pattern
     /// constrains it.
     pub final_hop_pred: Option<Pred>,
-    /// Restricts the *final hop* to these event ids (sorted, distinct) —
-    /// the delta knob for single-hop paths. Multi-hop patterns cannot be
-    /// delta-evaluated this way (a new path may mix old and new edges), so
-    /// streaming callers fall back to full re-evaluation for them.
-    pub final_event_id_in: Option<Vec<i64>>,
     /// Whether the caller wants the final hop's event id/timestamps bound
     /// (true exactly when the pattern has a final hop).
     pub want_event: bool,
     /// True when the pattern binds the *same* variable as subject and
     /// object (path must start and end at one entity).
     pub subject_is_object: bool,
+}
+
+impl PathPatternQuery {
+    /// A path of exactly one hop *is* an event pattern: the same match set,
+    /// answered by an event lookup instead of a traversal. `None` for every
+    /// other hop range.
+    pub fn as_single_hop(&self) -> Option<EventPatternQuery> {
+        (self.min_hops == 1 && self.max_hops == Some(1)).then(|| EventPatternQuery {
+            subject: self.subject.clone(),
+            object: self.object.clone(),
+            event_pred: self.final_hop_pred.clone(),
+            subject_is_object: self.subject_is_object,
+        })
+    }
 }
 
 #[cfg(test)]

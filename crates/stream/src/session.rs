@@ -357,9 +357,10 @@ impl StreamSession {
 
     /// Registers a TBQL text as a standing query under `name`, which must
     /// not be registered yet. Registration is valid at any point of the
-    /// stream; the query only ever sees epochs ingested after it (plus
-    /// whatever full re-evaluation of variable-length paths reaches — see
-    /// `raptor_engine::standing`). Fails for queries a stream cannot
+    /// stream; its event patterns only ever see events ingested after it
+    /// — between entities of any age — while its variable-length paths
+    /// reach back over the whole graph (see `raptor_engine::standing`).
+    /// Fails for queries a stream cannot
     /// evaluate soundly (relative `last N unit` windows). On a durable
     /// session the registration is WAL-logged and fsynced before it takes
     /// effect.
@@ -399,8 +400,8 @@ impl StreamSession {
     }
 
     /// Pins the worker count across the session's whole execution plane
-    /// (standing-query evaluation, store scans/joins/traversals). `1` takes
-    /// the strictly sequential code paths everywhere.
+    /// (ad-hoc query chains, store scans/joins/traversals). `1` takes the
+    /// strictly sequential code paths everywhere.
     pub fn set_threads(&mut self, threads: usize) {
         self.engine.set_threads(threads);
     }
@@ -413,6 +414,11 @@ impl StreamSession {
         self.engine.set_segment_rows(rows);
     }
 
+    /// Rows in the relational store's `events` table.
+    fn event_rows(&self) -> usize {
+        self.engine.stores.rel.table("events").map_or(0, |t| t.len())
+    }
+
     /// Running total of the per-epoch ingest counters.
     pub fn total_ingest_stats(&self) -> BackendStats {
         self.total_ingest
@@ -420,69 +426,46 @@ impl StreamSession {
 
     /// The one epoch loop — live ingest and WAL replay both run it:
     /// appends `entities` then `events` through the load seam (which logs
-    /// them first when a WAL is attached), then advances every standing
-    /// query over exactly what arrived.
+    /// them first when a WAL is attached), notes which rows of the events
+    /// table that made, then advances every standing query over exactly
+    /// those rows — inline, in registration order (an advance is too short
+    /// to be worth a worker; see `raptor_engine::standing`).
     ///
-    /// Error semantics: every standing query is advanced (their
-    /// accumulated state moves to this epoch) before the first error — in
-    /// registration order — is surfaced; the failing epoch's deltas are
-    /// then discarded. Standing advancement cannot fail on well-formed
-    /// registered queries, so an `Err` here means the session is broken,
-    /// not one delta.
+    /// Standing advancement cannot fail on well-formed registered queries,
+    /// so an `Err` here means the session is broken, not one delta: the
+    /// first one stops the epoch and the caller fail-stops the session.
     fn apply_epoch(&mut self, entities: &[Entity], events: &[SystemEvent]) -> Result<EpochReport> {
         let mut sp_epoch = obs::span("stream.epoch");
         sp_epoch.attr("epoch", self.epoch);
         sp_epoch.attr("entities", entities.len() as u64);
         sp_epoch.attr("events", events.len() as u64);
         let mut ingest_stats = BackendStats::default();
-        let entity_lo = self.engine.stores.graph.node_count() as i64;
-        let (entity_hi, event_ids) = {
+        let event_rows = {
             let mut sp = obs::span("stream.ingest");
             for e in entities {
                 load::append_entity(&mut self.engine.stores, e, &mut ingest_stats)?;
             }
-            let entity_hi = self.engine.stores.graph.node_count() as i64;
-
+            // Tables are append-only and a row id is its ordinal: whatever
+            // ids the events carry, the epoch's rows are one range.
+            let event_rows_lo = self.event_rows();
             for ev in events {
                 load::append_event(&mut self.engine.stores, ev, &mut ingest_stats)?;
             }
-            // Only standing queries read the id list: a session with none
-            // registered (a bulk load is one) does not build it.
-            let mut event_ids: Vec<i64> = Vec::new();
-            if !self.queries.is_empty() {
-                event_ids.extend(events.iter().map(|ev| ev.id.index() as i64));
-                event_ids.sort_unstable();
-                event_ids.dedup();
-            }
             sp.attr("inserted", ingest_stats.items_inserted as u64);
-            (entity_hi, event_ids)
+            event_rows_lo..self.event_rows()
         };
         self.total_ingest.absorb(&ingest_stats);
 
         let epoch = self.epoch;
         self.epoch += 1;
-        let input =
-            EpochInput { epoch, entity_range: (entity_lo, entity_hi), event_ids: &event_ids };
-        // Standing queries are independent state machines over the shared
-        // (read-only during evaluation) stores: advance them concurrently
-        // on the engine's pool. Outputs come back in registration order —
-        // per-epoch reports are identical at every thread count.
-        let engine = &self.engine;
+        let input = EpochInput { epoch, event_rows };
         let t_detect = std::time::Instant::now();
-        let outcomes = engine
-            .pool()
-            .run(self.queries.iter_mut().map(|sq| move || sq.advance(engine, &input)).collect());
-        let mut deltas = Vec::with_capacity(outcomes.len());
+        let mut deltas = Vec::with_capacity(self.queries.len());
         let mut delta_rows = 0usize;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let (delta, stats) = outcome?;
+        for (i, sq) in self.queries.iter_mut().enumerate() {
+            let (delta, stats) = sq.advance(&self.engine, &input)?;
             delta_rows += delta.n_rows();
-            deltas.push(QueryDelta {
-                id: QueryId(i),
-                name: self.queries[i].name().to_string(),
-                delta,
-                stats,
-            });
+            deltas.push(QueryDelta { id: QueryId(i), name: sq.name().to_string(), delta, stats });
         }
         // Epoch detection latency: ingest-to-delta wall time for this
         // epoch's standing-query advancement.

@@ -19,12 +19,12 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use threatraptor::audit::{ParsedLog, SystemEvent};
-use threatraptor::engine::exec::ExecMode;
+use threatraptor::engine::exec::{to_length1_path_query, ExecMode, QueryKind};
 use threatraptor::engine::load::load;
 use threatraptor::engine::{Engine, ResultTable};
 use threatraptor::stream::{EpochPolicy, EpochStream, StreamSession};
 use threatraptor::tbql::print::print_query;
-use threatraptor::ThreatRaptor;
+use threatraptor::{synthesize, SynthesisPlan, ThreatRaptor};
 
 /// The 8-query equivalence corpus (the shared constant — same fragment as
 /// the backend-equivalence suite; IOCs match the data_leak case, other
@@ -44,6 +44,19 @@ fn shuffled(events: &[SystemEvent], seed: u64) -> Vec<SystemEvent> {
 /// Every corpus query, in both its event-pattern form (relational backend)
 /// and its length-1 path form (graph backend), must agree between the two
 /// engines.
+/// `log` cut into epochs of `events_per_epoch` events, each as a log of
+/// its own (what `from_log` / `append_log` take).
+fn epochs_as_logs(log: &ParsedLog, events_per_epoch: usize) -> Vec<ParsedLog> {
+    EpochStream::new(log, EpochPolicy::ByCount(events_per_epoch))
+        .map(|b| {
+            let mut part = ParsedLog::default();
+            part.entities.extend_from_slice(b.entities);
+            part.events.extend_from_slice(b.events);
+            part
+        })
+        .collect()
+}
+
 fn assert_engines_equivalent(streamed: &Engine, bulk: &Engine, ctx: &str) {
     for q in QUERIES {
         let (a, astats) = streamed.execute_text(q, ExecMode::Scheduled).unwrap();
@@ -154,21 +167,46 @@ fn streamed_stats_match_bulk_and_stay_fresh() {
 
 /// The acceptance invariant: continuous standing-query evaluation over the
 /// data_leak case converges, after the final epoch, to exactly the batch
-/// `ExecMode::Scheduled` results — for the whole corpus — and the whole
-/// streaming path is parse-free.
+/// `ExecMode::Scheduled` results — for the whole corpus, each corpus query's
+/// length-1 path form, and the case report's 8-pattern synthesis in its
+/// event and `~>(~3)` forms — and the whole streaming path is parse-free.
+/// Per epoch, a standing query costs at most one data query per
+/// delta-evaluable pattern and never a seed.
 #[test]
 fn continuous_data_leak_evaluation_matches_batch() {
     let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
     let built = raptor_cases::build_case(spec, 0.2, 99);
 
+    let mut texts: Vec<String> = QUERIES.iter().map(|q| q.to_string()).collect();
+    texts.extend(
+        QUERIES.iter().map(|q| {
+            print_query(&to_length1_path_query(&threatraptor::tbql::parse_tbql(q).unwrap()))
+        }),
+    );
+    let graph = threatraptor::extract::extract(spec.report).graph;
+    for use_path_patterns in [false, true] {
+        let plan = SynthesisPlan { use_path_patterns, ..Default::default() };
+        texts.push(print_query(&synthesize(&graph, &plan).unwrap()));
+    }
+
     let mut session = StreamSession::new().unwrap();
-    let qids: Vec<_> = QUERIES
+    let qids: Vec<_> = texts
         .iter()
         .enumerate()
         .map(|(i, q)| session.register(&format!("q{i}"), q).unwrap())
         .collect();
+    // Patterns matched against the epoch's own event rows; the rest are
+    // variable-length paths on their frontiers, which issue no data query.
+    let delta_evaluable: Vec<usize> = qids
+        .iter()
+        .map(|&id| {
+            let patterns = &session.query(id).query().patterns;
+            patterns.iter().filter(|p| !p.is_path() || p.has_final_hop()).count()
+        })
+        .collect();
+    assert_eq!(delta_evaluable[texts.len() - 2..], [8, 0], "the two synthesized forms");
 
-    let mut per_query_delta_rows = vec![0usize; QUERIES.len()];
+    let mut per_query_delta_rows = vec![0usize; texts.len()];
     let mut inserted_total = 0usize;
     for batch in EpochStream::new(&built.log, EpochPolicy::ByCount(64)) {
         let report = session.ingest_batch(&batch).unwrap().expect("fresh epoch");
@@ -185,6 +223,13 @@ fn continuous_data_leak_evaluation_matches_batch() {
             // joining, multiset-diffing) materializes no strings — rendering
             // happens only if/when a consumer reaches the edge.
             assert_eq!(d.stats.strings_materialized, 0, "delta evaluation rendered strings");
+            assert!(d.stats.data_queries <= delta_evaluable[d.id.0], "{}", d.name);
+            for q in &d.stats.queries {
+                assert_ne!(q.kind, QueryKind::Seed, "{}: a standing query seeded", d.name);
+                // What the ledger's `backend_busy_us` and
+                // `data_queries_per_epoch` read.
+                assert!(q.rows.is_some() && q.wall_ns > 0, "{}: {q:?}", d.name);
+            }
             per_query_delta_rows[d.id.0] += d.delta.n_rows();
         }
     }
@@ -196,14 +241,59 @@ fn continuous_data_leak_evaluation_matches_batch() {
     assert_eq!(session.engine().stores.rel.text_parse_count(), 0);
 
     let bulk = Engine::new(load(&built.log).unwrap());
-    for (i, q) in QUERIES.iter().enumerate() {
+    for (i, q) in texts.iter().enumerate() {
         let (expect, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
         let got = ResultTable::from_batch(&session.query(qids[i]).cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows(), "query {q}");
         assert_eq!(per_query_delta_rows[i], expect.rows.len(), "delta rows for {q}");
     }
-    // The attack is actually found: at least one corpus query fired.
-    assert!(per_query_delta_rows.iter().any(|&n| n > 0));
+    // The attack is actually found: corpus queries fired, and the path
+    // synthesis bridges the step the event synthesis misses.
+    assert!(per_query_delta_rows[..QUERIES.len()].iter().any(|&n| n > 0));
+    assert_eq!(per_query_delta_rows[texts.len() - 2..], [0, 1]);
+}
+
+/// A standing query registered on a loaded system matches a later event
+/// whose filtered endpoints were ingested *before* the registration. (The
+/// per-query candidate sets this used to go through were only ever seeded
+/// from entities newer than the query, so `tar` and `/etc/passwd` — both
+/// loaded — could never match again, and the query stayed silent while the
+/// same text asked ad hoc found the row.) An event pattern still only sees
+/// events ingested after it: `bash`'s earlier read of `/etc/passwd` is not
+/// caught up on.
+#[test]
+fn late_registration_sees_entities_that_predate_it() {
+    use threatraptor::audit::sim::Simulator;
+    use threatraptor::common::time::Timestamp;
+
+    let mut sim = Simulator::new(3, Timestamp::from_secs(100));
+    let bash = sim.boot_process("/bin/bash", "root");
+    let tar = sim.spawn(bash, "/bin/tar", "tar cf /tmp/upload.tar");
+    sim.read_file(bash, "/etc/passwd", 4096, 1);
+    sim.read_file(tar, "/etc/hosts", 4096, 1);
+    sim.read_file(tar, "/etc/passwd", 4096, 1);
+    sim.write_file(tar, "/tmp/upload.tar", 4096, 1);
+    let log = threatraptor::audit::LogParser::parse(&sim.finish());
+
+    // Everything up to `tar`'s read of /etc/hosts is loaded; the rest
+    // (one new entity, the upload file) arrives after the registration.
+    let split = log.events.len() - 2;
+    let [loaded, increment] = &epochs_as_logs(&log, split)[..] else { panic!("two epochs") };
+    assert_eq!((increment.events.len(), increment.entities.len()), (2, 1));
+
+    let tar_reads = r#"proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 return p, f"#;
+    let any_read = r#"proc p read file f["%/etc/passwd%"] as e1 return p, f"#;
+    let mut raptor = ThreatRaptor::from_log(loaded).unwrap();
+    let tar_id = raptor.session_mut().register("tar_reads", tar_reads).unwrap();
+    let any_id = raptor.session_mut().register("any_read", any_read).unwrap();
+    raptor.append_log(increment).unwrap();
+
+    let want = vec![vec!["/bin/tar".to_string(), "/etc/passwd".to_string()]];
+    assert_eq!(raptor.query(tar_reads).unwrap().rows, want);
+    let standing = |id| ResultTable::from_batch(&raptor.session().query(id).cumulative_batch());
+    assert_eq!(standing(tar_id).rows, want);
+    assert_eq!(standing(any_id).rows, want, "no catch-up over events already loaded");
+    assert_eq!(raptor.query(any_read).unwrap().rows.len(), 2);
 }
 
 /// A bulk load is one volatile epoch of the one session: it is positioned,
@@ -236,23 +326,17 @@ fn from_log_is_one_volatile_epoch() {
 #[test]
 fn standing_query_on_a_loaded_system_fires_on_increments() {
     let log = raptor_bench::corpus::corpus_log();
-    let mut halves = EpochStream::new(&log, EpochPolicy::ByCount(log.events.len().div_ceil(2)))
-        .map(|b| {
-            let mut half = ParsedLog::default();
-            half.entities.extend_from_slice(b.entities);
-            half.events.extend_from_slice(b.events);
-            half
-        });
-    let (loaded, increment) = (halves.next().unwrap(), halves.next().unwrap());
-    assert!(halves.next().is_none());
+    let [loaded, increment] = &epochs_as_logs(&log, log.events.len().div_ceil(2))[..] else {
+        panic!("two epochs")
+    };
 
-    let mut raptor = ThreatRaptor::from_log(&loaded).unwrap();
+    let mut raptor = ThreatRaptor::from_log(loaded).unwrap();
     let qids: Vec<_> = QUERIES
         .iter()
         .enumerate()
         .map(|(i, q)| raptor.session_mut().register(&format!("q{i}"), q).unwrap())
         .collect();
-    raptor.append_log(&increment).unwrap();
+    raptor.append_log(increment).unwrap();
     assert_eq!(raptor.session().epochs(), 2);
 
     let bulk = Engine::new(load(&log).unwrap());
