@@ -334,7 +334,8 @@ struct DurabilityReport {
     /// records logged == replayed, and epochs committed == replayed.
     wal_records: u64,
     wal_epochs: u64,
-    /// The ~15x store: checkpoint size + rows replayed out of it (gated
+    /// The ~15x store: size of its checkpoint (a manifest over the log —
+    /// 2x envelope), rows replayed from the log prefix it covers (gated
     /// exact) and cold recovery wall time (informational).
     scaled_checkpoint_bytes: u64,
     scaled_recovered_rows: u64,
@@ -344,7 +345,7 @@ struct DurabilityReport {
 /// Streams the corpus twice — volatile session vs WAL-backed durable
 /// session — then recovers, asserting the recovered store matches the
 /// volatile one row-for-row. Separately checkpoints the ~15x store and
-/// times a cold recovery from the checkpoint image.
+/// times a cold recovery from the checkpoint and the log it covers.
 fn run_durability() -> DurabilityReport {
     use std::sync::Arc;
     use threatraptor::common::io::MemFs;
@@ -707,9 +708,10 @@ fn gate(current: &str, baseline: &str) -> Vec<String> {
     }
     // Durability plane: the corpus stream is deterministic, so the WAL it
     // produces — and what recovery replays — is exact. Any drift means the
-    // record framing, the commit protocol, or the checkpoint replay
-    // changed; regenerate the baseline deliberately. Checkpoint size gets
-    // the 2x envelope (encoding growth is fine, blow-up is not).
+    // record framing, the commit protocol, or the replay changed;
+    // regenerate the baseline deliberately. Checkpoint size — the manifest,
+    // which holds no rows — gets the 2x envelope (encoding growth is fine,
+    // blow-up is not).
     for key in ["wal_records", "wal_epochs", "scaled_recovered_rows"] {
         let (c, b) = (extract_numbers(current, key), extract_numbers(baseline, key));
         if !b.is_empty() && c != b {

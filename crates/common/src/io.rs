@@ -264,9 +264,11 @@ impl Fs for DirFs {
         let tmp = self.root.join(format!("{name}.tmp"));
         std::fs::write(&tmp, bytes)
             .map_err(|e| Error::storage(format!("write {}: {e}", tmp.display())))?;
-        if let Ok(f) = std::fs::File::open(&tmp) {
-            let _ = f.sync_all();
-        }
+        // Renamed into place unsynced, the new content can come back empty
+        // after power loss: no sync, no rename — the old file stays.
+        std::fs::File::open(&tmp)
+            .and_then(|f| f.sync_all())
+            .map_err(|e| Error::storage(format!("fsync {}: {e}", tmp.display())))?;
         std::fs::rename(&tmp, &path).map_err(|e| Error::storage(format!("rename into {name}: {e}")))
     }
 

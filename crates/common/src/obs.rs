@@ -437,6 +437,14 @@ impl MetricsSnapshot {
         self.samples.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
 
+    /// The counter `name`; `0` when nothing has counted under it yet.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.get(name) {
+            Some(MetricValue::Counter(n)) => *n,
+            _ => 0,
+        }
+    }
+
     /// Renders the snapshot as a single JSON object (stable key order).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"metrics\":{");

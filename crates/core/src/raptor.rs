@@ -66,9 +66,10 @@ impl ThreatRaptor {
     }
 
     /// Opens (or recovers) a *durable* system over a directory: every
-    /// append is write-ahead logged, [`ThreatRaptor::checkpoint`]
-    /// serializes the store, and re-opening the same path resumes exactly
-    /// at the last durable point (see `raptor_stream::StreamSession::open`).
+    /// append is write-ahead logged — the log is the store's on-disk form —
+    /// [`ThreatRaptor::checkpoint`] writes a manifest over it, and
+    /// re-opening the same path replays the log and resumes exactly at the
+    /// last durable point (see `raptor_stream::StreamSession::open`).
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         Self::open_with_fs(Arc::new(DirFs::new(path)?), DurablePolicy::default())
     }
@@ -120,8 +121,12 @@ impl ThreatRaptor {
         self.session.ingest(&log.entities, &log.events).map(|_| ())
     }
 
-    /// Checkpoints a durable system now (atomic replace + WAL truncation).
-    /// Errors on volatile systems, which have nothing to persist to.
+    /// Checkpoints a durable system now: one atomic replace of the `ckpt`
+    /// file with a manifest over the log (dictionary, stream position,
+    /// standing-query state, the log length they belong to). It holds no
+    /// rows and the log is not written; a restart replays the log and uses
+    /// the manifest to skip standing-query work below that length. Errors
+    /// on volatile systems, which have nothing to persist to.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.session.checkpoint()
     }

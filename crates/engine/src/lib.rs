@@ -36,10 +36,11 @@
 //!   ancestor-influence scoring; the Poirot baseline stops at the first
 //!   acceptable alignment, ThreatRaptor-Fuzzy searches exhaustively,
 //! * [`wal`] / [`checkpoint`] — the durability plane: a checksummed binary
-//!   write-ahead log hooked below the load seam, and checkpoints that
-//!   serialize the dictionary, columnar segments + zone maps, session
-//!   position and standing-query state, restored by replaying rows through
-//!   the very same seam (identical-by-construction recovery).
+//!   write-ahead log hooked below the load seam — the only on-disk form of
+//!   rows — and checkpoints that are a manifest over a prefix of it
+//!   (dictionary, session position, standing-query state); a restart
+//!   replays the log through the very same seam (identical-by-construction
+//!   recovery).
 
 pub mod checkpoint;
 pub mod compile;
@@ -53,11 +54,11 @@ pub mod schedule;
 pub mod standing;
 pub mod wal;
 
-pub use checkpoint::{Restored, SessionMeta, CKPT_FILE};
+pub use checkpoint::{Manifest, SessionMeta, CKPT_FILE};
 pub use estimate::PatternEstimate;
 pub use exec::{Engine, ExecMode, ResultTable};
 pub use explain::Redact;
 pub use load::LoadedStores;
 pub use schedule::SchedulerMode;
 pub use standing::{EpochInput, PatternProgress, StandingQuery};
-pub use wal::{WalRecord, WalScan, WalSink, WAL_FILE};
+pub use wal::{WalRecord, WalScan, WalSink, WalUnit, WAL_FILE};

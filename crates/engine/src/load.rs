@@ -204,7 +204,7 @@ pub fn append_entity(
             stores.graph.node_count()
         )));
     }
-    if let Some(wal) = &stores.wal {
+    if let Some(wal) = &mut stores.wal {
         wal.log_entity(e)?;
     }
     let dict = &stores.dict;
@@ -259,7 +259,7 @@ pub fn append_event(
             subj.max(obj)
         )));
     }
-    if let Some(wal) = &stores.wal {
+    if let Some(wal) = &mut stores.wal {
         wal.log_event(ev)?;
     }
     let sym = |s: &str| FieldValue::Sym(stores.dict.intern(s));
@@ -372,7 +372,7 @@ mod tests {
         let log = sample_log();
         let fs = MemFs::new();
         let mut stores = empty().unwrap();
-        stores.wal = Some(WalSink::new(std::sync::Arc::new(fs.clone())));
+        stores.wal = Some(WalSink::new(std::sync::Arc::new(fs.clone()), 0));
         let mut stats = BackendStats::default();
         append_log(&mut stores, &log, &mut stats).unwrap();
         let state = |s: &LoadedStores, stats: &BackendStats| {

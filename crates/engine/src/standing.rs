@@ -240,9 +240,6 @@ impl StandingQuery {
                 None => io::put_u8(buf, 0),
             }
         }
-        // The layout's candidate-set section: nothing to put in it since
-        // standing queries stopped keeping candidate sets.
-        io::put_u64(buf, 0);
         io::put_u64(buf, self.cumulative.len() as u64);
         io::put_u64(buf, self.columns.len() as u64);
         for row in &self.cumulative {
@@ -297,12 +294,6 @@ impl StandingQuery {
                 }
             });
         }
-        // Candidate sets (variable, ids) an older build stored here: skipped.
-        for _ in 0..cur.get_len()? {
-            cur.get_str()?;
-            let n_ids = cur.get_len()?;
-            cur.get_bytes(n_ids.saturating_mul(8))?;
-        }
         let n_rows = cur.get_len()?;
         let arity = cur.get_len()?;
         if arity != self.columns.len() {
@@ -344,8 +335,8 @@ impl StandingQuery {
         Ok(())
     }
 
-    /// Serializes the cached frontier state (the checkpoint's version-2
-    /// section). Patterns without an active frontier write an absent marker;
+    /// Serializes the cached frontier state (its own blob in the
+    /// checkpoint). Patterns without an active frontier write an absent marker;
     /// restored-but-not-yet-rebuilt blobs pass through unchanged, so
     /// checkpointing a freshly restored session loses nothing.
     pub fn encode_frontier_state(&self, buf: &mut Vec<u8>) {
@@ -645,87 +636,6 @@ mod tests {
         let got = crate::exec::ResultTable::from_batch(&sq.cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows());
         assert_eq!(emitted, expect.rows.len());
-    }
-
-    /// Layout v2 has a candidate-set section between the matches and the
-    /// emitted rows. This build writes it empty; an image from a build that
-    /// filled it restores to the same state (the section is length-checked
-    /// and skipped) and goes on to emit the same deltas. A section whose
-    /// lengths overrun the image is a typed error.
-    #[test]
-    fn candidate_sets_in_an_older_image_are_skipped() {
-        let log = sample_log();
-        let q = r#"proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1
-                   proc p write file f2["%upload%"] as e2
-                   with e1 before e2 return p, f, f2"#;
-        let mut engine = Engine::new(load::empty().unwrap());
-        let mut stats = raptor_storage::BackendStats::default();
-        for e in &log.entities {
-            load::append_entity(&mut engine.stores, e, &mut stats).unwrap();
-        }
-        // Checkpoint between the two patterns' matches, so the state holds
-        // a match and the epochs after it still have a row to emit.
-        let mut live = standing(q, &engine);
-        let mut fed = 0;
-        while live.matches[0].is_empty() {
-            load::append_event(&mut engine.stores, &log.events[fed], &mut stats).unwrap();
-            live.advance(&engine, &EpochInput { epoch: fed as u64, event_rows: fed..fed + 1 })
-                .unwrap();
-            fed += 1;
-        }
-        let mut image = Vec::new();
-        live.encode_state(&mut image);
-
-        let section = 8 + live
-            .matches
-            .iter()
-            .zip(&live.first_match_epoch)
-            .map(|(m, first)| 8 + 40 * m.len() + if first.is_some() { 9 } else { 1 })
-            .sum::<usize>();
-        assert_eq!(image[section..section + 8], 0u64.to_le_bytes(), "written empty");
-        let splice = |entries: &[(&str, u64, &[i64])]| {
-            let mut out = image[..section].to_vec();
-            io::put_u64(&mut out, entries.len() as u64);
-            for (var, claimed, ids) in entries {
-                io::put_str(&mut out, var);
-                io::put_u64(&mut out, *claimed);
-                ids.iter().for_each(|id| io::put_i64(&mut out, *id));
-            }
-            out.extend_from_slice(&image[section + 8..]);
-            out
-        };
-        let older = splice(&[("f", 2, &[3, 9]), ("f2", 0, &[]), ("p", 1, &[1])]);
-
-        let mut restored: Vec<StandingQuery> = [&image, &older]
-            .map(|bytes| {
-                let mut sq = standing(q, &engine);
-                let mut cur = io::Cur::new(bytes);
-                sq.decode_state(&mut cur).unwrap();
-                assert!(cur.is_done());
-                sq
-            })
-            .into();
-        let mut emitted = 0;
-        for (i, ev) in log.events.iter().enumerate().skip(fed) {
-            load::append_event(&mut engine.stores, ev, &mut stats).unwrap();
-            let input = EpochInput { epoch: i as u64, event_rows: i..i + 1 };
-            let want = live.advance(&engine, &input).unwrap().0.rendered_rows();
-            for sq in &mut restored {
-                assert_eq!(sq.advance(&engine, &input).unwrap().0.rendered_rows(), want);
-            }
-            emitted += want.len();
-        }
-        assert!(emitted > 0, "rows were still to come when the image was taken");
-
-        for corrupt in [
-            splice(&[("p", 1 << 40, &[1])]),
-            splice(&[("p", u64::MAX, &[])]),
-            splice(&[("p", 1 << 20, &[1, 2])]),
-            older[..section + 20].to_vec(),
-        ] {
-            let err = standing(q, &engine).decode_state(&mut io::Cur::new(&corrupt)).unwrap_err();
-            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{err}");
-        }
     }
 
     /// Per-pattern first-match epochs are reported as patterns light up.

@@ -18,19 +18,31 @@
 //! payload = [tag: u8] tag-specific fields (little-endian, strings u32-len-prefixed)
 //! ```
 //!
-//! [`scan`] reads a WAL byte buffer back tolerantly: a torn, truncated or
-//! checksum-corrupt suffix simply terminates the scan (it is the tail the
-//! crash tore — recovery discards it), and valid-but-uncommitted records
-//! after the last durable point are discarded too, because the epoch they
-//! belong to never committed and will be re-delivered by the source.
+//! ## The log is the store's durable form
+//!
+//! The file is never truncated while a session runs: it holds every record
+//! since the stream began, and a restart rebuilds the stores by replaying
+//! it. A checkpoint ([`crate::checkpoint`]) is a manifest over a prefix of
+//! it, written beside it; writing one does not touch this file.
+//!
+//! [`scan`] reads a WAL byte buffer back tolerantly, one durable unit at a
+//! time (a committed epoch's records, or a `Register`): a torn, truncated
+//! or checksum-corrupt suffix simply terminates the scan (it is the tail
+//! the crash tore — recovery discards it), and valid-but-uncommitted
+//! records after the last durable point are discarded too, because the
+//! epoch they belong to never committed and will be re-delivered by the
+//! source. Whether the scan may stop where it did is the caller's call:
+//! below a checkpoint's `log_len` the bytes were fsynced, so stopping there
+//! is corruption, not a torn tail. After a torn tail, recovery trims the
+//! file to its durable prefix with one atomic replace — a rewrite of the
+//! whole log, once per crash, beside a replay that reads all of it anyway.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use raptor_audit::syscall::Protocol;
 use raptor_audit::{
-    Entity, EntityAttrs, EventKind, FileAttrs, NetConnAttrs, Operation, ParsedLog, ProcessAttrs,
-    SystemEvent,
+    Entity, EntityAttrs, EventKind, FileAttrs, NetConnAttrs, Operation, ProcessAttrs, SystemEvent,
 };
 use raptor_common::error::{Error, Result};
 use raptor_common::ids::{EntityId, EventId};
@@ -240,21 +252,32 @@ pub fn frame(rec: &WalRecord) -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// Appends framed records to the `wal` file of an [`Fs`], with fsyncs at
-/// durable points. Attached to [`crate::load::LoadedStores::wal`] so the
-/// load seam logs every entity/event before applying it.
-#[derive(Debug, Clone)]
+/// durable points, and knows how long the file is. Attached to
+/// [`crate::load::LoadedStores::wal`] so the load seam logs every
+/// entity/event before applying it.
+#[derive(Debug)]
 pub struct WalSink {
     fs: Arc<dyn Fs>,
+    len: u64,
 }
 
 impl WalSink {
-    pub fn new(fs: Arc<dyn Fs>) -> Self {
-        WalSink { fs }
+    /// A sink appending to a log that already holds `len` bytes.
+    pub fn new(fs: Arc<dyn Fs>, len: u64) -> Self {
+        WalSink { fs, len }
     }
 
-    fn append(&self, rec: &WalRecord) -> Result<()> {
+    /// Bytes in the log: what was there when the sink was attached plus
+    /// every record appended since. Between epochs of a live session this
+    /// is a durable point.
+    pub fn log_len(&self) -> u64 {
+        self.len
+    }
+
+    fn append(&mut self, rec: &WalRecord) -> Result<()> {
         let bytes = frame(rec);
         self.fs.append(WAL_FILE, &bytes)?;
+        self.len += bytes.len() as u64;
         let m = obs::metrics();
         m.counter_add("raptor_wal_records_total", 1);
         m.counter_add("raptor_wal_bytes_total", bytes.len() as u64);
@@ -269,24 +292,24 @@ impl WalSink {
     }
 
     /// Logs an entity append (no fsync — the epoch commit syncs).
-    pub fn log_entity(&self, e: &Entity) -> Result<()> {
+    pub fn log_entity(&mut self, e: &Entity) -> Result<()> {
         self.append(&WalRecord::Entity(e.clone()))
     }
 
     /// Logs an event append (no fsync — the epoch commit syncs).
-    pub fn log_event(&self, ev: &SystemEvent) -> Result<()> {
+    pub fn log_event(&mut self, ev: &SystemEvent) -> Result<()> {
         self.append(&WalRecord::Event(ev.clone()))
     }
 
     /// Commits an epoch: appends the `EpochCommit` frame and fsyncs. Only
     /// after this returns is the epoch durable.
-    pub fn commit_epoch(&self, epoch: u64, watermark: i64) -> Result<()> {
+    pub fn commit_epoch(&mut self, epoch: u64, watermark: i64) -> Result<()> {
         self.append(&WalRecord::EpochCommit { epoch, watermark })?;
         self.sync()
     }
 
     /// Logs a standing-query registration and fsyncs (self-committing).
-    pub fn log_register(&self, name: &str, text: &str) -> Result<()> {
+    pub fn log_register(&mut self, name: &str, text: &str) -> Result<()> {
         self.append(&WalRecord::Register { name: name.to_string(), text: text.to_string() })?;
         self.sync()
     }
@@ -296,63 +319,97 @@ impl WalSink {
 // Tolerant scan.
 // ---------------------------------------------------------------------------
 
-/// Result of scanning a WAL buffer up to its durable point.
+/// One durable unit of the log: what a single fsync made durable.
+#[derive(Clone, Debug, PartialEq)]
+pub enum WalUnit {
+    /// A committed epoch: its entity and event records in append order,
+    /// closed by their `EpochCommit`.
+    Epoch { epoch: u64, entities: Vec<Entity>, events: Vec<SystemEvent> },
+    /// A standing-query registration.
+    Register { name: String, text: String },
+}
+
+impl WalUnit {
+    /// Records the unit occupies in the log (an epoch's commit included).
+    pub fn records(&self) -> u64 {
+        match self {
+            WalUnit::Epoch { entities, events, .. } => (entities.len() + events.len() + 1) as u64,
+            WalUnit::Register { .. } => 1,
+        }
+    }
+}
+
+/// A tolerant scan in progress (see module docs): an iterator over the
+/// durable units of a WAL buffer. It never errors — it ends where the
+/// durable prefix ends, and [`WalScan::discarded`] is what lies beyond.
 #[derive(Debug)]
-pub struct WalScan {
-    /// All records of the durable prefix, in append order. The last record
-    /// is always an `EpochCommit` or `Register` (or the vec is empty).
-    pub records: Vec<WalRecord>,
-    /// Byte length of the durable prefix.
-    pub durable_len: usize,
-    /// Bytes after the durable prefix: a torn/corrupt tail and/or records
-    /// of an epoch whose commit never made it to disk.
-    pub discarded: usize,
+pub struct WalScan<'a> {
+    bytes: &'a [u8],
+    durable_len: usize,
 }
 
-/// Scans WAL bytes tolerantly (see module docs). Never errors: anything
-/// unreadable or uncommitted is counted into [`WalScan::discarded`].
-pub fn scan(bytes: &[u8]) -> WalScan {
-    let mut records = Vec::new();
-    let mut offset = 0usize;
-    let mut durable = (0usize, 0usize); // (record count, byte offset)
-    while bytes.len() - offset >= 8 {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("sized")) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("sized"));
-        if len > io::MAX_BLOB || bytes.len() - offset - 8 < len {
-            break; // torn or corrupt length prefix
+/// Starts scanning WAL bytes; nothing is decoded until the first `next`.
+pub fn scan(bytes: &[u8]) -> WalScan<'_> {
+    WalScan { bytes, durable_len: 0 }
+}
+
+impl WalScan<'_> {
+    /// Byte length of the units handed out so far — once the scan has
+    /// ended, of the whole durable prefix.
+    pub fn durable_len(&self) -> usize {
+        self.durable_len
+    }
+
+    /// Bytes after [`WalScan::durable_len`]. Once the scan has ended: a
+    /// torn/corrupt tail and/or records of an epoch whose commit never made
+    /// it to disk.
+    pub fn discarded(&self) -> usize {
+        self.bytes.len() - self.durable_len
+    }
+
+    /// The record framed at `offset` and the offset after it; `None` for a
+    /// torn, corrupt or undecodable frame.
+    fn record_at(&self, offset: usize) -> Option<(WalRecord, usize)> {
+        let header = self.bytes.get(offset..offset + 8)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("sized")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("sized"));
+        if len > io::MAX_BLOB {
+            return None; // corrupt length prefix
         }
-        let payload = &bytes[offset + 8..offset + 8 + len];
+        let payload = self.bytes.get(offset + 8..offset + 8 + len)?;
         if io::crc32(payload) != crc {
-            break; // bit-rot or torn rewrite
+            return None; // bit-rot or torn rewrite
         }
-        let Ok(rec) = decode_payload(payload) else {
-            break; // checksum ok but undecodable: treat as corrupt tail
-        };
-        offset += 8 + len;
-        let is_durable_point =
-            matches!(rec, WalRecord::EpochCommit { .. } | WalRecord::Register { .. });
-        records.push(rec);
-        if is_durable_point {
-            durable = (records.len(), offset);
-        }
+        // Checksum ok but undecodable is a corrupt tail all the same.
+        Some((decode_payload(payload).ok()?, offset + 8 + len))
     }
-    records.truncate(durable.0);
-    WalScan { records, durable_len: durable.1, discarded: bytes.len() - durable.1 }
 }
 
-/// Convenience for tests and benches: a [`ParsedLog`]'s records as one
-/// committed epoch's worth of WAL frames.
-pub fn frames_for_log(log: &ParsedLog, epoch: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    for e in &log.entities {
-        out.extend_from_slice(&frame(&WalRecord::Entity(e.clone())));
+impl Iterator for WalScan<'_> {
+    type Item = WalUnit;
+
+    fn next(&mut self) -> Option<WalUnit> {
+        let (mut entities, mut events) = (Vec::new(), Vec::new());
+        let mut offset = self.durable_len;
+        let unit = loop {
+            let (rec, after) = self.record_at(offset)?;
+            offset = after;
+            match rec {
+                WalRecord::Entity(e) => entities.push(e),
+                WalRecord::Event(ev) => events.push(ev),
+                WalRecord::EpochCommit { epoch, .. } => {
+                    break WalUnit::Epoch { epoch, entities, events };
+                }
+                // A registration never sits inside an epoch's record run.
+                WalRecord::Register { .. } if !(entities.is_empty() && events.is_empty()) => {
+                    return None;
+                }
+                WalRecord::Register { name, text } => break WalUnit::Register { name, text },
+            }
+        };
+        self.durable_len = offset;
+        Some(unit)
     }
-    for ev in &log.events {
-        out.extend_from_slice(&frame(&WalRecord::Event(ev.clone())));
-    }
-    let watermark = log.events.iter().map(|e| e.end.0).max().unwrap_or(0);
-    out.extend_from_slice(&frame(&WalRecord::EpochCommit { epoch, watermark }));
-    out
 }
 
 #[cfg(test)]
@@ -424,62 +481,90 @@ mod tests {
         }
     }
 
+    fn commit(epoch: u64, watermark: i64) -> Vec<u8> {
+        frame(&WalRecord::EpochCommit { epoch, watermark })
+    }
+
     #[test]
     fn scan_stops_at_torn_tail() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&frame(&WalRecord::Entity(sample_entity())));
-        bytes.extend_from_slice(&frame(&WalRecord::EpochCommit { epoch: 0, watermark: 9 }));
+        bytes.extend_from_slice(&commit(0, 9));
         let durable = bytes.len();
         // A torn half-record after the commit.
         let torn = frame(&WalRecord::Event(sample_event()));
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
-        let scan = scan(&bytes);
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.durable_len, durable);
-        assert_eq!(scan.discarded, torn.len() / 2);
+        let mut scan = scan(&bytes);
+        let unit = scan.next().unwrap();
+        assert_eq!(unit.records(), 2);
+        assert_eq!(
+            unit,
+            WalUnit::Epoch { epoch: 0, entities: vec![sample_entity()], events: vec![] }
+        );
+        assert_eq!(scan.next(), None);
+        assert_eq!(scan.next(), None, "the end is the end");
+        assert_eq!(scan.durable_len(), durable);
+        assert_eq!(scan.discarded(), torn.len() / 2);
     }
 
     #[test]
     fn scan_discards_uncommitted_epoch() {
-        let mut bytes = frame(&WalRecord::EpochCommit { epoch: 0, watermark: 1 });
+        let mut bytes = commit(0, 1);
         let durable = bytes.len();
         // A fully-written but never-committed record run.
         bytes.extend_from_slice(&frame(&WalRecord::Entity(sample_entity())));
         bytes.extend_from_slice(&frame(&WalRecord::Event(sample_event())));
-        let scan = scan(&bytes);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.durable_len, durable);
-        assert!(scan.discarded > 0);
+        let mut scan = scan(&bytes);
+        assert_eq!(scan.by_ref().count(), 1);
+        assert_eq!(scan.durable_len(), durable);
+        assert!(scan.discarded() > 0);
     }
 
+    /// Units come one at a time, each moving the durable length to its own
+    /// end: a `Register` is a unit by itself, wherever it sits.
     #[test]
     fn register_is_a_durable_point() {
-        let mut bytes = frame(&WalRecord::EpochCommit { epoch: 0, watermark: 1 });
-        bytes.extend_from_slice(&frame(&WalRecord::Register {
-            name: "q".into(),
-            text: "proc p read file f".into(),
-        }));
-        let scan = scan(&bytes);
-        assert_eq!(scan.records.len(), 2);
-        assert_eq!(scan.durable_len, bytes.len());
-        assert_eq!(scan.discarded, 0);
+        let register = WalRecord::Register { name: "q".into(), text: "proc p read file f".into() };
+        let mut bytes = commit(0, 1);
+        let first = bytes.len();
+        bytes.extend_from_slice(&frame(&register));
+        let second = bytes.len();
+        bytes.extend_from_slice(&frame(&WalRecord::Event(sample_event())));
+        bytes.extend_from_slice(&commit(1, 2));
+        let mut scan = scan(&bytes);
+        assert_eq!(scan.durable_len(), 0);
+        assert!(matches!(scan.next(), Some(WalUnit::Epoch { epoch: 0, .. })));
+        assert_eq!(scan.durable_len(), first);
+        let unit = scan.next().unwrap();
+        assert_eq!(unit.records(), 1);
+        assert_eq!(unit, WalUnit::Register { name: "q".into(), text: "proc p read file f".into() });
+        assert_eq!(scan.durable_len(), second);
+        assert!(matches!(scan.next(), Some(WalUnit::Epoch { epoch: 1, .. })));
+        assert_eq!((scan.durable_len(), scan.discarded()), (bytes.len(), 0));
+        assert_eq!(scan.next(), None);
+
+        // Inside an epoch's record run it is not something the sink wrote:
+        // the durable prefix ends before the run.
+        let mut bytes = commit(0, 1);
+        bytes.extend_from_slice(&frame(&WalRecord::Entity(sample_entity())));
+        bytes.extend_from_slice(&frame(&register));
+        let mut scan = super::scan(&bytes);
+        assert_eq!(scan.by_ref().count(), 1);
+        assert_eq!(scan.durable_len(), commit(0, 1).len());
     }
 
     #[test]
     fn scan_rejects_bit_flips() {
-        let clean = frame(&WalRecord::EpochCommit { epoch: 3, watermark: 77 });
+        let clean = commit(3, 77);
         for i in 0..clean.len() {
             for bit in [0x01u8, 0x80u8] {
                 let mut corrupt = clean.clone();
                 corrupt[i] ^= bit;
-                let scan = scan(&corrupt);
                 // Either the frame is rejected outright, or (if the flip hit
                 // the length prefix making it implausibly large) it reads as
                 // torn — never a panic, never a silently-wrong record.
-                if let Some(rec) = scan.records.first() {
-                    // A flip that survives crc is impossible; decoded record
-                    // can only appear if the flip was... nowhere. Unreached.
-                    panic!("bit flip at byte {i} survived: {rec:?}");
+                if let Some(unit) = scan(&corrupt).next() {
+                    panic!("bit flip at byte {i} survived: {unit:?}");
                 }
             }
         }
@@ -487,11 +572,28 @@ mod tests {
 
     #[test]
     fn empty_and_zero_length_inputs() {
-        let s = scan(&[]);
-        assert!(s.records.is_empty());
-        assert_eq!(s.durable_len, 0);
-        let s = scan(&[0u8; 7]); // shorter than one header
-        assert!(s.records.is_empty());
-        assert_eq!(s.discarded, 7);
+        let mut s = scan(&[]);
+        assert_eq!(s.next(), None);
+        assert_eq!(s.durable_len(), 0);
+        let mut s = scan(&[0u8; 7]); // shorter than one header
+        assert_eq!(s.next(), None);
+        assert_eq!(s.discarded(), 7);
+    }
+
+    /// The sink counts what it appended on top of what was there.
+    #[test]
+    fn sink_knows_the_log_length() {
+        let fs = raptor_common::io::MemFs::new();
+        fs.store(WAL_FILE, commit(0, 1));
+        let mut sink = WalSink::new(Arc::new(fs.clone()), commit(0, 1).len() as u64);
+        sink.log_entity(&sample_entity()).unwrap();
+        sink.log_event(&sample_event()).unwrap();
+        sink.commit_epoch(1, 2).unwrap();
+        sink.log_register("q", "proc p read file f").unwrap();
+        let log = fs.snapshot(WAL_FILE);
+        assert_eq!(sink.log_len(), log.len() as u64);
+        let mut scan = scan(&log);
+        assert_eq!(scan.by_ref().map(|u| u.records()).collect::<Vec<_>>(), [1, 3, 1]);
+        assert_eq!(scan.discarded(), 0);
     }
 }

@@ -193,6 +193,39 @@ impl PathCatalog {
         self.nodes[vi].inn.push((u, cu));
     }
 
+    /// CRC-32 of the catalog's counts in a fixed byte encoding — what a
+    /// checkpoint records and recovery compares against the catalogs both
+    /// backends rebuilt. The bytes are ours (little-endian integers, `op`
+    /// entries sorted by [`Sym`], nodes in id order), so the value depends on
+    /// no formatter; it is comparable between stores that share a
+    /// dictionary, which a checkpoint pins. Like [`PathCatalog::canonical`]
+    /// it covers every count and skips all-zero nodes and the adjacency
+    /// working state the counts imply.
+    pub fn digest(&self) -> u32 {
+        fn put(buf: &mut Vec<u8>, counts: &[u64]) {
+            counts.iter().for_each(|n| buf.extend_from_slice(&n.to_le_bytes()));
+        }
+        let mut buf = Vec::with_capacity(512 + 56 * self.nodes.len());
+        put(&mut buf, &[self.edges]);
+        put(&mut buf, self.walks.as_flattened().as_flattened());
+        put(&mut buf, &self.distinct_src);
+        put(&mut buf, &self.distinct_dst);
+        let mut ops: Vec<_> = self.op_pairs.iter().collect();
+        ops.sort_unstable_by_key(|(op, _)| **op);
+        for (op, m) in ops {
+            put(&mut buf, &[u64::from(op.0)]);
+            put(&mut buf, m.as_flattened());
+        }
+        for (id, n) in self.nodes.iter().enumerate() {
+            if n.ends2 != [0; 3] || n.starts2 != [0; 3] {
+                put(&mut buf, &[id as u64]);
+                put(&mut buf, &n.ends2);
+                put(&mut buf, &n.starts2);
+            }
+        }
+        raptor_common::io::crc32(&buf)
+    }
+
     /// Dictionary-independent, deterministically-ordered view for
     /// equality assertions across independently grown stores (bulk load vs
     /// streaming ingest). Adjacency working state is excluded — it is
@@ -220,7 +253,6 @@ impl PathCatalog {
             walks[k] = pairs(m).map(|(c, d, n)| ((name(c), name(d)), n)).collect();
         }
         CanonicalCatalog {
-            enabled: true,
             edges: self.edges,
             walks,
             op_pairs: self
@@ -240,10 +272,6 @@ impl PathCatalog {
 /// See [`PathCatalog::canonical`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CanonicalCatalog {
-    /// Always `true`. Checkpoint layout v2 hashes this struct's `Debug`
-    /// rendering into its catalog digest, so the field list is part of the
-    /// on-disk format; the flag dates from when maintenance could be off.
-    pub enabled: bool,
     pub edges: u64,
     pub walks: [std::collections::BTreeMap<(String, String), u64>; CATALOG_K as usize],
     pub op_pairs: std::collections::BTreeMap<(String, String, String), u64>,
@@ -383,6 +411,30 @@ mod tests {
                 assert_eq!(got.canonical(&dict), want, "edges {edges:?}");
             }
         }
+    }
+
+    /// The digest is a function of the counts: equal for every insertion
+    /// order of one edge multiset, different once any count differs.
+    #[test]
+    fn digest_follows_the_counts() {
+        let dict = SharedDict::new();
+        let (read, write) = (dict.intern("read"), dict.intern("write"));
+        let edges = [(0u32, 1u32, P, P, read), (1, 2, P, F, write), (1, 0, P, P, read)];
+        let build = |order: &[usize], extra: Option<(u32, u32, EntityClass, EntityClass, Sym)>| {
+            let mut c = PathCatalog::new();
+            for (u, v, cu, cv, op) in order.iter().map(|&i| edges[i]).chain(extra) {
+                c.record_edge(u, v, cu, cv, op);
+            }
+            c.digest()
+        };
+        let reference = build(&[0, 1, 2], None);
+        assert_eq!(build(&[2, 1, 0], None), reference);
+        assert_eq!(build(&[1, 2, 0], None), reference);
+        assert_ne!(PathCatalog::new().digest(), reference);
+        assert_ne!(build(&[0, 1], None), reference);
+        // One more edge, and the same edge under another operation.
+        assert_ne!(build(&[0, 1, 2], Some((2, 2, F, F, read))), reference);
+        assert_ne!(build(&[0, 1], Some((1, 0, P, P, write))), reference);
     }
 
     /// Self-loops count at length 1 and in op pairs but never in

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use raptor_common::io::{FailpointFs, MemFs};
 use raptor_engine::load::{load, LoadedStores};
 use raptor_engine::wal;
-use raptor_engine::ResultTable;
+use raptor_engine::{ResultTable, CKPT_FILE};
 
 use crate::epoch::{EpochBatch, EpochPolicy, EpochStream};
 use crate::session::tests::{sample_log, Q};
@@ -222,6 +222,59 @@ fn injected_error_surfaces_cleanly() {
     // Epoch 0 survived; the failed epoch never committed.
     let recovered = StreamSession::open(mem, manual()).unwrap();
     assert_eq!(recovered.epochs(), 1);
+}
+
+/// A failed *automatic* checkpoint costs nothing. The epoch it follows is
+/// already durable, so its report — deltas included — is returned (it used
+/// to be replaced by the checkpoint's error, and the re-delivered epoch
+/// then deduped to `Ok(None)`: the detection output was lost). The failure
+/// is counted, the next epoch retries the write, and the directory reopens
+/// to the live state before and after the retry.
+#[test]
+fn failed_automatic_checkpoint_keeps_the_epoch_report() {
+    let failures =
+        || raptor_common::obs::metrics().snapshot().counter("raptor_checkpoint_failures_total");
+    let log = sample_log();
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(3)).collect();
+    let policy = DurablePolicy { checkpoint_every: 2 };
+    let mem = Arc::new(MemFs::new());
+    let fp = Arc::new(FailpointFs::new(mem.clone()));
+    let mut live = StreamSession::open(fp.clone(), policy).unwrap();
+    live.register("hunt", Q).unwrap();
+    let mut delta_rows = 0;
+    let mut ingest = |live: &mut StreamSession, b: &EpochBatch<'_>| {
+        let report = live.ingest_batch(b).unwrap().expect("fresh epoch");
+        assert_eq!(report.deltas.len(), 1);
+        delta_rows += report.deltas[0].delta.n_rows();
+    };
+    ingest(&mut live, &batches[0]);
+
+    // One fs operation per logged record, the commit's append and fsync,
+    // then the checkpoint's replace: fail exactly that one.
+    let records = (batches[1].entities.len() + batches[1].events.len()) as u64;
+    fp.error_on_op(records + 2);
+    let before = failures();
+    ingest(&mut live, &batches[1]);
+    assert_eq!(failures(), before + 1);
+    assert!(mem.snapshot(CKPT_FILE).is_empty(), "the replace failed");
+    assert!(live.ingest_batch(&batches[1]).unwrap().is_none(), "the epoch is held");
+    assert_same_state(&StreamSession::open(mem.clone(), policy).unwrap(), &live);
+
+    // Still due: the next epoch writes the manifest.
+    ingest(&mut live, &batches[2]);
+    assert!(!mem.snapshot(CKPT_FILE).is_empty(), "retried after the next epoch");
+    for b in &batches[3..] {
+        ingest(&mut live, b);
+    }
+    assert_eq!(delta_rows, live.query(QueryId(0)).cumulative_batch().n_rows());
+    assert!(delta_rows > 0);
+    let recovered = StreamSession::open(mem, policy).unwrap();
+    assert!(recovered.recovery_report().unwrap().checkpoint_found);
+    assert_same_state(&recovered, &live);
+    // An explicit checkpoint still reports its error.
+    fp.error_on_op(0);
+    let err = live.checkpoint().unwrap_err();
+    assert!(err.message.contains("injected transient error"), "{err}");
 }
 
 /// Names are keys: a second registration under a taken name is refused

@@ -12,15 +12,27 @@
 //!   epoch's durable point,
 //! * standing-query registrations are WAL-logged as self-committing
 //!   `Register` records before they enter the registry,
-//! * periodically (and on [`StreamSession::checkpoint`]) the whole session
-//!   — store, dictionary, stream position, standing-query state — is
-//!   atomically serialized to the checkpoint file and the WAL truncated,
-//! * `open` recovers: it loads the latest valid checkpoint, replays the WAL
-//!   tail epoch by epoch through the very function live ingest uses
-//!   (applying registrations at their exact stream position), discards the
-//!   torn/uncommitted tail, and resumes the stream exactly where the last
-//!   durable point left it. Live, bulk (`ThreatRaptor::from_log` is one
-//!   volatile epoch) and replayed epochs are identical by construction.
+//! * the log is never truncated: it is the only on-disk form of rows, and
+//!   the whole of it is what a restart replays,
+//! * periodically (and on [`StreamSession::checkpoint`]) a *manifest* over
+//!   the log so far — dictionary, stream position, standing-query state,
+//!   and the log length they belong to — atomically replaces the
+//!   checkpoint file. That is one write; the log is not touched,
+//! * `open` recovers: it restores the manifest's dictionary, then replays
+//!   the log epoch by epoch through the very function live ingest uses.
+//!   Below the manifest's `log_len` the registry is empty, so nothing
+//!   advances; exactly at `log_len` the rebuilt session is compared with
+//!   what the manifest recorded and the manifest's standing queries are
+//!   installed; the tail after it replays with registrations applied at
+//!   their exact stream position. The torn/uncommitted tail is discarded
+//!   and the stream resumes exactly where the last durable point left it.
+//!   Live, bulk (`ThreatRaptor::from_log` is one volatile epoch) and
+//!   replayed epochs are identical by construction.
+//!
+//! The manifest only accelerates: it saves the standing queries' work below
+//! `log_len`. Without the checkpoint file the log alone rebuilds the same
+//! session, so removing `ckpt` by hand is a safe recovery from a checkpoint
+//! that will not load.
 //!
 //! ## Crash matrix
 //!
@@ -29,9 +41,10 @@
 //! | crash mid entity/event record   | torn tail discarded; epoch re-delivered    |
 //! | crash after records, before commit | uncommitted run discarded; re-delivered |
 //! | crash after commit fsync        | epoch fully recovered                      |
-//! | crash mid checkpoint write      | old checkpoint intact (atomic replace)     |
-//! | crash after checkpoint, before WAL truncate | replay skips epochs ≤ checkpoint |
-//! | crash mid WAL truncate-after-recovery | truncate is atomic; both states valid |
+//! | crash mid checkpoint write      | old checkpoint intact (atomic replace); the log is the same either way |
+//! | automatic checkpoint fails      | the epoch is durable and its report is returned; counted (`raptor_checkpoint_failures_total`), retried after the next epoch |
+//! | log damaged below the manifest's `log_len` | typed `Storage` error, both files untouched: those bytes were fsynced before the manifest was written, so this is corruption, not a torn tail |
+//! | crash mid log trim-after-recovery | trim is atomic; both states valid |
 //! | transient append/fsync error mid-epoch | fail-stop: the live session refuses every later write with one typed error; reopening discards the half epoch and resumes at the last commit |
 //!
 //! Re-delivery is idempotent: [`StreamSession::ingest_batch`] drops batches
@@ -39,9 +52,9 @@
 //! its stream from the beginning after a crash never double-appends.
 //!
 //! Standing-query **names are keys**: a second registration under a name
-//! already in the registry is refused. Recovery relies on it — a `Register`
-//! record lingering in the WAL after the checkpoint that already holds it
-//! is recognized by name.
+//! already in the registry is refused. That is an API rule; recovery does
+//! not lean on it — a `Register` record below the manifest's `log_len` is
+//! skipped by its offset, not recognized by its name.
 
 use std::sync::Arc;
 
@@ -53,7 +66,7 @@ use raptor_engine::checkpoint::{self, SessionMeta};
 use raptor_engine::exec::{Engine, EngineStats};
 use raptor_engine::load::{self};
 use raptor_engine::standing::{EpochInput, StandingQuery};
-use raptor_engine::wal::{self, WalRecord, WalSink};
+use raptor_engine::wal::{self, WalSink, WalUnit};
 use raptor_storage::{BackendStats, ResultBatch};
 
 use crate::epoch::{max_referenced_entity, EpochBatch};
@@ -113,12 +126,13 @@ pub struct RecoveryReport {
     pub checkpoint_bytes: u64,
     /// Epochs already covered by the checkpoint.
     pub checkpoint_epochs: u64,
-    /// Entity + event rows replayed out of the checkpoint snapshot.
+    /// Entity + event records replayed from the log prefix the checkpoint
+    /// covers.
     pub checkpoint_rows: u64,
     /// WAL records applied beyond the checkpoint (including commits and
     /// registrations).
     pub wal_records_replayed: u64,
-    /// Committed epochs replayed from the WAL tail.
+    /// Committed epochs replayed from the WAL tail beyond the checkpoint.
     pub wal_epochs_replayed: u64,
     /// Standing-query registrations recovered (checkpoint + WAL).
     pub registrations_recovered: u64,
@@ -162,9 +176,6 @@ impl std::fmt::Display for RecoveryReport {
 struct Durability {
     fs: Arc<dyn Fs>,
     policy: DurablePolicy,
-    /// Per-epoch `(entities, events)` arrival runs since the stream began
-    /// (a checkpoint restores rows in this order).
-    arrival: Vec<(u64, u64)>,
     report: RecoveryReport,
     epochs_since_ckpt: u64,
 }
@@ -231,91 +242,110 @@ impl StreamSession {
 
     /// Opens (or recovers) a durable session over `fs`. With no prior
     /// state this is an empty session with a WAL attached; otherwise the
-    /// checkpoint is loaded and the WAL tail replayed (see module docs).
-    /// Corrupt files yield a typed error, never a panic.
+    /// log is replayed, past the checkpoint's manifest if there is one (see
+    /// module docs). Corrupt files yield a typed error, never a panic, and
+    /// are left as they were.
     pub fn open(fs: Arc<dyn Fs>, policy: DurablePolicy) -> Result<Self> {
         let mut report = RecoveryReport::default();
 
-        // 1. Latest valid checkpoint, if any. The session stays volatile
-        //    until replay is over, so replayed records are not logged twice.
-        let (mut session, mut arrival) = match fs.read(checkpoint::CKPT_FILE)? {
+        // 1. The manifest, if any: empty stores around its dictionary. The
+        //    session stays volatile until replay is over, so replayed
+        //    records are not logged twice.
+        let (mut session, mut manifest) = match fs.read(checkpoint::CKPT_FILE)? {
             Some(bytes) => {
-                let restored = checkpoint::decode(&bytes)?;
+                let (stores, manifest) = checkpoint::decode(&bytes)?;
                 report.checkpoint_found = true;
                 report.checkpoint_bytes = bytes.len() as u64;
-                report.checkpoint_epochs = restored.meta.epochs;
-                report.checkpoint_rows = restored.replayed_rows;
-                report.registrations_recovered = restored.queries.len() as u64;
-                let mut session = Self::over(Engine::new(restored.stores));
-                session.epoch = restored.meta.epochs;
-                session.total_ingest = restored.meta.total_ingest;
-                session.queries = restored.queries;
-                (session, restored.meta.arrival)
+                report.checkpoint_epochs = manifest.meta.epochs;
+                report.registrations_recovered = manifest.queries.len() as u64;
+                (Self::over(Engine::new(stores)), Some(manifest))
             }
-            None => (Self::new()?, Vec::new()),
+            None => (Self::new()?, None),
         };
 
-        // 2. Replay the WAL tail, epoch by epoch.
+        // 2. Replay the log, one durable unit at a time. While the manifest
+        //    is pending the registry is empty — below `log_len` an epoch only
+        //    rebuilds the stores — and at `log_len` the manifest goes in.
         let wal_bytes = fs.read(wal::WAL_FILE)?.unwrap_or_default();
-        let scan = wal::scan(&wal_bytes);
-        report.wal_bytes_discarded = scan.discarded as u64;
-        let mut pending_entities: Vec<Entity> = Vec::new();
-        let mut pending_events: Vec<SystemEvent> = Vec::new();
-        for rec in scan.records {
-            match rec {
-                WalRecord::Entity(e) => pending_entities.push(e),
-                WalRecord::Event(ev) => pending_events.push(ev),
-                WalRecord::Register { name, text } => {
-                    // A registration before the checkpoint's WAL truncation
-                    // may linger in the log; the checkpoint already holds it.
-                    if session.queries.iter().any(|q| q.name() == name) {
-                        continue;
-                    }
+        let mut scan = wal::scan(&wal_bytes);
+        loop {
+            let at = scan.durable_len() as u64;
+            if let Some(m) = manifest.take_if(|m| m.meta.log_len == at) {
+                m.check_replayed(&session.engine.stores, &session.position(at))?;
+                session.queries = m.queries;
+            }
+            let Some(unit) = scan.next() else { break };
+            if manifest.as_ref().is_some_and(|m| scan.durable_len() as u64 > m.meta.log_len) {
+                break; // no durable point at `log_len`: reported below
+            }
+            let records = unit.records();
+            match unit {
+                // The manifest holds it, with the state it had reached.
+                WalUnit::Register { .. } if manifest.is_some() => {}
+                WalUnit::Register { name, text } => {
                     let dict = session.engine.stores.dict.clone();
                     session.queries.push(StandingQuery::new(name, &text, dict)?);
                     report.registrations_recovered += 1;
-                    report.wal_records_replayed += 1;
+                    report.wal_records_replayed += records;
                 }
-                WalRecord::EpochCommit { epoch: committed, watermark: _ } => {
-                    if committed < session.epoch {
-                        // Epoch already inside the checkpoint (crash landed
-                        // between checkpoint write and WAL truncation).
-                        pending_entities.clear();
-                        pending_events.clear();
-                        continue;
-                    }
-                    if committed > session.epoch {
+                WalUnit::Epoch { epoch, entities, events } => {
+                    if epoch != session.epoch {
                         return Err(Error::storage(format!(
-                            "WAL replay: commit for epoch {committed} but session is at {}",
+                            "WAL replay: commit for epoch {epoch} but session is at {}",
                             session.epoch
                         )));
                     }
-                    session.apply_epoch(&pending_entities, &pending_events)?;
-                    arrival.push((pending_entities.len() as u64, pending_events.len() as u64));
-                    report.wal_records_replayed +=
-                        pending_entities.len() as u64 + pending_events.len() as u64 + 1;
-                    report.wal_epochs_replayed += 1;
-                    pending_entities.clear();
-                    pending_events.clear();
+                    session.apply_epoch(&entities, &events)?;
+                    if manifest.is_some() {
+                        report.checkpoint_rows += records - 1;
+                    } else {
+                        report.wal_records_replayed += records;
+                        report.wal_epochs_replayed += 1;
+                    }
                 }
             }
+        }
+        // The manifest proves `log[..log_len]` was fsynced: a scan that ends
+        // short of it (or steps over it) met corruption, not a torn tail.
+        if let Some(m) = manifest {
+            return Err(Error::storage(format!(
+                "log damaged below the checkpoint: the checkpoint covers its first {} bytes, \
+                 the scan found a durable point at {} (of {})",
+                m.meta.log_len,
+                scan.durable_len(),
+                wal_bytes.len()
+            )));
         }
 
         // 3. Drop the discarded tail from the file so post-recovery appends
         //    extend the durable prefix, not torn garbage.
-        if scan.discarded > 0 {
-            fs.replace(wal::WAL_FILE, &wal_bytes[..scan.durable_len])?;
+        let log_len = scan.durable_len();
+        if scan.discarded() > 0 {
+            fs.replace(wal::WAL_FILE, &wal_bytes[..log_len])?;
         }
 
+        report.wal_bytes_discarded = scan.discarded() as u64;
         report.resumed_epoch = session.epoch;
         report.watermark = session.engine.stores.now_ns;
         obs::metrics().counter_add("raptor_recovery_replayed_records", report.wal_records_replayed);
 
         // 4. Attach the WAL sink below the load seam and make the session
         //    durable.
-        session.engine.stores.wal = Some(WalSink::new(fs.clone()));
-        session.durability = Some(Durability { fs, policy, arrival, report, epochs_since_ckpt: 0 });
+        session.engine.stores.wal = Some(WalSink::new(fs.clone(), log_len as u64));
+        session.durability = Some(Durability { fs, policy, report, epochs_since_ckpt: 0 });
         Ok(session)
+    }
+
+    /// Where the session stands, as a checkpoint records it against a log
+    /// of `log_len` bytes and as replaying those bytes must reproduce it.
+    fn position(&self, log_len: u64) -> SessionMeta {
+        SessionMeta {
+            log_len,
+            epochs: self.epoch,
+            rows: self.engine.stores.rel.total_rows() as u64,
+            now_ns: self.engine.stores.now_ns,
+            total_ingest: self.total_ingest,
+        }
     }
 
     /// What recovery found and rebuilt when this session was opened;
@@ -372,7 +402,7 @@ impl StreamSession {
             )));
         }
         let query = StandingQuery::new(name, tbql, self.engine.stores.dict.clone())?;
-        if let Some(wal) = &self.engine.stores.wal {
+        if let Some(wal) = &mut self.engine.stores.wal {
             let logged = wal.log_register(name, tbql);
             self.fail_stop(self.epoch, logged)?;
         }
@@ -505,24 +535,27 @@ impl StreamSession {
     ///
     /// An `Err` out of the epoch or its commit is a fail-stop (see the
     /// crash matrix): this call returns the cause, every later write the
-    /// session's failure.
+    /// session's failure. A failed *automatic checkpoint* is neither: the
+    /// epoch is already durable and the manifest only accelerates a
+    /// restart, so the report is returned, the failure counted
+    /// (`raptor_checkpoint_failures_total`) and the write retried after the
+    /// next epoch.
     pub fn ingest(&mut self, entities: &[Entity], events: &[SystemEvent]) -> Result<EpochReport> {
         self.check_live()?;
         let epoch = self.epoch;
         let committed = self.apply_epoch(entities, events).and_then(|report| {
-            if let Some(wal) = &self.engine.stores.wal {
+            if let Some(wal) = &mut self.engine.stores.wal {
                 wal.commit_epoch(report.epoch, report.watermark)?;
             }
             Ok(report)
         });
         let report = self.fail_stop(epoch, committed)?;
         let checkpoint_due = self.durability.as_mut().is_some_and(|d| {
-            d.arrival.push((entities.len() as u64, events.len() as u64));
             d.epochs_since_ckpt += 1;
             d.policy.checkpoint_every > 0 && d.epochs_since_ckpt >= d.policy.checkpoint_every
         });
-        if checkpoint_due {
-            self.checkpoint()?;
+        if checkpoint_due && self.checkpoint().is_err() {
+            obs::metrics().counter_add("raptor_checkpoint_failures_total", 1);
         }
         Ok(report)
     }
@@ -567,27 +600,21 @@ impl StreamSession {
         self.ingest(entities, &[])
     }
 
-    /// Writes a checkpoint (atomic replace) and truncates the WAL; a typed
-    /// error on a volatile session, which has nowhere to write one. After
-    /// a crash at any point in here, recovery sees either the old
-    /// checkpoint + full WAL or the new checkpoint (+ a WAL whose epochs
-    /// it already covers — replay skips them).
+    /// Writes a checkpoint: one atomic replace of the checkpoint file with
+    /// a manifest over the log as it stands (see module docs). The log is
+    /// not written. A typed error on a volatile session, which has nowhere
+    /// to write one. After a crash at any point in here, recovery sees the
+    /// old manifest or the new one over the same log.
     pub fn checkpoint(&mut self) -> Result<()> {
         self.check_live()?;
-        let Some(d) = &mut self.durability else {
-            return Err(Error::storage(
-                "checkpoint() requires a durable session (StreamSession::open)",
-            ));
-        };
-        let meta = SessionMeta {
-            epochs: self.epoch,
-            now_ns: self.engine.stores.now_ns,
-            total_ingest: self.total_ingest,
-            arrival: d.arrival.clone(),
-        };
-        let bytes = checkpoint::encode(&self.engine.stores, &self.queries, &meta)?;
+        let volatile =
+            || Error::storage("checkpoint() requires a durable session (StreamSession::open)");
+        // Between epochs the end of the log is a durable point.
+        let log_len = self.engine.stores.wal.as_ref().ok_or_else(volatile)?.log_len();
+        let bytes =
+            checkpoint::encode(&self.engine.stores, &self.queries, &self.position(log_len))?;
+        let d = self.durability.as_mut().ok_or_else(volatile)?;
         d.fs.replace(checkpoint::CKPT_FILE, &bytes)?;
-        d.fs.replace(wal::WAL_FILE, &[])?;
         d.epochs_since_ckpt = 0;
         let m = obs::metrics();
         m.counter_add("raptor_checkpoints_total", 1);

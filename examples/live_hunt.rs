@@ -140,8 +140,9 @@ fn main() {
     //
     // Same hunt, same session type, but opened over an (in-memory) disk:
     // every epoch is WAL-logged and commits before it counts. A fault-injected crash tears the log mid
-    // write; re-opening the surviving disk replays the checkpoint + WAL
-    // tail and reports exactly what it rebuilt. The source then replays
+    // write; re-opening the surviving disk replays the log — past the
+    // checkpoint's manifest, which covers its first epochs — and reports
+    // exactly what it rebuilt. The source then replays
     // its stream from the beginning — committed epochs dedupe, the torn
     // one lands exactly once.
     println!("\n--- durability: crash mid-stream, recover, re-deliver ---");
