@@ -10,8 +10,7 @@
 //! orders, and a scheduler Q-error summary — plus a `parallel` section
 //! with per-query latency at 1/2/4 worker threads and the resulting
 //! speedups (informational only; on the small corpus store and small CI
-//! machines parallelism may not pay — the `parallel_vs_sequential`
-//! criterion group measures it at scale). While collecting those, the run
+//! machines parallelism may not pay). While collecting those, the run
 //! *asserts* the parallel-plane determinism contract: every thread count
 //! must produce identical rows and identical deterministic work counters.
 //!
@@ -230,8 +229,7 @@ struct ObsReport {
     /// partition, so counts cannot vary with thread count or machine).
     spans_per_query: Vec<u64>,
     /// Corpus q3 min latency with tracing disabled / enabled
-    /// (informational only — the `trace_overhead` criterion group is the
-    /// real measurement; never gated, wall clock flakes).
+    /// (informational only; never gated, wall clock flakes).
     q3_latency_ns_trace_off: u128,
     q3_latency_ns_trace_on: u128,
     /// `standing.frontier` spans emitted by a path-shaped standing query

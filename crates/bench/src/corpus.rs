@@ -46,9 +46,9 @@ pub fn corpus_system() -> ThreatRaptor {
 }
 
 /// The corpus scenario at ~15x background scale (tens of thousands of
-/// events) as a parsed + reduced log. Exposed so the durability section of
-/// `bench_smoke` can stream, checkpoint and recover the same big store the
-/// wall benches query.
+/// events) as a parsed + reduced log: what the durability section of
+/// `bench_smoke` streams, checkpoints and recovers, and the `path_delta`
+/// bench's large store.
 pub fn scaled_corpus_log() -> ParsedLog {
     let mut sim = Simulator::new(77, Timestamp::from_secs(1_500_000_000));
     generate_background(
@@ -68,13 +68,4 @@ pub fn scaled_corpus_log() -> ParsedLog {
     let mut log = LogParser::parse(&sim.finish());
     reduce::merge_events(&mut log.events, reduce::DEFAULT_THRESHOLD);
     log
-}
-
-/// Builds the ~15x system (see [`scaled_corpus_log`]): big enough that
-/// scans, probes and traversals dominate over per-query fixed costs.
-/// Shared by the parallel and columnar-scan wall benches; `bench_smoke`
-/// touches it only for the durability section's recovery timing (its query
-/// gates stay on the small corpus so CI stays fast).
-pub fn scaled_corpus_system() -> ThreatRaptor {
-    ThreatRaptor::from_log(&scaled_corpus_log()).unwrap()
 }

@@ -1,8 +1,7 @@
 //! The scoped worker pool behind the parallel execution plane.
 //!
 //! Every parallel site in the workspace — relstore scan filtering and hash
-//! join probes, graphstore path search, the engine's concurrent dependency
-//! chains — funnels through [`Pool`].
+//! join probes, graphstore path search — funnels through [`Pool`].
 //! The pool is deliberately tiny: plain `std::thread::scope` workers (no
 //! external dependencies, nothing long-lived), a work-stealing task queue,
 //! and **deterministic, input-ordered result collection**. Parallelism must
@@ -51,9 +50,9 @@ fn threads_from(var: Option<&str>) -> usize {
 const TASKS_PER_THREAD: usize = 4;
 
 thread_local! {
-    /// Set for the lifetime of a pool worker thread. Nested pool calls
-    /// (e.g. a store scan inside an engine chain inside a standing-query
-    /// advance) run inline instead of spawning threads-of-threads — only
+    /// Set for the lifetime of a pool worker thread. Nested pool calls (a
+    /// fan-out inside a task that is itself running on a worker) run
+    /// inline instead of spawning threads-of-threads — only
     /// the outermost level fans out, so concurrent OS threads stay bounded
     /// by the configured count instead of multiplying per nesting level.
     static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };

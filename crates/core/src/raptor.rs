@@ -233,7 +233,7 @@ impl ThreatRaptor {
     pub fn metrics(&self) -> raptor_common::obs::MetricsSnapshot {
         let m = raptor_common::obs::metrics();
         m.gauge_set("raptor_dict_symbols", self.engine().stores.dict.len() as i64);
-        m.gauge_set("raptor_threads", self.engine().pool().threads() as i64);
+        m.gauge_set("raptor_threads", self.engine().stores.rel.pool().threads() as i64);
         m.gauge_set(
             "raptor_path_frontier_entries",
             raptor_engine::standing::frontier_entries_total(),

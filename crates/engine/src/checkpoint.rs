@@ -42,9 +42,9 @@
 //! ingest stats are what replaying `log[..log_len]` must reproduce: they are
 //! **compared** with the replayed session, never assigned to it, and a
 //! mismatch is the typed `diverged after replay` error. So is a mismatch of
-//! the path-catalog digest, checked against the catalogs *both* rebuilt
-//! backends maintain through the same `record_edge` seam (the catalog
-//! itself is never serialized). Earlier layouts also carried every table's
+//! the path-catalog digest, checked against the catalog the replay rebuilt
+//! in the relational store's statistics — the one copy (the catalog itself
+//! is never serialized). Earlier layouts also carried every table's
 //! cells and zone maps and cross-checked the rebuilt zones against them;
 //! those went with the cells — the bytes replay reads now are the log's,
 //! and each log record has its own CRC.
@@ -117,14 +117,8 @@ impl Manifest {
                 self.meta
             )));
         }
-        for (backend, s) in
-            [("graph", stores.graph.store_stats()), ("relational", stores.rel.store_stats())]
-        {
-            if s.catalog().digest() != self.catalog_digest {
-                return Err(Error::storage(format!(
-                    "checkpoint integrity: {backend} path catalog diverged after replay"
-                )));
-            }
+        if stores.rel.store_stats().catalog().digest() != self.catalog_digest {
+            return Err(Error::storage("checkpoint integrity: path catalog diverged after replay"));
         }
         Ok(())
     }
@@ -207,7 +201,7 @@ pub fn encode(
         io::put_u64(&mut body, frontier.len() as u64);
         body.extend_from_slice(&frontier);
     }
-    io::put_u32(&mut body, stores.graph.store_stats().catalog().digest());
+    io::put_u32(&mut body, stores.rel.store_stats().catalog().digest());
 
     let mut out = Vec::with_capacity(12 + body.len());
     io::put_u32(&mut out, MAGIC);
@@ -340,9 +334,8 @@ mod tests {
         }
         load::append_log(&mut restored, &log, &mut BackendStats::default()).unwrap();
         manifest.check_replayed(&restored, &meta).unwrap();
-        // Same stats (covers histograms, degree maps, both catalogs).
+        // Same stats (covers histograms, degree maps, the path catalog).
         assert_eq!(restored.rel.store_stats(), stores.rel.store_stats());
-        assert_eq!(restored.graph.store_stats(), stores.graph.store_stats());
         assert_eq!(restored.now_ns, stores.now_ns);
     }
 

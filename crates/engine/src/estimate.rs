@@ -4,7 +4,8 @@
 //! (constraint count minus a path-length penalty) which cannot tell a
 //! highly selective `exename = '/usr/bin/gpg'` from a near-useless
 //! `name like '%'`. This module turns a typed pattern request plus the
-//! backends' maintained statistics ([`StoreStats`]) into an **estimated
+//! maintained statistics ([`StoreStats`] — one copy, the relational
+//! store's, read for event and path patterns alike) into an **estimated
 //! output cardinality**, the cost signal `schedule.rs` orders by:
 //!
 //! * event patterns: `|events| × sel(kind) × sel(event predicates) ×
@@ -48,7 +49,7 @@ pub struct PatternEstimate {
     pub pattern: String,
     /// Path pattern (graph backend) vs event pattern (relational backend).
     pub is_path: bool,
-    /// Estimated result rows from backend statistics; `None` when the
+    /// Estimated result rows from the store statistics; `None` when the
     /// scheduler fell back to (or was pinned to) the syntactic score.
     pub estimated_rows: Option<f64>,
     /// The paper's syntactic pruning score, always computed (the fallback
@@ -125,16 +126,16 @@ pub fn estimate_event_pattern(req: &EventPatternQuery, rel: &StoreStats) -> f64 
 /// warm, degree-power expansion as the cold-catalog fallback — both
 /// clamped to the observed reachable-pair cap and the seeded-candidate
 /// floor (module docs).
-pub fn estimate_path_pattern(req: &PathPatternQuery, graph: &StoreStats) -> f64 {
-    let start = entity_count(graph, &req.subject);
-    let end = entity_count(graph, &req.object);
+pub fn estimate_path_pattern(req: &PathPatternQuery, stats: &StoreStats) -> f64 {
+    let start = entity_count(stats, &req.subject);
+    let end = entity_count(stats, &req.object);
     let lo = req.min_hops.max(1);
     let hi = req.max_hops.unwrap_or(req.hop_cap).min(req.hop_cap).max(lo);
-    let cat = graph.catalog();
+    let cat = stats.catalog();
     let mut est = if cat.is_warm() {
-        decomposition_estimate(req, graph, cat, lo, hi)
+        decomposition_estimate(req, stats, cat, lo, hi)
     } else {
-        degree_power_estimate(req, graph, lo, hi)
+        degree_power_estimate(req, stats, lo, hi)
     };
     if cat.is_warm() {
         // Hard bound from the catalog: distinct (subject, object) pairs
@@ -159,22 +160,22 @@ pub fn estimate_path_pattern(req: &PathPatternQuery, graph: &StoreStats) -> f64 
 /// from the cataloged `walks(K)/walks(K-1)` ratio.
 fn decomposition_estimate(
     req: &PathPatternQuery,
-    graph: &StoreStats,
+    stats: &StoreStats,
     cat: &PathCatalog,
     lo: u32,
     hi: u32,
 ) -> f64 {
     let (c, d) = (req.subject.class, req.object.class);
-    let class_nodes = |cl: EntityClass| graph.degree(cl).map_or(0, |ds| ds.nodes).max(1) as f64;
-    let subj_frac = (entity_count(graph, &req.subject) / class_nodes(c)).min(1.0);
+    let class_nodes = |cl: EntityClass| stats.degree(cl).map_or(0, |ds| ds.nodes).max(1) as f64;
+    let subj_frac = (entity_count(stats, &req.subject) / class_nodes(c)).min(1.0);
     let obj_frac = if req.subject_is_object {
         // The path must close back on its start node.
         1.0 / class_nodes(d)
     } else {
-        (entity_count(graph, &req.object) / class_nodes(d)).min(1.0)
+        (entity_count(stats, &req.object) / class_nodes(d)).min(1.0)
     };
     let final_sel = match &req.final_hop_pred {
-        Some(p) => final_hop_selectivity(p, cat, d, graph),
+        Some(p) => final_hop_selectivity(p, cat, d, stats),
         None => 1.0,
     };
     let wk1 = cat.walks(CATALOG_K - 1, c, d) as f64;
@@ -182,7 +183,7 @@ fn decomposition_estimate(
     let ratio = if wk1 > 0.0 {
         wk / wk1
     } else {
-        graph.total_edges() as f64 / graph.total_nodes().max(1) as f64
+        stats.total_edges() as f64 / stats.total_nodes().max(1) as f64
     };
     let mut total = 0.0;
     for k in lo..=hi {
@@ -203,13 +204,13 @@ fn final_hop_selectivity(
     pred: &Pred,
     cat: &PathCatalog,
     d: EntityClass,
-    graph: &StoreStats,
+    stats: &StoreStats,
 ) -> f64 {
     let into = cat.edges_into_class(d).max(1) as f64;
     let op_frac = |v: &Value| -> Option<f64> {
         let sym = v.as_sym()?;
         // `%` wildcards carry LIKE semantics: not an exact op lookup.
-        if graph.dict().resolve(sym).contains('%') {
+        if stats.dict().resolve(sym).contains('%') {
             return None;
         }
         Some(cat.op_into_class(sym, d) as f64 / into)
@@ -217,11 +218,11 @@ fn final_hop_selectivity(
     let sel = match pred {
         Pred::Cmp { attr, op: CmpOp::Eq, value } if attr == "optype" => match op_frac(value) {
             Some(f) => f,
-            None => fallback_selectivity(pred, graph),
+            None => fallback_selectivity(pred, stats),
         },
         Pred::Cmp { attr, op: CmpOp::Ne, value } if attr == "optype" => match op_frac(value) {
             Some(f) => 1.0 - f,
-            None => fallback_selectivity(pred, graph),
+            None => fallback_selectivity(pred, stats),
         },
         Pred::InSet { attr, negated, values } if attr == "optype" => {
             match values.iter().map(op_frac).collect::<Option<Vec<f64>>>() {
@@ -233,40 +234,40 @@ fn final_hop_selectivity(
                         f
                     }
                 }
-                None => fallback_selectivity(pred, graph),
+                None => fallback_selectivity(pred, stats),
             }
         }
         Pred::And(a, b) => {
-            final_hop_selectivity(a, cat, d, graph) * final_hop_selectivity(b, cat, d, graph)
+            final_hop_selectivity(a, cat, d, stats) * final_hop_selectivity(b, cat, d, stats)
         }
         Pred::Or(a, b) => {
             let (sa, sb) =
-                (final_hop_selectivity(a, cat, d, graph), final_hop_selectivity(b, cat, d, graph));
+                (final_hop_selectivity(a, cat, d, stats), final_hop_selectivity(b, cat, d, stats));
             sa + sb - sa * sb
         }
-        Pred::Not(inner) => 1.0 - final_hop_selectivity(inner, cat, d, graph),
-        other => fallback_selectivity(other, graph),
+        Pred::Not(inner) => 1.0 - final_hop_selectivity(inner, cat, d, stats),
+        other => fallback_selectivity(other, stats),
     };
     sel.clamp(0.0, 1.0)
 }
 
-fn fallback_selectivity(pred: &Pred, graph: &StoreStats) -> f64 {
-    graph.table("events").map_or(1.0, |t| selectivity(t, pred, graph.dict()))
+fn fallback_selectivity(pred: &Pred, stats: &StoreStats) -> f64 {
+    stats.table("events").map_or(1.0, |t| selectivity(t, pred, stats.dict()))
 }
 
 /// The pre-catalog estimator, kept as the cold/disabled-catalog fallback:
 /// degree-power expansion over the adjacency summaries.
-fn degree_power_estimate(req: &PathPatternQuery, graph: &StoreStats, lo: u32, hi: u32) -> f64 {
-    let total_nodes = graph.total_nodes().max(1) as f64;
-    let total_edges = graph.total_edges() as f64;
-    let start = entity_count(graph, &req.subject);
-    let end = entity_count(graph, &req.object);
+fn degree_power_estimate(req: &PathPatternQuery, stats: &StoreStats, lo: u32, hi: u32) -> f64 {
+    let total_nodes = stats.total_nodes().max(1) as f64;
+    let total_edges = stats.total_edges() as f64;
+    let start = entity_count(stats, &req.subject);
+    let end = entity_count(stats, &req.object);
     // First hop: the subject class's mean out-degree; later hops: the
     // store-wide mean (intermediate nodes are unlabeled).
-    let first_fanout = graph.degree(req.subject.class).map_or(0.0, |d| d.avg_out());
+    let first_fanout = stats.degree(req.subject.class).map_or(0.0, |d| d.avg_out());
     let fanout = total_edges / total_nodes;
     let final_sel = match &req.final_hop_pred {
-        Some(p) => graph.table("events").map_or(1.0, |t| selectivity(t, p, graph.dict())),
+        Some(p) => stats.table("events").map_or(1.0, |t| selectivity(t, p, stats.dict())),
         None => 1.0,
     };
     let end_frac = if req.subject_is_object {

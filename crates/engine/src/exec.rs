@@ -22,7 +22,6 @@
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
 use raptor_common::obs;
-use raptor_common::pool::Pool;
 use raptor_common::time::Duration;
 use raptor_graphstore::cypher::{exec as gexec, parse_cypher};
 use raptor_storage::{
@@ -93,8 +92,8 @@ pub struct EngineStats {
     pub text_parses: usize,
     /// Some executed pattern matched nothing: the overall result is empty
     /// and the pattern's *dependency chain* stopped early. Independent
-    /// chains still complete — per-chain short-circuiting is what keeps
-    /// concurrent chain execution deterministic (see
+    /// chains still complete, so what executes does not depend on where
+    /// the chains sit in the order (see
     /// [`crate::schedule::dependency_chains`]).
     pub short_circuited: bool,
     /// Unified backend counters (scans, tuples/bindings, index usage).
@@ -210,14 +209,6 @@ pub(crate) struct Match {
     pub(crate) end: i64,
 }
 
-/// One dependency chain's execution outcome: per-pattern matches (chain
-/// order) plus the chain-local stats, absorbed into the query's
-/// [`EngineStats`] in chain order.
-struct ChainRun {
-    results: Vec<(usize, Vec<Match>)>,
-    stats: EngineStats,
-}
-
 /// Per-pattern cost records with only the syntactic scores filled in —
 /// the starting point of [`Engine::plan_order`] and the whole record for
 /// caller-forced orders.
@@ -255,33 +246,17 @@ pub struct Engine {
     /// see [`crate::schedule`]). Per-call overrides go through
     /// [`Engine::execute_scheduled_as`].
     pub scheduler: SchedulerMode,
-    /// Worker pool for executing independent dependency chains
-    /// concurrently (patterns sharing no entity variable — see
-    /// [`dependency_chains`]). One thread ⇒ the exact sequential code path.
-    pool: Pool,
 }
 
 impl Engine {
     pub fn new(stores: LoadedStores) -> Self {
-        Engine {
-            stores,
-            max_hops: gexec::DEFAULT_MAX_HOPS,
-            scheduler: SchedulerMode::default(),
-            pool: Pool::default(),
-        }
+        Engine { stores, max_hops: gexec::DEFAULT_MAX_HOPS, scheduler: SchedulerMode::default() }
     }
 
-    /// The engine-level worker pool (independent dependency chains run on
-    /// it).
-    pub fn pool(&self) -> Pool {
-        self.pool
-    }
-
-    /// Pins the worker count across the whole execution plane: the engine's
-    /// chain pool *and* both stores' scan/join/traversal
-    /// pools. `1` takes the strictly sequential code paths everywhere.
+    /// Pins the worker count across the whole execution plane: both stores'
+    /// scan/join/traversal pools (the engine itself has none). `1` takes
+    /// the strictly sequential code paths everywhere.
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::with_threads(threads);
         self.stores.rel.set_threads(threads);
         self.stores.graph.set_threads(threads);
     }
@@ -555,7 +530,10 @@ impl Engine {
         let mut sp = obs::span("engine.plan");
         sp.attr("patterns", aq.patterns.len() as u64);
         let mut estimates = base_estimates(aq);
-        let stats_ready = self.rel().stats().table("events").is_some_and(|t| t.rows() > 0);
+        // One statistics copy, the relational store's, serves event and
+        // path estimates alike.
+        let store_stats = self.stores.rel.store_stats();
+        let stats_ready = store_stats.table("events").is_some_and(|t| t.rows() > 0);
         let used = if mode == SchedulerMode::CostBased && stats_ready {
             SchedulerMode::CostBased
         } else {
@@ -571,16 +549,16 @@ impl Engine {
                             .entities
                             .get(v)
                             .map(|e| class_for_type(e.ty))
-                            .and_then(|c| self.rel().stats().table(c.table_name()))
+                            .and_then(|c| store_stats.table(c.table_name()))
                             .map_or(0, |t| t.rows());
                         rows.max(1) as f64
                     };
                     let est = if p.is_path() {
                         let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
-                        estimate_path_pattern(&req, self.graph().stats())
+                        estimate_path_pattern(&req, store_stats)
                     } else {
                         let req = event_pattern_request(ctx, p, prop)?;
-                        estimate_event_pattern(&req, self.rel().stats())
+                        estimate_event_pattern(&req, store_stats)
                     };
                     base.push(est);
                     sides.push([
@@ -706,40 +684,11 @@ impl Engine {
 
         // Patterns sharing no entity variable never observe each other's
         // propagated `IN` sets, so the order decomposes into independent
-        // dependency chains: chains execute concurrently on the pool (each
-        // over its own snapshot of the seeded candidate sets), the given
-        // order is preserved within each chain, and per-chain stats absorb
-        // in chain order — results and deterministic counters are identical
-        // at every thread count. The single-chain case (most queries) runs
-        // inline with no snapshot.
-        let chains = dependency_chains(aq, &order);
-        let chain_runs: Vec<ChainRun> = if chains.len() == 1 {
-            vec![self.run_chain(&ctx, aq, &chains[0], prop)?]
-        } else if self.pool.is_sequential() {
-            let mut runs = Vec::with_capacity(chains.len());
-            for chain in &chains {
-                runs.push(self.run_chain(&ctx, aq, chain, prop.clone())?);
-            }
-            runs
-        } else {
-            let ctx = &ctx;
-            let prop = &prop;
-            let tasks: Vec<_> = chains
-                .iter()
-                .map(|chain| move || self.run_chain(ctx, aq, chain, prop.clone()))
-                .collect();
-            self.pool.run(tasks).into_iter().collect::<Result<Vec<_>>>()?
-        };
-        for run in chain_runs {
-            stats.data_queries += run.stats.data_queries;
-            stats.text_parses += run.stats.text_parses;
-            stats.short_circuited |= run.stats.short_circuited;
-            stats.backend.absorb(&run.stats.backend);
-            stats.queries.extend(run.stats.queries);
-            for (idx, rows) in run.results {
-                stats.estimates[idx].actual_rows = Some(rows.len());
-                matches[idx] = Some(rows);
-            }
+        // dependency chains, each short-circuiting on its own. The chains
+        // touch disjoint variables, so they run one after another over the
+        // one propagation table.
+        for chain in dependency_chains(aq, &order) {
+            self.run_chain(&ctx, aq, &chain, &mut prop, &mut stats, &mut matches)?;
         }
 
         if stats.short_circuited {
@@ -757,31 +706,29 @@ impl Engine {
         Ok((batch, stats))
     }
 
-    /// Executes one dependency chain's patterns in order against its own
-    /// propagation snapshot, intersecting each pattern's entity ids into
-    /// the snapshot for the chain's later patterns. An empty pattern
-    /// short-circuits **its chain** (nothing later in the chain can match
-    /// once an `IN` set is empty, and the whole query's result is already
-    /// known to be empty); other chains are unaffected — which is exactly
-    /// what makes concurrent chain execution deterministic: what executes
-    /// never depends on cross-chain timing.
+    /// Executes one dependency chain's patterns in order, intersecting each
+    /// pattern's entity ids into the propagation table for the chain's later
+    /// patterns. An empty pattern short-circuits **its chain** (nothing
+    /// later in the chain can match once an `IN` set is empty, and the whole
+    /// query's result is already known to be empty); other chains are
+    /// unaffected.
     fn run_chain(
         &self,
         ctx: &CompileCtx<'_>,
         aq: &AnalyzedQuery,
         chain: &[usize],
-        mut prop: Propagation,
-    ) -> Result<ChainRun> {
+        prop: &mut Propagation,
+        stats: &mut EngineStats,
+        matches: &mut [Option<Vec<Match>>],
+    ) -> Result<()> {
         let mut sp = obs::span("engine.chain");
         if let Some(&first) = chain.first() {
             sp.label(&aq.patterns[first].id);
         }
         sp.attr("patterns", chain.len() as u64);
-        let mut stats = EngineStats::default();
-        let mut results = Vec::with_capacity(chain.len());
         for &idx in chain {
             let p = &aq.patterns[idx];
-            let rows = self.match_pattern(ctx, p, &prop, &mut stats)?;
+            let rows = self.match_pattern(ctx, p, prop, stats)?;
             // Propagate distinct entity ids into later data queries.
             for (var, is_subj) in [(&p.subject, true), (&p.object, false)] {
                 let ids: Vec<i64> =
@@ -789,13 +736,14 @@ impl Engine {
                 prop.intersect(var, ids);
             }
             let empty = rows.is_empty();
-            results.push((idx, rows));
+            stats.estimates[idx].actual_rows = Some(rows.len());
+            matches[idx] = Some(rows);
             if empty {
                 stats.short_circuited = true;
                 break;
             }
         }
-        Ok(ChainRun { results, stats })
+        Ok(())
     }
 
     /// Joins per-pattern match sets on shared entity variables, applies
@@ -1385,8 +1333,8 @@ pub(crate) mod tests {
         // Patterns 0 and 1 share `p` (one chain); pattern 2 is independent.
         // The empty pattern 0 short-circuits its chain — pattern 1 is never
         // queried — while the independent chain still executes, so what
-        // runs is a property of the query and data alone, never of
-        // cross-chain timing (the parallel-plane determinism contract).
+        // runs is a property of the query and data alone, never of where
+        // the chains sit in the execution order.
         let q = "proc p[\"%/bin/nonexistent%\"] read file f as e1 \
                  proc p write file f2 as e2 \
                  proc q3 connect ip i as e3 return p, f";

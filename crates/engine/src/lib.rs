@@ -12,7 +12,7 @@
 //!   backend; also emits the *giant* whole-query SQL/Cypher used as
 //!   baselines and for the Table X conciseness comparison,
 //! * [`schedule`] — the data-query scheduling algorithm: patterns ordered
-//!   by *estimated output cardinality* from the backends' maintained
+//!   by *estimated output cardinality* from the maintained store
 //!   statistics (the cost-based default), falling back to the paper's
 //!   syntactic pruning score when stats are absent; intermediate results
 //!   propagate into dependent patterns as `IN` filters either way,

@@ -12,7 +12,7 @@
 //!
 //! That syntactic score is now the **fallback**. The default scheduler is
 //! *cost-based*: each pattern's output cardinality is estimated from the
-//! backends' maintained statistics (see [`crate::estimate`]) and patterns
+//! maintained store statistics (see [`crate::estimate`]) and patterns
 //! run in ascending estimated-rows order — the most selective data query
 //! first, so its results prune everything after it. Ties (and the whole
 //! order, when stats are absent) fall back to the syntactic score; at equal
@@ -29,7 +29,8 @@ use raptor_tbql::{Arrow, AttrExpr, OpExpr, PatternOp};
 /// How the scheduled executor orders its per-pattern data queries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerMode {
-    /// Ascending estimated output cardinality from `StorageBackend::stats`;
+    /// Ascending estimated output cardinality from the relational store's
+    /// statistics (`Database::store_stats`);
     /// falls back to [`SchedulerMode::Syntactic`] when the stores carry no
     /// statistics (empty stores).
     #[default]
@@ -125,13 +126,11 @@ pub fn cost_based_order(aq: &AnalyzedQuery, estimates: &[PatternEstimate]) -> Ve
 ///
 /// Two patterns depend on each other exactly when they share an entity
 /// variable (that is the only edge along which intermediate results
-/// propagate as `IN` filters), so patterns in *different* chains can
-/// execute concurrently without observing each other, while the given
-/// order is preserved *within* each chain. Chains are returned in order of
-/// their first pattern's position in `order`, and every chain lists its
-/// pattern indices as the order's subsequence — both deterministic, so the
-/// parallel execution plane issues exactly the same data queries at every
-/// thread count.
+/// propagate as `IN` filters), so patterns in *different* chains never
+/// observe each other — an empty pattern short-circuits its own chain only
+/// — while the given order is preserved *within* each chain. Chains are
+/// returned in order of their first pattern's position in `order`, and
+/// every chain lists its pattern indices as the order's subsequence.
 pub fn dependency_chains(aq: &AnalyzedQuery, order: &[usize]) -> Vec<Vec<usize>> {
     // Union-find over pattern indices, linked through shared variables.
     let mut parent: Vec<usize> = (0..aq.patterns.len()).collect();

@@ -190,10 +190,6 @@ impl StorageBackend for Graph {
         "graph"
     }
 
-    fn stats(&self) -> &raptor_storage::StoreStats {
-        self.store_stats()
-    }
-
     fn entity_candidates(
         &self,
         class: EntityClass,

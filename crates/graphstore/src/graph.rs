@@ -11,9 +11,7 @@ use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::pool::Pool;
-use raptor_storage::{EntityClass, Field, Posting, StoreStats, Value};
-
-use crate::backend::label_for_class;
+use raptor_storage::{Field, Posting, Value};
 
 /// Node id (arena index).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -67,11 +65,6 @@ pub struct Graph {
     value_index: FxHashMap<(Sym, Sym), FxHashMap<PropValue, Posting<NodeId>>>,
     /// Record shapes seen by [`Graph::add_node`] / [`Graph::add_edge`].
     shapes: Vec<Shape>,
-    /// Data statistics, maintained incrementally by [`Graph::add_node`] /
-    /// [`Graph::add_edge`] and keyed by the backend-neutral table
-    /// vocabulary so they compare equal to the relational store's stats for
-    /// the same data. Served scan-free via `StorageBackend::stats`.
-    stats: StoreStats,
     /// Worker pool for fanning path search out per anchor node (see
     /// `cypher::exec`). One thread ⇒ the exact sequential code paths.
     pool: Pool,
@@ -84,17 +77,8 @@ struct Shape {
     label: String,
     keys: Vec<String>,
     label_sym: Sym,
-    /// Per property: key symbol, statistics column ordinal, value-indexed?
-    props: Vec<(Sym, usize, bool)>,
-    /// Ordinal of the label's table in [`StoreStats`].
-    stats_table: usize,
-    /// Audit entity class of the label, and its first `id` property.
-    class: Option<EntityClass>,
-    id_pos: Option<usize>,
-    /// `EVENT` edges: statistics ordinals of the structural
-    /// `subject`/`object` columns, and the first `optype` property.
-    endpoints: Option<(usize, usize)>,
-    optype_pos: Option<usize>,
+    /// Per property: key symbol, value-indexed?
+    props: Vec<(Sym, bool)>,
 }
 
 /// Shapes kept resolved (audit data has four); past this, start over.
@@ -121,7 +105,6 @@ impl Graph {
     /// time so equal strings compare as equal symbols across stores.
     pub fn with_dict(dict: SharedDict) -> Self {
         Graph {
-            stats: StoreStats::new(dict.clone()),
             dict,
             nodes: Vec::new(),
             edges: Vec::new(),
@@ -136,12 +119,6 @@ impl Graph {
 
     pub fn dict(&self) -> &SharedDict {
         &self.dict
-    }
-
-    /// The incrementally-maintained data statistics (also reachable through
-    /// `StorageBackend::stats`).
-    pub fn store_stats(&self) -> &StoreStats {
-        &self.stats
     }
 
     /// The worker pool path search fans out on. Defaults to
@@ -203,24 +180,14 @@ impl Graph {
         // Interns in record order (label, then each key before its value),
         // so symbol numbering does not depend on which shapes came before.
         let label_sym = self.dict.intern(label);
-        // Statistics use the backend-neutral table vocabulary, so they
-        // compare equal to the relational store's for the same data.
-        let class = EntityClass::ALL.into_iter().find(|&c| label_for_class(c) == label);
-        let table =
-            class.map_or(if label == "EVENT" { "events" } else { label }, |c| c.table_name());
-        let stats_table = self.stats.table_ord(table);
         let mut resolved = Vec::with_capacity(keys().count());
         for (key, v) in pinned.iter().chain(props) {
             let key_sym = self.dict.intern(key);
             if let PropIns::Str(s) = v {
                 self.dict.intern(s);
             }
-            let col = self.stats.table_at(stats_table).column_ord(key);
-            resolved.push((key_sym, col, self.value_index.contains_key(&(label_sym, key_sym))));
+            resolved.push((key_sym, self.value_index.contains_key(&(label_sym, key_sym))));
         }
-        let ts = self.stats.table_at(stats_table);
-        let endpoints =
-            (label == "EVENT").then(|| (ts.column_ord("subject"), ts.column_ord("object")));
         if self.shapes.len() == MAX_SHAPES {
             self.shapes.clear();
         }
@@ -229,47 +196,30 @@ impl Graph {
             keys: keys().map(str::to_string).collect(),
             label_sym,
             props: resolved,
-            stats_table,
-            class,
-            id_pos: keys().position(|k| k == "id"),
-            endpoints,
-            optype_pos: keys().position(|k| k == "optype"),
         });
         self.shapes.len() - 1
     }
 
     /// The shared prefix of [`Graph::add_node`] / [`Graph::add_edge`]:
-    /// resolves the record's shape, interns its string values and records
-    /// one stats row from the interned values (`endpoints` are an edge's
-    /// structural ends). Returns the shape's index and the stored properties.
-    fn intern_and_record(
+    /// resolves the record's shape and interns its string values. Returns
+    /// the shape's index and the stored properties.
+    fn intern_props(
         &mut self,
         label: &str,
         pinned: &[Field<'_>],
         props: &[Field<'_>],
-        endpoints: Option<(i64, i64)>,
     ) -> (usize, Vec<(Sym, PropValue)>) {
         let si = self.shape_of(label, pinned, props);
-        let shape = &self.shapes[si];
-        let stored: Vec<(Sym, PropValue)> = shape
+        let stored = self.shapes[si]
             .props
             .iter()
             .zip(pinned.iter().chain(props))
-            .map(|(&(key, _, _), &(_, v))| match v {
+            .map(|(&(key, _), &(_, v))| match v {
                 PropIns::Int(i) => (key, PropValue::Int(i)),
                 PropIns::Str(s) => (key, PropValue::Str(self.dict.intern(s))),
                 PropIns::Sym(s) => (key, PropValue::Str(s)),
             })
             .collect();
-        // EVENT edges mirror the relational `events` rows — the structural
-        // endpoints count as `subject`/`object` columns so both backends'
-        // stats compare equal (at the symbol level) for the same data.
-        let ends = shape
-            .endpoints
-            .zip(endpoints)
-            .map(|((sc, oc), (s, o))| [(sc, Value::Int(s)), (oc, Value::Int(o))]);
-        let cells = shape.props.iter().zip(&stored).map(|(&(_, col, _), &(_, v))| (col, v.into()));
-        self.stats.table_at(shape.stats_table).record_row(cells.chain(ends.into_iter().flatten()));
         (si, stored)
     }
 
@@ -285,22 +235,12 @@ impl Graph {
         pinned: &[Field<'_>],
         props: &[Field<'_>],
     ) -> NodeId {
-        let (si, stored) = self.intern_and_record(label, pinned, props, None);
+        let (si, stored) = self.intern_props(label, pinned, props);
         let shape = &self.shapes[si];
         let id = NodeId(self.nodes.len() as u32);
-        // Class/degree registration for audit entity labels (keyed by the
-        // `id` property, which the MutableBackend contract keeps equal to
-        // the arena node id).
-        if let Some(class) = shape.class {
-            let entity = match shape.id_pos.map(|pos| stored[pos].1) {
-                Some(PropValue::Int(i)) => i,
-                _ => id.0 as i64,
-            };
-            self.stats.record_node(class, entity);
-        }
         self.label_nodes.entry(shape.label_sym).or_default().push(id);
         // Maintain any existing value indexes covering this label.
-        for (&(key, _, indexed), &(_, v)) in shape.props.iter().zip(&stored) {
+        for (&(key, indexed), &(_, v)) in shape.props.iter().zip(&stored) {
             if indexed {
                 let ix =
                     self.value_index.get_mut(&(shape.label_sym, key)).expect("shape is current");
@@ -335,18 +275,9 @@ impl Graph {
         if src.0 as usize >= self.nodes.len() || dst.0 as usize >= self.nodes.len() {
             return Err(Error::storage("edge endpoint does not exist"));
         }
-        let (s, o) = (src.0 as i64, dst.0 as i64);
-        let (si, stored) = self.intern_and_record(label, pinned, props, Some((s, o)));
-        let shape = &self.shapes[si];
-        if shape.endpoints.is_some() {
-            let op = shape.optype_pos.and_then(|pos| match stored[pos].1 {
-                PropValue::Str(sym) => Some(sym),
-                PropValue::Int(_) => None,
-            });
-            self.stats.record_edge(s, o, op);
-        }
+        let (si, stored) = self.intern_props(label, pinned, props);
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { src, dst, label: shape.label_sym, props: stored });
+        self.edges.push(Edge { src, dst, label: self.shapes[si].label_sym, props: stored });
         self.out[src.0 as usize].push(id);
         self.inn[dst.0 as usize].push(id);
         Ok(id)

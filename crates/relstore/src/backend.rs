@@ -226,10 +226,6 @@ impl StorageBackend for Database {
         "relational"
     }
 
-    fn stats(&self) -> &raptor_storage::StoreStats {
-        self.store_stats()
-    }
-
     fn entity_candidates(
         &self,
         class: EntityClass,

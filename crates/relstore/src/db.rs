@@ -114,7 +114,7 @@ pub struct Database {
     pool: Pool,
     /// Data statistics, maintained incrementally by [`Database::insert`]
     /// (every write path funnels through it) and served scan-free via
-    /// `StorageBackend::stats` and the planner's index selection.
+    /// [`Database::store_stats`].
     stats: StoreStats,
     /// The row being appended, in schema column order. Reused, so a row
     /// costs no allocation.
@@ -366,9 +366,9 @@ impl Database {
         self.text_parses.load(Ordering::Relaxed)
     }
 
-    /// The incrementally-maintained data statistics (also reachable through
-    /// `StorageBackend::stats`). The planner consults these for index
-    /// selection; the engine's cost-based scheduler for pattern ordering.
+    /// The incrementally-maintained data statistics — the system's one
+    /// copy. The planner consults these for index selection; the engine's
+    /// cost-based scheduler for event- and path-pattern ordering.
     pub fn store_stats(&self) -> &StoreStats {
         &self.stats
     }

@@ -4,7 +4,6 @@ use raptor_common::error::Result;
 use raptor_common::intern::Sym;
 
 use crate::request::{EntityClass, EventPatternQuery, PathPatternQuery, Pred};
-use crate::stats::StoreStats;
 use crate::value::{PatternMatches, Value};
 
 /// Where an attribute fetch reads from.
@@ -113,11 +112,6 @@ pub type Field<'a> = (&'a str, FieldValue<'a>);
 pub trait StorageBackend {
     /// Short name for plans/telemetry, e.g. `"relational"` / `"graph"`.
     fn backend_name(&self) -> &'static str;
-
-    /// The store's incrementally-maintained data statistics (row counts,
-    /// per-column distinct/top-k/histograms, per-class degree summaries).
-    /// Maintained on the write path; serving them performs **zero scans**.
-    fn stats(&self) -> &StoreStats;
 
     /// Resolves a filtered entity to its candidate ids (one small indexed
     /// lookup — the scheduler's seeding step). Returned ids are sorted and

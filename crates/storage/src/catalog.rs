@@ -32,8 +32,9 @@
 //! counts diverge from anything a bounded path matcher returns, and
 //! excluding them keeps every update expressible from pre-insert state.
 //!
-//! The catalog rides [`crate::StoreStats`], so bulk load, streaming ingest
-//! and raw inserts produce identical catalogs by construction.
+//! The catalog rides [`crate::StoreStats`] — the relational store's, the
+//! one copy — so bulk load, streaming ingest, log replay and raw inserts
+//! produce identical catalogs by construction.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
@@ -194,8 +195,8 @@ impl PathCatalog {
     }
 
     /// CRC-32 of the catalog's counts in a fixed byte encoding — what a
-    /// checkpoint records and recovery compares against the catalogs both
-    /// backends rebuilt. The bytes are ours (little-endian integers, `op`
+    /// checkpoint records and recovery compares against the catalog the
+    /// replay rebuilt. The bytes are ours (little-endian integers, `op`
     /// entries sorted by [`Sym`], nodes in id order), so the value depends on
     /// no formatter; it is comparable between stores that share a
     /// dictionary, which a checkpoint pins. Like [`PathCatalog::canonical`]

@@ -22,9 +22,9 @@
 //! * [`stats`] — the statistics plane: [`TableStats`]/[`ColumnStats`]
 //!   (row/distinct counts, top-k value frequencies, scaling equi-width
 //!   histograms) and per-class [`DegreeStats`], maintained incrementally on
-//!   the write path and served scan-free through
-//!   [`StorageBackend::stats`]. The engine's cost-based scheduler and the
-//!   relational planner's index selection both read from here.
+//!   the relational store's write path (the one copy) and served
+//!   scan-free. The engine's cost-based scheduler and the relational
+//!   planner's index selection both read from here.
 //!
 //! The SQL/Cypher text parsers remain the entry point for the giant-query
 //! baseline modes; this crate deliberately knows nothing about them.

@@ -1,5 +1,7 @@
-//! The statistics plane: incrementally-maintained data statistics both
-//! backends serve through [`crate::StorageBackend::stats`].
+//! The statistics plane: incrementally-maintained data statistics. The
+//! system keeps **one** copy — the relational store's, which its own
+//! planner reads for index selection and the engine's scheduler reads for
+//! event- and path-pattern estimates; the graph store keeps none.
 //!
 //! The paper's scheduler (Section III-F) scores TBQL patterns *syntactically*
 //! — it counts declared constraints, so `exename = '/usr/bin/gpg'` and
@@ -20,17 +22,17 @@
 //! * [`selectivity`] — estimated match fraction of a typed [`Pred`] against
 //!   a [`TableStats`].
 //!
-//! Everything is maintained **incrementally on the write path** (both
-//! backends record every [`crate::MutableBackend`]-style insert — in fact
-//! every physical insert, so bulk load and streaming ingest produce
-//! identical stats by construction) and served with **zero scans** at query
-//! time: accessors only read the maintained maps.
+//! Everything is maintained **incrementally on the write path** (the
+//! relational appender records every physical insert, so bulk load,
+//! streaming ingest, log replay and raw inserts produce identical stats by
+//! construction) and served with **zero scans** at query time: accessors
+//! only read the maintained maps.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::like::like_match;
 
-use crate::catalog::PathCatalog;
+use crate::catalog::{CanonicalCatalog, PathCatalog};
 use crate::request::{CmpOp, EntityClass, Pred};
 use crate::value::Value;
 
@@ -227,9 +229,8 @@ impl Histogram {
 }
 
 /// Incrementally-maintained statistics for one column/property. String
-/// frequencies are keyed by [`Sym`] into the shared dictionary plane —
-/// because both backends intern into the *same* dictionary, relational and
-/// graph statistics for the same data compare equal at the symbol level.
+/// frequencies are keyed by [`Sym`] into the shared dictionary plane, so
+/// typed requests (which carry pre-interned symbols) key them directly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ColumnStats {
     non_null: u64,
@@ -487,11 +488,10 @@ impl DegreeStats {
     }
 }
 
-/// All statistics one store maintains, served via
-/// [`crate::StorageBackend::stats`]. Keys use the backend-neutral table
-/// vocabulary ([`EntityClass::table_name`] plus `"events"`); each backend
-/// maps its physical names on the way in, so relational and graph stats for
-/// the same data are directly comparable (tests assert they are *equal*).
+/// All the statistics the system maintains: table and column statistics,
+/// per-class degree summaries and the path catalog. Keys use the
+/// backend-neutral table vocabulary ([`EntityClass::table_name`] plus
+/// `"events"`).
 #[derive(Debug)]
 pub struct StoreStats {
     /// The shared dictionary plane the symbol-keyed frequencies resolve
@@ -654,8 +654,7 @@ impl StoreStats {
     /// sorted. Two stores over **different** dictionaries built from the
     /// same data compare equal here (e.g. a stream-grown engine vs a
     /// bulk-loaded one, whose interning orders differ). Within one
-    /// dictionary plane, plain `==` compares at the symbol level and is
-    /// what the backends' equality assertion uses.
+    /// dictionary plane, plain `==` compares at the symbol level.
     pub fn canonical(&self) -> CanonicalStats {
         let tables = self
             .live()
@@ -686,7 +685,7 @@ impl StoreStats {
             .iter()
             .filter_map(|&c| Some((c.table_name().to_string(), *self.degree(c)?)))
             .collect();
-        CanonicalStats { tables, degrees }
+        CanonicalStats { tables, degrees, catalog: self.catalog.canonical(&self.dict) }
     }
 }
 
@@ -695,6 +694,7 @@ impl StoreStats {
 pub struct CanonicalStats {
     tables: std::collections::BTreeMap<String, CanonicalTable>,
     degrees: std::collections::BTreeMap<String, DegreeStats>,
+    catalog: CanonicalCatalog,
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -713,12 +713,14 @@ struct CanonicalColumn {
 }
 
 impl PartialEq for StoreStats {
-    /// Equality over the *served* statistics (tables and degree summaries);
-    /// the per-node working maps are an implementation detail.
+    /// Equality over the *served* statistics (tables, degree summaries and
+    /// the path catalog's counts); the per-node working state is an
+    /// implementation detail.
     fn eq(&self, other: &Self) -> bool {
         self.degrees == other.degrees
             && self.live().count() == other.live().count()
             && self.live().all(|(n, t)| other.table(n) == Some(t))
+            && self.catalog.canonical(&self.dict) == other.catalog.canonical(&other.dict)
     }
 }
 
@@ -949,6 +951,33 @@ mod tests {
         assert!((p.avg_out() - 1.5).abs() < 1e-9);
         assert_eq!(s.total_nodes(), 3);
         assert_eq!(s.total_edges(), 3);
+    }
+
+    /// Two stores can agree on every table and degree summary and still
+    /// hold differently wired edges; only the path catalog tells them apart,
+    /// so it is part of both equalities.
+    #[test]
+    fn equality_covers_the_path_catalog() {
+        let build = |edges: [(i64, i64); 2]| {
+            let mut s = StoreStats::default();
+            for id in 0..3 {
+                s.record_node(EntityClass::Process, id);
+            }
+            s.record_node(EntityClass::File, 3);
+            let op = s.dict().intern("read");
+            for (u, v) in edges {
+                s.record_edge(u, v, Some(op));
+            }
+            s
+        };
+        // 0→1 and 2→3 never chain; 0→1 and 1→3 form one length-2 walk.
+        let (apart, chained) = (build([(0, 1), (2, 3)]), build([(0, 1), (1, 3)]));
+        for class in EntityClass::ALL {
+            assert_eq!(apart.degree(class), chained.degree(class));
+        }
+        assert!(apart == build([(2, 3), (0, 1)]));
+        assert!(apart != chained);
+        assert_ne!(apart.canonical(), chained.canonical());
     }
 
     #[test]

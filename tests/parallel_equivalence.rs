@@ -1,8 +1,8 @@
 //! Parallel-plane determinism: thread count is never observable.
 //!
 //! The parallel execution plane (scoped worker pool, partitioned relstore
-//! scans and hash-join probes, per-anchor graph path search, concurrent
-//! engine dependency chains) promises **byte-identical** execution at every
+//! scans and hash-join probes, per-anchor graph path search) promises
+//! **byte-identical** execution at every
 //! thread count: not just the same row *set* but the same row *order*, and
 //! the same deterministic work counters (`BackendStats`, issued data
 //! queries, execution order, short-circuit flag). This suite pins that
@@ -128,8 +128,9 @@ proptest! {
     }
 }
 
-/// A query that short-circuits one dependency chain while another chain
-/// still runs — the short-circuit path must be just as thread-count
+/// A query of two dependency chains (which the engine runs one after the
+/// other at every thread count), one of which short-circuits while the
+/// other still runs — the short-circuit path must be just as thread-count
 /// invariant as the happy path.
 #[test]
 fn short_circuit_is_thread_count_invariant() {
