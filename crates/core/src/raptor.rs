@@ -131,10 +131,10 @@ impl ThreatRaptor {
         self.session.checkpoint()
     }
 
-    /// Pins the worker count across the whole execution plane (engine
-    /// dependency chains, store scans/joins, graph traversal). Defaults to
-    /// `RAPTOR_THREADS` / available parallelism; `1` takes the strictly
-    /// sequential code paths everywhere.
+    /// Pins the worker count across the whole execution plane (store
+    /// scans/joins, graph traversal). Defaults to `RAPTOR_THREADS` /
+    /// available parallelism; `1` takes the strictly sequential code paths
+    /// everywhere.
     pub fn set_threads(&mut self, threads: usize) {
         self.session.set_threads(threads);
     }

@@ -1,7 +1,7 @@
 //! Checkpoints: a **manifest** over the write-ahead log.
 //!
 //! The log ([`crate::wal`]) is the only on-disk form of rows: every entity
-//! and event is in it, in arrival order, under a per-record CRC. A
+//! and event is in it, in arrival order, under its epoch's CRC. A
 //! checkpoint therefore holds no rows. It holds what a restart cannot get
 //! from the log — the shared dictionary, the segment capacity, and each
 //! standing query's accumulated state — plus the binding to the log prefix
@@ -37,8 +37,8 @@
 //! ```
 //!
 //! `log_len` is a byte offset into the log that is always a durable point
-//! (the end of an `EpochCommit` or `Register` record that was fsynced
-//! before the manifest was written). `epochs`, `rows`, `now_ns` and the
+//! (the end of an epoch's or a registration's frame, fsynced before the
+//! manifest was written). `epochs`, `rows`, `now_ns` and the
 //! ingest stats are what replaying `log[..log_len]` must reproduce: they are
 //! **compared** with the replayed session, never assigned to it, and a
 //! mismatch is the typed `diverged after replay` error. So is a mismatch of
@@ -47,7 +47,7 @@
 //! is never serialized). Earlier layouts also carried every table's
 //! cells and zone maps and cross-checked the rebuilt zones against them;
 //! those went with the cells — the bytes replay reads now are the log's,
-//! and each log record has its own CRC.
+//! and each log frame has its own CRC.
 //!
 //! Each standing query carries its cached [`PathFrontier`] state, so
 //! recovery resumes delta-incremental path matching without a cold rebuild.
@@ -84,8 +84,8 @@ pub struct SessionMeta {
     pub log_len: u64,
     /// Epochs committed so far (the next epoch number).
     pub epochs: u64,
-    /// Entity + event rows in the store (= entity and event records in the
-    /// log prefix).
+    /// Entity + event rows in the store (= the entities and events the log
+    /// prefix's epochs hold).
     pub rows: u64,
     /// The store's `now_ns` watermark (max event end time).
     pub now_ns: i64,

@@ -436,9 +436,7 @@ impl Engine {
         let r = self.query_cypher_text(&cy, &mut stats)?;
         stats.record_text("graph", QueryKind::Giant, "giant_cypher", cy);
         stats.finish_last(r.rows.len(), BackendStats::default(), t0.elapsed().as_nanos() as u64);
-        let rows: Vec<Vec<SVal>> =
-            r.rows.into_iter().map(|row| row.into_iter().map(gval_to_sval).collect()).collect();
-        Ok((ResultBatch::from_rows(r.columns, rows, self.stores.dict.clone()), stats))
+        Ok((ResultBatch::from_rows(r.columns, r.rows, self.stores.dict.clone()), stats))
     }
 
     /// Seeds the propagation table by resolving every filtered entity to its
@@ -1067,16 +1065,6 @@ fn id_at(pattern_rows: &[&Vec<Match>], t: &[u32], slot: (usize, bool)) -> i64 {
         m.subj
     } else {
         m.obj
-    }
-}
-
-/// Graph projection values map 1:1 onto the shared plane — the symbol is
-/// already the engine's currency, so this is a tag re-label, not a copy.
-fn gval_to_sval(v: gexec::GVal) -> SVal {
-    match v {
-        gexec::GVal::Int(i) => SVal::Int(i),
-        gexec::GVal::Str(s) => SVal::Str(s),
-        gexec::GVal::Null => SVal::Null,
     }
 }
 

@@ -35,12 +35,12 @@
 //!   inexact graph pattern matching with Levenshtein node alignment and
 //!   ancestor-influence scoring; the Poirot baseline stops at the first
 //!   acceptable alignment, ThreatRaptor-Fuzzy searches exhaustively,
-//! * [`wal`] / [`checkpoint`] — the durability plane: a checksummed binary
-//!   write-ahead log hooked below the load seam — the only on-disk form of
-//!   rows — and checkpoints that are a manifest over a prefix of it
-//!   (dictionary, session position, standing-query state); a restart
-//!   replays the log through the very same seam (identical-by-construction
-//!   recovery).
+//! * [`wal`] / [`checkpoint`] — the durability plane: a binary
+//!   write-ahead log of one checksummed frame per epoch or registration —
+//!   the only on-disk form of rows — and checkpoints that are a manifest
+//!   over a prefix of it (dictionary, session position, standing-query
+//!   state); a restart replays the log through the load seam
+//!   (identical-by-construction recovery).
 
 pub mod checkpoint;
 pub mod compile;
@@ -61,4 +61,4 @@ pub use explain::Redact;
 pub use load::LoadedStores;
 pub use schedule::SchedulerMode;
 pub use standing::{EpochInput, PatternProgress, StandingQuery};
-pub use wal::{WalRecord, WalScan, WalSink, WalUnit, WAL_FILE};
+pub use wal::{WalScan, WalSink, WalUnit, WAL_FILE};

@@ -13,8 +13,11 @@
 //! which drive both stores' [`MutableBackend`] implementations. Both stores
 //! maintain every index on insert, so an incrementally-grown store is
 //! identical-by-construction to a bulk-loaded one.
+//!
+//! The seam is memory only. Durability sits above it: a durable session
+//! logs each epoch as one frame ([`crate::wal`]) and replays those frames
+//! through these same appenders.
 
-use crate::wal::WalSink;
 use raptor_audit::{Entity, EntityAttrs, EntityKind, ParsedLog, SystemEvent};
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
@@ -36,13 +39,6 @@ pub struct LoadedStores {
     pub dict: SharedDict,
     /// Max event end time (reference point for `last N unit` windows).
     pub now_ns: i64,
-    /// The durability plane's write-ahead log sink. When attached, every
-    /// entity/event appended through this seam is logged *before* it is
-    /// applied to either backend, so a crash can never leave the stores
-    /// ahead of the log. `None` (the default) means volatile operation —
-    /// and is also what recovery uses while replaying, so replayed records
-    /// are not logged twice.
-    pub wal: Option<WalSink>,
 }
 
 /// Node labels used in the graph store.
@@ -184,7 +180,7 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
         graph.create_node_index(label, key);
     }
 
-    Ok(LoadedStores { rel, graph, dict, now_ns: 0, wal: None })
+    Ok(LoadedStores { rel, graph, dict, now_ns: 0 })
 }
 
 /// Appends one entity to both stores through their [`MutableBackend`]s.
@@ -203,9 +199,6 @@ pub fn append_entity(
             "entity {id} appended out of order (expected {})",
             stores.graph.node_count()
         )));
-    }
-    if let Some(wal) = &mut stores.wal {
-        wal.log_entity(e)?;
     }
     let dict = &stores.dict;
     let sym = |s: &str| FieldValue::Sym(dict.intern(s));
@@ -244,7 +237,7 @@ pub fn append_entity(
 
 /// Appends one event to both stores; advances the `now_ns` watermark. An
 /// event naming an entity that was never appended is rejected before it
-/// reaches the log or either store, so all three stay as they were.
+/// reaches either store, so both stay as they were.
 pub fn append_event(
     stores: &mut LoadedStores,
     ev: &SystemEvent,
@@ -258,9 +251,6 @@ pub fn append_event(
             "event {id} names entity {} but only {nodes} entities were appended",
             subj.max(obj)
         )));
-    }
-    if let Some(wal) = &mut stores.wal {
-        wal.log_event(ev)?;
     }
     let sym = |s: &str| FieldValue::Sym(stores.dict.intern(s));
     let fields: [Field<'_>; 8] = [
@@ -363,24 +353,19 @@ mod tests {
     }
 
     /// An event naming an entity that was never appended is refused before
-    /// the WAL or either store sees it (it used to be logged and inserted
-    /// relationally before the graph found the missing endpoint).
+    /// either store sees it (it used to be inserted relationally before the
+    /// graph found the missing endpoint).
     #[test]
     fn event_naming_unknown_entity_changes_nothing() {
         use raptor_common::ids::EntityId;
-        use raptor_common::io::MemFs;
         let log = sample_log();
-        let fs = MemFs::new();
-        let mut stores = empty().unwrap();
-        stores.wal = Some(WalSink::new(std::sync::Arc::new(fs.clone()), 0));
+        let mut stores = load(&log).unwrap();
         let mut stats = BackendStats::default();
-        append_log(&mut stores, &log, &mut stats).unwrap();
         let state = |s: &LoadedStores, stats: &BackendStats| {
             (
                 s.rel.total_rows(),
                 (s.graph.node_count(), s.graph.edge_count()),
                 s.rel.store_stats().canonical(),
-                fs.snapshot(crate::wal::WAL_FILE),
                 (s.now_ns, stats.items_inserted),
             )
         };

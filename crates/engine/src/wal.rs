@@ -1,42 +1,48 @@
-//! The write-ahead log: binary, length-prefixed, checksummed records with
-//! epoch/watermark framing.
+//! The write-ahead log: one length-prefixed, checksummed frame per durable
+//! unit.
 //!
-//! Every mutation that reaches the storage backends goes through the single
-//! write seam in [`crate::load`]; when a [`WalSink`] is attached to the
-//! [`crate::load::LoadedStores`], each appended entity/event is logged
-//! *before* it is applied. Epoch boundaries are framed by an
-//! [`WalRecord::EpochCommit`] record (followed by an fsync) — the WAL's
-//! durable points. Standing-query registrations are logged as
-//! [`WalRecord::Register`] records, which are **self-committing**: a
-//! registration never sits inside an epoch's record run, so a synced
-//! `Register` extends the durable prefix on its own.
+//! A durable unit is what one fsync makes durable: an **epoch** (its number,
+//! its entities and its events, in the order the load seam applies them) or a
+//! standing-query **registration**. The session encodes a unit into one
+//! frame ([`frame_epoch`] / [`frame_register`], straight from the borrowed
+//! batch) and hands it to its [`WalSink`], whose [`WalSink::commit`] is one
+//! [`Fs::append`] followed by one [`Fs::sync`]. The writer and the reader
+//! ([`scan`]) speak the same unit, so a unit in the file is either whole
+//! (its CRC holds) or the tail a crash tore — there is no third state.
 //!
-//! ## On-disk record frame
+//! ## On-disk frame
 //!
 //! ```text
 //! [len: u32 le] [crc32(payload): u32 le] [payload: len bytes]
-//! payload = [tag: u8] tag-specific fields (little-endian, strings u32-len-prefixed)
+//! payload = [tag: u8 = 5] epoch u64 · n_entities u32 · n_events u32
+//!                         · entities · events                      (an epoch)
+//!         | [tag: u8 = 4] name · text                        (a registration)
 //! ```
+//!
+//! Integers are little-endian and strings `u32`-length-prefixed. This is the
+//! only layout written or read. Tags 1–3 belonged to the retired per-record
+//! layout (one frame per entity, event and epoch commit): an intact frame
+//! carrying one is answered with a typed error that names the layout —
+//! never read as a torn tail, which recovery would trim away.
 //!
 //! ## The log is the store's durable form
 //!
-//! The file is never truncated while a session runs: it holds every record
+//! The file is never truncated while a session runs: it holds every unit
 //! since the stream began, and a restart rebuilds the stores by replaying
 //! it. A checkpoint ([`crate::checkpoint`]) is a manifest over a prefix of
 //! it, written beside it; writing one does not touch this file.
 //!
-//! [`scan`] reads a WAL byte buffer back tolerantly, one durable unit at a
-//! time (a committed epoch's records, or a `Register`): a torn, truncated
-//! or checksum-corrupt suffix simply terminates the scan (it is the tail
-//! the crash tore — recovery discards it), and valid-but-uncommitted
-//! records after the last durable point are discarded too, because the
-//! epoch they belong to never committed and will be re-delivered by the
-//! source. Whether the scan may stop where it did is the caller's call:
-//! below a checkpoint's `log_len` the bytes were fsynced, so stopping there
-//! is corruption, not a torn tail. After a torn tail, recovery trims the
-//! file to its durable prefix with one atomic replace — a rewrite of the
-//! whole log, once per crash, beside a replay that reads all of it anyway.
+//! [`scan`] reads a WAL byte buffer back tolerantly, one frame at a time: a
+//! torn, truncated, checksum-corrupt or undecodable frame simply terminates
+//! the scan (it is the tail the crash tore — recovery discards it, and the
+//! source re-delivers the epoch). Whether the scan may stop where it did is
+//! the caller's call: below a checkpoint's `log_len` the bytes were fsynced,
+//! so stopping there is corruption, not a torn tail. After a torn tail,
+//! recovery trims the file to its durable prefix with one atomic replace — a
+//! rewrite of the whole log, once per crash, beside a replay that reads all
+//! of it anyway.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,23 +59,16 @@ use raptor_common::time::Timestamp;
 /// File name of the write-ahead log inside a durability [`Fs`].
 pub const WAL_FILE: &str = "wal";
 
-const TAG_ENTITY: u8 = 1;
-const TAG_EVENT: u8 = 2;
-const TAG_COMMIT: u8 = 3;
 const TAG_REGISTER: u8 = 4;
+const TAG_EPOCH: u8 = 5;
+/// Entity, event and epoch-commit frames of the retired per-record layout.
+const RETIRED_TAGS: RangeInclusive<u8> = 1..=3;
 
-/// One logical WAL record.
-#[derive(Clone, Debug, PartialEq)]
-pub enum WalRecord {
-    /// An appended entity (logged before it reaches the backends).
-    Entity(Entity),
-    /// An appended event.
-    Event(SystemEvent),
-    /// Durable point: the epoch's records are complete and fsynced.
-    EpochCommit { epoch: u64, watermark: i64 },
-    /// A standing-query registration (self-committing durable point).
-    Register { name: String, text: String },
-}
+/// The shortest encodings [`put_entity`] (a connection between two empty
+/// addresses) and [`put_event`] (fixed) produce: what bounds a decoded count
+/// by the bytes left to decode it from.
+const MIN_ENTITY_BYTES: usize = 20;
+const EVENT_BYTES: usize = 44;
 
 // ---------------------------------------------------------------------------
 // Payload codecs.
@@ -194,67 +193,98 @@ fn get_event(cur: &mut Cur<'_>) -> Result<SystemEvent> {
     Ok(SystemEvent { id, subject, object, op, kind, start, end, amount, fail_code, host })
 }
 
-fn encode_payload(rec: &WalRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match rec {
-        WalRecord::Entity(e) => {
-            io::put_u8(&mut buf, TAG_ENTITY);
-            put_entity(&mut buf, e);
-        }
-        WalRecord::Event(ev) => {
-            io::put_u8(&mut buf, TAG_EVENT);
-            put_event(&mut buf, ev);
-        }
-        WalRecord::EpochCommit { epoch, watermark } => {
-            io::put_u8(&mut buf, TAG_COMMIT);
-            io::put_u64(&mut buf, *epoch);
-            io::put_i64(&mut buf, *watermark);
-        }
-        WalRecord::Register { name, text } => {
-            io::put_u8(&mut buf, TAG_REGISTER);
-            io::put_str(&mut buf, name);
-            io::put_str(&mut buf, text);
-        }
-    }
-    buf
+/// Wraps `tag` and whatever `body` writes after it into one frame:
+/// `[len][crc][payload]`. A payload the `u32` length cannot describe is
+/// refused — the caller has applied nothing yet.
+fn framed(tag: u8, body: impl FnOnce(&mut Vec<u8>)) -> Result<Vec<u8>> {
+    let mut out = vec![0u8; 8];
+    io::put_u8(&mut out, tag);
+    body(&mut out);
+    let len = u32::try_from(out.len() - 8).map_err(|_| {
+        Error::storage(format!(
+            "a WAL frame holds at most {} payload bytes, this unit needs {}: deliver it in \
+             smaller epochs",
+            u32::MAX,
+            out.len() - 8
+        ))
+    })?;
+    let crc = io::crc32(&out[8..]);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
+    Ok(out)
 }
 
-fn decode_payload(payload: &[u8]) -> Result<WalRecord> {
+/// Frames epoch `epoch`: `entities` then `events`, as the load seam applies
+/// them. An empty epoch is a unit too (it still advances the position).
+pub fn frame_epoch(epoch: u64, entities: &[Entity], events: &[SystemEvent]) -> Result<Vec<u8>> {
+    framed(TAG_EPOCH, |buf| {
+        buf.reserve(16 + MIN_ENTITY_BYTES * entities.len() + EVENT_BYTES * events.len());
+        io::put_u64(buf, epoch);
+        // A count its `u32` cannot hold comes with a payload `framed` refuses.
+        io::put_u32(buf, entities.len() as u32);
+        io::put_u32(buf, events.len() as u32);
+        for e in entities {
+            put_entity(buf, e);
+        }
+        for ev in events {
+            put_event(buf, ev);
+        }
+    })
+}
+
+/// Frames a standing-query registration.
+pub fn frame_register(name: &str, text: &str) -> Result<Vec<u8>> {
+    framed(TAG_REGISTER, |buf| {
+        io::put_str(buf, name);
+        io::put_str(buf, text);
+    })
+}
+
+fn decode_payload(payload: &[u8]) -> Result<WalUnit> {
     let mut cur = Cur::new(payload);
-    let rec = match cur.get_u8()? {
-        TAG_ENTITY => WalRecord::Entity(get_entity(&mut cur)?),
-        TAG_EVENT => WalRecord::Event(get_event(&mut cur)?),
-        TAG_COMMIT => WalRecord::EpochCommit { epoch: cur.get_u64()?, watermark: cur.get_i64()? },
-        TAG_REGISTER => WalRecord::Register { name: cur.get_str()?, text: cur.get_str()? },
-        other => return Err(Error::storage(format!("invalid WAL record tag {other}"))),
+    let unit = match cur.get_u8()? {
+        TAG_EPOCH => {
+            let epoch = cur.get_u64()?;
+            let (n_entities, n_events) = (cur.get_u32()? as usize, cur.get_u32()? as usize);
+            // Nothing is reserved for a count the bytes left could not hold.
+            let need = n_entities
+                .saturating_mul(MIN_ENTITY_BYTES)
+                .saturating_add(n_events.saturating_mul(EVENT_BYTES));
+            if need > cur.remaining() {
+                return Err(Error::storage(format!(
+                    "WAL epoch {epoch} claims {n_entities} entities and {n_events} events in {} \
+                     bytes",
+                    cur.remaining()
+                )));
+            }
+            let mut entities = Vec::with_capacity(n_entities);
+            for _ in 0..n_entities {
+                entities.push(get_entity(&mut cur)?);
+            }
+            let mut events = Vec::with_capacity(n_events);
+            for _ in 0..n_events {
+                events.push(get_event(&mut cur)?);
+            }
+            WalUnit::Epoch { epoch, entities, events }
+        }
+        TAG_REGISTER => WalUnit::Register { name: cur.get_str()?, text: cur.get_str()? },
+        other => return Err(Error::storage(format!("invalid WAL frame tag {other}"))),
     };
     if !cur.is_done() {
         return Err(Error::storage(format!(
-            "trailing {} bytes inside WAL record payload",
+            "trailing {} bytes inside WAL frame payload",
             cur.remaining()
         )));
     }
-    Ok(rec)
-}
-
-/// Frames a record for appending: `[len][crc][payload]`.
-pub fn frame(rec: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(rec);
-    let mut out = Vec::with_capacity(8 + payload.len());
-    io::put_u32(&mut out, payload.len() as u32);
-    io::put_u32(&mut out, io::crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+    Ok(unit)
 }
 
 // ---------------------------------------------------------------------------
-// The sink: attached below the load seam.
+// The sink: held by a durable session.
 // ---------------------------------------------------------------------------
 
-/// Appends framed records to the `wal` file of an [`Fs`], with fsyncs at
-/// durable points, and knows how long the file is. Attached to
-/// [`crate::load::LoadedStores::wal`] so the load seam logs every
-/// entity/event before applying it.
+/// Appends frames to the `wal` file of an [`Fs`], one fsync each, and knows
+/// how long the file is.
 #[derive(Debug)]
 pub struct WalSink {
     fs: Arc<dyn Fs>,
@@ -267,51 +297,25 @@ impl WalSink {
         WalSink { fs, len }
     }
 
-    /// Bytes in the log: what was there when the sink was attached plus
-    /// every record appended since. Between epochs of a live session this
-    /// is a durable point.
+    /// Bytes in the log: what was there when the sink was created plus
+    /// every frame committed since — always a durable point.
     pub fn log_len(&self) -> u64 {
         self.len
     }
 
-    fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let bytes = frame(rec);
-        self.fs.append(WAL_FILE, &bytes)?;
-        self.len += bytes.len() as u64;
+    /// Makes one unit durable: one append of its `frame`, one fsync. Only
+    /// after this returns is the unit durable. `records` is what the unit
+    /// counts for ([`WalUnit::records`]).
+    pub fn commit(&mut self, frame: &[u8], records: u64) -> Result<()> {
+        self.fs.append(WAL_FILE, frame)?;
+        self.len += frame.len() as u64;
         let m = obs::metrics();
-        m.counter_add("raptor_wal_records_total", 1);
-        m.counter_add("raptor_wal_bytes_total", bytes.len() as u64);
-        Ok(())
-    }
-
-    fn sync(&self) -> Result<()> {
+        m.counter_add("raptor_wal_records_total", records);
+        m.counter_add("raptor_wal_bytes_total", frame.len() as u64);
         let t = Instant::now();
         self.fs.sync(WAL_FILE)?;
-        obs::metrics().observe_ns("raptor_wal_fsync_ns", t.elapsed().as_nanos() as u64);
+        m.observe_ns("raptor_wal_fsync_ns", t.elapsed().as_nanos() as u64);
         Ok(())
-    }
-
-    /// Logs an entity append (no fsync — the epoch commit syncs).
-    pub fn log_entity(&mut self, e: &Entity) -> Result<()> {
-        self.append(&WalRecord::Entity(e.clone()))
-    }
-
-    /// Logs an event append (no fsync — the epoch commit syncs).
-    pub fn log_event(&mut self, ev: &SystemEvent) -> Result<()> {
-        self.append(&WalRecord::Event(ev.clone()))
-    }
-
-    /// Commits an epoch: appends the `EpochCommit` frame and fsyncs. Only
-    /// after this returns is the epoch durable.
-    pub fn commit_epoch(&mut self, epoch: u64, watermark: i64) -> Result<()> {
-        self.append(&WalRecord::EpochCommit { epoch, watermark })?;
-        self.sync()
-    }
-
-    /// Logs a standing-query registration and fsyncs (self-committing).
-    pub fn log_register(&mut self, name: &str, text: &str) -> Result<()> {
-        self.append(&WalRecord::Register { name: name.to_string(), text: text.to_string() })?;
-        self.sync()
     }
 }
 
@@ -319,18 +323,19 @@ impl WalSink {
 // Tolerant scan.
 // ---------------------------------------------------------------------------
 
-/// One durable unit of the log: what a single fsync made durable.
+/// One durable unit of the log: what a single frame holds and a single
+/// fsync made durable.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalUnit {
-    /// A committed epoch: its entity and event records in append order,
-    /// closed by their `EpochCommit`.
+    /// An epoch: its entities and events in append order.
     Epoch { epoch: u64, entities: Vec<Entity>, events: Vec<SystemEvent> },
     /// A standing-query registration.
     Register { name: String, text: String },
 }
 
 impl WalUnit {
-    /// Records the unit occupies in the log (an epoch's commit included).
+    /// Records the unit counts for: an epoch's entities and events plus
+    /// its commit, or the one registration.
     pub fn records(&self) -> u64 {
         match self {
             WalUnit::Epoch { entities, events, .. } => (entities.len() + events.len() + 1) as u64,
@@ -340,8 +345,9 @@ impl WalUnit {
 }
 
 /// A tolerant scan in progress (see module docs): an iterator over the
-/// durable units of a WAL buffer. It never errors — it ends where the
-/// durable prefix ends, and [`WalScan::discarded`] is what lies beyond.
+/// durable units of a WAL buffer. It ends where the durable prefix ends,
+/// and [`WalScan::discarded`] is what lies beyond. Its one error is an
+/// intact frame of the retired layout, which it does not step over.
 #[derive(Debug)]
 pub struct WalScan<'a> {
     bytes: &'a [u8],
@@ -360,55 +366,37 @@ impl WalScan<'_> {
         self.durable_len
     }
 
-    /// Bytes after [`WalScan::durable_len`]. Once the scan has ended: a
-    /// torn/corrupt tail and/or records of an epoch whose commit never made
-    /// it to disk.
+    /// Bytes after [`WalScan::durable_len`]. Once the scan has ended: the
+    /// torn or corrupt tail.
     pub fn discarded(&self) -> usize {
         self.bytes.len() - self.durable_len
-    }
-
-    /// The record framed at `offset` and the offset after it; `None` for a
-    /// torn, corrupt or undecodable frame.
-    fn record_at(&self, offset: usize) -> Option<(WalRecord, usize)> {
-        let header = self.bytes.get(offset..offset + 8)?;
-        let len = u32::from_le_bytes(header[..4].try_into().expect("sized")) as usize;
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("sized"));
-        if len > io::MAX_BLOB {
-            return None; // corrupt length prefix
-        }
-        let payload = self.bytes.get(offset + 8..offset + 8 + len)?;
-        if io::crc32(payload) != crc {
-            return None; // bit-rot or torn rewrite
-        }
-        // Checksum ok but undecodable is a corrupt tail all the same.
-        Some((decode_payload(payload).ok()?, offset + 8 + len))
     }
 }
 
 impl Iterator for WalScan<'_> {
-    type Item = WalUnit;
+    type Item = Result<WalUnit>;
 
-    fn next(&mut self) -> Option<WalUnit> {
-        let (mut entities, mut events) = (Vec::new(), Vec::new());
-        let mut offset = self.durable_len;
-        let unit = loop {
-            let (rec, after) = self.record_at(offset)?;
-            offset = after;
-            match rec {
-                WalRecord::Entity(e) => entities.push(e),
-                WalRecord::Event(ev) => events.push(ev),
-                WalRecord::EpochCommit { epoch, .. } => {
-                    break WalUnit::Epoch { epoch, entities, events };
-                }
-                // A registration never sits inside an epoch's record run.
-                WalRecord::Register { .. } if !(entities.is_empty() && events.is_empty()) => {
-                    return None;
-                }
-                WalRecord::Register { name, text } => break WalUnit::Register { name, text },
-            }
-        };
-        self.durable_len = offset;
-        Some(unit)
+    /// Decodes exactly one frame; `None` for a torn, corrupt or undecodable
+    /// one (and for the end of the buffer).
+    fn next(&mut self) -> Option<Result<WalUnit>> {
+        let (header, rest) = self.bytes[self.durable_len..].split_at_checked(8)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("sized")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("sized"));
+        let payload = rest.get(..len)?;
+        if io::crc32(payload) != crc {
+            return None; // bit-rot or torn write
+        }
+        if let Some(tag) = payload.first().filter(|tag| RETIRED_TAGS.contains(tag)) {
+            return Some(Err(Error::storage(format!(
+                "the log is in the retired per-record WAL layout (an intact frame tagged {tag} \
+                 at byte {}); this layout holds one frame per epoch or registration",
+                self.durable_len
+            ))));
+        }
+        // Checksum ok but undecodable is a corrupt tail all the same.
+        let unit = decode_payload(payload).ok()?;
+        self.durable_len += 8 + len;
+        Some(Ok(unit))
     }
 }
 
@@ -445,11 +433,34 @@ mod tests {
         }
     }
 
+    fn frame(unit: &WalUnit) -> Vec<u8> {
+        match unit {
+            WalUnit::Epoch { epoch, entities, events } => frame_epoch(*epoch, entities, events),
+            WalUnit::Register { name, text } => frame_register(name, text),
+        }
+        .unwrap()
+    }
+
+    fn epoch(epoch: u64) -> WalUnit {
+        WalUnit::Epoch { epoch, entities: vec![sample_entity()], events: vec![sample_event()] }
+    }
+
+    fn register() -> WalUnit {
+        WalUnit::Register { name: "q".into(), text: "proc p read file f".into() }
+    }
+
+    /// The units of `bytes`' durable prefix, and that prefix's length.
+    fn durable(bytes: &[u8]) -> (Vec<WalUnit>, usize) {
+        let mut scan = scan(bytes);
+        let units = scan.by_ref().collect::<Result<Vec<_>>>().unwrap();
+        (units, scan.durable_len())
+    }
+
     #[test]
     fn record_roundtrip() {
-        let recs = [
-            WalRecord::Entity(sample_entity()),
-            WalRecord::Entity(Entity {
+        let every_entity_kind = vec![
+            sample_entity(),
+            Entity {
                 id: EntityId(8),
                 host: 1,
                 attrs: EntityAttrs::File(FileAttrs {
@@ -458,8 +469,8 @@ mod tests {
                     user: "root".into(),
                     group: "root".into(),
                 }),
-            }),
-            WalRecord::Entity(Entity {
+            },
+            Entity {
                 id: EntityId(9),
                 host: 1,
                 attrs: EntityAttrs::NetConn(NetConnAttrs {
@@ -469,131 +480,165 @@ mod tests {
                     dst_port: 443,
                     protocol: Protocol::Udp,
                 }),
-            }),
-            WalRecord::Event(sample_event()),
-            WalRecord::EpochCommit { epoch: 5, watermark: 123_456 },
-            WalRecord::Register { name: "exfil".into(), text: "proc p read file f".into() },
+            },
         ];
-        for rec in &recs {
-            let framed = frame(rec);
-            let payload = &framed[8..];
-            assert_eq!(&decode_payload(payload).unwrap(), rec);
+        let units = [
+            WalUnit::Epoch { epoch: 5, entities: every_entity_kind, events: vec![sample_event()] },
+            // What `flush_entities` with nothing to flush logs.
+            WalUnit::Epoch { epoch: 6, entities: vec![], events: vec![] },
+            WalUnit::Register { name: "exfil".into(), text: "proc p read file f".into() },
+        ];
+        for unit in &units {
+            let framed = frame(unit);
+            assert_eq!(&decode_payload(&framed[8..]).unwrap(), unit);
+            assert_eq!(durable(&framed), (vec![unit.clone()], framed.len()));
         }
+        assert_eq!(units.each_ref().map(WalUnit::records), [5, 1, 1]);
     }
 
-    fn commit(epoch: u64, watermark: i64) -> Vec<u8> {
-        frame(&WalRecord::EpochCommit { epoch, watermark })
+    /// The bounds `decode_payload` holds a count to are the encoder's.
+    #[test]
+    fn smallest_encodings_are_what_bounds_a_count() {
+        let conn = Entity {
+            id: EntityId(0),
+            host: 0,
+            attrs: EntityAttrs::NetConn(NetConnAttrs {
+                src_ip: String::new(),
+                src_port: 0,
+                dst_ip: String::new(),
+                dst_port: 0,
+                protocol: Protocol::Tcp,
+            }),
+        };
+        let mut buf = Vec::new();
+        put_entity(&mut buf, &conn);
+        assert_eq!(buf.len(), MIN_ENTITY_BYTES);
+        buf.clear();
+        put_event(&mut buf, &sample_event());
+        assert_eq!(buf.len(), EVENT_BYTES);
+    }
+
+    /// A count the payload could not hold is an error before anything is
+    /// reserved for it, whatever the checksum says.
+    #[test]
+    fn forged_count_is_an_error_not_an_allocation() {
+        for (n_entities, n_events) in [(u32::MAX, 0), (0, u32::MAX), (u32::MAX, u32::MAX), (2, 1)] {
+            let forged = framed(TAG_EPOCH, |buf| {
+                io::put_u64(buf, 0);
+                io::put_u32(buf, n_entities);
+                io::put_u32(buf, n_events);
+                put_entity(buf, &sample_entity());
+                put_event(buf, &sample_event());
+            })
+            .unwrap();
+            let err = decode_payload(&forged[8..]).unwrap_err();
+            // (2, 1) could fit, going by the bounds: decoding finds out.
+            assert!(n_entities == 2 || err.message.contains("claims"), "{err}");
+            assert_eq!(durable(&forged), (vec![], 0), "an undecodable frame is a torn tail");
+        }
     }
 
     #[test]
     fn scan_stops_at_torn_tail() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&frame(&WalRecord::Entity(sample_entity())));
-        bytes.extend_from_slice(&commit(0, 9));
-        let durable = bytes.len();
-        // A torn half-record after the commit.
-        let torn = frame(&WalRecord::Event(sample_event()));
+        let mut bytes = frame(&epoch(0));
+        let durable_len = bytes.len();
+        let torn = frame(&epoch(1));
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
         let mut scan = scan(&bytes);
-        let unit = scan.next().unwrap();
-        assert_eq!(unit.records(), 2);
-        assert_eq!(
-            unit,
-            WalUnit::Epoch { epoch: 0, entities: vec![sample_entity()], events: vec![] }
-        );
-        assert_eq!(scan.next(), None);
-        assert_eq!(scan.next(), None, "the end is the end");
-        assert_eq!(scan.durable_len(), durable);
+        let unit = scan.next().unwrap().unwrap();
+        assert_eq!(unit.records(), 3);
+        assert_eq!(unit, epoch(0));
+        assert!(scan.next().is_none());
+        assert!(scan.next().is_none(), "the end is the end");
+        assert_eq!(scan.durable_len(), durable_len);
         assert_eq!(scan.discarded(), torn.len() / 2);
-    }
-
-    #[test]
-    fn scan_discards_uncommitted_epoch() {
-        let mut bytes = commit(0, 1);
-        let durable = bytes.len();
-        // A fully-written but never-committed record run.
-        bytes.extend_from_slice(&frame(&WalRecord::Entity(sample_entity())));
-        bytes.extend_from_slice(&frame(&WalRecord::Event(sample_event())));
-        let mut scan = scan(&bytes);
-        assert_eq!(scan.by_ref().count(), 1);
-        assert_eq!(scan.durable_len(), durable);
-        assert!(scan.discarded() > 0);
     }
 
     /// Units come one at a time, each moving the durable length to its own
     /// end: a `Register` is a unit by itself, wherever it sits.
     #[test]
     fn register_is_a_durable_point() {
-        let register = WalRecord::Register { name: "q".into(), text: "proc p read file f".into() };
-        let mut bytes = commit(0, 1);
+        let mut bytes = frame(&epoch(0));
         let first = bytes.len();
-        bytes.extend_from_slice(&frame(&register));
+        bytes.extend_from_slice(&frame(&register()));
         let second = bytes.len();
-        bytes.extend_from_slice(&frame(&WalRecord::Event(sample_event())));
-        bytes.extend_from_slice(&commit(1, 2));
+        bytes.extend_from_slice(&frame(&epoch(1)));
         let mut scan = scan(&bytes);
         assert_eq!(scan.durable_len(), 0);
-        assert!(matches!(scan.next(), Some(WalUnit::Epoch { epoch: 0, .. })));
+        assert_eq!(scan.next().unwrap().unwrap(), epoch(0));
         assert_eq!(scan.durable_len(), first);
-        let unit = scan.next().unwrap();
+        let unit = scan.next().unwrap().unwrap();
         assert_eq!(unit.records(), 1);
-        assert_eq!(unit, WalUnit::Register { name: "q".into(), text: "proc p read file f".into() });
+        assert_eq!(unit, register());
         assert_eq!(scan.durable_len(), second);
-        assert!(matches!(scan.next(), Some(WalUnit::Epoch { epoch: 1, .. })));
+        assert_eq!(scan.next().unwrap().unwrap(), epoch(1));
         assert_eq!((scan.durable_len(), scan.discarded()), (bytes.len(), 0));
-        assert_eq!(scan.next(), None);
-
-        // Inside an epoch's record run it is not something the sink wrote:
-        // the durable prefix ends before the run.
-        let mut bytes = commit(0, 1);
-        bytes.extend_from_slice(&frame(&WalRecord::Entity(sample_entity())));
-        bytes.extend_from_slice(&frame(&register));
-        let mut scan = super::scan(&bytes);
-        assert_eq!(scan.by_ref().count(), 1);
-        assert_eq!(scan.durable_len(), commit(0, 1).len());
+        assert!(scan.next().is_none());
     }
 
+    /// Damage anywhere in a two-unit log — cut at any byte, any byte
+    /// flipped — leaves the units before it and never part of a unit.
     #[test]
     fn scan_rejects_bit_flips() {
-        let clean = commit(3, 77);
+        let units = [epoch(0), register()];
+        let first = frame(&units[0]).len();
+        let clean = [frame(&units[0]), frame(&units[1])].concat();
+        assert_eq!(durable(&clean), (units.to_vec(), clean.len()));
+        let prefix = |whole_units: usize| (units[..whole_units].to_vec(), [0, first][whole_units]);
+        for cut in 0..clean.len() {
+            assert_eq!(durable(&clean[..cut]), prefix((cut >= first) as usize), "cut at {cut}");
+        }
         for i in 0..clean.len() {
             for bit in [0x01u8, 0x80u8] {
                 let mut corrupt = clean.clone();
                 corrupt[i] ^= bit;
-                // Either the frame is rejected outright, or (if the flip hit
-                // the length prefix making it implausibly large) it reads as
-                // torn — never a panic, never a silently-wrong record.
-                if let Some(unit) = scan(&corrupt).next() {
-                    panic!("bit flip at byte {i} survived: {unit:?}");
-                }
+                assert_eq!(durable(&corrupt), prefix((i >= first) as usize), "flip at byte {i}");
             }
         }
+    }
+
+    /// An intact frame of the retired per-record layout is an error that
+    /// names the layout, not a tail to trim; the scan stays before it.
+    #[test]
+    fn retired_layout_is_an_error_not_a_torn_tail() {
+        for tag in RETIRED_TAGS {
+            let old = framed(tag, |buf| io::put_u64(buf, 0)).unwrap();
+            let bytes = [frame(&register()), old].concat();
+            let mut scan = scan(&bytes);
+            assert_eq!(scan.next().unwrap().unwrap(), register());
+            let err = scan.next().unwrap().unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage);
+            assert!(err.message.contains("retired per-record WAL layout"), "{err}");
+            assert_eq!(scan.durable_len(), frame(&register()).len());
+        }
+        // Any other unknown tag is damage.
+        let unknown = framed(9, |buf| io::put_u64(buf, 0)).unwrap();
+        assert_eq!(durable(&unknown), (vec![], 0));
     }
 
     #[test]
     fn empty_and_zero_length_inputs() {
         let mut s = scan(&[]);
-        assert_eq!(s.next(), None);
+        assert!(s.next().is_none());
         assert_eq!(s.durable_len(), 0);
         let mut s = scan(&[0u8; 7]); // shorter than one header
-        assert_eq!(s.next(), None);
+        assert!(s.next().is_none());
         assert_eq!(s.discarded(), 7);
+        // A header describing an empty payload (whose CRC is 0) holds no tag.
+        assert_eq!(durable(&[0u8; 64]), (vec![], 0));
     }
 
-    /// The sink counts what it appended on top of what was there.
+    /// The sink counts what it committed on top of what was there.
     #[test]
     fn sink_knows_the_log_length() {
         let fs = raptor_common::io::MemFs::new();
-        fs.store(WAL_FILE, commit(0, 1));
-        let mut sink = WalSink::new(Arc::new(fs.clone()), commit(0, 1).len() as u64);
-        sink.log_entity(&sample_entity()).unwrap();
-        sink.log_event(&sample_event()).unwrap();
-        sink.commit_epoch(1, 2).unwrap();
-        sink.log_register("q", "proc p read file f").unwrap();
+        fs.store(WAL_FILE, frame(&epoch(0)));
+        let mut sink = WalSink::new(Arc::new(fs.clone()), frame(&epoch(0)).len() as u64);
+        for unit in [epoch(1), register()] {
+            sink.commit(&frame(&unit), unit.records()).unwrap();
+        }
         let log = fs.snapshot(WAL_FILE);
         assert_eq!(sink.log_len(), log.len() as u64);
-        let mut scan = scan(&log);
-        assert_eq!(scan.by_ref().map(|u| u.records()).collect::<Vec<_>>(), [1, 3, 1]);
-        assert_eq!(scan.discarded(), 0);
+        assert_eq!(durable(&log), (vec![epoch(0), epoch(1), register()], log.len()));
     }
 }

@@ -18,7 +18,7 @@ use crate::cypher::ast::{
     CExpr, CLit, COp, CmpRhs, CypherQuery, NodePattern, PathPattern, PropRef, RelPattern,
     ReturnItem, StrPredKind,
 };
-use crate::cypher::exec::{execute, GVal, GraphQueryStats};
+use crate::cypher::exec::{execute, GraphQueryStats};
 use crate::graph::{Graph, PropValue};
 
 pub fn label_for_class(class: EntityClass) -> &'static str {
@@ -54,23 +54,14 @@ fn prop(var: &str, attr: &str) -> PropRef {
     PropRef { var: var.to_string(), prop: attr.to_string() }
 }
 
-/// `%lit%` → CONTAINS, `%lit` → ENDS WITH, `lit%` → STARTS WITH; other
-/// wildcard shapes approximate with CONTAINS on the longest literal run
-/// (mirroring the text compiler's historical behavior).
+/// A typed `LIKE` keeps its pattern: the executor evaluates it with the
+/// relational store's own matcher, so both stores select the same entities.
 fn like_to_cexpr(var: &str, attr: &str, pattern: &str, negated: bool) -> CExpr {
-    let inner = pattern.trim_matches('%');
-    let (kind, needle) =
-        if pattern.starts_with('%') && pattern.ends_with('%') && !inner.contains('%') {
-            (StrPredKind::Contains, inner.to_string())
-        } else if pattern.starts_with('%') && !inner.contains('%') {
-            (StrPredKind::EndsWith, inner.to_string())
-        } else if pattern.ends_with('%') && !inner.contains('%') {
-            (StrPredKind::StartsWith, inner.to_string())
-        } else {
-            let run = inner.split('%').max_by_key(|r| r.len()).unwrap_or("");
-            (StrPredKind::Contains, run.to_string())
-        };
-    let pred = CExpr::StrPred { left: prop(var, attr), kind, needle };
+    let pred = CExpr::StrPred {
+        left: prop(var, attr),
+        kind: StrPredKind::Like,
+        needle: pattern.to_string(),
+    };
     if negated {
         CExpr::Not(Box::new(pred))
     } else {
@@ -151,17 +142,13 @@ fn absorb_graph(stats: &mut BackendStats, g: &GraphQueryStats) {
     stats.edges_traversed += g.edges_traversed;
 }
 
-fn gval_int(v: &GVal) -> i64 {
-    v.as_int().unwrap_or(-1)
-}
-
 impl Graph {
     fn run_query(
         &self,
         q: &CypherQuery,
         hop_cap: u32,
         stats: &mut BackendStats,
-    ) -> Result<Vec<Vec<GVal>>> {
+    ) -> Result<Vec<Vec<SVal>>> {
         let r = execute(self, q, hop_cap)?;
         absorb_graph(stats, &r.stats);
         stats.data_queries += 1;
@@ -309,16 +296,11 @@ impl StorageBackend for Graph {
         };
         let mut out = PatternMatches::with_capacity(rows.len(), q.want_event);
         for row in &rows {
+            let int = |col: usize| row[col].as_int().unwrap_or(-1);
             if q.want_event {
-                out.push_event(
-                    gval_int(&row[0]),
-                    gval_int(&row[1]),
-                    gval_int(&row[2]),
-                    gval_int(&row[3]),
-                    gval_int(&row[4]),
-                );
+                out.push_event(int(0), int(1), int(2), int(3), int(4));
             } else {
-                out.push_pair(gval_int(&row[0]), gval_int(&row[1]));
+                out.push_pair(int(0), int(1));
             }
         }
         Ok(out)
@@ -497,6 +479,44 @@ mod tests {
         assert_eq!(ids, vec![0]);
         assert_eq!(stats.data_queries, 1);
         assert_eq!(stats.text_parses, 0);
+    }
+
+    /// A typed LIKE selects what `like_match` selects — interior `%` and
+    /// `_` included — through the value index and through a label scan.
+    #[test]
+    fn candidates_are_exact_like() {
+        use raptor_common::like::like_match;
+        let g = audit_graph();
+        let exes = ["/bin/tar", "/usr/bin/curl"];
+        let files = ["/etc/passwd", "/tmp/upload.tar"];
+        // The first used to be CONTAINS '/upload'; `_` used to be a literal.
+        for pattern in [
+            "%/etc/%/upload%",
+            "%/usr/%/curl%",
+            "/bin/t_r",
+            "%c_rl",
+            "%up_oad%",
+            "/%/%",
+            "%",
+            "_%r",
+            "tar",
+        ] {
+            for (class, attr, ids, names) in [
+                (EntityClass::Process, "exename", [0, 1], exes),
+                (EntityClass::File, "name", [2, 3], files),
+            ] {
+                for negated in [false, true] {
+                    let like = Pred::Like { attr: attr.into(), pattern: pattern.into(), negated };
+                    let got =
+                        g.entity_candidates(class, &like, &mut BackendStats::default()).unwrap();
+                    let want: Vec<i64> = (ids.into_iter().zip(names))
+                        .filter(|(_, name)| like_match(pattern, name) != negated)
+                        .map(|(id, _)| id)
+                        .collect();
+                    assert_eq!(got, want, "{attr} {negated} LIKE {pattern}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub enum CExpr {
         op: COp,
         right: CmpRhs,
     },
-    /// `a.x CONTAINS 'lit'` / `STARTS WITH` / `ENDS WITH`
+    /// `a.x CONTAINS 'lit'` / `STARTS WITH` / `ENDS WITH`, or a typed
+    /// request's SQL `LIKE` pattern
     StrPred {
         left: PropRef,
         kind: StrPredKind,
@@ -99,6 +100,21 @@ pub enum StrPredKind {
     Contains,
     StartsWith,
     EndsWith,
+    /// SQL `LIKE` (`%`, `_`), exactly as the relational store evaluates it.
+    /// Cypher text has no spelling for it; typed requests lower to it.
+    Like,
+}
+
+impl StrPredKind {
+    /// Does `s` satisfy the predicate against `needle`?
+    pub fn holds(self, s: &str, needle: &str) -> bool {
+        match self {
+            StrPredKind::Contains => s.contains(needle),
+            StrPredKind::StartsWith => s.starts_with(needle),
+            StrPredKind::EndsWith => s.ends_with(needle),
+            StrPredKind::Like => raptor_common::like::like_match(needle, s),
+        }
+    }
 }
 
 impl CExpr {

@@ -9,40 +9,13 @@
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
-use raptor_common::intern::{SharedDict, Sym};
+use raptor_storage::Value;
 
 use super::ast::*;
 use crate::graph::{prop_of, EdgeId, Graph, NodeId, PropValue};
 
 /// Default hop cap for unbounded variable-length patterns (`[*]`, `[*2..]`).
 pub const DEFAULT_MAX_HOPS: u32 = 8;
-
-/// A value projected out of a query. Strings stay interned — the engine
-/// converts them straight to shared-plane `raptor_storage::Value`s with no
-/// materialization; rendering resolves through the graph's dictionary.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum GVal {
-    Int(i64),
-    Str(Sym),
-    Null,
-}
-
-impl GVal {
-    pub fn render(&self, dict: &SharedDict) -> String {
-        match self {
-            GVal::Int(i) => i.to_string(),
-            GVal::Str(s) => dict.resolve(*s).to_string(),
-            GVal::Null => String::new(),
-        }
-    }
-
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            GVal::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-}
 
 /// Execution counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,11 +25,13 @@ pub struct GraphQueryStats {
     pub bindings_built: usize,
 }
 
-/// Query result: projected columns and rows.
+/// Query result: projected columns and rows. Strings stay interned — the
+/// values are the shared plane's own; rendering resolves through the
+/// graph's dictionary.
 #[derive(Clone, Debug)]
 pub struct CypherResult {
     pub columns: Vec<String>,
-    pub rows: Vec<Vec<GVal>>,
+    pub rows: Vec<Vec<Value>>,
     pub stats: GraphQueryStats,
 }
 
@@ -152,7 +127,8 @@ fn anchor_candidates(
             }
         }
         // 2. Indexed WHERE conjuncts on this variable (= / CONTAINS /
-        //    STARTS WITH / ENDS WITH against the distinct-value dictionary).
+        //    STARTS WITH / ENDS WITH / LIKE against the distinct-value
+        //    dictionary).
         for e in extra {
             match e {
                 CExpr::Cmp { left, op: COp::Eq, right: CmpRhs::Lit(lit) } => {
@@ -192,13 +168,7 @@ fn anchor_candidates(
                     if let Some(values) = g.indexed_values(label, &left.prop) {
                         let mut out = Vec::new();
                         for (sym, ids) in values {
-                            let s = g.dict().resolve(sym);
-                            let hit = match kind {
-                                StrPredKind::Contains => s.contains(needle.as_str()),
-                                StrPredKind::StartsWith => s.starts_with(needle.as_str()),
-                                StrPredKind::EndsWith => s.ends_with(needle.as_str()),
-                            };
-                            if hit {
+                            if kind.holds(g.dict().resolve(sym), needle) {
                                 out.extend_from_slice(ids);
                             }
                         }
@@ -274,12 +244,7 @@ fn eval_where(g: &Graph, e: &CExpr, binding: &[BindVal], vars: &VarTable) -> boo
             let Some(PropValue::Str(sym)) = prop_value_of(g, binding[ls], &left.prop) else {
                 return false;
             };
-            let s = g.dict().resolve(sym);
-            match kind {
-                StrPredKind::Contains => s.contains(needle.as_str()),
-                StrPredKind::StartsWith => s.starts_with(needle.as_str()),
-                StrPredKind::EndsWith => s.ends_with(needle.as_str()),
-            }
+            kind.holds(g.dict().resolve(sym), needle)
         }
         CExpr::InList { left, list } => {
             let Ok(ls) = vars.lookup(&left.var) else { return false };
@@ -451,28 +416,24 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
 
     // --- projection ---
     let mut columns = Vec::new();
-    let mut rows: Vec<Vec<GVal>> = Vec::with_capacity(bindings.len());
+    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(bindings.len());
     for item in &q.return_items {
         columns.push(item.prop.to_string());
         vars.lookup(&item.prop.var)?;
     }
     for b in &bindings {
-        let row: Vec<GVal> = q
+        let row: Vec<Value> = q
             .return_items
             .iter()
             .map(|item| {
                 let slot = vars.slots[item.prop.var.as_str()];
-                match prop_value_of(g, b[slot], &item.prop.prop) {
-                    Some(PropValue::Int(i)) => GVal::Int(i),
-                    Some(PropValue::Str(s)) => GVal::Str(s),
-                    None => GVal::Null,
-                }
+                prop_value_of(g, b[slot], &item.prop.prop).map_or(Value::Null, Value::from)
             })
             .collect();
         rows.push(row);
     }
     if q.distinct {
-        let mut seen: raptor_common::FxHashSet<Vec<GVal>> = Default::default();
+        let mut seen: raptor_common::FxHashSet<Vec<Value>> = Default::default();
         rows.retain(|r| seen.insert(r.clone()));
     }
     if let Some(n) = q.limit {

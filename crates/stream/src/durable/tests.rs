@@ -1,9 +1,12 @@
 //! A durable session under faults: recovery, idempotent re-delivery, torn
 //! tails, transient errors, registrations across crashes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use raptor_common::io::{FailpointFs, MemFs};
+use raptor_audit::SystemEvent;
+use raptor_common::error::{ErrorKind, Result};
+use raptor_common::ids::EntityId;
+use raptor_common::io::{FailpointFs, Fs, MemFs};
 use raptor_engine::load::{load, LoadedStores};
 use raptor_engine::wal;
 use raptor_engine::{ResultTable, CKPT_FILE};
@@ -172,16 +175,19 @@ fn watermark_arithmetic_pinned() {
     assert_eq!(recovered.epochs(), take as u64);
 }
 
-/// A crash torn mid-WAL-write: recovery discards the tail and the
-/// re-delivered epochs land exactly once.
+/// A crash torn mid-WAL-write: recovery discards the tail — and counts
+/// what it discarded, for whoever reads the metrics and not this process's
+/// report — and the re-delivered epochs land exactly once.
 #[test]
 fn torn_tail_recovers_and_redelivers() {
+    let discarded_total =
+        || raptor_common::obs::metrics().snapshot().counter("raptor_wal_bytes_discarded_total");
     let log = sample_log();
     let mem = Arc::new(MemFs::new());
     let fp = Arc::new(FailpointFs::new(mem.clone()));
     let mut live = StreamSession::open(fp.clone(), manual()).unwrap();
     live.register("hunt", Q).unwrap();
-    // Let two epochs commit, then tear the third mid-record.
+    // Let two epochs commit, then tear the third's frame.
     let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(2)).collect();
     live.ingest_batch(&batches[0]).unwrap();
     live.ingest_batch(&batches[1]).unwrap();
@@ -190,10 +196,13 @@ fn torn_tail_recovers_and_redelivers() {
     assert!(err.to_string().contains("failpoint"), "{err}");
     drop(live);
 
+    let before = discarded_total();
     let mut recovered = StreamSession::open(mem, manual()).unwrap();
     let r = recovered.recovery_report().unwrap().clone();
     assert_eq!(r.wal_epochs_replayed, 2);
-    assert!(r.wal_bytes_discarded > 0, "{r:?}");
+    assert_eq!(r.wal_bytes_discarded, 10, "{r:?}");
+    // Other tests of this process discard tails too.
+    assert!(discarded_total() >= before + 10);
     assert_eq!(r.resumed_epoch, 2);
     // Re-deliver everything; first two dedupe, the rest apply.
     for b in &batches {
@@ -252,10 +261,9 @@ fn failed_automatic_checkpoint_keeps_the_epoch_report() {
     };
     ingest(&mut live, &batches[0]);
 
-    // One fs operation per logged record, the commit's append and fsync,
-    // then the checkpoint's replace: fail exactly that one.
-    let records = (batches[1].entities.len() + batches[1].events.len()) as u64;
-    fp.error_on_op(records + 2);
+    // The epoch's append and fsync, then the checkpoint's replace: fail
+    // exactly that one.
+    fp.error_on_op(2);
     let before = failures();
     ingest(&mut live, &batches[1]);
     assert_eq!(failures(), before + 1);
@@ -293,7 +301,7 @@ fn duplicate_names_are_refused() {
         session.register("hunt", Q).unwrap();
         let wal_len = fs.snapshot(wal::WAL_FILE).len();
         let err = session.register("hunt", other).unwrap_err();
-        assert_eq!(err.kind, raptor_common::error::ErrorKind::Semantic, "{err}");
+        assert_eq!(err.kind, ErrorKind::Semantic, "{err}");
         assert!(err.message.contains("`hunt` is already registered"), "{err}");
         assert_eq!(session.queries().len(), 1);
         assert_eq!(fs.snapshot(wal::WAL_FILE).len(), wal_len, "a refusal is not logged");
@@ -334,21 +342,20 @@ fn every_registration_is_recovered_in_order() {
     }
 }
 
-/// A failed epoch is a declared fail-stop. A transient error in the
-/// middle of an epoch's records leaves the live stores ahead of the
-/// log; the session then refuses every later write with one typed
-/// error (it used to answer `appended out of order`, then `epoch gap`),
-/// and reopening discards the half epoch, after which re-delivering the
-/// whole stream builds the bulk-loaded stores.
+/// A failed epoch is a declared fail-stop. A transient error out of the
+/// epoch's append or its fsync leaves the live stores ahead of what the
+/// log is known to hold; the session then refuses every later write with
+/// one typed error (it used to answer `appended out of order`, then
+/// `epoch gap`). Reopening finds a whole number of epochs — after a failed
+/// append no part of the epoch, after a failed fsync whatever the disk
+/// kept (all of it, on `MemFs`) — and re-delivering the whole stream
+/// builds the bulk-loaded stores.
 #[test]
 fn failed_epoch_is_a_declared_fail_stop() {
     let log = sample_log();
     let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(4)).collect();
-    // One fs operation per logged record, then the commit's append and
-    // fsync: fail one mid-records, then the commit itself.
-    let records = (batches[1].entities.len() + batches[1].events.len()) as u64;
-    assert!(records >= 3);
-    for failing_op in [records / 2, records] {
+    // An epoch is two fs operations: fail the append, then the fsync.
+    for (failing_op, epochs_kept) in [(0, 1), (1, 2)] {
         let mem = Arc::new(MemFs::new());
         let fp = Arc::new(FailpointFs::new(mem.clone()));
         let mut live = StreamSession::open(fp.clone(), manual()).unwrap();
@@ -369,15 +376,15 @@ fn failed_epoch_is_a_declared_fail_stop() {
         ];
         for refused in later {
             let err = refused.unwrap_err();
-            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage);
+            assert_eq!(err.kind, ErrorKind::Storage);
             assert_eq!(err.message, declared);
         }
         drop(live);
 
         let mut recovered = StreamSession::open(mem, manual()).unwrap();
         let r = recovered.recovery_report().unwrap();
-        assert_eq!((r.resumed_epoch, r.wal_epochs_replayed), (1, 1));
-        assert!(r.wal_bytes_discarded > 0, "{r:?}");
+        assert_eq!((r.resumed_epoch, r.wal_epochs_replayed), (epochs_kept, epochs_kept));
+        assert_eq!(r.wal_bytes_discarded, 0, "{r:?}");
         for b in &batches {
             recovered.ingest_batch(b).unwrap();
         }
@@ -394,4 +401,107 @@ fn failed_epoch_is_a_declared_fail_stop() {
         err.message,
         format!("session failed at epoch 0: {cause}; rebuild it from the source")
     );
+}
+
+/// An [`Fs`] that notes every call made through it.
+#[derive(Debug, Default)]
+struct CallLogFs {
+    inner: MemFs,
+    calls: Mutex<Vec<&'static str>>,
+}
+
+impl CallLogFs {
+    fn note(&self, call: &'static str) {
+        self.calls.lock().unwrap().push(call);
+    }
+
+    /// The calls made since the last `take_calls`.
+    fn take_calls(&self) -> Vec<&'static str> {
+        std::mem::take(&mut self.calls.lock().unwrap())
+    }
+}
+
+impl Fs for CallLogFs {
+    fn append(&self, name: &str, bytes: &[u8]) -> Result<()> {
+        self.note("append");
+        self.inner.append(name, bytes)
+    }
+    fn sync(&self, name: &str) -> Result<()> {
+        self.note("sync");
+        self.inner.sync(name)
+    }
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        self.note("read");
+        self.inner.read(name)
+    }
+    fn replace(&self, name: &str, bytes: &[u8]) -> Result<()> {
+        self.note("replace");
+        self.inner.replace(name, bytes)
+    }
+    fn remove(&self, name: &str) -> Result<()> {
+        self.note("remove");
+        self.inner.remove(name)
+    }
+}
+
+/// The durable unit is the write unit: an epoch — of any size, empty
+/// included — and a registration are each exactly one append followed by
+/// one fsync, and each is one unit to the scanner.
+#[test]
+fn a_durable_unit_is_one_append_and_one_sync() {
+    let log = sample_log();
+    let fs = Arc::new(CallLogFs::default());
+    let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+    assert_eq!(fs.take_calls(), ["read", "read"], "the manifest, then the log");
+    live.register("hunt", Q).unwrap();
+    assert_eq!(fs.take_calls(), ["append", "sync"]);
+    let mut records = vec![1];
+    for batch in EpochStream::new(&log, EpochPolicy::ByCount(5)) {
+        live.ingest_batch(&batch).unwrap().expect("fresh epoch");
+        assert_eq!(fs.take_calls(), ["append", "sync"], "epoch {}", batch.epoch);
+        records.push((batch.entities.len() + batch.events.len() + 1) as u64);
+    }
+    live.flush_entities(&log).unwrap();
+    assert_eq!(fs.take_calls(), ["append", "sync"], "an empty epoch");
+    records.push(1);
+    live.checkpoint().unwrap();
+    assert_eq!(fs.take_calls(), ["replace"]);
+
+    let bytes = fs.inner.snapshot(wal::WAL_FILE);
+    let units: Vec<u64> = wal::scan(&bytes).map(|unit| unit.unwrap().records()).collect();
+    assert_eq!(units, records);
+}
+
+/// A batch the stores refuse half-way — a good event, then one naming an
+/// entity nobody delivered — is a fail-stop that leaves the log as it was:
+/// nothing of the batch is in it, so the reopened session is the one before
+/// the batch and has nothing to discard.
+#[test]
+fn refused_epoch_leaves_the_log_untouched() {
+    let log = sample_log();
+    let batches: Vec<_> = EpochStream::new(&log, EpochPolicy::ByCount(4)).collect();
+    let fs = Arc::new(MemFs::new());
+    let mut live = StreamSession::open(fs.clone(), manual()).unwrap();
+    live.register("hunt", Q).unwrap();
+    live.ingest_batch(&batches[0]).unwrap();
+    let before = fs.snapshot(wal::WAL_FILE);
+
+    let unknown = EntityId::from_usize(log.entities.len());
+    let good = batches[1].events[0].clone();
+    let events = [good.clone(), SystemEvent { object: unknown, ..good.clone() }, good];
+    let err = live.ingest(batches[1].entities, &events).unwrap_err();
+    assert_eq!(err.kind, ErrorKind::Storage, "{err}");
+    assert!(err.message.contains("names entity"), "{err}");
+    assert_eq!(fs.snapshot(wal::WAL_FILE), before);
+    assert!(live.ingest_batch(&batches[1]).unwrap_err().message.contains("session failed"));
+    assert_eq!(fs.snapshot(wal::WAL_FILE), before);
+    drop(live);
+
+    let mut recovered = StreamSession::open(fs, manual()).unwrap();
+    let r = recovered.recovery_report().unwrap();
+    assert_eq!((r.resumed_epoch, r.wal_bytes_discarded), (1, 0));
+    for b in &batches {
+        recovered.ingest_batch(b).unwrap();
+    }
+    assert_same_stores(&recovered.engine().stores, &load(&log).unwrap());
 }

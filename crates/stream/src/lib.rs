@@ -18,8 +18,8 @@
 //!   yields an [`EpochReport`]: insert counters (per-epoch reset semantics)
 //!   and one typed [`ResultBatch`](raptor_storage::ResultBatch) *delta* per
 //!   registered query. [`StreamSession::new`] is volatile;
-//!   [`StreamSession::open`] is the same session over a file backend (WAL
-//!   below the load seam, periodic checkpoints, crash recovery with
+//!   [`StreamSession::open`] is the same session over a file backend (one
+//!   WAL frame per epoch, periodic checkpoints, crash recovery with
 //!   idempotent re-delivery), producing a [`RecoveryReport`].
 //!
 //! The invariant tying it to batch mode: after the final epoch, every

@@ -6,12 +6,13 @@
 //! volatile; [`StreamSession::open`] is the same session with a
 //! `Durability` attached:
 //!
-//! * every entity/event is WAL-logged below the load seam *before* it
-//!   touches the backends; after the epoch's standing queries have
-//!   advanced, an `EpochCommit` record is appended and fsynced — the
-//!   epoch's durable point,
-//! * standing-query registrations are WAL-logged as self-committing
-//!   `Register` records before they enter the registry,
+//! * an epoch is one WAL frame, encoded from the batch as delivered. The
+//!   epoch is applied to the stores and the standing queries first — they
+//!   are memory, so a crash loses them whichever came first — and then the
+//!   frame is made durable with one append and one fsync: the epoch's
+//!   durable point. A batch the stores refuse leaves nothing in the log,
+//! * a standing-query registration is one frame too, logged the same way
+//!   before it enters the registry,
 //! * the log is never truncated: it is the only on-disk form of rows, and
 //!   the whole of it is what a restart replays,
 //! * periodically (and on [`StreamSession::checkpoint`]) a *manifest* over
@@ -24,8 +25,8 @@
 //!   advances; exactly at `log_len` the rebuilt session is compared with
 //!   what the manifest recorded and the manifest's standing queries are
 //!   installed; the tail after it replays with registrations applied at
-//!   their exact stream position. The torn/uncommitted tail is discarded
-//!   and the stream resumes exactly where the last durable point left it.
+//!   their exact stream position. The torn tail is discarded and the
+//!   stream resumes exactly where the last durable point left it.
 //!   Live, bulk (`ThreatRaptor::from_log` is one volatile epoch) and
 //!   replayed epochs are identical by construction.
 //!
@@ -38,14 +39,16 @@
 //!
 //! | Fault                           | Outcome                                    |
 //! |---------------------------------|--------------------------------------------|
-//! | crash mid entity/event record   | torn tail discarded; epoch re-delivered    |
-//! | crash after records, before commit | uncommitted run discarded; re-delivered |
-//! | crash after commit fsync        | epoch fully recovered                      |
+//! | crash mid frame (torn append)   | torn tail discarded; epoch re-delivered    |
+//! | crash after the frame's fsync   | epoch fully recovered                      |
 //! | crash mid checkpoint write      | old checkpoint intact (atomic replace); the log is the same either way |
 //! | automatic checkpoint fails      | the epoch is durable and its report is returned; counted (`raptor_checkpoint_failures_total`), retried after the next epoch |
 //! | log damaged below the manifest's `log_len` | typed `Storage` error, both files untouched: those bytes were fsynced before the manifest was written, so this is corruption, not a torn tail |
 //! | crash mid log trim-after-recovery | trim is atomic; both states valid |
-//! | transient append/fsync error mid-epoch | fail-stop: the live session refuses every later write with one typed error; reopening discards the half epoch and resumes at the last commit |
+//! | append error                    | fail-stop: the live session refuses every later write with one typed error; whatever part of the frame reached the file is a torn tail to the reopening |
+//! | fsync error                     | fail-stop likewise; whether the frame is in the file is the disk's answer, and the reopened session holds a whole number of epochs either way — re-delivery dedupes the epoch or applies it |
+//! | batch the stores refuse (non-dense entity id, unknown endpoint) | fail-stop; nothing of the batch is in the log |
+//! | log in the retired per-record layout | typed `Storage` error naming the layout, both files untouched (never trimmed as a torn tail) |
 //!
 //! Re-delivery is idempotent: [`StreamSession::ingest_batch`] drops batches
 //! whose epoch the session has already committed, so a source that replays
@@ -53,7 +56,7 @@
 //!
 //! Standing-query **names are keys**: a second registration under a name
 //! already in the registry is refused. That is an API rule; recovery does
-//! not lean on it — a `Register` record below the manifest's `log_len` is
+//! not lean on it — a `Register` frame below the manifest's `log_len` is
 //! skipped by its offset, not recognized by its name.
 
 use std::sync::Arc;
@@ -129,14 +132,14 @@ pub struct RecoveryReport {
     /// Entity + event records replayed from the log prefix the checkpoint
     /// covers.
     pub checkpoint_rows: u64,
-    /// WAL records applied beyond the checkpoint (including commits and
-    /// registrations).
+    /// WAL records applied beyond the checkpoint: each epoch's entities and
+    /// events plus one for its commit, and one per registration.
     pub wal_records_replayed: u64,
     /// Committed epochs replayed from the WAL tail beyond the checkpoint.
     pub wal_epochs_replayed: u64,
     /// Standing-query registrations recovered (checkpoint + WAL).
     pub registrations_recovered: u64,
-    /// Bytes discarded from the WAL's torn/uncommitted tail.
+    /// Bytes discarded from the WAL's torn tail.
     pub wal_bytes_discarded: u64,
     /// The epoch the session resumes at (== epochs committed so far).
     pub resumed_epoch: u64,
@@ -157,7 +160,7 @@ impl std::fmt::Display for RecoveryReport {
         }
         writeln!(
             f,
-            "wal: {} records replayed across {} epochs, {} bytes of torn/uncommitted tail discarded",
+            "wal: {} records replayed across {} epochs, {} bytes of torn tail discarded",
             self.wal_records_replayed, self.wal_epochs_replayed, self.wal_bytes_discarded
         )?;
         write!(
@@ -171,10 +174,10 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// What [`StreamSession::open`] adds to a session, besides the WAL sink it
-/// attaches to the stores (`LoadedStores::wal`, below the load seam).
+/// What [`StreamSession::open`] adds to a session.
 struct Durability {
     fs: Arc<dyn Fs>,
+    sink: WalSink,
     policy: DurablePolicy,
     report: RecoveryReport,
     epochs_since_ckpt: u64,
@@ -241,16 +244,14 @@ impl StreamSession {
     }
 
     /// Opens (or recovers) a durable session over `fs`. With no prior
-    /// state this is an empty session with a WAL attached; otherwise the
+    /// state this is an empty session with a log to write; otherwise the
     /// log is replayed, past the checkpoint's manifest if there is one (see
     /// module docs). Corrupt files yield a typed error, never a panic, and
     /// are left as they were.
     pub fn open(fs: Arc<dyn Fs>, policy: DurablePolicy) -> Result<Self> {
         let mut report = RecoveryReport::default();
 
-        // 1. The manifest, if any: empty stores around its dictionary. The
-        //    session stays volatile until replay is over, so replayed
-        //    records are not logged twice.
+        // 1. The manifest, if any: empty stores around its dictionary.
         let (mut session, mut manifest) = match fs.read(checkpoint::CKPT_FILE)? {
             Some(bytes) => {
                 let (stores, manifest) = checkpoint::decode(&bytes)?;
@@ -274,7 +275,7 @@ impl StreamSession {
                 m.check_replayed(&session.engine.stores, &session.position(at))?;
                 session.queries = m.queries;
             }
-            let Some(unit) = scan.next() else { break };
+            let Some(unit) = scan.next().transpose()? else { break };
             if manifest.as_ref().is_some_and(|m| scan.durable_len() as u64 > m.meta.log_len) {
                 break; // no durable point at `log_len`: reported below
             }
@@ -327,12 +328,13 @@ impl StreamSession {
         report.wal_bytes_discarded = scan.discarded() as u64;
         report.resumed_epoch = session.epoch;
         report.watermark = session.engine.stores.now_ns;
-        obs::metrics().counter_add("raptor_recovery_replayed_records", report.wal_records_replayed);
+        let m = obs::metrics();
+        m.counter_add("raptor_recovery_replayed_records", report.wal_records_replayed);
+        m.counter_add("raptor_wal_bytes_discarded_total", report.wal_bytes_discarded);
 
-        // 4. Attach the WAL sink below the load seam and make the session
-        //    durable.
-        session.engine.stores.wal = Some(WalSink::new(fs.clone(), log_len as u64));
-        session.durability = Some(Durability { fs, policy, report, epochs_since_ckpt: 0 });
+        // 4. Later units extend the durable prefix.
+        let sink = WalSink::new(fs.clone(), log_len as u64);
+        session.durability = Some(Durability { fs, sink, policy, report, epochs_since_ckpt: 0 });
         Ok(session)
     }
 
@@ -365,7 +367,7 @@ impl StreamSession {
 
     /// The error every write returns once an epoch or a registration has
     /// failed part-way: from then on the stores, the standing queries and
-    /// (when durable) the log no longer describe the same stream prefix.
+    /// (when durable) the log may no longer describe the same stream prefix.
     fn check_live(&self) -> Result<()> {
         self.failed.clone().map_or(Ok(()), Err)
     }
@@ -392,8 +394,8 @@ impl StreamSession {
     /// reach back over the whole graph (see `raptor_engine::standing`).
     /// Fails for queries a stream cannot
     /// evaluate soundly (relative `last N unit` windows). On a durable
-    /// session the registration is WAL-logged and fsynced before it takes
-    /// effect.
+    /// session the registration is logged — one frame, one append, one
+    /// fsync — before it takes effect.
     pub fn register(&mut self, name: &str, tbql: &str) -> Result<QueryId> {
         self.check_live()?;
         if self.queries.iter().any(|q| q.name() == name) {
@@ -402,8 +404,9 @@ impl StreamSession {
             )));
         }
         let query = StandingQuery::new(name, tbql, self.engine.stores.dict.clone())?;
-        if let Some(wal) = &mut self.engine.stores.wal {
-            let logged = wal.log_register(name, tbql);
+        if let Some(d) = &mut self.durability {
+            let frame = wal::frame_register(name, tbql)?;
+            let logged = d.sink.commit(&frame, 1);
             self.fail_stop(self.epoch, logged)?;
         }
         self.queries.push(query);
@@ -429,9 +432,9 @@ impl StreamSession {
         self.epoch
     }
 
-    /// Pins the worker count across the session's whole execution plane
-    /// (ad-hoc query chains, store scans/joins/traversals). `1` takes the
-    /// strictly sequential code paths everywhere.
+    /// Pins the worker count of the stores' scans, joins and traversals —
+    /// the session's whole execution plane. `1` takes the strictly
+    /// sequential code paths everywhere.
     pub fn set_threads(&mut self, threads: usize) {
         self.engine.set_threads(threads);
     }
@@ -455,9 +458,8 @@ impl StreamSession {
     }
 
     /// The one epoch loop — live ingest and WAL replay both run it:
-    /// appends `entities` then `events` through the load seam (which logs
-    /// them first when a WAL is attached), notes which rows of the events
-    /// table that made, then advances every standing query over exactly
+    /// appends `entities` then `events` through the load seam, notes which
+    /// rows of the events table that made, then advances every standing query over exactly
     /// those rows — inline, in registration order (an advance is too short
     /// to be worth a worker; see `raptor_engine::standing`).
     ///
@@ -526,12 +528,13 @@ impl StreamSession {
     /// session's id space) then `events` (endpoints must be ingested),
     /// then advances every standing query.
     ///
-    /// On a durable session the records are WAL-logged below the load seam
-    /// as they apply, and after the standing queries have advanced the
-    /// epoch's `EpochCommit` is appended and fsynced. Only after this
-    /// returns is the epoch durable; a crash anywhere before the commit
-    /// leaves a tail that recovery discards (the source re-delivers the
-    /// epoch).
+    /// On a durable session the epoch's frame is encoded from the batch
+    /// first (an epoch too large for one frame is refused here, with
+    /// nothing applied and the session still live), and after the standing
+    /// queries have advanced it is made durable: one append, one fsync.
+    /// Only after this returns is the epoch durable; a crash anywhere
+    /// before leaves at most a torn frame, which recovery discards (the
+    /// source re-delivers the epoch).
     ///
     /// An `Err` out of the epoch or its commit is a fail-stop (see the
     /// crash matrix): this call returns the cause, every later write the
@@ -543,9 +546,11 @@ impl StreamSession {
     pub fn ingest(&mut self, entities: &[Entity], events: &[SystemEvent]) -> Result<EpochReport> {
         self.check_live()?;
         let epoch = self.epoch;
+        let durable = self.durability.is_some();
+        let frame = durable.then(|| wal::frame_epoch(epoch, entities, events)).transpose()?;
         let committed = self.apply_epoch(entities, events).and_then(|report| {
-            if let Some(wal) = &mut self.engine.stores.wal {
-                wal.commit_epoch(report.epoch, report.watermark)?;
+            if let (Some(d), Some(frame)) = (&mut self.durability, &frame) {
+                d.sink.commit(frame, (entities.len() + events.len() + 1) as u64)?;
             }
             Ok(report)
         });
@@ -609,8 +614,8 @@ impl StreamSession {
         self.check_live()?;
         let volatile =
             || Error::storage("checkpoint() requires a durable session (StreamSession::open)");
-        // Between epochs the end of the log is a durable point.
-        let log_len = self.engine.stores.wal.as_ref().ok_or_else(volatile)?.log_len();
+        // The end of the log is a durable point.
+        let log_len = self.durability.as_ref().ok_or_else(volatile)?.sink.log_len();
         let bytes =
             checkpoint::encode(&self.engine.stores, &self.queries, &self.position(log_len))?;
         let d = self.durability.as_mut().ok_or_else(volatile)?;

@@ -139,8 +139,8 @@ fn main() {
     // --- The durability plane: crash mid-stream, recover, re-deliver. ---
     //
     // Same hunt, same session type, but opened over an (in-memory) disk:
-    // every epoch is WAL-logged and commits before it counts. A fault-injected crash tears the log mid
-    // write; re-opening the surviving disk replays the log — past the
+    // every epoch is one WAL frame, appended and fsynced before it counts.
+    // A fault-injected crash tears the log mid write; re-opening the surviving disk replays the log — past the
     // checkpoint's manifest, which covers its first epochs — and reports
     // exactly what it rebuilt. The source then replays
     // its stream from the beginning — committed epochs dedupe, the torn
@@ -152,9 +152,10 @@ fn main() {
         StreamSession::open(fp.clone(), DurablePolicy { checkpoint_every: 8 }).expect("open");
     durable.register("exact", &tbql).expect("register");
     let batches: Vec<_> = EpochStream::new(&built.log, EpochPolicy::ByCount(16)).collect();
-    // Let most of the stream commit, then cut the byte budget: the next
-    // WAL append tears partway through a record, as a real crash would.
-    fp.crash_after_bytes(fp.bytes_written() + 100_000);
+    // Let most of the stream commit, then cut the byte budget: the WAL
+    // append that crosses it tears partway through an epoch's frame, as a
+    // real crash would.
+    fp.crash_after_bytes(fp.bytes_written() + 90_000);
     let mut crashed_at = batches.len();
     for (i, b) in batches.iter().enumerate() {
         if durable.ingest_batch(b).is_err() {

@@ -1,8 +1,8 @@
 //! Fault-injected crash recovery.
 //!
 //! The durability plane's acceptance property: crash the durable session at
-//! **any byte offset** of its write stream — mid entity/event record, mid
-//! epoch commit, mid checkpoint, post-fsync — then recover from what
+//! **any byte offset** of its write stream — mid epoch frame, mid
+//! registration, mid checkpoint, post-fsync — then recover from what
 //! survived on "disk" and re-deliver the stream from the beginning. The
 //! recovered store must be indistinguishable from a one-shot bulk load:
 //! every corpus query answers byte-identically on both backends, at any
@@ -385,7 +385,7 @@ fn truncated_wal_always_recovers() {
 }
 
 /// Bit-flipping any sampled byte of the log at or after `log_len` is
-/// tolerated the same way: the checksum rejects the record and everything
+/// tolerated the same way: the checksum rejects the frame and everything
 /// from it on is discarded as the torn tail — epochs before the flip
 /// survive, and re-delivery heals the rest. A flip below `log_len` is
 /// corruption of checkpointed data: a typed error, files untouched.
@@ -408,6 +408,43 @@ fn bitflipped_wal_discards_from_flip() {
         }
     }
     assert!(opened > 10, "the sweep covers the tail too");
+}
+
+/// A log in the retired per-record layout — here its first record, an
+/// entity framed by hand under tag 1, alone or after a registration (whose
+/// frame both layouts share) — is refused for what it is. It is intact, so
+/// it is not a torn tail: trimming it would empty a log that holds a
+/// stream. Both files stay as they were.
+#[test]
+fn retired_wal_layout_is_refused_untouched() {
+    use threatraptor::common::io::crc32;
+    let sample = sample_disk();
+    let payload = [&[1u8][..], &7u32.to_le_bytes(), &[0u8; 19]].concat();
+    let old_record =
+        [&(payload.len() as u32).to_le_bytes()[..], &crc32(&payload).to_le_bytes(), &payload]
+            .concat();
+    // The sample's log opens with its registration's frame.
+    let wal = sample.disk.snapshot(WAL_FILE);
+    let register_len = 8 + u32::from_le_bytes(wal[..4].try_into().unwrap()) as usize;
+    let after_register = [&wal[..register_len], &old_record].concat();
+    for (wal, ckpt) in [
+        (old_record.clone(), None),
+        (after_register.clone(), None),
+        (after_register, Some(sample.disk.snapshot(CKPT_FILE))),
+    ] {
+        let fs = Arc::new(MemFs::new());
+        fs.store(WAL_FILE, wal.clone());
+        if let Some(ckpt) = &ckpt {
+            fs.store(CKPT_FILE, ckpt.clone());
+        }
+        let err = StreamSession::open(fs.clone(), DurablePolicy::default())
+            .err()
+            .expect("a retired-layout log must not open");
+        assert_eq!(err.kind, ErrorKind::Storage, "{err}");
+        assert!(err.message.contains("retired per-record WAL layout"), "{err}");
+        assert_eq!(fs.snapshot(WAL_FILE), wal, "wal untouched");
+        assert_eq!(fs.snapshot(CKPT_FILE), ckpt.unwrap_or_default(), "ckpt untouched");
+    }
 }
 
 /// The facade path over a real directory: `ThreatRaptor::open` against a

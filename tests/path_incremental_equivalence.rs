@@ -16,7 +16,9 @@
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use threatraptor::audit::SystemEvent;
+use threatraptor::audit::sim::Simulator;
+use threatraptor::audit::{LogParser, SystemEvent};
+use threatraptor::common::time::Timestamp;
 use threatraptor::engine::exec::ExecMode;
 use threatraptor::engine::load::load;
 use threatraptor::engine::{Engine, ResultTable};
@@ -105,5 +107,48 @@ proptest! {
             bulk.stores.rel.store_stats().catalog().canonical(&bulk.stores.dict),
             "catalog diverged between stream and bulk"
         );
+    }
+}
+
+/// A standing path selects its endpoints with the graph store's filter
+/// alone (a frontier takes no seeded ids), so that filter has to be the
+/// relational store's `LIKE`, wildcard for wildcard. The graph used to
+/// approximate a pattern with an interior `%` by CONTAINS on its longest
+/// literal run — here `/python`, which the decoy `/opt/python` satisfies —
+/// and to read `_` as a literal underscore.
+#[test]
+fn standing_path_filters_are_exact_like() {
+    let mut sim = Simulator::new(3, Timestamp::from_secs(100));
+    let shell = sim.boot_process("/bin/bash", "root");
+    for exe in ["/usr/bin/python", "/opt/python"] {
+        let p = sim.spawn(shell, exe, "python exfil.py");
+        sim.write_file(p, "/tmp/upload.tar", 4096, 1);
+        let fd = sim.connect(p, "192.168.29.128", 443);
+        sim.send(p, fd, 1024, 1);
+    }
+    let log = LogParser::parse(&sim.finish());
+
+    let queries = [
+        (r#"proc p["%/usr/%/python%"] ~>(1~3) ip i return distinct p, i"#, 1),
+        (r#"proc p ~>(1~2) file f["%up_oad%"] return distinct p, f"#, 3),
+    ];
+    let mut session = StreamSession::new().unwrap();
+    let qids: Vec<_> = (queries.iter().enumerate())
+        .map(|(i, (q, _))| session.register(&format!("like{i}"), q).unwrap())
+        .collect();
+    let mut delta_rows: Vec<Vec<Vec<String>>> = vec![Vec::new(); queries.len()];
+    for chunk in log.events.chunks(2) {
+        for d in &session.ingest_chunk(&log, chunk).unwrap().deltas {
+            delta_rows[d.id.0].extend(ResultTable::from_batch(&d.delta).rows);
+        }
+    }
+    let bulk = Engine::new(load(&log).unwrap());
+    for (i, (q, rows)) in queries.iter().enumerate() {
+        let (expect, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
+        assert_eq!(expect.rows.len(), *rows, "{q}: {:?}", expect.rows);
+        delta_rows[i].sort();
+        assert_eq!(delta_rows[i], expect.sorted_rows(), "concatenated deltas for {q}");
+        let got = ResultTable::from_batch(&session.query(qids[i]).cumulative_batch());
+        assert_eq!(got.sorted_rows(), expect.sorted_rows(), "cumulative result for {q}");
     }
 }
