@@ -7,12 +7,7 @@
 //! `BENCH_schedule.json` (default: `target/BENCH_schedule.json`; the
 //! checked-in baseline lives at `crates/bench/baselines/`): per-query
 //! scheduled latency, deterministic backend work counters, the chosen
-//! orders, and a scheduler Q-error summary — plus a `parallel` section
-//! with per-query latency at 1/2/4 worker threads and the resulting
-//! speedups (informational only; on the small corpus store and small CI
-//! machines parallelism may not pay). While collecting those, the run
-//! *asserts* the parallel-plane determinism contract: every thread count
-//! must produce identical rows and identical deterministic work counters.
+//! orders, and a scheduler Q-error summary.
 //!
 //! The `observability` section runs every query with tracing off and on,
 //! asserting rows and deterministic counters are identical either way
@@ -404,52 +399,9 @@ fn run_durability() -> DurabilityReport {
     }
 }
 
-/// Worker-thread counts the `parallel` section measures.
-const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
-
-struct ParallelReport {
-    id: usize,
-    /// Min latency per thread count, index-aligned with `PARALLEL_THREADS`.
-    latency_ns: [u128; 3],
-}
-
-/// Measures every corpus query at 1/2/4 worker threads, asserting the
-/// determinism contract (identical rows + identical deterministic counters
-/// at every thread count) along the way.
-fn run_parallel() -> Vec<ParallelReport> {
-    let mut latencies = vec![[0u128; 3]; EQUIV_CORPUS.len()];
-    let mut reference: Vec<(Vec<Vec<String>>, raptor_storage::BackendStats)> = Vec::new();
-    for (ti, &threads) in PARALLEL_THREADS.iter().enumerate() {
-        let mut raptor = corpus_system();
-        raptor.set_threads(threads);
-        let engine = raptor.engine();
-        for (id, q) in EQUIV_CORPUS.iter().enumerate() {
-            let aq = analyze(&parse_tbql(q).expect("corpus parses")).expect("corpus analyzes");
-            let (r, s) = engine.execute_scheduled_as(&aq, SchedulerMode::CostBased).unwrap();
-            if ti == 0 {
-                reference.push((r.rows.clone(), s.backend));
-            } else {
-                let (rows, counters) = &reference[id];
-                assert_eq!(&r.rows, rows, "query {id} rows diverged at {threads} threads");
-                assert_eq!(
-                    &s.backend, counters,
-                    "query {id} work counters diverged at {threads} threads"
-                );
-            }
-            latencies[id][ti] = measure_latency(engine, &aq, SchedulerMode::CostBased);
-        }
-    }
-    latencies
-        .into_iter()
-        .enumerate()
-        .map(|(id, latency_ns)| ParallelReport { id, latency_ns })
-        .collect()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     reports: &[QueryReport],
-    parallel: &[ParallelReport],
     columnar: &ColumnarReport,
     obs: &ObsReport,
     durability: &DurabilityReport,
@@ -479,23 +431,6 @@ fn render_json(
         let _ = writeln!(out, "      \"latency_ns_syntactic\": {},", r.latency_ns_syntactic);
         let _ = writeln!(out, "      \"q_error_max\": {:.4}", r.q_error_max);
         let _ = writeln!(out, "    }}{}", if i + 1 < reports.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ],");
-    // Per-thread-count latency + speedup. Deliberately key-disjoint from
-    // the gated signals ("rows", "work_cost", "q_error_max",
-    // "orders_differ"): the regression gate reads deterministic counters
-    // only, never these wall-clock numbers.
-    let _ = writeln!(out, "  \"parallel\": [");
-    for (i, p) in parallel.iter().enumerate() {
-        let speedup = |ns: u128| p.latency_ns[0] as f64 / (ns.max(1) as f64);
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"query\": {},", p.id);
-        let _ = writeln!(out, "      \"latency_ns_t1\": {},", p.latency_ns[0]);
-        let _ = writeln!(out, "      \"latency_ns_t2\": {},", p.latency_ns[1]);
-        let _ = writeln!(out, "      \"latency_ns_t4\": {},", p.latency_ns[2]);
-        let _ = writeln!(out, "      \"speedup_t2\": {:.3},", speedup(p.latency_ns[1]));
-        let _ = writeln!(out, "      \"speedup_t4\": {:.3}", speedup(p.latency_ns[2]));
-        let _ = writeln!(out, "    }}{}", if i + 1 < parallel.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ],");
     // Deterministic zone-map signals (gated: exact probe rows, pruning must
@@ -757,20 +692,11 @@ fn main() -> ExitCode {
 
     let (reports, q_error_max) = run();
     let (paths, path_q_error_max) = run_path_estimation();
-    let parallel = run_parallel();
     let columnar = run_columnar();
     let obs = run_observability();
     let durability = run_durability();
-    let json = render_json(
-        &reports,
-        &parallel,
-        &columnar,
-        &obs,
-        &durability,
-        &paths,
-        path_q_error_max,
-        q_error_max,
-    );
+    let json =
+        render_json(&reports, &columnar, &obs, &durability, &paths, path_q_error_max, q_error_max);
     if let Some(parent) =
         std::path::Path::new(&out_path).parent().filter(|p| !p.as_os_str().is_empty())
     {
@@ -830,17 +756,6 @@ fn main() -> ExitCode {
         durability.scaled_recovered_rows,
         durability.scaled_recovery_ns as f64 / 1e6,
     );
-    for p in &parallel {
-        println!(
-            "q{} parallel: t1={:.1}µs t2={:.1}µs t4={:.1}µs (speedup x{:.2} at 4)",
-            p.id,
-            p.latency_ns[0] as f64 / 1e3,
-            p.latency_ns[1] as f64 / 1e3,
-            p.latency_ns[2] as f64 / 1e3,
-            p.latency_ns[0] as f64 / p.latency_ns[2].max(1) as f64,
-        );
-    }
-
     if write_baseline {
         std::fs::create_dir_all(
             std::path::Path::new(&baseline_path).parent().expect("baseline has a parent"),

@@ -46,11 +46,11 @@ pub struct Propagation {
 
 impl Propagation {
     /// Replaces the candidate set for `var`. `ids` must already be sorted
-    /// and distinct — the [`StorageBackend::entity_candidates`] contract —
-    /// so canonicalization happens in exactly one place (the backend)
-    /// instead of being repeated on every propagation step.
+    /// and distinct — the [`Database::entity_candidates`] contract — so
+    /// canonicalization happens in exactly one place (the store) instead
+    /// of being repeated on every propagation step.
     ///
-    /// [`StorageBackend::entity_candidates`]: raptor_storage::StorageBackend::entity_candidates
+    /// [`Database::entity_candidates`]: raptor_relstore::Database::entity_candidates
     pub fn set(&mut self, var: impl Into<String>, ids: Vec<i64>) {
         debug_assert!(
             ids.windows(2).all(|w| w[0] < w[1]),

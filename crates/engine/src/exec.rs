@@ -4,7 +4,7 @@
 //!
 //! * [`ExecMode::Scheduled`] — ThreatRaptor's plan: compile each pattern to
 //!   a small *typed* data request, execute in pruning-score order with
-//!   `IN`-filter propagation through the [`StorageBackend`] trait, then join
+//!   `IN`-filter propagation through the stores' typed entry points, then join
 //!   per-pattern matches on `i64` entity ids, apply `with`-clause
 //!   constraints, and project. (Variants (a) and (c): event patterns run on
 //!   the relational store, length-1 path patterns on the graph store.) No
@@ -24,9 +24,7 @@ use raptor_common::hash::{FxHashMap, FxHashSet};
 use raptor_common::obs;
 use raptor_common::time::Duration;
 use raptor_graphstore::cypher::{exec as gexec, parse_cypher};
-use raptor_storage::{
-    AttrSource, BackendStats, PatternMatches, ResultBatch, StorageBackend, Value as SVal,
-};
+use raptor_storage::{AttrSource, BackendStats, PatternMatches, ResultBatch, Value as SVal};
 use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, CmpOp, PatternOp, RelClause, TemporalOp};
 
@@ -268,14 +266,6 @@ impl Engine {
         self.stores.rel.set_segment_rows(rows);
     }
 
-    pub(crate) fn rel(&self) -> &dyn StorageBackend {
-        &self.stores.rel
-    }
-
-    pub(crate) fn graph(&self) -> &dyn StorageBackend {
-        &self.stores.graph
-    }
-
     /// Parses, analyzes and executes a TBQL query text.
     ///
     /// This is also the slow-query seam: when the query's wall time crosses
@@ -400,10 +390,10 @@ impl Engine {
         for p in &aq.patterns {
             let m = if p.is_path() {
                 let req = path_pattern_request(&ctx, p, &empty, self.max_hops)?;
-                self.graph().match_path_pattern(&req, &mut stats.backend)?
+                self.stores.graph.match_path_pattern(&req, &mut stats.backend)?
             } else {
                 let req = event_pattern_request(&ctx, p, &empty)?;
-                self.rel().match_event_pattern(&req, &mut stats.backend)?
+                self.stores.rel.match_event_pattern(&req, &mut stats.backend)?
             };
             let mut ids: Vec<i64> = if m.has_event {
                 m.evt.iter().copied().filter(|&e| e >= 0).collect()
@@ -456,7 +446,7 @@ impl Engine {
             let before = stats.backend;
             let t0 = std::time::Instant::now();
             let (class, pred) = entity_candidate_request(e.ty, filter, &self.stores.dict);
-            let ids = self.rel().entity_candidates(class, &pred, &mut stats.backend)?;
+            let ids = self.stores.rel.entity_candidates(class, &pred, &mut stats.backend)?;
             stats.record("relational", QueryKind::Seed, id, 0);
             stats.finish_last(ids.len(), before, t0.elapsed().as_nanos() as u64);
             sp.attr("candidates", ids.len() as u64);
@@ -500,14 +490,14 @@ impl Engine {
             let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
             let in_lists =
                 req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
-            let m = self.graph().match_path_pattern(&req, &mut stats.backend)?;
+            let m = self.stores.graph.match_path_pattern(&req, &mut stats.backend)?;
             stats.record("graph", QueryKind::PathPattern, &p.id, in_lists);
             Ok(matches_to_rows(&m))
         } else {
             let req = event_pattern_request(ctx, p, prop)?;
             let in_lists =
                 req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
-            let m = self.rel().match_event_pattern(&req, &mut stats.backend)?;
+            let m = self.stores.rel.match_event_pattern(&req, &mut stats.backend)?;
             stats.record("relational", QueryKind::EventPattern, &p.id, in_lists);
             Ok(matches_to_rows(&m))
         }
@@ -1011,7 +1001,7 @@ impl Engine {
         }
         let mut sorted: Vec<i64> = ids.iter().copied().collect();
         sorted.sort_unstable();
-        for (id, v) in self.rel().fetch_attr(source, attr, &sorted, &mut stats.backend)? {
+        for (id, v) in self.stores.rel.fetch_attr(source, attr, &sorted, &mut stats.backend)? {
             out.insert(id, v);
         }
         Ok(out)

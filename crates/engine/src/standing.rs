@@ -504,7 +504,7 @@ impl StandingQuery {
                     }
                     PatternPlan::Rescan(req) => {
                         obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
-                        let m = engine.graph().match_path_pattern(req, &mut stats.backend)?;
+                        let m = engine.stores.graph.match_path_pattern(req, &mut stats.backend)?;
                         stats.record("graph", QueryKind::PathPattern, &p.id, 0);
                         stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
                         changed |= m.len() != acc.len();

@@ -1,25 +1,44 @@
-//! The typed [`StorageBackend`] implementation.
+//! The graph store's typed surface: the write seam ([`MutableBackend`]) and
+//! one read, [`Graph::match_path_pattern`] — TBQL's `~>(m~n)[op]`.
 //!
-//! Typed requests are lowered straight to the Cypher *AST*
-//! ([`crate::cypher::ast`]) — the lexer/parser are never involved — and run
-//! through the normal executor, sharing its anchor selection and traversal
-//! machinery. Attribute fetches read the graph arenas directly.
+//! A request is compiled once into a `PathSpec`: labels, hop bounds and the
+//! three predicates, lowered to Cypher WHERE expressions so that the
+//! executor's evaluator ([`crate::cypher::exec`]) decides them and predicate
+//! semantics cannot drift from the text frontend. Matching then walks the
+//! adjacency arrays; no query AST is built and nothing is parsed.
+//!
+//! Every shape is a *prefix* of `lo..=hi` EVENT hops from an anchor plus,
+//! when the pattern constrains or returns its last event, one *final edge*.
+//! A match is a distinct `(subject, object)` pair — or `(subject, object,
+//! event)` when the event is wanted — joined by an edge-distinct prefix walk
+//! within the bounds; the final edge is a segment of its own and may repeat
+//! a prefix edge. Which nodes end such a prefix:
+//!
+//! * `lo <= 1`: exactly the nodes whose *shortest* walk from the anchor is
+//!   at most `hi` long — a shortest walk repeats no vertex, hence no edge,
+//!   and is at least one hop — so a bounded BFS finds them. The anchor ends
+//!   its own prefix at depth 0 when `lo == 0`, and otherwise when a cycle
+//!   through it is short enough, which the BFS sees as re-reaching it;
+//! * `lo >= 2`: the residue, enumerated by the executor's own edge-distinct
+//!   DFS (`cypher::exec::edge_distinct_walks`).
+//!
+//! `PathMatcher` is the one definition of "what `n` contributes for anchor
+//! `a`"; this module's one-shot driver and [`crate::frontier`]'s incremental
+//! one both call it.
 
 use raptor_common::error::{Error, Result};
-use raptor_common::hash::FxHashSet;
-use raptor_common::intern::SharedDict;
+use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::obs;
 use raptor_storage::{
-    AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue, MutableBackend,
-    PathPatternQuery, PatternMatches, Pred, StorageBackend, Value as SVal,
+    BackendStats, EntityClass, Field, FieldValue, MutableBackend, PathPatternQuery, PatternMatches,
+    Pred, Value as SVal,
 };
 
-use crate::cypher::ast::{
-    CExpr, CLit, COp, CmpRhs, CypherQuery, NodePattern, PathPattern, PropRef, RelPattern,
-    ReturnItem, StrPredKind,
+use crate::cypher::ast::{CExpr, CLit, COp, CmpRhs, NodePattern, PropRef, StrPredKind};
+use crate::cypher::exec::{
+    anchor_candidates, edge_distinct_walks, eval_single_edge, eval_single_node, GraphQueryStats,
 };
-use crate::cypher::exec::{execute, GraphQueryStats};
-use crate::graph::{Graph, PropValue};
+use crate::graph::{EdgeId, Graph, NodeId, PropValue};
 
 pub fn label_for_class(class: EntityClass) -> &'static str {
     match class {
@@ -70,7 +89,7 @@ fn like_to_cexpr(var: &str, attr: &str, pattern: &str, negated: bool) -> CExpr {
 }
 
 /// Lowers a typed predicate to a Cypher WHERE expression over `var`.
-pub(crate) fn pred_to_cexpr(var: &str, p: &Pred, dict: &SharedDict) -> Result<CExpr> {
+fn pred_to_cexpr(var: &str, p: &Pred, dict: &SharedDict) -> Result<CExpr> {
     Ok(match p {
         Pred::Cmp { attr, op, value } => {
             // `= '%…%'` keeps LIKE semantics (defensive: the TBQL lowering
@@ -120,247 +139,263 @@ fn id_in_cexpr(var: &str, ids: &[i64]) -> CExpr {
     CExpr::InList { left: prop(var, "id"), list }
 }
 
-fn and_all(conds: Vec<CExpr>) -> Option<CExpr> {
-    conds.into_iter().reduce(|a, b| CExpr::And(Box::new(a), Box::new(b)))
+/// A path request compiled once; see the module doc for the shape.
+pub(crate) struct PathSpec {
+    subj_label: &'static str,
+    obj_label: &'static str,
+    /// The subject filter's top-level conjuncts (anchor selection looks for
+    /// one an index can serve).
+    subj_conds: Vec<CExpr>,
+    obj_pred: Option<CExpr>,
+    final_pred: Option<CExpr>,
+    /// Propagated candidate ids, sorted and distinct.
+    subj_ids: Option<Vec<i64>>,
+    obj_ids: Option<Vec<i64>>,
+    subject_is_object: bool,
+    /// The pattern ends in a final edge (it constrains or returns one).
+    pub(crate) has_final: bool,
+    /// Prefix hop bounds. `lo == 0` makes every anchor a prefix endpoint.
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
 }
 
-fn node(var: &str, class: EntityClass) -> NodePattern {
-    NodePattern {
-        var: Some(var.to_string()),
-        label: Some(label_for_class(class).to_string()),
-        props: vec![],
+impl PathSpec {
+    pub(crate) fn compile(q: &PathPatternQuery, dict: &SharedDict) -> Result<PathSpec> {
+        let lower = |var: &str, p: &Option<Pred>| {
+            p.as_ref().map(|p| pred_to_cexpr(var, p, dict)).transpose()
+        };
+        // One TBQL variable bound as both ends: the walk closes on its own
+        // anchor, whose conditions the subject side already carries.
+        let object = (!q.subject_is_object).then_some(&q.object);
+        let has_final = q.want_event || q.final_hop_pred.is_some();
+        // The final edge is one of the pattern's hops.
+        let (min, max) = match has_final {
+            true => (q.min_hops.saturating_sub(1), q.max_hops.map(|m| m.saturating_sub(1))),
+            false => (q.min_hops, q.max_hops),
+        };
+        // `hop_cap` bounds a variable-length walk, never the fixed single hop.
+        let single_hop = q.min_hops == 1 && q.max_hops == Some(1);
+        let hi = if single_hop { min } else { max.unwrap_or(q.hop_cap).min(q.hop_cap) };
+        Ok(PathSpec {
+            subj_label: label_for_class(q.subject.class),
+            obj_label: label_for_class(q.object.class),
+            subj_conds: lower("s", &q.subject.filter)?.map(CExpr::conjuncts).unwrap_or_default(),
+            obj_pred: object.map(|o| lower("o", &o.filter)).transpose()?.flatten(),
+            final_pred: lower("e", &q.final_hop_pred)?,
+            subj_ids: q.subject.id_in.clone(),
+            obj_ids: object.and_then(|o| o.id_in.clone()),
+            subject_is_object: q.subject_is_object,
+            has_final,
+            lo: min,
+            hi,
+        })
+    }
+
+    /// The spec over `g` as it is now: labels resolve to today's symbols (a
+    /// label no record carries yet has none, and matches nothing).
+    pub(crate) fn on<'a>(&'a self, g: &'a Graph) -> PathMatcher<'a> {
+        let sym = |label| g.dict().get(label);
+        PathMatcher {
+            g,
+            spec: self,
+            subj: sym(self.subj_label),
+            obj: sym(self.obj_label),
+            event: sym("EVENT"),
+        }
     }
 }
 
-fn ret(var: &str, attr: &str) -> ReturnItem {
-    ReturnItem { prop: prop(var, attr) }
+/// A [`PathSpec`] bound to a graph: the endpoint and final-edge tests, and
+/// what a prefix endpoint contributes.
+pub(crate) struct PathMatcher<'a> {
+    pub(crate) g: &'a Graph,
+    pub(crate) spec: &'a PathSpec,
+    subj: Option<Sym>,
+    obj: Option<Sym>,
+    event: Option<Sym>,
 }
 
-fn absorb_graph(stats: &mut BackendStats, g: &GraphQueryStats) {
-    stats.items_scanned += g.nodes_scanned;
-    stats.items_built += g.bindings_built;
-    stats.edges_traversed += g.edges_traversed;
+impl PathMatcher<'_> {
+    /// The entity id a node carries (`-1` if it has none).
+    pub(crate) fn entity_id(&self, n: NodeId) -> i64 {
+        match self.g.node_prop(n, "id") {
+            Some(PropValue::Int(i)) => i,
+            _ => -1,
+        }
+    }
+
+    /// Is `n`'s entity id among the propagated candidates (if there are any)?
+    fn listed(&self, ids: &Option<Vec<i64>>, n: NodeId) -> bool {
+        ids.as_ref().is_none_or(|ids| ids.binary_search(&self.entity_id(n)).is_ok())
+    }
+
+    pub(crate) fn is_event(&self, e: EdgeId) -> bool {
+        Some(self.g.edge(e).label) == self.event
+    }
+
+    /// Is `n` an anchor — a node the pattern's subject may bind?
+    pub(crate) fn subject_ok(&self, n: NodeId) -> bool {
+        Some(self.g.node(n).label) == self.subj
+            && self.spec.subj_conds.iter().all(|c| eval_single_node(self.g, c, "s", n))
+            && self.listed(&self.spec.subj_ids, n)
+    }
+
+    /// Does `n` qualify as the pattern's object for anchor `a`?
+    pub(crate) fn object_ok(&self, n: NodeId, a: NodeId) -> bool {
+        if self.spec.subject_is_object {
+            return n == a;
+        }
+        Some(self.g.node(n).label) == self.obj
+            && self.spec.obj_pred.as_ref().is_none_or(|p| eval_single_node(self.g, p, "o", n))
+            && self.listed(&self.spec.obj_ids, n)
+    }
+
+    /// May `e` be the pattern's final edge?
+    pub(crate) fn final_edge_ok(&self, e: EdgeId) -> bool {
+        self.is_event(e)
+            && self.spec.final_pred.as_ref().is_none_or(|p| eval_single_edge(self.g, p, "e", e))
+    }
+
+    /// Anchor `a`'s prefix ends at `n`: calls `hit(object, final edge)` for
+    /// every match that makes — `n` itself, or the far end of each of `n`'s
+    /// qualifying out-edges when the pattern has a final edge (one call per
+    /// edge: the same object may come up more than once).
+    pub(crate) fn matches_at(
+        &self,
+        n: NodeId,
+        a: NodeId,
+        mut hit: impl FnMut(NodeId, Option<EdgeId>),
+    ) {
+        if !self.spec.has_final {
+            if self.object_ok(n, a) {
+                hit(n, None);
+            }
+            return;
+        }
+        for &e in self.g.out_edges(n) {
+            let dst = self.g.edge(e).dst;
+            if self.final_edge_ok(e) && self.object_ok(dst, a) {
+                hit(dst, Some(e));
+            }
+        }
+    }
+
+    /// The anchors, through the tightest access path the value indexes offer
+    /// for the subject's conditions; `scanned` counts the candidates read.
+    fn anchors(&self, scanned: &mut usize) -> Vec<NodeId> {
+        let start =
+            NodePattern { var: None, label: Some(self.spec.subj_label.to_string()), props: vec![] };
+        let id_in = self.spec.subj_ids.as_deref().map(|ids| id_in_cexpr("s", ids));
+        let conds: Vec<&CExpr> = self.spec.subj_conds.iter().chain(&id_in).collect();
+        let mut stats = GraphQueryStats::default();
+        let mut anchors = anchor_candidates(self.g, &start, &conds, &mut stats);
+        *scanned += stats.nodes_scanned;
+        anchors.retain(|&n| self.subject_ok(n));
+        anchors
+    }
+}
+
+/// Marks `n` with `stamp`; false if it already carried it. One mark array
+/// serves every anchor of a request: anchor `i` stamps `i + 1`.
+fn mark(marks: &mut [u32], stamp: u32, n: NodeId) -> bool {
+    std::mem::replace(&mut marks[n.0 as usize], stamp) != stamp
 }
 
 impl Graph {
-    fn run_query(
-        &self,
-        q: &CypherQuery,
-        hop_cap: u32,
-        stats: &mut BackendStats,
-    ) -> Result<Vec<Vec<SVal>>> {
-        let r = execute(self, q, hop_cap)?;
-        absorb_graph(stats, &r.stats);
-        stats.data_queries += 1;
-        Ok(r.rows)
-    }
-
-    /// Collects entity selection conditions shared by both pattern shapes.
-    fn entity_conds(
-        &self,
-        sel: &raptor_storage::EntitySel,
-        var: &str,
-        conds: &mut Vec<CExpr>,
-    ) -> Result<()> {
-        if let Some(f) = &sel.filter {
-            conds.push(pred_to_cexpr(var, f, self.dict())?);
-        }
-        if let Some(ids) = &sel.id_in {
-            conds.push(id_in_cexpr(var, ids));
-        }
-        Ok(())
-    }
-}
-
-impl StorageBackend for Graph {
-    fn backend_name(&self) -> &'static str {
-        "graph"
-    }
-
-    fn entity_candidates(
-        &self,
-        class: EntityClass,
-        filter: &Pred,
-        stats: &mut BackendStats,
-    ) -> Result<Vec<i64>> {
-        let q = CypherQuery {
-            paths: vec![PathPattern { start: node("x", class), segments: vec![] }],
-            where_clause: Some(pred_to_cexpr("x", filter, self.dict())?),
-            distinct: true,
-            return_items: vec![ret("x", "id")],
-            limit: None,
-        };
-        let rows = self.run_query(&q, 1, stats)?;
-        let mut ids: Vec<i64> = rows.iter().filter_map(|r| r[0].as_int()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(ids)
-    }
-
-    fn match_event_pattern(
-        &self,
-        q: &EventPatternQuery,
-        stats: &mut BackendStats,
-    ) -> Result<PatternMatches> {
-        let path = PathPatternQuery {
-            subject: q.subject.clone(),
-            object: q.object.clone(),
-            min_hops: 1,
-            max_hops: Some(1),
-            hop_cap: 1,
-            final_hop_pred: q.event_pred.clone(),
-            want_event: true,
-            subject_is_object: q.subject_is_object,
-        };
-        self.match_path_pattern(&path, stats)
-    }
-
-    fn match_path_pattern(
+    /// Matches one (possibly variable-length) path pattern against the whole
+    /// graph, on the calling thread. Rows are distinct by construction.
+    pub fn match_path_pattern(
         &self,
         q: &PathPatternQuery,
         stats: &mut BackendStats,
     ) -> Result<PatternMatches> {
-        // One TBQL variable bound as both subject and object: reuse the
-        // start variable for the end node — the executor then requires the
-        // path to close on the same entity (the text compiler got this from
-        // the shared variable name).
-        let obj_var = if q.subject_is_object { "s" } else { "o" };
-        let mut conds: Vec<CExpr> = Vec::new();
-        self.entity_conds(&q.subject, "s", &mut conds)?;
-        if !q.subject_is_object {
-            self.entity_conds(&q.object, obj_var, &mut conds)?;
-        }
-
-        let single_hop = q.min_hops == 1 && q.max_hops == Some(1);
-        let mut segments: Vec<(RelPattern, NodePattern)> = Vec::new();
-        let event_edge = |var: Option<&str>, range| RelPattern {
-            var: var.map(str::to_string),
-            label: Some("EVENT".to_string()),
-            props: vec![],
-            range,
+        let spec = PathSpec::compile(q, self.dict())?;
+        let m = spec.on(self);
+        // One expansion span per path-pattern request.
+        let mut sp = obs::span("graphstore.expand");
+        let (mut nodes, mut edges) = (0usize, 0usize);
+        let mut out = PatternMatches::with_capacity(0, q.want_event);
+        let int = |e, key| match self.edge_prop(e, key) {
+            Some(PropValue::Int(i)) => i,
+            _ => -1,
         };
-        // The edge variable is bound whenever the final hop carries a
-        // predicate, but its event columns are *returned* only when the
-        // caller wants them — otherwise results stay DISTINCT (subj, obj)
-        // pairs and do not multiply per matching final edge.
-        let bind_event = q.want_event || q.final_hop_pred.is_some();
-        if bind_event {
-            if let Some(p) = &q.final_hop_pred {
-                conds.push(pred_to_cexpr("e", p, self.dict())?);
-            }
-            if single_hop {
-                segments.push((event_edge(Some("e"), None), node(obj_var, q.object.class)));
-            } else {
-                // TBQL final-hop semantics: unconstrained prefix, then the
-                // constrained last edge.
-                let prefix_min = q.min_hops.saturating_sub(1);
-                let prefix_max = q.max_hops.map(|m| m.saturating_sub(1));
-                segments.push((
-                    event_edge(None, Some((Some(prefix_min), prefix_max))),
-                    NodePattern { var: None, label: None, props: vec![] },
-                ));
-                segments.push((event_edge(Some("e"), None), node(obj_var, q.object.class)));
-            }
-        } else if single_hop {
-            segments.push((event_edge(None, None), node(obj_var, q.object.class)));
-        } else {
-            segments.push((
-                event_edge(None, Some((Some(q.min_hops), q.max_hops))),
-                node(obj_var, q.object.class),
-            ));
-        }
-
-        let mut return_items = vec![ret("s", "id"), ret(obj_var, "id")];
-        if q.want_event {
-            return_items.push(ret("e", "id"));
-            return_items.push(ret("e", "starttime"));
-            return_items.push(ret("e", "endtime"));
-        }
-        let cq = CypherQuery {
-            paths: vec![PathPattern { start: node("s", q.subject.class), segments }],
-            where_clause: and_all(conds),
-            distinct: true,
-            return_items,
-            limit: None,
-        };
-        // One expansion span per path-pattern request (internal frontier
-        // partitioning stays invisible: counts are thread-count invariant).
-        let rows = {
-            let mut sp = obs::span("graphstore.expand");
-            let before = *stats;
-            let rows = self.run_query(&cq, q.hop_cap, stats)?;
-            sp.attr("rows", rows.len() as u64);
-            sp.attr("edges", (stats.edges_traversed - before.edges_traversed) as u64);
-            sp.attr("nodes", (stats.items_scanned - before.items_scanned) as u64);
-            rows
-        };
-        let mut out = PatternMatches::with_capacity(rows.len(), q.want_event);
-        for row in &rows {
-            let int = |col: usize| row[col].as_int().unwrap_or(-1);
-            if q.want_event {
-                out.push_event(int(0), int(1), int(2), int(3), int(4));
-            } else {
-                out.push_pair(int(0), int(1));
-            }
-        }
-        Ok(out)
-    }
-
-    fn fetch_attr(
-        &self,
-        source: AttrSource,
-        attr: &str,
-        ids: &[i64],
-        stats: &mut BackendStats,
-    ) -> Result<Vec<(i64, SVal)>> {
-        stats.data_queries += 1;
-        let mut out = Vec::with_capacity(ids.len());
-        match source {
-            AttrSource::Entity(class) => {
-                let label = label_for_class(class);
-                for &id in ids {
-                    // Entity ids are indexed on load; fall back to a label
-                    // scan only when the index is absent.
-                    let nodes = match self.indexed_nodes(label, "id", PropValue::Int(id)) {
-                        Some(nodes) => {
-                            stats.index_scans += 1;
-                            nodes.to_vec()
-                        }
-                        None => {
-                            stats.full_scans += 1;
-                            self.nodes_with_label(label)
-                                .iter()
-                                .copied()
-                                .filter(|&n| self.node_prop(n, "id") == Some(PropValue::Int(id)))
-                                .collect()
-                        }
-                    };
-                    stats.items_scanned += nodes.len();
-                    if let Some(&n) = nodes.first() {
-                        if let Some(v) = self.node_prop(n, attr) {
-                            out.push((id, v.into()));
-                        }
-                    }
+        // Per anchor: prefix endpoints reached, objects already paired.
+        let mut reached_by = vec![0u32; self.node_count()];
+        let mut paired_by = vec![0u32; self.node_count()];
+        let mut reached: Vec<NodeId> = Vec::new();
+        let mut queue: Vec<(NodeId, u32)> = Vec::new();
+        for (i, a) in m.anchors(&mut nodes).into_iter().enumerate() {
+            let stamp = i as u32 + 1;
+            reached.clear();
+            if spec.lo <= 1 {
+                if spec.lo == 0 {
+                    mark(&mut reached_by, stamp, a);
+                    reached.push(a);
                 }
-            }
-            AttrSource::Event => {
-                // Events are edges; edge properties are not indexed, so scan.
-                let wanted: FxHashSet<i64> = ids.iter().copied().collect();
-                stats.full_scans += 1;
-                for i in 0..self.edge_count() {
-                    let eid = crate::graph::EdgeId(i as u32);
-                    stats.items_scanned += 1;
-                    if let Some(PropValue::Int(id)) = self.edge_prop(eid, "id") {
-                        if wanted.contains(&id) {
-                            if let Some(v) = self.edge_prop(eid, attr) {
-                                out.push((id, v.into()));
+                queue.clear();
+                queue.push((a, 0));
+                let mut head = 0;
+                while let Some(&(n, depth)) = queue.get(head) {
+                    head += 1;
+                    if depth == spec.hi {
+                        break;
+                    }
+                    for &e in self.out_edges(n) {
+                        edges += 1;
+                        let dst = self.edge(e).dst;
+                        if m.is_event(e) && mark(&mut reached_by, stamp, dst) {
+                            reached.push(dst);
+                            // `a` re-reached through a cycle ends a prefix
+                            // but was expanded already.
+                            if dst != a {
+                                queue.push((dst, depth + 1));
                             }
                         }
                     }
                 }
-                out.sort_by_key(|(id, _)| *id);
+            } else {
+                edge_distinct_walks(
+                    self,
+                    a,
+                    spec.lo,
+                    spec.hi,
+                    |e| m.is_event(e),
+                    &mut edges,
+                    |n| {
+                        if mark(&mut reached_by, stamp, n) {
+                            reached.push(n);
+                        }
+                    },
+                );
+            }
+            let subj = m.entity_id(a);
+            for &n in &reached {
+                if spec.has_final {
+                    edges += self.out_edges(n).len();
+                }
+                m.matches_at(n, a, |o, e| match e {
+                    Some(e) if q.want_event => out.push_event(
+                        subj,
+                        m.entity_id(o),
+                        int(e, "id"),
+                        int(e, "starttime"),
+                        int(e, "endtime"),
+                    ),
+                    _ => {
+                        if mark(&mut paired_by, stamp, o) {
+                            out.push_pair(subj, m.entity_id(o));
+                        }
+                    }
+                });
             }
         }
+        stats.data_queries += 1;
+        stats.items_scanned += nodes;
+        stats.items_built += out.len();
+        stats.edges_traversed += edges;
+        sp.attr("rows", out.len() as u64);
+        sp.attr("edges", edges as u64);
+        sp.attr("nodes", nodes as u64);
         Ok(out)
     }
 }
@@ -470,15 +505,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn candidates_via_ast() {
-        let g = audit_graph();
+    /// `subject ~>(0~0) subject`: every anchor pairs with itself, so the
+    /// rows are the subject selection.
+    fn selected(g: &Graph, subject: EntitySel) -> Vec<i64> {
+        let q = PathPatternQuery {
+            object: EntitySel::of(subject.class, None),
+            subject,
+            min_hops: 0,
+            max_hops: Some(0),
+            hop_cap: 8,
+            final_hop_pred: None,
+            want_event: false,
+            subject_is_object: false,
+        };
         let mut stats = BackendStats::default();
-        let like = Pred::Like { attr: "exename".into(), pattern: "%tar%".into(), negated: false };
-        let ids = g.entity_candidates(EntityClass::Process, &like, &mut stats).unwrap();
-        assert_eq!(ids, vec![0]);
-        assert_eq!(stats.data_queries, 1);
-        assert_eq!(stats.text_parses, 0);
+        let m = g.match_path_pattern(&q, &mut stats).unwrap();
+        assert_eq!((stats.data_queries, stats.text_parses), (1, 0));
+        assert_eq!(m.subj, m.obj);
+        let mut ids = m.subj;
+        ids.sort_unstable();
+        ids
     }
 
     /// A typed LIKE selects what `like_match` selects — interior `%` and
@@ -507,8 +553,7 @@ mod tests {
             ] {
                 for negated in [false, true] {
                     let like = Pred::Like { attr: attr.into(), pattern: pattern.into(), negated };
-                    let got =
-                        g.entity_candidates(class, &like, &mut BackendStats::default()).unwrap();
+                    let got = selected(&g, EntitySel::of(class, Some(like)));
                     let want: Vec<i64> = (ids.into_iter().zip(names))
                         .filter(|(_, name)| like_match(pattern, name) != negated)
                         .map(|(id, _)| id)
@@ -519,17 +564,26 @@ mod tests {
         }
     }
 
+    /// `subject -> file`, the event returned: an event pattern.
+    fn single_hop(subject: EntitySel, op: Option<Pred>) -> PathPatternQuery {
+        PathPatternQuery {
+            subject,
+            object: EntitySel::of(EntityClass::File, None),
+            min_hops: 1,
+            max_hops: Some(1),
+            hop_cap: 8,
+            final_hop_pred: op,
+            want_event: true,
+            subject_is_object: false,
+        }
+    }
+
     #[test]
     fn event_pattern_on_graph() {
         let g = audit_graph();
         let mut stats = BackendStats::default();
-        let q = EventPatternQuery {
-            subject: EntitySel::of(EntityClass::Process, None),
-            object: EntitySel::of(EntityClass::File, None),
-            event_pred: Some(op_eq(&g, "read")),
-            subject_is_object: false,
-        };
-        let m = g.match_event_pattern(&q, &mut stats).unwrap();
+        let q = single_hop(EntitySel::of(EntityClass::Process, None), Some(op_eq(&g, "read")));
+        let m = g.match_path_pattern(&q, &mut stats).unwrap();
         assert_eq!(m.len(), 2);
         assert!(m.has_event);
         assert!(m.evt.contains(&10) && m.evt.contains(&12));
@@ -590,38 +644,8 @@ mod tests {
         let mut stats = BackendStats::default();
         let mut subject = EntitySel::of(EntityClass::Process, None);
         subject.id_in = Some(vec![1]);
-        let q = EventPatternQuery {
-            subject,
-            object: EntitySel::of(EntityClass::File, None),
-            event_pred: None,
-            subject_is_object: false,
-        };
-        let m = g.match_event_pattern(&q, &mut stats).unwrap();
+        let m = g.match_path_pattern(&single_hop(subject, None), &mut stats).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m.subj[0], 1);
-    }
-
-    #[test]
-    fn typed_attr_fetch() {
-        let g = audit_graph();
-        let mut stats = BackendStats::default();
-        let names = g
-            .fetch_attr(AttrSource::Entity(EntityClass::File), "name", &[2, 3, 99], &mut stats)
-            .unwrap();
-        assert_eq!(
-            names,
-            vec![
-                (2, SVal::Str(g.dict().get("/etc/passwd").unwrap())),
-                (3, SVal::Str(g.dict().get("/tmp/upload.tar").unwrap()))
-            ]
-        );
-        let amounts = g.fetch_attr(AttrSource::Event, "optype", &[11, 13], &mut stats).unwrap();
-        assert_eq!(
-            amounts,
-            vec![
-                (11, SVal::Str(g.dict().get("write").unwrap())),
-                (13, SVal::Str(g.dict().get("connect").unwrap()))
-            ]
-        );
     }
 }

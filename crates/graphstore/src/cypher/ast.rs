@@ -1,7 +1,7 @@
 //! Cypher abstract syntax.
 
-/// A literal. Parsed Cypher text produces `Str`; the typed
-/// `StorageBackend` lowering produces `Sym` — a pre-resolved handle into
+/// A literal. Parsed Cypher text produces `Str`; a typed request's
+/// predicate lowering produces `Sym` — a pre-resolved handle into
 /// the shared dictionary, evaluated without a dictionary lookup.
 #[derive(Clone, PartialEq, Debug)]
 pub enum CLit {

@@ -64,6 +64,11 @@ impl VarTable {
             .copied()
             .ok_or_else(|| Error::semantic(format!("unknown variable `{name}`")))
     }
+
+    /// What `name` is bound to in `binding` (unknown names are unbound).
+    fn bound(&self, binding: &[BindVal], name: &str) -> BindVal {
+        self.slots.get(name).map_or(BindVal::Unbound, |&s| binding[s])
+    }
 }
 
 fn lit_to_prop(g: &Graph, lit: &CLit) -> Option<PropValue> {
@@ -110,7 +115,7 @@ fn props_match(
 }
 
 /// Candidate anchors for a path start: tightest available access path.
-fn anchor_candidates(
+pub(crate) fn anchor_candidates(
     g: &Graph,
     pat: &NodePattern,
     extra: &[&CExpr],
@@ -197,11 +202,12 @@ fn prop_value_of(g: &Graph, bind: BindVal, prop: &str) -> Option<PropValue> {
     }
 }
 
-fn eval_where(g: &Graph, e: &CExpr, binding: &[BindVal], vars: &VarTable) -> bool {
+/// Evaluates a WHERE expression; `bound` says what each variable holds (a
+/// variable it does not know is unbound, and nothing holds of it).
+fn eval_where(g: &Graph, e: &CExpr, bound: &impl Fn(&str) -> BindVal) -> bool {
     match e {
         CExpr::Cmp { left, op, right } => {
-            let Ok(ls) = vars.lookup(&left.var) else { return false };
-            let Some(lv) = prop_value_of(g, binding[ls], &left.prop) else { return false };
+            let Some(lv) = prop_value_of(g, bound(&left.var), &left.prop) else { return false };
             let rv = match right {
                 CmpRhs::Lit(lit) => match lit {
                     CLit::Int(i) => PropValue::Int(*i),
@@ -213,8 +219,7 @@ fn eval_where(g: &Graph, e: &CExpr, binding: &[BindVal], vars: &VarTable) -> boo
                     CLit::Sym(s) => PropValue::Str(*s),
                 },
                 CmpRhs::Prop(p) => {
-                    let Ok(rs) = vars.lookup(&p.var) else { return false };
-                    let Some(v) = prop_value_of(g, binding[rs], &p.prop) else { return false };
+                    let Some(v) = prop_value_of(g, bound(&p.var), &p.prop) else { return false };
                     v
                 }
             };
@@ -240,43 +245,33 @@ fn eval_where(g: &Graph, e: &CExpr, binding: &[BindVal], vars: &VarTable) -> boo
             }
         }
         CExpr::StrPred { left, kind, needle } => {
-            let Ok(ls) = vars.lookup(&left.var) else { return false };
-            let Some(PropValue::Str(sym)) = prop_value_of(g, binding[ls], &left.prop) else {
+            let Some(PropValue::Str(sym)) = prop_value_of(g, bound(&left.var), &left.prop) else {
                 return false;
             };
             kind.holds(g.dict().resolve(sym), needle)
         }
         CExpr::InList { left, list } => {
-            let Ok(ls) = vars.lookup(&left.var) else { return false };
-            let Some(v) = prop_value_of(g, binding[ls], &left.prop) else { return false };
+            let Some(v) = prop_value_of(g, bound(&left.var), &left.prop) else { return false };
             list.iter().any(|lit| lit_to_prop(g, lit) == Some(v))
         }
-        CExpr::And(a, b) => eval_where(g, a, binding, vars) && eval_where(g, b, binding, vars),
-        CExpr::Or(a, b) => eval_where(g, a, binding, vars) || eval_where(g, b, binding, vars),
-        CExpr::Not(inner) => !eval_where(g, inner, binding, vars),
+        CExpr::And(a, b) => eval_where(g, a, bound) && eval_where(g, b, bound),
+        CExpr::Or(a, b) => eval_where(g, a, bound) || eval_where(g, b, bound),
+        CExpr::Not(inner) => !eval_where(g, inner, bound),
     }
 }
 
 /// Evaluates a WHERE-style expression against a single bound node. This is
-/// the frontier plane's hook for reusing the executor's predicate semantics
-/// (string comparisons resolve through the dictionary, unseen literals only
-/// satisfy `<>`, …) outside a full MATCH: `var` is the sole variable the
-/// expression may reference.
+/// the typed path matcher's hook for reusing the executor's predicate
+/// semantics (string comparisons resolve through the dictionary, unseen
+/// literals only satisfy `<>`, …) outside a full MATCH: `var` is the sole
+/// variable the expression may reference.
 pub(crate) fn eval_single_node(g: &Graph, e: &CExpr, var: &str, node: NodeId) -> bool {
-    let mut vars = VarTable { slots: FxHashMap::default(), count: 0 };
-    let slot = vars.slot(var);
-    let mut binding = vec![BindVal::Unbound; vars.count];
-    binding[slot] = BindVal::Node(node);
-    eval_where(g, e, &binding, &vars)
+    eval_where(g, e, &|v| if v == var { BindVal::Node(node) } else { BindVal::Unbound })
 }
 
 /// Edge flavour of [`eval_single_node`].
 pub(crate) fn eval_single_edge(g: &Graph, e: &CExpr, var: &str, edge: EdgeId) -> bool {
-    let mut vars = VarTable { slots: FxHashMap::default(), count: 0 };
-    let slot = vars.slot(var);
-    let mut binding = vec![BindVal::Unbound; vars.count];
-    binding[slot] = BindVal::Edge(edge);
-    eval_where(g, e, &binding, &vars)
+    eval_where(g, e, &|v| if v == var { BindVal::Edge(edge) } else { BindVal::Unbound })
 }
 
 /// Runs a parsed query.
@@ -489,12 +484,9 @@ fn extend_one(
         Some((min, max)) => {
             let min = min.unwrap_or(1);
             let max = max.unwrap_or(max_hops).min(max_hops);
-            // Bounded DFS with edge-distinctness along the walk.
-            // min = 0 allows the zero-hop match (start node itself),
-            // which compiled `~>(1~n)` prefixes rely on.
-            let mut stack: Vec<(NodeId, u32, Vec<EdgeId>)> = vec![(cur, 0, Vec::new())];
-            while let Some((n, depth, used)) = stack.pop() {
-                if depth >= min && (depth > 0 || min == 0) && target_ok(g, b, node_slot, n, node) {
+            let edge_ok = |eid| edge_matches(g, eid, rel);
+            edge_distinct_walks(g, cur, min, max, edge_ok, edges, |n| {
+                if target_ok(g, b, node_slot, n, node) {
                     let mut nb = b.to_vec();
                     if let Some(s) = node_slot {
                         nb[s] = BindVal::Node(n);
@@ -502,19 +494,42 @@ fn extend_one(
                     out_bindings.push(nb);
                     out_cursors.push(n);
                 }
-                if depth == max {
-                    continue;
-                }
-                for &eid in g.out_edges(n) {
-                    *edges += 1;
-                    if used.contains(&eid) || !edge_matches(g, eid, rel) {
-                        continue;
-                    }
-                    let mut used2 = used.clone();
-                    used2.push(eid);
-                    stack.push((g.edge(eid).dst, depth + 1, used2));
-                }
+            });
+        }
+    }
+}
+
+/// Bounded DFS with edge-distinctness along the walk: calls `visit` with
+/// the endpoint of every walk from `start` over `edge_ok` edges whose
+/// length is in `min..=max` — once per walk, so an endpoint reached by
+/// several walks is visited several times. `min == 0` admits the zero-hop
+/// walk (`start` itself), which compiled `~>(1~n)` prefixes rely on. Every
+/// out-edge examined is counted into `edges`.
+pub(crate) fn edge_distinct_walks(
+    g: &Graph,
+    start: NodeId,
+    min: u32,
+    max: u32,
+    edge_ok: impl Fn(EdgeId) -> bool,
+    edges: &mut usize,
+    mut visit: impl FnMut(NodeId),
+) {
+    let mut stack: Vec<(NodeId, u32, Vec<EdgeId>)> = vec![(start, 0, Vec::new())];
+    while let Some((n, depth, used)) = stack.pop() {
+        if depth >= min {
+            visit(n);
+        }
+        if depth == max {
+            continue;
+        }
+        for &eid in g.out_edges(n) {
+            *edges += 1;
+            if used.contains(&eid) || !edge_ok(eid) {
+                continue;
             }
+            let mut used2 = used.clone();
+            used2.push(eid);
+            stack.push((g.edge(eid).dst, depth + 1, used2));
         }
     }
 }
@@ -600,7 +615,7 @@ fn apply_ready_conjuncts(
             continue;
         }
         if c.vars().iter().all(|v| bound.iter().any(|b| b == v)) {
-            bindings.retain(|b| eval_where(g, c, b, vars));
+            bindings.retain(|b| eval_where(g, c, &|v| vars.bound(b, v)));
             applied[i] = true;
         }
     }

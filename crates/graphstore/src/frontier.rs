@@ -7,40 +7,29 @@
 //! walks that pass *through* the new edge) instead of re-walking the whole
 //! graph, so per-epoch cost tracks the epoch size, not the store size.
 //!
-//! ## Equivalence with batch evaluation
+//! ## Equivalence with one-shot evaluation
 //!
-//! The batch executor ([`crate::cypher::exec`]) matches a multi-hop path
-//! pattern as a bounded DFS with per-segment edge-distinctness and returns
-//! DISTINCT `(subject, object)` pairs (event columns are only returned for
-//! single-hop patterns, which stay on the existing delta path). For the
-//! pattern shapes the frontier accepts (`min_hops <= 1`, or `<= 2` with a
-//! final-hop operation — every shape TBQL's `~>(m~n)` sugar produces), pair
-//! membership reduces to *shortest-walk* reachability:
+//! The frontier is the second driver of the pattern [`crate::backend`]
+//! compiles: the same `PathSpec` (labels, prefix bounds `lo..=hi`, lowered
+//! predicates, candidate ids) and the same `PathMatcher` decide what is an
+//! anchor, an object, a final edge, and what a prefix endpoint contributes.
+//! Only *when* a node is found to end an anchor's prefix differs. It accepts
+//! the shapes whose prefix endpoints are the shortest-walk ball — `lo <= 1`,
+//! every shape TBQL's `~>(m~n)` sugar produces; that module's doc has the
+//! argument — and returns pairs only (an event is wanted for single-hop
+//! patterns alone, which stay on the row-range path):
 //!
-//! * an edge-distinct walk of length `d` in `[max(min,1), hi]` from `a` to
-//!   `x` exists iff the shortest walk `a -> x` has length `<= hi` — a
-//!   shortest walk never repeats a vertex, hence never repeats an edge, and
-//!   its length is always `>= 1 >= min`;
-//! * `x == a` closures are witnessed by the shortest *cycle* through `a`
-//!   (stored as `dist[a][a]`; the zero-length walk is handled separately at
-//!   anchor creation when `min == 0`);
-//! * with a final-hop operation the pattern is lowered as an unconstrained
-//!   prefix of `[min-1, hi-1]` hops plus one constrained final edge — the
-//!   final edge is a *separate* segment in the batch lowering and may repeat
-//!   prefix edges, which is exactly what scanning all out-edges of every
-//!   reached prefix endpoint reproduces.
+//! * `dist[n][a]` is the shortest walk `a -> n` when at most `hi` long;
+//!   `x == a` closures are witnessed by the shortest *cycle* through `a`
+//!   (stored as `dist[a][a]`; the zero-length walk is handled at anchor
+//!   creation when `lo == 0`);
+//! * a final edge is a segment of its own and may repeat prefix edges, which
+//!   is exactly what scanning all out-edges of every reached prefix endpoint
+//!   reproduces — in both directions: a new endpoint fires its old edges, a
+//!   new edge fires against the endpoints already cached at its source.
 //!
 //! Because shortest distances only ever shrink on a grow-only store, the
 //! emitted pair set grows monotonically and the frontier never retracts.
-//! Entity and final-hop predicates are evaluated through the same lowered
-//! Cypher expressions (`backend::pred_to_cexpr`) and the same evaluator
-//! (`cypher::exec::eval_single_node`) the batch path uses, so predicate
-//! semantics cannot drift.
-//!
-//! The candidate-id lists (`id_in`) the standing planner pushes into batch
-//! requests are deliberately ignored: they are filter-derived and grow-only,
-//! so on any store every id passing the filter is in the list and vice
-//! versa — evaluating the filter itself yields the same set.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
@@ -48,34 +37,23 @@ use raptor_common::intern::SharedDict;
 use raptor_common::io;
 use raptor_storage::PathPatternQuery;
 
-use crate::backend::{label_for_class, pred_to_cexpr};
-use crate::cypher::ast::CExpr;
-use crate::cypher::exec::{eval_single_edge, eval_single_node};
-use crate::graph::{Graph, NodeId, PropValue};
+use crate::backend::{PathMatcher, PathSpec};
+use crate::graph::{EdgeId, Graph, NodeId};
 
 /// Cached per-query frontier state for one variable-length path pattern.
 pub struct PathFrontier {
-    // --- immutable spec, rebuilt from the compiled query (never serialized)
-    subj_label: &'static str,
-    obj_label: &'static str,
-    subj_pred: Option<CExpr>,
-    obj_pred: Option<CExpr>,
-    final_pred: Option<CExpr>,
-    subject_is_object: bool,
-    /// Anchors themselves are valid prefix endpoints (`min_hops <= 1` with a
-    /// final hop — the prefix may be zero-length).
-    zero_prefix: bool,
-    /// `min_hops == 0` without a final hop: every anchor matches itself.
-    emit_self: bool,
-    /// Max relaxation depth: the effective DFS bound of the variable-length
-    /// segment (`hi` capped by `hop_cap`; one less with a final hop).
-    limit: u32,
+    /// Rebuilt from the compiled query, never serialized. `spec.hi` is the
+    /// max relaxation depth.
+    spec: PathSpec,
+    state: State,
+}
 
-    // --- incremental state
+#[derive(Default)]
+struct State {
     node_mark: usize,
     edge_mark: usize,
     anchors: FxHashSet<u32>,
-    /// `dist[node][anchor]` = shortest EVENT-walk length in `1..=limit`.
+    /// `dist[node][anchor]` = shortest EVENT-walk length in `1..=hi`.
     /// `dist[a][a]` is the shortest cycle through `a`, never 0.
     dist: FxHashMap<u32, FxHashMap<u32, u32>>,
     /// Emitted `(subject id, object id)` pairs.
@@ -91,232 +69,76 @@ impl PathFrontier {
         if q.want_event || single_hop {
             return Ok(None);
         }
+        let spec = PathSpec::compile(q, dict)?;
         // Shortest-walk reachability witnesses every admissible length only
-        // when the lower bound cannot exceed 1 (prefix lower bound, with a
-        // final hop).
-        let eligible = match &q.final_hop_pred {
-            Some(_) => q.min_hops <= 2,
-            None => q.min_hops <= 1,
-        };
-        if !eligible {
-            return Ok(None);
-        }
-        let subj_pred =
-            q.subject.filter.as_ref().map(|f| pred_to_cexpr("s", f, dict)).transpose()?;
-        let obj_pred = if q.subject_is_object {
-            None
-        } else {
-            q.object.filter.as_ref().map(|f| pred_to_cexpr("o", f, dict)).transpose()?
-        };
-        let final_pred =
-            q.final_hop_pred.as_ref().map(|p| pred_to_cexpr("e", p, dict)).transpose()?;
-        let limit = match final_pred {
-            Some(_) => q.max_hops.map(|m| m.saturating_sub(1)).unwrap_or(q.hop_cap),
-            None => q.max_hops.unwrap_or(q.hop_cap),
-        }
-        .min(q.hop_cap);
-        Ok(Some(PathFrontier {
-            subj_label: label_for_class(q.subject.class),
-            obj_label: label_for_class(q.object.class),
-            subj_pred,
-            obj_pred,
-            zero_prefix: final_pred.is_some() && q.min_hops <= 1,
-            emit_self: final_pred.is_none() && q.min_hops == 0,
-            final_pred,
-            subject_is_object: q.subject_is_object,
-            limit,
-            node_mark: 0,
-            edge_mark: 0,
-            anchors: FxHashSet::default(),
-            dist: FxHashMap::default(),
-            seen: FxHashSet::default(),
-        }))
+        // when the prefix's lower bound cannot exceed 1.
+        Ok((spec.lo <= 1).then(|| PathFrontier { spec, state: State::default() }))
     }
 
     /// Number of cached `(node, anchor)` distance entries (metrics gauge).
     pub fn entries(&self) -> usize {
-        self.dist.values().map(FxHashMap::len).sum()
+        self.state.dist.values().map(FxHashMap::len).sum()
     }
 
     /// Marks pairs as already emitted (restoring from checkpointed matches).
     pub fn seed_seen(&mut self, pairs: impl IntoIterator<Item = (i64, i64)>) {
-        self.seen.extend(pairs);
+        self.state.seen.extend(pairs);
     }
 
     /// Absorbs everything the store gained since the last call and returns
     /// the *new* `(subject id, object id)` pairs, sorted. A fresh frontier
-    /// absorbs the whole store, which equals batch evaluation; thereafter
+    /// absorbs the whole store, which equals one-shot evaluation; thereafter
     /// each call costs work proportional to the delta, not the store.
     pub fn advance(&mut self, g: &Graph) -> Vec<(i64, i64)> {
         let mut out: Vec<(i64, i64)> = Vec::new();
-        let subj_sym = g.dict().get(self.subj_label);
-        let event_sym = g.dict().get("EVENT");
+        let m = self.spec.on(g);
+        let st = &mut self.state;
 
-        // New nodes: collect anchors; `min == 0` matches the anchor itself.
+        // New nodes: collect anchors; with `lo == 0` an anchor ends its own
+        // zero-length prefix.
         let node_count = g.node_count();
-        for idx in self.node_mark..node_count {
+        for idx in st.node_mark..node_count {
             let n = NodeId(idx as u32);
-            if Some(g.node(n).label) != subj_sym {
-                continue;
-            }
-            if let Some(p) = &self.subj_pred {
-                if !eval_single_node(g, p, "s", n) {
-                    continue;
+            if m.subject_ok(n) {
+                st.anchors.insert(n.0);
+                if m.spec.lo == 0 {
+                    st.on_reached(&m, n, n, &mut out);
                 }
             }
-            self.anchors.insert(n.0);
-            if self.emit_self && self.object_ok(g, n, n.0) {
-                self.emit(g, n.0, n.0, &mut out);
-            }
         }
-        self.node_mark = node_count;
+        st.node_mark = node_count;
 
         // New edges: each may (a) serve as the constrained final hop of an
         // already-cached prefix, and (b) shorten walks for every anchor that
         // reaches its source, which propagates forward through *all* current
         // edges (retro-seeding walks through the new edge).
         let edge_count = g.edge_count();
-        if let Some(event_sym) = event_sym {
-            for idx in self.edge_mark..edge_count {
-                let eid = crate::graph::EdgeId(idx as u32);
-                let e = g.edge(eid);
-                if e.label != event_sym {
-                    continue;
+        for idx in st.edge_mark..edge_count {
+            let eid = EdgeId(idx as u32);
+            if !m.is_event(eid) {
+                continue;
+            }
+            let (u, v) = (g.edge(eid).src, g.edge(eid).dst);
+            if m.spec.has_final && m.final_edge_ok(eid) {
+                let mut endpoints: Vec<u32> = Vec::new();
+                if m.spec.lo == 0 && st.anchors.contains(&u.0) {
+                    endpoints.push(u.0);
                 }
-                let (u, v) = (e.src, e.dst);
-                if let Some(fp) = &self.final_pred {
-                    if eval_single_edge(g, fp, "e", eid) {
-                        let mut endpoints: Vec<u32> = Vec::new();
-                        if self.zero_prefix && self.anchors.contains(&u.0) {
-                            endpoints.push(u.0);
-                        }
-                        if let Some(m) = self.dist.get(&u.0) {
-                            endpoints.extend(m.keys().copied());
-                        }
-                        for a in endpoints {
-                            if self.object_ok(g, v, a) {
-                                self.emit(g, a, v.0, &mut out);
-                            }
-                        }
+                if let Some(reaching) = st.dist.get(&u.0) {
+                    endpoints.extend(reaching.keys().copied());
+                }
+                for a in endpoints {
+                    if m.object_ok(v, NodeId(a)) {
+                        st.emit(&m, NodeId(a), v, &mut out);
                     }
                 }
-                self.relax(g, event_sym, u.0, v.0, &mut out);
             }
+            st.relax(&m, u.0, v.0, &mut out);
         }
-        self.edge_mark = edge_count;
+        st.edge_mark = edge_count;
 
         out.sort_unstable();
         out
-    }
-
-    /// Relaxes the min-distance map through the new edge `u -> v` for every
-    /// anchor currently reaching `u` (or `u` itself when it is an anchor),
-    /// propagating improvements forward along existing EVENT edges.
-    fn relax(
-        &mut self,
-        g: &Graph,
-        event_sym: raptor_common::Sym,
-        u: u32,
-        v: u32,
-        out: &mut Vec<(i64, i64)>,
-    ) {
-        if self.limit == 0 {
-            return;
-        }
-        // (node, anchor, candidate distance); pushes are pre-filtered to
-        // `<= limit`.
-        let mut work: Vec<(u32, u32, u32)> = Vec::new();
-        if self.anchors.contains(&u) {
-            work.push((v, u, 1));
-        }
-        if let Some(m) = self.dist.get(&u) {
-            for (&a, &d) in m {
-                if d < self.limit {
-                    work.push((v, a, d + 1));
-                }
-            }
-        }
-        while let Some((n, a, d)) = work.pop() {
-            let slot = self.dist.entry(n).or_default();
-            let created = match slot.get(&a) {
-                Some(&prev) if prev <= d => continue,
-                Some(_) => {
-                    slot.insert(a, d);
-                    false
-                }
-                None => {
-                    slot.insert(a, d);
-                    true
-                }
-            };
-            if created {
-                self.on_reached(g, NodeId(n), a, out);
-            }
-            if d < self.limit {
-                for &eid in g.out_edges(NodeId(n)) {
-                    let e = g.edge(eid);
-                    if e.label == event_sym {
-                        work.push((e.dst.0, a, d + 1));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Anchor `a` reaches node `n` within the depth bound for the first
-    /// time: emit pair matches ending at `n` (no final hop) or through each
-    /// of `n`'s qualifying out-edges (final hop; edges may predate `n`'s
-    /// reachability — this is the retro-seeding direction).
-    fn on_reached(&mut self, g: &Graph, n: NodeId, a: u32, out: &mut Vec<(i64, i64)>) {
-        match &self.final_pred {
-            None => {
-                if self.object_ok(g, n, a) {
-                    self.emit(g, a, n.0, out);
-                }
-            }
-            Some(fp) => {
-                let event_sym = g.dict().get("EVENT");
-                let mut hits: Vec<u32> = Vec::new();
-                for &eid in g.out_edges(n) {
-                    let e = g.edge(eid);
-                    if Some(e.label) == event_sym
-                        && eval_single_edge(g, fp, "e", eid)
-                        && self.object_ok(g, e.dst, a)
-                    {
-                        hits.push(e.dst.0);
-                    }
-                }
-                for o in hits {
-                    self.emit(g, a, o, out);
-                }
-            }
-        }
-    }
-
-    /// Does `n` qualify as the pattern's object for anchor `a`?
-    fn object_ok(&self, g: &Graph, n: NodeId, a: u32) -> bool {
-        if self.subject_is_object {
-            return n.0 == a;
-        }
-        match g.dict().get(self.obj_label) {
-            Some(sym) if g.node(n).label == sym => {}
-            _ => return false,
-        }
-        match &self.obj_pred {
-            Some(p) => eval_single_node(g, p, "o", n),
-            None => true,
-        }
-    }
-
-    fn emit(&mut self, g: &Graph, a: u32, o: u32, out: &mut Vec<(i64, i64)>) {
-        let id = |n: u32| match g.node_prop(NodeId(n), "id") {
-            Some(PropValue::Int(i)) => i,
-            _ => -1,
-        };
-        let pair = (id(a), id(o));
-        if self.seen.insert(pair) {
-            out.push(pair);
-        }
     }
 
     /// Serializes the incremental state (watermarks, anchors, distance map)
@@ -325,21 +147,21 @@ impl PathFrontier {
     /// the accumulated matches, and [`PathFrontier::seed_seen`] rebuilds it
     /// from them on restore.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        io::put_u64(buf, self.node_mark as u64);
-        io::put_u64(buf, self.edge_mark as u64);
-        let mut anchors: Vec<u32> = self.anchors.iter().copied().collect();
+        let st = &self.state;
+        io::put_u64(buf, st.node_mark as u64);
+        io::put_u64(buf, st.edge_mark as u64);
+        let mut anchors: Vec<u32> = st.anchors.iter().copied().collect();
         anchors.sort_unstable();
         io::put_u64(buf, anchors.len() as u64);
         for a in anchors {
             io::put_u32(buf, a);
         }
-        let mut nodes: Vec<u32> = self.dist.keys().copied().collect();
+        let mut nodes: Vec<u32> = st.dist.keys().copied().collect();
         nodes.sort_unstable();
         io::put_u64(buf, nodes.len() as u64);
         for n in nodes {
             io::put_u32(buf, n);
-            let mut entries: Vec<(u32, u32)> =
-                self.dist[&n].iter().map(|(&a, &d)| (a, d)).collect();
+            let mut entries: Vec<(u32, u32)> = st.dist[&n].iter().map(|(&a, &d)| (a, d)).collect();
             entries.sort_unstable();
             io::put_u64(buf, entries.len() as u64);
             for (a, d) in entries {
@@ -366,29 +188,88 @@ impl PathFrontier {
             for _ in 0..cur.get_len()? {
                 let a = cur.get_u32()?;
                 let d = cur.get_u32()?;
-                if d == 0 || d > self.limit {
+                if d == 0 || d > self.spec.hi {
                     return Err(Error::storage(format!(
                         "frontier distance {d} outside 1..={} (corrupt state)",
-                        self.limit
+                        self.spec.hi
                     )));
                 }
                 m.insert(a, d);
             }
             dist.insert(n, m);
         }
-        self.node_mark = node_mark;
-        self.edge_mark = edge_mark;
-        self.anchors = anchors;
-        self.dist = dist;
+        let st = &mut self.state;
+        st.node_mark = node_mark;
+        st.edge_mark = edge_mark;
+        st.anchors = anchors;
+        st.dist = dist;
         Ok(())
+    }
+}
+
+impl State {
+    /// Relaxes the min-distance map through the new edge `u -> v` for every
+    /// anchor currently reaching `u` (or `u` itself when it is an anchor),
+    /// propagating improvements forward along existing EVENT edges.
+    fn relax(&mut self, m: &PathMatcher<'_>, u: u32, v: u32, out: &mut Vec<(i64, i64)>) {
+        let (g, limit) = (m.g, m.spec.hi);
+        if limit == 0 {
+            return;
+        }
+        // (node, anchor, candidate distance); pushes are pre-filtered to
+        // `<= limit`.
+        let mut work: Vec<(u32, u32, u32)> = Vec::new();
+        if self.anchors.contains(&u) {
+            work.push((v, u, 1));
+        }
+        if let Some(reaching) = self.dist.get(&u) {
+            for (&a, &d) in reaching {
+                if d < limit {
+                    work.push((v, a, d + 1));
+                }
+            }
+        }
+        while let Some((n, a, d)) = work.pop() {
+            let slot = self.dist.entry(n).or_default();
+            let created = match slot.get(&a) {
+                Some(&prev) if prev <= d => continue,
+                prev => prev.is_none(),
+            };
+            slot.insert(a, d);
+            if created {
+                self.on_reached(m, NodeId(n), NodeId(a), out);
+            }
+            if d < limit {
+                for &eid in g.out_edges(NodeId(n)) {
+                    if m.is_event(eid) {
+                        work.push((g.edge(eid).dst.0, a, d + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Anchor `a`'s prefix ends at `n` for the first time: emit what that
+    /// contributes (with a final hop, `n`'s qualifying out-edges may predate
+    /// its reachability — this is the retro-seeding direction).
+    fn on_reached(&mut self, m: &PathMatcher<'_>, n: NodeId, a: NodeId, out: &mut Vec<(i64, i64)>) {
+        m.matches_at(n, a, |o, _| self.emit(m, a, o, out));
+    }
+
+    fn emit(&mut self, m: &PathMatcher<'_>, a: NodeId, o: NodeId, out: &mut Vec<(i64, i64)>) {
+        let pair = (m.entity_id(a), m.entity_id(o));
+        if self.seen.insert(pair) {
+            out.push(pair);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cypher::{exec::execute, parse_cypher};
     use crate::graph::PropIns;
-    use raptor_storage::{CmpOp, EntityClass, EntitySel, Pred, StorageBackend, Value};
+    use raptor_storage::{CmpOp, EntityClass, EntitySel, Pred, Value};
 
     fn proc(g: &mut Graph, id: i64, exe: &str) -> NodeId {
         g.add_node("Process", &[("id", PropIns::Int(id)), ("exename", PropIns::Str(exe))])
@@ -433,11 +314,27 @@ mod tests {
         }
     }
 
-    /// Batch pairs for the same request, via the storage backend.
+    /// The same request (one of [`req`]'s) as Cypher text through the text
+    /// frontend's own DFS — the independent reference.
     fn batch_pairs(g: &Graph, q: &PathPatternQuery) -> Vec<(i64, i64)> {
-        let mut stats = raptor_storage::BackendStats::default();
-        let m = g.match_path_pattern(q, &mut stats).unwrap();
-        let mut pairs: Vec<(i64, i64)> = (0..m.len()).map(|i| (m.subj[i], m.obj[i])).collect();
+        let range = |min: u32, max: Option<u32>| {
+            format!("*{min}..{}", max.map(|m| m.to_string()).unwrap_or_default())
+        };
+        let text = match &q.final_hop_pred {
+            Some(Pred::Cmp { value, .. }) => format!(
+                "MATCH (s:Process)-[:EVENT{}]->()-[e:EVENT]->(o:File) WHERE e.optype = '{}' \
+                 RETURN DISTINCT s.id, o.id",
+                range(q.min_hops - 1, q.max_hops.map(|m| m - 1)),
+                value.render(g.dict()),
+            ),
+            _ => format!(
+                "MATCH (s:Process)-[:EVENT{}]->(o:File) RETURN DISTINCT s.id, o.id",
+                range(q.min_hops, q.max_hops)
+            ),
+        };
+        let r = execute(g, &parse_cypher(&text).unwrap(), q.hop_cap).unwrap();
+        let mut pairs: Vec<(i64, i64)> =
+            r.rows.iter().map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap())).collect();
         pairs.sort_unstable();
         pairs
     }

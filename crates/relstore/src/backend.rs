@@ -1,4 +1,6 @@
-//! The typed [`StorageBackend`] implementation.
+//! The relational store's typed surface: [`Database::entity_candidates`],
+//! [`Database::match_event_pattern`], [`Database::fetch_attr`] and the write
+//! seam ([`MutableBackend`]).
 //!
 //! Requests arrive as `raptor-storage` data structures and are lowered
 //! straight to SQL *AST* (`sql::ast::Select`) — the lexer/parser are never
@@ -17,8 +19,7 @@ use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
 use raptor_storage::{
     AttrSource, BackendStats, EntityClass, EntitySel, EventPatternQuery, Field, FieldValue,
-    MutableBackend, PathPatternQuery, PatternMatches, Pred, StorageBackend, Value as SVal,
-    ValueColumn,
+    MutableBackend, PatternMatches, Pred, Value as SVal, ValueColumn,
 };
 
 use crate::db::Database;
@@ -159,7 +160,7 @@ impl Database {
     /// Matches `q` against rows `rows` of the `events` table only — how a
     /// standing query sees one epoch: tables are append-only and a row id
     /// is its ordinal, so what an epoch appended is one contiguous range.
-    /// The result is what [`StorageBackend::match_event_pattern`] returns
+    /// The result is what [`Database::match_event_pattern`] returns
     /// for the events in that range (in event row order), and ranges that
     /// tile the table concatenate to its whole answer. Endpoints may be of
     /// any age: each is looked up by id and its filter tested on its own
@@ -221,12 +222,11 @@ fn absorb_exec(stats: &mut BackendStats, exec: &ExecStats) {
     stats.segments_pruned += exec.segments_pruned;
 }
 
-impl StorageBackend for Database {
-    fn backend_name(&self) -> &'static str {
-        "relational"
-    }
-
-    fn entity_candidates(
+impl Database {
+    /// Resolves a filtered entity to its candidate ids (one small indexed
+    /// lookup — the scheduler's seeding step). Returned ids are sorted and
+    /// distinct.
+    pub fn entity_candidates(
         &self,
         class: EntityClass,
         filter: &Pred,
@@ -251,7 +251,9 @@ impl StorageBackend for Database {
         Ok(ids)
     }
 
-    fn match_event_pattern(
+    /// Matches one event pattern against the whole store; returns (subject,
+    /// object, event, start, end) per match.
+    pub fn match_event_pattern(
         &self,
         q: &EventPatternQuery,
         stats: &mut BackendStats,
@@ -313,22 +315,9 @@ impl StorageBackend for Database {
         })
     }
 
-    fn match_path_pattern(
-        &self,
-        q: &PathPatternQuery,
-        stats: &mut BackendStats,
-    ) -> Result<PatternMatches> {
-        // A relational store answers exactly the single-hop shape (it is an
-        // event lookup); longer paths belong to the graph backend.
-        let eq = q.as_single_hop().ok_or_else(|| {
-            Error::semantic("relational backend supports single-hop path patterns only")
-        })?;
-        let mut m = self.match_event_pattern(&eq, stats)?;
-        m.has_event = q.want_event;
-        Ok(m)
-    }
-
-    fn fetch_attr(
+    /// Fetches `attr` for the given ids; absent ids are simply missing from
+    /// the result. Used by final projection and `with`-clause evaluation.
+    pub fn fetch_attr(
         &self,
         source: AttrSource,
         attr: &str,
@@ -521,28 +510,6 @@ mod tests {
             subject_is_object: false,
         };
         assert!(db.match_event_pattern(&q, &mut stats).unwrap().is_empty());
-    }
-
-    #[test]
-    fn single_hop_path_served_relationally() {
-        let db = audit_db();
-        let mut stats = BackendStats::default();
-        let q = PathPatternQuery {
-            subject: EntitySel::of(EntityClass::Process, None),
-            object: EntitySel::of(EntityClass::File, None),
-            min_hops: 1,
-            max_hops: Some(1),
-            hop_cap: 8,
-            final_hop_pred: Some(op_eq(&db, "write")),
-            want_event: true,
-            subject_is_object: false,
-        };
-        let m = db.match_path_pattern(&q, &mut stats).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.obj[0], 3);
-        // Multi-hop is the graph backend's job.
-        let q = PathPatternQuery { max_hops: Some(3), ..q };
-        assert!(db.match_path_pattern(&q, &mut stats).is_err());
     }
 
     #[test]

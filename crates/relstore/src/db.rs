@@ -104,8 +104,8 @@ pub struct Database {
     dict: SharedDict,
     slots: Vec<Slot>,
     by_name: FxHashMap<String, usize>,
-    /// SQL texts parsed over this database's lifetime. The typed
-    /// `StorageBackend` entry points never touch this — tests assert it.
+    /// SQL texts parsed over this database's lifetime. The typed entry
+    /// points (`crate::backend`) never touch this — tests assert it.
     /// Atomic (not `Cell`) so the database stays `Sync` on the query path:
     /// the parallel execution plane shares `&Database` across workers.
     text_parses: AtomicUsize,

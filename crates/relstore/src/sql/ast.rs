@@ -46,8 +46,8 @@ impl CmpOp {
     }
 }
 
-/// A literal value. Parsed SQL text produces `Str`; the typed
-/// `StorageBackend` lowering produces `Interned` — a pre-resolved handle
+/// A literal value. Parsed SQL text produces `Str`; a typed request's
+/// predicate lowering produces `Interned` — a pre-resolved handle
 /// into the shared dictionary, so the executor binds the literal without a
 /// dictionary lookup.
 #[derive(Clone, PartialEq, Debug)]

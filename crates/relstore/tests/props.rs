@@ -5,9 +5,7 @@ use proptest::prelude::*;
 use raptor_relstore::db::Ins;
 use raptor_relstore::like::{containment_literal, like_match};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
-use raptor_storage::{
-    BackendStats, CmpOp, EntityClass, EntitySel, EventPatternQuery, Pred, StorageBackend, Value,
-};
+use raptor_storage::{BackendStats, CmpOp, EntityClass, EntitySel, EventPatternQuery, Pred, Value};
 
 /// Reference LIKE via dynamic programming (independent implementation).
 fn like_reference(pattern: &str, text: &str) -> bool {

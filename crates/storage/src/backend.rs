@@ -1,10 +1,14 @@
-//! The [`StorageBackend`] trait and unified execution counters.
+//! The write seam ([`MutableBackend`]) and unified execution counters.
+//!
+//! Reads have no trait: the engine calls the relational store's inherent
+//! `entity_candidates` / `match_event_pattern` / `fetch_attr` and the graph
+//! store's `match_path_pattern` directly — each store answers only the
+//! shapes its physical model serves.
 
 use raptor_common::error::Result;
 use raptor_common::intern::Sym;
 
-use crate::request::{EntityClass, EventPatternQuery, PathPatternQuery, Pred};
-use crate::value::{PatternMatches, Value};
+use crate::request::EntityClass;
 
 /// Where an attribute fetch reads from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -18,8 +22,7 @@ pub enum AttrSource {
 /// `items_scanned` (rows / nodes), `items_built` (join tuples / bindings),
 /// `items_inserted` (rows / nodes / edges appended through
 /// [`MutableBackend`]), index vs full access paths, and — the typed plane's
-/// invariant — `text_parses`, which stays 0 on every [`StorageBackend`]
-/// entry point.
+/// invariant — `text_parses`, which stays 0 on every typed entry point.
 ///
 /// The struct carries no epoch state of its own: streaming callers get
 /// per-epoch reset semantics by passing a fresh `BackendStats` per ingest
@@ -28,8 +31,8 @@ pub enum AttrSource {
 pub struct BackendStats {
     /// Typed data queries served.
     pub data_queries: usize,
-    /// SQL/Cypher texts parsed. Always 0 through the trait; the giant-query
-    /// baselines bump it at the engine level.
+    /// SQL/Cypher texts parsed. Always 0 on the typed entry points; the
+    /// giant-query baselines bump it at the engine level.
     pub text_parses: usize,
     /// Rows or nodes touched by scans/anchors.
     pub items_scanned: usize,
@@ -98,59 +101,12 @@ pub enum FieldValue<'a> {
 
 /// One named field of a record being appended: `(attribute name, value)`.
 /// Names use the backend-neutral attribute vocabulary (the same names
-/// [`Pred`]s and `fetch_attr` use); each backend maps them to its physical
-/// columns or properties.
+/// [`crate::Pred`]s and `fetch_attr` use); each backend maps them to its
+/// physical columns or properties.
 pub type Field<'a> = (&'a str, FieldValue<'a>);
 
-/// Typed entry points a store exposes to the scheduled executor. All of
-/// them bypass the store's text parser: requests arrive as data structures
-/// and results leave as typed batches keyed by `i64` entity ids.
-///
-/// A backend may support only the shapes its physical model can answer
-/// (e.g. a relational store rejects multi-hop path patterns); callers route
-/// by shape.
-pub trait StorageBackend {
-    /// Short name for plans/telemetry, e.g. `"relational"` / `"graph"`.
-    fn backend_name(&self) -> &'static str;
-
-    /// Resolves a filtered entity to its candidate ids (one small indexed
-    /// lookup — the scheduler's seeding step). Returned ids are sorted and
-    /// distinct.
-    fn entity_candidates(
-        &self,
-        class: EntityClass,
-        filter: &Pred,
-        stats: &mut BackendStats,
-    ) -> Result<Vec<i64>>;
-
-    /// Matches one event pattern; returns (subject, object, event, start,
-    /// end) per match.
-    fn match_event_pattern(
-        &self,
-        q: &EventPatternQuery,
-        stats: &mut BackendStats,
-    ) -> Result<PatternMatches>;
-
-    /// Matches one (possibly variable-length) path pattern.
-    fn match_path_pattern(
-        &self,
-        q: &PathPatternQuery,
-        stats: &mut BackendStats,
-    ) -> Result<PatternMatches>;
-
-    /// Fetches `attr` for the given ids; absent ids are simply missing from
-    /// the result. Used by final projection and `with`-clause evaluation.
-    fn fetch_attr(
-        &self,
-        source: AttrSource,
-        attr: &str,
-        ids: &[i64],
-        stats: &mut BackendStats,
-    ) -> Result<Vec<(i64, Value)>>;
-}
-
-/// Incremental-append extension of [`StorageBackend`] — the streaming
-/// ingestion seam. Every insert maintains every index the store has already
+/// Incremental append — the streaming ingestion seam, the one operation both
+/// stores share. Every insert maintains every index the store has already
 /// built (hash / B-tree / trigram, graph value indexes, adjacency), so a
 /// store grown record-by-record answers queries identically to one
 /// bulk-loaded with the same data.
@@ -161,7 +117,7 @@ pub trait StorageBackend {
 ///   physical ids aligned with entity ids,
 /// * an event's `subject`/`object` entities must already be inserted,
 /// * each successful call bumps `stats.items_inserted` by exactly 1.
-pub trait MutableBackend: StorageBackend {
+pub trait MutableBackend {
     /// Appends one entity record of `class` with the given id and
     /// attributes.
     fn insert_entity(

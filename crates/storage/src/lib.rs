@@ -15,10 +15,11 @@
 //!   scheduler issues: [`EventPatternQuery`] (event patterns with
 //!   pushed-down predicates and propagated `IN` id sets) and
 //!   [`PathPatternQuery`] (variable-length path patterns).
-//! * [`backend`] — the [`StorageBackend`] trait both stores implement
-//!   *without* going through their text parsers, plus [`BackendStats`], the
-//!   unified execution counters. Every future backend (sharded, async,
-//!   columnar) plugs in here.
+//! * [`backend`] — [`MutableBackend`], the append seam both stores
+//!   implement, and [`BackendStats`], the unified execution counters. The
+//!   typed reads are inherent methods of each store: the relational one
+//!   answers candidates, event patterns and attribute fetches, the graph one
+//!   path patterns, neither through its text parser.
 //! * [`stats`] — the statistics plane: [`TableStats`]/[`ColumnStats`]
 //!   (row/distinct counts, top-k value frequencies, scaling equi-width
 //!   histograms) and per-class [`DegreeStats`], maintained incrementally on
@@ -36,7 +37,7 @@ pub mod request;
 pub mod stats;
 pub mod value;
 
-pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend, StorageBackend};
+pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend};
 pub use catalog::{CanonicalCatalog, PathCatalog, CATALOG_K};
 pub use posting::Posting;
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};

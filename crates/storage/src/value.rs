@@ -9,8 +9,8 @@
 
 use raptor_common::intern::{SharedDict, Sym};
 
-/// A detached typed value — the engine's currency across the
-/// [`crate::StorageBackend`] seam. 16 bytes, `Copy`; strings are handles
+/// A detached typed value — the engine's currency across the typed store
+/// calls. 16 bytes, `Copy`; strings are handles
 /// into the shared dictionary.
 ///
 /// Deliberately **no** derived `Ord`: [`Sym`] ordering is insertion order,

@@ -1,5 +1,5 @@
-//! Cross-backend equivalence: the scheduled plan (typed `StorageBackend`
-//! path), the giant-SQL plan and the giant-Cypher plan must return identical
+//! Cross-backend equivalence: the scheduled plan (typed store calls), the
+//! giant-SQL plan and the giant-Cypher plan must return identical
 //! result sets for the same query — the paper's "all these four types of
 //! queries search for the same system behaviors and return the same
 //! results". The scheduled plan must additionally be *parse-free*: zero

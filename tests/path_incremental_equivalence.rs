@@ -9,7 +9,8 @@
 //!    query concatenate byte-identically to a one-shot batch
 //!    `ExecMode::Scheduled` re-evaluation over the same rows — and the
 //!    streamed engine's own batch execution agrees with the bulk-loaded
-//!    engine's.
+//!    engine's, and with the giant-Cypher baseline's rows under
+//!    `return distinct`.
 //! 2. **Catalog equivalence** — the path cardinality catalog is
 //!    maintained below the write seam, so a streamed (chunked, shuffled)
 //!    ingest and a bulk load build identical catalogs by construction.
@@ -95,6 +96,12 @@ proptest! {
             prop_assert_eq!(&delta_rows[i], &expect.sorted_rows(), "concatenated deltas for {}", q);
             let (sb, _) = streamed.execute_text(q, ExecMode::Scheduled).unwrap();
             prop_assert_eq!(sb.sorted_rows(), expect.sorted_rows(), "streamed batch for {}", q);
+            // The text frontend enumerates walks, one row each; under
+            // DISTINCT that is the typed matcher's answer.
+            let distinct = q.replace("return", "return distinct");
+            let (typed, _) = bulk.execute_text(&distinct, ExecMode::Scheduled).unwrap();
+            let (text, _) = bulk.execute_text(&distinct, ExecMode::GiantCypher).unwrap();
+            prop_assert_eq!(text.sorted_rows(), typed.sorted_rows(), "giant Cypher for {}", distinct);
         }
 
         // Bulk vs stream build the catalog through different call paths
