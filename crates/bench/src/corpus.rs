@@ -47,8 +47,7 @@ pub fn corpus_system() -> ThreatRaptor {
 
 /// The corpus scenario at ~15x background scale (tens of thousands of
 /// events) as a parsed + reduced log: what the durability section of
-/// `bench_smoke` streams, checkpoints and recovers, and the `path_delta`
-/// bench's large store.
+/// `bench_smoke` streams, checkpoints and recovers.
 pub fn scaled_corpus_log() -> ParsedLog {
     let mut sim = Simulator::new(77, Timestamp::from_secs(1_500_000_000));
     generate_background(

@@ -12,16 +12,17 @@
 //!
 //! That syntactic score is now the **fallback**. The default scheduler is
 //! *cost-based*: each pattern's output cardinality is estimated from the
-//! maintained store statistics (see [`crate::estimate`]) and patterns
-//! run in ascending estimated-rows order — the most selective data query
-//! first, so its results prune everything after it. Ties (and the whole
+//! maintained store statistics (see [`crate::estimate`]) and
+//! `Engine::plan_order` greedily runs the cheapest remaining pattern next —
+//! the most selective data query first, so its results prune everything
+//! after it — conditioning the estimates of the patterns that share its
+//! variables as it goes. Ties (and the whole
 //! order, when stats are absent) fall back to the syntactic score; at equal
-//! scores event patterns run before path patterns (an indexed three-way
-//! join is cheaper than a graph traversal), then query order keeps runs
-//! deterministic. Reordering can never change results — only the size of
+//! scores event patterns run before path patterns (one scan of `events`
+//! with an id probe per endpoint is cheaper than a graph traversal), then
+//! query order keeps runs deterministic. Reordering can never change results — only the size of
 //! the propagated `IN` sets — which the order-invariance proptest pins.
 
-use crate::estimate::PatternEstimate;
 use raptor_common::hash::FxHashMap;
 use raptor_tbql::analyze::{APattern, AnalyzedQuery};
 use raptor_tbql::{Arrow, AttrExpr, OpExpr, PatternOp};
@@ -93,31 +94,11 @@ pub fn pruning_score(aq: &AnalyzedQuery, p: &APattern) -> i64 {
 
 /// Syntactic execution order: pattern indices sorted by descending pruning
 /// score. Ties prefer event patterns over path patterns (cheaper to
-/// evaluate: an indexed relational join vs a graph traversal), then query
-/// order, keeping runs deterministic.
+/// evaluate: an `events` scan with id probes vs a graph traversal), then
+/// query order, keeping runs deterministic.
 pub fn execution_order(aq: &AnalyzedQuery) -> Vec<usize> {
     let mut order: Vec<usize> = (0..aq.patterns.len()).collect();
     order.sort_by_key(|&i| (-pruning_score(aq, &aq.patterns[i]), aq.patterns[i].is_path(), i));
-    order
-}
-
-/// Cost-based execution order: ascending estimated rows (the most selective
-/// data query first), with the syntactic tie-break rules of
-/// [`execution_order`] after it. Estimates must be index-aligned with
-/// `aq.patterns`; patterns without an estimate sort last.
-pub fn cost_based_order(aq: &AnalyzedQuery, estimates: &[PatternEstimate]) -> Vec<usize> {
-    debug_assert_eq!(estimates.len(), aq.patterns.len());
-    let mut order: Vec<usize> = (0..aq.patterns.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ea = estimates[a].estimated_rows.unwrap_or(f64::INFINITY);
-        let eb = estimates[b].estimated_rows.unwrap_or(f64::INFINITY);
-        ea.total_cmp(&eb)
-            .then_with(|| {
-                pruning_score(aq, &aq.patterns[b]).cmp(&pruning_score(aq, &aq.patterns[a]))
-            })
-            .then_with(|| aq.patterns[a].is_path().cmp(&aq.patterns[b].is_path()))
-            .then(a.cmp(&b))
-    });
     order
 }
 
@@ -247,29 +228,6 @@ mod tests {
             let aq = analyzed(q);
             assert_eq!(execution_order(&aq), *want, "query: {q}");
         }
-    }
-
-    #[test]
-    fn cost_based_order_sorts_ascending_estimates() {
-        let aq = analyzed(
-            r#"proc a read file b as e1
-               proc c read file d as e2
-               proc e read file f as e3
-               return b"#,
-        );
-        let est = |i: usize, rows: Option<f64>| crate::estimate::PatternEstimate {
-            pattern: format!("e{}", i + 1),
-            is_path: false,
-            estimated_rows: rows,
-            syntactic_score: pruning_score(&aq, &aq.patterns[i]),
-            actual_rows: None,
-        };
-        let estimates = vec![est(0, Some(50.0)), est(1, Some(2.0)), est(2, Some(7.0))];
-        assert_eq!(cost_based_order(&aq, &estimates), vec![1, 2, 0]);
-        // Patterns without an estimate sort last; full ties fall back to
-        // query order.
-        let estimates = vec![est(0, None), est(1, Some(3.0)), est(2, Some(3.0))];
-        assert_eq!(cost_based_order(&aq, &estimates), vec![1, 2, 0]);
     }
 
     #[test]

@@ -1,42 +1,42 @@
 //! The relational store's typed surface: [`Database::entity_candidates`],
-//! [`Database::match_event_pattern`], [`Database::fetch_attr`] and the write
-//! seam ([`MutableBackend`]).
+//! [`Database::match_event_pattern`], [`Database::match_event_pattern_rows`],
+//! [`Database::fetch_attr`] and the write seam ([`MutableBackend`]).
 //!
-//! Requests arrive as `raptor-storage` data structures and are lowered
-//! straight to SQL *AST* (`sql::ast::Select`) — the lexer/parser are never
-//! involved. From there the normal planner and executor run, so the typed
-//! plane shares every access path (hash/btree/trigram indexes, pushdown,
-//! hash joins) with parsed queries.
+//! Requests arrive as `raptor-storage` data structures; their predicates
+//! are lowered straight to SQL *expressions* (`sql::ast::Expr`, the lexer
+//! and parser are never involved) and evaluated by the scan's own compiled
+//! kernels. The typed plane **scans and does not plan**: no `Select` is
+//! built, and the planner, the binder over joined aliases and the hash
+//! joins serve SQL text only.
 //!
-//! One entry point skips the planner: [`Database::match_event_pattern_rows`]
-//! matches an event pattern against a row range of `events` — what a
-//! standing query does with the rows an epoch appended. It lowers the same
-//! predicates through the same `pred_to_expr` and evaluates them with the
-//! scan's own compiled-predicate kernels, so it cannot disagree with
-//! `match_event_pattern` about what a predicate means.
+//! * `entity_candidates` is one scan of the class table — the same
+//!   statistics-chosen access path (hash / B-tree / trigram) a parsed
+//!   single-table query takes.
+//! * `match_event_pattern` and `match_event_pattern_rows` are the one
+//!   matcher, `exec::match_event_rows`: events come from a scan of the
+//!   whole table (batch) or from a row range (a standing query's epoch),
+//!   and each endpoint is looked up by `id` and its filter tested on its
+//!   own row. The two cannot disagree about what a predicate means.
+//! * `fetch_attr` is a set of `id` hash-index probes.
+//!
+//! Endpoints and fetches need the `id` hash index every audit table
+//! carries (the engine's `load::empty` creates it); without one they
+//! return a `Storage` error.
+
+use std::ops::Range;
 
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
 use raptor_storage::{
     AttrSource, BackendStats, EntityClass, EntitySel, EventPatternQuery, Field, FieldValue,
-    MutableBackend, PatternMatches, Pred, Value as SVal, ValueColumn,
+    MutableBackend, PatternMatches, Pred, Value as SVal,
 };
 
 use crate::db::Database;
-use crate::exec::{execute, match_event_rows, EndpointSel, ExecStats, EVENT_ALIAS as EVT};
-use crate::plan::plan_select;
-use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection, Select, TableRef};
-
-/// Caps the per-statement `IN` chunk for attribute fetches.
-const FETCH_CHUNK: usize = 4096;
-
-pub fn table_for_class(class: EntityClass) -> &'static str {
-    match class {
-        EntityClass::File => "files",
-        EntityClass::Process => "processes",
-        EntityClass::NetConn => "netconns",
-    }
-}
+use crate::exec::{
+    id_index, match_event_rows, run_scan, EndpointSel, ExecStats, EVENT_ALIAS as EVT,
+};
+use crate::sql::ast::{CmpOp, ColRef, Expr, Literal};
 
 fn col(alias: &str, column: &str) -> ColRef {
     ColRef::new(Some(alias), column)
@@ -100,119 +100,6 @@ fn pred_to_expr(alias: &str, p: &Pred, dict: &SharedDict) -> Result<Expr> {
     })
 }
 
-fn id_in_expr(alias: &str, ids: &[i64]) -> Expr {
-    // An empty candidate set must match nothing; `IN ()` is not
-    // representable, so use the impossible id.
-    let list = if ids.is_empty() {
-        vec![Literal::Int(-1)]
-    } else {
-        ids.iter().map(|&i| Literal::Int(i)).collect()
-    };
-    Expr::InList { col: col(alias, "id"), list, negated: false }
-}
-
-fn in_expr_on(alias: &str, column: &str, ids: &[i64]) -> Expr {
-    let list = if ids.is_empty() {
-        vec![Literal::Int(-1)]
-    } else {
-        ids.iter().map(|&i| Literal::Int(i)).collect()
-    };
-    Expr::InList { col: col(alias, column), list, negated: false }
-}
-
-fn and_all(conds: Vec<Expr>) -> Option<Expr> {
-    conds.into_iter().reduce(|a, b| Expr::And(Box::new(a), Box::new(b)))
-}
-
-impl Database {
-    /// Plans and executes a programmatically-built SELECT (no SQL text).
-    fn run_select(&self, sel: &Select, stats: &mut BackendStats) -> Result<QueryRows> {
-        let plan = plan_select(self, sel)?;
-        let (core, exec_stats) = execute(self, &plan)?;
-        absorb_exec(stats, &exec_stats);
-        stats.data_queries += 1;
-        Ok(QueryRows { cols: core.cols })
-    }
-
-    /// What `q` asks of the event itself: the kind its object class
-    /// implies, then the pattern's own event predicate.
-    fn event_conds(&self, q: &EventPatternQuery) -> Result<Vec<Expr>> {
-        let mut conds = vec![Expr::CmpLit {
-            col: col(EVT, "kind"),
-            op: CmpOp::Eq,
-            lit: Literal::Str(q.object.class.event_kind().to_string()),
-        }];
-        if let Some(p) = &q.event_pred {
-            conds.push(pred_to_expr(EVT, p, self.dict())?);
-        }
-        Ok(conds)
-    }
-
-    fn endpoint<'a>(&self, sel: &'a EntitySel, alias: &'a str) -> Result<EndpointSel<'a>> {
-        Ok(EndpointSel {
-            table: table_for_class(sel.class),
-            alias,
-            filter: sel.filter.as_ref().map(|p| pred_to_expr(alias, p, self.dict())).transpose()?,
-            id_in: sel.id_in.as_deref(),
-        })
-    }
-
-    /// Matches `q` against rows `rows` of the `events` table only — how a
-    /// standing query sees one epoch: tables are append-only and a row id
-    /// is its ordinal, so what an epoch appended is one contiguous range.
-    /// The result is what [`Database::match_event_pattern`] returns
-    /// for the events in that range (in event row order), and ranges that
-    /// tile the table concatenate to its whole answer. Endpoints may be of
-    /// any age: each is looked up by id and its filter tested on its own
-    /// row. Work is proportional to the range — nothing is planned, and no
-    /// index over `events` is consulted. The predicates are bound on every
-    /// call (microseconds): a literal the dictionary lacks today folds to
-    /// "matches nothing", and tomorrow's epoch may intern it.
-    pub fn match_event_pattern_rows(
-        &self,
-        q: &EventPatternQuery,
-        rows: std::ops::Range<usize>,
-        stats: &mut BackendStats,
-    ) -> Result<PatternMatches> {
-        let event_filter = and_all(self.event_conds(q)?).expect("the kind conjunct");
-        let mut exec_stats = ExecStats::default();
-        let [subj, obj, evt, start, end] = match_event_rows(
-            self,
-            rows,
-            &event_filter,
-            &self.endpoint(&q.subject, "s")?,
-            &self.endpoint(&q.object, "o")?,
-            q.subject_is_object,
-            &mut exec_stats,
-        )?;
-        absorb_exec(stats, &exec_stats);
-        stats.data_queries += 1;
-        Ok(PatternMatches { subj, obj, evt, start, end, has_event: true })
-    }
-}
-
-/// A columnar result from the typed plane: one [`ValueColumn`] per
-/// projected column, consumed column-wise (never re-materialized as rows).
-struct QueryRows {
-    cols: Vec<ValueColumn>,
-}
-
-impl QueryRows {
-    fn n_rows(&self) -> usize {
-        self.cols.first().map_or(0, ValueColumn::len)
-    }
-
-    /// Takes column `i` out as an `i64` vector. The typed audit id/time
-    /// columns arrive as dense `ValueColumn::Int`, so this is a move, not a
-    /// conversion; non-int cells (defensively) map to `-1`.
-    fn take_ints(&mut self, i: usize) -> Vec<i64> {
-        match std::mem::replace(&mut self.cols[i], ValueColumn::Int(Vec::new())) {
-            ValueColumn::Int(v) => v,
-            c => (0..c.len()).map(|r| c.get(r).as_int().unwrap_or(-1)).collect(),
-        }
-    }
-}
-
 fn absorb_exec(stats: &mut BackendStats, exec: &ExecStats) {
     stats.items_scanned += exec.rows_scanned;
     stats.items_built += exec.tuples_built;
@@ -232,86 +119,106 @@ impl Database {
         filter: &Pred,
         stats: &mut BackendStats,
     ) -> Result<Vec<i64>> {
-        let alias = "x";
-        let sel = Select {
-            distinct: false,
-            projections: vec![Projection::Col(col(alias, "id"))],
-            from: vec![TableRef { table: table_for_class(class).to_string(), alias: alias.into() }],
-            where_clause: Some(pred_to_expr(alias, filter, self.dict())?),
-            order_by: vec![],
-            limit: None,
-        };
-        let mut r = self.run_select(&sel, stats)?;
+        let (name, alias) = (class.table_name(), "x");
+        let mut exec_stats = ExecStats::default();
+        let pred = pred_to_expr(alias, filter, self.dict())?;
+        let rows = run_scan(self, name, alias, Some(&pred), &mut exec_stats)?;
+        absorb_exec(stats, &exec_stats);
+        stats.items_built += rows.len();
+        stats.data_queries += 1;
+        let table = self.table(name).expect("scanned above");
+        let c = table.schema.require_column("id")?;
         // The one place candidates are canonicalized: downstream propagation
         // (`Propagation::set` in the engine) relies on the
         // sorted-distinct contract instead of re-sorting.
-        let mut ids = r.take_ints(0);
+        let mut ids: Vec<i64> = rows.iter().filter_map(|&r| table.cell(r, c).as_int()).collect();
         ids.sort_unstable();
         ids.dedup();
         Ok(ids)
     }
 
     /// Matches one event pattern against the whole store; returns (subject,
-    /// object, event, start, end) per match.
+    /// object, event, start, end) per match, in event row order.
     pub fn match_event_pattern(
         &self,
         q: &EventPatternQuery,
         stats: &mut BackendStats,
     ) -> Result<PatternMatches> {
-        let (s, e, o) = ("s", EVT, "o");
-        let mut conds: Vec<Expr> = vec![
-            Expr::CmpCol { left: col(e, "subject"), op: CmpOp::Eq, right: col(s, "id") },
-            Expr::CmpCol { left: col(e, "object"), op: CmpOp::Eq, right: col(o, "id") },
-        ];
-        conds.extend(self.event_conds(q)?);
-        if let Some(p) = &q.subject.filter {
-            conds.push(pred_to_expr(s, p, self.dict())?);
+        self.match_events(q, None, stats)
+    }
+
+    /// Matches `q` against rows `rows` of the `events` table only — how a
+    /// standing query sees one epoch: tables are append-only and a row id
+    /// is its ordinal, so what an epoch appended is one contiguous range.
+    /// The result is what [`Database::match_event_pattern`] returns
+    /// for the events in that range, and ranges that tile the table
+    /// concatenate to its whole answer. Endpoints may be of any age: each
+    /// is looked up by id and its filter tested on its own row. Work is
+    /// proportional to the range — no index over `events` is consulted.
+    /// The predicates are bound on every call (microseconds): a literal the
+    /// dictionary lacks today folds to "matches nothing", and tomorrow's
+    /// epoch may intern it.
+    pub fn match_event_pattern_rows(
+        &self,
+        q: &EventPatternQuery,
+        rows: Range<usize>,
+        stats: &mut BackendStats,
+    ) -> Result<PatternMatches> {
+        self.match_events(q, Some(rows), stats)
+    }
+
+    fn match_events(
+        &self,
+        q: &EventPatternQuery,
+        rows: Option<Range<usize>>,
+        stats: &mut BackendStats,
+    ) -> Result<PatternMatches> {
+        // What `q` asks of the event itself: the kind its object class
+        // implies, then the pattern's own event predicate.
+        let mut conds = vec![Expr::CmpLit {
+            col: col(EVT, "kind"),
+            op: CmpOp::Eq,
+            lit: Literal::Str(q.object.class.event_kind().to_string()),
+        }];
+        if let Some(p) = &q.event_pred {
+            conds.push(pred_to_expr(EVT, p, self.dict())?);
         }
-        if let Some(p) = &q.object.filter {
-            conds.push(pred_to_expr(o, p, self.dict())?);
-        }
-        // One TBQL variable bound as both subject and object: the text
-        // compiler enforced this via a shared alias; here it is explicit.
-        if q.subject_is_object {
-            conds.push(Expr::CmpCol { left: col(s, "id"), op: CmpOp::Eq, right: col(o, "id") });
-        }
-        // Propagated ids constrain both the entity alias and — far more
-        // importantly — the event columns, so the events scan runs through
-        // the subject/object hash indexes instead of the larger optype one.
-        for (sel, alias, evt_col) in [(&q.subject, s, "subject"), (&q.object, o, "object")] {
-            if let Some(ids) = &sel.id_in {
-                conds.push(id_in_expr(alias, ids));
-                conds.push(in_expr_on(e, evt_col, ids));
+        // A batch scan also carries the propagated ids, so it can run
+        // through the `subject` / `object` hash indexes instead of the
+        // larger `optype` one; a row range tests them per endpoint.
+        if rows.is_none() {
+            for (sel, column) in [(&q.subject, "subject"), (&q.object, "object")] {
+                if let Some(ids) = &sel.id_in {
+                    let list = ids.iter().map(|&i| Literal::Int(i)).collect();
+                    conds.push(Expr::InList { col: col(EVT, column), list, negated: false });
+                }
             }
         }
-        let sel = Select {
-            distinct: false,
-            projections: vec![
-                Projection::Col(col(s, "id")),
-                Projection::Col(col(o, "id")),
-                Projection::Col(col(e, "id")),
-                Projection::Col(col(e, "starttime")),
-                Projection::Col(col(e, "endtime")),
-            ],
-            from: vec![
-                TableRef { table: table_for_class(q.subject.class).to_string(), alias: s.into() },
-                TableRef { table: "events".to_string(), alias: e.into() },
-                TableRef { table: table_for_class(q.object.class).to_string(), alias: o.into() },
-            ],
-            where_clause: and_all(conds),
-            order_by: vec![],
-            limit: None,
-        };
-        let mut r = self.run_select(&sel, stats)?;
-        // Struct-of-arrays straight from the columnar result: the five int
-        // columns *are* the match vectors — moved, not rebuilt row by row.
-        Ok(PatternMatches {
-            subj: r.take_ints(0),
-            obj: r.take_ints(1),
-            evt: r.take_ints(2),
-            start: r.take_ints(3),
-            end: r.take_ints(4),
-            has_event: true,
+        let event_filter = conds
+            .into_iter()
+            .reduce(|a, b| Expr::And(Box::new(a), Box::new(b)))
+            .expect("the kind conjunct");
+        let mut exec_stats = ExecStats::default();
+        let [subj, obj, evt, start, end] = match_event_rows(
+            self,
+            rows,
+            &event_filter,
+            &self.endpoint(&q.subject, "s")?,
+            &self.endpoint(&q.object, "o")?,
+            q.subject_is_object,
+            &mut exec_stats,
+        )?;
+        absorb_exec(stats, &exec_stats);
+        stats.data_queries += 1;
+        Ok(PatternMatches { subj, obj, evt, start, end, has_event: true })
+    }
+
+    fn endpoint<'a>(&self, sel: &'a EntitySel, alias: &'a str) -> Result<EndpointSel<'a>> {
+        Ok(EndpointSel {
+            table: sel.class.table_name(),
+            alias,
+            filter: sel.filter.as_ref().map(|p| pred_to_expr(alias, p, self.dict())).transpose()?,
+            id_in: sel.id_in.as_deref(),
         })
     }
 
@@ -324,31 +231,21 @@ impl Database {
         ids: &[i64],
         stats: &mut BackendStats,
     ) -> Result<Vec<(i64, SVal)>> {
-        let table = match source {
-            AttrSource::Entity(class) => table_for_class(class),
+        let name = match source {
+            AttrSource::Entity(class) => class.table_name(),
             AttrSource::Event => "events",
         };
-        let alias = "x";
-        let mut out = Vec::with_capacity(ids.len());
-        for chunk in ids.chunks(FETCH_CHUNK) {
-            let sel = Select {
-                distinct: false,
-                projections: vec![
-                    Projection::Col(col(alias, "id")),
-                    Projection::Col(col(alias, attr)),
-                ],
-                from: vec![TableRef { table: table.to_string(), alias: alias.into() }],
-                where_clause: Some(in_expr_on(alias, "id", chunk)),
-                order_by: vec![],
-                limit: None,
-            };
-            let r = self.run_select(&sel, stats)?;
-            for i in 0..r.n_rows() {
-                if let Some(id) = r.cols[0].get(i).as_int() {
-                    out.push((id, r.cols[1].get(i)));
-                }
-            }
-        }
+        let by_id = id_index(self, name)?;
+        let table = self.table(name).expect("indexed above");
+        let c = table.schema.require_column(attr)?;
+        let out: Vec<(i64, SVal)> = ids
+            .iter()
+            .flat_map(|&id| by_id.get(SVal::Int(id)).iter().map(move |&r| (id, table.cell(r, c))))
+            .collect();
+        stats.data_queries += 1;
+        stats.index_scans += 1;
+        stats.items_scanned += out.len();
+        stats.items_built += out.len();
         Ok(out)
     }
 }
@@ -420,6 +317,10 @@ mod tests {
             ],
         ))
         .unwrap();
+        // The typed reads find rows by id, as over the audit schema.
+        for table in ["processes", "files", "events"] {
+            db.create_hash_index(table, "id").unwrap();
+        }
         db.insert("processes", &[Ins::Int(0), Ins::Str("/bin/tar"), Ins::Str("root")]).unwrap();
         db.insert("processes", &[Ins::Int(1), Ins::Str("/usr/bin/curl"), Ins::Str("root")])
             .unwrap();

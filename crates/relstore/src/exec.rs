@@ -1,10 +1,19 @@
 //! Query execution.
 //!
-//! Pipeline: per-alias **scan** (access-path selection + vectorized filter)
-//! → left-deep **joins** in FROM order (hash join when an equi conjunct
-//! links the new alias to bound ones, nested-loop otherwise; residual
-//! conjuncts apply as soon as their aliases are bound) → projection →
-//! DISTINCT → ORDER BY → LIMIT.
+//! Two pipelines share the scan:
+//!
+//! * **SQL text** ([`execute`], behind [`Database::query`]: the GiantSql
+//!   baseline and tests) — per-alias **scan** (access-path selection +
+//!   vectorized filter) → left-deep **joins** in FROM order (hash join when
+//!   an equi conjunct links the new alias to bound ones, nested-loop
+//!   otherwise; residual conjuncts apply as soon as their aliases are
+//!   bound) → projection → DISTINCT → ORDER BY → LIMIT.
+//! * **Typed event patterns** (`match_event_rows`, behind
+//!   `Database::match_event_pattern{,_rows}`) — a selection vector over
+//!   `events` (a scan of the whole table, or one mask over a standing
+//!   query's row range), then per selected row an `id` hash probe into
+//!   each endpoint's table and its filter tested on that one row. No plan,
+//!   no binder beyond the scan's own, no join.
 //!
 //! Scans pick the cheapest applicable access path per pushed-down conjunct:
 //! hash-index point/IN lookups, B-tree ranges for integer comparisons,
@@ -25,8 +34,9 @@
 //!
 //! **Parallelism** (the parallel execution plane): full scans are
 //! partitioned over segment ranges, index-candidate re-verification over
-//! row-chunk ranges, and the probe side of every hash join over tuple
-//! ranges, all through the database's [`Pool`](raptor_common::pool::Pool).
+//! row-chunk ranges, and the probe side of every hash join (SQL text only)
+//! over tuple ranges, all through the database's
+//! [`Pool`](raptor_common::pool::Pool).
 //! Partition outputs are concatenated in partition order (counters absorbed
 //! in segment order), so row order, result rows and every [`ExecStats`]
 //! counter are byte-identical to the sequential execution at any thread
@@ -39,7 +49,7 @@ use raptor_common::obs;
 
 use crate::db::Database;
 use crate::like::{containment_literal, like_match};
-use crate::plan::{QueryPlan, ScanPlan};
+use crate::plan::QueryPlan;
 use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection};
 use crate::table::{RowId, Table};
 use crate::value::Value;
@@ -639,10 +649,10 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
 /// Chooses an index access path for one pushed-down conjunct, if possible.
 /// Returns candidate row ids (a superset of matches among which the full
 /// predicate is re-verified), or `None` if no index applies.
-fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<RowId>> {
+fn access_path(db: &Database, table: &str, conjunct: &Expr) -> Option<Vec<RowId>> {
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
-            let idx = db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
+            let idx = db.indexes(table, &col.column)?.hash.as_ref()?;
             let key = match lit {
                 Literal::Int(i) => Value::Int(*i),
                 // Typed requests arrive pre-interned: no dictionary lookup.
@@ -656,7 +666,7 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
             Some(idx.get(key).to_vec())
         }
         Expr::InList { col, list, negated: false } => {
-            let idx = db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
+            let idx = db.indexes(table, &col.column)?.hash.as_ref()?;
             let mut rows = Vec::new();
             for lit in list {
                 let key = match lit {
@@ -674,7 +684,7 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
             Some(rows)
         }
         Expr::CmpLit { col, op, lit: Literal::Int(i) } => {
-            let idx = db.indexes(&scan.table, &col.column)?.btree.as_ref()?;
+            let idx = db.indexes(table, &col.column)?.btree.as_ref()?;
             let (lo, hi) = match op {
                 CmpOp::Lt => (i64::MIN, i - 1),
                 CmpOp::Le => (i64::MIN, *i),
@@ -686,7 +696,7 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
         }
         Expr::Like { col, pattern, negated: false } => {
             let lit = containment_literal(pattern)?;
-            let ix = db.indexes(&scan.table, &col.column)?;
+            let ix = db.indexes(table, &col.column)?;
             let candidates = ix.trigram.as_ref()?.candidates(&lit)?;
             // Verify the LIKE on the (small) dictionary, then fan out to rows.
             let hash = ix.hash.as_ref()?;
@@ -710,7 +720,7 @@ fn access_path(db: &Database, scan: &ScanPlan, conjunct: &Expr) -> Option<Vec<Ro
 /// materializes only the cheapest estimate instead of every path.
 fn conjunct_estimate(
     db: &Database,
-    scan: &ScanPlan,
+    table: &str,
     ts: &raptor_storage::TableStats,
     conjunct: &Expr,
 ) -> Option<f64> {
@@ -733,11 +743,11 @@ fn conjunct_estimate(
     };
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
-            db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
+            db.indexes(table, &col.column)?.hash.as_ref()?;
             Some(eq_frac(col, lit) * rows)
         }
         Expr::InList { col, list, negated: false } => {
-            db.indexes(&scan.table, &col.column)?.hash.as_ref()?;
+            db.indexes(table, &col.column)?.hash.as_ref()?;
             let frac: f64 = list.iter().map(|lit| eq_frac(col, lit)).sum();
             Some(frac.min(1.0) * rows)
         }
@@ -745,12 +755,12 @@ fn conjunct_estimate(
             if !matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge) {
                 return None;
             }
-            db.indexes(&scan.table, &col.column)?.btree.as_ref()?;
+            db.indexes(table, &col.column)?.btree.as_ref()?;
             Some(col_frac(col, &|c| c.cmp_fraction(storage_cmp(*op), *i)) * rows)
         }
         Expr::Like { col, pattern, negated: false } => {
             containment_literal(pattern)?;
-            let ix = db.indexes(&scan.table, &col.column)?;
+            let ix = db.indexes(table, &col.column)?;
             ix.trigram.as_ref().and(ix.hash.as_ref())?;
             Some(col_frac(col, &|c| c.like_fraction(pattern, db.dict())) * rows)
         }
@@ -785,18 +795,45 @@ fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) ->
     Ok(compile_scan_pred(&binder.bind(pred)?, table))
 }
 
-/// Runs one scan: pick the most selective index path among the pushed-down
-/// conjuncts, then re-verify the whole predicate.
+/// Runs one scan of `table_name` under `alias` (the qualifier of `pred`'s
+/// columns) as one `relstore.scan` span: pick the most selective index path
+/// among the conjuncts, then re-verify the whole predicate.
 ///
 /// Access-path choice is **statistics-driven**: per-conjunct candidate
 /// counts are estimated from [`Database::store_stats`] and only the
-/// cheapest path is materialized. (The seed behavior — materialize every
-/// applicable path and keep the smallest — remains as the fallback when
-/// stats carry no signal for the table.)
-fn run_scan(db: &Database, scan: &ScanPlan, stats: &mut ExecStats) -> Result<Vec<RowId>> {
-    let table = table_named(db, &scan.table)?;
+/// cheapest path is materialized. A table with a row has statistics, and
+/// an estimate exists exactly when an index applies, so an empty table is
+/// the only one a filtered scan reads in full — over zero segments.
+pub(crate) fn run_scan(
+    db: &Database,
+    table_name: &str,
+    alias: &str,
+    pred: Option<&Expr>,
+    stats: &mut ExecStats,
+) -> Result<Vec<RowId>> {
+    // One span per table scan (partitioning inside is invisible here, so
+    // span counts are thread-count invariant).
+    let mut sp = obs::span("relstore.scan");
+    sp.label(alias);
+    let before = *stats;
+    let rows = scan_rows(db, table_name, alias, pred, stats)?;
+    sp.attr("rows", rows.len() as u64);
+    sp.attr("scanned", (stats.rows_scanned - before.rows_scanned) as u64);
+    sp.attr("segments", (stats.segments_scanned - before.segments_scanned) as u64);
+    sp.attr("pruned", (stats.segments_pruned - before.segments_pruned) as u64);
+    Ok(rows)
+}
 
-    let Some(pred) = &scan.predicate else {
+fn scan_rows(
+    db: &Database,
+    table_name: &str,
+    alias: &str,
+    pred: Option<&Expr>,
+    stats: &mut ExecStats,
+) -> Result<Vec<RowId>> {
+    let table = table_named(db, table_name)?;
+
+    let Some(pred) = pred else {
         // Unfiltered scan: every segment is read, every row selected.
         stats.full_scans += 1;
         stats.segments_scanned += table.n_segments();
@@ -807,34 +844,20 @@ fn run_scan(db: &Database, scan: &ScanPlan, stats: &mut ExecStats) -> Result<Vec
     // The predicate is compiled once per scan: hash-set `IN`s, handle-bound
     // string literals, constant-folded type mismatches — shared by both the
     // vectorized full scan and the index-candidate re-verification.
-    let compiled = compile_table_pred(db, table, &scan.alias, pred)?;
+    let compiled = compile_table_pred(db, table, alias, pred)?;
     let dict = db.dict();
 
     let conjuncts = pred.clone().conjuncts();
-    let cheapest = db.store_stats().table(&scan.table).and_then(|ts| {
+    let cheapest = db.store_stats().table(table_name).and_then(|ts| {
         conjuncts
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| conjunct_estimate(db, scan, ts, c).map(|e| (i, e)))
+            .filter_map(|(i, c)| conjunct_estimate(db, table_name, ts, c).map(|e| (i, e)))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
     });
-    let best = match cheapest.and_then(|(i, _)| access_path(db, scan, &conjuncts[i])) {
-        Some(rows) => Some(rows),
-        None => {
-            // Fallback: try every conjunct, keep the smallest set.
-            let mut best: Option<Vec<RowId>> = None;
-            for conjunct in &conjuncts {
-                if let Some(rows) = access_path(db, scan, conjunct) {
-                    if best.as_ref().is_none_or(|b| rows.len() < b.len()) {
-                        best = Some(rows);
-                    }
-                }
-            }
-            best
-        }
-    };
 
-    if let Some(candidates) = best {
+    let indexed = cheapest.and_then(|(i, _)| access_path(db, table_name, &conjuncts[i]));
+    if let Some(candidates) = indexed {
         // Index path: re-verify the full predicate over the candidates,
         // partitioned over row-chunk ranges; concatenating the partitions
         // in order reproduces the sequential row order exactly.
@@ -902,21 +925,22 @@ struct Endpoint<'a> {
     id_in: Option<&'a [i64]>,
 }
 
+/// The hash index on `table.id` — how the typed reads find an entity or
+/// event by id.
+pub(crate) fn id_index<'a>(db: &'a Database, table: &str) -> Result<&'a crate::index::HashIndex> {
+    db.indexes(table, "id")
+        .and_then(|ix| ix.hash.as_ref())
+        .ok_or_else(|| Error::storage(format!("typed reads need a hash index on `{table}.id`")))
+}
+
 impl<'a> Endpoint<'a> {
     fn resolve(db: &'a Database, sel: &EndpointSel<'a>) -> Result<Self> {
         let table = table_named(db, sel.table)?;
-        let by_id =
-            db.indexes(sel.table, "id").and_then(|ix| ix.hash.as_ref()).ok_or_else(|| {
-                Error::storage(format!(
-                    "row-range matching needs a hash index on `{}.id`",
-                    sel.table
-                ))
-            })?;
         let filter = match &sel.filter {
             Some(f) => Some(compile_table_pred(db, table, sel.alias, f)?),
             None => None,
         };
-        Ok(Endpoint { table, by_id, filter, id_in: sel.id_in })
+        Ok(Endpoint { table, by_id: id_index(db, sel.table)?, filter, id_in: sel.id_in })
     }
 
     /// How many rows of the endpoint's table carry `id` and pass its
@@ -938,17 +962,25 @@ impl<'a> Endpoint<'a> {
 /// The alias [`match_event_rows`] expects `event_filter`'s columns under.
 pub(crate) const EVENT_ALIAS: &str = "e";
 
-/// Matches `subject —event→ object` against rows `rows` of `events` only:
-/// `event_filter` (columns qualified by [`EVENT_ALIAS`]) runs as one mask
-/// over the row range, and each surviving row's `subject`/`object` is looked
-/// up in its endpoint's table by `id` and tested there. Returns the
-/// `(subject id, object id, event id, starttime, endtime)` columns, in event
-/// row order — the rows a join of the three tables restricted to that range
-/// would return. The cost depends on the range and on nothing else: no plan,
-/// no index over `events`, no pool.
+/// Matches `subject —event→ object` over `events`, the one event-pattern
+/// matcher. The event rows `event_filter` (columns qualified by
+/// [`EVENT_ALIAS`]) selects come from one of two sources:
+///
+/// * `Some(range)` — a standing query's epoch: one mask over just those
+///   rows. The cost depends on the range and on nothing else: no index
+///   over `events`, no pool.
+/// * `None` — a batch query: one [`run_scan`] of the whole table, which
+///   picks the access path from statistics (the caller puts the endpoints'
+///   propagated ids into `event_filter` so the `subject` / `object` hash
+///   indexes can serve it).
+///
+/// Each selected row's `subject`/`object` is then looked up in its
+/// endpoint's table by `id` and tested there. Returns the `(subject id,
+/// object id, event id, starttime, endtime)` columns, in event row order —
+/// the rows a join of the three tables over those events would return.
 pub(crate) fn match_event_rows(
     db: &Database,
-    rows: std::ops::Range<usize>,
+    rows: Option<std::ops::Range<usize>>,
     event_filter: &Expr,
     subject: &EndpointSel<'_>,
     object: &EndpointSel<'_>,
@@ -956,26 +988,32 @@ pub(crate) fn match_event_rows(
     stats: &mut ExecStats,
 ) -> Result<[Vec<i64>; 5]> {
     let events = table_named(db, "events")?;
-    if rows.start > rows.end || rows.end > events.len() {
-        return Err(Error::storage(format!(
-            "event rows {}..{} outside the table's 0..{}",
-            rows.start,
-            rows.end,
-            events.len()
-        )));
-    }
     let dict = db.dict();
-    let pred = compile_table_pred(db, events, EVENT_ALIAS, event_filter)?;
+    let selected = match rows {
+        Some(rows) if rows.start > rows.end || rows.end > events.len() => {
+            return Err(Error::storage(format!(
+                "event rows {}..{} outside the table's 0..{}",
+                rows.start,
+                rows.end,
+                events.len()
+            )));
+        }
+        Some(rows) => {
+            let pred = compile_table_pred(db, events, EVENT_ALIAS, event_filter)?;
+            stats.rows_scanned += rows.len();
+            let mut sel = Vec::new();
+            segment_select(&pred, events, rows, dict, &mut sel);
+            sel
+        }
+        None => run_scan(db, "events", EVENT_ALIAS, Some(event_filter), stats)?,
+    };
     let (subject, object) = (Endpoint::resolve(db, subject)?, Endpoint::resolve(db, object)?);
     let col = |name| events.schema.require_column(name);
     let (c_subj, c_obj) = (col("subject")?, col("object")?);
     let event_cols = [col("id")?, col("starttime")?, col("endtime")?];
 
-    stats.rows_scanned += rows.len();
-    let mask = eval_mask(&pred, events, &rows, dict);
     let mut out: [Vec<i64>; 5] = Default::default();
-    for (i, _) in mask.iter().enumerate().filter(|(_, &hit)| hit) {
-        let row = (rows.start + i) as RowId;
+    for row in selected {
         // A NULL endpoint joins with nothing.
         let (Some(s), Some(o)) =
             (events.cell(row, c_subj).as_int(), events.cell(row, c_obj).as_int())
@@ -1137,19 +1175,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
     let mut bound_slots: Vec<usize> = Vec::new();
 
     for (slot, scan) in plan.scans.iter().enumerate() {
-        // One scan span per table scan (partitioning inside `run_scan` is
-        // invisible here, so span counts are thread-count invariant).
-        let rows = {
-            let mut sp = obs::span("relstore.scan");
-            sp.label(&scan.alias);
-            let before = stats;
-            let rows = run_scan(db, scan, &mut stats)?;
-            sp.attr("rows", rows.len() as u64);
-            sp.attr("scanned", (stats.rows_scanned - before.rows_scanned) as u64);
-            sp.attr("segments", (stats.segments_scanned - before.segments_scanned) as u64);
-            sp.attr("pruned", (stats.segments_pruned - before.segments_pruned) as u64);
-            rows
-        };
+        let rows = run_scan(db, &scan.table, &scan.alias, scan.predicate.as_ref(), &mut stats)?;
         if slot == 0 {
             tuples.data.reserve(rows.len() * nslots);
             for r in rows {
@@ -1463,5 +1489,25 @@ impl QueryResultCore {
     /// All rows, materialized row-major (tests and compatibility shims).
     pub fn rows(&self) -> Vec<Vec<Value>> {
         (0..self.n_rows()).map(|i| self.row(i)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::schema::{ColumnDef, ColumnType, TableSchema};
+    use crate::Database;
+
+    /// An empty table has no statistics, so even an indexed conjunct takes
+    /// the full-scan branch — over zero segments, returning nothing.
+    #[test]
+    fn empty_indexed_table_scans_nothing() {
+        let mut db = Database::new();
+        let cols =
+            vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("v", ColumnType::Int)];
+        db.create_table(TableSchema::new("t", cols)).unwrap();
+        db.create_hash_index("t", "v").unwrap();
+        let r = db.query("SELECT id FROM t WHERE v = 1").unwrap();
+        assert_eq!(r.n_rows(), 0);
+        assert_eq!((r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned), (1, 0, 0));
     }
 }

@@ -11,8 +11,8 @@
 //!   null); strings intern into the shared dictionary plane
 //!   (`raptor_common::SharedDict`) the engine hands both backends,
 //! * [`schema`] — column/table schemas and the catalog,
-//! * [`table`] — row-major storage (flat `Vec<Value>`) with append-only
-//!   inserts,
+//! * [`table`] — columnar storage (one typed vector per column, segment
+//!   zone maps) with append-only inserts,
 //! * [`index`] — hash (equality), B-tree (ranges) and trigram
 //!   (`LIKE '%lit%'` acceleration) secondary indexes,
 //! * [`like`] — SQL `LIKE` semantics plus literal-run extraction for the
@@ -24,8 +24,11 @@
 //!   engine must exhibit that cost so the TBQL scheduler has something real
 //!   to beat),
 //! * [`exec`] — the executor: index scans, hash joins for equi predicates,
-//!   nested loops + residual filters otherwise,
-//! * [`db`] — the [`db::Database`] facade: DDL, inserts, `query(sql)`.
+//!   nested loops + residual filters otherwise; and the typed event-pattern
+//!   matcher (an `events` scan plus `id` probes, never planned),
+//! * [`db`] — the [`db::Database`] facade: DDL, inserts, `query(sql)`,
+//! * [`backend`] — the typed surface the engine calls (seeding, event
+//!   patterns, attribute fetches) and the `MutableBackend` write seam.
 
 pub mod backend;
 pub mod db;
