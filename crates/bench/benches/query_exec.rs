@@ -5,10 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use raptor_bench::caseval::{evaluate_case, query_variants};
-use raptor_bench::corpus::{corpus_system, EQUIV_CORPUS};
 use raptor_engine::exec::ExecMode;
-use raptor_engine::SchedulerMode;
-use raptor_tbql::{analyze, parse_tbql};
 
 fn bench_variants(c: &mut Criterion) {
     let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
@@ -46,28 +43,5 @@ fn bench_single_pattern(c: &mut Criterion) {
     g.finish();
 }
 
-/// Cost-based vs syntactic scheduling on the equivalence corpus. Query 3 is
-/// the showcase: the two patterns tie syntactically, but the cost-based
-/// scheduler runs the IOC'd `connect` pattern first and prunes the weakly
-/// constrained `read || write` through the propagated `IN` sets — a
-/// *different and measurably faster* order (~2x on the corpus store, and
-/// ~3x less backend work; `bench_smoke` gates the deterministic counters).
-fn bench_scheduler_modes(c: &mut Criterion) {
-    let raptor = corpus_system();
-    let engine = raptor.engine();
-    let mut g = c.benchmark_group("scheduler_cost_vs_syntactic");
-    g.sample_size(20);
-    for (id, q) in EQUIV_CORPUS.iter().enumerate() {
-        let aq = analyze(&parse_tbql(q).unwrap()).unwrap();
-        g.bench_function(&format!("q{id}_cost"), |b| {
-            b.iter(|| engine.execute_scheduled_as(&aq, SchedulerMode::CostBased).unwrap())
-        });
-        g.bench_function(&format!("q{id}_syntactic"), |b| {
-            b.iter(|| engine.execute_scheduled_as(&aq, SchedulerMode::Syntactic).unwrap())
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_variants, bench_single_pattern, bench_scheduler_modes);
+criterion_group!(benches, bench_variants, bench_single_pattern);
 criterion_main!(benches);

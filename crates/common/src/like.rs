@@ -6,39 +6,67 @@
 //! and selectivity estimation over collected column statistics
 //! (raptor-storage). The matcher lives here so all three share one
 //! semantics: `%` = any run, `_` = any single character, no escape syntax
-//! (audit strings never need one).
+//! (audit strings never need one). It is allocation-free: a scan calls it
+//! once per distinct string, a statistics estimate once per tracked value.
 
 /// Returns whether `text` matches the SQL LIKE `pattern`.
 ///
 /// Iterative two-pointer algorithm with backtracking over the last `%` —
-/// O(n·m) worst case, linear on patterns without `%`.
+/// O(n·m) worst case, linear on patterns without `%` — over the strings in
+/// place. A pattern without `_` is walked byte by byte: on valid UTF-8 a
+/// literal run can only match where a character starts (a leading byte
+/// never equals a continuation byte), and `%` never has to split a
+/// character, so bytes decide exactly what characters would. `_` is one
+/// *character*, which may be several bytes, so a pattern holding one is
+/// walked a character at a time.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
+    if pattern.contains('_') {
+        two_pointer(pattern, text, |s, i| s[i..].chars().next().map(|c| (c, c.len_utf8())))
+    } else {
+        // `char::from` is injective on bytes and maps no byte ≥ 0x80 to `%`.
+        two_pointer(pattern, text, |s, i| s.as_bytes().get(i).map(|&b| (char::from(b), 1)))
+    }
+}
+
+/// The matcher over units `unit(s, i)` decodes at byte `i` of `s`: the
+/// unit and its width in bytes, `None` at the end.
+#[inline(always)]
+fn two_pointer(
+    pattern: &str,
+    text: &str,
+    unit: impl Fn(&str, usize) -> Option<(char, usize)>,
+) -> bool {
     let (mut pi, mut ti) = (0usize, 0usize);
+    // Where the pattern resumes after the last `%`, and the text position
+    // that `%` has absorbed up to.
     let mut star: Option<usize> = None;
     let mut star_ti = 0usize;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi);
-            star_ti = ti;
-            pi += 1;
-        } else if let Some(s) = star {
-            // Backtrack: let the last % absorb one more character.
-            pi = s + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
+    while let Some((tc, tw)) = unit(text, ti) {
+        match unit(pattern, pi) {
+            Some(('%', pw)) => {
+                star = Some(pi + pw);
+                star_ti = ti;
+                pi += pw;
+            }
+            Some((pc, pw)) if pc == '_' || pc == tc => {
+                pi += pw;
+                ti += tw;
+            }
+            _ => match star {
+                // Backtrack: let the last % absorb one more unit.
+                Some(s) => {
+                    pi = s;
+                    star_ti += unit(text, star_ti).map_or(1, |(_, w)| w);
+                    ti = star_ti;
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
+    while let Some(('%', pw)) = unit(pattern, pi) {
+        pi += pw;
     }
-    pi == p.len()
+    pi == pattern.len()
 }
 
 #[cfg(test)]
@@ -77,5 +105,24 @@ mod tests {
         assert!(like_match("%a%b%", "xxaxxbxx"));
         assert!(!like_match("%a%b%", "xxbxxaxx"));
         assert!(like_match("%ab%ab%", "ababab"));
+    }
+
+    #[test]
+    fn multibyte_text() {
+        // `_` is one character, however many bytes it takes.
+        assert!(like_match("caf_", "café"));
+        assert!(!like_match("caf__", "café"));
+        assert!(like_match("_日_", "a日b"));
+        assert!(like_match("%日%", "/tmp/日本"));
+        assert!(!like_match("%日%", "/tmp/本"));
+        assert!(like_match("%é", "café"));
+    }
+
+    #[test]
+    fn percent_in_text_is_absorbed() {
+        // A `%` in the text is a character like any other for the
+        // pattern's `%` to absorb.
+        assert!(like_match("%a", "%ba"));
+        assert!(like_match("%20%", "/a%20b"));
     }
 }

@@ -9,9 +9,10 @@
 //! built, and the planner, the binder over joined aliases and the hash
 //! joins serve SQL text only.
 //!
-//! * `entity_candidates` is one scan of the class table — the same
-//!   statistics-chosen access path (hash / B-tree / trigram) a parsed
-//!   single-table query takes.
+//! * `entity_candidates` is one scan of the class table — the same access
+//!   path (hash / B-tree / `LIKE` over the column's dictionary) a parsed
+//!   single-table query takes. A one-conjunct IOC filter is tested once
+//!   per distinct string and its rows come straight from the postings.
 //! * `match_event_pattern` and `match_event_pattern_rows` are the one
 //!   matcher, `exec::match_event_rows`: events come from a scan of the
 //!   whole table (batch) or from a row range (a standing query's epoch),

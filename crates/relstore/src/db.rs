@@ -259,7 +259,8 @@ impl Database {
     }
 
     /// Creates a trigram index over a string column (used together with a
-    /// hash index on the same column to accelerate `LIKE '%lit%'`).
+    /// hash index on the same column to narrow the strings a `LIKE` with a
+    /// literal run of ≥ 3 bytes is tested on).
     pub fn create_trigram_index(&mut self, table: &str, col: &str) -> Result<()> {
         let dict = self.dict.clone();
         let (slot, ci) = self.index_site(table, col)?;

@@ -15,10 +15,15 @@
 //!   each endpoint's table and its filter tested on that one row. No plan,
 //!   no binder beyond the scan's own, no join.
 //!
-//! Scans pick the cheapest applicable access path per pushed-down conjunct:
-//! hash-index point/IN lookups, B-tree ranges for integer comparisons,
-//! trigram candidate pruning for `LIKE '%lit%'`. Every path re-verifies the
-//! full predicate, so index choice is purely a performance decision.
+//! Scans pick an index access path per pushed-down conjunct: hash-index
+//! point/IN lookups, B-tree ranges for integer comparisons, and for `LIKE`
+//! one pattern test per distinct string of the column (narrowed by the
+//! trigram index when the pattern has a literal run of ≥ 3 bytes), whose
+//! rows come from the hash postings. Each path returns exactly the rows its
+//! own conjunct selects. A one-conjunct predicate (an IOC seed) therefore
+//! takes its path's rows as the answer; a predicate of several conjuncts
+//! materializes the cheapest path and tests the full predicate on each of
+//! its rows, so index choice is purely a performance decision.
 //!
 //! **Vectorized scans** (the columnar storage plane): a pushed-down
 //! predicate is compiled once per scan into a `ScanPred` — `IN` lists
@@ -33,9 +38,9 @@
 //! consume selection vectors; rows are never materialized inside the scan.
 //!
 //! **Parallelism** (the parallel execution plane): full scans are
-//! partitioned over segment ranges, index-candidate re-verification over
-//! row-chunk ranges, and the probe side of every hash join (SQL text only)
-//! over tuple ranges, all through the database's
+//! partitioned over segment ranges, the multi-conjunct index-candidate
+//! check over row-chunk ranges, and the probe side of every hash join (SQL
+//! text only) over tuple ranges, all through the database's
 //! [`Pool`](raptor_common::pool::Pool).
 //! Partition outputs are concatenated in partition order (counters absorbed
 //! in segment order), so row order, result rows and every [`ExecStats`]
@@ -55,8 +60,8 @@ use crate::table::{RowId, Table};
 use crate::value::Value;
 use raptor_storage::ValueColumn;
 
-/// Candidate rows below which a scan's predicate re-verification is not
-/// worth partitioning (per-row evaluation is tens of nanoseconds; spawning
+/// Candidate rows below which a multi-conjunct scan's predicate check is
+/// not worth partitioning (per-row evaluation is tens of nanoseconds; spawning
 /// scoped workers costs tens of microseconds). Full scans partition over
 /// segment ranges instead, with the same row floor per task.
 const PAR_MIN_FILTER_ROWS: usize = 4096;
@@ -592,8 +597,8 @@ fn segment_select(
 }
 
 /// Row-at-a-time evaluation of a compiled scan predicate — the
-/// index-candidate re-verification path, where rows arrive as scattered
-/// candidate ids instead of contiguous segments. Same semantics as
+/// multi-conjunct index-candidate check and the endpoint test, where rows
+/// arrive as scattered ids instead of contiguous segments. Same semantics as
 /// [`eval_mask`], sharing the compiled `IN` hash sets.
 fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool {
     let i = row as usize;
@@ -647,8 +652,10 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
 }
 
 /// Chooses an index access path for one pushed-down conjunct, if possible.
-/// Returns candidate row ids (a superset of matches among which the full
-/// predicate is re-verified), or `None` if no index applies.
+/// Returns exactly the rows the conjunct selects — hash `=`/`IN` postings,
+/// a B-tree key range, or the postings of the column's strings that pass
+/// the `LIKE` — or `None` if no index applies. A scan with other conjuncts
+/// still tests them on these rows.
 fn access_path(db: &Database, table: &str, conjunct: &Expr) -> Option<Vec<RowId>> {
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
@@ -686,28 +693,36 @@ fn access_path(db: &Database, table: &str, conjunct: &Expr) -> Option<Vec<RowId>
         Expr::CmpLit { col, op, lit: Literal::Int(i) } => {
             let idx = db.indexes(table, &col.column)?.btree.as_ref()?;
             let (lo, hi) = match op {
-                CmpOp::Lt => (i64::MIN, i - 1),
-                CmpOp::Le => (i64::MIN, *i),
-                CmpOp::Gt => (i + 1, i64::MAX),
-                CmpOp::Ge => (*i, i64::MAX),
+                CmpOp::Lt => (Some(i64::MIN), i.checked_sub(1)),
+                CmpOp::Le => (Some(i64::MIN), Some(*i)),
+                CmpOp::Gt => (i.checked_add(1), Some(i64::MAX)),
+                CmpOp::Ge => (Some(*i), Some(i64::MAX)),
                 _ => return None,
             };
-            Some(idx.range(lo, hi))
+            // `< i64::MIN` and `> i64::MAX` hold for no row.
+            Some(lo.zip(hi).map_or_else(Vec::new, |(lo, hi)| idx.range(lo, hi)))
         }
         Expr::Like { col, pattern, negated: false } => {
-            let lit = containment_literal(pattern)?;
             let ix = db.indexes(table, &col.column)?;
-            let candidates = ix.trigram.as_ref()?.candidates(&lit)?;
-            // Verify the LIKE on the (small) dictionary, then fan out to rows.
             let hash = ix.hash.as_ref()?;
+            // Test the LIKE once per distinct string — the trigram
+            // candidates of its longest literal run, or else every string
+            // key of the hash index, the column's dictionary — then fan out
+            // to rows. Distinct strings have disjoint postings.
+            let pruned = containment_literal(pattern)
+                .zip(ix.trigram.as_ref())
+                .and_then(|(lit, trigram)| trigram.candidates(lit));
             let mut rows = Vec::new();
-            for sym in candidates {
+            let mut test = |sym: Sym| {
                 if like_match(pattern, db.dict().resolve(sym)) {
                     rows.extend_from_slice(hash.get(Value::Str(sym)));
                 }
+            };
+            match pruned {
+                Some(candidates) => candidates.into_iter().for_each(&mut test),
+                None => hash.syms().for_each(&mut test),
             }
             rows.sort_unstable();
-            rows.dedup();
             Some(rows)
         }
         _ => None,
@@ -759,9 +774,7 @@ fn conjunct_estimate(
             Some(col_frac(col, &|c| c.cmp_fraction(storage_cmp(*op), *i)) * rows)
         }
         Expr::Like { col, pattern, negated: false } => {
-            containment_literal(pattern)?;
-            let ix = db.indexes(table, &col.column)?;
-            ix.trigram.as_ref().and(ix.hash.as_ref())?;
+            db.indexes(table, &col.column)?.hash.as_ref()?;
             Some(col_frac(col, &|c| c.like_fraction(pattern, db.dict())) * rows)
         }
         _ => None,
@@ -796,14 +809,17 @@ fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) ->
 }
 
 /// Runs one scan of `table_name` under `alias` (the qualifier of `pred`'s
-/// columns) as one `relstore.scan` span: pick the most selective index path
-/// among the conjuncts, then re-verify the whole predicate.
+/// columns) as one `relstore.scan` span.
 ///
-/// Access-path choice is **statistics-driven**: per-conjunct candidate
-/// counts are estimated from [`Database::store_stats`] and only the
-/// cheapest path is materialized. A table with a row has statistics, and
-/// an estimate exists exactly when an index applies, so an empty table is
-/// the only one a filtered scan reads in full — over zero segments.
+/// A predicate of **one conjunct** that an index serves is answered by
+/// that conjunct's [`access_path`] alone: there is nothing to choose
+/// between and nothing left to test. With **several conjuncts** access-path
+/// choice is **statistics-driven**: per-conjunct candidate counts are
+/// estimated from [`Database::store_stats`], only the cheapest path is
+/// materialized, and the whole predicate is tested on each of its rows.
+/// A table with a row has statistics, and an estimate exists exactly when
+/// an index applies, so an empty table is the only one a filtered scan
+/// with an indexed conjunct reads in full — over zero segments.
 pub(crate) fn run_scan(
     db: &Database,
     table_name: &str,
@@ -843,26 +859,31 @@ fn scan_rows(
 
     // The predicate is compiled once per scan: hash-set `IN`s, handle-bound
     // string literals, constant-folded type mismatches — shared by both the
-    // vectorized full scan and the index-candidate re-verification.
+    // vectorized full scan and the index-candidate check.
     let compiled = compile_table_pred(db, table, alias, pred)?;
     let dict = db.dict();
 
     let conjuncts = pred.clone().conjuncts();
-    let cheapest = db.store_stats().table(table_name).and_then(|ts| {
-        conjuncts
+    let indexed = db.store_stats().table(table_name).and_then(|ts| match conjuncts.as_slice() {
+        [only] => access_path(db, table_name, only).map(|rows| (rows, true)),
+        _ => conjuncts
             .iter()
             .enumerate()
             .filter_map(|(i, c)| conjunct_estimate(db, table_name, ts, c).map(|e| (i, e)))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .and_then(|(i, _)| access_path(db, table_name, &conjuncts[i]))
+            .map(|rows| (rows, false)),
     });
-
-    let indexed = cheapest.and_then(|(i, _)| access_path(db, table_name, &conjuncts[i]));
-    if let Some(candidates) = indexed {
-        // Index path: re-verify the full predicate over the candidates,
-        // partitioned over row-chunk ranges; concatenating the partitions
-        // in order reproduces the sequential row order exactly.
+    if let Some((candidates, exact)) = indexed {
         stats.index_scans += 1;
         stats.rows_scanned += candidates.len();
+        if exact {
+            // The one conjunct's path returns exactly its rows.
+            return Ok(candidates);
+        }
+        // Test the full predicate on the candidates, partitioned over
+        // row-chunk ranges; concatenating the partitions in order
+        // reproduces the sequential row order exactly.
         let parts = db.pool().run_partitioned(candidates.len(), PAR_MIN_FILTER_ROWS, |r| {
             candidates[r]
                 .iter()
@@ -1509,5 +1530,29 @@ mod tests {
         let r = db.query("SELECT id FROM t WHERE v = 1").unwrap();
         assert_eq!(r.n_rows(), 0);
         assert_eq!((r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned), (1, 0, 0));
+    }
+
+    /// A B-tree bound past the end of the integer range selects no row: it
+    /// neither overflows nor wraps around to the whole range — which a
+    /// one-conjunct scan would return unchecked.
+    #[test]
+    fn btree_bound_past_the_integer_range_selects_nothing() {
+        use super::{run_scan, ExecStats};
+        use crate::sql::ast::{CmpOp, ColRef, Expr, Literal};
+        let mut db = Database::new();
+        let cols =
+            vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("v", ColumnType::Int)];
+        db.create_table(TableSchema::new("t", cols)).unwrap();
+        db.create_btree_index("t", "v").unwrap();
+        for v in [i64::MIN, 0, i64::MAX] {
+            db.insert("t", &[crate::db::Ins::Int(v), crate::db::Ins::Int(v)]).unwrap();
+        }
+        for (op, lit) in [(CmpOp::Lt, i64::MIN), (CmpOp::Gt, i64::MAX)] {
+            let pred =
+                Expr::CmpLit { col: ColRef::new(Some("t"), "v"), op, lit: Literal::Int(lit) };
+            let mut stats = ExecStats::default();
+            assert_eq!(run_scan(&db, "t", "t", Some(&pred), &mut stats).unwrap(), vec![]);
+            assert_eq!((stats.index_scans, stats.rows_scanned), (1, 0));
+        }
     }
 }

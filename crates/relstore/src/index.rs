@@ -7,10 +7,11 @@
 //! * [`HashIndex`] — equality lookups (`col = v`, `col IN (...)`, and the
 //!   scheduler's injected `IN` filters),
 //! * [`BTreeIndex`] — range scans over integer/time columns (TBQL windows),
-//! * [`TrigramIndex`] — `LIKE '%lit%'` acceleration: maps character trigrams
-//!   of *dictionary strings* to the interned symbols containing them, so a
-//!   containment predicate first intersects posting lists over the (small)
-//!   dictionary, then fans out to rows via the hash index.
+//! * [`TrigramIndex`] — `LIKE` pruning: maps byte trigrams of *dictionary
+//!   strings* to the interned symbols containing them, so a `LIKE` whose
+//!   pattern holds a literal run of ≥ 3 bytes (between any wildcards, `%`
+//!   or `_`) is tested only on the symbols holding every trigram of that
+//!   run, then fans out to rows via the hash index.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
@@ -37,6 +38,11 @@ impl HashIndex {
 
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
+    }
+
+    /// The string keys: over a string column, its dictionary.
+    pub(crate) fn syms(&self) -> impl Iterator<Item = Sym> + '_ {
+        self.map.keys().filter_map(Value::as_sym)
     }
 }
 
@@ -71,8 +77,10 @@ fn trigrams(s: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
 ///
 /// Maintained per *column*: `add_sym` is called for every distinct symbol
 /// that appears in the column. Candidate lookup intersects the posting lists
-/// of the needle's trigrams; callers must still verify candidates (trigram
-/// containment is necessary, not sufficient).
+/// of the needle's trigrams — the needle being any literal run of a `LIKE`
+/// pattern ([`containment_literal`](crate::like::containment_literal)),
+/// not only the `lit` of `'%lit%'`. Callers must still test the pattern on
+/// each candidate (trigram containment is necessary, not sufficient).
 #[derive(Debug, Default)]
 pub struct TrigramIndex {
     postings: FxHashMap<[u8; 3], Vec<Sym>>,

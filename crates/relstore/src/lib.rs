@@ -13,8 +13,8 @@
 //! * [`schema`] — column/table schemas and the catalog,
 //! * [`table`] — columnar storage (one typed vector per column, segment
 //!   zone maps) with append-only inserts,
-//! * [`index`] — hash (equality), B-tree (ranges) and trigram
-//!   (`LIKE '%lit%'` acceleration) secondary indexes,
+//! * [`index`] — hash (equality; for `LIKE`, the column's dictionary),
+//!   B-tree (ranges) and trigram (`LIKE` pruning) secondary indexes,
 //! * [`like`] — SQL `LIKE` semantics plus literal-run extraction for the
 //!   trigram index,
 //! * [`sql`] — lexer, AST and recursive-descent parser for the SQL subset,

@@ -3,32 +3,25 @@
 //! The matcher itself lives in [`raptor_common::like`] (it is shared with
 //! the graph store's predicate lowering and the statistics plane's
 //! selectivity estimation); this module re-exports it and adds literal-run
-//! extraction so the trigram index can prune candidates.
+//! extraction, so the trigram index can narrow the dictionary strings a
+//! `LIKE` is tested on to those holding its longest literal run.
 
 pub use raptor_common::like::like_match;
 
-/// The longest literal (wildcard-free) run in a LIKE pattern, used as a
-/// necessary-substring filter: any match of the pattern must contain this
-/// run *if* the run is bracketed by `%` on both sides (the common
-/// `%literal%` shape compiled from TBQL). Returns `None` when no usable run
-/// exists (pattern too short or not `%`-bracketed).
-pub fn containment_literal(pattern: &str) -> Option<String> {
-    // Only the simple shapes are accelerated: %lit%, %lit, lit%.
-    if pattern.contains('_') {
-        return None;
-    }
-    let runs: Vec<&str> = pattern.split('%').filter(|r| !r.is_empty()).collect();
-    if runs.len() != 1 {
-        return None;
-    }
-    let run = runs[0];
-    if run.len() < 3 {
-        // Shorter than one trigram: the index cannot help.
-        return None;
-    }
-    // If the pattern has no leading %, matches must start with the run; the
-    // trigram filter (containment) is still sound, just less tight.
-    Some(run.to_string())
+/// The longest literal run of a LIKE pattern — a maximal stretch between
+/// wildcards, `%` or `_` — if it is at least one trigram (3 bytes) long.
+/// Every literal run of a pattern appears verbatim in any text matching
+/// it, whatever the wildcards around it, so this is a necessary substring.
+/// `None` when no run is long enough for the trigram index to prune with.
+/// Of equally long runs the first is returned.
+pub fn containment_literal(pattern: &str) -> Option<&str> {
+    pattern.split(['%', '_']).filter(|run| run.len() >= 3).reduce(|best, run| {
+        if run.len() > best.len() {
+            run
+        } else {
+            best
+        }
+    })
 }
 
 #[cfg(test)]
@@ -37,12 +30,17 @@ mod tests {
 
     #[test]
     fn literal_extraction() {
-        assert_eq!(containment_literal("%/bin/tar%"), Some("/bin/tar".into()));
-        assert_eq!(containment_literal("%curl%"), Some("curl".into()));
-        assert_eq!(containment_literal("/tmp/%"), Some("/tmp/".into()));
-        // Two runs: not accelerated.
-        assert_eq!(containment_literal("%a%bcd%"), None);
-        // Underscore: not accelerated.
+        assert_eq!(containment_literal("%/bin/tar%"), Some("/bin/tar"));
+        assert_eq!(containment_literal("%curl%"), Some("curl"));
+        assert_eq!(containment_literal("/tmp/%"), Some("/tmp/"));
+        // Several runs: the longest.
+        assert_eq!(containment_literal("%a%bcd%"), Some("bcd"));
+        assert_eq!(
+            containment_literal("%/home/admin/executable_attach%"),
+            Some("/home/admin/executable")
+        );
+        assert_eq!(containment_literal("%abc%def%"), Some("abc"));
+        // `_` splits runs: no run reaches a trigram.
         assert_eq!(containment_literal("%ab_d%"), None);
         // Too short for a trigram.
         assert_eq!(containment_literal("%ab%"), None);
@@ -51,12 +49,18 @@ mod tests {
 
     #[test]
     fn extraction_is_sound() {
-        // Every text matching the pattern must contain the literal.
-        let cases = [("%/etc/passwd%", "/etc/passwd"), ("%upload%", "xx upload yy")];
+        // Every text matching the pattern contains the literal.
+        let cases = [
+            ("%/etc/passwd%", "/etc/passwd"),
+            ("%upload%", "xx upload yy"),
+            ("%a%bcd%", "xa-bcd"),
+            ("%/home/admin/executable_attach%", "/home/admin/executable-attach.sh"),
+            ("pass_mgr.exe", "pass-mgr.exe"),
+        ];
         for (pat, text) in cases {
-            assert!(like_match(pat, text));
+            assert!(like_match(pat, text), "{pat} / {text}");
             let lit = containment_literal(pat).unwrap();
-            assert!(text.contains(&lit));
+            assert!(text.contains(lit), "{pat} / {text}");
         }
     }
 }

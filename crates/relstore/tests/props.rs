@@ -31,28 +31,59 @@ fn like_reference(pattern: &str, text: &str) -> bool {
 
 proptest! {
     /// The iterative matcher agrees with the DP reference on random
-    /// pattern/text pairs over a small alphabet (wildcards included).
+    /// pattern/text pairs over a small alphabet: wildcards on both sides
+    /// (a `%` in the text is a character like any other) and multibyte
+    /// characters, which `_` must take whole. Seeded mutation: routing `_`
+    /// patterns through the byte walk fails it.
     #[test]
-    fn like_matches_reference(pattern in "[ab%_]{0,10}", text in "[ab]{0,10}") {
+    fn like_matches_reference(pattern in "[ab%_é日]{0,10}", text in "[ab%_é日]{0,10}") {
         prop_assert_eq!(like_match(&pattern, &text), like_reference(&pattern, &text));
     }
 
     /// Any extracted containment literal is truly necessary: texts matching
-    /// the pattern always contain the literal.
+    /// the pattern always contain the literal. Patterns are several literal
+    /// runs, each followed by `%` or `_`; one text is the pattern with its
+    /// wildcards filled in (so it matches), one is random. Seeded mutation:
+    /// not splitting runs at `_` fails it.
     #[test]
-    fn containment_literal_is_sound(pattern in "%[abc]{3,8}%", text in "[abc]{0,16}") {
+    fn containment_literal_is_sound(
+        pieces in proptest::collection::vec(("[abé]{0,4}", "[%_]", "[abé]{0,3}"), 1..5),
+        tail in "[abé]{0,4}",
+        text in "[abé_]{0,16}",
+    ) {
+        let (mut pattern, mut filled) = (String::new(), String::new());
+        for (run, wildcard, fill) in &pieces {
+            pattern.push_str(run);
+            pattern.push_str(wildcard);
+            filled.push_str(run);
+            match wildcard.as_str() {
+                "%" => filled.push_str(fill),
+                _ => filled.push(fill.chars().next().unwrap_or('日')),
+            }
+        }
+        pattern.push_str(&tail);
+        filled.push_str(&tail);
+        prop_assert!(like_match(&pattern, &filled), "{pattern} / {filled}");
         if let Some(lit) = containment_literal(&pattern) {
-            if like_match(&pattern, &text) {
-                prop_assert!(text.contains(&lit));
+            prop_assert!(lit.len() >= 3 && pattern.contains(lit) && !lit.contains(['%', '_']));
+            for t in [&filled, &text] {
+                if like_match(&pattern, t) {
+                    prop_assert!(t.contains(lit), "{pattern} / {t} lacks {lit}");
+                }
             }
         }
     }
 
-    /// Index-accelerated LIKE returns exactly the same rows as a full scan.
+    /// Index-accelerated LIKE returns exactly the same rows as a full scan,
+    /// in one index scan that reads only the rows it returns: needles with
+    /// `_` and `%` inside, needles shorter than a trigram (which test every
+    /// string of the column's dictionary), `%`-bracketed or bare, over
+    /// names with NULLs among them.
     #[test]
     fn trigram_path_equals_full_scan(
-        names in proptest::collection::vec("[a-d/]{1,12}", 1..60),
-        needle in "[a-d/]{3,6}",
+        names in proptest::collection::vec(proptest::option::of("[a-d/_]{1,12}"), 1..60),
+        needle in "[a-d/_%]{1,6}",
+        bracketed in proptest::bool::ANY,
     ) {
         let mut plain = Database::new();
         let mut indexed = Database::new();
@@ -65,14 +96,81 @@ proptest! {
         indexed.create_hash_index("files", "name").unwrap();
         indexed.create_trigram_index("files", "name").unwrap();
         for (i, n) in names.iter().enumerate() {
-            plain.insert("files", &[Ins::Int(i as i64), Ins::Str(n)]).unwrap();
-            indexed.insert("files", &[Ins::Int(i as i64), Ins::Str(n)]).unwrap();
+            let name = n.as_deref().map_or(Ins::Null, Ins::Str);
+            plain.insert("files", &[Ins::Int(i as i64), name]).unwrap();
+            indexed.insert("files", &[Ins::Int(i as i64), name]).unwrap();
         }
-        let sql = format!("SELECT id FROM files WHERE name LIKE '%{needle}%' ORDER BY id");
+        let pattern = if bracketed { format!("%{needle}%") } else { needle };
+        let sql = format!("SELECT id FROM files WHERE name LIKE '{pattern}' ORDER BY id");
         let a = plain.query(&sql).unwrap();
         let b = indexed.query(&sql).unwrap();
         prop_assert_eq!(a.rows(), b.rows());
-        prop_assert!(b.stats.index_scans >= 1 || b.stats.full_scans >= 1);
+        prop_assert_eq!((b.stats.index_scans, b.stats.full_scans), (1, 0));
+        prop_assert_eq!(b.stats.rows_scanned, b.n_rows());
+    }
+
+    /// A one-conjunct predicate an index serves — hash `=` / `IN`, a B-tree
+    /// range, `LIKE` — is answered by its access path alone: the rows of an
+    /// unindexed copy, in one index scan that reads exactly the rows it
+    /// returns. Two conjuncts still read the cheapest path's rows and test
+    /// the whole predicate on each, so they too return the unindexed rows.
+    #[test]
+    fn single_conjunct_index_scan_is_exact(
+        rows in proptest::collection::vec(
+            (proptest::option::of(0i64..8), proptest::option::of("[ab_]{0,4}")),
+            1..40,
+        ),
+        shape in 0u8..6,
+        ints in (0i64..8, 0i64..8, 0i64..8, 0usize..4),
+        word in "[ab_]{0,4}",
+        pattern in "[ab_%]{0,5}",
+    ) {
+        let mut plain = Database::new();
+        let mut indexed = Database::new();
+        for db in [&mut plain, &mut indexed] {
+            let cols = vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("v", ColumnType::Int),
+                ColumnDef::new("s", ColumnType::Str),
+            ];
+            db.create_table(TableSchema::new("t", cols)).unwrap();
+        }
+        indexed.create_hash_index("t", "v").unwrap();
+        indexed.create_btree_index("t", "v").unwrap();
+        indexed.create_hash_index("t", "s").unwrap();
+        indexed.create_trigram_index("t", "s").unwrap();
+        for (i, (v, s)) in rows.iter().enumerate() {
+            let row = [
+                Ins::Int(i as i64),
+                v.map_or(Ins::Null, Ins::Int),
+                s.as_deref().map_or(Ins::Null, Ins::Str),
+            ];
+            plain.insert("t", &row).unwrap();
+            indexed.insert("t", &row).unwrap();
+        }
+        let (a, b, c, op) = ints;
+        let like = format!("s LIKE '{pattern}'");
+        let single = match shape {
+            0 => format!("v = {a}"),
+            1 => format!("v IN ({a}, {b}, {c})"),
+            2 => format!("v {} {a}", ["<", "<=", ">", ">="][op]),
+            3 => format!("s = '{word}'"),
+            4 => format!("s IN ('{word}', 'a', 'b_')"),
+            _ => like.clone(),
+        };
+        let query = |db: &Database, pred: &str| {
+            db.query(&format!("SELECT id FROM t WHERE {pred} ORDER BY id")).unwrap()
+        };
+        let (want, got) = (query(&plain, &single), query(&indexed, &single));
+        prop_assert_eq!(want.rows(), got.rows(), "{}", single);
+        prop_assert_eq!((got.stats.index_scans, got.stats.full_scans), (1, 0), "{}", single);
+        prop_assert_eq!(got.stats.rows_scanned, got.n_rows(), "{}", single);
+
+        let both = format!("{single} AND {}", if shape < 3 { &like } else { "v >= 2" });
+        let (want, got) = (query(&plain, &both), query(&indexed, &both));
+        prop_assert_eq!(want.rows(), got.rows(), "{}", both);
+        prop_assert_eq!(got.stats.index_scans, 1, "{}", both);
+        prop_assert!(got.stats.rows_scanned >= got.n_rows(), "{}", both);
     }
 
     /// Hash-index equality returns exactly the rows a scan-and-filter finds.
