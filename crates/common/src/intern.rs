@@ -15,9 +15,9 @@
 //!   readable dictionary hoisted above both storage backends, so equal
 //!   strings from the relational and graph stores map to the *same* [`Sym`]
 //!   and string equality is an integer compare across the whole query
-//!   pipeline. Per-row reads ([`SharedDict::resolve`]) never lock — the
-//!   parallel execution plane resolves symbols from many threads while
-//!   writes happen only on the (mutex-serialized) intern path.
+//!   pipeline. Per-row reads ([`SharedDict::resolve`]) never lock, on any
+//!   thread, while writes happen only on the (mutex-serialized) intern
+//!   path.
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -216,9 +216,8 @@ impl Drop for DictInner {
 /// Concurrency model (see ARCHITECTURE.md "The shared dictionary plane"):
 ///
 /// * [`resolve`](SharedDict::resolve) — the per-row hot path — is
-///   **lock-free**: an atomic length check plus an arena index. The PR-4
-///   worker pool resolves symbols from many threads during scans, joins and
-///   rendering.
+///   **lock-free**: an atomic length check plus an arena index, so any
+///   number of threads may resolve symbols at once.
 /// * [`get`](SharedDict::get) takes a shared read lock (concurrent readers
 ///   never block each other); it runs per *request*, not per row — typed
 ///   requests carry pre-interned symbols.

@@ -11,9 +11,8 @@
 //! * [`error`] — the workspace-wide error type,
 //! * [`like`] — SQL `LIKE` wildcard matching, shared by the relational
 //!   executor, the graph predicate lowering and selectivity estimation,
-//! * [`pool`] — the scoped worker pool behind the parallel execution plane
-//!   (deterministic, input-ordered result collection; thread count from
-//!   `RAPTOR_THREADS` / available parallelism),
+//! * [`pool`] — a shim reporting the one thread queries run on (kept for
+//!   the benchmark harness's header),
 //! * [`strdist`] — Levenshtein distance and normalized string similarity
 //!   (used by the fuzzy search mode for node alignment),
 //! * [`intern`] — string interning: the plain [`Interner`] and the
@@ -45,5 +44,4 @@ pub mod time;
 pub use error::{Error, Result};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::{Interner, SharedDict, Sym};
-pub use pool::{Pool, RaptorConfig};
 pub use time::{Duration, Timestamp};

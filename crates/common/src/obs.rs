@@ -18,9 +18,9 @@
 //!   engine attaches.
 //!
 //! Span parents come from a per-thread stack maintained by [`SpanGuard`],
-//! so spans recorded on pool worker threads are roots of their own
-//! subtree; span *counts* are deterministic at any thread count because
-//! every span marks one logical operation, never one partition of one.
+//! so spans recorded on another thread are roots of their own subtree.
+//! Every span marks one logical operation, so span *counts* are
+//! deterministic.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::BTreeMap;

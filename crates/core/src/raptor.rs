@@ -131,13 +131,10 @@ impl ThreatRaptor {
         self.session.checkpoint()
     }
 
-    /// Pins the worker count across the whole execution plane (store
-    /// scans/joins, graph traversal). Defaults to `RAPTOR_THREADS` /
-    /// available parallelism; `1` takes the strictly sequential code paths
-    /// everywhere.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.session.set_threads(threads);
-    }
+    /// Does nothing: every query runs on the calling thread, whatever the
+    /// count. It stays because `bench_ledger` calls it and may not change
+    /// outside a `[benchmark]` PR; the next one deletes it.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Re-segments the relational store's columnar tables to `rows`-row
     /// segments (see `RAPTOR_SEGMENT_ROWS`; results are byte-identical at
@@ -217,7 +214,7 @@ impl ThreatRaptor {
     /// Executes a TBQL query and renders the plan annotated with actuals:
     /// rows, Q-error, access path, backend counters, wall times. `Redact::
     /// Stable` elides volatile fields (timings, scan granularity) so the
-    /// output is byte-identical across thread counts and segment sizes.
+    /// output is byte-identical across segment sizes.
     pub fn explain_analyze(
         &self,
         tbql: &str,
@@ -227,13 +224,12 @@ impl ThreatRaptor {
     }
 
     /// Snapshots the process-wide metrics registry (counters, gauges,
-    /// histograms). Refreshes point-in-time gauges (dictionary size, pinned
-    /// worker count) before capturing. Render with `to_json()` or
+    /// histograms). Refreshes point-in-time gauges (dictionary size, path
+    /// frontier entries) before capturing. Render with `to_json()` or
     /// `to_prometheus()`.
     pub fn metrics(&self) -> raptor_common::obs::MetricsSnapshot {
         let m = raptor_common::obs::metrics();
         m.gauge_set("raptor_dict_symbols", self.engine().stores.dict.len() as i64);
-        m.gauge_set("raptor_threads", self.engine().stores.rel.pool().threads() as i64);
         m.gauge_set(
             "raptor_path_frontier_entries",
             raptor_engine::standing::frontier_entries_total(),
@@ -349,8 +345,23 @@ He leaked the data back to the C2 host by using /usr/bin/curl to connect to 192.
         assert!(report.contains("q_err="), "{report}");
         let snap = raptor.metrics();
         assert!(snap.get("raptor_dict_symbols").is_some());
-        assert!(snap.get("raptor_threads").is_some());
         assert!(snap.to_prometheus().contains("raptor_dict_symbols"));
+    }
+
+    /// `set_threads` is a no-op: the same rows and the same work counters
+    /// before and after it.
+    #[test]
+    fn set_threads_changes_nothing() {
+        let mut raptor = system_with_fig2_attack();
+        let run = |raptor: &ThreatRaptor| {
+            let o = raptor.hunt(FIG2_TEXT).unwrap();
+            let s = o.engine_stats;
+            let counters = (s.data_queries, s.text_parses, s.short_circuited, s.backend);
+            (o.results.rows, counters, s.execution_order, s.estimates, s.strings_materialized)
+        };
+        let before = run(&raptor);
+        raptor.set_threads(4);
+        assert_eq!(run(&raptor), before);
     }
 
     #[test]

@@ -251,14 +251,6 @@ impl Engine {
         Engine { stores, max_hops: gexec::DEFAULT_MAX_HOPS, scheduler: SchedulerMode::default() }
     }
 
-    /// Pins the worker count across the whole execution plane: both stores'
-    /// scan/join/traversal pools (the engine itself has none). `1` takes
-    /// the strictly sequential code paths everywhere.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.stores.rel.set_threads(threads);
-        self.stores.graph.set_threads(threads);
-    }
-
     /// Re-segments the relational store's columnar tables to `rows`-row
     /// segments (zone maps rebuild in one pass; results are byte-identical
     /// at every capacity). The graph store has no segments.

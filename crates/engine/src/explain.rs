@@ -15,9 +15,9 @@
 //!   rows per pattern, Q-error, access path, segment pruning, wall times.
 //!
 //! Every line of the plain `EXPLAIN` tree — and the `ANALYZE` tree under
-//! [`Redact::Stable`] — is byte-identical at any `RAPTOR_THREADS` and any
-//! `RAPTOR_SEGMENT_ROWS`: the golden corpus test pins it. `Redact::Stable`
-//! elides exactly the values that legitimately vary with those knobs
+//! [`Redact::Stable`] — is byte-identical at any `RAPTOR_SEGMENT_ROWS`: the
+//! golden corpus test pins it. `Redact::Stable` elides exactly the values
+//! that legitimately vary from run to run or with that knob
 //! (wall times; rows/segments scanned, which depend on segment capacity)
 //! while keeping the full tree structure, estimates, actual row counts and
 //! access-path choices.
@@ -37,7 +37,7 @@ pub enum Redact {
     /// counters (the operator view; also what the slow-query log records).
     Full,
     /// Replace wall times and segment-capacity-dependent counters with `~`
-    /// so the output is byte-identical across `RAPTOR_THREADS` and
+    /// so the output is byte-identical across runs and across
     /// `RAPTOR_SEGMENT_ROWS` (the golden-test view).
     Stable,
 }

@@ -48,8 +48,8 @@
 //!
 //! **Inline.** A session advances its standing queries one after another on
 //! the ingesting thread. An advance is tens of microseconds of row-range
-//! passes plus about as much per path frontier; spawning the pool's scoped
-//! workers for it (90–140 µs per epoch) cost as much as the work.
+//! passes plus about as much per path frontier; spawning scoped workers for
+//! it (90–140 µs per epoch when it was tried) cost as much as the work.
 //!
 //! [`Database::match_event_pattern_rows`]: raptor_relstore::Database::match_event_pattern_rows
 

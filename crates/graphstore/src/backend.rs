@@ -430,16 +430,16 @@ impl MutableBackend for Graph {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
-        if subject < 0 || object < 0 {
-            return Err(Error::storage("event endpoints must be non-negative entity ids"));
-        }
-        self.append_edge(
-            crate::graph::NodeId(subject as u32),
-            crate::graph::NodeId(object as u32),
-            "EVENT",
-            &[("id", FieldValue::Int(id))],
-            fields,
-        )?;
+        // Range-check before narrowing: `1 << 32` must not wrap to node 0.
+        let node = |id: i64| {
+            usize::try_from(id)
+                .ok()
+                .filter(|&i| i < self.node_count())
+                .map(|i| NodeId(i as u32))
+                .ok_or_else(|| Error::storage(format!("event endpoint {id} is not a node")))
+        };
+        let (src, dst) = (node(subject)?, node(object)?);
+        self.append_edge(src, dst, "EVENT", &[("id", FieldValue::Int(id))], fields)?;
         stats.items_inserted += 1;
         Ok(())
     }
@@ -636,6 +636,23 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert!(!m.has_event);
         assert_eq!((m.subj[0], m.obj[0], m.evt[0]), (1, 4, -1));
+    }
+
+    /// An endpoint id past `u32` would wrap to a node that exists (`1 << 32`
+    /// to node 0) and pass `append_edge`'s bounds check: it is refused
+    /// before narrowing, like any id that is not a node.
+    #[test]
+    fn out_of_range_event_endpoint_is_refused() {
+        use raptor_common::error::ErrorKind;
+        let mut g = audit_graph();
+        let edges = g.edge_count();
+        let mut stats = BackendStats::default();
+        for (s, o) in [(1i64 << 32, 2), (0, (1 << 32) + 2), (-1, 2), (0, 5)] {
+            let err = g.insert_event(99, s, o, &[], &mut stats).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Storage, "{s} -> {o}: {err}");
+        }
+        assert_eq!(g.edge_count(), edges);
+        assert_eq!(stats.items_inserted, 0);
     }
 
     #[test]

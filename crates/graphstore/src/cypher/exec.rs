@@ -437,11 +437,6 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
     Ok(CypherResult { columns, rows, stats })
 }
 
-/// Bindings below which segment extension stays sequential — per-binding
-/// work (adjacency walk or bounded DFS) dwarfs a filter row, so the bar for
-/// fanning out over anchors is low.
-const PAR_MIN_BINDINGS: usize = 16;
-
 /// Extends one binding along one relationship segment, appending every
 /// extension to `out_bindings`/`out_cursors` (in the deterministic
 /// traversal order) and counting traversed edges into `edges`.
@@ -535,13 +530,8 @@ pub(crate) fn edge_distinct_walks(
 }
 
 /// Extends `bindings` (with per-binding `cursors` at the current path
-/// position) along every segment of `path`.
-///
-/// The per-binding extension — one adjacency walk or bounded DFS per anchor
-/// — fans out over anchor ranges through the graph's pool. Partition
-/// outputs (extensions plus edge counters) are absorbed in partition order,
-/// so binding order and `edges_traversed` are byte-identical to the
-/// sequential traversal at any thread count.
+/// position) along every segment of `path`: one adjacency walk or bounded
+/// DFS per binding, in binding order.
 fn extend_path(
     g: &Graph,
     path: &PathPattern,
@@ -554,25 +544,22 @@ fn extend_path(
     for (rel, node) in &path.segments {
         let rel_slot = rel.var.as_ref().map(|v| vars.slots[v.as_str()]);
         let node_slot = node.var.as_ref().map(|v| vars.slots[v.as_str()]);
-        let parts = g.pool().run_partitioned(bindings.len(), PAR_MIN_BINDINGS, |range| {
-            let mut nb = Vec::new();
-            let mut nc = Vec::new();
-            let mut edges = 0usize;
-            for (b, &cur) in bindings[range.clone()].iter().zip(&cursors[range]) {
-                extend_one(
-                    g, rel, node, rel_slot, node_slot, max_hops, b, cur, &mut nb, &mut nc,
-                    &mut edges,
-                );
-            }
-            (nb, nc, edges)
-        });
-        let total: usize = parts.iter().map(|(nb, _, _)| nb.len()).sum();
-        let mut next_bindings = Vec::with_capacity(total);
-        let mut next_cursors = Vec::with_capacity(total);
-        for (nb, nc, edges) in parts {
-            stats.edges_traversed += edges;
-            next_bindings.extend(nb);
-            next_cursors.extend(nc);
+        let mut next_bindings = Vec::new();
+        let mut next_cursors = Vec::new();
+        for (b, &cur) in bindings.iter().zip(&cursors) {
+            extend_one(
+                g,
+                rel,
+                node,
+                rel_slot,
+                node_slot,
+                max_hops,
+                b,
+                cur,
+                &mut next_bindings,
+                &mut next_cursors,
+                &mut stats.edges_traversed,
+            );
         }
         *bindings = next_bindings;
         cursors = next_cursors;

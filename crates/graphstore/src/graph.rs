@@ -2,7 +2,8 @@
 //!
 //! Nodes carry a label (`Process` / `File` / `NetConn` for audit data) and a
 //! property map; edges carry a label (`EVENT`) plus properties and connect
-//! two nodes. Adjacency lists give index-free traversal in both directions.
+//! two nodes. Out-adjacency lists give index-free traversal along edges
+//! (every walk follows edges forward, so no in-adjacency is kept).
 //! A per-(label, property) value index accelerates anchor-node lookup by
 //! property equality, and its key set doubles as the distinct-value
 //! dictionary that `CONTAINS` predicates scan.
@@ -10,7 +11,6 @@
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
-use raptor_common::pool::Pool;
 use raptor_storage::{Field, Posting, Value};
 
 /// Node id (arena index).
@@ -57,7 +57,6 @@ pub struct Graph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     out: Vec<Vec<EdgeId>>,
-    inn: Vec<Vec<EdgeId>>,
     /// label → node ids.
     label_nodes: FxHashMap<Sym, Vec<NodeId>>,
     /// (node label, prop key) → prop value → node ids. Built lazily via
@@ -65,9 +64,6 @@ pub struct Graph {
     value_index: FxHashMap<(Sym, Sym), FxHashMap<PropValue, Posting<NodeId>>>,
     /// Record shapes seen by [`Graph::add_node`] / [`Graph::add_edge`].
     shapes: Vec<Shape>,
-    /// Worker pool for fanning path search out per anchor node (see
-    /// `cypher::exec`). One thread ⇒ the exact sequential code paths.
-    pool: Pool,
 }
 
 /// One record shape — a label plus its property keys in order — with what
@@ -109,27 +105,14 @@ impl Graph {
             nodes: Vec::new(),
             edges: Vec::new(),
             out: Vec::new(),
-            inn: Vec::new(),
             label_nodes: FxHashMap::default(),
             value_index: FxHashMap::default(),
             shapes: Vec::new(),
-            pool: Pool::default(),
         }
     }
 
     pub fn dict(&self) -> &SharedDict {
         &self.dict
-    }
-
-    /// The worker pool path search fans out on. Defaults to
-    /// `RAPTOR_THREADS` / available parallelism; see [`Graph::set_threads`].
-    pub fn pool(&self) -> Pool {
-        self.pool
-    }
-
-    /// Pins the traversal worker count (1 ⇒ strictly sequential).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::with_threads(threads);
     }
 
     pub fn node_count(&self) -> usize {
@@ -150,10 +133,6 @@ impl Graph {
 
     pub fn out_edges(&self, id: NodeId) -> &[EdgeId] {
         &self.out[id.0 as usize]
-    }
-
-    pub fn in_edges(&self, id: NodeId) -> &[EdgeId] {
-        &self.inn[id.0 as usize]
     }
 
     /// All nodes with a label.
@@ -249,7 +228,6 @@ impl Graph {
         }
         self.nodes.push(Node { label: shape.label_sym, props: stored });
         self.out.push(Vec::new());
-        self.inn.push(Vec::new());
         id
     }
 
@@ -279,7 +257,6 @@ impl Graph {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { src, dst, label: self.shapes[si].label_sym, props: stored });
         self.out[src.0 as usize].push(id);
-        self.inn[dst.0 as usize].push(id);
         Ok(id)
     }
 
@@ -332,14 +309,6 @@ impl Graph {
         let key = self.dict.get(key)?;
         prop_of(&self.edges[id.0 as usize].props, key)
     }
-
-    /// Renders a property value for display.
-    pub fn render(&self, v: PropValue) -> String {
-        match v {
-            PropValue::Int(i) => i.to_string(),
-            PropValue::Str(s) => self.dict.resolve(s).to_string(),
-        }
-    }
 }
 
 pub(crate) fn prop_of(props: &[(Sym, PropValue)], key: Sym) -> Option<PropValue> {
@@ -378,10 +347,10 @@ mod tests {
     #[test]
     fn adjacency() {
         let (g, p, f, f2) = tiny();
-        assert_eq!(g.out_edges(p).len(), 2);
-        assert_eq!(g.in_edges(f), &[EdgeId(0)]);
-        assert_eq!(g.in_edges(f2), &[EdgeId(1)]);
+        assert_eq!(g.out_edges(p), &[EdgeId(0), EdgeId(1)]);
+        assert!(g.out_edges(f).is_empty());
         assert_eq!(g.edge(EdgeId(0)).dst, f);
+        assert_eq!(g.edge(EdgeId(1)).dst, f2);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 2);
     }
@@ -397,10 +366,11 @@ mod tests {
     #[test]
     fn props_accessible() {
         let (g, p, f, _) = tiny();
+        let render = |v: Option<PropValue>| Value::from(v.unwrap()).render(g.dict());
         assert_eq!(g.node_prop(p, "pid"), Some(PropValue::Int(100)));
-        assert_eq!(g.render(g.node_prop(f, "name").unwrap()), "/etc/passwd");
+        assert_eq!(render(g.node_prop(f, "name")), "/etc/passwd");
         assert_eq!(g.node_prop(p, "missing"), None);
-        assert_eq!(g.render(g.edge_prop(EdgeId(0), "optype").unwrap()), "read");
+        assert_eq!(render(g.edge_prop(EdgeId(0), "optype")), "read");
     }
 
     #[test]

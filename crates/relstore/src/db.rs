@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
-use raptor_common::pool::Pool;
 use raptor_storage::{EntityClass, Field, FieldValue, StoreStats, ValueColumn};
 
 use crate::exec::{execute, ExecStats};
@@ -106,12 +105,8 @@ pub struct Database {
     by_name: FxHashMap<String, usize>,
     /// SQL texts parsed over this database's lifetime. The typed entry
     /// points (`crate::backend`) never touch this — tests assert it.
-    /// Atomic (not `Cell`) so the database stays `Sync` on the query path:
-    /// the parallel execution plane shares `&Database` across workers.
+    /// Atomic (not `Cell`) so the database stays `Sync`.
     text_parses: AtomicUsize,
-    /// Worker pool for partitioned scans and parallel hash-join probes
-    /// (see `exec`). One thread ⇒ the exact sequential code paths.
-    pool: Pool,
     /// Data statistics, maintained incrementally by [`Database::insert`]
     /// (every write path funnels through it) and served scan-free via
     /// [`Database::store_stats`].
@@ -151,7 +146,6 @@ impl Database {
             slots: Vec::new(),
             by_name: FxHashMap::default(),
             text_parses: AtomicUsize::new(0),
-            pool: Pool::default(),
             row: Vec::new(),
             perms: Default::default(),
         }
@@ -159,18 +153,6 @@ impl Database {
 
     pub fn dict(&self) -> &SharedDict {
         &self.dict
-    }
-
-    /// The worker pool query execution parallelizes on (scan filtering and
-    /// hash-join probes). Defaults to `RAPTOR_THREADS` / available
-    /// parallelism; see [`Database::set_threads`].
-    pub fn pool(&self) -> Pool {
-        self.pool
-    }
-
-    /// Pins the query-execution worker count (1 ⇒ strictly sequential).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::with_threads(threads);
     }
 
     /// Re-segments every table to `rows`-row segments, rebuilding zone maps

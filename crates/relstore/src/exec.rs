@@ -36,16 +36,7 @@
 //! column slices (`segment_select`), emitting an ascending **selection
 //! vector** of row ids. Joins, projection and `ResultBatch` construction
 //! consume selection vectors; rows are never materialized inside the scan.
-//!
-//! **Parallelism** (the parallel execution plane): full scans are
-//! partitioned over segment ranges, the multi-conjunct index-candidate
-//! check over row-chunk ranges, and the probe side of every hash join (SQL
-//! text only) over tuple ranges, all through the database's
-//! [`Pool`](raptor_common::pool::Pool).
-//! Partition outputs are concatenated in partition order (counters absorbed
-//! in segment order), so row order, result rows and every [`ExecStats`]
-//! counter are byte-identical to the sequential execution at any thread
-//! count; a one-thread pool takes the exact sequential code path.
+//! Everything runs on the calling thread.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
@@ -59,17 +50,6 @@ use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection};
 use crate::table::{RowId, Table};
 use crate::value::Value;
 use raptor_storage::ValueColumn;
-
-/// Candidate rows below which a multi-conjunct scan's predicate check is
-/// not worth partitioning (per-row evaluation is tens of nanoseconds; spawning
-/// scoped workers costs tens of microseconds). Full scans partition over
-/// segment ranges instead, with the same row floor per task.
-const PAR_MIN_FILTER_ROWS: usize = 4096;
-
-/// Probe-side tuples below which a hash join probe stays sequential (each
-/// probed tuple does a key build, a hash lookup and per-match clones —
-/// heavier than a filter row, so the bar is lower).
-const PAR_MIN_PROBE_TUPLES: usize = 1024;
 
 /// Execution counters, surfaced for benchmarks and ablations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -827,8 +807,7 @@ pub(crate) fn run_scan(
     pred: Option<&Expr>,
     stats: &mut ExecStats,
 ) -> Result<Vec<RowId>> {
-    // One span per table scan (partitioning inside is invisible here, so
-    // span counts are thread-count invariant).
+    // One span per table scan.
     let mut sp = obs::span("relstore.scan");
     sp.label(alias);
     let before = *stats;
@@ -881,48 +860,27 @@ fn scan_rows(
             // The one conjunct's path returns exactly its rows.
             return Ok(candidates);
         }
-        // Test the full predicate on the candidates, partitioned over
-        // row-chunk ranges; concatenating the partitions in order
-        // reproduces the sequential row order exactly.
-        let parts = db.pool().run_partitioned(candidates.len(), PAR_MIN_FILTER_ROWS, |r| {
-            candidates[r]
-                .iter()
-                .copied()
-                .filter(|&row| test_row(&compiled, table, row, dict))
-                .collect::<Vec<RowId>>()
-        });
-        return Ok(parts.concat());
+        // The path served one conjunct of several: test the whole predicate.
+        return Ok(candidates
+            .into_iter()
+            .filter(|&row| test_row(&compiled, table, row, dict))
+            .collect());
     }
 
-    // Vectorized full scan, partitioned over *segment* ranges: each task
-    // zone-tests its segments, evaluates survivors as mask loops over the
-    // contiguous column slices, and emits an ascending selection vector.
-    // Partitions (and their counters) concatenate in segment order, so the
-    // result is byte-identical to the sequential walk at any thread count.
+    // Vectorized full scan: zone-test each segment, evaluate survivors as
+    // mask loops over the contiguous column slices, and emit an ascending
+    // selection vector.
     stats.full_scans += 1;
-    let seg_rows = table.segment_rows();
-    let min_segs = (PAR_MIN_FILTER_ROWS / seg_rows.max(1)).max(1);
-    let parts = db.pool().run_partitioned(table.n_segments(), min_segs, |segs| {
-        let mut sel: Vec<RowId> = Vec::new();
-        let (mut scanned, mut pruned, mut rows) = (0usize, 0usize, 0usize);
-        for seg in segs {
-            if !zone_may_match(&compiled, table, seg) {
-                pruned += 1;
-                continue;
-            }
-            let range = table.segment_range(seg);
-            scanned += 1;
-            rows += range.len();
-            segment_select(&compiled, table, range, dict, &mut sel);
-        }
-        (sel, scanned, pruned, rows)
-    });
     let mut out = Vec::new();
-    for (sel, scanned, pruned, rows) in parts {
-        out.extend_from_slice(&sel);
-        stats.segments_scanned += scanned;
-        stats.segments_pruned += pruned;
-        stats.rows_scanned += rows;
+    for seg in 0..table.n_segments() {
+        if !zone_may_match(&compiled, table, seg) {
+            stats.segments_pruned += 1;
+            continue;
+        }
+        let range = table.segment_range(seg);
+        stats.segments_scanned += 1;
+        stats.rows_scanned += range.len();
+        segment_select(&compiled, table, range, dict, &mut out);
     }
     Ok(out)
 }
@@ -989,7 +947,7 @@ pub(crate) const EVENT_ALIAS: &str = "e";
 ///
 /// * `Some(range)` — a standing query's epoch: one mask over just those
 ///   rows. The cost depends on the range and on nothing else: no index
-///   over `events`, no pool.
+///   over `events`.
 /// * `None` — a batch query: one [`run_scan`] of the whole table, which
 ///   picks the access path from statistics (the caller puts the endpoints'
 ///   propagated ids into `event_filter` so the `subject` / `object` hash
@@ -1090,10 +1048,6 @@ impl Tuples {
         self.data.is_empty()
     }
 
-    fn get(&self, i: usize) -> &[RowId] {
-        &self.data[i * self.nslots..(i + 1) * self.nslots]
-    }
-
     fn iter(&self) -> impl Iterator<Item = &[RowId]> {
         self.data.chunks_exact(self.nslots)
     }
@@ -1120,37 +1074,21 @@ impl Tuples {
 }
 
 /// Probes a hash join build table with every current tuple, extending
-/// matching tuples with the new slot's row. The probe side is partitioned
-/// over tuple ranges through the pool; each partition emits a flat tuple
-/// chunk and chunks concatenate in partition order, so output tuple order
-/// is byte-identical to the sequential probe.
-fn probe_join<K, F>(
-    pool: raptor_common::pool::Pool,
+/// matching tuples with the new slot's row.
+fn probe_join<K: Eq + std::hash::Hash>(
     tuples: &Tuples,
     slot: usize,
     build: &FxHashMap<K, Vec<RowId>>,
-    key_of: F,
-) -> Tuples
-where
-    K: Eq + std::hash::Hash + Sync,
-    F: Fn(&[RowId]) -> K + Sync,
-{
-    let nslots = tuples.nslots;
-    let parts = pool.run_partitioned(tuples.len(), PAR_MIN_PROBE_TUPLES, |range| {
-        let mut out: Vec<RowId> = Vec::with_capacity(range.len() * nslots);
-        for i in range {
-            let t = tuples.get(i);
-            if let Some(matches) = build.get(&key_of(t)) {
-                for &r in matches {
-                    out.extend_from_slice(t);
-                    let n = out.len();
-                    out[n - nslots + slot] = r;
-                }
-            }
+    key_of: impl Fn(&[RowId]) -> K,
+) -> Tuples {
+    let mut out = Tuples::new(tuples.nslots);
+    out.data.reserve(tuples.data.len());
+    for t in tuples.iter() {
+        for &r in build.get(&key_of(t)).into_iter().flatten() {
+            out.push_extended(t, slot, r);
         }
-        out
-    });
-    Tuples { nslots, data: parts.concat() }
+    }
+    out
 }
 
 /// Executes a plan, returning projected rows.
@@ -1263,27 +1201,21 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
                     for &r in &rows {
                         build.entry(bkeys[r as usize]).or_default().push(r);
                     }
-                    probe_join(db.pool(), &tuples, slot, &build, |t| {
-                        probe[t[k.bound.alias] as usize]
-                    })
+                    probe_join(&tuples, slot, &build, |t| probe[t[k.bound.alias] as usize])
                 } else if let (true, (Some(probe), Some(bkeys))) = (dense, sym_cols) {
                     let mut build: FxHashMap<Sym, Vec<RowId>> =
                         FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
                     for &r in &rows {
                         build.entry(bkeys[r as usize]).or_default().push(r);
                     }
-                    probe_join(db.pool(), &tuples, slot, &build, |t| {
-                        probe[t[k.bound.alias] as usize]
-                    })
+                    probe_join(&tuples, slot, &build, |t| probe[t[k.bound.alias] as usize])
                 } else {
                     let mut build: FxHashMap<Value, Vec<RowId>> =
                         FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
                     for &r in &rows {
                         build.entry(nt.cell(r, k.new.col)).or_default().push(r);
                     }
-                    probe_join(db.pool(), &tuples, slot, &build, |t| {
-                        bt.cell(t[k.bound.alias], k.bound.col)
-                    })
+                    probe_join(&tuples, slot, &build, |t| bt.cell(t[k.bound.alias], k.bound.col))
                 };
             } else {
                 // Hash join on a compound key: build on the new scan's rows.
@@ -1335,7 +1267,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
                         }
                         build.entry(key).or_default().push(r);
                     }
-                    probe_join(db.pool(), &tuples, slot, &build, |t| {
+                    probe_join(&tuples, slot, &build, |t| {
                         let mut key = [0u64; 4];
                         for (i, ((b, _), k)) in cols.iter().zip(keys.iter()).enumerate() {
                             key[i] = b.at(t[k.bound.alias]);
@@ -1350,7 +1282,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
                             keys.iter().map(|k| tables[slot].cell(r, k.new.col)).collect();
                         build.entry(key).or_default().push(r);
                     }
-                    probe_join(db.pool(), &tuples, slot, &build, |t| {
+                    probe_join(&tuples, slot, &build, |t| {
                         keys.iter()
                             .map(|k| tables[k.bound.alias].cell(t[k.bound.alias], k.bound.col))
                             .collect::<Vec<Value>>()

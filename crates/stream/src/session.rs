@@ -432,13 +432,6 @@ impl StreamSession {
         self.epoch
     }
 
-    /// Pins the worker count of the stores' scans, joins and traversals —
-    /// the session's whole execution plane. `1` takes the strictly
-    /// sequential code paths everywhere.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
     /// Re-partitions the relational store's columnar segments to `rows`
     /// rows per segment (zone maps rebuilt in one pass). Purely physical:
     /// no query result may change; the next checkpoint records the new

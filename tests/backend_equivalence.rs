@@ -250,12 +250,12 @@ fn golden_rows() -> Vec<(Vec<String>, Vec<Vec<String>>)> {
 /// The shared-dictionary-plane hard contract: rendered output is
 /// byte-identical to the pre-refactor golden rendering on every corpus
 /// query × every exec mode × both backends (event + length-1 path forms) ×
-/// bulk and stream-grown stores × threads {1, 2, 4, 8}.
+/// bulk and stream-grown stores.
 #[test]
-fn golden_corpus_rows_across_modes_builds_and_threads() {
+fn golden_corpus_rows_across_modes_and_builds() {
     let golden = golden_rows();
     // Bulk-loaded and stream-grown corpus stores over the same log.
-    let mut bulk = raptor_bench::corpus::corpus_system();
+    let bulk = raptor_bench::corpus::corpus_system();
     let log = raptor_bench::corpus::corpus_log();
     let mut session = threatraptor::stream::StreamSession::new().unwrap();
     for batch in
@@ -263,25 +263,21 @@ fn golden_corpus_rows_across_modes_builds_and_threads() {
     {
         session.ingest_batch(&batch).unwrap();
     }
-    for &threads in &[1usize, 2, 4, 8] {
-        bulk.set_threads(threads);
-        session.set_threads(threads);
-        for (i, q) in QUERIES.iter().enumerate() {
-            let (want_cols, want_rows) = &golden[i];
-            let parsed = threatraptor::tbql::parse_tbql(q).unwrap();
-            let path_q = print_query(&to_length1_path_query(&parsed));
-            for mode in [ExecMode::Scheduled, ExecMode::GiantSql, ExecMode::GiantCypher] {
-                let (r, _) = bulk.query_with_mode(q, mode).unwrap();
-                assert_eq!(&r.columns, want_cols, "q{i} {mode:?} t{threads}");
-                assert_eq!(&r.sorted_rows(), want_rows, "q{i} {mode:?} t{threads}");
-            }
-            // Length-1 path form (graph backend) and the stream-grown store.
-            let (p, _) = bulk.query_with_mode(&path_q, ExecMode::Scheduled).unwrap();
-            assert_eq!(&p.sorted_rows(), want_rows, "q{i} path t{threads}");
-            for text in [*q, path_q.as_str()] {
-                let (s, _) = session.engine().execute_text(text, ExecMode::Scheduled).unwrap();
-                assert_eq!(&s.sorted_rows(), want_rows, "q{i} streamed t{threads}");
-            }
+    for (i, q) in QUERIES.iter().enumerate() {
+        let (want_cols, want_rows) = &golden[i];
+        let parsed = threatraptor::tbql::parse_tbql(q).unwrap();
+        let path_q = print_query(&to_length1_path_query(&parsed));
+        for mode in [ExecMode::Scheduled, ExecMode::GiantSql, ExecMode::GiantCypher] {
+            let (r, _) = bulk.query_with_mode(q, mode).unwrap();
+            assert_eq!(&r.columns, want_cols, "q{i} {mode:?}");
+            assert_eq!(&r.sorted_rows(), want_rows, "q{i} {mode:?}");
+        }
+        // Length-1 path form (graph backend) and the stream-grown store.
+        let (p, _) = bulk.query_with_mode(&path_q, ExecMode::Scheduled).unwrap();
+        assert_eq!(&p.sorted_rows(), want_rows, "q{i} path");
+        for text in [*q, path_q.as_str()] {
+            let (s, _) = session.engine().execute_text(text, ExecMode::Scheduled).unwrap();
+            assert_eq!(&s.sorted_rows(), want_rows, "q{i} streamed");
         }
     }
 }

@@ -6,8 +6,7 @@
 //! survived on "disk" and re-deliver the stream from the beginning. The
 //! recovered store must be indistinguishable from a one-shot bulk load:
 //! every corpus query answers byte-identically on both backends, at any
-//! thread count and any segment capacity, and idempotent re-delivery never
-//! double-appends.
+//! segment capacity, and idempotent re-delivery never double-appends.
 //!
 //! Alongside the property: the checkpoint is a manifest over the log and
 //! only accelerates a restart (the log alone rebuilds the same session), and
@@ -42,11 +41,9 @@ fn drive(
     log: &ParsedLog,
     epoch_size: usize,
     policy: DurablePolicy,
-    threads: usize,
     seg_rows: usize,
 ) -> threatraptor::common::error::Result<StreamSession> {
     let mut s = StreamSession::open(fs, policy)?;
-    s.set_threads(threads);
     s.set_segment_rows(seg_rows);
     for (i, q) in QUERIES.iter().enumerate() {
         let name = format!("q{i}");
@@ -135,31 +132,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Property: for any case, any epoch size, any checkpoint cadence, any
-    /// thread count, any segment capacity, and a crash at **any byte
-    /// offset** of the durable write stream, recovery + idempotent
-    /// re-delivery converges to exactly the bulk-loaded store.
+    /// segment capacity, and a crash at **any byte offset** of the durable
+    /// write stream, recovery + idempotent re-delivery converges to exactly
+    /// the bulk-loaded store.
     #[test]
     fn crash_anywhere_then_recover_equals_bulk(
         case_idx in 0usize..18,
         epoch_size in 4usize..160,
         ckpt_every in 0u64..4,
         crash_frac in 0.0f64..1.0,
-        knobs in 0usize..4,
+        seg_idx in 0usize..2,
     ) {
         let cases = raptor_cases::all_cases();
         let spec = cases[case_idx % cases.len()];
         let built = raptor_cases::build_case(spec, 0.05, 1234);
         let policy = DurablePolicy { checkpoint_every: ckpt_every };
-        let threads = if knobs & 1 == 1 { 4 } else { 1 };
-        let seg_rows = if knobs & 2 == 2 { 7 } else { 4096 };
-        let ctx = format!(
-            "{} epoch={epoch_size} ckpt={ckpt_every} threads={threads} seg={seg_rows}",
-            spec.id
-        );
+        let seg_rows = [4096usize, 7][seg_idx];
+        let ctx = format!("{} epoch={epoch_size} ckpt={ckpt_every} seg={seg_rows}", spec.id);
 
         // Calibrate: one clean run to learn the total bytes written.
         let calib = Arc::new(FailpointFs::new(Arc::new(MemFs::new())));
-        drive(calib.clone(), &built.log, epoch_size, policy, threads, seg_rows).unwrap();
+        drive(calib.clone(), &built.log, epoch_size, policy, seg_rows).unwrap();
         let total = calib.bytes_written();
         prop_assert!(total > 0);
 
@@ -169,7 +162,7 @@ proptest! {
         let fp = Arc::new(FailpointFs::new(disk.clone()));
         fp.crash_after_bytes(((total as f64) * crash_frac) as u64);
         let ckpt_failures = checkpoint_failures();
-        let crashed = drive(fp.clone(), &built.log, epoch_size, policy, threads, seg_rows);
+        let crashed = drive(fp.clone(), &built.log, epoch_size, policy, seg_rows);
         // The one budget hit that is not an error: the replace of an
         // automatic checkpoint, after a durable epoch with nothing written
         // after it. That one is counted instead.
@@ -180,8 +173,7 @@ proptest! {
         drop(crashed);
 
         // Recover from the surviving disk image and re-deliver everything.
-        let recovered =
-            drive(disk, &built.log, epoch_size, policy, threads, seg_rows).unwrap();
+        let recovered = drive(disk, &built.log, epoch_size, policy, seg_rows).unwrap();
         prop_assert_eq!(
             recovered.epochs() as usize,
             EpochStream::new(&built.log, EpochPolicy::ByCount(epoch_size)).count(),
@@ -189,7 +181,6 @@ proptest! {
         );
 
         let mut bulk = Engine::new(load(&built.log).unwrap());
-        bulk.set_threads(threads);
         bulk.set_segment_rows(seg_rows);
         assert_recovered_equals_bulk(&recovered, &bulk, &ctx);
     }

@@ -4,10 +4,10 @@
 //! `tests/golden/corpus_explain.txt` pins the EXPLAIN and stable-redacted
 //! EXPLAIN ANALYZE trees for the 8-query equivalence corpus (regenerate with
 //! `cargo run --release -p raptor-bench --bin golden_explain`). This suite
-//! asserts the rendering stays byte-identical across worker counts and
-//! columnar segment capacities: the plan (scheduler choice, order, seeds,
-//! estimates) and the stable actuals (rows, Q-error, access path, index/full
-//! scan counts) must not depend on how the work was partitioned. Volatile
+//! asserts the rendering stays byte-identical across columnar segment
+//! capacities: the plan (scheduler choice, order, seeds, estimates) and the
+//! stable actuals (rows, Q-error, access path, index/full scan counts) must
+//! not depend on how the tables are segmented. Volatile
 //! fields (wall times, scan granularity counters) are redacted to `~` by
 //! `Redact::Stable` and carry no bytes to disagree on.
 
@@ -37,17 +37,13 @@ fn render_all(raptor: &threatraptor::ThreatRaptor) -> String {
 fn golden_corpus_explain() {
     let golden = include_str!("golden/corpus_explain.txt");
     let mut raptor = corpus_system();
-    for threads in [1usize, 4] {
-        for segment_rows in [7usize, 4096] {
-            raptor.set_threads(threads);
-            raptor.set_segment_rows(segment_rows);
-            let got = render_all(&raptor);
-            assert_eq!(
-                got, golden,
-                "EXPLAIN rendering diverged from golden at threads={threads} \
-                 segment_rows={segment_rows}"
-            );
-        }
+    for segment_rows in [7usize, 4096] {
+        raptor.set_segment_rows(segment_rows);
+        let got = render_all(&raptor);
+        assert_eq!(
+            got, golden,
+            "EXPLAIN rendering diverged from golden at segment_rows={segment_rows}"
+        );
     }
 }
 

@@ -4,8 +4,8 @@
 //! semantics, and the path cardinality catalog to the write seam:
 //!
 //! 1. **Delta concatenation** — for ANY epoch size, ANY (shuffled)
-//!    delivery order, thread counts {1, 4} and segment capacities
-//!    {7, 4096}, the per-epoch path deltas of a standing var-length path
+//!    delivery order and segment capacities {7, 4096}, the per-epoch path
+//!    deltas of a standing var-length path
 //!    query concatenate byte-identically to a one-shot batch
 //!    `ExecMode::Scheduled` re-evaluation over the same rows — and the
 //!    streamed engine's own batch execution agrees with the bulk-loaded
@@ -48,23 +48,20 @@ fn shuffled(events: &[SystemEvent], seed: u64) -> Vec<SystemEvent> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Property: any epoch size × any delivery order × threads {1,4} ×
-    /// segment capacities {7,4096} — path deltas concatenate to the batch
-    /// result, and the streamed catalog equals the bulk catalog.
+    /// Property: any epoch size × any delivery order × segment capacities
+    /// {7,4096} — path deltas concatenate to the batch result, and the
+    /// streamed catalog equals the bulk catalog.
     #[test]
     fn shuffled_path_deltas_concatenate_to_batch(
         epoch_size in 1usize..300,
         seed in 0u64..1_000_000,
-        threads_idx in 0usize..2,
         seg_idx in 0usize..2,
     ) {
-        let threads = [1usize, 4][threads_idx];
         let seg_rows = [7usize, 4096][seg_idx];
         let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
         let built = raptor_cases::build_case(spec, 0.2, 99);
 
         let mut session = StreamSession::new().unwrap();
-        session.set_threads(threads);
         session.set_segment_rows(seg_rows);
         let qids: Vec<_> = PATH_QUERIES
             .iter()

@@ -3,16 +3,13 @@
 //! The columnar storage plane (typed segment vectors, per-segment zone
 //! maps, selection-vector predicate kernels) partitions every table into
 //! fixed-capacity row segments. Capacity is a purely physical knob — it
-//! moves segment boundaries, changes which zone maps exist and which
-//! segments prune, and changes how scans partition across workers — but it
-//! must never change a query result. This suite pins that contract over
-//! the shared 8-query corpus:
+//! moves segment boundaries and changes which zone maps exist and which
+//! segments prune — but it must never change a query result. This suite
+//! pins that contract over the shared 8-query corpus:
 //!
 //! * segment capacities {1, 7, 4096} — one row per segment (every zone map
 //!   degenerate), a prime that misaligns with every batch size, and the
 //!   production default where small tables are a single segment,
-//! * thread counts {1, 4} — capacity interacts with scan partitioning, so
-//!   each capacity is exercised on both the sequential and pooled paths,
 //! * both backend forms — event-pattern (relational, the columnar store
 //!   under test) and length-1 path (graph, which must simply ignore the
 //!   knob),
@@ -30,7 +27,6 @@ use threatraptor::tbql::print::print_query;
 
 const QUERIES: &[&str] = threatraptor::tbql::parser::EQUIV_CORPUS;
 const CAPACITIES: &[usize] = &[1, 7, 4096];
-const THREADS: &[usize] = &[1, 4];
 
 struct Fixture {
     bulk: RefCell<Engine>,
@@ -57,37 +53,28 @@ fn run(engine: &Engine, tbql: &str) -> Vec<Vec<String>> {
     table.sorted_rows()
 }
 
-/// Executes `tbql` on both store builds at every (capacity × threads)
-/// point and asserts byte-identical `sorted_rows()` against the
-/// (default-capacity, 1-thread) reference.
+/// Executes `tbql` on both store builds at every capacity and asserts
+/// byte-identical `sorted_rows()` against the default-capacity reference.
 fn assert_segment_capacity_invisible(tbql: &str) {
     FIXTURE.with(|fx| {
-        let bulk_at = |cap: usize, t: usize| {
+        let bulk_at = |cap: usize| {
             let mut e = fx.bulk.borrow_mut();
             e.set_segment_rows(cap);
-            e.set_threads(t);
             run(&e, tbql)
         };
-        let streamed_at = |cap: usize, t: usize| {
+        let streamed_at = |cap: usize| {
             let mut s = fx.streamed.borrow_mut();
             s.set_segment_rows(cap);
-            s.set_threads(t);
             run(s.engine(), tbql)
         };
-        let (bulk_ref, streamed_ref) = (bulk_at(4096, 1), streamed_at(4096, 1));
+        let (bulk_ref, streamed_ref) = (bulk_at(4096), streamed_at(4096));
         for &cap in CAPACITIES {
-            for &t in THREADS {
-                assert_eq!(
-                    bulk_at(cap, t),
-                    bulk_ref,
-                    "bulk store diverged at capacity {cap}, {t} threads for: {tbql}"
-                );
-                assert_eq!(
-                    streamed_at(cap, t),
-                    streamed_ref,
-                    "streamed store diverged at capacity {cap}, {t} threads for: {tbql}"
-                );
-            }
+            assert_eq!(bulk_at(cap), bulk_ref, "bulk store diverged at capacity {cap} for: {tbql}");
+            assert_eq!(
+                streamed_at(cap),
+                streamed_ref,
+                "streamed store diverged at capacity {cap} for: {tbql}"
+            );
         }
         // Leave the shared fixture at production defaults for other cases.
         fx.bulk.borrow_mut().set_segment_rows(4096);
@@ -99,7 +86,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Any corpus query, either backend form: identical `sorted_rows()` at
-    /// every segment capacity and thread count, on both store builds.
+    /// every segment capacity, on both store builds.
     #[test]
     fn segment_capacity_is_never_observable(case_idx in 0usize..16) {
         let q = QUERIES[case_idx % QUERIES.len()];
