@@ -1,32 +1,13 @@
-//! Criterion benches for TBQL query execution (Table VIII shape): the
-//! scheduled plan vs the giant-SQL and giant-Cypher baselines on the
-//! data_leak scenario, plus the 1-pattern case where TBQL's compile
-//! overhead makes it *slower* (the paper's tc_clearscope_3 observation).
+//! Criterion bench for TBQL query execution (Table VIII shape): the
+//! 1-pattern case, where TBQL's compile overhead can make the scheduled
+//! plan slower than one giant SQL statement (the paper's tc_clearscope_3
+//! observation). The multi-pattern data_leak comparison lives in
+//! `bench_ledger` (`query-events` fixed query 8, `relstore.giant_sql_us`,
+//! `graphstore.giant_cypher_us`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use raptor_bench::caseval::{evaluate_case, query_variants};
 use raptor_engine::exec::ExecMode;
-
-fn bench_variants(c: &mut Criterion) {
-    let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
-    let eval = evaluate_case(spec, 1.0, 42);
-    let v = query_variants(&eval);
-    let mut g = c.benchmark_group("query_exec_data_leak");
-    g.sample_size(20);
-    g.bench_function("tbql_scheduled", |b| {
-        b.iter(|| eval.raptor.query_with_mode(&v.tbql, ExecMode::Scheduled).unwrap())
-    });
-    g.bench_function("giant_sql", |b| {
-        b.iter(|| eval.raptor.query_with_mode(&v.tbql, ExecMode::GiantSql).unwrap())
-    });
-    g.bench_function("tbql_path_scheduled", |b| {
-        b.iter(|| eval.raptor.query_with_mode(&v.tbql_path, ExecMode::Scheduled).unwrap())
-    });
-    g.bench_function("giant_cypher", |b| {
-        b.iter(|| eval.raptor.query_with_mode(&v.tbql_path, ExecMode::GiantCypher).unwrap())
-    });
-    g.finish();
-}
 
 fn bench_single_pattern(c: &mut Criterion) {
     let spec = raptor_cases::catalog::case_by_id("tc_clearscope_3").unwrap();
@@ -43,5 +24,5 @@ fn bench_single_pattern(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_variants, bench_single_pattern);
+criterion_group!(benches, bench_single_pattern);
 criterion_main!(benches);

@@ -60,15 +60,16 @@ impl Propagation {
     }
 
     /// Narrows `var` to the intersection with `ids`; sets it when absent.
-    /// `ids` come straight from match rows, so (unlike [`Propagation::set`])
-    /// they may be unsorted and duplicated.
-    pub fn intersect(&mut self, var: &str, mut ids: Vec<i64>) {
+    /// `ids` is a match column read in place, so (unlike
+    /// [`Propagation::set`]) it may be unsorted and duplicated.
+    pub fn intersect(&mut self, var: &str, ids: &[i64]) {
         match self.entity_ids.get_mut(var) {
             Some(existing) => {
-                let set: raptor_common::FxHashSet<i64> = ids.into_iter().collect();
+                let set: raptor_common::FxHashSet<i64> = ids.iter().copied().collect();
                 existing.retain(|x| set.contains(x));
             }
             None => {
+                let mut ids = ids.to_vec();
                 ids.sort_unstable();
                 ids.dedup();
                 self.set(var, ids);
@@ -713,7 +714,7 @@ mod tests {
         assert_eq!(req.subject.id_in.as_deref(), Some(&[3, 5, 9][..]));
         // Rows from match results (unsorted, duplicated) still canonicalize
         // through `intersect`'s set-when-absent path.
-        prop.intersect("f", vec![9, 3, 5, 3, 9, 9]);
+        prop.intersect("f", &[9, 3, 5, 3, 9, 9]);
         assert_eq!(prop.get("f"), Some(&[3, 5, 9][..]));
     }
 
@@ -729,9 +730,9 @@ mod tests {
     fn propagation_intersects() {
         let mut prop = Propagation::default();
         prop.set("p", vec![1, 2, 3, 4]);
-        prop.intersect("p", vec![4, 2, 9]);
+        prop.intersect("p", &[4, 2, 9]);
         assert_eq!(prop.get("p"), Some(&[2, 4][..]));
-        prop.intersect("q", vec![5, 5, 1]);
+        prop.intersect("q", &[5, 5, 1]);
         assert_eq!(prop.get("q"), Some(&[1, 5][..]));
     }
 

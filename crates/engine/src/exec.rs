@@ -18,13 +18,24 @@
 //!
 //! All three return the same [`ResultTable`] for the same query — the
 //! backend-equivalence integration tests assert it.
+//!
+//! **Columns through the join.** The scheduled path never builds a row
+//! until the caller renders one. Each pattern's matches stay the store's
+//! [`PatternMatches`] columns; the join state is one flat buffer of row
+//! indices, one per joined pattern per tuple, and none at all while a
+//! single pattern is unfiltered; `with` clauses read the id and timestamp
+//! columns by those indices; and each return item fetches its attribute
+//! once for its distinct ids and gathers into a [`ValueColumn`] of the
+//! typed [`ResultBatch`].
 
 use raptor_common::error::{Error, Result};
-use raptor_common::hash::{FxHashMap, FxHashSet};
+use raptor_common::hash::FxHashMap;
 use raptor_common::obs;
 use raptor_common::time::Duration;
 use raptor_graphstore::cypher::{exec as gexec, parse_cypher};
-use raptor_storage::{AttrSource, BackendStats, PatternMatches, ResultBatch, Value as SVal};
+use raptor_storage::{
+    AttrSource, BackendStats, PatternMatches, ResultBatch, Value as SVal, ValueColumn,
+};
 use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, CmpOp, PatternOp, RelClause, TemporalOp};
 
@@ -196,17 +207,6 @@ impl ResultTable {
     }
 }
 
-/// One pattern match: subject/object entity ids plus (for patterns with a
-/// final hop) the event id and its timestamps.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct Match {
-    pub(crate) subj: i64,
-    pub(crate) obj: i64,
-    pub(crate) evt: i64,
-    pub(crate) start: i64,
-    pub(crate) end: i64,
-}
-
 /// Per-pattern cost records with only the syntactic scores filled in —
 /// the starting point of [`Engine::plan_order`] and the whole record for
 /// caller-forced orders.
@@ -219,18 +219,6 @@ fn base_estimates(aq: &AnalyzedQuery) -> Vec<PatternEstimate> {
             estimated_rows: None,
             syntactic_score: pruning_score(aq, p),
             actual_rows: None,
-        })
-        .collect()
-}
-
-pub(crate) fn matches_to_rows(m: &PatternMatches) -> Vec<Match> {
-    (0..m.len())
-        .map(|i| Match {
-            subj: m.subj[i],
-            obj: m.obj[i],
-            evt: m.evt[i],
-            start: m.start[i],
-            end: m.end[i],
         })
         .collect()
 }
@@ -455,20 +443,20 @@ impl Engine {
         p: &raptor_tbql::analyze::APattern,
         prop: &Propagation,
         stats: &mut EngineStats,
-    ) -> Result<Vec<Match>> {
+    ) -> Result<PatternMatches> {
         let mut sp = obs::span("engine.pattern");
         sp.label(&p.id);
         let before = stats.backend;
         let t0 = std::time::Instant::now();
-        let rows = self.match_pattern_inner(ctx, p, prop, stats)?;
-        stats.finish_last(rows.len(), before, t0.elapsed().as_nanos() as u64);
+        let m = self.match_pattern_inner(ctx, p, prop, stats)?;
+        stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
         if let Some(q) = stats.queries.last() {
-            sp.attr("rows", rows.len() as u64);
+            sp.attr("rows", m.len() as u64);
             sp.attr("in_lists", q.in_lists as u64);
             sp.attr("scanned", q.delta.items_scanned as u64);
             sp.attr("pruned", q.delta.segments_pruned as u64);
         }
-        Ok(rows)
+        Ok(m)
     }
 
     fn match_pattern_inner(
@@ -477,21 +465,21 @@ impl Engine {
         p: &raptor_tbql::analyze::APattern,
         prop: &Propagation,
         stats: &mut EngineStats,
-    ) -> Result<Vec<Match>> {
+    ) -> Result<PatternMatches> {
         if p.is_path() {
             let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
             let in_lists =
                 req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
             let m = self.stores.graph.match_path_pattern(&req, &mut stats.backend)?;
             stats.record("graph", QueryKind::PathPattern, &p.id, in_lists);
-            Ok(matches_to_rows(&m))
+            Ok(m)
         } else {
             let req = event_pattern_request(ctx, p, prop)?;
             let in_lists =
                 req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
             let m = self.stores.rel.match_event_pattern(&req, &mut stats.backend)?;
             stats.record("relational", QueryKind::EventPattern, &p.id, in_lists);
-            Ok(matches_to_rows(&m))
+            Ok(m)
         }
     }
 
@@ -660,7 +648,7 @@ impl Engine {
         stats.scheduler = used;
         stats.execution_order = order.clone();
         stats.estimates = estimates;
-        let mut matches: Vec<Option<Vec<Match>>> = vec![None; aq.patterns.len()];
+        let mut matches: Vec<Option<PatternMatches>> = vec![None; aq.patterns.len()];
 
         // Patterns sharing no entity variable never observe each other's
         // propagated `IN` sets, so the order decomposes into independent
@@ -680,7 +668,7 @@ impl Engine {
             ));
         }
 
-        let pattern_rows: Vec<&Vec<Match>> =
+        let pattern_rows: Vec<&PatternMatches> =
             matches.iter().map(|m| m.as_ref().expect("all executed")).collect();
         let batch = self.join_project(aq, &pattern_rows, &mut stats)?;
         Ok((batch, stats))
@@ -688,10 +676,10 @@ impl Engine {
 
     /// Executes one dependency chain's patterns in order, intersecting each
     /// pattern's entity ids into the propagation table for the chain's later
-    /// patterns. An empty pattern short-circuits **its chain** (nothing
-    /// later in the chain can match once an `IN` set is empty, and the whole
-    /// query's result is already known to be empty); other chains are
-    /// unaffected.
+    /// patterns (not after its last one: no later request reads it). An
+    /// empty pattern short-circuits **its chain** (nothing later in the
+    /// chain can match once an `IN` set is empty, and the whole query's
+    /// result is already known to be empty); other chains are unaffected.
     fn run_chain(
         &self,
         ctx: &CompileCtx<'_>,
@@ -699,25 +687,23 @@ impl Engine {
         chain: &[usize],
         prop: &mut Propagation,
         stats: &mut EngineStats,
-        matches: &mut [Option<Vec<Match>>],
+        matches: &mut [Option<PatternMatches>],
     ) -> Result<()> {
         let mut sp = obs::span("engine.chain");
         if let Some(&first) = chain.first() {
             sp.label(&aq.patterns[first].id);
         }
         sp.attr("patterns", chain.len() as u64);
-        for &idx in chain {
+        for (pos, &idx) in chain.iter().enumerate() {
             let p = &aq.patterns[idx];
-            let rows = self.match_pattern(ctx, p, prop, stats)?;
-            // Propagate distinct entity ids into later data queries.
-            for (var, is_subj) in [(&p.subject, true), (&p.object, false)] {
-                let ids: Vec<i64> =
-                    rows.iter().map(|m| if is_subj { m.subj } else { m.obj }).collect();
-                prop.intersect(var, ids);
+            let m = self.match_pattern(ctx, p, prop, stats)?;
+            if pos + 1 < chain.len() {
+                prop.intersect(&p.subject, &m.subj);
+                prop.intersect(&p.object, &m.obj);
             }
-            let empty = rows.is_empty();
-            stats.estimates[idx].actual_rows = Some(rows.len());
-            matches[idx] = Some(rows);
+            let empty = m.is_empty();
+            stats.estimates[idx].actual_rows = Some(m.len());
+            matches[idx] = Some(m);
             if empty {
                 stats.short_circuited = true;
                 break;
@@ -730,87 +716,63 @@ impl Engine {
     /// `with`-clause constraints, and projects the typed result batch.
     /// Shared by one-shot scheduled execution and the standing-query
     /// re-evaluation path (which feeds *accumulated* match sets).
+    ///
+    /// Columns from input to output: the matches are read in place, a join
+    /// tuple is one row index per pattern in a flat [`Tuples`] buffer, and
+    /// each return item gathers straight into a [`ValueColumn`]. Rows come
+    /// out in nested-loop order: pattern 0's rows in order, each extended by
+    /// the later patterns' matching rows in ascending order; DISTINCT keeps
+    /// each row's first occurrence.
     pub(crate) fn join_project(
         &self,
         aq: &AnalyzedQuery,
-        pattern_rows: &[&Vec<Match>],
+        pattern_rows: &[&PatternMatches],
         stats: &mut EngineStats,
     ) -> Result<ResultBatch> {
         let mut sp = obs::span("engine.join_project");
         let columns: Vec<String> =
             aq.ret.iter().map(|r| format!("{}.{}", r.base, r.attr)).collect();
         // --- join per-pattern matches on shared entity variables ---
-        // Tuples hold one row index per pattern.
-        let n = aq.patterns.len();
-        // Where does entity var appear in pattern k? (as subject/object)
-        let var_positions = |k: usize| -> Vec<(&str, bool)> {
-            let p = &aq.patterns[k];
-            vec![(p.subject.as_str(), true), (p.object.as_str(), false)]
-        };
-        let mut tuples: Vec<Vec<u32>> = pattern_rows[0]
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let mut t = vec![u32::MAX; n];
-                t[0] = i as u32;
-                t
-            })
-            .collect();
-        let mut bound: Vec<usize> = vec![0];
-        for k in 1..n {
-            // Join keys: vars of pattern k already bound in earlier patterns.
-            let mut keys: Vec<(bool, usize, bool)> = Vec::new();
-            // (new_is_subject, earlier_pattern, earlier_is_subject)
-            for (var, new_is_subj) in var_positions(k) {
-                for &j in &bound {
-                    if let Some(&(_, earlier_subj)) =
-                        var_positions(j).iter().find(|(v, _)| *v == var)
-                    {
-                        keys.push((new_is_subj, j, earlier_subj));
-                        break;
-                    }
-                }
-            }
-            let key_of_new = |m: &Match| -> Vec<i64> {
-                keys.iter().map(|&(subj, _, _)| if subj { m.subj } else { m.obj }).collect()
-            };
-            let key_of_tuple = |t: &[u32]| -> Vec<i64> {
-                keys.iter()
-                    .map(|&(_, j, earlier_subj)| {
-                        let m = &pattern_rows[j][t[j] as usize];
-                        if earlier_subj {
-                            m.subj
-                        } else {
-                            m.obj
-                        }
-                    })
-                    .collect()
-            };
-            if keys.is_empty() {
-                let mut next = Vec::with_capacity(tuples.len() * pattern_rows[k].len().max(1));
-                for t in &tuples {
-                    for (i, _) in pattern_rows[k].iter().enumerate() {
-                        let mut nt = t.clone();
-                        nt[k] = i as u32;
-                        next.push(nt);
-                    }
-                }
-                tuples = next;
-            } else if let &[(new_subj, j, earlier_subj)] = keys.as_slice() {
-                // Single shared variable (the common case): key on the bare
-                // id, no per-row key vector allocation.
-                let side = |m: &Match, subj: bool| if subj { m.subj } else { m.obj };
-                let build = build_pattern_index(pattern_rows[k], |m| side(m, new_subj));
-                tuples = probe_pattern_join(&tuples, k, &build, |t| {
-                    side(&pattern_rows[j][t[j] as usize], earlier_subj)
-                });
-            } else {
-                let build = build_pattern_index(pattern_rows[k], key_of_new);
-                tuples = probe_pattern_join(&tuples, k, &build, key_of_tuple);
-            }
-            bound.push(k);
-            // Repeated vars inside one pattern are handled by the data
+        let mut tuples = Tuples::identity(pattern_rows[0].len());
+        for k in 1..aq.patterns.len() {
+            // Join keys: each variable of pattern k where it is first bound
+            // by an earlier pattern, as (k's side, earlier pattern, its side).
+            // Repeated variables inside one pattern are handled by the data
             // query itself (the typed requests carry `subject_is_object`).
+            let pk = &aq.patterns[k];
+            let keys: Vec<(bool, usize, bool)> = [(&pk.subject, true), (&pk.object, false)]
+                .into_iter()
+                .filter_map(|(var, new_subj)| {
+                    (0..k).find_map(|j| {
+                        let pj = &aq.patterns[j];
+                        let earlier_subj = if pj.subject == *var {
+                            true
+                        } else if pj.object == *var {
+                            false
+                        } else {
+                            return None;
+                        };
+                        Some((new_subj, j, earlier_subj))
+                    })
+                })
+                .collect();
+            let new = pattern_rows[k];
+            let col = |j: usize, subj: bool| side(pattern_rows[j], subj);
+            tuples = match keys[..] {
+                [] => tuples.extend(|_| 0..new.len() as u32),
+                [(ns, j, es)] => {
+                    let (build, probe) = (side(new, ns), col(j, es));
+                    let index = JoinIndex::build(new.len(), |i| build[i]);
+                    tuples.extend(|t| index.rows(&probe[t[j] as usize]))
+                }
+                [(ns1, j1, es1), (ns2, j2, es2)] => {
+                    let (b1, b2) = (side(new, ns1), side(new, ns2));
+                    let (p1, p2) = (col(j1, es1), col(j2, es2));
+                    let index = JoinIndex::build(new.len(), |i| (b1[i], b2[i]));
+                    tuples.extend(|t| index.rows(&(p1[t[j1] as usize], p2[t[j2] as usize])))
+                }
+                _ => unreachable!("a pattern binds two variables"),
+            };
         }
 
         // --- with-clause constraints ---
@@ -823,132 +785,75 @@ impl Engine {
                     let ri = pat_index[right.as_str()];
                     let range_ns = match range {
                         Some((lo, hi, unit)) => {
-                            let u = Duration::from_unit(1, unit).ok_or_else(|| {
-                                Error::semantic(format!("unknown time unit `{unit}`"))
-                            })?;
-                            Some((lo * u.0, hi * u.0))
+                            let ns = |n: i64| {
+                                Duration::from_unit(n, unit).map(|d| d.0).ok_or_else(|| {
+                                    Error::semantic(format!(
+                                        "temporal range {lo}-{hi} {unit} is out of range"
+                                    ))
+                                })
+                            };
+                            Some((ns(*lo)?, ns(*hi)?))
                         }
                         None => None,
                     };
-                    tuples.retain(|t| {
-                        let l = &pattern_rows[li][t[li] as usize];
-                        let r = &pattern_rows[ri][t[ri] as usize];
-                        temporal_holds(*op, range_ns, l.start, r.start)
+                    let (l, r) = (&pattern_rows[li].start, &pattern_rows[ri].start);
+                    tuples.retain(|_, t| {
+                        temporal_holds(*op, range_ns, l[t[li] as usize], r[t[ri] as usize])
                     });
                 }
                 RelClause::Attr { left, op, right } => {
-                    // Resolve both sides' values per tuple via entity lookups.
-                    let lvar = left.base.as_str();
-                    let rvar = right.base.as_str();
-                    let lattr = left.attr.as_deref().unwrap_or_default();
-                    let rattr = right.attr.as_deref().unwrap_or_default();
-                    let lvals = self.attr_map(aq, lvar, lattr, &tuples, pattern_rows, stats)?;
-                    let rvals = self.attr_map(aq, rvar, rattr, &tuples, pattern_rows, stats)?;
-                    let lpos = self.var_slot(aq, lvar)?;
-                    let rpos = self.var_slot(aq, rvar)?;
+                    // Each side's attribute, fetched once for the distinct
+                    // entity ids the surviving tuples bind.
+                    let mut side_values = |a: &raptor_tbql::AttrRef| -> Result<_> {
+                        let (k, subj) = self.var_slot(aq, &a.base)?;
+                        let ids = tuples.gather(k, side(pattern_rows[k], subj));
+                        let attr = a.attr.as_deref().unwrap_or_default();
+                        self.fetch_values(entity_source(aq, &a.base), attr, &ids, stats)
+                    };
+                    let (lvals, rvals) = (side_values(left)?, side_values(right)?);
                     let dict = &self.stores.dict;
-                    tuples.retain(|t| {
-                        let lid = id_at(pattern_rows, t, lpos);
-                        let rid = id_at(pattern_rows, t, rpos);
-                        match (lvals.get(&lid), rvals.get(&rid)) {
-                            (Some(a), Some(b)) => cmp_svals(a, *op, b, dict),
-                            _ => false,
-                        }
+                    tuples.retain(|i, _| match (lvals[i], rvals[i]) {
+                        (Some(a), Some(b)) => cmp_svals(&a, *op, &b, dict),
+                        _ => false,
                     });
                 }
             }
         }
 
         // --- projection (typed; rendering happens at the caller's edge) ---
-        let mut lookups: FxHashMap<(String, String), FxHashMap<i64, SVal>> = FxHashMap::default();
-        for item in &aq.ret {
-            if item.is_event {
-                continue;
-            }
-            let slot = self.var_slot(aq, &item.base)?;
-            let ids: FxHashSet<i64> = tuples.iter().map(|t| id_at(pattern_rows, t, slot)).collect();
-            let source = AttrSource::Entity(class_for_type(aq.entities[&item.base].ty));
-            let map = self.fetch_attr_map(source, &item.attr, &ids, stats)?;
-            lookups.insert((item.base.clone(), item.attr.clone()), map);
-        }
-        // Event-attribute lookups beyond start/end/id go to the events table.
-        let mut event_attr_maps: FxHashMap<(String, String), FxHashMap<i64, SVal>> =
-            FxHashMap::default();
-        for item in &aq.ret {
-            if !item.is_event || matches!(item.attr.as_str(), "id" | "starttime" | "endtime") {
-                continue;
-            }
-            let pi = pat_index[item.base.as_str()];
-            let ids: FxHashSet<i64> = tuples
-                .iter()
-                .map(|t| pattern_rows[pi][t[pi] as usize].evt)
-                .filter(|&e| e >= 0)
-                .collect();
-            let map = self.fetch_attr_map(AttrSource::Event, &item.attr, &ids, stats)?;
-            event_attr_maps.insert((item.base.clone(), item.attr.clone()), map);
-        }
-
-        // Resolve each return item to its source once — the row loop then
-        // does no per-row key building or map probing by `String` pair.
-        enum ProjSource<'m> {
-            /// Event column of pattern `pi`: 0 = id, 1 = start, 2 = end.
-            EventCol(usize, u8),
-            /// Fetched event attribute of pattern `pi`.
-            EventAttr(usize, Option<&'m FxHashMap<i64, SVal>>),
-            /// Fetched entity attribute at (pattern, is_subject).
-            Entity((usize, bool), Option<&'m FxHashMap<i64, SVal>>),
-        }
-        let mut plan: Vec<ProjSource<'_>> = Vec::with_capacity(aq.ret.len());
-        for item in &aq.ret {
-            let key = (item.base.clone(), item.attr.clone());
-            plan.push(if item.is_event {
-                let pi = pat_index[item.base.as_str()];
-                match item.attr.as_str() {
-                    "id" => ProjSource::EventCol(pi, 0),
-                    "starttime" => ProjSource::EventCol(pi, 1),
-                    "endtime" => ProjSource::EventCol(pi, 2),
-                    _ => ProjSource::EventAttr(pi, event_attr_maps.get(&key)),
-                }
-            } else {
-                ProjSource::Entity(self.var_slot(aq, &item.base)?, lookups.get(&key))
-            });
-        }
         // Missing attributes project as the empty string, exactly like the
         // stringly pipeline always rendered them — as a symbol, interned
         // once per query.
         let empty = SVal::Str(self.stores.dict.intern(""));
-        let fetched = |map: Option<&FxHashMap<i64, SVal>>, id: i64| {
-            map.and_then(|m| m.get(&id)).copied().unwrap_or(empty)
-        };
-        let mut rows: Vec<Vec<SVal>> = Vec::with_capacity(tuples.len());
-        for t in &tuples {
-            let mut row = Vec::with_capacity(plan.len());
-            for src in &plan {
-                row.push(match src {
-                    ProjSource::EventCol(pi, col) => {
-                        let m = &pattern_rows[*pi][t[*pi] as usize];
-                        SVal::Int(match col {
-                            0 => m.evt,
-                            1 => m.start,
-                            _ => m.end,
-                        })
+        let mut cols = Vec::with_capacity(aq.ret.len());
+        for item in &aq.ret {
+            cols.push(if item.is_event {
+                let pi = pat_index[item.base.as_str()];
+                let m = pattern_rows[pi];
+                match item.attr.as_str() {
+                    "id" => ValueColumn::Int(tuples.gather(pi, &m.evt)),
+                    "starttime" => ValueColumn::Int(tuples.gather(pi, &m.start)),
+                    "endtime" => ValueColumn::Int(tuples.gather(pi, &m.end)),
+                    attr => {
+                        let evts = tuples.gather(pi, &m.evt);
+                        let vals = self.fetch_values(AttrSource::Event, attr, &evts, stats)?;
+                        vals.into_iter().map(|v| v.unwrap_or(empty)).collect()
                     }
-                    ProjSource::EventAttr(pi, map) => {
-                        let m = &pattern_rows[*pi][t[*pi] as usize];
-                        fetched(*map, m.evt)
-                    }
-                    ProjSource::Entity(slot, map) => fetched(*map, id_at(pattern_rows, t, *slot)),
-                });
-            }
-            rows.push(row);
+                }
+            } else {
+                let (k, subj) = self.var_slot(aq, &item.base)?;
+                let ids = tuples.gather(k, side(pattern_rows[k], subj));
+                let vals =
+                    self.fetch_values(entity_source(aq, &item.base), &item.attr, &ids, stats)?;
+                vals.into_iter().map(|v| v.unwrap_or(empty)).collect()
+            });
         }
+        let mut batch = ResultBatch::new(columns, cols, self.stores.dict.clone());
         if aq.distinct {
-            // Sym-keyed row hashing: no string touches the dedup set.
-            let mut seen: FxHashSet<Vec<SVal>> = FxHashSet::default();
-            rows.retain(|r| seen.insert(r.clone()));
+            batch.dedup_rows();
         }
-        sp.attr("rows", rows.len() as u64);
-        Ok(ResultBatch::from_rows(columns, rows, self.stores.dict.clone()))
+        sp.attr("rows", batch.n_rows() as u64);
+        Ok(batch)
     }
 
     /// Finds where entity `var` is bound: (pattern index, is_subject).
@@ -964,112 +869,203 @@ impl Engine {
         Err(Error::semantic(format!("entity `{var}` not bound by any pattern")))
     }
 
-    fn attr_map(
-        &self,
-        aq: &AnalyzedQuery,
-        var: &str,
-        attr: &str,
-        tuples: &[Vec<u32>],
-        pattern_rows: &[&Vec<Match>],
-        stats: &mut EngineStats,
-    ) -> Result<FxHashMap<i64, SVal>> {
-        let slot = self.var_slot(aq, var)?;
-        let ids: FxHashSet<i64> = tuples.iter().map(|t| id_at(pattern_rows, t, slot)).collect();
-        let source = AttrSource::Entity(class_for_type(aq.entities[var].ty));
-        self.fetch_attr_map(source, attr, &ids, stats)
-    }
-
-    /// Fetches one attribute for a set of ids through the typed backend.
-    fn fetch_attr_map(
+    /// One attribute of each id in `ids`, in order (`None` where the
+    /// backend has no value), through one `fetch_attr` call over the sorted
+    /// distinct ids, none when there are none. Negative event ids (path
+    /// matches without a final hop) are not fetched.
+    fn fetch_values(
         &self,
         source: AttrSource,
         attr: &str,
-        ids: &FxHashSet<i64>,
+        ids: &[i64],
         stats: &mut EngineStats,
-    ) -> Result<FxHashMap<i64, SVal>> {
-        let mut out = FxHashMap::default();
-        if ids.is_empty() {
-            return Ok(out);
-        }
-        let mut sorted: Vec<i64> = ids.iter().copied().collect();
-        sorted.sort_unstable();
-        for (id, v) in self.stores.rel.fetch_attr(source, attr, &sorted, &mut stats.backend)? {
-            out.insert(id, v);
-        }
-        Ok(out)
-    }
-}
-
-/// Indexes one pattern's matches by join key (build side of the
-/// cross-pattern hash join).
-fn build_pattern_index<K, F>(matches: &[Match], key_of: F) -> FxHashMap<K, Vec<u32>>
-where
-    K: Eq + std::hash::Hash,
-    F: Fn(&Match) -> K,
-{
-    let mut build: FxHashMap<K, Vec<u32>> =
-        FxHashMap::with_capacity_and_hasher(matches.len(), Default::default());
-    for (i, m) in matches.iter().enumerate() {
-        build.entry(key_of(m)).or_default().push(i as u32);
-    }
-    build
-}
-
-/// Probe side of the cross-pattern hash join: extends each tuple with the
-/// new pattern's matching row indices (shared by the single-key and
-/// compound-key paths so their semantics cannot drift apart).
-fn probe_pattern_join<K, F>(
-    tuples: &[Vec<u32>],
-    k: usize,
-    build: &FxHashMap<K, Vec<u32>>,
-    key_of: F,
-) -> Vec<Vec<u32>>
-where
-    K: Eq + std::hash::Hash,
-    F: Fn(&[u32]) -> K,
-{
-    let mut next = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        if let Some(rows) = build.get(&key_of(t)) {
-            for &i in rows {
-                let mut nt = t.clone();
-                nt[k] = i;
-                next.push(nt);
+    ) -> Result<Vec<Option<SVal>>> {
+        let floor = if matches!(source, AttrSource::Event) { 0 } else { i64::MIN };
+        let ranks = IdRanks::new(ids, floor);
+        let distinct = &ranks.distinct;
+        let mut fetched = vec![None; distinct.len()];
+        if !distinct.is_empty() {
+            // Answers come in the order asked; of several for one id the
+            // last counts.
+            let mut k = 0;
+            for (id, v) in self.stores.rel.fetch_attr(source, attr, distinct, &mut stats.backend)? {
+                while distinct.get(k).is_some_and(|&x| x < id) {
+                    k += 1;
+                }
+                if distinct.get(k) == Some(&id) {
+                    fetched[k] = Some(v);
+                }
             }
         }
+        Ok(ids.iter().map(|&id| ranks.rank(id).and_then(|k| fetched[k])).collect())
     }
-    next
 }
 
-fn id_at(pattern_rows: &[&Vec<Match>], t: &[u32], slot: (usize, bool)) -> i64 {
-    let m = &pattern_rows[slot.0][t[slot.0] as usize];
-    if slot.1 {
-        m.subj
+fn entity_source(aq: &AnalyzedQuery, var: &str) -> AttrSource {
+    AttrSource::Entity(class_for_type(aq.entities[var].ty))
+}
+
+/// A pattern's subject or object id column.
+fn side(m: &PatternMatches, subj: bool) -> &[i64] {
+    if subj {
+        &m.subj
     } else {
-        m.obj
+        &m.obj
     }
 }
 
+/// The distinct ids of a column at or above `floor`, ascending, and each
+/// id's rank among them. Entity and event ids number their table's rows,
+/// so a column's ids usually span a range only a few times its length:
+/// then a table over that range ranks them with no sort and no search.
+struct IdRanks {
+    floor: i64,
+    distinct: Vec<i64>,
+    /// `(lo, rank of id lo + i)` when the column is dense enough.
+    dense: Option<(i64, Vec<u32>)>,
+}
+
+impl IdRanks {
+    fn new(ids: &[i64], floor: i64) -> Self {
+        let kept = || ids.iter().copied().filter(|&id| id >= floor);
+        let (Some(lo), Some(hi)) = (kept().min(), kept().max()) else {
+            return IdRanks { floor, distinct: Vec::new(), dense: None };
+        };
+        if (hi as i128 - lo as i128) < 4 * ids.len() as i128 + 64 {
+            let mut rank = vec![u32::MAX; (hi - lo) as usize + 1];
+            for id in kept() {
+                rank[(id - lo) as usize] = 0;
+            }
+            let mut distinct = Vec::new();
+            for (off, r) in rank.iter_mut().enumerate().filter(|(_, r)| **r == 0) {
+                *r = distinct.len() as u32;
+                distinct.push(lo + off as i64);
+            }
+            return IdRanks { floor, distinct, dense: Some((lo, rank)) };
+        }
+        // A column comes in runs of one id (path matches are grouped by
+        // subject): collapsing them first shrinks the sort.
+        let mut distinct: Vec<i64> = kept().collect();
+        distinct.dedup();
+        distinct.sort_unstable();
+        distinct.dedup();
+        IdRanks { floor, distinct, dense: None }
+    }
+
+    /// The rank of `id`, one of the column's ids; `None` below the floor.
+    fn rank(&self, id: i64) -> Option<usize> {
+        if id < self.floor {
+            return None;
+        }
+        match &self.dense {
+            Some((lo, rank)) => Some(rank[(id - lo) as usize] as usize),
+            None => self.distinct.binary_search(&id).ok(),
+        }
+    }
+}
+
+/// Join state: one row index per joined pattern for each of `len` tuples,
+/// stored flat with stride `width` (patterns join in index order, so slot
+/// `k` is pattern `k`'s row). Extending a tuple is a slice copy and
+/// filtering compacts in place; no tuple owns an allocation.
+struct Tuples {
+    width: usize,
+    len: usize,
+    /// `None` while the tuples are exactly pattern 0's rows in order, which
+    /// is all a one-pattern query without `with` filters ever needs.
+    data: Option<Vec<u32>>,
+}
+
+impl Tuples {
+    fn identity(len: usize) -> Self {
+        Tuples { width: 1, len, data: None }
+    }
+
+    /// Pattern `k`'s value of `col` in every tuple, in tuple order.
+    fn gather(&self, k: usize, col: &[i64]) -> Vec<i64> {
+        match &self.data {
+            None => col[..self.len].to_vec(),
+            Some(d) => d.chunks_exact(self.width).map(|t| col[t[k] as usize]).collect(),
+        }
+    }
+
+    /// Binds the next pattern: each tuple, in order, is followed by one
+    /// extended copy per row `rows_for` yields for it.
+    fn extend<I: Iterator<Item = u32>>(self, mut rows_for: impl FnMut(&[u32]) -> I) -> Tuples {
+        let width = self.width;
+        let flat = self.data.unwrap_or_else(|| (0..self.len as u32).collect());
+        let mut data = Vec::with_capacity(flat.len() + flat.len() / width);
+        for t in flat.chunks_exact(width) {
+            for r in rows_for(t) {
+                data.extend_from_slice(t);
+                data.push(r);
+            }
+        }
+        let len = data.len() / (width + 1);
+        Tuples { width: width + 1, len, data: Some(data) }
+    }
+
+    /// Keeps the tuples satisfying `keep` (given each tuple's index and
+    /// row indices), in order.
+    fn retain(&mut self, mut keep: impl FnMut(usize, &[u32]) -> bool) {
+        let (w, len) = (self.width, self.len);
+        let data = self.data.get_or_insert_with(|| (0..len as u32).collect());
+        let mut kept = 0;
+        for i in 0..len {
+            if keep(i, &data[i * w..(i + 1) * w]) {
+                data.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        data.truncate(kept * w);
+        self.len = kept;
+    }
+}
+
+/// Build side of the cross-pattern hash join: each key's first row, and a
+/// chain from every row to the next row with the same key, so a key's rows
+/// come out in ascending order without a vector per key.
+struct JoinIndex<K> {
+    head: FxHashMap<K, u32>,
+    next: Vec<u32>,
+}
+
+impl<K: Eq + std::hash::Hash> JoinIndex<K> {
+    const END: u32 = u32::MAX;
+
+    fn build(n: usize, key_of: impl Fn(usize) -> K) -> Self {
+        let mut head = FxHashMap::with_capacity_and_hasher(n, Default::default());
+        let mut next = vec![Self::END; n];
+        for i in (0..n).rev() {
+            if let Some(h) = head.insert(key_of(i), i as u32) {
+                next[i] = h;
+            }
+        }
+        JoinIndex { head, next }
+    }
+
+    fn rows(&self, key: &K) -> impl Iterator<Item = u32> + '_ {
+        let first = self.head.get(key).copied();
+        std::iter::successors(first, |&r| Some(self.next[r as usize]).filter(|&n| n != Self::END))
+    }
+}
+
+/// Does the gap from the left event's start to the right one's satisfy
+/// `op` (and its range, in ns)? Computed in `i128`, so no pair of
+/// timestamps overflows.
 fn temporal_holds(
     op: TemporalOp,
     range_ns: Option<(i64, i64)>,
     l_start: i64,
     r_start: i64,
 ) -> bool {
-    let delta = r_start - l_start;
+    let delta = r_start as i128 - l_start as i128;
+    let in_range =
+        |gap: i128| range_ns.is_none_or(|(lo, hi)| gap >= lo as i128 && gap <= hi as i128);
     match op {
-        TemporalOp::Before => match range_ns {
-            Some((lo, hi)) => delta >= lo && delta <= hi && delta > 0,
-            None => delta > 0,
-        },
-        TemporalOp::After => match range_ns {
-            Some((lo, hi)) => -delta >= lo && -delta <= hi && delta < 0,
-            None => delta < 0,
-        },
-        TemporalOp::Within => match range_ns {
-            Some((lo, hi)) => delta.abs() >= lo && delta.abs() <= hi,
-            None => true,
-        },
+        TemporalOp::Before => delta > 0 && in_range(delta),
+        TemporalOp::After => delta < 0 && in_range(-delta),
+        TemporalOp::Within => in_range(delta.abs()),
     }
 }
 
@@ -1082,7 +1078,7 @@ fn temporal_holds(
 /// baselines rather than the seed's render-to-`""` behavior (the audit
 /// loader never stores NULL attributes, so the cases cannot diverge on
 /// real data).
-fn cmp_svals(a: &SVal, op: CmpOp, b: &SVal, dict: &raptor_common::SharedDict) -> bool {
+pub(crate) fn cmp_svals(a: &SVal, op: CmpOp, b: &SVal, dict: &raptor_common::SharedDict) -> bool {
     let ord = match (a, b) {
         (SVal::Int(x), SVal::Int(y)) => x.cmp(y),
         (SVal::Str(x), SVal::Str(y)) => {
@@ -1329,6 +1325,51 @@ pub(crate) mod tests {
         let (r, _) = engine.execute_text(q, ExecMode::Scheduled).unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][1], "/tmp/upload.tar");
+    }
+
+    #[test]
+    fn temporal_range_overflow_is_a_semantic_error() {
+        let engine = fig2_engine();
+        let q = |range: &str| {
+            format!(
+                "proc p[\"%/bin/tar%\"] read file f[\"%/etc/passwd%\"] as e1 \
+                 proc p write file g as e2 with e1 before{range} e2 return p, f, g"
+            )
+        };
+        let (plain, _) = engine.execute_text(&q(""), ExecMode::Scheduled).unwrap();
+        assert_eq!(plain.rows.len(), 1);
+        // The widest range that fits agrees with the range-free query.
+        let (wide, _) = engine.execute_text(&q("[0-106751 d]"), ExecMode::Scheduled).unwrap();
+        assert_eq!(wide, plain);
+        // One that does not fit is refused, not silently empty.
+        let err = engine.execute_text(&q("[0-200000000000 d]"), ExecMode::Scheduled).unwrap_err();
+        assert_eq!(err.kind, raptor_common::error::ErrorKind::Semantic, "{err}");
+    }
+
+    #[test]
+    fn temporal_holds_at_extreme_timestamps() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        assert!(temporal_holds(TemporalOp::Before, None, lo, hi));
+        assert!(temporal_holds(TemporalOp::After, None, hi, lo));
+        assert!(temporal_holds(TemporalOp::Before, Some((0, i64::MAX)), 0, hi));
+        assert!(!temporal_holds(TemporalOp::Before, Some((0, i64::MAX)), lo, hi));
+        assert!(!temporal_holds(TemporalOp::After, Some((0, i64::MAX)), hi, lo));
+        assert!(temporal_holds(TemporalOp::Within, Some((1, i64::MAX)), lo, -1));
+        assert!(!temporal_holds(TemporalOp::Within, Some((1, i64::MAX)), lo, hi));
+    }
+
+    /// A dense column ranks through its table, a sparse one by search; both
+    /// agree, and ids below the floor have no rank.
+    #[test]
+    fn id_ranks_dense_and_sparse() {
+        for (ids, dense) in [([7, 3, -1, 7, 9, 3], true), ([7, 3, -1, 7, 1 << 40, 3], false)] {
+            let r = IdRanks::new(&ids, 0);
+            assert_eq!(r.dense.is_some(), dense);
+            assert_eq!(r.distinct, vec![3, 7, ids[4]]);
+            let ranks: Vec<_> = ids.iter().map(|&id| r.rank(id)).collect();
+            assert_eq!(ranks, [Some(1), Some(0), None, Some(1), Some(2), Some(0)]);
+        }
+        assert!(IdRanks::new(&[-1, -2], 0).distinct.is_empty());
     }
 
     #[test]

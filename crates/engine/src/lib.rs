@@ -48,6 +48,8 @@ pub mod estimate;
 pub mod exec;
 pub mod explain;
 pub mod fuzzy;
+#[cfg(test)]
+mod join_props;
 pub mod load;
 pub mod provenance;
 pub mod schedule;

@@ -61,12 +61,14 @@ use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
 use raptor_common::{io, obs};
 use raptor_graphstore::PathFrontier;
-use raptor_storage::{EventPatternQuery, PathPatternQuery, ResultBatch, Value as SVal};
+use raptor_storage::{
+    EventPatternQuery, PathPatternQuery, PatternMatches, ResultBatch, Value as SVal,
+};
 use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, Window};
 
 use crate::compile::{event_pattern_request, path_pattern_request, Propagation};
-use crate::exec::{matches_to_rows, Engine, EngineStats, Match, QueryKind};
+use crate::exec::{Engine, EngineStats, QueryKind};
 
 /// What one ingestion epoch contributed, as the standing-query evaluator
 /// needs to see it.
@@ -124,7 +126,7 @@ pub struct StandingQuery {
     /// (emitted batches carry it; the multiset diff keys on its symbols).
     dict: SharedDict,
     /// Accumulated per-pattern matches (index-aligned with `aq.patterns`).
-    matches: Vec<Vec<Match>>,
+    matches: Vec<PatternMatches>,
     /// Per-pattern plans (index-aligned with `aq.patterns`); empty until
     /// the first advance compiles them.
     plans: Vec<PatternPlan>,
@@ -162,12 +164,17 @@ impl StandingQuery {
         }
         let columns = aq.ret.iter().map(|r| format!("{}.{}", r.base, r.attr)).collect();
         let n = aq.patterns.len();
+        let matches = aq
+            .patterns
+            .iter()
+            .map(|p| PatternMatches::with_capacity(0, p.has_final_hop()))
+            .collect();
         Ok(StandingQuery {
             name: name.into(),
             text: tbql.to_string(),
             aq,
             dict,
-            matches: vec![Vec::new(); n],
+            matches,
             plans: Vec::new(),
             pending_frontier: vec![None; n],
             reported_entries: 0,
@@ -225,12 +232,10 @@ impl StandingQuery {
         io::put_u64(buf, self.matches.len() as u64);
         for (pm, first) in self.matches.iter().zip(&self.first_match_epoch) {
             io::put_u64(buf, pm.len() as u64);
-            for m in pm {
-                io::put_i64(buf, m.subj);
-                io::put_i64(buf, m.obj);
-                io::put_i64(buf, m.evt);
-                io::put_i64(buf, m.start);
-                io::put_i64(buf, m.end);
+            for i in 0..pm.len() {
+                for col in [&pm.subj, &pm.obj, &pm.evt, &pm.start, &pm.end] {
+                    io::put_i64(buf, col[i]);
+                }
             }
             match first {
                 Some(e) => {
@@ -273,17 +278,13 @@ impl StandingQuery {
         }
         let mut matches = Vec::with_capacity(n_patterns);
         let mut first = Vec::with_capacity(n_patterns);
-        for _ in 0..n_patterns {
+        for p in &self.aq.patterns {
             let n = cur.get_len()?;
-            let mut pm = Vec::with_capacity(n);
+            let mut pm = PatternMatches::with_capacity(n, p.has_final_hop());
             for _ in 0..n {
-                pm.push(Match {
-                    subj: cur.get_i64()?,
-                    obj: cur.get_i64()?,
-                    evt: cur.get_i64()?,
-                    start: cur.get_i64()?,
-                    end: cur.get_i64()?,
-                });
+                let (subj, obj, evt) = (cur.get_i64()?, cur.get_i64()?, cur.get_i64()?);
+                let (start, end) = (cur.get_i64()?, cur.get_i64()?);
+                pm.push_event(subj, obj, evt, start, end);
             }
             matches.push(pm);
             first.push(match cur.get_u8()? {
@@ -425,7 +426,8 @@ impl StandingQuery {
                 if let Some(blob) = self.pending_frontier[p.index].take() {
                     f.decode(&mut io::Cur::new(&blob))?;
                 }
-                f.seed_seen(self.matches[p.index].iter().map(|m| (m.subj, m.obj)));
+                let acc = &self.matches[p.index];
+                f.seed_seen(acc.subj.iter().copied().zip(acc.obj.iter().copied()));
                 PatternPlan::Frontier(Box::new(f))
             } else {
                 PatternPlan::Rescan(req)
@@ -456,13 +458,6 @@ impl StandingQuery {
         // carry no edges), so skip the patterns entirely.
         let mut changed = false;
         if !input.event_rows.is_empty() {
-            // Canonical order for path matches: the frontier accumulates
-            // and full re-evaluation replaces, in different orders —
-            // sorting both keeps emitted deltas byte-identical whichever
-            // ran.
-            let canonical = |rows: &mut Vec<Match>| {
-                rows.sort_unstable_by_key(|r| (r.subj, r.obj, r.evt, r.start, r.end));
-            };
             for (p, plan) in self.aq.patterns.iter().zip(&mut self.plans) {
                 let acc = &mut self.matches[p.index];
                 // Data queries carry the same observability payload as the
@@ -483,7 +478,7 @@ impl StandingQuery {
                         stats.record("relational", kind, &p.id, 0);
                         stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
                         changed |= !m.is_empty();
-                        acc.extend(matches_to_rows(&m));
+                        acc.append(&m);
                     }
                     PatternPlan::Frontier(f) => {
                         let mut fsp = raptor_common::obs::span("standing.frontier");
@@ -493,14 +488,10 @@ impl StandingQuery {
                         fsp.attr("entries", f.entries() as u64);
                         obs::metrics().counter_add("raptor_path_frontier_hits_total", 1);
                         changed |= !pairs.is_empty();
-                        acc.extend(pairs.into_iter().map(|(subj, obj)| Match {
-                            subj,
-                            obj,
-                            evt: -1,
-                            start: 0,
-                            end: 0,
-                        }));
-                        canonical(acc);
+                        for (subj, obj) in pairs {
+                            acc.push_pair(subj, obj);
+                        }
+                        sort_canonical(acc);
                     }
                     PatternPlan::Rescan(req) => {
                         obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
@@ -508,8 +499,8 @@ impl StandingQuery {
                         stats.record("graph", QueryKind::PathPattern, &p.id, 0);
                         stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
                         changed |= m.len() != acc.len();
-                        *acc = matches_to_rows(&m);
-                        canonical(acc);
+                        *acc = m;
+                        sort_canonical(acc);
                     }
                 }
                 if !acc.is_empty() && self.first_match_epoch[p.index].is_none() {
@@ -521,7 +512,7 @@ impl StandingQuery {
 
         // A query only produces rows once every pattern has matched; and an
         // epoch that changed nothing cannot emit new rows.
-        if !changed || self.matches.iter().any(Vec::is_empty) {
+        if !changed || self.matches.iter().any(PatternMatches::is_empty) {
             return Ok((
                 ResultBatch::from_rows(self.columns.clone(), Vec::new(), self.dict.clone()),
                 stats,
@@ -530,7 +521,7 @@ impl StandingQuery {
 
         // Join + with-clauses + projection over the *accumulated* matches,
         // then emit only what the multiset of prior emissions lacks.
-        let pattern_rows: Vec<&Vec<Match>> = self.matches.iter().collect();
+        let pattern_rows: Vec<&PatternMatches> = self.matches.iter().collect();
         let full = engine.join_project(&self.aq, &pattern_rows, &mut stats)?;
         let mut fresh: FxHashMap<Vec<SVal>, usize> = FxHashMap::default();
         let mut delta_rows: Vec<Vec<SVal>> = Vec::new();
@@ -549,6 +540,23 @@ impl StandingQuery {
         }
         Ok((ResultBatch::from_rows(self.columns.clone(), delta_rows, self.dict.clone()), stats))
     }
+}
+
+/// Sorts path matches by `(subj, obj, evt, start, end)`. The frontier
+/// accumulates and full re-evaluation replaces, in different orders;
+/// sorting both keeps emitted deltas byte-identical whichever ran.
+fn sort_canonical(m: &mut PatternMatches) {
+    let mut perm: Vec<usize> = (0..m.len()).collect();
+    perm.sort_unstable_by_key(|&i| (m.subj[i], m.obj[i], m.evt[i], m.start[i], m.end[i]));
+    let gather = |col: &[i64]| perm.iter().map(|&i| col[i]).collect();
+    *m = PatternMatches {
+        subj: gather(&m.subj),
+        obj: gather(&m.obj),
+        evt: gather(&m.evt),
+        start: gather(&m.start),
+        end: gather(&m.end),
+        has_event: m.has_event,
+    };
 }
 
 impl Drop for StandingQuery {
@@ -596,6 +604,21 @@ mod tests {
         // Absolute windows stay allowed.
         let q = "proc p read file f as e1 after 10 return p, f";
         assert!(StandingQuery::new("t", q, SharedDict::new()).is_ok());
+    }
+
+    /// A temporal range whose nanoseconds overflow is refused at
+    /// registration, like a batch query refuses it.
+    #[test]
+    fn overflowing_temporal_range_rejected() {
+        let q = "proc p read file f as e1 proc p write file g as e2 \
+                 with e1 before[0-200000000000 d] e2 return p, f, g";
+        let err = match StandingQuery::new("t", q, SharedDict::new()) {
+            Err(e) => e,
+            Ok(_) => panic!("an overflowing range must be rejected"),
+        };
+        assert_eq!(err.kind, raptor_common::error::ErrorKind::Semantic, "{err}");
+        assert!(StandingQuery::new("t", &q.replace("200000000000", "106751"), SharedDict::new())
+            .is_ok());
     }
 
     /// Feeds the log one event per epoch; the concatenated deltas must

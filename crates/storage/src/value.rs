@@ -7,6 +7,7 @@
 //! compare and rendering to display strings happens exactly once, at the
 //! edge ([`ResultBatch::rendered_rows`] via `ResultTable::from_batch`).
 
+use raptor_common::hash::FxHashSet;
 use raptor_common::intern::{SharedDict, Sym};
 
 /// A detached typed value — the engine's currency across the typed store
@@ -120,24 +121,54 @@ impl ValueColumn {
         }
     }
 
-    /// Is the cell at `row` a string (i.e. rendered through the dictionary)?
-    pub fn is_str(&self, row: usize) -> bool {
-        match self {
-            ValueColumn::Int(_) => false,
-            ValueColumn::Str(_) => true,
-            ValueColumn::Mixed(v) => matches!(v[row], Value::Str(_)),
+    /// Builds the densest column representation for a vector of values.
+    pub fn from_values(vals: Vec<Value>) -> ValueColumn {
+        vals.into_iter().collect()
+    }
+
+    /// Appends a value, widening to `Mixed` when it does not fit the
+    /// column's type.
+    fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (ValueColumn::Int(c), Value::Int(i)) => c.push(i),
+            (ValueColumn::Str(c), Value::Str(s)) => c.push(s),
+            (ValueColumn::Mixed(c), v) => c.push(v),
+            _ => {
+                let mut mixed: Vec<Value> = (0..self.len()).map(|r| self.get(r)).collect();
+                mixed.push(v);
+                *self = ValueColumn::Mixed(mixed);
+            }
         }
     }
 
-    /// Builds the densest column representation for a vector of values.
-    pub fn from_values(vals: Vec<Value>) -> ValueColumn {
-        if vals.iter().all(|v| matches!(v, Value::Int(_))) {
-            ValueColumn::Int(vals.iter().filter_map(Value::as_int).collect())
-        } else if vals.iter().all(|v| matches!(v, Value::Str(_))) {
-            ValueColumn::Str(vals.iter().filter_map(Value::as_sym).collect())
-        } else {
-            ValueColumn::Mixed(vals)
+    /// The cells at `rows`, in that order, in a column of the same type.
+    fn select(&self, rows: &[usize]) -> ValueColumn {
+        match self {
+            ValueColumn::Int(v) => ValueColumn::Int(rows.iter().map(|&r| v[r]).collect()),
+            ValueColumn::Str(v) => ValueColumn::Str(rows.iter().map(|&r| v[r]).collect()),
+            ValueColumn::Mixed(v) => ValueColumn::Mixed(rows.iter().map(|&r| v[r]).collect()),
         }
+    }
+}
+
+/// The densest column for a sequence of values: `Int` when every value is
+/// an integer (an empty column too), `Str` when every value is a string,
+/// `Mixed` otherwise.
+impl FromIterator<Value> for ValueColumn {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let cap = iter.size_hint().0;
+        let Some(first) = iter.next() else { return ValueColumn::Int(Vec::new()) };
+        let mut col = match first {
+            Value::Int(_) => ValueColumn::Int(Vec::with_capacity(cap)),
+            Value::Str(_) => ValueColumn::Str(Vec::with_capacity(cap)),
+            Value::Null => ValueColumn::Mixed(Vec::with_capacity(cap)),
+        };
+        col.push(first);
+        for v in iter {
+            col.push(v);
+        }
+        col
     }
 }
 
@@ -223,7 +254,49 @@ impl ResultBatch {
     /// heap `String` when rendered). Feeds the `strings_materialized`
     /// edge-accounting counter.
     pub fn str_cells(&self) -> usize {
-        (0..self.n_rows()).map(|i| self.cols.iter().filter(|c| c.is_str(i)).count()).sum()
+        self.cols
+            .iter()
+            .map(|c| match c {
+                ValueColumn::Int(_) => 0,
+                ValueColumn::Str(v) => v.len(),
+                ValueColumn::Mixed(v) => v.iter().filter(|x| matches!(x, Value::Str(_))).count(),
+            })
+            .sum()
+    }
+
+    /// Keeps the first occurrence of every distinct row, in row order
+    /// (DISTINCT). Rows hash by index over the columns; no row is copied
+    /// out of them.
+    pub fn dedup_rows(&mut self) {
+        struct RowKey<'a> {
+            cols: &'a [ValueColumn],
+            row: usize,
+        }
+        impl std::hash::Hash for RowKey<'_> {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                for c in self.cols {
+                    c.get(self.row).hash(state);
+                }
+            }
+        }
+        impl PartialEq for RowKey<'_> {
+            fn eq(&self, other: &Self) -> bool {
+                self.cols.iter().all(|c| c.get(self.row) == c.get(other.row))
+            }
+        }
+        impl Eq for RowKey<'_> {}
+
+        let n = self.n_rows();
+        let mut seen: FxHashSet<RowKey<'_>> =
+            FxHashSet::with_capacity_and_hasher(n, Default::default());
+        let keep: Vec<usize> =
+            (0..n).filter(|&row| seen.insert(RowKey { cols: &self.cols, row })).collect();
+        drop(seen);
+        if keep.len() < n {
+            // Every value of a column survives in some kept row, so each
+            // column keeps its type.
+            self.cols = self.cols.iter().map(|c| c.select(&keep)).collect();
+        }
     }
 }
 
@@ -272,6 +345,15 @@ impl PatternMatches {
     pub fn push_pair(&mut self, subj: i64, obj: i64) {
         self.push_event(subj, obj, -1, 0, 0);
     }
+
+    /// Appends `other`'s matches after this one's.
+    pub fn append(&mut self, other: &PatternMatches) {
+        self.subj.extend_from_slice(&other.subj);
+        self.obj.extend_from_slice(&other.obj);
+        self.evt.extend_from_slice(&other.evt);
+        self.start.extend_from_slice(&other.start);
+        self.end.extend_from_slice(&other.end);
+    }
 }
 
 #[cfg(test)]
@@ -310,12 +392,49 @@ mod tests {
         let strs =
             ValueColumn::from_values(vec![Value::Str(d.intern("a")), Value::Str(d.intern("b"))]);
         assert!(matches!(strs, ValueColumn::Str(_)));
-        assert!(strs.is_str(0));
         let mixed = ValueColumn::from_values(vec![Value::Int(1), Value::Null]);
         assert!(matches!(mixed, ValueColumn::Mixed(_)));
         assert_eq!(mixed.render(1, &d), "");
         assert_eq!(mixed.get(0), Value::Int(1));
-        assert!(!mixed.is_str(0));
+        assert!(matches!(ValueColumn::from_values(Vec::new()), ValueColumn::Int(_)));
+        // A value of another type widens the column to `Mixed` in place.
+        let mut col = ValueColumn::from_values(vec![Value::Str(d.intern("a"))]);
+        col.push(Value::Int(7));
+        assert_eq!(col, ValueColumn::Mixed(vec![Value::Str(d.intern("a")), Value::Int(7)]));
+        assert_eq!(col.select(&[1, 1, 0]).get(1), Value::Int(7));
+    }
+
+    #[test]
+    fn str_cells_count_by_column() {
+        let d = SharedDict::new();
+        let s = Value::Str(d.intern("x"));
+        let b = ResultBatch::from_rows(
+            vec!["a".into(), "b".into(), "c".into()],
+            vec![vec![s, Value::Int(1), s], vec![s, Value::Int(2), Value::Null]],
+            d,
+        );
+        assert_eq!(b.str_cells(), 3, "two in the Str column, one in the Mixed one");
+    }
+
+    #[test]
+    fn dedup_rows_keeps_first_occurrences_in_order() {
+        let d = SharedDict::new();
+        let (a, z) = (Value::Str(d.intern("a")), Value::Str(d.intern("z")));
+        let rows = vec![
+            vec![z, Value::Int(1)],
+            vec![a, Value::Int(1)],
+            vec![z, Value::Int(1)],
+            vec![a, Value::Int(2)],
+            vec![a, Value::Int(1)],
+        ];
+        let mut b = ResultBatch::from_rows(vec!["s".into(), "n".into()], rows.clone(), d.clone());
+        b.dedup_rows();
+        let want = ResultBatch::from_rows(
+            vec!["s".into(), "n".into()],
+            vec![rows[0].clone(), rows[1].clone(), rows[3].clone()],
+            d,
+        );
+        assert_eq!(b, want);
     }
 
     #[test]
@@ -341,5 +460,7 @@ mod tests {
         let mut p = PatternMatches::with_capacity(1, false);
         p.push_pair(5, 6);
         assert_eq!((p.subj[0], p.obj[0], p.evt[0]), (5, 6, -1));
+        m.append(&p);
+        assert_eq!((m.len(), m.evt.clone(), m.start.clone()), (2, vec![10, -1], vec![100, 0]));
     }
 }

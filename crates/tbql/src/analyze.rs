@@ -263,8 +263,16 @@ pub fn analyze(q: &Query) -> Result<AnalyzedQuery> {
                     if lo > hi {
                         return Err(Error::semantic(format!("empty temporal range {lo}-{hi}")));
                     }
-                    if raptor_common::time::Duration::from_unit(1, unit).is_none() {
+                    use raptor_common::time::Duration;
+                    if Duration::from_unit(1, unit).is_none() {
                         return Err(Error::semantic(format!("unknown time unit `{unit}`")));
+                    }
+                    if Duration::from_unit(*lo, unit).is_none()
+                        || Duration::from_unit(*hi, unit).is_none()
+                    {
+                        return Err(Error::semantic(format!(
+                            "temporal range {lo}-{hi} {unit} overflows nanoseconds"
+                        )));
                     }
                 }
             }
@@ -447,6 +455,25 @@ mod tests {
     fn empty_path_range_rejected() {
         let q = parse_tbql("proc p ~>(4~2)[read] file f return f").unwrap();
         assert!(analyze(&q).unwrap_err().to_string().contains("empty"));
+    }
+
+    #[test]
+    fn overflowing_temporal_range_rejected() {
+        let text = |range: &str| {
+            format!(
+                "proc p read file f as e1 proc p write file g as e2 \
+                 with e1 before[{range}] e2 return f"
+            )
+        };
+        for range in ["0-200000000000 d", "200000000000-300000000000 d"] {
+            let q = parse_tbql(&text(range)).unwrap();
+            let err = analyze(&q).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Semantic, "{err:?}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        // The largest day count that fits in i64 nanoseconds is accepted.
+        let q = parse_tbql(&text("0-106751 d")).unwrap();
+        assert!(analyze(&q).is_ok());
     }
 
     #[test]
