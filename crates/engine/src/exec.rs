@@ -783,19 +783,14 @@ impl Engine {
                 RelClause::Temporal { left, op, range, right } => {
                     let li = pat_index[left.as_str()];
                     let ri = pat_index[right.as_str()];
-                    let range_ns = match range {
-                        Some((lo, hi, unit)) => {
-                            let ns = |n: i64| {
-                                Duration::from_unit(n, unit).map(|d| d.0).ok_or_else(|| {
-                                    Error::semantic(format!(
-                                        "temporal range {lo}-{hi} {unit} is out of range"
-                                    ))
-                                })
-                            };
-                            Some((ns(*lo)?, ns(*hi)?))
-                        }
-                        None => None,
-                    };
+                    let range_ns = range.as_ref().map(|(lo, hi, unit)| {
+                        let ns = |n: i64| {
+                            Duration::from_unit(n, unit)
+                                .expect("analyze rejects overflowing ranges")
+                                .0
+                        };
+                        (ns(*lo), ns(*hi))
+                    });
                     let (l, r) = (&pattern_rows[li].start, &pattern_rows[ri].start);
                     tuples.retain(|_, t| {
                         temporal_holds(*op, range_ns, l[t[li] as usize], r[t[ri] as usize])
@@ -916,8 +911,15 @@ fn side(m: &PatternMatches, subj: bool) -> &[i64] {
 
 /// The distinct ids of a column at or above `floor`, ascending, and each
 /// id's rank among them. Entity and event ids number their table's rows,
-/// so a column's ids usually span a range only a few times its length:
-/// then a table over that range ranks them with no sort and no search.
+/// so a column's ids can span a range only a few times its length: then a
+/// table over that range ranks them with no sort and no search, and other
+/// columns sort and search. The cut-off, a span under 4× the length (plus
+/// 64), is the smallest multiple that takes every projected column of
+/// `bench_ledger`'s `query-paths` to the table (their spans stay under
+/// 4×). There the table halves `engine.exec.self_us` against
+/// sort-and-search alone. On `query-events`, whose spans run from under 1×
+/// to past 256×, cut-offs of 1× to 64× and sort-and-search alone measure
+/// alike.
 struct IdRanks {
     floor: i64,
     distinct: Vec<i64>,

@@ -1335,7 +1335,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
     if plan.distinct || !plan.order_by.is_empty() {
         // DISTINCT / ORDER BY need whole-row identity and row swaps, so this
         // path materializes row-major tuples, applies them, then transposes
-        // back to columns ([`ValueColumn::from_values`] is an exact `Value`
+        // back to columns (collecting into a [`ValueColumn`] is an exact `Value`
         // round-trip, so per-cell results match the direct columnar path).
         let mut rows: Vec<Vec<Value>> = tuples
             .iter()
@@ -1388,9 +1388,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
         }
 
         let ncols = proj_slots.len();
-        let cols = (0..ncols)
-            .map(|j| ValueColumn::from_values(rows.iter().map(|r| r[j]).collect()))
-            .collect();
+        let cols = (0..ncols).map(|j| rows.iter().map(|r| r[j]).collect::<ValueColumn>()).collect();
         return Ok((QueryResultCore { columns: out_cols, cols }, stats));
     }
 

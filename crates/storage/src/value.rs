@@ -121,11 +121,6 @@ impl ValueColumn {
         }
     }
 
-    /// Builds the densest column representation for a vector of values.
-    pub fn from_values(vals: Vec<Value>) -> ValueColumn {
-        vals.into_iter().collect()
-    }
-
     /// Appends a value, widening to `Mixed` when it does not fit the
     /// column's type.
     fn push(&mut self, v: Value) {
@@ -221,7 +216,7 @@ impl ResultBatch {
         }
         ResultBatch {
             columns,
-            cols: by_col.into_iter().map(ValueColumn::from_values).collect(),
+            cols: by_col.into_iter().map(|c| c.into_iter().collect()).collect(),
             dict,
         }
     }
@@ -387,18 +382,19 @@ mod tests {
     #[test]
     fn column_densification() {
         let d = SharedDict::new();
-        let ints = ValueColumn::from_values(vec![Value::Int(1), Value::Int(2)]);
+        let ints = vec![Value::Int(1), Value::Int(2)].into_iter().collect::<ValueColumn>();
         assert!(matches!(ints, ValueColumn::Int(_)));
-        let strs =
-            ValueColumn::from_values(vec![Value::Str(d.intern("a")), Value::Str(d.intern("b"))]);
+        let strs = vec![Value::Str(d.intern("a")), Value::Str(d.intern("b"))]
+            .into_iter()
+            .collect::<ValueColumn>();
         assert!(matches!(strs, ValueColumn::Str(_)));
-        let mixed = ValueColumn::from_values(vec![Value::Int(1), Value::Null]);
+        let mixed = vec![Value::Int(1), Value::Null].into_iter().collect::<ValueColumn>();
         assert!(matches!(mixed, ValueColumn::Mixed(_)));
         assert_eq!(mixed.render(1, &d), "");
         assert_eq!(mixed.get(0), Value::Int(1));
-        assert!(matches!(ValueColumn::from_values(Vec::new()), ValueColumn::Int(_)));
+        assert!(matches!(Vec::new().into_iter().collect::<ValueColumn>(), ValueColumn::Int(_)));
         // A value of another type widens the column to `Mixed` in place.
-        let mut col = ValueColumn::from_values(vec![Value::Str(d.intern("a"))]);
+        let mut col = vec![Value::Str(d.intern("a"))].into_iter().collect::<ValueColumn>();
         col.push(Value::Int(7));
         assert_eq!(col, ValueColumn::Mixed(vec![Value::Str(d.intern("a")), Value::Int(7)]));
         assert_eq!(col.select(&[1, 1, 0]).get(1), Value::Int(7));
