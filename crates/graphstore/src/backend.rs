@@ -4,8 +4,12 @@
 //! A request is compiled once into a `PathSpec`: labels, hop bounds and the
 //! three predicates, lowered to Cypher WHERE expressions so that the
 //! executor's evaluator ([`crate::cypher::exec`]) decides them and predicate
-//! semantics cannot drift from the text frontend. Matching then walks the
-//! adjacency arrays; no query AST is built and nothing is parsed.
+//! semantics cannot drift from the text frontend. It is bound per use:
+//! `PathSpec::on` resolves labels, property keys and string literals to
+//! symbols once per request (and once per frontier advance, since a later
+//! epoch may be the first to intern a name), so the walk takes no
+//! dictionary lock per node, edge or row. Matching then walks the adjacency
+//! arrays; no query AST is built and nothing is parsed.
 //!
 //! Every shape is a *prefix* of `lo..=hi` EVENT hops from an anchor plus,
 //! when the pattern constrains or returns its last event, one *final edge*.
@@ -34,11 +38,12 @@ use raptor_storage::{
     Pred, Value as SVal,
 };
 
-use crate::cypher::ast::{CExpr, CLit, COp, CmpRhs, NodePattern, PropRef, StrPredKind};
+use crate::cypher::ast::{CExpr, CLit, COp, CmpRhs, PropRef, StrPredKind};
 use crate::cypher::exec::{
-    anchor_candidates, edge_distinct_walks, eval_single_edge, eval_single_node, GraphQueryStats,
+    anchor_candidates, bind, edge_distinct_walks, eval, BindVal, BoundExpr, BoundProp, BoundShape,
+    GraphQueryStats,
 };
-use crate::graph::{EdgeId, Graph, NodeId, PropValue};
+use crate::graph::{prop_of, EdgeId, Graph, NodeId, PropValue};
 
 pub fn label_for_class(class: EntityClass) -> &'static str {
     match class {
@@ -129,16 +134,6 @@ fn pred_to_cexpr(var: &str, p: &Pred, dict: &SharedDict) -> Result<CExpr> {
     })
 }
 
-fn id_in_cexpr(var: &str, ids: &[i64]) -> CExpr {
-    // An empty candidate set must match nothing.
-    let list = if ids.is_empty() {
-        vec![CLit::Int(-1)]
-    } else {
-        ids.iter().map(|&i| CLit::Int(i)).collect()
-    };
-    CExpr::InList { left: prop(var, "id"), list }
-}
-
 /// A path request compiled once; see the module doc for the shape.
 pub(crate) struct PathSpec {
     subj_label: &'static str,
@@ -191,16 +186,25 @@ impl PathSpec {
         })
     }
 
-    /// The spec over `g` as it is now: labels resolve to today's symbols (a
-    /// label no record carries yet has none, and matches nothing).
+    /// The spec bound to `g` as it is now: labels, keys and literals
+    /// resolve to today's symbols (a name no record carries yet has none,
+    /// and matches nothing). Each predicate names one variable, slot 0.
     pub(crate) fn on<'a>(&'a self, g: &'a Graph) -> PathMatcher<'a> {
-        let sym = |label| g.dict().get(label);
+        let dict = g.dict();
+        let sym = |name| dict.get(name);
+        let bind = |e| bind(dict, e, &|_| 0);
         PathMatcher {
             g,
             spec: self,
             subj: sym(self.subj_label),
             obj: sym(self.obj_label),
             event: sym("EVENT"),
+            subj_conds: self.subj_conds.iter().map(bind).collect(),
+            obj_pred: self.obj_pred.as_ref().map(bind),
+            final_pred: self.final_pred.as_ref().map(bind),
+            id: sym("id"),
+            starttime: sym("starttime"),
+            endtime: sym("endtime"),
         }
     }
 }
@@ -213,15 +217,34 @@ pub(crate) struct PathMatcher<'a> {
     subj: Option<Sym>,
     obj: Option<Sym>,
     event: Option<Sym>,
+    subj_conds: Vec<BoundExpr<'a>>,
+    obj_pred: Option<BoundExpr<'a>>,
+    final_pred: Option<BoundExpr<'a>>,
+    /// The keys of the entity id and of an event row's columns.
+    id: Option<Sym>,
+    starttime: Option<Sym>,
+    endtime: Option<Sym>,
+}
+
+/// `props[key]` if it is an integer, else `-1`.
+fn int_prop(props: &[(Sym, PropValue)], key: Option<Sym>) -> i64 {
+    match key.and_then(|k| prop_of(props, k)) {
+        Some(PropValue::Int(i)) => i,
+        _ => -1,
+    }
 }
 
 impl PathMatcher<'_> {
     /// The entity id a node carries (`-1` if it has none).
     pub(crate) fn entity_id(&self, n: NodeId) -> i64 {
-        match self.g.node_prop(n, "id") {
-            Some(PropValue::Int(i)) => i,
-            _ => -1,
-        }
+        int_prop(&self.g.node(n).props, self.id)
+    }
+
+    /// An event row's `(id, starttime, endtime)` (`-1` where one is missing).
+    fn event_row(&self, e: EdgeId) -> (i64, i64, i64) {
+        let props = &self.g.edge(e).props;
+        let int = |key| int_prop(props, key);
+        (int(self.id), int(self.starttime), int(self.endtime))
     }
 
     /// Is `n`'s entity id among the propagated candidates (if there are any)?
@@ -236,7 +259,7 @@ impl PathMatcher<'_> {
     /// Is `n` an anchor — a node the pattern's subject may bind?
     pub(crate) fn subject_ok(&self, n: NodeId) -> bool {
         Some(self.g.node(n).label) == self.subj
-            && self.spec.subj_conds.iter().all(|c| eval_single_node(self.g, c, "s", n))
+            && self.subj_conds.iter().all(|c| eval(self.g, c, &[BindVal::Node(n)]))
             && self.listed(&self.spec.subj_ids, n)
     }
 
@@ -246,14 +269,14 @@ impl PathMatcher<'_> {
             return n == a;
         }
         Some(self.g.node(n).label) == self.obj
-            && self.spec.obj_pred.as_ref().is_none_or(|p| eval_single_node(self.g, p, "o", n))
+            && self.obj_pred.as_ref().is_none_or(|p| eval(self.g, p, &[BindVal::Node(n)]))
             && self.listed(&self.spec.obj_ids, n)
     }
 
     /// May `e` be the pattern's final edge?
     pub(crate) fn final_edge_ok(&self, e: EdgeId) -> bool {
         self.is_event(e)
-            && self.spec.final_pred.as_ref().is_none_or(|p| eval_single_edge(self.g, p, "e", e))
+            && self.final_pred.as_ref().is_none_or(|p| eval(self.g, p, &[BindVal::Edge(e)]))
     }
 
     /// Anchor `a`'s prefix ends at `n`: calls `hit(object, final edge)` for
@@ -283,11 +306,17 @@ impl PathMatcher<'_> {
     /// The anchors, through the tightest access path the value indexes offer
     /// for the subject's conditions; `scanned` counts the candidates read.
     fn anchors(&self, scanned: &mut usize) -> Vec<NodeId> {
-        let start =
-            NodePattern { var: None, label: Some(self.spec.subj_label.to_string()), props: vec![] };
-        let id_in = self.spec.subj_ids.as_deref().map(|ids| id_in_cexpr("s", ids));
-        let conds: Vec<&CExpr> = self.spec.subj_conds.iter().chain(&id_in).collect();
+        let id_in = self.spec.subj_ids.as_deref().map(|ids| BoundExpr::InList {
+            left: BoundProp { slot: 0, key: self.id },
+            // An empty candidate set must match nothing.
+            list: match ids {
+                [] => vec![PropValue::Int(-1)],
+                ids => ids.iter().map(|&i| PropValue::Int(i)).collect(),
+            },
+        });
+        let conds: Vec<&BoundExpr<'_>> = self.subj_conds.iter().chain(&id_in).collect();
         let mut stats = GraphQueryStats::default();
+        let start = BoundShape::of_label(self.subj);
         let mut anchors = anchor_candidates(self.g, &start, &conds, &mut stats);
         *scanned += stats.nodes_scanned;
         anchors.retain(|&n| self.subject_ok(n));
@@ -315,10 +344,6 @@ impl Graph {
         let mut sp = obs::span("graphstore.expand");
         let (mut nodes, mut edges) = (0usize, 0usize);
         let mut out = PatternMatches::with_capacity(0, q.want_event);
-        let int = |e, key| match self.edge_prop(e, key) {
-            Some(PropValue::Int(i)) => i,
-            _ => -1,
-        };
         // Per anchor: prefix endpoints reached, objects already paired.
         let mut reached_by = vec![0u32; self.node_count()];
         let mut paired_by = vec![0u32; self.node_count()];
@@ -374,13 +399,10 @@ impl Graph {
                     edges += self.out_edges(n).len();
                 }
                 m.matches_at(n, a, |o, e| match e {
-                    Some(e) if q.want_event => out.push_event(
-                        subj,
-                        m.entity_id(o),
-                        int(e, "id"),
-                        int(e, "starttime"),
-                        int(e, "endtime"),
-                    ),
+                    Some(e) if q.want_event => {
+                        let (id, start, end) = m.event_row(e);
+                        out.push_event(subj, m.entity_id(o), id, start, end)
+                    }
                     _ => {
                         if mark(&mut paired_by, stamp, o) {
                             out.push_pair(subj, m.entity_id(o));
@@ -561,6 +583,103 @@ mod tests {
                     assert_eq!(got, want, "{attr} {negated} LIKE {pattern}");
                 }
             }
+        }
+    }
+
+    /// The bound evaluator's semantics, pinned through both drivers: each
+    /// case selects processes as a typed request and as Cypher text, over a
+    /// fresh graph, so the text's literals are unseen unless a record
+    /// carries them. Names intern in reverse order of content (`c`, `b`,
+    /// `a`), so symbol order is not string order.
+    #[test]
+    fn bound_evaluator_semantics_agree_across_drivers() {
+        use crate::cypher::{exec::execute, parse_cypher};
+        use raptor_storage::CmpOp::{self, *};
+        fn graph() -> Graph {
+            let mut g = Graph::new();
+            for (id, name, pid) in [(0, "c", 30), (1, "b", 20), (2, "a", 10)] {
+                let props = [
+                    ("id", PropIns::Int(id)),
+                    ("name", PropIns::Str(name)),
+                    ("pid", PropIns::Int(pid)),
+                ];
+                g.add_node("Process", &props);
+            }
+            // Carries no `name`.
+            g.add_node("Process", &[("id", PropIns::Int(3)), ("pid", PropIns::Int(40))]);
+            g
+        }
+        enum Lit {
+            I(i64),
+            S(&'static str),
+        }
+        enum Test {
+            Cmp(CmpOp, Lit),
+            In(bool, &'static [&'static str]),
+        }
+        use Lit::{I, S};
+        use Test::{Cmp, In};
+        let pred = |d: &SharedDict, attr: &str, test: &Test| match test {
+            Cmp(op, lit) => Pred::Cmp {
+                attr: attr.into(),
+                op: *op,
+                value: match lit {
+                    I(i) => SVal::Int(*i),
+                    S(s) => SVal::Str(d.intern(s)),
+                },
+            },
+            In(negated, lits) => Pred::InSet {
+                attr: attr.into(),
+                negated: *negated,
+                values: lits.iter().map(|s| SVal::Str(d.intern(s))).collect(),
+            },
+        };
+        // (Cypher condition, typed attribute and test, selected ids)
+        let cases: [(&str, &str, Test, &[i64]); 25] = [
+            // An unseen string: `=` is false, `<>` holds on strings only.
+            ("s.name = 'zz'", "name", Cmp(Eq, S("zz")), &[]),
+            ("s.name <> 'zz'", "name", Cmp(Ne, S("zz")), &[0, 1, 2]),
+            ("s.pid <> 'zz'", "pid", Cmp(Ne, S("zz")), &[]),
+            // A missing property satisfies no operator: node 3 has no
+            // `name`, no node has `nokey`.
+            ("s.name = 'a'", "name", Cmp(Eq, S("a")), &[2]),
+            ("s.name <> 'a'", "name", Cmp(Ne, S("a")), &[0, 1]),
+            ("s.nokey = 'a'", "nokey", Cmp(Eq, S("a")), &[]),
+            ("s.nokey <> 'a'", "nokey", Cmp(Ne, S("a")), &[]),
+            ("s.nokey < 1", "nokey", Cmp(Lt, I(1)), &[]),
+            ("s.nokey <= 1", "nokey", Cmp(Le, I(1)), &[]),
+            ("s.nokey > 1", "nokey", Cmp(Gt, I(1)), &[]),
+            ("s.nokey >= 1", "nokey", Cmp(Ge, I(1)), &[]),
+            ("s.nokey IN ['a']", "nokey", In(false, &["a"]), &[]),
+            // `Int` against `Str` is false under every operator.
+            ("s.pid = 'a'", "pid", Cmp(Eq, S("a")), &[]),
+            ("s.pid <> 'a'", "pid", Cmp(Ne, S("a")), &[]),
+            ("s.name = 10", "name", Cmp(Eq, I(10)), &[]),
+            ("s.name <> 10", "name", Cmp(Ne, I(10)), &[]),
+            ("s.name < 10", "name", Cmp(Lt, I(10)), &[]),
+            // `IN` with an unseen literal matches the literals that exist.
+            ("s.name IN ['zz', 'a']", "name", In(false, &["zz", "a"]), &[2]),
+            ("s.name IN ['zz']", "name", In(false, &["zz"]), &[]),
+            ("NOT s.name IN ['zz', 'a']", "name", In(true, &["zz", "a"]), &[0, 1, 3]),
+            // Strings order by content, not by symbol number.
+            ("s.name < 'b'", "name", Cmp(Lt, S("b")), &[2]),
+            ("s.name <= 'b'", "name", Cmp(Le, S("b")), &[1, 2]),
+            ("s.name > 'b'", "name", Cmp(Gt, S("b")), &[0]),
+            ("s.name >= 'b'", "name", Cmp(Ge, S("b")), &[0, 1]),
+            ("s.pid > 15", "pid", Cmp(Gt, I(15)), &[0, 1, 3]),
+        ];
+        for (cond, attr, test, want) in cases {
+            let g = graph();
+            let (c, b) = (g.dict().get("c").unwrap(), g.dict().get("b").unwrap());
+            assert!(c < b, "`c` interns before `b`");
+            let text = format!("MATCH (s:Process) WHERE {cond} RETURN s.id");
+            let r = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap();
+            let mut by_text: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
+            by_text.sort_unstable();
+            let filter = pred(g.dict(), attr, &test);
+            let typed = selected(&g, EntitySel::of(EntityClass::Process, Some(filter)));
+            assert_eq!(by_text, want, "text: {cond}");
+            assert_eq!(typed, want, "typed: {cond}");
         }
     }
 

@@ -5,11 +5,14 @@
 //! extend bindings along each relationship segment (fixed-length via
 //! adjacency, variable-length via bounded DFS with edge-distinctness) —
 //! applying WHERE conjuncts as soon as all their variables are bound,
-//! then project RETURN items, DISTINCT, LIMIT.
+//! then project RETURN items, DISTINCT, LIMIT. Patterns, conjuncts and
+//! RETURN items are bound once per query (`bind`), so the walk resolves
+//! no name.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
-use raptor_storage::Value;
+use raptor_common::intern::{SharedDict, Sym};
+use raptor_storage::{Posting, Value};
 
 use super::ast::*;
 use crate::graph::{prop_of, EdgeId, Graph, NodeId, PropValue};
@@ -35,8 +38,9 @@ pub struct CypherResult {
     pub stats: GraphQueryStats,
 }
 
+/// What a binding slot holds.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum BindVal {
+pub(crate) enum BindVal {
     Unbound,
     Node(NodeId),
     Edge(EdgeId),
@@ -64,162 +68,107 @@ impl VarTable {
             .copied()
             .ok_or_else(|| Error::semantic(format!("unknown variable `{name}`")))
     }
+}
 
-    /// What `name` is bound to in `binding` (unknown names are unbound).
-    fn bound(&self, binding: &[BindVal], name: &str) -> BindVal {
-        self.slots.get(name).map_or(BindVal::Unbound, |&s| binding[s])
+// --- binding: names resolve once per request, never per node, edge or row ---
+//
+// A key, label or string literal resolves through `SharedDict::get`, which
+// takes the dictionary's read lock. [`bind`] does that once per request; a
+// name no record carries yet binds to `None`, and [`eval`] reads the bound
+// form without touching the dictionary's map. Binding belongs to a request,
+// not to a compiled query: a later epoch may be the first to intern a name.
+
+/// `var.prop` bound: the variable's binding slot and the key's symbol
+/// (`None`: no record carries the key, so the property is missing).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BoundProp {
+    pub(crate) slot: usize,
+    pub(crate) key: Option<Sym>,
+}
+
+impl BoundProp {
+    fn read(self, g: &Graph, binding: &[BindVal]) -> Option<PropValue> {
+        let key = self.key?;
+        match binding[self.slot] {
+            BindVal::Node(n) => prop_of(&g.node(n).props, key),
+            BindVal::Edge(e) => prop_of(&g.edge(e).props, key),
+            BindVal::Unbound => None,
+        }
     }
 }
 
-fn lit_to_prop(g: &Graph, lit: &CLit) -> Option<PropValue> {
+/// A WHERE expression bound by [`bind`]. A string literal is the value it
+/// would be stored as, `None` when no record carries it; an `IN` list keeps
+/// only the literals some record carries.
+pub(crate) enum BoundExpr<'q> {
+    Cmp { left: BoundProp, op: COp, right: BoundRhs },
+    StrPred { left: BoundProp, kind: StrPredKind, needle: &'q str },
+    InList { left: BoundProp, list: Vec<PropValue> },
+    And(Box<BoundExpr<'q>>, Box<BoundExpr<'q>>),
+    Or(Box<BoundExpr<'q>>, Box<BoundExpr<'q>>),
+    Not(Box<BoundExpr<'q>>),
+}
+
+pub(crate) enum BoundRhs {
+    Lit(Option<PropValue>),
+    Prop(BoundProp),
+}
+
+fn bind_lit(dict: &SharedDict, lit: &CLit) -> Option<PropValue> {
     match lit {
         CLit::Int(i) => Some(PropValue::Int(*i)),
-        CLit::Str(s) => g.dict().get(s).map(PropValue::Str),
+        CLit::Str(s) => dict.get(s).map(PropValue::Str),
         CLit::Sym(s) => Some(PropValue::Str(*s)),
     }
 }
 
-/// Does `node` satisfy the pattern's label and property map?
-fn node_matches(g: &Graph, id: NodeId, pat: &NodePattern) -> bool {
-    let n = g.node(id);
-    if let Some(label) = &pat.label {
-        match g.dict().get(label) {
-            Some(sym) if n.label == sym => {}
-            _ => return false,
-        }
-    }
-    props_match(g, &n.props, &pat.props)
+fn bind_prop(dict: &SharedDict, p: &PropRef, slot: &impl Fn(&str) -> usize) -> BoundProp {
+    BoundProp { slot: slot(&p.var), key: dict.get(&p.prop) }
 }
 
-fn edge_matches(g: &Graph, id: EdgeId, pat: &RelPattern) -> bool {
-    let e = g.edge(id);
-    if let Some(label) = &pat.label {
-        match g.dict().get(label) {
-            Some(sym) if e.label == sym => {}
-            _ => return false,
-        }
-    }
-    props_match(g, &e.props, &pat.props)
-}
-
-fn props_match(
-    g: &Graph,
-    actual: &[(raptor_common::Sym, PropValue)],
-    wanted: &[(String, CLit)],
-) -> bool {
-    wanted.iter().all(|(k, lit)| {
-        let Some(key) = g.dict().get(k) else { return false };
-        let Some(want) = lit_to_prop(g, lit) else { return false };
-        prop_of(actual, key) == Some(want)
-    })
-}
-
-/// Candidate anchors for a path start: tightest available access path.
-pub(crate) fn anchor_candidates(
-    g: &Graph,
-    pat: &NodePattern,
-    extra: &[&CExpr],
-    stats: &mut GraphQueryStats,
-) -> Vec<NodeId> {
-    // 1. Indexed property-map equality.
-    if let Some(label) = &pat.label {
-        for (k, lit) in &pat.props {
-            if let Some(v) = lit_to_prop(g, lit) {
-                if let Some(ids) = g.indexed_nodes(label, k, v) {
-                    stats.nodes_scanned += ids.len();
-                    return ids.to_vec();
-                }
-            }
-        }
-        // 2. Indexed WHERE conjuncts on this variable (= / CONTAINS /
-        //    STARTS WITH / ENDS WITH / LIKE against the distinct-value
-        //    dictionary).
-        for e in extra {
-            match e {
-                CExpr::Cmp { left, op: COp::Eq, right: CmpRhs::Lit(lit) } => {
-                    if let Some(v) = lit_to_prop(g, lit) {
-                        if let Some(ids) = g.indexed_nodes(label, &left.prop, v) {
-                            stats.nodes_scanned += ids.len();
-                            return ids.to_vec();
-                        }
-                    } else {
-                        // Literal string unseen in the graph: no node matches.
-                        if g.indexed_values(label, &left.prop).is_some() {
-                            return Vec::new();
-                        }
-                    }
-                }
-                CExpr::InList { left, list } => {
-                    // `p.id IN [..]` — the scheduler's propagated filters.
-                    let mut out = Vec::new();
-                    let mut indexed = true;
-                    for lit in list {
-                        if let Some(v) = lit_to_prop(g, lit) {
-                            match g.indexed_nodes(label, &left.prop, v) {
-                                Some(ids) => out.extend_from_slice(ids),
-                                None => {
-                                    indexed = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if indexed {
-                        stats.nodes_scanned += out.len();
-                        return out;
-                    }
-                }
-                CExpr::StrPred { left, kind, needle } => {
-                    if let Some(values) = g.indexed_values(label, &left.prop) {
-                        let mut out = Vec::new();
-                        for (sym, ids) in values {
-                            if kind.holds(g.dict().resolve(sym), needle) {
-                                out.extend_from_slice(ids);
-                            }
-                        }
-                        stats.nodes_scanned += out.len();
-                        return out;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // 3. Label scan.
-        let ids = g.nodes_with_label(label);
-        stats.nodes_scanned += ids.len();
-        return ids.to_vec();
-    }
-    // 4. Full scan.
-    stats.nodes_scanned += g.node_count();
-    g.node_ids().collect()
-}
-
-fn prop_value_of(g: &Graph, bind: BindVal, prop: &str) -> Option<PropValue> {
-    match bind {
-        BindVal::Node(n) => g.node_prop(n, prop),
-        BindVal::Edge(e) => g.edge_prop(e, prop),
-        BindVal::Unbound => None,
-    }
-}
-
-/// Evaluates a WHERE expression; `bound` says what each variable holds (a
-/// variable it does not know is unbound, and nothing holds of it).
-fn eval_where(g: &Graph, e: &CExpr, bound: &impl Fn(&str) -> BindVal) -> bool {
+/// Binds `e`; `slot` gives each variable's binding slot.
+pub(crate) fn bind<'q>(
+    dict: &SharedDict,
+    e: &'q CExpr,
+    slot: &impl Fn(&str) -> usize,
+) -> BoundExpr<'q> {
+    let sub = |e: &'q CExpr| Box::new(bind(dict, e, slot));
     match e {
-        CExpr::Cmp { left, op, right } => {
-            let Some(lv) = prop_value_of(g, bound(&left.var), &left.prop) else { return false };
+        CExpr::Cmp { left, op, right } => BoundExpr::Cmp {
+            left: bind_prop(dict, left, slot),
+            op: *op,
+            right: match right {
+                CmpRhs::Lit(lit) => BoundRhs::Lit(bind_lit(dict, lit)),
+                CmpRhs::Prop(p) => BoundRhs::Prop(bind_prop(dict, p, slot)),
+            },
+        },
+        CExpr::StrPred { left, kind, needle } => {
+            BoundExpr::StrPred { left: bind_prop(dict, left, slot), kind: *kind, needle }
+        }
+        CExpr::InList { left, list } => BoundExpr::InList {
+            left: bind_prop(dict, left, slot),
+            list: list.iter().filter_map(|lit| bind_lit(dict, lit)).collect(),
+        },
+        CExpr::And(a, b) => BoundExpr::And(sub(a), sub(b)),
+        CExpr::Or(a, b) => BoundExpr::Or(sub(a), sub(b)),
+        CExpr::Not(inner) => BoundExpr::Not(sub(inner)),
+    }
+}
+
+/// Decides a bound WHERE expression under `binding` — the one evaluator
+/// behind the Cypher executor and the typed path matcher. A missing
+/// property satisfies no operator, an `Int` never compares with a `Str`,
+/// strings order by content, and a string no record carries satisfies only
+/// `<>`, and only against a string.
+pub(crate) fn eval(g: &Graph, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
+    match e {
+        BoundExpr::Cmp { left, op, right } => {
+            let Some(lv) = left.read(g, binding) else { return false };
             let rv = match right {
-                CmpRhs::Lit(lit) => match lit {
-                    CLit::Int(i) => PropValue::Int(*i),
-                    CLit::Str(s) => match g.dict().get(s) {
-                        Some(sym) => PropValue::Str(sym),
-                        // Unseen string: only `<>` holds, and only for strings.
-                        None => return matches!(op, COp::Ne) && matches!(lv, PropValue::Str(_)),
-                    },
-                    CLit::Sym(s) => PropValue::Str(*s),
-                },
-                CmpRhs::Prop(p) => {
-                    let Some(v) = prop_value_of(g, bound(&p.var), &p.prop) else { return false };
+                BoundRhs::Lit(Some(v)) => *v,
+                BoundRhs::Lit(None) => return *op == COp::Ne && matches!(lv, PropValue::Str(_)),
+                BoundRhs::Prop(p) => {
+                    let Some(v) = p.read(g, binding) else { return false };
                     v
                 }
             };
@@ -244,38 +193,137 @@ fn eval_where(g: &Graph, e: &CExpr, bound: &impl Fn(&str) -> BindVal) -> bool {
                 COp::Ge => ord != Less,
             }
         }
-        CExpr::StrPred { left, kind, needle } => {
-            let Some(PropValue::Str(sym)) = prop_value_of(g, bound(&left.var), &left.prop) else {
-                return false;
-            };
+        BoundExpr::StrPred { left, kind, needle } => {
+            let Some(PropValue::Str(sym)) = left.read(g, binding) else { return false };
             kind.holds(g.dict().resolve(sym), needle)
         }
-        CExpr::InList { left, list } => {
-            let Some(v) = prop_value_of(g, bound(&left.var), &left.prop) else { return false };
-            list.iter().any(|lit| lit_to_prop(g, lit) == Some(v))
+        BoundExpr::InList { left, list } => {
+            left.read(g, binding).is_some_and(|v| list.contains(&v))
         }
-        CExpr::And(a, b) => eval_where(g, a, bound) && eval_where(g, b, bound),
-        CExpr::Or(a, b) => eval_where(g, a, bound) || eval_where(g, b, bound),
-        CExpr::Not(inner) => !eval_where(g, inner, bound),
+        BoundExpr::And(a, b) => eval(g, a, binding) && eval(g, b, binding),
+        BoundExpr::Or(a, b) => eval(g, a, binding) || eval(g, b, binding),
+        BoundExpr::Not(inner) => !eval(g, inner, binding),
     }
 }
 
-/// Evaluates a WHERE-style expression against a single bound node. This is
-/// the typed path matcher's hook for reusing the executor's predicate
-/// semantics (string comparisons resolve through the dictionary, unseen
-/// literals only satisfy `<>`, …) outside a full MATCH: `var` is the sole
-/// variable the expression may reference.
-pub(crate) fn eval_single_node(g: &Graph, e: &CExpr, var: &str, node: NodeId) -> bool {
-    eval_where(g, e, &|v| if v == var { BindVal::Node(node) } else { BindVal::Unbound })
+/// A node or relationship pattern's label and property map, bound. The
+/// inner `None`s are names or strings no record carries.
+pub(crate) struct BoundShape {
+    label: Option<Option<Sym>>,
+    props: Vec<(Option<Sym>, Option<PropValue>)>,
 }
 
-/// Edge flavour of [`eval_single_node`].
-pub(crate) fn eval_single_edge(g: &Graph, e: &CExpr, var: &str, edge: EdgeId) -> bool {
-    eval_where(g, e, &|v| if v == var { BindVal::Edge(edge) } else { BindVal::Unbound })
+impl BoundShape {
+    pub(crate) fn of_label(label: Option<Sym>) -> BoundShape {
+        BoundShape { label: Some(label), props: Vec::new() }
+    }
+
+    fn bind(dict: &SharedDict, label: &Option<String>, props: &[(String, CLit)]) -> BoundShape {
+        BoundShape {
+            label: label.as_deref().map(|l| dict.get(l)),
+            props: props.iter().map(|(k, lit)| (dict.get(k), bind_lit(dict, lit))).collect(),
+        }
+    }
+
+    /// Does a record with `label` and `props` fit the pattern?
+    fn holds(&self, label: Sym, props: &[(Sym, PropValue)]) -> bool {
+        self.label.is_none_or(|l| l == Some(label))
+            && self.props.iter().all(|&kv| match kv {
+                (Some(k), Some(v)) => prop_of(props, k) == Some(v),
+                _ => false,
+            })
+    }
+
+    fn node(&self, g: &Graph, n: NodeId) -> bool {
+        let n = g.node(n);
+        self.holds(n.label, &n.props)
+    }
+
+    fn edge(&self, g: &Graph, e: EdgeId) -> bool {
+        let e = g.edge(e);
+        self.holds(e.label, &e.props)
+    }
+}
+
+/// Candidate anchors for a path start: tightest available access path.
+pub(crate) fn anchor_candidates(
+    g: &Graph,
+    pat: &BoundShape,
+    extra: &[&BoundExpr<'_>],
+    stats: &mut GraphQueryStats,
+) -> Vec<NodeId> {
+    let Some(label) = pat.label else {
+        // 4. Full scan.
+        stats.nodes_scanned += g.node_count();
+        return g.node_ids().collect();
+    };
+    // A label no record carries: no node has it.
+    let Some(label) = label else { return Vec::new() };
+    let index = |key: Option<Sym>| g.value_index(label, key?);
+    fn postings(ix: &FxHashMap<PropValue, Posting<NodeId>>, v: PropValue) -> &[NodeId] {
+        ix.get(&v).map_or(&[], Posting::as_slice)
+    }
+    // 1. Indexed property-map equality.
+    for &(k, v) in &pat.props {
+        if let (Some(ix), Some(v)) = (index(k), v) {
+            let ids = postings(ix, v);
+            stats.nodes_scanned += ids.len();
+            return ids.to_vec();
+        }
+    }
+    // 2. Indexed WHERE conjuncts on this variable (= / CONTAINS /
+    //    STARTS WITH / ENDS WITH / LIKE against the distinct-value
+    //    dictionary).
+    for e in extra {
+        match e {
+            BoundExpr::Cmp { left, op: COp::Eq, right: BoundRhs::Lit(v) } => {
+                if let Some(ix) = index(left.key) {
+                    // A literal string unseen in the graph: no node matches.
+                    let ids = v.map_or(&[][..], |v| postings(ix, v));
+                    stats.nodes_scanned += ids.len();
+                    return ids.to_vec();
+                }
+            }
+            BoundExpr::InList { left, list } => {
+                // `p.id IN [..]` — the scheduler's propagated filters.
+                match index(left.key) {
+                    Some(ix) => {
+                        let out: Vec<NodeId> =
+                            list.iter().flat_map(|&v| postings(ix, v)).copied().collect();
+                        stats.nodes_scanned += out.len();
+                        return out;
+                    }
+                    // No literal some record carries: nothing matches.
+                    None if list.is_empty() => return Vec::new(),
+                    None => {}
+                }
+            }
+            BoundExpr::StrPred { left, kind, needle } => {
+                if let Some(ix) = index(left.key) {
+                    let mut out = Vec::new();
+                    for (v, ids) in ix {
+                        if let PropValue::Str(sym) = v {
+                            if kind.holds(g.dict().resolve(*sym), needle) {
+                                out.extend_from_slice(ids.as_slice());
+                            }
+                        }
+                    }
+                    stats.nodes_scanned += out.len();
+                    return out;
+                }
+            }
+            _ => {}
+        }
+    }
+    // 3. Label scan.
+    let ids = g.nodes_with_label(label);
+    stats.nodes_scanned += ids.len();
+    ids.to_vec()
 }
 
 /// Runs a parsed query.
 pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult> {
+    let dict = g.dict();
     let mut stats = GraphQueryStats::default();
     let mut vars = VarTable { slots: FxHashMap::default(), count: 0 };
 
@@ -308,6 +356,13 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
             vars.lookup(v)?; // fail fast on unknown vars
         }
     }
+    for item in &q.return_items {
+        vars.lookup(&item.prop.var)?;
+    }
+    let slot = |v: &str| vars.slots[v];
+    let bound: Vec<BoundExpr<'_>> = conjuncts.iter().map(|c| bind(dict, c, &slot)).collect();
+    let returned: Vec<BoundProp> =
+        q.return_items.iter().map(|item| bind_prop(dict, &item.prop, &slot)).collect();
     let mut applied = vec![false; conjuncts.len()];
     let mut bound_names: Vec<String> = Vec::new();
 
@@ -315,6 +370,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
 
     for path in &q.paths {
         // --- anchor ---
+        let start = BoundShape::bind(dict, &path.start.label, &path.start.props);
         let start_slot = path.start.var.as_ref().map(|v| vars.slots[v.as_str()]);
         let already_bound = start_slot
             .map(|s| bindings.first().is_some_and(|b| b[s] != BindVal::Unbound))
@@ -323,15 +379,16 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
             // Filter existing bindings by the start pattern.
             let slot = start_slot.unwrap();
             bindings.retain(|b| match b[slot] {
-                BindVal::Node(n) => node_matches(g, n, &path.start),
+                BindVal::Node(n) => start.node(g, n),
                 _ => false,
             });
         } else {
             // Anchor with WHERE conjuncts that reference only this new var.
             let var_name = path.start.var.clone();
-            let extra: Vec<&CExpr> = conjuncts
+            let extra: Vec<&BoundExpr<'_>> = conjuncts
                 .iter()
-                .filter(|c| {
+                .zip(&bound)
+                .filter(|(c, _)| {
                     if let Some(v) = &var_name {
                         let cv = c.vars();
                         cv.len() == 1 && cv[0] == v
@@ -339,9 +396,10 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
                         false
                     }
                 })
+                .map(|(_, b)| b)
                 .collect();
-            let mut candidates = anchor_candidates(g, &path.start, &extra, &mut stats);
-            candidates.retain(|&n| node_matches(g, n, &path.start));
+            let mut candidates = anchor_candidates(g, &start, &extra, &mut stats);
+            candidates.retain(|&n| start.node(g, n));
             let mut next = Vec::with_capacity(bindings.len() * candidates.len().max(1));
             for b in &bindings {
                 for &n in &candidates {
@@ -362,7 +420,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
                 bindings.push(nb);
                 cursors.push(n);
             }
-            extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats)?;
+            extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats);
             if let Some(v) = &path.start.var {
                 if !bound_names.contains(v) {
                     bound_names.push(v.clone());
@@ -375,7 +433,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
                     }
                 }
             }
-            apply_ready_conjuncts(g, &conjuncts, &mut applied, &bound_names, &mut bindings, &vars);
+            apply_ready_conjuncts(g, &conjuncts, &bound, &mut applied, &bound_names, &mut bindings);
             stats.bindings_built += bindings.len();
             continue;
         }
@@ -388,7 +446,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
                 _ => unreachable!("retained above"),
             })
             .collect();
-        extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats)?;
+        extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats);
         for (rel, node) in &path.segments {
             for v in [&rel.var, &node.var].into_iter().flatten() {
                 if !bound_names.contains(v) {
@@ -396,7 +454,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
                 }
             }
         }
-        apply_ready_conjuncts(g, &conjuncts, &mut applied, &bound_names, &mut bindings, &vars);
+        apply_ready_conjuncts(g, &conjuncts, &bound, &mut applied, &bound_names, &mut bindings);
         stats.bindings_built += bindings.len();
     }
 
@@ -410,23 +468,11 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
     }
 
     // --- projection ---
-    let mut columns = Vec::new();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(bindings.len());
-    for item in &q.return_items {
-        columns.push(item.prop.to_string());
-        vars.lookup(&item.prop.var)?;
-    }
-    for b in &bindings {
-        let row: Vec<Value> = q
-            .return_items
-            .iter()
-            .map(|item| {
-                let slot = vars.slots[item.prop.var.as_str()];
-                prop_value_of(g, b[slot], &item.prop.prop).map_or(Value::Null, Value::from)
-            })
-            .collect();
-        rows.push(row);
-    }
+    let columns = q.return_items.iter().map(|item| item.prop.to_string()).collect();
+    let mut rows: Vec<Vec<Value>> = bindings
+        .iter()
+        .map(|b| returned.iter().map(|p| p.read(g, b).map_or(Value::Null, Value::from)).collect())
+        .collect();
     if q.distinct {
         let mut seen: raptor_common::FxHashSet<Vec<Value>> = Default::default();
         rows.retain(|r| seen.insert(r.clone()));
@@ -437,39 +483,57 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
     Ok(CypherResult { columns, rows, stats })
 }
 
+/// A relationship segment and its target node, bound.
+struct Segment {
+    range: LengthRange,
+    rel: BoundShape,
+    node: BoundShape,
+    rel_slot: Option<usize>,
+    node_slot: Option<usize>,
+}
+
+impl Segment {
+    /// May `dst` end this segment under `binding`? If the target variable
+    /// is already bound, it must be the same node.
+    fn target_ok(&self, g: &Graph, binding: &[BindVal], dst: NodeId) -> bool {
+        self.node.node(g, dst)
+            && self.node_slot.is_none_or(|s| match binding[s] {
+                BindVal::Node(existing) => existing == dst,
+                BindVal::Edge(_) => false,
+                BindVal::Unbound => true,
+            })
+    }
+}
+
 /// Extends one binding along one relationship segment, appending every
 /// extension to `out_bindings`/`out_cursors` (in the deterministic
 /// traversal order) and counting traversed edges into `edges`.
-#[allow(clippy::too_many_arguments)]
 fn extend_one(
     g: &Graph,
-    rel: &RelPattern,
-    node: &NodePattern,
-    rel_slot: Option<usize>,
-    node_slot: Option<usize>,
+    seg: &Segment,
     max_hops: u32,
     b: &[BindVal],
     cur: NodeId,
-    out_bindings: &mut Vec<Vec<BindVal>>,
-    out_cursors: &mut Vec<NodeId>,
+    out: (&mut Vec<Vec<BindVal>>, &mut Vec<NodeId>),
     edges: &mut usize,
 ) {
-    match rel.range {
+    let (out_bindings, out_cursors) = out;
+    match seg.range {
         None => {
             for &eid in g.out_edges(cur) {
                 *edges += 1;
-                if !edge_matches(g, eid, rel) {
+                if !seg.rel.edge(g, eid) {
                     continue;
                 }
                 let dst = g.edge(eid).dst;
-                if !target_ok(g, b, node_slot, dst, node) {
+                if !seg.target_ok(g, b, dst) {
                     continue;
                 }
                 let mut nb = b.to_vec();
-                if let Some(s) = rel_slot {
+                if let Some(s) = seg.rel_slot {
                     nb[s] = BindVal::Edge(eid);
                 }
-                if let Some(s) = node_slot {
+                if let Some(s) = seg.node_slot {
                     nb[s] = BindVal::Node(dst);
                 }
                 out_bindings.push(nb);
@@ -479,11 +543,11 @@ fn extend_one(
         Some((min, max)) => {
             let min = min.unwrap_or(1);
             let max = max.unwrap_or(max_hops).min(max_hops);
-            let edge_ok = |eid| edge_matches(g, eid, rel);
+            let edge_ok = |eid| seg.rel.edge(g, eid);
             edge_distinct_walks(g, cur, min, max, edge_ok, edges, |n| {
-                if target_ok(g, b, node_slot, n, node) {
+                if seg.target_ok(g, b, n) {
                     let mut nb = b.to_vec();
-                    if let Some(s) = node_slot {
+                    if let Some(s) = seg.node_slot {
                         nb[s] = BindVal::Node(n);
                     }
                     out_bindings.push(nb);
@@ -531,7 +595,7 @@ pub(crate) fn edge_distinct_walks(
 
 /// Extends `bindings` (with per-binding `cursors` at the current path
 /// position) along every segment of `path`: one adjacency walk or bounded
-/// DFS per binding, in binding order.
+/// DFS per binding, in binding order. Each segment is bound once.
 fn extend_path(
     g: &Graph,
     path: &PathPattern,
@@ -540,69 +604,40 @@ fn extend_path(
     vars: &VarTable,
     max_hops: u32,
     stats: &mut GraphQueryStats,
-) -> Result<()> {
+) {
     for (rel, node) in &path.segments {
-        let rel_slot = rel.var.as_ref().map(|v| vars.slots[v.as_str()]);
-        let node_slot = node.var.as_ref().map(|v| vars.slots[v.as_str()]);
+        let seg = Segment {
+            range: rel.range,
+            rel: BoundShape::bind(g.dict(), &rel.label, &rel.props),
+            node: BoundShape::bind(g.dict(), &node.label, &node.props),
+            rel_slot: rel.var.as_ref().map(|v| vars.slots[v.as_str()]),
+            node_slot: node.var.as_ref().map(|v| vars.slots[v.as_str()]),
+        };
         let mut next_bindings = Vec::new();
         let mut next_cursors = Vec::new();
         for (b, &cur) in bindings.iter().zip(&cursors) {
-            extend_one(
-                g,
-                rel,
-                node,
-                rel_slot,
-                node_slot,
-                max_hops,
-                b,
-                cur,
-                &mut next_bindings,
-                &mut next_cursors,
-                &mut stats.edges_traversed,
-            );
+            let out = (&mut next_bindings, &mut next_cursors);
+            extend_one(g, &seg, max_hops, b, cur, out, &mut stats.edges_traversed);
         }
         *bindings = next_bindings;
         cursors = next_cursors;
     }
-    Ok(())
-}
-
-fn target_ok(
-    g: &Graph,
-    binding: &[BindVal],
-    node_slot: Option<usize>,
-    dst: NodeId,
-    pat: &NodePattern,
-) -> bool {
-    if !node_matches(g, dst, pat) {
-        return false;
-    }
-    // If the target variable is already bound, it must be the same node.
-    if let Some(s) = node_slot {
-        if let BindVal::Node(existing) = binding[s] {
-            return existing == dst;
-        }
-        if let BindVal::Edge(_) = binding[s] {
-            return false;
-        }
-    }
-    true
 }
 
 fn apply_ready_conjuncts(
     g: &Graph,
     conjuncts: &[CExpr],
+    bound: &[BoundExpr<'_>],
     applied: &mut [bool],
-    bound: &[String],
+    bound_names: &[String],
     bindings: &mut Vec<Vec<BindVal>>,
-    vars: &VarTable,
 ) {
     for (i, c) in conjuncts.iter().enumerate() {
         if applied[i] {
             continue;
         }
-        if c.vars().iter().all(|v| bound.iter().any(|b| b == v)) {
-            bindings.retain(|b| eval_where(g, c, &|v| vars.bound(b, v)));
+        if c.vars().iter().all(|v| bound_names.iter().any(|b| b == v)) {
+            bindings.retain(|b| eval(g, &bound[i], b));
             applied[i] = true;
         }
     }

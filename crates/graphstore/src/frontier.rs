@@ -173,21 +173,33 @@ impl PathFrontier {
 
     /// Restores state written by [`PathFrontier::encode`] into a freshly
     /// built frontier for the same compiled query. Corrupt input yields a
-    /// typed error, never a panic.
+    /// typed error, never a panic: every node it names is below its own
+    /// node mark, and every distance is from one of its anchors.
     pub fn decode(&mut self, cur: &mut io::Cur<'_>) -> Result<()> {
         let node_mark = cur.get_u64()? as usize;
         let edge_mark = cur.get_u64()? as usize;
+        let node = |n: u32| match (n as usize) < node_mark {
+            true => Ok(n),
+            false => Err(Error::storage(format!(
+                "frontier node {n} at or past its node mark {node_mark} (corrupt state)"
+            ))),
+        };
         let mut anchors = FxHashSet::default();
         for _ in 0..cur.get_len()? {
-            anchors.insert(cur.get_u32()?);
+            anchors.insert(node(cur.get_u32()?)?);
         }
         let mut dist: FxHashMap<u32, FxHashMap<u32, u32>> = FxHashMap::default();
         for _ in 0..cur.get_len()? {
-            let n = cur.get_u32()?;
+            let n = node(cur.get_u32()?)?;
             let mut m = FxHashMap::default();
             for _ in 0..cur.get_len()? {
                 let a = cur.get_u32()?;
                 let d = cur.get_u32()?;
+                if !anchors.contains(&a) {
+                    return Err(Error::storage(format!(
+                        "frontier distance from {a}, which is not an anchor (corrupt state)"
+                    )));
+                }
                 if d == 0 || d > self.spec.hi {
                     return Err(Error::storage(format!(
                         "frontier distance {d} outside 1..={} (corrupt state)",
@@ -408,6 +420,66 @@ mod tests {
         ev(&mut g, 2, p1, fb, "read");
         assert!(f.advance(&g).is_empty());
         assert_eq!(batch_pairs(&g, &q).len(), 2);
+    }
+
+    /// Binding happens per advance, not at compile: a frontier built while
+    /// no record carries `EVENT` or `optype` still sees them once edges
+    /// intern them.
+    #[test]
+    fn names_interned_after_compile_are_bound_at_advance() {
+        let mut g = Graph::new();
+        let dict = g.dict().clone();
+        let q = req(1, Some(3), Some("write"), &dict);
+        let mut f = PathFrontier::new(&q, &dict).unwrap().unwrap();
+        let p0 = proc(&mut g, 0, "/bin/tar");
+        let p1 = proc(&mut g, 1, "/bin/sh");
+        let fa = file(&mut g, 2, "/tmp/a");
+        assert_eq!((dict.get("EVENT"), dict.get("optype")), (None, None));
+        assert!(f.advance(&g).is_empty());
+
+        ev(&mut g, 0, p0, p1, "fork");
+        ev(&mut g, 1, p1, fa, "write");
+        let pairs = f.advance(&g);
+        assert_eq!(pairs, vec![(0, 2), (1, 2)]);
+        assert_eq!(pairs, batch_pairs(&g, &q));
+    }
+
+    /// Forged state naming nodes past its own node mark, or distances from
+    /// a node that is not an anchor, is refused at decode — it used to
+    /// decode and then panic on the first advance.
+    #[test]
+    fn forged_state_is_a_typed_error() {
+        use raptor_common::error::ErrorKind;
+        let dict = SharedDict::new();
+        let q = req(1, Some(3), None, &dict);
+        // The distance map as (node, [(anchor, distance)]).
+        type Dist = &'static [(u32, &'static [(u32, u32)])];
+        // (anchors, distance map), node mark 2.
+        let forged: [(&[u32], Dist); 4] = [
+            (&[999], &[(0, &[(999, 1)])]),
+            (&[2], &[]),
+            (&[0], &[(5, &[(0, 1)])]),
+            (&[0], &[(1, &[(1, 1)])]),
+        ];
+        for (anchors, dist) in forged {
+            let mut buf = Vec::new();
+            io::put_u64(&mut buf, 2);
+            io::put_u64(&mut buf, 0);
+            io::put_u64(&mut buf, anchors.len() as u64);
+            anchors.iter().for_each(|&a| io::put_u32(&mut buf, a));
+            io::put_u64(&mut buf, dist.len() as u64);
+            for &(n, entries) in dist {
+                io::put_u32(&mut buf, n);
+                io::put_u64(&mut buf, entries.len() as u64);
+                for &(a, d) in entries {
+                    io::put_u32(&mut buf, a);
+                    io::put_u32(&mut buf, d);
+                }
+            }
+            let mut f = PathFrontier::new(&q, &dict).unwrap().unwrap();
+            let err = f.decode(&mut io::Cur::new(&buf)).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Storage, "{anchors:?} {dist:?}: {err}");
+        }
     }
 
     /// Shapes outside the equivalence envelope are refused.

@@ -136,12 +136,8 @@ impl Graph {
     }
 
     /// All nodes with a label.
-    pub fn nodes_with_label(&self, label: &str) -> &[NodeId] {
-        self.dict
-            .get(label)
-            .and_then(|sym| self.label_nodes.get(&sym))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
+        self.label_nodes.get(&label).map_or(&[], Vec::as_slice)
     }
 
     /// Iterates node ids.
@@ -277,34 +273,33 @@ impl Graph {
         self.shapes.clear();
     }
 
-    fn index_of(&self, label: &str, key: &str) -> Option<&FxHashMap<PropValue, Posting<NodeId>>> {
-        self.value_index.get(&(self.dict.get(label)?, self.dict.get(key)?))
+    /// The value index of `(label, key)`, if one exists: value → node ids.
+    /// Its key set is the distinct-value dictionary `CONTAINS` scans.
+    pub(crate) fn value_index(
+        &self,
+        label: Sym,
+        key: Sym,
+    ) -> Option<&FxHashMap<PropValue, Posting<NodeId>>> {
+        self.value_index.get(&(label, key))
     }
 
-    /// Point lookup through the value index, if one exists.
+    /// Point lookup through the value index, if one exists. Resolves both
+    /// names through the dictionary, like [`Graph::node_prop`].
     pub fn indexed_nodes(&self, label: &str, key: &str, value: PropValue) -> Option<&[NodeId]> {
-        Some(self.index_of(label, key)?.get(&value).map_or(&[], Posting::as_slice))
+        let ix = self.value_index(self.dict.get(label)?, self.dict.get(key)?)?;
+        Some(ix.get(&value).map_or(&[], Posting::as_slice))
     }
 
-    /// Distinct string values of an indexed (label, key), for CONTAINS scans.
-    pub fn indexed_values(&self, label: &str, key: &str) -> Option<Vec<(Sym, &[NodeId])>> {
-        let ix = self.index_of(label, key)?;
-        let mut out = Vec::with_capacity(ix.len());
-        for (v, ids) in ix {
-            if let PropValue::Str(s) = v {
-                out.push((*s, ids.as_slice()));
-            }
-        }
-        Some(out)
-    }
-
-    /// Property of a node by key name.
+    /// Property of a node by key name. The name resolves through the
+    /// dictionary, which takes its read lock: for tests and one-off reads.
+    /// A walk binds its keys once per request instead (`cypher::exec::bind`).
     pub fn node_prop(&self, id: NodeId, key: &str) -> Option<PropValue> {
         let key = self.dict.get(key)?;
         prop_of(&self.nodes[id.0 as usize].props, key)
     }
 
-    /// Property of an edge by key name.
+    /// Property of an edge by key name; like [`Graph::node_prop`], for tests
+    /// and one-off reads.
     pub fn edge_prop(&self, id: EdgeId, key: &str) -> Option<PropValue> {
         let key = self.dict.get(key)?;
         prop_of(&self.edges[id.0 as usize].props, key)
@@ -358,9 +353,10 @@ mod tests {
     #[test]
     fn labels_partition_nodes() {
         let (g, p, ..) = tiny();
-        assert_eq!(g.nodes_with_label("Process"), &[p]);
-        assert_eq!(g.nodes_with_label("File").len(), 2);
-        assert!(g.nodes_with_label("NetConn").is_empty());
+        let label = |l| g.dict().get(l).unwrap();
+        assert_eq!(g.nodes_with_label(label("Process")), &[p]);
+        assert_eq!(g.nodes_with_label(label("File")).len(), 2);
+        assert!(g.nodes_with_label(label("EVENT")).is_empty());
     }
 
     #[test]
@@ -383,8 +379,8 @@ mod tests {
         let other = PropValue::Int(42);
         assert_eq!(g.indexed_nodes("Process", "exename", other).unwrap(), &[] as &[NodeId]);
         // Distinct values enumerable.
-        let vals = g.indexed_values("Process", "exename").unwrap();
-        assert_eq!(vals.len(), 1);
+        let sym = |s| g.dict().get(s).unwrap();
+        assert_eq!(g.value_index(sym("Process"), sym("exename")).unwrap().len(), 1);
         // No index ⇒ None.
         assert!(g.indexed_nodes("File", "name", other).is_none());
     }
