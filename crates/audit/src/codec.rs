@@ -24,6 +24,8 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// Reads a length-prefixed string: validated in place, then copied once
+/// into the `String` the record owns.
 fn get_str(buf: &mut Bytes) -> Result<String> {
     if buf.remaining() < 4 {
         return Err(Error::audit("truncated string length"));
@@ -32,8 +34,11 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
     if len > MAX_STR || buf.remaining() < len {
         return Err(Error::audit("truncated or oversized string"));
     }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| Error::audit("invalid utf-8 in record"))
+    let s = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|_| Error::audit("invalid utf-8 in record"))?
+        .to_owned();
+    buf.advance(len);
+    Ok(s)
 }
 
 fn call_tag(call: Syscall) -> u8 {
@@ -174,13 +179,24 @@ pub fn encode_batch(records: &[SyscallRecord]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a batch produced by [`encode_batch`].
+/// The fewest bytes an encoded record takes: the fixed header, three empty
+/// strings, the call tag and the return value (`exit` has no arguments).
+const MIN_RECORD: usize = 8 + 8 + 2 + 4 + 3 * 4 + 1 + 8;
+
+/// Decodes a batch produced by [`encode_batch`]. A count the bytes cannot
+/// hold is an error before anything is reserved for it.
 pub fn decode_batch(mut bytes: Bytes) -> Result<Vec<SyscallRecord>> {
     if bytes.remaining() < 8 {
         return Err(Error::audit("truncated batch header"));
     }
-    let n = bytes.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let n = bytes.get_u64_le();
+    if n > (bytes.remaining() / MIN_RECORD) as u64 {
+        return Err(Error::audit(format!(
+            "batch claims {n} records in {} bytes",
+            bytes.remaining()
+        )));
+    }
+    let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         out.push(decode_record(&mut bytes)?);
     }
@@ -300,6 +316,30 @@ mod tests {
         raw[tag_pos] = 250;
         let res = decode_record(&mut Bytes::from(raw));
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn forged_count_is_an_error_not_a_reservation() {
+        let mut buf = BytesMut::new();
+        buf.put_u64_le(u64::MAX);
+        encode_record(&sample_records()[8], &mut buf);
+        let err = decode_batch(buf.freeze()).unwrap_err();
+        assert!(err.to_string().contains("claims"), "{err}");
+        // One record more than the bytes hold is refused too.
+        let mut one_short = encode_batch(&sample_records()).to_vec();
+        one_short[..8].copy_from_slice(&10u64.to_le_bytes());
+        assert!(decode_batch(Bytes::from(one_short)).is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error() {
+        let mut buf = BytesMut::new();
+        encode_record(&sample_records()[8], &mut buf);
+        let mut raw = buf.to_vec();
+        // The first string (exe) starts after the fixed header and its length.
+        raw[8 + 8 + 2 + 4 + 4] = 0xFF;
+        let err = decode_record(&mut Bytes::from(raw)).unwrap_err();
+        assert!(err.to_string().contains("utf-8"), "{err}");
     }
 
     #[test]

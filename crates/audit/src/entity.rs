@@ -92,19 +92,19 @@ impl EntityAttrs {
         }
     }
 
-    /// The paper's unique-identifier string for this entity.
-    pub fn identity_key(&self, host: u16) -> String {
+    /// The paper's unique identifier of this entity on `host`.
+    pub fn identity(&self, host: u16) -> Identity<'_> {
         match self {
-            EntityAttrs::File(f) => format!("F|{host}|{}", f.name),
-            EntityAttrs::Process(p) => format!("P|{host}|{}|{}", p.exename, p.pid),
-            EntityAttrs::NetConn(n) => format!(
-                "N|{host}|{}|{}|{}|{}|{}",
-                n.src_ip,
-                n.src_port,
-                n.dst_ip,
-                n.dst_port,
-                n.protocol.name()
-            ),
+            EntityAttrs::File(f) => Identity::File { host, name: &f.name },
+            EntityAttrs::Process(p) => Identity::Process { host, exename: &p.exename, pid: p.pid },
+            EntityAttrs::NetConn(n) => Identity::NetConn {
+                host,
+                src_ip: &n.src_ip,
+                src_port: n.src_port,
+                dst_ip: &n.dst_ip,
+                dst_port: n.dst_port,
+                protocol: n.protocol,
+            },
         }
     }
 
@@ -148,6 +148,38 @@ impl EntityAttrs {
     }
 }
 
+/// What tells two entities apart (Section III-A), borrowed from wherever
+/// the parts live: a parsed entity's attributes or a raw record. The parser
+/// probes with it before it builds any attribute.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Identity<'a> {
+    /// A file: its absolute path.
+    File { host: u16, name: &'a str },
+    /// A process: its executable name and PID.
+    Process { host: u16, exename: &'a str, pid: u32 },
+    /// A network connection: its 5-tuple.
+    NetConn {
+        host: u16,
+        src_ip: &'a str,
+        src_port: u16,
+        dst_ip: &'a str,
+        dst_port: u16,
+        protocol: Protocol,
+    },
+}
+
+impl Identity<'_> {
+    /// The monitored host the entity lives on: the same path on two hosts
+    /// is two files.
+    pub fn host(&self) -> u16 {
+        match *self {
+            Identity::File { host, .. }
+            | Identity::Process { host, .. }
+            | Identity::NetConn { host, .. } => host,
+        }
+    }
+}
+
 /// A parsed system entity.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Entity {
@@ -160,6 +192,11 @@ pub struct Entity {
 impl Entity {
     pub fn kind(&self) -> EntityKind {
         self.attrs.kind()
+    }
+
+    /// What tells this entity apart from every other (Section III-A).
+    pub fn identity(&self) -> Identity<'_> {
+        self.attrs.identity(self.host)
     }
 }
 
@@ -203,12 +240,22 @@ mod tests {
             cmd: "tar cf y".into(),
         });
         // Same exe, different PID ⇒ different process entities.
-        assert_ne!(tar1.identity_key(0), tar2.identity_key(0));
+        assert_ne!(tar1.identity(0), tar2.identity(0));
         // Same process on different hosts ⇒ different entities.
-        assert_ne!(tar1.identity_key(0), tar1.identity_key(1));
+        assert_ne!(tar1.identity(0), tar1.identity(1));
+        assert_eq!(tar1.identity(1).host(), 1);
+        // The command line is an attribute, not part of the identity.
+        let EntityAttrs::Process(mut p) = tar1.clone() else { unreachable!() };
+        p.cmd = "tar xf z".into();
+        assert_eq!(EntityAttrs::Process(p).identity(0), tar1.identity(0));
         // Files keyed by absolute path only.
-        assert_eq!(file("/etc/passwd").identity_key(0), file("/etc/passwd").identity_key(0));
-        assert_ne!(file("/etc/passwd").identity_key(0), file("/etc/shadow").identity_key(0));
+        assert_eq!(file("/etc/passwd").identity(0), file("/etc/passwd").identity(0));
+        assert_ne!(file("/etc/passwd").identity(0), file("/etc/shadow").identity(0));
+        let mut other_owner = file("/etc/passwd");
+        if let EntityAttrs::File(f) = &mut other_owner {
+            f.user = "alice".into();
+        }
+        assert_eq!(other_owner.identity(0), file("/etc/passwd").identity(0));
     }
 
     #[test]
@@ -222,8 +269,11 @@ mod tests {
                 protocol: Protocol::Tcp,
             })
         };
-        assert_ne!(mk(80).identity_key(0), mk(443).identity_key(0));
-        assert_eq!(mk(80).identity_key(0), mk(80).identity_key(0));
+        assert_ne!(mk(80).identity(0), mk(443).identity(0));
+        assert_eq!(mk(80).identity(0), mk(80).identity(0));
+        let EntityAttrs::NetConn(mut udp) = mk(80) else { unreachable!() };
+        udp.protocol = Protocol::Udp;
+        assert_ne!(EntityAttrs::NetConn(udp).identity(0), mk(80).identity(0));
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub mod reduce;
 pub mod sim;
 pub mod syscall;
 
-pub use entity::{Entity, EntityAttrs, EntityKind, FileAttrs, NetConnAttrs, ProcessAttrs};
+pub use entity::{
+    Entity, EntityAttrs, EntityKind, FileAttrs, Identity, NetConnAttrs, ProcessAttrs,
+};
 pub use event::{EventKind, Operation, SystemEvent};
 pub use parser::{LogParser, ParsedLog};
 pub use reduce::{merge_events, ReductionStats};

@@ -11,23 +11,37 @@
 //!   connection they designate, so a `read(fd)` can be attributed to the
 //!   right object entity and categorized as a file or network event.
 //!
-//! Entities are deduplicated through their identity keys (Section III-A), so
+//! Entities are deduplicated through their identities (Section III-A), so
 //! re-opening `/etc/passwd` ten times yields one file entity and ten events.
+//! The identity is probed with parts borrowed from the record before any
+//! attribute is built: a record that names only known entities allocates
+//! nothing but its event.
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::ids::{EntityId, EventId};
 
-use crate::entity::{parent_dir, Entity, EntityAttrs, FileAttrs, NetConnAttrs, ProcessAttrs};
+use crate::entity::{
+    parent_dir, Entity, EntityAttrs, FileAttrs, Identity, NetConnAttrs, ProcessAttrs,
+};
 use crate::event::{EventKind, Operation, SystemEvent};
-use crate::syscall::{Syscall, SyscallArgs, SyscallRecord};
+use crate::syscall::{Protocol, Syscall, SyscallArgs, SyscallRecord};
 
 /// The output of parsing: deduplicated entities plus the event sequence.
 #[derive(Debug, Default)]
 pub struct ParsedLog {
     pub entities: Vec<Entity>,
     pub events: Vec<SystemEvent>,
-    /// identity key → entity id (kept so parsing can resume incrementally).
-    key_to_id: FxHashMap<String, EntityId>,
+    /// Identity hash → entity id, so parsing can resume incrementally. The
+    /// strings stay in `entities`: two identities whose hashes collide take
+    /// successive slots (`hash + 1`, `hash + 2`, …), and a probe walks them
+    /// until an entity with its identity or an empty slot.
+    by_identity: FxHashMap<u64, EntityId>,
+    /// Keyed per log: identities come from outside the program, so records
+    /// crafted to collide must not be able to lengthen every probe.
+    hasher: RandomState,
 }
 
 impl ParsedLog {
@@ -35,29 +49,50 @@ impl ParsedLog {
         &self.entities[id.index()]
     }
 
-    /// Looks up an entity by its identity key.
-    pub fn entity_by_key(&self, key: &str) -> Option<&Entity> {
-        self.key_to_id.get(key).map(|&id| self.entity(id))
+    /// Looks up an entity by its identity.
+    pub fn entity_by_identity(&self, identity: Identity<'_>) -> Option<&Entity> {
+        self.probe(identity).1.map(|id| self.entity(id))
     }
 
-    fn intern_entity(&mut self, host: u16, attrs: EntityAttrs) -> EntityId {
-        let key = attrs.identity_key(host);
-        if let Some(&id) = self.key_to_id.get(&key) {
+    /// The slot `identity` occupies or would take, and its entity if known.
+    fn probe(&self, identity: Identity<'_>) -> (u64, Option<EntityId>) {
+        let mut slot = self.hasher.hash_one(identity);
+        loop {
+            match self.by_identity.get(&slot) {
+                None => return (slot, None),
+                Some(&id) if self.entities[id.index()].identity() == identity => {
+                    return (slot, Some(id))
+                }
+                Some(_) => slot = slot.wrapping_add(1),
+            }
+        }
+    }
+
+    /// The entity with `identity`; `attrs` builds it on first sight only.
+    fn entity_for(
+        &mut self,
+        identity: Identity<'_>,
+        attrs: impl FnOnce() -> EntityAttrs,
+    ) -> EntityId {
+        let (slot, known) = self.probe(identity);
+        if let Some(id) = known {
             return id;
         }
         let id = EntityId::from_usize(self.entities.len());
-        self.entities.push(Entity { id, host, attrs });
-        self.key_to_id.insert(key, id);
+        let entity = Entity { id, host: identity.host(), attrs: attrs() };
+        debug_assert_eq!(entity.identity(), identity);
+        self.entities.push(entity);
+        self.by_identity.insert(slot, id);
         id
     }
 }
 
 /// What an open file descriptor designates.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum FdTarget {
     File(EntityId),
     /// A socket before `connect` (no 5-tuple yet, so no entity yet).
-    UnconnectedSocket(crate::syscall::Protocol),
+    UnconnectedSocket(Protocol),
     NetConn(EntityId),
 }
 
@@ -116,14 +151,7 @@ impl LogParser {
                 }
             }
         }
-        let attrs = EntityAttrs::Process(ProcessAttrs {
-            pid: r.pid,
-            exename: r.exe.clone(),
-            user: r.user.clone(),
-            group: r.group.clone(),
-            cmd: r.exe.clone(),
-        });
-        let id = self.log.intern_entity(r.host, attrs);
+        let id = self.process_entity(r, r.pid, &r.exe, &r.exe);
         let fds = match self.procs.remove(&(r.host, r.pid)) {
             Some(old) => old.fds, // image replaced: fds survive execve
             None => FxHashMap::default(),
@@ -132,14 +160,37 @@ impl LogParser {
         id
     }
 
-    fn file_entity(&mut self, host: u16, path: &str, user: &str, group: &str) -> EntityId {
-        let attrs = EntityAttrs::File(FileAttrs {
-            name: path.to_string(),
-            path: parent_dir(path),
-            user: user.to_string(),
-            group: group.to_string(),
-        });
-        self.log.intern_entity(host, attrs)
+    /// The process entity `(exename, pid)` on the record's host, owned by
+    /// the record's user and group.
+    fn process_entity(
+        &mut self,
+        r: &SyscallRecord,
+        pid: u32,
+        exename: &str,
+        cmd: &str,
+    ) -> EntityId {
+        self.log.entity_for(Identity::Process { host: r.host, exename, pid }, || {
+            EntityAttrs::Process(ProcessAttrs {
+                pid,
+                exename: exename.to_owned(),
+                user: r.user.clone(),
+                group: r.group.clone(),
+                cmd: cmd.to_owned(),
+            })
+        })
+    }
+
+    /// The file entity `path` on the record's host; the record's user and
+    /// group own it.
+    fn file_entity(&mut self, r: &SyscallRecord, path: &str) -> EntityId {
+        self.log.entity_for(Identity::File { host: r.host, name: path }, || {
+            EntityAttrs::File(FileAttrs {
+                name: path.to_owned(),
+                path: parent_dir(path),
+                user: r.user.clone(),
+                group: r.group.clone(),
+            })
+        })
     }
 
     fn emit(
@@ -174,7 +225,7 @@ impl LogParser {
         let subject = self.subject_for(r);
         match (&r.call, &r.args) {
             (Syscall::Open, SyscallArgs::Open { path, fd }) => {
-                let file = self.file_entity(r.host, path, &r.user, &r.group);
+                let file = self.file_entity(r, path);
                 if !r.failed() {
                     self.with_proc(r, |lp| {
                         lp.fds.insert(*fd, FdTarget::File(file));
@@ -193,20 +244,28 @@ impl LogParser {
                 });
             }
             (Syscall::Connect, SyscallArgs::Connect { fd, src_ip, src_port, dst_ip, dst_port }) => {
-                let proto = match self.fd_target(r, *fd) {
+                let protocol = match self.fd_target(r, *fd) {
                     Some(FdTarget::UnconnectedSocket(p)) => p,
-                    Some(FdTarget::NetConn(_)) | Some(FdTarget::File(_)) | None => {
-                        crate::syscall::Protocol::Tcp
-                    }
+                    Some(FdTarget::NetConn(_)) | Some(FdTarget::File(_)) | None => Protocol::Tcp,
                 };
-                let attrs = EntityAttrs::NetConn(NetConnAttrs {
-                    src_ip: src_ip.clone(),
-                    src_port: *src_port,
-                    dst_ip: dst_ip.clone(),
-                    dst_port: *dst_port,
-                    protocol: proto,
+                let (src_port, dst_port) = (*src_port, *dst_port);
+                let identity = Identity::NetConn {
+                    host: r.host,
+                    src_ip,
+                    src_port,
+                    dst_ip,
+                    dst_port,
+                    protocol,
+                };
+                let conn = self.log.entity_for(identity, || {
+                    EntityAttrs::NetConn(NetConnAttrs {
+                        src_ip: src_ip.clone(),
+                        src_port,
+                        dst_ip: dst_ip.clone(),
+                        dst_port,
+                        protocol,
+                    })
                 });
-                let conn = self.log.intern_entity(r.host, attrs);
                 if !r.failed() {
                     self.with_proc(r, |lp| {
                         lp.fds.insert(*fd, FdTarget::NetConn(conn));
@@ -246,18 +305,11 @@ impl LogParser {
             }
             (Syscall::Execve, SyscallArgs::Exec { path, cmdline }) => {
                 // File event: the process executes the image file.
-                let file = self.file_entity(r.host, path, &r.user, &r.group);
+                let file = self.file_entity(r, path);
                 self.emit(r, subject, file, Operation::Execute, EventKind::File, 0);
                 if !r.failed() {
                     // The image is replaced: a new process entity begins.
-                    let attrs = EntityAttrs::Process(ProcessAttrs {
-                        pid: r.pid,
-                        exename: path.clone(),
-                        user: r.user.clone(),
-                        group: r.group.clone(),
-                        cmd: cmdline.clone(),
-                    });
-                    let new_proc = self.log.intern_entity(r.host, attrs);
+                    let new_proc = self.process_entity(r, r.pid, path, cmdline);
                     // Process event: old image starts the new one.
                     if new_proc != subject {
                         self.emit(r, subject, new_proc, Operation::Start, EventKind::Process, 0);
@@ -271,14 +323,7 @@ impl LogParser {
                 if r.failed() {
                     return;
                 }
-                let attrs = EntityAttrs::Process(ProcessAttrs {
-                    pid: *child_pid,
-                    exename: child_exe.clone(),
-                    user: r.user.clone(),
-                    group: r.group.clone(),
-                    cmd: child_exe.clone(),
-                });
-                let child = self.log.intern_entity(r.host, attrs);
+                let child = self.process_entity(r, *child_pid, child_exe, child_exe);
                 // Child inherits the parent's fd table (as fork does).
                 let inherited =
                     self.procs.get(&(r.host, r.pid)).map(|lp| lp.fds.clone()).unwrap_or_default();
@@ -287,7 +332,7 @@ impl LogParser {
                 self.emit(r, subject, child, Operation::Start, EventKind::Process, 0);
             }
             (Syscall::Rename, SyscallArgs::Rename { old, new: _ }) => {
-                let file = self.file_entity(r.host, old, &r.user, &r.group);
+                let file = self.file_entity(r, old);
                 self.emit(r, subject, file, Operation::Rename, EventKind::File, 0);
             }
             (Syscall::Exit, SyscallArgs::Exit) => {
@@ -307,14 +352,13 @@ impl LogParser {
     }
 
     fn fd_target(&self, r: &SyscallRecord, fd: i32) -> Option<FdTarget> {
-        self.procs.get(&(r.host, r.pid))?.fds.get(&fd).cloned()
+        self.procs.get(&(r.host, r.pid))?.fds.get(&fd).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syscall::Protocol;
     use raptor_common::time::{Duration, Timestamp};
 
     fn rec(
@@ -531,6 +575,34 @@ mod tests {
         assert_eq!(log.events.len(), 1);
         assert_eq!(log.events[0].op, Operation::End);
         assert_eq!(log.events[0].subject, log.events[0].object);
+    }
+
+    #[test]
+    fn colliding_identities_take_successive_slots() {
+        let file = |name: &str| {
+            EntityAttrs::File(FileAttrs {
+                name: name.into(),
+                path: parent_dir(name),
+                user: "root".into(),
+                group: "root".into(),
+            })
+        };
+        let (a_id, b_id) =
+            (Identity::File { host: 0, name: "/a" }, Identity::File { host: 0, name: "/b" });
+        let mut log = ParsedLog::default();
+        let a = log.entity_for(a_id, || file("/a"));
+        // Plant `/a` in the slot `/b` hashes to, as a hash collision would.
+        let (slot_b, _) = log.probe(b_id);
+        log.by_identity.insert(slot_b, a);
+        let b = log.entity_for(b_id, || file("/b"));
+        assert_ne!(a, b);
+        assert_eq!(log.probe(b_id), (slot_b.wrapping_add(1), Some(b)));
+        assert_eq!(log.entity_by_identity(a_id).map(|e| e.id), Some(a));
+        assert_eq!(log.entity_by_identity(b_id).map(|e| e.id), Some(b));
+        // Known identities build nothing.
+        assert_eq!(log.entity_for(b_id, || unreachable!()), b);
+        assert_eq!(log.entity_for(a_id, || unreachable!()), a);
+        assert_eq!(log.entities.len(), 2);
     }
 
     #[test]

@@ -49,15 +49,18 @@ impl ReductionStats {
 /// order, which is start-time order). Only *adjacent-in-time* events of the
 /// same (subject, object, operation) group merge, and only when the gap
 /// between them is within `threshold`; merging is transitive along a burst.
+/// Survivors are compacted to the front of `events`, which is then cut:
+/// nothing besides the group table is allocated.
 pub fn merge_events(events: &mut Vec<SystemEvent>, threshold: Duration) -> ReductionStats {
     let before = events.len();
-    // Index of the open (still mergeable) event per group.
+    // Index of the open (still mergeable) event per group, in the kept prefix.
     let mut open: FxHashMap<(EntityId, EntityId, Operation, u16), usize> = FxHashMap::default();
-    let mut out: Vec<SystemEvent> = Vec::with_capacity(events.len());
-    for e in events.drain(..) {
+    let mut kept = 0;
+    for i in 0..before {
+        let e = events[i].clone();
         let key = (e.subject, e.object, e.op, e.host);
         if let Some(&idx) = open.get(&key) {
-            let prev = &mut out[idx];
+            let prev = &mut events[idx];
             let gap = e.start.since(prev.end);
             if gap >= Duration::ZERO && gap <= threshold && e.fail_code == prev.fail_code {
                 prev.end = e.end;
@@ -65,14 +68,12 @@ pub fn merge_events(events: &mut Vec<SystemEvent>, threshold: Duration) -> Reduc
                 continue;
             }
         }
-        open.insert(key, out.len());
-        out.push(e);
+        open.insert(key, kept);
+        events[kept] = SystemEvent { id: EventId::from_usize(kept), ..e };
+        kept += 1;
     }
-    for (i, e) in out.iter_mut().enumerate() {
-        e.id = EventId::from_usize(i);
-    }
-    *events = out;
-    ReductionStats { before, after: events.len() }
+    events.truncate(kept);
+    ReductionStats { before, after: kept }
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
 //! Property-based tests: codec round-trip and data-reduction invariants.
 
+use std::collections::HashSet;
+
+use bytes::Bytes;
 use proptest::prelude::*;
 use raptor_audit::codec::{decode_batch, encode_batch};
 use raptor_audit::reduce::merge_events;
 use raptor_audit::syscall::{Protocol, Syscall, SyscallArgs, SyscallRecord};
-use raptor_audit::{EventKind, Operation, SystemEvent};
+use raptor_audit::{EventKind, LogParser, Operation, SystemEvent};
 use raptor_common::ids::{EntityId, EventId};
 use raptor_common::time::{Duration, Timestamp};
 
@@ -69,6 +72,48 @@ fn arb_record() -> impl Strategy<Value = SyscallRecord> {
         })
 }
 
+/// Records over a handful of hosts, pids, executables, paths and
+/// endpoints, so that entities recur and identities nearly collide.
+fn arb_recurring_record() -> impl Strategy<Value = SyscallRecord> {
+    let args = prop_oneof![
+        ("/[ab]{1,2}", 3..5i32)
+            .prop_map(|(path, fd)| (Syscall::Open, SyscallArgs::Open { path, fd })),
+        (3..5i32).prop_map(|fd| (Syscall::Read, SyscallArgs::Io { fd })),
+        (3..5i32).prop_map(|fd| (Syscall::Write, SyscallArgs::Io { fd })),
+        (3..5i32).prop_map(|fd| (Syscall::Close, SyscallArgs::Close { fd })),
+        ("/bin/[ab]", "[ab]{0,2}")
+            .prop_map(|(path, cmdline)| (Syscall::Execve, SyscallArgs::Exec { path, cmdline })),
+        (1u32..4, "/bin/[ab]").prop_map(|(child_pid, child_exe)| {
+            (Syscall::Clone, SyscallArgs::Spawn { child_pid, child_exe })
+        }),
+        (3..5i32, proptest::bool::ANY).prop_map(|(fd, udp)| {
+            let protocol = if udp { Protocol::Udp } else { Protocol::Tcp };
+            (Syscall::Socket, SyscallArgs::Socket { fd, protocol })
+        }),
+        (3..5i32, "10.0.0.[12]", 1u16..3, "10.0.0.[12]", 1u16..3).prop_map(
+            |(fd, src_ip, src_port, dst_ip, dst_port)| {
+                let args = SyscallArgs::Connect { fd, src_ip, src_port, dst_ip, dst_port };
+                (Syscall::Connect, args)
+            }
+        ),
+        Just((Syscall::Exit, SyscallArgs::Exit)),
+    ];
+    (0u16..2, 1u32..4, "/bin/[ab]", args, -1i64..3).prop_map(
+        |(host, pid, exe, (call, args), ret)| SyscallRecord {
+            ts: Timestamp(0),
+            latency: Duration(1),
+            host,
+            pid,
+            exe,
+            user: "root".into(),
+            group: "root".into(),
+            call,
+            args,
+            ret,
+        },
+    )
+}
+
 fn arb_event(groups: usize) -> impl Strategy<Value = SystemEvent> {
     (0..groups, 0..groups, 0..3usize, 0i64..10_000, 0i64..50, 0u64..10_000).prop_map(
         move |(s, o, op, start_ms, dur_ms, amount)| SystemEvent {
@@ -105,6 +150,42 @@ proptest! {
         let cut = ((encoded.len() as f64) * cut_frac) as usize;
         if cut < encoded.len() {
             let _ = decode_batch(encoded.slice(..cut)); // must not panic
+        }
+    }
+
+    /// A corrupted batch decodes to records or to a typed error: never a
+    /// panic, never a reservation its bytes cannot back.
+    #[test]
+    fn codec_corruption_never_panics(
+        records in proptest::collection::vec(arb_record(), 1..10),
+        at_frac in 0.0f64..1.0,
+        byte in 0u16..256,
+    ) {
+        let mut raw = encode_batch(&records).as_ref().to_vec();
+        let at = ((raw.len() as f64) * at_frac) as usize;
+        raw[at] = byte as u8;
+        let _ = decode_batch(Bytes::from(raw));
+    }
+
+    /// The parser keeps one entity per identity, and finds each entity
+    /// again by its identity, however the records recur.
+    #[test]
+    fn parser_keeps_one_entity_per_identity(
+        mut records in proptest::collection::vec(arb_recurring_record(), 0..80),
+    ) {
+        for (i, r) in records.iter_mut().enumerate() {
+            r.ts = Timestamp::from_millis(i as i64);
+        }
+        let log = LogParser::parse(&records);
+        let mut seen = HashSet::new();
+        for (i, e) in log.entities.iter().enumerate() {
+            prop_assert_eq!(e.id.index(), i);
+            prop_assert!(seen.insert(e.identity()), "{:?} twice", e.identity());
+            prop_assert_eq!(log.entity_by_identity(e.identity()).map(|f| f.id), Some(e.id));
+        }
+        for ev in &log.events {
+            prop_assert!(ev.subject.index() < log.entities.len());
+            prop_assert!(ev.object.index() < log.entities.len());
         }
     }
 
