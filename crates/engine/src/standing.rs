@@ -425,6 +425,19 @@ impl StandingQuery {
                 // accumulated matches already emitted.
                 if let Some(blob) = self.pending_frontier[p.index].take() {
                     f.decode(&mut io::Cur::new(&blob))?;
+                    // The blob is consistent with itself; it must also fit
+                    // the graph it will advance on, which only grows.
+                    let g = &engine.stores.graph;
+                    let (nodes, edges) = f.marks();
+                    if nodes > g.node_count() || edges > g.edge_count() {
+                        return Err(Error::storage(format!(
+                            "frontier of `{}` marks {nodes} nodes and {edges} edges, past the \
+                             graph's {} and {} (corrupt state)",
+                            self.name,
+                            g.node_count(),
+                            g.edge_count()
+                        )));
+                    }
                 }
                 let acc = &self.matches[p.index];
                 f.seed_seen(acc.subj.iter().copied().zip(acc.obj.iter().copied()));
@@ -659,6 +672,42 @@ mod tests {
         let got = crate::exec::ResultTable::from_batch(&sq.cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows());
         assert_eq!(emitted, expect.rows.len());
+    }
+
+    /// A frontier blob whose watermarks run past the graph it is restored
+    /// onto is refused where it is applied: a node mark past the graph let
+    /// the first advance index nodes that do not exist, and an edge mark
+    /// past it skipped edges forever.
+    #[test]
+    fn frontier_marks_past_the_graph_are_refused() {
+        let log = sample_log();
+        let engine = Engine::new(load(&log).unwrap());
+        let q = r#"proc p["%bash%"] ~>(1~3)[write] file f["%upload%"] as e1 return p, f"#;
+        let mut sq = standing(q, &engine);
+        sq.advance(&engine, &EpochInput { epoch: 0, event_rows: 0..log.events.len() }).unwrap();
+        let mut state = Vec::new();
+        sq.encode_frontier_state(&mut state);
+        // One pattern, present (tag 1), its blob's length, then the node and
+        // edge marks.
+        assert_eq!(state[8], 1, "the pattern runs on a frontier");
+        let marks = 17;
+        let g = &engine.stores.graph;
+        for (at, count) in [(marks, g.node_count()), (marks + 8, g.edge_count())] {
+            for (mark, ok) in [(count, true), (count + 1, false)] {
+                let mut forged = state.clone();
+                forged[at..at + 8].copy_from_slice(&(mark as u64).to_le_bytes());
+                let mut restored = standing(q, &engine);
+                restored.decode_frontier_state(&mut io::Cur::new(&forged)).unwrap();
+                let epoch = EpochInput { epoch: 1, event_rows: 0..log.events.len() };
+                match restored.advance(&engine, &epoch) {
+                    Ok(_) => assert!(ok, "mark {mark} past {count} was applied"),
+                    Err(e) => {
+                        assert!(!ok, "mark {mark} refused: {e}");
+                        assert_eq!(e.kind, raptor_common::error::ErrorKind::Storage, "{e}");
+                    }
+                }
+            }
+        }
     }
 
     /// Per-pattern first-match epochs are reported as patterns light up.

@@ -64,19 +64,21 @@ pub const RELATION_VERBS: &[&str] = &[
 /// they) refer to the attacker, never to a tool or file, and are excluded.
 pub const SUBJECT_PRONOUNS: &[&str] = &["it", "this", "itself"];
 
-/// An annotated dependency tree for one sentence.
+/// An annotated dependency tree for one sentence. Its tokens borrow the
+/// (protected) block text they were cut from.
 #[derive(Clone, Debug)]
-pub struct AnnTree {
+pub struct AnnTree<'a> {
     /// Tokens of the protected sentence (offsets are block-protected-text
     /// byte offsets).
-    pub tokens: Vec<Token>,
+    pub tokens: Vec<Token<'a>>,
     pub tree: DepTree,
     /// token index → block-level IOC index.
     pub ioc_of: FxHashMap<usize, usize>,
     /// Token indices whose lemma is a candidate relation verb.
     pub verb_candidates: FxHashSet<usize>,
-    /// Lemmas of the verb candidates (parallel map).
-    pub verb_lemma: FxHashMap<usize, String>,
+    /// Lemmas of the verb candidates (parallel map), as their
+    /// [`RELATION_VERBS`] entries.
+    pub verb_lemma: FxHashMap<usize, &'static str>,
     /// Token indices that are subject-capable pronouns.
     pub pronouns: FxHashSet<usize>,
     /// Simplification flag: inactive trees are skipped downstream.
@@ -86,20 +88,21 @@ pub struct AnnTree {
     pub coref: FxHashMap<usize, usize>,
 }
 
-pub fn is_relation_verb(lemma: &str) -> bool {
-    RELATION_VERBS.binary_search(&lemma).is_ok()
+/// The [`RELATION_VERBS`] entry for `lemma`, if it is a candidate verb.
+pub fn relation_verb(lemma: &str) -> Option<&'static str> {
+    RELATION_VERBS.binary_search(&lemma).ok().map(|i| RELATION_VERBS[i])
 }
 
 /// Annotates a parsed sentence. `record` aligns dummy tokens to IOCs; when
 /// running *without* IOC protection (`record = None`), tokens align to an
 /// IOC only if the token span exactly equals an IOC span in `raw_spans` —
 /// which is how shattered IOCs silently drop out of the pipeline.
-pub fn annotate(
-    tokens: Vec<Token>,
+pub fn annotate<'a>(
+    tokens: Vec<Token<'a>>,
     tree: DepTree,
     record: Option<&ReplacementRecord>,
     raw_spans: &[(usize, usize, usize)],
-) -> AnnTree {
+) -> AnnTree<'a> {
     let mut ioc_of = FxHashMap::default();
     let mut verb_candidates = FxHashSet::default();
     let mut verb_lemma = FxHashMap::default();
@@ -122,13 +125,12 @@ pub fn annotate(
             }
         }
         if tok.pos == PosTag::Verb {
-            let lemma = lemmatize_verb(&tok.lower);
-            if is_relation_verb(&lemma) {
+            if let Some(lemma) = relation_verb(lemmatize_verb(&tok.lower)) {
                 verb_candidates.insert(i);
                 verb_lemma.insert(i, lemma);
             }
         }
-        if tok.pos == PosTag::Pron && SUBJECT_PRONOUNS.contains(&tok.lower.as_str()) {
+        if tok.pos == PosTag::Pron && SUBJECT_PRONOUNS.contains(&&*tok.lower) {
             pronouns.insert(i);
         }
     }
@@ -152,10 +154,11 @@ mod tests {
     use crate::protect::protect;
     use raptor_nlp::{dep, pos, tokenize};
 
-    fn build(text: &str) -> AnnTree {
+    fn build(text: &str) -> AnnTree<'static> {
         let iocs = scan_iocs(text);
         let p = protect(text, &iocs);
-        let mut toks = tokenize::tokenize(&p.text, 0);
+        let protected: &'static str = Box::leak(p.text.into_boxed_str());
+        let mut toks = tokenize::tokenize(protected, 0);
         pos::tag(&mut toks);
         let tree = dep::parse(&toks);
         annotate(toks, tree, Some(&p.record), &[])
@@ -173,7 +176,7 @@ mod tests {
         let t = build("The attacker used /bin/tar to read user credentials from /etc/passwd.");
         assert_eq!(t.ioc_of.len(), 2);
         // "read" is a candidate; "used" is not on the curated list.
-        let lemmas: Vec<&str> = t.verb_lemma.values().map(String::as_str).collect();
+        let lemmas: Vec<&str> = t.verb_lemma.values().copied().collect();
         assert_eq!(lemmas, vec!["read"]);
         assert!(t.active);
     }

@@ -53,12 +53,12 @@ struct Agent {
 
 /// Is token `i` in a subject-ish position (nsubj of some verb, or the head
 /// a gerund clause hangs off)?
-fn is_subject_position(t: &AnnTree, i: usize) -> bool {
+fn is_subject_position(t: &AnnTree<'_>, i: usize) -> bool {
     matches!(t.tree.nodes[i].label, DepLabel::Nsubj | DepLabel::NsubjPass)
 }
 
 /// Collects agentive IOC mentions of a tree, in token order.
-fn agents_of(t: &AnnTree, ioc_types: &[IocType]) -> Vec<Agent> {
+fn agents_of(t: &AnnTree<'_>, ioc_types: &[IocType]) -> Vec<Agent> {
     let mut out = Vec::new();
     for (&tok, &ioc) in &t.ioc_of {
         let lbl = t.tree.nodes[tok].label;
@@ -71,7 +71,7 @@ fn agents_of(t: &AnnTree, ioc_types: &[IocType]) -> Vec<Agent> {
             DepLabel::Dobj => {
                 let instrument = t.tree.nodes[tok].head.is_some_and(|h| {
                     matches!(
-                        raptor_nlp::lemma::lemmatize_verb(&t.tokens[h].lower).as_str(),
+                        raptor_nlp::lemma::lemmatize_verb(&t.tokens[h].lower),
                         "use" | "leverage" | "utilize" | "employ"
                     )
                 });
@@ -103,7 +103,7 @@ fn agents_of(t: &AnnTree, ioc_types: &[IocType]) -> Vec<Agent> {
 
 /// Resolves coreference across the trees of one block. `ioc_types[i]` is the
 /// type of block-level IOC `i`.
-pub fn resolve(trees: &mut [AnnTree], ioc_types: &[IocType]) {
+pub fn resolve(trees: &mut [AnnTree<'_>], ioc_types: &[IocType]) {
     let mut history: Vec<Agent> = Vec::new();
     #[allow(clippy::needless_range_loop)]
     for t_idx in 0..trees.len() {
@@ -123,11 +123,11 @@ pub fn resolve(trees: &mut [AnnTree], ioc_types: &[IocType]) {
                     let want_file_like = if is_pronoun {
                         None // pronouns accept any kind, but prefer subjects
                     } else if t.tokens[i].pos == PosTag::Noun
-                        && FILE_LIKE_NOUNS.contains(&t.tokens[i].lower.as_str())
+                        && FILE_LIKE_NOUNS.contains(&&*t.tokens[i].lower)
                     {
                         Some(true)
                     } else if t.tokens[i].pos == PosTag::Noun
-                        && NET_LIKE_NOUNS.contains(&t.tokens[i].lower.as_str())
+                        && NET_LIKE_NOUNS.contains(&&*t.tokens[i].lower)
                     {
                         Some(false)
                     } else {
@@ -171,13 +171,14 @@ mod tests {
     use crate::protect::protect;
     use raptor_nlp::{dep, pos, sentence, tokenize};
 
-    fn build_block(text: &str) -> (Vec<AnnTree>, Vec<IocType>) {
+    fn build_block(text: &str) -> (Vec<AnnTree<'static>>, Vec<IocType>) {
         let iocs = scan_iocs(text);
         let types: Vec<IocType> = iocs.iter().map(|m| m.ioc_type).collect();
         let p = protect(text, &iocs);
+        let protected: &'static str = Box::leak(p.text.into_boxed_str());
         let mut trees = Vec::new();
-        for span in sentence::segment(&p.text) {
-            let mut toks = tokenize::tokenize(&p.text[span.start..span.end], span.start);
+        for span in sentence::segment(protected) {
+            let mut toks = tokenize::tokenize(&protected[span.start..span.end], span.start);
             pos::tag(&mut toks);
             let tree = dep::parse(&toks);
             trees.push(annotate(toks, tree, Some(&p.record), &[]));

@@ -40,7 +40,7 @@ impl ThreatBehaviorGraph {
     /// edges collapse into the earliest occurrence.
     pub fn build(
         canon: Vec<(String, IocType)>,
-        ordered_triples: &[(usize, String, usize)],
+        ordered_triples: Vec<(usize, String, usize)>,
     ) -> Self {
         let nodes: Vec<GraphNode> = canon
             .into_iter()
@@ -48,7 +48,7 @@ impl ThreatBehaviorGraph {
             .map(|(id, (text, ioc_type))| GraphNode { id, text, ioc_type })
             .collect();
         let mut edges: Vec<GraphEdge> = Vec::new();
-        for (src, relation, dst) in ordered_triples.iter().cloned() {
+        for (src, relation, dst) in ordered_triples {
             if edges.iter().any(|e| e.src == src && e.dst == dst && e.relation == relation) {
                 continue;
             }
@@ -101,7 +101,7 @@ mod tests {
             (0, "write".to_string(), 2),
             (0, "read".to_string(), 1), // duplicate collapses
         ];
-        let g = ThreatBehaviorGraph::build(canon, &triples);
+        let g = ThreatBehaviorGraph::build(canon, triples);
         assert_eq!(g.edges.len(), 2);
         assert_eq!(g.edges[0].seq, 1);
         assert_eq!(g.edges[1].seq, 2);
@@ -115,7 +115,7 @@ mod tests {
             ("/bin/tar".to_string(), IocType::FilePath),
             ("10.0.0.1".to_string(), IocType::Ip),
         ];
-        let g = ThreatBehaviorGraph::build(canon, &[]);
+        let g = ThreatBehaviorGraph::build(canon, Vec::new());
         assert!(g.connected_nodes().is_empty());
         assert_eq!(g.nodes.len(), 2);
     }
@@ -124,7 +124,7 @@ mod tests {
     fn render_is_ordered() {
         let canon =
             vec![("a".to_string(), IocType::FileName), ("b".to_string(), IocType::FileName)];
-        let g = ThreatBehaviorGraph::build(canon, &[(0, "read".to_string(), 1)]);
+        let g = ThreatBehaviorGraph::build(canon, vec![(0, "read".to_string(), 1)]);
         assert_eq!(g.render(), "1. a -[read]-> b\n");
     }
 }

@@ -5,6 +5,13 @@
 //! file paths) recognize the IOC types below, with byte-exact spans so the
 //! protection step can splice them out. Common defangings are normalized:
 //! `hxxp` → `http`, `[.]`/`(.)`/`[dot]` → `.`.
+//!
+//! The scan tests borrowed slices of the text: refanging borrows unless the
+//! candidate is defanged, and every classifier compares in place (ASCII
+//! case-insensitively where the type is). An accepted IOC allocates once,
+//! for its normalized text; text without IOCs allocates nothing.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
@@ -104,16 +111,38 @@ fn is_ioc_char(c: u8) -> bool {
         )
 }
 
-/// Refangs a candidate: `[.]`, `(.)`, `[dot]`, `(dot)` → `.`; `hxxp` → `http`.
-fn refang(s: &str) -> String {
-    let mut out = s.replace("[.]", ".").replace("(.)", ".");
-    out = out.replace("[dot]", ".").replace("(dot)", ".");
-    if out.to_ascii_lowercase().starts_with("hxxp") {
-        let rest = &out[4..];
-        let scheme = if out.starts_with('H') { "HTTP" } else { "http" };
-        out = format!("{scheme}{rest}");
+/// Does `s` start with the ASCII `prefix`, ignoring ASCII case?
+fn starts_with_ci(s: &str, prefix: &str) -> bool {
+    s.len() >= prefix.len() && s.as_bytes()[..prefix.len()].eq_ignore_ascii_case(prefix.as_bytes())
+}
+
+/// The defanged spellings of `.`.
+const DEFANGED_DOTS: [&str; 4] = ["[.]", "(.)", "[dot]", "(dot)"];
+
+/// Refangs a candidate: `[.]`, `(.)`, `[dot]`, `(dot)` → `.`; `hxxp` →
+/// `http`. Borrows the candidate unless one of those forms occurs in it.
+fn refang(s: &str) -> Cow<'_, str> {
+    let hxxp = starts_with_ci(s, "hxxp");
+    // Every defanged dot opens with a bracket: test for one before the
+    // substring searches.
+    let defanged =
+        s.bytes().any(|b| b == b'[' || b == b'(') && DEFANGED_DOTS.iter().any(|d| s.contains(d));
+    if !hxxp && !defanged {
+        return Cow::Borrowed(s);
     }
-    out
+    let mut out = s.to_string();
+    for d in DEFANGED_DOTS {
+        if out.contains(d) {
+            out = out.replace(d, ".");
+        }
+    }
+    // A replacement puts a `.` where it was, so it never makes an `hxxp`
+    // prefix that the candidate lacked.
+    if hxxp {
+        let scheme = if out.starts_with('H') { "HTTP" } else { "http" };
+        out.replace_range(..4, scheme);
+    }
+    Cow::Owned(out)
 }
 
 fn trim_trailing(s: &str) -> &str {
@@ -136,15 +165,13 @@ pub fn scan_iocs(text: &str) -> Vec<IocMatch> {
         while j < bytes.len() && is_ioc_char(bytes[j]) {
             j += 1;
         }
-        let raw = &text[i..j];
-        let trimmed = trim_trailing(raw);
-        if trimmed.is_empty() {
-            i = j;
-            continue;
-        }
-        let refanged = refang(trimmed);
-        if let Some((ty, norm)) = classify(&refanged) {
-            out.push(IocMatch { start: i, end: i + trimmed.len(), text: norm, ioc_type: ty });
+        let trimmed = trim_trailing(&text[i..j]);
+        if !trimmed.is_empty() {
+            let refanged = refang(trimmed);
+            if let Some(ioc_type) = classify(&refanged) {
+                let text = normalize(ioc_type, refanged);
+                out.push(IocMatch { start: i, end: i + trimmed.len(), text, ioc_type });
+            }
         }
         i = j;
     }
@@ -152,195 +179,169 @@ pub fn scan_iocs(text: &str) -> Vec<IocMatch> {
 }
 
 /// Classifies one boundary-trimmed, refanged candidate.
-fn classify(s: &str) -> Option<(IocType, String)> {
-    if s.len() < 2 {
+fn classify(s: &str) -> Option<IocType> {
+    // Every type below needs one of these bytes; a plain word has none.
+    let marked =
+        s.bytes().any(|b| b.is_ascii_digit() || matches!(b, b'.' | b'/' | b'\\' | b'@' | b':'));
+    if s.len() < 2 || !marked {
         return None;
     }
-    if let Some(v) = try_url(s) {
-        return Some((IocType::Url, v));
-    }
-    if let Some(v) = try_email(s) {
-        return Some((IocType::Email, v));
-    }
-    if let Some(v) = try_registry(s) {
-        return Some((IocType::Registry, v));
-    }
-    if let Some(v) = try_cve(s) {
-        return Some((IocType::Cve, v));
-    }
-    if let Some(v) = try_ip(s) {
-        return Some((IocType::Ip, v));
-    }
-    if let Some(v) = try_hash(s) {
-        return Some((IocType::Hash, v));
-    }
-    if let Some(v) = try_win_path(s) {
-        return Some((IocType::WinFilePath, v));
-    }
-    if let Some(v) = try_unix_path(s) {
-        return Some((IocType::FilePath, v));
-    }
-    if let Some((ty, v)) = try_dotted_name(s) {
-        return Some((ty, v));
-    }
-    None
+    let ty = if is_url(s) {
+        IocType::Url
+    } else if is_email(s) {
+        IocType::Email
+    } else if is_registry(s) {
+        IocType::Registry
+    } else if is_cve(s) {
+        IocType::Cve
+    } else if is_ip(s) {
+        IocType::Ip
+    } else if is_hash(s) {
+        IocType::Hash
+    } else if is_win_path(s) {
+        IocType::WinFilePath
+    } else if is_unix_path(s) {
+        IocType::FilePath
+    } else {
+        return dotted_name_type(s);
+    };
+    Some(ty)
 }
 
-fn try_url(s: &str) -> Option<String> {
-    let lower = s.to_ascii_lowercase();
-    for scheme in ["http://", "https://", "ftp://"] {
-        if lower.starts_with(scheme) && s.len() > scheme.len() + 2 {
-            return Some(s.to_string());
-        }
+/// The normalized text of an accepted IOC: CVE ids upper-cased, hashes
+/// and domains lower-cased, everything else as written (refanged). The one
+/// allocation an IOC costs, unless refanging already made the string.
+fn normalize(ty: IocType, refanged: Cow<'_, str>) -> String {
+    let mut text = refanged.into_owned();
+    match ty {
+        IocType::Cve => text.make_ascii_uppercase(),
+        IocType::Hash | IocType::Domain => text.make_ascii_lowercase(),
+        _ => {}
     }
-    None
+    text
 }
 
-fn try_email(s: &str) -> Option<String> {
-    let at = s.find('@')?;
-    let (local, domain) = (&s[..at], &s[at + 1..]);
+fn is_url(s: &str) -> bool {
+    ["http://", "https://", "ftp://"]
+        .iter()
+        .any(|scheme| starts_with_ci(s, scheme) && s.len() > scheme.len() + 2)
+}
+
+fn is_email(s: &str) -> bool {
+    let Some((local, domain)) = s.split_once('@') else {
+        return false;
+    };
     if local.is_empty() || domain.is_empty() {
-        return None;
+        return false;
     }
     let local_ok = local
         .bytes()
         .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'%' | b'+' | b'-'));
-    if !local_ok || !domain.contains('.') {
-        return None;
-    }
-    let domain_ok = domain
-        .split('.')
-        .all(|l| !l.is_empty() && l.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-'));
-    if domain_ok {
-        Some(s.to_string())
-    } else {
-        None
-    }
+    local_ok
+        && domain.contains('.')
+        && domain
+            .split('.')
+            .all(|l| !l.is_empty() && l.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-'))
 }
 
-fn try_registry(s: &str) -> Option<String> {
-    let upper = s.to_ascii_uppercase();
-    for prefix in ["HKEY_", "HKLM\\", "HKCU\\", "HKCR\\", "HKU\\"] {
-        if upper.starts_with(prefix) && s.contains('\\') {
-            return Some(s.to_string());
-        }
-    }
-    None
+fn is_registry(s: &str) -> bool {
+    ["HKEY_", "HKLM\\", "HKCU\\", "HKCR\\", "HKU\\"].iter().any(|p| starts_with_ci(s, p))
+        && s.contains('\\')
 }
 
-fn try_cve(s: &str) -> Option<String> {
-    let upper = s.to_ascii_uppercase();
-    let rest = upper.strip_prefix("CVE-")?;
-    let (year, num) = rest.split_once('-')?;
-    if year.len() == 4
+fn is_cve(s: &str) -> bool {
+    if !starts_with_ci(s, "CVE-") {
+        return false;
+    }
+    let Some((year, num)) = s[4..].split_once('-') else {
+        return false;
+    };
+    year.len() == 4
         && year.bytes().all(|b| b.is_ascii_digit())
         && (1..=7).contains(&num.len())
         && num.bytes().all(|b| b.is_ascii_digit())
-    {
-        Some(upper)
-    } else {
-        None
-    }
 }
 
-fn try_ip(s: &str) -> Option<String> {
+/// `1..=max_digits` ASCII digits whose value is at most `max`.
+fn is_decimal(s: &str, max_digits: usize, max: u32) -> bool {
+    (1..=max_digits).contains(&s.len())
+        && s.bytes().all(|b| b.is_ascii_digit())
+        && s.bytes().fold(0, |n, b| n * 10 + u32::from(b - b'0')) <= max
+}
+
+fn is_ip(s: &str) -> bool {
     let (addr, cidr) = match s.split_once('/') {
         Some((a, c)) => (a, Some(c)),
         None => (s, None),
     };
-    let mut octets = 0;
-    for part in addr.split('.') {
-        let n: u32 = part.parse().ok()?;
-        if n > 255 || part.is_empty() || part.len() > 3 {
-            return None;
-        }
-        octets += 1;
-    }
-    if octets != 4 {
-        return None;
-    }
-    if let Some(c) = cidr {
-        let bits: u32 = c.parse().ok()?;
-        if bits > 32 {
-            return None;
-        }
-    }
-    Some(s.to_string())
+    addr.split('.').count() == 4
+        && addr.split('.').all(|octet| is_decimal(octet, 3, 255))
+        && cidr.is_none_or(|bits| is_decimal(bits, 2, 32))
 }
 
-fn try_hash(s: &str) -> Option<String> {
+fn is_hash(s: &str) -> bool {
     let is_hex = s.bytes().all(|b| b.is_ascii_hexdigit());
     let has_alpha = s.bytes().any(|b| b.is_ascii_alphabetic());
     let has_digit = s.bytes().any(|b| b.is_ascii_digit());
-    if is_hex && has_alpha && has_digit && matches!(s.len(), 32 | 40 | 64) {
-        Some(s.to_ascii_lowercase())
-    } else {
-        None
-    }
+    is_hex && has_alpha && has_digit && matches!(s.len(), 32 | 40 | 64)
 }
 
-fn try_win_path(s: &str) -> Option<String> {
+fn is_win_path(s: &str) -> bool {
     let bytes = s.as_bytes();
     let drive =
         bytes.len() > 3 && bytes[0].is_ascii_alphabetic() && bytes[1] == b':' && bytes[2] == b'\\';
     let unc = s.starts_with("\\\\") && s.len() > 4;
-    if (drive || unc) && !s.ends_with('\\') {
-        Some(s.to_string())
-    } else {
-        None
-    }
+    (drive || unc) && !s.ends_with('\\')
 }
 
-fn try_unix_path(s: &str) -> Option<String> {
+fn is_unix_path(s: &str) -> bool {
     if !s.starts_with('/') || s.len() < 3 || s.contains("//") {
-        return None;
+        return false;
     }
     let ok = s
         .bytes()
         .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'/' | b'.' | b'_' | b'-' | b'+' | b'~'));
     let has_alpha = s.bytes().any(|b| b.is_ascii_alphabetic());
-    if ok && has_alpha && !s.ends_with('/') {
-        Some(s.to_string())
-    } else {
-        None
-    }
+    ok && has_alpha && !s.ends_with('/')
 }
 
 /// `name.ext` → FileName if `ext` is a known file extension;
 /// `host.tld` → Domain if the last label is a known TLD.
-fn try_dotted_name(s: &str) -> Option<(IocType, String)> {
+fn dotted_name_type(s: &str) -> Option<IocType> {
     if !s.contains('.') || s.contains('/') || s.contains('\\') || s.contains(':') {
         return None;
     }
-    let labels: Vec<&str> = s.split('.').collect();
-    if labels.iter().any(|l| l.is_empty()) {
+    if s.split('.').any(str::is_empty) {
         return None;
     }
-    let last = labels.last().unwrap().to_ascii_lowercase();
+    let labels = s.split('.').count();
+    let (first, last) = (s.split('.').next()?, s.rsplit('.').next()?);
+    let listed = |list: &[&str], label: &str| list.iter().any(|w| w.eq_ignore_ascii_case(label));
+    // Every byte outside the dots belongs to a label.
     let body_ok = |allow_underscore: bool| {
-        labels.iter().all(|l| {
-            l.bytes()
-                .all(|b| b.is_ascii_alphanumeric() || b == b'-' || (allow_underscore && b == b'_'))
+        s.bytes().all(|b| {
+            b == b'.' || b.is_ascii_alphanumeric() || b == b'-' || (allow_underscore && b == b'_')
         })
     };
-    if FILE_EXTENSIONS.contains(&last.as_str()) && body_ok(true) {
-        return Some((IocType::FileName, s.to_string()));
+    if listed(FILE_EXTENSIONS, last) && body_ok(true) {
+        return Some(IocType::FileName);
     }
     // Reverse-DNS package names (Android process executables, e.g.
     // `com.android.defcontainer`) — the ClearScope cases need these.
-    let first = labels[0].to_ascii_lowercase();
-    if matches!(first.as_str(), "com" | "org" | "net" | "io")
-        && labels.len() >= 3
-        && !TLDS.contains(&last.as_str())
+    if listed(&["com", "org", "net", "io"], first)
+        && labels >= 3
+        && !listed(TLDS, last)
         && body_ok(true)
     {
-        return Some((IocType::FileName, s.to_string()));
+        return Some(IocType::FileName);
     }
-    if TLDS.contains(&last.as_str()) && labels.len() >= 2 && body_ok(false) {
-        // Domains need an alphabetic character somewhere before the TLD.
-        if s.bytes().any(|b| b.is_ascii_alphabetic()) {
-            return Some((IocType::Domain, s.to_ascii_lowercase()));
-        }
+    // Domains need an alphabetic character somewhere before the TLD.
+    if listed(TLDS, last)
+        && labels >= 2
+        && body_ok(false)
+        && s.bytes().any(|b| b.is_ascii_alphabetic())
+    {
+        return Some(IocType::Domain);
     }
     None
 }
@@ -390,6 +391,36 @@ mod tests {
         assert!(scan("version 1.2.3.4.5 is fine").is_empty(), "five octets is not an IP");
         assert!(scan("300.1.2.3 invalid").is_empty());
         assert!(scan("1.2.3.4/33 invalid").is_empty());
+    }
+
+    #[test]
+    fn ip_octets_and_prefixes_are_plain_digits() {
+        // `str::parse` reads a leading `+`, which once made these IPs.
+        assert!(scan("seen +1.+2.+3.+4 here").is_empty());
+        assert!(scan("route 10.0.0.1/+8 here").is_empty());
+        assert_eq!(scan("route 10.0.0.1/8 here"), vec![("10.0.0.1/8".to_string(), IocType::Ip)]);
+    }
+
+    #[test]
+    fn mixed_case_forms_classify_in_place() {
+        assert_eq!(
+            scan(r"HXXP://evil[.]com/x cve-2014-6271 Evil-C2.COM Upload.TAR hkcu\Software\x"),
+            vec![
+                ("HTTP://evil.com/x".to_string(), IocType::Url),
+                ("CVE-2014-6271".to_string(), IocType::Cve),
+                ("evil-c2.com".to_string(), IocType::Domain),
+                ("Upload.TAR".to_string(), IocType::FileName),
+                (r"hkcu\Software\x".to_string(), IocType::Registry),
+            ]
+        );
+    }
+
+    #[test]
+    fn refang_borrows_unless_defanged() {
+        assert!(matches!(refang("evil.com"), Cow::Borrowed("evil.com")));
+        assert!(matches!(refang("(it"), Cow::Borrowed("(it")));
+        assert_eq!(refang("hxxps://a(dot)b[.]c"), "https://a.b.c");
+        assert_eq!(refang("Hxxp://x"), "HTTP://x");
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct OpenIeOutput {
     pub triples: Vec<IocRelationTriple>,
 }
 
-fn noun_chunks(tokens: &[tokenize::Token]) -> Vec<(usize, usize, String)> {
+fn noun_chunks(tokens: &[tokenize::Token<'_>]) -> Vec<(usize, usize, String)> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -45,8 +45,7 @@ fn noun_chunks(tokens: &[tokenize::Token]) -> Vec<(usize, usize, String)> {
             {
                 i += 1;
             }
-            let text =
-                tokens[start..i].iter().map(|t| t.text.as_str()).collect::<Vec<_>>().join(" ");
+            let text = tokens[start..i].iter().map(|t| t.text).collect::<Vec<_>>().join(" ");
             out.push((start, i, text));
         } else {
             i += 1;
@@ -98,7 +97,7 @@ fn extract_clauses(text: &str) -> OpenIeOutput {
         if v >= toks.len() {
             continue;
         }
-        let verb = toks[v].lower.clone();
+        let verb = toks[v].lower.to_string();
         // object: first chunk starting after the verb (within 4 tokens).
         if let Some((_, _, otext)) =
             chunks.iter().skip(ci + 1).find(|(ostart, _, _)| *ostart > v && *ostart <= v + 4)

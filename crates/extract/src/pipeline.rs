@@ -1,20 +1,26 @@
 //! The end-to-end extraction pipeline (Algorithm 1).
 //!
-//! `document → blocks → (protect → sentences → parse → restore → annotate →
-//! simplify → coref) per block → scan&merge IOCs → relation extraction →
-//! threat behavior graph`, with stage timings recorded for Table VII.
+//! `document → blocks → scan IOCs & protect → (sentences → parse → restore
+//! → annotate → simplify) → coref per block → scan&merge IOCs → relation
+//! extraction → threat behavior graph`, with stage timings recorded for
+//! Table VII. Each stage runs over every block before the next begins: the
+//! trees borrow the protected block texts the scan stage produced, and each
+//! stage records one `obs` span per document (`extract.ioc_scan`,
+//! `extract.parse`, `extract.coref`, `extract.relation`,
+//! `extract.merge_graph`).
 
 use std::time::Instant;
 
+use raptor_common::obs;
 use raptor_nlp::{dep, pos, sentence, tokenize};
 use serde::{Deserialize, Serialize};
 
 use crate::annotate::{annotate, AnnTree};
 use crate::coref;
 use crate::graph::ThreatBehaviorGraph;
-use crate::ioc::{scan_iocs, IocType};
+use crate::ioc::{scan_iocs, IocMatch, IocType};
 use crate::merge;
-use crate::protect::protect;
+use crate::protect::{protect, ProtectedText};
 use crate::relation;
 
 /// One extracted IOC occurrence (pre-merge), for entity-level scoring.
@@ -61,58 +67,31 @@ pub fn segment_blocks(document: &str) -> Vec<&str> {
     document.split("\n\n").map(str::trim).filter(|b| !b.is_empty()).collect()
 }
 
-struct BlockResult {
-    /// IOCs recognized in this block (block-local indexing).
-    iocs: Vec<IocEntity>,
-    /// Which block-local IOCs were annotated in some tree (i.e. visible to
-    /// the NLP pipeline — this is what entity extraction "found").
-    annotated: Vec<bool>,
-    trees: Vec<AnnTree>,
-}
-
-fn process_block(block_idx: usize, block: &str, ioc_protection: bool) -> BlockResult {
-    let matches = scan_iocs(block);
-    let iocs: Vec<IocEntity> = matches
-        .iter()
-        .map(|m| IocEntity {
-            text: m.text.clone(),
-            ioc_type: m.ioc_type,
-            block: block_idx,
-            offset: m.start,
+/// Parses one block's sentences into annotated trees that borrow `text`:
+/// the protected block when `protected` is set, else the raw block (the
+/// ablation, where an IOC aligns only when the tokenizer keeps it whole).
+fn parse_block<'a>(
+    block: &'a str,
+    matches: &[IocMatch],
+    protected: Option<&'a ProtectedText>,
+) -> Vec<AnnTree<'a>> {
+    let (text, record) = match protected {
+        Some(p) => (p.text.as_str(), Some(&p.record)),
+        None => (block, None),
+    };
+    let raw_spans: Vec<(usize, usize, usize)> = match record {
+        Some(_) => Vec::new(),
+        None => matches.iter().enumerate().map(|(k, m)| (m.start, m.end, k)).collect(),
+    };
+    sentence::segment(text)
+        .into_iter()
+        .map(|span| {
+            let mut toks = tokenize::tokenize(&text[span.start..span.end], span.start);
+            pos::tag(&mut toks);
+            let tree = dep::parse(&toks);
+            annotate(toks, tree, record, &raw_spans)
         })
-        .collect();
-    let types: Vec<IocType> = matches.iter().map(|m| m.ioc_type).collect();
-
-    let mut trees = Vec::new();
-    if ioc_protection {
-        let p = protect(block, &matches);
-        for span in sentence::segment(&p.text) {
-            let mut toks = tokenize::tokenize(&p.text[span.start..span.end], span.start);
-            pos::tag(&mut toks);
-            let tree = dep::parse(&toks);
-            trees.push(annotate(toks, tree, Some(&p.record), &[]));
-        }
-    } else {
-        // Ablation: parse the raw text. IOCs align only when the tokenizer
-        // happens to keep them whole.
-        let spans: Vec<(usize, usize, usize)> =
-            matches.iter().enumerate().map(|(k, m)| (m.start, m.end, k)).collect();
-        for span in sentence::segment(block) {
-            let mut toks = tokenize::tokenize(&block[span.start..span.end], span.start);
-            pos::tag(&mut toks);
-            let tree = dep::parse(&toks);
-            trees.push(annotate(toks, tree, None, &spans));
-        }
-    }
-    coref::resolve(&mut trees, &types);
-
-    let mut annotated = vec![false; iocs.len()];
-    for t in &trees {
-        for &ioc in t.ioc_of.values() {
-            annotated[ioc] = true;
-        }
-    }
-    BlockResult { iocs, annotated, trees }
+        .collect()
 }
 
 /// Runs the full pipeline with IOC protection (the system configuration).
@@ -125,45 +104,80 @@ pub fn extract(document: &str) -> ExtractionOutput {
 pub fn extract_with_options(document: &str, ioc_protection: bool) -> ExtractionOutput {
     let t0 = Instant::now();
     let blocks = segment_blocks(document);
-    let mut block_results = Vec::with_capacity(blocks.len());
-    for (i, b) in blocks.iter().enumerate() {
-        block_results.push(process_block(i, b, ioc_protection));
-    }
 
-    // Flatten block-local IOCs into a global list; remember offsets.
+    let mut sp = obs::span("extract.ioc_scan");
+    let matches: Vec<Vec<IocMatch>> = blocks.iter().map(|b| scan_iocs(b)).collect();
+    let protected: Vec<ProtectedText> = if ioc_protection {
+        blocks.iter().zip(&matches).map(|(b, m)| protect(b, m)).collect()
+    } else {
+        Vec::new()
+    };
+    sp.attr("blocks", blocks.len() as u64);
+    sp.attr("iocs", matches.iter().map(Vec::len).sum::<usize>() as u64);
+    drop(sp);
+
+    let mut sp = obs::span("extract.parse");
+    let mut trees: Vec<Vec<AnnTree<'_>>> = Vec::with_capacity(blocks.len());
+    for (bi, (b, m)) in blocks.iter().zip(&matches).enumerate() {
+        trees.push(parse_block(b, m, protected.get(bi)));
+    }
+    sp.attr("sentences", trees.iter().map(Vec::len).sum::<usize>() as u64);
+    sp.attr("tokens", trees.iter().flatten().map(|t| t.tokens.len()).sum::<usize>() as u64);
+    drop(sp);
+
+    let mut sp = obs::span("extract.coref");
+    for (block_trees, m) in trees.iter_mut().zip(&matches) {
+        let types: Vec<IocType> = m.iter().map(|m| m.ioc_type).collect();
+        coref::resolve(block_trees, &types);
+    }
+    sp.attr("links", trees.iter().flatten().map(|t| t.coref.len()).sum::<usize>() as u64);
+    drop(sp);
+
+    // Flatten block-local IOCs into one list; block `b`'s IOC `k` is
+    // `all_iocs[base[b] + k]`.
     let mut all_iocs: Vec<IocEntity> = Vec::new();
-    let mut base: Vec<usize> = Vec::with_capacity(block_results.len());
-    for br in &block_results {
+    let mut base: Vec<usize> = Vec::with_capacity(blocks.len());
+    for (block, m) in matches.into_iter().enumerate() {
         base.push(all_iocs.len());
-        all_iocs.extend(br.iocs.iter().cloned());
+        all_iocs.extend(m.into_iter().map(|m| IocEntity {
+            text: m.text,
+            ioc_type: m.ioc_type,
+            block,
+            offset: m.start,
+        }));
     }
 
     // Per-block relation extraction (block-local ioc ids → global ids).
+    let mut sp = obs::span("extract.relation");
     let mut raw_triples: Vec<(usize, String, usize, (usize, usize))> = Vec::new();
-    for (bi, br) in block_results.iter().enumerate() {
-        for t in relation::extract_from_block(&br.trees) {
+    for (bi, block_trees) in trees.iter().enumerate() {
+        for t in relation::extract_from_block(block_trees) {
             raw_triples.push((base[bi] + t.subj, t.verb, base[bi] + t.obj, (bi, t.verb_offset)));
         }
     }
     raw_triples.sort_by_key(|&(_, _, _, ord)| ord);
+    sp.attr("triples", raw_triples.len() as u64);
+    drop(sp);
     let text_to_er = t0.elapsed().as_secs_f64();
 
-    // Entities "found" by the pipeline = annotated occurrences.
-    let mut entities: Vec<IocEntity> = Vec::new();
-    for br in &block_results {
-        for (k, e) in br.iocs.iter().enumerate() {
-            if br.annotated[k] {
-                entities.push(e.clone());
-            }
+    // Entities "found" by the pipeline = occurrences annotated in some tree
+    // (visible to the NLP pipeline).
+    let mut annotated = vec![false; all_iocs.len()];
+    for (bi, block_trees) in trees.iter().enumerate() {
+        for &ioc in block_trees.iter().flat_map(|t| t.ioc_of.values()) {
+            annotated[base[bi] + ioc] = true;
         }
     }
+    let entities: Vec<IocEntity> =
+        all_iocs.iter().zip(&annotated).filter(|(_, &a)| a).map(|(e, _)| e.clone()).collect();
 
     // Scan & merge across blocks, then build the graph.
     let t1 = Instant::now();
+    let mut sp = obs::span("extract.merge_graph");
     let (group_of, canon) = merge::merge(&all_iocs);
     let ordered: Vec<(usize, String, usize)> =
-        raw_triples.iter().map(|(s, v, o, _)| (group_of[*s], v.clone(), group_of[*o])).collect();
-    let graph = ThreatBehaviorGraph::build(canon, &ordered);
+        raw_triples.into_iter().map(|(s, v, o, _)| (group_of[s], v, group_of[o])).collect();
+    let graph = ThreatBehaviorGraph::build(canon, ordered);
     let triples: Vec<IocRelationTriple> = graph
         .edges
         .iter()
@@ -173,6 +187,9 @@ pub fn extract_with_options(document: &str, ioc_protection: bool) -> ExtractionO
             obj: graph.nodes[e.dst].text.clone(),
         })
         .collect();
+    sp.attr("nodes", graph.nodes.len() as u64);
+    sp.attr("edges", graph.edges.len() as u64);
+    drop(sp);
     let er_to_graph = t1.elapsed().as_secs_f64();
 
     ExtractionOutput { entities, triples, graph, timing: ExtractTiming { text_to_er, er_to_graph } }

@@ -8,6 +8,7 @@
 //! object* and lemmatizes it. A token only becomes the relation verb if it
 //! is both on the curated keyword list and structurally on the pair's path.
 
+use raptor_nlp::lemma::lemmatize_verb;
 use raptor_nlp::DepLabel;
 
 use crate::annotate::AnnTree;
@@ -35,7 +36,7 @@ const USE_VERBS: &[&str] = &["employ", "leverage", "use", "utilize"];
 const OBJECT_PREPS: &[&str] = &["against", "at", "from", "into", "onto", "to", "toward", "towards"];
 
 /// The IOC-ish node set of a tree: real IOC tokens plus coref-resolved ones.
-fn ioc_nodes(t: &AnnTree) -> Vec<(usize, usize)> {
+fn ioc_nodes(t: &AnnTree<'_>) -> Vec<(usize, usize)> {
     let mut v: Vec<(usize, usize)> = t
         .ioc_of
         .iter()
@@ -62,18 +63,25 @@ fn core_labels(labels: &[DepLabel]) -> &[DepLabel] {
     &labels[s..e]
 }
 
-/// The lowercased text of the first node on the LCA→node path (the
-/// preposition of a `[Prep, Pobj]` path).
-fn first_path_token(t: &AnnTree, lca: usize, node: usize) -> Option<&str> {
-    t.tree.nodes_from(lca, node).first().map(|&i| t.tokens[i].lower.as_str())
+/// The lowercased text of the first `Prep` node on the LCA → node path.
+/// `below` is the node's root path under the LCA, node first.
+fn first_prep<'t>(t: &'t AnnTree<'_>, below: &[usize]) -> Option<&'t str> {
+    below
+        .iter()
+        .rev()
+        .find(|&&i| t.tree.nodes[i].label == DepLabel::Prep)
+        .map(|&i| &*t.tokens[i].lower)
 }
 
-fn lemma_at(t: &AnnTree, i: usize) -> String {
-    raptor_nlp::lemma::lemmatize_verb(&t.tokens[i].lower)
-}
-
-/// Is `a` on the subject side of the pair?
-fn subject_side(t: &AnnTree, lca: usize, a: usize, la: &[DepLabel], lb: &[DepLabel]) -> bool {
+/// Is `a` on the subject side of the pair? `below_a` is `a`'s root path
+/// under the LCA, `a` first.
+fn subject_side(
+    t: &AnnTree<'_>,
+    lca: usize,
+    below_a: &[usize],
+    la: &[DepLabel],
+    lb: &[DepLabel],
+) -> bool {
     // Active subject.
     if la == [DepLabel::Nsubj] {
         return true;
@@ -82,104 +90,83 @@ fn subject_side(t: &AnnTree, lca: usize, a: usize, la: &[DepLabel], lb: &[DepLab
     if la.is_empty() && lb.first() == Some(&DepLabel::Acl) {
         return true;
     }
-    // Passive agent: "was downloaded by A".
-    if la == [DepLabel::Prep, DepLabel::Pobj] && first_path_token(t, lca, a) == Some("by") {
-        return true;
-    }
-    // Instrument: "used A to <verb> B".
-    if la == [DepLabel::Dobj]
-        && lb.first() == Some(&DepLabel::Xcomp)
-        && USE_VERBS.contains(&lemma_at(t, lca).as_str())
+    // Passive agent: "was downloaded by A" (the preposition is the node
+    // right under the LCA).
+    if la == [DepLabel::Prep, DepLabel::Pobj]
+        && below_a.last().map(|&i| &*t.tokens[i].lower) == Some("by")
     {
         return true;
     }
-    false
+    // Instrument: "used A to <verb> B".
+    la == [DepLabel::Dobj]
+        && lb.first() == Some(&DepLabel::Xcomp)
+        && USE_VERBS.contains(&lemmatize_verb(&t.tokens[lca].lower))
 }
 
 /// Is `b` on the object side of the pair?
-fn object_side(t: &AnnTree, lca: usize, b: usize, lb: &[DepLabel]) -> bool {
-    let core = core_labels(lb);
-    match core {
+fn object_side(t: &AnnTree<'_>, below_b: &[usize], lb: &[DepLabel]) -> bool {
+    match core_labels(lb) {
         [DepLabel::Dobj] | [DepLabel::NsubjPass] | [DepLabel::Dep] => true,
-        [DepLabel::Prep, DepLabel::Pobj] => {
-            // Any preposition except the agentive "by".
-            let path = t.tree.nodes_from(lca, b);
-            // The Prep node is the first whose label is Prep.
-            let prep = path
-                .iter()
-                .find(|&&i| t.tree.nodes[i].label == DepLabel::Prep)
-                .map(|&i| t.tokens[i].lower.as_str());
-            prep != Some("by")
-        }
+        // Any preposition except the agentive "by".
+        [DepLabel::Prep, DepLabel::Pobj] => first_prep(t, below_b) != Some("by"),
         _ => false,
     }
 }
 
 /// The dobj/pobj pattern: "downloaded A from B", "transferred A to B".
-fn dobj_pobj_pair(t: &AnnTree, lca: usize, la: &[DepLabel], lb: &[DepLabel], b: usize) -> bool {
-    if core_labels(la) != [DepLabel::Dobj] {
-        return false;
-    }
-    if core_labels(lb) != [DepLabel::Prep, DepLabel::Pobj] {
-        return false;
-    }
-    let path = t.tree.nodes_from(lca, b);
-    let prep = path
-        .iter()
-        .find(|&&i| t.tree.nodes[i].label == DepLabel::Prep)
-        .map(|&i| t.tokens[i].lower.as_str());
-    prep.is_some_and(|p| OBJECT_PREPS.contains(&p))
+fn dobj_pobj_pair(t: &AnnTree<'_>, la: &[DepLabel], lb: &[DepLabel], below_b: &[usize]) -> bool {
+    core_labels(la) == [DepLabel::Dobj]
+        && core_labels(lb) == [DepLabel::Prep, DepLabel::Pobj]
+        && first_prep(t, below_b).is_some_and(|p| OBJECT_PREPS.contains(&p))
 }
 
 /// Selects the relation verb for a pair: candidate verbs on the LCA→B path
 /// (nearest to B first), then the LCA itself, then the root→LCA path
 /// (nearest to the LCA first). Returns `(token index, lemma)`.
-fn select_verb(t: &AnnTree, lca: usize, b: usize) -> Option<(usize, String)> {
-    let mut candidates: Vec<usize> = Vec::new();
-    let b_path = t.tree.nodes_from(lca, b);
-    candidates.extend(b_path.iter().rev().copied());
-    candidates.push(lca);
-    let mut up = t.tree.path_to_root(lca);
-    up.retain(|&x| x != lca);
-    candidates.extend(up);
-    for c in candidates {
-        if t.verb_candidates.contains(&c) {
-            return Some((c, t.verb_lemma[&c].clone()));
-        }
-    }
-    None
+fn select_verb(t: &AnnTree<'_>, lca: usize, below_b: &[usize]) -> Option<(usize, &'static str)> {
+    below_b
+        .iter()
+        .copied()
+        .chain(std::iter::once(lca))
+        .chain(t.tree.ancestors(lca))
+        .find(|c| t.verb_candidates.contains(c))
+        .map(|c| (c, t.verb_lemma[&c]))
 }
 
-/// Extracts all triples from one annotated tree.
-pub fn extract_from_tree(t: &AnnTree) -> Vec<RawTriple> {
+/// Extracts all triples from one annotated tree. Each IOC node's root path
+/// is walked once; a pair reads its LCA and label lists off the two paths.
+pub fn extract_from_tree(t: &AnnTree<'_>) -> Vec<RawTriple> {
     if !t.active {
         return Vec::new();
     }
     let nodes = ioc_nodes(t);
+    let paths: Vec<Vec<usize>> = nodes.iter().map(|&(tok, _)| t.tree.path_to_root(tok)).collect();
+    let (mut la, mut lb) = (Vec::new(), Vec::new());
     let mut out: Vec<RawTriple> = Vec::new();
-    for &(a_tok, a_ioc) in &nodes {
-        for &(b_tok, b_ioc) in &nodes {
+    for (&(a_tok, a_ioc), pa) in nodes.iter().zip(&paths) {
+        for (&(b_tok, b_ioc), pb) in nodes.iter().zip(&paths) {
             if a_tok == b_tok {
                 continue;
             }
-            let lca = t.tree.lca(a_tok, b_tok);
-            let la = t.tree.labels_from(lca, a_tok);
-            let lb = t.tree.labels_from(lca, b_tok);
-            let subj_obj = subject_side(t, lca, a_tok, &la, &lb) && object_side(t, lca, b_tok, &lb);
-            let dobj_pobj = dobj_pobj_pair(t, lca, &la, &lb, b_tok);
-            if !subj_obj && !dobj_pobj {
+            let m = t.tree.meet(pa, pb);
+            let (below_a, below_b) = (&pa[..m.below_a], &pb[..m.below_b]);
+            t.tree.labels_down(below_a, &mut la);
+            t.tree.labels_down(below_b, &mut lb);
+            let subj_obj =
+                subject_side(t, m.lca, below_a, &la, &lb) && object_side(t, below_b, &lb);
+            if !subj_obj && !dobj_pobj_pair(t, &la, &lb, below_b) {
                 continue;
             }
-            let Some((verb_tok, verb)) = select_verb(t, lca, b_tok) else {
+            let Some((verb_tok, verb)) = select_verb(t, m.lca, below_b) else {
                 continue;
             };
-            let triple =
-                RawTriple { subj: a_ioc, verb, obj: b_ioc, verb_offset: t.tokens[verb_tok].start };
-            if !out
-                .iter()
-                .any(|x| x.subj == triple.subj && x.obj == triple.obj && x.verb == triple.verb)
-            {
-                out.push(triple);
+            if !out.iter().any(|x| x.subj == a_ioc && x.obj == b_ioc && x.verb == verb) {
+                out.push(RawTriple {
+                    subj: a_ioc,
+                    verb: verb.to_string(),
+                    obj: b_ioc,
+                    verb_offset: t.tokens[verb_tok].start,
+                });
             }
         }
     }
@@ -187,7 +174,7 @@ pub fn extract_from_tree(t: &AnnTree) -> Vec<RawTriple> {
 }
 
 /// Extracts triples from all trees of one block.
-pub fn extract_from_block(trees: &[AnnTree]) -> Vec<RawTriple> {
+pub fn extract_from_block(trees: &[AnnTree<'_>]) -> Vec<RawTriple> {
     let mut out = Vec::new();
     for t in trees {
         out.extend(extract_from_tree(t));
@@ -210,9 +197,10 @@ mod tests {
         let types: Vec<IocType> = iocs.iter().map(|m| m.ioc_type).collect();
         let texts: Vec<String> = iocs.iter().map(|m| m.text.clone()).collect();
         let p = protect(text, &iocs);
+        let protected = p.text.as_str();
         let mut trees = Vec::new();
-        for span in sentence::segment(&p.text) {
-            let mut toks = tokenize::tokenize(&p.text[span.start..span.end], span.start);
+        for span in sentence::segment(protected) {
+            let mut toks = tokenize::tokenize(&protected[span.start..span.end], span.start);
             pos::tag(&mut toks);
             let tree = dep::parse(&toks);
             trees.push(annotate(toks, tree, Some(&p.record), &[]));

@@ -80,6 +80,13 @@ impl PathFrontier {
         self.state.dist.values().map(FxHashMap::len).sum()
     }
 
+    /// The `(node, edge)` watermarks: how much of the graph the frontier
+    /// has absorbed. Whoever restores a frontier checks them against the
+    /// graph it will advance on.
+    pub fn marks(&self) -> (usize, usize) {
+        (self.state.node_mark, self.state.edge_mark)
+    }
+
     /// Marks pairs as already emitted (restoring from checkpointed matches).
     pub fn seed_seen(&mut self, pairs: impl IntoIterator<Item = (i64, i64)>) {
         self.state.seen.extend(pairs);

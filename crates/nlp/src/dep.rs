@@ -74,74 +74,41 @@ impl DepTree {
         self.nodes.is_empty()
     }
 
+    /// The heads above `i`, nearest first (bounded, so a malformed tree
+    /// cannot loop).
+    pub fn ancestors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.nodes[i].head, |&h| self.nodes[h].head)
+            .take(self.nodes.len() + 1)
+    }
+
     /// Path of node indices from `i` up to the root (inclusive).
-    pub fn path_to_root(&self, mut i: usize) -> Vec<usize> {
-        let mut path = vec![i];
-        let mut guard = 0;
-        while let Some(h) = self.nodes[i].head {
-            path.push(h);
-            i = h;
-            guard += 1;
-            if guard > self.nodes.len() {
-                break; // defensive: malformed tree
+    pub fn path_to_root(&self, i: usize) -> Vec<usize> {
+        std::iter::once(i).chain(self.ancestors(i)).collect()
+    }
+
+    /// Where two root paths (as [`DepTree::path_to_root`] returns them)
+    /// meet: their lowest common ancestor, which is the root when they
+    /// share no node.
+    pub fn meet(&self, pa: &[usize], pb: &[usize]) -> Meet {
+        for (below_a, &n) in pa.iter().enumerate() {
+            if let Some(below_b) = pb.iter().position(|&m| m == n) {
+                return Meet { lca: n, below_a, below_b };
             }
         }
-        path
+        let below = |p: &[usize]| p.iter().position(|&n| n == self.root).unwrap_or(p.len());
+        Meet { lca: self.root, below_a: below(pa), below_b: below(pb) }
     }
 
     /// Lowest common ancestor of two nodes.
     pub fn lca(&self, a: usize, b: usize) -> usize {
-        let pa = self.path_to_root(a);
-        let pb = self.path_to_root(b);
-        let set: raptor_common::FxHashSet<usize> = pb.into_iter().collect();
-        for n in pa {
-            if set.contains(&n) {
-                return n;
-            }
-        }
-        self.root
+        self.meet(&self.path_to_root(a), &self.path_to_root(b)).lca
     }
 
-    /// Labels along the downward path LCA → node (exclusive of the LCA,
-    /// inclusive of the node's own label). Empty when `node == lca`.
-    pub fn labels_from(&self, lca: usize, node: usize) -> Vec<DepLabel> {
-        let mut labels = Vec::new();
-        let mut i = node;
-        let mut guard = 0;
-        while i != lca {
-            labels.push(self.nodes[i].label);
-            match self.nodes[i].head {
-                Some(h) => i = h,
-                None => break,
-            }
-            guard += 1;
-            if guard > self.nodes.len() {
-                break;
-            }
-        }
-        labels.reverse();
-        labels
-    }
-
-    /// Nodes on the downward path LCA → node (exclusive of the LCA,
-    /// inclusive of the node).
-    pub fn nodes_from(&self, lca: usize, node: usize) -> Vec<usize> {
-        let mut ids = Vec::new();
-        let mut i = node;
-        let mut guard = 0;
-        while i != lca {
-            ids.push(i);
-            match self.nodes[i].head {
-                Some(h) => i = h,
-                None => break,
-            }
-            guard += 1;
-            if guard > self.nodes.len() {
-                break;
-            }
-        }
-        ids.reverse();
-        ids
+    /// Fills `out` with the labels of `below` — nodes of a root path under
+    /// its LCA, node first — in LCA → node order.
+    pub fn labels_down(&self, below: &[usize], out: &mut Vec<DepLabel>) {
+        out.clear();
+        out.extend(below.iter().rev().map(|&i| self.nodes[i].label));
     }
 
     /// First child of `i` with the given label.
@@ -169,6 +136,17 @@ impl DepTree {
         }
         true
     }
+}
+
+/// Where two root paths meet (see [`DepTree::meet`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Meet {
+    /// The lowest common ancestor.
+    pub lca: usize,
+    /// How many nodes of the first path lie below the LCA: `pa[..below_a]`.
+    pub below_a: usize,
+    /// How many nodes of the second path lie below the LCA.
+    pub below_b: usize,
 }
 
 /// A noun chunk: token span plus head index.
@@ -207,7 +185,7 @@ impl ParseState {
 }
 
 /// Parses one tagged sentence into a dependency tree.
-pub fn parse(toks: &[Token]) -> DepTree {
+pub fn parse(toks: &[Token<'_>]) -> DepTree {
     let n = toks.len();
     if n == 0 {
         return DepTree { nodes: Vec::new(), root: 0 };
@@ -247,7 +225,7 @@ pub fn parse(toks: &[Token]) -> DepTree {
             match toks[j].pos {
                 PosTag::Aux => {
                     let is_be = matches!(
-                        toks[j].lower.as_str(),
+                        &*toks[j].lower,
                         "is" | "are" | "was" | "were" | "be" | "been" | "being" | "am"
                     );
                     if is_be && toks[v].verb_form == Some(VerbForm::Participle) {
@@ -312,7 +290,7 @@ pub fn parse(toks: &[Token]) -> DepTree {
             }
             Some(i)
                 if toks[i].pos == PosTag::Pron
-                    && matches!(toks[i].lower.as_str(), "which" | "that" | "who") =>
+                    && matches!(&*toks[i].lower, "which" | "that" | "who") =>
             {
                 // Relative clause on the nearest preceding noun-chunk head.
                 let noun = chunks.iter().rev().find(|c| c.end <= i).map(|c| c.head);
@@ -481,7 +459,7 @@ fn prev_clause_verb(verbs: &[usize], v: usize, root: usize) -> usize {
     verbs.iter().copied().rfind(|&x| x < v).unwrap_or(root)
 }
 
-fn find_chunks(toks: &[Token]) -> Vec<Chunk> {
+fn find_chunks(toks: &[Token<'_>]) -> Vec<Chunk> {
     let mut chunks = Vec::new();
     let mut i = 0usize;
     let n = toks.len();
@@ -490,7 +468,7 @@ fn find_chunks(toks: &[Token]) -> Vec<Chunk> {
             PosTag::Pron => {
                 // Pronouns are singleton chunks unless relative (handled in
                 // clause linking).
-                if !matches!(toks[i].lower.as_str(), "which" | "that" | "who") {
+                if !matches!(&*toks[i].lower, "which" | "that" | "who") {
                     chunks.push(Chunk { start: i, end: i + 1, head: i });
                 }
                 i += 1;
@@ -526,19 +504,28 @@ mod tests {
     use crate::pos::tag;
     use crate::tokenize::tokenize;
 
-    fn parse_str(s: &str) -> (Vec<Token>, DepTree) {
+    fn parse_str(s: &str) -> (Vec<Token<'_>>, DepTree) {
         let mut toks = tokenize(s, 0);
         tag(&mut toks);
         let tree = parse(&toks);
         (toks, tree)
     }
 
-    fn idx(toks: &[Token], word: &str) -> usize {
+    fn idx(toks: &[Token<'_>], word: &str) -> usize {
         toks.iter().position(|t| t.lower == word).unwrap()
     }
 
-    fn nth_idx(toks: &[Token], word: &str, n: usize) -> usize {
+    fn nth_idx(toks: &[Token<'_>], word: &str, n: usize) -> usize {
         toks.iter().enumerate().filter(|(_, t)| t.lower == word).map(|(i, _)| i).nth(n).unwrap()
+    }
+
+    /// Labels on the path LCA → `node`, read off the two root paths.
+    fn labels_from(tree: &DepTree, lca: usize, node: usize) -> Vec<DepLabel> {
+        let m = tree.meet(&tree.path_to_root(node), &tree.path_to_root(lca));
+        assert_eq!(m.lca, lca);
+        let mut out = Vec::new();
+        tree.labels_down(&tree.path_to_root(node)[..m.below_a], &mut out);
+        out
     }
 
     #[test]
@@ -617,7 +604,10 @@ mod tests {
         assert_eq!(tree.nodes[bz2].head, Some(from));
         // LCA of the IOC pair is the subject IOC itself.
         assert_eq!(tree.lca(gpg, bz2), gpg);
-        assert_eq!(tree.labels_from(gpg, bz2), vec![DepLabel::Acl, DepLabel::Prep, DepLabel::Pobj]);
+        assert_eq!(
+            labels_from(&tree, gpg, bz2),
+            vec![DepLabel::Acl, DepLabel::Prep, DepLabel::Pobj]
+        );
     }
 
     #[test]
@@ -651,11 +641,15 @@ mod tests {
         let tool = nth_idx(&toks, "something", 0);
         let src = nth_idx(&toks, "something", 1);
         assert_eq!(tree.lca(tool, src), used);
-        assert_eq!(tree.labels_from(used, tool), vec![DepLabel::Dobj]);
+        assert_eq!(labels_from(&tree, used, tool), vec![DepLabel::Dobj]);
         assert_eq!(
-            tree.labels_from(used, src),
+            labels_from(&tree, used, src),
             vec![DepLabel::Xcomp, DepLabel::Prep, DepLabel::Pobj]
         );
+        let (pt, ps) = (tree.path_to_root(tool), tree.path_to_root(src));
+        let m = tree.meet(&pt, &ps);
+        assert_eq!((m.lca, m.below_a, m.below_b), (used, 1, 3));
+        assert_eq!(tree.meet(&ps, &pt), Meet { lca: used, below_a: 3, below_b: 1 });
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! verbs are canonical ("wrote" → "write", "downloads" → "download").
 //! Irregular table first, then suffix stripping with doubled-consonant and
 //! silent-e restoration, validated against the verb lexicon when possible.
+//!
+//! Nothing here allocates: a lemma is either a `'static` entry of the
+//! irregular table or the verb lexicon, or a slice of the word itself, and a
+//! restored form ("us" + "e") is looked up without being built.
 
-use crate::pos::VERB_LEXICON;
+use crate::pos::{verb_entry, VERB_LEXICON};
 
 const IRREGULARS: &[(&str, &str)] = &[
     ("began", "begin"),
@@ -38,25 +42,24 @@ fn in_lexicon(s: &str) -> bool {
 }
 
 /// Lemmatizes a (lowercased) verb form.
-pub fn lemmatize_verb(lower: &str) -> String {
+pub fn lemmatize_verb(lower: &str) -> &str {
     if let Ok(i) = IRREGULARS.binary_search_by_key(&lower, |&(w, _)| w) {
-        return IRREGULARS[i].1.to_string();
+        return IRREGULARS[i].1;
     }
     if in_lexicon(lower) {
-        return lower.to_string();
+        return lower;
     }
     // -ies → -y ("copies" → "copy")
     if let Some(stem) = lower.strip_suffix("ies") {
-        let cand = format!("{stem}y");
-        if in_lexicon(&cand) {
-            return cand;
+        if let Some(lemma) = verb_entry(stem, "y") {
+            return lemma;
         }
     }
     // -es / -s ("executes" → "execute", "downloads" → "download")
     for suf in ["es", "s"] {
         if let Some(stem) = lower.strip_suffix(suf) {
             if in_lexicon(stem) {
-                return stem.to_string();
+                return stem;
             }
         }
     }
@@ -64,28 +67,29 @@ pub fn lemmatize_verb(lower: &str) -> String {
     for suf in ["ed", "ing"] {
         if let Some(stem) = lower.strip_suffix(suf) {
             if in_lexicon(stem) {
-                return stem.to_string();
+                return stem;
             }
-            let with_e = format!("{stem}e");
-            if in_lexicon(&with_e) {
-                return with_e;
+            if let Some(lemma) = verb_entry(stem, "e") {
+                return lemma;
             }
             if stem.len() >= 2 {
                 let b = stem.as_bytes();
-                if b[b.len() - 1] == b[b.len() - 2] {
+                // ASCII only: two equal trailing bytes of one multi-byte
+                // char are no doubled consonant, nor a char boundary.
+                if b[b.len() - 1].is_ascii() && b[b.len() - 1] == b[b.len() - 2] {
                     let undoubled = &stem[..stem.len() - 1];
                     if in_lexicon(undoubled) {
-                        return undoubled.to_string();
+                        return undoubled;
                     }
                 }
             }
             // Unknown verb: best-effort strip anyway ("beaconed" → "beacon").
             if stem.len() >= 3 {
-                return stem.to_string();
+                return stem;
             }
         }
     }
-    lower.to_string()
+    lower
 }
 
 #[cfg(test)]
@@ -143,5 +147,27 @@ mod tests {
     fn unknown_words_best_effort() {
         assert_eq!(lemmatize_verb("beaconed"), "beacon");
         assert_eq!(lemmatize_verb("frobnicate"), "frobnicate");
+    }
+
+    #[test]
+    fn lemmas_slice_the_word_or_a_table() {
+        let word = String::from("downloads");
+        let lemma = lemmatize_verb(&word);
+        assert_eq!(lemma, "download");
+        assert_eq!(lemma.as_ptr(), word.as_ptr(), "a stripped suffix is a slice of the word");
+        let word = String::from("using");
+        let lemma = lemmatize_verb(&word);
+        assert_eq!(lemma, "use");
+        assert!(
+            !word.as_bytes().as_ptr_range().contains(&lemma.as_ptr()),
+            "a restored form is a table entry"
+        );
+    }
+
+    #[test]
+    fn multibyte_stems_do_not_split_a_char() {
+        // U+4E38 is E4 B8 B8: its last two bytes are equal.
+        assert_eq!(lemmatize_verb("\u{4e38}ed"), "\u{4e38}");
+        assert_eq!(lemmatize_verb("x\u{4e38}ing"), "x\u{4e38}");
     }
 }

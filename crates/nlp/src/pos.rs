@@ -158,9 +158,10 @@ pub const VERB_LEXICON: &[&str] = &[
     "zip",
 ];
 
+/// Sorted, for binary search.
 const NOUN_LEXICON: &[&str] = &[
-    "activity",
     "activities",
+    "activity",
     "address",
     "archive",
     "asset",
@@ -203,6 +204,7 @@ const NOUN_LEXICON: &[&str] = &[
     "server",
     "service",
     "shell",
+    "something",
     "stage",
     "step",
     "system",
@@ -213,7 +215,6 @@ const NOUN_LEXICON: &[&str] = &[
     "utility",
     "victim",
     "vulnerability",
-    "something",
 ];
 
 fn closed_class(lower: &str) -> Option<PosTag> {
@@ -271,8 +272,15 @@ fn in_verb_lexicon(lower: &str) -> bool {
     VERB_LEXICON.binary_search(&lower).is_ok()
 }
 
+/// The [`VERB_LEXICON`] entry spelled `stem` followed by `suffix`, found
+/// without building the concatenation.
+pub(crate) fn verb_entry(stem: &str, suffix: &str) -> Option<&'static str> {
+    let word = || stem.bytes().chain(suffix.bytes());
+    VERB_LEXICON.binary_search_by(|e| e.bytes().cmp(word())).ok().map(|i| VERB_LEXICON[i])
+}
+
 fn in_noun_lexicon(lower: &str) -> bool {
-    NOUN_LEXICON.contains(&lower)
+    NOUN_LEXICON.binary_search(&lower).is_ok()
 }
 
 /// Morphological guess for an open-class word, without context.
@@ -285,7 +293,7 @@ fn morphology(lower: &str) -> (PosTag, Option<VerbForm>) {
     }
     if let Some(stem) = lower.strip_suffix("ing") {
         if stem.len() >= 2
-            && (in_verb_lexicon(stem) || in_verb_lexicon(&format!("{stem}e")) || is_cvc(stem))
+            && (in_verb_lexicon(stem) || verb_entry(stem, "e").is_some() || is_cvc(stem))
         {
             return (PosTag::Verb, Some(VerbForm::Gerund));
         }
@@ -322,7 +330,7 @@ fn morphology(lower: &str) -> (PosTag, Option<VerbForm>) {
 fn is_cvc(stem: &str) -> bool {
     if stem.len() >= 3 {
         let b = stem.as_bytes();
-        if b[b.len() - 1] == b[b.len() - 2] {
+        if b[b.len() - 1].is_ascii() && b[b.len() - 1] == b[b.len() - 2] {
             let undoubled = &stem[..stem.len() - 1];
             return in_verb_lexicon(undoubled);
         }
@@ -331,7 +339,7 @@ fn is_cvc(stem: &str) -> bool {
 }
 
 /// Tags a token slice in place.
-pub fn tag(tokens: &mut [Token]) {
+pub fn tag(tokens: &mut [Token<'_>]) {
     // Pass 1: context-free tags.
     for (i, tok) in tokens.iter_mut().enumerate() {
         if tok.is_punct() || tok.text.chars().all(|c| c.is_ascii_punctuation()) {
@@ -365,28 +373,27 @@ pub fn tag(tokens: &mut [Token]) {
     // Pass 2: context repair.
     for i in 0..tokens.len() {
         let prev = if i > 0 { Some(tokens[i - 1].pos) } else { None };
-        let next = tokens.get(i + 1).map(|t| (t.pos, t.lower.clone()));
+        // The next token is read in place: this pass has not reached it.
+        let next = tokens.get(i + 1);
+        let next_is_verb = next.is_some_and(|t| matches!(t.pos, PosTag::Verb | PosTag::Aux));
 
         // Demonstrative directly before a verb is a pronoun subject
         // ("This corresponds to ...", "That connects to ...").
-        if matches!(tokens[i].lower.as_str(), "this" | "that" | "these" | "those")
+        if matches!(&*tokens[i].lower, "this" | "that" | "these" | "those")
             && tokens[i].pos == PosTag::Det
+            && next_is_verb
         {
-            if let Some((np, _)) = &next {
-                if matches!(np, PosTag::Verb | PosTag::Aux) {
-                    tokens[i].pos = PosTag::Pron;
-                    continue;
-                }
-            }
+            tokens[i].pos = PosTag::Pron;
+            continue;
         }
         // Infinitival `to`: ADP → PART when a base verb follows.
-        if tokens[i].lower == "to" {
-            if let Some((_, nl)) = &next {
-                if in_verb_lexicon(nl) || is_irregular_past(nl) {
-                    tokens[i].pos = PosTag::Part;
-                    continue;
-                }
-            }
+        if tokens[i].lower == "to"
+            && tokens
+                .get(i + 1)
+                .is_some_and(|t| in_verb_lexicon(&t.lower) || is_irregular_past(&t.lower))
+        {
+            tokens[i].pos = PosTag::Part;
+            continue;
         }
         // After infinitival `to` or a modal: base verb.
         if (matches!(prev, Some(PosTag::Part))
@@ -431,12 +438,8 @@ pub fn tag(tokens: &mut [Token]) {
             tokens[i].verb_form = Some(VerbForm::Participle);
         }
         // `which`/`that` before a verb acts as a relative pronoun.
-        if matches!(tokens[i].lower.as_str(), "which" | "that") {
-            let verb_follows = tokens
-                .get(i + 1)
-                .map(|t| matches!(t.pos, PosTag::Verb | PosTag::Aux))
-                .unwrap_or(false);
-            if verb_follows {
+        if matches!(&*tokens[i].lower, "which" | "that") {
+            if next_is_verb {
                 tokens[i].pos = PosTag::Pron;
             } else if tokens[i].lower == "that" {
                 tokens[i].pos = PosTag::Det;
@@ -457,7 +460,7 @@ mod tests {
     use super::*;
     use crate::tokenize::tokenize;
 
-    fn tagged(s: &str) -> Vec<(String, PosTag)> {
+    fn tagged(s: &str) -> Vec<(&str, PosTag)> {
         let mut toks = tokenize(s, 0);
         tag(&mut toks);
         toks.into_iter().map(|t| (t.text, t.pos)).collect()
@@ -472,6 +475,22 @@ mod tests {
         let mut sorted = VERB_LEXICON.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, VERB_LEXICON);
+    }
+
+    #[test]
+    fn noun_lexicon_is_sorted_for_binary_search() {
+        let mut sorted = NOUN_LEXICON.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, NOUN_LEXICON);
+    }
+
+    #[test]
+    fn verb_entry_matches_the_concatenation() {
+        for (stem, suffix) in [("us", "e"), ("leverag", "e"), ("cop", "y"), ("rea", "d"), ("", "")]
+        {
+            let word = format!("{stem}{suffix}");
+            assert_eq!(verb_entry(stem, suffix), VERB_LEXICON.iter().copied().find(|&w| w == word));
+        }
     }
 
     #[test]
@@ -547,6 +566,13 @@ mod tests {
         let and = &t[4];
         assert_eq!(and.1, PosTag::Cconj);
         assert_eq!(t[5].1, PosTag::Verb); // wrote
+    }
+
+    #[test]
+    fn multibyte_words_tag_without_splitting_a_char() {
+        // U+4E38 is E4 B8 B8: "x\u{4e38}ing" must not read as a doubled
+        // consonant.
+        assert_eq!(tags_of("it x\u{4e38}ing \u{4e38}ed")[1], PosTag::Noun);
     }
 
     #[test]

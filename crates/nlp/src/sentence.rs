@@ -43,10 +43,11 @@ pub fn segment(text: &str) -> Vec<SentenceSpan> {
             while k < bytes.len() && (bytes[k] as char).is_whitespace() {
                 k += 1;
             }
-            let opens_sentence = k >= bytes.len()
-                || (bytes[k] as char).is_uppercase()
-                || (bytes[k] as char).is_ascii_digit()
-                || matches!(bytes[k] as char, '"' | '\'' | '(' | '/');
+            // `k` follows ASCII bytes only, so it is a char boundary: test
+            // the char there, not its lead byte read as Latin-1.
+            let opens_sentence = text[k..].chars().next().is_none_or(|c| {
+                c.is_uppercase() || c.is_ascii_digit() || matches!(c, '"' | '\'' | '(' | '/')
+            });
             if !is_abbrev && k > j && opens_sentence || (!is_abbrev && k >= bytes.len()) {
                 spans.push(SentenceSpan { start, end: j });
                 start = k;
@@ -108,6 +109,14 @@ mod tests {
         // A stray period followed by lowercase does not open a sentence.
         let s = sentences("The file ver. two was read. Done.");
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn non_ascii_continuations_split_only_when_uppercase() {
+        // A lowercase non-ASCII word continues the sentence; its lead byte
+        // 0xC3 read as a char is the uppercase 'Ã'.
+        assert_eq!(sentences("He ran. état suivant."), vec!["He ran. état suivant."]);
+        assert_eq!(sentences("He ran. État suivant."), vec!["He ran.", "État suivant."]);
     }
 
     #[test]

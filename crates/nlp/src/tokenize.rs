@@ -6,16 +6,24 @@
 //! already replaced pathological strings; ordinary English conventions apply:
 //! punctuation splits off words, sentence-internal hyphens stay inside words
 //! ("command-and-control"), trailing periods split ("passwd.").
+//!
+//! A token borrows its text from the sentence it was cut from. Its
+//! lowercased form borrows too when the text is ASCII without an uppercase
+//! letter; only a token that needs case folding allocates its `lower`. The
+//! output `Vec` is the tokenizer's only other allocation.
+
+use std::borrow::Cow;
 
 use crate::pos::{PosTag, VerbForm};
 
 /// A token with its source span and (after tagging) POS information.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Original text of the token.
-    pub text: String,
-    /// Lowercased text (cached; tagging and lemmatization key off it).
-    pub lower: String,
+    pub text: &'a str,
+    /// Lowercased text (tagging and lemmatization key off it): `text`
+    /// itself when folding would not change it, else `text.to_lowercase()`.
+    pub lower: Cow<'a, str>,
     /// Byte offset of the first byte in the source text.
     pub start: usize,
     /// Byte offset one past the last byte.
@@ -26,11 +34,12 @@ pub struct Token {
     pub verb_form: Option<VerbForm>,
 }
 
-impl Token {
-    fn new(text: &str, start: usize) -> Self {
+impl<'a> Token<'a> {
+    fn new(text: &'a str, start: usize) -> Self {
+        let folded = text.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase());
         Token {
-            text: text.to_string(),
-            lower: text.to_lowercase(),
+            text,
+            lower: if folded { Cow::Borrowed(text) } else { Cow::Owned(text.to_lowercase()) },
             start,
             end: start + text.len(),
             pos: PosTag::X,
@@ -50,7 +59,7 @@ fn is_word_char(c: char) -> bool {
 
 /// Tokenizes one sentence (or any text span). `base` offsets all spans, so
 /// tokens of a sentence can carry document-level offsets.
-pub fn tokenize(text: &str, base: usize) -> Vec<Token> {
+pub fn tokenize(text: &str, base: usize) -> Vec<Token<'_>> {
     let mut out = Vec::new();
     let bytes = text.as_bytes();
     let mut i = 0usize;
@@ -96,7 +105,7 @@ pub fn tokenize(text: &str, base: usize) -> Vec<Token> {
 mod tests {
     use super::*;
 
-    fn texts(s: &str) -> Vec<String> {
+    fn texts(s: &str) -> Vec<&str> {
         tokenize(s, 0).into_iter().map(|t| t.text).collect()
     }
 
@@ -154,6 +163,16 @@ mod tests {
         // no single token carries the IOC and tagging/parsing degrade.
         assert_eq!(texts("/etc/passwd"), vec!["/", "etc", "/", "passwd"],);
         assert_eq!(texts("something").len(), 1);
+    }
+
+    #[test]
+    fn lower_borrows_only_when_folding_is_the_identity() {
+        let toks = tokenize("the Attacker read", 0);
+        assert!(matches!(toks[0].lower, Cow::Borrowed("the")));
+        assert!(matches!(&toks[1].lower, Cow::Owned(s) if s == "attacker"));
+        for t in tokenize("Ärger ǅemal straße İd", 0) {
+            assert_eq!(t.lower, t.text.to_lowercase(), "{}", t.text);
+        }
     }
 
     #[test]
