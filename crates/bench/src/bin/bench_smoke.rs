@@ -47,8 +47,6 @@ struct QueryReport {
     order_syntactic: Vec<usize>,
     work_cost: usize,
     work_syntactic: usize,
-    segments_scanned: usize,
-    segments_pruned: usize,
     latency_ns_cost: u128,
     latency_ns_syntactic: u128,
     q_error_max: f64,
@@ -101,8 +99,6 @@ fn run() -> (Vec<QueryReport>, f64) {
             order_syntactic: ss.execution_order.clone(),
             work_cost: work(&sc),
             work_syntactic: work(&ss),
-            segments_scanned: sc.backend.segments_scanned,
-            segments_pruned: sc.backend.segments_pruned,
             latency_ns_cost: measure_latency(engine, &aq, SchedulerMode::CostBased),
             latency_ns_syntactic: measure_latency(engine, &aq, SchedulerMode::Syntactic),
             q_error_max: qe,
@@ -156,42 +152,28 @@ fn run_path_estimation() -> (Vec<PathReport>, f64) {
     (reports, worst)
 }
 
-/// Segment capacity the `columnar` probe section pins. Small enough that
-/// the ~2.3k-row corpus events table spans multiple segments (at the
-/// 4096-row default it fits in one, and zone maps would have nothing to
-/// prune).
-const PROBE_SEGMENT_ROWS: usize = 256;
-
-/// Deterministic zone-map signals from the columnar storage plane.
+/// Deterministic results of the vectorized full scan on the corpus.
 struct ColumnarReport {
     /// Corpus q3 through the giant-SQL baseline: the one corpus query whose
     /// events predicate (`optype = 'read' OR optype = 'write'`) runs as a
-    /// vectorized full scan. Its string-equality shape is not
-    /// zone-refutable, so this gauges vectorized scan *work*.
+    /// vectorized full scan.
     giant_rows: usize,
-    giant_segments_scanned: usize,
-    giant_segments_pruned: usize,
     /// An `endtime >= T` window probe (endtime deliberately has no B-tree
     /// index, so it full-scans) with `T` at the 90th percentile of the
-    /// corpus event endtimes: the simulator clock is monotonic, so early
-    /// segments' `[min,max]` extents fall wholly below `T` and prune.
+    /// corpus event endtimes.
     probe_rows: usize,
-    probe_segments_scanned: usize,
-    probe_segments_pruned: usize,
 }
 
-/// Runs the zone-map probes at [`PROBE_SEGMENT_ROWS`]. Everything reported
-/// is a deterministic counter — rows and segment counts, no wall clock.
+/// Runs the full-scan probes. Everything reported is a deterministic row
+/// count, no wall clock.
 fn run_columnar() -> ColumnarReport {
-    let mut raptor = corpus_system();
-    raptor.set_segment_rows(PROBE_SEGMENT_ROWS);
+    let raptor = corpus_system();
     let engine = raptor.engine();
 
-    let (r, s) = engine
+    let (r, _) = engine
         .execute_text(EQUIV_CORPUS[3], raptor_engine::ExecMode::GiantSql)
         .expect("q3 giant-sql executes");
-    let (giant_rows, giant_segments_scanned, giant_segments_pruned) =
-        (r.rows.len(), s.backend.segments_scanned, s.backend.segments_pruned);
+    let giant_rows = r.rows.len();
 
     let rel = &engine.stores.rel;
     let events = rel.table("events").expect("events table");
@@ -203,18 +185,7 @@ fn run_columnar() -> ColumnarReport {
         .query(&format!("SELECT id FROM events WHERE endtime >= {cut}"))
         .expect("window probe executes");
     assert_eq!(r.stats.full_scans, 1, "endtime probe must full-scan (no index on endtime)");
-    assert!(
-        r.stats.segments_pruned > 0,
-        "zone maps must prune at least one segment on the endtime probe"
-    );
-    ColumnarReport {
-        giant_rows,
-        giant_segments_scanned,
-        giant_segments_pruned,
-        probe_rows: r.n_rows(),
-        probe_segments_scanned: r.stats.segments_scanned,
-        probe_segments_pruned: r.stats.segments_pruned,
-    }
+    ColumnarReport { giant_rows, probe_rows: r.n_rows() }
 }
 
 /// Deterministic signals from the observability plane.
@@ -425,24 +396,16 @@ fn render_json(
         let _ = writeln!(out, "      \"order_syntactic\": {},", order(&r.order_syntactic));
         let _ = writeln!(out, "      \"work_cost\": {},", r.work_cost);
         let _ = writeln!(out, "      \"work_syntactic\": {},", r.work_syntactic);
-        let _ = writeln!(out, "      \"segments_scanned\": {},", r.segments_scanned);
-        let _ = writeln!(out, "      \"segments_pruned\": {},", r.segments_pruned);
         let _ = writeln!(out, "      \"latency_ns_cost\": {},", r.latency_ns_cost);
         let _ = writeln!(out, "      \"latency_ns_syntactic\": {},", r.latency_ns_syntactic);
         let _ = writeln!(out, "      \"q_error_max\": {:.4}", r.q_error_max);
         let _ = writeln!(out, "    }}{}", if i + 1 < reports.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ],");
-    // Deterministic zone-map signals (gated: exact probe rows, pruning must
-    // not die, segment work must not blow up).
+    // Vectorized full-scan results (gated: exact rows).
     let _ = writeln!(out, "  \"columnar\": {{");
-    let _ = writeln!(out, "    \"segment_rows\": {PROBE_SEGMENT_ROWS},");
     let _ = writeln!(out, "    \"giant_rows\": {},", columnar.giant_rows);
-    let _ = writeln!(out, "    \"giant_segments_scanned\": {},", columnar.giant_segments_scanned);
-    let _ = writeln!(out, "    \"giant_segments_pruned\": {},", columnar.giant_segments_pruned);
-    let _ = writeln!(out, "    \"probe_rows\": {},", columnar.probe_rows);
-    let _ = writeln!(out, "    \"probe_segments_scanned\": {},", columnar.probe_segments_scanned);
-    let _ = writeln!(out, "    \"probe_segments_pruned\": {}", columnar.probe_segments_pruned);
+    let _ = writeln!(out, "    \"probe_rows\": {}", columnar.probe_rows);
     let _ = writeln!(out, "  }},");
     // Observability plane: span counts are gated exactly (the taxonomy is
     // whole-operator, so counts are machine- and thread-invariant); the q3
@@ -564,35 +527,11 @@ fn gate(current: &str, baseline: &str) -> Vec<String> {
             ));
         }
     }
-    // Columnar plane: probe results are exact-deterministic; pruning dying
-    // (baseline pruned, current does not) or segment work blowing up are
-    // regressions. All counters — never wall clock.
+    // Full-scan probe results are exact-deterministic.
     for key in ["giant_rows", "probe_rows"] {
         let (c, b) = (extract_numbers(current, key), extract_numbers(baseline, key));
         if !b.is_empty() && c != b {
             failures.push(format!("columnar {key} changed: baseline {b:?}, current {c:?}"));
-        }
-    }
-    for key in ["giant_segments_scanned", "probe_segments_scanned"] {
-        if let (Some(c), Some(b)) =
-            (extract_numbers(current, key).last(), extract_numbers(baseline, key).last())
-        {
-            if *c > b.max(1.0) * MAX_REGRESSION {
-                failures.push(format!(
-                    "columnar {key} regressed >{MAX_REGRESSION}x (baseline {b}, current {c})"
-                ));
-            }
-        }
-    }
-    if let (Some(c), Some(b)) = (
-        extract_numbers(current, "probe_segments_pruned").last(),
-        extract_numbers(baseline, "probe_segments_pruned").last(),
-    ) {
-        if *b >= 1.0 && *c < 1.0 {
-            failures.push(
-                "zone maps no longer prune any segment on the endtime probe (pruning dead?)"
-                    .to_string(),
-            );
         }
     }
     // Path-estimation plane: result rows are exact-deterministic, and the
@@ -717,15 +656,8 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "columnar @{}r: giant q3 rows={} segs scanned/pruned={}/{}; \
-         endtime probe rows={} segs scanned/pruned={}/{}",
-        PROBE_SEGMENT_ROWS,
-        columnar.giant_rows,
-        columnar.giant_segments_scanned,
-        columnar.giant_segments_pruned,
-        columnar.probe_rows,
-        columnar.probe_segments_scanned,
-        columnar.probe_segments_pruned,
+        "columnar: giant q3 rows={}; endtime probe rows={}",
+        columnar.giant_rows, columnar.probe_rows
     );
     println!(
         "observability: spans/query={:?}; q3 trace off/on={:.1}µs/{:.1}µs; \

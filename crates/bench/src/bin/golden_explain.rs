@@ -4,34 +4,16 @@
 //! The golden file pins the *plan*: scheduler choice, execution order, seed
 //! candidate counts, per-pattern cost estimates, and (under
 //! `Redact::Stable`) the actual rows / Q-error / access path per pattern.
-//! Volatile fields — wall times and scan granularity counters that vary with
-//! `RAPTOR_SEGMENT_ROWS` — are redacted to `~`, so the
+//! Wall times and scan volume counters are redacted to `~`, so the
 //! `golden_corpus_explain` test in `tests/explain_golden.rs` can assert the
-//! rendering is byte-identical across thread counts and segment capacities.
+//! rendering is byte-identical from run to run.
 //!
 //! Run from the repo root: `cargo run --release -p raptor-bench --bin golden_explain`
 
-use raptor_bench::corpus::{corpus_system, EQUIV_CORPUS};
-use raptor_engine::Redact;
-use std::fmt::Write as _;
+use raptor_bench::corpus::{corpus_explain, corpus_system};
 
 fn main() {
-    let raptor = corpus_system();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# Golden EXPLAIN / EXPLAIN ANALYZE (Redact::Stable) trees for the\n\
-         # equivalence corpus. Regenerate with:\n\
-         #   cargo run --release -p raptor-bench --bin golden_explain\n\
-         # Byte-identical across RAPTOR_THREADS and RAPTOR_SEGMENT_ROWS."
-    );
-    for (i, q) in EQUIV_CORPUS.iter().enumerate() {
-        let _ = writeln!(out, "query {i}: {q}");
-        let plan = raptor.explain(q).unwrap();
-        out.push_str(&plan);
-        let (_, report) = raptor.explain_analyze(q, Redact::Stable).unwrap();
-        out.push_str(&report);
-    }
+    let out = corpus_explain(&corpus_system());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/corpus_explain.txt");
     std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
     std::fs::write(path, &out).unwrap();

@@ -45,6 +45,23 @@ pub fn corpus_system() -> ThreatRaptor {
     ThreatRaptor::from_log(&corpus_log()).unwrap()
 }
 
+/// The EXPLAIN and stable-redacted EXPLAIN ANALYZE trees of every
+/// [`EQUIV_CORPUS`] query on `raptor`: the text `tests/golden/
+/// corpus_explain.txt` pins (written by the `golden_explain` binary).
+pub fn corpus_explain(raptor: &ThreatRaptor) -> String {
+    let mut out = String::from(
+        "# Golden EXPLAIN / EXPLAIN ANALYZE (Redact::Stable) trees for the\n\
+         # equivalence corpus. Regenerate with:\n\
+         #   cargo run --release -p raptor-bench --bin golden_explain\n",
+    );
+    for (i, q) in EQUIV_CORPUS.iter().enumerate() {
+        out.push_str(&format!("query {i}: {q}\n"));
+        out.push_str(&raptor.explain(q).unwrap());
+        out.push_str(&raptor.explain_analyze(q, raptor_engine::Redact::Stable).unwrap().1);
+    }
+    out
+}
+
 /// The corpus scenario at ~15x background scale (tens of thousands of
 /// events) as a parsed + reduced log: what the durability section of
 /// `bench_smoke` streams, checkpoints and recovers.

@@ -136,13 +136,6 @@ impl ThreatRaptor {
     /// outside a `[benchmark]` PR; the next one deletes it.
     pub fn set_threads(&mut self, _threads: usize) {}
 
-    /// Re-segments the relational store's columnar tables to `rows`-row
-    /// segments (see `RAPTOR_SEGMENT_ROWS`; results are byte-identical at
-    /// every capacity — only scan granularity and segment counters change).
-    pub fn set_segment_rows(&mut self, rows: usize) {
-        self.session.set_segment_rows(rows);
-    }
-
     /// Extracts a threat behavior graph from OSCTI text (Algorithm 1).
     pub fn extract_report(&self, text: &str) -> ExtractionOutput {
         extract(text)
@@ -213,8 +206,8 @@ impl ThreatRaptor {
 
     /// Executes a TBQL query and renders the plan annotated with actuals:
     /// rows, Q-error, access path, backend counters, wall times. `Redact::
-    /// Stable` elides volatile fields (timings, scan granularity) so the
-    /// output is byte-identical across segment sizes.
+    /// Stable` elides volatile fields (timings, scan volumes) so the output
+    /// is byte-identical from run to run.
     pub fn explain_analyze(
         &self,
         tbql: &str,

@@ -3,18 +3,17 @@
 //! The log ([`crate::wal`]) is the only on-disk form of rows: every entity
 //! and event is in it, in arrival order, under its epoch's CRC. A
 //! checkpoint therefore holds no rows. It holds what a restart cannot get
-//! from the log — the shared dictionary, the segment capacity, and each
-//! standing query's accumulated state — plus the binding to the log prefix
-//! it summarises.
+//! from the log — the shared dictionary and each standing query's
+//! accumulated state — plus the binding to the log prefix it summarises.
 //!
 //! ## Restore strategy: replay through the one write seam
 //!
 //! A restart rebuilds the store by replaying the log through the same
 //! [`crate::load::append_entity`] / [`append_event`] seam that built it, in
 //! the order the log holds. That makes a recovered store **identical by
-//! construction**: both backends, every index, every zone map, and every
-//! statistics histogram are rebuilt by the exact code path that produced
-//! them, so order-sensitive state (MCV tracking caps, histogram extents,
+//! construction**: both backends, every index and every statistics
+//! histogram are rebuilt by the exact code path that produced them, so
+//! order-sensitive state (MCV tracking caps, histogram extents,
 //! adjacency order) cannot drift. The manifest only lets that replay skip
 //! standing-query advancement below `log_len` (their state at that point is
 //! in the manifest) — removing the checkpoint file leaves a log that
@@ -29,7 +28,7 @@
 //!
 //! ```text
 //! [magic u32][version u32][crc32(body) u32][body]
-//! body = dict · segment capacity
+//! body = dict
 //!        · log binding (log_len, epochs, rows, now_ns, ingest stats)
 //!        · standing queries (name, TBQL text, opaque state, frontier
 //!          state)
@@ -45,13 +44,12 @@
 //! the path-catalog digest, checked against the catalog the replay rebuilt
 //! in the relational store's statistics — the one copy (the catalog itself
 //! is never serialized). Earlier layouts also carried every table's
-//! cells and zone maps and cross-checked the rebuilt zones against them;
-//! those went with the cells — the bytes replay reads now are the log's,
-//! and each log frame has its own CRC.
+//! cells; the bytes replay reads now are the log's, and each log frame has
+//! its own CRC.
 //!
 //! Each standing query carries its cached [`PathFrontier`] state, so
 //! recovery resumes delta-incremental path matching without a cold rebuild.
-//! This is layout version 3, the only one read or written: an image of any
+//! This is layout version 4, the only one read or written: an image of any
 //! other version decodes to the typed `unsupported checkpoint version`
 //! error.
 //!
@@ -74,7 +72,7 @@ use crate::standing::StandingQuery;
 pub const CKPT_FILE: &str = "ckpt";
 
 const MAGIC: u32 = 0x5452_434B; // "KCRT" little-endian: reads as "TRCK" tag
-const VERSION: u32 = 3;
+const VERSION: u32 = 4;
 
 /// The log prefix a manifest summarises, and the session position that
 /// replaying exactly that prefix reproduces.
@@ -138,8 +136,6 @@ fn encode_stats(buf: &mut Vec<u8>, s: &BackendStats) {
         s.index_scans,
         s.full_scans,
         s.edges_traversed,
-        s.segments_scanned,
-        s.segments_pruned,
     ] {
         io::put_u64(buf, v as u64);
     }
@@ -156,8 +152,6 @@ fn decode_stats(cur: &mut Cur<'_>) -> Result<BackendStats> {
         &mut s.index_scans,
         &mut s.full_scans,
         &mut s.edges_traversed,
-        &mut s.segments_scanned,
-        &mut s.segments_pruned,
     ] {
         *field = cur.get_u64()? as usize;
     }
@@ -165,23 +159,13 @@ fn decode_stats(cur: &mut Cur<'_>) -> Result<BackendStats> {
 }
 
 /// Serializes the manifest of `stores` + `standing` at position `meta`.
-pub fn encode(
-    stores: &LoadedStores,
-    standing: &[StandingQuery],
-    meta: &SessionMeta,
-) -> Result<Vec<u8>> {
-    let cap = stores
-        .rel
-        .table("events")
-        .ok_or_else(|| Error::storage("checkpoint: missing audit table"))?
-        .segment_rows();
+pub fn encode(stores: &LoadedStores, standing: &[StandingQuery], meta: &SessionMeta) -> Vec<u8> {
     let mut body = Vec::with_capacity(4096);
     // Dictionary, in insertion order: restoring it first pins every Sym.
     io::put_u64(&mut body, stores.dict.len() as u64);
     for (_, s) in stores.dict.iter() {
         io::put_str(&mut body, s);
     }
-    io::put_u64(&mut body, cap as u64);
     io::put_u64(&mut body, meta.log_len);
     io::put_u64(&mut body, meta.epochs);
     io::put_u64(&mut body, meta.rows);
@@ -208,15 +192,15 @@ pub fn encode(
     io::put_u32(&mut out, VERSION);
     io::put_u32(&mut out, io::crc32(&body));
     out.extend_from_slice(&body);
-    Ok(out)
+    out
 }
 
 // ---------------------------------------------------------------------------
 // Decoding.
 // ---------------------------------------------------------------------------
 
-/// Decodes a checkpoint into empty stores around its dictionary (at the
-/// recorded segment capacity) and the [`Manifest`] to install once the log
+/// Decodes a checkpoint into empty stores around its dictionary and the
+/// [`Manifest`] to install once the log
 /// has been replayed up to `meta.log_len` (see module docs).
 pub fn decode(bytes: &[u8]) -> Result<(LoadedStores, Manifest)> {
     let mut cur = Cur::new(bytes);
@@ -243,12 +227,7 @@ pub fn decode(bytes: &[u8]) -> Result<(LoadedStores, Manifest)> {
             return Err(Error::storage("checkpoint dictionary has duplicate strings"));
         }
     }
-    let cap = cur.get_len()?;
-    if cap == 0 {
-        return Err(Error::storage("checkpoint: zero segment capacity"));
-    }
-    let mut stores = load::empty_with_dict(dict.clone())?;
-    stores.rel.set_segment_rows(cap);
+    let stores = load::empty_with_dict(dict.clone())?;
 
     let meta = SessionMeta {
         log_len: cur.get_u64()?,
@@ -325,7 +304,7 @@ mod tests {
         let log = sample_log();
         let stores = load::load(&log).unwrap();
         let meta = meta_for(&stores);
-        let (mut restored, manifest) = decode(&encode(&stores, &[], &meta).unwrap()).unwrap();
+        let (mut restored, manifest) = decode(&encode(&stores, &[], &meta)).unwrap();
         assert_eq!(manifest.meta, meta);
         assert_eq!(restored.rel.total_rows(), 0, "a manifest holds no rows");
         assert_eq!(restored.dict.len(), stores.dict.len());
@@ -345,7 +324,7 @@ mod tests {
     fn a_diverged_replay_is_refused() {
         let stores = load::load(&sample_log()).unwrap();
         let meta = meta_for(&stores);
-        let (mut restored, manifest) = decode(&encode(&stores, &[], &meta).unwrap()).unwrap();
+        let (mut restored, manifest) = decode(&encode(&stores, &[], &meta)).unwrap();
         let diverged = |r: Result<()>| {
             let err = r.unwrap_err();
             assert_eq!(err.kind, ErrorKind::Storage);
@@ -369,15 +348,15 @@ mod tests {
     }
 
     /// One layout is decoded. An image of any other version — the retired
-    /// v1 and v2, or one never shipped — is refused with the typed version
+    /// v1 to v3, or one never shipped — is refused with the typed version
     /// error on its header alone, whatever its body holds: no panic, no
     /// partial restore.
     #[test]
     fn other_checkpoint_versions_are_refused() {
         let log = sample_log();
         let stores = load::load(&log).unwrap();
-        let current = encode(&stores, &[], &meta_for(&stores)).unwrap();
-        for version in [0u32, 1, 2, 4, u32::MAX] {
+        let current = encode(&stores, &[], &meta_for(&stores));
+        for version in [0u32, 1, 2, 3, 5, u32::MAX] {
             let mut image = current.clone();
             image[4..8].copy_from_slice(&version.to_le_bytes());
             let err = decode(&image).map(|_| ()).unwrap_err();
@@ -390,7 +369,7 @@ mod tests {
     fn corrupt_checkpoints_error_cleanly() {
         let log = sample_log();
         let stores = load::load(&log).unwrap();
-        let clean = encode(&stores, &[], &meta_for(&stores)).unwrap();
+        let clean = encode(&stores, &[], &meta_for(&stores));
         // Zero-length and truncated-at-every-boundary inputs.
         assert!(decode(&[]).is_err());
         for cut in [1, 4, 11, 12, clean.len() / 2, clean.len() - 1] {

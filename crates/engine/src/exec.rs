@@ -86,8 +86,8 @@ pub struct QueryInfo {
     pub wall_ns: u64,
     /// Backend counters attributable to this query alone (the difference of
     /// [`EngineStats::backend`] across the call): access path taken
-    /// (`index_scans` / `full_scans`), rows scanned, segments
-    /// scanned/pruned, edges traversed. `EXPLAIN ANALYZE` renders these.
+    /// (`index_scans` / `full_scans`), rows scanned, edges traversed.
+    /// `EXPLAIN ANALYZE` renders these.
     pub delta: BackendStats,
 }
 
@@ -239,13 +239,6 @@ impl Engine {
         Engine { stores, max_hops: gexec::DEFAULT_MAX_HOPS, scheduler: SchedulerMode::default() }
     }
 
-    /// Re-segments the relational store's columnar tables to `rows`-row
-    /// segments (zone maps rebuild in one pass; results are byte-identical
-    /// at every capacity). The graph store has no segments.
-    pub fn set_segment_rows(&mut self, rows: usize) {
-        self.stores.rel.set_segment_rows(rows);
-    }
-
     /// Parses, analyzes and executes a TBQL query text.
     ///
     /// This is also the slow-query seam: when the query's wall time crosses
@@ -336,8 +329,6 @@ impl Engine {
         stats.backend.items_built += r.stats.tuples_built;
         stats.backend.index_scans += r.stats.index_scans;
         stats.backend.full_scans += r.stats.full_scans;
-        stats.backend.segments_scanned += r.stats.segments_scanned;
-        stats.backend.segments_pruned += r.stats.segments_pruned;
         stats.backend.text_parses += 1;
         stats.backend.data_queries += 1;
         Ok(r)
@@ -454,7 +445,6 @@ impl Engine {
             sp.attr("rows", m.len() as u64);
             sp.attr("in_lists", q.in_lists as u64);
             sp.attr("scanned", q.delta.items_scanned as u64);
-            sp.attr("pruned", q.delta.segments_pruned as u64);
         }
         Ok(m)
     }
@@ -1247,6 +1237,39 @@ pub(crate) mod tests {
         let (a, _) =
             engine.execute_text(raptor_tbql::parser::FIG2_QUERY, ExecMode::Scheduled).unwrap();
         assert_eq!(a.sorted_rows(), r.sorted_rows());
+    }
+
+    /// A time window lowers to `starttime`, which has a B-tree: every
+    /// relational data query of a windowed event pattern — `last`, `at`,
+    /// `before`, `from … to …` — takes an index path, never a full scan,
+    /// also when the operation (`!read`) has no index to offer.
+    #[test]
+    fn windowed_event_patterns_take_an_index_scan() {
+        let spec = raptor_cases::catalog::case_by_id("data_leak").unwrap();
+        let log = raptor_cases::build_case(spec, 1.0, 7).log;
+        let mut starts: Vec<i64> = log.events.iter().map(|e| e.start.0).collect();
+        starts.sort_unstable();
+        let (q1, mid, q3) =
+            (starts[starts.len() / 4], starts[starts.len() / 2], starts[starts.len() * 3 / 4]);
+        let engine = Engine::new(load(&log).unwrap());
+        let windows = [
+            "last 2 h".to_string(),
+            format!("at {mid}"),
+            format!("before {mid}"),
+            format!("from {q1} to {q3}"),
+        ];
+        for (op, window) in
+            ["read", "!read"].into_iter().flat_map(|op| windows.iter().map(move |w| (op, w)))
+        {
+            let q = format!("proc p {op} file f as e1 {window} return f");
+            let (_, stats) = engine.execute_text(&q, ExecMode::Scheduled).unwrap();
+            let rel: Vec<_> = stats.queries.iter().filter(|q| q.backend == "relational").collect();
+            assert!(!rel.is_empty(), "{q}");
+            for info in rel {
+                assert_eq!(info.delta.full_scans, 0, "{q}: {info:?}");
+                assert!(info.delta.index_scans >= 1, "{q}: {info:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,15 +12,13 @@
 //!   candidates (the small indexed lookups the planner itself needs),
 //!   runs the scheduler, and renders the plan tree.
 //! * [`Engine::explain_analyze`] executes the query and attaches actuals:
-//!   rows per pattern, Q-error, access path, segment pruning, wall times.
+//!   rows per pattern, Q-error, access path, rows scanned, wall times.
 //!
 //! Every line of the plain `EXPLAIN` tree — and the `ANALYZE` tree under
-//! [`Redact::Stable`] — is byte-identical at any `RAPTOR_SEGMENT_ROWS`: the
-//! golden corpus test pins it. `Redact::Stable` elides exactly the values
-//! that legitimately vary from run to run or with that knob
-//! (wall times; rows/segments scanned, which depend on segment capacity)
-//! while keeping the full tree structure, estimates, actual row counts and
-//! access-path choices.
+//! [`Redact::Stable`] — is byte-identical from run to run: the golden
+//! corpus test pins it. `Redact::Stable` elides wall times and the scan
+//! volume counters (items scanned and built) while keeping the full tree
+//! structure, estimates, actual row counts and access-path choices.
 
 use raptor_common::error::Result;
 use raptor_tbql::analyze::AnalyzedQuery;
@@ -33,12 +31,11 @@ use crate::schedule::{dependency_chains, SchedulerMode};
 /// What an `ANALYZE` rendering does with run-dependent values.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Redact {
-    /// Show everything, including wall times and capacity-dependent scan
-    /// counters (the operator view; also what the slow-query log records).
+    /// Show everything, including wall times and scan volume counters (the
+    /// operator view; also what the slow-query log records).
     Full,
-    /// Replace wall times and segment-capacity-dependent counters with `~`
-    /// so the output is byte-identical across runs and across
-    /// `RAPTOR_SEGMENT_ROWS` (the golden-test view).
+    /// Replace wall times and scan volume counters with `~` so the output
+    /// is byte-identical across runs (the golden-test view).
     Stable,
 }
 
@@ -229,10 +226,8 @@ fn render(aq: &AnalyzedQuery, stats: &EngineStats, analyze: Option<AnalyzeCtx>) 
                             access_of(q)
                         ));
                         out.push_str(&format!(
-                            " scanned={} segments={}+{}p",
+                            " scanned={}",
                             volatile(q.delta.items_scanned, a.redact),
-                            volatile(q.delta.segments_scanned, a.redact),
-                            volatile(q.delta.segments_pruned, a.redact),
                         ));
                         if q.delta.edges_traversed > 0 {
                             out.push_str(&format!(" edges={}", q.delta.edges_traversed));
@@ -264,16 +259,14 @@ fn render(aq: &AnalyzedQuery, stats: &EngineStats, analyze: Option<AnalyzeCtx>) 
         let b = &stats.backend;
         out.push_str(&format!(
             "totals: rows={} data_queries={} index_scans={} full_scans={} \
-             items_scanned={} items_built={} segments_scanned={} segments_pruned={} \
-             edges_traversed={} strings_materialized={} wall={}\n",
+             items_scanned={} items_built={} edges_traversed={} strings_materialized={} \
+             wall={}\n",
             a.result_rows,
             stats.data_queries,
             b.index_scans,
             b.full_scans,
             volatile(b.items_scanned, a.redact),
             volatile(b.items_built, a.redact),
-            volatile(b.segments_scanned, a.redact),
-            volatile(b.segments_pruned, a.redact),
             b.edges_traversed,
             stats.strings_materialized,
             a.wall_ns.map_or_else(|| "-".into(), |w| ms(w, a.redact)),

@@ -25,7 +25,7 @@
 //!   the giant-SQL and giant-Cypher execution paths,
 //! * [`explain`] — `EXPLAIN` / `EXPLAIN ANALYZE`: renders the planning and
 //!   execution decisions the engine records (estimates, order, access
-//!   paths, Q-error, segment pruning) as a stable text tree; also the
+//!   paths, Q-error, rows scanned) as a stable text tree; also the
 //!   report attached to slow-query log entries,
 //! * [`standing`] — standing queries for the streaming mode: registered
 //!   once, re-evaluated per ingestion epoch with delta evaluation (only

@@ -100,20 +100,8 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
             out.push(Token { kind: TokenKind::Str(s), offset: start });
             i = j;
         } else {
-            let two: Option<&'static str> = if i + 1 < bytes.len() {
-                match &input[i..i + 2] {
-                    "->" => Some("->"),
-                    "<-" => Some("<-"),
-                    ".." => Some(".."),
-                    "<=" => Some("<="),
-                    ">=" => Some(">="),
-                    "<>" => Some("<>"),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            if let Some(sym) = two {
+            const TWO: [&str; 6] = ["->", "<-", "..", "<=", ">=", "<>"];
+            if let Some(sym) = TWO.into_iter().find(|s| bytes[i..].starts_with(s.as_bytes())) {
                 out.push(Token { kind: TokenKind::Symbol(sym), offset: start });
                 i += 2;
                 continue;
@@ -133,7 +121,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 '<' => "<",
                 '>' => ">",
                 '*' => "*",
-                _ => return Err(Error::syntax(format!("unexpected character `{c}`"), start)),
+                _ => {
+                    let c = input[i..].chars().next().expect("the lexer stops on char boundaries");
+                    return Err(Error::syntax(format!("unexpected character `{c}`"), start));
+                }
             };
             out.push(Token { kind: TokenKind::Symbol(one), offset: start });
             i += 1;
@@ -176,5 +167,18 @@ mod tests {
     #[test]
     fn error_offset() {
         assert_eq!(lex("a ; b").unwrap_err().offset, Some(2));
+    }
+
+    /// A non-ASCII character outside a string literal is reported, decoded,
+    /// at its offset — neither a panic inside a multi-byte character nor
+    /// its first byte misread as Latin-1.
+    #[test]
+    fn non_ascii_outside_strings_is_a_syntax_error() {
+        for (ch, at) in [('日', 16), ('é', 16)] {
+            let err = lex(&format!("MATCH (n) WHERE {ch} 1")).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Syntax);
+            assert_eq!(err.offset, Some(at));
+            assert_eq!(err.message, format!("unexpected character `{ch}`"));
+        }
     }
 }

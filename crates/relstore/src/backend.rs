@@ -106,8 +106,6 @@ fn absorb_exec(stats: &mut BackendStats, exec: &ExecStats) {
     stats.items_built += exec.tuples_built;
     stats.index_scans += exec.index_scans;
     stats.full_scans += exec.full_scans;
-    stats.segments_scanned += exec.segments_scanned;
-    stats.segments_pruned += exec.segments_pruned;
 }
 
 impl Database {

@@ -155,17 +155,6 @@ impl Database {
         &self.dict
     }
 
-    /// Re-segments every table to `rows`-row segments, rebuilding zone maps
-    /// in one pass. Cell storage is capacity-independent (whole-table
-    /// columnar vectors), so this is cheap and callable at any time —
-    /// results are byte-identical at every capacity, only scan granularity
-    /// (and [`ExecStats`] segment counters) changes.
-    pub fn set_segment_rows(&mut self, rows: usize) {
-        for s in &mut self.slots {
-            s.table.set_segment_rows(rows);
-        }
-    }
-
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.by_name.get(name).map(|&ti| &self.slots[ti].table)
     }

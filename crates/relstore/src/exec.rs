@@ -25,18 +25,14 @@
 //! materializes the cheapest path and tests the full predicate on each of
 //! its rows, so index choice is purely a performance decision.
 //!
-//! **Vectorized scans** (the columnar storage plane): a pushed-down
-//! predicate is compiled once per scan into a `ScanPred` — `IN` lists
-//! become hash sets, literals bind to dictionary handles, type mismatches
-//! fold to constants — and a full scan walks the table segment by segment.
-//! Each segment is first tested against its [zone maps](crate::table::ZoneMap)
-//! (`zone_may_match`: min/max/null-count refutation, counted in
-//! [`ExecStats::segments_pruned`] without touching a row), and surviving
-//! segments evaluate the predicate as tight mask loops over contiguous
-//! column slices (`segment_select`), emitting an ascending **selection
-//! vector** of row ids. Joins, projection and `ResultBatch` construction
-//! consume selection vectors; rows are never materialized inside the scan.
-//! Everything runs on the calling thread.
+//! **Vectorized scans**: a pushed-down predicate is compiled once per scan
+//! into a `ScanPred` — `IN` lists become hash sets, literals bind to
+//! dictionary handles, type mismatches fold to constants — and a full scan
+//! is one mask loop over the table's contiguous column slices
+//! (`range_select` over `0..table.len()`), emitting an ascending
+//! **selection vector** of row ids. Joins, projection and `ResultBatch`
+//! construction consume selection vectors; rows are never materialized
+//! inside the scan. Everything runs on the calling thread.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
@@ -54,8 +50,7 @@ use raptor_storage::ValueColumn;
 /// Execution counters, surfaced for benchmarks and ablations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Rows touched by scans (before residual filtering). Rows inside
-    /// zone-pruned segments are never touched and never counted.
+    /// Rows touched by scans (before residual filtering).
     pub rows_scanned: usize,
     /// Tuples materialized across all join steps.
     pub tuples_built: usize,
@@ -63,10 +58,6 @@ pub struct ExecStats {
     pub index_scans: usize,
     /// Scans that fell back to a full table scan.
     pub full_scans: usize,
-    /// Segments whose rows a full scan actually evaluated.
-    pub segments_scanned: usize,
-    /// Segments refuted wholesale by their zone maps (no row touched).
-    pub segments_pruned: usize,
 }
 
 /// A bound column: (alias slot, column index).
@@ -285,12 +276,10 @@ enum ScanPred {
         pattern: String,
         negated: bool,
     },
-    /// `Int`/`Time` column membership; `extent` pre-computes the set's
-    /// min/max for zone refutation.
+    /// `Int`/`Time` column membership.
     InInts {
         col: usize,
         set: FxHashSet<i64>,
-        extent: (i64, i64),
         negated: bool,
     },
     /// `Str` column membership over interned handles.
@@ -359,11 +348,7 @@ fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
                     // Nothing can match ⇒ `IN` is false, `NOT IN` true.
                     return ScanPred::Const(*negated);
                 }
-                let extent = (
-                    ints.iter().copied().min().expect("non-empty"),
-                    ints.iter().copied().max().expect("non-empty"),
-                );
-                ScanPred::InInts { col, set: ints, extent, negated: *negated }
+                ScanPred::InInts { col, set: ints, negated: *negated }
             } else {
                 let syms: FxHashSet<Sym> = set
                     .iter()
@@ -387,49 +372,6 @@ fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
             Box::new(compile_scan_pred(b, table)),
         ),
         BExpr::Not(inner) => ScanPred::Not(Box::new(compile_scan_pred(inner, table))),
-    }
-}
-
-/// Can segment `seg` contain a row satisfying `p`? Pure zone-map
-/// refutation: exact min/max/null counts, so `false` is a proof (the
-/// segment is skipped without touching a row); `true` is conservative.
-fn zone_may_match(p: &ScanPred, table: &Table, seg: usize) -> bool {
-    match p {
-        ScanPred::CmpInt { col, op, lit } => {
-            let z = table.zone(*col, seg);
-            let (Some(min), Some(max)) = (z.ints.min(), z.ints.max()) else {
-                // Every cell NULL: no comparison holds.
-                return false;
-            };
-            match op {
-                CmpOp::Eq => *lit >= min && *lit <= max,
-                // All non-null cells equal the literal ⇒ `!=` matches none.
-                CmpOp::Ne => !(min == max && min == *lit),
-                CmpOp::Lt => min < *lit,
-                CmpOp::Le => min <= *lit,
-                CmpOp::Gt => max > *lit,
-                CmpOp::Ge => max >= *lit,
-            }
-        }
-        // String shapes (and `NOT IN`/`NOT LIKE`, which NULL cells satisfy)
-        // can only be refuted when the segment holds no eligible cell.
-        ScanPred::CmpSym { col, .. }
-        | ScanPred::CmpRaw { col, .. }
-        | ScanPred::NotNull { col }
-        | ScanPred::Like { col, negated: false, .. }
-        | ScanPred::InSyms { col, negated: false, .. } => table.zone(*col, seg).non_null() > 0,
-        ScanPred::InInts { col, extent, negated: false, .. } => {
-            table.zone(*col, seg).ints.overlaps(extent.0, extent.1)
-        }
-        ScanPred::Like { negated: true, .. }
-        | ScanPred::InSyms { negated: true, .. }
-        | ScanPred::InInts { negated: true, .. } => true,
-        ScanPred::CmpCols { .. } => true,
-        ScanPred::Const(b) => *b,
-        ScanPred::And(a, b) => zone_may_match(a, table, seg) && zone_may_match(b, table, seg),
-        ScanPred::Or(a, b) => zone_may_match(a, table, seg) || zone_may_match(b, table, seg),
-        // A refutation of `inner` says nothing about `NOT inner`'s rows.
-        ScanPred::Not(_) => true,
     }
 }
 
@@ -513,7 +455,7 @@ fn eval_mask(
                 m
             }
         }
-        ScanPred::InInts { col, set, negated, .. } => {
+        ScanPred::InInts { col, set, negated } => {
             let xs = &table.int_cells(*col).expect("int column")[range.clone()];
             let m = lit_mask(xs, slice_nulls(*col), |v| set.contains(&v));
             if *negated {
@@ -558,9 +500,9 @@ fn eval_mask(
     }
 }
 
-/// Evaluates `p` over one segment range, appending matching row ids (in
+/// Evaluates `p` over the rows of `range`, appending matching row ids (in
 /// ascending row order) to the selection vector `out`.
-fn segment_select(
+fn range_select(
     p: &ScanPred,
     table: &Table,
     range: std::ops::Range<usize>,
@@ -578,7 +520,7 @@ fn segment_select(
 
 /// Row-at-a-time evaluation of a compiled scan predicate — the
 /// multi-conjunct index-candidate check and the endpoint test, where rows
-/// arrive as scattered ids instead of contiguous segments. Same semantics as
+/// arrive as scattered ids instead of a contiguous range. Same semantics as
 /// [`eval_mask`], sharing the compiled `IN` hash sets.
 fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool {
     let i = row as usize;
@@ -611,7 +553,7 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
                 && like_match(pattern, dict.resolve(table.sym_cells(*col).expect("str column")[i]));
             m != *negated
         }
-        ScanPred::InInts { col, set, negated, .. } => {
+        ScanPred::InInts { col, set, negated } => {
             let m = !is_null(*col) && set.contains(&table.int_cells(*col).expect("int column")[i]);
             m != *negated
         }
@@ -799,7 +741,7 @@ fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) ->
 /// materialized, and the whole predicate is tested on each of its rows.
 /// A table with a row has statistics, and an estimate exists exactly when
 /// an index applies, so an empty table is the only one a filtered scan
-/// with an indexed conjunct reads in full — over zero segments.
+/// with an indexed conjunct reads in full — over zero rows.
 pub(crate) fn run_scan(
     db: &Database,
     table_name: &str,
@@ -814,8 +756,6 @@ pub(crate) fn run_scan(
     let rows = scan_rows(db, table_name, alias, pred, stats)?;
     sp.attr("rows", rows.len() as u64);
     sp.attr("scanned", (stats.rows_scanned - before.rows_scanned) as u64);
-    sp.attr("segments", (stats.segments_scanned - before.segments_scanned) as u64);
-    sp.attr("pruned", (stats.segments_pruned - before.segments_pruned) as u64);
     Ok(rows)
 }
 
@@ -829,9 +769,8 @@ fn scan_rows(
     let table = table_named(db, table_name)?;
 
     let Some(pred) = pred else {
-        // Unfiltered scan: every segment is read, every row selected.
+        // Unfiltered scan: every row selected.
         stats.full_scans += 1;
-        stats.segments_scanned += table.n_segments();
         stats.rows_scanned += table.len();
         return Ok((0..table.len() as RowId).collect());
     };
@@ -867,21 +806,12 @@ fn scan_rows(
             .collect());
     }
 
-    // Vectorized full scan: zone-test each segment, evaluate survivors as
-    // mask loops over the contiguous column slices, and emit an ascending
-    // selection vector.
+    // Vectorized full scan: one mask loop over the contiguous column
+    // slices, emitting an ascending selection vector.
     stats.full_scans += 1;
+    stats.rows_scanned += table.len();
     let mut out = Vec::new();
-    for seg in 0..table.n_segments() {
-        if !zone_may_match(&compiled, table, seg) {
-            stats.segments_pruned += 1;
-            continue;
-        }
-        let range = table.segment_range(seg);
-        stats.segments_scanned += 1;
-        stats.rows_scanned += range.len();
-        segment_select(&compiled, table, range, dict, &mut out);
-    }
+    range_select(&compiled, table, 0..table.len(), dict, &mut out);
     Ok(out)
 }
 
@@ -981,7 +911,7 @@ pub(crate) fn match_event_rows(
             let pred = compile_table_pred(db, events, EVENT_ALIAS, event_filter)?;
             stats.rows_scanned += rows.len();
             let mut sel = Vec::new();
-            segment_select(&pred, events, rows, dict, &mut sel);
+            range_select(&pred, events, rows, dict, &mut sel);
             sel
         }
         None => run_scan(db, "events", EVENT_ALIAS, Some(event_filter), stats)?,
@@ -1188,7 +1118,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
                 // Single-key hash join (the common case: one equi conjunct
                 // links the new alias). When both sides are dense typed
                 // columns, build and probe consume the raw column slices —
-                // `i64`/`Sym` keys straight out of segment storage, no
+                // `i64`/`Sym` keys straight out of column storage, no
                 // `Value` construction or enum hashing on the probe's hot
                 // path. Nullable or mixed-type keys fall back to `Value`.
                 let (bt, nt) = (tables[k.bound.alias], tables[slot]);
@@ -1449,7 +1379,7 @@ mod tests {
     use crate::Database;
 
     /// An empty table has no statistics, so even an indexed conjunct takes
-    /// the full-scan branch — over zero segments, returning nothing.
+    /// the full-scan branch — over zero rows, returning nothing.
     #[test]
     fn empty_indexed_table_scans_nothing() {
         let mut db = Database::new();

@@ -11,8 +11,8 @@
 //!   null); strings intern into the shared dictionary plane
 //!   (`raptor_common::SharedDict`) the engine hands both backends,
 //! * [`schema`] — column/table schemas and the catalog,
-//! * [`table`] — columnar storage (one typed vector per column, segment
-//!   zone maps) with append-only inserts,
+//! * [`table`] — columnar storage (one typed vector per column) with
+//!   append-only inserts,
 //! * [`index`] — hash (equality; for `LIKE`, the column's dictionary),
 //!   B-tree (ranges) and trigram (`LIKE` pruning) secondary indexes,
 //! * [`like`] — SQL `LIKE` semantics plus literal-run extraction for the

@@ -100,18 +100,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
             out.push(Token { kind: TokenKind::Str(s), offset: start });
             i = j;
         } else {
-            let two: Option<&'static str> = if i + 1 < bytes.len() {
-                match &input[i..i + 2] {
-                    "<=" => Some("<="),
-                    ">=" => Some(">="),
-                    "!=" => Some("!="),
-                    "<>" => Some("!="),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            if let Some(sym) = two {
+            // (spelling, token): `<>` is another spelling of `!=`.
+            const TWO: [(&str, &str); 4] = [("<=", "<="), (">=", ">="), ("!=", "!="), ("<>", "!=")];
+            let two = TWO.into_iter().find(|(s, _)| bytes[i..].starts_with(s.as_bytes()));
+            if let Some((_, sym)) = two {
                 out.push(Token { kind: TokenKind::Symbol(sym), offset: start });
                 i += 2;
                 continue;
@@ -125,7 +117,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 ',' => ",",
                 '.' => ".",
                 '*' => "*",
-                _ => return Err(Error::syntax(format!("unexpected character `{c}`"), start)),
+                _ => {
+                    let c = input[i..].chars().next().expect("the lexer stops on char boundaries");
+                    return Err(Error::syntax(format!("unexpected character `{c}`"), start));
+                }
             };
             out.push(Token { kind: TokenKind::Symbol(one), offset: start });
             i += 1;
@@ -192,5 +187,18 @@ mod tests {
     fn unicode_in_strings() {
         let ks = kinds("'café'");
         assert_eq!(ks[0], TokenKind::Str("café".into()));
+    }
+
+    /// A non-ASCII character outside a string literal is reported, decoded,
+    /// at its offset — neither a panic inside a multi-byte character nor
+    /// its first byte misread as Latin-1.
+    #[test]
+    fn non_ascii_outside_strings_is_a_syntax_error() {
+        for (ch, at) in [('日', 28), ('é', 28)] {
+            let err = lex(&format!("SELECT id FROM events WHERE {ch} 1")).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Syntax);
+            assert_eq!(err.offset, Some(at));
+            assert_eq!(err.message, format!("unexpected character `{ch}`"));
+        }
     }
 }

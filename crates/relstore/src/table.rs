@@ -1,65 +1,20 @@
-//! Columnar segmented table storage.
+//! Columnar table storage.
 //!
 //! Each table stores one typed vector per column — `Vec<i64>` for
 //! `Int`/`Time` columns, `Vec<Sym>` (dictionary handles) for `Str` columns —
 //! plus a per-column null bitmap. Rows are append-only (audit stores never
 //! update or delete) and a row id is its ordinal, so the columns stay dense
-//! and scans run as tight loops over contiguous slices.
-//!
-//! Rows are grouped into logical **segments** of [`Table::segment_rows`]
-//! rows (env-tunable via `RAPTOR_SEGMENT_ROWS`, default 4096). Every column
-//! keeps one [`ZoneMap`] per segment — min/max over the segment's non-null
-//! integers (the [`MinMax`] extent machinery shared with the statistics
-//! plane's histograms) plus null/row counts — maintained incrementally on
-//! [`Table::insert`], below the `MutableBackend` write seam, so bulk load,
-//! streaming ingest and raw inserts produce identical zone maps by
-//! construction. The executor prunes whole segments against a scan's
-//! pushed-down predicate before touching any row (`exec::zone_may_match`).
+//! and a full scan is one mask loop over contiguous slices
+//! (`exec::range_select`); everything narrower goes through an index.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::Sym;
-use raptor_storage::MinMax;
 
 use crate::schema::{ColumnType, TableSchema};
 use crate::value::Value;
 
 /// Row id inside one table.
 pub type RowId = u32;
-
-/// Default logical segment capacity, in rows.
-pub const DEFAULT_SEGMENT_ROWS: usize = 4096;
-
-/// Reads the segment capacity from `RAPTOR_SEGMENT_ROWS` (clamped to ≥ 1),
-/// falling back to [`DEFAULT_SEGMENT_ROWS`].
-pub fn segment_rows_from_env() -> usize {
-    std::env::var("RAPTOR_SEGMENT_ROWS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .map_or(DEFAULT_SEGMENT_ROWS, |n| n.max(1))
-}
-
-/// Per-segment, per-column summary: the integer extent over non-null cells
-/// (meaningful for `Int`/`Time` columns; empty for `Str` columns) plus
-/// null/row counts. All counts are exact — zone pruning must never drop a
-/// matching row.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ZoneMap {
-    /// Extent of the segment's non-null integer cells.
-    pub ints: MinMax,
-    /// NULL cells in this segment.
-    pub nulls: u32,
-    /// Rows this segment currently holds (≤ the table's segment capacity;
-    /// only the last segment can be partial).
-    pub rows: u32,
-}
-
-impl ZoneMap {
-    /// Non-null cells in this segment.
-    #[inline]
-    pub fn non_null(&self) -> u32 {
-        self.rows - self.nulls
-    }
-}
 
 /// The typed cell storage of one column.
 #[derive(Clone, Debug)]
@@ -78,27 +33,18 @@ struct Column {
     /// Any NULL anywhere in the column — lets gathers skip the per-row
     /// null check entirely on fully-dense columns.
     has_nulls: bool,
-    /// One zone map per segment, maintained incrementally on insert.
-    zones: Vec<ZoneMap>,
 }
 
 /// Append-only columnar table.
 #[derive(Debug)]
 pub struct Table {
     pub schema: TableSchema,
-    seg_rows: usize,
     len: usize,
     cols: Vec<Column>,
 }
 
 impl Table {
     pub fn new(schema: TableSchema) -> Self {
-        Self::with_segment_rows(schema, segment_rows_from_env())
-    }
-
-    /// A table with an explicit segment capacity (tests and benches; the
-    /// public path reads `RAPTOR_SEGMENT_ROWS`).
-    pub fn with_segment_rows(schema: TableSchema, seg_rows: usize) -> Self {
         let cols = schema
             .columns
             .iter()
@@ -109,10 +55,9 @@ impl Table {
                 },
                 nulls: Vec::new(),
                 has_nulls: false,
-                zones: Vec::new(),
             })
             .collect();
-        Table { schema, seg_rows: seg_rows.max(1), len: 0, cols }
+        Table { schema, len: 0, cols }
     }
 
     pub fn len(&self) -> usize {
@@ -121,52 +66,6 @@ impl Table {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Logical segment capacity, in rows.
-    pub fn segment_rows(&self) -> usize {
-        self.seg_rows
-    }
-
-    /// Re-segments the table in place: zone maps are derived data, so
-    /// changing the capacity is one pass over the columns (cell storage is
-    /// capacity-independent). Queries before and after return byte-identical
-    /// rows — only pruning granularity changes.
-    pub fn set_segment_rows(&mut self, seg_rows: usize) {
-        self.seg_rows = seg_rows.max(1);
-        let (seg_rows, len) = (self.seg_rows, self.len);
-        for col in &mut self.cols {
-            col.zones.clear();
-            for start in (0..len).step_by(seg_rows) {
-                let range = start..(start + seg_rows).min(len);
-                let mut z = ZoneMap { rows: range.len() as u32, ..ZoneMap::default() };
-                for i in range {
-                    if col.nulls[i] {
-                        z.nulls += 1;
-                    } else if let ColumnData::Int(xs) = &col.data {
-                        z.ints.record(xs[i]);
-                    }
-                }
-                col.zones.push(z);
-            }
-        }
-    }
-
-    /// Number of logical segments (the last may be partial).
-    pub fn n_segments(&self) -> usize {
-        self.len.div_ceil(self.seg_rows)
-    }
-
-    /// Row range of segment `seg`.
-    pub fn segment_range(&self, seg: usize) -> std::ops::Range<usize> {
-        let start = seg * self.seg_rows;
-        start..(start + self.seg_rows).min(self.len)
-    }
-
-    /// Zone map of column `col` in segment `seg`.
-    #[inline]
-    pub fn zone(&self, col: usize, seg: usize) -> &ZoneMap {
-        &self.cols[col].zones[seg]
     }
 
     /// Is `col` stored as integers (`Int`/`Time`)?
@@ -233,19 +132,12 @@ impl Table {
             }
         }
         let id = self.len as RowId;
-        let new_segment = self.len.is_multiple_of(self.seg_rows);
         for (ci, v) in row.iter().enumerate() {
             let col = &mut self.cols[ci];
-            if new_segment {
-                col.zones.push(ZoneMap::default());
-            }
-            let zone = col.zones.last_mut().expect("segment zone pushed above");
-            zone.rows += 1;
             match (&mut col.data, v) {
                 (ColumnData::Int(xs), Value::Int(i)) => {
                     xs.push(*i);
                     col.nulls.push(false);
-                    zone.ints.record(*i);
                 }
                 (ColumnData::Str(xs), Value::Str(s)) => {
                     xs.push(*s);
@@ -255,13 +147,11 @@ impl Table {
                     xs.push(0);
                     col.nulls.push(true);
                     col.has_nulls = true;
-                    zone.nulls += 1;
                 }
                 (ColumnData::Str(xs), _) => {
                     xs.push(Sym(0));
                     col.nulls.push(true);
                     col.has_nulls = true;
-                    zone.nulls += 1;
                 }
             }
         }
@@ -323,47 +213,5 @@ mod tests {
         assert_eq!(t.cell(0, 0), Value::Null);
         assert!(t.col_has_nulls(0));
         assert!(!t.col_has_nulls(1));
-    }
-
-    #[test]
-    fn zone_maps_track_segment_extents() {
-        let mut t = Table::with_segment_rows(schema(), 4);
-        for i in 0..10i64 {
-            t.insert(&[Value::Int(i), Value::Int(100 - i)]).unwrap();
-        }
-        assert_eq!(t.n_segments(), 3);
-        assert_eq!(t.segment_range(2), 8..10);
-        let z = t.zone(0, 1);
-        assert_eq!((z.ints.min(), z.ints.max()), (Some(4), Some(7)));
-        assert_eq!((z.rows, z.nulls), (4, 0));
-        // Partial last segment.
-        let z = t.zone(0, 2);
-        assert_eq!((z.rows, z.ints.min(), z.ints.max()), (2, Some(8), Some(9)));
-    }
-
-    #[test]
-    fn resegmenting_rebuilds_zone_maps() {
-        let mut t = Table::with_segment_rows(schema(), 4);
-        for i in 0..10i64 {
-            t.insert(&[Value::Int(i), Value::Null]).unwrap();
-        }
-        t.set_segment_rows(3);
-        assert_eq!(t.n_segments(), 4);
-        let z = t.zone(0, 3);
-        assert_eq!((z.rows, z.ints.min(), z.ints.max()), (1, Some(9), Some(9)));
-        assert_eq!(t.zone(1, 3).nulls, 1);
-        // Cells are capacity-independent.
-        assert_eq!(t.cell(7, 0), Value::Int(7));
-    }
-
-    #[test]
-    fn nulls_counted_per_segment() {
-        let mut t = Table::with_segment_rows(schema(), 2);
-        t.insert(&[Value::Int(1), Value::Null]).unwrap();
-        t.insert(&[Value::Null, Value::Int(2)]).unwrap();
-        let (za, zb) = (t.zone(0, 0), t.zone(1, 0));
-        assert_eq!((za.nulls, za.non_null()), (1, 1));
-        assert_eq!((zb.nulls, zb.non_null()), (1, 1));
-        assert_eq!(za.ints.min(), Some(1));
     }
 }

@@ -47,11 +47,10 @@ pub struct BackendStats {
     pub full_scans: usize,
     /// Edges traversed (graph backends; 0 for relational).
     pub edges_traversed: usize,
-    /// Columnar segments whose rows a full scan actually evaluated
-    /// (relational backend; 0 for graph).
+    /// Always 0: the relational store no longer partitions tables into
+    /// segments. Kept because `bench_ledger` reads it.
     pub segments_scanned: usize,
-    /// Columnar segments refuted wholesale by their zone maps — no row
-    /// inside was touched (relational backend; 0 for graph).
+    /// Always 0, like [`BackendStats::segments_scanned`].
     pub segments_pruned: usize,
 }
 
@@ -69,8 +68,8 @@ impl BackendStats {
             index_scans: self.index_scans - before.index_scans,
             full_scans: self.full_scans - before.full_scans,
             edges_traversed: self.edges_traversed - before.edges_traversed,
-            segments_scanned: self.segments_scanned - before.segments_scanned,
-            segments_pruned: self.segments_pruned - before.segments_pruned,
+            segments_scanned: 0,
+            segments_pruned: 0,
         }
     }
 
@@ -83,8 +82,6 @@ impl BackendStats {
         self.index_scans += other.index_scans;
         self.full_scans += other.full_scans;
         self.edges_traversed += other.edges_traversed;
-        self.segments_scanned += other.segments_scanned;
-        self.segments_pruned += other.segments_pruned;
     }
 }
 

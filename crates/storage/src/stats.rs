@@ -55,10 +55,8 @@ pub const TOP_K: usize = 8;
 /// capped column (the tracked majority is matched exactly).
 const LIKE_TAIL_FRACTION: f64 = 0.5;
 
-/// An incremental min/max extent over `i64` values — the shared machinery
-/// behind [`Histogram`]'s bounds and the relational store's per-segment
-/// zone maps, so both are maintained on the write path with no second
-/// collection pass.
+/// An incremental min/max extent over `i64` values — [`Histogram`]'s
+/// bounds, maintained on the write path with no second collection pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MinMax {
     min: i64,
@@ -91,11 +89,6 @@ impl MinMax {
     /// Largest recorded value (`None` when empty).
     pub fn max(&self) -> Option<i64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Does `[lo, hi]` intersect the recorded extent? `false` when empty.
-    pub fn overlaps(&self, lo: i64, hi: i64) -> bool {
-        self.count > 0 && lo <= self.max && hi >= self.min
     }
 }
 

@@ -432,14 +432,6 @@ impl StreamSession {
         self.epoch
     }
 
-    /// Re-partitions the relational store's columnar segments to `rows`
-    /// rows per segment (zone maps rebuilt in one pass). Purely physical:
-    /// no query result may change; the next checkpoint records the new
-    /// capacity.
-    pub fn set_segment_rows(&mut self, rows: usize) {
-        self.engine.set_segment_rows(rows);
-    }
-
     /// Rows in the relational store's `events` table.
     fn event_rows(&self) -> usize {
         self.engine.stores.rel.table("events").map_or(0, |t| t.len())
@@ -609,8 +601,7 @@ impl StreamSession {
             || Error::storage("checkpoint() requires a durable session (StreamSession::open)");
         // The end of the log is a durable point.
         let log_len = self.durability.as_ref().ok_or_else(volatile)?.sink.log_len();
-        let bytes =
-            checkpoint::encode(&self.engine.stores, &self.queries, &self.position(log_len))?;
+        let bytes = checkpoint::encode(&self.engine.stores, &self.queries, &self.position(log_len));
         let d = self.durability.as_mut().ok_or_else(volatile)?;
         d.fs.replace(checkpoint::CKPT_FILE, &bytes)?;
         d.epochs_since_ckpt = 0;

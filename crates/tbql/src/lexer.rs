@@ -100,21 +100,8 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
             out.push(Token { kind: TokenKind::Str(s), offset: start });
             i = j;
         } else {
-            let two: Option<&'static str> = if i + 1 < bytes.len() {
-                match &input[i..i + 2] {
-                    "~>" => Some("~>"),
-                    "->" => Some("->"),
-                    "&&" => Some("&&"),
-                    "||" => Some("||"),
-                    "<=" => Some("<="),
-                    ">=" => Some(">="),
-                    "!=" => Some("!="),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            if let Some(sym) = two {
+            const TWO: [&str; 7] = ["~>", "->", "&&", "||", "<=", ">=", "!="];
+            if let Some(sym) = TWO.into_iter().find(|s| bytes[i..].starts_with(s.as_bytes())) {
                 out.push(Token { kind: TokenKind::Symbol(sym), offset: start });
                 i += 2;
                 continue;
@@ -132,7 +119,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 '=' => "=",
                 '<' => "<",
                 '>' => ">",
-                _ => return Err(Error::syntax(format!("unexpected character `{c}`"), start)),
+                _ => {
+                    let c = input[i..].chars().next().expect("the lexer stops on char boundaries");
+                    return Err(Error::syntax(format!("unexpected character `{c}`"), start));
+                }
             };
             out.push(Token { kind: TokenKind::Symbol(one), offset: start });
             i += 1;
@@ -194,5 +184,18 @@ mod tests {
     fn errors() {
         assert!(lex("proc p {").is_err());
         assert!(lex(r#""unterminated"#).is_err());
+    }
+
+    /// A non-ASCII character outside a string literal is reported, decoded,
+    /// at its offset — neither a panic inside a multi-byte character nor
+    /// its first byte misread as Latin-1.
+    #[test]
+    fn non_ascii_outside_strings_is_a_syntax_error() {
+        for (ch, at) in [('日', 19), ('é', 19)] {
+            let err = lex(&format!("proc p read file f {ch} 1")).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Syntax);
+            assert_eq!(err.offset, Some(at));
+            assert_eq!(err.message, format!("unexpected character `{ch}`"));
+        }
     }
 }

@@ -110,7 +110,25 @@ fn arb_query() -> impl Strategy<Value = Query> {
     })
 }
 
+/// The alphabet of the lexer fuzz: words, TBQL's symbols, a quote, and a
+/// 2-byte and a 3-byte character.
+const SOUP: &[char] = &[
+    'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 'q', 'r', 's',
+    't', 'u', 'v', 'w', 'x', 'y', 'z', ' ', '(', ')', '[', ']', '~', '<', '>', '=', '!', '|', '&',
+    '"', 'é', '日', '-',
+];
+
 proptest! {
+    /// Any text — here, up to 24 characters of [`SOUP`] — parses and
+    /// analyzes to a value or an error, never a panic.
+    #[test]
+    fn never_panics(picks in proptest::collection::vec(0..SOUP.len(), 0..25)) {
+        let text: String = picks.into_iter().map(|i| SOUP[i]).collect();
+        if let Ok(q) = parse_tbql(&text) {
+            let _ = analyze(&q);
+        }
+    }
+
     /// parse(print(q)) == q for generated queries.
     #[test]
     fn printer_parser_roundtrip(q in arb_query()) {

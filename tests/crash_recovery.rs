@@ -5,8 +5,8 @@
 //! registration, mid checkpoint, post-fsync — then recover from what
 //! survived on "disk" and re-deliver the stream from the beginning. The
 //! recovered store must be indistinguishable from a one-shot bulk load:
-//! every corpus query answers byte-identically on both backends, at any
-//! segment capacity, and idempotent re-delivery never double-appends.
+//! every corpus query answers byte-identically on both backends, and
+//! idempotent re-delivery never double-appends.
 //!
 //! Alongside the property: the checkpoint is a manifest over the log and
 //! only accelerates a restart (the log alone rebuilds the same session), and
@@ -41,10 +41,8 @@ fn drive(
     log: &ParsedLog,
     epoch_size: usize,
     policy: DurablePolicy,
-    seg_rows: usize,
 ) -> threatraptor::common::error::Result<StreamSession> {
     let mut s = StreamSession::open(fs, policy)?;
-    s.set_segment_rows(seg_rows);
     for (i, q) in QUERIES.iter().enumerate() {
         let name = format!("q{i}");
         if !s.queries().iter().any(|sq| sq.name() == name) {
@@ -131,8 +129,8 @@ fn assert_same_state(a: &StreamSession, b: &StreamSession, ctx: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Property: for any case, any epoch size, any checkpoint cadence, any
-    /// segment capacity, and a crash at **any byte offset** of the durable
+    /// Property: for any case, any epoch size, any checkpoint cadence, and
+    /// a crash at **any byte offset** of the durable
     /// write stream, recovery + idempotent re-delivery converges to exactly
     /// the bulk-loaded store.
     #[test]
@@ -141,18 +139,16 @@ proptest! {
         epoch_size in 4usize..160,
         ckpt_every in 0u64..4,
         crash_frac in 0.0f64..1.0,
-        seg_idx in 0usize..2,
     ) {
         let cases = raptor_cases::all_cases();
         let spec = cases[case_idx % cases.len()];
         let built = raptor_cases::build_case(spec, 0.05, 1234);
         let policy = DurablePolicy { checkpoint_every: ckpt_every };
-        let seg_rows = [4096usize, 7][seg_idx];
-        let ctx = format!("{} epoch={epoch_size} ckpt={ckpt_every} seg={seg_rows}", spec.id);
+        let ctx = format!("{} epoch={epoch_size} ckpt={ckpt_every}", spec.id);
 
         // Calibrate: one clean run to learn the total bytes written.
         let calib = Arc::new(FailpointFs::new(Arc::new(MemFs::new())));
-        drive(calib.clone(), &built.log, epoch_size, policy, seg_rows).unwrap();
+        drive(calib.clone(), &built.log, epoch_size, policy).unwrap();
         let total = calib.bytes_written();
         prop_assert!(total > 0);
 
@@ -162,7 +158,7 @@ proptest! {
         let fp = Arc::new(FailpointFs::new(disk.clone()));
         fp.crash_after_bytes(((total as f64) * crash_frac) as u64);
         let ckpt_failures = checkpoint_failures();
-        let crashed = drive(fp.clone(), &built.log, epoch_size, policy, seg_rows);
+        let crashed = drive(fp.clone(), &built.log, epoch_size, policy);
         // The one budget hit that is not an error: the replace of an
         // automatic checkpoint, after a durable epoch with nothing written
         // after it. That one is counted instead.
@@ -173,15 +169,14 @@ proptest! {
         drop(crashed);
 
         // Recover from the surviving disk image and re-deliver everything.
-        let recovered = drive(disk, &built.log, epoch_size, policy, seg_rows).unwrap();
+        let recovered = drive(disk, &built.log, epoch_size, policy).unwrap();
         prop_assert_eq!(
             recovered.epochs() as usize,
             EpochStream::new(&built.log, EpochPolicy::ByCount(epoch_size)).count(),
             "{}", &ctx
         );
 
-        let mut bulk = Engine::new(load(&built.log).unwrap());
-        bulk.set_segment_rows(seg_rows);
+        let bulk = Engine::new(load(&built.log).unwrap());
         assert_recovered_equals_bulk(&recovered, &bulk, &ctx);
     }
 
