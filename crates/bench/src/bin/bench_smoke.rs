@@ -127,6 +127,8 @@ const PATH_QERROR_CAP: f64 = 10.0;
 struct PathReport {
     id: usize,
     rows: usize,
+    /// The walk's `edges_traversed`, gated exact.
+    edges: usize,
     estimated_rows: f64,
     q_error: f64,
 }
@@ -147,7 +149,8 @@ fn run_path_estimation() -> (Vec<PathReport>, f64) {
         assert!(qe.is_finite(), "path q-error must stay finite on query {id}");
         worst = worst.max(qe);
         let est = path_ests.iter().filter_map(|e| e.estimated_rows).fold(0.0f64, f64::max);
-        reports.push(PathReport { id, rows: r.rows.len(), estimated_rows: est, q_error: qe });
+        let (rows, edges) = (r.rows.len(), s.backend.edges_traversed);
+        reports.push(PathReport { id, rows, edges, estimated_rows: est, q_error: qe });
     }
     (reports, worst)
 }
@@ -418,6 +421,7 @@ fn render_json(
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"query\": {},", p.id);
         let _ = writeln!(out, "      \"path_rows\": {},", p.rows);
+        let _ = writeln!(out, "      \"path_edges\": {},", p.edges);
         let _ = writeln!(out, "      \"path_est_rows\": {:.4},", p.estimated_rows);
         let _ = writeln!(out, "      \"path_q_error\": {:.4}", p.q_error);
         let _ = writeln!(out, "    }}{}", if i + 1 < paths.len() { "," } else { "" });
@@ -534,15 +538,14 @@ fn gate(current: &str, baseline: &str) -> Vec<String> {
             failures.push(format!("columnar {key} changed: baseline {b:?}, current {c:?}"));
         }
     }
-    // Path-estimation plane: result rows are exact-deterministic, and the
-    // worst path-pattern Q-error is capped *absolutely* — the catalog's
-    // decomposition estimates must keep it under PATH_QERROR_CAP
-    // regardless of what the baseline recorded.
-    {
-        let (c, b) =
-            (extract_numbers(current, "path_rows"), extract_numbers(baseline, "path_rows"));
+    // Path-estimation plane: result rows and walked edges are
+    // exact-deterministic, and the worst path-pattern Q-error is capped
+    // *absolutely* — the catalog's decomposition estimates must keep it
+    // under PATH_QERROR_CAP regardless of what the baseline recorded.
+    for key in ["path_rows", "path_edges"] {
+        let (c, b) = (extract_numbers(current, key), extract_numbers(baseline, key));
         if !b.is_empty() && c != b {
-            failures.push(format!("path_estimation rows changed: baseline {b:?}, current {c:?}"));
+            failures.push(format!("path_estimation {key} changed: baseline {b:?}, current {c:?}"));
         }
     }
     if let Some(c) = extract_numbers(current, "path_q_error_max").last() {

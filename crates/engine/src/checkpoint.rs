@@ -199,6 +199,10 @@ pub fn encode(stores: &LoadedStores, standing: &[StandingQuery], meta: &SessionM
 // Decoding.
 // ---------------------------------------------------------------------------
 
+/// The least a standing query takes: its name's and text's length prefixes
+/// and its state's and frontier's.
+const MIN_STANDING_BYTES: usize = 24;
+
 /// Decodes a checkpoint into empty stores around its dictionary and the
 /// [`Manifest`] to install once the log
 /// has been replayed up to `meta.log_len` (see module docs).
@@ -239,6 +243,11 @@ pub fn decode(bytes: &[u8]) -> Result<(LoadedStores, Manifest)> {
 
     // Standing queries: recompile the registered text, restore state.
     let n_standing = cur.get_len()?;
+    // Nothing is reserved for a count the bytes left could not hold: CRC-32
+    // is no MAC, so a forged count may come with a valid checksum.
+    if n_standing > cur.remaining() / MIN_STANDING_BYTES {
+        return Err(Error::storage(format!("checkpoint claims {n_standing} standing queries")));
+    }
     let mut queries = Vec::with_capacity(n_standing);
     for _ in 0..n_standing {
         let name = cur.get_str()?;
@@ -266,24 +275,8 @@ pub fn decode(bytes: &[u8]) -> Result<(LoadedStores, Manifest)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raptor_audit::sim::Simulator;
-    use raptor_audit::LogParser;
+    use crate::load::tests::sample_log;
     use raptor_common::error::ErrorKind;
-    use raptor_common::time::Timestamp;
-
-    fn sample_log() -> raptor_audit::ParsedLog {
-        let mut sim = Simulator::new(5, Timestamp::from_secs(1000));
-        let shell = sim.boot_process("/bin/bash", "root");
-        let tar = sim.spawn(shell, "/bin/tar", "tar cf /tmp/upload.tar");
-        sim.read_file(tar, "/etc/passwd", 4096, 4);
-        sim.write_file(tar, "/tmp/upload.tar", 4096, 2);
-        let curl = sim.spawn(shell, "/usr/bin/curl", "curl");
-        let fd = sim.connect(curl, "192.168.29.128", 443);
-        sim.send(curl, fd, 1024, 2);
-        sim.exit(curl);
-        sim.exit(tar);
-        LogParser::parse(&sim.finish())
-    }
 
     fn meta_for(stores: &LoadedStores) -> SessionMeta {
         SessionMeta {
@@ -381,5 +374,115 @@ mod tests {
             corrupt[i] ^= 0x10;
             assert!(decode(&corrupt).is_err(), "flip at {i} must error");
         }
+    }
+
+    /// `image` with its checksum recomputed: CRC-32 is no MAC, so whoever
+    /// can write the file can make a forged body reach the decoder.
+    fn resealed(mut image: Vec<u8>) -> Vec<u8> {
+        if image.len() >= 12 {
+            let crc = io::crc32(&image[12..]);
+            image[8..12].copy_from_slice(&crc.to_le_bytes());
+        }
+        image
+    }
+
+    /// `image` with the `u64` at `at` set to `count`, resealed.
+    fn forged(image: &[u8], at: usize, count: u64) -> Vec<u8> {
+        let mut image = image.to_vec();
+        image[at..at + 8].copy_from_slice(&count.to_le_bytes());
+        resealed(image)
+    }
+
+    /// Refused by a count check, before anything was reserved.
+    fn refused(image: &[u8]) {
+        let err = decode(image).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Storage, "{err}");
+        assert!(err.message.contains(" claims "), "{err}");
+    }
+
+    /// A manifest with an event-pattern and a path-pattern standing query,
+    /// each advanced over the whole sample log.
+    fn image_with_queries() -> (Vec<u8>, Vec<StandingQuery>) {
+        let log = sample_log();
+        let engine = crate::exec::Engine::new(load::load(&log).unwrap());
+        let epoch = crate::standing::EpochInput { epoch: 0, event_rows: 0..log.events.len() };
+        let mut queries = Vec::new();
+        for q in [
+            r#"proc p["%tar%"] read file f["%passwd%"] as e1 return p, f"#,
+            r#"proc p["%bash%"] ~>(1~3)[write] file f["%upload%"] as e1 return p, f"#,
+        ] {
+            let mut sq = StandingQuery::new("q", q, engine.stores.dict.clone()).unwrap();
+            sq.advance(&engine, &epoch).unwrap();
+            queries.push(sq);
+        }
+        (encode(&engine.stores, &queries, &meta_for(&engine.stores)), queries)
+    }
+
+    /// A standing-query count the bytes left cannot hold is refused before
+    /// anything is reserved (60 Mi of them used to abort the process).
+    #[test]
+    fn forged_standing_query_count_is_refused() {
+        let stores = load::load(&sample_log()).unwrap();
+        let clean = encode(&stores, &[], &meta_for(&stores));
+        // The count sits before the trailing catalog digest.
+        refused(&forged(&clean, clean.len() - 12, 60 << 20));
+    }
+
+    /// So are a standing state's match and row counts.
+    #[test]
+    fn forged_standing_state_counts_are_refused() {
+        let (image, queries) = image_with_queries();
+        let mut state = Vec::new();
+        queries[0].encode_state(&mut state);
+        let at = image.windows(state.len()).position(|w| w == state).unwrap();
+        // One pattern's match count, then its matches and first-match epoch.
+        let n = u64::from_le_bytes(state[8..16].try_into().unwrap()) as usize;
+        assert!(n > 0, "the event pattern matched");
+        for field in [8, 16 + n * 40 + 9] {
+            refused(&forged(&image, at + field, 60 << 20));
+        }
+        decode(&resealed(image)).unwrap();
+    }
+
+    /// Fuzz leg: arbitrary bytes, with and without a valid header, and
+    /// mutated real images resealed so that the mutation reaches the body
+    /// — byte flips, truncations, and every offset's 8-byte word set to the
+    /// largest count a length prefix admits, or to a random word. Each
+    /// decodes to a manifest or to a typed `Storage` error.
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_typed() {
+        use proptest::test_runner::TestRng;
+        let (image, _) = image_with_queries();
+        let mut rng = TestRng::from_name("arbitrary_bytes_decode_or_fail_typed");
+        let (mut inputs, mut past_crc) = (0, 0);
+        let mut check = |input: Vec<u8>| {
+            inputs += 1;
+            let crc = |b: &[u8]| io::crc32(&b[12..]).to_le_bytes() == b[8..12];
+            past_crc += (input.len() >= 12 && input[..8] == image[..8] && crc(&input)) as usize;
+            if let Err(e) = decode(&input) {
+                assert_eq!(e.kind, ErrorKind::Storage, "{e}");
+            }
+        };
+        for i in 0..512 {
+            let mut bytes: Vec<u8> = (0..rng.below(513)).map(|_| rng.next_u64() as u8).collect();
+            if i % 2 == 0 && bytes.len() >= 12 {
+                bytes[..8].copy_from_slice(&image[..8]);
+                bytes = resealed(bytes);
+            }
+            check(bytes);
+            let mut bytes = image.clone();
+            for _ in 0..=rng.below(3) {
+                bytes[12 + rng.below(image.len() as u64 - 12) as usize] ^= 1 << rng.below(8);
+            }
+            bytes.truncate(rng.below(2 * image.len() as u64) as usize);
+            check(resealed(bytes));
+        }
+        for at in 12..image.len() - 8 {
+            check(forged(&image, at, io::MAX_BLOB as u64));
+            check(forged(&image, at, rng.next_u64()));
+        }
+        let share = past_crc as f64 / inputs as f64;
+        println!("{past_crc} of {inputs} inputs ({share:.3}) got past the CRC");
+        assert!(share > 0.8, "the mutations must reach the body");
     }
 }

@@ -295,13 +295,14 @@ pub fn load(log: &ParsedLog) -> Result<LoadedStores> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use raptor_audit::sim::Simulator;
     use raptor_audit::LogParser;
     use raptor_common::time::Timestamp;
 
-    fn sample_log() -> ParsedLog {
+    /// A tar-then-curl exfiltration: the engine's shared test log.
+    pub(crate) fn sample_log() -> ParsedLog {
         let mut sim = Simulator::new(5, Timestamp::from_secs(1000));
         let shell = sim.boot_process("/bin/bash", "root");
         let tar = sim.spawn(shell, "/bin/tar", "tar cf /tmp/upload.tar");

@@ -82,6 +82,9 @@ pub struct EpochInput {
     pub event_rows: std::ops::Range<usize>,
 }
 
+/// One encoded match: subject, object, event, start and end.
+const MATCH_BYTES: usize = 40;
+
 /// Process-wide count of cached frontier distance entries, maintained by
 /// every live standing query (the `raptor_path_frontier_entries` gauge).
 static FRONTIER_ENTRIES: AtomicI64 = AtomicI64::new(0);
@@ -280,6 +283,10 @@ impl StandingQuery {
         let mut first = Vec::with_capacity(n_patterns);
         for p in &self.aq.patterns {
             let n = cur.get_len()?;
+            // Nothing is reserved for a count the bytes left could not hold.
+            if n > cur.remaining() / MATCH_BYTES {
+                return Err(Error::storage(format!("standing state claims {n} matches")));
+            }
             let mut pm = PatternMatches::with_capacity(n, p.has_final_hop());
             for _ in 0..n {
                 let (subj, obj, evt) = (cur.get_i64()?, cur.get_i64()?, cur.get_i64()?);
@@ -302,6 +309,10 @@ impl StandingQuery {
                 "standing state arity {arity} != query arity {}",
                 self.columns.len()
             )));
+        }
+        // Every cell takes at least its tag byte.
+        if n_rows.saturating_mul(arity) > cur.remaining() {
+            return Err(Error::storage(format!("standing state claims {n_rows} rows")));
         }
         let n_syms = self.dict.len() as u32;
         let mut cumulative = Vec::with_capacity(n_rows);
@@ -582,24 +593,8 @@ impl Drop for StandingQuery {
 mod tests {
     use super::*;
     use crate::exec::ExecMode;
+    use crate::load::tests::sample_log;
     use crate::load::{self, load};
-    use raptor_audit::sim::Simulator;
-    use raptor_audit::LogParser;
-    use raptor_common::time::Timestamp;
-
-    fn sample_log() -> raptor_audit::ParsedLog {
-        let mut sim = Simulator::new(5, Timestamp::from_secs(1000));
-        let shell = sim.boot_process("/bin/bash", "root");
-        let tar = sim.spawn(shell, "/bin/tar", "tar cf /tmp/upload.tar");
-        sim.read_file(tar, "/etc/passwd", 4096, 4);
-        sim.write_file(tar, "/tmp/upload.tar", 4096, 2);
-        let curl = sim.spawn(shell, "/usr/bin/curl", "curl");
-        let fd = sim.connect(curl, "192.168.29.128", 443);
-        sim.send(curl, fd, 1024, 2);
-        sim.exit(curl);
-        sim.exit(tar);
-        LogParser::parse(&sim.finish())
-    }
 
     fn standing(q: &str, engine: &Engine) -> StandingQuery {
         StandingQuery::new("t", q, engine.stores.dict.clone()).unwrap()

@@ -43,7 +43,7 @@ use crate::cypher::exec::{
     anchor_candidates, bind, edge_distinct_walks, eval, BindVal, BoundExpr, BoundProp, BoundShape,
     GraphQueryStats,
 };
-use crate::graph::{prop_of, EdgeId, Graph, NodeId, PropValue};
+use crate::graph::{EdgeId, Graph, NodeId, PropValue};
 
 pub fn label_for_class(class: EntityClass) -> &'static str {
     match class {
@@ -226,9 +226,9 @@ pub(crate) struct PathMatcher<'a> {
     endtime: Option<Sym>,
 }
 
-/// `props[key]` if it is an integer, else `-1`.
-fn int_prop(props: &[(Sym, PropValue)], key: Option<Sym>) -> i64 {
-    match key.and_then(|k| prop_of(props, k)) {
+/// An integer property's value, `-1` for anything else.
+fn int_or_missing(v: Option<PropValue>) -> i64 {
+    match v {
         Some(PropValue::Int(i)) => i,
         _ => -1,
     }
@@ -237,13 +237,12 @@ fn int_prop(props: &[(Sym, PropValue)], key: Option<Sym>) -> i64 {
 impl PathMatcher<'_> {
     /// The entity id a node carries (`-1` if it has none).
     pub(crate) fn entity_id(&self, n: NodeId) -> i64 {
-        int_prop(&self.g.node(n).props, self.id)
+        int_or_missing(self.id.and_then(|k| self.g.node_prop_sym(n, k)))
     }
 
     /// An event row's `(id, starttime, endtime)` (`-1` where one is missing).
     fn event_row(&self, e: EdgeId) -> (i64, i64, i64) {
-        let props = &self.g.edge(e).props;
-        let int = |key| int_prop(props, key);
+        let int = |key: Option<Sym>| int_or_missing(key.and_then(|k| self.g.edge_prop_sym(e, k)));
         (int(self.id), int(self.starttime), int(self.endtime))
     }
 
@@ -635,7 +634,7 @@ mod tests {
             },
         };
         // (Cypher condition, typed attribute and test, selected ids)
-        let cases: [(&str, &str, Test, &[i64]); 25] = [
+        let cases: [(&str, &str, Test, &[i64]); 31] = [
             // An unseen string: `=` is false, `<>` holds on strings only.
             ("s.name = 'zz'", "name", Cmp(Eq, S("zz")), &[]),
             ("s.name <> 'zz'", "name", Cmp(Ne, S("zz")), &[0, 1, 2]),
@@ -644,6 +643,10 @@ mod tests {
             // `name`, no node has `nokey`.
             ("s.name = 'a'", "name", Cmp(Eq, S("a")), &[2]),
             ("s.name <> 'a'", "name", Cmp(Ne, S("a")), &[0, 1]),
+            // `=` and `<>` between distinct symbols, at both ends of the order.
+            ("s.name = 'c'", "name", Cmp(Eq, S("c")), &[0]),
+            ("s.name <> 'c'", "name", Cmp(Ne, S("c")), &[1, 2]),
+            ("s.name IN ['c', 'a']", "name", In(false, &["c", "a"]), &[0, 2]),
             ("s.nokey = 'a'", "nokey", Cmp(Eq, S("a")), &[]),
             ("s.nokey <> 'a'", "nokey", Cmp(Ne, S("a")), &[]),
             ("s.nokey < 1", "nokey", Cmp(Lt, I(1)), &[]),
@@ -657,6 +660,7 @@ mod tests {
             ("s.name = 10", "name", Cmp(Eq, I(10)), &[]),
             ("s.name <> 10", "name", Cmp(Ne, I(10)), &[]),
             ("s.name < 10", "name", Cmp(Lt, I(10)), &[]),
+            ("s.pid >= 'a'", "pid", Cmp(Ge, S("a")), &[]),
             // `IN` with an unseen literal matches the literals that exist.
             ("s.name IN ['zz', 'a']", "name", In(false, &["zz", "a"]), &[2]),
             ("s.name IN ['zz']", "name", In(false, &["zz"]), &[]),
@@ -666,6 +670,10 @@ mod tests {
             ("s.name <= 'b'", "name", Cmp(Le, S("b")), &[1, 2]),
             ("s.name > 'b'", "name", Cmp(Gt, S("b")), &[0]),
             ("s.name >= 'b'", "name", Cmp(Ge, S("b")), &[0, 1]),
+            // `c` has the lowest symbol and the highest content, `a` the
+            // reverse.
+            ("s.name < 'c'", "name", Cmp(Lt, S("c")), &[1, 2]),
+            ("s.name > 'a'", "name", Cmp(Gt, S("a")), &[0, 1]),
             ("s.pid > 15", "pid", Cmp(Gt, I(15)), &[0, 1, 3]),
         ];
         for (cond, attr, test, want) in cases {

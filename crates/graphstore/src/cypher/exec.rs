@@ -15,7 +15,7 @@ use raptor_common::intern::{SharedDict, Sym};
 use raptor_storage::{Posting, Value};
 
 use super::ast::*;
-use crate::graph::{prop_of, EdgeId, Graph, NodeId, PropValue};
+use crate::graph::{EdgeId, Graph, NodeId, PropValue};
 
 /// Default hop cap for unbounded variable-length patterns (`[*]`, `[*2..]`).
 pub const DEFAULT_MAX_HOPS: u32 = 8;
@@ -90,8 +90,8 @@ impl BoundProp {
     fn read(self, g: &Graph, binding: &[BindVal]) -> Option<PropValue> {
         let key = self.key?;
         match binding[self.slot] {
-            BindVal::Node(n) => prop_of(&g.node(n).props, key),
-            BindVal::Edge(e) => prop_of(&g.edge(e).props, key),
+            BindVal::Node(n) => g.node_prop_sym(n, key),
+            BindVal::Edge(e) => g.edge_prop_sym(e, key),
             BindVal::Unbound => None,
         }
     }
@@ -175,13 +175,12 @@ pub(crate) fn eval(g: &Graph, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
             use std::cmp::Ordering::*;
             let ord = match (lv, rv) {
                 (PropValue::Int(a), PropValue::Int(b)) => a.cmp(&b),
-                (PropValue::Str(a), PropValue::Str(b)) => {
-                    if a == b {
-                        Equal
-                    } else {
-                        g.dict().resolve(a).cmp(g.dict().resolve(b))
-                    }
-                }
+                (PropValue::Str(a), PropValue::Str(b)) => match op {
+                    // One dictionary: two symbols are equal exactly when
+                    // their strings are, so only an ordering reads them.
+                    COp::Eq | COp::Ne => a.cmp(&b),
+                    _ => g.dict().resolve(a).cmp(g.dict().resolve(b)),
+                },
                 _ => return false,
             };
             match op {
@@ -225,23 +224,22 @@ impl BoundShape {
         }
     }
 
-    /// Does a record with `label` and `props` fit the pattern?
-    fn holds(&self, label: Sym, props: &[(Sym, PropValue)]) -> bool {
+    /// Does a record with `label` whose properties `prop` reads fit the
+    /// pattern?
+    fn holds(&self, label: Sym, prop: impl Fn(Sym) -> Option<PropValue>) -> bool {
         self.label.is_none_or(|l| l == Some(label))
             && self.props.iter().all(|&kv| match kv {
-                (Some(k), Some(v)) => prop_of(props, k) == Some(v),
+                (Some(k), Some(v)) => prop(k) == Some(v),
                 _ => false,
             })
     }
 
     fn node(&self, g: &Graph, n: NodeId) -> bool {
-        let n = g.node(n);
-        self.holds(n.label, &n.props)
+        self.holds(g.node(n).label, |k| g.node_prop_sym(n, k))
     }
 
     fn edge(&self, g: &Graph, e: EdgeId) -> bool {
-        let e = g.edge(e);
-        self.holds(e.label, &e.props)
+        self.holds(g.edge(e).label, |k| g.edge_prop_sym(e, k))
     }
 }
 
@@ -375,83 +373,48 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
         let already_bound = start_slot
             .map(|s| bindings.first().is_some_and(|b| b[s] != BindVal::Unbound))
             .unwrap_or(false);
-        if already_bound {
-            // Filter existing bindings by the start pattern.
+        let cursors: Vec<NodeId> = if already_bound {
+            // Filter existing bindings by the start pattern; they carry the
+            // cursors.
             let slot = start_slot.unwrap();
-            bindings.retain(|b| match b[slot] {
-                BindVal::Node(n) => start.node(g, n),
-                _ => false,
-            });
+            bindings.retain(|b| matches!(b[slot], BindVal::Node(n) if start.node(g, n)));
+            let node = |b: &Vec<BindVal>| match b[slot] {
+                BindVal::Node(n) => n,
+                _ => unreachable!("retained above"),
+            };
+            bindings.iter().map(node).collect()
         } else {
             // Anchor with WHERE conjuncts that reference only this new var.
-            let var_name = path.start.var.clone();
+            let var = path.start.var.as_deref();
             let extra: Vec<&BoundExpr<'_>> = conjuncts
                 .iter()
                 .zip(&bound)
-                .filter(|(c, _)| {
-                    if let Some(v) = &var_name {
-                        let cv = c.vars();
-                        cv.len() == 1 && cv[0] == v
-                    } else {
-                        false
-                    }
-                })
+                .filter(|(c, _)| var.is_some_and(|v| c.vars() == [v]))
                 .map(|(_, b)| b)
                 .collect();
             let mut candidates = anchor_candidates(g, &start, &extra, &mut stats);
             candidates.retain(|&n| start.node(g, n));
-            let mut next = Vec::with_capacity(bindings.len() * candidates.len().max(1));
+            let len = bindings.len() * candidates.len();
+            let (mut next, mut cursors) = (Vec::with_capacity(len), Vec::with_capacity(len));
             for b in &bindings {
                 for &n in &candidates {
                     let mut nb = b.clone();
+                    // An anonymous start is carried by its cursor alone.
                     if let Some(s) = start_slot {
                         nb[s] = BindVal::Node(n);
-                    } else {
-                        // Anonymous start: tracked positionally below.
                     }
-                    // Anonymous starts carry the node through `cursor`.
-                    next.push((nb, n));
+                    next.push(nb);
+                    cursors.push(n);
                 }
             }
-            // Re-pack: store cursor separately during extension.
-            bindings = Vec::with_capacity(next.len());
-            let mut cursors = Vec::with_capacity(next.len());
-            for (nb, n) in next {
-                bindings.push(nb);
-                cursors.push(n);
-            }
-            extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats);
-            if let Some(v) = &path.start.var {
-                if !bound_names.contains(v) {
-                    bound_names.push(v.clone());
-                }
-            }
-            for (rel, node) in &path.segments {
-                for v in [&rel.var, &node.var].into_iter().flatten() {
-                    if !bound_names.contains(v) {
-                        bound_names.push(v.clone());
-                    }
-                }
-            }
-            apply_ready_conjuncts(g, &conjuncts, &bound, &mut applied, &bound_names, &mut bindings);
-            stats.bindings_built += bindings.len();
-            continue;
-        }
-        // Start var was already bound: cursors come from bindings.
-        let slot = start_slot.expect("bound start must be named");
-        let cursors: Vec<NodeId> = bindings
-            .iter()
-            .map(|b| match b[slot] {
-                BindVal::Node(n) => n,
-                _ => unreachable!("retained above"),
-            })
-            .collect();
+            bindings = next;
+            cursors
+        };
         extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats);
-        for (rel, node) in &path.segments {
-            for v in [&rel.var, &node.var].into_iter().flatten() {
-                if !bound_names.contains(v) {
-                    bound_names.push(v.clone());
-                }
+        let segment_vars = path.segments.iter().flat_map(|(rel, node)| [&rel.var, &node.var]);
+        for v in std::iter::once(&path.start.var).chain(segment_vars).flatten() {
+            if !bound_names.contains(v) {
+                bound_names.push(v.clone());
             }
         }
         apply_ready_conjuncts(g, &conjuncts, &bound, &mut applied, &bound_names, &mut bindings);

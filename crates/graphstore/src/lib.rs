@@ -6,7 +6,7 @@
 //! stand-in:
 //!
 //! * [`graph`] — node/edge arenas with adjacency lists, labels, typed
-//!   property maps, and per-(label, property) value indexes,
+//!   properties in per-shape columns, and per-(label, property) value indexes,
 //! * [`cypher`] — lexer, AST, parser and executor for the Cypher subset the
 //!   compiled queries need: `MATCH` with fixed and variable-length
 //!   (`[:EVENT*2..4]`) relationship patterns, property maps, `WHERE` with

@@ -9,7 +9,7 @@ use raptor_common::{FxHashSet, SharedDict};
 use raptor_graphstore::cypher::exec::execute;
 use raptor_graphstore::cypher::parse_cypher;
 use raptor_graphstore::graph::PropIns;
-use raptor_graphstore::{Graph, NodeId, PathFrontier};
+use raptor_graphstore::{EdgeId, Graph, NodeId, PathFrontier, PropValue};
 use raptor_storage::{BackendStats, CmpOp, EntityClass, EntitySel, PathPatternQuery, Pred, Value};
 
 /// All nodes reachable from `src` within `[min, max]` hops, using
@@ -99,6 +99,77 @@ proptest! {
             .collect();
         want.sort();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// The per-shape column store against a per-record property list, over
+/// random writes interleaved with index builds: three labels shared by
+/// nodes and edges, key lists that may be empty or repeat a key (the first
+/// occurrence is the one read), an `Int` or a `Str` under any key. Read
+/// back through `node_prop`, `edge_prop`, `indexed_nodes` and Cypher text.
+#[test]
+fn column_store_matches_per_record_model() {
+    const LABELS: [&str; 3] = ["A", "B", "C"];
+    const KEYS: [&str; 3] = ["k", "j", "m"];
+    const VALS: [&str; 4] = ["0", "1", "x", "y"];
+    let props = proptest::collection::vec((0usize..3, 0usize..4), 0..4);
+    let ops = proptest::collection::vec((0u8..10, 0usize..3, props, 0usize..64), 0..24);
+    let first = |props: &[(usize, usize)], k| props.iter().find(|p| p.0 == k).map(|p| p.1);
+    let mut rng = TestRng::from_name("column_store_matches_per_record_model");
+    for _ in 0..64 {
+        let mut g = Graph::new();
+        let (mut nodes, mut edges, mut indexes) = (Vec::new(), Vec::new(), Vec::new());
+        for (kind, label, props, at) in ops.generate(&mut rng) {
+            let cell =
+                |v: usize| if v < 2 { PropIns::Int(v as i64) } else { PropIns::Str(VALS[v]) };
+            let fields: Vec<_> = props.iter().map(|&(k, v)| (KEYS[k], cell(v))).collect();
+            match kind {
+                0 => {
+                    g.create_node_index(LABELS[label], KEYS[at % 3]);
+                    indexes.push((label, at % 3));
+                }
+                1..=5 => {
+                    g.add_node(LABELS[label], &fields);
+                    nodes.push((label, props));
+                }
+                _ if !nodes.is_empty() => {
+                    let node = |i: usize| NodeId((i % nodes.len()) as u32);
+                    g.add_edge(node(at), node(at / 8), LABELS[label], &fields).unwrap();
+                    edges.push(props);
+                }
+                _ => {}
+            }
+        }
+        let render = |v: Option<PropValue>| v.map(|v| Value::from(v).render(g.dict()));
+        let want = |v: Option<usize>| v.map(|v| VALS[v].to_string());
+        for (k, key) in KEYS.into_iter().enumerate() {
+            for (i, (_, props)) in nodes.iter().enumerate() {
+                assert_eq!(render(g.node_prop(NodeId(i as u32), key)), want(first(props, k)));
+            }
+            for (i, props) in edges.iter().enumerate() {
+                assert_eq!(render(g.edge_prop(EdgeId(i as u32), key)), want(first(props, k)));
+            }
+        }
+        for (l, k, v) in (0..36).map(|i| (i / 12, i / 4 % 3, i % 4)) {
+            let (label, key) = (LABELS[l], KEYS[k]);
+            let want: Vec<NodeId> = (0..nodes.len())
+                .filter(|&n| nodes[n].0 == l && first(&nodes[n].1, k) == Some(v))
+                .map(|n| NodeId(n as u32))
+                .collect();
+            if indexes.contains(&(l, k)) {
+                let value = match v < 2 {
+                    true => Some(PropValue::Int(v as i64)),
+                    false => g.dict().get(VALS[v]).map(PropValue::Str),
+                };
+                let got = value.map_or(&[][..], |v| g.indexed_nodes(label, key, v).unwrap());
+                assert_eq!(got, want);
+            }
+            let lit = if v < 2 { VALS[v].to_string() } else { format!("'{}'", VALS[v]) };
+            let text = format!("MATCH (n:{label}) WHERE n.{key} = {lit} RETURN n.{key}");
+            let rows = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap().rows;
+            let got: Vec<String> = rows.iter().map(|r| r[0].render(g.dict())).collect();
+            assert_eq!(got, vec![VALS[v]; want.len()], "{text}");
+        }
     }
 }
 
