@@ -188,7 +188,7 @@ fn run_columnar() -> ColumnarReport {
         .query(&format!("SELECT id FROM events WHERE endtime >= {cut}"))
         .expect("window probe executes");
     assert_eq!(r.stats.full_scans, 1, "endtime probe must full-scan (no index on endtime)");
-    ColumnarReport { giant_rows, probe_rows: r.n_rows() }
+    ColumnarReport { giant_rows, probe_rows: r.batch.n_rows() }
 }
 
 /// Deterministic signals from the observability plane.
@@ -269,7 +269,7 @@ fn run_observability() -> ObsReport {
     let aq = analyze(&parse_tbql(hunt_q).unwrap()).unwrap();
     let (want, _) = engine.execute_scheduled_as(&aq, SchedulerMode::CostBased).unwrap();
     let got = raptor_engine::ResultTable::from_batch(
-        &hunt.queries().iter().find(|q| q.name() == "path_hunt").unwrap().cumulative_batch(),
+        hunt.queries().iter().find(|q| q.name() == "path_hunt").unwrap().cumulative_batch(),
     );
     assert_eq!(
         got.sorted_rows(),

@@ -23,10 +23,12 @@
 //! until the caller renders one. Each pattern's matches stay the store's
 //! [`PatternMatches`] columns; the join state is one flat buffer of row
 //! indices, one per joined pattern per tuple, and none at all while a
-//! single pattern is unfiltered; `with` clauses read the id and timestamp
-//! columns by those indices; and each return item fetches its attribute
-//! once for its distinct ids and gathers into a [`ValueColumn`] of the
-//! typed [`ResultBatch`].
+//! single pattern is unfiltered (`raptor_storage::join`, which the
+//! relational store's SQL join shares); `with` clauses read the id and
+//! timestamp columns by those indices; and each return item fetches its
+//! attribute once for its distinct ids and gathers into a [`ValueColumn`]
+//! of the typed [`ResultBatch`]. The giant baselines hand their stores'
+//! batches through as they come.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
@@ -34,7 +36,8 @@ use raptor_common::obs;
 use raptor_common::time::Duration;
 use raptor_graphstore::cypher::{exec as gexec, parse_cypher};
 use raptor_storage::{
-    AttrSource, BackendStats, PatternMatches, ResultBatch, Value as SVal, ValueColumn,
+    AttrSource, BackendStats, JoinIndex, PatternMatches, ResultBatch, Tuples, Value as SVal,
+    ValueColumn,
 };
 use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, CmpOp, PatternOp, RelClause, TemporalOp};
@@ -384,10 +387,12 @@ impl Engine {
         let t0 = std::time::Instant::now();
         let r = self.query_sql_text(&sql, &mut stats)?;
         stats.record_text("relational", QueryKind::Giant, "giant_sql", sql);
-        stats.finish_last(r.n_rows(), BackendStats::default(), t0.elapsed().as_nanos() as u64);
-        // Shared plane: the store's result columns already *are* engine
-        // value columns — the batch wraps them without touching a row.
-        Ok((ResultBatch::new(r.columns, r.cols, self.stores.dict.clone()), stats))
+        stats.finish_last(
+            r.batch.n_rows(),
+            BackendStats::default(),
+            t0.elapsed().as_nanos() as u64,
+        );
+        Ok((r.batch, stats))
     }
 
     fn execute_giant_cypher(&self, aq: &AnalyzedQuery) -> Result<(ResultBatch, EngineStats)> {
@@ -396,8 +401,12 @@ impl Engine {
         let t0 = std::time::Instant::now();
         let r = self.query_cypher_text(&cy, &mut stats)?;
         stats.record_text("graph", QueryKind::Giant, "giant_cypher", cy);
-        stats.finish_last(r.rows.len(), BackendStats::default(), t0.elapsed().as_nanos() as u64);
-        Ok((ResultBatch::from_rows(r.columns, r.rows, self.stores.dict.clone()), stats))
+        stats.finish_last(
+            r.batch.n_rows(),
+            BackendStats::default(),
+            t0.elapsed().as_nanos() as u64,
+        );
+        Ok((r.batch, stats))
     }
 
     /// Seeds the propagation table by resolving every filtered entity to its
@@ -652,10 +661,7 @@ impl Engine {
         if stats.short_circuited {
             let columns: Vec<String> =
                 aq.ret.iter().map(|r| format!("{}.{}", r.base, r.attr)).collect();
-            return Ok((
-                ResultBatch::from_rows(columns, Vec::new(), self.stores.dict.clone()),
-                stats,
-            ));
+            return Ok((ResultBatch::empty(columns, self.stores.dict.clone()), stats));
         }
 
         let pattern_rows: Vec<&PatternMatches> =
@@ -953,92 +959,6 @@ impl IdRanks {
             Some((lo, rank)) => Some(rank[(id - lo) as usize] as usize),
             None => self.distinct.binary_search(&id).ok(),
         }
-    }
-}
-
-/// Join state: one row index per joined pattern for each of `len` tuples,
-/// stored flat with stride `width` (patterns join in index order, so slot
-/// `k` is pattern `k`'s row). Extending a tuple is a slice copy and
-/// filtering compacts in place; no tuple owns an allocation.
-struct Tuples {
-    width: usize,
-    len: usize,
-    /// `None` while the tuples are exactly pattern 0's rows in order, which
-    /// is all a one-pattern query without `with` filters ever needs.
-    data: Option<Vec<u32>>,
-}
-
-impl Tuples {
-    fn identity(len: usize) -> Self {
-        Tuples { width: 1, len, data: None }
-    }
-
-    /// Pattern `k`'s value of `col` in every tuple, in tuple order.
-    fn gather(&self, k: usize, col: &[i64]) -> Vec<i64> {
-        match &self.data {
-            None => col[..self.len].to_vec(),
-            Some(d) => d.chunks_exact(self.width).map(|t| col[t[k] as usize]).collect(),
-        }
-    }
-
-    /// Binds the next pattern: each tuple, in order, is followed by one
-    /// extended copy per row `rows_for` yields for it.
-    fn extend<I: Iterator<Item = u32>>(self, mut rows_for: impl FnMut(&[u32]) -> I) -> Tuples {
-        let width = self.width;
-        let flat = self.data.unwrap_or_else(|| (0..self.len as u32).collect());
-        let mut data = Vec::with_capacity(flat.len() + flat.len() / width);
-        for t in flat.chunks_exact(width) {
-            for r in rows_for(t) {
-                data.extend_from_slice(t);
-                data.push(r);
-            }
-        }
-        let len = data.len() / (width + 1);
-        Tuples { width: width + 1, len, data: Some(data) }
-    }
-
-    /// Keeps the tuples satisfying `keep` (given each tuple's index and
-    /// row indices), in order.
-    fn retain(&mut self, mut keep: impl FnMut(usize, &[u32]) -> bool) {
-        let (w, len) = (self.width, self.len);
-        let data = self.data.get_or_insert_with(|| (0..len as u32).collect());
-        let mut kept = 0;
-        for i in 0..len {
-            if keep(i, &data[i * w..(i + 1) * w]) {
-                data.copy_within(i * w..(i + 1) * w, kept * w);
-                kept += 1;
-            }
-        }
-        data.truncate(kept * w);
-        self.len = kept;
-    }
-}
-
-/// Build side of the cross-pattern hash join: each key's first row, and a
-/// chain from every row to the next row with the same key, so a key's rows
-/// come out in ascending order without a vector per key.
-struct JoinIndex<K> {
-    head: FxHashMap<K, u32>,
-    next: Vec<u32>,
-}
-
-impl<K: Eq + std::hash::Hash> JoinIndex<K> {
-    const END: u32 = u32::MAX;
-
-    fn build(n: usize, key_of: impl Fn(usize) -> K) -> Self {
-        let mut head = FxHashMap::with_capacity_and_hasher(n, Default::default());
-        let mut next = vec![Self::END; n];
-        for i in (0..n).rev() {
-            if let Some(h) = head.insert(key_of(i), i as u32) {
-                next[i] = h;
-            }
-        }
-        JoinIndex { head, next }
-    }
-
-    fn rows(&self, key: &K) -> impl Iterator<Item = u32> + '_ {
-        let first = self.head.get(key).copied();
-        std::iter::successors(first, |&r| Some(self.next[r as usize]).filter(|&n| n != Self::END))
     }
 }
 

@@ -219,8 +219,8 @@ proptest! {
         let refs: Vec<&PatternMatches> = pms.iter().collect();
         let got = engine.join_project(&aq, &refs, &mut EngineStats::default()).unwrap();
         let want_rows = reference(&engine, &aq, &pms);
-        let columns = got.columns.clone();
-        let want = ResultBatch::from_rows(columns, want_rows, engine.stores.dict.clone());
+        let cols = (0..got.n_cols()).map(|c| want_rows.iter().map(|r| r[c]).collect()).collect();
+        let want = ResultBatch::new(got.columns.clone(), cols, engine.stores.dict.clone());
         prop_assert_eq!(&got, &want, "{}", text);
         NON_EMPTY.with(|c| c.set(c.get() + !want.is_empty() as usize));
     }

@@ -339,7 +339,7 @@ pub(crate) mod tests {
         let stores = load(&sample_log()).unwrap();
         let r =
             stores.rel.query("SELECT id FROM processes WHERE exename LIKE '%/bin/tar%'").unwrap();
-        assert_eq!(r.n_rows(), 1);
+        assert_eq!(r.batch.n_rows(), 1);
         assert!(r.stats.index_scans >= 1);
         let sym = stores.graph.dict().get("/bin/tar").unwrap();
         let nodes = stores
@@ -348,7 +348,7 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(nodes.len(), 1);
         // Same entity id across stores.
-        let rel_id = r.row(0)[0].as_int().unwrap();
+        let rel_id = r.batch.row(0)[0].as_int().unwrap();
         let g_id = stores.graph.node_prop(nodes[0], "id").unwrap();
         assert_eq!(g_id, raptor_graphstore::PropValue::Int(rel_id));
     }

@@ -26,7 +26,11 @@
 //! * per-pattern match sets **accumulate** across epochs; the cross-pattern
 //!   join, `with`-clause constraints and projection then run in memory over
 //!   them (the same `join_project` stage one-shot scheduled execution
-//!   uses), and the result is diffed against everything already emitted.
+//!   uses), and the result is diffed against everything already emitted:
+//!   the `cumulative` batch, a multiset of rows hashed by row index
+//!   ([`ResultBatch::rows_not_in`]). A row the result holds k times and
+//!   `cumulative` j times emits its last k − j occurrences, and the delta
+//!   is appended to `cumulative`.
 //!
 //! **Compiled once.** The typed request of every pattern — and the frontier
 //! of every eligible path — is built at the query's first epoch and kept:
@@ -57,7 +61,6 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Instant;
 
 use raptor_common::error::{Error, Result};
-use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
 use raptor_common::{io, obs};
 use raptor_graphstore::PathFrontier;
@@ -125,9 +128,6 @@ pub struct StandingQuery {
     /// recompiles it, rather than serializing the compiled query.
     text: String,
     aq: AnalyzedQuery,
-    /// The shared dictionary plane of the engine this query runs against
-    /// (emitted batches carry it; the multiset diff keys on its symbols).
-    dict: SharedDict,
     /// Accumulated per-pattern matches (index-aligned with `aq.patterns`).
     matches: Vec<PatternMatches>,
     /// Per-pattern plans (index-aligned with `aq.patterns`); empty until
@@ -138,11 +138,10 @@ pub struct StandingQuery {
     pending_frontier: Vec<Option<Vec<u8>>>,
     /// Last frontier-entry count reported into [`FRONTIER_ENTRIES`].
     reported_entries: i64,
-    /// Multiset of rows already emitted across all epochs.
-    emitted: FxHashMap<Vec<SVal>, usize>,
-    /// Every emitted row, in emission order (the cumulative view).
-    cumulative: Vec<Vec<SVal>>,
-    columns: Vec<String>,
+    /// Every emitted row, in emission order (the cumulative view): the
+    /// multiset each epoch's result is diffed against. It carries the
+    /// shared dictionary plane of the engine this query runs against.
+    cumulative: ResultBatch,
     first_match_epoch: Vec<Option<u64>>,
 }
 
@@ -166,6 +165,7 @@ impl StandingQuery {
             ));
         }
         let columns = aq.ret.iter().map(|r| format!("{}.{}", r.base, r.attr)).collect();
+        let cumulative = ResultBatch::empty(columns, dict);
         let n = aq.patterns.len();
         let matches = aq
             .patterns
@@ -176,14 +176,11 @@ impl StandingQuery {
             name: name.into(),
             text: tbql.to_string(),
             aq,
-            dict,
             matches,
             plans: Vec::new(),
             pending_frontier: vec![None; n],
             reported_entries: 0,
-            emitted: FxHashMap::default(),
-            cumulative: Vec::new(),
-            columns,
+            cumulative,
             first_match_epoch: vec![None; n],
         })
     }
@@ -198,10 +195,6 @@ impl StandingQuery {
 
     pub fn query(&self) -> &AnalyzedQuery {
         &self.aq
-    }
-
-    pub fn columns(&self) -> &[String] {
-        &self.columns
     }
 
     /// Per-pattern accumulated state (for live-hunt displays).
@@ -220,17 +213,17 @@ impl StandingQuery {
     /// Every row emitted so far, in emission order. After the final epoch
     /// this equals (as a multiset) the one-shot `ExecMode::Scheduled`
     /// result over the same data.
-    pub fn cumulative_batch(&self) -> ResultBatch {
-        ResultBatch::from_rows(self.columns.clone(), self.cumulative.clone(), self.dict.clone())
+    pub fn cumulative_batch(&self) -> &ResultBatch {
+        &self.cumulative
     }
 
     /// Serializes the accumulated evaluation state (durability plane's
     /// checkpoint codec). The compiled query itself is *not* serialized —
     /// recovery re-analyzes the registered TBQL text and then restores this
     /// state into the fresh compilation, so the plans and `columns` are
-    /// always re-derived, and `emitted` is rebuilt from `cumulative`. Symbols in
-    /// emitted rows refer to the shared dictionary, which the checkpoint
-    /// restores first, pinning them.
+    /// always re-derived. The cumulative rows are written row by row.
+    /// Symbols in emitted rows refer to the shared dictionary, which the
+    /// checkpoint restores first, pinning them.
     pub fn encode_state(&self, buf: &mut Vec<u8>) {
         io::put_u64(buf, self.matches.len() as u64);
         for (pm, first) in self.matches.iter().zip(&self.first_match_epoch) {
@@ -248,15 +241,16 @@ impl StandingQuery {
                 None => io::put_u8(buf, 0),
             }
         }
-        io::put_u64(buf, self.cumulative.len() as u64);
-        io::put_u64(buf, self.columns.len() as u64);
-        for row in &self.cumulative {
-            for v in row {
-                match v {
+        let rows = &self.cumulative;
+        io::put_u64(buf, rows.n_rows() as u64);
+        io::put_u64(buf, rows.n_cols() as u64);
+        for r in 0..rows.n_rows() {
+            for col in &rows.cols {
+                match col.get(r) {
                     SVal::Null => io::put_u8(buf, 0),
                     SVal::Int(i) => {
                         io::put_u8(buf, 1);
-                        io::put_i64(buf, *i);
+                        io::put_i64(buf, i);
                     }
                     SVal::Str(s) => {
                         io::put_u8(buf, 2);
@@ -304,46 +298,41 @@ impl StandingQuery {
         }
         let n_rows = cur.get_len()?;
         let arity = cur.get_len()?;
-        if arity != self.columns.len() {
+        if arity != self.cumulative.n_cols() {
             return Err(Error::storage(format!(
                 "standing state arity {arity} != query arity {}",
-                self.columns.len()
+                self.cumulative.n_cols()
             )));
         }
         // Every cell takes at least its tag byte.
         if n_rows.saturating_mul(arity) > cur.remaining() {
             return Err(Error::storage(format!("standing state claims {n_rows} rows")));
         }
-        let n_syms = self.dict.len() as u32;
-        let mut cumulative = Vec::with_capacity(n_rows);
-        let mut emitted: FxHashMap<Vec<SVal>, usize> = FxHashMap::default();
-        for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(match cur.get_u8()? {
-                    0 => SVal::Null,
-                    1 => SVal::Int(cur.get_i64()?),
-                    2 => {
-                        let s = cur.get_u32()?;
-                        if s >= n_syms {
-                            return Err(Error::storage(format!(
-                                "symbol {s} out of dictionary range {n_syms}"
-                            )));
-                        }
-                        SVal::Str(raptor_common::Sym(s))
+        let n_syms = self.cumulative.dict.len() as u32;
+        // Row-major cells, as written.
+        let mut cells = Vec::with_capacity(n_rows * arity);
+        for _ in 0..n_rows * arity {
+            cells.push(match cur.get_u8()? {
+                0 => SVal::Null,
+                1 => SVal::Int(cur.get_i64()?),
+                2 => {
+                    let s = cur.get_u32()?;
+                    if s >= n_syms {
+                        return Err(Error::storage(format!(
+                            "symbol {s} out of dictionary range {n_syms}"
+                        )));
                     }
-                    other => {
-                        return Err(Error::storage(format!("invalid value tag {other}")));
-                    }
-                });
-            }
-            *emitted.entry(row.clone()).or_insert(0) += 1;
-            cumulative.push(row);
+                    SVal::Str(raptor_common::Sym(s))
+                }
+                other => {
+                    return Err(Error::storage(format!("invalid value tag {other}")));
+                }
+            });
         }
         self.matches = matches;
         self.first_match_epoch = first;
-        self.cumulative = cumulative;
-        self.emitted = emitted;
+        let cols = (0..arity).map(|c| cells.iter().skip(c).step_by(arity).copied().collect());
+        self.cumulative.cols = cols.collect();
         Ok(())
     }
 
@@ -431,7 +420,7 @@ impl StandingQuery {
             let req = path_pattern_request(&ctx, p, &unpropagated, engine.max_hops)?;
             plans.push(if let Some(event) = req.as_single_hop() {
                 PatternPlan::Rows(event)
-            } else if let Some(mut f) = PathFrontier::new(&req, &self.dict)? {
+            } else if let Some(mut f) = PathFrontier::new(&req, &self.cumulative.dict)? {
                 // Checkpoint-restored state first, then what the
                 // accumulated matches already emitted.
                 if let Some(blob) = self.pending_frontier[p.index].take() {
@@ -537,32 +526,17 @@ impl StandingQuery {
         // A query only produces rows once every pattern has matched; and an
         // epoch that changed nothing cannot emit new rows.
         if !changed || self.matches.iter().any(PatternMatches::is_empty) {
-            return Ok((
-                ResultBatch::from_rows(self.columns.clone(), Vec::new(), self.dict.clone()),
-                stats,
-            ));
+            let columns = self.cumulative.columns.clone();
+            return Ok((ResultBatch::empty(columns, self.cumulative.dict.clone()), stats));
         }
 
         // Join + with-clauses + projection over the *accumulated* matches,
         // then emit only what the multiset of prior emissions lacks.
         let pattern_rows: Vec<&PatternMatches> = self.matches.iter().collect();
         let full = engine.join_project(&self.aq, &pattern_rows, &mut stats)?;
-        let mut fresh: FxHashMap<Vec<SVal>, usize> = FxHashMap::default();
-        let mut delta_rows: Vec<Vec<SVal>> = Vec::new();
-        for i in 0..full.n_rows() {
-            let row = full.row(i);
-            let seen_now = fresh.entry(row.clone()).or_insert(0);
-            *seen_now += 1;
-            let already = self.emitted.get(&row).copied().unwrap_or(0);
-            if *seen_now > already {
-                delta_rows.push(row);
-            }
-        }
-        for row in &delta_rows {
-            *self.emitted.entry(row.clone()).or_insert(0) += 1;
-            self.cumulative.push(row.clone());
-        }
-        Ok((ResultBatch::from_rows(self.columns.clone(), delta_rows, self.dict.clone()), stats))
+        let delta = full.select(&full.rows_not_in(&self.cumulative));
+        self.cumulative.append(&delta);
+        Ok((delta, stats))
     }
 }
 
@@ -664,7 +638,7 @@ mod tests {
         let batch = Engine::new(load(&log).unwrap());
         let aq = analyze(&parse_tbql(q).unwrap()).unwrap();
         let (expect, _) = batch.execute(&aq, ExecMode::Scheduled).unwrap();
-        let got = crate::exec::ResultTable::from_batch(&sq.cumulative_batch());
+        let got = crate::exec::ResultTable::from_batch(sq.cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows());
         assert_eq!(emitted, expect.rows.len());
     }

@@ -682,7 +682,9 @@ mod tests {
             assert!(c < b, "`c` interns before `b`");
             let text = format!("MATCH (s:Process) WHERE {cond} RETURN s.id");
             let r = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap();
-            let mut by_text: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
+            let ids = &r.batch.cols[0];
+            let mut by_text: Vec<i64> =
+                (0..ids.len()).map(|i| ids.get(i).as_int().unwrap()).collect();
             by_text.sort_unstable();
             let filter = pred(g.dict(), attr, &test);
             let typed = selected(&g, EntitySel::of(EntityClass::Process, Some(filter)));

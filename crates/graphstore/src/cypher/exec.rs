@@ -5,14 +5,15 @@
 //! extend bindings along each relationship segment (fixed-length via
 //! adjacency, variable-length via bounded DFS with edge-distinctness) —
 //! applying WHERE conjuncts as soon as all their variables are bound,
-//! then project RETURN items, DISTINCT, LIMIT. Patterns, conjuncts and
+//! then gather each RETURN item into a column of a `ResultBatch`, and
+//! apply DISTINCT and LIMIT to the batch. Patterns, conjuncts and
 //! RETURN items are bound once per query (`bind`), so the walk resolves
 //! no name.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
-use raptor_storage::{Posting, Value};
+use raptor_storage::{Posting, ResultBatch, Value};
 
 use super::ast::*;
 use crate::graph::{EdgeId, Graph, NodeId, PropValue};
@@ -28,13 +29,12 @@ pub struct GraphQueryStats {
     pub bindings_built: usize,
 }
 
-/// Query result: projected columns and rows. Strings stay interned — the
-/// values are the shared plane's own; rendering resolves through the
-/// graph's dictionary.
+/// Query result: the projected columns, one per RETURN item. Strings stay
+/// interned — the values are the shared plane's own, and the batch carries
+/// the graph's dictionary to render them.
 #[derive(Clone, Debug)]
 pub struct CypherResult {
-    pub columns: Vec<String>,
-    pub rows: Vec<Vec<Value>>,
+    pub batch: ResultBatch,
     pub stats: GraphQueryStats,
 }
 
@@ -432,18 +432,18 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
 
     // --- projection ---
     let columns = q.return_items.iter().map(|item| item.prop.to_string()).collect();
-    let mut rows: Vec<Vec<Value>> = bindings
+    let cols = returned
         .iter()
-        .map(|b| returned.iter().map(|p| p.read(g, b).map_or(Value::Null, Value::from)).collect())
+        .map(|p| bindings.iter().map(|b| p.read(g, b).map_or(Value::Null, Value::from)).collect())
         .collect();
+    let mut batch = ResultBatch::new(columns, cols, dict.clone());
     if q.distinct {
-        let mut seen: raptor_common::FxHashSet<Vec<Value>> = Default::default();
-        rows.retain(|r| seen.insert(r.clone()));
+        batch.dedup_rows();
     }
     if let Some(n) = q.limit {
-        rows.truncate(n);
+        batch.truncate(n);
     }
-    Ok(CypherResult { columns, rows, stats })
+    Ok(CypherResult { batch, stats })
 }
 
 /// A relationship segment and its target node, bound.
@@ -667,8 +667,7 @@ mod tests {
 
     fn run(g: &Graph, q: &str) -> Vec<Vec<String>> {
         let parsed = parse_cypher(q).unwrap();
-        let r = execute(g, &parsed, DEFAULT_MAX_HOPS).unwrap();
-        r.rows.iter().map(|row| row.iter().map(|v| v.render(g.dict())).collect()).collect()
+        execute(g, &parsed, DEFAULT_MAX_HOPS).unwrap().batch.rendered_rows()
     }
 
     #[test]

@@ -352,8 +352,10 @@ mod tests {
             ),
         };
         let r = execute(g, &parse_cypher(&text).unwrap(), q.hop_cap).unwrap();
-        let mut pairs: Vec<(i64, i64)> =
-            r.rows.iter().map(|row| (row[0].as_int().unwrap(), row[1].as_int().unwrap())).collect();
+        let (s, o) = (&r.batch.cols[0], &r.batch.cols[1]);
+        let mut pairs: Vec<(i64, i64)> = (0..s.len())
+            .map(|i| (s.get(i).as_int().unwrap(), o.get(i).as_int().unwrap()))
+            .collect();
         pairs.sort_unstable();
         pairs
     }

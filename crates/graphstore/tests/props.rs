@@ -61,7 +61,7 @@ proptest! {
         )).unwrap();
         let r = execute(&g, &q, 16).unwrap();
         let got: FxHashSet<String> =
-            r.rows.iter().map(|row| row[0].render(g.dict())).collect();
+            r.batch.rendered_rows().into_iter().map(|mut row| row.remove(0)).collect();
         let want: FxHashSet<String> = oracle_reachable(&edges, src, min, max)
             .into_iter()
             .map(|i| format!("n{i}"))
@@ -87,11 +87,8 @@ proptest! {
         let q = parse_cypher("MATCH (x)-[:E]->(y) RETURN x.name, y.name").unwrap();
         let r = execute(&g, &q, 16).unwrap();
         // Row multiset equals the edge multiset.
-        let mut got: Vec<(String, String)> = r
-            .rows
-            .iter()
-            .map(|row| (row[0].render(g.dict()), row[1].render(g.dict())))
-            .collect();
+        let mut got: Vec<(String, String)> =
+            r.batch.rendered_rows().into_iter().map(|r| (r[0].clone(), r[1].clone())).collect();
         got.sort();
         let mut want: Vec<(String, String)> = edges
             .iter()
@@ -166,8 +163,8 @@ fn column_store_matches_per_record_model() {
             }
             let lit = if v < 2 { VALS[v].to_string() } else { format!("'{}'", VALS[v]) };
             let text = format!("MATCH (n:{label}) WHERE n.{key} = {lit} RETURN n.{key}");
-            let rows = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap().rows;
-            let got: Vec<String> = rows.iter().map(|r| r[0].render(g.dict())).collect();
+            let rows = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap().batch.rendered_rows();
+            let got: Vec<String> = rows.into_iter().map(|mut r| r.remove(0)).collect();
             assert_eq!(got, vec![VALS[v]; want.len()], "{text}");
         }
     }
@@ -382,10 +379,9 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         };
         let text = cypher_text(&q, subject, object, op);
         let reference = execute(&g, &parse_cypher(&text).unwrap(), hop_cap).unwrap();
-        let mut want: Vec<Vec<i64>> = reference
-            .rows
-            .iter()
-            .map(|row| row.iter().map(|v| v.as_int().unwrap()).collect())
+        let b = &reference.batch;
+        let mut want: Vec<Vec<i64>> = (0..b.n_rows())
+            .map(|i| b.row(i).iter().map(|v| v.as_int().unwrap()).collect())
             .collect();
         want.sort_unstable();
 

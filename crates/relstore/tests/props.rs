@@ -8,6 +8,11 @@ use raptor_relstore::like::{containment_literal, like_match};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
 use raptor_storage::{BackendStats, CmpOp, EntityClass, EntitySel, EventPatternQuery, Pred, Value};
 
+/// A result's rows, row-major.
+fn row_values(r: &raptor_relstore::QueryResult) -> Vec<Vec<Value>> {
+    (0..r.batch.n_rows()).map(|i| r.batch.row(i)).collect()
+}
+
 /// Reference LIKE via dynamic programming (independent implementation).
 fn like_reference(pattern: &str, text: &str) -> bool {
     let p: Vec<char> = pattern.chars().collect();
@@ -104,9 +109,9 @@ proptest! {
         let sql = format!("SELECT id FROM files WHERE name LIKE '{pattern}' ORDER BY id");
         let a = plain.query(&sql).unwrap();
         let b = indexed.query(&sql).unwrap();
-        prop_assert_eq!(a.rows(), b.rows());
+        prop_assert_eq!(row_values(&a), row_values(&b));
         prop_assert_eq!((b.stats.index_scans, b.stats.full_scans), (1, 0));
-        prop_assert_eq!(b.stats.rows_scanned, b.n_rows());
+        prop_assert_eq!(b.stats.rows_scanned, b.batch.n_rows());
     }
 
     /// A one-conjunct predicate an index serves — hash `=` / `IN`, a B-tree
@@ -162,15 +167,15 @@ proptest! {
             db.query(&format!("SELECT id FROM t WHERE {pred} ORDER BY id")).unwrap()
         };
         let (want, got) = (query(&plain, &single), query(&indexed, &single));
-        prop_assert_eq!(want.rows(), got.rows(), "{}", single);
+        prop_assert_eq!(row_values(&want), row_values(&got), "{}", single);
         prop_assert_eq!((got.stats.index_scans, got.stats.full_scans), (1, 0), "{}", single);
-        prop_assert_eq!(got.stats.rows_scanned, got.n_rows(), "{}", single);
+        prop_assert_eq!(got.stats.rows_scanned, got.batch.n_rows(), "{}", single);
 
         let both = format!("{single} AND {}", if shape < 3 { &like } else { "v >= 2" });
         let (want, got) = (query(&plain, &both), query(&indexed, &both));
-        prop_assert_eq!(want.rows(), got.rows(), "{}", both);
+        prop_assert_eq!(row_values(&want), row_values(&got), "{}", both);
         prop_assert_eq!(got.stats.index_scans, 1, "{}", both);
-        prop_assert!(got.stats.rows_scanned >= got.n_rows(), "{}", both);
+        prop_assert!(got.stats.rows_scanned >= got.batch.n_rows(), "{}", both);
     }
 
     /// Hash-index equality returns exactly the rows a scan-and-filter finds.
@@ -195,7 +200,7 @@ proptest! {
             .filter(|(_, v)| **v == probe)
             .map(|(i, _)| i as i64)
             .collect();
-        let got_ids: Vec<i64> = got.rows().iter().filter_map(|r| r[0].as_int()).collect();
+        let got_ids: Vec<i64> = row_values(&got).iter().filter_map(|r| r[0].as_int()).collect();
         prop_assert_eq!(got_ids, want);
     }
 
@@ -232,8 +237,7 @@ proptest! {
             }
         }
         want.sort_unstable();
-        let got_pairs: Vec<(i64, i64)> = got
-            .rows()
+        let got_pairs: Vec<(i64, i64)> = row_values(&got)
             .iter()
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
             .collect();
@@ -399,8 +403,10 @@ fn planned_reference(db: &Database, q: &EventPatternQuery) -> Vec<[i64; 5]> {
         conds.join(" AND ")
     );
     let r = db.query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-    let mut rows: Vec<[i64; 5]> =
-        r.rows().iter().map(|row| std::array::from_fn(|i| row[i].as_int().unwrap())).collect();
+    let mut rows: Vec<[i64; 5]> = row_values(&r)
+        .iter()
+        .map(|row| std::array::from_fn(|i| row[i].as_int().unwrap()))
+        .collect();
     rows.sort_unstable();
     rows
 }
@@ -531,5 +537,81 @@ proptest! {
         prop_assert_eq!(stats.text_parses, 0);
         // A range past the table's end is refused, not clamped.
         prop_assert!(db.match_event_pattern_rows(&q, 0..n + 1, &mut stats).is_err());
+    }
+}
+
+// --- DISTINCT, ORDER BY and LIMIT against a row model ---
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `SELECT [DISTINCT] … FROM t [WHERE t.k >= c] [ORDER BY …] [LIMIT n]`
+    /// over repeated values and NULLs, with strings interned in reverse (so
+    /// symbol order is not string order), against a naive row model:
+    /// DISTINCT keeps first occurrences, the sort is stable (NULL, then
+    /// integers, then strings by content), LIMIT comes last. Seeded
+    /// mutations that each fail it: an unstable sort, DISTINCT keeping the
+    /// last occurrence, LIMIT before ORDER BY.
+    #[test]
+    fn distinct_order_limit_match_a_row_model(
+        rows in proptest::collection::vec(
+            (proptest::option::of(0i64..4), proptest::option::of(0usize..4)),
+            0..64,
+        ),
+        (mask, rotate, distinct) in (1u8..8, 0usize..3, proptest::bool::ANY),
+        filter in proptest::option::of(0i64..3),
+        order in proptest::collection::vec(0usize..3, 0..3),
+        limit in proptest::option::of(0usize..72),
+    ) {
+        // A model cell: `Option` orders NULL first, `Result` integers
+        // before strings.
+        type Cell = Option<Result<i64, &'static str>>;
+        const WORDS: [&str; 4] = ["alpha", "beta", "gamma", "omega"];
+        let mut db = Database::new();
+        let cols = [("id", ColumnType::Int), ("k", ColumnType::Int), ("s", ColumnType::Str)];
+        let defs = cols.iter().map(|&(n, t)| ColumnDef::new(n, t)).collect();
+        db.create_table(TableSchema::new("t", defs)).unwrap();
+        WORDS.iter().rev().for_each(|w| _ = db.dict().intern(w));
+        let cells: Vec<[Cell; 3]> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, s))| [Some(Ok(i as i64)), k.map(Ok), s.map(|w| Err(WORDS[w]))])
+            .collect();
+        for row in &cells {
+            let ins = row.map(|c| c.map_or(Ins::Null, |v| v.map_or_else(Ins::Str, Ins::Int)));
+            db.insert("t", &ins).unwrap();
+        }
+
+        // Projected columns in a rotated order; the sort keys are among them.
+        let proj: Vec<usize> =
+            (0..3).map(|i| (i + rotate) % 3).filter(|c| mask & 1 << c != 0).collect();
+        let keys: Vec<usize> = order.iter().map(|&o| o % proj.len()).collect();
+        let names = |cs: &mut dyn Iterator<Item = &usize>| {
+            cs.map(|&c| format!("t.{}", cols[c].0)).collect::<Vec<_>>().join(", ")
+        };
+        let order_by = names(&mut keys.iter().map(|&k| &proj[k]));
+        let sql = format!(
+            "SELECT {}{} FROM t{}{}{}",
+            if distinct { "DISTINCT " } else { "" },
+            names(&mut proj.iter()),
+            filter.map_or(String::new(), |c| format!(" WHERE t.k >= {c}")),
+            if keys.is_empty() { String::new() } else { format!(" ORDER BY {order_by}") },
+            limit.map_or(String::new(), |n| format!(" LIMIT {n}")),
+        );
+        let got = db.query(&sql).unwrap().batch.rendered_rows();
+
+        let mut model: Vec<Vec<Cell>> = Vec::new();
+        for row in cells.iter().filter(|r| filter.is_none_or(|c| r[1] >= Some(Ok(c)))) {
+            let row: Vec<Cell> = proj.iter().map(|&c| row[c]).collect();
+            if !distinct || !model.contains(&row) {
+                model.push(row);
+            }
+        }
+        model.sort_by_key(|row| keys.iter().map(|&k| row[k]).collect::<Vec<_>>());
+        model.truncate(limit.unwrap_or(usize::MAX));
+        let render =
+            |v: &Cell| v.map_or(String::new(), |v| v.map_or_else(String::from, |i| i.to_string()));
+        let want: Vec<Vec<String>> = model.iter().map(|r| r.iter().map(render).collect()).collect();
+        prop_assert_eq!(got, want, "{}", sql);
     }
 }

@@ -6,11 +6,16 @@
 //! seam:
 //!
 //! * [`value`] — [`Value`] (Null / Int / Str-as-`Sym`) and the columnar
-//!   [`ResultBatch`]: the internal currency of query results. String cells
-//!   are handles into the shared dictionary plane
-//!   (`raptor_common::SharedDict`) both backends intern into, so equality
-//!   is an integer compare end-to-end; rendering to display strings
-//!   happens once, at the edge.
+//!   [`ResultBatch`]: the one shape of a query result below the display
+//!   edge. Both stores' text executors, the engine's scheduled join and a
+//!   standing query's cumulative rows are batches. String cells are
+//!   handles into the shared dictionary plane (`raptor_common::SharedDict`)
+//!   both backends intern into, so equality is an integer compare
+//!   end-to-end; rendering to display strings happens once, at the edge.
+//! * [`join`] — [`Tuples`], flat left-deep join state (one row index per
+//!   bound input), and [`JoinIndex`], a hash build side without a vector
+//!   per key: the one join state of the engine's cross-pattern join and
+//!   the relational store's SQL join.
 //! * [`request`] — typed descriptions of the two pattern shapes the
 //!   scheduler issues: [`EventPatternQuery`] (event patterns with
 //!   pushed-down predicates and propagated `IN` id sets) and
@@ -32,6 +37,7 @@
 
 pub mod backend;
 pub mod catalog;
+pub mod join;
 pub mod posting;
 pub mod request;
 pub mod stats;
@@ -39,6 +45,7 @@ pub mod value;
 
 pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend};
 pub use catalog::{CanonicalCatalog, PathCatalog, CATALOG_K};
+pub use join::{JoinIndex, Tuples};
 pub use posting::Posting;
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};
 pub use stats::{

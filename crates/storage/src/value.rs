@@ -7,7 +7,7 @@
 //! compare and rendering to display strings happens exactly once, at the
 //! edge ([`ResultBatch::rendered_rows`] via `ResultTable::from_batch`).
 
-use raptor_common::hash::FxHashSet;
+use raptor_common::hash::{FxHashMap, FxHashSet};
 use raptor_common::intern::{SharedDict, Sym};
 
 /// A detached typed value — the engine's currency across the typed store
@@ -144,6 +144,17 @@ impl ValueColumn {
             ValueColumn::Mixed(v) => ValueColumn::Mixed(rows.iter().map(|&r| v[r]).collect()),
         }
     }
+
+    /// Appends `other`'s cells: an empty column takes `other`'s type, and
+    /// cells of another type widen this column to `Mixed`.
+    fn append(&mut self, other: &ValueColumn) {
+        match (&mut *self, other) {
+            (c, o) if c.is_empty() => *c = o.clone(),
+            (ValueColumn::Int(c), ValueColumn::Int(o)) => c.extend_from_slice(o),
+            (ValueColumn::Str(c), ValueColumn::Str(o)) => c.extend_from_slice(o),
+            (c, o) => (0..o.len()).for_each(|r| c.push(o.get(r))),
+        }
+    }
 }
 
 /// The densest column for a sequence of values: `Int` when every value is
@@ -179,12 +190,6 @@ pub struct ResultBatch {
     pub dict: SharedDict,
 }
 
-impl Default for ResultBatch {
-    fn default() -> Self {
-        ResultBatch { columns: Vec::new(), cols: Vec::new(), dict: SharedDict::new() }
-    }
-}
-
 impl PartialEq for ResultBatch {
     /// Structural equality over columns and symbol-keyed cells. Only
     /// meaningful between batches of one dictionary plane (which is the
@@ -203,22 +208,10 @@ impl ResultBatch {
         ResultBatch { columns, cols, dict }
     }
 
-    /// Builds a batch from row-major typed values.
-    pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Value>>, dict: SharedDict) -> Self {
-        let ncols = columns.len();
-        let mut by_col: Vec<Vec<Value>> =
-            (0..ncols).map(|_| Vec::with_capacity(rows.len())).collect();
-        for row in rows {
-            debug_assert_eq!(row.len(), ncols, "row arity mismatch");
-            for (c, v) in row.into_iter().enumerate() {
-                by_col[c].push(v);
-            }
-        }
-        ResultBatch {
-            columns,
-            cols: by_col.into_iter().map(|c| c.into_iter().collect()).collect(),
-            dict,
-        }
+    /// A batch of `columns` with no rows.
+    pub fn empty(columns: Vec<String>, dict: SharedDict) -> Self {
+        let cols = columns.iter().map(|_| ValueColumn::Int(Vec::new())).collect();
+        ResultBatch { columns, cols, dict }
     }
 
     pub fn n_rows(&self) -> usize {
@@ -263,24 +256,6 @@ impl ResultBatch {
     /// (DISTINCT). Rows hash by index over the columns; no row is copied
     /// out of them.
     pub fn dedup_rows(&mut self) {
-        struct RowKey<'a> {
-            cols: &'a [ValueColumn],
-            row: usize,
-        }
-        impl std::hash::Hash for RowKey<'_> {
-            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-                for c in self.cols {
-                    c.get(self.row).hash(state);
-                }
-            }
-        }
-        impl PartialEq for RowKey<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.cols.iter().all(|c| c.get(self.row) == c.get(other.row))
-            }
-        }
-        impl Eq for RowKey<'_> {}
-
         let n = self.n_rows();
         let mut seen: FxHashSet<RowKey<'_>> =
             FxHashSet::with_capacity_and_hasher(n, Default::default());
@@ -290,10 +265,78 @@ impl ResultBatch {
         if keep.len() < n {
             // Every value of a column survives in some kept row, so each
             // column keeps its type.
-            self.cols = self.cols.iter().map(|c| c.select(&keep)).collect();
+            *self = self.select(&keep);
+        }
+    }
+
+    /// The rows of this batch that `other` does not account for, as a
+    /// multiset: a row that occurs k times here and j times in `other`
+    /// contributes its last k − j occurrences. Row indices, ascending.
+    pub fn rows_not_in(&self, other: &ResultBatch) -> Vec<usize> {
+        debug_assert_eq!(self.n_cols(), other.n_cols(), "column arity mismatch");
+        let mut budget: FxHashMap<RowKey<'_>, usize> =
+            FxHashMap::with_capacity_and_hasher(other.n_rows(), Default::default());
+        for row in 0..other.n_rows() {
+            *budget.entry(RowKey { cols: &other.cols, row }).or_insert(0) += 1;
+        }
+        (0..self.n_rows())
+            .filter(|&row| match budget.get_mut(&RowKey { cols: &self.cols, row }) {
+                Some(left) if *left > 0 => {
+                    *left -= 1;
+                    false
+                }
+                _ => true,
+            })
+            .collect()
+    }
+
+    /// The rows at `rows`, in that order; each column keeps its type.
+    pub fn select(&self, rows: &[usize]) -> ResultBatch {
+        let cols = self.cols.iter().map(|c| c.select(rows)).collect();
+        ResultBatch { columns: self.columns.clone(), cols, dict: self.dict.clone() }
+    }
+
+    /// Keeps the first `n` rows.
+    pub fn truncate(&mut self, n: usize) {
+        if n < self.n_rows() {
+            *self = self.select(&(0..n).collect::<Vec<_>>());
+        }
+    }
+
+    /// Appends `other`'s rows after this batch's. A column that is still
+    /// empty takes the type of the one appended to it; two columns of
+    /// different types widen to `Mixed`.
+    pub fn append(&mut self, other: &ResultBatch) {
+        debug_assert_eq!(self.n_cols(), other.n_cols(), "column arity mismatch");
+        for (c, o) in self.cols.iter_mut().zip(&other.cols) {
+            c.append(o);
         }
     }
 }
+
+/// One row of a batch's columns, hashed and compared by value through its
+/// index: DISTINCT and the multiset difference key on it, so no row is
+/// copied out of its columns. Keys of two batches of one arity compare.
+struct RowKey<'a> {
+    cols: &'a [ValueColumn],
+    row: usize,
+}
+
+impl std::hash::Hash for RowKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for c in self.cols {
+            c.get(self.row).hash(state);
+        }
+    }
+}
+
+impl PartialEq for RowKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.iter().zip(other.cols).all(|(a, b)| a.get(self.row) == b.get(other.row))
+    }
+}
+
+impl Eq for RowKey<'_> {}
 
 /// Typed matches for one scheduled pattern, struct-of-arrays. Patterns with
 /// a bound final hop carry the event id and its timestamps; pure path
@@ -400,15 +443,21 @@ mod tests {
         assert_eq!(col.select(&[1, 1, 0]).get(1), Value::Int(7));
     }
 
+    /// A batch of columns named `c0, c1, …` from row-major values.
+    fn batch(rows: &[&[Value]], d: &SharedDict) -> ResultBatch {
+        let arity = rows.first().map_or(0, |r| r.len());
+        ResultBatch::new(
+            (0..arity).map(|c| format!("c{c}")).collect(),
+            (0..arity).map(|c| rows.iter().map(|r| r[c]).collect()).collect(),
+            d.clone(),
+        )
+    }
+
     #[test]
     fn str_cells_count_by_column() {
         let d = SharedDict::new();
         let s = Value::Str(d.intern("x"));
-        let b = ResultBatch::from_rows(
-            vec!["a".into(), "b".into(), "c".into()],
-            vec![vec![s, Value::Int(1), s], vec![s, Value::Int(2), Value::Null]],
-            d,
-        );
+        let b = batch(&[&[s, Value::Int(1), s], &[s, Value::Int(2), Value::Null]], &d);
         assert_eq!(b.str_cells(), 3, "two in the Str column, one in the Mixed one");
     }
 
@@ -416,36 +465,64 @@ mod tests {
     fn dedup_rows_keeps_first_occurrences_in_order() {
         let d = SharedDict::new();
         let (a, z) = (Value::Str(d.intern("a")), Value::Str(d.intern("z")));
-        let rows = vec![
-            vec![z, Value::Int(1)],
-            vec![a, Value::Int(1)],
-            vec![z, Value::Int(1)],
-            vec![a, Value::Int(2)],
-            vec![a, Value::Int(1)],
+        let rows: [&[Value]; 5] = [
+            &[z, Value::Int(1)],
+            &[a, Value::Int(1)],
+            &[z, Value::Int(1)],
+            &[a, Value::Int(2)],
+            &[a, Value::Int(1)],
         ];
-        let mut b = ResultBatch::from_rows(vec!["s".into(), "n".into()], rows.clone(), d.clone());
+        let mut b = batch(&rows, &d);
         b.dedup_rows();
-        let want = ResultBatch::from_rows(
-            vec!["s".into(), "n".into()],
-            vec![rows[0].clone(), rows[1].clone(), rows[3].clone()],
-            d,
-        );
-        assert_eq!(b, want);
+        assert_eq!(b, batch(&[rows[0], rows[1], rows[3]], &d));
     }
 
     #[test]
     fn batch_roundtrip_row_major() {
         let d = SharedDict::new();
-        let rows = vec![
-            vec![Value::Str(d.intern("/bin/tar")), Value::Int(3)],
-            vec![Value::Str(d.intern("/usr/bin/curl")), Value::Int(9)],
+        let rows: [&[Value]; 2] = [
+            &[Value::Str(d.intern("/bin/tar")), Value::Int(3)],
+            &[Value::Str(d.intern("/usr/bin/curl")), Value::Int(9)],
         ];
-        let b = ResultBatch::from_rows(vec!["exe".into(), "n".into()], rows.clone(), d.clone());
+        let b = batch(&rows, &d);
         assert_eq!(b.n_rows(), 2);
         assert_eq!(b.n_cols(), 2);
         assert_eq!(b.row(1), rows[1]);
         assert_eq!(b.rendered_rows(), vec![vec!["/bin/tar", "3"], vec!["/usr/bin/curl", "9"]]);
         assert_eq!(b.str_cells(), 2, "one string column × two rows");
+    }
+
+    #[test]
+    fn select_truncate_append_and_multiset_difference() {
+        let d = SharedDict::new();
+        let (a, z) = (Value::Str(d.intern("a")), Value::Str(d.intern("z")));
+        let b = batch(&[&[a, Value::Int(1)], &[z, Value::Int(2)], &[a, Value::Int(3)]], &d);
+        assert_eq!(b.select(&[2, 0, 2]), batch(&[b.row(2).as_slice(), &b.row(0), &b.row(2)], &d));
+        let mut head = b.clone();
+        head.truncate(1);
+        assert_eq!(head, b.select(&[0]));
+        // An empty column takes the appended column's type, an empty batch
+        // appended changes nothing, and a type mismatch widens to `Mixed`.
+        let mut acc = ResultBatch::empty(b.columns.clone(), d.clone());
+        acc.append(&b);
+        acc.append(&ResultBatch::empty(b.columns.clone(), d.clone()));
+        assert_eq!(acc, b);
+        acc.append(&batch(&[&[Value::Int(9), Value::Int(4)]], &d));
+        assert!(matches!(
+            (&acc.cols[0], &acc.cols[1]),
+            (ValueColumn::Mixed(_), ValueColumn::Int(_))
+        ));
+        assert_eq!(acc.row(3), vec![Value::Int(9), Value::Int(4)]);
+
+        // `a` three times here and once there: its last two occurrences;
+        // `z` twice in each: none; `Null`, absent there: kept. Cells
+        // compare by value, whatever their columns' types.
+        let full = batch(&[&[a], &[z], &[a], &[a], &[z], &[Value::Null]], &d);
+        assert_eq!(full.rows_not_in(&batch(&[&[z], &[a], &[z]], &d)), vec![2, 3, 5]);
+        assert_eq!(full.rows_not_in(&batch(&[&[Value::Null], &[a]], &d)), vec![1, 2, 3, 4]);
+        assert_eq!(full.rows_not_in(&full), Vec::<usize>::new());
+        let none = ResultBatch::empty(full.columns.clone(), d);
+        assert_eq!(full.rows_not_in(&none), (0..6).collect::<Vec<_>>());
     }
 
     #[test]

@@ -29,8 +29,8 @@ fn assert_same_state(recovered: &StreamSession, live: &StreamSession) {
     for (r, l) in recovered.queries().iter().zip(live.queries()) {
         assert_eq!(r.name(), l.name());
         assert_eq!(
-            ResultTable::from_batch(&r.cumulative_batch()),
-            ResultTable::from_batch(&l.cumulative_batch()),
+            ResultTable::from_batch(r.cumulative_batch()),
+            ResultTable::from_batch(l.cumulative_batch()),
             "{}",
             l.name()
         );

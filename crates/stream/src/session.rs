@@ -666,7 +666,7 @@ pub(crate) mod tests {
         let batch_engine = Engine::new(load(&log).unwrap());
         let aq = analyze(&parse_tbql(Q).unwrap()).unwrap();
         let (expect, _) = batch_engine.execute(&aq, ExecMode::Scheduled).unwrap();
-        let got = ResultTable::from_batch(&session.query(qid).cumulative_batch());
+        let got = ResultTable::from_batch(session.query(qid).cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows());
         assert_eq!(delta_rows, expect.rows.len());
     }

@@ -88,7 +88,7 @@ fn assert_recovered_equals_bulk(recovered: &StreamSession, bulk: &Engine, ctx: &
             .iter()
             .find(|sq| sq.name() == format!("q{i}"))
             .expect("corpus query registered");
-        let cumulative = ResultTable::from_batch(&standing.cumulative_batch());
+        let cumulative = ResultTable::from_batch(standing.cumulative_batch());
         assert_eq!(cumulative.sorted_rows(), want.sorted_rows(), "{ctx}: standing {q}");
     }
 }
@@ -109,8 +109,8 @@ fn assert_same_state(a: &StreamSession, b: &StreamSession, ctx: &str) {
     assert_eq!(names(a), names(b), "{ctx}");
     for (qa, qb) in a.queries().iter().zip(b.queries()) {
         assert_eq!(
-            ResultTable::from_batch(&qa.cumulative_batch()),
-            ResultTable::from_batch(&qb.cumulative_batch()),
+            ResultTable::from_batch(qa.cumulative_batch()),
+            ResultTable::from_batch(qb.cumulative_batch()),
             "{ctx}: {}",
             qa.name()
         );

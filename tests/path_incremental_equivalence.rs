@@ -83,7 +83,7 @@ proptest! {
         let streamed = session.engine();
         for (i, q) in PATH_QUERIES.iter().enumerate() {
             let (expect, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
-            let got = ResultTable::from_batch(&session.query(qids[i]).cumulative_batch());
+            let got = ResultTable::from_batch(session.query(qids[i]).cumulative_batch());
             prop_assert_eq!(got.sorted_rows(), expect.sorted_rows(), "cumulative result for {}", q);
             delta_rows[i].sort();
             prop_assert_eq!(&delta_rows[i], &expect.sorted_rows(), "concatenated deltas for {}", q);
@@ -148,7 +148,7 @@ fn standing_path_filters_are_exact_like() {
         assert_eq!(expect.rows.len(), *rows, "{q}: {:?}", expect.rows);
         delta_rows[i].sort();
         assert_eq!(delta_rows[i], expect.sorted_rows(), "concatenated deltas for {q}");
-        let got = ResultTable::from_batch(&session.query(qids[i]).cumulative_batch());
+        let got = ResultTable::from_batch(session.query(qids[i]).cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows(), "cumulative result for {q}");
     }
 }

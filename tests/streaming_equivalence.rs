@@ -229,7 +229,7 @@ fn continuous_data_leak_evaluation_matches_batch() {
     let bulk = Engine::new(load(&built.log).unwrap());
     for (i, q) in texts.iter().enumerate() {
         let (expect, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
-        let got = ResultTable::from_batch(&session.query(qids[i]).cumulative_batch());
+        let got = ResultTable::from_batch(session.query(qids[i]).cumulative_batch());
         assert_eq!(got.sorted_rows(), expect.sorted_rows(), "query {q}");
         assert_eq!(per_query_delta_rows[i], expect.rows.len(), "delta rows for {q}");
     }
@@ -276,7 +276,7 @@ fn late_registration_sees_entities_that_predate_it() {
 
     let want = vec![vec!["/bin/tar".to_string(), "/etc/passwd".to_string()]];
     assert_eq!(raptor.query(tar_reads).unwrap().rows, want);
-    let standing = |id| ResultTable::from_batch(&raptor.session().query(id).cumulative_batch());
+    let standing = |id| ResultTable::from_batch(raptor.session().query(id).cumulative_batch());
     assert_eq!(standing(tar_id).rows, want);
     assert_eq!(standing(any_id).rows, want, "no catch-up over events already loaded");
     assert_eq!(raptor.query(any_read).unwrap().rows.len(), 2);
@@ -328,8 +328,60 @@ fn standing_query_on_a_loaded_system_fires_on_increments() {
     for (qid, q) in qids.into_iter().zip(QUERIES) {
         let (want, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
         assert_eq!(want.rows.len(), 1, "the corpus finds the attack: {q}");
-        let got = ResultTable::from_batch(&raptor.session().query(qid).cumulative_batch());
+        let got = ResultTable::from_batch(raptor.session().query(qid).cumulative_batch());
         assert_eq!(got.sorted_rows(), want.sorted_rows(), "standing {q}");
         assert_eq!(raptor.query(q).unwrap().sorted_rows(), want.sorted_rows(), "ad hoc {q}");
+    }
+}
+
+/// A standing answer that repeats rows. Every corpus query returns one
+/// row; here one pattern that returns only the reading process gives
+/// `data_leak` ×0.2 89 rows of 14 distinct, and 45 of the 75 repeats arrive
+/// inside a single epoch. The concatenated deltas and the cumulative batch
+/// equal the batch result as multisets, and a durable session checkpointed
+/// half-way and recovered emits the same remaining deltas as the live one.
+#[test]
+fn repeated_rows_stream_as_a_multiset() {
+    use std::collections::BTreeSet;
+    use threatraptor::{common::io::MemFs, engine::CKPT_FILE, engine::WAL_FILE, DurablePolicy};
+    const Q: &str = "proc p read file f as e1 return p";
+    let built =
+        raptor_cases::build_case(raptor_cases::catalog::case_by_id("data_leak").unwrap(), 0.2, 99);
+    let batches: Vec<_> = EpochStream::new(&built.log, EpochPolicy::ByCount(64)).collect();
+    let policy = DurablePolicy { checkpoint_every: 0 };
+    let disk = std::sync::Arc::new(MemFs::new());
+    let mut live = StreamSession::open(disk.clone(), policy).unwrap();
+    let qid = live.register("reads", Q).unwrap();
+    let (mut recovered, mut concatenated, mut repeats_in_epoch) = (None, Vec::new(), 0);
+    for (i, batch) in batches.iter().enumerate() {
+        if i == batches.len() / 2 {
+            live.checkpoint().unwrap();
+            let fs = std::sync::Arc::new(MemFs::new());
+            for file in [CKPT_FILE, WAL_FILE] {
+                fs.store(file, disk.snapshot(file));
+            }
+            recovered = Some(StreamSession::open(fs, policy).unwrap());
+        }
+        let delta_of = |s: &mut StreamSession| {
+            let report = s.ingest_batch(batch).unwrap().expect("fresh epoch");
+            ResultTable::from_batch(&report.deltas[qid.0].delta).rows
+        };
+        let delta = delta_of(&mut live);
+        if let Some(r) = &mut recovered {
+            assert_eq!(delta_of(r), delta, "epoch {i}: the recovered query's delta");
+        }
+        repeats_in_epoch += delta.len() - delta.iter().collect::<BTreeSet<_>>().len();
+        concatenated.extend(delta);
+    }
+
+    let bulk = Engine::new(load(&built.log).unwrap());
+    let want = bulk.execute_text(Q, ExecMode::Scheduled).unwrap().0.sorted_rows();
+    let distinct = want.iter().collect::<BTreeSet<_>>().len();
+    assert_eq!((want.len(), distinct, repeats_in_epoch), (89, 14, 45));
+    concatenated.sort();
+    assert_eq!(concatenated, want, "concatenated deltas");
+    for s in [&live, &recovered.expect("the stream has a second half")] {
+        let cumulative = ResultTable::from_batch(s.query(qid).cumulative_batch());
+        assert_eq!(cumulative.sorted_rows(), want, "cumulative batch");
     }
 }

@@ -198,7 +198,8 @@ fn write_mutable(recs: &[Rec]) -> LoadedStores {
 
 fn ids(stores: &LoadedStores, sql: &str) -> (Vec<i64>, usize) {
     let r = stores.rel.query(sql).unwrap();
-    let mut ids: Vec<i64> = r.rows().iter().map(|row| row[0].as_int().unwrap()).collect();
+    let col = &r.batch.cols[0];
+    let mut ids: Vec<i64> = (0..col.len()).map(|i| col.get(i).as_int().unwrap()).collect();
     ids.sort_unstable();
     (ids, r.stats.index_scans)
 }
