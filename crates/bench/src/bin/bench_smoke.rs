@@ -84,7 +84,7 @@ fn run() -> (Vec<QueryReport>, f64) {
             rs.sorted_rows(),
             "scheduler modes disagree on query {id}: {q}"
         );
-        assert_eq!(sc.scheduler, Some(SchedulerMode::CostBased), "stats must drive query {id}");
+        assert_eq!(sc.scheduler, Some(SchedulerMode::CostBased), "counts must drive query {id}");
         let qe = sc
             .estimates
             .iter()
@@ -107,11 +107,10 @@ fn run() -> (Vec<QueryReport>, f64) {
     (reports, q_error_max)
 }
 
-/// Variable-length path queries over the corpus store: the
-/// `path_estimation` section. These exercise the path cardinality
-/// catalog's decomposition estimates — every shape the estimator
-/// handles: bounded and unbounded hop envelopes, final-hop operation
-/// selectivity, op-less reachability, and a non-file destination class.
+/// Variable-length path queries over the corpus store: the `path_queries`
+/// section. Bounded and unbounded hop envelopes, a final-hop operation,
+/// op-less reachability, and a non-file destination class; their rows and
+/// walked edges are gated exactly.
 const PATH_QUERIES: &[&str] = &[
     "proc p ~>(1~3)[read] file f as e1 return p, f",
     "proc p ~>(2~4)[write] file f as e1 return p, f",
@@ -120,39 +119,25 @@ const PATH_QUERIES: &[&str] = &[
     "proc p ~>(1~4) proc q as e1 return p, q",
 ];
 
-/// Absolute cap on path-pattern Q-error (the satellite gate: down from
-/// ≈94.6 under the degree-power estimator).
-const PATH_QERROR_CAP: f64 = 10.0;
-
 struct PathReport {
     id: usize,
     rows: usize,
     /// The walk's `edges_traversed`, gated exact.
     edges: usize,
-    estimated_rows: f64,
-    q_error: f64,
 }
 
-/// Runs every path query through the scheduled executor and reads the
-/// cost model's per-pattern estimate vs actual off the execution stats.
-fn run_path_estimation() -> (Vec<PathReport>, f64) {
+/// Runs every path query through the scheduled executor.
+fn run_paths() -> Vec<PathReport> {
     let raptor = corpus_system();
     let engine = raptor.engine();
     let mut reports = Vec::new();
-    let mut worst = 0.0f64;
     for (id, q) in PATH_QUERIES.iter().enumerate() {
         let aq = analyze(&parse_tbql(q).expect("path query parses")).expect("path query analyzes");
         let (r, s) = engine.execute_scheduled_as(&aq, SchedulerMode::CostBased).unwrap();
-        let path_ests: Vec<_> = s.estimates.iter().filter(|e| e.is_path).collect();
-        assert!(!path_ests.is_empty(), "path query {id} must carry a path pattern");
-        let qe = path_ests.iter().filter_map(|e| e.q_error()).fold(0.0f64, f64::max);
-        assert!(qe.is_finite(), "path q-error must stay finite on query {id}");
-        worst = worst.max(qe);
-        let est = path_ests.iter().filter_map(|e| e.estimated_rows).fold(0.0f64, f64::max);
-        let (rows, edges) = (r.rows.len(), s.backend.edges_traversed);
-        reports.push(PathReport { id, rows, edges, estimated_rows: est, q_error: qe });
+        assert!(s.estimates.iter().any(|e| e.is_path), "path query {id} must carry a path");
+        reports.push(PathReport { id, rows: r.rows.len(), edges: s.backend.edges_traversed });
     }
-    (reports, worst)
+    reports
 }
 
 /// Deterministic results of the vectorized full scan on the corpus.
@@ -380,7 +365,6 @@ fn render_json(
     obs: &ObsReport,
     durability: &DurabilityReport,
     paths: &[PathReport],
-    path_q_error_max: f64,
     q_error_max: f64,
 ) -> String {
     let mut out = String::new();
@@ -413,17 +397,13 @@ fn render_json(
     // Observability plane: span counts are gated exactly (the taxonomy is
     // whole-operator, so counts are machine- and thread-invariant); the q3
     // trace-on/off latencies are informational only.
-    // Path-estimation plane: the catalog's decomposition estimates on
-    // var-length path queries. Rows are exact-deterministic; the per-run
-    // worst Q-error is capped absolutely (the whole point of the catalog).
-    let _ = writeln!(out, "  \"path_estimation\": [");
+    // Var-length path queries: rows and walked edges, exact-deterministic.
+    let _ = writeln!(out, "  \"path_queries\": [");
     for (i, p) in paths.iter().enumerate() {
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"query\": {},", p.id);
         let _ = writeln!(out, "      \"path_rows\": {},", p.rows);
-        let _ = writeln!(out, "      \"path_edges\": {},", p.edges);
-        let _ = writeln!(out, "      \"path_est_rows\": {:.4},", p.estimated_rows);
-        let _ = writeln!(out, "      \"path_q_error\": {:.4}", p.q_error);
+        let _ = writeln!(out, "      \"path_edges\": {}", p.edges);
         let _ = writeln!(out, "    }}{}", if i + 1 < paths.len() { "," } else { "" });
     }
     let _ = writeln!(out, "  ],");
@@ -466,7 +446,6 @@ fn render_json(
     let _ = writeln!(out, "    \"orders_differ\": {orders_differ},");
     let _ = writeln!(out, "    \"work_cost_total\": {work_cost_total},");
     let _ = writeln!(out, "    \"work_syntactic_total\": {work_syntactic_total},");
-    let _ = writeln!(out, "    \"path_q_error_max\": {path_q_error_max:.4},");
     let _ = writeln!(out, "    \"q_error_max\": {q_error_max:.4}");
     let _ = writeln!(out, "  }}");
     let _ = writeln!(out, "}}");
@@ -538,22 +517,11 @@ fn gate(current: &str, baseline: &str) -> Vec<String> {
             failures.push(format!("columnar {key} changed: baseline {b:?}, current {c:?}"));
         }
     }
-    // Path-estimation plane: result rows and walked edges are
-    // exact-deterministic, and the worst path-pattern Q-error is capped
-    // *absolutely* — the catalog's decomposition estimates must keep it
-    // under PATH_QERROR_CAP regardless of what the baseline recorded.
+    // Path queries: result rows and walked edges are exact-deterministic.
     for key in ["path_rows", "path_edges"] {
         let (c, b) = (extract_numbers(current, key), extract_numbers(baseline, key));
         if !b.is_empty() && c != b {
-            failures.push(format!("path_estimation {key} changed: baseline {b:?}, current {c:?}"));
-        }
-    }
-    if let Some(c) = extract_numbers(current, "path_q_error_max").last() {
-        if *c > PATH_QERROR_CAP {
-            failures.push(format!(
-                "path-pattern q_error_max {c} exceeds the absolute cap {PATH_QERROR_CAP} \
-                 (catalog estimates regressed toward degree-power quality)"
-            ));
+            failures.push(format!("path_queries {key} changed: baseline {b:?}, current {c:?}"));
         }
     }
     // Frontier plane: span and cache counters are exact-deterministic.
@@ -608,7 +576,7 @@ fn gate(current: &str, baseline: &str) -> Vec<String> {
     if differ(current) < 1.0 && differ(baseline) >= 1.0 {
         failures.push(
             "cost-based scheduler no longer diverges from the syntactic order on any \
-             corpus query (stats plane dead?)"
+             corpus query (counted prices dead?)"
                 .to_string(),
         );
     }
@@ -633,12 +601,11 @@ fn main() -> ExitCode {
     }
 
     let (reports, q_error_max) = run();
-    let (paths, path_q_error_max) = run_path_estimation();
+    let paths = run_paths();
     let columnar = run_columnar();
     let obs = run_observability();
     let durability = run_durability();
-    let json =
-        render_json(&reports, &columnar, &obs, &durability, &paths, path_q_error_max, q_error_max);
+    let json = render_json(&reports, &columnar, &obs, &durability, &paths, q_error_max);
     if let Some(parent) =
         std::path::Path::new(&out_path).parent().filter(|p| !p.as_os_str().is_empty())
     {
@@ -673,12 +640,8 @@ fn main() -> ExitCode {
         obs.frontier_misses,
     );
     for p in &paths {
-        println!(
-            "path q{}: rows={} est={:.1} q_err={:.2}",
-            p.id, p.rows, p.estimated_rows, p.q_error
-        );
+        println!("path q{}: rows={} edges={}", p.id, p.rows, p.edges);
     }
-    println!("path_estimation: q_error_max={path_q_error_max:.2} (cap {PATH_QERROR_CAP})");
     println!(
         "durability: {} events, ingest wal-off/on={:.1}ms/{:.1}ms, wal records/epochs={}/{}; \
          15x ckpt={}B rows={} recovery={:.1}ms",

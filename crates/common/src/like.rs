@@ -1,13 +1,12 @@
 //! SQL `LIKE` pattern matching.
 //!
 //! TBQL attribute filters use `%`-wildcards ("`%` matches any character
-//! sequence", Section III-D) and they surface in three places: compiled SQL
-//! predicates (relstore), Cypher `CONTAINS`-family lowering (graphstore),
-//! and selectivity estimation over collected column statistics
-//! (raptor-storage). The matcher lives here so all three share one
-//! semantics: `%` = any run, `_` = any single character, no escape syntax
-//! (audit strings never need one). It is allocation-free: a scan calls it
-//! once per distinct string, a statistics estimate once per tracked value.
+//! sequence", Section III-D) and they surface in two places: compiled SQL
+//! predicates (relstore, whose `LIKE` access path also counts its rows for
+//! the planner) and Cypher `CONTAINS`-family lowering (graphstore). The
+//! matcher lives here so both share one semantics: `%` = any run, `_` =
+//! any single character, no escape syntax (audit strings never need one).
+//! It is allocation-free: a scan calls it once per distinct string.
 
 /// Returns whether `text` matches the SQL LIKE `pattern`.
 ///

@@ -11,9 +11,8 @@
 //! A restart rebuilds the store by replaying the log through the same
 //! [`crate::load::append_entity`] / [`append_event`] seam that built it, in
 //! the order the log holds. That makes a recovered store **identical by
-//! construction**: both backends, every index and every statistics
-//! histogram are rebuilt by the exact code path that produced them, so
-//! order-sensitive state (MCV tracking caps, histogram extents,
+//! construction**: both backends and every index are rebuilt by the exact
+//! code path that produced them, so order-sensitive state (posting order,
 //! adjacency order) cannot drift. The manifest only lets that replay skip
 //! standing-query advancement below `log_len` (their state at that point is
 //! in the manifest) — removing the checkpoint file leaves a log that
@@ -32,7 +31,7 @@
 //!        · log binding (log_len, epochs, rows, now_ns, ingest stats)
 //!        · standing queries (name, TBQL text, opaque state, frontier
 //!          state)
-//!        · path-catalog digest (crc32 of the catalog's canonical bytes)
+//!        · table rows (u64 each: files, processes, netconns, events)
 //! ```
 //!
 //! `log_len` is a byte offset into the log that is always a durable point
@@ -41,15 +40,15 @@
 //! ingest stats are what replaying `log[..log_len]` must reproduce: they are
 //! **compared** with the replayed session, never assigned to it, and a
 //! mismatch is the typed `diverged after replay` error. So is a mismatch of
-//! the path-catalog digest, checked against the catalog the replay rebuilt
-//! in the relational store's statistics — the one copy (the catalog itself
-//! is never serialized). Earlier layouts also carried every table's
-//! cells; the bytes replay reads now are the log's, and each log frame has
-//! its own CRC.
+//! any table's row count, checked against each replayed table's `len()`:
+//! O(tables), so a checkpoint costs no walk over rows or nodes. Earlier
+//! layouts carried every table's cells, then a digest of a path catalog
+//! the store no longer keeps; the bytes replay reads now are the log's,
+//! and each log frame has its own CRC.
 //!
 //! Each standing query carries its cached [`PathFrontier`] state, so
 //! recovery resumes delta-incremental path matching without a cold rebuild.
-//! This is layout version 4, the only one read or written: an image of any
+//! This is layout version 5, the only one read or written: an image of any
 //! other version decodes to the typed `unsupported checkpoint version`
 //! error.
 //!
@@ -65,14 +64,14 @@ use raptor_common::intern::SharedDict;
 use raptor_common::io::{self, Cur};
 use raptor_storage::BackendStats;
 
-use crate::load::{self, LoadedStores};
+use crate::load::{self, LoadedStores, TABLES};
 use crate::standing::StandingQuery;
 
 /// File name of the checkpoint inside a durability `Fs`.
 pub const CKPT_FILE: &str = "ckpt";
 
 const MAGIC: u32 = 0x5452_434B; // "KCRT" little-endian: reads as "TRCK" tag
-const VERSION: u32 = 4;
+const VERSION: u32 = 5;
 
 /// The log prefix a manifest summarises, and the session position that
 /// replaying exactly that prefix reproduces.
@@ -98,7 +97,13 @@ pub struct Manifest {
     /// order.
     pub queries: Vec<StandingQuery>,
     pub meta: SessionMeta,
-    catalog_digest: u32,
+    /// Rows per table of [`TABLES`] at `meta.log_len`.
+    table_rows: [u64; TABLES.len()],
+}
+
+/// Rows per table of [`TABLES`].
+fn table_rows(stores: &LoadedStores) -> [u64; TABLES.len()] {
+    TABLES.map(|t| stores.rel.table(t).map_or(0, |t| t.len()) as u64)
 }
 
 impl Manifest {
@@ -115,8 +120,13 @@ impl Manifest {
                 self.meta
             )));
         }
-        if stores.rel.store_stats().catalog().digest() != self.catalog_digest {
-            return Err(Error::storage("checkpoint integrity: path catalog diverged after replay"));
+        let replayed = table_rows(stores);
+        if let Some(i) = (0..TABLES.len()).find(|&i| replayed[i] != self.table_rows[i]) {
+            return Err(Error::storage(format!(
+                "checkpoint integrity: table `{}` diverged after replay: the log rebuilt {} \
+                 rows, the checkpoint recorded {}",
+                TABLES[i], replayed[i], self.table_rows[i]
+            )));
         }
         Ok(())
     }
@@ -185,7 +195,9 @@ pub fn encode(stores: &LoadedStores, standing: &[StandingQuery], meta: &SessionM
         io::put_u64(&mut body, frontier.len() as u64);
         body.extend_from_slice(&frontier);
     }
-    io::put_u32(&mut body, stores.rel.store_stats().catalog().digest());
+    for rows in table_rows(stores) {
+        io::put_u64(&mut body, rows);
+    }
 
     let mut out = Vec::with_capacity(12 + body.len());
     io::put_u32(&mut out, MAGIC);
@@ -262,14 +274,17 @@ pub fn decode(bytes: &[u8]) -> Result<(LoadedStores, Manifest)> {
         q.decode_frontier_state(&mut Cur::new(frontier))?;
         queries.push(q);
     }
-    let catalog_digest = cur.get_u32()?;
+    let mut table_rows = [0; TABLES.len()];
+    for rows in &mut table_rows {
+        *rows = cur.get_u64()?;
+    }
     if !cur.is_done() {
         return Err(Error::storage(format!(
             "checkpoint: {} trailing bytes after decode",
             cur.remaining()
         )));
     }
-    Ok((stores, Manifest { queries, meta, catalog_digest }))
+    Ok((stores, Manifest { queries, meta, table_rows }))
 }
 
 #[cfg(test)]
@@ -306,24 +321,34 @@ mod tests {
         }
         load::append_log(&mut restored, &log, &mut BackendStats::default()).unwrap();
         manifest.check_replayed(&restored, &meta).unwrap();
-        // Same stats (covers histograms, degree maps, the path catalog).
-        assert_eq!(restored.rel.store_stats(), stores.rel.store_stats());
+        assert_eq!(restored.contents(), stores.contents());
         assert_eq!(restored.now_ns, stores.now_ns);
     }
 
     /// A replay that lands anywhere else — another position, or the same
-    /// position over other edges — is refused with the typed error.
+    /// position over other rows — is refused with the typed error.
     #[test]
     fn a_diverged_replay_is_refused() {
         let stores = load::load(&sample_log()).unwrap();
         let meta = meta_for(&stores);
-        let (mut restored, manifest) = decode(&encode(&stores, &[], &meta)).unwrap();
+        let image = encode(&stores, &[], &meta);
+        let (mut restored, manifest) = decode(&image).unwrap();
         let diverged = |r: Result<()>| {
             let err = r.unwrap_err();
             assert_eq!(err.kind, ErrorKind::Storage);
             assert!(err.message.contains("diverged after replay"), "{err}");
+            err.message
         };
-        // Same position claimed, one event short: the catalogs differ.
+        // A manifest whose count for one table disagrees with the replay.
+        let counts = image.len() - 8 * TABLES.len();
+        for (i, table) in TABLES.iter().enumerate() {
+            let at = counts + 8 * i;
+            let rows = u64::from_le_bytes(image[at..at + 8].try_into().unwrap());
+            let (_, forged) = decode(&forged(&image, at, rows + 1)).unwrap();
+            let message = diverged(forged.check_replayed(&stores, &meta));
+            assert!(message.contains(&format!("table `{table}`")), "{message}");
+        }
+        // Same position claimed, one event short: the events counts differ.
         let mut short = sample_log();
         short.events.pop();
         load::append_log(&mut restored, &short, &mut BackendStats::default()).unwrap();
@@ -341,7 +366,7 @@ mod tests {
     }
 
     /// One layout is decoded. An image of any other version — the retired
-    /// v1 to v3, or one never shipped — is refused with the typed version
+    /// v1 to v4, or one never shipped — is refused with the typed version
     /// error on its header alone, whatever its body holds: no panic, no
     /// partial restore.
     #[test]
@@ -349,7 +374,7 @@ mod tests {
         let log = sample_log();
         let stores = load::load(&log).unwrap();
         let current = encode(&stores, &[], &meta_for(&stores));
-        for version in [0u32, 1, 2, 3, 5, u32::MAX] {
+        for version in [0u32, 1, 2, 3, 4, 6, u32::MAX] {
             let mut image = current.clone();
             image[4..8].copy_from_slice(&version.to_le_bytes());
             let err = decode(&image).map(|_| ()).unwrap_err();
@@ -424,8 +449,8 @@ mod tests {
     fn forged_standing_query_count_is_refused() {
         let stores = load::load(&sample_log()).unwrap();
         let clean = encode(&stores, &[], &meta_for(&stores));
-        // The count sits before the trailing catalog digest.
-        refused(&forged(&clean, clean.len() - 12, 60 << 20));
+        // The count sits before the trailing table row counts.
+        refused(&forged(&clean, clean.len() - 8 - 8 * TABLES.len(), 60 << 20));
     }
 
     /// So are a standing state's match and row counts.

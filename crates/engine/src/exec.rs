@@ -3,8 +3,9 @@
 //! Three execution paths, matching the four query variants of Table VIII:
 //!
 //! * [`ExecMode::Scheduled`] — ThreatRaptor's plan: compile each pattern to
-//!   a small *typed* data request, execute in pruning-score order with
-//!   `IN`-filter propagation through the stores' typed entry points, then join
+//!   a small *typed* data request, execute in scheduled order (counted
+//!   prices, [`crate::schedule`]) with `IN`-filter propagation through the
+//!   stores' typed entry points, then join
 //!   per-pattern matches on `i64` entity ids, apply `with`-clause
 //!   constraints, and project. (Variants (a) and (c): event patterns run on
 //!   the relational store, length-1 path patterns on the graph store.) No
@@ -46,7 +47,7 @@ use crate::compile::{
     class_for_type, entity_candidate_request, event_pattern_request, giant_cypher, giant_sql,
     path_pattern_request, CompileCtx, Propagation,
 };
-use crate::estimate::{estimate_event_pattern, estimate_path_pattern, PatternEstimate};
+use crate::estimate::{cost_based_order, PatternEstimate};
 use crate::load::LoadedStores;
 use crate::schedule::{dependency_chains, execution_order, pruning_score, SchedulerMode};
 
@@ -115,14 +116,15 @@ pub struct EngineStats {
     /// The scheduler that actually ordered this execution (`None` for the
     /// giant baseline modes and for caller-forced orders via
     /// [`Engine::execute_with_order`]). A `CostBased` request downgrades to
-    /// `Syntactic` here when the stores carry no statistics.
+    /// `Syntactic` here over an empty `events` table.
     pub scheduler: Option<SchedulerMode>,
     /// Pattern execution order used (indices into the query's patterns).
     pub execution_order: Vec<usize>,
-    /// Per-pattern cost-model records (estimated vs actual rows, syntactic
-    /// score), index-aligned with the query's patterns. Estimated rows are
-    /// populated exactly when the cost-based scheduler ran; actual rows for
-    /// every pattern that executed — so Q-error is observable per query.
+    /// Per-pattern cost-model records (counted price vs actual rows,
+    /// syntactic score), index-aligned with the query's patterns. Prices
+    /// are populated for event patterns exactly when the cost-based
+    /// scheduler ran; actual rows for every pattern that executed — so
+    /// Q-error is observable per query.
     pub estimates: Vec<PatternEstimate>,
     /// Heap `String`s materialized from interned symbols. Incremented in
     /// exactly one place — [`ResultTable::from_batch_counted`], the render
@@ -483,10 +485,13 @@ impl Engine {
     }
 
     /// Computes the pattern execution order and the per-pattern cost
-    /// records. Runs *after* entity-candidate seeding, so cost estimates
-    /// see the exact seeded candidate counts (execution-result-constrained
-    /// ordering); the syntactic score is the fallback whenever the stores
-    /// carry no statistics or the engine is pinned to `Syntactic`.
+    /// records. Runs *after* entity-candidate seeding, so every seeded
+    /// endpoint is an exact `subject IN` / `object IN` count
+    /// (execution-result-constrained ordering).
+    ///
+    /// Cost-based: event patterns by counted price, then path patterns
+    /// ([`crate::estimate`]). An empty `events` table, or an engine pinned
+    /// to `Syntactic`, orders by the syntactic score alone.
     pub(crate) fn plan_order(
         &self,
         ctx: &CompileCtx<'_>,
@@ -497,89 +502,15 @@ impl Engine {
         let mut sp = obs::span("engine.plan");
         sp.attr("patterns", aq.patterns.len() as u64);
         let mut estimates = base_estimates(aq);
-        // One statistics copy, the relational store's, serves event and
-        // path estimates alike.
-        let store_stats = self.stores.rel.store_stats();
-        let stats_ready = store_stats.table("events").is_some_and(|t| t.rows() > 0);
-        let used = if mode == SchedulerMode::CostBased && stats_ready {
+        let events = self.stores.rel.table("events").map_or(0, |t| t.len());
+        let used = if mode == SchedulerMode::CostBased && events > 0 {
             SchedulerMode::CostBased
         } else {
             SchedulerMode::Syntactic
         };
         let order = match used {
             SchedulerMode::CostBased => {
-                let mut base = Vec::with_capacity(aq.patterns.len());
-                let mut sides: Vec<[(String, f64); 2]> = Vec::with_capacity(aq.patterns.len());
-                for p in &aq.patterns {
-                    let class_rows = |v: &str| -> f64 {
-                        let rows = aq
-                            .entities
-                            .get(v)
-                            .map(|e| class_for_type(e.ty))
-                            .and_then(|c| store_stats.table(c.table_name()))
-                            .map_or(0, |t| t.rows());
-                        rows.max(1) as f64
-                    };
-                    let est = if p.is_path() {
-                        let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
-                        estimate_path_pattern(&req, store_stats)
-                    } else {
-                        let req = event_pattern_request(ctx, p, prop)?;
-                        estimate_event_pattern(&req, store_stats)
-                    };
-                    base.push(est);
-                    sides.push([
-                        (p.subject.clone(), class_rows(&p.subject)),
-                        (p.object.clone(), class_rows(&p.object)),
-                    ]);
-                }
-                // Join-aware greedy ordering: repeatedly pick the cheapest
-                // remaining pattern, then *condition* every unpicked
-                // pattern sharing one of its variables — an executed
-                // pattern bounds the shared variable's distinct candidates
-                // by its own output, shrinking the partner's effective
-                // entity fraction exactly like `IN`-propagation will at run
-                // time. Conditioned estimates are what Q-error measures.
-                let mut bound: FxHashMap<&str, f64> = FxHashMap::default();
-                let conditioned = |i: usize, bound: &FxHashMap<&str, f64>| -> f64 {
-                    let mut est = base[i];
-                    let [(sv, sr), (ov, or)] = &sides[i];
-                    if let Some(b) = bound.get(sv.as_str()) {
-                        est *= (b / sr).min(1.0);
-                    }
-                    // A self-loop pattern's one variable conditions once.
-                    if ov != sv {
-                        if let Some(b) = bound.get(ov.as_str()) {
-                            est *= (b / or).min(1.0);
-                        }
-                    }
-                    est
-                };
-                let mut remaining: Vec<usize> = (0..aq.patterns.len()).collect();
-                let mut order = Vec::with_capacity(remaining.len());
-                while !remaining.is_empty() {
-                    let (pos, _) = remaining
-                        .iter()
-                        .enumerate()
-                        .min_by(|&(_, &a), &(_, &b)| {
-                            let (pa, pb) = (&aq.patterns[a], &aq.patterns[b]);
-                            conditioned(a, &bound)
-                                .total_cmp(&conditioned(b, &bound))
-                                .then(pruning_score(aq, pb).cmp(&pruning_score(aq, pa)))
-                                .then(pa.is_path().cmp(&pb.is_path()))
-                                .then(a.cmp(&b))
-                        })
-                        .expect("non-empty");
-                    let i = remaining.swap_remove(pos);
-                    let est = conditioned(i, &bound);
-                    estimates[i].estimated_rows = Some(est);
-                    for (v, _) in &sides[i] {
-                        let b = bound.entry(v.as_str()).or_insert(f64::INFINITY);
-                        *b = b.min(est);
-                    }
-                    order.push(i);
-                }
-                order
+                cost_based_order(&self.stores.rel, ctx, aq, prop, &mut estimates)?
             }
             SchedulerMode::Syntactic => execution_order(aq),
         };

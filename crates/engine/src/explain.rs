@@ -2,8 +2,8 @@
 //! execution decisions as a stable text tree.
 //!
 //! The engine already records everything an operator needs to understand a
-//! scheduled execution — seeded candidate counts, per-pattern cost
-//! estimates and syntactic scores, the chosen scheduler and execution
+//! scheduled execution — seeded candidate counts, per-pattern counted
+//! prices and syntactic scores, the chosen scheduler and execution
 //! order, dependency chains, and (after execution) per-query row counts,
 //! wall times and backend-counter deltas in [`QueryInfo`]. This module
 //! renders those records; it computes nothing new.

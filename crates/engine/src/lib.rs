@@ -11,15 +11,15 @@
 //!   request for the relational (event patterns) or graph (path patterns)
 //!   backend; also emits the *giant* whole-query SQL/Cypher used as
 //!   baselines and for the Table X conciseness comparison,
-//! * [`schedule`] — the data-query scheduling algorithm: patterns ordered
-//!   by *estimated output cardinality* from the maintained store
-//!   statistics (the cost-based default), falling back to the paper's
-//!   syntactic pruning score when stats are absent; intermediate results
-//!   propagate into dependent patterns as `IN` filters either way,
-//! * [`estimate`] — the cardinality estimator feeding the scheduler:
-//!   predicate selectivity from distinct/top-k/histogram column stats,
-//!   path patterns via degree-power expansion over adjacency summaries,
-//!   with per-pattern estimated-vs-actual (Q-error) observability,
+//! * [`schedule`] — the data-query scheduling algorithm: event patterns
+//!   ordered by a price *counted* from the relational store's indexes (the
+//!   cost-based default), path patterns after them by the paper's
+//!   syntactic pruning score, which orders everything when the store is
+//!   empty; intermediate results propagate into dependent patterns as `IN`
+//!   filters either way,
+//! * [`estimate`] — the prices behind the cost-based order, counted from
+//!   the relational store's indexes, and each pattern's price-vs-actual
+//!   (Q-error) record,
 //! * [`exec`] — the [`exec::Engine`]: scheduled execution, cross-pattern
 //!   joins on shared entities, `with`-clause evaluation, projection; plus
 //!   the giant-SQL and giant-Cypher execution paths,

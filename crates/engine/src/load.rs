@@ -21,7 +21,7 @@
 use raptor_audit::{Entity, EntityAttrs, EntityKind, ParsedLog, SystemEvent};
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
-use raptor_graphstore::Graph;
+use raptor_graphstore::{EdgeId, Graph, PropValue};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
 use raptor_storage::{BackendStats, EntityClass, Field, FieldValue, MutableBackend};
 
@@ -40,6 +40,53 @@ pub struct LoadedStores {
     /// Max event end time (reference point for `last N unit` windows).
     pub now_ns: i64,
 }
+
+impl LoadedStores {
+    /// What both stores hold, independent of symbol numbering and of row
+    /// order: each table of [`TABLES`] as its rows rendered through the
+    /// dictionary, sorted, then the graph's edges as `(subject id, object
+    /// id, optype)`, sorted. Stores fed the same records by any path —
+    /// bulk load, epochs, log replay — hold equal contents.
+    pub fn contents(&self) -> StoreContents {
+        let render = |v: raptor_storage::Value| v.render(&self.dict);
+        let tables = TABLES
+            .iter()
+            .map(|&name| {
+                let t = self.rel.table(name).expect("audit table");
+                let mut rows: Vec<Vec<String>> = (0..t.len() as u32)
+                    .map(|r| t.row_values(r).into_iter().map(render).collect())
+                    .collect();
+                rows.sort_unstable();
+                rows
+            })
+            .collect();
+        let g = &self.graph;
+        let id = |n| match g.node_prop(n, "id") {
+            Some(PropValue::Int(id)) => id,
+            _ => -1,
+        };
+        let mut edges: Vec<(i64, i64, String)> = (0..g.edge_count() as u32)
+            .map(|e| {
+                let (edge, op) = (g.edge(EdgeId(e)), g.edge_prop(EdgeId(e), "optype"));
+                (id(edge.src), id(edge.dst), op.map_or_else(String::new, |v| render(v.into())))
+            })
+            .collect();
+        edges.sort_unstable();
+        StoreContents { tables, edges }
+    }
+}
+
+/// [`LoadedStores::contents`]: per table of [`TABLES`], its rendered rows;
+/// the graph's edges.
+#[derive(Debug, PartialEq, Eq)]
+pub struct StoreContents {
+    pub tables: Vec<Vec<Vec<String>>>,
+    pub edges: Vec<(i64, i64, String)>,
+}
+
+/// The audit tables: the entity tables in [`EntityClass::ALL`] order, then
+/// `events`.
+pub const TABLES: [&str; 4] = ["files", "processes", "netconns", "events"];
 
 /// Node labels used in the graph store.
 pub const LABEL_PROCESS: &str = "Process";
@@ -366,7 +413,7 @@ pub(crate) mod tests {
             (
                 s.rel.total_rows(),
                 (s.graph.node_count(), s.graph.edge_count()),
-                s.rel.store_stats().canonical(),
+                s.contents(),
                 (s.now_ns, stats.items_inserted),
             )
         };

@@ -10,18 +10,19 @@
 //! has a higher pruning score, and then use the execution results to
 //! constrain the execution of the other data query."
 //!
-//! That syntactic score is now the **fallback**. The default scheduler is
-//! *cost-based*: each pattern's output cardinality is estimated from the
-//! maintained store statistics (see [`crate::estimate`]) and
-//! `Engine::plan_order` greedily runs the cheapest remaining pattern next —
-//! the most selective data query first, so its results prune everything
-//! after it — conditioning the estimates of the patterns that share its
-//! variables as it goes. Ties (and the whole
-//! order, when stats are absent) fall back to the syntactic score; at equal
-//! scores event patterns run before path patterns (one scan of `events`
-//! with an id probe per endpoint is cheaper than a graph traversal), then
-//! query order keeps runs deterministic. Reordering can never change results — only the size of
-//! the propagated `IN` sets — which the order-invariance proptest pins.
+//! The default scheduler is *cost-based*, in the spirit of the system
+//! version's execution-result-constrained ordering: `Engine::plan_order`
+//! prices each event pattern by **counting** rows in the relational
+//! store's indexes ([`crate::estimate`]) and greedily runs the cheapest
+//! remaining one next, so its results prune everything after it,
+//! conditioning the prices of the patterns that share its variables as it
+//! goes. Nothing is maintained for it on the write path. Path patterns
+//! follow the paper's rule: after every event pattern, by pruning score,
+//! with no price. Ties fall back to the syntactic score, then query order
+//! keeps runs deterministic; an empty store orders by the syntactic score
+//! alone.
+//! Reordering can never change results — only the size of the propagated
+//! `IN` sets — which the order-invariance proptest pins.
 
 use raptor_common::hash::FxHashMap;
 use raptor_tbql::analyze::{APattern, AnalyzedQuery};
@@ -30,10 +31,9 @@ use raptor_tbql::{Arrow, AttrExpr, OpExpr, PatternOp};
 /// How the scheduled executor orders its per-pattern data queries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerMode {
-    /// Ascending estimated output cardinality from the relational store's
-    /// statistics (`Database::store_stats`);
-    /// falls back to [`SchedulerMode::Syntactic`] when the stores carry no
-    /// statistics (empty stores).
+    /// Event patterns by ascending counted price, then path patterns by
+    /// pruning score; falls back to [`SchedulerMode::Syntactic`] over an
+    /// empty `events` table.
     #[default]
     CostBased,
     /// The paper's syntactic pruning score only.

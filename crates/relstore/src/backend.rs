@@ -1,6 +1,7 @@
 //! The relational store's typed surface: [`Database::entity_candidates`],
 //! [`Database::match_event_pattern`], [`Database::match_event_pattern_rows`],
-//! [`Database::fetch_attr`] and the write seam ([`MutableBackend`]).
+//! [`Database::fetch_attr`] and the write seam ([`MutableBackend`]); the
+//! counts the scheduler prices patterns by are in [`crate::stats`].
 //!
 //! Requests arrive as `raptor-storage` data structures; their predicates
 //! are lowered straight to SQL *expressions* (`sql::ast::Expr`, the lexer
@@ -65,7 +66,7 @@ fn cmp_op(op: raptor_storage::CmpOp) -> CmpOp {
 }
 
 /// Lowers a typed predicate to a SQL expression over `alias`.
-fn pred_to_expr(alias: &str, p: &Pred, dict: &SharedDict) -> Result<Expr> {
+pub(crate) fn pred_to_expr(alias: &str, p: &Pred, dict: &SharedDict) -> Result<Expr> {
     Ok(match p {
         Pred::Cmp { attr, op, value } => {
             // `= '%…%'` keeps LIKE semantics, exactly as the text compiler

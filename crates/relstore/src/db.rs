@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
-use raptor_storage::{EntityClass, Field, FieldValue, ResultBatch, StoreStats};
+use raptor_storage::{Field, FieldValue, ResultBatch};
 
 use crate::exec::{execute, ExecStats};
 use crate::index::{BTreeIndex, HashIndex, TrigramIndex};
@@ -51,13 +51,6 @@ struct Slot {
     table: Table,
     /// Per column, in schema order.
     indexes: Vec<ColumnIndexes>,
-    /// The table's ordinal in [`StoreStats`], and each column's in it.
-    stats_ord: usize,
-    stats_cols: Vec<usize>,
-    /// An audit entity table's class and `id` column.
-    node: Option<(EntityClass, usize)>,
-    /// The `events` table's `subject`, `object` and `optype` columns.
-    edge: Option<(usize, usize, Option<usize>)>,
 }
 
 /// One `MutableBackend` record shape (the field names supplied for an
@@ -79,10 +72,6 @@ pub struct Database {
     /// points (`crate::backend`) never touch this — tests assert it.
     /// Atomic (not `Cell`) so the database stays `Sync`.
     text_parses: AtomicUsize,
-    /// Data statistics, maintained incrementally by [`Database::insert`]
-    /// (every write path funnels through it) and served scan-free via
-    /// [`Database::store_stats`].
-    stats: StoreStats,
     /// The row being appended, in schema column order. Reused, so a row
     /// costs no allocation.
     row: Vec<Value>,
@@ -113,7 +102,6 @@ impl Database {
     /// time so equal strings compare as equal symbols across stores.
     pub fn with_dict(dict: SharedDict) -> Self {
         Database {
-            stats: StoreStats::new(dict.clone()),
             dict,
             slots: Vec::new(),
             by_name: FxHashMap::default(),
@@ -149,20 +137,9 @@ impl Database {
         if self.by_name.contains_key(&schema.name) {
             return Err(Error::storage(format!("table `{}` already exists", schema.name)));
         }
-        let stats_ord = self.stats.table_ord(&schema.name);
-        let ts = self.stats.table_at(stats_ord);
-        let col = |name| schema.column_index(name);
-        let edge = (col("subject").zip(col("object"))).filter(|_| schema.name == "events");
         self.by_name.insert(schema.name.clone(), self.slots.len());
         self.slots.push(Slot {
             indexes: schema.columns.iter().map(|_| ColumnIndexes::default()).collect(),
-            stats_ord,
-            stats_cols: schema.columns.iter().map(|c| ts.column_ord(&c.name)).collect(),
-            node: EntityClass::ALL
-                .into_iter()
-                .find(|c| c.table_name() == schema.name)
-                .zip(col("id")),
-            edge: edge.map(|(s, o)| (s, o, col("optype"))),
             table: Table::new(schema),
         });
         Ok(())
@@ -264,23 +241,12 @@ impl Database {
     }
 
     /// The one appender: appends `self.row` to table `ti`, then maintains
-    /// the data statistics (row/column counts, degree summaries, path
-    /// catalog) and every index on the table. Every write path funnels
-    /// through here, so bulk load, streaming ingest and raw inserts produce
-    /// identical stores.
+    /// every index on the table — what the planner counts from, so nothing
+    /// else is kept. Every write path funnels through here, so bulk load,
+    /// streaming ingest and raw inserts produce identical stores.
     fn append(&mut self, ti: usize) -> Result<()> {
         let (slot, row) = (&mut self.slots[ti], &self.row);
         let rid = slot.table.insert(row)?;
-        let cells = slot.stats_cols.iter().copied().zip(row.iter().copied());
-        self.stats.table_at(slot.stats_ord).record_row(cells);
-        if let Some((class, Value::Int(id))) = slot.node.map(|(class, ci)| (class, row[ci])) {
-            self.stats.record_node(class, id);
-        }
-        if let Some((s, o, optype)) = slot.edge {
-            if let (Value::Int(s), Value::Int(o)) = (row[s], row[o]) {
-                self.stats.record_edge(s, o, optype.and_then(|ci| row[ci].as_sym()));
-            }
-        }
         for (ix, &v) in slot.indexes.iter_mut().zip(row) {
             if let Some(idx) = &mut ix.hash {
                 idx.insert(v, rid);
@@ -308,13 +274,6 @@ impl Database {
     /// keeps this flat).
     pub fn text_parse_count(&self) -> usize {
         self.text_parses.load(Ordering::Relaxed)
-    }
-
-    /// The incrementally-maintained data statistics — the system's one
-    /// copy. The planner consults these for index selection; the engine's
-    /// cost-based scheduler for event- and path-pattern ordering.
-    pub fn store_stats(&self) -> &StoreStats {
-        &self.stats
     }
 
     /// Convenience: runs a `SELECT COUNT(*) ...` and returns the count.

@@ -22,10 +22,12 @@
 //! one pattern test per distinct string of the column (narrowed by the
 //! trigram index when the pattern has a literal run of ≥ 3 bytes), whose
 //! rows come from the hash postings. Each path returns exactly the rows its
-//! own conjunct selects. A one-conjunct predicate (an IOC seed) therefore
-//! takes its path's rows as the answer; a predicate of several conjuncts
-//! materializes the cheapest path and tests the full predicate on each of
-//! its rows, so index choice is purely a performance decision.
+//! own conjunct selects, ascending, and knows how many before it copies
+//! one (`Postings::count`, which the engine's scheduler prices patterns
+//! by). A one-conjunct predicate (an IOC seed) therefore takes its path's
+//! rows as the answer; a predicate of several conjuncts materializes the
+//! path that counts fewest rows and tests the full predicate on each of
+//! them, so index choice is purely a performance decision.
 //!
 //! **Vectorized scans**: a pushed-down predicate is compiled once per scan
 //! into a `ScanPred` — `IN` lists become hash sets, literals bind to
@@ -575,44 +577,66 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
     }
 }
 
-/// Chooses an index access path for one pushed-down conjunct, if possible.
-/// Returns exactly the rows the conjunct selects — hash `=`/`IN` postings,
-/// a B-tree key range, or the postings of the column's strings that pass
-/// the `LIKE` — or `None` if no index applies. A scan with other conjuncts
-/// still tests them on these rows.
-fn access_path(db: &Database, table: &str, conjunct: &Expr) -> Option<Vec<RowId>> {
+/// The rows one indexable conjunct selects, as the postings of the keys it
+/// matches: one `=` key, the distinct keys of an `IN` list, the B-tree keys
+/// in a range, or the strings that pass a `LIKE`. Distinct keys have
+/// disjoint postings, so the count is exact before any row is copied.
+pub(crate) struct Postings<'a>(Vec<&'a [RowId]>);
+
+impl Postings<'_> {
+    /// How many rows the conjunct selects.
+    pub(crate) fn count(&self) -> usize {
+        self.0.iter().map(|p| p.len()).sum()
+    }
+
+    /// The rows, ascending — the order every access path and the full scan
+    /// return (a B-tree range's postings come in key order).
+    fn rows(self) -> Vec<RowId> {
+        match self.0.as_slice() {
+            [one] => one.to_vec(),
+            many => {
+                let mut rows = many.concat();
+                rows.sort_unstable();
+                rows
+            }
+        }
+    }
+}
+
+/// The index access path of one pushed-down conjunct, if one applies: its
+/// [`Postings`], read from the hash index (`=`, `IN`, and `LIKE` tested
+/// once per distinct string — the trigram candidates of its longest literal
+/// run, or else every string key of the hash index, the column's
+/// dictionary) or the B-tree (integer comparisons). `None` if no index
+/// serves the conjunct's shape.
+pub(crate) fn access_path<'a>(
+    db: &'a Database,
+    table: &str,
+    conjunct: &Expr,
+) -> Option<Postings<'a>> {
+    // A string literal absent from the dictionary equals no row.
+    let key = |lit: &Literal| match lit {
+        Literal::Int(i) => Some(Value::Int(*i)),
+        // Typed requests arrive pre-interned: no dictionary lookup.
+        Literal::Interned(sym) => Some(Value::Str(*sym)),
+        Literal::Str(s) => db.dict().get(s).map(Value::Str),
+    };
     match conjunct {
         Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
             let idx = db.indexes(table, &col.column)?.hash.as_ref()?;
-            let key = match lit {
-                Literal::Int(i) => Value::Int(*i),
-                // Typed requests arrive pre-interned: no dictionary lookup.
-                Literal::Interned(sym) => Value::Str(*sym),
-                // A string literal absent from the dictionary equals no row.
-                Literal::Str(s) => match db.dict().get(s) {
-                    Some(sym) => Value::Str(sym),
-                    None => return Some(Vec::new()),
-                },
-            };
-            Some(idx.get(key).to_vec())
+            Some(Postings(key(lit).map(|k| idx.get(k)).into_iter().collect()))
         }
         Expr::InList { col, list, negated: false } => {
             let idx = db.indexes(table, &col.column)?.hash.as_ref()?;
-            let mut rows = Vec::new();
-            for lit in list {
-                let key = match lit {
-                    Literal::Int(i) => Value::Int(*i),
-                    Literal::Interned(sym) => Value::Str(*sym),
-                    Literal::Str(s) => match db.dict().get(s) {
-                        Some(sym) => Value::Str(sym),
-                        None => continue,
-                    },
-                };
-                rows.extend_from_slice(idx.get(key));
-            }
-            rows.sort_unstable();
-            rows.dedup();
-            Some(rows)
+            // A repeated key selects its rows once.
+            let mut keys: Vec<Value> = list.iter().filter_map(key).collect();
+            keys.sort_unstable_by_key(|k| match *k {
+                Value::Int(i) => (0, i),
+                Value::Str(s) => (1, s.index() as i64),
+                Value::Null => (2, 0),
+            });
+            keys.dedup();
+            Some(Postings(keys.into_iter().map(|k| idx.get(k)).collect()))
         }
         Expr::CmpLit { col, op, lit: Literal::Int(i) } => {
             let idx = db.indexes(table, &col.column)?.btree.as_ref()?;
@@ -624,95 +648,24 @@ fn access_path(db: &Database, table: &str, conjunct: &Expr) -> Option<Vec<RowId>
                 _ => return None,
             };
             // `< i64::MIN` and `> i64::MAX` hold for no row.
-            Some(lo.zip(hi).map_or_else(Vec::new, |(lo, hi)| idx.range(lo, hi)))
+            Some(Postings(lo.zip(hi).map_or_else(Vec::new, |(lo, hi)| idx.range(lo, hi).collect())))
         }
         Expr::Like { col, pattern, negated: false } => {
             let ix = db.indexes(table, &col.column)?;
             let hash = ix.hash.as_ref()?;
-            // Test the LIKE once per distinct string — the trigram
-            // candidates of its longest literal run, or else every string
-            // key of the hash index, the column's dictionary — then fan out
-            // to rows. Distinct strings have disjoint postings.
             let pruned = containment_literal(pattern)
                 .zip(ix.trigram.as_ref())
                 .and_then(|(lit, trigram)| trigram.candidates(lit));
-            let mut rows = Vec::new();
-            let mut test = |sym: Sym| {
-                if like_match(pattern, db.dict().resolve(sym)) {
-                    rows.extend_from_slice(hash.get(Value::Str(sym)));
-                }
+            let passes = |sym: &Sym| like_match(pattern, db.dict().resolve(*sym));
+            let postings = |syms: &mut dyn Iterator<Item = Sym>| {
+                syms.filter(passes).map(|sym| hash.get(Value::Str(sym))).collect()
             };
-            match pruned {
-                Some(candidates) => candidates.into_iter().for_each(&mut test),
-                None => hash.syms().for_each(&mut test),
-            }
-            rows.sort_unstable();
-            Some(rows)
+            Some(Postings(match pruned {
+                Some(candidates) => postings(&mut candidates.into_iter()),
+                None => postings(&mut hash.syms()),
+            }))
         }
         _ => None,
-    }
-}
-
-/// Estimated candidate-row count for one indexable conjunct, read from the
-/// table's maintained statistics. `Some` exactly when an applicable index
-/// exists for the conjunct's shape (mirrors [`access_path`]); the planner
-/// materializes only the cheapest estimate instead of every path.
-fn conjunct_estimate(
-    db: &Database,
-    table: &str,
-    ts: &raptor_storage::TableStats,
-    conjunct: &Expr,
-) -> Option<f64> {
-    let rows = ts.rows() as f64;
-    // A column with no recorded non-null values matches no equality/range.
-    let col_frac = |col: &ColRef, f: &dyn Fn(&raptor_storage::ColumnStats) -> f64| -> f64 {
-        ts.column(&col.column).map_or(0.0, f)
-    };
-    // Equality fractions key the symbol-frequency maps directly; a parsed
-    // literal does one dictionary lookup, a typed (pre-interned) one none.
-    let eq_frac = |col: &ColRef, lit: &Literal| -> f64 {
-        match lit {
-            Literal::Int(i) => col_frac(col, &|c| c.eq_fraction_int(*i)),
-            Literal::Interned(sym) => col_frac(col, &|c| c.eq_fraction_sym(*sym)),
-            Literal::Str(s) => match db.dict().get(s) {
-                Some(sym) => col_frac(col, &|c| c.eq_fraction_sym(sym)),
-                None => 0.0,
-            },
-        }
-    };
-    match conjunct {
-        Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
-            db.indexes(table, &col.column)?.hash.as_ref()?;
-            Some(eq_frac(col, lit) * rows)
-        }
-        Expr::InList { col, list, negated: false } => {
-            db.indexes(table, &col.column)?.hash.as_ref()?;
-            let frac: f64 = list.iter().map(|lit| eq_frac(col, lit)).sum();
-            Some(frac.min(1.0) * rows)
-        }
-        Expr::CmpLit { col, op, lit: Literal::Int(i) } => {
-            if !matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge) {
-                return None;
-            }
-            db.indexes(table, &col.column)?.btree.as_ref()?;
-            Some(col_frac(col, &|c| c.cmp_fraction(storage_cmp(*op), *i)) * rows)
-        }
-        Expr::Like { col, pattern, negated: false } => {
-            db.indexes(table, &col.column)?.hash.as_ref()?;
-            Some(col_frac(col, &|c| c.like_fraction(pattern, db.dict())) * rows)
-        }
-        _ => None,
-    }
-}
-
-fn storage_cmp(op: CmpOp) -> raptor_storage::CmpOp {
-    match op {
-        CmpOp::Eq => raptor_storage::CmpOp::Eq,
-        CmpOp::Ne => raptor_storage::CmpOp::Ne,
-        CmpOp::Lt => raptor_storage::CmpOp::Lt,
-        CmpOp::Le => raptor_storage::CmpOp::Le,
-        CmpOp::Gt => raptor_storage::CmpOp::Gt,
-        CmpOp::Ge => raptor_storage::CmpOp::Ge,
     }
 }
 
@@ -737,13 +690,12 @@ fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) ->
 ///
 /// A predicate of **one conjunct** that an index serves is answered by
 /// that conjunct's [`access_path`] alone: there is nothing to choose
-/// between and nothing left to test. With **several conjuncts** access-path
-/// choice is **statistics-driven**: per-conjunct candidate counts are
-/// estimated from [`Database::store_stats`], only the cheapest path is
-/// materialized, and the whole predicate is tested on each of its rows.
-/// A table with a row has statistics, and an estimate exists exactly when
-/// an index applies, so an empty table is the only one a filtered scan
-/// with an indexed conjunct reads in full — over zero rows.
+/// between and nothing left to test. With **several conjuncts** the choice
+/// is **counted**: every indexable conjunct's [`Postings`] are read (their
+/// lengths, not their rows), the one selecting the fewest rows — the first
+/// on a tie — is materialized, and the whole predicate is tested on each
+/// of its rows. Either way the rows come back ascending, so no result
+/// depends on which path served it.
 pub(crate) fn run_scan(
     db: &Database,
     table_name: &str,
@@ -784,17 +736,16 @@ fn scan_rows(
     let dict = db.dict();
 
     let conjuncts = pred.clone().conjuncts();
-    let indexed = db.store_stats().table(table_name).and_then(|ts| match conjuncts.as_slice() {
-        [only] => access_path(db, table_name, only).map(|rows| (rows, true)),
+    let indexed = match conjuncts.as_slice() {
+        [only] => access_path(db, table_name, only).map(|path| (path, true)),
         _ => conjuncts
             .iter()
-            .enumerate()
-            .filter_map(|(i, c)| conjunct_estimate(db, table_name, ts, c).map(|e| (i, e)))
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .and_then(|(i, _)| access_path(db, table_name, &conjuncts[i]))
-            .map(|rows| (rows, false)),
-    });
-    if let Some((candidates, exact)) = indexed {
+            .filter_map(|c| access_path(db, table_name, c))
+            .min_by_key(Postings::count)
+            .map(|path| (path, false)),
+    };
+    if let Some((path, exact)) = indexed {
+        let candidates = path.rows();
         stats.index_scans += 1;
         stats.rows_scanned += candidates.len();
         if exact {
@@ -881,9 +832,9 @@ pub(crate) const EVENT_ALIAS: &str = "e";
 ///   rows. The cost depends on the range and on nothing else: no index
 ///   over `events`.
 /// * `None` — a batch query: one [`run_scan`] of the whole table, which
-///   picks the access path from statistics (the caller puts the endpoints'
-///   propagated ids into `event_filter` so the `subject` / `object` hash
-///   indexes can serve it).
+///   picks the access path selecting the fewest rows, by count (the caller
+///   puts the endpoints' propagated ids into `event_filter` so the
+///   `subject` / `object` hash indexes can serve it).
 ///
 /// Each selected row's `subject`/`object` is then looked up in its
 /// endpoint's table by `id` and tested there. Returns the `(subject id,
@@ -1178,8 +1129,8 @@ mod tests {
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
     use crate::Database;
 
-    /// An empty table has no statistics, so even an indexed conjunct takes
-    /// the full-scan branch — over zero rows, returning nothing.
+    /// An indexed conjunct over an empty table is an index scan of an empty
+    /// posting: zero rows read, nothing returned.
     #[test]
     fn empty_indexed_table_scans_nothing() {
         let mut db = Database::new();
@@ -1189,7 +1140,7 @@ mod tests {
         db.create_hash_index("t", "v").unwrap();
         let r = db.query("SELECT id FROM t WHERE v = 1").unwrap();
         assert_eq!(r.batch.n_rows(), 0);
-        assert_eq!((r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned), (1, 0, 0));
+        assert_eq!((r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned), (0, 1, 0));
     }
 
     /// A B-tree bound past the end of the integer range selects no row: it

@@ -57,13 +57,11 @@ impl BTreeIndex {
         self.map.entry(key).and_modify(|p| p.push(row)).or_insert(Posting::One(row));
     }
 
-    /// Rows with key in `[lo, hi]` (inclusive).
-    pub fn range(&self, lo: i64, hi: i64) -> Vec<RowId> {
-        let mut out = Vec::new();
-        for rows in self.map.range(lo..=hi).map(|(_, v)| v) {
-            out.extend_from_slice(rows.as_slice());
-        }
-        out
+    /// The postings of the keys in `[lo, hi]` (inclusive), in key order:
+    /// disjoint, each ascending, together not (a reader that wants row
+    /// order sorts their union).
+    pub fn range(&self, lo: i64, hi: i64) -> impl Iterator<Item = &[RowId]> {
+        self.map.range(lo..=hi).map(|(_, v)| v.as_slice())
     }
 }
 
@@ -155,10 +153,11 @@ mod tests {
         for i in 0..100 {
             idx.insert(i, i as RowId);
         }
-        assert_eq!(idx.range(10, 12), vec![10, 11, 12]);
-        assert_eq!(idx.range(99, 200), vec![99]);
-        assert!(idx.range(200, 300).is_empty());
-        assert_eq!(idx.range(0, 99).len(), 100);
+        let rows = |lo, hi| idx.range(lo, hi).flatten().copied().collect::<Vec<RowId>>();
+        assert_eq!(rows(10, 12), vec![10, 11, 12]);
+        assert_eq!(rows(99, 200), vec![99]);
+        assert!(rows(200, 300).is_empty());
+        assert_eq!(rows(0, 99).len(), 100);
     }
 
     #[test]

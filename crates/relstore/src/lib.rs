@@ -14,7 +14,8 @@
 //! * [`table`] — columnar storage (one typed vector per column) with
 //!   append-only inserts,
 //! * [`index`] — hash (equality; for `LIKE`, the column's dictionary),
-//!   B-tree (ranges) and trigram (`LIKE` pruning) secondary indexes,
+//!   B-tree (ranges) and trigram (`LIKE` pruning) secondary indexes — also
+//!   the store's only statistics: the planner counts rows in them,
 //! * [`like`] — SQL `LIKE` semantics plus literal-run extraction for the
 //!   trigram index,
 //! * [`sql`] — lexer, AST and recursive-descent parser for the SQL subset,
@@ -30,7 +31,9 @@
 //! * [`db`] — the [`db::Database`] facade: DDL, inserts, `query(sql)`,
 //!   whose [`QueryResult`] is a `raptor_storage::ResultBatch` plus counters,
 //! * [`backend`] — the typed surface the engine calls (seeding, event
-//!   patterns, attribute fetches) and the `MutableBackend` write seam.
+//!   patterns, attribute fetches) and the `MutableBackend` write seam,
+//! * [`stats`] — the store's statistics, all of them exact counts read from
+//!   the indexes: a conjunct's rows and an event pattern's price.
 
 pub mod backend;
 pub mod db;
@@ -40,6 +43,7 @@ pub mod like;
 pub mod plan;
 pub mod schema;
 pub mod sql;
+pub mod stats;
 pub mod table;
 pub mod value;
 

@@ -1,8 +1,8 @@
 //! SQL `LIKE` pattern semantics.
 //!
 //! The matcher itself lives in [`raptor_common::like`] (it is shared with
-//! the graph store's predicate lowering and the statistics plane's
-//! selectivity estimation); this module re-exports it and adds literal-run
+//! the graph store's predicate lowering); this module re-exports it and
+//! adds literal-run
 //! extraction, so the trigram index can narrow the dictionary strings a
 //! `LIKE` is tested on to those holding its longest literal run.
 

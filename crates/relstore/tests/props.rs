@@ -13,6 +13,83 @@ fn row_values(r: &raptor_relstore::QueryResult) -> Vec<Vec<Value>> {
     (0..r.batch.n_rows()).map(|i| r.batch.row(i)).collect()
 }
 
+/// Two copies of `t(id, v, s)` holding `rows`: the first without an index,
+/// the second with hash indexes on `v` and `s`, a B-tree on `v` and a
+/// trigram index on `s`.
+fn indexed_pair(rows: &[(Option<i64>, Option<String>)]) -> (Database, Database) {
+    let mut plain = Database::new();
+    let mut indexed = Database::new();
+    for db in [&mut plain, &mut indexed] {
+        let cols = vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::new("v", ColumnType::Int),
+            ColumnDef::new("s", ColumnType::Str),
+        ];
+        db.create_table(TableSchema::new("t", cols)).unwrap();
+    }
+    indexed.create_hash_index("t", "v").unwrap();
+    indexed.create_btree_index("t", "v").unwrap();
+    indexed.create_hash_index("t", "s").unwrap();
+    indexed.create_trigram_index("t", "s").unwrap();
+    for (i, (v, s)) in rows.iter().enumerate() {
+        let row = [
+            Ins::Int(i as i64),
+            v.map_or(Ins::Null, Ins::Int),
+            s.as_deref().map_or(Ins::Null, Ins::Str),
+        ];
+        plain.insert("t", &row).unwrap();
+        indexed.insert("t", &row).unwrap();
+    }
+    (plain, indexed)
+}
+
+/// Two indexable conjuncts over `t`, as SQL text and as typed predicates
+/// (strings interned into `db`): `shape` picks the first — hash `=` / `IN`
+/// or a B-tree range on `v`, hash `=` / `IN` on `s`, or `s LIKE` — and
+/// the second is `s LIKE` beside a `v` conjunct, `v >= 2` otherwise.
+fn shape_preds(
+    db: &Database,
+    shape: u8,
+    (a, b, c, op): (i64, i64, i64, usize),
+    word: &str,
+    pattern: &str,
+) -> [(String, Pred); 2] {
+    let int = |attr: &str, op, i| Pred::Cmp { attr: attr.into(), op, value: Value::Int(i) };
+    let sym = |w: &str| Value::Str(db.dict().intern(w));
+    let like = (
+        format!("s LIKE '{pattern}'"),
+        Pred::Like { attr: "s".into(), pattern: pattern.into(), negated: false },
+    );
+    let (cmp, sql) = [(CmpOp::Lt, "<"), (CmpOp::Le, "<="), (CmpOp::Gt, ">"), (CmpOp::Ge, ">=")][op];
+    let first = match shape {
+        0 => (format!("v = {a}"), int("v", CmpOp::Eq, a)),
+        1 => (
+            format!("v IN ({a}, {b}, {c})"),
+            Pred::InSet {
+                attr: "v".into(),
+                negated: false,
+                values: [a, b, c].map(Value::Int).into(),
+            },
+        ),
+        2 => (format!("v {sql} {a}"), int("v", cmp, a)),
+        3 => (
+            format!("s = '{word}'"),
+            Pred::Cmp { attr: "s".into(), op: CmpOp::Eq, value: sym(word) },
+        ),
+        4 => (
+            format!("s IN ('{word}', 'a', 'b_')"),
+            Pred::InSet {
+                attr: "s".into(),
+                negated: false,
+                values: vec![sym(word), sym("a"), sym("b_")],
+            },
+        ),
+        _ => like.clone(),
+    };
+    let second = if shape < 3 { like } else { ("v >= 2".into(), int("v", CmpOp::Ge, 2)) };
+    [first, second]
+}
+
 /// Reference LIKE via dynamic programming (independent implementation).
 fn like_reference(pattern: &str, text: &str) -> bool {
     let p: Vec<char> = pattern.chars().collect();
@@ -119,6 +196,9 @@ proptest! {
     /// unindexed copy, in one index scan that reads exactly the rows it
     /// returns. Two conjuncts still read the cheapest path's rows and test
     /// the whole predicate on each, so they too return the unindexed rows.
+    /// Without `ORDER BY`, and cut by `LIMIT`, the rows come in the same
+    /// order as the unindexed copy's: a B-tree range used to return them in
+    /// key order.
     #[test]
     fn single_conjunct_index_scan_is_exact(
         rows in proptest::collection::vec(
@@ -129,53 +209,54 @@ proptest! {
         ints in (0i64..8, 0i64..8, 0i64..8, 0usize..4),
         word in "[ab_]{0,4}",
         pattern in "[ab_%]{0,5}",
+        limit in 0usize..6,
     ) {
-        let mut plain = Database::new();
-        let mut indexed = Database::new();
-        for db in [&mut plain, &mut indexed] {
-            let cols = vec![
-                ColumnDef::new("id", ColumnType::Int),
-                ColumnDef::new("v", ColumnType::Int),
-                ColumnDef::new("s", ColumnType::Str),
-            ];
-            db.create_table(TableSchema::new("t", cols)).unwrap();
-        }
-        indexed.create_hash_index("t", "v").unwrap();
-        indexed.create_btree_index("t", "v").unwrap();
-        indexed.create_hash_index("t", "s").unwrap();
-        indexed.create_trigram_index("t", "s").unwrap();
-        for (i, (v, s)) in rows.iter().enumerate() {
-            let row = [
-                Ins::Int(i as i64),
-                v.map_or(Ins::Null, Ins::Int),
-                s.as_deref().map_or(Ins::Null, Ins::Str),
-            ];
-            plain.insert("t", &row).unwrap();
-            indexed.insert("t", &row).unwrap();
-        }
-        let (a, b, c, op) = ints;
-        let like = format!("s LIKE '{pattern}'");
-        let single = match shape {
-            0 => format!("v = {a}"),
-            1 => format!("v IN ({a}, {b}, {c})"),
-            2 => format!("v {} {a}", ["<", "<=", ">", ">="][op]),
-            3 => format!("s = '{word}'"),
-            4 => format!("s IN ('{word}', 'a', 'b_')"),
-            _ => like.clone(),
+        let (plain, indexed) = indexed_pair(&rows);
+        let [(single, _), (second, _)] = shape_preds(&indexed, shape, ints, &word, &pattern);
+        let query = |db: &Database, pred: &str, tail: &str| {
+            db.query(&format!("SELECT id FROM t WHERE {pred}{tail}")).unwrap()
         };
-        let query = |db: &Database, pred: &str| {
-            db.query(&format!("SELECT id FROM t WHERE {pred} ORDER BY id")).unwrap()
-        };
-        let (want, got) = (query(&plain, &single), query(&indexed, &single));
-        prop_assert_eq!(row_values(&want), row_values(&got), "{}", single);
-        prop_assert_eq!((got.stats.index_scans, got.stats.full_scans), (1, 0), "{}", single);
-        prop_assert_eq!(got.stats.rows_scanned, got.batch.n_rows(), "{}", single);
+        for tail in [" ORDER BY id".to_string(), String::new(), format!(" LIMIT {limit}")] {
+            let (want, got) = (query(&plain, &single, &tail), query(&indexed, &single, &tail));
+            prop_assert_eq!(row_values(&want), row_values(&got), "{}{}", single, tail);
+            prop_assert_eq!((got.stats.index_scans, got.stats.full_scans), (1, 0), "{}", single);
 
-        let both = format!("{single} AND {}", if shape < 3 { &like } else { "v >= 2" });
-        let (want, got) = (query(&plain, &both), query(&indexed, &both));
-        prop_assert_eq!(row_values(&want), row_values(&got), "{}", both);
-        prop_assert_eq!(got.stats.index_scans, 1, "{}", both);
-        prop_assert!(got.stats.rows_scanned >= got.batch.n_rows(), "{}", both);
+            let both = format!("{single} AND {second}");
+            let (want, got) = (query(&plain, &both, &tail), query(&indexed, &both, &tail));
+            prop_assert_eq!(row_values(&want), row_values(&got), "{}{}", both, tail);
+            prop_assert_eq!(got.stats.index_scans, 1, "{}", both);
+        }
+    }
+
+    /// The planner's counts are exact. For each shape an index serves, the
+    /// count `conjunct_count` reads from the index equals the rows its
+    /// access path reads and returns, and the rows an unindexed copy finds;
+    /// with two conjuncts the scan reads exactly the smaller count's rows.
+    #[test]
+    fn counts_are_exact(
+        rows in proptest::collection::vec(
+            (proptest::option::of(0i64..8), proptest::option::of("[ab_]{0,6}")),
+            1..40,
+        ),
+        shape in 0u8..6,
+        ints in (0i64..8, 0i64..8, 0i64..8, 0usize..4),
+        word in "[ab_]{0,4}",
+        pattern in "[ab_%]{0,6}",
+    ) {
+        let (plain, indexed) = indexed_pair(&rows);
+        let conjuncts = shape_preds(&indexed, shape, ints, &word, &pattern);
+        let query = |db: &Database, pred: &str| {
+            db.query(&format!("SELECT id FROM t WHERE {pred}")).unwrap()
+        };
+        let mut counts = [0; 2];
+        for ((sql, pred), count) in conjuncts.iter().zip(&mut counts) {
+            *count = indexed.conjunct_count("t", pred).unwrap().expect("an index serves it");
+            let got = query(&indexed, sql);
+            prop_assert_eq!((got.stats.rows_scanned, got.batch.n_rows()), (*count, *count), "{}", sql);
+            prop_assert_eq!(query(&plain, sql).batch.n_rows(), *count, "{}", sql);
+        }
+        let both = format!("{} AND {}", conjuncts[0].0, conjuncts[1].0);
+        prop_assert_eq!(query(&indexed, &both).stats.rows_scanned, counts[0].min(counts[1]), "{}", both);
     }
 
     /// Hash-index equality returns exactly the rows a scan-and-filter finds.

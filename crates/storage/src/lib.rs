@@ -25,30 +25,23 @@
 //!   typed reads are inherent methods of each store: the relational one
 //!   answers candidates, event patterns and attribute fetches, the graph one
 //!   path patterns, neither through its text parser.
-//! * [`stats`] — the statistics plane: [`TableStats`]/[`ColumnStats`]
-//!   (row/distinct counts, top-k value frequencies, scaling equi-width
-//!   histograms) and per-class [`DegreeStats`], maintained incrementally on
-//!   the relational store's write path (the one copy) and served
-//!   scan-free. The engine's cost-based scheduler and the relational
-//!   planner's index selection both read from here.
+//!
+//! There is no statistics plane: the stores live in memory and every
+//! filtered column has an exact index, so the scheduler and the relational
+//! planner count rows from those indexes (`Database::conjunct_count`,
+//! `Database::event_pattern_price`) instead of estimating them.
 //!
 //! The SQL/Cypher text parsers remain the entry point for the giant-query
 //! baseline modes; this crate deliberately knows nothing about them.
 
 pub mod backend;
-pub mod catalog;
 pub mod join;
 pub mod posting;
 pub mod request;
-pub mod stats;
 pub mod value;
 
 pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend};
-pub use catalog::{CanonicalCatalog, PathCatalog, CATALOG_K};
 pub use join::{JoinIndex, Tuples};
 pub use posting::Posting;
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};
-pub use stats::{
-    CanonicalStats, ColumnStats, DegreeStats, Histogram, MinMax, StoreStats, TableStats,
-};
 pub use value::{PatternMatches, ResultBatch, Value, ValueColumn};

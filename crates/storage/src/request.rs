@@ -31,9 +31,8 @@ impl EntityClass {
         }
     }
 
-    /// The backend-neutral table name for this class — the key vocabulary
-    /// of [`crate::stats::StoreStats`] and the relational store's physical
-    /// table names.
+    /// The backend-neutral table name for this class — the relational
+    /// store's physical table name.
     pub fn table_name(self) -> &'static str {
         match self {
             EntityClass::File => "files",

@@ -198,23 +198,30 @@ fn cost_based_order_beats_syntactic_on_showcase_query() {
     );
 }
 
-/// The one statistics copy (the relational store's) describes the data both
-/// stores hold: its node and edge totals are the graph's own counts.
+/// What the planner counts from describes the data both stores hold: the
+/// relational entity and event rows are the graph's nodes and edges, and
+/// the `optype` postings partition the `events` rows.
 #[test]
 fn backend_stats_agree() {
-    use threatraptor::storage::EntityClass;
+    use threatraptor::storage::{CmpOp, Pred, Value};
     let raptor = system();
-    let engine = raptor.engine();
-    let rel = engine.stores.rel.store_stats();
-    assert!(rel.table("events").unwrap().rows() > 0);
-    assert_eq!(rel.total_nodes(), engine.stores.graph.node_count() as u64);
-    assert_eq!(rel.total_edges(), engine.stores.graph.edge_count() as u64);
-    assert!(rel.degree(EntityClass::Process).unwrap().avg_out() > 0.0);
-    // The event-op frequency table is exact and served scan-free.
-    let ops = rel.event_ops();
-    assert!(ops.iter().any(|(op, n)| op == "connect" && *n > 0), "{ops:?}");
-    let total: u64 = ops.iter().map(|(_, n)| n).sum();
-    assert_eq!(total, rel.table("events").unwrap().rows());
+    let stores = &raptor.engine().stores;
+    let rows = |t: &str| stores.rel.table(t).unwrap().len();
+    let events = rows("events");
+    assert!(events > 0);
+    assert_eq!(rows("files") + rows("processes") + rows("netconns"), stores.graph.node_count());
+    assert_eq!(events, stores.graph.edge_count());
+    let table = stores.rel.table("events").unwrap();
+    let col = table.schema.column_index("optype").unwrap();
+    let mut ops = table.sym_cells(col).unwrap().to_vec();
+    ops.sort_unstable();
+    ops.dedup();
+    let count = |op| {
+        let pred = Pred::Cmp { attr: "optype".into(), op: CmpOp::Eq, value: Value::Str(op) };
+        stores.rel.conjunct_count("events", &pred).unwrap().expect("optype is indexed")
+    };
+    assert!(ops.iter().any(|&op| stores.dict.resolve(op) == "connect" && count(op) > 0));
+    assert_eq!(ops.into_iter().map(count).sum::<usize>(), events);
 }
 
 #[test]
@@ -291,7 +298,6 @@ fn one_dictionary_spans_both_backends() {
     let stores = &raptor.engine().stores;
     assert!(stores.dict.ptr_eq(stores.rel.dict()), "relational store shares the plane");
     assert!(stores.dict.ptr_eq(stores.graph.dict()), "graph store shares the plane");
-    assert!(stores.dict.ptr_eq(stores.rel.store_stats().dict()), "statistics key on the plane");
     assert!(!stores.dict.is_empty());
     for (sym, s) in stores.dict.iter() {
         assert_eq!(stores.rel.dict().resolve(sym), s);

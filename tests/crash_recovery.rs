@@ -65,12 +65,8 @@ fn assert_recovered_equals_bulk(recovered: &StreamSession, bulk: &Engine, ctx: &
     assert_eq!(eng.stores.graph.edge_count(), bulk.stores.graph.edge_count(), "{ctx}");
     assert_eq!(eng.stores.now_ns, bulk.stores.now_ns, "{ctx}: watermark");
     // Stream interleaves entity/event interning while bulk loads entities
-    // first, so dictionaries differ; compare the canonical stats view.
-    assert_eq!(
-        eng.stores.rel.store_stats().canonical(),
-        bulk.stores.rel.store_stats().canonical(),
-        "{ctx}: stats"
-    );
+    // first, so dictionaries differ; compare the rendered contents.
+    assert_eq!(eng.stores.contents(), bulk.stores.contents(), "{ctx}: contents");
     for (i, q) in QUERIES.iter().enumerate() {
         let (want, _) = bulk.execute_text(q, ExecMode::Scheduled).unwrap();
         let (got, _) = eng.execute_text(q, ExecMode::Scheduled).unwrap();
@@ -118,7 +114,7 @@ fn assert_same_state(a: &StreamSession, b: &StreamSession, ctx: &str) {
     }
     let (sa, sb) = (&a.engine().stores, &b.engine().stores);
     assert_eq!(sa.now_ns, sb.now_ns, "{ctx}");
-    assert_eq!(sa.rel.store_stats().canonical(), sb.rel.store_stats().canonical(), "{ctx}");
+    assert_eq!(sa.contents(), sb.contents(), "{ctx}");
     assert_eq!(
         (sa.graph.node_count(), sa.graph.edge_count()),
         (sb.graph.node_count(), sb.graph.edge_count()),
