@@ -198,7 +198,7 @@ fn mean_std(samples: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Table VIII: query execution time of the four variants, `rounds` rounds.
+/// Table VIII: query execution time (µs) of the four variants, `rounds` rounds.
 pub fn table8(evals: &[CaseEval], cfg: &HarnessConfig) -> String {
     let mut t = TextTable::new([
         "Case",
@@ -224,11 +224,11 @@ pub fn table8(evals: &[CaseEval], cfg: &HarnessConfig) -> String {
             (&v.tbql_path, ExecMode::GiantCypher, 3),
         ] {
             let samples: Vec<f64> =
-                (0..cfg.rounds).map(|_| time_execution(&e.raptor, text, mode)).collect();
+                (0..cfg.rounds).map(|_| time_execution(&e.raptor, text, mode) * 1e6).collect();
             let (m, s) = mean_std(&samples);
             totals[slot] += m;
-            cols.push(format!("{m:.4}"));
-            cols.push(format!("{s:.4}"));
+            cols.push(format!("{m:.0}"));
+            cols.push(format!("{s:.0}"));
         }
         let mut row = vec![e.case.id.to_string()];
         row.extend(cols);
@@ -236,14 +236,14 @@ pub fn table8(evals: &[CaseEval], cfg: &HarnessConfig) -> String {
     }
     let mut total_row = vec!["Total".to_string()];
     for tot in totals {
-        total_row.push(format!("{tot:.4}"));
+        total_row.push(format!("{tot:.0}"));
         total_row.push(String::new());
     }
     t.row(total_row);
     let speedup_sql = if totals[0] > 0.0 { totals[1] / totals[0] } else { 0.0 };
     let speedup_cy = if totals[2] > 0.0 { totals[3] / totals[2] } else { 0.0 };
     format!(
-        "Table VIII: query execution time (s), {} rounds per variant\n{}\nTBQL vs giant SQL speedup: {:.1}x   TBQL(path) vs giant Cypher speedup: {:.1}x\n",
+        "Table VIII: query execution time (µs), {} rounds per variant\n{}\nTBQL vs giant SQL speedup: {:.1}x   TBQL(path) vs giant Cypher speedup: {:.1}x\n",
         cfg.rounds,
         t.render(),
         speedup_sql,

@@ -39,6 +39,11 @@ pub struct CompileCtx<'a> {
 /// Candidate sets are kept **sorted and distinct**: the `MAX_IN_LIST` cap
 /// then measures distinct ids, and compiled `id_in` lists are deterministic
 /// for a given result set.
+///
+/// **A filtered entity's ids all pass its filter**: its set starts as the
+/// filter's seed and [`Propagation::intersect`] only narrows it. A request
+/// that sends the ids sends no filter, so each IOC filter is decided once,
+/// by the relational seed, for both stores.
 #[derive(Clone, Default, Debug)]
 pub struct Propagation {
     entity_ids: FxHashMap<String, Vec<i64>>,
@@ -577,12 +582,15 @@ pub fn entity_candidate_request(
     (class_for_type(ty), attr_pred(filter, dict))
 }
 
+/// An endpoint's propagated ids, which passed its filter ([`Propagation`]),
+/// or else its filter.
 fn entity_sel(ctx: &CompileCtx<'_>, var: &str, prop: &Propagation) -> raptor_storage::EntitySel {
     let e = &ctx.aq.entities[var];
+    let id_in = prop.in_list(var).map(<[i64]>::to_vec);
     raptor_storage::EntitySel {
         class: class_for_type(e.ty),
-        filter: e.filter.as_ref().map(|f| attr_pred(f, &ctx.dict)),
-        id_in: prop.in_list(var).map(<[i64]>::to_vec),
+        filter: e.filter.as_ref().filter(|_| id_in.is_none()).map(|f| attr_pred(f, &ctx.dict)),
+        id_in,
     }
 }
 
@@ -698,6 +706,15 @@ mod tests {
         prop.set("p", (0..(MAX_IN_LIST as i64 + 1)).collect());
         let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
         assert_eq!(req.subject.id_in, None);
+        // A seed too large to send leaves the filter to the endpoint probe.
+        let (aq, now) = ctx_for(r#"proc p["%tar%"] read file f as e1 return p, f"#);
+        let ctx = CompileCtx { aq: &aq, now_ns: now, dict: SharedDict::new() };
+        let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
+        assert_eq!(req.subject.id_in, None);
+        assert!(matches!(
+            req.subject.filter,
+            Some(raptor_storage::Pred::Like { ref pattern, .. }) if pattern == "%tar%"
+        ));
     }
 
     /// Candidates arrive sorted-distinct from the backend
@@ -746,11 +763,16 @@ mod tests {
         let req = event_pattern_request(&ctx, &aq.patterns[0], &prop).unwrap();
         assert_eq!(req.subject.class, raptor_storage::EntityClass::Process);
         assert_eq!(req.object.class, raptor_storage::EntityClass::File);
+        // The seeded subject is its ids alone: they already passed
+        // `p1.exename LIKE '%/bin/tar%'`.
         assert_eq!(req.subject.id_in.as_deref(), Some(&[3, 5][..]));
+        assert_eq!(req.subject.filter, None);
+        // The unseeded object keeps the SQL's `f1.name LIKE` filter.
+        assert_eq!(req.object.id_in, None);
         assert!(matches!(
-            req.subject.filter,
+            req.object.filter,
             Some(raptor_storage::Pred::Like { ref pattern, negated: false, .. })
-                if pattern == "%/bin/tar%"
+                if pattern == "%/etc/passwd%"
         ));
         assert!(req.event_pred.is_some());
     }

@@ -178,19 +178,22 @@ impl Database {
         Ok(())
     }
 
-    /// Creates a trigram index over a string column (used together with a
-    /// hash index on the same column to narrow the strings a `LIKE` with a
-    /// literal run of ≥ 3 bytes is tested on).
+    /// Creates a trigram index over a string column, from the string keys of
+    /// the column's hash index — which it needs: the hash index is the
+    /// column's dictionary and maps each string a `LIKE` passes to its rows.
+    /// Without one it is a typed `Storage` error.
     pub fn create_trigram_index(&mut self, table: &str, col: &str) -> Result<()> {
         let dict = self.dict.clone();
         let (slot, ci) = self.index_site(table, col)?;
+        let ix = &mut slot.indexes[ci];
+        let hash = ix.hash.as_ref().ok_or_else(|| {
+            Error::storage(format!("a trigram index on `{table}.{col}` needs a hash index there"))
+        })?;
         let mut idx = TrigramIndex::default();
-        for rid in 0..slot.table.len() as u32 {
-            if let Value::Str(s) = slot.table.cell(rid, ci) {
-                idx.add_sym(s, &dict);
-            }
+        for sym in hash.syms() {
+            idx.add_sym(sym, &dict);
         }
-        slot.indexes[ci].trigram = Some(idx);
+        ix.trigram = Some(idx);
         Ok(())
     }
 
@@ -248,13 +251,13 @@ impl Database {
         let (slot, row) = (&mut self.slots[ti], &self.row);
         let rid = slot.table.insert(row)?;
         for (ix, &v) in slot.indexes.iter_mut().zip(row) {
-            if let Some(idx) = &mut ix.hash {
-                idx.insert(v, rid);
-            }
+            let new_key = ix.hash.as_mut().is_some_and(|idx| idx.insert(v, rid));
             if let (Some(idx), Value::Int(k)) = (&mut ix.btree, v) {
                 idx.insert(k, rid);
             }
-            if let (Some(idx), Value::Str(s)) = (&mut ix.trigram, v) {
+            // A trigram index sits on a hash index: a string is indexed
+            // when the column first holds it.
+            if let (true, Some(idx), Value::Str(s)) = (new_key, &mut ix.trigram, v) {
                 idx.add_sym(s, &self.dict);
             }
         }
@@ -411,11 +414,23 @@ mod tests {
     #[test]
     fn trigram_like_acceleration() {
         let mut db = db_with_audit_shape();
+        // The trigram index is built from the column's hash index.
+        let err = db.create_trigram_index("processes", "exename").unwrap_err();
+        assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage);
         db.create_hash_index("processes", "exename").unwrap();
         db.create_trigram_index("processes", "exename").unwrap();
         let r = db.query("SELECT id FROM processes WHERE exename LIKE '%curl%'").unwrap();
         assert_eq!(r.stats.index_scans, 1);
         assert_eq!(r.batch.rendered_rows(), vec![vec!["2"]]);
+        // A string first appended after the build is indexed once, however
+        // often it recurs.
+        for id in [3, 4] {
+            db.insert("processes", &[Ins::Int(id), Ins::Int(103), Ins::Str("/usr/bin/wget")])
+                .unwrap();
+        }
+        let r = db.query("SELECT id FROM processes WHERE exename LIKE '%/bin/wget%'").unwrap();
+        assert_eq!(r.stats.index_scans, 1);
+        assert_eq!(r.batch.rendered_rows(), vec![vec!["3"], vec!["4"]]);
     }
 
     #[test]

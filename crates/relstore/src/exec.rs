@@ -14,20 +14,23 @@
 //!   `Database::match_event_pattern{,_rows}`) — a selection vector over
 //!   `events` (a scan of the whole table, or one mask over a standing
 //!   query's row range), then per selected row an `id` hash probe into
-//!   each endpoint's table and its filter tested on that one row. No plan,
-//!   no binder beyond the scan's own, no join.
+//!   each endpoint's table and its filter tested on that one row. An
+//!   endpoint the engine seeded arrives as ids with no filter: every id
+//!   already passed it, so only the ids are tested. No plan, no binder
+//!   beyond the scan's own, no join.
 //!
 //! Scans pick an index access path per pushed-down conjunct: hash-index
 //! point/IN lookups, B-tree ranges for integer comparisons, and for `LIKE`
-//! one pattern test per distinct string of the column (narrowed by the
-//! trigram index when the pattern has a literal run of ≥ 3 bytes), whose
-//! rows come from the hash postings. Each path returns exactly the rows its
-//! own conjunct selects, ascending, and knows how many before it copies
-//! one (`Postings::count`, which the engine's scheduler prices patterns
-//! by). A one-conjunct predicate (an IOC seed) therefore takes its path's
-//! rows as the answer; a predicate of several conjuncts materializes the
-//! path that counts fewest rows and tests the full predicate on each of
-//! them, so index choice is purely a performance decision.
+//! one pattern test per distinct string of the column (narrowed, when the
+//! pattern has a literal run of ≥ 3 bytes, to the strings under that run's
+//! rarest trigram), whose rows come from the hash postings. Each path
+//! returns exactly the rows its own conjunct selects, ascending, and knows
+//! how many before it copies one (`Postings::count`, which the engine's
+//! scheduler prices patterns by). A one-conjunct predicate (an IOC seed)
+//! therefore takes its path's rows as the answer; a predicate of several
+//! conjuncts materializes the path that counts fewest rows and tests the
+//! full predicate on each of them, so index choice is purely a performance
+//! decision.
 //!
 //! **Vectorized scans**: a pushed-down predicate is compiled once per scan
 //! into a `ScanPred` — `IN` lists become hash sets, literals bind to
@@ -605,9 +608,9 @@ impl Postings<'_> {
 
 /// The index access path of one pushed-down conjunct, if one applies: its
 /// [`Postings`], read from the hash index (`=`, `IN`, and `LIKE` tested
-/// once per distinct string — the trigram candidates of its longest literal
-/// run, or else every string key of the hash index, the column's
-/// dictionary) or the B-tree (integer comparisons). `None` if no index
+/// once per distinct string — the strings under the rarest trigram of its
+/// longest literal run, or else every string key of the hash index, the
+/// column's dictionary) or the B-tree (integer comparisons). `None` if no index
 /// serves the conjunct's shape.
 pub(crate) fn access_path<'a>(
     db: &'a Database,
@@ -661,7 +664,7 @@ pub(crate) fn access_path<'a>(
                 syms.filter(passes).map(|sym| hash.get(Value::Str(sym))).collect()
             };
             Some(Postings(match pruned {
-                Some(candidates) => postings(&mut candidates.into_iter()),
+                Some(candidates) => postings(&mut candidates.iter().copied()),
                 None => postings(&mut hash.syms()),
             }))
         }

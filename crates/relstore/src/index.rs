@@ -10,12 +10,13 @@
 //! * [`TrigramIndex`] — `LIKE` pruning: maps byte trigrams of *dictionary
 //!   strings* to the interned symbols containing them, so a `LIKE` whose
 //!   pattern holds a literal run of ≥ 3 bytes (between any wildcards, `%`
-//!   or `_`) is tested only on the symbols holding every trigram of that
-//!   run, then fans out to rows via the hash index.
+//!   or `_`) is tested only on the symbols under that run's rarest
+//!   trigram, then fans out to rows via the hash index.
 
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_storage::Posting;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::table::RowId;
@@ -28,8 +29,12 @@ pub struct HashIndex {
 }
 
 impl HashIndex {
-    pub fn insert(&mut self, v: Value, row: RowId) {
-        self.map.entry(v).and_modify(|p| p.push(row)).or_insert(Posting::One(row));
+    /// Adds `row` under `v`; true if `v` is a new key.
+    pub fn insert(&mut self, v: Value, row: RowId) -> bool {
+        let entry = self.map.entry(v);
+        let new = matches!(entry, Entry::Vacant(_));
+        entry.and_modify(|p| p.push(row)).or_insert(Posting::One(row));
+        new
     }
 
     pub fn get(&self, v: Value) -> &[RowId] {
@@ -73,62 +78,40 @@ fn trigrams(s: &str) -> impl Iterator<Item = [u8; 3]> + '_ {
 
 /// Trigram index over the string dictionary.
 ///
-/// Maintained per *column*: `add_sym` is called for every distinct symbol
-/// that appears in the column. Candidate lookup intersects the posting lists
-/// of the needle's trigrams — the needle being any literal run of a `LIKE`
-/// pattern ([`containment_literal`](crate::like::containment_literal)),
-/// not only the `lit` of `'%lit%'`. Callers must still test the pattern on
-/// each candidate (trigram containment is necessary, not sufficient).
+/// Maintained per *column*: `add_sym` is called once for each distinct
+/// symbol of the column — when the column's hash index first sees it, or
+/// for each of its string keys when the trigram index is built. The
+/// candidates of a needle — any literal run of a `LIKE` pattern
+/// ([`containment_literal`](crate::like::containment_literal)), not only
+/// the `lit` of `'%lit%'` — are the posting list of its rarest trigram:
+/// every string holding the needle holds each of its trigrams, so any one
+/// list is a superset of the matches, and the shortest is the tightest of
+/// them. Callers must still test the pattern on each candidate (trigram
+/// containment is necessary, not sufficient).
 #[derive(Debug, Default)]
 pub struct TrigramIndex {
     postings: FxHashMap<[u8; 3], Vec<Sym>>,
-    indexed: raptor_common::FxHashSet<Sym>,
 }
 
 impl TrigramIndex {
+    /// Indexes a symbol not indexed before.
     pub fn add_sym(&mut self, sym: Sym, dict: &SharedDict) {
-        if !self.indexed.insert(sym) {
-            return;
-        }
-        let s = dict.resolve(sym);
-        let mut seen = raptor_common::FxHashSet::default();
-        for g in trigrams(s) {
-            if seen.insert(g) {
-                self.postings.entry(g).or_default().push(sym);
+        for g in trigrams(dict.resolve(sym)) {
+            let list = self.postings.entry(g).or_default();
+            // A trigram repeated inside the string is listed once.
+            if list.last() != Some(&sym) {
+                list.push(sym);
             }
         }
     }
 
-    /// Symbols whose strings *may* contain `needle` (needle must be ≥ 3
-    /// bytes; shorter needles return `None` = cannot prune).
-    pub fn candidates(&self, needle: &str) -> Option<Vec<Sym>> {
-        if needle.len() < 3 {
-            return None;
-        }
-        // Intersect posting lists, smallest first.
-        let mut lists: Vec<&Vec<Sym>> = Vec::new();
-        for g in trigrams(needle) {
-            match self.postings.get(&g) {
-                Some(l) => lists.push(l),
-                None => return Some(Vec::new()), // a trigram nobody has
-            }
-        }
-        lists.sort_by_key(|l| l.len());
-        let mut result: raptor_common::FxHashSet<Sym> = lists[0].iter().copied().collect();
-        for l in &lists[1..] {
-            if result.is_empty() {
-                break;
-            }
-            let set: raptor_common::FxHashSet<Sym> = l.iter().copied().collect();
-            result.retain(|s| set.contains(s));
-        }
-        let mut v: Vec<Sym> = result.into_iter().collect();
-        v.sort();
-        Some(v)
-    }
-
-    pub fn indexed_count(&self) -> usize {
-        self.indexed.len()
+    /// Symbols whose strings *may* contain `needle`: the posting list of
+    /// its rarest trigram, empty when some trigram is in no string. Needles
+    /// shorter than 3 bytes return `None` (cannot prune).
+    pub fn candidates(&self, needle: &str) -> Option<&[Sym]> {
+        trigrams(needle)
+            .map(|g| self.postings.get(&g).map_or(&[][..], Vec::as_slice))
+            .min_by_key(|list| list.len())
     }
 }
 
@@ -172,22 +155,32 @@ mod tests {
             "/tmp/upload.tar",
             "/tmp/upload.tar.bz2",
             "/etc/passwd",
+            "/tmp/bin.tgz",
+            "/opt/xab-abc",
         ];
         let syms: Vec<Sym> = strings.iter().map(|s| dict.intern(s)).collect();
         for &s in &syms {
             idx.add_sym(s, &dict);
         }
-        let cands = idx.candidates("tar").unwrap();
-        // Everything containing "tar" must be among the candidates.
-        for (i, s) in strings.iter().enumerate() {
-            if s.contains("tar") {
-                assert!(cands.contains(&syms[i]), "{s} missing");
+        for needle in ["tar", "bin/", "/bin/tar", "upload.tar.bz", "/tmp/", "passwd", "xabc"] {
+            let cands = idx.candidates(needle).unwrap();
+            // Everything containing the needle is among the candidates.
+            for (s, sym) in strings.iter().zip(&syms) {
+                if s.contains(needle) {
+                    assert!(cands.contains(sym), "{needle}: {s} missing");
+                }
             }
+            // No more than the rarest trigram's list: as many candidates as
+            // strings hold that trigram.
+            let rarest = trigrams(needle)
+                .map(|g| strings.iter().filter(|s| trigrams(s).any(|h| h == g)).count())
+                .min()
+                .unwrap();
+            assert_eq!(cands.len(), rarest, "{needle}");
         }
-        // Nothing without the trigrams sneaks in for this needle.
-        for &c in &cands {
-            assert!(dict.resolve(c).contains("tar"));
-        }
+        // A candidate may lack the needle: "/opt/xab-abc" holds both
+        // trigrams of "xabc", apart.
+        assert_eq!(idx.candidates("xabc"), Some(&[syms[8]][..]));
     }
 
     #[test]
@@ -203,17 +196,25 @@ mod tests {
         let dict = SharedDict::new();
         let mut idx = TrigramIndex::default();
         idx.add_sym(dict.intern("/bin/tar"), &dict);
-        assert_eq!(idx.candidates("zzzz").unwrap(), Vec::<Sym>::new());
+        assert_eq!(idx.candidates("zzzz"), Some(&[][..]));
+        // One trigram nobody has empties the candidates.
+        assert_eq!(idx.candidates("/bin/taz"), Some(&[][..]));
     }
 
     #[test]
-    fn add_sym_is_idempotent() {
+    fn repeated_trigram_listed_once() {
         let dict = SharedDict::new();
         let mut idx = TrigramIndex::default();
-        let s = dict.intern("/bin/tar");
+        let s = dict.intern("aaaaaa");
         idx.add_sym(s, &dict);
-        idx.add_sym(s, &dict);
-        assert_eq!(idx.indexed_count(), 1);
-        assert_eq!(idx.candidates("/bin/tar").unwrap(), vec![s]);
+        assert_eq!(idx.candidates("aaaa"), Some(&[s][..]));
+    }
+
+    #[test]
+    fn hash_insert_reports_new_keys() {
+        let mut idx = HashIndex::default();
+        assert!(idx.insert(Value::Int(5), 0));
+        assert!(!idx.insert(Value::Int(5), 1));
+        assert!(idx.insert(Value::Null, 2));
     }
 }

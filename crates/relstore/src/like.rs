@@ -2,9 +2,9 @@
 //!
 //! The matcher itself lives in [`raptor_common::like`] (it is shared with
 //! the graph store's predicate lowering); this module re-exports it and
-//! adds literal-run
-//! extraction, so the trigram index can narrow the dictionary strings a
-//! `LIKE` is tested on to those holding its longest literal run.
+//! adds literal-run extraction, so the trigram index can narrow the
+//! dictionary strings a `LIKE` is tested on to those holding the rarest
+//! trigram of its longest literal run.
 
 pub use raptor_common::like::like_match;
 

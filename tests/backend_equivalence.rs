@@ -333,3 +333,31 @@ fn strings_materialized_counted_only_at_the_edge() {
         assert!(stats.strings_materialized > 0, "corpus queries all match: {q}");
     }
 }
+
+/// The catalog's synthesized queries (the `tables` harness: seed 42,
+/// noise ×1) under the four Table VIII variants: the corpus above answers
+/// one row a query, these answer up to hundreds, through the endpoints
+/// the seeds resolve to ids. Each variant's rows are distinct (the
+/// synthesized return is `distinct`) and all four agree.
+#[test]
+fn catalog_answers_agree_across_variants() {
+    let mut non_empty = Vec::new();
+    for spec in raptor_cases::all_cases() {
+        let eval = raptor_bench::caseval::evaluate_case(spec, 1.0, 42);
+        let v = raptor_bench::caseval::query_variants(&eval);
+        let rows = |text: &str, mode| {
+            let (r, _) = eval.raptor.query_with_mode(text, mode).unwrap();
+            let rows = r.sorted_rows();
+            assert!(rows.windows(2).all(|w| w[0] != w[1]), "{} {mode:?}: duplicates", spec.id);
+            rows
+        };
+        let want = rows(&v.tbql, ExecMode::Scheduled);
+        assert_eq!(rows(&v.tbql, ExecMode::GiantSql), want, "{} giant SQL", spec.id);
+        assert_eq!(rows(&v.tbql_path, ExecMode::Scheduled), want, "{} path", spec.id);
+        assert_eq!(rows(&v.tbql_path, ExecMode::GiantCypher), want, "{} giant Cypher", spec.id);
+        if !want.is_empty() {
+            non_empty.push((spec.id, want.len()));
+        }
+    }
+    assert_eq!(non_empty, [("tc_clearscope_3", 1), ("tc_theia_4", 420), ("tc_trace_5", 577)]);
+}
