@@ -572,16 +572,6 @@ fn window_pred(w: &Window, now_ns: i64) -> Result<raptor_storage::Pred> {
     })
 }
 
-/// The entity-candidate resolution request the scheduler runs first for
-/// every filtered entity (one small indexed lookup per entity).
-pub fn entity_candidate_request(
-    ty: EntityType,
-    filter: &AttrExpr,
-    dict: &SharedDict,
-) -> (raptor_storage::EntityClass, raptor_storage::Pred) {
-    (class_for_type(ty), attr_pred(filter, dict))
-}
-
 /// An endpoint's propagated ids, which passed its filter ([`Propagation`]),
 /// or else its filter.
 fn entity_sel(ctx: &CompileCtx<'_>, var: &str, prop: &Propagation) -> raptor_storage::EntitySel {
@@ -615,6 +605,58 @@ fn event_conjuncts(
         preds.push(window_pred(w, ctx.now_ns)?);
     }
     Ok(preds)
+}
+
+/// One pattern's typed data request: an event pattern's for the relational
+/// store, a path pattern's for the graph store.
+#[derive(Clone, Debug)]
+pub(crate) enum Request {
+    Event(raptor_storage::EventPatternQuery),
+    Path(raptor_storage::PathPatternQuery),
+}
+
+impl Request {
+    /// Builds `p`'s request over the candidates in `prop`.
+    pub(crate) fn build(
+        ctx: &CompileCtx<'_>,
+        p: &APattern,
+        prop: &Propagation,
+        hop_cap: u32,
+    ) -> Result<Request> {
+        Ok(match p.is_path() {
+            true => Request::Path(path_pattern_request(ctx, p, prop, hop_cap)?),
+            false => Request::Event(event_pattern_request(ctx, p, prop)?),
+        })
+    }
+
+    fn endpoints_mut(&mut self) -> [&mut raptor_storage::EntitySel; 2] {
+        match self {
+            Request::Event(q) => [&mut q.subject, &mut q.object],
+            Request::Path(q) => [&mut q.subject, &mut q.object],
+        }
+    }
+
+    /// Gives each endpoint of `p` the candidates `prop` now holds for its
+    /// variable. Candidates only narrow, so an endpoint that has ids keeps
+    /// ids, and one that gains them drops its filter, as `entity_sel`
+    /// builds it: they all passed it.
+    pub(crate) fn propagate(&mut self, p: &APattern, prop: &Propagation) {
+        for (sel, var) in self.endpoints_mut().into_iter().zip([&p.subject, &p.object]) {
+            if let Some(ids) = prop.in_list(var) {
+                sel.id_in = Some(ids.to_vec());
+                sel.filter = None;
+            }
+        }
+    }
+
+    /// How many endpoints carry propagated ids.
+    pub(crate) fn in_lists(&self) -> usize {
+        let (s, o) = match self {
+            Request::Event(q) => (&q.subject, &q.object),
+            Request::Path(q) => (&q.subject, &q.object),
+        };
+        s.id_in.is_some() as usize + o.id_in.is_some() as usize
+    }
 }
 
 /// Builds the typed request for one event pattern.

@@ -24,7 +24,7 @@ use raptor_common::hash::FxHashMap;
 use raptor_relstore::Database;
 use raptor_tbql::analyze::AnalyzedQuery;
 
-use crate::compile::{class_for_type, event_pattern_request, CompileCtx, Propagation};
+use crate::compile::{class_for_type, Request};
 use crate::schedule::execution_order;
 
 /// One pattern's cost-model record: the price the scheduler ordered by and
@@ -63,12 +63,13 @@ impl PatternEstimate {
 /// pattern bounds the shared variable's distinct candidates by its own
 /// output, as `IN`-propagation will at run time; ties by syntactic score,
 /// then query order. Path patterns follow in the syntactic order. Each
-/// event pattern's conditioned price goes into `estimates`.
+/// event pattern is priced from its request (`requests[i]` is pattern
+/// `i`'s, built after seeding), and its conditioned price goes into
+/// `estimates`.
 pub(crate) fn cost_based_order(
     rel: &Database,
-    ctx: &CompileCtx<'_>,
     aq: &AnalyzedQuery,
-    prop: &Propagation,
+    requests: &[Request],
     estimates: &mut [PatternEstimate],
 ) -> Result<Vec<usize>> {
     let class_rows = |v: &str| {
@@ -77,9 +78,9 @@ pub(crate) fn cost_based_order(
     };
     let mut price = vec![0.0; aq.patterns.len()];
     let mut sides: Vec<[(&str, f64); 2]> = Vec::with_capacity(aq.patterns.len());
-    for (i, p) in aq.patterns.iter().enumerate() {
-        if !p.is_path() {
-            price[i] = rel.event_pattern_price(&event_pattern_request(ctx, p, prop)?)?;
+    for (i, (p, req)) in aq.patterns.iter().zip(requests).enumerate() {
+        if let Request::Event(q) = req {
+            price[i] = rel.event_pattern_price(q)?;
         }
         sides.push([
             (p.subject.as_str(), class_rows(&p.subject)),

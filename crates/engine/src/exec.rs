@@ -44,8 +44,7 @@ use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, CmpOp, PatternOp, RelClause, TemporalOp};
 
 use crate::compile::{
-    class_for_type, entity_candidate_request, event_pattern_request, giant_cypher, giant_sql,
-    path_pattern_request, CompileCtx, Propagation,
+    attr_pred, class_for_type, giant_cypher, giant_sql, CompileCtx, Propagation, Request,
 };
 use crate::estimate::{cost_based_order, PatternEstimate};
 use crate::load::LoadedStores;
@@ -213,8 +212,8 @@ impl ResultTable {
 }
 
 /// Per-pattern cost records with only the syntactic scores filled in —
-/// the starting point of [`Engine::plan_order`] and the whole record for
-/// caller-forced orders.
+/// the starting point of [`Engine::prepare`]'s planning and the whole
+/// record for caller-forced orders.
 fn base_estimates(aq: &AnalyzedQuery) -> Vec<PatternEstimate> {
     aq.patterns
         .iter()
@@ -226,6 +225,16 @@ fn base_estimates(aq: &AnalyzedQuery) -> Vec<PatternEstimate> {
             actual_rows: None,
         })
         .collect()
+}
+
+/// What [`Engine::prepare`] hands a scheduled execution: the seeded
+/// propagation, pattern `i`'s request at `requests[i]`, and the stats that
+/// hold the seed queries and, when planned, the scheduler, execution order
+/// and per-pattern estimates.
+pub(crate) struct Prepared {
+    pub prop: Propagation,
+    pub requests: Vec<Request>,
+    pub stats: EngineStats,
 }
 
 /// The query engine over a pair of loaded stores.
@@ -357,20 +366,13 @@ impl Engine {
     /// This is the hunting-evaluation view: every pattern contributes its
     /// matches even when another pattern (e.g. an excessive synthesized one)
     /// matches nothing. Patterns without a final hop contribute no events.
+    /// Each request carries the seeds alone, as `Engine::prepare` builds
+    /// it.
     pub fn pattern_event_matches(&self, aq: &AnalyzedQuery) -> Result<Vec<(String, Vec<i64>)>> {
-        let ctx = self.ctx(aq);
-        let mut empty = Propagation::default();
-        let mut stats = EngineStats::default();
-        self.seed_entity_candidates(aq, &mut empty, &mut stats)?;
+        let Prepared { requests, mut stats, .. } = self.prepare(aq, None)?;
         let mut out = Vec::with_capacity(aq.patterns.len());
-        for p in &aq.patterns {
-            let m = if p.is_path() {
-                let req = path_pattern_request(&ctx, p, &empty, self.max_hops)?;
-                self.stores.graph.match_path_pattern(&req, &mut stats.backend)?
-            } else {
-                let req = event_pattern_request(&ctx, p, &empty)?;
-                self.stores.rel.match_event_pattern(&req, &mut stats.backend)?
-            };
+        for (p, req) in aq.patterns.iter().zip(&requests) {
+            let m = self.run_request(req, &mut stats.backend)?;
             let mut ids: Vec<i64> = if m.has_event {
                 m.evt.iter().copied().filter(|&e| e >= 0).collect()
             } else {
@@ -427,7 +429,7 @@ impl Engine {
             sp.label(id);
             let before = stats.backend;
             let t0 = std::time::Instant::now();
-            let (class, pred) = entity_candidate_request(e.ty, filter, &self.stores.dict);
+            let (class, pred) = (class_for_type(e.ty), attr_pred(filter, &self.stores.dict));
             let ids = self.stores.rel.entity_candidates(class, &pred, &mut stats.backend)?;
             stats.record("relational", QueryKind::Seed, id, 0);
             stats.finish_last(ids.len(), before, t0.elapsed().as_nanos() as u64);
@@ -437,20 +439,33 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs one pattern's data query, recording an `engine.pattern` span and the query's observability payload
-    /// (rows, wall time, backend-counter delta) into the last `QueryInfo`.
+    /// Runs one request against the store that answers it.
+    fn run_request(&self, req: &Request, stats: &mut BackendStats) -> Result<PatternMatches> {
+        match req {
+            Request::Event(q) => self.stores.rel.match_event_pattern(q, stats),
+            Request::Path(q) => self.stores.graph.match_path_pattern(q, stats),
+        }
+    }
+
+    /// Runs pattern `p`'s request, recording an `engine.pattern` span and
+    /// the query's observability payload (rows, wall time, backend-counter
+    /// delta) into the last `QueryInfo`.
     fn match_pattern(
         &self,
-        ctx: &CompileCtx<'_>,
         p: &raptor_tbql::analyze::APattern,
-        prop: &Propagation,
+        req: &Request,
         stats: &mut EngineStats,
     ) -> Result<PatternMatches> {
         let mut sp = obs::span("engine.pattern");
         sp.label(&p.id);
         let before = stats.backend;
         let t0 = std::time::Instant::now();
-        let m = self.match_pattern_inner(ctx, p, prop, stats)?;
+        let m = self.run_request(req, &mut stats.backend)?;
+        let (backend, kind) = match req {
+            Request::Event(_) => ("relational", QueryKind::EventPattern),
+            Request::Path(_) => ("graph", QueryKind::PathPattern),
+        };
+        stats.record(backend, kind, &p.id, req.in_lists());
         stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
         if let Some(q) = stats.queries.last() {
             sp.attr("rows", m.len() as u64);
@@ -460,65 +475,54 @@ impl Engine {
         Ok(m)
     }
 
-    fn match_pattern_inner(
-        &self,
-        ctx: &CompileCtx<'_>,
-        p: &raptor_tbql::analyze::APattern,
-        prop: &Propagation,
-        stats: &mut EngineStats,
-    ) -> Result<PatternMatches> {
-        if p.is_path() {
-            let req = path_pattern_request(ctx, p, prop, self.max_hops)?;
-            let in_lists =
-                req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
-            let m = self.stores.graph.match_path_pattern(&req, &mut stats.backend)?;
-            stats.record("graph", QueryKind::PathPattern, &p.id, in_lists);
-            Ok(m)
-        } else {
-            let req = event_pattern_request(ctx, p, prop)?;
-            let in_lists =
-                req.subject.id_in.is_some() as usize + req.object.id_in.is_some() as usize;
-            let m = self.stores.rel.match_event_pattern(&req, &mut stats.backend)?;
-            stats.record("relational", QueryKind::EventPattern, &p.id, in_lists);
-            Ok(m)
-        }
-    }
-
-    /// Computes the pattern execution order and the per-pattern cost
-    /// records. Runs *after* entity-candidate seeding, so every seeded
+    /// The one seed → requests → plan step of a scheduled execution (and
+    /// of `explain` and `pattern_event_matches`): seeds every filtered
+    /// entity, builds each pattern's request once from the seeded
+    /// propagation, and — given a scheduler — orders the patterns,
+    /// pricing those requests. Seeding comes first, so every seeded
     /// endpoint is an exact `subject IN` / `object IN` count
     /// (execution-result-constrained ordering).
     ///
     /// Cost-based: event patterns by counted price, then path patterns
     /// ([`crate::estimate`]). An empty `events` table, or an engine pinned
-    /// to `Syntactic`, orders by the syntactic score alone.
-    pub(crate) fn plan_order(
+    /// to `Syntactic`, orders by the syntactic score alone. Without a
+    /// scheduler no order is computed and the estimates hold only the
+    /// syntactic scores.
+    pub(crate) fn prepare(
         &self,
-        ctx: &CompileCtx<'_>,
         aq: &AnalyzedQuery,
-        prop: &Propagation,
-        mode: SchedulerMode,
-    ) -> Result<(Vec<usize>, Vec<PatternEstimate>, SchedulerMode)> {
+        scheduler: Option<SchedulerMode>,
+    ) -> Result<Prepared> {
+        let ctx = self.ctx(aq);
+        let mut prop = Propagation::default();
+        let mut stats = EngineStats::default();
+        self.seed_entity_candidates(aq, &mut prop, &mut stats)?;
+        let requests = aq.patterns.iter().map(|p| Request::build(&ctx, p, &prop, self.max_hops));
+        let requests = requests.collect::<Result<Vec<_>>>()?;
+        stats.estimates = base_estimates(aq);
+        let Some(mode) = scheduler else {
+            return Ok(Prepared { prop, requests, stats });
+        };
         let mut sp = obs::span("engine.plan");
         sp.attr("patterns", aq.patterns.len() as u64);
-        let mut estimates = base_estimates(aq);
         let events = self.stores.rel.table("events").map_or(0, |t| t.len());
         let used = if mode == SchedulerMode::CostBased && events > 0 {
             SchedulerMode::CostBased
         } else {
             SchedulerMode::Syntactic
         };
-        let order = match used {
+        stats.execution_order = match used {
             SchedulerMode::CostBased => {
-                cost_based_order(&self.stores.rel, ctx, aq, prop, &mut estimates)?
+                cost_based_order(&self.stores.rel, aq, &requests, &mut stats.estimates)?
             }
             SchedulerMode::Syntactic => execution_order(aq),
         };
+        stats.scheduler = Some(used);
         sp.label(match used {
             SchedulerMode::CostBased => "cost_based",
             SchedulerMode::Syntactic => "syntactic",
         });
-        Ok((order, estimates, used))
+        Ok(Prepared { prop, requests, stats })
     }
 
     /// Scheduled execution under an explicit scheduler mode (benchmarks and
@@ -562,22 +566,14 @@ impl Engine {
         mode: SchedulerMode,
         forced_order: Option<&[usize]>,
     ) -> Result<(ResultBatch, EngineStats)> {
-        let ctx = self.ctx(aq);
-        let mut prop = Propagation::default();
-        let mut stats = EngineStats::default();
-        self.seed_entity_candidates(aq, &mut prop, &mut stats)?;
         // A caller-forced order bypasses the planner entirely: no estimates
         // are computed and no scheduler is credited with the order.
-        let (order, estimates, used) = match forced_order {
-            Some(o) => (o.to_vec(), base_estimates(aq), None),
-            None => {
-                let (order, estimates, used) = self.plan_order(&ctx, aq, &prop, mode)?;
-                (order, estimates, Some(used))
-            }
-        };
-        stats.scheduler = used;
-        stats.execution_order = order.clone();
-        stats.estimates = estimates;
+        let Prepared { mut prop, mut requests, mut stats } =
+            self.prepare(aq, forced_order.is_none().then_some(mode))?;
+        if let Some(o) = forced_order {
+            stats.execution_order = o.to_vec();
+        }
+        let order = stats.execution_order.clone();
         let mut matches: Vec<Option<PatternMatches>> = vec![None; aq.patterns.len()];
 
         // Patterns sharing no entity variable never observe each other's
@@ -586,7 +582,7 @@ impl Engine {
         // touch disjoint variables, so they run one after another over the
         // one propagation table.
         for chain in dependency_chains(aq, &order) {
-            self.run_chain(&ctx, aq, &chain, &mut prop, &mut stats, &mut matches)?;
+            self.run_chain(aq, &chain, &mut prop, &mut requests, &mut stats, &mut matches)?;
         }
 
         if stats.short_circuited {
@@ -603,16 +599,17 @@ impl Engine {
 
     /// Executes one dependency chain's patterns in order, intersecting each
     /// pattern's entity ids into the propagation table for the chain's later
-    /// patterns (not after its last one: no later request reads it). An
-    /// empty pattern short-circuits **its chain** (nothing later in the
-    /// chain can match once an `IN` set is empty, and the whole query's
-    /// result is already known to be empty); other chains are unaffected.
+    /// patterns (not after its last one: no later request reads it), whose
+    /// requests then take the narrowed ids. An empty pattern short-circuits
+    /// **its chain** (nothing later in the chain can match once an `IN` set
+    /// is empty, and the whole query's result is already known to be
+    /// empty); other chains are unaffected.
     fn run_chain(
         &self,
-        ctx: &CompileCtx<'_>,
         aq: &AnalyzedQuery,
         chain: &[usize],
         prop: &mut Propagation,
+        requests: &mut [Request],
         stats: &mut EngineStats,
         matches: &mut [Option<PatternMatches>],
     ) -> Result<()> {
@@ -623,7 +620,12 @@ impl Engine {
         sp.attr("patterns", chain.len() as u64);
         for (pos, &idx) in chain.iter().enumerate() {
             let p = &aq.patterns[idx];
-            let m = self.match_pattern(ctx, p, prop, stats)?;
+            // The chain's first pattern sees the seeds its request was
+            // built from: chains share no variable.
+            if pos > 0 {
+                requests[idx].propagate(p, prop);
+            }
+            let m = self.match_pattern(p, &requests[idx], stats)?;
             if pos + 1 < chain.len() {
                 prop.intersect(&p.subject, &m.subj);
                 prop.intersect(&p.object, &m.obj);

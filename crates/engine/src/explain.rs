@@ -24,8 +24,7 @@ use raptor_common::error::Result;
 use raptor_tbql::analyze::AnalyzedQuery;
 use raptor_tbql::{analyze, parse_tbql, Arrow, PatternOp};
 
-use crate::compile::Propagation;
-use crate::exec::{Engine, EngineStats, ExecMode, QueryInfo, QueryKind, ResultTable};
+use crate::exec::{Engine, EngineStats, ExecMode, Prepared, QueryInfo, QueryKind, ResultTable};
 use crate::schedule::{dependency_chains, SchedulerMode};
 
 /// What an `ANALYZE` rendering does with run-dependent values.
@@ -43,14 +42,7 @@ impl Engine {
     /// Plans `aq` (seeding + scheduling only — no pattern executes) and
     /// renders the plan tree.
     pub fn explain(&self, aq: &AnalyzedQuery) -> Result<String> {
-        let ctx = self.ctx(aq);
-        let mut prop = Propagation::default();
-        let mut stats = EngineStats::default();
-        self.seed_entity_candidates(aq, &mut prop, &mut stats)?;
-        let (order, estimates, used) = self.plan_order(&ctx, aq, &prop, self.scheduler)?;
-        stats.scheduler = Some(used);
-        stats.execution_order = order;
-        stats.estimates = estimates;
+        let Prepared { stats, .. } = self.prepare(aq, Some(self.scheduler))?;
         Ok(render(aq, &stats, None))
     }
 

@@ -11,10 +11,10 @@
 //! constrain the execution of the other data query."
 //!
 //! The default scheduler is *cost-based*, in the spirit of the system
-//! version's execution-result-constrained ordering: `Engine::plan_order`
-//! prices each event pattern by **counting** rows in the relational
-//! store's indexes ([`crate::estimate`]) and greedily runs the cheapest
-//! remaining one next, so its results prune everything after it,
+//! version's execution-result-constrained ordering: `Engine::prepare`
+//! prices each event pattern's request by **counting** rows in the
+//! relational store's indexes ([`crate::estimate`]) and greedily runs the
+//! cheapest remaining one next, so its results prune everything after it,
 //! conditioning the prices of the patterns that share its variables as it
 //! goes. Nothing is maintained for it on the write path. Path patterns
 //! follow the paper's rule: after every event pattern, by pruning score,

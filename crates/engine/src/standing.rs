@@ -420,7 +420,7 @@ impl StandingQuery {
             let req = path_pattern_request(&ctx, p, &unpropagated, engine.max_hops)?;
             plans.push(if let Some(event) = req.as_single_hop() {
                 PatternPlan::Rows(event)
-            } else if let Some(mut f) = PathFrontier::new(&req, &self.cumulative.dict)? {
+            } else if let Some(mut f) = PathFrontier::new(&req)? {
                 // Checkpoint-restored state first, then what the
                 // accumulated matches already emitted.
                 if let Some(blob) = self.pending_frontier[p.index].take() {

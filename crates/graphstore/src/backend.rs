@@ -31,14 +31,14 @@
 //! one both call it.
 
 use raptor_common::error::{Error, Result};
-use raptor_common::intern::{SharedDict, Sym};
+use raptor_common::intern::Sym;
 use raptor_common::obs;
 use raptor_storage::{
     BackendStats, EntityClass, Field, FieldValue, MutableBackend, PathPatternQuery, PatternMatches,
     Pred, Value as SVal,
 };
 
-use crate::cypher::ast::{CExpr, CLit, COp, CmpRhs, PropRef, StrPredKind};
+use crate::cypher::ast::{CExpr, CLit, CmpRhs, PropRef, StrPredKind};
 use crate::cypher::exec::{
     anchor_candidates, bind, edge_distinct_walks, eval, BindVal, BoundExpr, BoundProp, BoundShape,
     GraphQueryStats,
@@ -63,17 +63,6 @@ fn clit(v: &SVal) -> Result<CLit> {
     }
 }
 
-fn cop(op: raptor_storage::CmpOp) -> COp {
-    match op {
-        raptor_storage::CmpOp::Eq => COp::Eq,
-        raptor_storage::CmpOp::Ne => COp::Ne,
-        raptor_storage::CmpOp::Lt => COp::Lt,
-        raptor_storage::CmpOp::Le => COp::Le,
-        raptor_storage::CmpOp::Gt => COp::Gt,
-        raptor_storage::CmpOp::Ge => COp::Ge,
-    }
-}
-
 fn prop(var: &str, attr: &str) -> PropRef {
     PropRef { var: var.to_string(), prop: attr.to_string() }
 }
@@ -94,21 +83,10 @@ fn like_to_cexpr(var: &str, attr: &str, pattern: &str, negated: bool) -> CExpr {
 }
 
 /// Lowers a typed predicate to a Cypher WHERE expression over `var`.
-fn pred_to_cexpr(var: &str, p: &Pred, dict: &SharedDict) -> Result<CExpr> {
+fn pred_to_cexpr(var: &str, p: &Pred) -> Result<CExpr> {
     Ok(match p {
         Pred::Cmp { attr, op, value } => {
-            // `= '%…%'` keeps LIKE semantics (defensive: the TBQL lowering
-            // already emits `Pred::Like`).
-            let wildcard = value.as_sym().map(|s| dict.resolve(s)).filter(|s| s.contains('%'));
-            match (op, wildcard) {
-                (raptor_storage::CmpOp::Eq, Some(s)) => like_to_cexpr(var, attr, s, false),
-                (raptor_storage::CmpOp::Ne, Some(s)) => like_to_cexpr(var, attr, s, true),
-                _ => CExpr::Cmp {
-                    left: prop(var, attr),
-                    op: cop(*op),
-                    right: CmpRhs::Lit(clit(value)?),
-                },
-            }
+            CExpr::Cmp { left: prop(var, attr), op: *op, right: CmpRhs::Lit(clit(value)?) }
         }
         Pred::Like { attr, pattern, negated } => like_to_cexpr(var, attr, pattern, *negated),
         Pred::InSet { attr, negated, values } => {
@@ -122,15 +100,13 @@ fn pred_to_cexpr(var: &str, p: &Pred, dict: &SharedDict) -> Result<CExpr> {
                 base
             }
         }
-        Pred::And(a, b) => CExpr::And(
-            Box::new(pred_to_cexpr(var, a, dict)?),
-            Box::new(pred_to_cexpr(var, b, dict)?),
-        ),
-        Pred::Or(a, b) => CExpr::Or(
-            Box::new(pred_to_cexpr(var, a, dict)?),
-            Box::new(pred_to_cexpr(var, b, dict)?),
-        ),
-        Pred::Not(inner) => CExpr::Not(Box::new(pred_to_cexpr(var, inner, dict)?)),
+        Pred::And(a, b) => {
+            CExpr::And(Box::new(pred_to_cexpr(var, a)?), Box::new(pred_to_cexpr(var, b)?))
+        }
+        Pred::Or(a, b) => {
+            CExpr::Or(Box::new(pred_to_cexpr(var, a)?), Box::new(pred_to_cexpr(var, b)?))
+        }
+        Pred::Not(inner) => CExpr::Not(Box::new(pred_to_cexpr(var, inner)?)),
     })
 }
 
@@ -155,10 +131,9 @@ pub(crate) struct PathSpec {
 }
 
 impl PathSpec {
-    pub(crate) fn compile(q: &PathPatternQuery, dict: &SharedDict) -> Result<PathSpec> {
-        let lower = |var: &str, p: &Option<Pred>| {
-            p.as_ref().map(|p| pred_to_cexpr(var, p, dict)).transpose()
-        };
+    pub(crate) fn compile(q: &PathPatternQuery) -> Result<PathSpec> {
+        let lower =
+            |var: &str, p: &Option<Pred>| p.as_ref().map(|p| pred_to_cexpr(var, p)).transpose();
         // One TBQL variable bound as both ends: the walk closes on its own
         // anchor, whose conditions the subject side already carries.
         let object = (!q.subject_is_object).then_some(&q.object);
@@ -337,7 +312,7 @@ impl Graph {
         q: &PathPatternQuery,
         stats: &mut BackendStats,
     ) -> Result<PatternMatches> {
-        let spec = PathSpec::compile(q, self.dict())?;
+        let spec = PathSpec::compile(q)?;
         let m = spec.on(self);
         // One expansion span per path-pattern request.
         let mut sp = obs::span("graphstore.expand");
@@ -470,6 +445,7 @@ impl MutableBackend for Graph {
 mod tests {
     use super::*;
     use crate::graph::PropIns;
+    use raptor_common::intern::SharedDict;
     use raptor_storage::EntitySel;
 
     /// tar→passwd (read), tar→upload.tar (write), curl→upload.tar (read),
@@ -582,6 +558,14 @@ mod tests {
                     assert_eq!(got, want, "{attr} {negated} LIKE {pattern}");
                 }
             }
+        }
+        // `=` / `!=` against a string holding `%` compare the string.
+        for (op, want) in
+            [(raptor_storage::CmpOp::Eq, vec![]), (raptor_storage::CmpOp::Ne, vec![0, 1])]
+        {
+            let bin = SVal::Str(g.dict().intern("%bin%"));
+            let cmp = Pred::Cmp { attr: "exename".into(), op, value: bin };
+            assert_eq!(selected(&g, EntitySel::of(EntityClass::Process, Some(cmp))), want);
         }
     }
 

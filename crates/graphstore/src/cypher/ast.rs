@@ -52,16 +52,9 @@ pub struct PathPattern {
     pub segments: Vec<(RelPattern, NodePattern)>,
 }
 
-/// Comparison operators (Cypher spelling of ≠ is `<>`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum COp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
+/// Comparison operators (Cypher spelling of ≠ is `<>`): the typed
+/// requests' own, so a typed predicate lowers with no translation.
+pub use raptor_storage::CmpOp as COp;
 
 /// WHERE expression tree.
 #[derive(Clone, PartialEq, Debug)]

@@ -33,7 +33,6 @@
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
-use raptor_common::intern::SharedDict;
 use raptor_common::io;
 use raptor_storage::PathPatternQuery;
 
@@ -64,12 +63,12 @@ impl PathFrontier {
     /// Builds a frontier for a compiled path request, or `None` when the
     /// request's shape is outside the frontier's equivalence envelope and
     /// must stay on full re-evaluation.
-    pub fn new(q: &PathPatternQuery, dict: &SharedDict) -> Result<Option<PathFrontier>> {
+    pub fn new(q: &PathPatternQuery) -> Result<Option<PathFrontier>> {
         let single_hop = q.min_hops == 1 && q.max_hops == Some(1);
         if q.want_event || single_hop {
             return Ok(None);
         }
-        let spec = PathSpec::compile(q, dict)?;
+        let spec = PathSpec::compile(q)?;
         // Shortest-walk reachability witnesses every admissible length only
         // when the prefix's lower bound cannot exceed 1.
         Ok((spec.lo <= 1).then(|| PathFrontier { spec, state: State::default() }))
@@ -288,6 +287,7 @@ mod tests {
     use super::*;
     use crate::cypher::{exec::execute, parse_cypher};
     use crate::graph::PropIns;
+    use raptor_common::intern::SharedDict;
     use raptor_storage::{CmpOp, EntityClass, EntitySel, Pred, Value};
 
     fn proc(g: &mut Graph, id: i64, exe: &str) -> NodeId {
@@ -366,7 +366,7 @@ mod tests {
     fn frontier_tracks_batch_at_every_step() {
         let mut g = Graph::new();
         let q = req(1, Some(3), None, &g.dict().clone());
-        let mut f = PathFrontier::new(&q, &g.dict().clone()).unwrap().unwrap();
+        let mut f = PathFrontier::new(&q).unwrap().unwrap();
         let mut acc: Vec<(i64, i64)> = Vec::new();
 
         let p0 = proc(&mut g, 0, "/bin/tar");
@@ -407,7 +407,7 @@ mod tests {
         let mut g = Graph::new();
         let dict = g.dict().clone();
         let q = req(1, Some(3), Some("write"), &dict);
-        let mut f = PathFrontier::new(&q, &dict).unwrap().unwrap();
+        let mut f = PathFrontier::new(&q).unwrap().unwrap();
         let mut acc: Vec<(i64, i64)> = Vec::new();
 
         let p0 = proc(&mut g, 0, "/bin/tar");
@@ -439,7 +439,7 @@ mod tests {
         let mut g = Graph::new();
         let dict = g.dict().clone();
         let q = req(1, Some(3), Some("write"), &dict);
-        let mut f = PathFrontier::new(&q, &dict).unwrap().unwrap();
+        let mut f = PathFrontier::new(&q).unwrap().unwrap();
         let p0 = proc(&mut g, 0, "/bin/tar");
         let p1 = proc(&mut g, 1, "/bin/sh");
         let fa = file(&mut g, 2, "/tmp/a");
@@ -485,7 +485,7 @@ mod tests {
                     io::put_u32(&mut buf, d);
                 }
             }
-            let mut f = PathFrontier::new(&q, &dict).unwrap().unwrap();
+            let mut f = PathFrontier::new(&q).unwrap().unwrap();
             let err = f.decode(&mut io::Cur::new(&buf)).unwrap_err();
             assert_eq!(err.kind, ErrorKind::Storage, "{anchors:?} {dist:?}: {err}");
         }
@@ -496,16 +496,12 @@ mod tests {
     fn ineligible_shapes_are_refused() {
         let dict = SharedDict::new();
         // Single hop stays on the existing delta path.
-        assert!(PathFrontier::new(&req(1, Some(1), None, &dict), &dict).unwrap().is_none());
+        assert!(PathFrontier::new(&req(1, Some(1), None, &dict)).unwrap().is_none());
         // Lower bounds beyond the shortest-walk witness are refused.
-        assert!(PathFrontier::new(&req(2, Some(4), None, &dict), &dict).unwrap().is_none());
-        assert!(PathFrontier::new(&req(3, Some(4), Some("write"), &dict), &dict)
-            .unwrap()
-            .is_none());
+        assert!(PathFrontier::new(&req(2, Some(4), None, &dict)).unwrap().is_none());
+        assert!(PathFrontier::new(&req(3, Some(4), Some("write"), &dict)).unwrap().is_none());
         // ... but `min == 2` with a final hop has prefix lower bound 1.
-        assert!(PathFrontier::new(&req(2, Some(4), Some("write"), &dict), &dict)
-            .unwrap()
-            .is_some());
+        assert!(PathFrontier::new(&req(2, Some(4), Some("write"), &dict)).unwrap().is_some());
     }
 
     /// Encode/decode round-trips the incremental state byte-for-byte.
@@ -514,7 +510,7 @@ mod tests {
         let mut g = Graph::new();
         let dict = g.dict().clone();
         let q = req(1, Some(3), None, &dict);
-        let mut f = PathFrontier::new(&q, &dict).unwrap().unwrap();
+        let mut f = PathFrontier::new(&q).unwrap().unwrap();
         let p0 = proc(&mut g, 0, "/bin/tar");
         let p1 = proc(&mut g, 1, "/bin/sh");
         let fa = file(&mut g, 2, "/tmp/a");
@@ -525,7 +521,7 @@ mod tests {
 
         let mut buf = Vec::new();
         f.encode(&mut buf);
-        let mut g2 = PathFrontier::new(&q, &dict).unwrap().unwrap();
+        let mut g2 = PathFrontier::new(&q).unwrap().unwrap();
         let mut cur = io::Cur::new(&buf);
         g2.decode(&mut cur).unwrap();
         g2.seed_seen(emitted.iter().copied());

@@ -398,7 +398,7 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         assert_eq!(got, want, "one-shot vs text: {q:?}\n{text}\nnodes {nodes:?}\nedges {edges:?}");
         assert_eq!((stats.data_queries, stats.text_parses), (1, 0));
 
-        if let Some(mut frontier) = PathFrontier::new(&q, &dict).unwrap() {
+        if let Some(mut frontier) = PathFrontier::new(&q).unwrap() {
             let mut pairs = frontier.advance(&grown);
             for i in 0..edges.len() {
                 add_edge(&mut grown, i);

@@ -4,9 +4,11 @@
 //! counts the scheduler prices patterns by are in [`crate::stats`].
 //!
 //! Requests arrive as `raptor-storage` data structures; their predicates
-//! are lowered straight to SQL *expressions* (`sql::ast::Expr`, the lexer
-//! and parser are never involved) and evaluated by the scan's own compiled
-//! kernels. The typed plane **scans and does not plan**: no `Select` is
+//! bind straight to the store's one predicate form, `exec::BExpr` (each
+//! attribute to its column, each string value is already a dictionary
+//! handle, propagated ids are borrowed from the request), and the scan
+//! compiles that into its kernels — the same form SQL text binds to. The
+//! typed plane **scans and does not plan**: no `Select` or SQL `Expr` is
 //! built, and the planner, the binder over joined aliases and the hash
 //! joins serve SQL text only.
 //!
@@ -27,80 +29,17 @@
 
 use std::ops::Range;
 
-use raptor_common::error::{Error, Result};
-use raptor_common::intern::SharedDict;
+use raptor_common::error::Result;
 use raptor_storage::{
-    AttrSource, BackendStats, EntityClass, EntitySel, EventPatternQuery, Field, FieldValue,
-    MutableBackend, PatternMatches, Pred, Value as SVal,
+    AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue, MutableBackend,
+    PatternMatches, Pred, Value as SVal,
 };
 
 use crate::db::Database;
 use crate::exec::{
-    id_index, match_event_rows, run_scan, EndpointSel, ExecStats, EVENT_ALIAS as EVT,
+    bind_conjuncts, id_index, match_event_rows, run_scan, table_named, BExpr, BLit, ExecStats, Slot,
 };
-use crate::sql::ast::{CmpOp, ColRef, Expr, Literal};
-
-fn col(alias: &str, column: &str) -> ColRef {
-    ColRef::new(Some(alias), column)
-}
-
-fn lit(v: &SVal) -> Result<Literal> {
-    match v {
-        SVal::Int(i) => Ok(Literal::Int(*i)),
-        // Pre-interned: the executor binds the handle without a dictionary
-        // lookup.
-        SVal::Str(s) => Ok(Literal::Interned(*s)),
-        SVal::Null => Err(Error::semantic("NULL literals are not valid in predicates")),
-    }
-}
-
-fn cmp_op(op: raptor_storage::CmpOp) -> CmpOp {
-    match op {
-        raptor_storage::CmpOp::Eq => CmpOp::Eq,
-        raptor_storage::CmpOp::Ne => CmpOp::Ne,
-        raptor_storage::CmpOp::Lt => CmpOp::Lt,
-        raptor_storage::CmpOp::Le => CmpOp::Le,
-        raptor_storage::CmpOp::Gt => CmpOp::Gt,
-        raptor_storage::CmpOp::Ge => CmpOp::Ge,
-    }
-}
-
-/// Lowers a typed predicate to a SQL expression over `alias`.
-pub(crate) fn pred_to_expr(alias: &str, p: &Pred, dict: &SharedDict) -> Result<Expr> {
-    Ok(match p {
-        Pred::Cmp { attr, op, value } => {
-            // `= '%…%'` keeps LIKE semantics, exactly as the text compiler
-            // did (defensive: the TBQL lowering already emits `Pred::Like`).
-            let wildcard = value.as_sym().map(|s| dict.resolve(s)).filter(|s| s.contains('%'));
-            match (op, wildcard) {
-                (raptor_storage::CmpOp::Eq, Some(s)) => {
-                    Expr::Like { col: col(alias, attr), pattern: s.to_string(), negated: false }
-                }
-                (raptor_storage::CmpOp::Ne, Some(s)) => {
-                    Expr::Like { col: col(alias, attr), pattern: s.to_string(), negated: true }
-                }
-                _ => Expr::CmpLit { col: col(alias, attr), op: cmp_op(*op), lit: lit(value)? },
-            }
-        }
-        Pred::Like { attr, pattern, negated } => {
-            Expr::Like { col: col(alias, attr), pattern: pattern.clone(), negated: *negated }
-        }
-        Pred::InSet { attr, negated, values } => Expr::InList {
-            col: col(alias, attr),
-            list: values.iter().map(lit).collect::<Result<Vec<_>>>()?,
-            negated: *negated,
-        },
-        Pred::And(a, b) => Expr::And(
-            Box::new(pred_to_expr(alias, a, dict)?),
-            Box::new(pred_to_expr(alias, b, dict)?),
-        ),
-        Pred::Or(a, b) => Expr::Or(
-            Box::new(pred_to_expr(alias, a, dict)?),
-            Box::new(pred_to_expr(alias, b, dict)?),
-        ),
-        Pred::Not(inner) => Expr::Not(Box::new(pred_to_expr(alias, inner, dict)?)),
-    })
-}
+use crate::sql::ast::CmpOp;
 
 fn absorb_exec(stats: &mut BackendStats, exec: &ExecStats) {
     stats.items_scanned += exec.rows_scanned;
@@ -119,14 +58,13 @@ impl Database {
         filter: &Pred,
         stats: &mut BackendStats,
     ) -> Result<Vec<i64>> {
-        let (name, alias) = (class.table_name(), "x");
+        let name = class.table_name();
+        let table = table_named(self, name)?;
         let mut exec_stats = ExecStats::default();
-        let pred = pred_to_expr(alias, filter, self.dict())?;
-        let rows = run_scan(self, name, alias, Some(&pred), &mut exec_stats)?;
+        let rows = run_scan(self, name, &bind_conjuncts(Some(filter), table)?, &mut exec_stats)?;
         absorb_exec(stats, &exec_stats);
         stats.items_built += rows.len();
         stats.data_queries += 1;
-        let table = self.table(name).expect("scanned above");
         let c = table.schema.require_column("id")?;
         // The one place candidates are canonicalized: downstream propagation
         // (`Propagation::set` in the engine) relies on the
@@ -155,9 +93,10 @@ impl Database {
     /// concatenate to its whole answer. Endpoints may be of any age: each
     /// is looked up by id and its filter tested on its own row. Work is
     /// proportional to the range — no index over `events` is consulted.
-    /// The predicates are bound on every call (microseconds): a literal the
-    /// dictionary lacks today folds to "matches nothing", and tomorrow's
-    /// epoch may intern it.
+    /// The predicates bind on every call (microseconds) and intern
+    /// nothing: the object class's `kind` is looked up in the dictionary,
+    /// so a kind it lacks today matches nothing, and a later epoch that
+    /// interns it matches.
     pub fn match_event_pattern_rows(
         &self,
         q: &EventPatternQuery,
@@ -174,52 +113,39 @@ impl Database {
         stats: &mut BackendStats,
     ) -> Result<PatternMatches> {
         // What `q` asks of the event itself: the kind its object class
-        // implies, then the pattern's own event predicate.
-        let mut conds = vec![Expr::CmpLit {
-            col: col(EVT, "kind"),
+        // implies, then the conjuncts of its own event predicate.
+        let events = table_named(self, "events")?;
+        let kind = q.object.class.event_kind();
+        let kind = BExpr::CmpLit {
+            slot: Slot::of(events, "kind")?,
             op: CmpOp::Eq,
-            lit: Literal::Str(q.object.class.event_kind().to_string()),
-        }];
-        if let Some(p) = &q.event_pred {
-            conds.push(pred_to_expr(EVT, p, self.dict())?);
-        }
+            lit: self.dict().get(kind).map_or(BLit::Raw(kind), BLit::Sym),
+        };
+        let mut conjuncts = vec![kind];
+        conjuncts.extend(bind_conjuncts(q.event_pred.as_ref(), events)?);
         // A batch scan also carries the propagated ids, so it can run
         // through the `subject` / `object` hash indexes instead of the
         // larger `optype` one; a row range tests them per endpoint.
         if rows.is_none() {
             for (sel, column) in [(&q.subject, "subject"), (&q.object, "object")] {
                 if let Some(ids) = &sel.id_in {
-                    let list = ids.iter().map(|&i| Literal::Int(i)).collect();
-                    conds.push(Expr::InList { col: col(EVT, column), list, negated: false });
+                    conjuncts.push(BExpr::InIds { slot: Slot::of(events, column)?, ids });
                 }
             }
         }
-        let event_filter = conds
-            .into_iter()
-            .reduce(|a, b| Expr::And(Box::new(a), Box::new(b)))
-            .expect("the kind conjunct");
         let mut exec_stats = ExecStats::default();
         let [subj, obj, evt, start, end] = match_event_rows(
             self,
             rows,
-            &event_filter,
-            &self.endpoint(&q.subject, "s")?,
-            &self.endpoint(&q.object, "o")?,
+            &conjuncts,
+            &q.subject,
+            &q.object,
             q.subject_is_object,
             &mut exec_stats,
         )?;
         absorb_exec(stats, &exec_stats);
         stats.data_queries += 1;
         Ok(PatternMatches { subj, obj, evt, start, end, has_event: true })
-    }
-
-    fn endpoint<'a>(&self, sel: &'a EntitySel, alias: &'a str) -> Result<EndpointSel<'a>> {
-        Ok(EndpointSel {
-            table: sel.class.table_name(),
-            alias,
-            filter: sel.filter.as_ref().map(|p| pred_to_expr(alias, p, self.dict())).transpose()?,
-            id_in: sel.id_in.as_deref(),
-        })
     }
 
     /// Fetches `attr` for the given ids; absent ids are simply missing from
@@ -286,6 +212,7 @@ mod tests {
     use crate::db::Ins;
     use crate::schema::{ColumnDef, ColumnType};
     use crate::TableSchema;
+    use raptor_storage::EntitySel;
 
     /// tar reads /etc/passwd then writes /tmp/upload.tar; curl connects out.
     fn audit_db() -> Database {
@@ -368,6 +295,14 @@ mod tests {
         assert_eq!(ids, vec![0, 1]);
         assert_eq!(stats.data_queries, 1);
         assert_eq!(stats.text_parses, 0);
+        // `=` / `!=` against a string holding `%` compare the string.
+        for (op, want) in
+            [(raptor_storage::CmpOp::Eq, vec![]), (raptor_storage::CmpOp::Ne, vec![0, 1])]
+        {
+            let bin = SVal::Str(db.dict().intern("%bin%"));
+            let cmp = Pred::Cmp { attr: "exename".into(), op, value: bin };
+            assert_eq!(db.entity_candidates(EntityClass::Process, &cmp, &mut stats).unwrap(), want);
+        }
     }
 
     #[test]

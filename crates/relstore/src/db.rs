@@ -126,10 +126,10 @@ impl Database {
             .ok_or_else(|| Error::storage(format!("unknown table `{table}`")))
     }
 
-    /// The index slots of `table.col` (each `None` until created).
-    pub(crate) fn indexes(&self, table: &str, col: &str) -> Option<&ColumnIndexes> {
-        let slot = &self.slots[*self.by_name.get(table)?];
-        Some(&slot.indexes[slot.table.schema.column_index(col)?])
+    /// The index slots of column `col` (its ordinal) of `table` (each
+    /// `None` until created).
+    pub(crate) fn indexes(&self, table: &str, col: usize) -> Option<&ColumnIndexes> {
+        self.slots[*self.by_name.get(table)?].indexes.get(col)
     }
 
     /// Creates an empty table.

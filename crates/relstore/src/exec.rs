@@ -1,6 +1,10 @@
 //! Query execution.
 //!
-//! Two pipelines share the scan:
+//! Two pipelines share the scan, and one predicate form: whatever a scan,
+//! an endpoint test or a price reads is a bound `BExpr`. SQL text binds to
+//! it through the planner's `Binder`; a typed request's `Pred` through
+//! `bind_pred` (attribute → column, string value → its symbol, no
+//! dictionary write), with propagated ids borrowed as `BExpr::InIds`.
 //!
 //! * **SQL text** ([`execute`], behind [`Database::query`]: the GiantSql
 //!   baseline and tests) — per-alias **scan** (access-path selection +
@@ -16,8 +20,8 @@
 //!   query's row range), then per selected row an `id` hash probe into
 //!   each endpoint's table and its filter tested on that one row. An
 //!   endpoint the engine seeded arrives as ids with no filter: every id
-//!   already passed it, so only the ids are tested. No plan, no binder
-//!   beyond the scan's own, no join.
+//!   already passed it, so only the ids are tested. No plan, no SQL
+//!   `Expr`, no join.
 //!
 //! Scans pick an index access path per pushed-down conjunct: hash-index
 //! point/IN lookups, B-tree ranges for integer comparisons, and for `LIKE`
@@ -32,19 +36,22 @@
 //! full predicate on each of them, so index choice is purely a performance
 //! decision.
 //!
-//! **Vectorized scans**: a pushed-down predicate is compiled once per scan
-//! into a `ScanPred` — `IN` lists become hash sets, literals bind to
-//! dictionary handles, type mismatches fold to constants — and a full scan
-//! is one mask loop over the table's contiguous column slices
-//! (`range_select` over `0..table.len()`), emitting an ascending
+//! **Vectorized scans**: a scan's bound conjuncts are compiled once into a
+//! `ScanPred` — `IN` lists become hash sets, propagated ids stay their
+//! sorted slice, type mismatches and dictionary misses fold to constants —
+//! and a full scan is one mask loop over the table's contiguous column
+//! slices (`range_select` over `0..table.len()`), emitting an ascending
 //! **selection vector** of row ids. Joins, projection and `ResultBatch`
 //! construction consume selection vectors; rows are never materialized
 //! inside the scan. Everything runs on the calling thread.
+
+use std::ops::Range;
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::obs;
+use raptor_storage::{EntitySel, Pred, Value as SVal};
 
 use crate::db::Database;
 use crate::like::{containment_literal, like_match};
@@ -69,35 +76,95 @@ pub struct ExecStats {
 
 /// A bound column: (alias slot, column index).
 #[derive(Clone, Copy, Debug)]
-struct Slot {
+pub(crate) struct Slot {
     alias: usize,
     col: usize,
 }
 
-/// Expression with names resolved to slots; string literals are bound to
-/// their dictionary handles so per-row equality is an integer compare.
-#[derive(Clone, Debug)]
-enum BExpr {
-    CmpLit { slot: Slot, op: CmpOp, lit: BLit },
-    CmpCol { left: Slot, op: CmpOp, right: Slot },
-    Like { slot: Slot, pattern: String, negated: bool },
-    InList { slot: Slot, set: Vec<BLit>, negated: bool },
-    And(Box<BExpr>, Box<BExpr>),
-    Or(Box<BExpr>, Box<BExpr>),
-    Not(Box<BExpr>),
+impl Slot {
+    /// Column `name` of `table`, bound alone (slot 0) — how a typed request
+    /// addresses the one table it reads.
+    pub(crate) fn of(table: &Table, name: &str) -> Result<Slot> {
+        Ok(Slot { alias: 0, col: table.schema.require_column(name)? })
+    }
 }
 
+/// The relational store's one predicate form: columns resolved to slots,
+/// string literals bound to dictionary handles so per-row equality is an
+/// integer compare. SQL text binds to it through the planner's `Binder`, a
+/// typed request's [`Pred`] through [`bind_pred`]; `LIKE` patterns,
+/// dictionary-miss literals and propagated ids (`InIds`: a request's
+/// `id_in`, sorted and distinct) are borrowed from what was bound, never
+/// copied.
 #[derive(Clone, Debug)]
-enum BLit {
+pub(crate) enum BExpr<'a> {
+    CmpLit { slot: Slot, op: CmpOp, lit: BLit<'a> },
+    CmpCol { left: Slot, op: CmpOp, right: Slot },
+    Like { slot: Slot, pattern: &'a str, negated: bool },
+    InList { slot: Slot, set: Vec<BLit<'a>>, negated: bool },
+    InIds { slot: Slot, ids: &'a [i64] },
+    And(Box<BExpr<'a>>, Box<BExpr<'a>>),
+    Or(Box<BExpr<'a>>, Box<BExpr<'a>>),
+    Not(Box<BExpr<'a>>),
+}
+
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum BLit<'a> {
     Int(i64),
     /// An interned string literal: equality against a row cell is a handle
-    /// compare; ordered comparisons resolve both sides. Typed requests
-    /// arrive with the handle pre-bound (`Literal::Interned`), parsed text
-    /// literals bind through one dictionary lookup here.
+    /// compare; ordered comparisons resolve both sides. A typed request's
+    /// string arrives as one; parsed text binds through one dictionary
+    /// lookup.
     Sym(Sym),
-    /// A parsed string literal absent from the dictionary: no row can equal
-    /// it; ordered comparisons fall back to the raw text.
-    Raw(Box<str>),
+    /// A string literal absent from the dictionary: no row can equal it;
+    /// ordered comparisons fall back to the raw text.
+    Raw(&'a str),
+}
+
+impl BLit<'_> {
+    /// The literal as an index key; `None` for a string the dictionary
+    /// lacks, which equals no row.
+    fn key(self) -> Option<Value> {
+        match self {
+            BLit::Int(i) => Some(Value::Int(i)),
+            BLit::Sym(s) => Some(Value::Str(s)),
+            BLit::Raw(_) => None,
+        }
+    }
+}
+
+/// Binds a typed predicate over `table`'s columns (slot 0): each attribute
+/// resolves to its column, and a string value is already a dictionary
+/// handle. Nothing is interned; type mismatches fold in
+/// [`compile_scan_pred`], as for SQL text.
+pub(crate) fn bind_pred<'a>(p: &'a Pred, table: &Table) -> Result<BExpr<'a>> {
+    let lit = |v: &SVal| match v {
+        SVal::Int(i) => Ok(BLit::Int(*i)),
+        SVal::Str(s) => Ok(BLit::Sym(*s)),
+        SVal::Null => Err(Error::semantic("NULL literals are not valid in predicates")),
+    };
+    let bind = |p| bind_pred(p, table).map(Box::new);
+    Ok(match p {
+        Pred::Cmp { attr, op, value } => {
+            BExpr::CmpLit { slot: Slot::of(table, attr)?, op: *op, lit: lit(value)? }
+        }
+        Pred::Like { attr, pattern, negated } => {
+            BExpr::Like { slot: Slot::of(table, attr)?, pattern, negated: *negated }
+        }
+        Pred::InSet { attr, negated, values } => BExpr::InList {
+            slot: Slot::of(table, attr)?,
+            set: values.iter().map(lit).collect::<Result<_>>()?,
+            negated: *negated,
+        },
+        Pred::And(a, b) => BExpr::And(bind(a)?, bind(b)?),
+        Pred::Or(a, b) => BExpr::Or(bind(a)?, bind(b)?),
+        Pred::Not(inner) => BExpr::Not(bind(inner)?),
+    })
+}
+
+/// The bound conjuncts of an optional typed predicate over `table`.
+pub(crate) fn bind_conjuncts<'a>(p: Option<&'a Pred>, table: &Table) -> Result<Vec<BExpr<'a>>> {
+    p.map_or_else(Vec::new, Pred::conjuncts).into_iter().map(|c| bind_pred(c, table)).collect()
 }
 
 struct Binder<'a> {
@@ -119,18 +186,14 @@ impl<'a> Binder<'a> {
         Ok(Slot { alias, col })
     }
 
-    fn bind_lit(&self, l: &Literal) -> BLit {
+    fn bind_lit<'e>(&self, l: &'e Literal) -> BLit<'e> {
         match l {
             Literal::Int(i) => BLit::Int(*i),
-            Literal::Str(s) => match self.dict.get(s) {
-                Some(sym) => BLit::Sym(sym),
-                None => BLit::Raw(s.as_str().into()),
-            },
-            Literal::Interned(sym) => BLit::Sym(*sym),
+            Literal::Str(s) => self.dict.get(s).map_or(BLit::Raw(s), BLit::Sym),
         }
     }
 
-    fn bind(&self, e: &Expr) -> Result<BExpr> {
+    fn bind<'e>(&self, e: &'e Expr) -> Result<BExpr<'e>> {
         Ok(match e {
             Expr::CmpLit { col, op, lit } => {
                 BExpr::CmpLit { slot: self.bind_col(col)?, op: *op, lit: self.bind_lit(lit) }
@@ -138,11 +201,9 @@ impl<'a> Binder<'a> {
             Expr::CmpCol { left, op, right } => {
                 BExpr::CmpCol { left: self.bind_col(left)?, op: *op, right: self.bind_col(right)? }
             }
-            Expr::Like { col, pattern, negated } => BExpr::Like {
-                slot: self.bind_col(col)?,
-                pattern: pattern.clone(),
-                negated: *negated,
-            },
+            Expr::Like { col, pattern, negated } => {
+                BExpr::Like { slot: self.bind_col(col)?, pattern, negated: *negated }
+            }
             Expr::InList { col, list, negated } => BExpr::InList {
                 slot: self.bind_col(col)?,
                 set: list.iter().map(|l| self.bind_lit(l)).collect(),
@@ -155,8 +216,7 @@ impl<'a> Binder<'a> {
     }
 }
 
-fn cmp_values(v: Value, op: CmpOp, lit: &BLit, dict: &SharedDict) -> bool {
-    use std::cmp::Ordering::*;
+fn cmp_values(v: Value, op: CmpOp, lit: &BLit<'_>, dict: &SharedDict) -> bool {
     let ord = match (v, lit) {
         (Value::Int(a), BLit::Int(b)) => a.cmp(b),
         (Value::Str(s), BLit::Sym(l)) => {
@@ -172,55 +232,36 @@ fn cmp_values(v: Value, op: CmpOp, lit: &BLit, dict: &SharedDict) -> bool {
             if matches!(op, CmpOp::Eq | CmpOp::Ne) {
                 return matches!(op, CmpOp::Ne);
             }
-            dict.resolve(s).cmp(raw.as_ref())
+            dict.resolve(s).cmp(raw)
         }
         // Type mismatch or NULL: no comparison holds (SQL-ish semantics).
         _ => return false,
     };
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
+    ord_ok(ord, op)
 }
 
-fn eval(e: &BExpr, tuple: &[RowId], tables: &[&Table], dict: &SharedDict) -> bool {
+fn eval(e: &BExpr<'_>, tuple: &[RowId], tables: &[&Table], dict: &SharedDict) -> bool {
+    let cell = |slot: &Slot| tables[slot.alias].cell(tuple[slot.alias], slot.col);
     match e {
-        BExpr::CmpLit { slot, op, lit } => {
-            let v = tables[slot.alias].cell(tuple[slot.alias], slot.col);
-            cmp_values(v, *op, lit, dict)
-        }
+        BExpr::CmpLit { slot, op, lit } => cmp_values(cell(slot), *op, lit, dict),
         BExpr::CmpCol { left, op, right } => {
-            let a = tables[left.alias].cell(tuple[left.alias], left.col);
-            let b = tables[right.alias].cell(tuple[right.alias], right.col);
-            if a.is_null() || b.is_null() {
-                return false;
-            }
-            let ord = a.cmp_with(b, dict);
-            match op {
-                CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                CmpOp::Ge => ord != std::cmp::Ordering::Less,
-            }
+            let (a, b) = (cell(left), cell(right));
+            !a.is_null() && !b.is_null() && ord_ok(a.cmp_with(b, dict), *op)
         }
         BExpr::Like { slot, pattern, negated } => {
-            let v = tables[slot.alias].cell(tuple[slot.alias], slot.col);
-            let m = match v {
+            let m = match cell(slot) {
                 Value::Str(s) => like_match(pattern, dict.resolve(s)),
                 _ => false,
             };
             m != *negated
         }
         BExpr::InList { slot, set, negated } => {
-            let v = tables[slot.alias].cell(tuple[slot.alias], slot.col);
+            let v = cell(slot);
             let m = set.iter().any(|l| cmp_values(v, CmpOp::Eq, l, dict));
             m != *negated
+        }
+        BExpr::InIds { slot, ids } => {
+            cell(slot).as_int().is_some_and(|i| ids.binary_search(&i).is_ok())
         }
         BExpr::And(a, b) => eval(a, tuple, tables, dict) && eval(b, tuple, tables, dict),
         BExpr::Or(a, b) => eval(a, tuple, tables, dict) || eval(b, tuple, tables, dict),
@@ -240,14 +281,15 @@ fn ord_ok(ord: std::cmp::Ordering, op: CmpOp) -> bool {
     }
 }
 
-/// A pushed-down scan predicate compiled for vectorized evaluation over one
-/// table's column slices. Compilation happens once per scan: `IN` lists
-/// become hash sets (the per-row membership test is O(1) instead of a
-/// linear literal sweep), string literals stay dictionary handles, and
-/// shapes that can never match the column's declared type fold to
-/// [`ScanPred::Const`]. Semantics are exactly those of the row-at-a-time
-/// [`eval`] over a single-alias tuple — the equivalence suites pin this.
-enum ScanPred {
+/// A bound predicate compiled for vectorized evaluation over one table's
+/// column slices. Compilation happens once per scan: `IN` lists become
+/// hash sets (the per-row membership test is O(1) instead of a linear
+/// literal sweep), propagated ids stay their sorted slice, string literals
+/// stay dictionary handles, and shapes that can never match the column's
+/// declared type fold to [`ScanPred::Const`]. Semantics are exactly those
+/// of the row-at-a-time [`eval`] over a single-alias tuple — the
+/// equivalence suites pin this.
+enum ScanPred<'a> {
     /// `Int`/`Time` column vs integer literal.
     CmpInt {
         col: usize,
@@ -265,7 +307,7 @@ enum ScanPred {
     CmpRaw {
         col: usize,
         op: CmpOp,
-        raw: Box<str>,
+        raw: &'a str,
     },
     /// Same-alias column/column compare.
     CmpCols {
@@ -280,7 +322,7 @@ enum ScanPred {
     },
     Like {
         col: usize,
-        pattern: String,
+        pattern: &'a str,
         negated: bool,
     },
     /// `Int`/`Time` column membership.
@@ -288,6 +330,12 @@ enum ScanPred {
         col: usize,
         set: FxHashSet<i64>,
         negated: bool,
+    },
+    /// `Int`/`Time` column membership in sorted, distinct ids, by binary
+    /// search.
+    InIds {
+        col: usize,
+        ids: &'a [i64],
     },
     /// `Str` column membership over interned handles.
     InSyms {
@@ -298,15 +346,15 @@ enum ScanPred {
     /// Decided at compile time (type mismatches, empty `IN` sets, equality
     /// against literals absent from the dictionary).
     Const(bool),
-    And(Box<ScanPred>, Box<ScanPred>),
-    Or(Box<ScanPred>, Box<ScanPred>),
-    Not(Box<ScanPred>),
+    And(Box<ScanPred<'a>>, Box<ScanPred<'a>>),
+    Or(Box<ScanPred<'a>>, Box<ScanPred<'a>>),
+    Not(Box<ScanPred<'a>>),
 }
 
-/// Compiles a bound single-alias predicate for `table`. `e` must only
-/// reference alias slot 0 (the scan's own alias — guaranteed by predicate
-/// pushdown).
-fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
+/// Compiles a bound single-table predicate for `table`. Only the column
+/// of each slot is read: every slot must be `table`'s (guaranteed by
+/// predicate pushdown and by [`bind_pred`]).
+fn compile_scan_pred<'a>(e: &BExpr<'a>, table: &Table) -> ScanPred<'a> {
     match e {
         BExpr::CmpLit { slot, op, lit } => {
             let col = slot.col;
@@ -317,15 +365,15 @@ fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
                     BLit::Sym(_) | BLit::Raw(_) => ScanPred::Const(false),
                 }
             } else {
-                match lit {
-                    BLit::Sym(s) => ScanPred::CmpSym { col, op: *op, lit: *s },
+                match *lit {
+                    BLit::Sym(s) => ScanPred::CmpSym { col, op: *op, lit: s },
                     BLit::Int(_) => ScanPred::Const(false),
                     BLit::Raw(raw) => match op {
                         // No row equals a literal absent from the dictionary.
                         CmpOp::Eq => ScanPred::Const(false),
                         // ...and every present string differs from it.
                         CmpOp::Ne => ScanPred::NotNull { col },
-                        _ => ScanPred::CmpRaw { col, op: *op, raw: raw.clone() },
+                        _ => ScanPred::CmpRaw { col, op: *op, raw },
                     },
                 }
             }
@@ -338,7 +386,7 @@ fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
                 // A non-string cell never LIKE-matches; NOT LIKE matches all.
                 ScanPred::Const(*negated)
             } else {
-                ScanPred::Like { col: slot.col, pattern: pattern.clone(), negated: *negated }
+                ScanPred::Like { col: slot.col, pattern, negated: *negated }
             }
         }
         BExpr::InList { slot, set, negated } => {
@@ -370,6 +418,10 @@ fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
                 ScanPred::InSyms { col, set: syms, negated: *negated }
             }
         }
+        BExpr::InIds { slot, ids } => match table.col_is_int(slot.col) {
+            true => ScanPred::InIds { col: slot.col, ids },
+            false => ScanPred::Const(false),
+        },
         BExpr::And(a, b) => ScanPred::And(
             Box::new(compile_scan_pred(a, table)),
             Box::new(compile_scan_pred(b, table)),
@@ -380,6 +432,12 @@ fn compile_scan_pred(e: &BExpr, table: &Table) -> ScanPred {
         ),
         BExpr::Not(inner) => ScanPred::Not(Box::new(compile_scan_pred(inner, table))),
     }
+}
+
+/// Compiles the conjunction of `conjuncts` (true for none).
+fn compile_conjuncts<'a>(conjuncts: &[BExpr<'a>], table: &Table) -> ScanPred<'a> {
+    let compiled = conjuncts.iter().map(|c| compile_scan_pred(c, table));
+    compiled.reduce(|a, b| ScanPred::And(Box::new(a), Box::new(b))).unwrap_or(ScanPred::Const(true))
 }
 
 /// Tight-loop literal mask over one column slice: `f` per non-NULL cell,
@@ -402,9 +460,9 @@ fn flip(mut mask: Vec<bool>) -> Vec<bool> {
 /// Evaluates `p` over the rows of `range` as a boolean mask (one lane per
 /// row, in row order).
 fn eval_mask(
-    p: &ScanPred,
+    p: &ScanPred<'_>,
     table: &Table,
-    range: &std::ops::Range<usize>,
+    range: &Range<usize>,
     dict: &SharedDict,
 ) -> Vec<bool> {
     let n = range.len();
@@ -471,6 +529,10 @@ fn eval_mask(
                 m
             }
         }
+        ScanPred::InIds { col, ids } => {
+            let xs = &table.int_cells(*col).expect("int column")[range.clone()];
+            lit_mask(xs, slice_nulls(*col), |v| ids.binary_search(&v).is_ok())
+        }
         ScanPred::InSyms { col, set, negated } => {
             let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
             let m = lit_mask(xs, slice_nulls(*col), |s| set.contains(&s));
@@ -510,9 +572,9 @@ fn eval_mask(
 /// Evaluates `p` over the rows of `range`, appending matching row ids (in
 /// ascending row order) to the selection vector `out`.
 fn range_select(
-    p: &ScanPred,
+    p: &ScanPred<'_>,
     table: &Table,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     dict: &SharedDict,
     out: &mut Vec<RowId>,
 ) {
@@ -529,7 +591,7 @@ fn range_select(
 /// multi-conjunct index-candidate check and the endpoint test, where rows
 /// arrive as scattered ids instead of a contiguous range. Same semantics as
 /// [`eval_mask`], sharing the compiled `IN` hash sets.
-fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool {
+fn test_row(p: &ScanPred<'_>, table: &Table, row: RowId, dict: &SharedDict) -> bool {
     let i = row as usize;
     let is_null = |col: usize| table.col_has_nulls(col) && table.null_flags(col)[i];
     match p {
@@ -564,6 +626,10 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
             let m = !is_null(*col) && set.contains(&table.int_cells(*col).expect("int column")[i]);
             m != *negated
         }
+        ScanPred::InIds { col, ids } => {
+            !is_null(*col)
+                && ids.binary_search(&table.int_cells(*col).expect("int column")[i]).is_ok()
+        }
         ScanPred::InSyms { col, set, negated } => {
             let m = !is_null(*col) && set.contains(&table.sym_cells(*col).expect("str column")[i]);
             m != *negated
@@ -581,9 +647,10 @@ fn test_row(p: &ScanPred, table: &Table, row: RowId, dict: &SharedDict) -> bool 
 }
 
 /// The rows one indexable conjunct selects, as the postings of the keys it
-/// matches: one `=` key, the distinct keys of an `IN` list, the B-tree keys
-/// in a range, or the strings that pass a `LIKE`. Distinct keys have
-/// disjoint postings, so the count is exact before any row is copied.
+/// matches: one `=` key, the distinct keys of an `IN` list (or the
+/// propagated ids), the B-tree keys in a range, or the strings that pass a
+/// `LIKE`. Distinct keys have disjoint postings, so the count is exact
+/// before any row is copied.
 pub(crate) struct Postings<'a>(Vec<&'a [RowId]>);
 
 impl Postings<'_> {
@@ -606,33 +673,28 @@ impl Postings<'_> {
     }
 }
 
-/// The index access path of one pushed-down conjunct, if one applies: its
-/// [`Postings`], read from the hash index (`=`, `IN`, and `LIKE` tested
-/// once per distinct string — the strings under the rarest trigram of its
-/// longest literal run, or else every string key of the hash index, the
-/// column's dictionary) or the B-tree (integer comparisons). `None` if no index
-/// serves the conjunct's shape.
+/// The index access path of one bound conjunct over `table`, if one
+/// applies: its [`Postings`], read from the hash index (`=`, `IN`, the
+/// propagated ids, and `LIKE` tested once per distinct string — the
+/// strings under the rarest trigram of its longest literal run, or else
+/// every string key of the hash index, the column's dictionary) or the
+/// B-tree (integer comparisons). `None` if no index serves the conjunct's
+/// shape.
 pub(crate) fn access_path<'a>(
     db: &'a Database,
     table: &str,
-    conjunct: &Expr,
+    conjunct: &BExpr<'_>,
 ) -> Option<Postings<'a>> {
-    // A string literal absent from the dictionary equals no row.
-    let key = |lit: &Literal| match lit {
-        Literal::Int(i) => Some(Value::Int(*i)),
-        // Typed requests arrive pre-interned: no dictionary lookup.
-        Literal::Interned(sym) => Some(Value::Str(*sym)),
-        Literal::Str(s) => db.dict().get(s).map(Value::Str),
-    };
+    let hash = |slot: &Slot| db.indexes(table, slot.col)?.hash.as_ref();
     match conjunct {
-        Expr::CmpLit { col, op: CmpOp::Eq, lit } => {
-            let idx = db.indexes(table, &col.column)?.hash.as_ref()?;
-            Some(Postings(key(lit).map(|k| idx.get(k)).into_iter().collect()))
+        BExpr::CmpLit { slot, op: CmpOp::Eq, lit } => {
+            let idx = hash(slot)?;
+            Some(Postings(lit.key().map(|k| idx.get(k)).into_iter().collect()))
         }
-        Expr::InList { col, list, negated: false } => {
-            let idx = db.indexes(table, &col.column)?.hash.as_ref()?;
+        BExpr::InList { slot, set, negated: false } => {
+            let idx = hash(slot)?;
             // A repeated key selects its rows once.
-            let mut keys: Vec<Value> = list.iter().filter_map(key).collect();
+            let mut keys: Vec<Value> = set.iter().filter_map(|l| l.key()).collect();
             keys.sort_unstable_by_key(|k| match *k {
                 Value::Int(i) => (0, i),
                 Value::Str(s) => (1, s.index() as i64),
@@ -641,8 +703,13 @@ pub(crate) fn access_path<'a>(
             keys.dedup();
             Some(Postings(keys.into_iter().map(|k| idx.get(k)).collect()))
         }
-        Expr::CmpLit { col, op, lit: Literal::Int(i) } => {
-            let idx = db.indexes(table, &col.column)?.btree.as_ref()?;
+        // Sorted and distinct already: one posting per id.
+        BExpr::InIds { slot, ids } => {
+            let idx = hash(slot)?;
+            Some(Postings(ids.iter().map(|&id| idx.get(Value::Int(id))).collect()))
+        }
+        BExpr::CmpLit { slot, op, lit: BLit::Int(i) } => {
+            let idx = db.indexes(table, slot.col)?.btree.as_ref()?;
             let (lo, hi) = match op {
                 CmpOp::Lt => (Some(i64::MIN), i.checked_sub(1)),
                 CmpOp::Le => (Some(i64::MIN), Some(*i)),
@@ -653,8 +720,8 @@ pub(crate) fn access_path<'a>(
             // `< i64::MIN` and `> i64::MAX` hold for no row.
             Some(Postings(lo.zip(hi).map_or_else(Vec::new, |(lo, hi)| idx.range(lo, hi).collect())))
         }
-        Expr::Like { col, pattern, negated: false } => {
-            let ix = db.indexes(table, &col.column)?;
+        BExpr::Like { slot, pattern, negated: false } => {
+            let ix = db.indexes(table, slot.col)?;
             let hash = ix.hash.as_ref()?;
             let pruned = containment_literal(pattern)
                 .zip(ix.trigram.as_ref())
@@ -672,24 +739,12 @@ pub(crate) fn access_path<'a>(
     }
 }
 
-fn table_named<'a>(db: &'a Database, name: &str) -> Result<&'a Table> {
+pub(crate) fn table_named<'a>(db: &'a Database, name: &str) -> Result<&'a Table> {
     db.table(name).ok_or_else(|| Error::storage(format!("unknown table `{name}`")))
 }
 
-/// Binds and compiles `pred`, every column of which is qualified by
-/// `alias`, against `table`.
-fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) -> Result<ScanPred> {
-    let tables = [table];
-    let binder = Binder {
-        slots: std::iter::once((alias, 0usize)).collect(),
-        tables: &tables,
-        dict: db.dict(),
-    };
-    Ok(compile_scan_pred(&binder.bind(pred)?, table))
-}
-
-/// Runs one scan of `table_name` under `alias` (the qualifier of `pred`'s
-/// columns) as one `relstore.scan` span.
+/// Runs one scan of `table_name` for the conjunction of `conjuncts` (every
+/// row for none) as one `relstore.scan` span.
 ///
 /// A predicate of **one conjunct** that an index serves is answered by
 /// that conjunct's [`access_path`] alone: there is nothing to choose
@@ -702,15 +757,14 @@ fn compile_table_pred(db: &Database, table: &Table, alias: &str, pred: &Expr) ->
 pub(crate) fn run_scan(
     db: &Database,
     table_name: &str,
-    alias: &str,
-    pred: Option<&Expr>,
+    conjuncts: &[BExpr<'_>],
     stats: &mut ExecStats,
 ) -> Result<Vec<RowId>> {
     // One span per table scan.
     let mut sp = obs::span("relstore.scan");
-    sp.label(alias);
+    sp.label(table_name);
     let before = *stats;
-    let rows = scan_rows(db, table_name, alias, pred, stats)?;
+    let rows = scan_rows(db, table_name, conjuncts, stats)?;
     sp.attr("rows", rows.len() as u64);
     sp.attr("scanned", (stats.rows_scanned - before.rows_scanned) as u64);
     Ok(rows)
@@ -719,27 +773,18 @@ pub(crate) fn run_scan(
 fn scan_rows(
     db: &Database,
     table_name: &str,
-    alias: &str,
-    pred: Option<&Expr>,
+    conjuncts: &[BExpr<'_>],
     stats: &mut ExecStats,
 ) -> Result<Vec<RowId>> {
     let table = table_named(db, table_name)?;
-
-    let Some(pred) = pred else {
+    if conjuncts.is_empty() {
         // Unfiltered scan: every row selected.
         stats.full_scans += 1;
         stats.rows_scanned += table.len();
         return Ok((0..table.len() as RowId).collect());
-    };
+    }
 
-    // The predicate is compiled once per scan: hash-set `IN`s, handle-bound
-    // string literals, constant-folded type mismatches — shared by both the
-    // vectorized full scan and the index-candidate check.
-    let compiled = compile_table_pred(db, table, alias, pred)?;
-    let dict = db.dict();
-
-    let conjuncts = pred.clone().conjuncts();
-    let indexed = match conjuncts.as_slice() {
+    let indexed = match conjuncts {
         [only] => access_path(db, table_name, only).map(|path| (path, true)),
         _ => conjuncts
             .iter()
@@ -747,6 +792,7 @@ fn scan_rows(
             .min_by_key(Postings::count)
             .map(|path| (path, false)),
     };
+    let dict = db.dict();
     if let Some((path, exact)) = indexed {
         let candidates = path.rows();
         stats.index_scans += 1;
@@ -756,6 +802,7 @@ fn scan_rows(
             return Ok(candidates);
         }
         // The path served one conjunct of several: test the whole predicate.
+        let compiled = compile_conjuncts(conjuncts, table);
         return Ok(candidates
             .into_iter()
             .filter(|&row| test_row(&compiled, table, row, dict))
@@ -767,45 +814,39 @@ fn scan_rows(
     stats.full_scans += 1;
     stats.rows_scanned += table.len();
     let mut out = Vec::new();
-    range_select(&compiled, table, 0..table.len(), dict, &mut out);
+    range_select(&compile_conjuncts(conjuncts, table), table, 0..table.len(), dict, &mut out);
     Ok(out)
 }
 
-/// One endpoint of [`match_event_rows`]: the entity table its id must be
-/// found in, and what the entity's own row must satisfy.
-pub(crate) struct EndpointSel<'a> {
-    pub table: &'a str,
-    /// The alias `filter`'s columns are qualified by.
-    pub alias: &'a str,
-    pub filter: Option<Expr>,
-    /// Sorted, distinct candidate ids; ids outside it cannot match.
-    pub id_in: Option<&'a [i64]>,
-}
-
-/// An [`EndpointSel`] resolved against the database.
+/// One endpoint of [`match_event_rows`], resolved against the database:
+/// the entity table its id must be found in, and what the entity's own
+/// row must satisfy.
 struct Endpoint<'a> {
     table: &'a Table,
     by_id: &'a crate::index::HashIndex,
-    filter: Option<ScanPred>,
+    filter: Option<ScanPred<'a>>,
+    /// Sorted, distinct candidate ids; ids outside it cannot match.
     id_in: Option<&'a [i64]>,
 }
 
 /// The hash index on `table.id` — how the typed reads find an entity or
 /// event by id.
 pub(crate) fn id_index<'a>(db: &'a Database, table: &str) -> Result<&'a crate::index::HashIndex> {
-    db.indexes(table, "id")
+    db.table(table)
+        .and_then(|t| db.indexes(table, t.schema.column_index("id")?))
         .and_then(|ix| ix.hash.as_ref())
         .ok_or_else(|| Error::storage(format!("typed reads need a hash index on `{table}.id`")))
 }
 
 impl<'a> Endpoint<'a> {
-    fn resolve(db: &'a Database, sel: &EndpointSel<'a>) -> Result<Self> {
-        let table = table_named(db, sel.table)?;
+    fn resolve(db: &'a Database, sel: &'a EntitySel) -> Result<Self> {
+        let name = sel.class.table_name();
+        let table = table_named(db, name)?;
         let filter = match &sel.filter {
-            Some(f) => Some(compile_table_pred(db, table, sel.alias, f)?),
+            Some(f) => Some(compile_scan_pred(&bind_pred(f, table)?, table)),
             None => None,
         };
-        Ok(Endpoint { table, by_id: id_index(db, sel.table)?, filter, id_in: sel.id_in })
+        Ok(Endpoint { table, by_id: id_index(db, name)?, filter, id_in: sel.id_in.as_deref() })
     }
 
     /// How many rows of the endpoint's table carry `id` and pass its
@@ -824,12 +865,9 @@ impl<'a> Endpoint<'a> {
     }
 }
 
-/// The alias [`match_event_rows`] expects `event_filter`'s columns under.
-pub(crate) const EVENT_ALIAS: &str = "e";
-
 /// Matches `subject —event→ object` over `events`, the one event-pattern
-/// matcher. The event rows `event_filter` (columns qualified by
-/// [`EVENT_ALIAS`]) selects come from one of two sources:
+/// matcher. The event rows `event_filter` (conjuncts bound over `events`)
+/// selects come from one of two sources:
 ///
 /// * `Some(range)` — a standing query's epoch: one mask over just those
 ///   rows. The cost depends on the range and on nothing else: no index
@@ -845,10 +883,10 @@ pub(crate) const EVENT_ALIAS: &str = "e";
 /// the rows a join of the three tables over those events would return.
 pub(crate) fn match_event_rows(
     db: &Database,
-    rows: Option<std::ops::Range<usize>>,
-    event_filter: &Expr,
-    subject: &EndpointSel<'_>,
-    object: &EndpointSel<'_>,
+    rows: Option<Range<usize>>,
+    event_filter: &[BExpr<'_>],
+    subject: &EntitySel,
+    object: &EntitySel,
     subject_is_object: bool,
     stats: &mut ExecStats,
 ) -> Result<[Vec<i64>; 5]> {
@@ -864,13 +902,12 @@ pub(crate) fn match_event_rows(
             )));
         }
         Some(rows) => {
-            let pred = compile_table_pred(db, events, EVENT_ALIAS, event_filter)?;
             stats.rows_scanned += rows.len();
             let mut sel = Vec::new();
-            range_select(&pred, events, rows, dict, &mut sel);
+            range_select(&compile_conjuncts(event_filter, events), events, rows, dict, &mut sel);
             sel
         }
-        None => run_scan(db, "events", EVENT_ALIAS, Some(event_filter), stats)?,
+        None => run_scan(db, "events", event_filter, stats)?,
     };
     let (subject, object) = (Endpoint::resolve(db, subject)?, Endpoint::resolve(db, object)?);
     let col = |name| events.schema.require_column(name);
@@ -954,7 +991,7 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(ResultBatch, ExecStat
 
     // Bind residuals once, each with the last alias it reads (it applies
     // once that alias is bound); track which are already applied.
-    let residual_bound: Vec<(BExpr, usize)> = plan
+    let residual_bound: Vec<(BExpr<'_>, usize)> = plan
         .residuals
         .iter()
         .map(|r| {
@@ -972,7 +1009,9 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(ResultBatch, ExecStat
     let mut tuples = Tuples::new(Vec::new());
 
     for (slot, scan) in plan.scans.iter().enumerate() {
-        let rows = run_scan(db, &scan.table, &scan.alias, scan.predicate.as_ref(), &mut stats)?;
+        // The pushed-down conjuncts read this slot's table alone.
+        let conjuncts = scan.conjuncts.iter().map(|c| binder.bind(c));
+        let rows = run_scan(db, &scan.table, &conjuncts.collect::<Result<Vec<_>>>()?, &mut stats)?;
         if slot == 0 {
             tuples = Tuples::new(rows);
         } else {
@@ -1132,18 +1171,23 @@ mod tests {
     use crate::schema::{ColumnDef, ColumnType, TableSchema};
     use crate::Database;
 
-    /// An indexed conjunct over an empty table is an index scan of an empty
-    /// posting: zero rows read, nothing returned.
+    /// An indexed conjunct over an empty table, or `=` against a string the
+    /// dictionary lacks, is an index scan of an empty posting: zero rows
+    /// read, nothing returned.
     #[test]
     fn empty_indexed_table_scans_nothing() {
         let mut db = Database::new();
-        let cols =
-            vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("v", ColumnType::Int)];
+        let cols = [("id", ColumnType::Int), ("v", ColumnType::Int), ("s", ColumnType::Str)];
+        let cols = cols.into_iter().map(|(name, ty)| ColumnDef::new(name, ty)).collect();
         db.create_table(TableSchema::new("t", cols)).unwrap();
         db.create_hash_index("t", "v").unwrap();
-        let r = db.query("SELECT id FROM t WHERE v = 1").unwrap();
-        assert_eq!(r.batch.n_rows(), 0);
-        assert_eq!((r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned), (0, 1, 0));
+        db.create_hash_index("t", "s").unwrap();
+        for sql in ["SELECT id FROM t WHERE v = 1", "SELECT id FROM t WHERE s = 'absent'"] {
+            let r = db.query(sql).unwrap();
+            assert_eq!(r.batch.n_rows(), 0);
+            let stats = (r.stats.full_scans, r.stats.index_scans, r.stats.rows_scanned);
+            assert_eq!(stats, (0, 1, 0), "{sql}");
+        }
     }
 
     /// A B-tree bound past the end of the integer range selects no row: it
@@ -1151,8 +1195,8 @@ mod tests {
     /// one-conjunct scan would return unchecked.
     #[test]
     fn btree_bound_past_the_integer_range_selects_nothing() {
-        use super::{run_scan, ExecStats};
-        use crate::sql::ast::{CmpOp, ColRef, Expr, Literal};
+        use super::{run_scan, BExpr, BLit, ExecStats, Slot};
+        use crate::sql::ast::CmpOp;
         let mut db = Database::new();
         let cols =
             vec![ColumnDef::new("id", ColumnType::Int), ColumnDef::new("v", ColumnType::Int)];
@@ -1162,10 +1206,10 @@ mod tests {
             db.insert("t", &[crate::db::Ins::Int(v), crate::db::Ins::Int(v)]).unwrap();
         }
         for (op, lit) in [(CmpOp::Lt, i64::MIN), (CmpOp::Gt, i64::MAX)] {
-            let pred =
-                Expr::CmpLit { col: ColRef::new(Some("t"), "v"), op, lit: Literal::Int(lit) };
+            let slot = Slot::of(db.table("t").unwrap(), "v").unwrap();
+            let pred = BExpr::CmpLit { slot, op, lit: BLit::Int(lit) };
             let mut stats = ExecStats::default();
-            assert_eq!(run_scan(&db, "t", "t", Some(&pred), &mut stats).unwrap(), vec![]);
+            assert_eq!(run_scan(&db, "t", &[pred], &mut stats).unwrap(), vec![]);
             assert_eq!((stats.index_scans, stats.rows_scanned), (1, 0));
         }
     }

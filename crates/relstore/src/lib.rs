@@ -24,14 +24,17 @@
 //!   compiled queries "weave many joins and constraints together" and the
 //!   engine must exhibit that cost so the TBQL scheduler has something real
 //!   to beat),
-//! * [`exec`] — the executor: index scans, hash joins for equi predicates,
-//!   nested loops + residual filters otherwise, over the join state of
-//!   `raptor_storage::join`; and the typed event-pattern matcher (an
-//!   `events` scan plus `id` probes, never planned),
+//! * [`exec`] — the store's one predicate form (a bound expression, which
+//!   SQL text and typed requests both bind to) and the executor: index
+//!   scans, hash joins for equi predicates, nested loops + residual filters
+//!   otherwise, over the join state of `raptor_storage::join`; and the
+//!   typed event-pattern matcher (an `events` scan plus `id` probes, never
+//!   planned),
 //! * [`db`] — the [`db::Database`] facade: DDL, inserts, `query(sql)`,
 //!   whose [`QueryResult`] is a `raptor_storage::ResultBatch` plus counters,
 //! * [`backend`] — the typed surface the engine calls (seeding, event
-//!   patterns, attribute fetches) and the `MutableBackend` write seam,
+//!   patterns, attribute fetches), whose predicates bind straight to that
+//!   form, and the `MutableBackend` write seam,
 //! * [`stats`] — the store's statistics, all of them exact counts read from
 //!   the indexes: a conjunct's rows and an event pattern's price.
 

@@ -27,8 +27,8 @@ pub trait SchemaProvider {
 pub struct ScanPlan {
     pub table: String,
     pub alias: String,
-    /// Conjunction of pushed-down single-alias predicates.
-    pub predicate: Option<Expr>,
+    /// The pushed-down single-alias conjuncts, in `WHERE` order.
+    pub conjuncts: Vec<Expr>,
 }
 
 /// A fully-resolved query plan.
@@ -159,14 +159,8 @@ pub fn plan_select(provider: &dyn SchemaProvider, sel: &Select) -> Result<QueryP
         .from
         .iter()
         .map(|tr| {
-            let predicate = scan_preds.remove(&tr.alias).map(|mut preds| {
-                let mut acc = preds.remove(0);
-                for p in preds {
-                    acc = Expr::And(Box::new(acc), Box::new(p));
-                }
-                acc
-            });
-            ScanPlan { table: tr.table.clone(), alias: tr.alias.clone(), predicate }
+            let conjuncts = scan_preds.remove(&tr.alias).unwrap_or_default();
+            ScanPlan { table: tr.table.clone(), alias: tr.alias.clone(), conjuncts }
         })
         .collect();
 
@@ -223,8 +217,8 @@ mod tests {
         .unwrap();
         let plan = plan_select(&provider(), &sel).unwrap();
         assert_eq!(plan.scans.len(), 2);
-        assert!(plan.scans[0].predicate.is_some(), "LIKE pushed to p");
-        assert!(plan.scans[1].predicate.is_some(), "optype pushed to e");
+        assert!(!plan.scans[0].conjuncts.is_empty(), "LIKE pushed to p");
+        assert!(!plan.scans[1].conjuncts.is_empty(), "optype pushed to e");
         assert_eq!(plan.residuals.len(), 1, "join predicate is residual");
     }
 
@@ -271,7 +265,7 @@ mod tests {
         )
         .unwrap();
         let plan = plan_select(&provider(), &sel).unwrap();
-        assert!(plan.scans.iter().all(|s| s.predicate.is_none()));
+        assert!(plan.scans.iter().all(|s| s.conjuncts.is_empty()));
         assert_eq!(plan.residuals.len(), 1);
     }
 }

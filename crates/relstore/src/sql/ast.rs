@@ -22,39 +22,15 @@ impl std::fmt::Display for ColRef {
     }
 }
 
-/// Comparison operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
+/// Comparison operators: the typed requests' own, so a typed predicate
+/// binds with no translation.
+pub use raptor_storage::CmpOp;
 
-impl CmpOp {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
-}
-
-/// A literal value. Parsed SQL text produces `Str`; a typed request's
-/// predicate lowering produces `Interned` — a pre-resolved handle
-/// into the shared dictionary, so the executor binds the literal without a
-/// dictionary lookup.
+/// A literal value.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Literal {
     Int(i64),
     Str(String),
-    Interned(raptor_common::Sym),
 }
 
 /// Boolean expression tree.

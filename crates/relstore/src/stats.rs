@@ -8,11 +8,11 @@
 //! [`Database::event_pattern_price`].
 
 use raptor_common::error::Result;
-use raptor_storage::{EventPatternQuery, Pred, Value as SVal};
+use raptor_storage::{EventPatternQuery, Pred};
 
-use crate::backend::pred_to_expr;
 use crate::db::Database;
-use crate::exec::{access_path, EVENT_ALIAS as EVT};
+use crate::exec::{access_path, bind_pred, BExpr, Slot};
+use crate::table::Table;
 
 impl Database {
     /// Prices `q` by counting: `|events| × Π (count_i / |events|)` over the
@@ -22,24 +22,22 @@ impl Database {
     /// id. Exact for one such conjunct, never above any single one's count,
     /// 0 over an empty table.
     pub fn event_pattern_price(&self, q: &EventPatternQuery) -> Result<f64> {
-        let n = self.table("events").map_or(0, |t| t.len()) as f64;
-        if n == 0.0 {
+        let Some(events) = self.table("events").filter(|t| !t.is_empty()) else {
             return Ok(0.0);
-        }
+        };
+        let n = events.len() as f64;
         let mut price = n;
-        if let Some(p) = &q.event_pred {
-            for c in pred_to_expr(EVT, p, self.dict())?.conjuncts() {
-                if let Some(path) = access_path(self, "events", &c) {
-                    price *= path.count() as f64 / n;
-                }
+        for c in q.event_pred.iter().flat_map(Pred::conjuncts) {
+            if let Some(count) = self.count(events, c)? {
+                price *= count as f64 / n;
             }
         }
         for (sel, column) in [(&q.subject, "subject"), (&q.object, "object")] {
-            let index = self.indexes("events", column).and_then(|ix| ix.hash.as_ref());
-            if let Some((ids, index)) = sel.id_in.as_ref().zip(index) {
-                // The ids are sorted and distinct: their postings are disjoint.
-                let count: usize = ids.iter().map(|&id| index.get(SVal::Int(id)).len()).sum();
-                price *= count as f64 / n;
+            let Some((ids, slot)) = sel.id_in.as_deref().zip(Slot::of(events, column).ok()) else {
+                continue;
+            };
+            if let Some(path) = access_path(self, "events", &BExpr::InIds { slot, ids }) {
+                price *= path.count() as f64 / n;
             }
         }
         Ok(price)
@@ -50,14 +48,27 @@ impl Database {
     /// B-tree range, or the rows under the distinct strings a `LIKE`
     /// passes. `None` when no index serves the conjunct's shape.
     pub fn conjunct_count(&self, table: &str, conjunct: &Pred) -> Result<Option<usize>> {
-        let c = pred_to_expr("t", conjunct, self.dict())?;
-        Ok(access_path(self, table, &c).map(|path| path.count()))
+        self.table(table).map_or(Ok(None), |t| self.count(t, conjunct))
+    }
+
+    /// [`Database::conjunct_count`] over a resolved table. Only a leaf
+    /// names one column, and a column the table lacks has no index.
+    fn count(&self, table: &Table, c: &Pred) -> Result<Option<usize>> {
+        let (Pred::Cmp { attr, .. } | Pred::Like { attr, .. } | Pred::InSet { attr, .. }) = c
+        else {
+            return Ok(None);
+        };
+        if table.schema.column_index(attr).is_none() {
+            return Ok(None);
+        }
+        let path = access_path(self, &table.schema.name, &bind_pred(c, table)?);
+        Ok(path.map(|path| path.count()))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use raptor_storage::{CmpOp, EntityClass, EntitySel};
+    use raptor_storage::{CmpOp, EntityClass, EntitySel, Value as SVal};
 
     use super::*;
     use crate::db::Ins;

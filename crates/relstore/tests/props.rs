@@ -426,6 +426,12 @@ fn entity_sel(
 
 /// `p` as SQL text over `alias`, for the parser to read back.
 fn sql_text(p: &Pred, alias: &str, db: &Database) -> String {
+    let lit = |v: &Value| match v {
+        Value::Int(i) => i.to_string(),
+        Value::Str(s) => format!("'{}'", db.dict().resolve(*s)),
+        Value::Null => unreachable!("not in the grammar"),
+    };
+    let not = |negated: bool| if negated { "NOT " } else { "" };
     match p {
         Pred::Cmp { attr, op, value } => {
             let op = match op {
@@ -436,25 +442,26 @@ fn sql_text(p: &Pred, alias: &str, db: &Database) -> String {
                 CmpOp::Gt => ">",
                 CmpOp::Ge => ">=",
             };
-            let value = match value {
-                Value::Int(i) => i.to_string(),
-                Value::Str(s) => format!("'{}'", db.dict().resolve(*s)),
-                Value::Null => unreachable!("not in the grammar"),
-            };
-            format!("{alias}.{attr} {op} {value}")
+            format!("{alias}.{attr} {op} {}", lit(value))
         }
         Pred::Like { attr, pattern, negated } => {
-            format!("{alias}.{attr} {}LIKE '{pattern}'", if *negated { "NOT " } else { "" })
+            format!("{alias}.{attr} {}LIKE '{pattern}'", not(*negated))
+        }
+        Pred::InSet { attr, negated, values } => {
+            let list: Vec<String> = values.iter().map(lit).collect();
+            format!("{alias}.{attr} {}IN ({})", not(*negated), list.join(", "))
         }
         Pred::And(a, b) => format!("({} AND {})", sql_text(a, alias, db), sql_text(b, alias, db)),
         Pred::Or(a, b) => format!("({} OR {})", sql_text(a, alias, db), sql_text(b, alias, db)),
         Pred::Not(inner) => format!("NOT ({})", sql_text(inner, alias, db)),
-        Pred::InSet { .. } => unreachable!("not in the grammar"),
     }
 }
 
 /// The reference: `q` written as the three-table SQL join the typed
-/// matcher replaced, run through the parser, planner and hash joins.
+/// matcher replaced, run through the parser, planner and hash joins. The
+/// event predicate is or-ed with `s.id < 0`, which no row satisfies, so it
+/// reads two aliases and is tested row by row as a join residual: the
+/// reference does not share the typed scan's compiled kernels for it.
 fn planned_reference(db: &Database, q: &EventPatternQuery) -> Vec<[i64; 5]> {
     let (s, o) = (&q.subject, &q.object);
     let mut conds = vec![
@@ -462,7 +469,7 @@ fn planned_reference(db: &Database, q: &EventPatternQuery) -> Vec<[i64; 5]> {
         "e.object = o.id".to_string(),
         format!("e.kind = '{}'", o.class.event_kind()),
     ];
-    conds.extend(q.event_pred.iter().map(|p| sql_text(p, "e", db)));
+    conds.extend(q.event_pred.iter().map(|p| format!("({} OR s.id < 0)", sql_text(p, "e", db))));
     for (sel, alias) in [(s, "s"), (o, "o")] {
         conds.extend(sel.filter.iter().map(|p| sql_text(p, alias, db)));
         conds.extend(sel.id_in.as_ref().map(|ids| match ids.as_slice() {
@@ -500,11 +507,13 @@ proptest! {
     /// as a three-table SQL join returns through the planner, as a multiset
     /// of `(subject, object, event, start, end)`: for any pattern of a
     /// small grammar (propagated ids on either side, empty or of the wrong
-    /// class included), any tiling (empty tiles included). 60 of the 128
-    /// cases match something, 37 of them with ids propagated to an
-    /// endpoint. Seeded mutations fail it: skipping
-    /// `Endpoint::hits`' `id_in` binary search, or dropping the
-    /// `subject_is_object` check.
+    /// class included; `IN` and `NOT IN` sets, ordered string comparisons
+    /// and a string against an integer column), any tiling (empty tiles
+    /// included). 47 of the 128 cases match something, 29 of them with ids
+    /// propagated to an endpoint. Seeded mutations fail it: skipping
+    /// `Endpoint::hits`' `id_in` binary search, dropping the
+    /// `subject_is_object` check, dropping a typed `NOT IN`'s negation in
+    /// `bind_pred`, or folding a type mismatch to `true`.
     #[test]
     fn row_range_matches_tile_the_planned_match(
         procs in proptest::collection::vec("[ab/]{1,3}", 1..5),
@@ -513,8 +522,10 @@ proptest! {
             (0usize..64, 0usize..64, 0usize..3, 0u8..8, 0i64..40),
             0..40,
         ),
-        // optype: 0 `= a`, 1 `!= a`, 2 `= a OR = b`, 3 unconstrained.
-        op_shape in (0u8..4, 0usize..3, 0usize..3),
+        // optype: 0 `= a`, 1 `!= a`, 2 `= a OR = b`, 3 unconstrained,
+        // 4 `IN (a, b)`, 5 `NOT IN (a, b)`, 6 ordered against `a`; 7 the
+        // integer `starttime` against the string `a` (a type mismatch).
+        op_shape in (0u8..8, 0usize..3, 0usize..3),
         filters in (0u8..3, 0usize..8, 0u8..3, 0usize..8),
         id_ins in (
             proptest::option::of(proptest::collection::vec(0usize..64, 0..5)),
@@ -542,15 +553,20 @@ proptest! {
             .collect();
         let db = audit_db(&procs, &files, &events);
 
-        let optype = |i: usize| Pred::Cmp {
-            attr: "optype".into(),
-            op: CmpOp::Eq,
-            value: Value::Str(db.dict().intern(OPS[i])),
-        };
+        let op = |i: usize| Value::Str(db.dict().intern(OPS[i]));
+        let cmp = |attr: &str, op, value| Pred::Cmp { attr: attr.into(), op, value };
+        let optype = |i: usize| cmp("optype", CmpOp::Eq, op(i));
         let op_pred = match op_shape {
             (0, a, _) => Some(optype(a)),
             (1, a, _) => Some(Pred::Not(Box::new(optype(a)))),
             (2, a, b) => Some(Pred::Or(Box::new(optype(a)), Box::new(optype(b)))),
+            (shape @ (4 | 5), a, b) => Some(Pred::InSet {
+                attr: "optype".into(),
+                negated: shape == 5,
+                values: vec![op(a), op(b)],
+            }),
+            (6, a, b) => Some(cmp("optype", [CmpOp::Lt, CmpOp::Ge, CmpOp::Gt][b], op(a))),
+            (7, a, b) => Some(cmp("starttime", [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt][b], op(a))),
             _ => None,
         };
         let window_pred = window.map(|(a, b)| {

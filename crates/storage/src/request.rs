@@ -87,6 +87,19 @@ impl Pred {
         preds.into_iter().reduce(|a, b| Pred::And(Box::new(a), Box::new(b)))
     }
 
+    /// The top-level conjuncts, left to right: the leaves of the `And`
+    /// tree, each borrowed.
+    pub fn conjuncts(&self) -> Vec<&Pred> {
+        match self {
+            Pred::And(a, b) => {
+                let mut v = a.conjuncts();
+                v.extend(b.conjuncts());
+                v
+            }
+            other => vec![other],
+        }
+    }
+
     /// Number of leaf atoms (for observability / plan summaries).
     pub fn atoms(&self) -> usize {
         match self {
@@ -102,8 +115,9 @@ impl Pred {
 pub struct EntitySel {
     /// The class the endpoint must belong to.
     pub class: EntityClass,
-    /// The entity's declared filter. Every request carries it, so a match
-    /// is decided on the endpoint's own attributes whatever `id_in` holds.
+    /// The entity's declared filter, decided on the endpoint's own
+    /// attributes. A seeded endpoint carries ids and no filter: each id
+    /// already passed it.
     pub filter: Option<Pred>,
     /// The batch scheduler's propagated candidate ids (sorted, distinct):
     /// endpoints outside the set cannot match. `Some([])` matches nothing.
@@ -190,6 +204,7 @@ mod tests {
         let b = Pred::Like { attr: "exename".into(), pattern: "%tar%".into(), negated: false };
         let both = Pred::and([a.clone(), b.clone()]).unwrap();
         assert_eq!(both.atoms(), 2);
+        assert_eq!(both.conjuncts(), [&a, &b]);
         assert_eq!(Pred::and([a.clone()]), Some(a));
         assert_eq!(Pred::and([]), None);
     }
