@@ -551,7 +551,13 @@ pub struct SlowQueryLog {
 
 impl SlowQueryLog {
     fn new() -> SlowQueryLog {
-        let ms = std::env::var("RAPTOR_SLOW_QUERY_MS").ok().and_then(|v| v.parse::<u64>().ok());
+        Self::configured(std::env::var("RAPTOR_SLOW_QUERY_MS").ok().as_deref())
+    }
+
+    /// A log configured by a `RAPTOR_SLOW_QUERY_MS` value (`None`: unset,
+    /// and the log is off).
+    fn configured(env: Option<&str>) -> SlowQueryLog {
+        let ms = env.and_then(|v| v.parse::<u64>().ok());
         SlowQueryLog {
             threshold_ns: AtomicU64::new(ms.map_or(u64::MAX, |m| m.saturating_mul(1_000_000))),
             echo: AtomicBool::new(ms.is_some()),
@@ -800,8 +806,13 @@ mod tests {
 
     #[test]
     fn slow_log_records_and_caps() {
-        let log = SlowQueryLog::new();
-        assert_eq!(log.threshold_ns(), None); // env not set in tests
+        // The env gate: unset or unparsable is off, a number echoes.
+        for (env, threshold) in [(None, None), (Some("x"), None), (Some("0"), Some(0))] {
+            let log = SlowQueryLog::configured(env);
+            assert_eq!(log.threshold_ns(), threshold, "{env:?}");
+            assert_eq!(log.echo.load(Ordering::Relaxed), threshold.is_some(), "{env:?}");
+        }
+        let log = SlowQueryLog::configured(None);
         log.set_threshold_ms(Some(2));
         assert_eq!(log.threshold_ns(), Some(2_000_000));
         for i in 0..(SLOW_LOG_CAP + 3) {

@@ -21,9 +21,12 @@
 use raptor_audit::{Entity, EntityAttrs, EntityKind, ParsedLog, SystemEvent};
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
+use raptor_graphstore::backend::label_for_class;
 use raptor_graphstore::{EdgeId, Graph, PropValue};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
-use raptor_storage::{BackendStats, EntityClass, Field, FieldValue, MutableBackend};
+use raptor_storage::{
+    dense_entity_id, BackendStats, EntityClass, Field, FieldValue, MutableBackend,
+};
 
 /// Both backends, loaded with the same data, interning into the same
 /// dictionary.
@@ -88,29 +91,8 @@ pub struct StoreContents {
 /// `events`.
 pub const TABLES: [&str; 4] = ["files", "processes", "netconns", "events"];
 
-/// Node labels used in the graph store.
-pub const LABEL_PROCESS: &str = "Process";
-pub const LABEL_FILE: &str = "File";
-pub const LABEL_NETCONN: &str = "NetConn";
+/// The graph's event edge label ([`label_for_class`] names the nodes').
 pub const LABEL_EVENT: &str = "EVENT";
-
-/// Table name for an entity kind.
-pub fn table_for(kind: EntityKind) -> &'static str {
-    match kind {
-        EntityKind::File => "files",
-        EntityKind::Process => "processes",
-        EntityKind::NetConn => "netconns",
-    }
-}
-
-/// Graph label for an entity kind.
-pub fn label_for(kind: EntityKind) -> &'static str {
-    match kind {
-        EntityKind::File => LABEL_FILE,
-        EntityKind::Process => LABEL_PROCESS,
-        EntityKind::NetConn => LABEL_NETCONN,
-    }
-}
 
 fn audit_schema() -> Vec<TableSchema> {
     use ColumnType::*;
@@ -179,8 +161,10 @@ pub fn class_for_kind(kind: EntityKind) -> EntityClass {
 }
 
 /// Creates empty stores with the audit schema and every index (paper
-/// Section III-B: key attributes, plus id lookups for scheduler
-/// propagation). Records appended later maintain all of them.
+/// Section III-B: key attributes). Entities need no `id` index: an entity
+/// id is a position (its node's ordinal, a binary search of its class
+/// table), while events, which may arrive in any order, keep the
+/// `events.id` hash index. Records appended later maintain all of them.
 pub fn empty() -> Result<LoadedStores> {
     empty_with_dict(SharedDict::new())
 }
@@ -195,37 +179,23 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
     for schema in audit_schema() {
         rel.create_table(schema)?;
     }
-    for (table, col) in [
-        ("files", "id"),
-        ("files", "name"),
-        ("processes", "id"),
-        ("processes", "exename"),
-        ("netconns", "id"),
-        ("netconns", "dstip"),
-        ("netconns", "srcip"),
-        ("events", "id"),
-        ("events", "subject"),
-        ("events", "object"),
-        ("events", "optype"),
+    let mut graph = Graph::with_dict(dict.clone());
+    // Each class's key attribute: hash + trigram relationally, a value
+    // index in the graph.
+    for (class, key) in [
+        (EntityClass::Process, "exename"),
+        (EntityClass::File, "name"),
+        (EntityClass::NetConn, "dstip"),
     ] {
-        rel.create_hash_index(table, col)?;
+        rel.create_hash_index(class.table_name(), key)?;
+        rel.create_trigram_index(class.table_name(), key)?;
+        graph.create_node_index(label_for_class(class), key);
     }
-    for (table, col) in [("files", "name"), ("processes", "exename"), ("netconns", "dstip")] {
-        rel.create_trigram_index(table, col)?;
+    rel.create_hash_index("netconns", "srcip")?;
+    for col in ["id", "subject", "object", "optype"] {
+        rel.create_hash_index("events", col)?;
     }
     rel.create_btree_index("events", "starttime")?;
-
-    let mut graph = Graph::with_dict(dict.clone());
-    for (label, key) in [
-        (LABEL_PROCESS, "exename"),
-        (LABEL_PROCESS, "id"),
-        (LABEL_FILE, "name"),
-        (LABEL_FILE, "id"),
-        (LABEL_NETCONN, "dstip"),
-        (LABEL_NETCONN, "id"),
-    ] {
-        graph.create_node_index(label, key);
-    }
 
     Ok(LoadedStores { rel, graph, dict, now_ns: 0 })
 }
@@ -241,12 +211,7 @@ pub fn append_entity(
     stats: &mut BackendStats,
 ) -> Result<()> {
     let id = e.id.index() as i64;
-    if id != stores.graph.node_count() as i64 {
-        return Err(Error::storage(format!(
-            "entity {id} appended out of order (expected {})",
-            stores.graph.node_count()
-        )));
-    }
+    dense_entity_id(id, stores.graph.node_count())?;
     let dict = &stores.dict;
     let sym = |s: &str| FieldValue::Sym(dict.intern(s));
     let host = ("host", FieldValue::Int(e.host as i64));
@@ -391,7 +356,7 @@ pub(crate) mod tests {
         let sym = stores.graph.dict().get("/bin/tar").unwrap();
         let nodes = stores
             .graph
-            .indexed_nodes(LABEL_PROCESS, "exename", raptor_graphstore::PropValue::Str(sym))
+            .indexed_nodes("Process", "exename", raptor_graphstore::PropValue::Str(sym))
             .unwrap();
         assert_eq!(nodes.len(), 1);
         // Same entity id across stores.
@@ -402,7 +367,8 @@ pub(crate) mod tests {
 
     /// An event naming an entity that was never appended is refused before
     /// either store sees it (it used to be inserted relationally before the
-    /// graph found the missing endpoint).
+    /// graph found the missing endpoint), and so is an entity whose id
+    /// skips ahead, by the appender and by each store on its own.
     #[test]
     fn event_naming_unknown_entity_changes_nothing() {
         use raptor_common::ids::EntityId;
@@ -427,6 +393,19 @@ pub(crate) mod tests {
             assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{err}");
             assert!(state(&stores, &stats) == before);
         }
+        let ahead = log.entities.len() + 1;
+        let skips = Entity { id: EntityId::from_usize(ahead), ..log.entities[0].clone() };
+        let class = class_for_kind(skips.kind());
+        let fields = [("host", FieldValue::Int(0))];
+        let errs = [
+            append_entity(&mut stores, &skips, &mut stats),
+            stores.rel.insert_entity(class, ahead as i64, &fields, &mut stats),
+            stores.graph.insert_entity(class, ahead as i64, &fields, &mut stats),
+        ];
+        for err in errs.map(Result::unwrap_err) {
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{err}");
+        }
+        assert!(state(&stores, &stats) == before);
     }
 
     #[test]

@@ -34,13 +34,13 @@ use raptor_common::error::{Error, Result};
 use raptor_common::intern::Sym;
 use raptor_common::obs;
 use raptor_storage::{
-    BackendStats, EntityClass, Field, FieldValue, MutableBackend, PathPatternQuery, PatternMatches,
-    Pred, Value as SVal,
+    dense_entity_id, BackendStats, EntityClass, Field, FieldValue, MutableBackend,
+    PathPatternQuery, PatternMatches, Pred, Value as SVal,
 };
 
 use crate::cypher::ast::{CExpr, CLit, CmpRhs, PropRef, StrPredKind};
 use crate::cypher::exec::{
-    anchor_candidates, bind, edge_distinct_walks, eval, BindVal, BoundExpr, BoundProp, BoundShape,
+    anchor_candidates, bind, edge_distinct_walks, eval, BindVal, BoundExpr, BoundShape,
     GraphQueryStats,
 };
 use crate::graph::{EdgeId, Graph, NodeId, PropValue};
@@ -195,35 +195,31 @@ pub(crate) struct PathMatcher<'a> {
     subj_conds: Vec<BoundExpr<'a>>,
     obj_pred: Option<BoundExpr<'a>>,
     final_pred: Option<BoundExpr<'a>>,
-    /// The keys of the entity id and of an event row's columns.
+    /// The keys of an event row's columns (events arrive in any order).
     id: Option<Sym>,
     starttime: Option<Sym>,
     endtime: Option<Sym>,
 }
 
-/// An integer property's value, `-1` for anything else.
-fn int_or_missing(v: Option<PropValue>) -> i64 {
-    match v {
-        Some(PropValue::Int(i)) => i,
-        _ => -1,
-    }
-}
-
 impl PathMatcher<'_> {
-    /// The entity id a node carries (`-1` if it has none).
+    /// The entity id of node `n`: its ordinal, since entity ids are dense
+    /// and `insert_entity` appends them in order.
     pub(crate) fn entity_id(&self, n: NodeId) -> i64 {
-        int_or_missing(self.id.and_then(|k| self.g.node_prop_sym(n, k)))
+        i64::from(n.0)
     }
 
     /// An event row's `(id, starttime, endtime)` (`-1` where one is missing).
     fn event_row(&self, e: EdgeId) -> (i64, i64, i64) {
-        let int = |key: Option<Sym>| int_or_missing(key.and_then(|k| self.g.edge_prop_sym(e, k)));
+        let int = |key: Option<Sym>| match key.and_then(|k| self.g.edge_prop_sym(e, k)) {
+            Some(PropValue::Int(i)) => i,
+            _ => -1,
+        };
         (int(self.id), int(self.starttime), int(self.endtime))
     }
 
-    /// Is `n`'s entity id among the propagated candidates (if there are any)?
+    /// Is `n` among the propagated candidates (if there are any)?
     fn listed(&self, ids: &Option<Vec<i64>>, n: NodeId) -> bool {
-        ids.as_ref().is_none_or(|ids| ids.binary_search(&self.entity_id(n)).is_ok())
+        ids.as_ref().is_none_or(|ids| ids.binary_search(&i64::from(n.0)).is_ok())
     }
 
     pub(crate) fn is_event(&self, e: EdgeId) -> bool {
@@ -277,22 +273,23 @@ impl PathMatcher<'_> {
         }
     }
 
-    /// The anchors, through the tightest access path the value indexes offer
-    /// for the subject's conditions; `scanned` counts the candidates read.
+    /// The anchors: the propagated ids that are nodes with the subject's
+    /// label, when there are any, or else the tightest access path the
+    /// value indexes offer for the subject's conditions. `scanned` counts
+    /// the candidates read — what either path returns.
     fn anchors(&self, scanned: &mut usize) -> Vec<NodeId> {
-        let id_in = self.spec.subj_ids.as_deref().map(|ids| BoundExpr::InList {
-            left: BoundProp { slot: 0, key: self.id },
-            // An empty candidate set must match nothing.
-            list: match ids {
-                [] => vec![PropValue::Int(-1)],
-                ids => ids.iter().map(|&i| PropValue::Int(i)).collect(),
-            },
-        });
-        let conds: Vec<&BoundExpr<'_>> = self.subj_conds.iter().chain(&id_in).collect();
-        let mut stats = GraphQueryStats::default();
-        let start = BoundShape::of_label(self.subj);
-        let mut anchors = anchor_candidates(self.g, &start, &conds, &mut stats);
-        *scanned += stats.nodes_scanned;
+        let mut anchors = match &self.spec.subj_ids {
+            Some(ids) => {
+                let labelled = |n: &NodeId| Some(self.g.node(*n).label) == self.subj;
+                ids.iter().filter_map(|&id| self.g.entity_node(id)).filter(labelled).collect()
+            }
+            None => {
+                let conds: Vec<&BoundExpr<'_>> = self.subj_conds.iter().collect();
+                let start = BoundShape::of_label(self.subj);
+                anchor_candidates(self.g, &start, &conds, &mut GraphQueryStats::default())
+            }
+        };
+        *scanned += anchors.len();
         anchors.retain(|&n| self.subject_ok(n));
         anchors
     }
@@ -406,13 +403,8 @@ impl MutableBackend for Graph {
     ) -> Result<()> {
         // Node ids are arena indexes; the trait contract (dense ascending
         // entity ids) is what keeps `NodeId == entity id` true, which every
-        // edge insert and anchor lookup relies on. Check it loudly.
-        if id != self.node_count() as i64 {
-            return Err(Error::storage(format!(
-                "entity id {id} breaks dense insertion order (next node id is {})",
-                self.node_count()
-            )));
-        }
+        // edge insert and anchor lookup relies on.
+        dense_entity_id(id, self.node_count())?;
         self.append_node(label_for_class(class), &[("id", FieldValue::Int(id))], fields);
         stats.items_inserted += 1;
         Ok(())
@@ -426,12 +418,8 @@ impl MutableBackend for Graph {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
-        // Range-check before narrowing: `1 << 32` must not wrap to node 0.
         let node = |id: i64| {
-            usize::try_from(id)
-                .ok()
-                .filter(|&i| i < self.node_count())
-                .map(|i| NodeId(i as u32))
+            self.entity_node(id)
                 .ok_or_else(|| Error::storage(format!("event endpoint {id} is not a node")))
         };
         let (src, dst) = (node(subject)?, node(object)?);
@@ -489,8 +477,6 @@ mod tests {
         ev(&mut g, curl, uptar, 12, "read");
         ev(&mut g, curl, ip, 13, "connect");
         g.create_node_index("Process", "exename");
-        g.create_node_index("Process", "id");
-        g.create_node_index("File", "id");
         g
     }
 
@@ -773,9 +759,12 @@ mod tests {
         let g = audit_graph();
         let mut stats = BackendStats::default();
         let mut subject = EntitySel::of(EntityClass::Process, None);
-        subject.id_in = Some(vec![1]);
+        // Node 2 is a file and 9 is no node: only process 1 is an anchor,
+        // and the only candidate read.
+        subject.id_in = Some(vec![1, 2, 9]);
         let m = g.match_path_pattern(&single_hop(subject, None), &mut stats).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m.subj[0], 1);
+        assert_eq!(stats.items_scanned, 1);
     }
 }

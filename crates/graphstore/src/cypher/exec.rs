@@ -283,7 +283,7 @@ pub(crate) fn anchor_candidates(
                 }
             }
             BoundExpr::InList { left, list } => {
-                // `p.id IN [..]` — the scheduler's propagated filters.
+                // `p.name IN [..]` — an `IN` list in Cypher text (GiantCypher's).
                 match index(left.key) {
                     Some(ix) => {
                         let out: Vec<NodeId> =

@@ -134,6 +134,12 @@ impl Graph {
         self.nodes.len()
     }
 
+    /// The node of entity `id` — entity ids are node ordinals — if there
+    /// is one. Range-checked before narrowing: `1 << 32` is not node 0.
+    pub(crate) fn entity_node(&self, id: i64) -> Option<NodeId> {
+        usize::try_from(id).ok().filter(|&i| i < self.node_count()).map(|i| NodeId(i as u32))
+    }
+
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }

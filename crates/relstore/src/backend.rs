@@ -19,27 +19,34 @@
 //! * `match_event_pattern` and `match_event_pattern_rows` are the one
 //!   matcher, `exec::match_event_rows`: events come from a scan of the
 //!   whole table (batch) or from a row range (a standing query's epoch),
-//!   and each endpoint is looked up by `id` and its filter tested on its
-//!   own row. The two cannot disagree about what a predicate means.
-//! * `fetch_attr` is a set of `id` hash-index probes.
+//!   and each endpoint is found by id and its filter tested on its own
+//!   row. The two cannot disagree about what a predicate means.
+//! * `fetch_attr` finds each id's row: an entity by binary search of its
+//!   class table's `id` column, an event through the `events.id` hash
+//!   index.
 //!
-//! Endpoints and fetches need the `id` hash index every audit table
-//! carries (the engine's `load::empty` creates it); without one they
-//! return a `Storage` error.
+//! Entity ids are positions: [`MutableBackend::insert_entity`] refuses an
+//! id that is not the next dense one, so each class table's `id` column
+//! ascends and needs no index. Events may arrive in any order, so an
+//! event's id is not its row: event fetches need the `events.id` hash
+//! index (the engine's `load::empty` creates it) and without one return a
+//! `Storage` error.
 
 use std::ops::Range;
 
-use raptor_common::error::Result;
+use raptor_common::error::{Error, Result};
 use raptor_storage::{
-    AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue, MutableBackend,
-    PatternMatches, Pred, Value as SVal,
+    dense_entity_id, AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue,
+    MutableBackend, PatternMatches, Pred, Value as SVal,
 };
 
 use crate::db::Database;
 use crate::exec::{
-    bind_conjuncts, id_index, match_event_rows, run_scan, table_named, BExpr, BLit, ExecStats, Slot,
+    bind_conjuncts, entity_ids, match_event_rows, run_scan, table_named, BExpr, BLit, ExecStats,
+    Slot,
 };
 use crate::sql::ast::CmpOp;
+use crate::table::{RowId, Table};
 
 fn absorb_exec(stats: &mut BackendStats, exec: &ExecStats) {
     stats.items_scanned += exec.rows_scanned;
@@ -65,14 +72,11 @@ impl Database {
         absorb_exec(stats, &exec_stats);
         stats.items_built += rows.len();
         stats.data_queries += 1;
-        let c = table.schema.require_column("id")?;
-        // The one place candidates are canonicalized: downstream propagation
-        // (`Propagation::set` in the engine) relies on the
-        // sorted-distinct contract instead of re-sorting.
-        let mut ids: Vec<i64> = rows.iter().filter_map(|&r| table.cell(r, c).as_int()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(ids)
+        // Rows come back ascending, and entity ids ascend with their rows:
+        // the ids are sorted and distinct, as downstream propagation
+        // (`Propagation::set` in the engine) relies on.
+        let ids = entity_ids(table)?;
+        Ok(rows.iter().map(|&r| ids[r as usize]).collect())
     }
 
     /// Matches one event pattern against the whole store; returns (subject,
@@ -123,14 +127,12 @@ impl Database {
         };
         let mut conjuncts = vec![kind];
         conjuncts.extend(bind_conjuncts(q.event_pred.as_ref(), events)?);
-        // A batch scan also carries the propagated ids, so it can run
-        // through the `subject` / `object` hash indexes instead of the
-        // larger `optype` one; a row range tests them per endpoint.
-        if rows.is_none() {
-            for (sel, column) in [(&q.subject, "subject"), (&q.object, "object")] {
-                if let Some(ids) = &sel.id_in {
-                    conjuncts.push(BExpr::InIds { slot: Slot::of(events, column)?, ids });
-                }
+        // The propagated ids are conjuncts on the event's own `subject` /
+        // `object`, so a batch scan can run through those hash indexes
+        // instead of the larger `optype` one.
+        for (sel, column) in [(&q.subject, "subject"), (&q.object, "object")] {
+            if let Some(ids) = &sel.id_in {
+                conjuncts.push(BExpr::InIds { slot: Slot::of(events, column)?, ids });
             }
         }
         let mut exec_stats = ExecStats::default();
@@ -161,13 +163,27 @@ impl Database {
             AttrSource::Entity(class) => class.table_name(),
             AttrSource::Event => "events",
         };
-        let by_id = id_index(self, name)?;
-        let table = self.table(name).expect("indexed above");
+        let table = table_named(self, name)?;
         let c = table.schema.require_column(attr)?;
-        let out: Vec<(i64, SVal)> = ids
-            .iter()
-            .flat_map(|&id| by_id.get(SVal::Int(id)).iter().map(move |&r| (id, table.cell(r, c))))
-            .collect();
+        let mut out = Vec::with_capacity(ids.len());
+        match source {
+            AttrSource::Entity(_) => {
+                let entities = entity_ids(table)?;
+                for &id in ids {
+                    if let Ok(r) = entities.binary_search(&id) {
+                        out.push((id, table.cell(r as RowId, c)));
+                    }
+                }
+            }
+            AttrSource::Event => {
+                let by_id = (table.schema.column_index("id"))
+                    .and_then(|c| self.indexes(name, c)?.hash.as_ref())
+                    .ok_or_else(|| Error::storage("no hash index on `events.id`"))?;
+                for &id in ids {
+                    out.extend(by_id.get(SVal::Int(id)).iter().map(|&r| (id, table.cell(r, c))));
+                }
+            }
+        }
         stats.data_queries += 1;
         stats.index_scans += 1;
         stats.items_scanned += out.len();
@@ -184,6 +200,11 @@ impl MutableBackend for Database {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
+        // An entity's id is its position in the id space the class tables
+        // share: the next one is how many entities they hold.
+        let next: usize =
+            EntityClass::ALL.map(|c| self.table(c.table_name()).map_or(0, Table::len)).iter().sum();
+        dense_entity_id(id, next)?;
         let pinned = [("id", FieldValue::Int(id))];
         self.append_record(class as usize, class.table_name(), &pinned, fields)?;
         stats.items_inserted += 1;
@@ -244,10 +265,8 @@ mod tests {
             ],
         ))
         .unwrap();
-        // The typed reads find rows by id, as over the audit schema.
-        for table in ["processes", "files", "events"] {
-            db.create_hash_index(table, "id").unwrap();
-        }
+        // Event fetches find rows by id, as over the audit schema.
+        db.create_hash_index("events", "id").unwrap();
         db.insert("processes", &[Ins::Int(0), Ins::Str("/bin/tar"), Ins::Str("root")]).unwrap();
         db.insert("processes", &[Ins::Int(1), Ins::Str("/usr/bin/curl"), Ins::Str("root")])
             .unwrap();
@@ -346,6 +365,20 @@ mod tests {
             subject_is_object: false,
         };
         assert!(db.match_event_pattern(&q, &mut stats).unwrap().is_empty());
+    }
+
+    /// Entity ids are positions: an id that is not the next dense one is a
+    /// typed error, and nothing is appended.
+    #[test]
+    fn insert_entity_refuses_a_gap() {
+        let (mut db, mut stats) = (audit_db(), BackendStats::default());
+        let rows = db.total_rows();
+        for id in [5, 3, -1] {
+            let err = db.insert_entity(EntityClass::File, id, &[], &mut stats).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{id}: {err}");
+        }
+        assert_eq!((db.total_rows(), stats.items_inserted), (rows, 0));
+        db.insert_entity(EntityClass::File, 4, &[], &mut stats).unwrap();
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * **Typed event patterns** (`match_event_rows`, behind
 //!   `Database::match_event_pattern{,_rows}`) — a selection vector over
 //!   `events` (a scan of the whole table, or one mask over a standing
-//!   query's row range), then per selected row an `id` hash probe into
-//!   each endpoint's table and its filter tested on that one row. An
+//!   query's row range), then per selected row a binary search of each
+//!   endpoint's table for its id (an entity id is dense and appended in
+//!   order, so each class table's `id` column ascends) and its filter
+//!   tested on that one row. An
 //!   endpoint the engine seeded arrives as ids with no filter: every id
 //!   already passed it, so only the ids are tested. No plan, no SQL
 //!   `Expr`, no join.
@@ -30,11 +32,10 @@
 //! rarest trigram), whose rows come from the hash postings. Each path
 //! returns exactly the rows its own conjunct selects, ascending, and knows
 //! how many before it copies one (`Postings::count`, which the engine's
-//! scheduler prices patterns by). A one-conjunct predicate (an IOC seed)
-//! therefore takes its path's rows as the answer; a predicate of several
-//! conjuncts materializes the path that counts fewest rows and tests the
-//! full predicate on each of them, so index choice is purely a performance
-//! decision.
+//! scheduler prices patterns by). A scan materializes the path that counts
+//! fewest rows and tests the other conjuncts on each of them — none for a
+//! one-conjunct predicate (an IOC seed) — so index choice is purely a
+//! performance decision.
 //!
 //! **Vectorized scans**: a scan's bound conjuncts are compiled once into a
 //! `ScanPred` — `IN` lists become hash sets, propagated ids stay their
@@ -435,8 +436,11 @@ fn compile_scan_pred<'a>(e: &BExpr<'a>, table: &Table) -> ScanPred<'a> {
 }
 
 /// Compiles the conjunction of `conjuncts` (true for none).
-fn compile_conjuncts<'a>(conjuncts: &[BExpr<'a>], table: &Table) -> ScanPred<'a> {
-    let compiled = conjuncts.iter().map(|c| compile_scan_pred(c, table));
+fn compile_conjuncts<'a, 'b: 'a>(
+    conjuncts: impl IntoIterator<Item = &'a BExpr<'b>>,
+    table: &Table,
+) -> ScanPred<'b> {
+    let compiled = conjuncts.into_iter().map(|c| compile_scan_pred(c, table));
     compiled.reduce(|a, b| ScanPred::And(Box::new(a), Box::new(b))).unwrap_or(ScanPred::Const(true))
 }
 
@@ -450,9 +454,10 @@ fn lit_mask<T: Copy>(xs: &[T], nulls: Option<&[bool]>, f: impl Fn(T) -> bool) ->
     }
 }
 
-fn flip(mut mask: Vec<bool>) -> Vec<bool> {
-    for b in &mut mask {
-        *b = !*b;
+/// `mask`, each lane negated when `negated`.
+fn flip_if(mut mask: Vec<bool>, negated: bool) -> Vec<bool> {
+    if negated {
+        mask.iter_mut().for_each(|b| *b = !*b);
     }
     mask
 }
@@ -487,14 +492,8 @@ fn eval_mask(
             let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
             let ns = slice_nulls(*col);
             match op {
-                CmpOp::Eq => {
-                    let lit = *lit;
-                    lit_mask(xs, ns, |s| s == lit)
-                }
-                CmpOp::Ne => {
-                    let lit = *lit;
-                    lit_mask(xs, ns, |s| s != lit)
-                }
+                CmpOp::Eq => lit_mask(xs, ns, |s| s == *lit),
+                CmpOp::Ne => lit_mask(xs, ns, |s| s != *lit),
                 _ => {
                     let ls = dict.resolve(*lit);
                     lit_mask(xs, ns, |s| ord_ok(dict.resolve(s).cmp(ls), *op))
@@ -513,21 +512,11 @@ fn eval_mask(
         ScanPred::Like { col, pattern, negated } => {
             let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
             let ns = slice_nulls(*col);
-            let m = lit_mask(xs, ns, |s| like_match(pattern, dict.resolve(s)));
-            if *negated {
-                flip(m)
-            } else {
-                m
-            }
+            flip_if(lit_mask(xs, ns, |s| like_match(pattern, dict.resolve(s))), *negated)
         }
         ScanPred::InInts { col, set, negated } => {
             let xs = &table.int_cells(*col).expect("int column")[range.clone()];
-            let m = lit_mask(xs, slice_nulls(*col), |v| set.contains(&v));
-            if *negated {
-                flip(m)
-            } else {
-                m
-            }
+            flip_if(lit_mask(xs, slice_nulls(*col), |v| set.contains(&v)), *negated)
         }
         ScanPred::InIds { col, ids } => {
             let xs = &table.int_cells(*col).expect("int column")[range.clone()];
@@ -535,12 +524,7 @@ fn eval_mask(
         }
         ScanPred::InSyms { col, set, negated } => {
             let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
-            let m = lit_mask(xs, slice_nulls(*col), |s| set.contains(&s));
-            if *negated {
-                flip(m)
-            } else {
-                m
-            }
+            flip_if(lit_mask(xs, slice_nulls(*col), |s| set.contains(&s)), *negated)
         }
         ScanPred::CmpCols { left, op, right } => range
             .clone()
@@ -565,7 +549,7 @@ fn eval_mask(
             }
             m
         }
-        ScanPred::Not(inner) => flip(eval_mask(inner, table, range, dict)),
+        ScanPred::Not(inner) => flip_if(eval_mask(inner, table, range, dict), true),
     }
 }
 
@@ -746,13 +730,12 @@ pub(crate) fn table_named<'a>(db: &'a Database, name: &str) -> Result<&'a Table>
 /// Runs one scan of `table_name` for the conjunction of `conjuncts` (every
 /// row for none) as one `relstore.scan` span.
 ///
-/// A predicate of **one conjunct** that an index serves is answered by
-/// that conjunct's [`access_path`] alone: there is nothing to choose
-/// between and nothing left to test. With **several conjuncts** the choice
-/// is **counted**: every indexable conjunct's [`Postings`] are read (their
-/// lengths, not their rows), the one selecting the fewest rows — the first
-/// on a tie — is materialized, and the whole predicate is tested on each
-/// of its rows. Either way the rows come back ascending, so no result
+/// The access path is **counted**: every indexable conjunct's [`Postings`]
+/// are read (their lengths, not their rows), the one selecting the fewest
+/// rows — the first on a tie — is materialized, and the other conjuncts
+/// are tested on each of its rows; that path's own conjunct holds on every
+/// one by [`access_path`]'s contract, and a one-conjunct predicate has
+/// nothing left to test. The rows come back ascending, so no result
 /// depends on which path served it.
 pub(crate) fn run_scan(
     db: &Database,
@@ -784,29 +767,18 @@ fn scan_rows(
         return Ok((0..table.len() as RowId).collect());
     }
 
-    let indexed = match conjuncts {
-        [only] => access_path(db, table_name, only).map(|path| (path, true)),
-        _ => conjuncts
-            .iter()
-            .filter_map(|c| access_path(db, table_name, c))
-            .min_by_key(Postings::count)
-            .map(|path| (path, false)),
-    };
     let dict = db.dict();
-    if let Some((path, exact)) = indexed {
-        let candidates = path.rows();
+    let indexed = (conjuncts.iter().enumerate())
+        .filter_map(|(i, c)| Some((i, access_path(db, table_name, c)?)))
+        .min_by_key(|(_, path)| path.count());
+    if let Some((served, path)) = indexed {
+        let mut rows = path.rows();
         stats.index_scans += 1;
-        stats.rows_scanned += candidates.len();
-        if exact {
-            // The one conjunct's path returns exactly its rows.
-            return Ok(candidates);
-        }
-        // The path served one conjunct of several: test the whole predicate.
-        let compiled = compile_conjuncts(conjuncts, table);
-        return Ok(candidates
-            .into_iter()
-            .filter(|&row| test_row(&compiled, table, row, dict))
-            .collect());
+        stats.rows_scanned += rows.len();
+        let rest =
+            compile_conjuncts(conjuncts[..served].iter().chain(&conjuncts[served + 1..]), table);
+        rows.retain(|&row| test_row(&rest, table, row, dict));
+        return Ok(rows);
     }
 
     // Vectorized full scan: one mask loop over the contiguous column
@@ -823,45 +795,37 @@ fn scan_rows(
 /// row must satisfy.
 struct Endpoint<'a> {
     table: &'a Table,
-    by_id: &'a crate::index::HashIndex,
+    /// The table's ascending `id` column, binary-searched for an entity.
+    ids: &'a [i64],
     filter: Option<ScanPred<'a>>,
-    /// Sorted, distinct candidate ids; ids outside it cannot match.
-    id_in: Option<&'a [i64]>,
 }
 
-/// The hash index on `table.id` — how the typed reads find an entity or
-/// event by id.
-pub(crate) fn id_index<'a>(db: &'a Database, table: &str) -> Result<&'a crate::index::HashIndex> {
-    db.table(table)
-        .and_then(|t| db.indexes(table, t.schema.column_index("id")?))
-        .and_then(|ix| ix.hash.as_ref())
-        .ok_or_else(|| Error::storage(format!("typed reads need a hash index on `{table}.id`")))
+/// The `id` cells of an entity class table. Entity ids are dense and
+/// appended in order (`insert_entity` refuses anything else), so they
+/// ascend and an id is found by binary search.
+pub(crate) fn entity_ids(table: &Table) -> Result<&[i64]> {
+    let c = table.schema.require_column("id")?;
+    table.int_cells(c).ok_or_else(|| {
+        Error::storage(format!("`{}.id` is not an integer column", table.schema.name))
+    })
 }
 
 impl<'a> Endpoint<'a> {
     fn resolve(db: &'a Database, sel: &'a EntitySel) -> Result<Self> {
-        let name = sel.class.table_name();
-        let table = table_named(db, name)?;
+        let table = table_named(db, sel.class.table_name())?;
         let filter = match &sel.filter {
             Some(f) => Some(compile_scan_pred(&bind_pred(f, table)?, table)),
             None => None,
         };
-        Ok(Endpoint { table, by_id: id_index(db, name)?, filter, id_in: sel.id_in.as_deref() })
+        Ok(Endpoint { table, ids: entity_ids(table)?, filter })
     }
 
-    /// How many rows of the endpoint's table carry `id` and pass its
-    /// filter: 1 or 0 over audit tables (ids are keys), whatever a join on
-    /// `id` would produce otherwise.
-    fn hits(&self, id: i64, dict: &SharedDict, stats: &mut ExecStats) -> usize {
-        if self.id_in.is_some_and(|ids| ids.binary_search(&id).is_err()) {
-            return 0;
-        }
-        let rows = self.by_id.get(Value::Int(id));
-        stats.rows_scanned += rows.len();
-        match &self.filter {
-            Some(f) => rows.iter().filter(|&&r| test_row(f, self.table, r, dict)).count(),
-            None => rows.len(),
-        }
+    /// Does the entity `id` exist in the endpoint's table and pass its
+    /// filter? Ids are keys, so there is one row to test or none.
+    fn hit(&self, id: i64, dict: &SharedDict, stats: &mut ExecStats) -> bool {
+        let Ok(row) = self.ids.binary_search(&id) else { return false };
+        stats.rows_scanned += 1;
+        self.filter.as_ref().is_none_or(|f| test_row(f, self.table, row as RowId, dict))
     }
 }
 
@@ -873,12 +837,11 @@ impl<'a> Endpoint<'a> {
 ///   rows. The cost depends on the range and on nothing else: no index
 ///   over `events`.
 /// * `None` — a batch query: one [`run_scan`] of the whole table, which
-///   picks the access path selecting the fewest rows, by count (the caller
-///   puts the endpoints' propagated ids into `event_filter` so the
-///   `subject` / `object` hash indexes can serve it).
+///   picks the access path selecting the fewest rows, by count.
 ///
-/// Each selected row's `subject`/`object` is then looked up in its
-/// endpoint's table by `id` and tested there. Returns the `(subject id,
+/// The endpoints' propagated ids are the caller's `subject IN` / `object
+/// IN` conjuncts in `event_filter`. Each selected row's `subject`/`object`
+/// is then found in its endpoint's table by id and its filter tested there. Returns the `(subject id,
 /// object id, event id, starttime, endtime)` columns, in event row order —
 /// the rows a join of the three tables over those events would return.
 pub(crate) fn match_event_rows(
@@ -925,17 +888,14 @@ pub(crate) fn match_event_rows(
         if subject_is_object && s != o {
             continue;
         }
-        let n = match subject.hits(s, dict, stats) {
-            0 => 0,
-            n => n * object.hits(o, dict, stats),
-        };
-        let [id, start, end] = event_cols.map(|c| events.cell(row, c).as_int().unwrap_or(-1));
-        for _ in 0..n {
-            for (col, v) in out.iter_mut().zip([s, o, id, start, end]) {
-                col.push(v);
-            }
+        if !(subject.hit(s, dict, stats) && object.hit(o, dict, stats)) {
+            continue;
         }
-        stats.tuples_built += n;
+        let [id, start, end] = event_cols.map(|c| events.cell(row, c).as_int().unwrap_or(-1));
+        for (col, v) in out.iter_mut().zip([s, o, id, start, end]) {
+            col.push(v);
+        }
+        stats.tuples_built += 1;
     }
     Ok(out)
 }

@@ -330,10 +330,10 @@ proptest! {
 
 const OPS: [&str; 3] = ["read", "write", "start"];
 
-/// Processes then files, ids dense in that order, each table's `id`
-/// hash-indexed (what the typed matcher resolves endpoints through), plus
-/// the event indexes an audit store carries so the batch scan takes its
-/// usual access paths. One event per tuple: `(subject, object, op, kind
+/// Processes then files, ids dense in that order (so each table's `id`
+/// column ascends, which the typed matcher finds endpoints by), plus the
+/// event indexes an audit store carries so the batch scan takes its usual
+/// access paths. One event per tuple: `(subject, object, op, kind
 /// agrees with the object's class, starttime)`; subject and object range
 /// over *every* entity id and one id past them, so events whose endpoints
 /// are of the wrong class, coincide, or dangle are all in there.
@@ -347,7 +347,6 @@ fn audit_db(
     for (table, attr) in [("processes", "exename"), ("files", "name")] {
         let cols = vec![ColumnDef::new("id", int), ColumnDef::new(attr, text)];
         db.create_table(TableSchema::new(table, cols)).unwrap();
-        db.create_hash_index(table, "id").unwrap();
     }
     let cols = [("id", int), ("subject", int), ("object", int), ("optype", text), ("kind", text)]
         .into_iter()

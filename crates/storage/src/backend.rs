@@ -5,7 +5,7 @@
 //! store's `match_path_pattern` directly — each store answers only the
 //! shapes its physical model serves.
 
-use raptor_common::error::Result;
+use raptor_common::error::{Error, Result};
 use raptor_common::intern::Sym;
 
 use crate::request::EntityClass;
@@ -102,6 +102,15 @@ pub enum FieldValue<'a> {
 /// physical columns or properties.
 pub type Field<'a> = (&'a str, FieldValue<'a>);
 
+/// The dense-id check: `id` must be `next`, the number of entities the
+/// store holds, or it is a `Storage` error.
+pub fn dense_entity_id(id: i64, next: usize) -> Result<()> {
+    if id == next as i64 {
+        return Ok(());
+    }
+    Err(Error::storage(format!("entity id {id} breaks dense insertion order (next is {next})")))
+}
+
 /// Incremental append — the streaming ingestion seam, the one operation both
 /// stores share. Every insert maintains every index the store has already
 /// built (hash / B-tree / trigram, graph value indexes, adjacency), so a
@@ -110,9 +119,12 @@ pub type Field<'a> = (&'a str, FieldValue<'a>);
 ///
 /// Contract:
 /// * entity ids are append-only and arrive in ascending dense order (the
-///   audit parser's id space); backends may rely on this to keep their
-///   physical ids aligned with entity ids,
-/// * an event's `subject`/`object` entities must already be inserted,
+///   audit parser's id space), so an entity id is a position in both
+///   stores: the graph's node ordinal, and a binary search of the
+///   relational class table's ascending `id` column. `insert_entity`
+///   refuses any other id ([`dense_entity_id`]) and appends nothing,
+/// * event ids may arrive in any order; an event's `subject`/`object`
+///   entities must already be inserted,
 /// * each successful call bumps `stats.items_inserted` by exactly 1.
 pub trait MutableBackend {
     /// Appends one entity record of `class` with the given id and

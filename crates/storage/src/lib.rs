@@ -40,7 +40,7 @@ pub mod posting;
 pub mod request;
 pub mod value;
 
-pub use backend::{AttrSource, BackendStats, Field, FieldValue, MutableBackend};
+pub use backend::{dense_entity_id, AttrSource, BackendStats, Field, FieldValue, MutableBackend};
 pub use join::{JoinIndex, Tuples};
 pub use posting::Posting;
 pub use request::{CmpOp, EntityClass, EntitySel, EventPatternQuery, PathPatternQuery, Pred};

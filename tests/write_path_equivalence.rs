@@ -10,7 +10,8 @@
 //!    `Database::insert` / `Graph::add_node` / `add_edge` and through
 //!    `MutableBackend`, build stores with equal contents and identical
 //!    hash / B-tree / trigram / graph value-index lookups for every inserted
-//!    key — each also checked against a scan of the generated records.
+//!    key — each also checked against a scan of the generated records —
+//!    and every entity is found by its id, a position in both stores.
 //! 2. **Whole logs** — the same log written raw, through `MutableBackend`,
 //!    by bulk `load` and as one-event epochs answers the 8-query corpus
 //!    identically and holds equal contents.
@@ -24,7 +25,9 @@ use threatraptor::engine::Engine;
 use threatraptor::graphstore::backend::label_for_class;
 use threatraptor::graphstore::{NodeId, PropValue};
 use threatraptor::relstore::db::Ins;
-use threatraptor::storage::{BackendStats, EntityClass, Field, FieldValue, MutableBackend};
+use threatraptor::storage::{
+    AttrSource, BackendStats, EntityClass, Field, FieldValue, MutableBackend, Value,
+};
 use threatraptor::stream::StreamSession;
 
 const QUERIES: &[&str] = threatraptor::tbql::parser::EQUIV_CORPUS;
@@ -250,15 +253,22 @@ fn assert_lookups(recs: &[Rec], stores: &[&LoadedStores]) {
                 assert_eq!(nodes, want, "graph index {label}.{col} = {v}");
             }
         }
-        // Unique keys: `id` in both stores; `starttime` through the B-tree.
+        // Unique keys. An entity id is a position in both stores:
+        // `fetch_attr` finds the entity by id and node `NodeId(id)` carries
+        // it; an event id goes through the `events.id` hash index, and
+        // `starttime` through the B-tree.
         for s in stores {
-            let by_id = ids(s, &format!("SELECT id FROM {} WHERE id = {}", r.table(), r.id));
-            assert_eq!(by_id, (vec![r.id], 1));
-            if let Some(class) = r.class {
-                let label = keyed.iter().find(|k| k.0 == class.table_name()).unwrap().1;
-                let found = s.graph.indexed_nodes(label, "id", PropValue::Int(r.id)).unwrap();
-                assert_eq!(found, &[NodeId(r.id as u32)]);
-            }
+            let Some(class) = r.class else {
+                let by_id = ids(s, &format!("SELECT id FROM events WHERE id = {}", r.id));
+                assert_eq!(by_id, (vec![r.id], 1));
+                continue;
+            };
+            let mut stats = BackendStats::default();
+            let found = s.rel.fetch_attr(AttrSource::Entity(class), "id", &[r.id], &mut stats);
+            assert_eq!(found.unwrap(), vec![(r.id, Value::Int(r.id))]);
+            let node = NodeId(r.id as u32);
+            assert_eq!(s.graph.node_prop(node, "id"), Some(PropValue::Int(r.id)));
+            assert_eq!(s.graph.dict().resolve(s.graph.node(node).label), label_for_class(class));
         }
         if let (None, Some(Val::Int(t))) = (r.class, r.get("starttime")) {
             let want =
