@@ -3,6 +3,9 @@
 //! Each `table*` function regenerates one table of the ThreatRaptor
 //! evaluation and returns it as text. The `tables` binary prints them;
 //! `EXPERIMENTS.md` records a reference run against the paper's numbers.
+//! Timings print in µs. Tables VI and X hold no timing and are pinned by
+//! `tests/golden/tables_6_10.txt` ([`tables_golden`]; regenerate with
+//! `cargo run --release -p raptor-bench --bin golden_tables`).
 
 use std::time::Duration as StdDuration;
 
@@ -148,7 +151,7 @@ pub fn table6(evals: &[CaseEval]) -> String {
     format!("Table VI: precision and recall of finding malicious system events\n{}", t.render())
 }
 
-/// Table VII: stage latencies (seconds) — extraction, graph construction,
+/// Table VII: stage latencies (µs) — extraction, graph construction,
 /// query synthesis — plus the Open IE baselines' extraction times.
 pub fn table7(evals: &[CaseEval]) -> String {
     let mut t = TextTable::new([
@@ -167,28 +170,23 @@ pub fn table7(evals: &[CaseEval]) -> String {
         for (s, v) in sums.iter_mut().zip(row.iter()) {
             *s += v;
         }
-        t.row([
-            e.case.id.to_string(),
-            format!("{:.4}", row[0]),
-            format!("{:.4}", row[1]),
-            format!("{:.4}", row[2]),
-            format!("{:.4}", row[3]),
-            format!("{:.4}", row[4]),
-        ]);
+        let mut cells = vec![e.case.id.to_string()];
+        cells.extend(row.iter().map(|&s| us(s)));
+        t.row(cells);
     }
     let n = evals.len().max(1) as f64;
-    t.row([
-        "Average".to_string(),
-        format!("{:.4}", sums[0] / n),
-        format!("{:.4}", sums[1] / n),
-        format!("{:.4}", sums[2] / n),
-        format!("{:.4}", sums[3] / n),
-        format!("{:.4}", sums[4] / n),
-    ]);
+    let mut average = vec!["Average".to_string()];
+    average.extend(sums.iter().map(|&s| us(s / n)));
+    t.row(average);
     format!(
-        "Table VII: execution time (s) of extraction / graph / synthesis stages\n{}",
+        "Table VII: execution time (µs) of extraction / graph / synthesis stages\n{}",
         t.render()
     )
+}
+
+/// Seconds, printed as whole µs.
+fn us(seconds: f64) -> String {
+    format!("{:.0}", seconds * 1e6)
 }
 
 fn mean_std(samples: &[f64]) -> (f64, f64) {
@@ -252,7 +250,7 @@ pub fn table8(evals: &[CaseEval], cfg: &HarnessConfig) -> String {
 }
 
 /// Table IX: fuzzy search (exhaustive) vs the Poirot baseline
-/// (first-acceptable), with loading / preprocessing / searching phases.
+/// (first-acceptable), with loading / preprocessing / searching phases (µs).
 pub fn table9(evals: &[CaseEval], cfg: &HarnessConfig) -> String {
     let mut t = TextTable::new([
         "Case",
@@ -278,19 +276,19 @@ pub fn table9(evals: &[CaseEval], cfg: &HarnessConfig) -> String {
                 ..Default::default()
             };
             let out = search(&prov, &qg, &fcfg);
-            row.push(format!("{:.3}", timings.loading));
-            row.push(format!("{:.3}", timings.preprocessing));
+            row.push(us(timings.loading));
+            row.push(us(timings.preprocessing));
             row.push(if out.timed_out {
-                format!(">{:.0}", cfg.fuzzy_budget_secs)
+                format!(">{:.0}s", cfg.fuzzy_budget_secs)
             } else {
-                format!("{:.3}", out.searching)
+                us(out.searching)
             });
             row.push(out.alignments.len().to_string());
         }
         t.row(row);
     }
     format!(
-        "Table IX: fuzzy search (exhaustive) vs Poirot baseline, budget {:.0}s\n{}",
+        "Table IX: fuzzy search (exhaustive) vs Poirot baseline, times in µs, budget {:.0}s\n{}",
         cfg.fuzzy_budget_secs,
         t.render()
     )
@@ -346,6 +344,18 @@ pub fn table10(evals: &[CaseEval]) -> String {
         words_vs_sql,
         chars_vs_cy,
         words_vs_cy
+    )
+}
+
+/// The pinned tables, VI then X over the default harness, as `tables
+/// table6 table10` prints them, under a header.
+pub fn tables_golden() -> String {
+    let evals = run_all(&HarnessConfig::default());
+    format!(
+        "# Golden Tables VI and X (default harness: scale 1, seed 42). Regenerate with:\n\
+         #   cargo run --release -p raptor-bench --bin golden_tables\n{}\n{}\n",
+        table6(&evals),
+        table10(&evals)
     )
 }
 

@@ -18,6 +18,7 @@ use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
 use raptor_common::time::Duration;
+use raptor_graphstore::backend::label_for_class;
 use raptor_tbql::analyze::{APattern, AnalyzedQuery};
 use raptor_tbql::{
     AttrExpr, CmpOp, EntityType, OpExpr, PatternOp, RelClause, TemporalOp, Value, Window,
@@ -98,30 +99,6 @@ impl Propagation {
 /// Caps the size of propagated `IN` lists (distinct ids); beyond this the
 /// filter costs more than it prunes.
 pub const MAX_IN_LIST: usize = 4096;
-
-pub fn table_for_type(ty: EntityType) -> &'static str {
-    match ty {
-        EntityType::File => "files",
-        EntityType::Proc => "processes",
-        EntityType::Ip => "netconns",
-    }
-}
-
-pub fn label_for_type(ty: EntityType) -> &'static str {
-    match ty {
-        EntityType::File => "File",
-        EntityType::Proc => "Process",
-        EntityType::Ip => "NetConn",
-    }
-}
-
-fn event_kind_for(ty: EntityType) -> &'static str {
-    match ty {
-        EntityType::File => "file",
-        EntityType::Proc => "process",
-        EntityType::Ip => "network",
-    }
-}
 
 fn sql_str(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
@@ -291,8 +268,8 @@ fn cypher_pattern_fragment(
 ) -> Result<String> {
     let subj = &ctx.aq.entities[&p.subject];
     let obj = &ctx.aq.entities[&p.object];
-    let s_node = format!("({}:{})", p.subject, label_for_type(subj.ty));
-    let o_node = format!("({}:{})", p.object, label_for_type(obj.ty));
+    let s_node = format!("({}:{})", p.subject, label_for_class(class_for_type(subj.ty)));
+    let o_node = format!("({}:{})", p.object, label_for_class(class_for_type(obj.ty)));
     Ok(match &p.op {
         PatternOp::Event(op) => {
             conds.push(op_to_cypher(&p.id, op));
@@ -365,7 +342,7 @@ pub fn giant_sql(ctx: &CompileCtx<'_>) -> Result<String> {
     let mut from: Vec<String> = Vec::new();
     for id in &aq.entity_order {
         let e = &aq.entities[id];
-        from.push(format!("{} {}", table_for_type(e.ty), id));
+        from.push(format!("{} {}", class_for_type(e.ty).table_name(), id));
     }
     for p in &aq.patterns {
         from.push(format!("events {}", p.id));
@@ -378,7 +355,7 @@ pub fn giant_sql(ctx: &CompileCtx<'_>) -> Result<String> {
         let obj_ty = aq.entities[&p.object].ty;
         conds.push(format!("{e}.subject = {}.id", p.subject));
         conds.push(format!("{e}.object = {}.id", p.object));
-        conds.push(format!("{e}.kind = {}", sql_str(event_kind_for(obj_ty))));
+        conds.push(format!("{e}.kind = {}", sql_str(class_for_type(obj_ty).event_kind())));
         match &p.op {
             PatternOp::Event(op) => conds.push(op_to_sql(e, op)),
             PatternOp::Path { .. } => unreachable!(),

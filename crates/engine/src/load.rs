@@ -3,16 +3,23 @@
 //! The paper replicates data across PostgreSQL and Neo4j "which supports the
 //! execution of different types of queries and improves data availability",
 //! with indexes on key attributes (file name, process executable name,
-//! source/destination IP). This module does the same against our embedded
-//! engines, using one consistent entity id across both stores.
+//! source/destination IP). Here the rows are kept once. The paper's two
+//! copies come from two separate DBMSs; both of our stores live in one
+//! process, so the graph store holds only the topology — each node's class
+//! and class-table row, each edge's endpoints, its ordinal being its
+//! `events` row — and reads every property from the relational rows. The
+//! key-attribute indexes are the relational store's, and the Cypher
+//! frontend reads them too.
 //!
 //! Since the streaming subsystem landed there is exactly **one** write path:
 //! [`empty`] creates schemas and indexes up front, and every record —
 //! whether bulk-loaded by [`load`] or ingested epoch-by-epoch by
 //! `raptor-stream` — goes through [`append_entity`] / [`append_event`],
-//! which drive both stores' [`MutableBackend`] implementations. Both stores
-//! maintain every index on insert, so an incrementally-grown store is
-//! identical-by-construction to a bulk-loaded one.
+//! which drive both stores' [`MutableBackend`] implementations in the same
+//! order and refuse a bad record before either sees it: that is what makes
+//! a node's ordinal its entity id and an edge's its `events` row. Both
+//! stores maintain every index on insert, so an incrementally-grown store
+//! is identical-by-construction to a bulk-loaded one.
 //!
 //! The seam is memory only. Durability sits above it: a durable session
 //! logs each epoch as one frame ([`crate::wal`]) and replays those frames
@@ -21,21 +28,20 @@
 use raptor_audit::{Entity, EntityAttrs, EntityKind, ParsedLog, SystemEvent};
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
-use raptor_graphstore::backend::label_for_class;
-use raptor_graphstore::{EdgeId, Graph, PropValue};
+use raptor_graphstore::{EdgeId, Graph};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
 use raptor_storage::{
     dense_entity_id, BackendStats, EntityClass, Field, FieldValue, MutableBackend,
 };
 
-/// Both backends, loaded with the same data, interning into the same
-/// dictionary.
+/// Both backends, fed the same records: the relational rows, interned
+/// into one dictionary, and the graph's adjacency over them.
 pub struct LoadedStores {
     pub rel: Database,
     pub graph: Graph,
     /// The shared dictionary plane: one append-only, concurrently-readable
-    /// dictionary hoisted above both backends, created here and handed to
-    /// each store at construction. Equal strings therefore map to equal
+    /// dictionary hoisted above the stores, created here and handed to the
+    /// relational store at construction. Equal strings therefore map to equal
     /// [`raptor_common::Sym`]s across the whole pipeline — string equality
     /// in joins, DISTINCT and stream diffing is an integer compare, and
     /// display strings are materialized exactly once, at the edge.
@@ -48,8 +54,9 @@ impl LoadedStores {
     /// What both stores hold, independent of symbol numbering and of row
     /// order: each table of [`TABLES`] as its rows rendered through the
     /// dictionary, sorted, then the graph's edges as `(subject id, object
-    /// id, optype)`, sorted. Stores fed the same records by any path —
-    /// bulk load, epochs, log replay — hold equal contents.
+    /// id, optype)`, sorted — the endpoints the graph holds, the operation
+    /// read from the edge's `events` row. Stores fed the same records by any
+    /// path — bulk load, epochs, log replay — hold equal contents.
     pub fn contents(&self) -> StoreContents {
         let render = |v: raptor_storage::Value| v.render(&self.dict);
         let tables = TABLES
@@ -64,14 +71,13 @@ impl LoadedStores {
             })
             .collect();
         let g = &self.graph;
-        let id = |n| match g.node_prop(n, "id") {
-            Some(PropValue::Int(id)) => id,
-            _ => -1,
-        };
+        let events = self.rel.table("events").expect("audit table");
+        let optype = events.schema.column_index("optype").expect("audit column");
         let mut edges: Vec<(i64, i64, String)> = (0..g.edge_count() as u32)
             .map(|e| {
-                let (edge, op) = (g.edge(EdgeId(e)), g.edge_prop(EdgeId(e), "optype"));
-                (id(edge.src), id(edge.dst), op.map_or_else(String::new, |v| render(v.into())))
+                let edge = g.edge(EdgeId(e));
+                let op = render(events.cell(e, optype));
+                (i64::from(edge.src.0), i64::from(edge.dst.0), op)
             })
             .collect();
         edges.sort_unstable();
@@ -90,9 +96,6 @@ pub struct StoreContents {
 /// The audit tables: the entity tables in [`EntityClass::ALL`] order, then
 /// `events`.
 pub const TABLES: [&str; 4] = ["files", "processes", "netconns", "events"];
-
-/// The graph's event edge label ([`label_for_class`] names the nodes').
-pub const LABEL_EVENT: &str = "EVENT";
 
 fn audit_schema() -> Vec<TableSchema> {
     use ColumnType::*;
@@ -161,10 +164,11 @@ pub fn class_for_kind(kind: EntityKind) -> EntityClass {
 }
 
 /// Creates empty stores with the audit schema and every index (paper
-/// Section III-B: key attributes). Entities need no `id` index: an entity
-/// id is a position (its node's ordinal, a binary search of its class
-/// table), while events, which may arrive in any order, keep the
-/// `events.id` hash index. Records appended later maintain all of them.
+/// Section III-B: key attributes), all of them relational: the graph keeps
+/// none. Entities need no `id` index: an entity id is a position (its
+/// node's ordinal, a binary search of its class table), while events, which
+/// may arrive in any order, keep the `events.id` hash index. Records
+/// appended later maintain all of them.
 pub fn empty() -> Result<LoadedStores> {
     empty_with_dict(SharedDict::new())
 }
@@ -179,9 +183,7 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
     for schema in audit_schema() {
         rel.create_table(schema)?;
     }
-    let mut graph = Graph::with_dict(dict.clone());
-    // Each class's key attribute: hash + trigram relationally, a value
-    // index in the graph.
+    // Each class's key attribute: hash + trigram.
     for (class, key) in [
         (EntityClass::Process, "exename"),
         (EntityClass::File, "name"),
@@ -189,7 +191,6 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
     ] {
         rel.create_hash_index(class.table_name(), key)?;
         rel.create_trigram_index(class.table_name(), key)?;
-        graph.create_node_index(label_for_class(class), key);
     }
     rel.create_hash_index("netconns", "srcip")?;
     for col in ["id", "subject", "object", "optype"] {
@@ -197,14 +198,15 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
     }
     rel.create_btree_index("events", "starttime")?;
 
-    Ok(LoadedStores { rel, graph, dict, now_ns: 0 })
+    Ok(LoadedStores { rel, graph: Graph::new(), dict, now_ns: 0 })
 }
 
 /// Appends one entity to both stores through their [`MutableBackend`]s.
 ///
 /// Entities must arrive in dense ascending id order (the audit parser's id
 /// space) — graph node ids coincide with entity ids exactly because of this.
-/// Strings are interned here, once, and reach both stores as symbols.
+/// Strings are interned here, once, and reach the relational store as
+/// symbols; the graph takes the class alone.
 pub fn append_entity(
     stores: &mut LoadedStores,
     e: &Entity,
@@ -346,23 +348,20 @@ pub(crate) mod tests {
         assert_eq!(stores.graph.edge_count(), log.events.len());
     }
 
+    /// One indexed lookup, through SQL and through Cypher text, which
+    /// reads the same hash index and the same rows: one entity id.
     #[test]
     fn indexed_lookup_works_in_both() {
+        use raptor_graphstore::cypher::{exec::execute, parse_cypher};
         let stores = load(&sample_log()).unwrap();
         let r =
             stores.rel.query("SELECT id FROM processes WHERE exename LIKE '%/bin/tar%'").unwrap();
         assert_eq!(r.batch.n_rows(), 1);
         assert!(r.stats.index_scans >= 1);
-        let sym = stores.graph.dict().get("/bin/tar").unwrap();
-        let nodes = stores
-            .graph
-            .indexed_nodes("Process", "exename", raptor_graphstore::PropValue::Str(sym))
-            .unwrap();
-        assert_eq!(nodes.len(), 1);
-        // Same entity id across stores.
-        let rel_id = r.batch.row(0)[0].as_int().unwrap();
-        let g_id = stores.graph.node_prop(nodes[0], "id").unwrap();
-        assert_eq!(g_id, raptor_graphstore::PropValue::Int(rel_id));
+        let text = "MATCH (p:Process) WHERE p.exename = '/bin/tar' RETURN p.id";
+        let c = execute(&stores.graph, &stores.rel, &parse_cypher(text).unwrap(), 8).unwrap();
+        assert_eq!((c.batch.n_rows(), c.stats.nodes_scanned), (1, 1), "one index posting");
+        assert_eq!(c.batch.row(0), r.batch.row(0), "same entity id across stores");
     }
 
     /// An event naming an entity that was never appended is refused before

@@ -420,7 +420,7 @@ impl StandingQuery {
             let req = path_pattern_request(&ctx, p, &unpropagated, engine.max_hops)?;
             plans.push(if let Some(event) = req.as_single_hop() {
                 PatternPlan::Rows(event)
-            } else if let Some(mut f) = PathFrontier::new(&req)? {
+            } else if let Some(mut f) = PathFrontier::new(&req) {
                 // Checkpoint-restored state first, then what the
                 // accumulated matches already emitted.
                 if let Some(blob) = self.pending_frontier[p.index].take() {
@@ -496,7 +496,7 @@ impl StandingQuery {
                     PatternPlan::Frontier(f) => {
                         let mut fsp = raptor_common::obs::span("standing.frontier");
                         fsp.label(&p.id);
-                        let pairs = f.advance(&engine.stores.graph);
+                        let pairs = f.advance(&engine.stores.graph, &engine.stores.rel)?;
                         fsp.attr("new_pairs", pairs.len() as u64);
                         fsp.attr("entries", f.entries() as u64);
                         obs::metrics().counter_add("raptor_path_frontier_hits_total", 1);
@@ -508,7 +508,11 @@ impl StandingQuery {
                     }
                     PatternPlan::Rescan(req) => {
                         obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
-                        let m = engine.stores.graph.match_path_pattern(req, &mut stats.backend)?;
+                        let m = (engine.stores.graph).match_path_pattern(
+                            &engine.stores.rel,
+                            req,
+                            &mut stats.backend,
+                        )?;
                         stats.record("graph", QueryKind::PathPattern, &p.id, 0);
                         stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
                         changed |= m.len() != acc.len();

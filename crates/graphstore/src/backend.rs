@@ -1,18 +1,20 @@
 //! The graph store's typed surface: the write seam ([`MutableBackend`]) and
 //! one read, [`Graph::match_path_pattern`] — TBQL's `~>(m~n)[op]`.
 //!
-//! A request is compiled once into a `PathSpec`: labels, hop bounds and the
-//! three predicates, lowered to Cypher WHERE expressions so that the
-//! executor's evaluator ([`crate::cypher::exec`]) decides them and predicate
-//! semantics cannot drift from the text frontend. It is bound per use:
-//! `PathSpec::on` resolves labels, property keys and string literals to
-//! symbols once per request (and once per frontier advance, since a later
-//! epoch may be the first to intern a name), so the walk takes no
-//! dictionary lock per node, edge or row. Matching then walks the adjacency
-//! arrays; no query AST is built and nothing is parsed.
+//! A request is compiled once into a `PathSpec`: the two endpoints, the
+//! final-hop predicate and the hop bounds. It is bound per use to the
+//! relational rows: `PathSpec::on` resolves each endpoint as the relational
+//! matcher does (`raptor_relstore::exec::Endpoint`: its class table and its
+//! filter), and compiles the final-hop predicate over `events`, both into
+//! the relational store's one compiled predicate form (`exec::ScanPred`,
+//! what seeding scans with), so both stores decide a predicate the same way
+//! by construction. A node's filter is tested on its class-table row and
+//! an edge's on its `events` row.
+//! Matching then walks the adjacency arrays; no query AST is built and
+//! nothing is parsed.
 //!
-//! Every shape is a *prefix* of `lo..=hi` EVENT hops from an anchor plus,
-//! when the pattern constrains or returns its last event, one *final edge*.
+//! Every shape is a *prefix* of `lo..=hi` hops from an anchor plus, when
+//! the pattern constrains or returns its last event, one *final edge*.
 //! A match is a distinct `(subject, object)` pair — or `(subject, object,
 //! event)` when the event is wanted — joined by an edge-distinct prefix walk
 //! within the bounds; the final edge is a segment of its own and may repeat
@@ -30,21 +32,23 @@
 //! `a`"; this module's one-shot driver and [`crate::frontier`]'s incremental
 //! one both call it.
 
+use std::borrow::Cow;
+
 use raptor_common::error::{Error, Result};
-use raptor_common::intern::Sym;
+use raptor_common::intern::SharedDict;
 use raptor_common::obs;
+use raptor_relstore::exec::{compile_pred, table_named, Endpoint, ScanPred};
+use raptor_relstore::table::Table;
+use raptor_relstore::Database;
 use raptor_storage::{
-    dense_entity_id, BackendStats, EntityClass, Field, FieldValue, MutableBackend,
-    PathPatternQuery, PatternMatches, Pred, Value as SVal,
+    dense_entity_id, BackendStats, EntityClass, EntitySel, Field, MutableBackend, PathPatternQuery,
+    PatternMatches, Pred,
 };
 
-use crate::cypher::ast::{CExpr, CLit, CmpRhs, PropRef, StrPredKind};
-use crate::cypher::exec::{
-    anchor_candidates, bind, edge_distinct_walks, eval, BindVal, BoundExpr, BoundShape,
-    GraphQueryStats,
-};
-use crate::graph::{EdgeId, Graph, NodeId, PropValue};
+use crate::cypher::exec::edge_distinct_walks;
+use crate::graph::{EdgeId, Graph, NodeId};
 
+/// The Cypher label of a class's nodes.
 pub fn label_for_class(class: EntityClass) -> &'static str {
     match class {
         EntityClass::File => "File",
@@ -53,76 +57,16 @@ pub fn label_for_class(class: EntityClass) -> &'static str {
     }
 }
 
-fn clit(v: &SVal) -> Result<CLit> {
-    match v {
-        SVal::Int(i) => Ok(CLit::Int(*i)),
-        // Pre-interned: the executor evaluates the handle without a
-        // dictionary lookup.
-        SVal::Str(s) => Ok(CLit::Sym(*s)),
-        SVal::Null => Err(Error::semantic("NULL literals are not valid in predicates")),
-    }
-}
-
-fn prop(var: &str, attr: &str) -> PropRef {
-    PropRef { var: var.to_string(), prop: attr.to_string() }
-}
-
-/// A typed `LIKE` keeps its pattern: the executor evaluates it with the
-/// relational store's own matcher, so both stores select the same entities.
-fn like_to_cexpr(var: &str, attr: &str, pattern: &str, negated: bool) -> CExpr {
-    let pred = CExpr::StrPred {
-        left: prop(var, attr),
-        kind: StrPredKind::Like,
-        needle: pattern.to_string(),
-    };
-    if negated {
-        CExpr::Not(Box::new(pred))
-    } else {
-        pred
-    }
-}
-
-/// Lowers a typed predicate to a Cypher WHERE expression over `var`.
-fn pred_to_cexpr(var: &str, p: &Pred) -> Result<CExpr> {
-    Ok(match p {
-        Pred::Cmp { attr, op, value } => {
-            CExpr::Cmp { left: prop(var, attr), op: *op, right: CmpRhs::Lit(clit(value)?) }
-        }
-        Pred::Like { attr, pattern, negated } => like_to_cexpr(var, attr, pattern, *negated),
-        Pred::InSet { attr, negated, values } => {
-            let base = CExpr::InList {
-                left: prop(var, attr),
-                list: values.iter().map(clit).collect::<Result<Vec<_>>>()?,
-            };
-            if *negated {
-                CExpr::Not(Box::new(base))
-            } else {
-                base
-            }
-        }
-        Pred::And(a, b) => {
-            CExpr::And(Box::new(pred_to_cexpr(var, a)?), Box::new(pred_to_cexpr(var, b)?))
-        }
-        Pred::Or(a, b) => {
-            CExpr::Or(Box::new(pred_to_cexpr(var, a)?), Box::new(pred_to_cexpr(var, b)?))
-        }
-        Pred::Not(inner) => CExpr::Not(Box::new(pred_to_cexpr(var, inner)?)),
-    })
-}
+/// The Cypher label of every edge: each is an event.
+pub const LABEL_EVENT: &str = "EVENT";
 
 /// A path request compiled once; see the module doc for the shape.
 pub(crate) struct PathSpec {
-    subj_label: &'static str,
-    obj_label: &'static str,
-    /// The subject filter's top-level conjuncts (anchor selection looks for
-    /// one an index can serve).
-    subj_conds: Vec<CExpr>,
-    obj_pred: Option<CExpr>,
-    final_pred: Option<CExpr>,
-    /// Propagated candidate ids, sorted and distinct.
-    subj_ids: Option<Vec<i64>>,
-    obj_ids: Option<Vec<i64>>,
-    subject_is_object: bool,
+    subject: EntitySel,
+    /// `None` when one variable is bound as both ends: the walk closes on
+    /// its own anchor, whose conditions the subject side already carries.
+    object: Option<EntitySel>,
+    final_pred: Option<Pred>,
     /// The pattern ends in a final edge (it constrains or returns one).
     pub(crate) has_final: bool,
     /// Prefix hop bounds. `lo == 0` makes every anchor a prefix endpoint.
@@ -131,12 +75,7 @@ pub(crate) struct PathSpec {
 }
 
 impl PathSpec {
-    pub(crate) fn compile(q: &PathPatternQuery) -> Result<PathSpec> {
-        let lower =
-            |var: &str, p: &Option<Pred>| p.as_ref().map(|p| pred_to_cexpr(var, p)).transpose();
-        // One TBQL variable bound as both ends: the walk closes on its own
-        // anchor, whose conditions the subject side already carries.
-        let object = (!q.subject_is_object).then_some(&q.object);
+    pub(crate) fn compile(q: &PathPatternQuery) -> PathSpec {
         let has_final = q.want_event || q.final_hop_pred.is_some();
         // The final edge is one of the pattern's hops.
         let (min, max) = match has_final {
@@ -146,59 +85,48 @@ impl PathSpec {
         // `hop_cap` bounds a variable-length walk, never the fixed single hop.
         let single_hop = q.min_hops == 1 && q.max_hops == Some(1);
         let hi = if single_hop { min } else { max.unwrap_or(q.hop_cap).min(q.hop_cap) };
-        Ok(PathSpec {
-            subj_label: label_for_class(q.subject.class),
-            obj_label: label_for_class(q.object.class),
-            subj_conds: lower("s", &q.subject.filter)?.map(CExpr::conjuncts).unwrap_or_default(),
-            obj_pred: object.map(|o| lower("o", &o.filter)).transpose()?.flatten(),
-            final_pred: lower("e", &q.final_hop_pred)?,
-            subj_ids: q.subject.id_in.clone(),
-            obj_ids: object.and_then(|o| o.id_in.clone()),
-            subject_is_object: q.subject_is_object,
+        PathSpec {
+            subject: q.subject.clone(),
+            object: (!q.subject_is_object).then(|| q.object.clone()),
+            final_pred: q.final_hop_pred.clone(),
             has_final,
             lo: min,
             hi,
-        })
+        }
     }
 
-    /// The spec bound to `g` as it is now: labels, keys and literals
-    /// resolve to today's symbols (a name no record carries yet has none,
-    /// and matches nothing). Each predicate names one variable, slot 0.
-    pub(crate) fn on<'a>(&'a self, g: &'a Graph) -> PathMatcher<'a> {
-        let dict = g.dict();
-        let sym = |name| dict.get(name);
-        let bind = |e| bind(dict, e, &|_| 0);
-        PathMatcher {
+    /// The spec bound to the rows as they are now: each predicate compiled
+    /// over the table its records live in.
+    pub(crate) fn on<'a>(&'a self, g: &'a Graph, db: &'a Database) -> Result<PathMatcher<'a>> {
+        let events = table_named(db, "events")?;
+        let col = |name| events.schema.column_index(name);
+        Ok(PathMatcher {
             g,
             spec: self,
-            subj: sym(self.subj_label),
-            obj: sym(self.obj_label),
-            event: sym("EVENT"),
-            subj_conds: self.subj_conds.iter().map(bind).collect(),
-            obj_pred: self.obj_pred.as_ref().map(bind),
-            final_pred: self.final_pred.as_ref().map(bind),
-            id: sym("id"),
-            starttime: sym("starttime"),
-            endtime: sym("endtime"),
-        }
+            dict: db.dict(),
+            subj: Endpoint::resolve(db, &self.subject)?,
+            obj: self.object.as_ref().map(|o| Endpoint::resolve(db, o)).transpose()?,
+            final_pred: self.final_pred.as_ref().map(|p| compile_pred(p, events)).transpose()?,
+            events,
+            event_cols: [col("id"), col("starttime"), col("endtime")],
+        })
     }
 }
 
-/// A [`PathSpec`] bound to a graph: the endpoint and final-edge tests, and
-/// what a prefix endpoint contributes.
+/// A [`PathSpec`] bound to the stores: the endpoint and final-edge tests,
+/// and what a prefix endpoint contributes.
 pub(crate) struct PathMatcher<'a> {
     pub(crate) g: &'a Graph,
     pub(crate) spec: &'a PathSpec,
-    subj: Option<Sym>,
-    obj: Option<Sym>,
-    event: Option<Sym>,
-    subj_conds: Vec<BoundExpr<'a>>,
-    obj_pred: Option<BoundExpr<'a>>,
-    final_pred: Option<BoundExpr<'a>>,
-    /// The keys of an event row's columns (events arrive in any order).
-    id: Option<Sym>,
-    starttime: Option<Sym>,
-    endtime: Option<Sym>,
+    dict: &'a SharedDict,
+    /// Each end's class table and filter; `obj` is `None` with
+    /// `spec.object`.
+    subj: Endpoint<'a>,
+    obj: Option<Endpoint<'a>>,
+    final_pred: Option<ScanPred<'a>>,
+    events: &'a Table,
+    /// `events`' `id`, `starttime` and `endtime` columns.
+    event_cols: [Option<usize>; 3],
 }
 
 impl PathMatcher<'_> {
@@ -208,45 +136,40 @@ impl PathMatcher<'_> {
         i64::from(n.0)
     }
 
-    /// An event row's `(id, starttime, endtime)` (`-1` where one is missing).
+    /// An event's `(id, starttime, endtime)`, read from its `events` row
+    /// (`-1` where one is missing).
     fn event_row(&self, e: EdgeId) -> (i64, i64, i64) {
-        let int = |key: Option<Sym>| match key.and_then(|k| self.g.edge_prop_sym(e, k)) {
-            Some(PropValue::Int(i)) => i,
-            _ => -1,
-        };
-        (int(self.id), int(self.starttime), int(self.endtime))
+        let [id, start, end] = self
+            .event_cols
+            .map(|c| c.and_then(|c| self.events.cell(e.0, c).as_int()).unwrap_or(-1));
+        (id, start, end)
     }
 
-    /// Is `n` among the propagated candidates (if there are any)?
-    fn listed(&self, ids: &Option<Vec<i64>>, n: NodeId) -> bool {
-        ids.as_ref().is_none_or(|ids| ids.binary_search(&i64::from(n.0)).is_ok())
-    }
-
-    pub(crate) fn is_event(&self, e: EdgeId) -> bool {
-        Some(self.g.edge(e).label) == self.event
+    /// Is `n` of `sel`'s class, does its row pass the filter, and is it
+    /// among the propagated candidates (if there are any)?
+    fn end_ok(&self, sel: &EntitySel, end: &Endpoint<'_>, n: NodeId) -> bool {
+        let node = self.g.node(n);
+        node.class == sel.class
+            && end.passes(node.row, self.dict)
+            && sel.id_in.as_ref().is_none_or(|ids| ids.binary_search(&i64::from(n.0)).is_ok())
     }
 
     /// Is `n` an anchor — a node the pattern's subject may bind?
     pub(crate) fn subject_ok(&self, n: NodeId) -> bool {
-        Some(self.g.node(n).label) == self.subj
-            && self.subj_conds.iter().all(|c| eval(self.g, c, &[BindVal::Node(n)]))
-            && self.listed(&self.spec.subj_ids, n)
+        self.end_ok(&self.spec.subject, &self.subj, n)
     }
 
     /// Does `n` qualify as the pattern's object for anchor `a`?
     pub(crate) fn object_ok(&self, n: NodeId, a: NodeId) -> bool {
-        if self.spec.subject_is_object {
-            return n == a;
+        match (&self.spec.object, &self.obj) {
+            (Some(sel), Some(end)) => self.end_ok(sel, end, n),
+            _ => n == a,
         }
-        Some(self.g.node(n).label) == self.obj
-            && self.obj_pred.as_ref().is_none_or(|p| eval(self.g, p, &[BindVal::Node(n)]))
-            && self.listed(&self.spec.obj_ids, n)
     }
 
     /// May `e` be the pattern's final edge?
     pub(crate) fn final_edge_ok(&self, e: EdgeId) -> bool {
-        self.is_event(e)
-            && self.final_pred.as_ref().is_none_or(|p| eval(self.g, p, &[BindVal::Edge(e)]))
+        self.final_pred.as_ref().is_none_or(|p| p.holds(self.events, e.0, self.dict))
     }
 
     /// Anchor `a`'s prefix ends at `n`: calls `hit(object, final edge)` for
@@ -273,25 +196,29 @@ impl PathMatcher<'_> {
         }
     }
 
-    /// The anchors: the propagated ids that are nodes with the subject's
-    /// label, when there are any, or else the tightest access path the
-    /// value indexes offer for the subject's conditions. `scanned` counts
-    /// the candidates read — what either path returns.
-    fn anchors(&self, scanned: &mut usize) -> Vec<NodeId> {
-        let mut anchors = match &self.spec.subj_ids {
-            Some(ids) => {
-                let labelled = |n: &NodeId| Some(self.g.node(*n).label) == self.subj;
-                ids.iter().filter_map(|&id| self.g.entity_node(id)).filter(labelled).collect()
-            }
-            None => {
-                let conds: Vec<&BoundExpr<'_>> = self.subj_conds.iter().collect();
-                let start = BoundShape::of_label(self.subj);
-                anchor_candidates(self.g, &start, &conds, &mut GraphQueryStats::default())
-            }
+    /// The anchors: the propagated ids that are nodes of the subject's
+    /// class, when there are any; else the entities the subject's filter
+    /// selects (only standing queries send a filter without ids), read by
+    /// the relational store's own seeding scan; else every row of the
+    /// class table. `scanned` counts the candidates read — what either path
+    /// returns.
+    fn anchors(&self, db: &Database, scanned: &mut usize) -> Result<Vec<NodeId>> {
+        let (g, subject) = (self.g, &self.spec.subject);
+        let ids: Cow<'_, [i64]> = match (&subject.id_in, &subject.filter) {
+            (Some(ids), _) => Cow::Borrowed(ids),
+            (None, Some(filter)) => Cow::Owned(db.entity_candidates(
+                subject.class,
+                filter,
+                &mut BackendStats::default(),
+            )?),
+            (None, None) => Cow::Borrowed(self.subj.ids),
         };
+        let of_class = |n: &NodeId| g.node(*n).class == subject.class;
+        let mut anchors: Vec<NodeId> =
+            ids.iter().filter_map(|&id| g.entity_node(id)).filter(of_class).collect();
         *scanned += anchors.len();
         anchors.retain(|&n| self.subject_ok(n));
-        anchors
+        Ok(anchors)
     }
 }
 
@@ -303,14 +230,16 @@ fn mark(marks: &mut [u32], stamp: u32, n: NodeId) -> bool {
 
 impl Graph {
     /// Matches one (possibly variable-length) path pattern against the whole
-    /// graph, on the calling thread. Rows are distinct by construction.
+    /// graph, reading every property from `db`'s rows, on the calling
+    /// thread. Rows are distinct by construction.
     pub fn match_path_pattern(
         &self,
+        db: &Database,
         q: &PathPatternQuery,
         stats: &mut BackendStats,
     ) -> Result<PatternMatches> {
-        let spec = PathSpec::compile(q)?;
-        let m = spec.on(self);
+        let spec = PathSpec::compile(q);
+        let m = spec.on(self, db)?;
         // One expansion span per path-pattern request.
         let mut sp = obs::span("graphstore.expand");
         let (mut nodes, mut edges) = (0usize, 0usize);
@@ -320,7 +249,7 @@ impl Graph {
         let mut paired_by = vec![0u32; self.node_count()];
         let mut reached: Vec<NodeId> = Vec::new();
         let mut queue: Vec<(NodeId, u32)> = Vec::new();
-        for (i, a) in m.anchors(&mut nodes).into_iter().enumerate() {
+        for (i, a) in m.anchors(db, &mut nodes)?.into_iter().enumerate() {
             let stamp = i as u32 + 1;
             reached.clear();
             if spec.lo <= 1 {
@@ -339,7 +268,7 @@ impl Graph {
                     for &e in self.out_edges(n) {
                         edges += 1;
                         let dst = self.edge(e).dst;
-                        if m.is_event(e) && mark(&mut reached_by, stamp, dst) {
+                        if mark(&mut reached_by, stamp, dst) {
                             reached.push(dst);
                             // `a` re-reached through a cycle ends a prefix
                             // but was expanded already.
@@ -355,7 +284,7 @@ impl Graph {
                     a,
                     spec.lo,
                     spec.hi,
-                    |e| m.is_event(e),
+                    |_| true,
                     &mut edges,
                     |n| {
                         if mark(&mut reached_by, stamp, n) {
@@ -393,29 +322,31 @@ impl Graph {
     }
 }
 
+/// The graph keeps no field: the relational store, fed the same records in
+/// the same order, holds them.
 impl MutableBackend for Graph {
     fn insert_entity(
         &mut self,
         class: EntityClass,
         id: i64,
-        fields: &[Field<'_>],
+        _fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
         // Node ids are arena indexes; the trait contract (dense ascending
         // entity ids) is what keeps `NodeId == entity id` true, which every
         // edge insert and anchor lookup relies on.
         dense_entity_id(id, self.node_count())?;
-        self.append_node(label_for_class(class), &[("id", FieldValue::Int(id))], fields);
+        self.add_node(class);
         stats.items_inserted += 1;
         Ok(())
     }
 
     fn insert_event(
         &mut self,
-        id: i64,
+        _id: i64,
         subject: i64,
         object: i64,
-        fields: &[Field<'_>],
+        _fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
         let node = |id: i64| {
@@ -423,7 +354,7 @@ impl MutableBackend for Graph {
                 .ok_or_else(|| Error::storage(format!("event endpoint {id} is not a node")))
         };
         let (src, dst) = (node(subject)?, node(object)?);
-        self.append_edge(src, dst, "EVENT", &[("id", FieldValue::Int(id))], fields)?;
+        self.add_edge(src, dst)?;
         stats.items_inserted += 1;
         Ok(())
     }
@@ -432,65 +363,57 @@ impl MutableBackend for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PropIns;
+    use crate::testkit::Stores;
     use raptor_common::intern::SharedDict;
-    use raptor_storage::EntitySel;
+    use raptor_relstore::ColumnType::{Int, Str};
+    use raptor_storage::{FieldValue, Value as SVal};
 
     /// tar→passwd (read), tar→upload.tar (write), curl→upload.tar (read),
     /// curl→ip (connect).
-    fn audit_graph() -> Graph {
-        let mut g = Graph::new();
-        let tar = g
-            .add_node("Process", &[("id", PropIns::Int(0)), ("exename", PropIns::Str("/bin/tar"))]);
-        let curl = g.add_node(
-            "Process",
-            &[("id", PropIns::Int(1)), ("exename", PropIns::Str("/usr/bin/curl"))],
+    fn audit_graph() -> Stores {
+        let mut st = Stores::new(
+            &[("exename", Str), ("name", Str), ("dstip", Str)],
+            &[("optype", Str), ("starttime", Int), ("endtime", Int)],
         );
-        let passwd =
-            g.add_node("File", &[("id", PropIns::Int(2)), ("name", PropIns::Str("/etc/passwd"))]);
-        let uptar = g.add_node(
-            "File",
-            &[("id", PropIns::Int(3)), ("name", PropIns::Str("/tmp/upload.tar"))],
-        );
-        let ip = g.add_node(
-            "NetConn",
-            &[("id", PropIns::Int(4)), ("dstip", PropIns::Str("192.168.29.128"))],
-        );
+        let mut entity = |class, key, v| st.entity(class, &[(key, FieldValue::Str(v))]);
+        let tar = entity(EntityClass::Process, "exename", "/bin/tar");
+        let curl = entity(EntityClass::Process, "exename", "/usr/bin/curl");
+        let passwd = entity(EntityClass::File, "name", "/etc/passwd");
+        let uptar = entity(EntityClass::File, "name", "/tmp/upload.tar");
+        let ip = entity(EntityClass::NetConn, "dstip", "192.168.29.128");
         let mut t = 0;
-        let mut ev = |g: &mut Graph, s, d, eid: i64, op: &str| {
+        for (s, d, eid, op) in
+            [(tar, passwd, 10, "read"), (tar, uptar, 11, "write"), (curl, uptar, 12, "read")]
+                .into_iter()
+                .chain([(curl, ip, 13, "connect")])
+        {
             t += 100;
-            g.add_edge(
-                s,
-                d,
-                "EVENT",
-                &[
-                    ("id", PropIns::Int(eid)),
-                    ("optype", PropIns::Str(op)),
-                    ("starttime", PropIns::Int(t)),
-                    ("endtime", PropIns::Int(t + 10)),
-                ],
-            )
-            .unwrap();
-        };
-        ev(&mut g, tar, passwd, 10, "read");
-        ev(&mut g, tar, uptar, 11, "write");
-        ev(&mut g, curl, uptar, 12, "read");
-        ev(&mut g, curl, ip, 13, "connect");
-        g.create_node_index("Process", "exename");
-        g
+            let fields = [
+                ("optype", FieldValue::Str(op)),
+                ("starttime", FieldValue::Int(t)),
+                ("endtime", FieldValue::Int(t + 10)),
+            ];
+            st.event(eid, s, d, &fields);
+        }
+        st.db.create_hash_index("processes", "exename").unwrap();
+        st
     }
 
-    fn op_eq(g: &Graph, name: &str) -> Pred {
+    fn op_eq(st: &Stores, name: &str) -> Pred {
         Pred::Cmp {
             attr: "optype".into(),
             op: raptor_storage::CmpOp::Eq,
-            value: SVal::Str(g.dict().intern(name)),
+            value: SVal::Str(st.db.dict().intern(name)),
         }
+    }
+
+    fn run(st: &Stores, q: &PathPatternQuery, stats: &mut BackendStats) -> PatternMatches {
+        st.g.match_path_pattern(&st.db, q, stats).unwrap()
     }
 
     /// `subject ~>(0~0) subject`: every anchor pairs with itself, so the
     /// rows are the subject selection.
-    fn selected(g: &Graph, subject: EntitySel) -> Vec<i64> {
+    fn selected(st: &Stores, subject: EntitySel) -> Vec<i64> {
         let q = PathPatternQuery {
             object: EntitySel::of(subject.class, None),
             subject,
@@ -502,7 +425,7 @@ mod tests {
             subject_is_object: false,
         };
         let mut stats = BackendStats::default();
-        let m = g.match_path_pattern(&q, &mut stats).unwrap();
+        let m = run(st, &q, &mut stats);
         assert_eq!((stats.data_queries, stats.text_parses), (1, 0));
         assert_eq!(m.subj, m.obj);
         let mut ids = m.subj;
@@ -511,11 +434,11 @@ mod tests {
     }
 
     /// A typed LIKE selects what `like_match` selects — interior `%` and
-    /// `_` included — through the value index and through a label scan.
+    /// `_` included — through a hash index and through a full scan.
     #[test]
     fn candidates_are_exact_like() {
         use raptor_common::like::like_match;
-        let g = audit_graph();
+        let st = audit_graph();
         let exes = ["/bin/tar", "/usr/bin/curl"];
         let files = ["/etc/passwd", "/tmp/upload.tar"];
         // The first used to be CONTAINS '/upload'; `_` used to be a literal.
@@ -536,7 +459,7 @@ mod tests {
             ] {
                 for negated in [false, true] {
                     let like = Pred::Like { attr: attr.into(), pattern: pattern.into(), negated };
-                    let got = selected(&g, EntitySel::of(class, Some(like)));
+                    let got = selected(&st, EntitySel::of(class, Some(like)));
                     let want: Vec<i64> = (ids.into_iter().zip(names))
                         .filter(|(_, name)| like_match(pattern, name) != negated)
                         .map(|(id, _)| id)
@@ -549,34 +472,30 @@ mod tests {
         for (op, want) in
             [(raptor_storage::CmpOp::Eq, vec![]), (raptor_storage::CmpOp::Ne, vec![0, 1])]
         {
-            let bin = SVal::Str(g.dict().intern("%bin%"));
+            let bin = SVal::Str(st.db.dict().intern("%bin%"));
             let cmp = Pred::Cmp { attr: "exename".into(), op, value: bin };
-            assert_eq!(selected(&g, EntitySel::of(EntityClass::Process, Some(cmp))), want);
+            assert_eq!(selected(&st, EntitySel::of(EntityClass::Process, Some(cmp))), want);
         }
     }
 
     /// The bound evaluator's semantics, pinned through both drivers: each
-    /// case selects processes as a typed request and as Cypher text, over a
-    /// fresh graph, so the text's literals are unseen unless a record
+    /// case selects processes as a typed request and as Cypher text, over
+    /// fresh stores, so the text's literals are unseen unless a record
     /// carries them. Names intern in reverse order of content (`c`, `b`,
     /// `a`), so symbol order is not string order.
     #[test]
     fn bound_evaluator_semantics_agree_across_drivers() {
         use crate::cypher::{exec::execute, parse_cypher};
         use raptor_storage::CmpOp::{self, *};
-        fn graph() -> Graph {
-            let mut g = Graph::new();
-            for (id, name, pid) in [(0, "c", 30), (1, "b", 20), (2, "a", 10)] {
-                let props = [
-                    ("id", PropIns::Int(id)),
-                    ("name", PropIns::Str(name)),
-                    ("pid", PropIns::Int(pid)),
-                ];
-                g.add_node("Process", &props);
+        fn graph() -> Stores {
+            let mut st = Stores::new(&[("name", Str), ("pid", Int)], &[]);
+            for (name, pid) in [("c", 30), ("b", 20), ("a", 10)] {
+                let props = [("name", FieldValue::Str(name)), ("pid", FieldValue::Int(pid))];
+                st.entity(EntityClass::Process, &props);
             }
-            // Carries no `name`.
-            g.add_node("Process", &[("id", PropIns::Int(3)), ("pid", PropIns::Int(40))]);
-            g
+            // Carries no `name`: its cell is NULL.
+            st.entity(EntityClass::Process, &[("pid", FieldValue::Int(40))]);
+            st
         }
         enum Lit {
             I(i64),
@@ -647,17 +566,17 @@ mod tests {
             ("s.pid > 15", "pid", Cmp(Gt, I(15)), &[0, 1, 3]),
         ];
         for (cond, attr, test, want) in cases {
-            let g = graph();
-            let (c, b) = (g.dict().get("c").unwrap(), g.dict().get("b").unwrap());
+            let st = graph();
+            let (c, b) = (st.db.dict().get("c").unwrap(), st.db.dict().get("b").unwrap());
             assert!(c < b, "`c` interns before `b`");
             let text = format!("MATCH (s:Process) WHERE {cond} RETURN s.id");
-            let r = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap();
+            let r = execute(&st.g, &st.db, &parse_cypher(&text).unwrap(), 8).unwrap();
             let ids = &r.batch.cols[0];
             let mut by_text: Vec<i64> =
                 (0..ids.len()).map(|i| ids.get(i).as_int().unwrap()).collect();
             by_text.sort_unstable();
-            let filter = pred(g.dict(), attr, &test);
-            let typed = selected(&g, EntitySel::of(EntityClass::Process, Some(filter)));
+            let filter = pred(st.db.dict(), attr, &test);
+            let typed = selected(&st, EntitySel::of(EntityClass::Process, Some(filter)));
             assert_eq!(by_text, want, "text: {cond}");
             assert_eq!(typed, want, "typed: {cond}");
         }
@@ -679,18 +598,39 @@ mod tests {
 
     #[test]
     fn event_pattern_on_graph() {
-        let g = audit_graph();
+        let st = audit_graph();
         let mut stats = BackendStats::default();
-        let q = single_hop(EntitySel::of(EntityClass::Process, None), Some(op_eq(&g, "read")));
-        let m = g.match_path_pattern(&q, &mut stats).unwrap();
+        let q = single_hop(EntitySel::of(EntityClass::Process, None), Some(op_eq(&st, "read")));
+        let m = run(&st, &q, &mut stats);
         assert_eq!(m.len(), 2);
         assert!(m.has_event);
         assert!(m.evt.contains(&10) && m.evt.contains(&12));
     }
 
+    /// Events delivered out of id order: an edge's ordinal is its `events`
+    /// row, not its id, so the event a match returns — id and times — is
+    /// the one the edge stands for.
+    #[test]
+    fn out_of_order_events_return_their_own_rows() {
+        let mut st = Stores::new(&[], &[("starttime", Int), ("endtime", Int)]);
+        let p = st.entity(EntityClass::Process, &[]);
+        let files = [0; 3].map(|_| st.entity(EntityClass::File, &[]));
+        for (f, id) in files.into_iter().zip([12, 10, 11]) {
+            let times =
+                [("starttime", FieldValue::Int(id * 100)), ("endtime", FieldValue::Int(-id))];
+            st.event(id, p, f, &times);
+        }
+        let q = single_hop(EntitySel::of(EntityClass::Process, None), None);
+        let m = run(&st, &q, &mut BackendStats::default());
+        let mut got: Vec<_> =
+            (0..m.len()).map(|i| (m.obj[i], m.evt[i], m.start[i], m.end[i])).collect();
+        got.sort_unstable();
+        assert_eq!(got, [(1, 12, 1200, -12), (2, 10, 1000, -10), (3, 11, 1100, -11)]);
+    }
+
     #[test]
     fn variable_length_path_with_final_hop() {
-        let g = audit_graph();
+        let st = audit_graph();
         let mut stats = BackendStats::default();
         // tar ~>(1~2)[read] file: the graph is bipartite (no out-edges from
         // files), so with the subject pinned to tar only the direct read of
@@ -708,18 +648,18 @@ mod tests {
             min_hops: 1,
             max_hops: Some(2),
             hop_cap: 8,
-            final_hop_pred: Some(op_eq(&g, "read")),
+            final_hop_pred: Some(op_eq(&st, "read")),
             want_event: true,
             subject_is_object: false,
         };
-        let m = g.match_path_pattern(&q, &mut stats).unwrap();
+        let m = run(&st, &q, &mut stats);
         assert_eq!(m.len(), 1);
         assert_eq!((m.subj[0], m.obj[0], m.evt[0]), (0, 2, 10));
     }
 
     #[test]
     fn pure_path_without_event_binding() {
-        let g = audit_graph();
+        let st = audit_graph();
         let mut stats = BackendStats::default();
         let q = PathPatternQuery {
             subject: EntitySel::of(EntityClass::Process, None),
@@ -731,19 +671,19 @@ mod tests {
             want_event: false,
             subject_is_object: false,
         };
-        let m = g.match_path_pattern(&q, &mut stats).unwrap();
+        let m = run(&st, &q, &mut stats);
         assert_eq!(m.len(), 1);
         assert!(!m.has_event);
         assert_eq!((m.subj[0], m.obj[0], m.evt[0]), (1, 4, -1));
     }
 
     /// An endpoint id past `u32` would wrap to a node that exists (`1 << 32`
-    /// to node 0) and pass `append_edge`'s bounds check: it is refused
-    /// before narrowing, like any id that is not a node.
+    /// to node 0) and pass `add_edge`'s bounds check: it is refused before
+    /// narrowing, like any id that is not a node.
     #[test]
     fn out_of_range_event_endpoint_is_refused() {
         use raptor_common::error::ErrorKind;
-        let mut g = audit_graph();
+        let mut g = audit_graph().g;
         let edges = g.edge_count();
         let mut stats = BackendStats::default();
         for (s, o) in [(1i64 << 32, 2), (0, (1 << 32) + 2), (-1, 2), (0, 5)] {
@@ -756,13 +696,13 @@ mod tests {
 
     #[test]
     fn propagated_ids_anchor() {
-        let g = audit_graph();
+        let st = audit_graph();
         let mut stats = BackendStats::default();
         let mut subject = EntitySel::of(EntityClass::Process, None);
         // Node 2 is a file and 9 is no node: only process 1 is an anchor,
         // and the only candidate read.
         subject.id_in = Some(vec![1, 2, 9]);
-        let m = g.match_path_pattern(&single_hop(subject, None), &mut stats).unwrap();
+        let m = run(&st, &single_hop(subject, None), &mut stats);
         assert_eq!(m.len(), 1);
         assert_eq!(m.subj[0], 1);
         assert_eq!(stats.items_scanned, 1);

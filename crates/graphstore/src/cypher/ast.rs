@@ -1,13 +1,10 @@
 //! Cypher abstract syntax.
 
-/// A literal. Parsed Cypher text produces `Str`; a typed request's
-/// predicate lowering produces `Sym` — a pre-resolved handle into
-/// the shared dictionary, evaluated without a dictionary lookup.
+/// A literal.
 #[derive(Clone, PartialEq, Debug)]
 pub enum CLit {
     Int(i64),
     Str(String),
-    Sym(raptor_common::Sym),
 }
 
 /// `var.prop`
@@ -53,7 +50,7 @@ pub struct PathPattern {
 }
 
 /// Comparison operators (Cypher spelling of ≠ is `<>`): the typed
-/// requests' own, so a typed predicate lowers with no translation.
+/// requests' own.
 pub use raptor_storage::CmpOp as COp;
 
 /// WHERE expression tree.
@@ -65,8 +62,7 @@ pub enum CExpr {
         op: COp,
         right: CmpRhs,
     },
-    /// `a.x CONTAINS 'lit'` / `STARTS WITH` / `ENDS WITH`, or a typed
-    /// request's SQL `LIKE` pattern
+    /// `a.x CONTAINS 'lit'` / `STARTS WITH` / `ENDS WITH`
     StrPred {
         left: PropRef,
         kind: StrPredKind,
@@ -93,9 +89,6 @@ pub enum StrPredKind {
     Contains,
     StartsWith,
     EndsWith,
-    /// SQL `LIKE` (`%`, `_`), exactly as the relational store evaluates it.
-    /// Cypher text has no spelling for it; typed requests lower to it.
-    Like,
 }
 
 impl StrPredKind {
@@ -105,7 +98,6 @@ impl StrPredKind {
             StrPredKind::Contains => s.contains(needle),
             StrPredKind::StartsWith => s.starts_with(needle),
             StrPredKind::EndsWith => s.ends_with(needle),
-            StrPredKind::Like => raptor_common::like::like_match(needle, s),
         }
     }
 }

@@ -1,22 +1,33 @@
 //! Cypher execution.
 //!
 //! Pipeline: for each path pattern (in MATCH order) — anchor the start node
-//! (bound variable, indexed property lookup, label scan, or full scan), then
-//! extend bindings along each relationship segment (fixed-length via
+//! (bound variable, indexed property lookup, class scan, or full scan),
+//! then extend bindings along each relationship segment (fixed-length via
 //! adjacency, variable-length via bounded DFS with edge-distinctness) —
 //! applying WHERE conjuncts as soon as all their variables are bound,
 //! then gather each RETURN item into a column of a `ResultBatch`, and
 //! apply DISTINCT and LIMIT to the batch. Patterns, conjuncts and
 //! RETURN items are bound once per query (`bind`), so the walk resolves
 //! no name.
+//!
+//! The graph holds topology only: every property is a cell of the
+//! relational rows. A label binds to an entity class (`EVENT` to every
+//! edge), a key to its column in each class's table and in `events`, and
+//! an anchor's index lookup reads the relational store's hash index on
+//! that column. A NULL cell and a key outside a class's schema both read as
+//! a missing property.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
-use raptor_common::intern::{SharedDict, Sym};
-use raptor_storage::{Posting, ResultBatch, Value};
+use raptor_common::intern::SharedDict;
+use raptor_relstore::exec::entity_ids;
+use raptor_relstore::table::{RowId, Table};
+use raptor_relstore::Database;
+use raptor_storage::{EntityClass, ResultBatch, Value};
 
 use super::ast::*;
-use crate::graph::{EdgeId, Graph, NodeId, PropValue};
+use crate::backend::{label_for_class, LABEL_EVENT};
+use crate::graph::{EdgeId, Graph, NodeId};
 
 /// Default hop cap for unbounded variable-length patterns (`[*]`, `[*2..]`).
 pub const DEFAULT_MAX_HOPS: u32 = 8;
@@ -31,7 +42,7 @@ pub struct GraphQueryStats {
 
 /// Query result: the projected columns, one per RETURN item. Strings stay
 /// interned — the values are the shared plane's own, and the batch carries
-/// the graph's dictionary to render them.
+/// the dictionary to render them.
 #[derive(Clone, Debug)]
 pub struct CypherResult {
     pub batch: ResultBatch,
@@ -72,27 +83,52 @@ impl VarTable {
 
 // --- binding: names resolve once per request, never per node, edge or row ---
 //
-// A key, label or string literal resolves through `SharedDict::get`, which
-// takes the dictionary's read lock. [`bind`] does that once per request; a
-// name no record carries yet binds to `None`, and [`eval`] reads the bound
-// form without touching the dictionary's map. Binding belongs to a request,
-// not to a compiled query: a later epoch may be the first to intern a name.
+// A label resolves to a class, a key to its columns, and a string literal
+// through `SharedDict::get`, which takes the dictionary's read lock. [`bind`]
+// does that once per request; a string no record carries binds to `None`,
+// and [`eval`] reads the bound form without touching the dictionary's map.
 
-/// `var.prop` bound: the variable's binding slot and the key's symbol
-/// (`None`: no record carries the key, so the property is missing).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BoundProp {
-    pub(crate) slot: usize,
-    pub(crate) key: Option<Sym>,
+/// A key bound to the rows: its column in each class's table and in
+/// `events`, `None` where the schema has none.
+#[derive(Clone, Copy)]
+pub(crate) struct Cols<'a> {
+    node: [Option<(&'a Table, usize)>; EntityClass::ALL.len()],
+    edge: Option<(&'a Table, usize)>,
 }
 
-impl BoundProp {
-    fn read(self, g: &Graph, binding: &[BindVal]) -> Option<PropValue> {
-        let key = self.key?;
+impl<'a> Cols<'a> {
+    fn bind(db: &'a Database, key: &str) -> Cols<'a> {
+        let col =
+            |table: &str| db.table(table).and_then(|t| Some((t, t.schema.column_index(key)?)));
+        Cols { node: EntityClass::ALL.map(|c| col(c.table_name())), edge: col("events") }
+    }
+
+    /// Node `n`'s cell, NULL where its class has no such column.
+    fn node(&self, g: &Graph, n: NodeId) -> Value {
+        let node = g.node(n);
+        self.node[node.class as usize].map_or(Value::Null, |(t, c)| t.cell(node.row, c))
+    }
+
+    /// Edge `e`'s cell: its `events` row's.
+    fn edge(&self, e: EdgeId) -> Value {
+        self.edge.map_or(Value::Null, |(t, c)| t.cell(e.0, c))
+    }
+}
+
+/// `var.prop` bound: the variable's binding slot and the key's columns.
+#[derive(Clone, Copy)]
+pub(crate) struct BoundProp<'a> {
+    slot: usize,
+    cols: Cols<'a>,
+}
+
+impl BoundProp<'_> {
+    /// The property under `binding`; NULL when it is missing.
+    fn read(&self, g: &Graph, binding: &[BindVal]) -> Value {
         match binding[self.slot] {
-            BindVal::Node(n) => g.node_prop_sym(n, key),
-            BindVal::Edge(e) => g.edge_prop_sym(e, key),
-            BindVal::Unbound => None,
+            BindVal::Node(n) => self.cols.node(g, n),
+            BindVal::Edge(e) => self.cols.edge(e),
+            BindVal::Unbound => Value::Null,
         }
     }
 }
@@ -100,54 +136,49 @@ impl BoundProp {
 /// A WHERE expression bound by [`bind`]. A string literal is the value it
 /// would be stored as, `None` when no record carries it; an `IN` list keeps
 /// only the literals some record carries.
-pub(crate) enum BoundExpr<'q> {
-    Cmp { left: BoundProp, op: COp, right: BoundRhs },
-    StrPred { left: BoundProp, kind: StrPredKind, needle: &'q str },
-    InList { left: BoundProp, list: Vec<PropValue> },
-    And(Box<BoundExpr<'q>>, Box<BoundExpr<'q>>),
-    Or(Box<BoundExpr<'q>>, Box<BoundExpr<'q>>),
-    Not(Box<BoundExpr<'q>>),
+pub(crate) enum BoundExpr<'a> {
+    Cmp { left: BoundProp<'a>, op: COp, right: BoundRhs<'a> },
+    StrPred { left: BoundProp<'a>, kind: StrPredKind, needle: &'a str },
+    InList { left: BoundProp<'a>, list: Vec<Value> },
+    And(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Or(Box<BoundExpr<'a>>, Box<BoundExpr<'a>>),
+    Not(Box<BoundExpr<'a>>),
 }
 
-pub(crate) enum BoundRhs {
-    Lit(Option<PropValue>),
-    Prop(BoundProp),
+pub(crate) enum BoundRhs<'a> {
+    Lit(Option<Value>),
+    Prop(BoundProp<'a>),
 }
 
-fn bind_lit(dict: &SharedDict, lit: &CLit) -> Option<PropValue> {
+fn bind_lit(dict: &SharedDict, lit: &CLit) -> Option<Value> {
     match lit {
-        CLit::Int(i) => Some(PropValue::Int(*i)),
-        CLit::Str(s) => dict.get(s).map(PropValue::Str),
-        CLit::Sym(s) => Some(PropValue::Str(*s)),
+        CLit::Int(i) => Some(Value::Int(*i)),
+        CLit::Str(s) => dict.get(s).map(Value::Str),
     }
 }
 
-fn bind_prop(dict: &SharedDict, p: &PropRef, slot: &impl Fn(&str) -> usize) -> BoundProp {
-    BoundProp { slot: slot(&p.var), key: dict.get(&p.prop) }
+fn bind_prop<'a>(db: &'a Database, p: &PropRef, slot: &impl Fn(&str) -> usize) -> BoundProp<'a> {
+    BoundProp { slot: slot(&p.var), cols: Cols::bind(db, &p.prop) }
 }
 
 /// Binds `e`; `slot` gives each variable's binding slot.
-pub(crate) fn bind<'q>(
-    dict: &SharedDict,
-    e: &'q CExpr,
-    slot: &impl Fn(&str) -> usize,
-) -> BoundExpr<'q> {
-    let sub = |e: &'q CExpr| Box::new(bind(dict, e, slot));
+fn bind<'a>(db: &'a Database, e: &'a CExpr, slot: &impl Fn(&str) -> usize) -> BoundExpr<'a> {
+    let sub = |e: &'a CExpr| Box::new(bind(db, e, slot));
     match e {
         CExpr::Cmp { left, op, right } => BoundExpr::Cmp {
-            left: bind_prop(dict, left, slot),
+            left: bind_prop(db, left, slot),
             op: *op,
             right: match right {
-                CmpRhs::Lit(lit) => BoundRhs::Lit(bind_lit(dict, lit)),
-                CmpRhs::Prop(p) => BoundRhs::Prop(bind_prop(dict, p, slot)),
+                CmpRhs::Lit(lit) => BoundRhs::Lit(bind_lit(db.dict(), lit)),
+                CmpRhs::Prop(p) => BoundRhs::Prop(bind_prop(db, p, slot)),
             },
         },
         CExpr::StrPred { left, kind, needle } => {
-            BoundExpr::StrPred { left: bind_prop(dict, left, slot), kind: *kind, needle }
+            BoundExpr::StrPred { left: bind_prop(db, left, slot), kind: *kind, needle }
         }
         CExpr::InList { left, list } => BoundExpr::InList {
-            left: bind_prop(dict, left, slot),
-            list: list.iter().filter_map(|lit| bind_lit(dict, lit)).collect(),
+            left: bind_prop(db, left, slot),
+            list: list.iter().filter_map(|lit| bind_lit(db.dict(), lit)).collect(),
         },
         CExpr::And(a, b) => BoundExpr::And(sub(a), sub(b)),
         CExpr::Or(a, b) => BoundExpr::Or(sub(a), sub(b)),
@@ -155,32 +186,29 @@ pub(crate) fn bind<'q>(
     }
 }
 
-/// Decides a bound WHERE expression under `binding` — the one evaluator
-/// behind the Cypher executor and the typed path matcher. A missing
-/// property satisfies no operator, an `Int` never compares with a `Str`,
-/// strings order by content, and a string no record carries satisfies only
-/// `<>`, and only against a string.
-pub(crate) fn eval(g: &Graph, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
+/// Decides a bound WHERE expression under `binding`. A missing property
+/// satisfies no operator, an `Int` never compares with a `Str`, strings
+/// order by content, and a string no record carries satisfies only `<>`,
+/// and only against a string.
+fn eval(g: &Graph, dict: &SharedDict, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
     match e {
         BoundExpr::Cmp { left, op, right } => {
-            let Some(lv) = left.read(g, binding) else { return false };
+            let lv = left.read(g, binding);
             let rv = match right {
                 BoundRhs::Lit(Some(v)) => *v,
-                BoundRhs::Lit(None) => return *op == COp::Ne && matches!(lv, PropValue::Str(_)),
-                BoundRhs::Prop(p) => {
-                    let Some(v) = p.read(g, binding) else { return false };
-                    v
-                }
+                BoundRhs::Lit(None) => return *op == COp::Ne && matches!(lv, Value::Str(_)),
+                BoundRhs::Prop(p) => p.read(g, binding),
             };
             use std::cmp::Ordering::*;
             let ord = match (lv, rv) {
-                (PropValue::Int(a), PropValue::Int(b)) => a.cmp(&b),
-                (PropValue::Str(a), PropValue::Str(b)) => match op {
+                (Value::Int(a), Value::Int(b)) => a.cmp(&b),
+                (Value::Str(a), Value::Str(b)) => match op {
                     // One dictionary: two symbols are equal exactly when
                     // their strings are, so only an ordering reads them.
                     COp::Eq | COp::Ne => a.cmp(&b),
-                    _ => g.dict().resolve(a).cmp(g.dict().resolve(b)),
+                    _ => dict.resolve(a).cmp(dict.resolve(b)),
                 },
+                // A missing side, or `Int` against `Str`.
                 _ => return false,
             };
             match op {
@@ -193,135 +221,137 @@ pub(crate) fn eval(g: &Graph, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
             }
         }
         BoundExpr::StrPred { left, kind, needle } => {
-            let Some(PropValue::Str(sym)) = left.read(g, binding) else { return false };
-            kind.holds(g.dict().resolve(sym), needle)
+            let Value::Str(sym) = left.read(g, binding) else { return false };
+            kind.holds(dict.resolve(sym), needle)
         }
-        BoundExpr::InList { left, list } => {
-            left.read(g, binding).is_some_and(|v| list.contains(&v))
-        }
-        BoundExpr::And(a, b) => eval(g, a, binding) && eval(g, b, binding),
-        BoundExpr::Or(a, b) => eval(g, a, binding) || eval(g, b, binding),
-        BoundExpr::Not(inner) => !eval(g, inner, binding),
+        // The list holds no NULL, so a missing property is in no list.
+        BoundExpr::InList { left, list } => list.contains(&left.read(g, binding)),
+        BoundExpr::And(a, b) => eval(g, dict, a, binding) && eval(g, dict, b, binding),
+        BoundExpr::Or(a, b) => eval(g, dict, a, binding) || eval(g, dict, b, binding),
+        BoundExpr::Not(inner) => !eval(g, dict, inner, binding),
     }
 }
 
-/// A node or relationship pattern's label and property map, bound. The
-/// inner `None`s are names or strings no record carries.
-pub(crate) struct BoundShape {
-    label: Option<Option<Sym>>,
-    props: Vec<(Option<Sym>, Option<PropValue>)>,
+/// A node or relationship pattern's label and property map, bound. A node
+/// pattern's label is a class (`Some(None)`: a label no class has); a
+/// relationship's `EVENT` admits every edge, like no label, and any other
+/// label binds to `Some(None)`. A `None` literal is a string no record
+/// carries.
+struct BoundShape<'a> {
+    label: Option<Option<EntityClass>>,
+    props: Vec<(Cols<'a>, Option<Value>)>,
 }
 
-impl BoundShape {
-    pub(crate) fn of_label(label: Option<Sym>) -> BoundShape {
-        BoundShape { label: Some(label), props: Vec::new() }
+impl<'a> BoundShape<'a> {
+    fn bind(
+        db: &'a Database,
+        label: Option<Option<EntityClass>>,
+        props: &[(String, CLit)],
+    ) -> BoundShape<'a> {
+        let props = props.iter().map(|(k, lit)| (Cols::bind(db, k), bind_lit(db.dict(), lit)));
+        BoundShape { label, props: props.collect() }
     }
 
-    fn bind(dict: &SharedDict, label: &Option<String>, props: &[(String, CLit)]) -> BoundShape {
-        BoundShape {
-            label: label.as_deref().map(|l| dict.get(l)),
-            props: props.iter().map(|(k, lit)| (dict.get(k), bind_lit(dict, lit))).collect(),
-        }
+    fn node_pattern(db: &'a Database, p: &NodePattern) -> BoundShape<'a> {
+        let class = |l: &String| EntityClass::ALL.into_iter().find(|&c| label_for_class(c) == l);
+        Self::bind(db, p.label.as_ref().map(class), &p.props)
     }
 
-    /// Does a record with `label` whose properties `prop` reads fit the
-    /// pattern?
-    fn holds(&self, label: Sym, prop: impl Fn(Sym) -> Option<PropValue>) -> bool {
-        self.label.is_none_or(|l| l == Some(label))
-            && self.props.iter().all(|&kv| match kv {
-                (Some(k), Some(v)) => prop(k) == Some(v),
-                _ => false,
-            })
+    fn rel_pattern(db: &'a Database, p: &RelPattern) -> BoundShape<'a> {
+        let label = p.label.as_deref().filter(|&l| l != LABEL_EVENT).map(|_| None);
+        Self::bind(db, label, &p.props)
+    }
+
+    /// Does every property of the map equal its literal?
+    fn props_hold(&self, cell: impl Fn(&Cols<'a>) -> Value) -> bool {
+        self.props.iter().all(|(cols, v)| v.is_some_and(|v| cell(cols) == v))
     }
 
     fn node(&self, g: &Graph, n: NodeId) -> bool {
-        self.holds(g.node(n).label, |k| g.node_prop_sym(n, k))
+        self.label.is_none_or(|l| l == Some(g.node(n).class)) && self.props_hold(|c| c.node(g, n))
     }
 
-    fn edge(&self, g: &Graph, e: EdgeId) -> bool {
-        self.holds(g.edge(e).label, |k| g.edge_prop_sym(e, k))
+    fn edge(&self, e: EdgeId) -> bool {
+        self.label.is_none() && self.props_hold(|c| c.edge(e))
     }
 }
 
-/// Candidate anchors for a path start: tightest available access path.
-pub(crate) fn anchor_candidates(
+/// Candidate anchors for a path start: the tightest access path available —
+/// a hash index of the start class's table on a property-map key, then on
+/// an indexable WHERE conjunct's key, then the class's rows, or every node
+/// for a pattern without a label.
+fn anchor_candidates(
     g: &Graph,
-    pat: &BoundShape,
+    db: &Database,
+    pat: &BoundShape<'_>,
     extra: &[&BoundExpr<'_>],
     stats: &mut GraphQueryStats,
 ) -> Vec<NodeId> {
     let Some(label) = pat.label else {
-        // 4. Full scan.
+        // Full scan.
         stats.nodes_scanned += g.node_count();
-        return g.node_ids().collect();
+        return (0..g.node_count() as u32).map(NodeId).collect();
     };
-    // A label no record carries: no node has it.
-    let Some(label) = label else { return Vec::new() };
-    let index = |key: Option<Sym>| g.value_index(label, key?);
-    fn postings(ix: &FxHashMap<PropValue, Posting<NodeId>>, v: PropValue) -> &[NodeId] {
-        ix.get(&v).map_or(&[], Posting::as_slice)
-    }
+    // A label no class has: no node has it.
+    let Some(class) = label else { return Vec::new() };
+    let (name, ci) = (class.table_name(), class as usize);
+    let Some(ids) = db.table(name).and_then(|t| entity_ids(t).ok()) else { return Vec::new() };
+    let mut out = Vec::new();
+    let mut collect = |rows: &mut dyn Iterator<Item = RowId>| {
+        out.extend(rows.filter_map(|r| g.entity_node(ids[r as usize])));
+        stats.nodes_scanned += out.len();
+    };
+    let index = |cols: &Cols<'_>| db.hash_index(name, cols.node[ci]?.1);
     // 1. Indexed property-map equality.
-    for &(k, v) in &pat.props {
-        if let (Some(ix), Some(v)) = (index(k), v) {
-            let ids = postings(ix, v);
-            stats.nodes_scanned += ids.len();
-            return ids.to_vec();
+    for (cols, v) in &pat.props {
+        if let (Some(ix), Some(v)) = (index(cols), v) {
+            collect(&mut ix.get(*v).iter().copied());
+            return out;
         }
     }
-    // 2. Indexed WHERE conjuncts on this variable (= / CONTAINS /
-    //    STARTS WITH / ENDS WITH / LIKE against the distinct-value
-    //    dictionary).
+    // 2. Indexed WHERE conjuncts on this variable (= / IN / CONTAINS /
+    //    STARTS WITH / ENDS WITH against the column's distinct strings).
     for e in extra {
         match e {
             BoundExpr::Cmp { left, op: COp::Eq, right: BoundRhs::Lit(v) } => {
-                if let Some(ix) = index(left.key) {
-                    // A literal string unseen in the graph: no node matches.
-                    let ids = v.map_or(&[][..], |v| postings(ix, v));
-                    stats.nodes_scanned += ids.len();
-                    return ids.to_vec();
+                if let Some(ix) = index(&left.cols) {
+                    // A literal string unseen in the store: no node matches.
+                    collect(&mut v.map_or(&[][..], |v| ix.get(v)).iter().copied());
+                    return out;
                 }
             }
             BoundExpr::InList { left, list } => {
                 // `p.name IN [..]` — an `IN` list in Cypher text (GiantCypher's).
-                match index(left.key) {
+                match index(&left.cols) {
                     Some(ix) => {
-                        let out: Vec<NodeId> =
-                            list.iter().flat_map(|&v| postings(ix, v)).copied().collect();
-                        stats.nodes_scanned += out.len();
+                        collect(&mut list.iter().flat_map(|&v| ix.get(v)).copied());
                         return out;
                     }
                     // No literal some record carries: nothing matches.
-                    None if list.is_empty() => return Vec::new(),
+                    None if list.is_empty() => return out,
                     None => {}
                 }
             }
             BoundExpr::StrPred { left, kind, needle } => {
-                if let Some(ix) = index(left.key) {
-                    let mut out = Vec::new();
-                    for (v, ids) in ix {
-                        if let PropValue::Str(sym) = v {
-                            if kind.holds(g.dict().resolve(*sym), needle) {
-                                out.extend_from_slice(ids.as_slice());
-                            }
-                        }
-                    }
-                    stats.nodes_scanned += out.len();
+                if let Some(ix) = index(&left.cols) {
+                    let dict = db.dict();
+                    let hits = ix.syms().filter(|&s| kind.holds(dict.resolve(s), needle));
+                    collect(&mut hits.flat_map(|s| ix.get(Value::Str(s))).copied());
                     return out;
                 }
             }
             _ => {}
         }
     }
-    // 3. Label scan.
-    let ids = g.nodes_with_label(label);
-    stats.nodes_scanned += ids.len();
-    ids.to_vec()
+    // 3. Class scan: every row of the class's table.
+    collect(&mut (0..ids.len() as RowId));
+    out
 }
 
-/// Runs a parsed query.
-pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult> {
-    let dict = g.dict();
+/// Runs a parsed query over the graph, reading every property from `db`'s
+/// rows.
+pub fn execute(g: &Graph, db: &Database, q: &CypherQuery, max_hops: u32) -> Result<CypherResult> {
+    let dict = db.dict();
     let mut stats = GraphQueryStats::default();
     let mut vars = VarTable { slots: FxHashMap::default(), count: 0 };
 
@@ -358,9 +388,9 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
         vars.lookup(&item.prop.var)?;
     }
     let slot = |v: &str| vars.slots[v];
-    let bound: Vec<BoundExpr<'_>> = conjuncts.iter().map(|c| bind(dict, c, &slot)).collect();
-    let returned: Vec<BoundProp> =
-        q.return_items.iter().map(|item| bind_prop(dict, &item.prop, &slot)).collect();
+    let bound: Vec<BoundExpr<'_>> = conjuncts.iter().map(|c| bind(db, c, &slot)).collect();
+    let returned: Vec<BoundProp<'_>> =
+        q.return_items.iter().map(|item| bind_prop(db, &item.prop, &slot)).collect();
     let mut applied = vec![false; conjuncts.len()];
     let mut bound_names: Vec<String> = Vec::new();
 
@@ -368,21 +398,22 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
 
     for path in &q.paths {
         // --- anchor ---
-        let start = BoundShape::bind(dict, &path.start.label, &path.start.props);
+        let start = BoundShape::node_pattern(db, &path.start);
         let start_slot = path.start.var.as_ref().map(|v| vars.slots[v.as_str()]);
-        let already_bound = start_slot
-            .map(|s| bindings.first().is_some_and(|b| b[s] != BindVal::Unbound))
-            .unwrap_or(false);
-        let cursors: Vec<NodeId> = if already_bound {
+        let bound_slot =
+            start_slot.filter(|&s| bindings.first().is_some_and(|b| b[s] != BindVal::Unbound));
+        let cursors: Vec<NodeId> = if let Some(slot) = bound_slot {
             // Filter existing bindings by the start pattern; they carry the
             // cursors.
-            let slot = start_slot.unwrap();
-            bindings.retain(|b| matches!(b[slot], BindVal::Node(n) if start.node(g, n)));
-            let node = |b: &Vec<BindVal>| match b[slot] {
-                BindVal::Node(n) => n,
-                _ => unreachable!("retained above"),
-            };
-            bindings.iter().map(node).collect()
+            let mut cursors = Vec::with_capacity(bindings.len());
+            bindings.retain(|b| match b[slot] {
+                BindVal::Node(n) if start.node(g, n) => {
+                    cursors.push(n);
+                    true
+                }
+                _ => false,
+            });
+            cursors
         } else {
             // Anchor with WHERE conjuncts that reference only this new var.
             let var = path.start.var.as_deref();
@@ -392,7 +423,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
                 .filter(|(c, _)| var.is_some_and(|v| c.vars() == [v]))
                 .map(|(_, b)| b)
                 .collect();
-            let mut candidates = anchor_candidates(g, &start, &extra, &mut stats);
+            let mut candidates = anchor_candidates(g, db, &start, &extra, &mut stats);
             candidates.retain(|&n| start.node(g, n));
             let len = bindings.len() * candidates.len();
             let (mut next, mut cursors) = (Vec::with_capacity(len), Vec::with_capacity(len));
@@ -410,14 +441,19 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
             bindings = next;
             cursors
         };
-        extend_path(g, path, &mut bindings, cursors, &vars, max_hops, &mut stats);
+        extend_path(g, db, path, &mut bindings, cursors, &vars, max_hops, &mut stats);
         let segment_vars = path.segments.iter().flat_map(|(rel, node)| [&rel.var, &node.var]);
         for v in std::iter::once(&path.start.var).chain(segment_vars).flatten() {
             if !bound_names.contains(v) {
                 bound_names.push(v.clone());
             }
         }
-        apply_ready_conjuncts(g, &conjuncts, &bound, &mut applied, &bound_names, &mut bindings);
+        for (i, c) in conjuncts.iter().enumerate() {
+            if !applied[i] && c.vars().iter().all(|v| bound_names.iter().any(|b| b == v)) {
+                bindings.retain(|b| eval(g, dict, &bound[i], b));
+                applied[i] = true;
+            }
+        }
         stats.bindings_built += bindings.len();
     }
 
@@ -432,10 +468,7 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
 
     // --- projection ---
     let columns = q.return_items.iter().map(|item| item.prop.to_string()).collect();
-    let cols = returned
-        .iter()
-        .map(|p| bindings.iter().map(|b| p.read(g, b).map_or(Value::Null, Value::from)).collect())
-        .collect();
+    let cols = returned.iter().map(|p| bindings.iter().map(|b| p.read(g, b)).collect()).collect();
     let mut batch = ResultBatch::new(columns, cols, dict.clone());
     if q.distinct {
         batch.dedup_rows();
@@ -447,15 +480,15 @@ pub fn execute(g: &Graph, q: &CypherQuery, max_hops: u32) -> Result<CypherResult
 }
 
 /// A relationship segment and its target node, bound.
-struct Segment {
+struct Segment<'a> {
     range: LengthRange,
-    rel: BoundShape,
-    node: BoundShape,
+    rel: BoundShape<'a>,
+    node: BoundShape<'a>,
     rel_slot: Option<usize>,
     node_slot: Option<usize>,
 }
 
-impl Segment {
+impl Segment<'_> {
     /// May `dst` end this segment under `binding`? If the target variable
     /// is already bound, it must be the same node.
     fn target_ok(&self, g: &Graph, binding: &[BindVal], dst: NodeId) -> bool {
@@ -473,7 +506,7 @@ impl Segment {
 /// traversal order) and counting traversed edges into `edges`.
 fn extend_one(
     g: &Graph,
-    seg: &Segment,
+    seg: &Segment<'_>,
     max_hops: u32,
     b: &[BindVal],
     cur: NodeId,
@@ -485,7 +518,7 @@ fn extend_one(
         None => {
             for &eid in g.out_edges(cur) {
                 *edges += 1;
-                if !seg.rel.edge(g, eid) {
+                if !seg.rel.edge(eid) {
                     continue;
                 }
                 let dst = g.edge(eid).dst;
@@ -506,7 +539,7 @@ fn extend_one(
         Some((min, max)) => {
             let min = min.unwrap_or(1);
             let max = max.unwrap_or(max_hops).min(max_hops);
-            let edge_ok = |eid| seg.rel.edge(g, eid);
+            let edge_ok = |eid| seg.rel.edge(eid);
             edge_distinct_walks(g, cur, min, max, edge_ok, edges, |n| {
                 if seg.target_ok(g, b, n) {
                     let mut nb = b.to_vec();
@@ -559,8 +592,10 @@ pub(crate) fn edge_distinct_walks(
 /// Extends `bindings` (with per-binding `cursors` at the current path
 /// position) along every segment of `path`: one adjacency walk or bounded
 /// DFS per binding, in binding order. Each segment is bound once.
+#[allow(clippy::too_many_arguments)]
 fn extend_path(
     g: &Graph,
+    db: &Database,
     path: &PathPattern,
     bindings: &mut Vec<Vec<BindVal>>,
     mut cursors: Vec<NodeId>,
@@ -571,8 +606,8 @@ fn extend_path(
     for (rel, node) in &path.segments {
         let seg = Segment {
             range: rel.range,
-            rel: BoundShape::bind(g.dict(), &rel.label, &rel.props),
-            node: BoundShape::bind(g.dict(), &node.label, &node.props),
+            rel: BoundShape::rel_pattern(db, rel),
+            node: BoundShape::node_pattern(db, node),
             rel_slot: rel.var.as_ref().map(|v| vars.slots[v.as_str()]),
             node_slot: node.var.as_ref().map(|v| vars.slots[v.as_str()]),
         };
@@ -587,94 +622,83 @@ fn extend_path(
     }
 }
 
-fn apply_ready_conjuncts(
-    g: &Graph,
-    conjuncts: &[CExpr],
-    bound: &[BoundExpr<'_>],
-    applied: &mut [bool],
-    bound_names: &[String],
-    bindings: &mut Vec<Vec<BindVal>>,
-) {
-    for (i, c) in conjuncts.iter().enumerate() {
-        if applied[i] {
-            continue;
-        }
-        if c.vars().iter().all(|v| bound_names.iter().any(|b| b == v)) {
-            bindings.retain(|b| eval(g, &bound[i], b));
-            applied[i] = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cypher::parse_cypher;
-    use crate::graph::PropIns;
+    use crate::testkit::Stores;
+    use raptor_relstore::ColumnType::{Int, Str};
+    use raptor_storage::FieldValue;
 
     /// The Figure 2 chain: tar→passwd, tar→upload.tar, bzip2→upload.tar,
     /// bzip2→upload.tar.bz2, gpg→..., curl→ip.
-    fn fig2_graph() -> Graph {
-        let mut g = Graph::new();
-        let mk_proc = |g: &mut Graph, exe: &str, pid: i64| {
-            g.add_node(
-                "Process",
-                &[
-                    ("exename", PropIns::Str(exe)),
-                    ("pid", PropIns::Int(pid)),
-                    ("id", PropIns::Int(pid)),
-                ],
-            )
-        };
-        let mk_file = |g: &mut Graph, name: &str, id: i64| {
-            g.add_node("File", &[("name", PropIns::Str(name)), ("id", PropIns::Int(id))])
-        };
-        let tar = mk_proc(&mut g, "/bin/tar", 100);
-        let bzip = mk_proc(&mut g, "/bin/bzip2", 101);
-        let gpg = mk_proc(&mut g, "/usr/bin/gpg", 102);
-        let curl = mk_proc(&mut g, "/usr/bin/curl", 103);
-        let passwd = mk_file(&mut g, "/etc/passwd", 200);
-        let uptar = mk_file(&mut g, "/tmp/upload.tar", 201);
-        let upbz2 = mk_file(&mut g, "/tmp/upload.tar.bz2", 202);
-        let upload = mk_file(&mut g, "/tmp/upload", 203);
-        let ip = g.add_node(
-            "NetConn",
-            &[("dstip", PropIns::Str("192.168.29.128")), ("id", PropIns::Int(300))],
+    fn fig2_graph() -> Stores {
+        let mut st = Stores::new(
+            &[("exename", Str), ("pid", Int), ("name", Str), ("dstip", Str)],
+            &[("optype", Str), ("starttime", Int)],
         );
-        let mut t = 0;
-        let mut ev = |g: &mut Graph, s, d, op: &str| {
-            t += 100;
-            g.add_edge(
+        let mk_proc = |st: &mut Stores, exe: &str, pid: i64| {
+            let fields = [("exename", FieldValue::Str(exe)), ("pid", FieldValue::Int(pid))];
+            st.entity(EntityClass::Process, &fields)
+        };
+        let mk_file = |st: &mut Stores, name: &str| {
+            st.entity(EntityClass::File, &[("name", FieldValue::Str(name))])
+        };
+        let tar = mk_proc(&mut st, "/bin/tar", 100);
+        let bzip = mk_proc(&mut st, "/bin/bzip2", 101);
+        let gpg = mk_proc(&mut st, "/usr/bin/gpg", 102);
+        let curl = mk_proc(&mut st, "/usr/bin/curl", 103);
+        let passwd = mk_file(&mut st, "/etc/passwd");
+        let uptar = mk_file(&mut st, "/tmp/upload.tar");
+        let upbz2 = mk_file(&mut st, "/tmp/upload.tar.bz2");
+        let upload = mk_file(&mut st, "/tmp/upload");
+        let ip = st.entity(EntityClass::NetConn, &[("dstip", FieldValue::Str("192.168.29.128"))]);
+        let edges = [
+            (tar, passwd, "read"),
+            (tar, uptar, "write"),
+            (bzip, uptar, "read"),
+            (bzip, upbz2, "write"),
+            (gpg, upbz2, "read"),
+            (gpg, upload, "write"),
+            (curl, upload, "read"),
+            (curl, ip, "connect"),
+        ];
+        for (i, (s, d, op)) in edges.into_iter().enumerate() {
+            let t = 100 * (i as i64 + 1);
+            st.event(
+                i as i64,
                 s,
                 d,
-                "EVENT",
-                &[("optype", PropIns::Str(op)), ("starttime", PropIns::Int(t))],
-            )
-            .unwrap();
-        };
-        ev(&mut g, tar, passwd, "read");
-        ev(&mut g, tar, uptar, "write");
-        ev(&mut g, bzip, uptar, "read");
-        ev(&mut g, bzip, upbz2, "write");
-        ev(&mut g, gpg, upbz2, "read");
-        ev(&mut g, gpg, upload, "write");
-        ev(&mut g, curl, upload, "read");
-        ev(&mut g, curl, ip, "connect");
-        g.create_node_index("Process", "exename");
-        g.create_node_index("File", "name");
-        g
+                &[("optype", FieldValue::Str(op)), ("starttime", FieldValue::Int(t))],
+            );
+        }
+        st.db.create_hash_index("processes", "exename").unwrap();
+        st.db.create_hash_index("files", "name").unwrap();
+        st
     }
 
-    fn run(g: &Graph, q: &str) -> Vec<Vec<String>> {
+    /// A chain of files `a -> b -> c -> d` (and more edges as given) by name.
+    fn named_files(names: &[&str], edges: &[(u32, u32)]) -> Stores {
+        let mut st = Stores::new(&[("name", Str)], &[]);
+        for name in names {
+            st.entity(EntityClass::File, &[("name", FieldValue::Str(name))]);
+        }
+        for (i, &(a, b)) in edges.iter().enumerate() {
+            st.event(i as i64, NodeId(a), NodeId(b), &[]);
+        }
+        st
+    }
+
+    fn run(st: &Stores, q: &str) -> Vec<Vec<String>> {
         let parsed = parse_cypher(q).unwrap();
-        execute(g, &parsed, DEFAULT_MAX_HOPS).unwrap().batch.rendered_rows()
+        execute(&st.g, &st.db, &parsed, DEFAULT_MAX_HOPS).unwrap().batch.rendered_rows()
     }
 
     #[test]
     fn single_pattern_with_contains() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let rows = run(
-            &g,
+            &st,
             "MATCH (p:Process)-[e:EVENT {optype: 'read'}]->(f:File) \
              WHERE p.exename CONTAINS '/bin/tar' AND f.name CONTAINS '/etc/passwd' \
              RETURN DISTINCT p.exename, f.name",
@@ -684,10 +708,10 @@ mod tests {
 
     #[test]
     fn shared_variable_joins_patterns() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         // bzip2 reads upload.tar which tar wrote.
         let rows = run(
-            &g,
+            &st,
             "MATCH (p1:Process)-[:EVENT {optype: 'write'}]->(f:File), \
                    (p2:Process)-[:EVENT {optype: 'read'}]->(f) \
              WHERE p1.exename CONTAINS 'tar' AND p2.exename CONTAINS 'bzip2' \
@@ -705,9 +729,9 @@ mod tests {
 
     #[test]
     fn temporal_where_between_edges() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let rows = run(
-            &g,
+            &st,
             "MATCH (p:Process)-[e1:EVENT {optype:'read'}]->(f1:File), \
                    (p)-[e2:EVENT {optype:'write'}]->(f2:File) \
              WHERE e1.starttime < e2.starttime \
@@ -719,12 +743,12 @@ mod tests {
 
     #[test]
     fn var_length_path_reaches_transitively() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         // passwd flows to upload in 6 hops through alternating file/proc?
         // Our edges all point proc→file, so walk from a file needs in-edges;
         // instead check proc→file 1-hop vs 2-hop caps.
         let rows = run(
-            &g,
+            &st,
             "MATCH (p:Process)-[:EVENT*1..2]->(f:File) \
              WHERE p.exename CONTAINS 'tar' RETURN DISTINCT f.name",
         );
@@ -737,15 +761,8 @@ mod tests {
 
     #[test]
     fn var_length_respects_min() {
-        let mut g = Graph::new();
-        let a = g.add_node("N", &[("name", PropIns::Str("a"))]);
-        let b = g.add_node("N", &[("name", PropIns::Str("b"))]);
-        let c = g.add_node("N", &[("name", PropIns::Str("c"))]);
-        let d = g.add_node("N", &[("name", PropIns::Str("d"))]);
-        g.add_edge(a, b, "E", &[]).unwrap();
-        g.add_edge(b, c, "E", &[]).unwrap();
-        g.add_edge(c, d, "E", &[]).unwrap();
-        let rows = run(&g, "MATCH (x {name:'a'})-[:E*2..3]->(y) RETURN y.name");
+        let st = named_files(&["a", "b", "c", "d"], &[(0, 1), (1, 2), (2, 3)]);
+        let rows = run(&st, "MATCH (x {name:'a'})-[:EVENT*2..3]->(y) RETURN y.name");
         let mut got: Vec<String> = rows.into_iter().map(|mut r| r.remove(0)).collect();
         got.sort();
         assert_eq!(got, vec!["c".to_string(), "d".to_string()]);
@@ -753,21 +770,58 @@ mod tests {
 
     #[test]
     fn var_length_cycle_terminates() {
-        let mut g = Graph::new();
-        let a = g.add_node("N", &[("name", PropIns::Str("a"))]);
-        let b = g.add_node("N", &[("name", PropIns::Str("b"))]);
-        g.add_edge(a, b, "E", &[]).unwrap();
-        g.add_edge(b, a, "E", &[]).unwrap();
+        let st = named_files(&["a", "b"], &[(0, 1), (1, 0)]);
         // Unbounded: must not loop forever; edge-distinctness caps at 2 hops.
-        let rows = run(&g, "MATCH (x {name:'a'})-[:E*]->(y) RETURN y.name");
+        let rows = run(&st, "MATCH (x {name:'a'})-[:EVENT*]->(y) RETURN y.name");
         assert_eq!(rows.len(), 2); // b (1 hop), a (2 hops)
+                                   // No edge carries another label.
+        assert!(run(&st, "MATCH (x {name:'a'})-[:E*]->(y) RETURN y.name").is_empty());
+    }
+
+    /// A NULL cell fails every operator, exactly as a key outside the
+    /// schema does, and `NOT` of either holds.
+    #[test]
+    fn null_cell_reads_as_missing_key() {
+        let mut st = Stores::new(&[("name", Str), ("pid", Int)], &[]);
+        st.entity(
+            EntityClass::Process,
+            &[("name", FieldValue::Str("a")), ("pid", FieldValue::Int(1))],
+        );
+        st.entity(EntityClass::Process, &[]);
+        for cond in [
+            "= 'a'",
+            "<> 'a'",
+            "< 'b'",
+            "<= 'b'",
+            "> ''",
+            ">= ''",
+            "= 1",
+            "<> 1",
+            "< 2",
+            "IN ['a']",
+            "CONTAINS 'a'",
+            "STARTS WITH 'a'",
+            "ENDS WITH 'a'",
+        ] {
+            for key in ["name", "pid", "nokey"] {
+                let ids = |c: &str| {
+                    let text = format!("MATCH (s:Process) WHERE {c} RETURN s.id");
+                    let rows = run(&st, &text);
+                    rows.into_iter().map(|mut r| r.remove(0)).collect::<Vec<_>>()
+                };
+                let hit = ids(&format!("s.{key} {cond}"));
+                assert!(!hit.contains(&"1".to_string()), "s.{key} {cond} selected the NULL row");
+                let miss = ids(&format!("NOT s.{key} {cond}"));
+                assert!(miss.contains(&"1".to_string()), "NOT s.{key} {cond}");
+            }
+        }
     }
 
     #[test]
     fn connect_pattern_to_netconn() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let rows = run(
-            &g,
+            &st,
             "MATCH (p:Process)-[:EVENT {optype:'connect'}]->(i:NetConn) \
              WHERE i.dstip = '192.168.29.128' RETURN p.exename",
         );
@@ -776,9 +830,9 @@ mod tests {
 
     #[test]
     fn unknown_literal_string_matches_nothing() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let rows = run(
-            &g,
+            &st,
             "MATCH (p:Process)-[:EVENT]->(f:File) WHERE p.exename = '/bin/absent' RETURN f.name",
         );
         assert!(rows.is_empty());
@@ -786,33 +840,33 @@ mod tests {
 
     #[test]
     fn where_on_unbound_var_is_error() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let q = parse_cypher("MATCH (p:Process) WHERE z.name = 'x' RETURN p.exename").unwrap();
-        assert!(execute(&g, &q, DEFAULT_MAX_HOPS).is_err());
+        assert!(execute(&st.g, &st.db, &q, DEFAULT_MAX_HOPS).is_err());
     }
 
     #[test]
     fn varlen_rel_binding_rejected() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let q =
             parse_cypher("MATCH (p:Process)-[e:EVENT*1..2]->(f:File) RETURN p.exename").unwrap();
-        let err = execute(&g, &q, DEFAULT_MAX_HOPS).unwrap_err();
+        let err = execute(&st.g, &st.db, &q, DEFAULT_MAX_HOPS).unwrap_err();
         assert!(err.to_string().contains("variable-length"));
     }
 
     #[test]
     fn limit_and_distinct() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let rows =
-            run(&g, "MATCH (p:Process)-[:EVENT]->(f:File) RETURN DISTINCT p.exename LIMIT 2");
+            run(&st, "MATCH (p:Process)-[:EVENT]->(f:File) RETURN DISTINCT p.exename LIMIT 2");
         assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn in_list_where() {
-        let g = fig2_graph();
+        let st = fig2_graph();
         let rows = run(
-            &g,
+            &st,
             "MATCH (p:Process)-[:EVENT]->(f:File) \
              WHERE p.exename IN ['/bin/tar', '/usr/bin/gpg'] RETURN DISTINCT p.exename",
         );

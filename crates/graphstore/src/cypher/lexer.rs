@@ -122,7 +122,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 '>' => ">",
                 '*' => "*",
                 _ => {
-                    let c = input[i..].chars().next().expect("the lexer stops on char boundaries");
+                    let c: String = input[i..].chars().take(1).collect();
                     return Err(Error::syntax(format!("unexpected character `{c}`"), start));
                 }
             };

@@ -10,9 +10,10 @@
 //! ## Equivalence with one-shot evaluation
 //!
 //! The frontier is the second driver of the pattern [`crate::backend`]
-//! compiles: the same `PathSpec` (labels, prefix bounds `lo..=hi`, lowered
-//! predicates, candidate ids) and the same `PathMatcher` decide what is an
-//! anchor, an object, a final edge, and what a prefix endpoint contributes.
+//! compiles: the same `PathSpec` (endpoints, prefix bounds `lo..=hi`,
+//! final-hop predicate, candidate ids) and the same `PathMatcher`, bound to
+//! the relational rows at each advance, decide what is an anchor, an
+//! object, a final edge, and what a prefix endpoint contributes.
 //! Only *when* a node is found to end an anchor's prefix differs. It accepts
 //! the shapes whose prefix endpoints are the shortest-walk ball — `lo <= 1`,
 //! every shape TBQL's `~>(m~n)` sugar produces; that module's doc has the
@@ -34,6 +35,7 @@
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
 use raptor_common::io;
+use raptor_relstore::Database;
 use raptor_storage::PathPatternQuery;
 
 use crate::backend::{PathMatcher, PathSpec};
@@ -52,7 +54,7 @@ struct State {
     node_mark: usize,
     edge_mark: usize,
     anchors: FxHashSet<u32>,
-    /// `dist[node][anchor]` = shortest EVENT-walk length in `1..=hi`.
+    /// `dist[node][anchor]` = shortest walk length in `1..=hi`.
     /// `dist[a][a]` is the shortest cycle through `a`, never 0.
     dist: FxHashMap<u32, FxHashMap<u32, u32>>,
     /// Emitted `(subject id, object id)` pairs.
@@ -63,15 +65,15 @@ impl PathFrontier {
     /// Builds a frontier for a compiled path request, or `None` when the
     /// request's shape is outside the frontier's equivalence envelope and
     /// must stay on full re-evaluation.
-    pub fn new(q: &PathPatternQuery) -> Result<Option<PathFrontier>> {
+    pub fn new(q: &PathPatternQuery) -> Option<PathFrontier> {
         let single_hop = q.min_hops == 1 && q.max_hops == Some(1);
         if q.want_event || single_hop {
-            return Ok(None);
+            return None;
         }
-        let spec = PathSpec::compile(q)?;
+        let spec = PathSpec::compile(q);
         // Shortest-walk reachability witnesses every admissible length only
         // when the prefix's lower bound cannot exceed 1.
-        Ok((spec.lo <= 1).then(|| PathFrontier { spec, state: State::default() }))
+        (spec.lo <= 1).then(|| PathFrontier { spec, state: State::default() })
     }
 
     /// Number of cached `(node, anchor)` distance entries (metrics gauge).
@@ -91,13 +93,13 @@ impl PathFrontier {
         self.state.seen.extend(pairs);
     }
 
-    /// Absorbs everything the store gained since the last call and returns
+    /// Absorbs everything the stores gained since the last call and returns
     /// the *new* `(subject id, object id)` pairs, sorted. A fresh frontier
     /// absorbs the whole store, which equals one-shot evaluation; thereafter
     /// each call costs work proportional to the delta, not the store.
-    pub fn advance(&mut self, g: &Graph) -> Vec<(i64, i64)> {
+    pub fn advance(&mut self, g: &Graph, db: &Database) -> Result<Vec<(i64, i64)>> {
         let mut out: Vec<(i64, i64)> = Vec::new();
-        let m = self.spec.on(g);
+        let m = self.spec.on(g, db)?;
         let st = &mut self.state;
 
         // New nodes: collect anchors; with `lo == 0` an anchor ends its own
@@ -121,9 +123,6 @@ impl PathFrontier {
         let edge_count = g.edge_count();
         for idx in st.edge_mark..edge_count {
             let eid = EdgeId(idx as u32);
-            if !m.is_event(eid) {
-                continue;
-            }
             let (u, v) = (g.edge(eid).src, g.edge(eid).dst);
             if m.spec.has_final && m.final_edge_ok(eid) {
                 let mut endpoints: Vec<u32> = Vec::new();
@@ -144,7 +143,7 @@ impl PathFrontier {
         st.edge_mark = edge_count;
 
         out.sort_unstable();
-        out
+        Ok(out)
     }
 
     /// Serializes the incremental state (watermarks, anchors, distance map)
@@ -228,7 +227,7 @@ impl PathFrontier {
 impl State {
     /// Relaxes the min-distance map through the new edge `u -> v` for every
     /// anchor currently reaching `u` (or `u` itself when it is an anchor),
-    /// propagating improvements forward along existing EVENT edges.
+    /// propagating improvements forward along existing edges.
     fn relax(&mut self, m: &PathMatcher<'_>, u: u32, v: u32, out: &mut Vec<(i64, i64)>) {
         let (g, limit) = (m.g, m.spec.hi);
         if limit == 0 {
@@ -259,9 +258,7 @@ impl State {
             }
             if d < limit {
                 for &eid in g.out_edges(NodeId(n)) {
-                    if m.is_event(eid) {
-                        work.push((g.edge(eid).dst.0, a, d + 1));
-                    }
+                    work.push((g.edge(eid).dst.0, a, d + 1));
                 }
             }
         }
@@ -286,40 +283,36 @@ impl State {
 mod tests {
     use super::*;
     use crate::cypher::{exec::execute, parse_cypher};
-    use crate::graph::PropIns;
+    use crate::testkit::Stores;
     use raptor_common::intern::SharedDict;
-    use raptor_storage::{CmpOp, EntityClass, EntitySel, Pred, Value};
+    use raptor_relstore::ColumnType::{Int, Str};
+    use raptor_storage::{CmpOp, EntityClass, EntitySel, FieldValue, Pred, Value};
 
-    fn proc(g: &mut Graph, id: i64, exe: &str) -> NodeId {
-        g.add_node("Process", &[("id", PropIns::Int(id)), ("exename", PropIns::Str(exe))])
+    fn stores() -> Stores {
+        Stores::new(&[("exename", Str), ("name", Str)], &[("optype", Str), ("starttime", Int)])
     }
 
-    fn file(g: &mut Graph, id: i64, name: &str) -> NodeId {
-        g.add_node("File", &[("id", PropIns::Int(id)), ("name", PropIns::Str(name))])
+    fn proc(st: &mut Stores, exe: &str) -> NodeId {
+        st.entity(EntityClass::Process, &[("exename", FieldValue::Str(exe))])
     }
 
-    fn ev(g: &mut Graph, id: i64, src: NodeId, dst: NodeId, op: &str) {
-        let _ = g.add_edge(
-            src,
-            dst,
-            "EVENT",
-            &[
-                ("id", PropIns::Int(id)),
-                ("optype", PropIns::Str(op)),
-                ("starttime", PropIns::Int(id * 10)),
-                ("endtime", PropIns::Int(id * 10 + 1)),
-            ],
-        );
+    fn file(st: &mut Stores, name: &str) -> NodeId {
+        st.entity(EntityClass::File, &[("name", FieldValue::Str(name))])
     }
 
-    fn sel(class: EntityClass) -> EntitySel {
-        EntitySel { class, filter: None, id_in: None }
+    fn ev(st: &mut Stores, id: i64, src: NodeId, dst: NodeId, op: &str) {
+        let fields = [("optype", FieldValue::Str(op)), ("starttime", FieldValue::Int(id * 10))];
+        st.event(id, src, dst, &fields);
+    }
+
+    fn advance(f: &mut PathFrontier, st: &Stores) -> Vec<(i64, i64)> {
+        f.advance(&st.g, &st.db).unwrap()
     }
 
     fn req(min: u32, max: Option<u32>, op: Option<&str>, dict: &SharedDict) -> PathPatternQuery {
         PathPatternQuery {
-            subject: sel(EntityClass::Process),
-            object: sel(EntityClass::File),
+            subject: EntitySel::of(EntityClass::Process, None),
+            object: EntitySel::of(EntityClass::File, None),
             min_hops: min,
             max_hops: max,
             hop_cap: 8,
@@ -335,7 +328,7 @@ mod tests {
 
     /// The same request (one of [`req`]'s) as Cypher text through the text
     /// frontend's own DFS — the independent reference.
-    fn batch_pairs(g: &Graph, q: &PathPatternQuery) -> Vec<(i64, i64)> {
+    fn batch_pairs(st: &Stores, q: &PathPatternQuery) -> Vec<(i64, i64)> {
         let range = |min: u32, max: Option<u32>| {
             format!("*{min}..{}", max.map(|m| m.to_string()).unwrap_or_default())
         };
@@ -344,14 +337,14 @@ mod tests {
                 "MATCH (s:Process)-[:EVENT{}]->()-[e:EVENT]->(o:File) WHERE e.optype = '{}' \
                  RETURN DISTINCT s.id, o.id",
                 range(q.min_hops - 1, q.max_hops.map(|m| m - 1)),
-                value.render(g.dict()),
+                value.render(st.db.dict()),
             ),
             _ => format!(
                 "MATCH (s:Process)-[:EVENT{}]->(o:File) RETURN DISTINCT s.id, o.id",
                 range(q.min_hops, q.max_hops)
             ),
         };
-        let r = execute(g, &parse_cypher(&text).unwrap(), q.hop_cap).unwrap();
+        let r = execute(&st.g, &st.db, &parse_cypher(&text).unwrap(), q.hop_cap).unwrap();
         let (s, o) = (&r.batch.cols[0], &r.batch.cols[1]);
         let mut pairs: Vec<(i64, i64)> = (0..s.len())
             .map(|i| (s.get(i).as_int().unwrap(), o.get(i).as_int().unwrap()))
@@ -364,93 +357,94 @@ mod tests {
     /// emitted deltas never retract.
     #[test]
     fn frontier_tracks_batch_at_every_step() {
-        let mut g = Graph::new();
-        let q = req(1, Some(3), None, &g.dict().clone());
-        let mut f = PathFrontier::new(&q).unwrap().unwrap();
+        let mut st = stores();
+        let q = req(1, Some(3), None, &st.db.dict().clone());
+        let mut f = PathFrontier::new(&q).unwrap();
         let mut acc: Vec<(i64, i64)> = Vec::new();
+        assert!(advance(&mut f, &st).is_empty(), "nothing stored yet");
 
-        let p0 = proc(&mut g, 0, "/bin/tar");
-        let p1 = proc(&mut g, 1, "/bin/bzip2");
-        let f2 = file(&mut g, 2, "/tmp/a");
-        let f3 = file(&mut g, 3, "/tmp/b");
-        acc.extend(f.advance(&g));
+        let p0 = proc(&mut st, "/bin/tar");
+        let p1 = proc(&mut st, "/bin/bzip2");
+        let f2 = file(&mut st, "/tmp/a");
+        let f3 = file(&mut st, "/tmp/b");
+        acc.extend(advance(&mut f, &st));
         assert!(acc.is_empty(), "no edges yet");
 
-        ev(&mut g, 0, p0, f2, "write");
-        acc.extend(f.advance(&g));
+        ev(&mut st, 0, p0, f2, "write");
+        acc.extend(advance(&mut f, &st));
         assert_eq!(acc, vec![(0, 2)]);
 
         // A new edge *extending* the cached frontier (p0 ~> f3 via p1).
-        ev(&mut g, 1, p0, p1, "fork");
-        ev(&mut g, 2, p1, f3, "write");
-        acc.extend(f.advance(&g));
+        ev(&mut st, 1, p0, p1, "fork");
+        ev(&mut st, 2, p1, f3, "write");
+        acc.extend(advance(&mut f, &st));
         acc.sort_unstable();
-        assert_eq!(acc, batch_pairs(&g, &q));
+        assert_eq!(acc, batch_pairs(&st, &q));
 
         // Retro-seeding: an edge in the *middle* of a pre-existing prefix
         // and suffix creates pairs passing through it.
-        let p4 = proc(&mut g, 4, "/usr/bin/gpg");
-        let f5 = file(&mut g, 5, "/tmp/c");
-        ev(&mut g, 3, p4, f5, "write"); // suffix exists first
-        acc.extend(f.advance(&g));
-        ev(&mut g, 4, p1, p4, "fork"); // new middle edge
-        acc.extend(f.advance(&g));
+        let p4 = proc(&mut st, "/usr/bin/gpg");
+        let f5 = file(&mut st, "/tmp/c");
+        ev(&mut st, 3, p4, f5, "write"); // suffix exists first
+        acc.extend(advance(&mut f, &st));
+        ev(&mut st, 4, p1, p4, "fork"); // new middle edge
+        acc.extend(advance(&mut f, &st));
         acc.sort_unstable();
         acc.dedup();
-        assert_eq!(acc, batch_pairs(&g, &q));
+        assert_eq!(acc, batch_pairs(&st, &q));
     }
 
     /// Final-hop operations: prefix cached, final edge constrained; new
     /// final edges fire against old prefixes and vice versa.
     #[test]
     fn final_hop_op_matches_batch() {
-        let mut g = Graph::new();
-        let dict = g.dict().clone();
-        let q = req(1, Some(3), Some("write"), &dict);
-        let mut f = PathFrontier::new(&q).unwrap().unwrap();
+        let mut st = stores();
+        let q = req(1, Some(3), Some("write"), &st.db.dict().clone());
+        let mut f = PathFrontier::new(&q).unwrap();
         let mut acc: Vec<(i64, i64)> = Vec::new();
 
-        let p0 = proc(&mut g, 0, "/bin/tar");
-        let p1 = proc(&mut g, 1, "/bin/bzip2");
-        let fa = file(&mut g, 2, "/tmp/a");
-        ev(&mut g, 0, p0, p1, "fork");
-        acc.extend(f.advance(&g));
+        let p0 = proc(&mut st, "/bin/tar");
+        let p1 = proc(&mut st, "/bin/bzip2");
+        let fa = file(&mut st, "/tmp/a");
+        ev(&mut st, 0, p0, p1, "fork");
+        acc.extend(advance(&mut f, &st));
         assert!(acc.is_empty());
 
         // New final edge: fires against the cached prefix endpoint p1 (for
         // anchor p0) and against p1's own zero-length prefix.
-        ev(&mut g, 1, p1, fa, "write");
-        acc.extend(f.advance(&g));
+        ev(&mut st, 1, p1, fa, "write");
+        acc.extend(advance(&mut f, &st));
         assert_eq!(acc, vec![(0, 2), (1, 2)]);
-        assert_eq!(acc, batch_pairs(&g, &q));
+        assert_eq!(acc, batch_pairs(&st, &q));
 
         // `read` final edges never match.
-        let fb = file(&mut g, 3, "/tmp/b");
-        ev(&mut g, 2, p1, fb, "read");
-        assert!(f.advance(&g).is_empty());
-        assert_eq!(batch_pairs(&g, &q).len(), 2);
+        let fb = file(&mut st, "/tmp/b");
+        ev(&mut st, 2, p1, fb, "read");
+        assert!(advance(&mut f, &st).is_empty());
+        assert_eq!(batch_pairs(&st, &q).len(), 2);
     }
 
-    /// Binding happens per advance, not at compile: a frontier built while
-    /// no record carries `EVENT` or `optype` still sees them once edges
-    /// intern them.
+    /// A final-hop literal the request interned before any record carried
+    /// it matches the records that carry it later: the predicate is bound
+    /// to the rows at each advance and compares symbols.
     #[test]
     fn names_interned_after_compile_are_bound_at_advance() {
-        let mut g = Graph::new();
-        let dict = g.dict().clone();
+        let mut st = stores();
+        let dict = st.db.dict().clone();
         let q = req(1, Some(3), Some("write"), &dict);
-        let mut f = PathFrontier::new(&q).unwrap().unwrap();
-        let p0 = proc(&mut g, 0, "/bin/tar");
-        let p1 = proc(&mut g, 1, "/bin/sh");
-        let fa = file(&mut g, 2, "/tmp/a");
-        assert_eq!((dict.get("EVENT"), dict.get("optype")), (None, None));
-        assert!(f.advance(&g).is_empty());
+        let mut f = PathFrontier::new(&q).unwrap();
+        assert!(advance(&mut f, &st).is_empty());
+        let p0 = proc(&mut st, "/bin/tar");
+        let p1 = proc(&mut st, "/bin/sh");
+        let fa = file(&mut st, "/tmp/a");
+        assert_eq!((dict.get("write"), dict.get("fork")), (Some(dict.intern("write")), None));
+        assert!(advance(&mut f, &st).is_empty());
 
-        ev(&mut g, 0, p0, p1, "fork");
-        ev(&mut g, 1, p1, fa, "write");
-        let pairs = f.advance(&g);
+        ev(&mut st, 0, p0, p1, "fork");
+        ev(&mut st, 1, p1, fa, "write");
+        let pairs = advance(&mut f, &st);
         assert_eq!(pairs, vec![(0, 2), (1, 2)]);
-        assert_eq!(pairs, batch_pairs(&g, &q));
+        assert_eq!(pairs, batch_pairs(&st, &q));
     }
 
     /// Forged state naming nodes past its own node mark, or distances from
@@ -485,7 +479,7 @@ mod tests {
                     io::put_u32(&mut buf, d);
                 }
             }
-            let mut f = PathFrontier::new(&q).unwrap().unwrap();
+            let mut f = PathFrontier::new(&q).unwrap();
             let err = f.decode(&mut io::Cur::new(&buf)).unwrap_err();
             assert_eq!(err.kind, ErrorKind::Storage, "{anchors:?} {dist:?}: {err}");
         }
@@ -496,32 +490,31 @@ mod tests {
     fn ineligible_shapes_are_refused() {
         let dict = SharedDict::new();
         // Single hop stays on the existing delta path.
-        assert!(PathFrontier::new(&req(1, Some(1), None, &dict)).unwrap().is_none());
+        assert!(PathFrontier::new(&req(1, Some(1), None, &dict)).is_none());
         // Lower bounds beyond the shortest-walk witness are refused.
-        assert!(PathFrontier::new(&req(2, Some(4), None, &dict)).unwrap().is_none());
-        assert!(PathFrontier::new(&req(3, Some(4), Some("write"), &dict)).unwrap().is_none());
+        assert!(PathFrontier::new(&req(2, Some(4), None, &dict)).is_none());
+        assert!(PathFrontier::new(&req(3, Some(4), Some("write"), &dict)).is_none());
         // ... but `min == 2` with a final hop has prefix lower bound 1.
-        assert!(PathFrontier::new(&req(2, Some(4), Some("write"), &dict)).unwrap().is_some());
+        assert!(PathFrontier::new(&req(2, Some(4), Some("write"), &dict)).is_some());
     }
 
     /// Encode/decode round-trips the incremental state byte-for-byte.
     #[test]
     fn state_round_trips() {
-        let mut g = Graph::new();
-        let dict = g.dict().clone();
-        let q = req(1, Some(3), None, &dict);
-        let mut f = PathFrontier::new(&q).unwrap().unwrap();
-        let p0 = proc(&mut g, 0, "/bin/tar");
-        let p1 = proc(&mut g, 1, "/bin/sh");
-        let fa = file(&mut g, 2, "/tmp/a");
-        ev(&mut g, 0, p0, p1, "fork");
-        ev(&mut g, 1, p1, fa, "write");
-        let emitted = f.advance(&g);
+        let mut st = stores();
+        let q = req(1, Some(3), None, &st.db.dict().clone());
+        let mut f = PathFrontier::new(&q).unwrap();
+        let p0 = proc(&mut st, "/bin/tar");
+        let p1 = proc(&mut st, "/bin/sh");
+        let fa = file(&mut st, "/tmp/a");
+        ev(&mut st, 0, p0, p1, "fork");
+        ev(&mut st, 1, p1, fa, "write");
+        let emitted = advance(&mut f, &st);
         assert!(!emitted.is_empty());
 
         let mut buf = Vec::new();
         f.encode(&mut buf);
-        let mut g2 = PathFrontier::new(&q).unwrap().unwrap();
+        let mut g2 = PathFrontier::new(&q).unwrap();
         let mut cur = io::Cur::new(&buf);
         g2.decode(&mut cur).unwrap();
         g2.seed_seen(emitted.iter().copied());
@@ -531,8 +524,8 @@ mod tests {
         assert_eq!(f.entries(), g2.entries());
 
         // The restored frontier continues where the original left off.
-        let f5 = file(&mut g, 5, "/tmp/b");
-        ev(&mut g, 2, p1, f5, "write");
-        assert_eq!(f.advance(&g), g2.advance(&g));
+        let f5 = file(&mut st, "/tmp/b");
+        ev(&mut st, 2, p1, f5, "write");
+        assert_eq!(advance(&mut f, &st), advance(&mut g2, &st));
     }
 }

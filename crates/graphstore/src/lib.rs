@@ -1,12 +1,17 @@
-//! An embedded property-graph engine with a Cypher subset.
+//! An embedded graph engine with a Cypher subset, over the relational rows.
 //!
 //! ThreatRaptor stores system entities as nodes and system events as edges
 //! in Neo4j, and compiles TBQL *variable-length event path patterns* into
 //! Cypher data queries (Sections III-B, III-F). This crate is the Neo4j
-//! stand-in:
+//! stand-in. It keeps no second copy of the data: the paper's Neo4j holds
+//! its own copy because it is a separate DBMS, while here both stores live
+//! in one process, so the graph is an adjacency index over the relational
+//! store's rows and reads every property from them.
 //!
-//! * [`graph`] — node/edge arenas with adjacency lists, labels, typed
-//!   properties in per-shape columns, and per-(label, property) value indexes,
+//! * [`graph`] — node and edge arenas with out-adjacency lists; a node is
+//!   an entity class and its class-table row, an edge an `events` row,
+//! * [`backend`] — the typed path matcher and the write seam,
+//! * [`frontier`] — its incremental form for standing queries,
 //! * [`cypher`] — lexer, AST, parser and executor for the Cypher subset the
 //!   compiled queries need: `MATCH` with fixed and variable-length
 //!   (`[:EVENT*2..4]`) relationship patterns, property maps, `WHERE` with
@@ -19,11 +24,15 @@
 //! independent constraints, so two event patterns may legitimately match the
 //! same stored event.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod backend;
 pub mod cypher;
 pub mod frontier;
 pub mod graph;
+#[cfg(test)]
+mod testkit;
 
 pub use cypher::exec::{CypherResult, GraphQueryStats};
 pub use frontier::PathFrontier;
-pub use graph::{EdgeId, Graph, NodeId, PropValue};
+pub use graph::{EdgeId, Graph, NodeId};

@@ -1,16 +1,63 @@
 //! Property-based tests, a chain of references: the Cypher executor's
 //! variable-length DFS against a brute-force oracle on random graphs, then
 //! the typed path matcher — one-shot and incremental — against the Cypher
-//! executor running the same pattern as text.
+//! executor running the same pattern as text. Every record goes to both
+//! stores, the relational rows and the graph over them, as the engine's
+//! loader writes it.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use raptor_common::{FxHashSet, SharedDict};
 use raptor_graphstore::cypher::exec::execute;
 use raptor_graphstore::cypher::parse_cypher;
-use raptor_graphstore::graph::PropIns;
-use raptor_graphstore::{EdgeId, Graph, NodeId, PathFrontier, PropValue};
-use raptor_storage::{BackendStats, CmpOp, EntityClass, EntitySel, PathPatternQuery, Pred, Value};
+use raptor_graphstore::{Graph, PathFrontier};
+use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
+use raptor_storage::{
+    BackendStats, CmpOp, EntityClass, EntitySel, Field, FieldValue, MutableBackend,
+    PathPatternQuery, Pred, Value,
+};
+
+/// Empty stores over `dict`: each class table holds `id` and `name`,
+/// `events` its endpoints, `optype` and times.
+fn stores(dict: &SharedDict) -> (Database, Graph) {
+    use ColumnType::{Int, Str};
+    let mut db = Database::with_dict(dict.clone());
+    let table = |name, cols: &[(&str, ColumnType)]| {
+        TableSchema::new(name, cols.iter().map(|&(c, ty)| ColumnDef::new(c, ty)).collect())
+    };
+    for class in EntityClass::ALL {
+        db.create_table(table(class.table_name(), &[("id", Int), ("name", Str)])).unwrap();
+    }
+    let ints = ["id", "subject", "object", "starttime", "endtime"].map(|c| (c, Int));
+    db.create_table(table("events", &[&ints[..], &[("optype", Str)]].concat())).unwrap();
+    (db, Graph::new())
+}
+
+/// Appends the next entity to both stores.
+fn entity((db, g): &mut (Database, Graph), class: EntityClass, fields: &[Field<'_>]) {
+    let (id, stats) = (g.node_count() as i64, &mut BackendStats::default());
+    db.insert_entity(class, id, fields, stats).unwrap();
+    g.insert_entity(class, id, fields, stats).unwrap();
+}
+
+/// Appends an event to both stores.
+fn event((db, g): &mut (Database, Graph), id: i64, s: usize, o: usize, fields: &[Field<'_>]) {
+    let (s, o, stats) = (s as i64, o as i64, &mut BackendStats::default());
+    db.insert_event(id, s, o, fields, stats).unwrap();
+    g.insert_event(id, s, o, fields, stats).unwrap();
+}
+
+/// Files `n0..n{n}` and one event per edge.
+fn file_graph(n: usize, edges: &[(usize, usize)]) -> (Database, Graph) {
+    let mut st = stores(&SharedDict::new());
+    for i in 0..n {
+        entity(&mut st, EntityClass::File, &[("name", FieldValue::Str(&format!("n{i}")))]);
+    }
+    for (i, &(a, b)) in edges.iter().enumerate() {
+        event(&mut st, i as i64, a, b, &[]);
+    }
+    st
+}
 
 /// All nodes reachable from `src` within `[min, max]` hops, using
 /// edge-distinct walks (the executor's uniqueness rule), brute force.
@@ -48,18 +95,12 @@ proptest! {
         let edges: Vec<(usize, usize)> =
             edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
         let max = min + extra;
-        let mut g = Graph::new();
-        for i in 0..n {
-            g.add_node("N", &[("name", PropIns::Str(&format!("n{i}")))]);
-        }
-        for &(a, b) in &edges {
-            g.add_edge(NodeId(a as u32), NodeId(b as u32), "E", &[]).unwrap();
-        }
+        let (db, g) = file_graph(n, &edges);
         let src = 0usize;
         let q = parse_cypher(&format!(
-            "MATCH (x {{name: 'n{src}'}})-[:E*{min}..{max}]->(y) RETURN DISTINCT y.name"
+            "MATCH (x {{name: 'n{src}'}})-[:EVENT*{min}..{max}]->(y) RETURN DISTINCT y.name"
         )).unwrap();
-        let r = execute(&g, &q, 16).unwrap();
+        let r = execute(&g, &db, &q, 16).unwrap();
         let got: FxHashSet<String> =
             r.batch.rendered_rows().into_iter().map(|mut row| row.remove(0)).collect();
         let want: FxHashSet<String> = oracle_reachable(&edges, src, min, max)
@@ -77,15 +118,9 @@ proptest! {
     ) {
         let edges: Vec<(usize, usize)> =
             edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        let mut g = Graph::new();
-        for i in 0..n {
-            g.add_node("N", &[("name", PropIns::Str(&format!("n{i}")))]);
-        }
-        for &(a, b) in &edges {
-            g.add_edge(NodeId(a as u32), NodeId(b as u32), "E", &[]).unwrap();
-        }
-        let q = parse_cypher("MATCH (x)-[:E]->(y) RETURN x.name, y.name").unwrap();
-        let r = execute(&g, &q, 16).unwrap();
+        let (db, g) = file_graph(n, &edges);
+        let q = parse_cypher("MATCH (x)-[:EVENT]->(y) RETURN x.name, y.name").unwrap();
+        let r = execute(&g, &db, &q, 16).unwrap();
         // Row multiset equals the edge multiset.
         let mut got: Vec<(String, String)> =
             r.batch.rendered_rows().into_iter().map(|r| (r[0].clone(), r[1].clone())).collect();
@@ -96,77 +131,6 @@ proptest! {
             .collect();
         want.sort();
         prop_assert_eq!(got, want);
-    }
-}
-
-/// The per-shape column store against a per-record property list, over
-/// random writes interleaved with index builds: three labels shared by
-/// nodes and edges, key lists that may be empty or repeat a key (the first
-/// occurrence is the one read), an `Int` or a `Str` under any key. Read
-/// back through `node_prop`, `edge_prop`, `indexed_nodes` and Cypher text.
-#[test]
-fn column_store_matches_per_record_model() {
-    const LABELS: [&str; 3] = ["A", "B", "C"];
-    const KEYS: [&str; 3] = ["k", "j", "m"];
-    const VALS: [&str; 4] = ["0", "1", "x", "y"];
-    let props = proptest::collection::vec((0usize..3, 0usize..4), 0..4);
-    let ops = proptest::collection::vec((0u8..10, 0usize..3, props, 0usize..64), 0..24);
-    let first = |props: &[(usize, usize)], k| props.iter().find(|p| p.0 == k).map(|p| p.1);
-    let mut rng = TestRng::from_name("column_store_matches_per_record_model");
-    for _ in 0..64 {
-        let mut g = Graph::new();
-        let (mut nodes, mut edges, mut indexes) = (Vec::new(), Vec::new(), Vec::new());
-        for (kind, label, props, at) in ops.generate(&mut rng) {
-            let cell =
-                |v: usize| if v < 2 { PropIns::Int(v as i64) } else { PropIns::Str(VALS[v]) };
-            let fields: Vec<_> = props.iter().map(|&(k, v)| (KEYS[k], cell(v))).collect();
-            match kind {
-                0 => {
-                    g.create_node_index(LABELS[label], KEYS[at % 3]);
-                    indexes.push((label, at % 3));
-                }
-                1..=5 => {
-                    g.add_node(LABELS[label], &fields);
-                    nodes.push((label, props));
-                }
-                _ if !nodes.is_empty() => {
-                    let node = |i: usize| NodeId((i % nodes.len()) as u32);
-                    g.add_edge(node(at), node(at / 8), LABELS[label], &fields).unwrap();
-                    edges.push(props);
-                }
-                _ => {}
-            }
-        }
-        let render = |v: Option<PropValue>| v.map(|v| Value::from(v).render(g.dict()));
-        let want = |v: Option<usize>| v.map(|v| VALS[v].to_string());
-        for (k, key) in KEYS.into_iter().enumerate() {
-            for (i, (_, props)) in nodes.iter().enumerate() {
-                assert_eq!(render(g.node_prop(NodeId(i as u32), key)), want(first(props, k)));
-            }
-            for (i, props) in edges.iter().enumerate() {
-                assert_eq!(render(g.edge_prop(EdgeId(i as u32), key)), want(first(props, k)));
-            }
-        }
-        for (l, k, v) in (0..36).map(|i| (i / 12, i / 4 % 3, i % 4)) {
-            let (label, key) = (LABELS[l], KEYS[k]);
-            let want: Vec<NodeId> = (0..nodes.len())
-                .filter(|&n| nodes[n].0 == l && first(&nodes[n].1, k) == Some(v))
-                .map(|n| NodeId(n as u32))
-                .collect();
-            if indexes.contains(&(l, k)) {
-                let value = match v < 2 {
-                    true => Some(PropValue::Int(v as i64)),
-                    false => g.dict().get(VALS[v]).map(PropValue::Str),
-                };
-                let got = value.map_or(&[][..], |v| g.indexed_nodes(label, key, v).unwrap());
-                assert_eq!(got, want);
-            }
-            let lit = if v < 2 { VALS[v].to_string() } else { format!("'{}'", VALS[v]) };
-            let text = format!("MATCH (n:{label}) WHERE n.{key} = {lit} RETURN n.{key}");
-            let rows = execute(&g, &parse_cypher(&text).unwrap(), 8).unwrap().batch.rendered_rows();
-            let got: Vec<String> = rows.into_iter().map(|mut r| r.remove(0)).collect();
-            assert_eq!(got, vec![VALS[v]; want.len()], "{text}");
-        }
     }
 }
 
@@ -297,8 +261,8 @@ fn cypher_text(q: &PathPatternQuery, subject: Side, object: Side, op: Option<&st
 }
 
 /// The typed matcher's two drivers against the text frontend, over small
-/// random digraphs — cycles, self-loops, parallel edges, a stray non-EVENT
-/// edge — and random requests: every hop envelope (`lo <= 1` is answered
+/// random digraphs — cycles, self-loops, parallel edges — and random
+/// requests: every hop envelope (`lo <= 1` is answered
 /// by BFS, `lo >= 2` by the shared DFS), with and without a final-hop
 /// operation, a wanted event, endpoint filters, candidate ids, one variable
 /// on both ends. Rows must agree as multisets, so the typed rows must be
@@ -331,35 +295,31 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         let object = if same_var { subject } else { object };
 
         let dict = SharedDict::new();
-        let mut g = Graph::with_dict(dict.clone());
+        let mut g = stores(&dict);
         // The same records fed a few edges at a time, for the frontier.
-        let mut grown = Graph::with_dict(dict.clone());
-        for (i, &(process, name)) in nodes.iter().enumerate() {
-            let props = [("id", PropIns::Int(i as i64)), ("name", PropIns::Str(NAMES[name]))];
-            g.add_node(label(process), &props);
-            grown.add_node(label(process), &props);
+        let mut grown = stores(&dict);
+        for &(process, name) in &nodes {
+            let class = if process { EntityClass::Process } else { EntityClass::File };
+            let props = [("name", FieldValue::Str(NAMES[name]))];
+            entity(&mut g, class, &props);
+            entity(&mut grown, class, &props);
         }
         if indexed {
-            for (label, key) in [("Process", "name"), ("Process", "id"), ("File", "id")] {
-                g.create_node_index(label, key);
+            for (table, key) in [("processes", "name"), ("processes", "id"), ("files", "id")] {
+                g.0.create_hash_index(table, key).unwrap();
             }
         }
         let n = nodes.len();
-        let add_edge = |g: &mut Graph, i: usize| {
+        // Every edge is an event; `kind` picks its operation.
+        let add_edge = |g: &mut (Database, Graph), i: usize| {
             let (src, dst, kind) = edges[i];
             let t = i as i64 * 10;
-            g.add_edge(
-                NodeId((src % n) as u32),
-                NodeId((dst % n) as u32),
-                if kind == 8 { "OTHER" } else { "EVENT" },
-                &[
-                    ("id", PropIns::Int(100 + i as i64)),
-                    ("optype", PropIns::Str(OPS[kind % 2])),
-                    ("starttime", PropIns::Int(t)),
-                    ("endtime", PropIns::Int(t + 5)),
-                ],
-            )
-            .unwrap();
+            let fields = [
+                ("optype", FieldValue::Str(OPS[kind % 2])),
+                ("starttime", FieldValue::Int(t)),
+                ("endtime", FieldValue::Int(t + 5)),
+            ];
+            event(g, 100 + i as i64, src % n, dst % n, &fields);
         };
         (0..edges.len()).for_each(|i| add_edge(&mut g, i));
 
@@ -378,7 +338,7 @@ fn typed_path_matcher_agrees_with_cypher_text() {
             subject_is_object: same_var,
         };
         let text = cypher_text(&q, subject, object, op);
-        let reference = execute(&g, &parse_cypher(&text).unwrap(), hop_cap).unwrap();
+        let reference = execute(&g.1, &g.0, &parse_cypher(&text).unwrap(), hop_cap).unwrap();
         let b = &reference.batch;
         let mut want: Vec<Vec<i64>> = (0..b.n_rows())
             .map(|i| b.row(i).iter().map(|v| v.as_int().unwrap()).collect())
@@ -386,7 +346,7 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         want.sort_unstable();
 
         let mut stats = BackendStats::default();
-        let m = g.match_path_pattern(&q, &mut stats).unwrap();
+        let m = g.1.match_path_pattern(&g.0, &q, &mut stats).unwrap();
         assert_eq!(m.has_event, want_event);
         let mut got: Vec<Vec<i64>> = (0..m.len())
             .map(|i| match want_event {
@@ -398,12 +358,12 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         assert_eq!(got, want, "one-shot vs text: {q:?}\n{text}\nnodes {nodes:?}\nedges {edges:?}");
         assert_eq!((stats.data_queries, stats.text_parses), (1, 0));
 
-        if let Some(mut frontier) = PathFrontier::new(&q).unwrap() {
-            let mut pairs = frontier.advance(&grown);
+        if let Some(mut frontier) = PathFrontier::new(&q) {
+            let mut pairs = frontier.advance(&grown.1, &grown.0).unwrap();
             for i in 0..edges.len() {
                 add_edge(&mut grown, i);
                 if (i + 1) % step == 0 || i + 1 == edges.len() {
-                    pairs.extend(frontier.advance(&grown));
+                    pairs.extend(frontier.advance(&grown.1, &grown.0).unwrap());
                 }
             }
             let mut pairs: Vec<Vec<i64>> = pairs.into_iter().map(|(s, o)| vec![s, o]).collect();

@@ -177,7 +177,7 @@ impl Database {
             }
             AttrSource::Event => {
                 let by_id = (table.schema.column_index("id"))
-                    .and_then(|c| self.indexes(name, c)?.hash.as_ref())
+                    .and_then(|c| self.hash_index(name, c))
                     .ok_or_else(|| Error::storage("no hash index on `events.id`"))?;
                 for &id in ids {
                     out.extend(by_id.get(SVal::Int(id)).iter().map(|&r| (id, table.cell(r, c))));

@@ -98,8 +98,8 @@ impl Database {
     }
 
     /// A database interning into `dict` — the shared dictionary plane. The
-    /// engine hands one dictionary to both backends at `empty()`/`load()`
-    /// time so equal strings compare as equal symbols across stores.
+    /// engine creates it at `empty()`/`load()` time and keeps a handle, so
+    /// equal strings compare as equal symbols across the pipeline.
     pub fn with_dict(dict: SharedDict) -> Self {
         Database {
             dict,
@@ -130,6 +130,12 @@ impl Database {
     /// `None` until created).
     pub(crate) fn indexes(&self, table: &str, col: usize) -> Option<&ColumnIndexes> {
         self.slots[*self.by_name.get(table)?].indexes.get(col)
+    }
+
+    /// The hash index on column `col` (its ordinal) of `table`, if one was
+    /// created: value → rows, ascending.
+    pub fn hash_index(&self, table: &str, col: usize) -> Option<&HashIndex> {
+        self.indexes(table, col)?.hash.as_ref()
     }
 
     /// Creates an empty table.

@@ -96,7 +96,9 @@ impl Slot {
 /// typed request's [`Pred`] through [`bind_pred`]; `LIKE` patterns,
 /// dictionary-miss literals and propagated ids (`InIds`: a request's
 /// `id_in`, sorted and distinct) are borrowed from what was bound, never
-/// copied.
+/// copied. `Const` is a typed atom over an attribute the table lacks: what
+/// the atom makes of a NULL cell (false, or true under a negated `LIKE` /
+/// `IN`).
 #[derive(Clone, Debug)]
 pub(crate) enum BExpr<'a> {
     CmpLit { slot: Slot, op: CmpOp, lit: BLit<'a> },
@@ -104,6 +106,7 @@ pub(crate) enum BExpr<'a> {
     Like { slot: Slot, pattern: &'a str, negated: bool },
     InList { slot: Slot, set: Vec<BLit<'a>>, negated: bool },
     InIds { slot: Slot, ids: &'a [i64] },
+    Const(bool),
     And(Box<BExpr<'a>>, Box<BExpr<'a>>),
     Or(Box<BExpr<'a>>, Box<BExpr<'a>>),
     Not(Box<BExpr<'a>>),
@@ -137,26 +140,33 @@ impl BLit<'_> {
 /// Binds a typed predicate over `table`'s columns (slot 0): each attribute
 /// resolves to its column, and a string value is already a dictionary
 /// handle. Nothing is interned; type mismatches fold in
-/// [`compile_scan_pred`], as for SQL text.
+/// [`compile_scan_pred`], as for SQL text. An attribute outside the schema
+/// reads as a NULL cell (`BExpr::Const`), so a typed request means the same
+/// over every store's schema.
 pub(crate) fn bind_pred<'a>(p: &'a Pred, table: &Table) -> Result<BExpr<'a>> {
     let lit = |v: &SVal| match v {
         SVal::Int(i) => Ok(BLit::Int(*i)),
         SVal::Str(s) => Ok(BLit::Sym(*s)),
         SVal::Null => Err(Error::semantic("NULL literals are not valid in predicates")),
     };
+    let slot = |attr: &str| table.schema.column_index(attr).map(|col| Slot { alias: 0, col });
     let bind = |p| bind_pred(p, table).map(Box::new);
     Ok(match p {
         Pred::Cmp { attr, op, value } => {
-            BExpr::CmpLit { slot: Slot::of(table, attr)?, op: *op, lit: lit(value)? }
+            let lit = lit(value)?;
+            slot(attr).map_or(BExpr::Const(false), |slot| BExpr::CmpLit { slot, op: *op, lit })
         }
-        Pred::Like { attr, pattern, negated } => {
-            BExpr::Like { slot: Slot::of(table, attr)?, pattern, negated: *negated }
-        }
-        Pred::InSet { attr, negated, values } => BExpr::InList {
-            slot: Slot::of(table, attr)?,
-            set: values.iter().map(lit).collect::<Result<_>>()?,
-            negated: *negated,
+        Pred::Like { attr, pattern, negated } => match slot(attr) {
+            Some(slot) => BExpr::Like { slot, pattern, negated: *negated },
+            None => BExpr::Const(*negated),
         },
+        Pred::InSet { attr, negated, values } => {
+            let set = values.iter().map(lit).collect::<Result<_>>()?;
+            match slot(attr) {
+                Some(slot) => BExpr::InList { slot, set, negated: *negated },
+                None => BExpr::Const(*negated),
+            }
+        }
         Pred::And(a, b) => BExpr::And(bind(a)?, bind(b)?),
         Pred::Or(a, b) => BExpr::Or(bind(a)?, bind(b)?),
         Pred::Not(inner) => BExpr::Not(bind(inner)?),
@@ -264,6 +274,7 @@ fn eval(e: &BExpr<'_>, tuple: &[RowId], tables: &[&Table], dict: &SharedDict) ->
         BExpr::InIds { slot, ids } => {
             cell(slot).as_int().is_some_and(|i| ids.binary_search(&i).is_ok())
         }
+        BExpr::Const(b) => *b,
         BExpr::And(a, b) => eval(a, tuple, tables, dict) && eval(b, tuple, tables, dict),
         BExpr::Or(a, b) => eval(a, tuple, tables, dict) || eval(b, tuple, tables, dict),
         BExpr::Not(inner) => !eval(inner, tuple, tables, dict),
@@ -288,9 +299,14 @@ fn ord_ok(ord: std::cmp::Ordering, op: CmpOp) -> bool {
 /// literal sweep), propagated ids stay their sorted slice, string literals
 /// stay dictionary handles, and shapes that can never match the column's
 /// declared type fold to [`ScanPred::Const`]. Semantics are exactly those
-/// of the row-at-a-time [`eval`] over a single-alias tuple — the
+/// of the row-at-a-time `eval` over a single-alias tuple — the
 /// equivalence suites pin this.
-enum ScanPred<'a> {
+///
+/// It is also the form another reader tests one row with: the graph store
+/// compiles its endpoint filters and final-hop predicates through
+/// [`compile_pred`] and decides each node's or edge's row by
+/// [`ScanPred::holds`].
+pub enum ScanPred<'a> {
     /// `Int`/`Time` column vs integer literal.
     CmpInt {
         col: usize,
@@ -423,6 +439,7 @@ fn compile_scan_pred<'a>(e: &BExpr<'a>, table: &Table) -> ScanPred<'a> {
             true => ScanPred::InIds { col: slot.col, ids },
             false => ScanPred::Const(false),
         },
+        BExpr::Const(b) => ScanPred::Const(*b),
         BExpr::And(a, b) => ScanPred::And(
             Box::new(compile_scan_pred(a, table)),
             Box::new(compile_scan_pred(b, table)),
@@ -432,6 +449,20 @@ fn compile_scan_pred<'a>(e: &BExpr<'a>, table: &Table) -> ScanPred<'a> {
             Box::new(compile_scan_pred(b, table)),
         ),
         BExpr::Not(inner) => ScanPred::Not(Box::new(compile_scan_pred(inner, table))),
+    }
+}
+
+/// Compiles a typed predicate over `table`'s columns (`bind_pred`, then
+/// `compile_scan_pred`): what an endpoint's filter is tested with.
+pub fn compile_pred<'a>(p: &'a Pred, table: &Table) -> Result<ScanPred<'a>> {
+    Ok(compile_scan_pred(&bind_pred(p, table)?, table))
+}
+
+impl ScanPred<'_> {
+    /// Does row `row` of `table`, the table the predicate was compiled
+    /// for, satisfy it?
+    pub fn holds(&self, table: &Table, row: RowId, dict: &SharedDict) -> bool {
+        test_row(self, table, row, dict)
     }
 }
 
@@ -723,7 +754,7 @@ pub(crate) fn access_path<'a>(
     }
 }
 
-pub(crate) fn table_named<'a>(db: &'a Database, name: &str) -> Result<&'a Table> {
+pub fn table_named<'a>(db: &'a Database, name: &str) -> Result<&'a Table> {
     db.table(name).ok_or_else(|| Error::storage(format!("unknown table `{name}`")))
 }
 
@@ -790,20 +821,22 @@ fn scan_rows(
     Ok(out)
 }
 
-/// One endpoint of [`match_event_rows`], resolved against the database:
-/// the entity table its id must be found in, and what the entity's own
-/// row must satisfy.
-struct Endpoint<'a> {
+/// One endpoint of a pattern, resolved against the database: the entity
+/// table its id must be found in, and what the entity's own row must
+/// satisfy. `match_event_rows` finds each event's endpoint by id; the
+/// graph store, which holds each node's row, tests that row directly.
+pub struct Endpoint<'a> {
     table: &'a Table,
-    /// The table's ascending `id` column, binary-searched for an entity.
-    ids: &'a [i64],
+    /// The table's ascending `id` column, binary-searched for an entity:
+    /// row `r` holds entity `ids[r]`.
+    pub ids: &'a [i64],
     filter: Option<ScanPred<'a>>,
 }
 
 /// The `id` cells of an entity class table. Entity ids are dense and
 /// appended in order (`insert_entity` refuses anything else), so they
 /// ascend and an id is found by binary search.
-pub(crate) fn entity_ids(table: &Table) -> Result<&[i64]> {
+pub fn entity_ids(table: &Table) -> Result<&[i64]> {
     let c = table.schema.require_column("id")?;
     table.int_cells(c).ok_or_else(|| {
         Error::storage(format!("`{}.id` is not an integer column", table.schema.name))
@@ -811,13 +844,15 @@ pub(crate) fn entity_ids(table: &Table) -> Result<&[i64]> {
 }
 
 impl<'a> Endpoint<'a> {
-    fn resolve(db: &'a Database, sel: &'a EntitySel) -> Result<Self> {
+    pub fn resolve(db: &'a Database, sel: &'a EntitySel) -> Result<Self> {
         let table = table_named(db, sel.class.table_name())?;
-        let filter = match &sel.filter {
-            Some(f) => Some(compile_scan_pred(&bind_pred(f, table)?, table)),
-            None => None,
-        };
+        let filter = sel.filter.as_ref().map(|f| compile_pred(f, table)).transpose()?;
         Ok(Endpoint { table, ids: entity_ids(table)?, filter })
+    }
+
+    /// Does row `row` of the class table pass the endpoint's filter?
+    pub fn passes(&self, row: RowId, dict: &SharedDict) -> bool {
+        self.filter.as_ref().is_none_or(|f| test_row(f, self.table, row, dict))
     }
 
     /// Does the entity `id` exist in the endpoint's table and pass its
@@ -825,7 +860,7 @@ impl<'a> Endpoint<'a> {
     fn hit(&self, id: i64, dict: &SharedDict, stats: &mut ExecStats) -> bool {
         let Ok(row) = self.ids.binary_search(&id) else { return false };
         stats.rows_scanned += 1;
-        self.filter.as_ref().is_none_or(|f| test_row(f, self.table, row as RowId, dict))
+        self.passes(row as RowId, dict)
     }
 }
 

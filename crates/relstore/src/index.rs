@@ -46,7 +46,7 @@ impl HashIndex {
     }
 
     /// The string keys: over a string column, its dictionary.
-    pub(crate) fn syms(&self) -> impl Iterator<Item = Sym> + '_ {
+    pub fn syms(&self) -> impl Iterator<Item = Sym> + '_ {
         self.map.keys().filter_map(Value::as_sym)
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`value`] — 16-byte [`value::Value`] cells (integers, interned strings,
 //!   null); strings intern into the shared dictionary plane
-//!   (`raptor_common::SharedDict`) the engine hands both backends,
+//!   (`raptor_common::SharedDict`) the engine hands the store,
 //! * [`schema`] — column/table schemas and the catalog,
 //! * [`table`] — columnar storage (one typed vector per column) with
 //!   append-only inserts,

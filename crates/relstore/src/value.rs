@@ -2,7 +2,8 @@
 //!
 //! Rows are flat arrays of [`Value`] — the **shared-plane**
 //! `raptor_storage::Value`: a 16-byte `Copy` cell whose strings are handles
-//! into the dictionary shared with the graph store. String equality inside
+//! into the shared dictionary, which the graph store reads through these
+//! rows. String equality inside
 //! the executor is an integer compare, `LIKE` evaluation runs over the
 //! dictionary instead of over rows, and — because query results now leave
 //! the database as the same type — the old `OwnedValue` materialization

@@ -113,7 +113,7 @@ pub fn dense_entity_id(id: i64, next: usize) -> Result<()> {
 
 /// Incremental append — the streaming ingestion seam, the one operation both
 /// stores share. Every insert maintains every index the store has already
-/// built (hash / B-tree / trigram, graph value indexes, adjacency), so a
+/// built (hash / B-tree / trigram, the graph's adjacency), so a
 /// store grown record-by-record answers queries identically to one
 /// bulk-loaded with the same data.
 ///

@@ -10,7 +10,7 @@
 //!   edge. Both stores' text executors, the engine's scheduled join and a
 //!   standing query's cumulative rows are batches. String cells are
 //!   handles into the shared dictionary plane (`raptor_common::SharedDict`)
-//!   both backends intern into, so equality is an integer compare
+//!   the relational store interns into, so equality is an integer compare
 //!   end-to-end; rendering to display strings happens once, at the edge.
 //! * [`join`] — [`Tuples`], flat left-deep join state (one row index per
 //!   bound input), and [`JoinIndex`], a hash build side without a vector

@@ -9,9 +9,10 @@
 //!    and an unknown field name, written through raw
 //!    `Database::insert` / `Graph::add_node` / `add_edge` and through
 //!    `MutableBackend`, build stores with equal contents and identical
-//!    hash / B-tree / trigram / graph value-index lookups for every inserted
-//!    key — each also checked against a scan of the generated records —
-//!    and every entity is found by its id, a position in both stores.
+//!    hash / B-tree / trigram lookups for every inserted key, through SQL
+//!    and through Cypher text — each also checked against a scan of the
+//!    generated records — and every entity is found by its id, a position
+//!    in both stores, and every event's edge is its `events` row.
 //! 2. **Whole logs** — the same log written raw, through `MutableBackend`,
 //!    by bulk `load` and as one-event epochs answers the 8-query corpus
 //!    identically and holds equal contents.
@@ -23,7 +24,8 @@ use threatraptor::engine::exec::ExecMode;
 use threatraptor::engine::load::{self, class_for_kind, LoadedStores};
 use threatraptor::engine::Engine;
 use threatraptor::graphstore::backend::label_for_class;
-use threatraptor::graphstore::{NodeId, PropValue};
+use threatraptor::graphstore::cypher::{exec::execute, parse_cypher};
+use threatraptor::graphstore::{EdgeId, NodeId};
 use threatraptor::relstore::db::Ins;
 use threatraptor::storage::{
     AttrSource, BackendStats, EntityClass, Field, FieldValue, MutableBackend, Value,
@@ -138,8 +140,8 @@ fn sparsify(recs: &mut [Rec], rng: &mut StdRng) {
 }
 
 /// Raw inserts: rows in schema column order (absent attributes are NULL),
-/// nodes and edges with their properties spelled out. Neither store is
-/// given the field its schema does not know.
+/// and the graph's nodes and edges, which carry no field. The relational
+/// store is not given the field its schema does not know.
 fn write_raw(recs: &[Rec]) -> LoadedStores {
     let mut stores = load::empty().unwrap();
     for r in recs {
@@ -157,18 +159,13 @@ fn write_raw(recs: &[Rec]) -> LoadedStores {
             })
             .collect();
         stores.rel.insert(r.table(), &row).unwrap();
-
-        let fields = r.fields();
-        let props: Vec<Field<'_>> = std::iter::once(("id", FieldValue::Int(r.id)))
-            .chain(fields.iter().copied().filter(|f| f.0 != "bogus"))
-            .collect();
         match r.class {
             Some(class) => {
-                stores.graph.add_node(label_for_class(class), &props);
+                stores.graph.add_node(class);
             }
             None => {
                 let (s, o) = (NodeId(r.ends.0 as u32), NodeId(r.ends.1 as u32));
-                stores.graph.add_edge(s, o, load::LABEL_EVENT, &props).unwrap();
+                stores.graph.add_edge(s, o).unwrap();
             }
         }
     }
@@ -181,17 +178,15 @@ fn write_mutable(recs: &[Rec]) -> LoadedStores {
     let mut stats = BackendStats::default();
     for r in recs {
         let fields = r.fields();
-        let graph_fields: Vec<Field<'_>> =
-            fields.iter().copied().filter(|f| f.0 != "bogus").collect();
         match r.class {
             Some(class) => {
                 stores.rel.insert_entity(class, r.id, &fields, &mut stats).unwrap();
-                stores.graph.insert_entity(class, r.id, &graph_fields, &mut stats).unwrap();
+                stores.graph.insert_entity(class, r.id, &fields, &mut stats).unwrap();
             }
             None => {
                 let (s, o) = r.ends;
                 stores.rel.insert_event(r.id, s, o, &fields, &mut stats).unwrap();
-                stores.graph.insert_event(r.id, s, o, &graph_fields, &mut stats).unwrap();
+                stores.graph.insert_event(r.id, s, o, &fields, &mut stats).unwrap();
             }
         }
     }
@@ -216,14 +211,16 @@ fn assert_lookups(recs: &[Rec], stores: &[&LoadedStores]) {
         ids.sort_unstable();
         ids
     };
-    // (table, graph label, column): hash + trigram + graph value index.
+    // (class, column): hash + trigram, read by SQL and by Cypher text.
     let keyed = [
-        ("files", "File", "name"),
-        ("processes", "Process", "exename"),
-        ("netconns", "NetConn", "dstip"),
+        (EntityClass::File, "name"),
+        (EntityClass::Process, "exename"),
+        (EntityClass::NetConn, "dstip"),
     ];
+    let mut event_row = 0u32;
     for r in recs {
-        for &(table, label, col) in keyed.iter().filter(|k| k.0 == r.table()) {
+        for &(class, col) in keyed.iter().filter(|k| Some(k.0) == r.class) {
+            let (table, label) = (class.table_name(), label_for_class(class));
             let Some(Val::Str(v)) = r.get(col) else { continue };
             let want = matching(table, &|o| o.get(col) == r.get(col));
             // The key's last four characters (LIKE wildcards aside).
@@ -241,35 +238,39 @@ fn assert_lookups(recs: &[Rec], stores: &[&LoadedStores]) {
                 let tri = ids(s, &format!("SELECT id FROM {table} WHERE {col} LIKE '%{gram}%'"));
                 assert_eq!(tri.0, like, "trigram {table}.{col} ~ {gram}");
                 assert_eq!(tri.1, (gram.len() >= 3) as usize, "trigram path for {gram}");
-                let sym = s.graph.dict().get(v).unwrap();
-                let mut nodes: Vec<i64> = s
-                    .graph
-                    .indexed_nodes(label, col, PropValue::Str(sym))
-                    .unwrap()
-                    .iter()
-                    .map(|n| n.0 as i64)
-                    .collect();
+                // The Cypher frontend's anchor reads the same hash index.
+                let text = format!("MATCH (n:{label}) WHERE n.{col} = '{v}' RETURN n.id");
+                let c = execute(&s.graph, &s.rel, &parse_cypher(&text).unwrap(), 8).unwrap();
+                let mut nodes: Vec<i64> =
+                    (0..c.batch.n_rows()).map(|i| c.batch.row(i)[0].as_int().unwrap()).collect();
                 nodes.sort_unstable();
-                assert_eq!(nodes, want, "graph index {label}.{col} = {v}");
+                assert_eq!((nodes, c.stats.nodes_scanned), (want.clone(), want.len()), "{text}");
             }
         }
         // Unique keys. An entity id is a position in both stores:
-        // `fetch_attr` finds the entity by id and node `NodeId(id)` carries
-        // it; an event id goes through the `events.id` hash index, and
-        // `starttime` through the B-tree.
+        // `fetch_attr` finds the entity by id, and node `NodeId(id)` is of
+        // its class and points at the row that carries it; an event is the
+        // edge at its `events` row, whose id goes through the `events.id`
+        // hash index, and `starttime` through the B-tree.
         for s in stores {
             let Some(class) = r.class else {
                 let by_id = ids(s, &format!("SELECT id FROM events WHERE id = {}", r.id));
                 assert_eq!(by_id, (vec![r.id], 1));
+                let events = s.rel.table("events").unwrap();
+                let cell = |c| events.cell(event_row, events.schema.column_index(c).unwrap());
+                let edge = s.graph.edge(EdgeId(event_row));
+                let ends = (i64::from(edge.src.0), i64::from(edge.dst.0));
+                assert_eq!((cell("id"), ends), (Value::Int(r.id), r.ends));
                 continue;
             };
             let mut stats = BackendStats::default();
             let found = s.rel.fetch_attr(AttrSource::Entity(class), "id", &[r.id], &mut stats);
             assert_eq!(found.unwrap(), vec![(r.id, Value::Int(r.id))]);
-            let node = NodeId(r.id as u32);
-            assert_eq!(s.graph.node_prop(node, "id"), Some(PropValue::Int(r.id)));
-            assert_eq!(s.graph.dict().resolve(s.graph.node(node).label), label_for_class(class));
+            let node = s.graph.node(NodeId(r.id as u32));
+            let table = s.rel.table(class.table_name()).unwrap();
+            assert_eq!((node.class, table.cell(node.row, 0)), (class, Value::Int(r.id)));
         }
+        event_row += r.class.is_none() as u32;
         if let (None, Some(Val::Int(t))) = (r.class, r.get("starttime")) {
             let want =
                 matching("events", &|o| matches!(o.get("starttime"), Some(Val::Int(x)) if x >= t));
