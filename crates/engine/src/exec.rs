@@ -36,6 +36,7 @@ use raptor_common::hash::FxHashMap;
 use raptor_common::obs;
 use raptor_common::time::Duration;
 use raptor_graphstore::cypher::{exec as gexec, parse_cypher};
+use raptor_graphstore::match_path_pattern;
 use raptor_storage::{
     AttrSource, BackendStats, JoinIndex, PatternMatches, ResultBatch, Tuples, Value as SVal,
     ValueColumn,
@@ -352,7 +353,7 @@ impl Engine {
     fn query_cypher_text(&self, cy: &str, stats: &mut EngineStats) -> Result<gexec::CypherResult> {
         stats.text_parses += 1;
         let parsed = parse_cypher(cy)?;
-        let r = gexec::execute(&self.stores.graph, &self.stores.rel, &parsed, self.max_hops)?;
+        let r = gexec::execute(&self.stores.rel, &parsed, self.max_hops)?;
         stats.backend.items_scanned += r.stats.nodes_scanned;
         stats.backend.items_built += r.stats.bindings_built;
         stats.backend.edges_traversed += r.stats.edges_traversed;
@@ -443,7 +444,7 @@ impl Engine {
     fn run_request(&self, req: &Request, stats: &mut BackendStats) -> Result<PatternMatches> {
         match req {
             Request::Event(q) => self.stores.rel.match_event_pattern(q, stats),
-            Request::Path(q) => self.stores.graph.match_path_pattern(&self.stores.rel, q, stats),
+            Request::Path(q) => match_path_pattern(&self.stores.rel, q, stats),
         }
     }
 

@@ -5,39 +5,46 @@
 //! with indexes on key attributes (file name, process executable name,
 //! source/destination IP). Here the rows are kept once. The paper's two
 //! copies come from two separate DBMSs; both of our stores live in one
-//! process, so the graph store holds only the topology — each node's class
-//! and class-table row, each edge's endpoints, its ordinal being its
-//! `events` row — and reads every property from the relational rows. The
-//! key-attribute indexes are the relational store's, and the Cypher
-//! frontend reads them too.
+//! process, so the relational store owns adjacency too and the graph is a
+//! view of it (`raptor_graphstore::Topology`): a node is an entity's entry
+//! in the store's entity directory (its class and class-table row), its
+//! out-edges are its posting in the entity-id index on `events.subject`,
+//! an edge's far end is its row's `object` cell, and every property is a
+//! cell. The key-attribute indexes are the relational store's, and the
+//! Cypher frontend reads them too.
 //!
 //! Since the streaming subsystem landed there is exactly **one** write path:
 //! [`empty`] creates schemas and indexes up front, and every record —
 //! whether bulk-loaded by [`load`] or ingested epoch-by-epoch by
-//! `raptor-stream` — goes through [`append_entity`] / [`append_event`],
-//! which drive both stores' [`MutableBackend`] implementations in the same
-//! order and refuse a bad record before either sees it: that is what makes
-//! a node's ordinal its entity id and an edge's its `events` row. Both
-//! stores maintain every index on insert, so an incrementally-grown store
-//! is identical-by-construction to a bulk-loaded one.
+//! `raptor-stream` — goes through [`append_entity`] / [`append_event`].
+//! The relational store refuses a bad record first (an entity id that is
+//! not the next one, an event endpoint that is no appended entity) and
+//! appends nothing; the facade's graph shim ([`LoadedStores::graph`]) then
+//! counts what it took. The store maintains every index on insert, so an
+//! incrementally-grown store is identical-by-construction to a bulk-loaded
+//! one.
 //!
 //! The seam is memory only. Durability sits above it: a durable session
 //! logs each epoch as one frame ([`crate::wal`]) and replays those frames
 //! through these same appenders.
 
 use raptor_audit::{Entity, EntityAttrs, EntityKind, ParsedLog, SystemEvent};
-use raptor_common::error::{Error, Result};
+use raptor_common::error::Result;
 use raptor_common::intern::SharedDict;
-use raptor_graphstore::{EdgeId, Graph};
+use raptor_graphstore::{Graph, NodeId, Topology};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
 use raptor_storage::{
     dense_entity_id, BackendStats, EntityClass, Field, FieldValue, MutableBackend,
 };
 
-/// Both backends, fed the same records: the relational rows, interned
-/// into one dictionary, and the graph's adjacency over them.
+/// The stores: the relational rows, interned into one dictionary, which
+/// hold the graph too.
 pub struct LoadedStores {
     pub rel: Database,
+    /// A shim kept for the facade's benchmark: it counts the entities and
+    /// events appended through its `MutableBackend` and refuses what the
+    /// relational store refuses. No engine path reads it; merging the
+    /// write seams (ROADMAP 8(a)) deletes it.
     pub graph: Graph,
     /// The shared dictionary plane: one append-only, concurrently-readable
     /// dictionary hoisted above the stores, created here and handed to the
@@ -51,12 +58,14 @@ pub struct LoadedStores {
 }
 
 impl LoadedStores {
-    /// What both stores hold, independent of symbol numbering and of row
+    /// What the stores hold, independent of symbol numbering and of row
     /// order: each table of [`TABLES`] as its rows rendered through the
     /// dictionary, sorted, then the graph's edges as `(subject id, object
-    /// id, optype)`, sorted — the endpoints the graph holds, the operation
-    /// read from the edge's `events` row. Stores fed the same records by any
-    /// path — bulk load, epochs, log replay — hold equal contents.
+    /// id, optype)`, sorted — each node's out-edges walked as the graph
+    /// walkers read them, through its `events.subject` posting, and the
+    /// operation read from the edge's `events` row. Stores fed the same
+    /// records by any path — bulk load, epochs, log replay — hold equal
+    /// contents.
     pub fn contents(&self) -> StoreContents {
         let render = |v: raptor_storage::Value| v.render(&self.dict);
         let tables = TABLES
@@ -70,14 +79,14 @@ impl LoadedStores {
                 rows
             })
             .collect();
-        let g = &self.graph;
+        let g = Topology::of(&self.rel).expect("audit stores");
         let events = self.rel.table("events").expect("audit table");
         let optype = events.schema.column_index("optype").expect("audit column");
-        let mut edges: Vec<(i64, i64, String)> = (0..g.edge_count() as u32)
-            .map(|e| {
-                let edge = g.edge(EdgeId(e));
-                let op = render(events.cell(e, optype));
-                (i64::from(edge.src.0), i64::from(edge.dst.0), op)
+        let mut edges: Vec<(i64, i64, String)> = (0..g.node_count() as u32)
+            .flat_map(|n| g.out_edges(NodeId(n)).map(move |e| (n, e)))
+            .map(|(n, e)| {
+                let op = render(events.cell(e.0, optype));
+                (i64::from(n), i64::from(g.edge(e).dst.0), op)
             })
             .collect();
         edges.sort_unstable();
@@ -164,11 +173,11 @@ pub fn class_for_kind(kind: EntityKind) -> EntityClass {
 }
 
 /// Creates empty stores with the audit schema and every index (paper
-/// Section III-B: key attributes), all of them relational: the graph keeps
-/// none. Entities need no `id` index: an entity id is a position (its
-/// node's ordinal, a binary search of its class table), while events, which
-/// may arrive in any order, keep the `events.id` hash index. Records
-/// appended later maintain all of them.
+/// Section III-B: key attributes), all of them relational. Entities need
+/// no `id` index: an entity id is a position (its entry in the entity
+/// directory), while events, which may arrive in any order, keep the
+/// `events.id` hash index. An event's endpoints carry entity-id indexes,
+/// the graph's adjacency. Records appended later maintain all of them.
 pub fn empty() -> Result<LoadedStores> {
     empty_with_dict(SharedDict::new())
 }
@@ -193,27 +202,31 @@ pub fn empty_with_dict(dict: SharedDict) -> Result<LoadedStores> {
         rel.create_trigram_index(class.table_name(), key)?;
     }
     rel.create_hash_index("netconns", "srcip")?;
-    for col in ["id", "subject", "object", "optype"] {
+    for col in ["id", "optype"] {
         rel.create_hash_index("events", col)?;
+    }
+    for col in ["subject", "object"] {
+        rel.create_entity_index("events", col)?;
     }
     rel.create_btree_index("events", "starttime")?;
 
     Ok(LoadedStores { rel, graph: Graph::new(), dict, now_ns: 0 })
 }
 
-/// Appends one entity to both stores through their [`MutableBackend`]s.
+/// Appends one entity through the relational store's [`MutableBackend`],
+/// then counts it in the graph shim.
 ///
 /// Entities must arrive in dense ascending id order (the audit parser's id
-/// space) — graph node ids coincide with entity ids exactly because of this.
-/// Strings are interned here, once, and reach the relational store as
-/// symbols; the graph takes the class alone.
+/// space): an entity id is its entity-directory position and its graph
+/// node's ordinal. Strings are interned here, once, and reach the
+/// relational store as symbols.
 pub fn append_entity(
     stores: &mut LoadedStores,
     e: &Entity,
     stats: &mut BackendStats,
 ) -> Result<()> {
     let id = e.id.index() as i64;
-    dense_entity_id(id, stores.graph.node_count())?;
+    dense_entity_id(id, stores.rel.entities().len())?;
     let dict = &stores.dict;
     let sym = |s: &str| FieldValue::Sym(dict.intern(s));
     let host = ("host", FieldValue::Int(e.host as i64));
@@ -249,9 +262,9 @@ pub fn append_entity(
     }
 }
 
-/// Appends one event to both stores; advances the `now_ns` watermark. An
-/// event naming an entity that was never appended is rejected before it
-/// reaches either store, so both stay as they were.
+/// Appends one event, then counts it in the graph shim; advances the
+/// `now_ns` watermark. An event naming an entity that was never appended
+/// is refused by the relational store, which appends nothing.
 pub fn append_event(
     stores: &mut LoadedStores,
     ev: &SystemEvent,
@@ -259,13 +272,6 @@ pub fn append_event(
 ) -> Result<()> {
     let (id, subj, obj) =
         (ev.id.index() as i64, ev.subject.index() as i64, ev.object.index() as i64);
-    let nodes = stores.graph.node_count() as i64;
-    if subj >= nodes || obj >= nodes {
-        return Err(Error::storage(format!(
-            "event {id} names entity {} but only {nodes} entities were appended",
-            subj.max(obj)
-        )));
-    }
     let sym = |s: &str| FieldValue::Sym(stores.dict.intern(s));
     let fields: [Field<'_>; 8] = [
         ("optype", sym(ev.op.name())),
@@ -359,13 +365,13 @@ pub(crate) mod tests {
         assert_eq!(r.batch.n_rows(), 1);
         assert!(r.stats.index_scans >= 1);
         let text = "MATCH (p:Process) WHERE p.exename = '/bin/tar' RETURN p.id";
-        let c = execute(&stores.graph, &stores.rel, &parse_cypher(text).unwrap(), 8).unwrap();
+        let c = execute(&stores.rel, &parse_cypher(text).unwrap(), 8).unwrap();
         assert_eq!((c.batch.n_rows(), c.stats.nodes_scanned), (1, 1), "one index posting");
         assert_eq!(c.batch.row(0), r.batch.row(0), "same entity id across stores");
     }
 
     /// An event naming an entity that was never appended is refused before
-    /// either store sees it (it used to be inserted relationally before the
+    /// either store changes (it used to be inserted relationally before the
     /// graph found the missing endpoint), and so is an entity whose id
     /// skips ahead, by the appender and by each store on its own.
     #[test]

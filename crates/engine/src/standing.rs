@@ -63,7 +63,7 @@ use std::time::Instant;
 use raptor_common::error::{Error, Result};
 use raptor_common::intern::SharedDict;
 use raptor_common::{io, obs};
-use raptor_graphstore::PathFrontier;
+use raptor_graphstore::{match_path_pattern, PathFrontier, Topology};
 use raptor_storage::{
     EventPatternQuery, PathPatternQuery, PatternMatches, ResultBatch, Value as SVal,
 };
@@ -427,7 +427,7 @@ impl StandingQuery {
                     f.decode(&mut io::Cur::new(&blob))?;
                     // The blob is consistent with itself; it must also fit
                     // the graph it will advance on, which only grows.
-                    let g = &engine.stores.graph;
+                    let g = Topology::of(&engine.stores.rel)?;
                     let (nodes, edges) = f.marks();
                     if nodes > g.node_count() || edges > g.edge_count() {
                         return Err(Error::storage(format!(
@@ -496,7 +496,7 @@ impl StandingQuery {
                     PatternPlan::Frontier(f) => {
                         let mut fsp = raptor_common::obs::span("standing.frontier");
                         fsp.label(&p.id);
-                        let pairs = f.advance(&engine.stores.graph, &engine.stores.rel)?;
+                        let pairs = f.advance(&engine.stores.rel)?;
                         fsp.attr("new_pairs", pairs.len() as u64);
                         fsp.attr("entries", f.entries() as u64);
                         obs::metrics().counter_add("raptor_path_frontier_hits_total", 1);
@@ -508,11 +508,7 @@ impl StandingQuery {
                     }
                     PatternPlan::Rescan(req) => {
                         obs::metrics().counter_add("raptor_path_frontier_misses_total", 1);
-                        let m = (engine.stores.graph).match_path_pattern(
-                            &engine.stores.rel,
-                            req,
-                            &mut stats.backend,
-                        )?;
+                        let m = match_path_pattern(&engine.stores.rel, req, &mut stats.backend)?;
                         stats.record("graph", QueryKind::PathPattern, &p.id, 0);
                         stats.finish_last(m.len(), before, t0.elapsed().as_nanos() as u64);
                         changed |= m.len() != acc.len();
@@ -664,7 +660,7 @@ mod tests {
         // edge marks.
         assert_eq!(state[8], 1, "the pattern runs on a frontier");
         let marks = 17;
-        let g = &engine.stores.graph;
+        let g = Topology::of(&engine.stores.rel).unwrap();
         for (at, count) in [(marks, g.node_count()), (marks + 8, g.edge_count())] {
             for (mark, ok) in [(count, true), (count + 1, false)] {
                 let mut forged = state.clone();

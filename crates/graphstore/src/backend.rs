@@ -1,17 +1,18 @@
-//! The graph store's typed surface: the write seam ([`MutableBackend`]) and
-//! one read, [`Graph::match_path_pattern`] — TBQL's `~>(m~n)[op]`.
+//! The graph store's typed surface: one read, [`match_path_pattern`] —
+//! TBQL's `~>(m~n)[op]` — over the relational store, which owns the graph
+//! ([`crate::graph`]).
 //!
 //! A request is compiled once into a `PathSpec`: the two endpoints, the
 //! final-hop predicate and the hop bounds. It is bound per use to the
-//! relational rows: `PathSpec::on` resolves each endpoint as the relational
-//! matcher does (`raptor_relstore::exec::Endpoint`: its class table and its
-//! filter), and compiles the final-hop predicate over `events`, both into
-//! the relational store's one compiled predicate form (`exec::ScanPred`,
-//! what seeding scans with), so both stores decide a predicate the same way
-//! by construction. A node's filter is tested on its class-table row and
-//! an edge's on its `events` row.
-//! Matching then walks the adjacency arrays; no query AST is built and
-//! nothing is parsed.
+//! relational rows: `PathSpec::on` resolves the [`Topology`], resolves
+//! each endpoint as the relational matcher does
+//! (`raptor_relstore::exec::Endpoint`: its class table and its filter),
+//! and compiles the final-hop predicate over `events`, both into the
+//! relational store's one compiled predicate form (`exec::ScanPred`, what
+//! seeding scans with), so both stores decide a predicate the same way by
+//! construction. A node's filter is tested on its class-table row and an
+//! edge's on its `events` row. Matching then walks the `events.subject`
+//! postings; no query AST is built and nothing is parsed.
 //!
 //! Every shape is a *prefix* of `lo..=hi` hops from an anchor plus, when
 //! the pattern constrains or returns its last event, one *final edge*.
@@ -34,19 +35,18 @@
 
 use std::borrow::Cow;
 
-use raptor_common::error::{Error, Result};
+use raptor_common::error::Result;
 use raptor_common::intern::SharedDict;
 use raptor_common::obs;
 use raptor_relstore::exec::{compile_pred, table_named, Endpoint, ScanPred};
 use raptor_relstore::table::Table;
 use raptor_relstore::Database;
 use raptor_storage::{
-    dense_entity_id, BackendStats, EntityClass, EntitySel, Field, MutableBackend, PathPatternQuery,
-    PatternMatches, Pred,
+    BackendStats, EntityClass, EntitySel, PathPatternQuery, PatternMatches, Pred,
 };
 
 use crate::cypher::exec::edge_distinct_walks;
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, NodeId, Topology};
 
 /// The Cypher label of a class's nodes.
 pub fn label_for_class(class: EntityClass) -> &'static str {
@@ -95,13 +95,13 @@ impl PathSpec {
         }
     }
 
-    /// The spec bound to the rows as they are now: each predicate compiled
-    /// over the table its records live in.
-    pub(crate) fn on<'a>(&'a self, g: &'a Graph, db: &'a Database) -> Result<PathMatcher<'a>> {
+    /// The spec bound to the rows as they are now: the graph over them, and
+    /// each predicate compiled over the table its records live in.
+    pub(crate) fn on<'a>(&'a self, db: &'a Database) -> Result<PathMatcher<'a>> {
         let events = table_named(db, "events")?;
         let col = |name| events.schema.column_index(name);
         Ok(PathMatcher {
-            g,
+            g: Topology::of(db)?,
             spec: self,
             dict: db.dict(),
             subj: Endpoint::resolve(db, &self.subject)?,
@@ -116,7 +116,7 @@ impl PathSpec {
 /// A [`PathSpec`] bound to the stores: the endpoint and final-edge tests,
 /// and what a prefix endpoint contributes.
 pub(crate) struct PathMatcher<'a> {
-    pub(crate) g: &'a Graph,
+    pub(crate) g: Topology<'a>,
     pub(crate) spec: &'a PathSpec,
     dict: &'a SharedDict,
     /// Each end's class table and filter; `obj` is `None` with
@@ -188,7 +188,7 @@ impl PathMatcher<'_> {
             }
             return;
         }
-        for &e in self.g.out_edges(n) {
+        for e in self.g.out_edges(n) {
             let dst = self.g.edge(e).dst;
             if self.final_edge_ok(e) && self.object_ok(dst, a) {
                 hit(dst, Some(e));
@@ -203,7 +203,7 @@ impl PathMatcher<'_> {
     /// class table. `scanned` counts the candidates read — what either path
     /// returns.
     fn anchors(&self, db: &Database, scanned: &mut usize) -> Result<Vec<NodeId>> {
-        let (g, subject) = (self.g, &self.spec.subject);
+        let (g, subject) = (&self.g, &self.spec.subject);
         let ids: Cow<'_, [i64]> = match (&subject.id_in, &subject.filter) {
             (Some(ids), _) => Cow::Borrowed(ids),
             (None, Some(filter)) => Cow::Owned(db.entity_candidates(
@@ -228,136 +228,96 @@ fn mark(marks: &mut [u32], stamp: u32, n: NodeId) -> bool {
     std::mem::replace(&mut marks[n.0 as usize], stamp) != stamp
 }
 
-impl Graph {
-    /// Matches one (possibly variable-length) path pattern against the whole
-    /// graph, reading every property from `db`'s rows, on the calling
-    /// thread. Rows are distinct by construction.
-    pub fn match_path_pattern(
-        &self,
-        db: &Database,
-        q: &PathPatternQuery,
-        stats: &mut BackendStats,
-    ) -> Result<PatternMatches> {
-        let spec = PathSpec::compile(q);
-        let m = spec.on(self, db)?;
-        // One expansion span per path-pattern request.
-        let mut sp = obs::span("graphstore.expand");
-        let (mut nodes, mut edges) = (0usize, 0usize);
-        let mut out = PatternMatches::with_capacity(0, q.want_event);
-        // Per anchor: prefix endpoints reached, objects already paired.
-        let mut reached_by = vec![0u32; self.node_count()];
-        let mut paired_by = vec![0u32; self.node_count()];
-        let mut reached: Vec<NodeId> = Vec::new();
-        let mut queue: Vec<(NodeId, u32)> = Vec::new();
-        for (i, a) in m.anchors(db, &mut nodes)?.into_iter().enumerate() {
-            let stamp = i as u32 + 1;
-            reached.clear();
-            if spec.lo <= 1 {
-                if spec.lo == 0 {
-                    mark(&mut reached_by, stamp, a);
-                    reached.push(a);
-                }
-                queue.clear();
-                queue.push((a, 0));
-                let mut head = 0;
-                while let Some(&(n, depth)) = queue.get(head) {
-                    head += 1;
-                    if depth == spec.hi {
-                        break;
-                    }
-                    for &e in self.out_edges(n) {
-                        edges += 1;
-                        let dst = self.edge(e).dst;
-                        if mark(&mut reached_by, stamp, dst) {
-                            reached.push(dst);
-                            // `a` re-reached through a cycle ends a prefix
-                            // but was expanded already.
-                            if dst != a {
-                                queue.push((dst, depth + 1));
-                            }
-                        }
-                    }
-                }
-            } else {
-                edge_distinct_walks(
-                    self,
-                    a,
-                    spec.lo,
-                    spec.hi,
-                    |_| true,
-                    &mut edges,
-                    |n| {
-                        if mark(&mut reached_by, stamp, n) {
-                            reached.push(n);
-                        }
-                    },
-                );
+/// Matches one (possibly variable-length) path pattern against the whole
+/// graph of `db`'s rows, on the calling thread. Rows are distinct by
+/// construction.
+pub fn match_path_pattern(
+    db: &Database,
+    q: &PathPatternQuery,
+    stats: &mut BackendStats,
+) -> Result<PatternMatches> {
+    let spec = PathSpec::compile(q);
+    let m = spec.on(db)?;
+    let g = &m.g;
+    // One expansion span per path-pattern request.
+    let mut sp = obs::span("graphstore.expand");
+    let (mut nodes, mut edges) = (0usize, 0usize);
+    let mut out = PatternMatches::with_capacity(0, q.want_event);
+    // Per anchor: prefix endpoints reached, objects already paired.
+    let mut reached_by = vec![0u32; g.node_count()];
+    let mut paired_by = vec![0u32; g.node_count()];
+    let mut reached: Vec<NodeId> = Vec::new();
+    let mut queue: Vec<(NodeId, u32)> = Vec::new();
+    for (i, a) in m.anchors(db, &mut nodes)?.into_iter().enumerate() {
+        let stamp = i as u32 + 1;
+        reached.clear();
+        if spec.lo <= 1 {
+            if spec.lo == 0 {
+                mark(&mut reached_by, stamp, a);
+                reached.push(a);
             }
-            let subj = m.entity_id(a);
-            for &n in &reached {
-                if spec.has_final {
-                    edges += self.out_edges(n).len();
+            queue.clear();
+            queue.push((a, 0));
+            let mut head = 0;
+            while let Some(&(n, depth)) = queue.get(head) {
+                head += 1;
+                if depth == spec.hi {
+                    break;
                 }
-                m.matches_at(n, a, |o, e| match e {
-                    Some(e) if q.want_event => {
-                        let (id, start, end) = m.event_row(e);
-                        out.push_event(subj, m.entity_id(o), id, start, end)
-                    }
-                    _ => {
-                        if mark(&mut paired_by, stamp, o) {
-                            out.push_pair(subj, m.entity_id(o));
+                for e in g.out_edges(n) {
+                    edges += 1;
+                    let dst = g.edge(e).dst;
+                    if mark(&mut reached_by, stamp, dst) {
+                        reached.push(dst);
+                        // `a` re-reached through a cycle ends a prefix
+                        // but was expanded already.
+                        if dst != a {
+                            queue.push((dst, depth + 1));
                         }
                     }
-                });
+                }
             }
+        } else {
+            edge_distinct_walks(
+                g,
+                a,
+                spec.lo,
+                spec.hi,
+                |_| true,
+                &mut edges,
+                |n| {
+                    if mark(&mut reached_by, stamp, n) {
+                        reached.push(n);
+                    }
+                },
+            );
         }
-        stats.data_queries += 1;
-        stats.items_scanned += nodes;
-        stats.items_built += out.len();
-        stats.edges_traversed += edges;
-        sp.attr("rows", out.len() as u64);
-        sp.attr("edges", edges as u64);
-        sp.attr("nodes", nodes as u64);
-        Ok(out)
+        let subj = m.entity_id(a);
+        for &n in &reached {
+            if spec.has_final {
+                edges += g.out_edges(n).len();
+            }
+            m.matches_at(n, a, |o, e| match e {
+                Some(e) if q.want_event => {
+                    let (id, start, end) = m.event_row(e);
+                    out.push_event(subj, m.entity_id(o), id, start, end)
+                }
+                _ => {
+                    if mark(&mut paired_by, stamp, o) {
+                        out.push_pair(subj, m.entity_id(o));
+                    }
+                }
+            });
+        }
     }
-}
-
-/// The graph keeps no field: the relational store, fed the same records in
-/// the same order, holds them.
-impl MutableBackend for Graph {
-    fn insert_entity(
-        &mut self,
-        class: EntityClass,
-        id: i64,
-        _fields: &[Field<'_>],
-        stats: &mut BackendStats,
-    ) -> Result<()> {
-        // Node ids are arena indexes; the trait contract (dense ascending
-        // entity ids) is what keeps `NodeId == entity id` true, which every
-        // edge insert and anchor lookup relies on.
-        dense_entity_id(id, self.node_count())?;
-        self.add_node(class);
-        stats.items_inserted += 1;
-        Ok(())
-    }
-
-    fn insert_event(
-        &mut self,
-        _id: i64,
-        subject: i64,
-        object: i64,
-        _fields: &[Field<'_>],
-        stats: &mut BackendStats,
-    ) -> Result<()> {
-        let node = |id: i64| {
-            self.entity_node(id)
-                .ok_or_else(|| Error::storage(format!("event endpoint {id} is not a node")))
-        };
-        let (src, dst) = (node(subject)?, node(object)?);
-        self.add_edge(src, dst)?;
-        stats.items_inserted += 1;
-        Ok(())
-    }
+    stats.data_queries += 1;
+    stats.items_scanned += nodes;
+    stats.items_built += out.len();
+    stats.edges_traversed += edges;
+    sp.attr("rows", out.len() as u64);
+    sp.attr("edges", edges as u64);
+    sp.attr("nodes", nodes as u64);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -408,7 +368,7 @@ mod tests {
     }
 
     fn run(st: &Stores, q: &PathPatternQuery, stats: &mut BackendStats) -> PatternMatches {
-        st.g.match_path_pattern(&st.db, q, stats).unwrap()
+        match_path_pattern(&st.db, q, stats).unwrap()
     }
 
     /// `subject ~>(0~0) subject`: every anchor pairs with itself, so the
@@ -570,7 +530,7 @@ mod tests {
             let (c, b) = (st.db.dict().get("c").unwrap(), st.db.dict().get("b").unwrap());
             assert!(c < b, "`c` interns before `b`");
             let text = format!("MATCH (s:Process) WHERE {cond} RETURN s.id");
-            let r = execute(&st.g, &st.db, &parse_cypher(&text).unwrap(), 8).unwrap();
+            let r = execute(&st.db, &parse_cypher(&text).unwrap(), 8).unwrap();
             let ids = &r.batch.cols[0];
             let mut by_text: Vec<i64> =
                 (0..ids.len()).map(|i| ids.get(i).as_int().unwrap()).collect();
@@ -678,19 +638,27 @@ mod tests {
     }
 
     /// An endpoint id past `u32` would wrap to a node that exists (`1 << 32`
-    /// to node 0) and pass `add_edge`'s bounds check: it is refused before
-    /// narrowing, like any id that is not a node.
+    /// to node 0): it is refused before narrowing, like any id that is not
+    /// a node, by the rows and by the facade's shim alike.
     #[test]
     fn out_of_range_event_endpoint_is_refused() {
+        use crate::graph::{Graph, Topology};
         use raptor_common::error::ErrorKind;
-        let mut g = audit_graph().g;
-        let edges = g.edge_count();
+        use raptor_storage::MutableBackend;
+        let mut st = audit_graph();
+        let mut g = Graph::new();
+        for id in 0..5 {
+            g.insert_entity(EntityClass::File, id, &[], &mut BackendStats::default()).unwrap();
+        }
+        let edges = Topology::of(&st.db).unwrap().edge_count();
         let mut stats = BackendStats::default();
         for (s, o) in [(1i64 << 32, 2), (0, (1 << 32) + 2), (-1, 2), (0, 5)] {
             let err = g.insert_event(99, s, o, &[], &mut stats).unwrap_err();
             assert_eq!(err.kind, ErrorKind::Storage, "{s} -> {o}: {err}");
+            let err = st.db.insert_event(99, s, o, &[], &mut stats).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Storage, "{s} -> {o}: {err}");
         }
-        assert_eq!(g.edge_count(), edges);
+        assert_eq!((g.edge_count(), Topology::of(&st.db).unwrap().edge_count()), (0, edges));
         assert_eq!(stats.items_inserted, 0);
     }
 

@@ -10,12 +10,13 @@
 //! RETURN items are bound once per query (`bind`), so the walk resolves
 //! no name.
 //!
-//! The graph holds topology only: every property is a cell of the
-//! relational rows. A label binds to an entity class (`EVENT` to every
-//! edge), a key to its column in each class's table and in `events`, and
-//! an anchor's index lookup reads the relational store's hash index on
-//! that column. A NULL cell and a key outside a class's schema both read as
-//! a missing property.
+//! The graph is a view of the relational rows ([`Topology`], resolved once
+//! per query): a node's out-edges are its `events.subject` posting, and
+//! every property is a cell. A label binds to an entity class (`EVENT` to
+//! every edge), a key to its column in each class's table and in `events`,
+//! and an anchor's index lookup reads the relational store's hash index on
+//! that column. A NULL cell and a key outside a class's schema both read
+//! as a missing property.
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
@@ -27,7 +28,7 @@ use raptor_storage::{EntityClass, ResultBatch, Value};
 
 use super::ast::*;
 use crate::backend::{label_for_class, LABEL_EVENT};
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, NodeId, Topology};
 
 /// Default hop cap for unbounded variable-length patterns (`[*]`, `[*2..]`).
 pub const DEFAULT_MAX_HOPS: u32 = 8;
@@ -104,7 +105,7 @@ impl<'a> Cols<'a> {
     }
 
     /// Node `n`'s cell, NULL where its class has no such column.
-    fn node(&self, g: &Graph, n: NodeId) -> Value {
+    fn node(&self, g: &Topology<'_>, n: NodeId) -> Value {
         let node = g.node(n);
         self.node[node.class as usize].map_or(Value::Null, |(t, c)| t.cell(node.row, c))
     }
@@ -124,7 +125,7 @@ pub(crate) struct BoundProp<'a> {
 
 impl BoundProp<'_> {
     /// The property under `binding`; NULL when it is missing.
-    fn read(&self, g: &Graph, binding: &[BindVal]) -> Value {
+    fn read(&self, g: &Topology<'_>, binding: &[BindVal]) -> Value {
         match binding[self.slot] {
             BindVal::Node(n) => self.cols.node(g, n),
             BindVal::Edge(e) => self.cols.edge(e),
@@ -190,7 +191,7 @@ fn bind<'a>(db: &'a Database, e: &'a CExpr, slot: &impl Fn(&str) -> usize) -> Bo
 /// satisfies no operator, an `Int` never compares with a `Str`, strings
 /// order by content, and a string no record carries satisfies only `<>`,
 /// and only against a string.
-fn eval(g: &Graph, dict: &SharedDict, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
+fn eval(g: &Topology<'_>, dict: &SharedDict, e: &BoundExpr<'_>, binding: &[BindVal]) -> bool {
     match e {
         BoundExpr::Cmp { left, op, right } => {
             let lv = left.read(g, binding);
@@ -267,7 +268,7 @@ impl<'a> BoundShape<'a> {
         self.props.iter().all(|(cols, v)| v.is_some_and(|v| cell(cols) == v))
     }
 
-    fn node(&self, g: &Graph, n: NodeId) -> bool {
+    fn node(&self, g: &Topology<'_>, n: NodeId) -> bool {
         self.label.is_none_or(|l| l == Some(g.node(n).class)) && self.props_hold(|c| c.node(g, n))
     }
 
@@ -281,7 +282,7 @@ impl<'a> BoundShape<'a> {
 /// an indexable WHERE conjunct's key, then the class's rows, or every node
 /// for a pattern without a label.
 fn anchor_candidates(
-    g: &Graph,
+    g: &Topology<'_>,
     db: &Database,
     pat: &BoundShape<'_>,
     extra: &[&BoundExpr<'_>],
@@ -350,7 +351,8 @@ fn anchor_candidates(
 
 /// Runs a parsed query over the graph, reading every property from `db`'s
 /// rows.
-pub fn execute(g: &Graph, db: &Database, q: &CypherQuery, max_hops: u32) -> Result<CypherResult> {
+pub fn execute(db: &Database, q: &CypherQuery, max_hops: u32) -> Result<CypherResult> {
+    let g = &Topology::of(db)?;
     let dict = db.dict();
     let mut stats = GraphQueryStats::default();
     let mut vars = VarTable { slots: FxHashMap::default(), count: 0 };
@@ -491,7 +493,7 @@ struct Segment<'a> {
 impl Segment<'_> {
     /// May `dst` end this segment under `binding`? If the target variable
     /// is already bound, it must be the same node.
-    fn target_ok(&self, g: &Graph, binding: &[BindVal], dst: NodeId) -> bool {
+    fn target_ok(&self, g: &Topology<'_>, binding: &[BindVal], dst: NodeId) -> bool {
         self.node.node(g, dst)
             && self.node_slot.is_none_or(|s| match binding[s] {
                 BindVal::Node(existing) => existing == dst,
@@ -505,7 +507,7 @@ impl Segment<'_> {
 /// extension to `out_bindings`/`out_cursors` (in the deterministic
 /// traversal order) and counting traversed edges into `edges`.
 fn extend_one(
-    g: &Graph,
+    g: &Topology<'_>,
     seg: &Segment<'_>,
     max_hops: u32,
     b: &[BindVal],
@@ -516,7 +518,7 @@ fn extend_one(
     let (out_bindings, out_cursors) = out;
     match seg.range {
         None => {
-            for &eid in g.out_edges(cur) {
+            for eid in g.out_edges(cur) {
                 *edges += 1;
                 if !seg.rel.edge(eid) {
                     continue;
@@ -561,7 +563,7 @@ fn extend_one(
 /// walk (`start` itself), which compiled `~>(1~n)` prefixes rely on. Every
 /// out-edge examined is counted into `edges`.
 pub(crate) fn edge_distinct_walks(
-    g: &Graph,
+    g: &Topology<'_>,
     start: NodeId,
     min: u32,
     max: u32,
@@ -577,7 +579,7 @@ pub(crate) fn edge_distinct_walks(
         if depth == max {
             continue;
         }
-        for &eid in g.out_edges(n) {
+        for eid in g.out_edges(n) {
             *edges += 1;
             if used.contains(&eid) || !edge_ok(eid) {
                 continue;
@@ -594,7 +596,7 @@ pub(crate) fn edge_distinct_walks(
 /// DFS per binding, in binding order. Each segment is bound once.
 #[allow(clippy::too_many_arguments)]
 fn extend_path(
-    g: &Graph,
+    g: &Topology<'_>,
     db: &Database,
     path: &PathPattern,
     bindings: &mut Vec<Vec<BindVal>>,
@@ -691,7 +693,7 @@ mod tests {
 
     fn run(st: &Stores, q: &str) -> Vec<Vec<String>> {
         let parsed = parse_cypher(q).unwrap();
-        execute(&st.g, &st.db, &parsed, DEFAULT_MAX_HOPS).unwrap().batch.rendered_rows()
+        execute(&st.db, &parsed, DEFAULT_MAX_HOPS).unwrap().batch.rendered_rows()
     }
 
     #[test]
@@ -842,7 +844,7 @@ mod tests {
     fn where_on_unbound_var_is_error() {
         let st = fig2_graph();
         let q = parse_cypher("MATCH (p:Process) WHERE z.name = 'x' RETURN p.exename").unwrap();
-        assert!(execute(&st.g, &st.db, &q, DEFAULT_MAX_HOPS).is_err());
+        assert!(execute(&st.db, &q, DEFAULT_MAX_HOPS).is_err());
     }
 
     #[test]
@@ -850,7 +852,7 @@ mod tests {
         let st = fig2_graph();
         let q =
             parse_cypher("MATCH (p:Process)-[e:EVENT*1..2]->(f:File) RETURN p.exename").unwrap();
-        let err = execute(&st.g, &st.db, &q, DEFAULT_MAX_HOPS).unwrap_err();
+        let err = execute(&st.db, &q, DEFAULT_MAX_HOPS).unwrap_err();
         assert!(err.to_string().contains("variable-length"));
     }
 

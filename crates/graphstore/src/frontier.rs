@@ -39,7 +39,7 @@ use raptor_relstore::Database;
 use raptor_storage::PathPatternQuery;
 
 use crate::backend::{PathMatcher, PathSpec};
-use crate::graph::{EdgeId, Graph, NodeId};
+use crate::graph::{EdgeId, NodeId};
 
 /// Cached per-query frontier state for one variable-length path pattern.
 pub struct PathFrontier {
@@ -82,8 +82,9 @@ impl PathFrontier {
     }
 
     /// The `(node, edge)` watermarks: how much of the graph the frontier
-    /// has absorbed. Whoever restores a frontier checks them against the
-    /// graph it will advance on.
+    /// has absorbed — the entity count and the `events` row count. Whoever
+    /// restores a frontier checks them against the graph it will advance
+    /// on.
     pub fn marks(&self) -> (usize, usize) {
         (self.state.node_mark, self.state.edge_mark)
     }
@@ -97,9 +98,10 @@ impl PathFrontier {
     /// the *new* `(subject id, object id)` pairs, sorted. A fresh frontier
     /// absorbs the whole store, which equals one-shot evaluation; thereafter
     /// each call costs work proportional to the delta, not the store.
-    pub fn advance(&mut self, g: &Graph, db: &Database) -> Result<Vec<(i64, i64)>> {
+    pub fn advance(&mut self, db: &Database) -> Result<Vec<(i64, i64)>> {
         let mut out: Vec<(i64, i64)> = Vec::new();
-        let m = self.spec.on(g, db)?;
+        let m = self.spec.on(db)?;
+        let g = m.g;
         let st = &mut self.state;
 
         // New nodes: collect anchors; with `lo == 0` an anchor ends its own
@@ -257,7 +259,7 @@ impl State {
                 self.on_reached(m, NodeId(n), NodeId(a), out);
             }
             if d < limit {
-                for &eid in g.out_edges(NodeId(n)) {
+                for eid in g.out_edges(NodeId(n)) {
                     work.push((g.edge(eid).dst.0, a, d + 1));
                 }
             }
@@ -306,7 +308,7 @@ mod tests {
     }
 
     fn advance(f: &mut PathFrontier, st: &Stores) -> Vec<(i64, i64)> {
-        f.advance(&st.g, &st.db).unwrap()
+        f.advance(&st.db).unwrap()
     }
 
     fn req(min: u32, max: Option<u32>, op: Option<&str>, dict: &SharedDict) -> PathPatternQuery {
@@ -344,7 +346,7 @@ mod tests {
                 range(q.min_hops, q.max_hops)
             ),
         };
-        let r = execute(&st.g, &st.db, &parse_cypher(&text).unwrap(), q.hop_cap).unwrap();
+        let r = execute(&st.db, &parse_cypher(&text).unwrap(), q.hop_cap).unwrap();
         let (s, o) = (&r.batch.cols[0], &r.batch.cols[1]);
         let mut pairs: Vec<(i64, i64)> = (0..s.len())
             .map(|i| (s.get(i).as_int().unwrap(), o.get(i).as_int().unwrap()))

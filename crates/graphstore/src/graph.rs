@@ -1,34 +1,32 @@
-//! The graph's topology over the relational rows.
+//! The graph is a view of the relational rows.
 //!
-//! A node is an entity: its class and its row in that class's table. An
-//! edge is an event: its two endpoints, and its ordinal is its row of the
-//! `events` table. The graph keeps no property, no label and no value
-//! index; every read of a value goes to a cell of the relational store
-//! (`raptor_relstore::Database`), which the read entry points take beside
-//! the graph. Out-adjacency lists give index-free traversal along edges
-//! (every walk follows edges forward, so no in-adjacency is kept).
+//! The relational store (`raptor_relstore::Database`) owns adjacency. A
+//! node is an entity: its entry in the store's entity directory, which
+//! gives its class and its row in that class's table. An edge is an event:
+//! its ordinal is its row of `events`, its endpoints that row's `subject`
+//! and `object` cells. A node's out-edges are its posting in the
+//! entity-id index on `events.subject`, in append order (every walk
+//! follows edges forward, so no in-adjacency is read). [`Topology`]
+//! resolves those columns and slices once per request; it keeps nothing
+//! per node or edge.
 //!
-//! A node's ordinal is its entity id and an edge's ordinal its `events` row
-//! by construction: the engine's loader feeds both stores the same records
-//! in the same order, and both refuse the same bad records.
+//! [`Graph`] is a shim for the facade's `LoadedStores::graph`: two
+//! counters fed through its `MutableBackend`, read by the benchmark and by
+//! no engine path. Merging the two write seams (ROADMAP 8(a)) deletes it.
 
 use raptor_common::error::{Error, Result};
-use raptor_storage::EntityClass;
+use raptor_relstore::exec::table_named;
+use raptor_relstore::index::EntityIndex;
+use raptor_relstore::{Database, EntityRow};
+use raptor_storage::{dense_entity_id, BackendStats, EntityClass, Field, MutableBackend};
 
-/// Node id (arena index): the entity's id.
+/// Node id: the entity's id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct NodeId(pub u32);
 
-/// Edge id (arena index): the event's row of `events`.
+/// Edge id: the event's row of `events`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EdgeId(pub u32);
-
-/// An entity: its class and its row of the class's table.
-#[derive(Clone, Copy, Debug)]
-pub struct Node {
-    pub class: EntityClass,
-    pub row: u32,
-}
 
 /// An event's endpoints.
 #[derive(Clone, Copy, Debug)]
@@ -37,23 +35,38 @@ pub struct Edge {
     pub dst: NodeId,
 }
 
-/// The graph: nodes, edges and each node's out-edges.
-#[derive(Default)]
-pub struct Graph {
-    nodes: Vec<Node>,
-    edges: Vec<Edge>,
-    out: Vec<Vec<EdgeId>>,
-    /// Per class, the nodes appended so far: the next one's row.
-    rows: [u32; EntityClass::ALL.len()],
+/// The graph over a database's rows, resolved once: the entity directory,
+/// the `events.subject` entity-id index and the two endpoint columns.
+#[derive(Clone, Copy)]
+pub struct Topology<'a> {
+    entities: &'a [EntityRow],
+    out: &'a EntityIndex,
+    subject: &'a [i64],
+    object: &'a [i64],
 }
 
-impl Graph {
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> Topology<'a> {
+    /// The graph of `db`. Both endpoint columns carry an entity-id index,
+    /// so each of their cells is a node; without one it is a typed
+    /// `Storage` error.
+    pub fn of(db: &'a Database) -> Result<Topology<'a>> {
+        let events = table_named(db, "events")?;
+        let end = |name: &str| -> Result<(&'a EntityIndex, &'a [i64])> {
+            let c = events.schema.require_column(name)?;
+            let no_index = || Error::storage(format!("no entity-id index on `events.{name}`"));
+            let index = db.entity_index("events", c).ok_or_else(no_index)?;
+            Ok((index, events.int_cells(c).ok_or_else(no_index)?))
+        };
+        let ((out, subject), (_, object)) = (end("subject")?, end("object")?);
+        Ok(Topology { entities: db.entities(), out, subject, object })
     }
 
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.entities.len()
+    }
+
+    pub fn edge_count(&self) -> usize {
+        self.subject.len()
     }
 
     /// The node of entity `id` — entity ids are node ordinals — if there
@@ -62,84 +75,74 @@ impl Graph {
         usize::try_from(id).ok().filter(|&i| i < self.node_count()).map(|i| NodeId(i as u32))
     }
 
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
+    /// Node `n`'s class and class-table row.
+    pub fn node(&self, n: NodeId) -> EntityRow {
+        self.entities[n.0 as usize]
     }
 
-    pub fn node(&self, id: NodeId) -> Node {
-        self.nodes[id.0 as usize]
+    /// Edge `e`'s endpoints: its `events` row's `subject` and `object`.
+    pub fn edge(&self, e: EdgeId) -> Edge {
+        let i = e.0 as usize;
+        Edge { src: NodeId(self.subject[i] as u32), dst: NodeId(self.object[i] as u32) }
     }
 
-    pub fn edge(&self, id: EdgeId) -> Edge {
-        self.edges[id.0 as usize]
-    }
-
-    pub fn out_edges(&self, id: NodeId) -> &[EdgeId] {
-        &self.out[id.0 as usize]
-    }
-
-    /// Appends the next entity of `class`: the class table's next row.
-    pub fn add_node(&mut self, class: EntityClass) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        let row = &mut self.rows[class as usize];
-        self.nodes.push(Node { class, row: *row });
-        *row += 1;
-        self.out.push(Vec::new());
-        id
-    }
-
-    /// Appends the next event, `src -> dst`: the next row of `events`.
-    pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> Result<EdgeId> {
-        if src.0 as usize >= self.nodes.len() || dst.0 as usize >= self.nodes.len() {
-            return Err(Error::storage("edge endpoint does not exist"));
-        }
-        let id = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { src, dst });
-        self.out[src.0 as usize].push(id);
-        Ok(id)
+    /// Node `n`'s out-edges, in append order: its `subject` posting.
+    pub fn out_edges(&self, n: NodeId) -> impl ExactSizeIterator<Item = EdgeId> + 'a {
+        self.out.rows(n.0 as usize).iter().map(|&e| EdgeId(e))
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// The facade's graph shim: how many nodes and edges were appended through
+/// its `MutableBackend`, which refuses what the relational store refuses.
+#[derive(Default)]
+pub struct Graph {
+    nodes: usize,
+    edges: usize,
+}
 
-    fn tiny() -> (Graph, [NodeId; 3]) {
-        let mut g = Graph::new();
-        let nodes =
-            [EntityClass::Process, EntityClass::File, EntityClass::File].map(|c| g.add_node(c));
-        g.add_edge(nodes[0], nodes[1]).unwrap();
-        g.add_edge(nodes[0], nodes[2]).unwrap();
-        (g, nodes)
+impl Graph {
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    #[test]
-    fn adjacency() {
-        let (g, [p, f, f2]) = tiny();
-        assert_eq!(g.out_edges(p), &[EdgeId(0), EdgeId(1)]);
-        assert!(g.out_edges(f).is_empty());
-        assert_eq!(g.edge(EdgeId(0)).dst, f);
-        assert_eq!(g.edge(EdgeId(1)).dst, f2);
-        assert_eq!((g.node_count(), g.edge_count()), (3, 2));
+    pub fn node_count(&self) -> usize {
+        self.nodes
     }
 
-    /// Classes partition the nodes, each into its own table's rows, in
-    /// order.
-    #[test]
-    fn labels_partition_nodes() {
-        let (g, nodes) = tiny();
-        let rows = nodes.map(|n| (g.node(n).class, g.node(n).row));
-        assert_eq!(
-            rows,
-            [(EntityClass::Process, 0), (EntityClass::File, 0), (EntityClass::File, 1)]
-        );
+    pub fn edge_count(&self) -> usize {
+        self.edges
+    }
+}
+
+impl MutableBackend for Graph {
+    fn insert_entity(
+        &mut self,
+        _class: EntityClass,
+        id: i64,
+        _fields: &[Field<'_>],
+        stats: &mut BackendStats,
+    ) -> Result<()> {
+        dense_entity_id(id, self.nodes)?;
+        self.nodes += 1;
+        stats.items_inserted += 1;
+        Ok(())
     }
 
-    #[test]
-    fn bad_edge_rejected() {
-        let mut g = Graph::new();
-        let n = g.add_node(EntityClass::File);
-        assert!(g.add_edge(n, NodeId(99)).is_err());
-        assert_eq!(g.edge_count(), 0);
+    fn insert_event(
+        &mut self,
+        _id: i64,
+        subject: i64,
+        object: i64,
+        _fields: &[Field<'_>],
+        stats: &mut BackendStats,
+    ) -> Result<()> {
+        for id in [subject, object] {
+            if usize::try_from(id).map_or(true, |i| i >= self.nodes) {
+                return Err(Error::storage(format!("event endpoint {id} is not a node")));
+            }
+        }
+        self.edges += 1;
+        stats.items_inserted += 1;
+        Ok(())
     }
 }

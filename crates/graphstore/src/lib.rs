@@ -3,14 +3,16 @@
 //! ThreatRaptor stores system entities as nodes and system events as edges
 //! in Neo4j, and compiles TBQL *variable-length event path patterns* into
 //! Cypher data queries (Sections III-B, III-F). This crate is the Neo4j
-//! stand-in. It keeps no second copy of the data: the paper's Neo4j holds
-//! its own copy because it is a separate DBMS, while here both stores live
-//! in one process, so the graph is an adjacency index over the relational
-//! store's rows and reads every property from them.
+//! stand-in. It keeps no copy of the data and no adjacency of its own: the
+//! paper's Neo4j holds its own copy because it is a separate DBMS, while
+//! here both stores live in one process, so the graph is a view of the
+//! relational store, which owns adjacency — its entity directory and the
+//! entity-id index on `events.subject` — and every property.
 //!
-//! * [`graph`] — node and edge arenas with out-adjacency lists; a node is
-//!   an entity class and its class-table row, an edge an `events` row,
-//! * [`backend`] — the typed path matcher and the write seam,
+//! * [`graph`] — the view ([`Topology`]): a node is an entity's directory
+//!   entry (class and class-table row), an edge an `events` row, a node's
+//!   out-edges its `subject` posting; and the facade's counting shim,
+//! * [`backend`] — the typed path matcher,
 //! * [`frontier`] — its incremental form for standing queries,
 //! * [`cypher`] — lexer, AST, parser and executor for the Cypher subset the
 //!   compiled queries need: `MATCH` with fixed and variable-length
@@ -33,6 +35,7 @@ pub mod graph;
 #[cfg(test)]
 mod testkit;
 
+pub use backend::match_path_pattern;
 pub use cypher::exec::{CypherResult, GraphQueryStats};
 pub use frontier::PathFrontier;
-pub use graph::{EdgeId, Graph, NodeId};
+pub use graph::{EdgeId, Graph, NodeId, Topology};

@@ -1,15 +1,14 @@
 //! Test stores: a relational database with one table per entity class and
-//! `events`, and the graph over its rows, both fed every record through
-//! their `MutableBackend`s, as the engine's loader feeds them.
+//! `events`, whose entity-id indexes make it a graph, fed every record
+//! through its `MutableBackend`, as the engine's loader feeds it.
 
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
 use raptor_storage::{BackendStats, EntityClass, Field, MutableBackend};
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::NodeId;
 
 pub(crate) struct Stores {
     pub(crate) db: Database,
-    pub(crate) g: Graph,
 }
 
 impl Stores {
@@ -26,20 +25,21 @@ impl Stores {
             db.create_table(table(class.table_name(), &["id"], entity)).unwrap();
         }
         db.create_table(table("events", &["id", "subject", "object"], event)).unwrap();
-        Stores { db, g: Graph::new() }
+        for col in ["subject", "object"] {
+            db.create_entity_index("events", col).unwrap();
+        }
+        Stores { db }
     }
 
     /// Appends the next entity (its id is the next node's).
     pub(crate) fn entity(&mut self, class: EntityClass, fields: &[Field<'_>]) -> NodeId {
-        let (id, stats) = (self.g.node_count() as i64, &mut BackendStats::default());
-        self.db.insert_entity(class, id, fields, stats).unwrap();
-        self.g.insert_entity(class, id, fields, stats).unwrap();
+        let id = self.db.entities().len() as i64;
+        self.db.insert_entity(class, id, fields, &mut BackendStats::default()).unwrap();
         NodeId(id as u32)
     }
 
     pub(crate) fn event(&mut self, id: i64, s: NodeId, o: NodeId, fields: &[Field<'_>]) {
         let (s, o, stats) = (i64::from(s.0), i64::from(o.0), &mut BackendStats::default());
         self.db.insert_event(id, s, o, fields, stats).unwrap();
-        self.g.insert_event(id, s, o, fields, stats).unwrap();
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests, a chain of references: the Cypher executor's
 //! variable-length DFS against a brute-force oracle on random graphs, then
 //! the typed path matcher — one-shot and incremental — against the Cypher
-//! executor running the same pattern as text. Every record goes to both
-//! stores, the relational rows and the graph over them, as the engine's
+//! executor running the same pattern as text. Every record goes to the
+//! relational rows, whose entity-id indexes are the graph, as the engine's
 //! loader writes it.
 
 use proptest::prelude::*;
@@ -10,16 +10,16 @@ use proptest::test_runner::TestRng;
 use raptor_common::{FxHashSet, SharedDict};
 use raptor_graphstore::cypher::exec::execute;
 use raptor_graphstore::cypher::parse_cypher;
-use raptor_graphstore::{Graph, PathFrontier};
+use raptor_graphstore::{match_path_pattern, PathFrontier};
 use raptor_relstore::{ColumnDef, ColumnType, Database, TableSchema};
 use raptor_storage::{
     BackendStats, CmpOp, EntityClass, EntitySel, Field, FieldValue, MutableBackend,
     PathPatternQuery, Pred, Value,
 };
 
-/// Empty stores over `dict`: each class table holds `id` and `name`,
-/// `events` its endpoints, `optype` and times.
-fn stores(dict: &SharedDict) -> (Database, Graph) {
+/// An empty store over `dict`: each class table holds `id` and `name`,
+/// `events` its endpoints (entity-id indexed), `optype` and times.
+fn stores(dict: &SharedDict) -> Database {
     use ColumnType::{Int, Str};
     let mut db = Database::with_dict(dict.clone());
     let table = |name, cols: &[(&str, ColumnType)]| {
@@ -30,25 +30,26 @@ fn stores(dict: &SharedDict) -> (Database, Graph) {
     }
     let ints = ["id", "subject", "object", "starttime", "endtime"].map(|c| (c, Int));
     db.create_table(table("events", &[&ints[..], &[("optype", Str)]].concat())).unwrap();
-    (db, Graph::new())
+    for col in ["subject", "object"] {
+        db.create_entity_index("events", col).unwrap();
+    }
+    db
 }
 
-/// Appends the next entity to both stores.
-fn entity((db, g): &mut (Database, Graph), class: EntityClass, fields: &[Field<'_>]) {
-    let (id, stats) = (g.node_count() as i64, &mut BackendStats::default());
-    db.insert_entity(class, id, fields, stats).unwrap();
-    g.insert_entity(class, id, fields, stats).unwrap();
+/// Appends the next entity.
+fn entity(db: &mut Database, class: EntityClass, fields: &[Field<'_>]) {
+    let id = db.entities().len() as i64;
+    db.insert_entity(class, id, fields, &mut BackendStats::default()).unwrap();
 }
 
-/// Appends an event to both stores.
-fn event((db, g): &mut (Database, Graph), id: i64, s: usize, o: usize, fields: &[Field<'_>]) {
-    let (s, o, stats) = (s as i64, o as i64, &mut BackendStats::default());
-    db.insert_event(id, s, o, fields, stats).unwrap();
-    g.insert_event(id, s, o, fields, stats).unwrap();
+/// Appends an event.
+fn event(db: &mut Database, id: i64, s: usize, o: usize, fields: &[Field<'_>]) {
+    let stats = &mut BackendStats::default();
+    db.insert_event(id, s as i64, o as i64, fields, stats).unwrap();
 }
 
 /// Files `n0..n{n}` and one event per edge.
-fn file_graph(n: usize, edges: &[(usize, usize)]) -> (Database, Graph) {
+fn file_graph(n: usize, edges: &[(usize, usize)]) -> Database {
     let mut st = stores(&SharedDict::new());
     for i in 0..n {
         entity(&mut st, EntityClass::File, &[("name", FieldValue::Str(&format!("n{i}")))]);
@@ -95,12 +96,12 @@ proptest! {
         let edges: Vec<(usize, usize)> =
             edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
         let max = min + extra;
-        let (db, g) = file_graph(n, &edges);
+        let db = file_graph(n, &edges);
         let src = 0usize;
         let q = parse_cypher(&format!(
             "MATCH (x {{name: 'n{src}'}})-[:EVENT*{min}..{max}]->(y) RETURN DISTINCT y.name"
         )).unwrap();
-        let r = execute(&g, &db, &q, 16).unwrap();
+        let r = execute(&db, &q, 16).unwrap();
         let got: FxHashSet<String> =
             r.batch.rendered_rows().into_iter().map(|mut row| row.remove(0)).collect();
         let want: FxHashSet<String> = oracle_reachable(&edges, src, min, max)
@@ -118,9 +119,9 @@ proptest! {
     ) {
         let edges: Vec<(usize, usize)> =
             edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
-        let (db, g) = file_graph(n, &edges);
+        let db = file_graph(n, &edges);
         let q = parse_cypher("MATCH (x)-[:EVENT]->(y) RETURN x.name, y.name").unwrap();
-        let r = execute(&g, &db, &q, 16).unwrap();
+        let r = execute(&db, &q, 16).unwrap();
         // Row multiset equals the edge multiset.
         let mut got: Vec<(String, String)> =
             r.batch.rendered_rows().into_iter().map(|r| (r[0].clone(), r[1].clone())).collect();
@@ -306,12 +307,12 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         }
         if indexed {
             for (table, key) in [("processes", "name"), ("processes", "id"), ("files", "id")] {
-                g.0.create_hash_index(table, key).unwrap();
+                g.create_hash_index(table, key).unwrap();
             }
         }
         let n = nodes.len();
         // Every edge is an event; `kind` picks its operation.
-        let add_edge = |g: &mut (Database, Graph), i: usize| {
+        let add_edge = |g: &mut Database, i: usize| {
             let (src, dst, kind) = edges[i];
             let t = i as i64 * 10;
             let fields = [
@@ -338,7 +339,7 @@ fn typed_path_matcher_agrees_with_cypher_text() {
             subject_is_object: same_var,
         };
         let text = cypher_text(&q, subject, object, op);
-        let reference = execute(&g.1, &g.0, &parse_cypher(&text).unwrap(), hop_cap).unwrap();
+        let reference = execute(&g, &parse_cypher(&text).unwrap(), hop_cap).unwrap();
         let b = &reference.batch;
         let mut want: Vec<Vec<i64>> = (0..b.n_rows())
             .map(|i| b.row(i).iter().map(|v| v.as_int().unwrap()).collect())
@@ -346,7 +347,7 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         want.sort_unstable();
 
         let mut stats = BackendStats::default();
-        let m = g.1.match_path_pattern(&g.0, &q, &mut stats).unwrap();
+        let m = match_path_pattern(&g, &q, &mut stats).unwrap();
         assert_eq!(m.has_event, want_event);
         let mut got: Vec<Vec<i64>> = (0..m.len())
             .map(|i| match want_event {
@@ -359,11 +360,11 @@ fn typed_path_matcher_agrees_with_cypher_text() {
         assert_eq!((stats.data_queries, stats.text_parses), (1, 0));
 
         if let Some(mut frontier) = PathFrontier::new(&q) {
-            let mut pairs = frontier.advance(&grown.1, &grown.0).unwrap();
+            let mut pairs = frontier.advance(&grown).unwrap();
             for i in 0..edges.len() {
                 add_edge(&mut grown, i);
                 if (i + 1) % step == 0 || i + 1 == edges.len() {
-                    pairs.extend(frontier.advance(&grown.1, &grown.0).unwrap());
+                    pairs.extend(frontier.advance(&grown).unwrap());
                 }
             }
             let mut pairs: Vec<Vec<i64>> = pairs.into_iter().map(|(s, o)| vec![s, o]).collect();

@@ -21,23 +21,24 @@
 //!   whole table (batch) or from a row range (a standing query's epoch),
 //!   and each endpoint is found by id and its filter tested on its own
 //!   row. The two cannot disagree about what a predicate means.
-//! * `fetch_attr` finds each id's row: an entity by binary search of its
-//!   class table's `id` column, an event through the `events.id` hash
-//!   index.
+//! * `fetch_attr` finds each id's row: an entity through the entity
+//!   directory, an event through the `events.id` hash index.
 //!
 //! Entity ids are positions: [`MutableBackend::insert_entity`] refuses an
-//! id that is not the next dense one, so each class table's `id` column
-//! ascends and needs no index. Events may arrive in any order, so an
-//! event's id is not its row: event fetches need the `events.id` hash
-//! index (the engine's `load::empty` creates it) and without one return a
-//! `Storage` error.
+//! id that is not the next dense one (the appender's check), so the
+//! directory finds an entity by its id and each class table's `id` column
+//! ascends. [`MutableBackend::insert_event`] refuses an endpoint that is
+//! not an appended entity. Events may arrive in any order, so an event's
+//! id is not its row: event fetches need the `events.id` hash index (the
+//! engine's `load::empty` creates it) and without one return a `Storage`
+//! error.
 
 use std::ops::Range;
 
 use raptor_common::error::{Error, Result};
 use raptor_storage::{
-    dense_entity_id, AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue,
-    MutableBackend, PatternMatches, Pred, Value as SVal,
+    AttrSource, BackendStats, EntityClass, EventPatternQuery, Field, FieldValue, MutableBackend,
+    PatternMatches, Pred, Value as SVal,
 };
 
 use crate::db::Database;
@@ -46,7 +47,6 @@ use crate::exec::{
     Slot,
 };
 use crate::sql::ast::CmpOp;
-use crate::table::{RowId, Table};
 
 fn absorb_exec(stats: &mut BackendStats, exec: &ExecStats) {
     stats.items_scanned += exec.rows_scanned;
@@ -167,11 +167,10 @@ impl Database {
         let c = table.schema.require_column(attr)?;
         let mut out = Vec::with_capacity(ids.len());
         match source {
-            AttrSource::Entity(_) => {
-                let entities = entity_ids(table)?;
+            AttrSource::Entity(class) => {
                 for &id in ids {
-                    if let Ok(r) = entities.binary_search(&id) {
-                        out.push((id, table.cell(r as RowId, c)));
+                    if let Some(e) = self.entity(id).filter(|e| e.class == class) {
+                        out.push((id, table.cell(e.row, c)));
                     }
                 }
             }
@@ -200,11 +199,7 @@ impl MutableBackend for Database {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
-        // An entity's id is its position in the id space the class tables
-        // share: the next one is how many entities they hold.
-        let next: usize =
-            EntityClass::ALL.map(|c| self.table(c.table_name()).map_or(0, Table::len)).iter().sum();
-        dense_entity_id(id, next)?;
+        // The appender checks that `id` is the next entity's.
         let pinned = [("id", FieldValue::Int(id))];
         self.append_record(class as usize, class.table_name(), &pinned, fields)?;
         stats.items_inserted += 1;
@@ -219,6 +214,13 @@ impl MutableBackend for Database {
         fields: &[Field<'_>],
         stats: &mut BackendStats,
     ) -> Result<()> {
+        // Each endpoint is an appended entity, whatever the indexes.
+        if let Some(end) = [subject, object].into_iter().find(|&end| self.entity(end).is_none()) {
+            let count = self.entities().len();
+            return Err(Error::storage(format!(
+                "event {id} names entity {end}, but only {count} entities were appended"
+            )));
+        }
         let pinned = [("id", id), ("subject", subject), ("object", object)]
             .map(|(name, v)| (name, FieldValue::Int(v)));
         self.append_record(EntityClass::ALL.len(), "events", &pinned, fields)?;
@@ -265,8 +267,12 @@ mod tests {
             ],
         ))
         .unwrap();
-        // Event fetches find rows by id, as over the audit schema.
+        // Event fetches find rows by id, and the endpoints are entity-id
+        // indexed, as over the audit schema.
         db.create_hash_index("events", "id").unwrap();
+        for col in ["subject", "object"] {
+            db.create_entity_index("events", col).unwrap();
+        }
         db.insert("processes", &[Ins::Int(0), Ins::Str("/bin/tar"), Ins::Str("root")]).unwrap();
         db.insert("processes", &[Ins::Int(1), Ins::Str("/usr/bin/curl"), Ins::Str("root")])
             .unwrap();
@@ -379,6 +385,56 @@ mod tests {
         }
         assert_eq!((db.total_rows(), stats.items_inserted), (rows, 0));
         db.insert_entity(EntityClass::File, 4, &[], &mut stats).unwrap();
+    }
+
+    /// The `subject` postings are the out-adjacency: tar's out-edges are
+    /// rows 0 and 1, in append order, whose `object` cells are their far
+    /// ends; an entity with no event has an empty posting. A lookup reads
+    /// them as it reads hash postings.
+    #[test]
+    fn subject_postings_are_adjacency() {
+        let db = audit_db();
+        let events = db.table("events").unwrap();
+        let index = |c| db.entity_index("events", events.schema.column_index(c).unwrap()).unwrap();
+        let (subject, object) = (index("subject"), index("object"));
+        assert_eq!((subject.rows(0), subject.rows(1)), (&[0, 1][..], &[2][..]));
+        assert!(subject.rows(2).is_empty() && subject.rows(9).is_empty());
+        assert_eq!((object.rows(2), object.rows(3)), (&[0][..], &[1, 2][..]));
+        assert_eq!(events.int_cells(2).unwrap(), &[2, 3, 3]);
+        let r = db.query("SELECT id FROM events WHERE subject = 0").unwrap();
+        assert_eq!((r.stats.index_scans, r.stats.rows_scanned, r.batch.n_rows()), (1, 2, 2));
+    }
+
+    /// The directory places each entity in its class's table, in order.
+    #[test]
+    fn directory_partitions_entities() {
+        let db = audit_db();
+        let places: Vec<_> = db.entities().iter().map(|e| (e.class, e.row)).collect();
+        let (p, f) = (EntityClass::Process, EntityClass::File);
+        assert_eq!(places, [(p, 0), (p, 1), (f, 0), (f, 1)]);
+        assert_eq!(db.entity(3), Some(crate::EntityRow { class: f, row: 1 }));
+        assert_eq!((db.entity(4), db.entity(-1), db.entity(1 << 40)), (None, None, None));
+    }
+
+    /// An event endpoint that is no appended entity is a typed error and
+    /// appends nothing, through the `MutableBackend` and through a raw
+    /// insert under the entity-id indexes alike.
+    #[test]
+    fn insert_event_refuses_unappended_endpoints() {
+        let (mut db, mut stats) = (audit_db(), BackendStats::default());
+        let rows = db.total_rows();
+        for (s, o) in [(1 << 40, 2), (-1, 2), (4, 2), (0, 4)] {
+            let err = db.insert_event(12, s, o, &[], &mut stats).unwrap_err();
+            assert_eq!(err.kind, raptor_common::error::ErrorKind::Storage, "{s} -> {o}: {err}");
+        }
+        let raw = |subject| {
+            [Ins::Int(12), subject, Ins::Int(2), Ins::Null, Ins::Null, Ins::Null, Ins::Null]
+        };
+        for subject in [Ins::Int(4), Ins::Null] {
+            assert!(db.insert("events", &raw(subject)).is_err());
+        }
+        assert_eq!((db.total_rows(), stats.items_inserted), (rows, 0));
+        db.insert("events", &raw(Ins::Int(1))).unwrap();
     }
 
     #[test]

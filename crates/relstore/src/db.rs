@@ -1,23 +1,31 @@
 //! The database facade.
 //!
-//! Holds a handle to the (possibly shared) string dictionary, owns tables
-//! and indexes, and exposes the public API: DDL
+//! Holds a handle to the (possibly shared) string dictionary, owns tables,
+//! indexes and the entity directory, and exposes the public API: DDL
 //! ([`Database::create_table`], `create_*_index`), inserts, and
 //! [`Database::query`] for the SQL subset.
+//!
+//! Entity ids are positions. A row appended to an entity class's table is
+//! the next entity, and its `id` cell must say so; the directory records
+//! its class and row, so an entity is found by its id in one step and the
+//! directory's length is the entity count. With the entity-id indexes on
+//! `events.subject` / `object`, that is the whole graph: a node is a
+//! directory entry, a node's out-edges are its `subject` posting, and an
+//! edge's far end is its `object` cell.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
-use raptor_storage::{Field, FieldValue, ResultBatch};
+use raptor_storage::{dense_entity_id, EntityClass, Field, FieldValue, ResultBatch};
 
 use crate::exec::{execute, ExecStats};
-use crate::index::{BTreeIndex, HashIndex, TrigramIndex};
+use crate::index::{BTreeIndex, EntityIndex, HashIndex, TrigramIndex};
 use crate::plan::{plan_select, SchemaProvider};
 use crate::schema::TableSchema;
 use crate::sql::parse_select;
-use crate::table::Table;
+use crate::table::{RowId, Table};
 use crate::value::Value;
 
 /// A value being inserted (strings are interned on the way in).
@@ -37,12 +45,33 @@ pub struct QueryResult {
     pub stats: ExecStats,
 }
 
-/// The secondary indexes of one column.
+/// The secondary indexes of one column. A column has a hash index or an
+/// entity-id index, never both.
 #[derive(Default)]
 pub(crate) struct ColumnIndexes {
     pub(crate) hash: Option<HashIndex>,
+    pub(crate) entity: Option<EntityIndex>,
     pub(crate) btree: Option<BTreeIndex>,
     pub(crate) trigram: Option<TrigramIndex>,
+}
+
+impl ColumnIndexes {
+    /// The rows whose cell is `v`, ascending, read from the column's
+    /// equality index: its hash or entity-id index.
+    pub(crate) fn equal_rows(&self, v: Value) -> &[RowId] {
+        match (&self.hash, &self.entity) {
+            (Some(idx), _) => idx.get(v),
+            (_, Some(idx)) => idx.get(v),
+            (None, None) => &[],
+        }
+    }
+}
+
+/// Where an entity's record is: its class and its row of the class's table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EntityRow {
+    pub class: EntityClass,
+    pub row: RowId,
 }
 
 /// One table with everything the appender addresses by ordinal, resolved
@@ -51,6 +80,8 @@ struct Slot {
     table: Table,
     /// Per column, in schema order.
     indexes: Vec<ColumnIndexes>,
+    /// An entity class's table: the class and its `id` column.
+    entity: Option<(EntityClass, usize)>,
 }
 
 /// One `MutableBackend` record shape (the field names supplied for an
@@ -77,6 +108,8 @@ pub struct Database {
     row: Vec<Value>,
     /// One per entity class, then events.
     perms: [Option<FieldPerm>; 4],
+    /// The entity directory, indexed by entity id.
+    entities: Vec<EntityRow>,
 }
 
 impl SchemaProvider for Database {
@@ -108,6 +141,7 @@ impl Database {
             text_parses: AtomicUsize::new(0),
             row: Vec::new(),
             perms: Default::default(),
+            entities: Vec::new(),
         }
     }
 
@@ -138,15 +172,35 @@ impl Database {
         self.indexes(table, col)?.hash.as_ref()
     }
 
-    /// Creates an empty table.
+    /// The entity-id index on column `col` of `table`, if one was created.
+    pub fn entity_index(&self, table: &str, col: usize) -> Option<&EntityIndex> {
+        self.indexes(table, col)?.entity.as_ref()
+    }
+
+    /// The entity directory: entity `id`'s class and row are entry `id`.
+    pub fn entities(&self) -> &[EntityRow] {
+        &self.entities
+    }
+
+    /// Where entity `id` is, if it was appended.
+    pub fn entity(&self, id: i64) -> Option<EntityRow> {
+        usize::try_from(id).ok().and_then(|i| self.entities.get(i)).copied()
+    }
+
+    /// Creates an empty table. An entity class's table (named by
+    /// [`EntityClass::table_name`]) needs an `id` column: its rows are
+    /// entities.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
         if self.by_name.contains_key(&schema.name) {
             return Err(Error::storage(format!("table `{}` already exists", schema.name)));
         }
+        let class = EntityClass::ALL.into_iter().find(|c| c.table_name() == schema.name);
+        let entity = class.map(|c| Ok((c, schema.require_column("id")?))).transpose()?;
         self.by_name.insert(schema.name.clone(), self.slots.len());
         self.slots.push(Slot {
             indexes: schema.columns.iter().map(|_| ColumnIndexes::default()).collect(),
             table: Table::new(schema),
+            entity,
         });
         Ok(())
     }
@@ -163,11 +217,30 @@ impl Database {
     /// (one pass down the column vector).
     pub fn create_hash_index(&mut self, table: &str, col: &str) -> Result<()> {
         let (slot, ci) = self.index_site(table, col)?;
+        if slot.indexes[ci].entity.is_some() {
+            return Err(Error::storage(format!("`{table}.{col}` has an entity-id index")));
+        }
         let mut idx = HashIndex::default();
         for rid in 0..slot.table.len() as u32 {
             idx.insert(slot.table.cell(rid, ci), rid);
         }
         slot.indexes[ci].hash = Some(idx);
+        Ok(())
+    }
+
+    /// Creates an entity-id index over an empty integer column, which
+    /// serves every lookup a hash index would. Each cell appended later
+    /// must be the id of an appended entity, or the row is refused with a
+    /// `Storage` error.
+    pub fn create_entity_index(&mut self, table: &str, col: &str) -> Result<()> {
+        let (slot, ci) = self.index_site(table, col)?;
+        let ix = &mut slot.indexes[ci];
+        if ix.hash.is_some() || !slot.table.col_is_int(ci) || !slot.table.is_empty() {
+            return Err(Error::storage(format!(
+                "an entity-id index on `{table}.{col}` needs an empty integer column without a hash index"
+            )));
+        }
+        ix.entity = Some(EntityIndex::default());
         Ok(())
     }
 
@@ -236,6 +309,7 @@ impl Database {
             let names = fields.iter().map(|f| f.0.to_string()).collect();
             self.perms[shape] = Some(FieldPerm { table: ti, names, cols });
         }
+        #[allow(clippy::expect_used)] // Resolved just above when not cached.
         let perm = self.perms[shape].as_ref().expect("resolved above");
         self.row.clear();
         self.row.extend(perm.cols.iter().map(|src| match *src {
@@ -251,12 +325,34 @@ impl Database {
 
     /// The one appender: appends `self.row` to table `ti`, then maintains
     /// every index on the table — what the planner counts from, so nothing
-    /// else is kept. Every write path funnels through here, so bulk load,
-    /// streaming ingest and raw inserts produce identical stores.
+    /// else is kept — and, for an entity, the directory. Every write path
+    /// funnels through here, so bulk load, streaming ingest and raw inserts
+    /// produce identical stores. A row it refuses changes nothing: an
+    /// entity whose `id` is not the next one, or an entity-id index cell
+    /// that names no appended entity.
     fn append(&mut self, ti: usize) -> Result<()> {
-        let (slot, row) = (&mut self.slots[ti], &self.row);
+        let Database { slots, row, entities, dict, .. } = self;
+        let slot = &mut slots[ti];
+        let cell = |c: usize| row.get(c).copied().unwrap_or(Value::Null);
+        if let Some((_, c)) = slot.entity {
+            let id = cell(c).as_int().ok_or_else(|| Error::storage("an entity id is NULL"))?;
+            dense_entity_id(id, entities.len())?;
+        }
+        for (c, ix) in slot.indexes.iter().enumerate() {
+            let id = cell(c).as_int().and_then(|id| usize::try_from(id).ok());
+            if ix.entity.is_some() && id.is_none_or(|id| id >= entities.len()) {
+                let (v, n) = (cell(c), entities.len());
+                return Err(Error::storage(format!("{v:?} names none of the {n} entities")));
+            }
+        }
         let rid = slot.table.insert(row)?;
-        for (ix, &v) in slot.indexes.iter_mut().zip(row) {
+        if let Some((class, _)) = slot.entity {
+            entities.push(EntityRow { class, row: rid });
+        }
+        for (ix, &v) in slot.indexes.iter_mut().zip(row.iter()) {
+            if let (Some(idx), Value::Int(id)) = (&mut ix.entity, v) {
+                idx.insert(id as usize, rid);
+            }
             let new_key = ix.hash.as_mut().is_some_and(|idx| idx.insert(v, rid));
             if let (Some(idx), Value::Int(k)) = (&mut ix.btree, v) {
                 idx.insert(k, rid);
@@ -264,7 +360,7 @@ impl Database {
             // A trigram index sits on a hash index: a string is indexed
             // when the column first holds it.
             if let (true, Some(idx), Value::Str(s)) = (new_key, &mut ix.trigram, v) {
-                idx.add_sym(s, &self.dict);
+                idx.add_sym(s, dict);
             }
         }
         Ok(())
@@ -429,14 +525,14 @@ mod tests {
         assert_eq!(r.stats.index_scans, 1);
         assert_eq!(r.batch.rendered_rows(), vec![vec!["2"]]);
         // A string first appended after the build is indexed once, however
-        // often it recurs.
-        for id in [3, 4] {
+        // often it recurs. (Entity ids are positions: 5 and 6 are next.)
+        for id in [5, 6] {
             db.insert("processes", &[Ins::Int(id), Ins::Int(103), Ins::Str("/usr/bin/wget")])
                 .unwrap();
         }
         let r = db.query("SELECT id FROM processes WHERE exename LIKE '%/bin/wget%'").unwrap();
         assert_eq!(r.stats.index_scans, 1);
-        assert_eq!(r.batch.rendered_rows(), vec![vec!["3"], vec!["4"]]);
+        assert_eq!(r.batch.rendered_rows(), vec![vec!["5"], vec!["6"]]);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! * **Typed event patterns** (`match_event_rows`, behind
 //!   `Database::match_event_pattern{,_rows}`) — a selection vector over
 //!   `events` (a scan of the whole table, or one mask over a standing
-//!   query's row range), then per selected row a binary search of each
-//!   endpoint's table for its id (an entity id is dense and appended in
-//!   order, so each class table's `id` column ascends) and its filter
-//!   tested on that one row. An
+//!   query's row range), then per selected row each endpoint found by id
+//!   in the entity directory (an entity id is dense and appended in order,
+//!   so it is the directory's position) and its filter tested on that one
+//!   row. An
 //!   endpoint the engine seeded arrives as ids with no filter: every id
 //!   already passed it, so only the ids are tested. No plan, no SQL
 //!   `Expr`, no join.
@@ -52,7 +52,7 @@ use raptor_common::error::{Error, Result};
 use raptor_common::hash::{FxHashMap, FxHashSet};
 use raptor_common::intern::{SharedDict, Sym};
 use raptor_common::obs;
-use raptor_storage::{EntitySel, Pred, Value as SVal};
+use raptor_storage::{EntityClass, EntitySel, Pred, Value as SVal};
 
 use crate::db::Database;
 use crate::like::{containment_literal, like_match};
@@ -475,6 +475,20 @@ fn compile_conjuncts<'a, 'b: 'a>(
     compiled.reduce(|a, b| ScanPred::And(Box::new(a), Box::new(b))).unwrap_or(ScanPred::Const(true))
 }
 
+/// The cells of an integer column a kernel reads: `compile_scan_pred`
+/// emits integer kernels over `Int`/`Time` columns only.
+#[allow(clippy::expect_used)]
+fn ints(table: &Table, col: usize) -> &[i64] {
+    table.int_cells(col).expect("an integer kernel reads an integer column")
+}
+
+/// The cells of a string column a kernel reads: `compile_scan_pred` emits
+/// string kernels over `Str` columns only.
+#[allow(clippy::expect_used)]
+fn syms(table: &Table, col: usize) -> &[Sym] {
+    table.sym_cells(col).expect("a string kernel reads a string column")
+}
+
 /// Tight-loop literal mask over one column slice: `f` per non-NULL cell,
 /// `false` for NULL. The null branch vanishes on fully-dense columns.
 #[inline]
@@ -507,7 +521,7 @@ fn eval_mask(
     };
     match p {
         ScanPred::CmpInt { col, op, lit } => {
-            let xs = &table.int_cells(*col).expect("int column")[range.clone()];
+            let xs = &ints(table, *col)[range.clone()];
             let ns = slice_nulls(*col);
             let lit = *lit;
             match op {
@@ -520,7 +534,7 @@ fn eval_mask(
             }
         }
         ScanPred::CmpSym { col, op, lit } => {
-            let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
+            let xs = &syms(table, *col)[range.clone()];
             let ns = slice_nulls(*col);
             match op {
                 CmpOp::Eq => lit_mask(xs, ns, |s| s == *lit),
@@ -532,7 +546,7 @@ fn eval_mask(
             }
         }
         ScanPred::CmpRaw { col, op, raw } => {
-            let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
+            let xs = &syms(table, *col)[range.clone()];
             let ns = slice_nulls(*col);
             lit_mask(xs, ns, |s| ord_ok(dict.resolve(s).cmp(raw.as_ref()), *op))
         }
@@ -541,20 +555,20 @@ fn eval_mask(
             Some(ns) => ns.iter().map(|&b| !b).collect(),
         },
         ScanPred::Like { col, pattern, negated } => {
-            let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
+            let xs = &syms(table, *col)[range.clone()];
             let ns = slice_nulls(*col);
             flip_if(lit_mask(xs, ns, |s| like_match(pattern, dict.resolve(s))), *negated)
         }
         ScanPred::InInts { col, set, negated } => {
-            let xs = &table.int_cells(*col).expect("int column")[range.clone()];
+            let xs = &ints(table, *col)[range.clone()];
             flip_if(lit_mask(xs, slice_nulls(*col), |v| set.contains(&v)), *negated)
         }
         ScanPred::InIds { col, ids } => {
-            let xs = &table.int_cells(*col).expect("int column")[range.clone()];
+            let xs = &ints(table, *col)[range.clone()];
             lit_mask(xs, slice_nulls(*col), |v| ids.binary_search(&v).is_ok())
         }
         ScanPred::InSyms { col, set, negated } => {
-            let xs = &table.sym_cells(*col).expect("str column")[range.clone()];
+            let xs = &syms(table, *col)[range.clone()];
             flip_if(lit_mask(xs, slice_nulls(*col), |s| set.contains(&s)), *negated)
         }
         ScanPred::CmpCols { left, op, right } => range
@@ -611,13 +625,13 @@ fn test_row(p: &ScanPred<'_>, table: &Table, row: RowId, dict: &SharedDict) -> b
     let is_null = |col: usize| table.col_has_nulls(col) && table.null_flags(col)[i];
     match p {
         ScanPred::CmpInt { col, op, lit } => {
-            !is_null(*col) && ord_ok(table.int_cells(*col).expect("int column")[i].cmp(lit), *op)
+            !is_null(*col) && ord_ok(ints(table, *col)[i].cmp(lit), *op)
         }
         ScanPred::CmpSym { col, op, lit } => {
             if is_null(*col) {
                 return false;
             }
-            let s = table.sym_cells(*col).expect("str column")[i];
+            let s = syms(table, *col)[i];
             match op {
                 CmpOp::Eq => s == *lit,
                 CmpOp::Ne => s != *lit,
@@ -625,28 +639,22 @@ fn test_row(p: &ScanPred<'_>, table: &Table, row: RowId, dict: &SharedDict) -> b
             }
         }
         ScanPred::CmpRaw { col, op, raw } => {
-            !is_null(*col)
-                && ord_ok(
-                    dict.resolve(table.sym_cells(*col).expect("str column")[i]).cmp(raw.as_ref()),
-                    *op,
-                )
+            !is_null(*col) && ord_ok(dict.resolve(syms(table, *col)[i]).cmp(raw.as_ref()), *op)
         }
         ScanPred::NotNull { col } => !is_null(*col),
         ScanPred::Like { col, pattern, negated } => {
-            let m = !is_null(*col)
-                && like_match(pattern, dict.resolve(table.sym_cells(*col).expect("str column")[i]));
+            let m = !is_null(*col) && like_match(pattern, dict.resolve(syms(table, *col)[i]));
             m != *negated
         }
         ScanPred::InInts { col, set, negated } => {
-            let m = !is_null(*col) && set.contains(&table.int_cells(*col).expect("int column")[i]);
+            let m = !is_null(*col) && set.contains(&ints(table, *col)[i]);
             m != *negated
         }
         ScanPred::InIds { col, ids } => {
-            !is_null(*col)
-                && ids.binary_search(&table.int_cells(*col).expect("int column")[i]).is_ok()
+            !is_null(*col) && ids.binary_search(&ints(table, *col)[i]).is_ok()
         }
         ScanPred::InSyms { col, set, negated } => {
-            let m = !is_null(*col) && set.contains(&table.sym_cells(*col).expect("str column")[i]);
+            let m = !is_null(*col) && set.contains(&syms(table, *col)[i]);
             m != *negated
         }
         ScanPred::CmpCols { left, op, right } => {
@@ -689,25 +697,27 @@ impl Postings<'_> {
 }
 
 /// The index access path of one bound conjunct over `table`, if one
-/// applies: its [`Postings`], read from the hash index (`=`, `IN`, the
-/// propagated ids, and `LIKE` tested once per distinct string — the
-/// strings under the rarest trigram of its longest literal run, or else
-/// every string key of the hash index, the column's dictionary) or the
-/// B-tree (integer comparisons). `None` if no index serves the conjunct's
-/// shape.
+/// applies: its [`Postings`], read from the equality index — hash or
+/// entity-id — (`=`, `IN`, the propagated ids), the hash index (`LIKE`
+/// tested once per distinct string — the strings under the rarest trigram
+/// of its longest literal run, or else every string key of the hash index,
+/// the column's dictionary) or the B-tree (integer comparisons). `None` if
+/// no index serves the conjunct's shape.
 pub(crate) fn access_path<'a>(
     db: &'a Database,
     table: &str,
     conjunct: &BExpr<'_>,
 ) -> Option<Postings<'a>> {
-    let hash = |slot: &Slot| db.indexes(table, slot.col)?.hash.as_ref();
+    let equality = |slot: &Slot| {
+        db.indexes(table, slot.col).filter(|ix| ix.hash.is_some() || ix.entity.is_some())
+    };
     match conjunct {
         BExpr::CmpLit { slot, op: CmpOp::Eq, lit } => {
-            let idx = hash(slot)?;
-            Some(Postings(lit.key().map(|k| idx.get(k)).into_iter().collect()))
+            let idx = equality(slot)?;
+            Some(Postings(lit.key().map(|k| idx.equal_rows(k)).into_iter().collect()))
         }
         BExpr::InList { slot, set, negated: false } => {
-            let idx = hash(slot)?;
+            let idx = equality(slot)?;
             // A repeated key selects its rows once.
             let mut keys: Vec<Value> = set.iter().filter_map(|l| l.key()).collect();
             keys.sort_unstable_by_key(|k| match *k {
@@ -716,12 +726,12 @@ pub(crate) fn access_path<'a>(
                 Value::Null => (2, 0),
             });
             keys.dedup();
-            Some(Postings(keys.into_iter().map(|k| idx.get(k)).collect()))
+            Some(Postings(keys.into_iter().map(|k| idx.equal_rows(k)).collect()))
         }
         // Sorted and distinct already: one posting per id.
         BExpr::InIds { slot, ids } => {
-            let idx = hash(slot)?;
-            Some(Postings(ids.iter().map(|&id| idx.get(Value::Int(id))).collect()))
+            let idx = equality(slot)?;
+            Some(Postings(ids.iter().map(|&id| idx.equal_rows(Value::Int(id))).collect()))
         }
         BExpr::CmpLit { slot, op, lit: BLit::Int(i) } => {
             let idx = db.indexes(table, slot.col)?.btree.as_ref()?;
@@ -822,20 +832,21 @@ fn scan_rows(
 }
 
 /// One endpoint of a pattern, resolved against the database: the entity
-/// table its id must be found in, and what the entity's own row must
-/// satisfy. `match_event_rows` finds each event's endpoint by id; the
-/// graph store, which holds each node's row, tests that row directly.
+/// class it must be of, and what the entity's own row must satisfy.
+/// `match_event_rows` finds each event's endpoint by id in the entity
+/// directory; the graph store, whose nodes are directory entries, tests
+/// the row directly.
 pub struct Endpoint<'a> {
+    db: &'a Database,
+    class: EntityClass,
     table: &'a Table,
-    /// The table's ascending `id` column, binary-searched for an entity:
-    /// row `r` holds entity `ids[r]`.
+    /// The class table's `id` column: row `r` holds entity `ids[r]`.
     pub ids: &'a [i64],
     filter: Option<ScanPred<'a>>,
 }
 
 /// The `id` cells of an entity class table. Entity ids are dense and
-/// appended in order (`insert_entity` refuses anything else), so they
-/// ascend and an id is found by binary search.
+/// appended in order (the appender refuses anything else), so they ascend.
 pub fn entity_ids(table: &Table) -> Result<&[i64]> {
     let c = table.schema.require_column("id")?;
     table.int_cells(c).ok_or_else(|| {
@@ -847,7 +858,7 @@ impl<'a> Endpoint<'a> {
     pub fn resolve(db: &'a Database, sel: &'a EntitySel) -> Result<Self> {
         let table = table_named(db, sel.class.table_name())?;
         let filter = sel.filter.as_ref().map(|f| compile_pred(f, table)).transpose()?;
-        Ok(Endpoint { table, ids: entity_ids(table)?, filter })
+        Ok(Endpoint { db, class: sel.class, table, ids: entity_ids(table)?, filter })
     }
 
     /// Does row `row` of the class table pass the endpoint's filter?
@@ -855,12 +866,12 @@ impl<'a> Endpoint<'a> {
         self.filter.as_ref().is_none_or(|f| test_row(f, self.table, row, dict))
     }
 
-    /// Does the entity `id` exist in the endpoint's table and pass its
+    /// Is the entity `id` of the endpoint's class, and does it pass its
     /// filter? Ids are keys, so there is one row to test or none.
     fn hit(&self, id: i64, dict: &SharedDict, stats: &mut ExecStats) -> bool {
-        let Ok(row) = self.ids.binary_search(&id) else { return false };
+        let Some(e) = self.db.entity(id).filter(|e| e.class == self.class) else { return false };
         stats.rows_scanned += 1;
-        self.passes(row as RowId, dict)
+        self.passes(e.row, dict)
     }
 }
 
@@ -993,8 +1004,8 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(ResultBatch, ExecStat
             let b = binder.bind(r)?;
             let mut cols = Vec::new();
             r.collect_cols(&mut cols);
-            let last = cols.iter().map(|c| binder.slots[c.qualifier.as_deref().unwrap()]).max();
-            Ok((b, last.unwrap_or(0)))
+            let last = cols.iter().try_fold(0, |last, c| Ok(binder.bind_col(c)?.alias.max(last)));
+            Ok((b, last?))
         })
         .collect::<Result<Vec<_>>>()?;
     let mut residual_done = vec![false; residual_bound.len()];
@@ -1124,12 +1135,11 @@ pub fn execute(db: &Database, plan: &QueryPlan) -> Result<(ResultBatch, ExecStat
     }
     let cols = slots.iter().map(|s| {
         let t = tables[s.alias];
-        if t.col_has_nulls(s.col) {
-            ValueColumn::Mixed(tuples.map(s.alias, |r| t.cell(r, s.col)))
-        } else if let Some(ints) = t.int_cells(s.col) {
-            ValueColumn::Int(tuples.gather(s.alias, ints))
-        } else {
-            ValueColumn::Str(tuples.gather(s.alias, t.sym_cells(s.col).expect("int or str")))
+        let dense = !t.col_has_nulls(s.col);
+        match (t.int_cells(s.col), t.sym_cells(s.col)) {
+            (Some(ints), _) if dense => ValueColumn::Int(tuples.gather(s.alias, ints)),
+            (_, Some(syms)) if dense => ValueColumn::Str(tuples.gather(s.alias, syms)),
+            _ => ValueColumn::Mixed(tuples.map(s.alias, |r| t.cell(r, s.col))),
         }
     });
     let mut batch = ResultBatch::new(columns, cols.collect(), db.dict().clone());

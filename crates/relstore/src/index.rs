@@ -2,10 +2,13 @@
 //!
 //! The paper creates indexes "on key attributes (e.g., file name, process
 //! executable name, source/destination IP) for both databases to speed up
-//! the search". Three kinds cover the compiled data queries:
+//! the search". Four kinds cover the compiled data queries:
 //!
 //! * [`HashIndex`] — equality lookups (`col = v`, `col IN (...)`, and the
 //!   scheduler's injected `IN` filters),
+//! * [`EntityIndex`] — the same lookups over a column of entity ids
+//!   (`events.subject` / `object`), as one posting per id: the subject
+//!   index is the graph's out-adjacency,
 //! * [`BTreeIndex`] — range scans over integer/time columns (TBQL windows),
 //! * [`TrigramIndex`] — `LIKE` pruning: maps byte trigrams of *dictionary
 //!   strings* to the interned symbols containing them, so a `LIKE` whose
@@ -48,6 +51,41 @@ impl HashIndex {
     /// The string keys: over a string column, its dictionary.
     pub fn syms(&self) -> impl Iterator<Item = Sym> + '_ {
         self.map.keys().filter_map(Value::as_sym)
+    }
+}
+
+/// Entity-id index over an `Int` column whose every value is an appended
+/// entity id (the appender refuses any other): posting `v` holds the rows
+/// whose cell is `v`, in append order, so it replaces a hash index there
+/// with a vector indexed by value. An id with no rows has an empty
+/// posting. Over `events.subject`, posting `n` is node `n`'s out-edges.
+#[derive(Debug, Default)]
+pub struct EntityIndex {
+    postings: Vec<Posting<RowId>>,
+}
+
+impl EntityIndex {
+    /// Adds `row` under entity `id`: one push, after growing the vector to
+    /// `id`, which is below the entity count.
+    pub fn insert(&mut self, id: usize, row: RowId) {
+        if id >= self.postings.len() {
+            self.postings.resize_with(id + 1, || Posting::EMPTY);
+        }
+        self.postings[id].push(row);
+    }
+
+    /// The rows of entity `id`.
+    #[inline]
+    pub fn rows(&self, id: usize) -> &[RowId] {
+        self.postings.get(id).map_or(&[], Posting::as_slice)
+    }
+
+    /// The rows under `v`: none for anything but an entity id.
+    pub fn get(&self, v: Value) -> &[RowId] {
+        match v {
+            Value::Int(i) => usize::try_from(i).map_or(&[], |i| self.rows(i)),
+            _ => &[],
+        }
     }
 }
 

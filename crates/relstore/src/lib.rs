@@ -38,6 +38,8 @@
 //! * [`stats`] — the store's statistics, all of them exact counts read from
 //!   the indexes: a conjunct's rows and an event pattern's price.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod backend;
 pub mod db;
 pub mod exec;
@@ -50,6 +52,6 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use db::{Database, QueryResult};
+pub use db::{Database, EntityRow, QueryResult};
 pub use schema::{ColumnDef, ColumnType, TableSchema};
 pub use value::Value;

@@ -144,11 +144,9 @@ pub fn plan_select(provider: &dyn SchemaProvider, sel: &Select) -> Result<QueryP
     if let Some(w) = &sel.where_clause {
         let resolved = resolver.resolve_expr(w)?;
         for conjunct in resolved.conjuncts() {
-            let quals = conjunct.qualifiers();
-            debug_assert!(quals.iter().all(Option::is_some), "resolver must qualify");
-            if quals.len() == 1 {
-                let q = quals[0].clone().unwrap();
-                scan_preds.entry(q).or_default().push(conjunct);
+            // The resolver qualifies every column.
+            if let [Some(q)] = conjunct.qualifiers().as_slice() {
+                scan_preds.entry(q.clone()).or_default().push(conjunct);
             } else {
                 residuals.push(conjunct);
             }

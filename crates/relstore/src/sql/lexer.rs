@@ -118,7 +118,8 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                 '.' => ".",
                 '*' => "*",
                 _ => {
-                    let c = input[i..].chars().next().expect("the lexer stops on char boundaries");
+                    // The lexer stops on char boundaries: the char at `i`.
+                    let c = input[i..].chars().next().unwrap_or(c);
                     return Err(Error::syntax(format!("unexpected character `{c}`"), start));
                 }
             };

@@ -10,8 +10,12 @@ pub enum Posting<T> {
 }
 
 impl<T: Copy> Posting<T> {
+    /// No id yet: a key of a dense index that no row holds.
+    pub const EMPTY: Posting<T> = Posting::Many(Vec::new());
+
     pub fn push(&mut self, id: T) {
         match self {
+            Posting::Many(ids) if ids.is_empty() => *self = Posting::One(id),
             Posting::One(first) => *self = Posting::Many(vec![*first, id]),
             Posting::Many(ids) => ids.push(id),
         }
@@ -38,5 +42,10 @@ mod tests {
         }
         assert_eq!(p.as_slice(), &[7, 3, 9, 3, 1]);
         assert!(matches!(p, Posting::Many(_)));
+        // An empty posting takes its first id inline.
+        let mut p = Posting::EMPTY;
+        assert!(p.as_slice().is_empty());
+        p.push(4u32);
+        assert_eq!(p, Posting::One(4));
     }
 }

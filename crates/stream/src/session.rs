@@ -576,7 +576,7 @@ impl StreamSession {
     /// Entities are always appended in dense id order regardless of the
     /// event order, so shuffled re-deliveries still build identical stores.
     pub fn ingest_chunk(&mut self, log: &ParsedLog, events: &[SystemEvent]) -> Result<EpochReport> {
-        let have = self.engine.stores.graph.node_count();
+        let have = self.engine.stores.rel.entities().len();
         let bound = max_referenced_entity(events).max(have);
         let entities = &log.entities[have..bound];
         self.ingest(entities, events)
@@ -585,7 +585,7 @@ impl StreamSession {
     /// Appends any entities the event chunks never referenced (call after
     /// the last chunk to make the stores equal to a bulk load).
     pub fn flush_entities(&mut self, log: &ParsedLog) -> Result<EpochReport> {
-        let have = self.engine.stores.graph.node_count();
+        let have = self.engine.stores.rel.entities().len();
         let entities = &log.entities[have..];
         self.ingest(entities, &[])
     }

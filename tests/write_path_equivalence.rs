@@ -6,13 +6,13 @@
 //!
 //! 1. **Sparse records** — records with absent attributes, fields in any
 //!    order (reshuffled between records, so resolved shapes keep missing)
-//!    and an unknown field name, written through raw
-//!    `Database::insert` / `Graph::add_node` / `add_edge` and through
-//!    `MutableBackend`, build stores with equal contents and identical
-//!    hash / B-tree / trigram lookups for every inserted key, through SQL
-//!    and through Cypher text — each also checked against a scan of the
-//!    generated records — and every entity is found by its id, a position
-//!    in both stores, and every event's edge is its `events` row.
+//!    and an unknown field name, written through raw `Database::insert`
+//!    and through `MutableBackend`, build stores with equal contents and
+//!    identical hash / B-tree / trigram lookups for every inserted key,
+//!    through SQL and through Cypher text — each also checked against a
+//!    scan of the generated records — and every entity is found by its id,
+//!    a position in the entity directory and the graph's node, and every
+//!    event's edge is its `events` row, listed in its endpoints' postings.
 //! 2. **Whole logs** — the same log written raw, through `MutableBackend`,
 //!    by bulk `load` and as one-event epochs answers the 8-query corpus
 //!    identically and holds equal contents.
@@ -25,7 +25,7 @@ use threatraptor::engine::load::{self, class_for_kind, LoadedStores};
 use threatraptor::engine::Engine;
 use threatraptor::graphstore::backend::label_for_class;
 use threatraptor::graphstore::cypher::{exec::execute, parse_cypher};
-use threatraptor::graphstore::{EdgeId, NodeId};
+use threatraptor::graphstore::{EdgeId, NodeId, Topology};
 use threatraptor::relstore::db::Ins;
 use threatraptor::storage::{
     AttrSource, BackendStats, EntityClass, Field, FieldValue, MutableBackend, Value,
@@ -139,9 +139,9 @@ fn sparsify(recs: &mut [Rec], rng: &mut StdRng) {
     }
 }
 
-/// Raw inserts: rows in schema column order (absent attributes are NULL),
-/// and the graph's nodes and edges, which carry no field. The relational
-/// store is not given the field its schema does not know.
+/// Raw inserts: rows in schema column order (absent attributes are NULL);
+/// the graph is a view of them. The relational store is not given the
+/// field its schema does not know.
 fn write_raw(recs: &[Rec]) -> LoadedStores {
     let mut stores = load::empty().unwrap();
     for r in recs {
@@ -159,15 +159,6 @@ fn write_raw(recs: &[Rec]) -> LoadedStores {
             })
             .collect();
         stores.rel.insert(r.table(), &row).unwrap();
-        match r.class {
-            Some(class) => {
-                stores.graph.add_node(class);
-            }
-            None => {
-                let (s, o) = (NodeId(r.ends.0 as u32), NodeId(r.ends.1 as u32));
-                stores.graph.add_edge(s, o).unwrap();
-            }
-        }
     }
     stores
 }
@@ -217,6 +208,11 @@ fn assert_lookups(recs: &[Rec], stores: &[&LoadedStores]) {
         (EntityClass::Process, "exename"),
         (EntityClass::NetConn, "dstip"),
     ];
+    // The `events` rows of the events `pred` holds for, ascending.
+    let naming = |pred: &dyn Fn(&Rec) -> bool| -> Vec<u32> {
+        let events = recs.iter().filter(|r| r.class.is_none());
+        events.zip(0..).filter(|(e, _)| pred(e)).map(|(_, row)| row).collect()
+    };
     let mut event_row = 0u32;
     for r in recs {
         for &(class, col) in keyed.iter().filter(|k| Some(k.0) == r.class) {
@@ -240,33 +236,44 @@ fn assert_lookups(recs: &[Rec], stores: &[&LoadedStores]) {
                 assert_eq!(tri.1, (gram.len() >= 3) as usize, "trigram path for {gram}");
                 // The Cypher frontend's anchor reads the same hash index.
                 let text = format!("MATCH (n:{label}) WHERE n.{col} = '{v}' RETURN n.id");
-                let c = execute(&s.graph, &s.rel, &parse_cypher(&text).unwrap(), 8).unwrap();
+                let c = execute(&s.rel, &parse_cypher(&text).unwrap(), 8).unwrap();
                 let mut nodes: Vec<i64> =
                     (0..c.batch.n_rows()).map(|i| c.batch.row(i)[0].as_int().unwrap()).collect();
                 nodes.sort_unstable();
                 assert_eq!((nodes, c.stats.nodes_scanned), (want.clone(), want.len()), "{text}");
             }
         }
-        // Unique keys. An entity id is a position in both stores:
-        // `fetch_attr` finds the entity by id, and node `NodeId(id)` is of
-        // its class and points at the row that carries it; an event is the
+        // Unique keys. An entity id is a position: `fetch_attr` finds the
+        // entity by id, and node `NodeId(id)` of the graph view is of its
+        // class and points at the row that carries it; an event is the
         // edge at its `events` row, whose id goes through the `events.id`
-        // hash index, and `starttime` through the B-tree.
+        // hash index, and `starttime` through the B-tree. Each endpoint's
+        // entity-id posting is the rows of the events naming it, in order,
+        // and the subject's is the node's out-edges.
         for s in stores {
+            let g = Topology::of(&s.rel).unwrap();
             let Some(class) = r.class else {
                 let by_id = ids(s, &format!("SELECT id FROM events WHERE id = {}", r.id));
                 assert_eq!(by_id, (vec![r.id], 1));
                 let events = s.rel.table("events").unwrap();
-                let cell = |c| events.cell(event_row, events.schema.column_index(c).unwrap());
-                let edge = s.graph.edge(EdgeId(event_row));
+                let column = |c| events.schema.column_index(c).unwrap();
+                let edge = g.edge(EdgeId(event_row));
                 let ends = (i64::from(edge.src.0), i64::from(edge.dst.0));
-                assert_eq!((cell("id"), ends), (Value::Int(r.id), r.ends));
+                assert_eq!(
+                    (events.cell(event_row, column("id")), ends),
+                    (Value::Int(r.id), r.ends)
+                );
+                let out: Vec<u32> = g.out_edges(edge.src).map(|e| e.0).collect();
+                assert_eq!(out, naming(&|e| e.ends.0 == r.ends.0), "out-edges of {}", r.ends.0);
+                let object = s.rel.entity_index("events", column("object")).unwrap();
+                let into = naming(&|e| e.ends.1 == r.ends.1);
+                assert_eq!(object.rows(r.ends.1 as usize), into, "events into {}", r.ends.1);
                 continue;
             };
             let mut stats = BackendStats::default();
             let found = s.rel.fetch_attr(AttrSource::Entity(class), "id", &[r.id], &mut stats);
             assert_eq!(found.unwrap(), vec![(r.id, Value::Int(r.id))]);
-            let node = s.graph.node(NodeId(r.id as u32));
+            let node = g.node(NodeId(r.id as u32));
             let table = s.rel.table(class.table_name()).unwrap();
             assert_eq!((node.class, table.cell(node.row, 0)), (class, Value::Int(r.id)));
         }
@@ -285,11 +292,11 @@ fn assert_lookups(recs: &[Rec], stores: &[&LoadedStores]) {
 fn assert_same_contents(a: &LoadedStores, b: &LoadedStores, ctx: &str) {
     // Every table's rows and the graph's edges, rendered.
     assert_eq!(a.contents(), b.contents(), "{ctx}");
-    assert_eq!(
-        (a.graph.node_count(), a.graph.edge_count()),
-        (b.graph.node_count(), b.graph.edge_count()),
-        "{ctx}"
-    );
+    let size = |s: &LoadedStores| {
+        let g = Topology::of(&s.rel).unwrap();
+        (g.node_count(), g.edge_count())
+    };
+    assert_eq!(size(a), size(b), "{ctx}");
 }
 
 fn case_log(case_idx: usize, seed: u64) -> ParsedLog {
