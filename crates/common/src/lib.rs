@@ -9,6 +9,9 @@
 //! * [`time`] — nanosecond timestamps, durations and datetime parsing used by
 //!   audit events and TBQL time windows,
 //! * [`error`] — the workspace-wide error type,
+//! * [`lex`] — the one tokenizer and token cursor of TBQL and the SQL and
+//!   Cypher subsets: each language is a [`lex::Syntax`] value, and the
+//!   cursor bounds how deep a parsed tree may nest,
 //! * [`like`] — SQL `LIKE` wildcard matching, shared by the relational
 //!   executor, the graph predicate lowering and selectivity estimation,
 //! * [`pool`] — a shim reporting the one thread queries run on (kept for
@@ -34,6 +37,7 @@ pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod io;
+pub mod lex;
 pub mod like;
 pub mod obs;
 pub mod pool;

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use raptor_common::error::{Error, Result};
 use raptor_common::hash::FxHashMap;
 use raptor_common::intern::SharedDict;
+use raptor_common::lex::{CYPHER, SQL};
 use raptor_common::time::Duration;
 use raptor_graphstore::backend::label_for_class;
 use raptor_tbql::analyze::{APattern, AnalyzedQuery};
@@ -100,10 +101,6 @@ impl Propagation {
 /// filter costs more than it prunes.
 pub const MAX_IN_LIST: usize = 4096;
 
-fn sql_str(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
-}
-
 // --- SQL fragments ---
 
 fn attr_to_sql(alias: &str, e: &AttrExpr) -> String {
@@ -113,12 +110,12 @@ fn attr_to_sql(alias: &str, e: &AttrExpr) -> String {
             let col = format!("{alias}.{}", attr.attr.as_deref().unwrap_or(&attr.base));
             match (op, value) {
                 (CmpOp::Eq, Value::Str(s)) if s.contains('%') => {
-                    format!("{col} LIKE {}", sql_str(s))
+                    format!("{col} LIKE {}", SQL.quote(s))
                 }
                 (CmpOp::Ne, Value::Str(s)) if s.contains('%') => {
-                    format!("{col} NOT LIKE {}", sql_str(s))
+                    format!("{col} NOT LIKE {}", SQL.quote(s))
                 }
-                (_, Value::Str(s)) => format!("{col} {} {}", op.as_str(), sql_str(s)),
+                (_, Value::Str(s)) => format!("{col} {} {}", op.as_str(), SQL.quote(s)),
                 (_, Value::Int(i)) => format!("{col} {} {i}", op.as_str()),
             }
         }
@@ -128,7 +125,7 @@ fn attr_to_sql(alias: &str, e: &AttrExpr) -> String {
                 .iter()
                 .map(|v| match v {
                     Value::Int(i) => i.to_string(),
-                    Value::Str(s) => sql_str(s),
+                    Value::Str(s) => SQL.quote(s),
                 })
                 .collect();
             format!("{col} {}IN ({})", if *negated { "NOT " } else { "" }, vals.join(", "))
@@ -140,7 +137,7 @@ fn attr_to_sql(alias: &str, e: &AttrExpr) -> String {
 
 fn op_to_sql(evt: &str, e: &OpExpr) -> String {
     match e {
-        OpExpr::Op(name) => format!("{evt}.optype = {}", sql_str(name)),
+        OpExpr::Op(name) => format!("{evt}.optype = {}", SQL.quote(name)),
         OpExpr::Not(inner) => format!("NOT {}", op_to_sql(evt, inner)),
         OpExpr::And(a, b) => format!("({} AND {})", op_to_sql(evt, a), op_to_sql(evt, b)),
         OpExpr::Or(a, b) => format!("({} OR {})", op_to_sql(evt, a), op_to_sql(evt, b)),
@@ -165,10 +162,6 @@ fn window_to_sql(evt: &str, w: &Window, now_ns: i64) -> Result<String> {
 
 // --- Cypher fragments ---
 
-fn cypher_str(s: &str) -> String {
-    format!("'{}'", s.replace('\'', "''"))
-}
-
 fn attr_to_cypher(var: &str, e: &AttrExpr) -> String {
     match e {
         AttrExpr::Bare { .. } => unreachable!("analyzer desugars bare values"),
@@ -179,7 +172,7 @@ fn attr_to_cypher(var: &str, e: &AttrExpr) -> String {
                 (CmpOp::Ne, Value::Str(s)) if s.contains('%') => str_pred_cypher(&prop, s, true),
                 (_, Value::Str(s)) => {
                     let op_str = if *op == CmpOp::Ne { "<>" } else { op.as_str() };
-                    format!("{prop} {} {}", op_str, cypher_str(s))
+                    format!("{prop} {} {}", op_str, CYPHER.quote(s))
                 }
                 (_, Value::Int(i)) => {
                     let op_str = if *op == CmpOp::Ne { "<>" } else { op.as_str() };
@@ -193,7 +186,7 @@ fn attr_to_cypher(var: &str, e: &AttrExpr) -> String {
                 .iter()
                 .map(|v| match v {
                     Value::Int(i) => i.to_string(),
-                    Value::Str(s) => cypher_str(s),
+                    Value::Str(s) => CYPHER.quote(s),
                 })
                 .collect();
             let base = format!("{prop} IN [{}]", vals.join(", "));
@@ -217,14 +210,14 @@ fn attr_to_cypher(var: &str, e: &AttrExpr) -> String {
 fn str_pred_cypher(prop: &str, pattern: &str, negated: bool) -> String {
     let inner = pattern.trim_matches('%');
     let pred = if pattern.starts_with('%') && pattern.ends_with('%') && !inner.contains('%') {
-        format!("{prop} CONTAINS {}", cypher_str(inner))
+        format!("{prop} CONTAINS {}", CYPHER.quote(inner))
     } else if pattern.starts_with('%') && !inner.contains('%') {
-        format!("{prop} ENDS WITH {}", cypher_str(inner))
+        format!("{prop} ENDS WITH {}", CYPHER.quote(inner))
     } else if pattern.ends_with('%') && !inner.contains('%') {
-        format!("{prop} STARTS WITH {}", cypher_str(inner))
+        format!("{prop} STARTS WITH {}", CYPHER.quote(inner))
     } else {
         let run = inner.split('%').max_by_key(|r| r.len()).unwrap_or("");
-        format!("{prop} CONTAINS {}", cypher_str(run))
+        format!("{prop} CONTAINS {}", CYPHER.quote(run))
     };
     if negated {
         format!("NOT ({pred})")
@@ -235,7 +228,7 @@ fn str_pred_cypher(prop: &str, pattern: &str, negated: bool) -> String {
 
 fn op_to_cypher(edge: &str, e: &OpExpr) -> String {
     match e {
-        OpExpr::Op(name) => format!("{edge}.optype = {}", cypher_str(name)),
+        OpExpr::Op(name) => format!("{edge}.optype = {}", CYPHER.quote(name)),
         OpExpr::Not(inner) => format!("NOT ({})", op_to_cypher(edge, inner)),
         OpExpr::And(a, b) => format!("({} AND {})", op_to_cypher(edge, a), op_to_cypher(edge, b)),
         OpExpr::Or(a, b) => format!("({} OR {})", op_to_cypher(edge, a), op_to_cypher(edge, b)),
@@ -355,7 +348,7 @@ pub fn giant_sql(ctx: &CompileCtx<'_>) -> Result<String> {
         let obj_ty = aq.entities[&p.object].ty;
         conds.push(format!("{e}.subject = {}.id", p.subject));
         conds.push(format!("{e}.object = {}.id", p.object));
-        conds.push(format!("{e}.kind = {}", sql_str(class_for_type(obj_ty).event_kind())));
+        conds.push(format!("{e}.kind = {}", SQL.quote(class_for_type(obj_ty).event_kind())));
         match &p.op {
             PatternOp::Event(op) => conds.push(op_to_sql(e, op)),
             PatternOp::Path { .. } => unreachable!(),

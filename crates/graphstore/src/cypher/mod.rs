@@ -14,11 +14,11 @@
 //! relationships `-[var:LABEL(*m..n)? {k: lit}]->`, comma-separated pattern
 //! parts sharing variables, `WHERE` with `=`, `<>`, `<`, `<=`, `>`, `>=`,
 //! `CONTAINS`, `STARTS WITH`, `ENDS WITH`, `IN [..]`, `AND`/`OR`/`NOT`,
-//! `RETURN [DISTINCT] var.prop[, ...]`, `LIMIT n`.
+//! `RETURN [DISTINCT] var.prop[, ...]`, `LIMIT n`. The lexer is the shared
+//! one, [`raptor_common::lex::CYPHER`].
 
 pub mod ast;
 pub mod exec;
-pub mod lexer;
 pub mod parser;
 
 pub use ast::CypherQuery;

@@ -1,341 +1,140 @@
-//! Recursive-descent Cypher parser.
+//! Recursive-descent Cypher parser, over the shared Cypher lexer
+//! ([`raptor_common::lex::CYPHER`]).
 
-use raptor_common::error::{Error, Result};
+use raptor_common::error::Result;
+use raptor_common::lex::{Cursor, Logic, TokenKind, CYPHER};
 
 use super::ast::*;
-use super::lexer::{lex, Token, TokenKind};
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// `OR < AND < NOT < predicate`.
+const WHERE: Logic<CExpr> = Logic {
+    or: ("OR", CExpr::Or),
+    and: ("AND", CExpr::And),
+    not: Some(("NOT", CExpr::Not)),
+    atom: predicate,
+};
+
+const CMP: [(&str, COp); 6] = [
+    ("=", COp::Eq),
+    ("<>", COp::Ne),
+    ("<", COp::Lt),
+    ("<=", COp::Le),
+    (">", COp::Gt),
+    (">=", COp::Ge),
+];
+
+/// `STARTS` and `ENDS` are followed by `WITH`.
+const STR_PREDS: [(&str, StrPredKind); 3] = [
+    ("CONTAINS", StrPredKind::Contains),
+    ("STARTS", StrPredKind::StartsWith),
+    ("ENDS", StrPredKind::EndsWith),
+];
+
+/// An optional `var` then an optional `:Label`.
+fn var_label(c: &mut Cursor) -> Result<(Option<String>, Option<String>)> {
+    let var = if c.at_identifier() { Some(c.identifier()?) } else { None };
+    let label = if c.eat(":") { Some(c.identifier()?) } else { None };
+    Ok((var, label))
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Word { upper, .. } if upper == kw)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.at_keyword(kw) {
-            self.advance();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.eat_keyword(kw) {
-            Ok(())
-        } else {
-            Err(self.unexpected(&format!("expected `{kw}`")))
-        }
-    }
-
-    fn at_symbol(&self, s: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Symbol(sym) if *sym == s)
-    }
-
-    fn eat_symbol(&mut self, s: &str) -> bool {
-        if self.at_symbol(s) {
-            self.advance();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_symbol(&mut self, s: &str) -> Result<()> {
-        if self.eat_symbol(s) {
-            Ok(())
-        } else {
-            Err(self.unexpected(&format!("expected `{s}`")))
-        }
-    }
-
-    fn unexpected(&self, want: &str) -> Error {
-        Error::syntax(format!("{want}, found {}", self.peek().kind.describe()), self.peek().offset)
-    }
-
-    fn identifier(&mut self) -> Result<String> {
-        match &self.peek().kind {
-            TokenKind::Word { text, upper } if !is_reserved(upper) => {
-                let t = text.clone();
-                self.advance();
-                Ok(t)
-            }
-            _ => Err(self.unexpected("expected identifier")),
-        }
-    }
-
-    fn literal(&mut self) -> Result<CLit> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(i) => {
-                self.advance();
-                Ok(CLit::Int(i))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(CLit::Str(s))
-            }
-            _ => Err(self.unexpected("expected literal")),
-        }
-    }
-
-    fn prop_map(&mut self) -> Result<Vec<(String, CLit)>> {
-        let mut props = Vec::new();
-        if self.eat_symbol("{") {
-            loop {
-                let key = self.identifier()?;
-                self.expect_symbol(":")?;
-                let val = self.literal()?;
-                props.push((key, val));
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-            self.expect_symbol("}")?;
-        }
-        Ok(props)
-    }
-
-    fn node_pattern(&mut self) -> Result<NodePattern> {
-        self.expect_symbol("(")?;
-        let mut node = NodePattern::default();
-        if matches!(&self.peek().kind, TokenKind::Word { upper, .. } if !is_reserved(upper)) {
-            node.var = Some(self.identifier()?);
-        }
-        if self.eat_symbol(":") {
-            node.label = Some(self.identifier()?);
-        }
-        node.props = self.prop_map()?;
-        self.expect_symbol(")")?;
-        Ok(node)
-    }
-
-    fn rel_pattern(&mut self) -> Result<RelPattern> {
-        self.expect_symbol("-")?;
-        let mut rel = RelPattern::default();
-        if self.eat_symbol("[") {
-            if matches!(&self.peek().kind, TokenKind::Word { upper, .. } if !is_reserved(upper)) {
-                rel.var = Some(self.identifier()?);
-            }
-            if self.eat_symbol(":") {
-                rel.label = Some(self.identifier()?);
-            }
-            if self.eat_symbol("*") {
-                // `*`, `*n`, `*m..n`, `*m..`, `*..n`
-                let min = match self.peek().kind.clone() {
-                    TokenKind::Int(n) if n >= 0 => {
-                        self.advance();
-                        Some(n as u32)
-                    }
-                    _ => None,
-                };
-                if self.eat_symbol("..") {
-                    let max = match self.peek().kind.clone() {
-                        TokenKind::Int(n) if n >= 0 => {
-                            self.advance();
-                            Some(n as u32)
-                        }
-                        _ => None,
-                    };
-                    rel.range = Some((min, max));
-                } else {
-                    // `*n` = exactly n; bare `*` = 1..
-                    rel.range = Some(match min {
-                        Some(n) => (Some(n), Some(n)),
-                        None => (None, None),
-                    });
-                }
-            }
-            rel.props = self.prop_map()?;
-            self.expect_symbol("]")?;
-        }
-        self.expect_symbol("->")?;
-        Ok(rel)
-    }
-
-    fn path_pattern(&mut self) -> Result<PathPattern> {
-        let start = self.node_pattern()?;
-        let mut segments = Vec::new();
-        while self.at_symbol("-") {
-            let rel = self.rel_pattern()?;
-            let node = self.node_pattern()?;
-            segments.push((rel, node));
-        }
-        Ok(PathPattern { start, segments })
-    }
-
-    fn prop_ref(&mut self) -> Result<PropRef> {
-        let var = self.identifier()?;
-        self.expect_symbol(".")?;
-        let prop = self.identifier()?;
-        Ok(PropRef { var, prop })
-    }
-
-    fn or_expr(&mut self) -> Result<CExpr> {
-        let mut left = self.and_expr()?;
-        while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
-            left = CExpr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<CExpr> {
-        let mut left = self.not_expr()?;
-        while self.eat_keyword("AND") {
-            let right = self.not_expr()?;
-            left = CExpr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> Result<CExpr> {
-        if self.eat_keyword("NOT") {
-            return Ok(CExpr::Not(Box::new(self.not_expr()?)));
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Result<CExpr> {
-        if self.eat_symbol("(") {
-            let e = self.or_expr()?;
-            self.expect_symbol(")")?;
-            return Ok(e);
-        }
-        let left = self.prop_ref()?;
-        if self.eat_keyword("CONTAINS") {
-            return Ok(CExpr::StrPred {
-                left,
-                kind: StrPredKind::Contains,
-                needle: self.string_lit()?,
-            });
-        }
-        if self.eat_keyword("STARTS") {
-            self.expect_keyword("WITH")?;
-            return Ok(CExpr::StrPred {
-                left,
-                kind: StrPredKind::StartsWith,
-                needle: self.string_lit()?,
-            });
-        }
-        if self.eat_keyword("ENDS") {
-            self.expect_keyword("WITH")?;
-            return Ok(CExpr::StrPred {
-                left,
-                kind: StrPredKind::EndsWith,
-                needle: self.string_lit()?,
-            });
-        }
-        if self.eat_keyword("IN") {
-            self.expect_symbol("[")?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.literal()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-            self.expect_symbol("]")?;
-            return Ok(CExpr::InList { left, list });
-        }
-        let op = match &self.peek().kind {
-            TokenKind::Symbol("=") => COp::Eq,
-            TokenKind::Symbol("<>") => COp::Ne,
-            TokenKind::Symbol("<") => COp::Lt,
-            TokenKind::Symbol("<=") => COp::Le,
-            TokenKind::Symbol(">") => COp::Gt,
-            TokenKind::Symbol(">=") => COp::Ge,
-            _ => return Err(self.unexpected("expected comparison operator")),
-        };
-        self.advance();
-        let right = match self.peek().kind.clone() {
-            TokenKind::Int(_) | TokenKind::Str(_) => CmpRhs::Lit(self.literal()?),
-            TokenKind::Word { .. } => CmpRhs::Prop(self.prop_ref()?),
-            _ => return Err(self.unexpected("expected literal or property")),
-        };
-        Ok(CExpr::Cmp { left, op, right })
-    }
-
-    fn string_lit(&mut self) -> Result<String> {
-        match self.peek().kind.clone() {
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(s)
-            }
-            _ => Err(self.unexpected("expected string literal")),
-        }
-    }
-
-    fn query(&mut self) -> Result<CypherQuery> {
-        self.expect_keyword("MATCH")?;
-        let mut paths = vec![self.path_pattern()?];
-        while self.eat_symbol(",") {
-            paths.push(self.path_pattern()?);
-        }
-        let where_clause = if self.eat_keyword("WHERE") { Some(self.or_expr()?) } else { None };
-        self.expect_keyword("RETURN")?;
-        let distinct = self.eat_keyword("DISTINCT");
-        let mut return_items = vec![ReturnItem { prop: self.prop_ref()? }];
-        while self.eat_symbol(",") {
-            return_items.push(ReturnItem { prop: self.prop_ref()? });
-        }
-        let limit = if self.eat_keyword("LIMIT") {
-            match self.peek().kind.clone() {
-                TokenKind::Int(n) if n >= 0 => {
-                    self.advance();
-                    Some(n as usize)
-                }
-                _ => return Err(self.unexpected("expected non-negative integer")),
-            }
-        } else {
-            None
-        };
-        if !matches!(self.peek().kind, TokenKind::Eof) {
-            return Err(self.unexpected("expected end of query"));
-        }
-        Ok(CypherQuery { paths, where_clause, distinct, return_items, limit })
-    }
+fn literal(c: &mut Cursor) -> Result<CLit> {
+    c.literal(CLit::Int, CLit::Str, "expected literal")
 }
 
-fn is_reserved(upper: &str) -> bool {
-    matches!(
-        upper,
-        "MATCH"
-            | "WHERE"
-            | "RETURN"
-            | "DISTINCT"
-            | "LIMIT"
-            | "AND"
-            | "OR"
-            | "NOT"
-            | "CONTAINS"
-            | "STARTS"
-            | "ENDS"
-            | "WITH"
-            | "IN"
-    )
+fn prop_map(c: &mut Cursor) -> Result<Vec<(String, CLit)>> {
+    if !c.eat("{") {
+        return Ok(Vec::new());
+    }
+    let props = c.list(|c| {
+        let key = c.identifier()?;
+        c.expect(":")?;
+        Ok((key, literal(c)?))
+    })?;
+    c.expect("}")?;
+    Ok(props)
+}
+
+fn node_pattern(c: &mut Cursor) -> Result<NodePattern> {
+    c.expect("(")?;
+    let (var, label) = var_label(c)?;
+    let props = prop_map(c)?;
+    c.expect(")")?;
+    Ok(NodePattern { var, label, props })
+}
+
+fn rel_pattern(c: &mut Cursor) -> Result<RelPattern> {
+    c.expect("-")?;
+    let mut rel = RelPattern::default();
+    if c.eat("[") {
+        (rel.var, rel.label) = var_label(c)?;
+        if c.eat("*") {
+            // `*`, `*n` (exactly n), `*m..n`, `*m..`, `*..n`; bare `*` = 1..
+            let min = c.eat_u32()?;
+            let max = if c.eat("..") { c.eat_u32()? } else { min };
+            rel.range = Some((min, max));
+        }
+        rel.props = prop_map(c)?;
+        c.expect("]")?;
+    }
+    c.expect("->")?;
+    Ok(rel)
+}
+
+fn path_pattern(c: &mut Cursor) -> Result<PathPattern> {
+    let start = node_pattern(c)?;
+    let mut segments = Vec::new();
+    while c.at("-") {
+        let rel = rel_pattern(c)?;
+        segments.push((rel, node_pattern(c)?));
+    }
+    Ok(PathPattern { start, segments })
+}
+
+fn prop_ref(c: &mut Cursor) -> Result<PropRef> {
+    let var = c.identifier()?;
+    c.expect(".")?;
+    Ok(PropRef { var, prop: c.identifier()? })
+}
+
+fn predicate(c: &mut Cursor) -> Result<CExpr> {
+    let left = prop_ref(c)?;
+    if let Some(kind) = c.eat_one_of(&STR_PREDS) {
+        if kind != StrPredKind::Contains {
+            c.expect("WITH")?;
+        }
+        let needle = c.string("expected string literal")?;
+        return Ok(CExpr::StrPred { left, kind, needle });
+    }
+    if c.eat("IN") {
+        c.expect("[")?;
+        let list = c.list(literal)?;
+        c.expect("]")?;
+        return Ok(CExpr::InList { left, list });
+    }
+    let op = c.eat_one_of(&CMP).ok_or_else(|| c.unexpected("expected comparison operator"))?;
+    let right = match c.peek().kind {
+        TokenKind::Int(_) | TokenKind::Str(_) => CmpRhs::Lit(literal(c)?),
+        TokenKind::Word(_) => CmpRhs::Prop(prop_ref(c)?),
+        _ => return Err(c.unexpected("expected literal or property")),
+    };
+    Ok(CExpr::Cmp { left, op, right })
+}
+
+fn query(c: &mut Cursor) -> Result<CypherQuery> {
+    c.expect("MATCH")?;
+    let paths = c.list(path_pattern)?;
+    let where_clause = if c.eat("WHERE") { Some(c.logic(&WHERE)?) } else { None };
+    c.expect("RETURN")?;
+    let distinct = c.eat("DISTINCT");
+    let return_items = c.list(|c| Ok(ReturnItem { prop: prop_ref(c)? }))?;
+    let limit = if c.eat("LIMIT") { Some(c.count("expected non-negative integer")?) } else { None };
+    c.end("expected end of query")?;
+    Ok(CypherQuery { paths, where_clause, distinct, return_items, limit })
 }
 
 /// Parses one Cypher query.
 pub fn parse_cypher(text: &str) -> Result<CypherQuery> {
-    let tokens = lex(text)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.query()
+    query(&mut Cursor::new(&CYPHER, text)?)
 }
 
 #[cfg(test)]
@@ -377,6 +176,8 @@ mod tests {
             let (rel, _) = &q.paths[0].segments[0];
             assert_eq!(rel.range, Some(want), "{spec}");
         }
+        let err = parse_cypher("MATCH (a)-[:EVENT*4294967296]->(b) RETURN a.x").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (Some(18), "integer literal out of range"));
     }
 
     #[test]

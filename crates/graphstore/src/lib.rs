@@ -14,7 +14,7 @@
 //!   out-edges its `subject` posting; and the facade's counting shim,
 //! * [`backend`] — the typed path matcher,
 //! * [`frontier`] — its incremental form for standing queries,
-//! * [`cypher`] — lexer, AST, parser and executor for the Cypher subset the
+//! * [`cypher`] — AST, parser and executor for the Cypher subset the
 //!   compiled queries need: `MATCH` with fixed and variable-length
 //!   (`[:EVENT*2..4]`) relationship patterns, property maps, `WHERE` with
 //!   comparisons / `CONTAINS` / `STARTS WITH` / `ENDS WITH` / `IN`,

@@ -384,3 +384,32 @@ fn typed_path_matcher_agrees_with_cypher_text() {
     assert!(empty >= 100 && many >= 40, "{empty} empty, {many} with 4+ rows");
     assert!(dfs >= 60 && incremental >= 100, "{dfs} in the DFS residue, {incremental} incremental");
 }
+
+/// The alphabet of the Cypher fuzz: keywords, names, Cypher's symbols
+/// (`..`, `<>`, `{`, `}`, `:` among them), a quote, a sign, and a 2-byte
+/// and a 3-byte character.
+const CYPHER_SOUP: &[&str] = &[
+    "MATCH", "WHERE", "RETURN", "DISTINCT", "LIMIT", "AND", "OR", "NOT", "CONTAINS", "STARTS",
+    "WITH", "IN", "n", "name", "File", "EVENT", "n.name", "(n)", "'x'", " ", " ", "(", ")", "[",
+    "]", "{", "}", ":", "'", "*", ",", ".", "..", "-", "->", "=", "<>", "<", "1", "é", "日",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Any text — here, up to 24 pieces of [`CYPHER_SOUP`], after a `WHERE`
+    /// or not — parses and runs over a two-file graph to a value or an
+    /// error, never a panic.
+    #[test]
+    fn never_panics(
+        clause in proptest::bool::ANY,
+        picks in proptest::collection::vec(0..CYPHER_SOUP.len(), 0..25),
+    ) {
+        let head = if clause { "MATCH (n)-[e:EVENT]->(m) WHERE " } else { "" };
+        let text: String =
+            picks.into_iter().map(|i| CYPHER_SOUP[i]).fold(head.into(), |t, p| t + p);
+        if let Ok(q) = parse_cypher(&text) {
+            let _ = execute(&file_graph(2, &[(0, 1)]), &q, 4);
+        }
+    }
+}

@@ -18,7 +18,8 @@
 //!   the store's only statistics: the planner counts rows in them,
 //! * [`like`] — SQL `LIKE` semantics plus literal-run extraction for the
 //!   trigram index,
-//! * [`sql`] — lexer, AST and recursive-descent parser for the SQL subset,
+//! * [`sql`] — AST and recursive-descent parser for the SQL subset (its
+//!   lexer is `raptor_common::lex`'s),
 //! * [`plan`] — logical plans; single-table predicates are pushed into
 //!   scans, joins stay in written order (deliberately: the paper's giant
 //!   compiled queries "weave many joins and constraints together" and the

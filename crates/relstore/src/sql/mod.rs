@@ -17,10 +17,10 @@
 //! [, t [AS] a ...] [WHERE expr] [ORDER BY col [, col...]] [LIMIT n]` with
 //! the usual `OR < AND < NOT < cmp` precedence, `LIKE`/`NOT LIKE`,
 //! `IN (...)`/`NOT IN (...)`, parentheses, integer and `'...'` string
-//! literals (doubled-quote escaping).
+//! literals (doubled-quote escaping). The lexer is the shared one,
+//! [`raptor_common::lex::SQL`].
 
 pub mod ast;
-pub mod lexer;
 pub mod parser;
 
 pub use ast::{CmpOp, ColRef, Expr, Literal, Projection, Select, TableRef};

@@ -1,287 +1,113 @@
-//! Recursive-descent SQL parser.
+//! Recursive-descent SQL parser, over the shared SQL lexer
+//! ([`raptor_common::lex::SQL`]).
 
 use raptor_common::error::{Error, Result};
+use raptor_common::lex::{Cursor, Logic, TokenKind, SQL};
 
 use super::ast::{CmpOp, ColRef, Expr, Literal, Projection, Select, TableRef};
-use super::lexer::{lex, Token, TokenKind};
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
+/// `OR < AND < NOT < predicate`.
+const WHERE: Logic<Expr> = Logic {
+    or: ("OR", Expr::Or),
+    and: ("AND", Expr::And),
+    not: Some(("NOT", Expr::Not)),
+    atom: predicate,
+};
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
+/// `<>` lexes as `!=`.
+const CMP: [(&str, CmpOp); 6] = [
+    ("=", CmpOp::Eq),
+    ("!=", CmpOp::Ne),
+    ("<", CmpOp::Lt),
+    ("<=", CmpOp::Le),
+    (">", CmpOp::Gt),
+    (">=", CmpOp::Ge),
+];
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Word { upper, .. } if upper == kw)
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.at_keyword(kw) {
-            self.advance();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.eat_keyword(kw) {
-            Ok(())
-        } else {
-            Err(self.unexpected(&format!("expected `{kw}`")))
-        }
-    }
-
-    fn at_symbol(&self, s: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Symbol(sym) if *sym == s)
-    }
-
-    fn eat_symbol(&mut self, s: &str) -> bool {
-        if self.at_symbol(s) {
-            self.advance();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_symbol(&mut self, s: &str) -> Result<()> {
-        if self.eat_symbol(s) {
-            Ok(())
-        } else {
-            Err(self.unexpected(&format!("expected `{s}`")))
-        }
-    }
-
-    fn unexpected(&self, want: &str) -> Error {
-        Error::syntax(format!("{want}, found {}", self.peek().kind.describe()), self.peek().offset)
-    }
-
-    fn identifier(&mut self) -> Result<String> {
-        match &self.peek().kind {
-            TokenKind::Word { text, upper } if !is_reserved(upper) => {
-                let t = text.clone();
-                self.advance();
-                Ok(t)
-            }
-            _ => Err(self.unexpected("expected identifier")),
-        }
-    }
-
-    /// `alias.column` or `column`.
-    fn col_ref(&mut self) -> Result<ColRef> {
-        let first = self.identifier()?;
-        if self.eat_symbol(".") {
-            let col = self.identifier()?;
-            Ok(ColRef { qualifier: Some(first), column: col })
-        } else {
-            Ok(ColRef { qualifier: None, column: first })
-        }
-    }
-
-    fn literal(&mut self) -> Result<Literal> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(i) => {
-                self.advance();
-                Ok(Literal::Int(i))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Literal::Str(s))
-            }
-            _ => Err(self.unexpected("expected literal")),
-        }
-    }
-
-    fn select(&mut self) -> Result<Select> {
-        self.expect_keyword("SELECT")?;
-        let distinct = self.eat_keyword("DISTINCT");
-        let mut projections = Vec::new();
-        loop {
-            let offset = self.peek().offset;
-            if self.at_keyword("COUNT") {
-                self.advance();
-                self.expect_symbol("(")?;
-                self.expect_symbol("*")?;
-                self.expect_symbol(")")?;
-                projections.push(Projection::CountStar);
-            } else {
-                projections.push(Projection::Col(self.col_ref()?));
-            }
-            // A count is one row of one column: it stands alone.
-            if projections.len() > 1 && projections.contains(&Projection::CountStar) {
-                return Err(Error::syntax("COUNT(*) must be the only projection", offset));
-            }
-            if !self.eat_symbol(",") {
-                break;
-            }
-        }
-        self.expect_keyword("FROM")?;
-        let mut from = Vec::new();
-        loop {
-            let table = self.identifier()?;
-            // `t AS a`, `t a`, or bare `t` (alias = table name).
-            let alias = if self.eat_keyword("AS")
-                || matches!(&self.peek().kind, TokenKind::Word { upper, .. } if !is_reserved(upper))
-            {
-                self.identifier()?
-            } else {
-                table.clone()
-            };
-            from.push(TableRef { table, alias });
-            if !self.eat_symbol(",") {
-                break;
-            }
-        }
-        let where_clause = if self.eat_keyword("WHERE") { Some(self.or_expr()?) } else { None };
-        let mut order_by = Vec::new();
-        if self.eat_keyword("ORDER") {
-            self.expect_keyword("BY")?;
-            loop {
-                order_by.push(self.col_ref()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-        }
-        let limit = if self.eat_keyword("LIMIT") {
-            match self.peek().kind.clone() {
-                TokenKind::Int(n) if n >= 0 => {
-                    self.advance();
-                    Some(n as usize)
-                }
-                _ => return Err(self.unexpected("expected non-negative integer")),
-            }
-        } else {
-            None
-        };
-        if !matches!(self.peek().kind, TokenKind::Eof) {
-            return Err(self.unexpected("expected end of statement"));
-        }
-        Ok(Select { distinct, projections, from, where_clause, order_by, limit })
-    }
-
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut left = self.and_expr()?;
-        while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut left = self.not_expr()?;
-        while self.eat_keyword("AND") {
-            let right = self.not_expr()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr> {
-        if self.eat_keyword("NOT") {
-            let inner = self.not_expr()?;
-            return Ok(Expr::Not(Box::new(inner)));
-        }
-        self.primary_expr()
-    }
-
-    fn primary_expr(&mut self) -> Result<Expr> {
-        if self.eat_symbol("(") {
-            let e = self.or_expr()?;
-            self.expect_symbol(")")?;
-            return Ok(e);
-        }
-        let col = self.col_ref()?;
-        // col [NOT] LIKE / IN, or col op (literal | col)
-        let negated = self.eat_keyword("NOT");
-        if self.eat_keyword("LIKE") {
-            match self.peek().kind.clone() {
-                TokenKind::Str(p) => {
-                    self.advance();
-                    return Ok(Expr::Like { col, pattern: p, negated });
-                }
-                _ => return Err(self.unexpected("expected LIKE pattern string")),
-            }
-        }
-        if self.eat_keyword("IN") {
-            self.expect_symbol("(")?;
-            let mut list = Vec::new();
-            loop {
-                list.push(self.literal()?);
-                if !self.eat_symbol(",") {
-                    break;
-                }
-            }
-            self.expect_symbol(")")?;
-            return Ok(Expr::InList { col, list, negated });
-        }
-        if negated {
-            return Err(self.unexpected("expected LIKE or IN after NOT"));
-        }
-        let op = match &self.peek().kind {
-            TokenKind::Symbol("=") => CmpOp::Eq,
-            TokenKind::Symbol("!=") => CmpOp::Ne,
-            TokenKind::Symbol("<") => CmpOp::Lt,
-            TokenKind::Symbol("<=") => CmpOp::Le,
-            TokenKind::Symbol(">") => CmpOp::Gt,
-            TokenKind::Symbol(">=") => CmpOp::Ge,
-            _ => return Err(self.unexpected("expected comparison operator")),
-        };
-        self.advance();
-        // Right side: literal or column.
-        match self.peek().kind.clone() {
-            TokenKind::Int(_) | TokenKind::Str(_) => {
-                let lit = self.literal()?;
-                Ok(Expr::CmpLit { col, op, lit })
-            }
-            TokenKind::Word { .. } => {
-                let right = self.col_ref()?;
-                Ok(Expr::CmpCol { left: col, op, right })
-            }
-            _ => Err(self.unexpected("expected literal or column")),
-        }
+/// `alias.column` or `column`.
+fn col_ref(c: &mut Cursor) -> Result<ColRef> {
+    let first = c.identifier()?;
+    if c.eat(".") {
+        Ok(ColRef { qualifier: Some(first), column: c.identifier()? })
+    } else {
+        Ok(ColRef { qualifier: None, column: first })
     }
 }
 
-fn is_reserved(upper: &str) -> bool {
-    matches!(
-        upper,
-        "SELECT"
-            | "DISTINCT"
-            | "FROM"
-            | "WHERE"
-            | "AND"
-            | "OR"
-            | "NOT"
-            | "LIKE"
-            | "IN"
-            | "AS"
-            | "ORDER"
-            | "BY"
-            | "LIMIT"
-            | "COUNT"
-    )
+fn literal(c: &mut Cursor) -> Result<Literal> {
+    c.literal(Literal::Int, Literal::Str, "expected literal")
+}
+
+fn select(c: &mut Cursor) -> Result<Select> {
+    c.expect("SELECT")?;
+    let distinct = c.eat("DISTINCT");
+    let mut projections = Vec::new();
+    loop {
+        let offset = c.peek().offset;
+        if c.eat("COUNT") {
+            c.expect("(")?;
+            c.expect("*")?;
+            c.expect(")")?;
+            projections.push(Projection::CountStar);
+        } else {
+            projections.push(Projection::Col(col_ref(c)?));
+        }
+        // A count is one row of one column: it stands alone.
+        if projections.len() > 1 && projections.contains(&Projection::CountStar) {
+            return Err(Error::syntax("COUNT(*) must be the only projection", offset));
+        }
+        if !c.eat(",") {
+            break;
+        }
+    }
+    c.expect("FROM")?;
+    let from = c.list(|c| {
+        let table = c.identifier()?;
+        // `t AS a`, `t a`, or bare `t` (alias = table name).
+        let alias = if c.eat("AS") || c.at_identifier() { c.identifier()? } else { table.clone() };
+        Ok(TableRef { table, alias })
+    })?;
+    let where_clause = if c.eat("WHERE") { Some(c.logic(&WHERE)?) } else { None };
+    let order_by = if c.eat("ORDER") {
+        c.expect("BY")?;
+        c.list(col_ref)?
+    } else {
+        Vec::new()
+    };
+    let limit = if c.eat("LIMIT") { Some(c.count("expected non-negative integer")?) } else { None };
+    c.end("expected end of statement")?;
+    Ok(Select { distinct, projections, from, where_clause, order_by, limit })
+}
+
+/// `col [NOT] LIKE` / `IN`, or `col op (literal | col)`.
+fn predicate(c: &mut Cursor) -> Result<Expr> {
+    let col = col_ref(c)?;
+    let negated = c.eat("NOT");
+    if c.eat("LIKE") {
+        let pattern = c.string("expected LIKE pattern string")?;
+        return Ok(Expr::Like { col, pattern, negated });
+    }
+    if c.eat("IN") {
+        c.expect("(")?;
+        let list = c.list(literal)?;
+        c.expect(")")?;
+        return Ok(Expr::InList { col, list, negated });
+    }
+    if negated {
+        return Err(c.unexpected("expected LIKE or IN after NOT"));
+    }
+    let op = c.eat_one_of(&CMP).ok_or_else(|| c.unexpected("expected comparison operator"))?;
+    // Right side: literal or column.
+    match c.peek().kind {
+        TokenKind::Int(_) | TokenKind::Str(_) => Ok(Expr::CmpLit { col, op, lit: literal(c)? }),
+        TokenKind::Word(_) => Ok(Expr::CmpCol { left: col, op, right: col_ref(c)? }),
+        _ => Err(c.unexpected("expected literal or column")),
+    }
 }
 
 /// Parses a single SELECT statement.
 pub fn parse_select(sql: &str) -> Result<Select> {
-    let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.select()
+    select(&mut Cursor::new(&SQL, sql)?)
 }
 
 #[cfg(test)]

@@ -711,3 +711,31 @@ proptest! {
         prop_assert_eq!(got, want, "{}", sql);
     }
 }
+
+/// The alphabet of the SQL fuzz: keywords, names, SQL's symbols (`<>`
+/// among them), a quote, a sign, and a 2-byte and a 3-byte character.
+const SQL_SOUP: &[&str] = &[
+    "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "LIKE", "IN", "COUNT", "DISTINCT", "ORDER",
+    "BY", "LIMIT", "AS", "t", "v", "s", "id", "t.v", "'x'", " ", " ", "(", ")", "'", "*", ",", ".",
+    "=", "<>", "<", ">=", "!", "-", "1", "é", "日",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Any text — here, up to 24 pieces of [`SQL_SOUP`], after a `WHERE`
+    /// or not — parses and runs against `t(id, v, s)` to a value or an
+    /// error, never a panic.
+    #[test]
+    fn never_panics(
+        clause in proptest::bool::ANY,
+        picks in proptest::collection::vec(0..SQL_SOUP.len(), 0..25),
+    ) {
+        let head = if clause { "SELECT id FROM t WHERE " } else { "" };
+        let text: String = picks.into_iter().map(|i| SQL_SOUP[i]).fold(head.into(), |t, p| t + p);
+        if raptor_relstore::sql::parse_select(&text).is_ok() {
+            let (db, _) = indexed_pair(&[(Some(1), Some("x".into()))]);
+            let _ = db.query(&text);
+        }
+    }
+}

@@ -15,13 +15,15 @@
 //! * entity ID reuse — using `p1` in two patterns declares them to be the
 //!   same entity.
 //!
-//! Modules: [`lexer`] → [`parser`] → [`ast`] → [`mod@analyze`] (semantic
-//! checking and desugaring) → [`mod@print`] (round-trip rendering) and
-//! [`metrics`] (character/word conciseness counts for Table X).
+//! Modules: [`parser`] (over the shared lexer, [`raptor_common::lex`]) →
+//! [`ast`] → [`mod@analyze`] (semantic checking and desugaring) →
+//! [`mod@print`] (round-trip rendering) and [`metrics`] (character/word
+//! conciseness counts for Table X).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod analyze;
 pub mod ast;
-pub mod lexer;
 pub mod metrics;
 pub mod parser;
 pub mod print;

@@ -1,466 +1,222 @@
-//! Recursive-descent TBQL parser (Grammar 1).
+//! Recursive-descent TBQL parser (Grammar 1), over the shared TBQL lexer
+//! ([`raptor_common::lex::TBQL`]).
 
 use raptor_common::error::{Error, Result};
+use raptor_common::lex::{Cursor, Logic, TokenKind, TBQL};
 use raptor_common::time::{parse_datetime, Timestamp};
 
 use crate::ast::*;
-use crate::lexer::{lex, Token, TokenKind};
 
-const ENTITY_KEYWORDS: [&str; 3] = ["file", "proc", "ip"];
+// Each is spelled as the printer spells it.
+const ENTITIES: [EntityType; 3] = [EntityType::File, EntityType::Proc, EntityType::Ip];
+const CMP: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+const TEMPORAL: [TemporalOp; 3] = [TemporalOp::Before, TemporalOp::After, TemporalOp::Within];
 const WINDOW_KEYWORDS: [&str; 5] = ["from", "at", "before", "after", "last"];
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Attribute expressions: a negated value is an atom, not a nesting `!`.
+const ATTR: Logic<AttrExpr> =
+    Logic { or: ("||", AttrExpr::Or), and: ("&&", AttrExpr::And), not: None, atom: attr_atom };
+
+/// Operation expressions.
+const OPS: Logic<OpExpr> = Logic {
+    or: ("||", OpExpr::Or),
+    and: ("&&", OpExpr::And),
+    not: Some(("!", OpExpr::Not)),
+    atom: |c| Ok(OpExpr::Op(c.identifier()?)),
+};
+
+/// TBQL integers are never negative: `-` is a symbol of its own.
+fn int(c: &mut Cursor) -> Result<i64> {
+    Ok(c.count("expected integer")? as i64)
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
+fn value(c: &mut Cursor) -> Result<Value> {
+    c.literal(Value::Int, Value::Str, "expected value")
+}
 
-    fn peek2(&self) -> Option<&Token> {
-        self.tokens.get(self.pos + 1)
+fn datetime(c: &mut Cursor) -> Result<Timestamp> {
+    let offset = c.peek().offset;
+    if let Some(n) = c.eat_count() {
+        return Ok(Timestamp(n as i64));
     }
+    let s = c.string("expected datetime")?;
+    parse_datetime(&s).ok_or_else(|| Error::syntax(format!("invalid datetime `{s}`"), offset))
+}
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+fn at_entity_type(c: &Cursor) -> bool {
+    ENTITIES.iter().any(|t| c.at(t.keyword()))
+}
+
+fn at_window(c: &Cursor) -> bool {
+    WINDOW_KEYWORDS.iter().any(|k| c.at(k))
+}
+
+fn window(c: &mut Cursor) -> Result<Window> {
+    let Some(&kw) = WINDOW_KEYWORDS.iter().find(|k| c.at(k)) else {
+        return Err(c.unexpected("expected time window"));
+    };
+    c.advance();
+    Ok(match kw {
+        "from" => {
+            let a = datetime(c)?;
+            c.expect("to")?;
+            Window::FromTo(a, datetime(c)?)
         }
-        t
-    }
+        "at" => Window::At(datetime(c)?),
+        "before" => Window::Before(datetime(c)?),
+        "after" => Window::After(datetime(c)?),
+        _ => Window::Last { n: int(c)?, unit: c.identifier()? },
+    })
+}
 
-    fn at_word(&self, w: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Word(x) if x == w)
+/// `[expression]`, if next.
+fn bracketed<T>(c: &mut Cursor, g: &Logic<T>) -> Result<Option<T>> {
+    if !c.eat("[") {
+        return Ok(None);
     }
+    let e = c.logic(g)?;
+    c.expect("]")?;
+    Ok(Some(e))
+}
 
-    fn eat_word(&mut self, w: &str) -> bool {
-        if self.at_word(w) {
-            self.advance();
-            true
+fn attr_atom(c: &mut Cursor) -> Result<AttrExpr> {
+    let negated = c.eat("!");
+    if negated || matches!(c.peek().kind, TokenKind::Str(_) | TokenKind::Int(_)) {
+        return Ok(AttrExpr::Bare { negated, value: value(c)? });
+    }
+    if !matches!(c.peek().kind, TokenKind::Word(_)) {
+        return Err(c.unexpected("expected attribute expression"));
+    }
+    let base = c.identifier()?;
+    let attr = AttrRef { base, attr: if c.eat(".") { Some(c.identifier()?) } else { None } };
+    // `not in`, `in`, or comparison.
+    let negated = c.eat("not");
+    if c.eat("in") {
+        c.expect("(")?;
+        let set = c.list(value)?;
+        c.expect(")")?;
+        return Ok(AttrExpr::InSet { attr, negated, set });
+    }
+    if negated {
+        return Err(c.unexpected("expected `in` after `not`"));
+    }
+    let op = cmp_op(c)?;
+    Ok(AttrExpr::Cmp { attr, op, value: value(c)? })
+}
+
+fn cmp_op(c: &mut Cursor) -> Result<CmpOp> {
+    let op = c.eat_one_of(&CMP.map(|op| (op.as_str(), op)));
+    op.ok_or_else(|| c.unexpected("expected comparison operator"))
+}
+
+fn entity(c: &mut Cursor) -> Result<EntityDecl> {
+    let Some(ty) = c.eat_one_of(&ENTITIES.map(|t| (t.keyword(), t))) else {
+        let other = c.identifier()?;
+        let want = format!("expected entity type (file/proc/ip), found `{other}`");
+        return Err(c.unexpected(&want));
+    };
+    let id = c.identifier()?;
+    Ok(EntityDecl { ty, id, filter: bracketed(c, &ATTR)? })
+}
+
+fn pattern(c: &mut Cursor) -> Result<Pattern> {
+    let subject = entity(c)?;
+    let op = if let Some(arrow) = c.eat_one_of(&[("~>", Arrow::Fuzzy), ("->", Arrow::Single)]) {
+        // Optional length bounds `(m~n)` / `(m~)` / `(~n)` / `(n)`.
+        let (mut min, mut max) = (None, None);
+        if c.eat("(") {
+            min = c.eat_u32()?;
+            max = if c.eat("~") { c.eat_u32()? } else { min };
+            c.expect(")")?;
+        }
+        // Optional final-hop operation `[op_exp]`.
+        PatternOp::Path { arrow, min, max, op: bracketed(c, &OPS)? }
+    } else {
+        PatternOp::Event(c.logic(&OPS)?)
+    };
+    let object = entity(c)?;
+    let (id, event_filter) =
+        if c.eat("as") { (Some(c.identifier()?), bracketed(c, &ATTR)?) } else { (None, None) };
+    let window = if at_pattern_window(c) { Some(window(c)?) } else { None };
+    Ok(Pattern { subject, op, object, id, event_filter, window })
+}
+
+/// A pattern-level window must not swallow a `with` clause's ids:
+/// `before` / `after` open one only when a datetime (string or integer)
+/// follows.
+fn at_pattern_window(c: &Cursor) -> bool {
+    let datetime_next =
+        matches!(c.peek2().map(|t| t.kind), Some(TokenKind::Str(_) | TokenKind::Int(_)));
+    at_window(c) && (datetime_next || !(c.at("before") || c.at("after")))
+}
+
+fn rel_clause_item(c: &mut Cursor) -> Result<RelClause> {
+    let base = c.identifier()?;
+    if c.eat(".") {
+        // Attribute relationship: `p1.pid = p2.pid`.
+        let attr = c.identifier()?;
+        let op = cmp_op(c)?;
+        let rbase = c.identifier()?;
+        c.expect(".")?;
+        return Ok(RelClause::Attr {
+            left: AttrRef { base, attr: Some(attr) },
+            op,
+            right: AttrRef { base: rbase, attr: Some(c.identifier()?) },
+        });
+    }
+    let op = c.eat_one_of(&TEMPORAL.map(|op| (op.as_str(), op)));
+    let op = op.ok_or_else(|| c.unexpected("expected `before`, `after` or `within`"))?;
+    let range = if c.eat("[") {
+        let lo = int(c)?;
+        c.expect("-")?;
+        let hi = int(c)?;
+        let unit = c.identifier()?;
+        c.expect("]")?;
+        Some((lo, hi, unit))
+    } else {
+        None
+    };
+    Ok(RelClause::Temporal { left: base, op, range, right: c.identifier()? })
+}
+
+fn query(c: &mut Cursor) -> Result<Query> {
+    let mut global_filters = Vec::new();
+    // Global filters come before the first pattern.
+    while !at_entity_type(c) {
+        if at_window(c) {
+            global_filters.push(GlobalFilter::Window(window(c)?));
+        } else if matches!(
+            c.peek().kind,
+            TokenKind::Word(_) | TokenKind::Str(_) | TokenKind::Int(_)
+        ) && !c.at("return")
+            && !c.at("with")
+        {
+            global_filters.push(GlobalFilter::Attr(c.logic(&ATTR)?));
         } else {
-            false
+            break;
         }
     }
-
-    fn at_symbol(&self, s: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Symbol(sym) if *sym == s)
+    let mut patterns = Vec::new();
+    while at_entity_type(c) {
+        patterns.push(pattern(c)?);
     }
-
-    fn eat_symbol(&mut self, s: &str) -> bool {
-        if self.at_symbol(s) {
-            self.advance();
-            true
-        } else {
-            false
-        }
+    if patterns.is_empty() {
+        return Err(c.unexpected("expected at least one pattern"));
     }
-
-    fn expect_symbol(&mut self, s: &str) -> Result<()> {
-        if self.eat_symbol(s) {
-            Ok(())
-        } else {
-            Err(self.unexpected(&format!("expected `{s}`")))
-        }
-    }
-
-    fn unexpected(&self, want: &str) -> Error {
-        Error::syntax(format!("{want}, found {}", self.peek().kind.describe()), self.peek().offset)
-    }
-
-    fn word(&mut self) -> Result<String> {
-        match self.peek().kind.clone() {
-            TokenKind::Word(w) => {
-                self.advance();
-                Ok(w)
-            }
-            _ => Err(self.unexpected("expected identifier")),
-        }
-    }
-
-    fn int(&mut self) -> Result<i64> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(n) => {
-                self.advance();
-                Ok(n)
-            }
-            _ => Err(self.unexpected("expected integer")),
-        }
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(n) => {
-                self.advance();
-                Ok(Value::Int(n))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Value::Str(s))
-            }
-            _ => Err(self.unexpected("expected value")),
-        }
-    }
-
-    fn datetime(&mut self) -> Result<Timestamp> {
-        match self.peek().kind.clone() {
-            TokenKind::Str(s) => {
-                let offset = self.peek().offset;
-                self.advance();
-                parse_datetime(&s)
-                    .ok_or_else(|| Error::syntax(format!("invalid datetime `{s}`"), offset))
-            }
-            TokenKind::Int(n) => {
-                self.advance();
-                Ok(Timestamp(n))
-            }
-            _ => Err(self.unexpected("expected datetime")),
-        }
-    }
-
-    fn at_entity_type(&self) -> bool {
-        matches!(&self.peek().kind, TokenKind::Word(w) if ENTITY_KEYWORDS.contains(&w.as_str()))
-    }
-
-    fn at_window(&self) -> bool {
-        matches!(&self.peek().kind, TokenKind::Word(w) if WINDOW_KEYWORDS.contains(&w.as_str()))
-    }
-
-    fn window(&mut self) -> Result<Window> {
-        if self.eat_word("from") {
-            let a = self.datetime()?;
-            if !self.eat_word("to") {
-                return Err(self.unexpected("expected `to`"));
-            }
-            let b = self.datetime()?;
-            return Ok(Window::FromTo(a, b));
-        }
-        if self.eat_word("at") {
-            return Ok(Window::At(self.datetime()?));
-        }
-        if self.eat_word("before") {
-            return Ok(Window::Before(self.datetime()?));
-        }
-        if self.eat_word("after") {
-            return Ok(Window::After(self.datetime()?));
-        }
-        if self.eat_word("last") {
-            let n = self.int()?;
-            let unit = self.word()?;
-            return Ok(Window::Last { n, unit });
-        }
-        Err(self.unexpected("expected time window"))
-    }
-
-    // --- attribute expressions ---
-
-    fn attr_expr(&mut self) -> Result<AttrExpr> {
-        let mut left = self.attr_and()?;
-        while self.eat_symbol("||") {
-            let right = self.attr_and()?;
-            left = AttrExpr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn attr_and(&mut self) -> Result<AttrExpr> {
-        let mut left = self.attr_primary()?;
-        while self.eat_symbol("&&") {
-            let right = self.attr_primary()?;
-            left = AttrExpr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn attr_primary(&mut self) -> Result<AttrExpr> {
-        if self.eat_symbol("(") {
-            let e = self.attr_expr()?;
-            self.expect_symbol(")")?;
-            return Ok(e);
-        }
-        if self.eat_symbol("!") {
-            let v = self.value()?;
-            return Ok(AttrExpr::Bare { negated: true, value: v });
-        }
-        match self.peek().kind.clone() {
-            TokenKind::Str(_) | TokenKind::Int(_) => {
-                let v = self.value()?;
-                Ok(AttrExpr::Bare { negated: false, value: v })
-            }
-            TokenKind::Word(_) => {
-                let base = self.word()?;
-                let attr = if self.eat_symbol(".") {
-                    AttrRef { base, attr: Some(self.word()?) }
-                } else {
-                    AttrRef { base, attr: None }
-                };
-                // `not in`, `in`, or comparison.
-                let negated = self.eat_word("not");
-                if self.eat_word("in") {
-                    self.expect_symbol("(")?;
-                    let mut set = vec![self.value()?];
-                    while self.eat_symbol(",") {
-                        set.push(self.value()?);
-                    }
-                    self.expect_symbol(")")?;
-                    return Ok(AttrExpr::InSet { attr, negated, set });
-                }
-                if negated {
-                    return Err(self.unexpected("expected `in` after `not`"));
-                }
-                let op = self.cmp_op()?;
-                let value = self.value()?;
-                Ok(AttrExpr::Cmp { attr, op, value })
-            }
-            _ => Err(self.unexpected("expected attribute expression")),
-        }
-    }
-
-    fn cmp_op(&mut self) -> Result<CmpOp> {
-        let op = match &self.peek().kind {
-            TokenKind::Symbol("=") => CmpOp::Eq,
-            TokenKind::Symbol("!=") => CmpOp::Ne,
-            TokenKind::Symbol("<") => CmpOp::Lt,
-            TokenKind::Symbol("<=") => CmpOp::Le,
-            TokenKind::Symbol(">") => CmpOp::Gt,
-            TokenKind::Symbol(">=") => CmpOp::Ge,
-            _ => return Err(self.unexpected("expected comparison operator")),
-        };
-        self.advance();
-        Ok(op)
-    }
-
-    // --- operation expressions ---
-
-    fn op_expr(&mut self) -> Result<OpExpr> {
-        let mut left = self.op_and()?;
-        while self.eat_symbol("||") {
-            let right = self.op_and()?;
-            left = OpExpr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn op_and(&mut self) -> Result<OpExpr> {
-        let mut left = self.op_primary()?;
-        while self.eat_symbol("&&") {
-            let right = self.op_primary()?;
-            left = OpExpr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn op_primary(&mut self) -> Result<OpExpr> {
-        if self.eat_symbol("!") {
-            return Ok(OpExpr::Not(Box::new(self.op_primary()?)));
-        }
-        if self.eat_symbol("(") {
-            let e = self.op_expr()?;
-            self.expect_symbol(")")?;
-            return Ok(e);
-        }
-        Ok(OpExpr::Op(self.word()?))
-    }
-
-    // --- entities and patterns ---
-
-    fn entity(&mut self) -> Result<EntityDecl> {
-        let ty = match self.word()?.as_str() {
-            "file" => EntityType::File,
-            "proc" => EntityType::Proc,
-            "ip" => EntityType::Ip,
-            other => {
-                return Err(self
-                    .unexpected(&format!("expected entity type (file/proc/ip), found `{other}`")))
-            }
-        };
-        let id = self.word()?;
-        let filter = if self.eat_symbol("[") {
-            let f = self.attr_expr()?;
-            self.expect_symbol("]")?;
-            Some(f)
-        } else {
-            None
-        };
-        Ok(EntityDecl { ty, id, filter })
-    }
-
-    fn pattern(&mut self) -> Result<Pattern> {
-        let subject = self.entity()?;
-        let op = if self.at_symbol("~>") || self.at_symbol("->") {
-            let arrow = if self.eat_symbol("~>") {
-                Arrow::Fuzzy
-            } else {
-                self.expect_symbol("->")?;
-                Arrow::Single
-            };
-            // Optional length bounds `(m~n)` / `(m~)` / `(~n)` / `(n)`.
-            let (mut min, mut max) = (None, None);
-            if self.eat_symbol("(") {
-                if let TokenKind::Int(_) = self.peek().kind {
-                    min = Some(self.int()? as u32);
-                }
-                if self.eat_symbol("~") {
-                    if let TokenKind::Int(_) = self.peek().kind {
-                        max = Some(self.int()? as u32);
-                    }
-                } else {
-                    max = min; // `(n)` = exactly n
-                }
-                self.expect_symbol(")")?;
-            }
-            // Optional final-hop operation `[op_exp]`.
-            let op = if self.eat_symbol("[") {
-                let e = self.op_expr()?;
-                self.expect_symbol("]")?;
-                Some(e)
-            } else {
-                None
-            };
-            PatternOp::Path { arrow, min, max, op }
-        } else {
-            PatternOp::Event(self.op_expr()?)
-        };
-        let object = self.entity()?;
-        let (id, event_filter) = if self.eat_word("as") {
-            let id = self.word()?;
-            let f = if self.eat_symbol("[") {
-                let f = self.attr_expr()?;
-                self.expect_symbol("]")?;
-                Some(f)
-            } else {
-                None
-            };
-            (Some(id), f)
-        } else {
-            (None, None)
-        };
-        // A pattern-level window must not swallow the `with` clause's ids;
-        // window keywords here are only `from/at/last` plus `before/after`
-        // *followed by a datetime-looking token*.
-        let window = if self.at_window() && !self.window_is_rel_clause() {
-            Some(self.window()?)
-        } else {
-            None
-        };
-        Ok(Pattern { subject, op, object, id, event_filter, window })
-    }
-
-    /// Disambiguates `before`/`after` at pattern end: they open a window
-    /// only when followed by a datetime (string/int); in `with` clauses they
-    /// sit between two identifiers — but `with` is consumed separately, so
-    /// here only the datetime form can occur. Kept for safety.
-    fn window_is_rel_clause(&self) -> bool {
-        if self.at_word("before") || self.at_word("after") {
-            !matches!(
-                self.peek2().map(|t| &t.kind),
-                Some(TokenKind::Str(_)) | Some(TokenKind::Int(_))
-            )
-        } else {
-            false
-        }
-    }
-
-    fn rel_clause_item(&mut self) -> Result<RelClause> {
-        let base = self.word()?;
-        if self.eat_symbol(".") {
-            // Attribute relationship: `p1.pid = p2.pid`.
-            let attr = self.word()?;
-            let op = self.cmp_op()?;
-            let rbase = self.word()?;
-            self.expect_symbol(".")?;
-            let rattr = self.word()?;
-            return Ok(RelClause::Attr {
-                left: AttrRef { base, attr: Some(attr) },
-                op,
-                right: AttrRef { base: rbase, attr: Some(rattr) },
-            });
-        }
-        let op = if self.eat_word("before") {
-            TemporalOp::Before
-        } else if self.eat_word("after") {
-            TemporalOp::After
-        } else if self.eat_word("within") {
-            TemporalOp::Within
-        } else {
-            return Err(self.unexpected("expected `before`, `after` or `within`"));
-        };
-        let range = if self.eat_symbol("[") {
-            let lo = self.int()?;
-            self.expect_symbol("-")?;
-            let hi = self.int()?;
-            let unit = self.word()?;
-            self.expect_symbol("]")?;
-            Some((lo, hi, unit))
-        } else {
-            None
-        };
-        let right = self.word()?;
-        Ok(RelClause::Temporal { left: base, op, range, right })
-    }
-
-    fn return_clause(&mut self) -> Result<ReturnClause> {
-        if !self.eat_word("return") {
-            return Err(self.unexpected("expected `return`"));
-        }
-        let distinct = self.eat_word("distinct");
-        let mut items = Vec::new();
-        loop {
-            let base = self.word()?;
-            let attr = if self.eat_symbol(".") { Some(self.word()?) } else { None };
-            items.push(AttrRef { base, attr });
-            if !self.eat_symbol(",") {
-                break;
-            }
-        }
-        Ok(ReturnClause { distinct, items })
-    }
-
-    fn query(&mut self) -> Result<Query> {
-        let mut global_filters = Vec::new();
-        // Global filters come before the first pattern.
-        while !self.at_entity_type() {
-            if self.at_window() {
-                global_filters.push(GlobalFilter::Window(self.window()?));
-            } else if matches!(
-                self.peek().kind,
-                TokenKind::Word(_) | TokenKind::Str(_) | TokenKind::Int(_)
-            ) && !self.at_word("return")
-                && !self.at_word("with")
-            {
-                global_filters.push(GlobalFilter::Attr(self.attr_expr()?));
-            } else {
-                break;
-            }
-        }
-        let mut patterns = Vec::new();
-        while self.at_entity_type() {
-            patterns.push(self.pattern()?);
-        }
-        if patterns.is_empty() {
-            return Err(self.unexpected("expected at least one pattern"));
-        }
-        let mut relations = Vec::new();
-        if self.eat_word("with") {
-            relations.push(self.rel_clause_item()?);
-            while self.eat_symbol(",") {
-                relations.push(self.rel_clause_item()?);
-            }
-        }
-        let ret = self.return_clause()?;
-        if !matches!(self.peek().kind, TokenKind::Eof) {
-            return Err(self.unexpected("expected end of query"));
-        }
-        Ok(Query { global_filters, patterns, relations, ret })
-    }
+    let relations = if c.eat("with") { c.list(rel_clause_item)? } else { Vec::new() };
+    c.expect("return")?;
+    let distinct = c.eat("distinct");
+    let items = c.list(|c| {
+        let base = c.identifier()?;
+        Ok(AttrRef { base, attr: if c.eat(".") { Some(c.identifier()?) } else { None } })
+    })?;
+    c.end("expected end of query")?;
+    Ok(Query { global_filters, patterns, relations, ret: ReturnClause { distinct, items } })
 }
 
 /// Parses one TBQL query.
 pub fn parse_tbql(text: &str) -> Result<Query> {
-    let tokens = lex(text)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.query()
+    query(&mut Cursor::new(&TBQL, text)?)
 }
 
 /// The Figure 2 query, used in tests and docs across the workspace.
@@ -571,6 +327,8 @@ mod tests {
         // Arrow type distinguishes execution backend.
         let q = parse_tbql("proc p ->[read] file f return f").unwrap();
         assert!(matches!(&q.patterns[0].op, PatternOp::Path { arrow: Arrow::Single, .. }));
+        let err = parse_tbql("proc p ~>(1~4294967296)[read] file f return f").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (Some(12), "integer literal out of range"));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use std::fmt::Write as _;
 
+use raptor_common::lex::TBQL;
 use raptor_common::time::Timestamp;
 
 use crate::ast::*;
@@ -15,9 +16,7 @@ fn write_value(out: &mut String, v: &Value) {
         Value::Int(i) => {
             let _ = write!(out, "{i}");
         }
-        Value::Str(s) => {
-            let _ = write!(out, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
-        }
+        Value::Str(s) => out.push_str(&TBQL.quote(s)),
     }
 }
 
