@@ -19,6 +19,7 @@
 
 pub mod ast;
 pub mod exec;
+mod lexer;
 pub mod parser;
 
 pub use ast::CypherQuery;

@@ -21,6 +21,7 @@
 //! [`raptor_common::lex::SQL`].
 
 pub mod ast;
+mod lexer;
 pub mod parser;
 
 pub use ast::{CmpOp, ColRef, Expr, Literal, Projection, Select, TableRef};

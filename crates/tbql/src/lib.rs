@@ -24,6 +24,7 @@
 
 pub mod analyze;
 pub mod ast;
+mod lexer;
 pub mod metrics;
 pub mod parser;
 pub mod print;
